@@ -1,8 +1,9 @@
 //! The `GRAPH.*` module commands and their RESP encodings.
 
-use crate::resp::RespValue;
+use crate::resp::{push_bulk, push_header, push_integer, push_null, RespValue};
 use cypher::{Expr, Lexer, Literal, Token, TokenKind};
-use redisgraph_core::{format_profile, OpProfile, Params, ResultSet, Value};
+use redisgraph_core::{format_profile, OpProfile, Params, QueryStats, ResultSet, Value};
+use std::fmt::Write;
 
 /// A parsed client command.
 #[derive(Debug, Clone, PartialEq)]
@@ -314,19 +315,76 @@ pub fn resultset_to_resp(rs: &ResultSet) -> RespValue {
             .map(|row| RespValue::Array(row.iter().map(value_to_resp).collect()))
             .collect(),
     );
-    let stats = RespValue::Array(vec![
-        RespValue::BulkString(format!("Nodes created: {}", rs.stats.nodes_created)),
-        RespValue::BulkString(format!("Relationships created: {}", rs.stats.relationships_created)),
-        RespValue::BulkString(format!("Properties set: {}", rs.stats.properties_set)),
-        RespValue::BulkString(format!("Nodes deleted: {}", rs.stats.nodes_deleted)),
-        RespValue::BulkString(format!("Relationships deleted: {}", rs.stats.relationships_deleted)),
-        RespValue::BulkString(format!("Cached: {}", rs.stats.cached)),
-        RespValue::BulkString(format!(
-            "Query internal execution time: {:.6} milliseconds",
-            rs.stats.execution_time.as_secs_f64() * 1e3
-        )),
-    ]);
+    let stats =
+        RespValue::Array(stats_lines(&rs.stats).into_iter().map(RespValue::BulkString).collect());
     RespValue::Array(vec![header, rows, stats])
+}
+
+/// The statistics footer of a `GRAPH.QUERY` reply, one line per counter.
+fn stats_lines(stats: &QueryStats) -> [String; 7] {
+    [
+        format!("Nodes created: {}", stats.nodes_created),
+        format!("Relationships created: {}", stats.relationships_created),
+        format!("Properties set: {}", stats.properties_set),
+        format!("Nodes deleted: {}", stats.nodes_deleted),
+        format!("Relationships deleted: {}", stats.relationships_deleted),
+        format!("Cached: {}", stats.cached),
+        format!(
+            "Query internal execution time: {:.6} milliseconds",
+            stats.execution_time.as_secs_f64() * 1e3
+        ),
+    ]
+}
+
+/// Append the bytes of `resultset_to_resp(rs).encode()` to `out` without
+/// building the tree: one pass over the rows, no `RespValue` per cell and no
+/// allocation per element (a reply is mostly integers and short lengths, so
+/// that is where a 15 k-row reply's encode time went).
+pub fn encode_resultset(rs: &ResultSet, out: &mut Vec<u8>) {
+    // Scratch for the few cells that are formatted text (floats, entity
+    // ids); reused so formatting them allocates at most once per reply.
+    let mut text = String::new();
+    push_header(out, b'*', 3);
+    push_header(out, b'*', rs.columns.len());
+    for column in &rs.columns {
+        push_bulk(out, column);
+    }
+    push_header(out, b'*', rs.rows.len());
+    for row in &rs.rows {
+        push_header(out, b'*', row.len());
+        for value in row {
+            encode_value(value, out, &mut text);
+        }
+    }
+    let stats = stats_lines(&rs.stats);
+    push_header(out, b'*', stats.len());
+    for line in &stats {
+        push_bulk(out, line);
+    }
+}
+
+/// Append the bytes of `value_to_resp(value).encode()` to `out`.
+fn encode_value(value: &Value, out: &mut Vec<u8>, text: &mut String) {
+    let mut formatted = |args: std::fmt::Arguments<'_>| {
+        text.clear();
+        let _ = text.write_fmt(args); // writing to a `String` cannot fail
+        push_bulk(out, text);
+    };
+    match value {
+        Value::Null => push_null(out),
+        Value::Bool(b) => push_bulk(out, if *b { "true" } else { "false" }),
+        Value::Int(i) => push_integer(out, *i),
+        Value::Float(f) => formatted(format_args!("{f}")),
+        Value::Str(s) => push_bulk(out, s),
+        Value::Node(id) => formatted(format_args!("(node:{id})")),
+        Value::Edge(id) => formatted(format_args!("[edge:{id}]")),
+        Value::List(items) => {
+            push_header(out, b'*', items.len());
+            for item in items {
+                encode_value(item, out, text);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

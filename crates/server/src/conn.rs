@@ -5,7 +5,7 @@
 //! the reproduction simple while preserving the architecture that matters —
 //! queries still execute on the module threadpool, never on the connection
 //! thread). The loop enforces the protocol contract
-//! [`RespValue::decode_pipeline_strict`] documents:
+//! [`DecodeStop`] documents:
 //!
 //! * the retained buffer of unparsed bytes is **bounded** by the live
 //!   `MAX_QUERY_BUFFER` config — a client that declares a huge bulk string
@@ -19,8 +19,9 @@
 //!   `CREATE` pipelined before a `MATCH` is visible to it. Each query still
 //!   runs on a pool worker (the connection thread blocks on its reply);
 //!   cross-**connection** concurrency is what the pool parallelises, per the
-//!   paper's one-query-one-thread model. Replies of a batch are encoded into
-//!   one buffer and written with a single syscall.
+//!   paper's one-query-one-thread model. Replies of a batch are gathered into
+//!   one buffer and written with a single syscall; a query's reply arrives
+//!   from its worker already encoded, so the rows are walked once, there.
 
 use crate::commands::Command;
 use crate::resp::{DecodeStop, RespValue, StreamDecoder};
@@ -44,6 +45,11 @@ const WRITE_STALL_TIMEOUT: Duration = Duration::from_secs(10);
 /// Read chunk size (bytes appended to the retained buffer per `read`).
 const READ_CHUNK: usize = 16 * 1024;
 
+/// Capacity the reply buffer keeps between batches: enough that ordinary
+/// replies never reallocate it, small enough that one huge reply does not
+/// pin its size to the connection for life.
+const OUT_RETAINED: usize = 1024 * 1024;
+
 /// Serve one client connection until EOF, protocol error, buffer overflow,
 /// write failure, or server shutdown. Runs on its own thread; queries run on
 /// the module threadpool.
@@ -66,6 +72,7 @@ pub(crate) fn serve_connection(
     // for a large pipelined burst or a slowly-arriving big bulk).
     let mut decoder = StreamDecoder::new();
     let mut chunk = vec![0u8; READ_CHUNK];
+    let mut out: Vec<u8> = Vec::new();
     loop {
         if shutdown.load(Ordering::SeqCst) {
             // Graceful stop: every command read so far had its reply written
@@ -90,17 +97,17 @@ pub(crate) fn serve_connection(
             // write is visible to every later command of the same pipeline.
             // Replies accumulate into one buffer, written once per batch.
             server.metrics().pipeline_depth.record(frames.len() as u64);
-            let mut out = Vec::new();
             let mut close_after_replies = false;
             for frame in &frames {
-                let reply = execute_frame(&server, frame, &shutdown, &mut close_after_replies);
-                reply.encode_into(&mut out);
+                execute_frame(&server, frame, &shutdown, &mut close_after_replies, &mut out);
             }
             server.metrics().bytes_out.fetch_add(out.len() as u64, Ordering::Relaxed);
             if stream.write_all(&out).is_err() {
                 return;
             }
             let _ = stream.flush();
+            out.clear();
+            out.shrink_to(OUT_RETAINED);
             if close_after_replies {
                 return;
             }
@@ -126,22 +133,20 @@ pub(crate) fn serve_connection(
     }
 }
 
-/// Execute one decoded frame to completion: queries go to the pool and are
-/// awaited (one worker, this connection blocked — the pool parallelises
-/// across connections), admin commands run inline, `SHUTDOWN` flips the
-/// listener's flag.
+/// Execute one decoded frame to completion and append its encoded reply to
+/// `out`: queries go to the pool and are awaited (one worker, this connection
+/// blocked — the pool parallelises across connections), admin commands run
+/// inline, `SHUTDOWN` flips the listener's flag.
 fn execute_frame(
     server: &Arc<RedisGraphServer>,
     frame: &RespValue,
     shutdown: &Arc<AtomicBool>,
     close_after_replies: &mut bool,
-) -> RespValue {
-    let parsed = match Command::parse(frame) {
-        Ok(c) => c,
-        Err(e) => return RespValue::Error(format!("ERR {e}")),
-    };
-    match parsed {
-        Command::Shutdown => {
+    out: &mut Vec<u8>,
+) {
+    let reply = match Command::parse(frame) {
+        Err(e) => RespValue::Error(format!("ERR {e}")),
+        Ok(Command::Shutdown) => {
             // Acknowledge, finish writing this pipeline's replies, then let
             // the listener drain every connection and exit. (Counted here:
             // this arm never reaches `RedisGraphServer::execute`.)
@@ -150,13 +155,22 @@ fn execute_frame(
             *close_after_replies = true;
             RespValue::SimpleString("OK".to_string())
         }
-        Command::GraphQuery { graph, query } => {
-            let (tx, rx) = bounded(1);
+        Ok(Command::GraphQuery { graph, query }) => {
+            // The worker encodes the result set itself; its bytes are the
+            // reply, with no tree in between.
+            let (tx, rx) = bounded::<Vec<u8>>(1);
             server.submit_query(graph, query, tx);
-            rx.recv().unwrap_or_else(|_| RespValue::Error("ERR query worker exited".to_string()))
+            match rx.recv() {
+                Ok(encoded) => {
+                    out.extend_from_slice(&encoded);
+                    return;
+                }
+                Err(_) => RespValue::Error("ERR query worker exited".to_string()),
+            }
         }
-        other => server.execute(other),
-    }
+        Ok(other) => server.execute(other),
+    };
+    reply.encode_into(out);
 }
 
 /// Best-effort error reply before closing (the peer may already be gone).

@@ -21,11 +21,12 @@
 //!   used by the throughput benchmark (experiment E5) to measure
 //!   queries/second as the pool grows;
 //! * the **real network server** ([`listener::GraphServer`]): a TCP accept
-//!   loop whose per-connection framing loops ([`conn`]) consume
-//!   [`resp::RespValue::decode_pipeline_strict`] under a bounded retained
-//!   buffer and dispatch queries onto the same worker pool — the byte-level
-//!   interface RedisGraph clients actually speak, plus a small blocking
-//!   client ([`client::RespClient`]) to drive it.
+//!   loop whose per-connection framing loops ([`conn`]) run a resumable
+//!   [`resp::StreamDecoder`] under a bounded retained buffer and dispatch
+//!   queries onto the same worker pool — the byte-level interface RedisGraph
+//!   clients actually speak, plus a small blocking client
+//!   ([`client::RespClient`], the same decoder in its reply role) to drive
+//!   it.
 
 pub mod client;
 pub mod commands;

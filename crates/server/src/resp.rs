@@ -7,9 +7,9 @@
 //! split on whitespace with Redis' quoting rules (`"\xHH"` escapes inside
 //! double quotes, `\'` inside single quotes). Inline commands are only
 //! recognised at the top level of the stream — never inside an array frame —
-//! and the one-shot [`RespValue::decode_strict`] stays strict RESP, since it
-//! also parses server *replies*, where an inline fallback would mask
-//! corruption.
+//! and never by a decoder built with [`StreamDecoder::for_replies`] (or the
+//! one-shot [`RespValue::decode`] on top of it): a server's *replies* are
+//! strict RESP, where an inline fallback would mask corruption.
 
 use std::fmt;
 
@@ -57,89 +57,29 @@ impl RespValue {
     /// batch many frames into one buffer, one syscall).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
-            RespValue::SimpleString(s) => {
-                out.extend_from_slice(b"+");
-                out.extend_from_slice(s.as_bytes());
-                out.extend_from_slice(b"\r\n");
-            }
-            RespValue::Error(e) => {
-                out.extend_from_slice(b"-");
-                out.extend_from_slice(e.as_bytes());
-                out.extend_from_slice(b"\r\n");
-            }
-            RespValue::Integer(i) => {
-                out.extend_from_slice(format!(":{i}\r\n").as_bytes());
-            }
-            RespValue::BulkString(s) => {
-                out.extend_from_slice(format!("${}\r\n", s.len()).as_bytes());
-                out.extend_from_slice(s.as_bytes());
-                out.extend_from_slice(b"\r\n");
-            }
+            RespValue::SimpleString(s) => push_line(out, b'+', s),
+            RespValue::Error(e) => push_line(out, b'-', e),
+            RespValue::Integer(i) => push_integer(out, *i),
+            RespValue::BulkString(s) => push_bulk(out, s),
             RespValue::Array(items) => {
-                out.extend_from_slice(format!("*{}\r\n", items.len()).as_bytes());
+                push_header(out, b'*', items.len());
                 for item in items {
                     item.encode_into(out);
                 }
             }
-            RespValue::Null => out.extend_from_slice(b"$-1\r\n"),
+            RespValue::Null => push_null(out),
         }
     }
 
-    /// Decode one RESP value from the front of `input`, returning the value and
-    /// the number of bytes consumed. Returns `None` on incomplete or malformed
-    /// input; use [`RespValue::decode_strict`] to tell the two apart.
-    ///
-    /// The parser tracks an absolute scan offset through the whole frame
-    /// (nested values included) instead of re-slicing the buffer per element,
-    /// so decoding a pipelined buffer of `N` commands is `O(total bytes)`:
-    /// each byte is visited once, never rescanned from the front.
-    pub fn decode(input: &[u8]) -> Option<(RespValue, usize)> {
-        RespValue::decode_strict(input).ok()
-    }
-
-    /// Decode one RESP value from the front of `input`, distinguishing a
-    /// prefix that may still complete ([`DecodeStop::Incomplete`] — keep it
-    /// buffered and read more) from one no further input can repair
-    /// ([`DecodeStop::Malformed`] — a socket loop must close the connection).
-    pub fn decode_strict(input: &[u8]) -> Result<(RespValue, usize), DecodeStop> {
-        let mut pos = 0usize;
-        let value = decode_at(input, &mut pos, 0)?;
-        Ok((value, pos))
-    }
-
-    /// Decode every complete RESP value at the front of `input` (a client
-    /// pipeline), returning the values and the total number of bytes
-    /// consumed. Stops at the first frame that does not decode — either
-    /// *incomplete* (more bytes may complete it; keep `input[consumed..]`
-    /// buffered) or *malformed* (no amount of further input will fix it).
-    /// The two are not distinguished here, so a caller owning a real socket
-    /// loop should use [`RespValue::decode_pipeline_strict`] instead, bound
-    /// the retained buffer, and treat hitting that bound as a protocol error
-    /// rather than waiting forever.
-    pub fn decode_pipeline(input: &[u8]) -> (Vec<RespValue>, usize) {
-        let (values, consumed, _) = RespValue::decode_pipeline_strict(input);
-        (values, consumed)
-    }
-
-    /// [`RespValue::decode_pipeline`] with the stop reason: after the decoded
-    /// frames, reports whether the undecoded tail is merely incomplete (keep
-    /// `input[consumed..]` buffered and read more) or malformed (the
-    /// connection owning this byte stream is unrecoverable — the docs of
-    /// [`RespValue::decode_strict`] require closing it). The tail of a fully
-    /// consumed buffer is the empty prefix, which is `Incomplete`.
-    pub fn decode_pipeline_strict(input: &[u8]) -> (Vec<RespValue>, usize, DecodeStop) {
-        let mut values = Vec::new();
-        let mut pos = 0usize;
-        loop {
-            let mut next = pos;
-            match decode_at(input, &mut next, 0) {
-                Ok(value) => {
-                    values.push(value);
-                    pos = next;
-                }
-                Err(stop) => return (values, pos, stop),
-            }
-        }
+    /// Decode one strict-RESP value (a reply; no inline commands) from the
+    /// front of `input`, returning it and the number of bytes it spans. The
+    /// error tells a prefix that may still complete
+    /// ([`DecodeStop::Incomplete`]) from one no further input can repair
+    /// ([`DecodeStop::Malformed`]). For a socket, keep a [`StreamDecoder`]
+    /// instead: it resumes where this would start over.
+    pub fn decode(input: &[u8]) -> Result<(RespValue, usize), DecodeStop> {
+        let (mut frames, used, stop) = StreamDecoder::for_replies().feed_at_most(1, input);
+        frames.pop().map(|frame| (frame, used)).ok_or(stop)
     }
 
     /// Convenience: build a RESP array of bulk strings (how clients send
@@ -147,6 +87,60 @@ impl RespValue {
     pub fn command(parts: &[&str]) -> RespValue {
         RespValue::Array(parts.iter().map(|p| RespValue::BulkString(p.to_string())).collect())
     }
+}
+
+/// Append `n` in decimal, with no `format!` temporary.
+fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20]; // u64::MAX has 20 digits
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// Append a length header: `$<n>\r\n` or `*<n>\r\n`.
+pub(crate) fn push_header(out: &mut Vec<u8>, kind: u8, n: usize) {
+    out.push(kind);
+    push_decimal(out, n as u64);
+    out.extend_from_slice(b"\r\n");
+}
+
+/// Append `:<i>\r\n`.
+pub(crate) fn push_integer(out: &mut Vec<u8>, i: i64) {
+    out.push(b':');
+    if i < 0 {
+        out.push(b'-');
+    }
+    push_decimal(out, i.unsigned_abs());
+    out.extend_from_slice(b"\r\n");
+}
+
+/// Append `$<len>\r\n<s>\r\n`.
+pub(crate) fn push_bulk(out: &mut Vec<u8>, s: &str) {
+    push_header(out, b'$', s.len());
+    out.extend_from_slice(s.as_bytes());
+    out.extend_from_slice(b"\r\n");
+}
+
+/// Append the null bulk string, `$-1\r\n`.
+pub(crate) fn push_null(out: &mut Vec<u8>) {
+    out.extend_from_slice(b"$-1\r\n");
+}
+
+/// Append a simple-string or error line. The text is not length-prefixed, so
+/// a CR or LF inside it would end the reply early and hand the rest to the
+/// client as the *next* reply; each becomes a space, as in Redis'
+/// `addReplyErrorFormat`.
+fn push_line(out: &mut Vec<u8>, kind: u8, text: &str) {
+    out.push(kind);
+    out.extend(text.bytes().map(|b| if matches!(b, b'\r' | b'\n') { b' ' } else { b }));
+    out.extend_from_slice(b"\r\n");
 }
 
 /// Why a decode stopped before producing a value.
@@ -171,7 +165,7 @@ const MAX_BULK_LEN: usize = 512 * 1024 * 1024;
 const MAX_ARRAY_LEN: usize = 1024 * 1024;
 
 /// Maximum array nesting depth, so a hostile frame of `*1\r\n` repeated
-/// cannot exhaust the stack through recursion.
+/// cannot grow the decoder's stack of open arrays without bound.
 const MAX_DEPTH: usize = 32;
 
 /// Upper bound on a single header line (type byte to CRLF). Real headers are
@@ -188,24 +182,6 @@ enum Shallow {
     ArrayHeader(usize),
 }
 
-/// Decode one value starting at `*pos`, advancing `*pos` past it. On `Err`
-/// (incomplete or malformed input) `*pos` is unspecified.
-fn decode_at(input: &[u8], pos: &mut usize, depth: usize) -> Result<RespValue, DecodeStop> {
-    if depth > MAX_DEPTH {
-        return Err(DecodeStop::Malformed);
-    }
-    match decode_shallow(input, pos)? {
-        Shallow::Value(v) => Ok(v),
-        Shallow::ArrayHeader(count) => {
-            let mut items = Vec::with_capacity(count.min(64));
-            for _ in 0..count {
-                items.push(decode_at(input, pos, depth + 1)?);
-            }
-            Ok(RespValue::Array(items))
-        }
-    }
-}
-
 /// Decode one non-recursive step starting at `*pos`, advancing `*pos` past
 /// it. On `Err` (incomplete or malformed input) `*pos` is unchanged.
 fn decode_shallow(input: &[u8], pos: &mut usize) -> Result<Shallow, DecodeStop> {
@@ -213,9 +189,9 @@ fn decode_shallow(input: &[u8], pos: &mut usize) -> Result<Shallow, DecodeStop> 
     // The type byte alone classifies a garbage prefix before its CRLF ever
     // arrives (a TLS ClientHello is rejected on byte one, not buffered until
     // the line cap). `StreamDecoder` layers the inline-command fallback on
-    // top of this *before* calling here, and only at the top level; inside an
-    // array frame, or through the strict one-shot decoders, a non-type byte
-    // is final desynchronisation.
+    // top of this *before* calling here, and only at the top level of a
+    // command stream; inside an array frame, or anywhere in a reply stream, a
+    // non-type byte is final desynchronisation.
     let Some(&kind) = input.get(line_start) else {
         return Err(DecodeStop::Incomplete);
     };
@@ -443,13 +419,13 @@ fn split_inline_args(line: &str) -> Option<Vec<String>> {
     Some(args)
 }
 
-/// A **resumable** pipeline decoder for socket loops: where
-/// [`RespValue::decode_pipeline_strict`] restarts from byte zero of the
-/// retained buffer on every call — quadratic when a large frame arrives in
-/// many small reads — `StreamDecoder` remembers how far it got (scan
-/// offset + the stack of partially filled arrays, the same trick as Redis'
-/// incremental multibulk parser), so every buffered byte is scanned once
-/// across any number of `feed` calls.
+/// A **resumable** pipeline decoder for socket loops, on either end of the
+/// socket: where a one-shot decode restarts from byte zero of the retained
+/// buffer on every call — quadratic when a large frame arrives in many small
+/// reads — `StreamDecoder` remembers how far it got (scan offset + the stack
+/// of partially filled arrays, the same trick as Redis' incremental multibulk
+/// parser), so every buffered byte is scanned once across any number of
+/// `feed` calls.
 ///
 /// Protocol: append new bytes to your retained buffer, call
 /// [`StreamDecoder::feed`] on the whole buffer, then drain the returned
@@ -464,6 +440,9 @@ pub struct StreamDecoder {
     pos: usize,
     /// Enclosing arrays still waiting for elements, outermost first.
     stack: Vec<PartialArray>,
+    /// Decoding a server's replies rather than a client's commands: the
+    /// inline form does not exist in that direction.
+    replies: bool,
 }
 
 /// An array header whose elements are still arriving.
@@ -473,9 +452,23 @@ struct PartialArray {
 }
 
 impl StreamDecoder {
-    /// A decoder with no partial state.
+    /// A decoder for the commands a client sends: RESP frames, or inline
+    /// commands at the top level of the stream.
     pub fn new() -> StreamDecoder {
         StreamDecoder::default()
+    }
+
+    /// A decoder for the replies a server sends: strict RESP, so a first
+    /// byte that is not a RESP type byte is [`DecodeStop::Malformed`], never
+    /// the start of an inline command.
+    pub fn for_replies() -> StreamDecoder {
+        StreamDecoder { replies: true, ..StreamDecoder::default() }
+    }
+
+    /// How far into the caller's retained buffer this decoder has scanned.
+    #[cfg(test)]
+    pub(crate) fn scan_offset(&self) -> usize {
+        self.pos
     }
 
     /// Decode every frame that completed, scanning only bytes this decoder
@@ -487,22 +480,29 @@ impl StreamDecoder {
     /// ([`DecodeStop::Malformed`] is sticky: the stream is unrecoverable and
     /// the connection must close).
     pub fn feed(&mut self, input: &[u8]) -> (Vec<RespValue>, usize, DecodeStop) {
+        self.feed_at_most(usize::MAX, input)
+    }
+
+    /// [`StreamDecoder::feed`], stopping once `limit` frames have completed.
+    fn feed_at_most(&mut self, limit: usize, input: &[u8]) -> (Vec<RespValue>, usize, DecodeStop) {
         let mut values = Vec::new();
         // Offset just past the last *completed top-level* frame of this call.
         let mut emit_pos = 0usize;
         let stop = loop {
-            // Same depth budget as the recursive decoder: any frame whose
-            // depth (== the number of enclosing arrays) exceeds MAX_DEPTH is
-            // rejected before it is even scanned.
+            if values.len() == limit {
+                break DecodeStop::Incomplete;
+            }
+            // Any frame whose depth (== the number of enclosing arrays)
+            // exceeds MAX_DEPTH is rejected before it is even scanned.
             if self.stack.len() > MAX_DEPTH {
                 break DecodeStop::Malformed;
             }
-            // Redis' inline command form: at the *top level* of the stream, a
-            // byte that is not a RESP type byte starts an inline line
-            // (`PING\r\n` from netcat) rather than desynchronisation. Inside
-            // an array frame the strict rule stands — a stray byte there can
-            // never be repaired.
-            if self.stack.is_empty() {
+            // Redis' inline command form: at the *top level* of a command
+            // stream, a byte that is not a RESP type byte starts an inline
+            // line (`PING\r\n` from netcat) rather than desynchronisation.
+            // Inside an array frame the strict rule stands — a stray byte
+            // there can never be repaired.
+            if self.stack.is_empty() && !self.replies {
                 if let Some(&first) = input.get(self.pos) {
                     if !matches!(first, b'+' | b'-' | b':' | b'$' | b'*') {
                         match decode_inline(input, &mut self.pos) {
@@ -584,6 +584,42 @@ fn find_crlf(input: &[u8], from: usize) -> Option<usize> {
 mod tests {
     use super::*;
 
+    /// The recursive one-shot decoder `StreamDecoder` replaced, kept as the
+    /// differential oracle: decode one value starting at `*pos`, advancing
+    /// `*pos` past it. On `Err` `*pos` is unspecified.
+    fn decode_at(input: &[u8], pos: &mut usize, depth: usize) -> Result<RespValue, DecodeStop> {
+        if depth > MAX_DEPTH {
+            return Err(DecodeStop::Malformed);
+        }
+        match decode_shallow(input, pos)? {
+            Shallow::Value(v) => Ok(v),
+            Shallow::ArrayHeader(count) => {
+                let mut items = Vec::with_capacity(count.min(64));
+                for _ in 0..count {
+                    items.push(decode_at(input, pos, depth + 1)?);
+                }
+                Ok(RespValue::Array(items))
+            }
+        }
+    }
+
+    /// Every complete strict-RESP value at the front of `input`, the bytes
+    /// they span, and why decoding stopped — by the oracle.
+    fn oracle_pipeline(input: &[u8]) -> (Vec<RespValue>, usize, DecodeStop) {
+        let mut values = Vec::new();
+        let mut pos = 0usize;
+        loop {
+            let mut next = pos;
+            match decode_at(input, &mut next, 0) {
+                Ok(value) => {
+                    values.push(value);
+                    pos = next;
+                }
+                Err(stop) => return (values, pos, stop),
+            }
+        }
+    }
+
     #[test]
     fn encode_decode_roundtrip_all_kinds() {
         let values = vec![
@@ -614,10 +650,10 @@ mod tests {
     }
 
     #[test]
-    fn incomplete_input_returns_none() {
-        assert!(RespValue::decode(b"$10\r\nshort\r\n").is_none());
-        assert!(RespValue::decode(b"*2\r\n:1\r\n").is_none());
-        assert!(RespValue::decode(b"").is_none());
+    fn incomplete_input_is_reported_as_incomplete() {
+        assert_eq!(RespValue::decode(b"$10\r\nshort\r\n"), Err(DecodeStop::Incomplete));
+        assert_eq!(RespValue::decode(b"*2\r\n:1\r\n"), Err(DecodeStop::Incomplete));
+        assert_eq!(RespValue::decode(b""), Err(DecodeStop::Incomplete));
     }
 
     #[test]
@@ -635,16 +671,16 @@ mod tests {
     #[test]
     fn malformed_frames_are_rejected() {
         // Unknown type byte.
-        assert!(RespValue::decode(b"?what\r\n").is_none());
+        assert!(RespValue::decode(b"?what\r\n").is_err());
         // Non-numeric lengths / counts.
-        assert!(RespValue::decode(b"$abc\r\nxyz\r\n").is_none());
-        assert!(RespValue::decode(b"*abc\r\n").is_none());
-        assert!(RespValue::decode(b":notanint\r\n").is_none());
+        assert!(RespValue::decode(b"$abc\r\nxyz\r\n").is_err());
+        assert!(RespValue::decode(b"*abc\r\n").is_err());
+        assert!(RespValue::decode(b":notanint\r\n").is_err());
         // A bulk payload must be terminated by CRLF exactly where declared.
-        assert!(RespValue::decode(b"$3\r\nabcdef\r\n").is_none());
-        assert!(RespValue::decode(b"$3\r\nabcXY").is_none());
+        assert!(RespValue::decode(b"$3\r\nabcdef\r\n").is_err());
+        assert!(RespValue::decode(b"$3\r\nabcXY").is_err());
         // Empty line (no type byte).
-        assert!(RespValue::decode(b"\r\n").is_none());
+        assert!(RespValue::decode(b"\r\n").is_err());
     }
 
     #[test]
@@ -652,23 +688,20 @@ mod tests {
         // A declared length near usize::MAX used to feed `start + len + 2`
         // unchecked; it must be rejected, not wrapped.
         let frame = format!("${}\r\n", u64::MAX);
-        assert!(RespValue::decode(frame.as_bytes()).is_none());
+        assert!(RespValue::decode(frame.as_bytes()).is_err());
         let frame = format!("${}\r\n", i64::MAX);
-        assert!(RespValue::decode(frame.as_bytes()).is_none());
+        assert!(RespValue::decode(frame.as_bytes()).is_err());
         // Over the bulk cap (512MB) and over the array cap (1M elements).
-        assert!(RespValue::decode(b"$536870913\r\n").is_none());
-        assert!(RespValue::decode(b"*1048577\r\n").is_none());
+        assert!(RespValue::decode(b"$536870913\r\n").is_err());
+        assert!(RespValue::decode(b"*1048577\r\n").is_err());
         // Deep nesting is bounded rather than recursing unboundedly.
         let bomb = b"*1\r\n".repeat(100);
-        assert!(RespValue::decode(&bomb).is_none());
+        assert!(RespValue::decode(&bomb).is_err());
     }
 
     #[test]
     fn pipelined_commands_decode_in_one_linear_pass() {
-        // A large pipeline: every byte should be visited once. (With the old
-        // per-frame rescan this test still passed, just quadratically slower;
-        // the shape of the API — absolute offsets, `decode_pipeline` — is
-        // what this pins.)
+        // A large pipeline: every byte should be visited once.
         let n = 5_000;
         let mut buf = Vec::new();
         for i in 0..n {
@@ -679,7 +712,8 @@ mod tests {
         let complete_len = buf.len();
         buf.extend_from_slice(b"*2\r\n$5\r\nhel");
 
-        let (values, consumed) = RespValue::decode_pipeline(&buf);
+        let (values, consumed, stop) = StreamDecoder::new().feed(&buf);
+        assert_eq!(stop, DecodeStop::Incomplete);
         assert_eq!(values.len(), n);
         assert_eq!(consumed, complete_len);
         assert_eq!(values[0], RespValue::command(&["GRAPH.QUERY", "g", "RETURN 0"]));
@@ -689,7 +723,7 @@ mod tests {
         // One-by-one decoding with a caller-tracked offset agrees.
         let mut pos = 0usize;
         let mut count = 0usize;
-        while let Some((v, used)) = RespValue::decode(&buf[pos..]) {
+        while let Ok((v, used)) = RespValue::decode(&buf[pos..]) {
             assert_eq!(v, values[count]);
             pos += used;
             count += 1;
@@ -721,7 +755,7 @@ mod tests {
         for frame in frames {
             for cut in 0..frame.len() {
                 assert_eq!(
-                    RespValue::decode_strict(&frame[..cut]),
+                    RespValue::decode(&frame[..cut]),
                     Err(DecodeStop::Incomplete),
                     "prefix of {} bytes (of {}) misclassified: {:?}",
                     cut,
@@ -729,7 +763,7 @@ mod tests {
                     String::from_utf8_lossy(&frame[..cut])
                 );
             }
-            let (value, used) = RespValue::decode_strict(&frame).unwrap();
+            let (value, used) = RespValue::decode(&frame).unwrap();
             assert_eq!(used, frame.len());
             assert_eq!(value.encode(), frame);
         }
@@ -740,11 +774,11 @@ mod tests {
         // An inline command / random binary never becomes RESP: the strict
         // decoder flags it from the first byte so the socket loop can close
         // immediately instead of buffering up to the cap.
-        assert_eq!(RespValue::decode_strict(b"G"), Err(DecodeStop::Malformed));
-        assert_eq!(RespValue::decode_strict(b"GET foo\r\n"), Err(DecodeStop::Malformed));
-        assert_eq!(RespValue::decode_strict(b"\x16\x03\x01"), Err(DecodeStop::Malformed));
+        assert_eq!(RespValue::decode(b"G"), Err(DecodeStop::Malformed));
+        assert_eq!(RespValue::decode(b"GET foo\r\n"), Err(DecodeStop::Malformed));
+        assert_eq!(RespValue::decode(b"\x16\x03\x01"), Err(DecodeStop::Malformed));
         // ... including as the element of an array that decoded fine so far.
-        assert_eq!(RespValue::decode_strict(b"*2\r\n:1\r\nxyz"), Err(DecodeStop::Malformed));
+        assert_eq!(RespValue::decode(b"*2\r\n:1\r\nxyz"), Err(DecodeStop::Malformed));
     }
 
     #[test]
@@ -760,44 +794,45 @@ mod tests {
             b"$536870913\r\n", // over the 512MB bulk cap
             b"*1048577\r\n",   // over the 1M element cap
         ] {
-            assert_eq!(RespValue::decode_strict(bad), Err(DecodeStop::Malformed));
+            assert_eq!(RespValue::decode(bad), Err(DecodeStop::Malformed));
         }
         let bomb = b"*1\r\n".repeat(100);
-        assert_eq!(RespValue::decode_strict(&bomb), Err(DecodeStop::Malformed));
+        assert_eq!(RespValue::decode(&bomb), Err(DecodeStop::Malformed));
         // A CRLF-free header line is incomplete only up to the 64KB line cap.
         let mut line = vec![b'+'];
         line.resize(1024, b'a');
-        assert_eq!(RespValue::decode_strict(&line), Err(DecodeStop::Incomplete));
+        assert_eq!(RespValue::decode(&line), Err(DecodeStop::Incomplete));
         line.resize(MAX_LINE_LEN + 2, b'a');
-        assert_eq!(RespValue::decode_strict(&line), Err(DecodeStop::Malformed));
+        assert_eq!(RespValue::decode(&line), Err(DecodeStop::Malformed));
     }
 
     #[test]
-    fn pipeline_strict_reports_the_stop_reason() {
+    fn feed_reports_the_stop_reason() {
+        let feed = |buf: &[u8]| StreamDecoder::for_replies().feed(buf);
         let mut buf = RespValue::command(&["PING"]).encode();
         let clean = buf.len();
         buf.extend_from_slice(b"*1\r\n$4\r\nPI");
-        let (values, consumed, stop) = RespValue::decode_pipeline_strict(&buf);
+        let (values, consumed, stop) = feed(&buf);
         assert_eq!(values.len(), 1);
         assert_eq!(consumed, clean);
         assert_eq!(stop, DecodeStop::Incomplete);
 
         let mut buf = RespValue::command(&["PING"]).encode();
         buf.extend_from_slice(b"junk");
-        let (values, consumed, stop) = RespValue::decode_pipeline_strict(&buf);
+        let (values, consumed, stop) = feed(&buf);
         assert_eq!((values.len(), consumed), (1, clean));
         assert_eq!(stop, DecodeStop::Malformed);
 
         // A fully drained buffer stops at the empty (incomplete) prefix.
         let buf = RespValue::command(&["PING"]).encode();
-        let (_, consumed, stop) = RespValue::decode_pipeline_strict(&buf);
+        let (_, consumed, stop) = feed(&buf);
         assert_eq!(consumed, buf.len());
         assert_eq!(stop, DecodeStop::Incomplete);
     }
 
     #[test]
     fn stream_decoder_matches_oneshot_at_every_chunking() {
-        // The resumable decoder must emit exactly what decode_pipeline_strict
+        // The resumable decoder must emit exactly what the recursive oracle
         // emits, regardless of how the byte stream is chopped up.
         let mut wire = Vec::new();
         wire.extend_from_slice(&RespValue::command(&["GRAPH.QUERY", "g", "RETURN 1"]).encode());
@@ -811,7 +846,7 @@ mod tests {
             .encode(),
         );
         wire.extend_from_slice(&RespValue::BulkString("tail with \r\n inside".into()).encode());
-        let (expected, expected_len, _) = RespValue::decode_pipeline_strict(&wire);
+        let (expected, expected_len, _) = oracle_pipeline(&wire);
         assert_eq!(expected_len, wire.len());
 
         for chunk_size in [1usize, 2, 3, 7, 16, wire.len()] {
@@ -853,7 +888,7 @@ mod tests {
             assert_ne!(stop, DecodeStop::Malformed);
             // `pos` (absolute across the whole stream) must be monotone: a
             // rescan would rewind it.
-            let absolute_pos = drained + consumed + decoder.pos;
+            let absolute_pos = drained + consumed + decoder.scan_offset();
             assert!(absolute_pos >= max_seen_pos, "decoder rescanned earlier bytes");
             max_seen_pos = absolute_pos;
             drained += consumed;
@@ -991,8 +1026,10 @@ mod tests {
         let mut decoder = StreamDecoder::new();
         let (_, _, stop) = decoder.feed(b"*2\r\n:1\r\nGET foo\r\n");
         assert_eq!(stop, DecodeStop::Malformed);
-        // And the one-shot strict decoder (reply parsing) stays strict RESP.
-        assert_eq!(RespValue::decode_strict(b"PING\r\n"), Err(DecodeStop::Malformed));
+        // Nor anywhere in a reply stream: a server never answers inline.
+        let (frames, consumed, stop) = StreamDecoder::for_replies().feed(b"+OK\r\nPING\r\n");
+        assert_eq!((frames.len(), consumed, stop), (1, 5, DecodeStop::Malformed));
+        assert_eq!(RespValue::decode(b"PING\r\n"), Err(DecodeStop::Malformed));
     }
 
     #[test]
@@ -1002,18 +1039,78 @@ mod tests {
         let mut frame = vec![b'+'];
         frame.resize(MAX_LINE_LEN, b'a');
         frame.extend_from_slice(b"\r\n");
-        let (value, used) = RespValue::decode_strict(&frame).expect("legal maximal line");
+        let (value, used) = RespValue::decode(&frame).expect("legal maximal line");
         assert_eq!(used, frame.len());
         let RespValue::SimpleString(s) = value else { panic!() };
         assert_eq!(s.len(), MAX_LINE_LEN - 1);
         // Every proper prefix — including through the `\r` — is Incomplete.
         for cut in [frame.len() - 1, frame.len() - 2, MAX_LINE_LEN] {
-            assert_eq!(RespValue::decode_strict(&frame[..cut]), Err(DecodeStop::Incomplete));
+            assert_eq!(RespValue::decode(&frame[..cut]), Err(DecodeStop::Incomplete));
         }
         // One byte longer (no CRLF in range) is hopeless.
         let mut too_long = vec![b'+'];
         too_long.resize(MAX_LINE_LEN + 3, b'a');
-        assert_eq!(RespValue::decode_strict(&too_long), Err(DecodeStop::Malformed));
+        assert_eq!(RespValue::decode(&too_long), Err(DecodeStop::Malformed));
+    }
+
+    #[test]
+    fn one_shot_decode_agrees_with_the_recursive_oracle_on_every_prefix() {
+        let mut wire = Vec::new();
+        for v in [
+            RespValue::Array(vec![
+                RespValue::Array(vec![RespValue::Integer(i64::MIN), RespValue::Null]),
+                RespValue::BulkString("a \r\n b".into()),
+                RespValue::Array(vec![]),
+            ]),
+            RespValue::SimpleString("OK".into()),
+            RespValue::Error("ERR boom".into()),
+        ] {
+            v.encode_into(&mut wire);
+        }
+        wire.extend_from_slice(b"*1\r\n?");
+        for cut in 0..=wire.len() {
+            let mut pos = 0usize;
+            let expected = decode_at(&wire[..cut], &mut pos, 0).map(|v| (v, pos));
+            assert_eq!(RespValue::decode(&wire[..cut]), expected, "prefix of {cut} bytes");
+        }
+        let (values, consumed, stop) = oracle_pipeline(&wire);
+        assert_eq!(StreamDecoder::for_replies().feed(&wire), (values, consumed, stop));
+        assert_eq!(stop, DecodeStop::Malformed);
+    }
+
+    #[test]
+    fn integer_and_length_formatting_matches_format() {
+        for i in [0, 1, -1, 9, 10, -10, 99, 100, 12_345, i64::MAX, i64::MIN, i64::MIN + 1] {
+            let mut out = Vec::new();
+            push_integer(&mut out, i);
+            assert_eq!(out, format!(":{i}\r\n").into_bytes());
+        }
+        for n in [0usize, 1, 9, 10, 19, 20, 999, 1_000, 65_536, usize::MAX] {
+            let mut out = Vec::new();
+            push_header(&mut out, b'*', n);
+            assert_eq!(out, format!("*{n}\r\n").into_bytes());
+        }
+        let mut out = Vec::new();
+        push_bulk(&mut out, "héllo");
+        assert_eq!(out, "$6\r\nhéllo\r\n".as_bytes());
+    }
+
+    #[test]
+    fn line_replies_cannot_smuggle_a_second_reply() {
+        // An error or simple string is not length-prefixed: a CRLF inside it
+        // would end the reply and leave `+INJECTED…` to answer the client's
+        // next command. Both bytes encode as spaces, alone or together.
+        let hostile = "ERR graph `x\r\n+INJECTED` does not exist\nbye\r";
+        for reply in [RespValue::Error(hostile.into()), RespValue::SimpleString(hostile.into())] {
+            let bytes = reply.encode();
+            assert_eq!(bytes.iter().filter(|&&b| b == b'\n').count(), 1, "{reply:?}");
+            let (decoded, used) = RespValue::decode(&bytes).unwrap();
+            assert_eq!(used, bytes.len());
+            assert_eq!(
+                decoded.to_string().trim_start_matches("(error) "),
+                "ERR graph `x  +INJECTED` does not exist bye "
+            );
+        }
     }
 
     #[test]

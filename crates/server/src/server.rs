@@ -13,7 +13,9 @@
 //!   heavy procedure call or a burst of writers can never stall point reads;
 //! * write queries take the graph's write lock for exclusive access.
 
-use crate::commands::{profile_to_resp, resultset_to_resp, split_cypher_params, Command};
+use crate::commands::{
+    encode_resultset, profile_to_resp, resultset_to_resp, split_cypher_params, Command,
+};
 use crate::metrics::{CommandKind, Metrics, SlowLog, SlowLogEntry};
 use crate::plan_cache::{normalize, CachedPlan, Lookup, PlanCache};
 use crate::pool::ThreadPool;
@@ -22,7 +24,7 @@ use crossbeam::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use crossbeam::thread::JoinHandle;
 use parking_lot::{Mutex, RwLock};
-use redisgraph_core::{ExecutionPlan, Graph, GraphSnapshot, QueryError};
+use redisgraph_core::{ExecutionPlan, Graph, GraphSnapshot, QueryError, ResultSet};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -143,6 +145,39 @@ pub struct Request {
     pub command: RespValue,
     /// Where to deliver the reply.
     pub reply_to: Sender<RespValue>,
+}
+
+/// The form a dispatch path takes a query's reply in — the one thing
+/// [`RedisGraphServer::submit_query`] does differently per caller. In-process
+/// callers (the façade, the dispatcher thread) take the [`RespValue`] tree; a
+/// TCP connection takes the encoded bytes, which the worker writes straight
+/// from the [`ResultSet`] so that no tree is built, sent, walked and dropped
+/// for a reply nobody inspects.
+pub trait QueryReply: Send + 'static {
+    /// The reply to a query that produced `rs`.
+    fn from_resultset(rs: &ResultSet) -> Self;
+    /// Any other reply: an error, a profile tree.
+    fn from_resp(reply: RespValue) -> Self;
+}
+
+impl QueryReply for RespValue {
+    fn from_resultset(rs: &ResultSet) -> Self {
+        resultset_to_resp(rs)
+    }
+    fn from_resp(reply: RespValue) -> Self {
+        reply
+    }
+}
+
+impl QueryReply for Vec<u8> {
+    fn from_resultset(rs: &ResultSet) -> Self {
+        let mut out = Vec::new();
+        encode_resultset(rs, &mut out);
+        out
+    }
+    fn from_resp(reply: RespValue) -> Self {
+        reply.encode()
+    }
 }
 
 /// One keyspace slot: the graph plus its delete tombstone.
@@ -400,18 +435,24 @@ impl RedisGraphServer {
     /// touching any lock (an unparseable query used to be classified as a
     /// write and took the exclusive lock just to fail), and the AST rides
     /// along to the worker so execution never re-parses the text.
-    pub fn submit_query(&self, graph: String, query: String, reply_to: Sender<RespValue>) {
+    pub fn submit_query<R: QueryReply>(&self, graph: String, query: String, reply_to: Sender<R>) {
         self.submit(graph, query, false, reply_to);
     }
 
     /// Submit a `GRAPH.PROFILE`: same dispatch, locking, and mutation
     /// semantics as [`RedisGraphServer::submit_query`], but the reply is the
     /// per-operator profile tree instead of the result set.
-    pub fn submit_profile(&self, graph: String, query: String, reply_to: Sender<RespValue>) {
+    pub fn submit_profile<R: QueryReply>(&self, graph: String, query: String, reply_to: Sender<R>) {
         self.submit(graph, query, true, reply_to);
     }
 
-    fn submit(&self, graph: String, query: String, profile: bool, reply_to: Sender<RespValue>) {
+    fn submit<R: QueryReply>(
+        &self,
+        graph: String,
+        query: String,
+        profile: bool,
+        reply_to: Sender<R>,
+    ) {
         // The one wall-clock anchor for this query: the statistics footer,
         // the profile totals, the latency histogram, and the slowlog all
         // derive from it, so the layers can never disagree about a query's
@@ -423,6 +464,7 @@ impl RedisGraphServer {
         } else {
             CommandKind::GraphQuery
         });
+        let error = |e: &dyn std::fmt::Display| R::from_resp(RespValue::Error(format!("ERR {e}")));
         // Split the `CYPHER name=value …` parameter header off the body
         // first: the cache key is the normalized *body*, so the same query
         // shape with different parameter values shares one cached plan.
@@ -430,7 +472,7 @@ impl RedisGraphServer {
             Ok(split) => split,
             Err(e) => {
                 metrics.queries_failed.fetch_add(1, Ordering::Relaxed);
-                let _ = reply_to.send(RespValue::Error(format!("ERR {e}")));
+                let _ = reply_to.send(error(&e));
                 return;
             }
         };
@@ -457,7 +499,7 @@ impl RedisGraphServer {
                 Ok(ast) => Some(ast),
                 Err(e) => {
                     metrics.queries_failed.fetch_add(1, Ordering::Relaxed);
-                    let _ = reply_to.send(RespValue::Error(format!("ERR {}", QueryError::from(e))));
+                    let _ = reply_to.send(error(&QueryError::from(e)));
                     return;
                 }
             },
@@ -465,83 +507,65 @@ impl RedisGraphServer {
         let entry = existing.unwrap_or_else(|| self.entry(&graph));
         let slowlog_threshold_ms = self.slowlog_time_threshold_ms();
         self.pool.execute(move || {
-            // Resolve the skeleton (cache hit, or build + insert), then bind
-            // parameters into a private copy when the plan references any.
-            let reply = match entry.resolve_plan(&key, looked_up, ast, &query, &metrics) {
-                Err(e) => RespValue::Error(format!("ERR {e}")),
-                Ok((skeleton, was_cached)) => (|| {
-                    let bound;
-                    let plan: &ExecutionPlan = if skeleton.has_params {
-                        match skeleton.plan.bind(&params) {
-                            Ok(p) => {
-                                bound = p;
-                                &bound
-                            }
-                            Err(e) => return RespValue::Error(format!("ERR {e}")),
-                        }
+            let outcome: Result<R, Box<dyn std::error::Error>> = (|| {
+                // Resolve the skeleton (cache hit, or build + insert), then
+                // bind parameters into a private copy when the plan
+                // references any.
+                let (skeleton, was_cached) =
+                    entry.resolve_plan(&key, looked_up, ast, &query, &metrics)?;
+                let bound;
+                let plan: &ExecutionPlan = if skeleton.has_params {
+                    bound = skeleton.plan.bind(&params)?;
+                    &bound
+                } else {
+                    &skeleton.plan
+                };
+                let rows = |mut rs: ResultSet| {
+                    rs.stats.cached = was_cached;
+                    R::from_resultset(&rs)
+                };
+                let profiled =
+                    |(_rs, profiles): (ResultSet, Vec<_>)| R::from_resp(profile_to_resp(&profiles));
+                if skeleton.read_only {
+                    // Pin the current epoch's sealed snapshot (cached per
+                    // epoch, rebuilt outside every lock on a miss), then
+                    // execute with no lock held at all: a heavy query cannot
+                    // queue a flush's write-lock request in front of us, and
+                    // we cannot stall a writer. The live graph's deltas stay
+                    // buffered — the seal folded the snapshot's private COW
+                    // copies once per epoch.
+                    metrics.queries_readonly.fetch_add(1, Ordering::Relaxed);
+                    let snapshot = entry.snapshot(&metrics);
+                    if profile {
+                        Ok(profiled(snapshot.profile_plan_at(plan, started)?))
                     } else {
-                        &skeleton.plan
-                    };
-                    if skeleton.read_only {
-                        // Pin the current epoch's sealed snapshot (cached per
-                        // epoch, rebuilt outside every lock on a miss), then
-                        // execute with no lock held at all: a heavy query
-                        // cannot queue a flush's write-lock request in front
-                        // of us, and we cannot stall a writer. The live
-                        // graph's deltas stay buffered — the seal folded the
-                        // snapshot's private COW copies once per epoch.
-                        metrics.queries_readonly.fetch_add(1, Ordering::Relaxed);
-                        let snapshot = entry.snapshot(&metrics);
-                        if profile {
-                            match snapshot.profile_plan_at(plan, started) {
-                                Ok((_rs, profiles)) => profile_to_resp(&profiles),
-                                Err(e) => RespValue::Error(format!("ERR {e}")),
-                            }
-                        } else {
-                            match snapshot.execute_plan_at(plan, started) {
-                                Ok(mut rs) => {
-                                    rs.stats.cached = was_cached;
-                                    resultset_to_resp(&rs)
-                                }
-                                Err(e) => RespValue::Error(format!("ERR {e}")),
-                            }
-                        }
-                    } else {
-                        metrics.queries_write.fetch_add(1, Ordering::Relaxed);
-                        let mut g = entry.graph.write();
-                        // A `GRAPH.DELETE` that landed after dispatch marked
-                        // the entry; abort rather than mutate the orphan.
-                        if entry.deleted.load(Ordering::SeqCst) {
-                            RespValue::Error(format!("ERR graph `{}` was deleted", g.name()))
-                        } else if profile {
-                            match plan.profile(&mut g, started) {
-                                Ok((_rs, profiles)) => profile_to_resp(&profiles),
-                                Err(e) => RespValue::Error(format!("ERR {e}")),
-                            }
-                        } else {
-                            match plan.execute_at(&mut g, started) {
-                                Ok(mut rs) => {
-                                    rs.stats.cached = was_cached;
-                                    resultset_to_resp(&rs)
-                                }
-                                Err(e) => RespValue::Error(format!("ERR {e}")),
-                            }
-                        }
+                        Ok(rows(snapshot.execute_plan_at(plan, started)?))
                     }
-                })(),
-            };
+                } else {
+                    metrics.queries_write.fetch_add(1, Ordering::Relaxed);
+                    let mut g = entry.graph.write();
+                    // A `GRAPH.DELETE` that landed after dispatch marked the
+                    // entry; abort rather than mutate the orphan.
+                    if entry.deleted.load(Ordering::SeqCst) {
+                        return Err(format!("graph `{}` was deleted", g.name()).into());
+                    }
+                    if profile {
+                        Ok(profiled(plan.profile(&mut g, started)?))
+                    } else {
+                        Ok(rows(plan.execute_at(&mut g, started)?))
+                    }
+                }
+            })();
             let elapsed = started.elapsed();
             metrics.query_latency.record_duration(elapsed);
-            if matches!(reply, RespValue::Error(_)) {
-                metrics.queries_failed.fetch_add(1, Ordering::Relaxed);
-            } else {
-                metrics.queries_executed.fetch_add(1, Ordering::Relaxed);
-            }
+            let outcome_counter =
+                if outcome.is_ok() { &metrics.queries_executed } else { &metrics.queries_failed };
+            outcome_counter.fetch_add(1, Ordering::Relaxed);
             if elapsed.as_millis() as u64 >= slowlog_threshold_ms {
                 let command = if profile { "GRAPH.PROFILE" } else { "GRAPH.QUERY" };
                 entry.slowlog.lock().record(SlowLogEntry::now(command, query, elapsed));
             }
-            let _ = reply_to.send(reply);
+            let _ = reply_to.send(outcome.unwrap_or_else(|e| error(&e)));
         });
     }
 

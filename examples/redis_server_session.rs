@@ -7,13 +7,15 @@
 //! cargo run --release -p redisgraph-bench --example redis_server_session
 //! ```
 
-use redisgraph_server::{RedisGraphServer, RespValue, ServerConfig};
+use redisgraph_server::{RedisGraphServer, RespValue, ServerConfig, StreamDecoder};
 
 fn send(server: &RedisGraphServer, parts: &[&str]) -> RespValue {
     let command = RespValue::command(parts);
-    // Round-trip through the wire encoding to demonstrate the protocol layer.
+    // Round-trip through the wire encoding to demonstrate the protocol layer:
+    // the bytes a client would write, through the decoder a connection runs.
     let bytes = command.encode();
-    let (decoded, _) = RespValue::decode(&bytes).expect("well-formed frame");
+    let (mut frames, _, _) = StreamDecoder::new().feed(&bytes);
+    let decoded = frames.pop().expect("well-formed frame");
     let reply = server.handle(&decoded);
     println!("> {}", parts.join(" "));
     println!("{reply}\n");

@@ -14,6 +14,9 @@
 //!   buffer past `MAX_QUERY_BUFFER`: the connection is closed at the bound;
 //! * **protocol errors close** — a garbage (non-RESP, non-inline) prefix
 //!   gets a `-ERR Protocol error` reply and a closed connection;
+//! * **no reply splitting** — client-supplied CR/LF echoed in an error line
+//!   (`GRAPH.DELETE "x\r\n+INJECTED"`) cannot end the reply early and answer
+//!   the *next* command with attacker-chosen text;
 //! * **inline commands** — Redis' `telnet`-friendly form (`PING\r\n` with no
 //!   RESP framing, quoting per `sdssplitargs`) round-trips, mixes with
 //!   framed commands on one connection, ignores blank lines, and is bounded:
@@ -232,6 +235,31 @@ fn garbage_prefix_gets_protocol_error_and_close() {
         "expected a protocol error before close, got {text:?}"
     );
     // read_to_end returning proves the server closed the connection.
+    net.shutdown();
+}
+
+#[test]
+fn crlf_in_an_echoed_argument_cannot_split_the_reply() {
+    // The error names the graph the client asked for. Written raw, the
+    // argument's CRLF ended the error line and `+INJECTED…` sat in the
+    // stream as the reply to whatever the client sent next — the classic
+    // response-splitting shape. The line is now one reply, and PING gets PONG.
+    let net = GraphServer::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let mut client = RespClient::connect(net.local_addr()).expect("connect");
+    client.stream().set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let first = client.command(&["GRAPH.DELETE", "x\r\n+INJECTED"]).expect("delete reply");
+    assert_eq!(first, RespValue::Error("ERR graph `x  +INJECTED` does not exist".into()));
+    let second = client.command(&["PING"]).expect("ping reply");
+    assert_eq!(second, RespValue::SimpleString("PONG".into()));
+    // Same bytes through a query error (a parse error echoes the text).
+    let replies = client
+        .pipeline(&[
+            RespValue::command(&["GRAPH.QUERY", "g", "RETURN\r\n+INJECTED\r\n("]),
+            RespValue::command(&["PING"]),
+        ])
+        .expect("query + ping");
+    assert!(matches!(replies[0], RespValue::Error(_)), "got {}", replies[0]);
+    assert_eq!(replies[1], RespValue::SimpleString("PONG".into()));
     net.shutdown();
 }
 
