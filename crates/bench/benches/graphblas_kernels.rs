@@ -1,11 +1,10 @@
 //! Criterion bench for experiment E6 (ablation): the GraphBLAS kernels behind
 //! the traversal engine, and the design choices DESIGN.md calls out —
-//! algebraic frontier expansion vs. pointer-chasing BFS, masked vs. unmasked
-//! `mxm`, and serial vs. parallel SpGEMM (intra-query parallelism, which
-//! RedisGraph deliberately disables).
+//! algebraic frontier expansion vs. pointer-chasing BFS, and masked vs.
+//! unmasked `mxm`.
 
 use baseline::AdjacencyListGraph;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use datagen::RmatConfig;
 use graphblas::prelude::*;
 use std::hint::black_box;
@@ -66,7 +65,7 @@ fn frontier_expansion(c: &mut Criterion) {
 }
 
 /// Masked vs. unmasked mxm (two-hop neighbourhood with and without excluding
-/// existing one-hop edges), and the serial vs. parallel SpGEMM ablation.
+/// existing one-hop edges).
 fn mxm_ablation(c: &mut Criterion) {
     let (matrix, _, _) = build_matrix(10);
     let semiring = Semiring::lor_land();
@@ -80,12 +79,6 @@ fn mxm_ablation(c: &mut Criterion) {
         let desc = Descriptor::new().with_mask_complement().with_mask_structure();
         b.iter(|| black_box(mxm(&matrix, &matrix, &semiring, Some(&mask), &desc)))
     });
-    for threads in [1usize, 2, 4] {
-        group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, &t| {
-            let desc = Descriptor::new().with_nthreads(t);
-            b.iter(|| black_box(mxm(&matrix, &matrix, &semiring, None, &desc)))
-        });
-    }
     group.finish();
 }
 

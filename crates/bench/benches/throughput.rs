@@ -1,14 +1,12 @@
 //! Criterion bench for experiment E5: concurrent read throughput as a function
 //! of the module threadpool size (the §II architecture claim). Each iteration
-//! pushes a batch of 1-hop count queries from several client threads through
-//! the single-threaded dispatcher and waits for every reply.
+//! pushes a batch of 1-hop count queries from several client threads, each
+//! dispatching through `RedisGraphServer::handle`, and waits for every reply.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use crossbeam::channel::unbounded;
 use datagen::{KhopWorkload, SeedSelection};
 use redisgraph_bench::{load_dataset, Dataset};
-use redisgraph_server::server::Request;
-use redisgraph_server::{RedisGraphServer, RespValue, ServerConfig};
+use redisgraph_server::{RedisGraphServer, ServerConfig};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -37,26 +35,19 @@ fn throughput_scaling(c: &mut Criterion) {
             ..ServerConfig::default()
         }));
         server.graph("bench").write().bulk_load(loaded.edges.num_vertices, &loaded.edges.edges);
-        let (tx, _dispatcher) = server.start_dispatcher();
 
         group.bench_with_input(BenchmarkId::new("pool", pool_size), &pool_size, |b, _| {
             b.iter(|| {
                 let mut client_handles = Vec::new();
                 for chunk in workload.seeds.chunks(QUERIES_PER_ITER / CLIENTS) {
-                    let tx = tx.clone();
+                    let server = Arc::clone(&server);
                     let seeds = chunk.to_vec();
                     client_handles.push(std::thread::spawn(move || {
-                        let (reply_tx, reply_rx) = unbounded();
                         for seed in seeds {
                             let query = format!(
                                 "MATCH (s:Node)-[*1..1]->(t) WHERE id(s) = {seed} RETURN count(t)"
                             );
-                            tx.send(Request {
-                                command: RespValue::command(&["GRAPH.QUERY", "bench", &query]),
-                                reply_to: reply_tx.clone(),
-                            })
-                            .unwrap();
-                            black_box(reply_rx.recv().unwrap());
+                            black_box(server.query("bench", &query));
                         }
                     }));
                 }

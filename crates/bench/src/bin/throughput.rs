@@ -3,19 +3,17 @@
 //! handle large throughput easily") that motivates the one-query-one-thread
 //! design.
 //!
-//! Concurrent clients issue 1-hop k-hop-count queries through the
-//! single-threaded dispatcher; the pool size is swept and queries/second is
-//! reported for each setting.
+//! Concurrent clients issue k-hop-count queries, each dispatching through
+//! `RedisGraphServer::handle` on its own thread; the pool size is swept and
+//! queries/second is reported for each setting.
 //!
 //! ```text
 //! cargo run --release -p redisgraph-bench --bin throughput -- --scale 12 --queries 200
 //! ```
 
-use crossbeam::channel::unbounded;
 use datagen::{KhopWorkload, SeedSelection};
 use redisgraph_bench::report::render_table;
 use redisgraph_bench::{load_dataset, Dataset};
-use redisgraph_server::server::Request;
 use redisgraph_server::{RedisGraphServer, RespValue, ServerConfig};
 use std::sync::Arc;
 use std::time::Instant;
@@ -25,8 +23,8 @@ fn main() {
     let scale: u32 = arg(&argv, "--scale").unwrap_or(12);
     let queries: usize = arg(&argv, "--queries").unwrap_or(200);
     let clients: usize = arg(&argv, "--clients").unwrap_or(8);
-    // 2-hop queries by default: heavy enough that the worker threads, not the
-    // dispatcher, are the bottleneck — which is the regime the paper's
+    // 2-hop queries by default: heavy enough that the worker threads, not
+    // dispatch, are the bottleneck — which is the regime the paper's
     // architecture argument is about.
     let k: u32 = arg(&argv, "--k").unwrap_or(2);
 
@@ -84,13 +82,11 @@ fn run_with_pool(
         let graph = server.graph("bench");
         graph.write().bulk_load(num_vertices, edges);
     }
-    let (tx, handle) = server.start_dispatcher();
-
     let queries_per_client = workload.len() / clients.max(1);
     let start = Instant::now();
     let mut client_handles = Vec::new();
     for c in 0..clients {
-        let tx = tx.clone();
+        let server = Arc::clone(&server);
         let seeds: Vec<u64> = workload
             .seeds
             .iter()
@@ -99,16 +95,10 @@ fn run_with_pool(
             .copied()
             .collect();
         client_handles.push(std::thread::spawn(move || {
-            let (reply_tx, reply_rx) = unbounded();
             for seed in seeds {
                 let query =
                     format!("MATCH (s:Node)-[*1..{k}]->(t) WHERE id(s) = {seed} RETURN count(t)");
-                tx.send(Request {
-                    command: RespValue::command(&["GRAPH.QUERY", "bench", &query]),
-                    reply_to: reply_tx.clone(),
-                })
-                .expect("dispatcher alive");
-                let reply = reply_rx.recv().expect("reply");
+                let reply = server.query("bench", &query);
                 assert!(!matches!(reply, RespValue::Error(_)), "query failed: {reply}");
             }
         }));
@@ -117,7 +107,5 @@ fn run_with_pool(
         h.join().expect("client thread");
     }
     let elapsed = start.elapsed().as_secs_f64();
-    drop(tx);
-    handle.join().expect("dispatcher");
     (queries_per_client * clients) as f64 / elapsed
 }

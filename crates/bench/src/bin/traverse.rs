@@ -1,11 +1,10 @@
 //! Traversal-strategy benchmark: the same multi-hop `MATCH` queries over an
 //! RMAT graph, executed per-record (scalar pointer chasing), batched
-//! (frontier `mxm`), batched with intra-query parallelism
-//! (`QUERY_THREADS > 1` row-block threading inside the `mxm`), and fused
-//! (the algebraic optimizer collapses the hop chain into one
-//! counting-semiring matrix product and feeds path counts straight into the
-//! aggregate). The first three modes pin the optimizer *off* so they keep
-//! measuring the per-hop strategies in isolation.
+//! (frontier `mxm`), and fused (the algebraic optimizer collapses the hop
+//! chain into one counting-semiring matrix product and feeds path counts
+//! straight into the aggregate). The first two modes run the unoptimized
+//! plan (`ExecutionPlan::build_unoptimized`) so they keep measuring the
+//! per-hop strategies in isolation.
 //!
 //! Row counts must agree across all modes — the bench doubles as a coarse
 //! differential check — and the batched/fused timings are what the paper's
@@ -13,13 +12,12 @@
 //!
 //! ```text
 //! cargo run --release -p redisgraph-bench --bin traverse -- \
-//!     --scale 10 --edge-factor 8 --iters 3 --threads 4 --out BENCH_traverse.json
+//!     --scale 10 --edge-factor 8 --iters 3 --out BENCH_traverse.json
 //! ```
 
 use datagen::RmatConfig;
-use graphblas::Context;
 use redisgraph_bench::report::render_table;
-use redisgraph_core::{Graph, TraverseStrategy};
+use redisgraph_core::{ExecutionPlan, Graph, TraverseStrategy};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -27,7 +25,6 @@ use std::time::Instant;
 struct Measurement {
     query_name: &'static str,
     mode: &'static str,
-    threads: usize,
     wall_ms: f64,
     rows: i64,
 }
@@ -45,29 +42,28 @@ const QUERIES: [(&str, &str); 3] = [
     ("semi_join_varlen", "MATCH (a:Node)-[:LINK]->(b:Node), (a)-[:LINK*1..3]->(b) RETURN count(*)"),
 ];
 
-/// Run one query under a pinned strategy/thread count; returns best-of-iters
-/// wall time and the count(*) scalar for cross-mode comparison.
+/// Run one query (parse, plan, execute) under a pinned strategy, with or
+/// without the optimizer; returns best-of-iters wall time and the count(*)
+/// scalar for cross-mode comparison.
 fn run_query(
     g: &mut Graph,
     strategy: TraverseStrategy,
-    threads: usize,
     optimize: bool,
     query: &str,
     iters: usize,
 ) -> (f64, i64) {
     g.set_traverse_strategy(strategy);
-    g.set_optimizer(optimize);
-    Context::set_nthreads(threads);
+    let build = if optimize { ExecutionPlan::build } else { ExecutionPlan::build_unoptimized };
     let mut best_ms = f64::INFINITY;
     let mut rows = 0i64;
     for _ in 0..iters.max(1) {
         let start = Instant::now();
-        let rs = g.query(query).expect("benchmark query executes");
+        let ast = cypher::parse(query).expect("benchmark query parses");
+        let rs = build(&ast).and_then(|plan| plan.execute(g)).expect("benchmark query executes");
         let ms = start.elapsed().as_secs_f64() * 1e3;
         best_ms = best_ms.min(ms);
         rows = rs.scalar().and_then(|v| v.as_i64()).expect("count(*) scalar");
     }
-    Context::set_nthreads(1);
     (best_ms, rows)
 }
 
@@ -76,10 +72,6 @@ fn main() {
     let scale: u32 = arg(&argv, "--scale").unwrap_or(10);
     let edge_factor: u32 = arg(&argv, "--edge-factor").unwrap_or(8);
     let iters: usize = arg(&argv, "--iters").unwrap_or(3);
-    // The floor of 2 applies only to the hardware-probe default, so an
-    // explicit `--threads 1` still measures a genuinely single-threaded run.
-    let threads: usize =
-        arg(&argv, "--threads").unwrap_or_else(|| Context::hardware_threads().clamp(2, 4)).max(1);
     let out_path: String = arg(&argv, "--out").unwrap_or_else(|| "BENCH_traverse.json".to_string());
 
     let el = datagen::rmat::generate(&RmatConfig {
@@ -97,21 +89,20 @@ fn main() {
         g.edge_count()
     );
 
-    // The per-hop modes pin the optimizer off; "fused" lets it collapse the
-    // chain into one algebraic product (variable-length queries have no
-    // fusable fixed chain and measure the optimizer's no-op overhead).
-    let modes: [(&str, TraverseStrategy, usize, bool); 4] = [
-        ("scalar", TraverseStrategy::Scalar, 1, false),
-        ("batched", TraverseStrategy::Batched, 1, false),
-        ("batched+threads", TraverseStrategy::Batched, threads, false),
-        ("fused", TraverseStrategy::Batched, 1, true),
+    // The per-hop modes run the unoptimized plan; "fused" lets the optimizer
+    // collapse the chain into one algebraic product (variable-length queries
+    // have no fusable fixed chain and measure the optimizer's no-op overhead).
+    let modes: [(&str, TraverseStrategy, bool); 3] = [
+        ("scalar", TraverseStrategy::Scalar, false),
+        ("batched", TraverseStrategy::Batched, false),
+        ("fused", TraverseStrategy::Batched, true),
     ];
 
     let mut measurements: Vec<Measurement> = Vec::new();
     for (query_name, query) in QUERIES {
         let mut baseline_rows: Option<i64> = None;
-        for (mode, strategy, nthreads, optimize) in modes {
-            let (wall_ms, rows) = run_query(&mut g, strategy, nthreads, optimize, query, iters);
+        for (mode, strategy, optimize) in modes {
+            let (wall_ms, rows) = run_query(&mut g, strategy, optimize, query, iters);
             match baseline_rows {
                 None => baseline_rows = Some(rows),
                 Some(expect) => assert_eq!(
@@ -119,7 +110,7 @@ fn main() {
                     "traversal strategies disagreed on `{query_name}` row counts"
                 ),
             }
-            measurements.push(Measurement { query_name, mode, threads: nthreads, wall_ms, rows });
+            measurements.push(Measurement { query_name, mode, wall_ms, rows });
         }
     }
 
@@ -129,13 +120,12 @@ fn main() {
             vec![
                 m.query_name.to_string(),
                 m.mode.to_string(),
-                m.threads.to_string(),
                 format!("{:.2}", m.wall_ms),
                 m.rows.to_string(),
             ]
         })
         .collect();
-    println!("{}", render_table(&["query", "mode", "threads", "wall (ms)", "rows"], &rows));
+    println!("{}", render_table(&["query", "mode", "wall (ms)", "rows"], &rows));
 
     for (query_name, _) in QUERIES {
         let of = |mode: &str| {
@@ -146,10 +136,8 @@ fn main() {
                 .wall_ms
         };
         println!(
-            "{query_name}: batched speedup {:.2}x, batched+threads speedup {:.2}x, \
-             fused speedup {:.2}x",
+            "{query_name}: batched speedup {:.2}x, fused speedup {:.2}x",
             of("scalar") / of("batched"),
-            of("scalar") / of("batched+threads"),
             of("scalar") / of("fused"),
         );
     }
@@ -180,9 +168,8 @@ fn to_json(
         let comma = if i + 1 < measurements.len() { "," } else { "" };
         let _ = writeln!(
             out,
-            "    {{\"query\": \"{}\", \"mode\": \"{}\", \"threads\": {}, \"wall_ms\": {:.6}, \
-             \"rows\": {}}}{comma}",
-            m.query_name, m.mode, m.threads, m.wall_ms, m.rows
+            "    {{\"query\": \"{}\", \"mode\": \"{}\", \"wall_ms\": {:.6}, \"rows\": {}}}{comma}",
+            m.query_name, m.mode, m.wall_ms, m.rows
         );
     }
     out.push_str("  ]\n}\n");

@@ -106,7 +106,6 @@ impl fmt::Display for AlgebraicExpression {
 /// Evaluate a fused chain: build the frontier, materialise the counting
 /// operands (label masks pushed into their columns), multiply in the
 /// DP-chosen parenthesisation under ⊕=+/⊗=×, and emit records.
-#[allow(clippy::too_many_arguments)]
 pub fn run_fused(
     records: &[Record],
     bindings: &Bindings,
@@ -115,7 +114,6 @@ pub fn run_fused(
     dst_slot: usize,
     expr: &AlgebraicExpression,
     weight_slot: Option<usize>,
-    nthreads: usize,
 ) -> Vec<Record> {
     let Some(operands) = materialise_operands(graph, expr) else {
         return Vec::new(); // an unknown type or label matches nothing
@@ -147,7 +145,7 @@ pub fn run_fused(
     let mut chain = Vec::with_capacity(operands.len() + 1);
     chain.push(frontier);
     chain.extend(operands);
-    let product = chain_product(chain, nthreads);
+    let product = chain_product(chain);
 
     // Emission: record-major, destinations ascending. With a weight slot the
     // count stays algebraic — one compact record per cell; otherwise each
@@ -231,7 +229,7 @@ fn materialise_operands(
 /// `nnz(AB) ≈ min(rows·cols, flops)` upward — the nnz figures come straight
 /// from the operand CSRs, so the ordering adapts to the actual graph (a
 /// selective label mask mid-chain pulls its neighbours together first).
-fn chain_product(mats: Vec<Arc<SparseMatrix<u64>>>, nthreads: usize) -> SparseMatrix<u64> {
+fn chain_product(mats: Vec<Arc<SparseMatrix<u64>>>) -> SparseMatrix<u64> {
     let n = mats.len();
     let mut mats: Vec<Option<Arc<SparseMatrix<u64>>>> = mats.into_iter().map(Some).collect();
     if n == 1 {
@@ -269,7 +267,7 @@ fn chain_product(mats: Vec<Arc<SparseMatrix<u64>>>, nthreads: usize) -> SparseMa
     }
 
     let semiring = Semiring::<u64>::plus_times();
-    let desc = Descriptor::new().with_nthreads(nthreads);
+    let desc = Descriptor::new();
     fn eval(
         i: usize,
         j: usize,
@@ -586,7 +584,7 @@ mod tests {
         let f = SparseMatrix::from_triples(1, 4, &[(0, 0, 1u64)]).unwrap();
         let a = SparseMatrix::from_triples(4, 4, &[(0, 1, 1u64), (0, 2, 1)]).unwrap();
         let b = SparseMatrix::from_triples(4, 4, &[(1, 3, 1u64), (2, 3, 1)]).unwrap();
-        let c = chain_product(vec![Arc::new(f), Arc::new(a), Arc::new(b)], 1);
+        let c = chain_product(vec![Arc::new(f), Arc::new(a), Arc::new(b)]);
         assert_eq!(c.extract_element(0, 3), Some(2));
         assert_eq!(c.nvals(), 1);
     }
@@ -597,7 +595,7 @@ mod tests {
         let f = SparseMatrix::from_triples(1, 3, &[(0, 0, 1u64)]).unwrap();
         let a = SparseMatrix::from_triples(3, 3, &[(0, 1, 2u64)]).unwrap();
         let b = SparseMatrix::from_triples(3, 3, &[(1, 2, 3u64)]).unwrap();
-        let c = chain_product(vec![Arc::new(f), Arc::new(a), Arc::new(b)], 1);
+        let c = chain_product(vec![Arc::new(f), Arc::new(a), Arc::new(b)]);
         assert_eq!(c.extract_element(0, 2), Some(6));
     }
 }

@@ -61,10 +61,6 @@ pub struct TraverseSpec<'a> {
     pub max_hops: Option<u32>,
     /// True if the destination is already bound (expand-into / semi-join).
     pub expand_into: bool,
-    /// Intra-query GraphBLAS thread budget, snapshotted from the process
-    /// context when the plan was built (`ExecutionPlan::thread_budget`) so a
-    /// runtime `QUERY_THREADS` change never retunes a query in flight.
-    pub nthreads: usize,
 }
 
 /// One step of an execution plan.
@@ -415,10 +411,7 @@ pub fn run_traverse_scalar(
         } else {
             // Variable-length traversal.
             let reached: Vec<NodeId> = match rel_ids {
-                None => graph
-                    .khop_reach_with(src, spec.min_hops, max, dir, spec.nthreads)
-                    .indices()
-                    .to_vec(),
+                None => graph.khop_reach(src, spec.min_hops, max, dir).indices().to_vec(),
                 Some(ids) => typed_bfs(graph, src, spec.min_hops, max, ids, dir),
             };
             if spec.expand_into {
@@ -449,9 +442,7 @@ pub fn run_traverse_scalar(
 /// are probed back into `(record, dst, edge)` tuples in record-major order so
 /// the output matches the scalar path row for row. Expand-into becomes a
 /// structural mask over the bound destinations; variable-length patterns run
-/// a level-synchronous masked-`mxm` BFS on the whole batch at once. The
-/// `mxm` inherits its thread count from [`graphblas::Context`] (the
-/// `QUERY_THREADS` knob), parallelising over frontier row blocks.
+/// a level-synchronous masked-`mxm` BFS on the whole batch at once.
 pub fn run_traverse_batched(
     records: Vec<Record>,
     bindings: &Bindings,
@@ -557,9 +548,9 @@ fn batched_single_hop(
         None
     };
     let desc = if target_mask.is_some() {
-        Descriptor::new().with_mask_structure().with_nthreads(spec.nthreads)
+        Descriptor::new().with_mask_structure()
     } else {
-        Descriptor::new().with_nthreads(spec.nthreads)
+        Descriptor::new()
     };
     let mask = target_mask.as_ref().map(MatrixMask::new);
 
@@ -696,8 +687,7 @@ fn batched_var_length(
 
     let bool_semiring = Semiring::lor_land();
     let pair_semiring = Semiring::<u64>::any_pair();
-    let desc =
-        Descriptor::new().with_mask_complement().with_mask_structure().with_nthreads(spec.nthreads);
+    let desc = Descriptor::new().with_mask_complement().with_mask_structure();
     let mut frontier = frontier_matrix::<bool>(batch.nrows(), batch.dim, batch.entries, true);
     let mut visited = frontier.clone();
     // Hop 0 is each source node itself.

@@ -85,13 +85,6 @@ pub struct Segment {
 #[derive(Debug, Clone)]
 pub struct ExecutionPlan {
     segments: Vec<Segment>,
-    /// Intra-query GraphBLAS thread budget (`QUERY_THREADS`), snapshotted
-    /// from the process-wide [`graphblas::Context`] when the plan is built —
-    /// i.e. at dispatch. A concurrent `GRAPH.CONFIG SET QUERY_THREADS`
-    /// retunes *later* queries; a query that already started keeps the
-    /// budget it was dispatched with, so its kernels never observe the knob
-    /// moving mid-flight.
-    thread_budget: usize,
 }
 
 impl ExecutionPlan {
@@ -128,12 +121,6 @@ impl ExecutionPlan {
     /// The segments of the plan (exposed for tests and the server module).
     pub fn segments(&self) -> &[Segment] {
         &self.segments
-    }
-
-    /// The intra-query thread budget this plan was dispatched with (the
-    /// `QUERY_THREADS` value at build time).
-    pub fn thread_budget(&self) -> usize {
-        self.thread_budget
     }
 
     /// True if any expression in the plan references a `$parameter`. Plans
@@ -340,7 +327,6 @@ impl ExecutionPlan {
                             min_hops: *min_hops,
                             max_hops: *max_hops,
                             expand_into: *expand_into,
-                            nthreads: self.thread_budget,
                         };
                         records = run_traverse(records, bindings, access.graph(), &spec);
                     }
@@ -353,7 +339,6 @@ impl ExecutionPlan {
                             *dst_slot,
                             expr,
                             *weight_slot,
-                            self.thread_budget,
                         );
                     }
                     PlanOp::Project(projection) => {
@@ -576,10 +561,7 @@ impl Builder {
             }
         }
         self.finish_segment();
-        // Snapshot `QUERY_THREADS` here, at build (= dispatch) time: the knob
-        // is process-global, and reading it per kernel call would let a
-        // concurrent `GRAPH.CONFIG SET` change a running query's parallelism.
-        Ok(ExecutionPlan { segments: self.segments, thread_budget: graphblas::Context::nthreads() })
+        Ok(ExecutionPlan { segments: self.segments })
     }
 
     /// Plan a `CALL … YIELD` clause: resolve the procedure, validate arity and
@@ -883,25 +865,6 @@ mod tests {
     fn unknown_variable_in_delete_is_an_error() {
         let err = ExecutionPlan::build(&cypher::parse("MATCH (a) DELETE b").unwrap()).unwrap_err();
         assert!(matches!(err, QueryError::UnknownVariable(v) if v == "b"));
-    }
-
-    #[test]
-    fn plan_snapshots_query_threads_at_build_time() {
-        // The only core test that writes the process-wide context (the knob
-        // only tunes parallelism degree, never results, so concurrent readers
-        // in other tests are unaffected).
-        graphblas::Context::set_nthreads(2);
-        let p = plan("MATCH (s)-[*1..2]->(t) RETURN count(t)");
-        assert_eq!(p.thread_budget(), 2);
-        graphblas::Context::set_nthreads(7);
-        assert_eq!(
-            p.thread_budget(),
-            2,
-            "a runtime QUERY_THREADS change must not retune an already-built plan"
-        );
-        let fresh = plan("MATCH (s)-[*1..2]->(t) RETURN count(t)");
-        assert_eq!(fresh.thread_budget(), 7, "later dispatches pick up the new value");
-        graphblas::Context::set_nthreads(1);
     }
 
     #[test]

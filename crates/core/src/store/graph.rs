@@ -86,10 +86,6 @@ pub struct Graph {
     label_matrices: Vec<DeltaMatrix<bool>>,
     flush_threshold: usize,
     traverse_strategy: TraverseStrategy,
-    /// Run the algebraic optimizer (chain fusion, mask pushdown) when
-    /// building plans. On by default; the differential suites pin it off to
-    /// compare optimized against unoptimized plans.
-    optimize: bool,
     /// Logical write version: bumped on every mutation, pinned by snapshots.
     epoch: u64,
     /// Per-instance memo of [`Graph::relation_count_matrix`] results, keyed
@@ -137,7 +133,6 @@ impl Graph {
             label_matrices: Vec::new(),
             flush_threshold: DEFAULT_FLUSH_THRESHOLD,
             traverse_strategy: TraverseStrategy::Auto,
-            optimize: true,
             epoch: 0,
             count_cache: CountMatrixCache::default(),
         }
@@ -184,29 +179,6 @@ impl Graph {
     /// Set the traversal execution strategy.
     pub fn set_traverse_strategy(&mut self, strategy: TraverseStrategy) {
         self.traverse_strategy = strategy;
-    }
-
-    /// Whether plans built against this graph run the algebraic optimizer
-    /// (chain fusion, mask pushdown — see [`crate::exec::algebraic`]).
-    pub fn optimizer_enabled(&self) -> bool {
-        self.optimize
-    }
-
-    /// Enable or disable the algebraic optimizer. Differential tests pin it
-    /// off to compare the fused and unfused plans of the same query.
-    pub fn set_optimizer(&mut self, on: bool) {
-        self.optimize = on;
-    }
-
-    /// Build a plan honouring this graph's optimizer setting. Public so the
-    /// server can build cacheable plan skeletons once and execute them many
-    /// times (binding parameters per execution).
-    pub fn build_plan(&self, ast: &cypher::Query) -> Result<ExecutionPlan, QueryError> {
-        if self.optimize {
-            ExecutionPlan::build(ast)
-        } else {
-            ExecutionPlan::build_unoptimized(ast)
-        }
     }
 
     /// The pending-count threshold at which any one matrix folds its delta
@@ -306,7 +278,7 @@ impl Graph {
         ast: &cypher::Query,
         started: std::time::Instant,
     ) -> Result<ResultSet, QueryError> {
-        let plan = self.build_plan(ast)?;
+        let plan = ExecutionPlan::build(ast)?;
         plan.execute_at(self, started)
     }
 
@@ -318,7 +290,7 @@ impl Graph {
         ast: &cypher::Query,
         started: std::time::Instant,
     ) -> Result<(ResultSet, Vec<OpProfile>), QueryError> {
-        let plan = self.build_plan(ast)?;
+        let plan = ExecutionPlan::build(ast)?;
         plan.profile(self, started)
     }
 
@@ -340,7 +312,7 @@ impl Graph {
     /// Plan and execute an already-parsed read-only query (see
     /// [`Graph::query_ast`]).
     pub fn query_readonly_ast(&self, ast: &cypher::Query) -> Result<ResultSet, QueryError> {
-        let plan = self.build_plan(ast)?;
+        let plan = ExecutionPlan::build(ast)?;
         plan.execute_read_only(self)
     }
 
@@ -348,7 +320,7 @@ impl Graph {
     /// (`GRAPH.EXPLAIN`).
     pub fn explain(&self, text: &str) -> Result<Vec<String>, QueryError> {
         let ast = cypher::parse(text)?;
-        let plan = self.build_plan(&ast)?;
+        let plan = ExecutionPlan::build(&ast)?;
         Ok(plan.describe())
     }
 
@@ -819,21 +791,6 @@ impl Graph {
         max_hops: u32,
         dir: TraverseDir,
     ) -> SparseVector<bool> {
-        self.khop_reach_with(source, min_hops, max_hops, dir, Context::nthreads())
-    }
-
-    /// [`Graph::khop_reach`] with an explicit kernel thread budget. The plan
-    /// executor passes the budget snapshotted at dispatch
-    /// (`ExecutionPlan::thread_budget`) so a runtime `QUERY_THREADS` change
-    /// cannot retune a BFS already in flight.
-    pub fn khop_reach_with(
-        &self,
-        source: NodeId,
-        min_hops: u32,
-        max_hops: u32,
-        dir: TraverseDir,
-        nthreads: usize,
-    ) -> SparseVector<bool> {
         let adj = self.adjacency.view();
         // The transpose is only materialised when the direction needs it.
         let adj_t = match dir {
@@ -845,8 +802,7 @@ impl Graph {
             TraverseDir::Incoming => adj_t.as_deref().expect("materialised above"),
         };
         let semiring = Semiring::lor_land();
-        let desc =
-            Descriptor::new().with_mask_complement().with_mask_structure().with_nthreads(nthreads);
+        let desc = Descriptor::new().with_mask_complement().with_mask_structure();
 
         let mut frontier = SparseVector::<bool>::new(self.dim);
         frontier.set_element(source, true);
@@ -1023,7 +979,7 @@ impl GraphSnapshot {
         ast: &cypher::Query,
         started: std::time::Instant,
     ) -> Result<ResultSet, QueryError> {
-        let plan = self.build_plan(ast)?;
+        let plan = ExecutionPlan::build(ast)?;
         plan.execute_read_only_at(self.backing_graph(&plan), started)
     }
 
@@ -1034,7 +990,7 @@ impl GraphSnapshot {
         ast: &cypher::Query,
         started: std::time::Instant,
     ) -> Result<(ResultSet, Vec<OpProfile>), QueryError> {
-        let plan = self.build_plan(ast)?;
+        let plan = ExecutionPlan::build(ast)?;
         plan.profile_read_only(self.backing_graph(&plan), started)
     }
 

@@ -2,8 +2,7 @@
 //!
 //! A descriptor modifies how an operation treats its mask, inputs and output:
 //! complement the mask, use only the mask structure, clear (replace) the output
-//! first, transpose either input, and optionally override the number of threads
-//! for this one call.
+//! first, and transpose either input.
 
 /// Per-call modifiers for GraphBLAS operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -20,9 +19,6 @@ pub struct Descriptor {
     pub transpose_a: bool,
     /// Transpose the second input (`GrB_TRAN` on `GrB_INP1`).
     pub transpose_b: bool,
-    /// Override the context thread count for this call (`None` = use
-    /// [`crate::Context::nthreads`]).
-    pub nthreads: Option<usize>,
 }
 
 impl Descriptor {
@@ -60,17 +56,6 @@ impl Descriptor {
         self.transpose_b = true;
         self
     }
-
-    /// Builder: set a per-call thread count.
-    pub fn with_nthreads(mut self, n: usize) -> Self {
-        self.nthreads = Some(n.max(1));
-        self
-    }
-
-    /// Effective thread count for this call.
-    pub fn effective_nthreads(&self) -> usize {
-        self.nthreads.unwrap_or_else(crate::context::Context::nthreads).max(1)
-    }
 }
 
 #[cfg(test)]
@@ -81,27 +66,14 @@ mod tests {
     fn default_descriptor_has_no_modifiers() {
         let d = Descriptor::default();
         assert!(!d.mask_complement && !d.replace && !d.transpose_a && !d.transpose_b);
-        assert!(d.nthreads.is_none());
     }
 
     #[test]
     fn builders_compose() {
-        let d = Descriptor::new()
-            .with_mask_complement()
-            .with_replace()
-            .with_transpose_a()
-            .with_nthreads(4);
+        let d = Descriptor::new().with_mask_complement().with_replace().with_transpose_a();
         assert!(d.mask_complement);
         assert!(d.replace);
         assert!(d.transpose_a);
         assert!(!d.transpose_b);
-        assert_eq!(d.effective_nthreads(), 4);
-    }
-
-    #[test]
-    fn effective_threads_falls_back_to_context() {
-        let d = Descriptor::default();
-        assert!(d.effective_nthreads() >= 1);
-        assert_eq!(Descriptor::new().with_nthreads(0).effective_nthreads(), 1);
     }
 }

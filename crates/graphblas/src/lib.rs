@@ -34,14 +34,12 @@
 
 pub mod apply;
 pub mod binary_op;
-pub mod context;
 pub mod delta;
 pub mod descriptor;
 pub mod error;
 pub mod ewise;
 pub mod extract;
 pub mod frontier;
-pub mod kron;
 pub mod mask;
 pub mod matrix;
 pub mod monoid;
@@ -56,7 +54,6 @@ pub mod unary_op;
 pub mod vector;
 
 pub use binary_op::BinaryOp;
-pub use context::Context;
 pub use delta::{DeltaMatrix, DEFAULT_FLUSH_THRESHOLD};
 pub use descriptor::Descriptor;
 pub use error::{GrbError, GrbResult};
@@ -75,7 +72,6 @@ pub use vector::SparseVector;
 pub mod prelude {
     pub use crate::apply::{apply_matrix, apply_vector};
     pub use crate::binary_op::BinaryOp;
-    pub use crate::context::Context;
     pub use crate::delta::{DeltaMatrix, DEFAULT_FLUSH_THRESHOLD};
     pub use crate::descriptor::Descriptor;
     pub use crate::error::{GrbError, GrbResult};
@@ -84,7 +80,6 @@ pub mod prelude {
     };
     pub use crate::extract::{extract_col, extract_row, extract_submatrix};
     pub use crate::frontier::{frontier_matrix, probe_row, structure};
-    pub use crate::kron::kronecker;
     pub use crate::mask::{MatrixMask, VectorMask};
     pub use crate::matrix::SparseMatrix;
     pub use crate::monoid::Monoid;

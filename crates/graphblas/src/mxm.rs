@@ -1,12 +1,14 @@
 //! Matrix–matrix multiplication (`GrB_mxm`) — masked, row-wise Gustavson
-//! SpGEMM, optionally parallelised over row blocks with scoped threads.
+//! SpGEMM on the calling thread.
 //!
 //! RedisGraph compiles a multi-hop `MATCH` pattern into a chain of `mxm`
 //! calls over the per-relation adjacency matrices; the mask is used to
 //! restrict the result to labelled nodes or to exclude already-bound ones.
+//! As in RedisGraph, which loads GraphBLAS single-threaded, a kernel never
+//! fans out: concurrency comes from running many queries at once on the
+//! server's threadpool.
 
 use crate::binary_op::OpApply;
-use crate::context::partition_ranges;
 use crate::descriptor::Descriptor;
 use crate::mask::MatrixMask;
 use crate::matrix::SparseMatrix;
@@ -15,33 +17,11 @@ use crate::transpose::transpose;
 use crate::types::Scalar;
 use crate::Index;
 
-/// One thread's slice of the output in CSR form: `(row_ptr, col_idx, values)`
-/// with a local `row_ptr` starting at 0.
-type CsrFragment<T> = (Vec<usize>, Vec<Index>, Vec<T>);
-
-/// Minimum estimated multiply–add operations each worker thread must have
-/// before the row-block split spawns scoped threads at all. Spawning an OS
-/// thread costs tens of microseconds; a frontier-sized product (a few
-/// thousand flops) finishes serially in less than that, so parallelising it
-/// only adds overhead — on BENCH_traverse the un-thresholded split made
-/// `threads=4` *slower* than `threads=1`. The requested thread count is
-/// clamped so every spawned worker clears this floor.
-pub const MXM_MIN_WORK_PER_THREAD: usize = 16_384;
-
-/// Estimated flops of `A ⊕.⊗ B`: for every stored entry `(i,k)` of `A` the
-/// inner loop touches `nnz(B(k,:))` pairs. Exact (not a bound) for the
-/// Gustavson traversal below, and O(nnz(A)) to compute.
-fn mxm_flops<T: Scalar, U: Scalar>(a: &SparseMatrix<T>, b: &SparseMatrix<U>) -> usize {
-    a.col_indices().iter().map(|&k| b.row_degree(k)).sum()
-}
-
 /// `C = A ⊕.⊗ B` with an optional mask on the output.
 ///
 /// Dimensions: `A` is `m×k`, `B` is `k×n`, the result is `m×n`. The descriptor
-/// may request transposition of either input, mask complement / structural
-/// interpretation, and a per-call thread count (`Descriptor::with_nthreads`);
-/// the default thread count comes from [`crate::Context`], which RedisGraph
-/// sets to 1 so a single query never occupies more than one core.
+/// may request transposition of either input and mask complement /
+/// structural interpretation.
 ///
 /// # Panics
 /// Panics on dimension mismatch or if either input has pending updates.
@@ -74,85 +54,18 @@ pub fn mxm<T: Scalar + OpApply>(
     assert_eq!(a.ncols(), b.nrows(), "mxm dimension mismatch: a.ncols != b.nrows");
     let m = a.nrows();
     let n = b.ncols();
-    // Thread budget: never hand a worker less than MXM_MIN_WORK_PER_THREAD
-    // estimated flops, and never spawn more workers than the machine has
-    // hardware threads — the kernel is CPU-bound, so oversubscribing cores
-    // only adds scheduling overhead (on a 1-core host `threads=4` measured
-    // *slower* than `threads=1` before this clamp). Small frontier products
-    // collapse to the serial path (no scope, no spawns); large products still
-    // fan out to the granted width.
-    let requested =
-        desc.effective_nthreads().min(m.max(1) as usize).min(crate::Context::hardware_threads());
-    let nthreads = if requested > 1 {
-        requested.min((mxm_flops(a, b) / MXM_MIN_WORK_PER_THREAD).max(1))
-    } else {
-        requested
-    };
 
-    if nthreads <= 1 {
-        let (row_ptr, col_idx, values) = mxm_rows(a, b, semiring, mask, desc, 0..m as usize);
-        return SparseMatrix::from_csr_parts(m, n, row_ptr, col_idx, values);
-    }
-
-    // Parallel over contiguous row blocks; each block produces an independent
-    // CSR fragment which is stitched afterwards.
-    let ranges = partition_ranges(m as usize, nthreads);
-    let mut results: Vec<Option<CsrFragment<T>>> = Vec::new();
-    results.resize_with(ranges.len(), || None);
-
-    crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for range in ranges.iter().cloned() {
-            let handle = scope.spawn(move |_| mxm_rows(a, b, semiring, mask, desc, range));
-            handles.push(handle);
-        }
-        for (slot, handle) in results.iter_mut().zip(handles) {
-            *slot = Some(handle.join().expect("mxm worker panicked"));
-        }
-    })
-    .expect("mxm thread scope failed");
-
-    // Stitch fragments.
-    let mut row_ptr = Vec::with_capacity(m as usize + 1);
-    row_ptr.push(0usize);
-    let total_nnz: usize =
-        results.iter().map(|r| r.as_ref().map(|(_, c, _)| c.len()).unwrap_or(0)).sum();
-    let mut col_idx = Vec::with_capacity(total_nnz);
-    let mut values = Vec::with_capacity(total_nnz);
-    for frag in results.into_iter().flatten() {
-        let (frag_ptr, frag_cols, frag_vals) = frag;
-        let base = col_idx.len();
-        // frag_ptr is local (starts at 0); skip its first element.
-        for &p in &frag_ptr[1..] {
-            row_ptr.push(base + p);
-        }
-        col_idx.extend(frag_cols);
-        values.extend(frag_vals);
-    }
-    SparseMatrix::from_csr_parts(m, n, row_ptr, col_idx, values)
-}
-
-/// Compute a contiguous block of output rows with a per-thread SPA.
-fn mxm_rows<T: Scalar + OpApply>(
-    a: &SparseMatrix<T>,
-    b: &SparseMatrix<T>,
-    semiring: &Semiring<T>,
-    mask: Option<&MatrixMask<'_>>,
-    desc: &Descriptor,
-    rows: std::ops::Range<usize>,
-) -> CsrFragment<T> {
-    let n = b.ncols() as usize;
-    let mut occupied = vec![false; n];
-    let mut acc = vec![T::zero(); n];
+    // Gustavson: one dense sparse accumulator (SPA) reused across rows.
+    let mut occupied = vec![false; n as usize];
+    let mut acc = vec![T::zero(); n as usize];
     let mut touched: Vec<Index> = Vec::new();
 
-    let mut row_ptr = Vec::with_capacity(rows.len() + 1);
+    let mut row_ptr = Vec::with_capacity(m as usize + 1);
     row_ptr.push(0usize);
     let mut col_idx = Vec::new();
     let mut values = Vec::new();
 
-    for i in rows {
-        let i = i as Index;
+    for i in 0..m {
         let (a_cols, a_vals) = a.row(i);
         for (&k, &av) in a_cols.iter().zip(a_vals.iter()) {
             let (b_cols, b_vals) = b.row(k);
@@ -180,7 +93,7 @@ fn mxm_rows<T: Scalar + OpApply>(
         touched.clear();
         row_ptr.push(col_idx.len());
     }
-    (row_ptr, col_idx, values)
+    SparseMatrix::from_csr_parts(m, n, row_ptr, col_idx, values)
 }
 
 #[cfg(test)]
@@ -289,37 +202,6 @@ mod tests {
         let via_explicit =
             mxm(&transpose(&a), &b, &Semiring::plus_times(), None, &Descriptor::default());
         assert_eq!(via_desc, via_explicit);
-    }
-
-    #[test]
-    fn parallel_matches_serial() {
-        // random-ish 64x64 band matrix
-        let mut triples = Vec::new();
-        for i in 0..64u64 {
-            for d in 1..=5u64 {
-                triples.push((i, (i + d * 7) % 64, ((i + d) % 11 + 1) as i64));
-            }
-        }
-        let a = SparseMatrix::from_triples(64, 64, &triples).unwrap();
-        let serial =
-            mxm(&a, &a, &Semiring::plus_times(), None, &Descriptor::new().with_nthreads(1));
-        let parallel =
-            mxm(&a, &a, &Semiring::plus_times(), None, &Descriptor::new().with_nthreads(4));
-        assert_eq!(serial, parallel);
-        assert_eq!(serial.nvals(), parallel.nvals());
-    }
-
-    #[test]
-    fn flops_estimate_counts_inner_loop_pairs() {
-        // A has entries in columns {1, 2}; B's row 1 has 2 entries, row 2 has 1.
-        let a = SparseMatrix::from_triples(2, 3, &[(0, 1, 1i64), (1, 2, 1)]).unwrap();
-        let b = SparseMatrix::from_triples(3, 3, &[(1, 0, 1i64), (1, 2, 1), (2, 1, 1)]).unwrap();
-        assert_eq!(mxm_flops(&a, &b), 3);
-        // A frontier-sized product stays under one thread's work quantum, so
-        // a 4-thread request must not fan out (the thread-budget regression:
-        // spawning workers for a few thousand flops made threads=4 slower
-        // than serial on BENCH_traverse).
-        assert!(mxm_flops(&a, &b) / MXM_MIN_WORK_PER_THREAD == 0);
     }
 
     #[test]

@@ -120,15 +120,6 @@ proptest! {
     }
 
     #[test]
-    fn parallel_mxm_equals_serial(ta in triples(), tb in triples()) {
-        let a = SparseMatrix::from_triples(DIM, DIM, &ta).unwrap();
-        let b = SparseMatrix::from_triples(DIM, DIM, &tb).unwrap();
-        let serial = mxm(&a, &b, &Semiring::plus_times(), None, &Descriptor::new().with_nthreads(1));
-        let parallel = mxm(&a, &b, &Semiring::plus_times(), None, &Descriptor::new().with_nthreads(3));
-        prop_assert_eq!(serial, parallel);
-    }
-
-    #[test]
     fn vxm_equals_row_of_mxm(ts in triples(), src in 0..DIM) {
         // Multiplying by an indicator vector e_src must equal extracting row src
         // of A (over any semiring; we use plus_times).

@@ -47,7 +47,6 @@ enum BlockedOn {
     RwWrite(usize),
     Condvar(usize),
     Join(usize),
-    Scope(usize),
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -115,9 +114,6 @@ struct ExecState {
     mutexes: HashMap<usize, Option<usize>>,
     rwlocks: HashMap<usize, RwState>,
     condvars: HashMap<usize, Vec<usize>>,
-    /// scope id -> number of live child threads.
-    scopes: HashMap<usize, usize>,
-    next_scope: usize,
 }
 
 pub(crate) struct RunConfig {
@@ -183,8 +179,6 @@ impl Execution {
                 mutexes: HashMap::new(),
                 rwlocks: HashMap::new(),
                 condvars: HashMap::new(),
-                scopes: HashMap::new(),
-                next_scope: 0,
             }),
             cv: Condvar::new(),
             cfg,
@@ -573,15 +567,12 @@ impl Execution {
     // ---- threads ---------------------------------------------------------
 
     /// Register a new model thread (caller holds the turn). Returns its id.
-    pub(crate) fn register_thread(self: &Arc<Self>, scope: Option<usize>) -> usize {
+    pub(crate) fn register_thread(self: &Arc<Self>) -> usize {
         self.schedule();
         let mut st = self.lock();
         self.abort_check(&st);
         st.threads.push(ThreadInfo { state: RunState::Runnable, panicked: false });
         let id = st.threads.len() - 1;
-        if let Some(s) = scope {
-            *st.scopes.entry(s).or_insert(0) += 1;
-        }
         // Counted before the OS thread exists so the controller cannot
         // observe zero while a spawn is in flight.
         self.live_os.fetch_add(1, Ordering::SeqCst);
@@ -597,28 +588,15 @@ impl Execution {
     }
 
     /// Last thing a model thread does on its way out (normal return, user
-    /// panic, or abort unwind). Marks it finished, wakes joiners, settles
-    /// scope accounting, and passes the turn on.
-    pub(crate) fn finish_thread(
-        self: &Arc<Self>,
-        id: usize,
-        scope: Option<usize>,
-        user_panic: Option<String>,
-    ) {
+    /// panic, or abort unwind). Marks it finished, wakes joiners, and passes
+    /// the turn on.
+    pub(crate) fn finish_thread(self: &Arc<Self>, id: usize, user_panic: Option<String>) {
         let mut st = self.lock();
         st.threads[id].state = RunState::Finished;
         if let Some(msg) = user_panic {
             st.threads[id].panicked = true;
             if !self.cfg.allow_thread_panics {
                 self.fail_locked(&mut st, format!("thread t{id} panicked: {msg}"));
-            }
-        }
-        if let Some(s) = scope {
-            if let Some(n) = st.scopes.get_mut(&s) {
-                *n = n.saturating_sub(1);
-                if *n == 0 && !st.aborting {
-                    Self::wake_blocked(&mut st, BlockedOn::Scope(s));
-                }
             }
         }
         if !st.aborting {
@@ -649,22 +627,6 @@ impl Execution {
         let st = self.lock();
         self.abort_check(&st);
         st.threads[target].state == RunState::Finished
-    }
-
-    pub(crate) fn register_scope(self: &Arc<Self>) -> usize {
-        let mut st = self.lock();
-        let id = st.next_scope;
-        st.next_scope += 1;
-        st.scopes.insert(id, 0);
-        id
-    }
-
-    pub(crate) fn wait_scope(self: &Arc<Self>, scope: usize) {
-        self.schedule();
-        self.block_until(
-            |st, _me| st.scopes.get(&scope).copied().unwrap_or(0) == 0,
-            BlockedOn::Scope(scope),
-        );
     }
 
     // ---- run control -----------------------------------------------------

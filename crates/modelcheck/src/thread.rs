@@ -65,7 +65,7 @@ impl Builder {
         T: Send + 'static,
     {
         match ctx() {
-            Some((exec, _)) => spawn_model(self.inner, exec, None, f),
+            Some((exec, _)) => spawn_model(self.inner, exec, f),
             None => {
                 let real = self.inner.spawn(f)?;
                 Ok(JoinHandle { real, model: None })
@@ -94,21 +94,20 @@ impl Drop for OsExit {
 fn spawn_model<F, T>(
     builder: std::thread::Builder,
     exec: Arc<Execution>,
-    scope: Option<usize>,
     f: F,
 ) -> io::Result<JoinHandle<T>>
 where
     F: FnOnce() -> T + Send + 'static,
     T: Send + 'static,
 {
-    let id = exec.register_thread(scope);
+    let id = exec.register_thread();
     let exec2 = exec.clone();
-    match builder.spawn(move || model_thread_main(exec2, id, scope, f)) {
+    match builder.spawn(move || model_thread_main(exec2, id, f)) {
         Ok(real) => Ok(JoinHandle { real, model: Some((exec, id)) }),
         Err(e) => {
             // The OS thread never existed: retire the registration so the
             // scheduler doesn't wait for it.
-            exec.finish_thread(id, scope, None);
+            exec.finish_thread(id, None);
             exec.os_thread_exited();
             Err(e)
         }
@@ -118,14 +117,14 @@ where
 /// Body of every model OS thread: adopt the scheduler context, wait for the
 /// first turn, run the payload, then hand bookkeeping back — propagating
 /// user panics so the real `JoinHandle` reports them like std would.
-fn model_thread_main<F, T>(exec: Arc<Execution>, id: usize, scope: Option<usize>, f: F) -> T
+fn model_thread_main<F, T>(exec: Arc<Execution>, id: usize, f: F) -> T
 where
     F: FnOnce() -> T,
 {
     let _exit = OsExit(exec.clone());
     if let Err(p) = panic::catch_unwind(AssertUnwindSafe(|| exec.enter_thread(id))) {
         // Aborted before ever being scheduled.
-        exec.finish_thread(id, scope, None);
+        exec.finish_thread(id, None);
         exec::clear_ctx();
         panic::resume_unwind(p);
     }
@@ -134,7 +133,7 @@ where
         Err(p) if !p.is::<ModelAbort>() => Some(exec::panic_message(p.as_ref())),
         _ => None,
     };
-    exec.finish_thread(id, scope, user_panic);
+    exec.finish_thread(id, user_panic);
     exec::clear_ctx();
     match result {
         Ok(v) => v,
@@ -154,78 +153,5 @@ pub fn sleep(dur: Duration) {
     match ctx() {
         Some((exec, _)) => exec.schedule_yield(),
         None => std::thread::sleep(dur),
-    }
-}
-
-// ---------------------------------------------------------------- scope --
-
-/// Mirror of `std::thread::scope`, model-aware: scoped children register
-/// with the scheduler and the scope exit blocks (as a model operation)
-/// until all of them have finished, so the real `std::thread::scope` join
-/// at the end never blocks outside scheduler control.
-pub fn scope<'env, F, R>(f: F) -> R
-where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-{
-    match ctx() {
-        Some((exec, _)) => std::thread::scope(|s| {
-            let scope_id = exec.register_scope();
-            let wrapper = Scope { std: s, model: Some((exec.clone(), scope_id)) };
-            let r = f(&wrapper);
-            exec.wait_scope(scope_id);
-            r
-        }),
-        None => std::thread::scope(|s| f(&Scope { std: s, model: None })),
-    }
-}
-
-pub struct Scope<'scope, 'env: 'scope> {
-    std: &'scope std::thread::Scope<'scope, 'env>,
-    model: Option<(Arc<Execution>, usize)>,
-}
-
-impl Clone for Scope<'_, '_> {
-    fn clone(&self) -> Self {
-        Scope { std: self.std, model: self.model.clone() }
-    }
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-    where
-        F: FnOnce() -> T + Send + 'scope,
-        T: Send + 'scope,
-    {
-        match &self.model {
-            Some((exec, scope_id)) => {
-                let id = exec.register_thread(Some(*scope_id));
-                let exec2 = exec.clone();
-                let scope_id = *scope_id;
-                let real = self.std.spawn(move || model_thread_main(exec2, id, Some(scope_id), f));
-                ScopedJoinHandle { real, model: Some((exec.clone(), id)) }
-            }
-            None => ScopedJoinHandle { real: self.std.spawn(f), model: None },
-        }
-    }
-}
-
-pub struct ScopedJoinHandle<'scope, T> {
-    real: std::thread::ScopedJoinHandle<'scope, T>,
-    model: Option<(Arc<Execution>, usize)>,
-}
-
-impl<T> ScopedJoinHandle<'_, T> {
-    pub fn join(self) -> std::thread::Result<T> {
-        if let Some((exec, id)) = &self.model {
-            exec.join(*id);
-        }
-        self.real.join()
-    }
-
-    pub fn is_finished(&self) -> bool {
-        match &self.model {
-            Some((exec, id)) => exec.thread_is_finished(*id),
-            None => self.real.is_finished(),
-        }
     }
 }

@@ -1,93 +1,29 @@
-//! Plan-cache invalidation versus in-flight plan builds.
+//! Plan-cache capacity versus racing plan builds.
 //!
 //! The server's plan cache hands a query's parsed-and-planned skeleton to
-//! every later execution of the same normalized text. Plans bake in planning
-//! config at build time (the GraphBLAS thread budget, the optimizer setting),
-//! so a config change invalidates the cache — but the build itself runs
-//! *outside* the cache lock: a worker that missed, then planned against the
-//! old config, must not install its now-stale plan after the invalidation.
-//! The cache's generation counter is the guard; these schedules drive the
-//! race directly against the real `PlanCache` and `ExecutionPlan` types.
-//!
-//! The seeded mutant `--cfg xmut_no_cache_invalidation` removes the
-//! generation check in `PlanCache::insert`; CI asserts this suite fails
-//! under it (a stale thread budget survives its invalidation).
+//! every later execution of the same normalized text. A plan depends on the
+//! query alone, so it never goes stale; what concurrency can break is the
+//! bound: the build runs *outside* the cache lock, so several workers that
+//! missed may race their inserts. These schedules drive that race directly
+//! against the real `PlanCache` and `ExecutionPlan` types.
 
 use std::sync::Arc;
 
 use modelcheck::{explore, thread, Config};
-use redisgraph_core::Graph;
+use redisgraph_core::ExecutionPlan;
 use redisgraph_server::metrics::Metrics;
-use redisgraph_server::{CachedPlan, Lookup, PlanCache};
+use redisgraph_server::{CachedPlan, PlanCache};
 
 fn cfg() -> Config {
     Config { max_schedules: 1800, pct_iterations: 300, preemption_bound: None, ..Config::default() }
 }
 
-/// Parse and plan `query` exactly as the server's miss path does, capturing
-/// the process-wide GraphBLAS thread budget at build time.
+/// Parse and plan `query` exactly as the server's miss path does.
 fn build(query: &str) -> Arc<CachedPlan> {
-    let g = Graph::new("mc");
     let ast = cypher::parse(query).expect("suite queries parse");
     let read_only = ast.is_read_only();
-    let plan = g.build_plan(&ast).expect("suite queries plan");
-    Arc::new(CachedPlan {
-        has_params: plan.has_params(),
-        plan: Arc::new(plan),
-        read_only,
-        optimized: true,
-    })
-}
-
-/// The stale-plan race: a worker misses and plans under the old
-/// `QUERY_THREADS`, while the main thread applies the config change and
-/// invalidates. Whatever the interleaving, no lookup after the invalidation
-/// may ever surface a plan carrying the retired thread budget.
-#[test]
-fn invalidation_never_serves_a_stale_plan() {
-    const KEY: &str = "MATCH (n) RETURN count(n)";
-    let report = explore("plan_cache/no_stale_plan_after_invalidation", &cfg(), || {
-        graphblas::Context::set_nthreads(1);
-        let cache = Arc::new(PlanCache::new(4));
-        let metrics = Arc::new(Metrics::default());
-
-        let worker = {
-            let cache = Arc::clone(&cache);
-            let metrics = Arc::clone(&metrics);
-            thread::spawn(move || {
-                // The server's miss path: observe the generation, plan
-                // outside the lock, then try to install.
-                if let Lookup::Miss(generation) = cache.lookup(KEY, &metrics) {
-                    let plan = build(KEY);
-                    cache.insert(KEY.to_string(), plan, generation, &metrics);
-                }
-            })
-        };
-
-        // GRAPH.CONFIG SET QUERY_THREADS 2: apply the new budget, then
-        // flush every cached plan built under the old one.
-        graphblas::Context::set_nthreads(2);
-        cache.invalidate();
-
-        worker.join().unwrap();
-
-        // The worker's insert either beat the invalidation (flushed with
-        // everything else) or trailed it (rejected by the generation
-        // check). Serving a budget-1 plan now would hand a query built for
-        // the retired config to every future execution.
-        if let Lookup::Hit(cached) = cache.lookup(KEY, &metrics) {
-            assert_eq!(
-                cached.plan.thread_budget(),
-                graphblas::Context::nthreads(),
-                "cache served a plan built under a retired QUERY_THREADS value"
-            );
-        }
-        graphblas::Context::set_nthreads(1);
-    });
-    // The two-thread miss/invalidate race has a small sync-op footprint, so
-    // DFS exhausts it in a few dozen schedules — require enough distinct ones
-    // to know both orders of insert-vs-invalidate were driven.
-    assert!(report.distinct >= 20, "only {} distinct schedules explored", report.distinct);
+    let plan = ExecutionPlan::build(&ast).expect("suite queries plan");
+    Arc::new(CachedPlan { has_params: plan.has_params(), plan: Arc::new(plan), read_only })
 }
 
 /// Concurrent misses racing their inserts into a capacity-1 cache: the
@@ -103,9 +39,8 @@ fn concurrent_inserts_respect_the_lru_bound_and_counters() {
             let cache = Arc::clone(&cache);
             let metrics = Arc::clone(&metrics);
             thread::spawn(move || {
-                if let Lookup::Miss(generation) = cache.lookup(key, &metrics) {
-                    let plan = build("MATCH (n) RETURN n");
-                    cache.insert(key.to_string(), plan, generation, &metrics);
+                if cache.lookup(key, &metrics).is_none() {
+                    cache.insert(key.to_string(), build("MATCH (n) RETURN n"), &metrics);
                 }
                 assert!(cache.len() <= 1, "cache overflowed its configured capacity");
             })

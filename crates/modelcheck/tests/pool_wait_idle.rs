@@ -1,10 +1,11 @@
 //! `ThreadPool::wait_idle` versus panicking jobs.
 //!
 //! Graceful shutdown drains `in_flight` to zero before tearing the
-//! listener down. A job that panics unwinds its worker thread — the
-//! in-flight count must come back down anyway (the guard decrements on
-//! drop during unwind) or every later drain waits out its full timeout,
-//! and the surviving workers must keep serving jobs.
+//! listener down. A job that panics must unwind only itself: the in-flight
+//! count must come back down (the guard decrements on drop during unwind)
+//! or every later drain waits out its full timeout, and its worker must
+//! keep serving jobs — checked with a single worker, so a panic that killed
+//! it would leave the healthy job with nobody to run it.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -18,9 +19,9 @@ fn cfg() -> Config {
         max_schedules: 2000,
         pct_iterations: 400,
         preemption_bound: None,
-        // The suite *injects* a panic; the property is that the pool
-        // survives it, so a panicking model thread is not itself a failure.
-        allow_thread_panics: true,
+        // The suite injects a panic inside a job; the worker must catch it,
+        // so a model thread that dies of it is a failure.
+        allow_thread_panics: false,
         ..Config::default()
     }
 }
@@ -28,7 +29,7 @@ fn cfg() -> Config {
 #[test]
 fn wait_idle_drains_past_a_panicking_job() {
     let report = explore("pool_wait_idle/panicking_job", &cfg(), || {
-        let pool = ThreadPool::new(2);
+        let pool = ThreadPool::new(1);
         let ran = Arc::new(AtomicUsize::new(0));
         pool.execute(|| panic!("job blew up (injected by the model-check suite)"));
         {
@@ -45,9 +46,11 @@ fn wait_idle_drains_past_a_panicking_job() {
         );
         assert_eq!(ran.load(Ordering::SeqCst), 1, "healthy job was lost after the panic");
         assert_eq!(pool.in_flight(), 0);
-        drop(pool); // joins the dead worker (Err) and the survivor (Ok)
+        drop(pool); // joins the worker, which survived the panic
     });
-    assert!(report.distinct >= 1500, "only {} distinct schedules explored", report.distinct);
+    // One worker beside the main thread: DFS exhausts this space in a few
+    // hundred schedules.
+    assert!(report.distinct >= 300, "only {} distinct schedules explored", report.distinct);
 }
 
 #[test]

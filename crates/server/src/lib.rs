@@ -13,13 +13,11 @@
 //!   clients because many pool threads can serve different queries at once,
 //!   not because one query uses many cores.
 //!
-//! The crate provides three entry points:
+//! The crate provides two entry points:
 //!
-//! * a synchronous façade ([`server::RedisGraphServer`]) used by the
-//!   examples and in-process tests;
-//! * an asynchronous dispatch path ([`server::RedisGraphServer::start_dispatcher`])
-//!   used by the throughput benchmark (experiment E5) to measure
-//!   queries/second as the pool grows;
+//! * a synchronous façade ([`server::RedisGraphServer::handle`]) used by the
+//!   examples, the in-process tests and the throughput benchmark — concurrent
+//!   clients call it from their own threads on a shared server;
 //! * the **real network server** ([`listener::GraphServer`]): a TCP accept
 //!   loop whose per-connection framing loops ([`conn`]) run a resumable
 //!   [`resp::StreamDecoder`] under a bounded retained buffer and dispatch
@@ -42,7 +40,7 @@ pub use client::RespClient;
 pub use commands::{split_cypher_params, Command};
 pub use listener::GraphServer;
 pub use metrics::{CommandKind, Histogram, Metrics, SlowLog, SlowLogEntry};
-pub use plan_cache::{normalize, CachedPlan, Lookup, PlanCache};
+pub use plan_cache::{normalize, CachedPlan, PlanCache};
 // The lock type `RedisGraphServer::graph` hands out, so embedders can name
 // `Arc<RwLock<Graph>>` without depending on the lock crate directly.
 pub use parking_lot::RwLock;

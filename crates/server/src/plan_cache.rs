@@ -6,28 +6,14 @@
 //! now caches the parsed-and-planned skeleton keyed on the
 //! whitespace-normalized body text and re-binds parameters per execution.
 //!
-//! Correctness under concurrency rests on a **generation counter**: a lookup
-//! miss records the generation it observed, and the insert that follows (the
-//! caller parses and plans in between, without holding the cache lock) is
-//! dropped if an invalidation bumped the generation in the meantime. Without
-//! that check, this interleaving serves a stale plan forever:
-//!
-//! ```text
-//! worker: lookup(miss)            — plan built for QUERY_THREADS=1
-//! main:   GRAPH.CONFIG SET QUERY_THREADS 4 → invalidate()
-//! worker: insert(stale plan)      — REJECTED by the generation check
-//! ```
-//!
-//! The `crates/modelcheck` `plan_cache` suite explores exactly this race; the
-//! seeded mutant `xmut_no_cache_invalidation` removes the check and must make
-//! that suite fail.
-//!
-//! The cache is bounded (`PLAN_CACHE_SIZE`, least-recently-used eviction) and
-//! scoped per graph: `GRAPH.DELETE` drops the keyspace entry and the cache
-//! with it. Plans are compiled from the AST alone — no graph contents — so
-//! writes never invalidate; only config changes that affect planning do
-//! (`QUERY_THREADS` feeds the plan's thread budget, the optimizer toggle
-//! selects fused vs unfused plans, `PLAN_CACHE_SIZE` resizes the cache).
+//! Plans are compiled from the AST alone — no graph contents, no runtime
+//! configuration — so a cached plan never goes stale: writes never
+//! invalidate, and only a `PLAN_CACHE_SIZE` resize or a `GRAPH.DELETE`
+//! (which drops the keyspace entry and the cache with it) clears it. The
+//! cache is bounded (least-recently-used eviction) and scoped per graph. A
+//! plan built after a lookup miss is inserted whenever it finishes: even if
+//! a resize or delete landed in between, it is still a correct plan, and the
+//! capacity check under the lock still bounds the cache.
 
 use crate::metrics::Metrics;
 use crossbeam::atomic::Ordering;
@@ -50,21 +36,6 @@ pub struct CachedPlan {
     /// True if the plan contains `$name` references and must be bound before
     /// executing. False lets parameter-free hits skip the bind clone.
     pub has_params: bool,
-    /// The graph's optimizer setting when the plan was built. A hit whose
-    /// flag no longer matches the graph is treated as a miss, so toggling
-    /// the optimizer never serves a plan of the wrong shape.
-    pub optimized: bool,
-}
-
-/// The outcome of a cache lookup.
-#[derive(Debug)]
-pub enum Lookup {
-    /// The skeleton for this key, LRU-refreshed.
-    Hit(Arc<CachedPlan>),
-    /// No entry; the payload is the generation observed under the lock —
-    /// pass it to [`PlanCache::insert`] so a concurrent invalidation can
-    /// reject the late insert.
-    Miss(u64),
 }
 
 #[derive(Debug)]
@@ -72,14 +43,11 @@ struct CacheInner {
     map: HashMap<String, Arc<CachedPlan>>,
     /// Recency order over the keys of `map`: front = least recently used.
     lru: VecDeque<String>,
-    /// Bumped by every invalidation; inserts carrying an older generation
-    /// are dropped.
-    generation: u64,
     /// Maximum entries (`PLAN_CACHE_SIZE`); 0 disables caching entirely.
     capacity: usize,
 }
 
-/// A bounded, generation-counted, LRU plan cache. One per keyspace entry.
+/// A bounded LRU plan cache. One per keyspace entry.
 #[derive(Debug)]
 pub struct PlanCache {
     inner: Mutex<CacheInner>,
@@ -89,18 +57,13 @@ impl PlanCache {
     /// An empty cache holding at most `capacity` plans (0 = disabled).
     pub fn new(capacity: usize) -> PlanCache {
         PlanCache {
-            inner: Mutex::new(CacheInner {
-                map: HashMap::new(),
-                lru: VecDeque::new(),
-                generation: 0,
-                capacity,
-            }),
+            inner: Mutex::new(CacheInner { map: HashMap::new(), lru: VecDeque::new(), capacity }),
         }
     }
 
     /// Look up the plan for a normalized query key, counting the hit or miss
     /// and refreshing the entry's recency on a hit.
-    pub fn lookup(&self, key: &str, metrics: &Metrics) -> Lookup {
+    pub fn lookup(&self, key: &str, metrics: &Metrics) -> Option<Arc<CachedPlan>> {
         let mut inner = self.inner.lock();
         if let Some(cached) = inner.map.get(key).cloned() {
             metrics.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -108,40 +71,20 @@ impl PlanCache {
                 let k = inner.lru.remove(pos).expect("position came from iter");
                 inner.lru.push_back(k);
             }
-            Lookup::Hit(cached)
+            Some(cached)
         } else {
             metrics.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
-            Lookup::Miss(inner.generation)
+            None
         }
     }
 
     /// Install a freshly built plan, evicting the least-recently-used entry
-    /// over capacity. `seen_generation` must be the value returned by the
-    /// [`Lookup::Miss`] that triggered the build: if an invalidation landed
-    /// between the miss and this insert, the plan was built against retired
-    /// planning config (a stale thread budget, the old optimizer setting)
-    /// and is dropped instead of cached.
-    pub fn insert(
-        &self,
-        key: String,
-        plan: Arc<CachedPlan>,
-        seen_generation: u64,
-        metrics: &Metrics,
-    ) {
+    /// over capacity.
+    pub fn insert(&self, key: String, plan: Arc<CachedPlan>, metrics: &Metrics) {
         let mut inner = self.inner.lock();
         if inner.capacity == 0 {
             return;
         }
-        // `xmut_no_cache_invalidation` is a seeded mutant for the
-        // model-checker CI smoke test: skipping the generation check must
-        // make the `plan_cache` suite fail (a stale plan outlives its
-        // invalidation).
-        #[cfg(not(xmut_no_cache_invalidation))]
-        if inner.generation != seen_generation {
-            return;
-        }
-        #[cfg(xmut_no_cache_invalidation)]
-        let _ = seen_generation;
         if inner.map.insert(key.clone(), plan).is_none() {
             inner.lru.push_back(key);
         } else if let Some(pos) = inner.lru.iter().position(|k| *k == key) {
@@ -155,22 +98,10 @@ impl PlanCache {
         }
     }
 
-    /// Drop every entry and bump the generation, so in-flight builds that
-    /// missed before the invalidation cannot install their now-stale plans.
-    pub fn invalidate(&self) {
-        let mut inner = self.inner.lock();
-        inner.generation += 1;
-        inner.map.clear();
-        inner.lru.clear();
-    }
-
-    /// Change the capacity (`GRAPH.CONFIG SET PLAN_CACHE_SIZE`). Resizing is
-    /// an invalidation: plans cached under the old setting are dropped and
-    /// in-flight inserts rejected, which keeps the config change atomic from
-    /// a client's point of view.
+    /// Change the capacity (`GRAPH.CONFIG SET PLAN_CACHE_SIZE`), dropping
+    /// every cached plan.
     pub fn set_capacity(&self, capacity: usize) {
         let mut inner = self.inner.lock();
-        inner.generation += 1;
         inner.map.clear();
         inner.lru.clear();
         inner.capacity = capacity;
@@ -184,12 +115,6 @@ impl PlanCache {
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The current generation (exposed for the model-check suite's
-    /// invariants).
-    pub fn generation(&self) -> u64 {
-        self.inner.lock().generation
     }
 }
 
@@ -242,19 +167,12 @@ pub fn normalize(body: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use redisgraph_core::Graph;
 
     fn plan_for(query: &str) -> Arc<CachedPlan> {
-        let g = Graph::new("t");
         let ast = cypher::parse(query).unwrap();
         let read_only = ast.is_read_only();
-        let plan = g.build_plan(&ast).unwrap();
-        Arc::new(CachedPlan {
-            has_params: plan.has_params(),
-            plan: Arc::new(plan),
-            read_only,
-            optimized: true,
-        })
+        let plan = ExecutionPlan::build(&ast).unwrap();
+        Arc::new(CachedPlan { has_params: plan.has_params(), plan: Arc::new(plan), read_only })
     }
 
     #[test]
@@ -272,41 +190,26 @@ mod tests {
     fn lookup_miss_then_insert_then_hit() {
         let cache = PlanCache::new(4);
         let metrics = Metrics::default();
-        let Lookup::Miss(generation) = cache.lookup("MATCH (n) RETURN n", &metrics) else {
-            panic!("empty cache must miss")
-        };
-        cache.insert(
-            "MATCH (n) RETURN n".into(),
-            plan_for("MATCH (n) RETURN n"),
-            generation,
-            &metrics,
-        );
-        assert!(matches!(cache.lookup("MATCH (n) RETURN n", &metrics), Lookup::Hit(_)));
+        assert!(cache.lookup("MATCH (n) RETURN n", &metrics).is_none(), "empty cache must miss");
+        cache.insert("MATCH (n) RETURN n".into(), plan_for("MATCH (n) RETURN n"), &metrics);
+        assert!(cache.lookup("MATCH (n) RETURN n", &metrics).is_some());
         assert_eq!(cache.len(), 1);
         assert_eq!(metrics.plan_cache_hits.load(Ordering::Relaxed), 1);
         assert_eq!(metrics.plan_cache_misses.load(Ordering::Relaxed), 1);
     }
 
     #[test]
-    fn invalidation_rejects_in_flight_inserts() {
+    fn insert_after_a_resize_lands_within_the_new_capacity() {
         let cache = PlanCache::new(4);
         let metrics = Metrics::default();
-        let Lookup::Miss(generation) = cache.lookup("MATCH (n) RETURN n", &metrics) else {
-            panic!()
-        };
-        // The invalidation lands while the caller is off building the plan.
-        cache.invalidate();
-        cache.insert(
-            "MATCH (n) RETURN n".into(),
-            plan_for("MATCH (n) RETURN n"),
-            generation,
-            &metrics,
-        );
-        assert!(
-            cache.is_empty(),
-            "an insert that observed a pre-invalidation generation must be dropped"
-        );
-        assert!(matches!(cache.lookup("MATCH (n) RETURN n", &metrics), Lookup::Miss(_)));
+        assert!(cache.lookup("q1", &metrics).is_none());
+        // The resize lands while the caller is off building the plan; its
+        // late insert is still a correct plan and is bounded like any other.
+        cache.set_capacity(1);
+        cache.insert("q1".into(), plan_for("MATCH (n) RETURN n"), &metrics);
+        cache.insert("q2".into(), plan_for("MATCH (n) RETURN n"), &metrics);
+        assert_eq!(cache.len(), 1);
+        assert!(cache.lookup("q2", &metrics).is_some());
     }
 
     #[test]
@@ -314,43 +217,41 @@ mod tests {
         let cache = PlanCache::new(2);
         let metrics = Metrics::default();
         for key in ["q1", "q2", "q3"] {
-            let Lookup::Miss(generation) = cache.lookup(key, &metrics) else { panic!() };
-            cache.insert(key.into(), plan_for("MATCH (n) RETURN n"), generation, &metrics);
+            assert!(cache.lookup(key, &metrics).is_none());
+            cache.insert(key.into(), plan_for("MATCH (n) RETURN n"), &metrics);
         }
         assert_eq!(cache.len(), 2);
         assert_eq!(metrics.plan_cache_evictions.load(Ordering::Relaxed), 1);
         // q1 was the least recently used entry, so it is the one gone.
-        assert!(matches!(cache.lookup("q1", &metrics), Lookup::Miss(_)));
-        assert!(matches!(cache.lookup("q2", &metrics), Lookup::Hit(_)));
-        assert!(matches!(cache.lookup("q3", &metrics), Lookup::Hit(_)));
+        assert!(cache.lookup("q1", &metrics).is_none());
+        assert!(cache.lookup("q2", &metrics).is_some());
+        assert!(cache.lookup("q3", &metrics).is_some());
 
         // A hit refreshes recency: q2 survives the next eviction, q3 goes.
-        let Lookup::Miss(generation) = cache.lookup("q4", &metrics) else { panic!() };
-        assert!(matches!(cache.lookup("q2", &metrics), Lookup::Hit(_)));
-        cache.insert("q4".into(), plan_for("MATCH (n) RETURN n"), generation, &metrics);
-        assert!(matches!(cache.lookup("q2", &metrics), Lookup::Hit(_)));
-        assert!(matches!(cache.lookup("q3", &metrics), Lookup::Miss(_)));
+        assert!(cache.lookup("q4", &metrics).is_none());
+        assert!(cache.lookup("q2", &metrics).is_some());
+        cache.insert("q4".into(), plan_for("MATCH (n) RETURN n"), &metrics);
+        assert!(cache.lookup("q2", &metrics).is_some());
+        assert!(cache.lookup("q3", &metrics).is_none());
     }
 
     #[test]
     fn capacity_zero_disables_caching() {
         let cache = PlanCache::new(0);
         let metrics = Metrics::default();
-        let Lookup::Miss(generation) = cache.lookup("q", &metrics) else { panic!() };
-        cache.insert("q".into(), plan_for("MATCH (n) RETURN n"), generation, &metrics);
+        assert!(cache.lookup("q", &metrics).is_none());
+        cache.insert("q".into(), plan_for("MATCH (n) RETURN n"), &metrics);
         assert!(cache.is_empty());
-        assert!(matches!(cache.lookup("q", &metrics), Lookup::Miss(_)));
+        assert!(cache.lookup("q", &metrics).is_none());
     }
 
     #[test]
     fn resizing_invalidates() {
         let cache = PlanCache::new(4);
         let metrics = Metrics::default();
-        let Lookup::Miss(generation) = cache.lookup("q", &metrics) else { panic!() };
-        cache.insert("q".into(), plan_for("MATCH (n) RETURN n"), generation, &metrics);
-        let before = cache.generation();
+        cache.insert("q".into(), plan_for("MATCH (n) RETURN n"), &metrics);
+        assert_eq!(cache.len(), 1);
         cache.set_capacity(8);
         assert!(cache.is_empty());
-        assert!(cache.generation() > before);
     }
 }

@@ -7,6 +7,7 @@
 use crossbeam::atomic::{AtomicUsize, Ordering};
 use crossbeam::channel::{unbounded, Sender};
 use crossbeam::thread::JoinHandle;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -34,8 +35,12 @@ impl ThreadPool {
                 .name(format!("redisgraph-worker-{i}"))
                 .spawn(move || {
                     // Workers exit when the channel disconnects (pool dropped).
+                    // A panicking job unwinds only itself: its reply sender
+                    // drops (the client sees `ERR query worker exited`) and
+                    // the worker goes on to the next job, so panics can never
+                    // drain the pool of workers.
                     while let Ok(job) = rx.recv() {
-                        job();
+                        let _ = panic::catch_unwind(AssertUnwindSafe(job));
                     }
                 })
                 .expect("failed to spawn worker thread");
@@ -73,9 +78,9 @@ impl ThreadPool {
     where
         F: FnOnce() + Send + 'static,
     {
-        /// Decrements on drop, so a panicking job (which unwinds its worker
-        /// thread) still comes off the in-flight count instead of wedging
-        /// `wait_idle` forever.
+        /// Decrements on drop, so a panicking job still comes off the
+        /// in-flight count as it unwinds instead of wedging `wait_idle`
+        /// forever.
         struct InFlightGuard(Arc<AtomicUsize>);
         impl Drop for InFlightGuard {
             fn drop(&mut self) {
@@ -175,13 +180,21 @@ mod tests {
     }
 
     #[test]
+    fn panicking_job_does_not_kill_its_worker() {
+        // One worker: if the panic took it down, the next submission would
+        // have nobody to run it.
+        let pool = ThreadPool::new(1);
+        pool.execute(|| panic!("job blew up (expected in this test)"));
+        assert_eq!(pool.execute_blocking(|| 7), 7);
+    }
+
+    #[test]
     fn panicking_job_still_leaves_in_flight() {
-        // A panic unwinds its worker thread; the in-flight count must come
-        // back down anyway or every later drain waits out its full timeout.
+        // The in-flight count must come back down as a panicking job unwinds,
+        // or every later drain waits out its full timeout.
         let pool = ThreadPool::new(2);
         pool.execute(|| panic!("job blew up (expected in this test)"));
         assert!(pool.wait_idle(Duration::from_secs(5)), "panicked job leaked in_flight");
-        // The surviving worker still serves jobs.
         assert_eq!(pool.execute_blocking(|| 7), 7);
     }
 

@@ -1,11 +1,15 @@
-//! The in-process RedisGraph server: a single-threaded command dispatcher in
-//! front of the module threadpool, plus the keyspace of named graphs.
+//! The in-process RedisGraph server: the command dispatch in front of the
+//! module threadpool, plus the keyspace of named graphs.
 //!
 //! Concurrency model (paper §II):
 //!
-//! * all commands funnel through the single main thread ([`RedisGraphServer::handle`]
-//!   or the dispatcher thread started by [`RedisGraphServer::start_dispatcher`]);
-//! * each `GRAPH.QUERY` is executed by **one** worker of the threadpool;
+//! * every command is dispatched by [`RedisGraphServer::handle`] (or, for the
+//!   TCP server, the connection loops' [`RedisGraphServer::submit_query`]) on
+//!   the caller's own thread, which plays the role of Redis' main thread;
+//! * each `GRAPH.QUERY` is executed by **one** worker of the threadpool, and
+//!   every GraphBLAS kernel runs on that worker alone — as RedisGraph loads
+//!   GraphBLAS single-threaded — so throughput comes from many queries at
+//!   once, never from one query fanning out;
 //! * queries are parsed **once**, at dispatch: a parse error answers
 //!   immediately without occupying a pool worker or touching any graph lock;
 //! * read-only queries pin an epoch snapshot ([`redisgraph_core::GraphSnapshot`])
@@ -17,12 +21,11 @@ use crate::commands::{
     encode_resultset, profile_to_resp, resultset_to_resp, split_cypher_params, Command,
 };
 use crate::metrics::{CommandKind, Metrics, SlowLog, SlowLogEntry};
-use crate::plan_cache::{normalize, CachedPlan, Lookup, PlanCache};
+use crate::plan_cache::{normalize, CachedPlan, PlanCache};
 use crate::pool::ThreadPool;
 use crate::resp::RespValue;
 use crossbeam::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use crossbeam::thread::JoinHandle;
+use crossbeam::channel::Sender;
 use parking_lot::{Mutex, RwLock};
 use redisgraph_core::{ExecutionPlan, Graph, GraphSnapshot, QueryError, ResultSet};
 use std::collections::HashMap;
@@ -38,14 +41,6 @@ pub struct ServerConfig {
     /// the main matrices (`DELTA_MAX_PENDING_CHANGES`; runtime-tunable with
     /// `GRAPH.CONFIG SET`).
     pub delta_max_pending_changes: usize,
-    /// Intra-query thread count for GraphBLAS kernels (`QUERY_THREADS`
-    /// module arg, the paper's `GxB_set(GxB_NTHREADS, …)`): the batched
-    /// traversal `mxm` parallelises over frontier row blocks with this many
-    /// threads. `None` leaves the process-wide [`graphblas::Context`]
-    /// untouched (it defaults to 1 — inter-query concurrency comes from the
-    /// module threadpool, as RedisGraph ships). Runtime-tunable with
-    /// `GRAPH.CONFIG SET QUERY_THREADS`.
-    pub query_threads: Option<usize>,
     /// Per-connection cap on the retained query buffer (`MAX_QUERY_BUFFER`,
     /// Redis' `client-query-buffer-limit`): a connection whose unparsed
     /// bytes exceed this is closed with a protocol error, so a client that
@@ -76,7 +71,6 @@ impl Default for ServerConfig {
         ServerConfig {
             thread_count: 4,
             delta_max_pending_changes: graphblas::DEFAULT_FLUSH_THRESHOLD,
-            query_threads: None,
             max_query_buffer: DEFAULT_MAX_QUERY_BUFFER,
             max_connections: DEFAULT_MAX_CONNECTIONS,
             slowlog_time_threshold_ms: DEFAULT_SLOWLOG_TIME_THRESHOLD_MS,
@@ -96,9 +90,6 @@ pub const DEFAULT_PLAN_CACHE_SIZE: usize = 256;
 /// is one integer compare.
 pub const DEFAULT_SLOWLOG_TIME_THRESHOLD_MS: u64 = 10;
 
-/// Ceiling for `QUERY_THREADS` (a sanity cap, not a hardware probe).
-const MAX_QUERY_THREADS: usize = 1024;
-
 /// Default `MAX_QUERY_BUFFER` (1GB, Redis' `client-query-buffer-limit`).
 pub const DEFAULT_MAX_QUERY_BUFFER: usize = 1 << 30;
 
@@ -110,11 +101,10 @@ pub const MIN_QUERY_BUFFER: usize = 1024;
 pub const DEFAULT_MAX_CONNECTIONS: usize = 128;
 
 /// Canonical names of every `GRAPH.CONFIG` parameter, in the order
-/// `GRAPH.CONFIG GET *` reports them. The first five are runtime-settable;
+/// `GRAPH.CONFIG GET *` reports them. The first four are runtime-settable;
 /// `THREAD_COUNT` and `MAX_CONNECTIONS` are fixed at module load.
-const CONFIG_PARAMETERS: [&str; 7] = [
+const CONFIG_PARAMETERS: [&str; 6] = [
     "DELTA_MAX_PENDING_CHANGES",
-    "QUERY_THREADS",
     "MAX_QUERY_BUFFER",
     "SLOWLOG_TIME_THRESHOLD",
     "PLAN_CACHE_SIZE",
@@ -139,17 +129,9 @@ fn command_kind(command: &Command) -> CommandKind {
     }
 }
 
-/// A request travelling from a client to the dispatcher thread.
-pub struct Request {
-    /// The already-framed command.
-    pub command: RespValue,
-    /// Where to deliver the reply.
-    pub reply_to: Sender<RespValue>,
-}
-
 /// The form a dispatch path takes a query's reply in — the one thing
 /// [`RedisGraphServer::submit_query`] does differently per caller. In-process
-/// callers (the façade, the dispatcher thread) take the [`RespValue`] tree; a
+/// callers ([`RedisGraphServer::handle`]) take the [`RespValue`] tree; a
 /// TCP connection takes the encoded bytes, which the worker writes straight
 /// from the [`ResultSet`] so that no tree is built, sent, walked and dropped
 /// for a reply nobody inspects.
@@ -232,37 +214,24 @@ impl GraphEntry {
         sealed
     }
 
-    /// Finish resolving a plan skeleton after a [`PlanCache::lookup`]:
-    /// validate that a hit was built under the graph's current optimizer
-    /// setting, or parse + plan + insert on a miss. `ast` carries the
-    /// pre-parsed body when the dispatch path already paid for the parse;
-    /// otherwise the body is re-derived from `query_text` here. Returns the
-    /// skeleton and whether it came from the cache.
+    /// Finish resolving a plan skeleton after a [`PlanCache::lookup`]: a hit
+    /// is served as is; a miss is parsed, planned and inserted. A plan is a
+    /// function of the query text alone, so neither path touches the graph
+    /// lock. `ast` carries the pre-parsed body when the dispatch path already
+    /// paid for the parse; otherwise the body is re-derived from
+    /// `query_text` here. Returns the skeleton and whether it came from the
+    /// cache.
     fn resolve_plan(
         &self,
         key: &str,
-        looked_up: Lookup,
+        looked_up: Option<Arc<CachedPlan>>,
         ast: Option<cypher::Query>,
         query_text: &str,
         metrics: &Metrics,
     ) -> Result<(Arc<CachedPlan>, bool), QueryError> {
-        let generation = match looked_up {
-            Lookup::Hit(cached) => {
-                if cached.optimized == self.graph.read().optimizer_enabled() {
-                    return Ok((cached, true));
-                }
-                // The optimizer was toggled since this plan was built: every
-                // plan of the old regime is stale, so clear them all and
-                // rebuild (the generation bump also rejects in-flight
-                // inserts that observed the old setting).
-                self.plan_cache.invalidate();
-                match self.plan_cache.lookup(key, metrics) {
-                    Lookup::Miss(generation) => generation,
-                    Lookup::Hit(cached) => return Ok((cached, true)),
-                }
-            }
-            Lookup::Miss(generation) => generation,
-        };
+        if let Some(cached) = looked_up {
+            return Ok((cached, true));
+        }
         let ast = match ast {
             Some(ast) => ast,
             None => {
@@ -270,17 +239,13 @@ impl GraphEntry {
                 cypher::parse(body)?
             }
         };
-        let (plan, optimized) = {
-            let g = self.graph.read();
-            (g.build_plan(&ast)?, g.optimizer_enabled())
-        };
+        let plan = ExecutionPlan::build(&ast)?;
         let skeleton = Arc::new(CachedPlan {
             read_only: ast.is_read_only(),
             has_params: plan.has_params(),
             plan: Arc::new(plan),
-            optimized,
         });
-        self.plan_cache.insert(key.to_string(), Arc::clone(&skeleton), generation, metrics);
+        self.plan_cache.insert(key.to_string(), Arc::clone(&skeleton), metrics);
         Ok((skeleton, false))
     }
 }
@@ -311,19 +276,7 @@ pub struct RedisGraphServer {
 
 impl RedisGraphServer {
     /// Create a server with the given module configuration.
-    ///
-    /// # Panics
-    /// Panics if `query_threads` is out of range — a bad module argument
-    /// fails the load, with the same `1..=1024` validation that
-    /// `GRAPH.CONFIG SET QUERY_THREADS` applies at runtime.
     pub fn new(config: ServerConfig) -> Self {
-        if let Some(n) = config.query_threads {
-            assert!(
-                (1..=MAX_QUERY_THREADS).contains(&n),
-                "QUERY_THREADS must be in 1..={MAX_QUERY_THREADS}, got {n}"
-            );
-            graphblas::Context::set_nthreads(n);
-        }
         RedisGraphServer {
             graphs: Arc::new(RwLock::new(HashMap::new())),
             pool: Arc::new(ThreadPool::new(config.thread_count)),
@@ -411,6 +364,8 @@ impl RedisGraphServer {
 
     /// Handle one framed command synchronously: the calling thread plays the
     /// role of the main Redis thread, the query itself runs on a pool worker.
+    /// Concurrent clients call this from their own threads on a shared
+    /// `Arc<RedisGraphServer>`.
     pub fn handle(&self, command: &RespValue) -> RespValue {
         let parsed = match Command::parse(command) {
             Ok(c) => c,
@@ -427,8 +382,8 @@ impl RedisGraphServer {
     /// Submit a `GRAPH.QUERY` to the module threadpool: one query, one worker
     /// thread (the paper's execution model). The reply is delivered on
     /// `reply_to` when the worker finishes — this is the single dispatch path
-    /// shared by the synchronous façade, the dispatcher thread, and the TCP
-    /// connection loops, so locking discipline lives in exactly one place.
+    /// shared by the synchronous façade and the TCP connection loops, so
+    /// locking discipline lives in exactly one place.
     ///
     /// The query is parsed exactly once, here: a parse error replies
     /// immediately without creating the graph, occupying a worker, or
@@ -485,17 +440,15 @@ impl RedisGraphServer {
             Some(entry) => entry.plan_cache.lookup(&key, &metrics),
             None => {
                 metrics.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
-                // A fresh entry's cache starts at generation 0, so the
-                // worker's insert against this observation still lands.
-                Lookup::Miss(0)
+                None
             }
         };
         // On a miss, parse at dispatch: a syntax error answers immediately
         // without creating the graph, occupying a worker, or touching any
         // lock. The AST rides along so the worker never re-parses.
         let ast = match &looked_up {
-            Lookup::Hit(_) => None,
-            Lookup::Miss(_) => match cypher::parse(body) {
+            Some(_) => None,
+            None => match cypher::parse(body) {
                 Ok(ast) => Some(ast),
                 Err(e) => {
                     metrics.queries_failed.fetch_add(1, Ordering::Relaxed);
@@ -602,10 +555,6 @@ impl RedisGraphServer {
                         // delete is fully observable and later commands on
                         // the name get a fresh, empty graph.
                         entry.deleted.store(true, Ordering::SeqCst);
-                        // The cache dies with the entry; invalidating also
-                        // stops an in-flight query that dispatched before
-                        // the delete from installing a plan in the orphan.
-                        entry.plan_cache.invalidate();
                         drop(entry.graph.write());
                         RespValue::SimpleString("OK".to_string())
                     }
@@ -657,28 +606,6 @@ impl RedisGraphServer {
                         graph.write().set_flush_threshold(threshold);
                     }
                     RespValue::SimpleString("OK".to_string())
-                } else if parameter.eq_ignore_ascii_case("QUERY_THREADS") {
-                    // Feeds the process-wide GraphBLAS context — the paper's
-                    // `GxB_set(GxB_NTHREADS, …)` — which every traversal
-                    // descriptor inherits.
-                    let Some(threads) = value
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&v| (1..=MAX_QUERY_THREADS).contains(&v))
-                    else {
-                        return RespValue::Error(format!(
-                            "ERR QUERY_THREADS must be an integer in 1..={MAX_QUERY_THREADS} \
-                             (1 = one core per query, as the paper configures), got `{value}`"
-                        ));
-                    };
-                    graphblas::Context::set_nthreads(threads);
-                    // Plans capture the thread budget at build time, so every
-                    // cached skeleton is now stale. The generation bump also
-                    // rejects in-flight builds that observed the old setting.
-                    for entry in self.graphs.read().values() {
-                        entry.plan_cache.invalidate();
-                    }
-                    RespValue::SimpleString("OK".to_string())
                 } else if parameter.eq_ignore_ascii_case("PLAN_CACHE_SIZE") {
                     let Ok(size) = value.parse::<usize>() else {
                         return RespValue::Error(format!(
@@ -687,9 +614,8 @@ impl RedisGraphServer {
                         ));
                     };
                     self.plan_cache_size.store(size, Ordering::Relaxed);
-                    // Resize every existing cache in place (which clears it —
-                    // resizing is an invalidation); new graphs pick the value
-                    // up on creation.
+                    // Resize every existing cache in place (which clears it);
+                    // new graphs pick the value up on creation.
                     for entry in self.graphs.read().values() {
                         entry.plan_cache.set_capacity(size);
                     }
@@ -785,7 +711,6 @@ impl RedisGraphServer {
     fn config_value(&self, name: &str) -> Option<i64> {
         match name {
             "DELTA_MAX_PENDING_CHANGES" => Some(self.delta_max_pending_changes() as i64),
-            "QUERY_THREADS" => Some(graphblas::Context::nthreads() as i64),
             "MAX_QUERY_BUFFER" => Some(self.max_query_buffer() as i64),
             "SLOWLOG_TIME_THRESHOLD" => Some(self.slowlog_time_threshold_ms() as i64),
             "PLAN_CACHE_SIZE" => Some(self.plan_cache_size() as i64),
@@ -884,45 +809,6 @@ impl RedisGraphServer {
             ],
         );
         RespValue::Array(vec![queries, commands, latency, clients, store])
-    }
-
-    /// Start the single-threaded dispatcher loop used by the throughput
-    /// benchmark: clients push [`Request`]s onto the returned channel; the
-    /// dispatcher (one thread, like Redis) forwards each to the pool and the
-    /// reply is sent back on the request's own channel. Dropping the sender
-    /// shuts the dispatcher down.
-    pub fn start_dispatcher(self: &Arc<Self>) -> (Sender<Request>, JoinHandle<()>) {
-        let (tx, rx): (Sender<Request>, Receiver<Request>) = unbounded();
-        let server = self.clone();
-        let handle = crossbeam::thread::Builder::new()
-            .name("redis-main-thread".to_string())
-            .spawn(move || {
-                while let Ok(request) = rx.recv() {
-                    // Parse on the main thread, execute on the pool, reply
-                    // asynchronously so the main thread is never blocked by a
-                    // long query.
-                    let parsed = match Command::parse(&request.command) {
-                        Ok(c) => c,
-                        Err(e) => {
-                            let _ = request.reply_to.send(RespValue::Error(format!("ERR {e}")));
-                            continue;
-                        }
-                    };
-                    match parsed {
-                        Command::GraphQuery { graph, query } => {
-                            server.submit_query(graph, query, request.reply_to);
-                        }
-                        Command::GraphProfile { graph, query } => {
-                            server.submit_profile(graph, query, request.reply_to);
-                        }
-                        other => {
-                            let _ = request.reply_to.send(server.execute(other));
-                        }
-                    }
-                }
-            })
-            .expect("failed to start dispatcher thread");
-        (tx, handle)
     }
 }
 
@@ -1042,10 +928,14 @@ mod tests {
             ])),
             RespValue::Error(_)
         ));
-        assert!(matches!(
-            server.handle(&RespValue::command(&["GRAPH.CONFIG", "GET", "NO_SUCH_PARAMETER"])),
-            RespValue::Error(_)
-        ));
+        for command in [
+            &["GRAPH.CONFIG", "GET", "NO_SUCH_PARAMETER"][..],
+            &["GRAPH.CONFIG", "SET", "NO_SUCH_PARAMETER", "4"][..],
+        ] {
+            let reply = server.handle(&RespValue::command(command));
+            let RespValue::Error(msg) = reply else { panic!("expected error, got {reply}") };
+            assert!(msg.starts_with("ERR unknown configuration parameter"), "got {msg}");
+        }
     }
 
     #[test]
@@ -1057,7 +947,7 @@ mod tests {
         });
         let reply = server.handle(&RespValue::command(&["GRAPH.CONFIG", "GET", "*"]));
         let RespValue::Array(pairs) = reply else { panic!("expected array, got {reply}") };
-        assert_eq!(pairs.len(), 7);
+        assert_eq!(pairs.len(), 6);
         let mut seen = std::collections::HashMap::new();
         for pair in &pairs {
             let RespValue::Array(kv) = pair else { panic!("expected [name, value] pair") };
@@ -1071,7 +961,6 @@ mod tests {
         assert_eq!(seen["SLOWLOG_TIME_THRESHOLD"], DEFAULT_SLOWLOG_TIME_THRESHOLD_MS as i64);
         assert_eq!(seen["PLAN_CACHE_SIZE"], DEFAULT_PLAN_CACHE_SIZE as i64);
         assert!(seen.contains_key("DELTA_MAX_PENDING_CHANGES"));
-        assert!(seen.contains_key("QUERY_THREADS"));
         assert!(seen.contains_key("MAX_QUERY_BUFFER"));
 
         // Read-only singles resolve too, case-insensitively.
@@ -1350,17 +1239,23 @@ mod tests {
     }
 
     #[test]
-    fn optimizer_toggle_demotes_stale_cached_plans() {
+    fn plan_resolution_never_takes_the_graph_lock() {
         let server = RedisGraphServer::new(ServerConfig::default());
         server.query("g", "CREATE (:A {v: 1})-[:R]->(:B {v: 2})");
-        server.query("g", "MATCH (a:A)-[:R]->(b:B) RETURN b.v");
-        assert!(cached_flag(&server.query("g", "MATCH (a:A)-[:R]->(b:B) RETURN b.v")));
-        // A skeleton built with the optimizer on must not be served once the
-        // graph's optimizer is switched off — the hit is demoted to a rebuild.
-        server.graph("g").write().set_optimizer(false);
-        let reply = server.query("g", "MATCH (a:A)-[:R]->(b:B) RETURN b.v");
-        assert!(!cached_flag(&reply), "stale optimizer flag must force a rebuild");
-        assert!(cached_flag(&server.query("g", "MATCH (a:A)-[:R]->(b:B) RETURN b.v")));
+        let graph = server.graph("g");
+        // Hold the graph's write lock on this thread: resolving a plan that
+        // touched the graph lock, on a miss or a hit, would deadlock here.
+        let _guard = graph.write();
+        for _ in 0..2 {
+            let reply = server.handle(&RespValue::command(&[
+                "GRAPH.EXPLAIN",
+                "g",
+                "MATCH (a:A)-[:R]->(b:B) RETURN b.v",
+            ]));
+            let RespValue::Array(lines) = reply else { panic!("expected array, got {reply}") };
+            assert!(lines.iter().any(|l| l.to_string().contains("Project")));
+        }
+        assert_eq!(server.metrics().plan_cache_hits.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -1410,56 +1305,6 @@ mod tests {
     }
 
     #[test]
-    fn query_threads_knob_feeds_the_graphblas_context() {
-        // The only test in this binary that touches the process-wide
-        // GraphBLAS context, so the assertions cannot race another test.
-        let server = RedisGraphServer::new(ServerConfig {
-            query_threads: Some(2),
-            ..ServerConfig::default()
-        });
-        assert_eq!(graphblas::Context::nthreads(), 2, "module arg must seed the context");
-
-        let reply =
-            server.handle(&RespValue::command(&["GRAPH.CONFIG", "SET", "QUERY_THREADS", "3"]));
-        assert_eq!(reply, RespValue::SimpleString("OK".into()));
-        assert_eq!(graphblas::Context::nthreads(), 3);
-        let reply = server.handle(&RespValue::command(&["GRAPH.CONFIG", "GET", "query_threads"]));
-        assert_eq!(
-            reply,
-            RespValue::Array(vec![
-                RespValue::BulkString("QUERY_THREADS".into()),
-                RespValue::Integer(3),
-            ])
-        );
-
-        // Queries still answer correctly with intra-query parallelism on.
-        server.query("g", "CREATE (:A {v: 1})-[:R]->(:A {v: 2})-[:R]->(:A {v: 3})");
-        let reply = server.query("g", "MATCH (a:A)-[:R]->(b:A) RETURN count(b)");
-        let RespValue::Array(sections) = reply else { panic!("expected array reply") };
-        let RespValue::Array(rows) = &sections[1] else { panic!() };
-        let RespValue::Array(row) = &rows[0] else { panic!() };
-        assert_eq!(row[0], RespValue::Integer(2));
-
-        // 0, junk, and out-of-range values are rejected without changing state.
-        for bad in ["0", "nope", "-4", "1000000"] {
-            assert!(matches!(
-                server.handle(&RespValue::command(&["GRAPH.CONFIG", "SET", "QUERY_THREADS", bad])),
-                RespValue::Error(_)
-            ));
-        }
-        assert_eq!(graphblas::Context::nthreads(), 3);
-
-        // Cached skeletons capture the thread budget at build time, so
-        // changing QUERY_THREADS flushes every graph's plan cache. (This also
-        // restores the library default so no other state leaks out.)
-        assert!(cached_flag(&server.query("g", "MATCH (a:A)-[:R]->(b:A) RETURN count(b)")));
-        server.handle(&RespValue::command(&["GRAPH.CONFIG", "SET", "QUERY_THREADS", "1"]));
-        assert_eq!(graphblas::Context::nthreads(), 1);
-        let reply = server.query("g", "MATCH (a:A)-[:R]->(b:A) RETURN count(b)");
-        assert!(!cached_flag(&reply), "QUERY_THREADS change must rebuild cached plans");
-    }
-
-    #[test]
     fn read_queries_run_on_snapshots_and_never_flush_the_live_graph() {
         let server = RedisGraphServer::new(ServerConfig {
             delta_max_pending_changes: 1_000_000, // never auto-flush
@@ -1500,7 +1345,7 @@ mod tests {
         // trip the recv timeout below.
         let _guard = graph.read();
 
-        let (tx, rx) = unbounded();
+        let (tx, rx) = crossbeam::channel::unbounded();
         for _ in 0..100 {
             server.submit_query("g".into(), "MATCH (a RETURN a".into(), tx.clone());
         }
@@ -1603,24 +1448,15 @@ mod tests {
             ..ServerConfig::default()
         }));
         server.query("g", "CREATE (:Node {id: 0})-[:LINK]->(:Node {id: 1})");
-        let (tx, handle) = server.start_dispatcher();
 
+        // Each client thread dispatches through `handle` itself, the way
+        // every connection loop does.
         let mut clients = Vec::new();
         for _ in 0..8 {
-            let tx = tx.clone();
+            let server = Arc::clone(&server);
             clients.push(std::thread::spawn(move || {
-                let (reply_tx, reply_rx) = unbounded();
                 for _ in 0..5 {
-                    tx.send(Request {
-                        command: RespValue::command(&[
-                            "GRAPH.QUERY",
-                            "g",
-                            "MATCH (a)-[:LINK]->(b) RETURN count(b)",
-                        ]),
-                        reply_to: reply_tx.clone(),
-                    })
-                    .unwrap();
-                    let reply = reply_rx.recv_timeout(std::time::Duration::from_secs(10)).unwrap();
+                    let reply = server.query("g", "MATCH (a)-[:LINK]->(b) RETURN count(b)");
                     assert!(matches!(reply, RespValue::Array(_)), "unexpected reply {reply}");
                 }
             }));
@@ -1628,7 +1464,5 @@ mod tests {
         for c in clients {
             c.join().unwrap();
         }
-        drop(tx);
-        handle.join().unwrap();
     }
 }

@@ -19,7 +19,7 @@ import sys
 # the forcing function that keeps this guard in sync with the bench bins.
 REQUIRED_RESULT_KEYS = {
     "writes": {"mode", "threshold", "wall_ms", "writes", "reads", "writes_per_sec", "checksum"},
-    "traverse": {"query", "mode", "threads", "wall_ms", "rows"},
+    "traverse": {"query", "mode", "wall_ms", "rows"},
     "network": {"op", "queries", "wall_ms", "qps", "rows"},
     "algos": {"dataset", "algorithm", "wall_ms", "iterations", "result"},
     "mixed": {"mode", "queries", "wall_ms", "qps", "rows"},
@@ -111,7 +111,7 @@ def check_network_plan_cache(path, doc):
 # Perf-regression tolerance for the traverse suite's mode comparisons. CI
 # wall times are noisy, so the gate only fires on multiples no amount of
 # jitter explains: the fused plan falling behind the per-hop batched plan it
-# replaces, or row-block threading making the same product slower.
+# replaces.
 TRAVERSE_SLOWDOWN_TOLERANCE = 1.5
 
 
@@ -130,27 +130,20 @@ def check_traverse(path, doc):
         if len(set(rows.values())) > 1:
             problems.append(f"{path}: '{query}' row counts diverge across modes: {rows}")
 
-        missing = {"scalar", "batched", "batched+threads", "fused"} - set(modes)
+        missing = {"scalar", "batched", "fused"} - set(modes)
         if missing:
             problems.append(f"{path}: '{query}' missing modes: {sorted(missing)}")
             continue
 
         batched = modes["batched"].get("wall_ms")
-        threaded = modes["batched+threads"].get("wall_ms")
         fused = modes["fused"].get("wall_ms")
-        if not all(isinstance(v, (int, float)) and v > 0 for v in (batched, threaded, fused)):
+        if not all(isinstance(v, (int, float)) and v > 0 for v in (batched, fused)):
             continue  # the generic positive-keys check reports these
         if fused > batched * TRAVERSE_SLOWDOWN_TOLERANCE:
             problems.append(
                 f"{path}: '{query}' fused plan slower than unfused "
                 f"({fused:.2f}ms vs {batched:.2f}ms batched) — the algebraic "
                 f"optimizer regressed"
-            )
-        if threaded > batched * TRAVERSE_SLOWDOWN_TOLERANCE:
-            problems.append(
-                f"{path}: '{query}' batched+threads slower than batched "
-                f"({threaded:.2f}ms vs {batched:.2f}ms) — the mxm thread "
-                f"budget regressed"
             )
     return problems
 

@@ -57,7 +57,6 @@ FLAGS:
     --host <ADDR>                bind address            [default: 127.0.0.1]
     --port <PORT>                bind port, 0 = ephemeral [default: 6380]
     --threads <N>                query worker pool size   [default: 4]
-    --query-threads <N>          intra-query GraphBLAS threads (QUERY_THREADS)
     --delta-threshold <N>        delta flush threshold (DELTA_MAX_PENDING_CHANGES)
     --max-query-buffer <BYTES>   per-connection unparsed-input cap (MAX_QUERY_BUFFER)
     --max-connections <N>        concurrent connection cap [default: 128]
@@ -71,6 +70,38 @@ FLAGS:
     --addr-file <PATH>           write the bound host:port to PATH after bind
     --help                       print this help
 ";
+
+/// Every flag that takes a value. Any other argument but `--help`/`-h` is
+/// an error exit — a typo such as `--prot 7000` must not silently serve on
+/// the default port.
+const VALUE_FLAGS: [&str; 12] = [
+    "--host",
+    "--port",
+    "--threads",
+    "--delta-threshold",
+    "--max-query-buffer",
+    "--max-connections",
+    "--slowlog-threshold",
+    "--plan-cache-size",
+    "--preload-scale",
+    "--preload-edge-factor",
+    "--preload-graph",
+    "--addr-file",
+];
+
+/// Exit 2 on the first argument that is neither a known flag nor the value
+/// following one.
+fn reject_unknown_args(argv: &[String]) {
+    let mut args = argv.iter().skip(1);
+    while let Some(a) = args.next() {
+        if VALUE_FLAGS.contains(&a.as_str()) {
+            args.next(); // its value; a missing one is reported by `arg`
+        } else if a != "--help" && a != "-h" {
+            eprintln!("redisgraph-server: unknown argument `{a}` (see --help)");
+            std::process::exit(2);
+        }
+    }
+}
 
 /// Fetch a flag's value. Absent flag → `None` (caller applies its default);
 /// present-but-unparseable value → error exit, never a silent default — a
@@ -97,12 +128,12 @@ fn main() {
         print!("{USAGE}");
         return;
     }
+    reject_unknown_args(&argv);
     let host: String = arg(&argv, "--host").unwrap_or_else(|| "127.0.0.1".to_string());
     let port: u16 = arg(&argv, "--port").unwrap_or(6380);
     let defaults = ServerConfig::default();
     let config = ServerConfig {
         thread_count: arg(&argv, "--threads").unwrap_or(defaults.thread_count),
-        query_threads: arg(&argv, "--query-threads"),
         delta_max_pending_changes: arg(&argv, "--delta-threshold")
             .unwrap_or(defaults.delta_max_pending_changes),
         max_query_buffer: arg(&argv, "--max-query-buffer").unwrap_or(defaults.max_query_buffer),

@@ -16,8 +16,8 @@
 //! * [`cypher`] — openCypher lexer/parser producing the AST;
 //! * [`core`](redisgraph_core) — the graph store (DataBlocks + label and
 //!   relation matrices) and the AST→plan→GraphBLAS executor;
-//! * [`server`](redisgraph_server) — RESP framing, the single-threaded
-//!   dispatcher, and the module worker pool;
+//! * [`server`](redisgraph_server) — RESP framing, command dispatch, and
+//!   the module worker pool;
 //! * [`datagen`] / [`baseline`] — benchmark datasets and the
 //!   adjacency-list comparison engine.
 

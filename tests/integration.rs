@@ -3,11 +3,9 @@
 //! and the server substrate serves the benchmark workload correctly under
 //! concurrency.
 
-use crossbeam::channel::unbounded;
 use datagen::{KhopWorkload, RmatConfig, SeedSelection};
 use redisgraph_bench::{load_dataset, Dataset};
 use redisgraph_core::{Graph, Value};
-use redisgraph_server::server::Request;
 use redisgraph_server::{RedisGraphServer, RespValue, ServerConfig};
 use std::sync::Arc;
 
@@ -142,22 +140,15 @@ fn server_serves_benchmark_workload_concurrently() {
     let expected: Vec<(u64, u64)> =
         (0..16u64).map(|seed| (seed, server.graph("bench").read().khop_count(seed, 2))).collect();
 
-    let (tx, handle) = server.start_dispatcher();
     let mut clients = Vec::new();
     for chunk in expected.chunks(4) {
-        let tx = tx.clone();
+        let server = Arc::clone(&server);
         let chunk = chunk.to_vec();
         clients.push(std::thread::spawn(move || {
-            let (reply_tx, reply_rx) = unbounded();
             for (seed, expected_count) in chunk {
                 let query =
                     format!("MATCH (s:Node)-[*1..2]->(t) WHERE id(s) = {seed} RETURN count(t)");
-                tx.send(Request {
-                    command: RespValue::command(&["GRAPH.QUERY", "bench", &query]),
-                    reply_to: reply_tx.clone(),
-                })
-                .unwrap();
-                let reply = reply_rx.recv().unwrap();
+                let reply = server.query("bench", &query);
                 let RespValue::Array(sections) = reply else { panic!("bad reply") };
                 let RespValue::Array(rows) = &sections[1] else { panic!("bad rows") };
                 let RespValue::Array(row) = &rows[0] else { panic!("bad row") };
@@ -169,8 +160,6 @@ fn server_serves_benchmark_workload_concurrently() {
     for c in clients {
         c.join().unwrap();
     }
-    drop(tx);
-    handle.join().unwrap();
 }
 
 /// Writes and reads interleave correctly through the server's lock discipline.

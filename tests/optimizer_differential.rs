@@ -16,7 +16,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use redisgraph_core::{Graph, TraverseStrategy};
+use redisgraph_core::{ExecutionPlan, Graph, TraverseStrategy};
 use std::path::PathBuf;
 
 const RELS: [&str; 3] = ["T0", "T1", "T2"];
@@ -86,10 +86,17 @@ fn queries() -> Vec<&'static str> {
     ]
 }
 
+/// Plan `query` with the optimizer (fused) or without it (one Traverse op
+/// per hop — the oracle).
+fn plan(optimize: bool, query: &str) -> ExecutionPlan {
+    let ast = cypher::parse(query).expect("query parses");
+    let build = if optimize { ExecutionPlan::build } else { ExecutionPlan::build_unoptimized };
+    build(&ast).expect("query plans")
+}
+
 /// Run one query and return its rows as a sorted multiset of debug strings.
 fn sorted_rows(g: &mut Graph, optimize: bool, query: &str) -> Vec<String> {
-    g.set_optimizer(optimize);
-    let rs = g.query(query).expect("query executes");
+    let rs = plan(optimize, query).execute(g).expect("query executes");
     let mut rows: Vec<String> = rs.rows.iter().map(|r| format!("{r:?}")).collect();
     rows.sort_unstable();
     rows
@@ -141,12 +148,11 @@ fn fusion_is_correct_on_unflushed_delta_views() {
 
 #[test]
 fn readonly_snapshots_honour_the_optimizer_flag() {
-    // Lock-free read-only snapshots carry the graph's optimizer setting;
-    // fused and unfused snapshots of the same graph must agree.
+    // Lock-free read-only snapshots run the optimized plan; they must agree
+    // with the unfused plan on the live graph.
     let mut g = random_graph(11, 12, 36);
     let query = "MATCH (a)-[:T0]->(b)-[:T1]->(c) RETURN id(a), id(c)";
 
-    g.set_optimizer(true);
     let fused_snap = g.snapshot();
     let mut fused: Vec<String> = fused_snap
         .query_readonly(query)
@@ -157,7 +163,6 @@ fn readonly_snapshots_honour_the_optimizer_flag() {
         .collect();
     fused.sort_unstable();
 
-    g.set_optimizer(false);
     let unfused = sorted_rows(&mut g, false, query);
     assert_eq!(unfused, fused);
 }
@@ -184,21 +189,6 @@ fn count_matrix_cache_invalidates_on_mutation() {
 
 // --- EXPLAIN golden snapshots -------------------------------------------
 
-/// Deterministic fixture for the EXPLAIN corpus: labelled nodes with every
-/// relationship type present, so no operand degenerates to "unknown type".
-fn explain_fixture() -> Graph {
-    let mut g = Graph::new("opt-explain");
-    for k in 0..6 {
-        g.add_node(&[LABELS[k % 2]], vec![]);
-    }
-    for (src, dst, rel) in
-        [(0, 1, "T0"), (1, 2, "T1"), (2, 3, "T2"), (3, 4, "T0"), (4, 5, "T1"), (5, 0, "T2")]
-    {
-        g.add_edge(src, dst, rel, vec![]).unwrap();
-    }
-    g
-}
-
 const EXPLAIN_CASES: &[&str] = &[
     // Chain fusion: one Conditional Traverse with the full product.
     "MATCH (a)-[:T0]->(b)-[:T1]->(c) RETURN id(a), id(c)",
@@ -222,14 +212,12 @@ fn explain_matches_golden_snapshot() {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     let path = dir.join("explain_optimizer.snap");
 
-    let mut g = explain_fixture();
     let mut out = String::new();
     for query in EXPLAIN_CASES {
         out.push_str(&format!("query: {query}\n"));
         for (tag, optimize) in [("fused", true), ("unfused", false)] {
-            g.set_optimizer(optimize);
             out.push_str(&format!("{tag}:\n"));
-            for line in g.explain(query).expect("explain") {
+            for line in plan(optimize, query).describe() {
                 out.push_str(&format!("  {line}\n"));
             }
         }

@@ -1,6 +1,6 @@
 //! Multi-threaded server smoke test: concurrent clients push a mixed
-//! read/write `GRAPH.QUERY` workload at one graph through the single-threaded
-//! dispatcher (`start_dispatcher`) and the module threadpool.
+//! read/write `GRAPH.QUERY` workload at one graph, each dispatching from its
+//! own thread onto the module threadpool of one shared server.
 //!
 //! What it asserts:
 //!
@@ -12,8 +12,6 @@
 //!   non-decreasing counts (the workload only adds entities, so a decreasing
 //!   count would mean a read saw a torn graph).
 
-use crossbeam::channel::{unbounded, Sender};
-use redisgraph_server::server::Request;
 use redisgraph_server::{RedisGraphServer, RespValue, ServerConfig};
 use std::sync::Arc;
 use std::time::Duration;
@@ -24,17 +22,14 @@ const WRITES_PER_WRITER: usize = 25;
 const READS_PER_READER: usize = 40;
 const REPLY_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Send one framed GRAPH.QUERY and wait (bounded) for its reply.
-fn roundtrip(tx: &Sender<Request>, graph: &str, query: &str) -> RespValue {
-    let (reply_tx, reply_rx) = unbounded();
-    tx.send(Request {
-        command: RespValue::command(&["GRAPH.QUERY", graph, query]),
-        reply_to: reply_tx,
-    })
-    .expect("dispatcher is alive");
+/// Dispatch one GRAPH.QUERY — the path `RedisGraphServer::handle` takes —
+/// and wait (bounded) for its reply.
+fn roundtrip(server: &RedisGraphServer, graph: &str, query: &str) -> RespValue {
+    let (reply_tx, reply_rx) = crossbeam::channel::bounded(1);
+    server.submit_query(graph.to_string(), query.to_string(), reply_tx);
     reply_rx
         .recv_timeout(REPLY_TIMEOUT)
-        .expect("no reply within timeout — dispatcher or pool deadlocked")
+        .expect("no reply within timeout — a lock or the pool deadlocked")
 }
 
 /// Pull the single integer cell out of a `count(...)` reply.
@@ -56,26 +51,25 @@ fn concurrent_mixed_reads_and_writes_stay_consistent() {
     let seeded = server.query("smoke", "CREATE (:Hub {name: 'hub'})");
     assert!(!matches!(seeded, RespValue::Error(_)), "seed failed: {seeded}");
 
-    let (tx, dispatcher) = server.start_dispatcher();
-
     let mut clients = Vec::new();
     for w in 0..WRITERS {
-        let tx = tx.clone();
+        let server = Arc::clone(&server);
         clients.push(std::thread::spawn(move || {
             for i in 0..WRITES_PER_WRITER {
                 let query =
                     format!("MATCH (h:Hub) CREATE (:Item {{writer: {w}, seq: {i}}})-[:OF]->(h)");
-                let reply = roundtrip(&tx, "smoke", &query);
+                let reply = roundtrip(&server, "smoke", &query);
                 assert!(!matches!(reply, RespValue::Error(_)), "write {w}/{i} failed: {reply}");
             }
         }));
     }
     for r in 0..READERS {
-        let tx = tx.clone();
+        let server = Arc::clone(&server);
         clients.push(std::thread::spawn(move || {
             let mut last = -1i64;
             for i in 0..READS_PER_READER {
-                let reply = roundtrip(&tx, "smoke", "MATCH (i:Item)-[:OF]->(:Hub) RETURN count(i)");
+                let reply =
+                    roundtrip(&server, "smoke", "MATCH (i:Item)-[:OF]->(:Hub) RETURN count(i)");
                 let count = scalar_count(&reply);
                 assert!(
                     count >= last,
@@ -95,10 +89,10 @@ fn concurrent_mixed_reads_and_writes_stay_consistent() {
 
     // Every write must be visible once the clients are done.
     let expected = (WRITERS * WRITES_PER_WRITER) as i64;
-    let final_count = scalar_count(&roundtrip(&tx, "smoke", "MATCH (i:Item) RETURN count(i)"));
+    let final_count = scalar_count(&roundtrip(&server, "smoke", "MATCH (i:Item) RETURN count(i)"));
     assert_eq!(final_count, expected, "lost or duplicated writes");
     let edge_count =
-        scalar_count(&roundtrip(&tx, "smoke", "MATCH (:Item)-[r:OF]->(:Hub) RETURN count(r)"));
+        scalar_count(&roundtrip(&server, "smoke", "MATCH (:Item)-[r:OF]->(:Hub) RETURN count(r)"));
     assert_eq!(edge_count, expected, "edge count diverged from node count");
 
     // The store agrees with the Cypher view (+1 for the hub node).
@@ -108,10 +102,6 @@ fn concurrent_mixed_reads_and_writes_stay_consistent() {
         assert_eq!(guard.node_count() as i64, expected + 1);
         assert_eq!(guard.edge_count() as i64, expected);
     }
-
-    // Clean shutdown: dropping the request channel stops the dispatcher.
-    drop(tx);
-    dispatcher.join().expect("dispatcher thread panicked");
 }
 
 /// Delta-matrix stress: a tiny `DELTA_MAX_PENDING_CHANGES` makes writer
@@ -136,11 +126,9 @@ fn delta_flushes_under_concurrent_mixed_traffic() {
     let RespValue::Array(kv) = got else { panic!("bad GRAPH.CONFIG GET reply") };
     assert_eq!(kv[1], RespValue::Integer(4));
 
-    let (tx, dispatcher) = server.start_dispatcher();
-
     let mut clients = Vec::new();
     for w in 0..WRITERS {
-        let tx = tx.clone();
+        let server = Arc::clone(&server);
         clients.push(std::thread::spawn(move || {
             for i in 0..WRITES_PER_WRITER {
                 // Two nodes + one edge per write: enough churn that the
@@ -149,23 +137,24 @@ fn delta_flushes_under_concurrent_mixed_traffic() {
                     "MATCH (h:Hub) CREATE (:Item {{writer: {w}, seq: {i}}})-[:OF]->(h), \
                      (:Scratch {{writer: {w}, seq: {i}}})"
                 );
-                let reply = roundtrip(&tx, "delta", &query);
+                let reply = roundtrip(&server, "delta", &query);
                 assert!(!matches!(reply, RespValue::Error(_)), "write {w}/{i} failed: {reply}");
                 // Delete the scratch node again while other writers keep the
                 // buffers dirty (delete-with-pending-inserts under load).
                 let query = format!("MATCH (s:Scratch {{writer: {w}, seq: {i}}}) DETACH DELETE s");
-                let reply = roundtrip(&tx, "delta", &query);
+                let reply = roundtrip(&server, "delta", &query);
                 assert!(!matches!(reply, RespValue::Error(_)), "delete {w}/{i} failed: {reply}");
             }
         }));
     }
     for r in 0..READERS {
-        let tx = tx.clone();
+        let server = Arc::clone(&server);
         clients.push(std::thread::spawn(move || {
             let mut last = -1i64;
             for i in 0..READS_PER_READER {
                 // Forces the read barrier (and under it, a flush) mid-stream.
-                let reply = roundtrip(&tx, "delta", "MATCH (i:Item)-[:OF]->(:Hub) RETURN count(i)");
+                let reply =
+                    roundtrip(&server, "delta", "MATCH (i:Item)-[:OF]->(:Hub) RETURN count(i)");
                 let count = scalar_count(&reply);
                 assert!(
                     count >= last,
@@ -184,12 +173,13 @@ fn delta_flushes_under_concurrent_mixed_traffic() {
     }
 
     let expected = (WRITERS * WRITES_PER_WRITER) as i64;
-    let final_count = scalar_count(&roundtrip(&tx, "delta", "MATCH (i:Item) RETURN count(i)"));
+    let final_count = scalar_count(&roundtrip(&server, "delta", "MATCH (i:Item) RETURN count(i)"));
     assert_eq!(final_count, expected, "lost or duplicated writes");
-    let scratch_count = scalar_count(&roundtrip(&tx, "delta", "MATCH (s:Scratch) RETURN count(s)"));
+    let scratch_count =
+        scalar_count(&roundtrip(&server, "delta", "MATCH (s:Scratch) RETURN count(s)"));
     assert_eq!(scratch_count, 0, "scratch nodes must all be deleted");
     let edge_count =
-        scalar_count(&roundtrip(&tx, "delta", "MATCH (:Item)-[r:OF]->(:Hub) RETURN count(r)"));
+        scalar_count(&roundtrip(&server, "delta", "MATCH (:Item)-[r:OF]->(:Hub) RETURN count(r)"));
     assert_eq!(edge_count, expected, "edge count diverged from node count");
 
     // The store agrees with the Cypher view (+1 for the hub node).
@@ -199,9 +189,6 @@ fn delta_flushes_under_concurrent_mixed_traffic() {
         assert_eq!(guard.node_count() as i64, expected + 1);
         assert_eq!(guard.edge_count() as i64, expected);
     }
-
-    drop(tx);
-    dispatcher.join().expect("dispatcher thread panicked");
 }
 
 #[test]
@@ -211,20 +198,18 @@ fn dispatcher_survives_malformed_queries_under_load() {
         ..ServerConfig::default()
     }));
     server.query("smoke", "CREATE (:Hub)");
-    let (tx, dispatcher) = server.start_dispatcher();
-
     let mut clients = Vec::new();
     for c in 0..4 {
-        let tx = tx.clone();
+        let server = Arc::clone(&server);
         clients.push(std::thread::spawn(move || {
             for i in 0..20 {
                 if (c + i) % 3 == 0 {
                     // Malformed on purpose: must produce an error reply, not
                     // poison the graph lock or kill the worker.
-                    let reply = roundtrip(&tx, "smoke", "MATCH (h:Hub RETURN h");
+                    let reply = roundtrip(&server, "smoke", "MATCH (h:Hub RETURN h");
                     assert!(matches!(reply, RespValue::Error(_)));
                 } else {
-                    let reply = roundtrip(&tx, "smoke", "MATCH (h:Hub) RETURN count(h)");
+                    let reply = roundtrip(&server, "smoke", "MATCH (h:Hub) RETURN count(h)");
                     assert_eq!(scalar_count(&reply), 1);
                 }
             }
@@ -233,6 +218,4 @@ fn dispatcher_survives_malformed_queries_under_load() {
     for client in clients {
         client.join().expect("client thread panicked");
     }
-    drop(tx);
-    dispatcher.join().expect("dispatcher thread panicked");
 }

@@ -19,7 +19,7 @@
 //! dedups parallel edges, so it cannot serve as the oracle here).
 
 use rand::{Rng, SeedableRng, StdRng};
-use redisgraph_core::{Graph, TraverseStrategy};
+use redisgraph_core::{ExecutionPlan, Graph, TraverseStrategy};
 
 const RELS: [&str; 3] = ["T0", "T1", "T2"];
 const LABELS: [&str; 2] = ["A", "B"];
@@ -30,10 +30,6 @@ const LABELS: [&str; 2] = ["A", "B"];
 fn random_graph(seed: u64, nodes: u64, edges: usize) -> Graph {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut g = Graph::new("diff");
-    // This suite compares the scalar and batched traversal *strategies*; keep
-    // the algebraic optimizer out of the picture so both sides execute the
-    // same per-hop plan (fused plans are covered by optimizer_differential).
-    g.set_optimizer(false);
     for _ in 0..nodes {
         let label = LABELS[rng.gen_range(0..LABELS.len())];
         g.add_node(&[label], vec![]);
@@ -90,10 +86,19 @@ fn queries() -> Vec<&'static str> {
     ]
 }
 
+/// The per-hop plan of `query`. This suite compares the scalar and batched
+/// traversal *strategies*; keeping the algebraic optimizer out of the picture
+/// makes both sides execute the same Traverse ops (fused plans are covered by
+/// optimizer_differential).
+fn unoptimized(query: &str) -> ExecutionPlan {
+    ExecutionPlan::build_unoptimized(&cypher::parse(query).expect("query parses"))
+        .expect("query plans")
+}
+
 /// Run one query under a pinned strategy and return (columns, rows).
 fn run(g: &mut Graph, strategy: TraverseStrategy, query: &str) -> (Vec<String>, String) {
     g.set_traverse_strategy(strategy);
-    let rs = g.query(query).expect("query executes");
+    let rs = unoptimized(query).execute(g).expect("query executes");
     (rs.columns.clone(), format!("{:?}", rs.rows))
 }
 
@@ -205,10 +210,11 @@ fn batched_strategy_reads_unflushed_delta_views() {
     assert!(g.has_pending_deltas(), "edges must still be buffered");
 
     for query in queries() {
+        let plan = unoptimized(query);
         g.set_traverse_strategy(TraverseStrategy::Scalar);
-        let scalar = g.query_readonly(query).expect("scalar run");
+        let scalar = plan.execute_read_only(&g).expect("scalar run");
         g.set_traverse_strategy(TraverseStrategy::Batched);
-        let batched = g.query_readonly(query).expect("batched run");
+        let batched = plan.execute_read_only(&g).expect("batched run");
         assert_eq!(
             format!("{:?}", scalar.rows),
             format!("{:?}", batched.rows),
