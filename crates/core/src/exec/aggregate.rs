@@ -1,14 +1,16 @@
 //! Aggregation functions for `RETURN` / `WITH` projections: `count`, `sum`,
 //! `avg`, `min`, `max`, `collect`, with optional `DISTINCT`.
 
-use crate::value::Value;
+use crate::value::{EquivKey, Value};
+use std::collections::HashSet;
 
 /// Incremental state of one aggregation expression within one group.
 #[derive(Debug, Clone)]
 pub struct Accumulator {
     func: AggFunc,
     distinct: bool,
-    seen: Vec<Value>,
+    /// `DISTINCT` inputs seen so far, keyed by openCypher equivalence.
+    seen: HashSet<EquivKey>,
     count: u64,
     sum: f64,
     /// Exact integer running sum. i128 so intermediate i64 overflow does not
@@ -59,7 +61,7 @@ impl Accumulator {
         Accumulator {
             func,
             distinct,
-            seen: Vec::new(),
+            seen: HashSet::new(),
             count: 0,
             sum: 0.0,
             int_sum: 0,
@@ -87,11 +89,8 @@ impl Accumulator {
         if value.is_null() || weight == 0 {
             return;
         }
-        if self.distinct {
-            if self.seen.iter().any(|v| v.cypher_eq(&value) == Some(true)) {
-                return;
-            }
-            self.seen.push(value.clone());
+        if self.distinct && !self.seen.insert(EquivKey(value.clone())) {
+            return;
         }
         let weight = if self.distinct { 1 } else { weight };
         self.count += weight;
@@ -203,6 +202,40 @@ mod tests {
     }
 
     #[test]
+    fn count_distinct_of_two_nans_is_one() {
+        // NaN ≡ NaN under equivalence (the linear `cypher_eq` scan said 2).
+        let v = run(AggFunc::Count, true, vec![Value::Float(f64::NAN), Value::Float(f64::NAN)]);
+        assert_eq!(v, Value::Int(1));
+    }
+
+    #[test]
+    fn distinct_keeps_ints_beyond_f64_precision_apart() {
+        // 2^53 and 2^53 + 1 share an f64; the old `as_f64` comparison merged them.
+        let p = 1i64 << 53;
+        let v = run(AggFunc::Count, true, vec![Value::Int(p), Value::Int(p + 1)]);
+        assert_eq!(v, Value::Int(2));
+        let v = run(AggFunc::Sum, true, vec![Value::Int(p), Value::Int(p + 1), Value::Int(p)]);
+        assert_eq!(v, Value::Int(2 * p + 1));
+    }
+
+    #[test]
+    fn distinct_lists_compare_element_wise() {
+        let v = run(
+            AggFunc::Collect,
+            true,
+            vec![
+                Value::List(vec![Value::Int(2)]),
+                Value::List(vec![Value::Float(2.0)]),
+                Value::List(vec![Value::Int(3)]),
+            ],
+        );
+        assert_eq!(
+            v,
+            Value::List(vec![Value::List(vec![Value::Int(2)]), Value::List(vec![Value::Int(3)])])
+        );
+    }
+
+    #[test]
     fn sum_stays_integer_when_possible() {
         assert_eq!(run(AggFunc::Sum, false, vec![Value::Int(1), Value::Int(2)]), Value::Int(3));
         assert_eq!(
@@ -267,6 +300,37 @@ mod tests {
     fn collect_preserves_order() {
         let v = run(AggFunc::Collect, false, vec![Value::Int(3), Value::Null, Value::Int(1)]);
         assert_eq!(v, Value::List(vec![Value::Int(3), Value::Int(1)]));
+    }
+
+    /// Rows of a read-only query against an empty graph.
+    fn rows(query: &str) -> Vec<Vec<Value>> {
+        crate::store::graph::Graph::new("equiv").query_readonly(query).expect("query runs").rows
+    }
+
+    #[test]
+    fn return_distinct_and_grouping_merge_int_and_float() {
+        // The old Debug-string row key split `Int(2)` from `Float(2.0)`.
+        assert_eq!(
+            rows("UNWIND [2, 2.0, 3] AS x RETURN DISTINCT x"),
+            vec![vec![Value::Int(2)], vec![Value::Int(3)]]
+        );
+        assert_eq!(
+            rows("UNWIND [2.0, 2, 3] AS x RETURN x, count(*)"),
+            vec![vec![Value::Float(2.0), Value::Int(2)], vec![Value::Int(3), Value::Int(1)]]
+        );
+        assert_eq!(
+            rows("UNWIND [[2], [2.0]] AS x RETURN DISTINCT x"),
+            vec![vec![Value::List(vec![Value::Int(2)])]]
+        );
+    }
+
+    #[test]
+    fn nulls_group_together() {
+        assert_eq!(
+            rows("UNWIND [null, 1, null] AS x RETURN x, count(*)"),
+            vec![vec![Value::Null, Value::Int(2)], vec![Value::Int(1), Value::Int(1)]]
+        );
+        assert_eq!(rows("UNWIND [null, null] AS x RETURN DISTINCT x"), vec![vec![Value::Null]]);
     }
 
     #[test]

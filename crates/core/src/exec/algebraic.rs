@@ -36,16 +36,24 @@
 //! order-of-magnitude win on aggregate-only chains comes from. Any other
 //! consumer gets full expansion: `k` identical records per cell, exactly the
 //! multiset the unfused plan produces.
+//!
+//! **Count pushdown** is the same idea for the variable-length operator —
+//! the paper's own k-hop query, `MATCH (s)-[*1..k]->(n) WHERE id(s)=…
+//! RETURN count(DISTINCT n)`. When a var-length `Traverse` feeds a
+//! group-free `Aggregate` of nothing but `count(dst)`, `count(*)` and
+//! `count(DISTINCT dst)`, the pair becomes one [`PlanOp::TraverseCount`]
+//! that reduces the BFS's reached sets (`Σ |reached|`, `|∪ reached|` —
+//! `reached.nvals()` for a single seek) without a record per reached node.
 
 use crate::exec::expr::contains_aggregate;
-use crate::exec::ops::PlanOp;
+use crate::exec::ops::{resolve_rel_types, BatchFrontier, PlanOp};
 use crate::exec::plan::Segment;
 use crate::exec::record::{Bindings, Record};
 use crate::store::graph::Graph;
 use crate::value::Value;
 use cypher::{Direction, Expr, Projection};
 use graphblas::prelude::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -121,26 +129,11 @@ pub fn run_fused(
 
     // One frontier row per distinct source node (records fanning out of the
     // same hub share one product row).
-    let mut src_row: HashMap<u64, u64> = HashMap::new();
-    let mut entries: Vec<(u64, u64)> = Vec::new();
-    let mut record_rows: Vec<Option<u64>> = Vec::with_capacity(records.len());
-    for r in records {
-        match r.get(src_slot) {
-            Some(Value::Node(s)) => {
-                let row = *src_row.entry(*s).or_insert_with(|| {
-                    let row = entries.len() as u64;
-                    entries.push((row, *s));
-                    row
-                });
-                record_rows.push(Some(row));
-            }
-            _ => record_rows.push(None),
-        }
-    }
-    if entries.is_empty() {
+    let batch = BatchFrontier::new(records, src_slot, graph.dim());
+    if batch.entries.is_empty() {
         return Vec::new();
     }
-    let frontier = Arc::new(frontier_matrix::<u64>(entries.len() as u64, graph.dim(), &entries, 1));
+    let frontier = Arc::new(frontier_matrix::<u64>(batch.nrows(), batch.dim, &batch.entries, 1));
 
     let mut chain = Vec::with_capacity(operands.len() + 1);
     chain.push(frontier);
@@ -151,7 +144,7 @@ pub fn run_fused(
     // count stays algebraic — one compact record per cell; otherwise each
     // cell expands to `count` identical records (the unfused multiset).
     let mut out = Vec::new();
-    for (record, row) in records.iter().zip(&record_rows) {
+    for (record, row) in records.iter().zip(&batch.record_rows) {
         let Some(row) = *row else { continue };
         let (cols, counts) = probe_row(&product, row);
         for (&dst, &count) in cols.iter().zip(counts.iter()) {
@@ -184,16 +177,8 @@ fn materialise_operands(
     let mut out = Vec::with_capacity(expr.operands.len());
     for op in &expr.operands {
         let AlgebraicOperand::Rel { rel_types, transposed, dst_labels } = op;
-        let rels: Vec<usize> = if rel_types.is_empty() {
-            (0..graph.relation_type_count()).collect()
-        } else {
-            let ids: Vec<usize> =
-                rel_types.iter().filter_map(|t| graph.schema.rel_type_id(t)).collect();
-            if ids.len() != rel_types.len() {
-                return None;
-            }
-            ids
-        };
+        let rels = resolve_rel_types(graph, rel_types)?
+            .unwrap_or_else(|| (0..graph.relation_type_count()).collect());
         // ⊕ the per-type counting matrices (multi-type / untyped hops).
         let mut acc: Option<Arc<SparseMatrix<u64>>> = None;
         for rel in rels {
@@ -292,11 +277,80 @@ fn chain_product(mats: Vec<Arc<SparseMatrix<u64>>>) -> SparseMatrix<u64> {
 // ---------------------------------------------------------------- fusion
 
 /// Rewrite every segment of a freshly built plan: eligible traverse chains
-/// become [`PlanOp::FusedTraverse`] ops (see the module docs for the rules).
+/// become [`PlanOp::FusedTraverse`] ops and counted variable-length
+/// traversals become [`PlanOp::TraverseCount`] ops (see the module docs for
+/// the rules).
 pub(crate) fn fuse_plan(segments: &mut [Segment]) {
     for seg in segments {
         fuse_segment(seg);
+        push_down_counts(seg);
     }
+}
+
+// ---------------------------------------------------------- count pushdown
+
+/// Replace every variable-length `Traverse` (not expand-into) that feeds an
+/// `Aggregate` directly — no group keys, every item `count(dst)`,
+/// `count(*)` or `count(DISTINCT dst)` — by one [`PlanOp::TraverseCount`]
+/// that reduces the reached sets instead of building a record per reached
+/// node.
+fn push_down_counts(seg: &mut Segment) {
+    let mut i = 0;
+    while i + 1 < seg.ops.len() {
+        if let Some(op) = count_pushdown(&seg.ops[i], &seg.ops[i + 1]) {
+            seg.ops.splice(i..i + 2, [op]);
+        }
+        i += 1;
+    }
+}
+
+/// The [`PlanOp::TraverseCount`] a `traverse` + `aggregate` pair reduces
+/// to, if it does.
+fn count_pushdown(traverse: &PlanOp, aggregate: &PlanOp) -> Option<PlanOp> {
+    use crate::exec::ops::ReachCount;
+    let PlanOp::Traverse {
+        src_slot,
+        dst_slot: _,
+        dst_var,
+        edge_slot: None,
+        rel_types,
+        direction,
+        min_hops,
+        max_hops,
+        expand_into: false,
+    } = traverse
+    else {
+        return None;
+    };
+    if *min_hops == 1 && *max_hops == Some(1) {
+        return None; // a single hop counts parallel edges: not a reached set
+    }
+    let PlanOp::Aggregate { projection, weight_slot: None } = aggregate else { return None };
+    let counts = projection
+        .items
+        .iter()
+        .map(|item| match &item.expr {
+            Expr::FunctionCall { name, args, distinct } if name == "count" => {
+                match (args.as_slice(), distinct) {
+                    ([], false) => Some(ReachCount::Total),
+                    ([Expr::Variable(v)], false) if v == dst_var => Some(ReachCount::Total),
+                    ([Expr::Variable(v)], true) if v == dst_var => Some(ReachCount::Distinct),
+                    _ => None,
+                }
+            }
+            _ => None,
+        })
+        .collect::<Option<Vec<_>>>()?;
+    Some(PlanOp::TraverseCount {
+        src_slot: *src_slot,
+        dst_var: dst_var.clone(),
+        rel_types: rel_types.clone(),
+        direction: *direction,
+        min_hops: *min_hops,
+        max_hops: *max_hops,
+        counts,
+        projection: projection.clone(),
+    })
 }
 
 /// A traverse op's fields, when it is fusable on its own terms: exactly one
@@ -506,6 +560,9 @@ fn op_uses(op: &PlanOp, var: &str, slot: usize) -> bool {
             *src_slot == slot || *dst_slot == slot || *edge_slot == Some(slot)
         }
         PlanOp::FusedTraverse { src_slot, dst_slot, .. } => *src_slot == slot || *dst_slot == slot,
+        PlanOp::TraverseCount { src_slot, projection, .. } => {
+            *src_slot == slot || projection_uses(projection, var)
+        }
         PlanOp::Project(p) | PlanOp::With(p) => projection_uses(p, var),
         PlanOp::Aggregate { projection, .. } => projection_uses(projection, var),
         PlanOp::Create { patterns } => patterns.iter().any(|pat| {

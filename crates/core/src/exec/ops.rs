@@ -10,11 +10,10 @@ use crate::exec::expr::{contains_aggregate, eval};
 use crate::exec::record::{Bindings, Record};
 use crate::exec::resultset::QueryStats;
 use crate::store::graph::{Graph, TraverseDir};
-use crate::value::Value;
+use crate::value::{EquivKey, Value};
 use crate::{EdgeId, NodeId};
 use cypher::{Direction, Expr, PathPattern, Projection, SetItem, SortOrder};
 use graphblas::prelude::*;
-use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 /// How `Conditional Traverse` / `Expand Into` operators execute.
@@ -153,6 +152,30 @@ pub enum PlanOp {
         /// product cell into `count` records.
         weight_slot: Option<usize>,
     },
+    /// A variable-length traversal whose only consumer was a group-free
+    /// `count` aggregation: the counts are reduced straight from the reached
+    /// sets (`Σ |reached|`, `|∪ reached|`) and no record is built per
+    /// reached node. Built by the optimizer pass in
+    /// [`crate::exec::algebraic`] from a `Traverse` + `Aggregate` pair.
+    TraverseCount {
+        /// Slot of the already-bound source node.
+        src_slot: usize,
+        /// Destination variable name (for `EXPLAIN`).
+        dst_var: String,
+        /// Relationship type names (empty = any type).
+        rel_types: Vec<String>,
+        /// Pattern direction.
+        direction: Direction,
+        /// Minimum hop count.
+        min_hops: u32,
+        /// Maximum hop count; `None` = unbounded.
+        max_hops: Option<u32>,
+        /// What each projection item reduces to, in projection order.
+        counts: Vec<ReachCount>,
+        /// The aggregating projection it replaces (column names, `SKIP`,
+        /// `LIMIT`).
+        projection: Projection,
+    },
     /// Final projection (`RETURN`).
     Project(Projection),
     /// Final aggregation (`RETURN` containing aggregate functions).
@@ -205,6 +228,32 @@ pub enum PlanOp {
     },
 }
 
+/// The count a [`PlanOp::TraverseCount`] item reduces the reached sets to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReachCount {
+    /// `count(dst)` / `count(*)`: one per (record, reached node) pair,
+    /// `Σ |reached|` over the incoming records.
+    Total,
+    /// `count(DISTINCT dst)`: `|∪ reached|`.
+    Distinct,
+}
+
+/// The `[:types *min..max] -> (dst)` part of a traversal's description.
+fn traverse_pattern(
+    rel_types: &[String],
+    min_hops: u32,
+    max_hops: Option<u32>,
+    dst_var: &str,
+) -> String {
+    let types = if rel_types.is_empty() { "*".to_string() } else { rel_types.join("|") };
+    let hops = match (min_hops, max_hops) {
+        (1, Some(1)) => String::new(),
+        (min, Some(max)) => format!(" *{min}..{max}"),
+        (min, None) => format!(" *{min}.."),
+    };
+    format!("[:{types}{hops}] -> ({dst_var})")
+}
+
 impl PlanOp {
     /// One-line description used by `GRAPH.EXPLAIN`.
     pub fn describe(&self) -> String {
@@ -218,18 +267,43 @@ impl PlanOp {
             PlanOp::LabelFilter { label, .. } => format!("Label Filter | :{label}"),
             PlanOp::PropFilter { key, .. } => format!("Property Filter | .{key}"),
             PlanOp::Traverse { dst_var, rel_types, min_hops, max_hops, expand_into, .. } => {
-                let types =
-                    if rel_types.is_empty() { "*".to_string() } else { rel_types.join("|") };
-                let hops = match (min_hops, max_hops) {
-                    (1, Some(1)) => String::new(),
-                    (min, Some(max)) => format!(" *{min}..{max}"),
-                    (min, None) => format!(" *{min}.."),
-                };
+                let pattern = traverse_pattern(rel_types, *min_hops, *max_hops, dst_var);
                 if *expand_into {
-                    format!("Expand Into | [:{types}{hops}] -> ({dst_var})")
+                    format!("Expand Into | {pattern}")
                 } else {
-                    format!("Conditional Traverse | [:{types}{hops}] -> ({dst_var})")
+                    format!("Conditional Traverse | {pattern}")
                 }
+            }
+            PlanOp::TraverseCount {
+                dst_var,
+                rel_types,
+                min_hops,
+                max_hops,
+                counts,
+                projection,
+                ..
+            } => {
+                let reduces: Vec<String> = counts
+                    .iter()
+                    .zip(&projection.items)
+                    .map(|(count, item)| {
+                        let arg = match &item.expr {
+                            Expr::FunctionCall { args, .. } if args.is_empty() => "*",
+                            _ => dst_var.as_str(),
+                        };
+                        match count {
+                            ReachCount::Total => format!("count({arg}) = Σ nvals(reached)"),
+                            ReachCount::Distinct => {
+                                format!("count(DISTINCT {arg}) = nvals(∪ reached)")
+                            }
+                        }
+                    })
+                    .collect();
+                format!(
+                    "Conditional Traverse | {} | Aggregate pushdown: {}",
+                    traverse_pattern(rel_types, *min_hops, *max_hops, dst_var),
+                    reduces.join(", ")
+                )
             }
             PlanOp::FusedTraverse { expr, .. } => format!("Conditional Traverse | {expr}"),
             PlanOp::Project(_) => "Project".to_string(),
@@ -344,31 +418,110 @@ pub fn run_traverse(
     graph: &Graph,
     spec: &TraverseSpec<'_>,
 ) -> Vec<Record> {
-    let rel_ids: Option<Vec<usize>> = if spec.rel_types.is_empty() {
-        None
-    } else {
-        Some(spec.rel_types.iter().filter_map(|t| graph.schema.rel_type_id(t)).collect())
+    let Some(rel_ids) = resolve_rel_types(graph, spec.rel_types) else {
+        return Vec::new();
     };
-    // If the pattern names relationship types that do not exist, nothing matches.
-    if let Some(ids) = &rel_ids {
-        if ids.len() != spec.rel_types.len() {
-            return Vec::new();
-        }
-    }
-    let batched = match graph.traverse_strategy() {
-        TraverseStrategy::Scalar => false,
-        TraverseStrategy::Batched => true,
-        TraverseStrategy::Auto => records.len() >= BATCH_TRAVERSE_MIN_RECORDS,
-    };
-    if batched {
+    if batched_strategy(graph, records.len()) {
         run_traverse_batched(records, bindings, graph, spec, rel_ids.as_deref())
     } else {
         run_traverse_scalar(records, bindings, graph, spec, rel_ids.as_deref())
     }
 }
 
+/// Resolve a pattern's relationship type names to relation ids: `Some(None)`
+/// for the untyped pattern, `None` when a named type does not exist (so
+/// nothing can match).
+pub(crate) fn resolve_rel_types(graph: &Graph, rel_types: &[String]) -> Option<Option<Vec<usize>>> {
+    if rel_types.is_empty() {
+        return Some(None);
+    }
+    rel_types.iter().map(|t| graph.schema.rel_type_id(t)).collect::<Option<Vec<_>>>().map(Some)
+}
+
+/// Whether a traversal over `records` records takes the batched path under
+/// the graph's [`TraverseStrategy`].
+fn batched_strategy(graph: &Graph, records: usize) -> bool {
+    match graph.traverse_strategy() {
+        TraverseStrategy::Scalar => false,
+        TraverseStrategy::Batched => true,
+        TraverseStrategy::Auto => records >= BATCH_TRAVERSE_MIN_RECORDS,
+    }
+}
+
+/// The hop bound a traversal runs to: unbounded patterns stop after as many
+/// hops as the graph has nodes, past which no BFS level can be new.
+fn hop_limit(graph: &Graph, max_hops: Option<u32>) -> u32 {
+    max_hops.unwrap_or_else(|| graph.node_count().max(1) as u32)
+}
+
+/// Execute a [`PlanOp::TraverseCount`]: the variable-length traversal's
+/// reached sets are reduced to the aggregate's counts directly — `Σ
+/// |reached|` over the records for `count(dst)`/`count(*)`, `|∪ reached|`
+/// for `count(DISTINCT dst)` — and the one aggregate row goes through the
+/// projection's `SKIP`/`LIMIT`. Row-identical to `Traverse` + `Aggregate`
+/// (the `optimizer_differential` suite proves it against
+/// [`crate::exec::plan::ExecutionPlan::build_unoptimized`]).
+pub fn run_traverse_count(op: &PlanOp, records: &[Record], graph: &Graph) -> Vec<Vec<Value>> {
+    let PlanOp::TraverseCount {
+        src_slot,
+        rel_types,
+        direction,
+        min_hops,
+        max_hops,
+        counts,
+        projection,
+        ..
+    } = op
+    else {
+        unreachable!("run_traverse_count called with a non-count op")
+    };
+    let (mut total, mut distinct) = (0u64, 0u64);
+    // A named type that does not exist matches nothing: both counts stay 0.
+    if let Some(rel_ids) = resolve_rel_types(graph, rel_types) {
+        let (dir, max) = (to_traverse_dir(*direction), hop_limit(graph, *max_hops));
+        let batch = BatchFrontier::new(records, *src_slot, graph.dim());
+        // How many records share each distinct source's reached set.
+        let mut copies = vec![0u64; batch.entries.len()];
+        for row in batch.record_rows.iter().flatten() {
+            copies[*row as usize] += 1;
+        }
+        // Several reached sets union through one flag per node; a lone set
+        // — the paper's k-hop query, one seek — counts as its `nvals`.
+        let mut union = vec![false; if batch.entries.len() > 1 { batch.dim as usize } else { 0 }];
+        let mut add = |set: &[NodeId], copies: u64| {
+            total += copies * set.len() as u64;
+            if union.is_empty() {
+                distinct = set.len() as u64;
+            } else {
+                for &n in set {
+                    distinct += u64::from(!std::mem::replace(&mut union[n as usize], true));
+                }
+            }
+        };
+        if batched_strategy(graph, records.len()) && !batch.entries.is_empty() {
+            let reached = batched_reach(graph, rel_ids.as_deref(), dir, &batch, *min_hops, max);
+            for (row, &n) in copies.iter().enumerate() {
+                add(probe_row(&reached, row as u64).0, n);
+            }
+        } else {
+            for (&(_, src), &n) in batch.entries.iter().zip(&copies) {
+                add(graph.khop_reach(src, *min_hops, max, dir, rel_ids.as_deref()).indices(), n);
+            }
+        }
+    }
+    let row = counts
+        .iter()
+        .map(|count| match count {
+            ReachCount::Total => Value::Int(total as i64),
+            ReachCount::Distinct => Value::Int(distinct as i64),
+        })
+        .collect();
+    apply_order_skip_limit(projection, vec![(row, Vec::new())])
+}
+
 /// The per-record scalar strategy: pointer-chase `graph.neighbors()` row
-/// walks (single hop) or a per-source BFS (variable length).
+/// walks (single hop) or a per-source [`Graph::khop_reach`] (variable
+/// length).
 pub fn run_traverse_scalar(
     records: Vec<Record>,
     bindings: &Bindings,
@@ -377,7 +530,7 @@ pub fn run_traverse_scalar(
     rel_ids: Option<&[usize]>,
 ) -> Vec<Record> {
     let dir = to_traverse_dir(spec.direction);
-    let max = spec.max_hops.unwrap_or_else(|| graph.node_count().max(1) as u32);
+    let max = hop_limit(graph, spec.max_hops);
     let single_hop = spec.min_hops == 1 && max == 1;
     let mut out = Vec::new();
 
@@ -410,19 +563,15 @@ pub fn run_traverse_scalar(
             }
         } else {
             // Variable-length traversal.
-            let reached: Vec<NodeId> = match rel_ids {
-                None => graph.khop_reach(src, spec.min_hops, max, dir).indices().to_vec(),
-                Some(ids) => typed_bfs(graph, src, spec.min_hops, max, ids, dir),
-            };
+            let reached = graph.khop_reach(src, spec.min_hops, max, dir, rel_ids);
             if spec.expand_into {
-                let target = record.get(spec.dst_slot).cloned();
-                if let Some(Value::Node(t)) = target {
-                    if reached.contains(&t) {
+                if let Some(&Value::Node(t)) = record.get(spec.dst_slot) {
+                    if reached.contains(t) {
                         out.push(record.clone());
                     }
                 }
             } else {
-                for n in reached {
+                for &n in reached.indices() {
                     let mut r = record.clone();
                     ensure_len(&mut r, bindings);
                     r[spec.dst_slot] = Value::Node(n);
@@ -451,56 +600,73 @@ pub fn run_traverse_batched(
     rel_ids: Option<&[usize]>,
 ) -> Vec<Record> {
     let dir = to_traverse_dir(spec.direction);
-    let max = spec.max_hops.unwrap_or_else(|| graph.node_count().max(1) as u32);
+    let max = hop_limit(graph, spec.max_hops);
     let single_hop = spec.min_hops == 1 && max == 1;
-    let dim = graph.dim();
-
-    // One frontier row per *distinct* source node: records sharing a source
-    // (the common case deep in a multi-hop pipeline, where thousands of
-    // records fan out of a few hub nodes) share one product row instead of
-    // recomputing it. `record_rows[i]` maps record `i` back to its row;
-    // records without a bound source produce no output.
-    let mut src_row: HashMap<NodeId, u64> = HashMap::new();
-    let mut frontier_entries: Vec<(u64, u64)> = Vec::new();
-    let mut record_rows: Vec<Option<u64>> = Vec::with_capacity(records.len());
-    for r in &records {
-        match r.get(spec.src_slot) {
-            Some(Value::Node(s)) => {
-                let row = *src_row.entry(*s).or_insert_with(|| {
-                    let row = frontier_entries.len() as u64;
-                    frontier_entries.push((row, *s));
-                    row
-                });
-                record_rows.push(Some(row));
-            }
-            _ => record_rows.push(None),
-        }
-    }
-    if frontier_entries.is_empty() {
+    let batch = BatchFrontier::new(&records, spec.src_slot, graph.dim());
+    if batch.entries.is_empty() {
         return Vec::new();
     }
-
-    let batch = BatchFrontier { entries: &frontier_entries, record_rows: &record_rows, dim };
     if single_hop {
         batched_single_hop(&records, bindings, graph, spec, rel_ids, dir, &batch)
     } else {
-        batched_var_length(&records, bindings, graph, spec, rel_ids, dir, &batch, max)
+        let reached = batched_reach(graph, rel_ids, dir, &batch, spec.min_hops, max);
+        let mut out = Vec::new();
+        for (record, row) in records.iter().zip(&batch.record_rows) {
+            let Some(row) = *row else { continue };
+            if spec.expand_into {
+                if let Some(Value::Node(t)) = record.get(spec.dst_slot) {
+                    if *t < batch.dim && reached.extract_element(row, *t).is_some() {
+                        out.push(record.clone());
+                    }
+                }
+            } else {
+                let (cols, _) = probe_row(&reached, row);
+                for &dst in cols {
+                    let mut r = record.clone();
+                    ensure_len(&mut r, bindings);
+                    r[spec.dst_slot] = Value::Node(dst);
+                    out.push(r);
+                }
+            }
+        }
+        out
     }
 }
 
-/// The shared frontier layout of one batched traversal: distinct source
-/// coordinates plus the record → frontier-row mapping.
-struct BatchFrontier<'a> {
+/// The shared frontier layout of one batched traversal (and of a fused
+/// chain's frontier operand): distinct source coordinates plus the record →
+/// frontier-row mapping.
+pub(crate) struct BatchFrontier {
     /// `(row, source node)` coordinates, one per distinct source.
-    entries: &'a [(u64, u64)],
+    pub(crate) entries: Vec<(u64, u64)>,
     /// Frontier row of each record (`None` = source not bound).
-    record_rows: &'a [Option<u64>],
+    pub(crate) record_rows: Vec<Option<u64>>,
     /// Node-space dimension (frontier column count).
-    dim: u64,
+    pub(crate) dim: u64,
 }
 
-impl BatchFrontier<'_> {
-    fn nrows(&self) -> u64 {
+impl BatchFrontier {
+    /// One frontier row per *distinct* source node: records sharing a source
+    /// (the common case deep in a multi-hop pipeline, where thousands of
+    /// records fan out of a few hub nodes) share one product row instead of
+    /// recomputing it. Records without a bound source get no row.
+    pub(crate) fn new(records: &[Record], src_slot: usize, dim: u64) -> Self {
+        let mut src_row: HashMap<NodeId, u64> = HashMap::new();
+        let mut entries: Vec<(u64, u64)> = Vec::new();
+        let record_rows = records
+            .iter()
+            .map(|r| match r.get(src_slot) {
+                Some(Value::Node(s)) => Some(*src_row.entry(*s).or_insert_with(|| {
+                    entries.push((entries.len() as u64, *s));
+                    entries.len() as u64 - 1
+                })),
+                _ => None,
+            })
+            .collect();
+        BatchFrontier { entries, record_rows, dim }
+    }
+
+    pub(crate) fn nrows(&self) -> u64 {
         self.entries.len() as u64
     }
 }
@@ -519,7 +685,7 @@ fn batched_single_hop(
     spec: &TraverseSpec<'_>,
     rel_ids: Option<&[usize]>,
     dir: TraverseDir,
-    batch: &BatchFrontier<'_>,
+    batch: &BatchFrontier,
 ) -> Vec<Record> {
     let forward = matches!(dir, TraverseDir::Outgoing | TraverseDir::Both);
     let backward = matches!(dir, TraverseDir::Incoming | TraverseDir::Both);
@@ -528,7 +694,7 @@ fn batched_single_hop(
         None => (0..graph.relation_type_count()).collect(),
     };
 
-    let frontier = frontier_matrix::<u64>(batch.nrows(), batch.dim, batch.entries, 1);
+    let frontier = frontier_matrix::<u64>(batch.nrows(), batch.dim, &batch.entries, 1);
     let semiring = Semiring::<u64>::any_second();
     // Expand-into is a semi-join: mask the product with the bound
     // destinations so only the (source row, target) entries are even
@@ -537,7 +703,7 @@ fn batched_single_hop(
     let target_mask = if spec.expand_into {
         let targets: Vec<(u64, u64)> = records
             .iter()
-            .zip(batch.record_rows)
+            .zip(&batch.record_rows)
             .filter_map(|(r, row)| match (row, r.get(spec.dst_slot)) {
                 (Some(row), Some(Value::Node(t))) if *t < batch.dim => Some((*row, *t)),
                 _ => None,
@@ -580,7 +746,7 @@ fn batched_single_hop(
     // cell whose `(src, dst)` pair holds parallel same-type edges expands to
     // one row per edge (ascending ids), matching `Graph::neighbors`.
     let mut out = Vec::new();
-    for (record, row) in records.iter().zip(batch.record_rows) {
+    for (record, row) in records.iter().zip(&batch.record_rows) {
         let Some(row) = *row else { continue };
         let Some(&Value::Node(src)) = record.get(spec.src_slot) else { continue };
         let emit = |dst: NodeId, edge: EdgeId, rel: usize, fwd: bool, out: &mut Vec<Record>| {
@@ -634,64 +800,26 @@ fn batched_single_hop(
     out
 }
 
-/// Variable-length batched traversal: a level-synchronous BFS of masked
+/// Variable-length batched reachability: a level-synchronous BFS of masked
 /// `mxm`s over the whole batch — the matrix generalisation of
-/// [`Graph::khop_reach`], one row per distinct source.
-#[allow(clippy::too_many_arguments)]
-fn batched_var_length(
-    records: &[Record],
-    bindings: &Bindings,
+/// [`Graph::khop_reach`], row `r` holding the nodes reached from the batch's
+/// `r`-th distinct source.
+fn batched_reach(
     graph: &Graph,
-    spec: &TraverseSpec<'_>,
     rel_ids: Option<&[usize]>,
     dir: TraverseDir,
-    batch: &BatchFrontier<'_>,
+    batch: &BatchFrontier,
+    min_hops: u32,
     max: u32,
-) -> Vec<Record> {
-    let forward = matches!(dir, TraverseDir::Outgoing | TraverseDir::Both);
-    let backward = matches!(dir, TraverseDir::Incoming | TraverseDir::Both);
-
-    // Traversal matrices in the requested direction. The boolean semiring
-    // distributes over ∨, so each hop multiplies the frontier against every
-    // matrix separately and ORs the frontier-sized products — never
-    // materialising an O(nnz) union matrix (the `Cow`s below only merge
-    // when the graph has pending deltas).
-    let adjacency: Vec<Cow<'_, SparseMatrix<bool>>> = match rel_ids {
-        None => {
-            let mut mats = Vec::new();
-            if forward {
-                mats.push(graph.adjacency_matrix());
-            }
-            if backward {
-                mats.push(graph.adjacency_matrix_t());
-            }
-            mats
-        }
-        Some(_) => Vec::new(),
-    };
-    let relations: Vec<Cow<'_, SparseMatrix<u64>>> = match rel_ids {
-        None => Vec::new(),
-        Some(ids) => {
-            let mut mats = Vec::new();
-            for &rel in ids {
-                if forward {
-                    mats.extend(graph.relation_matrix(rel));
-                }
-                if backward {
-                    mats.extend(graph.relation_matrix_t(rel));
-                }
-            }
-            mats
-        }
-    };
-
+) -> SparseMatrix<bool> {
+    let (adjacency, relations) = graph.hop_operands(dir, rel_ids);
     let bool_semiring = Semiring::lor_land();
     let pair_semiring = Semiring::<u64>::any_pair();
     let desc = Descriptor::new().with_mask_complement().with_mask_structure();
-    let mut frontier = frontier_matrix::<bool>(batch.nrows(), batch.dim, batch.entries, true);
+    let mut frontier = frontier_matrix::<bool>(batch.nrows(), batch.dim, &batch.entries, true);
     let mut visited = frontier.clone();
     // Hop 0 is each source node itself.
-    let mut reached = if spec.min_hops == 0 {
+    let mut reached = if min_hops == 0 {
         frontier.clone()
     } else {
         SparseMatrix::<bool>::new(batch.nrows(), batch.dim)
@@ -732,73 +860,12 @@ fn batched_var_length(
             }
         };
         visited = ewise_add_matrix(&visited, &next, &BinaryOp::LOr);
-        if hop >= spec.min_hops {
+        if hop >= min_hops {
             reached = ewise_add_matrix(&reached, &next, &BinaryOp::LOr);
         }
         frontier = next;
     }
-
-    let mut out = Vec::new();
-    for (record, row) in records.iter().zip(batch.record_rows) {
-        let Some(row) = *row else { continue };
-        if spec.expand_into {
-            if let Some(Value::Node(t)) = record.get(spec.dst_slot) {
-                if *t < batch.dim && reached.extract_element(row, *t).is_some() {
-                    out.push(record.clone());
-                }
-            }
-        } else {
-            let (cols, _) = probe_row(&reached, row);
-            for &dst in cols {
-                let mut r = record.clone();
-                ensure_len(&mut r, bindings);
-                r[spec.dst_slot] = Value::Node(dst);
-                out.push(r);
-            }
-        }
-    }
-    out
-}
-
-/// Set-based BFS restricted to a list of relationship types (used when a
-/// variable-length pattern names specific types on the scalar path; the
-/// untyped case uses the algebraic `khop_reach`).
-fn typed_bfs(
-    graph: &Graph,
-    src: NodeId,
-    min_hops: u32,
-    max_hops: u32,
-    rel_ids: &[usize],
-    dir: TraverseDir,
-) -> Vec<NodeId> {
-    let mut visited: HashSet<NodeId> = HashSet::new();
-    visited.insert(src);
-    let mut frontier: Vec<NodeId> = vec![src];
-    let mut reached: HashSet<NodeId> = HashSet::new();
-    // Hop 0 is the source itself (`*0..n` patterns).
-    if min_hops == 0 {
-        reached.insert(src);
-    }
-    for hop in 1..=max_hops {
-        if frontier.is_empty() {
-            break;
-        }
-        let mut next = Vec::new();
-        for &n in &frontier {
-            for (nbr, _) in graph.neighbors(n, Some(rel_ids), dir) {
-                if visited.insert(nbr) {
-                    next.push(nbr);
-                    if hop >= min_hops {
-                        reached.insert(nbr);
-                    }
-                }
-            }
-        }
-        frontier = next;
-    }
-    let mut out: Vec<NodeId> = reached.into_iter().collect();
-    out.sort_unstable();
-    out
+    reached
 }
 
 /// An output row paired with its evaluated `ORDER BY` keys.
@@ -849,8 +916,17 @@ fn apply_order_skip_limit(projection: &Projection, mut rows: Vec<SortableRow>) -
     }
     let mut out: Vec<Vec<Value>> = rows.into_iter().map(|(row, _)| row).collect();
     if projection.distinct {
-        let mut seen = HashSet::new();
-        out.retain(|row| seen.insert(format!("{row:?}")));
+        // First occurrence of each equivalence class, in order.
+        let keyed: Vec<Vec<EquivKey>> =
+            out.into_iter().map(|row| row.into_iter().map(EquivKey).collect()).collect();
+        let mut seen = HashSet::with_capacity(keyed.len());
+        let first: Vec<bool> = keyed.iter().map(|key| seen.insert(key.as_slice())).collect();
+        out = keyed
+            .into_iter()
+            .zip(first)
+            .filter(|(_, first)| *first)
+            .map(|(key, _)| key.into_iter().map(|k| k.0).collect())
+            .collect();
     }
     let skip = projection.skip.unwrap_or(0) as usize;
     if skip > 0 {
@@ -906,35 +982,49 @@ pub fn run_aggregate(
         }
     }
 
-    type GroupState = (Vec<Value>, Vec<Accumulator>);
-    let mut groups: HashMap<String, GroupState> = HashMap::new();
-    let mut group_order: Vec<String> = Vec::new();
+    let new_accumulators = || -> Vec<Accumulator> {
+        agg_positions
+            .iter()
+            .map(|&i| match &projection.items[i].expr {
+                Expr::FunctionCall { name, distinct, .. } => {
+                    Accumulator::new(AggFunc::from_name(name).unwrap_or(AggFunc::Count), *distinct)
+                }
+                _ => Accumulator::new(AggFunc::Count, false),
+            })
+            .collect()
+    };
+
+    // Groups in first-seen order, indexed by their equivalence key. Without
+    // group keys there is exactly one group, which exists even with no
+    // input records (e.g. count = 0).
+    let mut groups: Vec<(Vec<Value>, Vec<Accumulator>)> = Vec::new();
+    let mut index: HashMap<Vec<EquivKey>, usize> = HashMap::new();
+    if group_positions.is_empty() {
+        groups.push((Vec::new(), new_accumulators()));
+    }
 
     for record in records {
-        let key_values: Vec<Value> = group_positions
-            .iter()
-            .map(|&i| eval(&projection.items[i].expr, record, bindings, graph))
-            .collect();
-        let key = format!("{key_values:?}");
-        let entry = groups.entry(key.clone()).or_insert_with(|| {
-            group_order.push(key);
-            let accs = agg_positions
+        let g = if group_positions.is_empty() {
+            0
+        } else {
+            let key: Vec<EquivKey> = group_positions
                 .iter()
-                .map(|&i| match &projection.items[i].expr {
-                    Expr::FunctionCall { name, distinct, .. } => {
-                        let func = AggFunc::from_name(name).unwrap_or(AggFunc::Count);
-                        Accumulator::new(func, *distinct)
-                    }
-                    _ => Accumulator::new(AggFunc::Count, false),
-                })
+                .map(|&i| EquivKey(eval(&projection.items[i].expr, record, bindings, graph)))
                 .collect();
-            (key_values.clone(), accs)
-        });
+            match index.get(&key) {
+                Some(&g) => g,
+                None => {
+                    groups.push((key.iter().map(|k| k.0.clone()).collect(), new_accumulators()));
+                    index.insert(key, groups.len() - 1);
+                    groups.len() - 1
+                }
+            }
+        };
         let weight = weight_slot
             .and_then(|ws| record.get(ws))
             .and_then(Value::as_i64)
             .map_or(1, |w| w.max(0) as u64);
-        for (acc, &item_pos) in entry.1.iter_mut().zip(agg_positions.iter()) {
+        for (acc, &item_pos) in groups[g].1.iter_mut().zip(agg_positions.iter()) {
             if let Expr::FunctionCall { args, .. } = &projection.items[item_pos].expr {
                 let value = match args.first() {
                     Some(arg) => eval(arg, record, bindings, graph),
@@ -945,26 +1035,9 @@ pub fn run_aggregate(
         }
     }
 
-    // Aggregations with no input records still produce one row (e.g. count = 0)
-    // when there are no group keys.
-    if groups.is_empty() && group_positions.is_empty() {
-        let accs: Vec<Accumulator> = agg_positions
-            .iter()
-            .map(|&i| match &projection.items[i].expr {
-                Expr::FunctionCall { name, distinct, .. } => {
-                    Accumulator::new(AggFunc::from_name(name).unwrap_or(AggFunc::Count), *distinct)
-                }
-                _ => Accumulator::new(AggFunc::Count, false),
-            })
-            .collect();
-        groups.insert("empty".into(), (Vec::new(), accs));
-        group_order.push("empty".into());
-    }
-
-    let rows: Vec<SortableRow> = group_order
+    let rows: Vec<SortableRow> = groups
         .into_iter()
-        .map(|key| {
-            let (key_values, accs) = groups.remove(&key).expect("group exists");
+        .map(|(key_values, accs)| {
             let mut row = vec![Value::Null; projection.items.len()];
             for (value, &pos) in key_values.into_iter().zip(group_positions.iter()) {
                 row[pos] = value;

@@ -13,7 +13,9 @@
 //!   Into` when both endpoints are already bound), executed against the
 //!   graph's sparse matrices;
 //! * inline property maps and label constraints on non-scan nodes become
-//!   filters directly after the traverse that binds them.
+//!   filters directly after the traverse that binds them;
+//! * [`ExecutionPlan::build`] then splits each `WHERE` into its `AND`
+//!   conjuncts and places each right after the op binding its last variable.
 
 use crate::error::QueryError;
 use crate::exec::expr::contains_aggregate;
@@ -88,18 +90,22 @@ pub struct ExecutionPlan {
 }
 
 impl ExecutionPlan {
-    /// Compile a parsed query into an execution plan and run the algebraic
-    /// optimizer over it (chain fusion, mask pushdown — see
-    /// [`crate::exec::algebraic`]).
+    /// Compile a parsed query into an execution plan, place each `WHERE`
+    /// conjunct right after the operator that binds its last variable, and
+    /// run the algebraic optimizer over it (chain fusion, mask pushdown,
+    /// count pushdown — see [`crate::exec::algebraic`]).
     pub fn build(query: &Query) -> Result<Self, QueryError> {
         let mut plan = Self::build_unoptimized(query)?;
+        plan.segments.iter_mut().for_each(place_filters);
         crate::exec::algebraic::fuse_plan(&mut plan.segments);
         Ok(plan)
     }
 
     /// Compile without the optimizer pass: one `Traverse` op per hop, label
-    /// predicates as record filters. The differential suites compare this
-    /// plan's output against the optimized plan's row for row.
+    /// predicates as record filters, each `WHERE` as one `Filter` where it
+    /// was written, aggregates over materialised records. The differential
+    /// suites compare this plan's output against the optimized plan's row
+    /// for row.
     pub fn build_unoptimized(query: &Query) -> Result<Self, QueryError> {
         Builder::new().build(query)
     }
@@ -158,7 +164,8 @@ impl ExecutionPlan {
                     PlanOp::ProcedureCall { args, .. } => args.iter().for_each(&mut *f),
                     PlanOp::Project(p)
                     | PlanOp::With(p)
-                    | PlanOp::Aggregate { projection: p, .. } => {
+                    | PlanOp::Aggregate { projection: p, .. }
+                    | PlanOp::TraverseCount { projection: p, .. } => {
                         p.items.iter().for_each(|i| f(&i.expr));
                         p.order_by.iter().for_each(|(e, _)| f(e));
                     }
@@ -180,7 +187,8 @@ impl ExecutionPlan {
                     PlanOp::ProcedureCall { args, .. } => args.iter_mut().for_each(&mut *f),
                     PlanOp::Project(p)
                     | PlanOp::With(p)
-                    | PlanOp::Aggregate { projection: p, .. } => {
+                    | PlanOp::Aggregate { projection: p, .. }
+                    | PlanOp::TraverseCount { projection: p, .. } => {
                         p.items.iter_mut().for_each(|i| f(&mut i.expr));
                         p.order_by.iter_mut().for_each(|(e, _)| f(e));
                     }
@@ -248,9 +256,9 @@ impl ExecutionPlan {
     }
 
     /// True when executing the plan reads whole matrices *per record*
-    /// (scalar variable-length traversals run the algebraic `khop_reach`,
-    /// procedures hand the adjacency matrix to `algo::*`), where flushing
-    /// once clearly beats merging per read. Single-hop traversals are
+    /// (variable-length traversals, counted or not, run the algebraic
+    /// `khop_reach`; procedures hand the adjacency matrix to `algo::*`),
+    /// where flushing once clearly beats merging per read. Single-hop traversals are
     /// deliberately excluded: the scalar strategy reads merged row views and
     /// the batched strategy materialises at most one merged `Cow` view per
     /// relation matrix per batch, so forcing a flush here would reintroduce
@@ -262,7 +270,7 @@ impl ExecutionPlan {
             PlanOp::Traverse { min_hops, max_hops, .. } => {
                 !(*min_hops == 1 && *max_hops == Some(1))
             }
-            PlanOp::ProcedureCall { .. } => true,
+            PlanOp::TraverseCount { .. } | PlanOp::ProcedureCall { .. } => true,
             _ => false,
         })
     }
@@ -329,6 +337,10 @@ impl ExecutionPlan {
                             expand_into: *expand_into,
                         };
                         records = run_traverse(records, bindings, access.graph(), &spec);
+                    }
+                    PlanOp::TraverseCount { projection, .. } => {
+                        columns = projection.items.iter().map(|i| i.column_name()).collect();
+                        rows = run_traverse_count(op, &records, access.graph());
                     }
                     PlanOp::FusedTraverse { src_slot, dst_slot, expr, weight_slot, .. } => {
                         records = crate::exec::algebraic::run_fused(
@@ -403,7 +415,9 @@ impl ExecutionPlan {
                     // Projections emit rows, every other operator leaves its
                     // output in the record working set.
                     let produced = match op {
-                        PlanOp::Project(_) | PlanOp::Aggregate { .. } => rows.len(),
+                        PlanOp::Project(_)
+                        | PlanOp::Aggregate { .. }
+                        | PlanOp::TraverseCount { .. } => rows.len(),
                         _ => records.len(),
                     };
                     profiles.push(OpProfile {
@@ -735,6 +749,129 @@ impl Builder {
         }
         for (key, lit) in &node.properties {
             self.ops.push(PlanOp::PropFilter { slot, key: key.clone(), value: Value::from(lit) });
+        }
+    }
+}
+
+/// Split each `WHERE` filter of a segment into its top-level `AND`
+/// conjuncts and place each right after the operator that binds its last
+/// variable — after that operator's own label/property filters — as
+/// RedisGraph places filter ops. A predicate on a scanned node then runs
+/// once per scanned node rather than once per traversed record, and no
+/// filter sits between a traversal and the aggregate it feeds. A conjunct
+/// that mentions no variable, or one bound only further down, stays where
+/// the `WHERE` was; none moves above a write, and segments (`WITH`
+/// boundaries) are placed independently. Conjuncts landing at one position
+/// re-join into one `Filter`.
+fn place_filters(segment: &mut Segment) {
+    let ops = std::mem::take(&mut segment.ops);
+    // The first op binding each slot; slots no op binds come bound from the
+    // previous segment.
+    let mut binder: HashMap<usize, usize> = HashMap::new();
+    for (i, op) in ops.iter().enumerate() {
+        for slot in bound_slots(op, &segment.bindings) {
+            binder.entry(slot).or_insert(i);
+        }
+    }
+    // The position right after op `i` and the constraint filters trailing it.
+    let after = |i: usize| {
+        let trailing = ops[i + 1..]
+            .iter()
+            .take_while(|op| matches!(op, PlanOp::LabelFilter { .. } | PlanOp::PropFilter { .. }))
+            .count();
+        i + 1 + trailing
+    };
+
+    // placed[p]: the conjuncts to evaluate right before original op `p` (a
+    // conjunct never moves below its own `WHERE`, so `p` stays in range).
+    let mut placed: Vec<Vec<Expr>> = vec![Vec::new(); ops.len()];
+    let mut floor = 0; // just below the last write seen
+    for (i, op) in ops.iter().enumerate() {
+        match op {
+            PlanOp::Filter { expr } => {
+                for conjunct in conjuncts(expr) {
+                    let mut vars = Vec::new();
+                    expr_vars(conjunct, &mut vars);
+                    let positions: Option<Vec<usize>> = vars
+                        .iter()
+                        .map(|var| match segment.bindings.slot(var).map(|s| binder.get(&s)) {
+                            Some(None) => Some(0),
+                            Some(Some(&b)) if b < i => Some(after(b)),
+                            _ => None, // unknown, or bound further down
+                        })
+                        .collect();
+                    let pos = positions.and_then(|p| p.into_iter().max());
+                    placed[pos.map_or(i, |p| p.max(floor))].push(conjunct.clone());
+                }
+            }
+            PlanOp::Create { .. } | PlanOp::Delete { .. } | PlanOp::SetProps { .. } => {
+                floor = i + 1;
+            }
+            _ => {}
+        }
+    }
+
+    for (op, here) in ops.into_iter().zip(placed) {
+        if let Some(expr) = here.into_iter().reduce(|lhs, rhs| {
+            Expr::Binary(cypher::BinaryOperator::And, Box::new(lhs), Box::new(rhs))
+        }) {
+            segment.ops.push(PlanOp::Filter { expr });
+        }
+        if !matches!(op, PlanOp::Filter { .. }) {
+            segment.ops.push(op);
+        }
+    }
+}
+
+/// The slots an operator binds.
+fn bound_slots(op: &PlanOp, bindings: &Bindings) -> Vec<usize> {
+    match op {
+        PlanOp::AllNodeScan { slot, .. }
+        | PlanOp::NodeByLabelScan { slot, .. }
+        | PlanOp::NodeByIdSeek { slot, .. }
+        | PlanOp::Unwind { slot, .. } => vec![*slot],
+        PlanOp::Traverse { dst_slot, edge_slot, expand_into, .. } => {
+            let dst = (!expand_into).then_some(*dst_slot);
+            dst.into_iter().chain(*edge_slot).collect()
+        }
+        PlanOp::ProcedureCall { outputs, .. } => outputs.iter().map(|&(_, slot)| slot).collect(),
+        PlanOp::Create { patterns } => patterns
+            .iter()
+            .flat_map(|p| {
+                let nodes = p.nodes().into_iter().filter_map(|n| n.variable.as_deref());
+                let rels = p.steps.iter().filter_map(|(r, _)| r.variable.as_deref());
+                nodes.chain(rels).collect::<Vec<_>>()
+            })
+            .filter_map(|var| bindings.slot(var))
+            .collect(),
+        _ => Vec::new(),
+    }
+}
+
+/// The top-level `AND` conjuncts of a predicate.
+fn conjuncts(expr: &Expr) -> Vec<&Expr> {
+    match expr {
+        Expr::Binary(cypher::BinaryOperator::And, lhs, rhs) => {
+            let mut out = conjuncts(lhs);
+            out.extend(conjuncts(rhs));
+            out
+        }
+        _ => vec![expr],
+    }
+}
+
+/// Every variable an expression reads (`v` and `v.prop`).
+fn expr_vars<'e>(expr: &'e Expr, out: &mut Vec<&'e str>) {
+    match expr {
+        Expr::Variable(v) | Expr::Property(v, _) => out.push(v),
+        Expr::Literal(_) | Expr::Parameter(_) => {}
+        Expr::Unary(_, inner) => expr_vars(inner, out),
+        Expr::Binary(_, lhs, rhs) => {
+            expr_vars(lhs, out);
+            expr_vars(rhs, out);
+        }
+        Expr::List(items) | Expr::FunctionCall { args: items, .. } => {
+            items.iter().for_each(|e| expr_vars(e, out))
         }
     }
 }

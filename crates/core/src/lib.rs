@@ -34,7 +34,7 @@ pub use exec::ops::{TraverseStrategy, BATCH_TRAVERSE_MIN_RECORDS};
 pub use exec::plan::{format_profile, ExecutionPlan, OpProfile, Params};
 pub use exec::resultset::{QueryStats, ResultSet};
 pub use store::graph::{Graph, GraphSnapshot, TraverseDir};
-pub use value::Value;
+pub use value::{EquivKey, Value};
 
 /// Node identifier: the row/column index of the node in every matrix.
 pub type NodeId = u64;

@@ -63,6 +63,11 @@ pub enum TraverseDir {
     Both,
 }
 
+/// The operands of one traversal hop (see [`Graph::hop_operands`]): boolean
+/// adjacency views, edge-id-valued relation views.
+pub(crate) type HopOperands<'a> =
+    (Vec<Cow<'a, SparseMatrix<bool>>>, Vec<Cow<'a, SparseMatrix<u64>>>);
+
 /// A property graph stored as GraphBLAS sparse matrices.
 #[derive(Debug, Clone)]
 pub struct Graph {
@@ -779,35 +784,64 @@ impl Graph {
         out
     }
 
+    /// The matrices one traversal hop multiplies in direction `dir`: the
+    /// boolean adjacency (and/or its transpose) for an untyped pattern, else
+    /// the selected relation matrices (and/or their transposes). The
+    /// boolean semiring distributes over ∨, so a hop multiplies the frontier
+    /// by each and ORs the frontier-sized products — never materialising an
+    /// O(nnz) union matrix (the `Cow`s only merge when deltas are pending).
+    pub(crate) fn hop_operands(
+        &self,
+        dir: TraverseDir,
+        rel_types: Option<&[RelTypeId]>,
+    ) -> HopOperands<'_> {
+        let forward = matches!(dir, TraverseDir::Outgoing | TraverseDir::Both);
+        let backward = matches!(dir, TraverseDir::Incoming | TraverseDir::Both);
+        let (mut adjacency, mut relations) = (Vec::new(), Vec::new());
+        match rel_types {
+            None => {
+                if forward {
+                    adjacency.push(self.adjacency.view());
+                }
+                if backward {
+                    adjacency.push(self.adjacency_t.view());
+                }
+            }
+            Some(ids) => {
+                for &rel in ids {
+                    if forward {
+                        relations.extend(self.relation_matrix(rel));
+                    }
+                    if backward {
+                        relations.extend(self.relation_matrix_t(rel));
+                    }
+                }
+            }
+        }
+        (adjacency, relations)
+    }
+
     /// Algebraic k-hop reachability: the set of nodes reachable from `source`
-    /// in between `min_hops` and `max_hops` hops following `dir`, computed as a
-    /// level-synchronous BFS of masked `vxm` operations over the boolean
-    /// adjacency matrix — the core primitive behind the paper's k-hop
-    /// benchmark.
+    /// in between `min_hops` and `max_hops` hops following `dir` — over every
+    /// edge, or only over the relation types in `rel_types` — computed as a
+    /// level-synchronous BFS of masked `vxm` operations (the core primitive
+    /// behind the paper's k-hop benchmark).
     pub fn khop_reach(
         &self,
         source: NodeId,
         min_hops: u32,
         max_hops: u32,
         dir: TraverseDir,
+        rel_types: Option<&[RelTypeId]>,
     ) -> SparseVector<bool> {
-        let adj = self.adjacency.view();
-        // The transpose is only materialised when the direction needs it.
-        let adj_t = match dir {
-            TraverseDir::Outgoing => None,
-            TraverseDir::Incoming | TraverseDir::Both => Some(self.adjacency_t.view()),
-        };
-        let matrix: &SparseMatrix<bool> = match dir {
-            TraverseDir::Outgoing | TraverseDir::Both => &adj,
-            TraverseDir::Incoming => adj_t.as_deref().expect("materialised above"),
-        };
+        let (adjacency, relations) = self.hop_operands(dir, rel_types);
         let semiring = Semiring::lor_land();
+        let pair_semiring = Semiring::<u64>::any_pair();
         let desc = Descriptor::new().with_mask_complement().with_mask_structure();
 
         let mut frontier = SparseVector::<bool>::new(self.dim);
         frontier.set_element(source, true);
-        let mut visited = SparseVector::<bool>::new(self.dim);
-        visited.set_element(source, true);
+        let mut visited = frontier.clone();
         let mut reached = SparseVector::<bool>::new(self.dim);
         // Hop 0 is the source itself: a `*0..n` pattern matches the start
         // node before any edge is traversed.
@@ -820,17 +854,29 @@ impl Graph {
                 break;
             }
             let mask = VectorMask::new(&visited);
-            let mut next = vxm(&frontier, matrix, &semiring, Some(&mask), &desc);
-            if dir == TraverseDir::Both {
-                let back = vxm(
-                    &frontier,
-                    adj_t.as_deref().expect("materialised above"),
-                    &semiring,
-                    Some(&mask),
-                    &desc,
-                );
-                next = ewise_add_vector(&next, &back, &BinaryOp::LOr);
+            let mut next: Option<SparseVector<bool>> = None;
+            let mut fold = |p: SparseVector<bool>| {
+                next = Some(match next.take() {
+                    None => p,
+                    Some(prev) => ewise_add_vector(&prev, &p, &BinaryOp::LOr),
+                });
+            };
+            for m in &adjacency {
+                fold(vxm(&frontier, m, &semiring, Some(&mask), &desc));
             }
+            if !relations.is_empty() {
+                // Relation matrices hold edge ids: push a u64 copy of the
+                // frontier through each and keep the products' structure.
+                let frontier_u64 = fill_vector(&frontier, 1u64);
+                for m in &relations {
+                    fold(fill_vector(
+                        &vxm(&frontier_u64, m, &pair_semiring, Some(&mask), &desc),
+                        true,
+                    ));
+                }
+            }
+            // No matrices selected: nothing to traverse.
+            let Some(next) = next else { break };
             // mark visited and accumulate the reached set when within range
             visited = ewise_add_vector(&visited, &next, &BinaryOp::LOr);
             if hop >= min_hops {
@@ -844,7 +890,7 @@ impl Graph {
     /// Count of distinct nodes reachable within `k` hops (the TigerGraph
     /// benchmark's k-hop neighbourhood count).
     pub fn khop_count(&self, source: NodeId, k: u32) -> u64 {
-        self.khop_reach(source, 1, k, TraverseDir::Outgoing).nvals() as u64
+        self.khop_reach(source, 1, k, TraverseDir::Outgoing, None).nvals() as u64
     }
 
     // ----------------------------------------------------------- bulk load
@@ -1113,13 +1159,13 @@ mod tests {
         assert_eq!(g.khop_count(0, 6), 3);
         assert_eq!(g.khop_count(3, 3), 0);
         // min_hops: nodes first reached at exactly 2 hops
-        let exactly2 = g.khop_reach(0, 2, 2, TraverseDir::Outgoing);
+        let exactly2 = g.khop_reach(0, 2, 2, TraverseDir::Outgoing, None);
         // only node 3 (2 was already reached at hop 1)
         assert_eq!(exactly2.nvals(), 1);
         // incoming direction
-        assert_eq!(g.khop_reach(3, 1, 3, TraverseDir::Incoming).nvals(), 3);
+        assert_eq!(g.khop_reach(3, 1, 3, TraverseDir::Incoming, None).nvals(), 3);
         // both directions from the middle
-        assert!(g.khop_reach(2, 1, 1, TraverseDir::Both).nvals() >= 2);
+        assert!(g.khop_reach(2, 1, 1, TraverseDir::Both, None).nvals() >= 2);
     }
 
     #[test]
@@ -1134,16 +1180,34 @@ mod tests {
         g.add_edge(1, 2, "L", vec![]).unwrap();
         g.sync_matrices();
 
-        let zero_to_two = g.khop_reach(0, 0, 2, TraverseDir::Outgoing);
+        let zero_to_two = g.khop_reach(0, 0, 2, TraverseDir::Outgoing, None);
         assert_eq!(zero_to_two.indices(), &[0, 1, 2]);
         // `*0` (zero hops exactly) is just the source.
-        let zero_only = g.khop_reach(1, 0, 0, TraverseDir::Outgoing);
+        let zero_only = g.khop_reach(1, 0, 0, TraverseDir::Outgoing, None);
         assert_eq!(zero_only.indices(), &[1]);
         // An isolated source still reaches itself at hop 0 …
         let iso = g.add_node(&["Node"], vec![]);
-        assert_eq!(g.khop_reach(iso, 0, 5, TraverseDir::Both).indices(), &[iso]);
+        assert_eq!(g.khop_reach(iso, 0, 5, TraverseDir::Both, None).indices(), &[iso]);
         // … and min_hops ≥ 1 still excludes it.
-        assert_eq!(g.khop_reach(0, 1, 2, TraverseDir::Outgoing).indices(), &[1, 2]);
+        assert_eq!(g.khop_reach(0, 1, 2, TraverseDir::Outgoing, None).indices(), &[1, 2]);
+    }
+
+    #[test]
+    fn khop_reach_follows_only_the_named_relation_types() {
+        // a -KNOWS-> b -LIVES_IN-> c, a -LIVES_IN-> c
+        let g = triangle();
+        let knows = g.schema.rel_type_id("KNOWS").unwrap();
+        let lives = g.schema.rel_type_id("LIVES_IN").unwrap();
+        let reach = |src, dir, types: &[RelTypeId]| {
+            g.khop_reach(src, 1, 3, dir, Some(types)).indices().to_vec()
+        };
+        assert_eq!(reach(0, TraverseDir::Outgoing, &[knows]), vec![1]);
+        assert_eq!(reach(0, TraverseDir::Outgoing, &[lives]), vec![2]);
+        assert_eq!(reach(0, TraverseDir::Outgoing, &[knows, lives]), vec![1, 2]);
+        assert_eq!(reach(2, TraverseDir::Incoming, &[lives]), vec![0, 1]);
+        // Undirected over LIVES_IN only: c reaches a and b, b reaches a via c.
+        assert_eq!(reach(1, TraverseDir::Both, &[lives]), vec![0, 2]);
+        assert_eq!(reach(1, TraverseDir::Outgoing, &[]), Vec::<NodeId>::new());
     }
 
     #[test]
@@ -1370,7 +1434,7 @@ mod tests {
         // Every read surface answers from the merged view.
         assert_eq!(g.nodes_with_label("Person"), vec![a, b]);
         assert_eq!(g.khop_count(a, 2), 2);
-        assert_eq!(g.khop_reach(c, 1, 2, TraverseDir::Incoming).nvals(), 2);
+        assert_eq!(g.khop_reach(c, 1, 2, TraverseDir::Incoming, None).nvals(), 2);
         assert_eq!(g.adjacency_matrix().nvals(), 2);
         let rs = g.query_readonly("MATCH (p:Person)-[:KNOWS]->(q) RETURN count(q)").unwrap();
         assert_eq!(rs.scalar(), Some(&Value::Int(1)));

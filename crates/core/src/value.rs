@@ -4,11 +4,13 @@
 //! set. Comparison follows openCypher semantics closely enough for the
 //! supported subset: numbers compare numerically across Int/Float, strings
 //! lexicographically, `Null` compares equal to nothing (including itself) for
-//! filters but sorts last in `ORDER BY`.
+//! filters but sorts last in `ORDER BY`. `DISTINCT` and grouping partition
+//! by *equivalence* instead ([`Value::equivalent`], hashed as [`EquivKey`]).
 
 use crate::{EdgeId, NodeId};
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A runtime value.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,6 +72,75 @@ impl Value {
                 (Some(x), Some(y)) => Some(x == y),
                 _ => Some(a == b),
             },
+        }
+    }
+
+    /// openCypher *equivalence*, the relation `DISTINCT`, grouping keys and
+    /// `count(DISTINCT …)` partition values by. Unlike [`Value::cypher_eq`]
+    /// it is a true equivalence relation: `null ≡ null` and `NaN ≡ NaN`;
+    /// numbers compare by exact value across Int and Float (`2 ≡ 2.0`,
+    /// `-0.0 ≡ 0.0`) but never through an `f64` rounding, so
+    /// `2^53 ≢ 2^53 + 1`; lists compare element-wise under the same rules;
+    /// strings, booleans, nodes and edges by value.
+    pub fn equivalent(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Null, Value::Null) => true,
+            (Value::Bool(a), Value::Bool(b)) => a == b,
+            (Value::Int(a), Value::Int(b)) => a == b,
+            (Value::Float(a), Value::Float(b)) => a == b || (a.is_nan() && b.is_nan()),
+            (Value::Int(i), Value::Float(f)) | (Value::Float(f), Value::Int(i)) => {
+                exact_int(*f) == Some(*i)
+            }
+            (Value::Str(a), Value::Str(b)) => a == b,
+            (Value::Node(a), Value::Node(b)) => a == b,
+            (Value::Edge(a), Value::Edge(b)) => a == b,
+            (Value::List(a), Value::List(b)) => {
+                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.equivalent(y))
+            }
+            _ => false,
+        }
+    }
+
+    /// Feed the equivalence class of the value to a hasher: equivalent
+    /// values hash alike (a Float equal to an Int hashes as that Int).
+    fn hash_equivalence<H: Hasher>(&self, state: &mut H) {
+        match self {
+            Value::Null => state.write_u8(0),
+            Value::Bool(b) => {
+                state.write_u8(1);
+                b.hash(state);
+            }
+            Value::Int(i) => {
+                state.write_u8(2);
+                i.hash(state);
+            }
+            Value::Float(f) => match exact_int(*f) {
+                Some(i) => Value::Int(i).hash_equivalence(state),
+                None => {
+                    state.write_u8(3);
+                    let canonical = if f.is_nan() { f64::NAN } else { *f };
+                    canonical.to_bits().hash(state);
+                }
+            },
+            Value::Str(s) => {
+                state.write_u8(4);
+                s.hash(state);
+            }
+            Value::Node(id) => {
+                state.write_u8(5);
+                id.hash(state);
+            }
+            Value::Edge(id) => {
+                state.write_u8(6);
+                id.hash(state);
+            }
+            Value::List(items) => {
+                state.write_u8(7);
+                items.len().hash(state);
+                for item in items {
+                    item.hash_equivalence(state);
+                }
+            }
         }
     }
 
@@ -186,6 +257,34 @@ impl Value {
     }
 }
 
+/// The Int a Float is exactly equal to, if any: integral and inside
+/// `[-2^63, 2^63)`, where the conversion is exact (`-0.0` gives `0`).
+fn exact_int(f: f64) -> Option<i64> {
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    (f.fract() == 0.0 && (-TWO_63..TWO_63).contains(&f)).then_some(f as i64)
+}
+
+/// A value as a hash key under openCypher equivalence
+/// ([`Value::equivalent`]): the key of `RETURN DISTINCT`, of aggregation
+/// groups and of `count(DISTINCT …)`'s seen set. Wrapping is free, and the
+/// wrapped value stays available as `.0`.
+#[derive(Debug, Clone)]
+pub struct EquivKey(pub Value);
+
+impl PartialEq for EquivKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.equivalent(&other.0)
+    }
+}
+
+impl Eq for EquivKey {}
+
+impl Hash for EquivKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.hash_equivalence(state);
+    }
+}
+
 impl From<&cypher::Literal> for Value {
     fn from(lit: &cypher::Literal) -> Self {
         match lit {
@@ -232,6 +331,67 @@ mod tests {
         assert_eq!(Value::Int(3).cypher_eq(&Value::Int(4)), Some(false));
         assert_eq!(Value::Null.cypher_eq(&Value::Int(1)), None);
         assert_eq!(Value::Str("a".into()).cypher_eq(&Value::Str("a".into())), Some(true));
+    }
+
+    fn key_hash(v: &Value) -> u64 {
+        use std::collections::hash_map::DefaultHasher;
+        let mut h = DefaultHasher::new();
+        EquivKey(v.clone()).hash(&mut h);
+        h.finish()
+    }
+
+    /// `a ≡ b` as a key: equal, and hashed alike.
+    fn same_key(a: Value, b: Value) -> bool {
+        let same = EquivKey(a.clone()) == EquivKey(b.clone());
+        if same {
+            assert_eq!(key_hash(&a), key_hash(&b), "{a:?} ≡ {b:?} must hash alike");
+        }
+        same
+    }
+
+    #[test]
+    fn equivalence_merges_int_and_float_by_exact_value() {
+        assert!(same_key(Value::Int(2), Value::Float(2.0)));
+        assert!(same_key(Value::Float(-0.0), Value::Float(0.0)));
+        assert!(same_key(Value::Float(-0.0), Value::Int(0)));
+        assert!(!same_key(Value::Int(2), Value::Float(2.5)));
+        // Int vs Int is exact: 2^53 + 1 is not rounded onto 2^53.
+        let p = 1i64 << 53;
+        assert!(!same_key(Value::Int(p), Value::Int(p + 1)));
+        // Int vs Float is exact too (2^53 + 1 has no f64 of its own).
+        assert!(same_key(Value::Int(p), Value::Float(p as f64)));
+        assert!(!same_key(Value::Int(p + 1), Value::Float(p as f64)));
+        // The extremes: i64::MIN is exactly -2^63; 2^63 is out of range.
+        assert!(same_key(Value::Int(i64::MIN), Value::Float(-9_223_372_036_854_775_808.0)));
+        assert!(!same_key(Value::Int(i64::MAX), Value::Float(9_223_372_036_854_775_808.0)));
+    }
+
+    #[test]
+    fn equivalence_merges_nan_with_nan_and_null_with_null() {
+        assert!(same_key(Value::Float(f64::NAN), Value::Float(-f64::NAN)));
+        assert!(same_key(Value::Null, Value::Null));
+        assert!(!same_key(Value::Null, Value::Int(0)));
+        assert!(same_key(Value::Float(f64::INFINITY), Value::Float(f64::INFINITY)));
+        assert!(!same_key(Value::Float(f64::INFINITY), Value::Float(f64::NEG_INFINITY)));
+        // Filter equality is unchanged: null is unknown, NaN is unequal.
+        assert_eq!(Value::Null.cypher_eq(&Value::Null), None);
+        assert_eq!(Value::Float(f64::NAN).cypher_eq(&Value::Float(f64::NAN)), Some(false));
+    }
+
+    #[test]
+    fn equivalence_is_element_wise_on_lists_and_by_value_otherwise() {
+        let list = |items: Vec<Value>| Value::List(items);
+        assert!(same_key(list(vec![Value::Int(2)]), list(vec![Value::Float(2.0)])));
+        assert!(same_key(
+            list(vec![Value::Null, list(vec![Value::Float(f64::NAN)])]),
+            list(vec![Value::Null, list(vec![Value::Float(f64::NAN)])])
+        ));
+        assert!(!same_key(list(vec![Value::Int(1)]), list(vec![Value::Int(1), Value::Int(1)])));
+        assert!(same_key(Value::Str("a".into()), Value::Str("a".into())));
+        assert!(!same_key(Value::Str("2".into()), Value::Int(2)));
+        assert!(!same_key(Value::Bool(true), Value::Int(1)));
+        assert!(!same_key(Value::Node(3), Value::Edge(3)));
+        assert!(same_key(Value::Edge(3), Value::Edge(3)));
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub mod prelude {
         ewise_add_matrix, ewise_add_vector, ewise_mult_matrix, ewise_mult_vector,
     };
     pub use crate::extract::{extract_col, extract_row, extract_submatrix};
-    pub use crate::frontier::{frontier_matrix, probe_row, structure};
+    pub use crate::frontier::{fill_vector, frontier_matrix, probe_row, structure};
     pub use crate::mask::{MatrixMask, VectorMask};
     pub use crate::matrix::SparseMatrix;
     pub use crate::monoid::Monoid;

@@ -55,7 +55,7 @@ fn snapshots_never_observe_a_half_applied_flush() {
                     // Matrix state must agree with the entity counts: with
                     // both edges, c is reachable from a in two hops; with
                     // neither, nothing is.
-                    let reached = snap.khop_reach(a, 1, 2, TraverseDir::Outgoing);
+                    let reached = snap.khop_reach(a, 1, 2, TraverseDir::Outgoing, None);
                     let expected = if edges == 2 { 2 } else { 0 };
                     assert_eq!(
                         reached.nvals(),

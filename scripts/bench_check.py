@@ -111,8 +111,11 @@ def check_network_plan_cache(path, doc):
 # Perf-regression tolerance for the traverse suite's mode comparisons. CI
 # wall times are noisy, so the gate only fires on multiples no amount of
 # jitter explains: the fused plan falling behind the per-hop batched plan it
-# replaces.
+# replaces. Sub-millisecond queries (semi_join_varlen at scale 6) swing past
+# 1.5x on scheduling noise alone, so the gap must also exceed an absolute
+# floor before it counts.
 TRAVERSE_SLOWDOWN_TOLERANCE = 1.5
+TRAVERSE_SLOWDOWN_FLOOR_MS = 1.0
 
 
 def check_traverse(path, doc):
@@ -139,7 +142,10 @@ def check_traverse(path, doc):
         fused = modes["fused"].get("wall_ms")
         if not all(isinstance(v, (int, float)) and v > 0 for v in (batched, fused)):
             continue  # the generic positive-keys check reports these
-        if fused > batched * TRAVERSE_SLOWDOWN_TOLERANCE:
+        if (
+            fused > batched * TRAVERSE_SLOWDOWN_TOLERANCE
+            and fused - batched > TRAVERSE_SLOWDOWN_FLOOR_MS
+        ):
             problems.append(
                 f"{path}: '{query}' fused plan slower than unfused "
                 f"({fused:.2f}ms vs {batched:.2f}ms batched) — the algebraic "

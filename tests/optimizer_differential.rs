@@ -1,7 +1,9 @@
 //! Differential tests for the algebraic expression optimizer: every query
 //! shape must return the *same multiset of rows* with the optimizer on
 //! (chains fused into one `A_R·A_S` product, labels pushed down as masks,
-//! aggregates fed weighted counts) and off (one Traverse op per hop).
+//! aggregates fed weighted counts, `WHERE` conjuncts placed next to their
+//! binding op, var-length counts reduced over reached sets) and off (one
+//! Traverse op per hop, one Filter per `WHERE`, materialised aggregates).
 //!
 //! The graphs are deliberately hostile multigraphs — parallel same-type
 //! edges, cross-type parallels, self-loops — because fusion runs on a
@@ -18,6 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use redisgraph_core::{ExecutionPlan, Graph, TraverseStrategy};
 use std::path::PathBuf;
+use std::time::Instant;
 
 const RELS: [&str; 3] = ["T0", "T1", "T2"];
 const LABELS: [&str; 2] = ["A", "B"];
@@ -83,8 +86,49 @@ fn queries() -> Vec<&'static str> {
         "MATCH (a)-[e:T0]->(b)-[:T1]->(c) RETURN id(e), id(c)",       // bound edge
         "MATCH (a)-[:T0]->(b)-[:T0]->(a) RETURN id(a)",               // cycle (expand into)
         "MATCH (a)-[:T0]->(b)-[:T1]->(c) WHERE id(a) < 5 RETURN id(a), id(c)",
+        // Filter placement: conjuncts move next to the op binding their last
+        // variable; variable-free ones stay put.
+        "MATCH (a)-[:T0]->(b)-[:T1]->(c) WHERE id(c) > 2 AND id(a) < 9 RETURN id(a), id(c)",
+        "MATCH (a:A), (b:B) WHERE id(b) = id(a) + 1 AND id(a) > 3 RETURN id(a), id(b)",
+        "MATCH (a)-[e:T0]->(b) WHERE 1 = 1 AND id(e) > 1 RETURN count(*)",
+        "MATCH (a)-[:T1]->(b) WITH b WHERE id(b) < 7 RETURN count(b)",
     ]
+    .into_iter()
+    .chain(COUNT_PUSHDOWN.iter().copied())
+    .chain(NO_COUNT_PUSHDOWN.iter().copied())
+    .collect()
 }
+
+/// Counted variable-length shapes the optimizer reduces over reached sets
+/// (`Conditional Traverse | … | Aggregate pushdown`): distinct and total
+/// counts, typed and untyped, every direction, `*0..k`, unbounded, one
+/// seek or many source records, repeated sources, SKIP/LIMIT.
+const COUNT_PUSHDOWN: &[&str] = &[
+    "MATCH (s)-[*1..3]->(n) WHERE id(s) = 0 RETURN count(DISTINCT n)",
+    "MATCH (a)-[*1..3]->(b) RETURN count(DISTINCT b)",
+    "MATCH (a:A)-[*1..2]->(b) RETURN count(b)",
+    "MATCH (a)-[:T0*1..3]->(b) RETURN count(*)",
+    "MATCH (a)<-[:T1|T2*1..2]-(b) RETURN count(DISTINCT b), count(b)",
+    "MATCH (a)-[*1..2]-(b) RETURN count(DISTINCT b) AS d, count(*) AS c",
+    "MATCH (a:B)-[:T0*0..2]-(b) RETURN count(b), count(DISTINCT b)",
+    "MATCH (a)-[:T2*0..]->(b) RETURN count(*)",
+    "MATCH (a)-[:T0]->(b), (b)-[*1..2]->(c) RETURN count(c), count(DISTINCT c)",
+    "MATCH (s)-[:T0*1..2]-(n) WHERE id(s) = 1 RETURN count(n) SKIP 1",
+    "MATCH (s)-[*2..2]->(n) WHERE id(s) < 3 RETURN count(DISTINCT n) LIMIT 0",
+    "MATCH (a)-[:NOPE*1..2]->(b) RETURN count(b), count(DISTINCT b)",
+];
+
+/// Near misses that must keep the materialising `Traverse` + `Aggregate`.
+const NO_COUNT_PUSHDOWN: &[&str] = &[
+    "MATCH (a)-[*1..2]->(b) RETURN id(a), count(b)", // group key
+    "MATCH (a)-[*1..2]->(b) RETURN count(b.x)",      // not the node
+    "MATCH (a)-[*1..2]->(b) RETURN count(id(b))",    // not the node
+    "MATCH (a)-[*1..2]->(b) RETURN collect(b)",      // not a count
+    "MATCH (a)-[*1..2]->(b) RETURN count(a)",        // not the dst
+    "MATCH (a)-[:T0]->(b), (a)-[*1..3]->(b) RETURN count(b)", // expand into
+    "MATCH (a)-[*1..2]->(b:A) RETURN count(DISTINCT b)", // label filter between
+    "MATCH (a)-[:T0]->(b) RETURN count(DISTINCT b)", // single hop
+];
 
 /// Plan `query` with the optimizer (fused) or without it (one Traverse op
 /// per hop — the oracle).
@@ -168,6 +212,49 @@ fn readonly_snapshots_honour_the_optimizer_flag() {
 }
 
 #[test]
+fn count_pushdown_applies_exactly_to_its_shapes() {
+    // Keeps the differential above honest: the positive shapes really run
+    // the reduce, the near misses really materialise.
+    let pushed = |query: &str| plan(true, query).describe().join("\n").contains("pushdown");
+    for query in COUNT_PUSHDOWN {
+        assert!(pushed(query), "expected a count pushdown: {query}");
+        assert!(!plan(false, query).describe().join("\n").contains("pushdown"), "{query}");
+    }
+    for query in NO_COUNT_PUSHDOWN {
+        assert!(!pushed(query), "unexpected count pushdown: {query}");
+    }
+}
+
+#[test]
+fn count_pushdown_reads_unflushed_snapshots() {
+    // A sealed snapshot with pending deltas runs whole-matrix plans on its
+    // folded twin (`needs_matrix_views`); the pushed-down op must be routed
+    // there too, and agree with the materialising plan on the live graph.
+    let mut g = random_graph(5, 20, 60);
+    g.sync_matrices();
+    g.set_flush_threshold(1_000_000);
+    g.add_edge(2, 3, "T0", vec![]).unwrap();
+    g.add_edge(3, 4, "T0", vec![]).unwrap();
+    let doomed = g.add_edge(4, 5, "T1", vec![]).unwrap();
+    assert!(g.delete_edge(doomed));
+    assert!(g.has_pending_deltas(), "edges must still be buffered");
+    for strategy in [TraverseStrategy::Scalar, TraverseStrategy::Batched] {
+        g.set_traverse_strategy(strategy);
+        let snap = g.snapshot();
+        for query in COUNT_PUSHDOWN {
+            let pushed = snap.execute_plan_at(&plan(true, query), Instant::now()).unwrap();
+            let oracle = plan(false, query).execute_read_only(&g).unwrap();
+            assert_eq!(
+                format!("{:?}", pushed.rows),
+                format!("{:?}", oracle.rows),
+                "unflushed snapshot ({strategy:?}): {query}"
+            );
+        }
+        assert!(g.has_pending_deltas(), "read-only queries must not flush");
+    }
+}
+
+#[test]
 fn count_matrix_cache_invalidates_on_mutation() {
     // The fused path memoises counting matrices per epoch; a mutation after
     // a fused query must be visible to the next fused query (stale cache =
@@ -205,6 +292,10 @@ const EXPLAIN_CASES: &[&str] = &[
     "MATCH (a)-[]->(b)-[]->(c) RETURN count(c)",
     // A live intermediate keeps the per-hop plan.
     "MATCH (a)-[:T0]->(b)-[:T1]->(c) RETURN id(a), id(b), id(c)",
+    // Count pushdown: the paper's k-hop query reduces the reached set, its
+    // `WHERE` placed right after the seek; a typed undirected `*0..k` shape.
+    "MATCH (s)-[*1..6]->(n) WHERE id(s) = 0 RETURN count(DISTINCT n)",
+    "MATCH (a:A)-[:T0|T1*0..2]-(b) RETURN count(b), count(*) AS c",
 ];
 
 #[test]
