@@ -1,5 +1,6 @@
-//! Breadth-first search levels via level-synchronous masked `vxm` — the
-//! canonical GraphBLAS algorithm (LAGraph `LAGr_BreadthFirstSearch`).
+//! Breadth-first search levels via level-synchronous complement-masked
+//! `vxm` — the canonical GraphBLAS algorithm (LAGraph
+//! `LAGr_BreadthFirstSearch`).
 
 use graphblas::prelude::*;
 use graphblas::Index;
@@ -8,34 +9,33 @@ use graphblas::Index;
 /// edges of `adj`. The source gets level `0`; vertices the BFS never reaches
 /// have no entry in the returned vector.
 ///
-/// Each round is one `vxm` over the `LOR_LAND` boolean semiring with the
-/// visited set as a complemented structural mask, so a vertex is assigned the
-/// level of the *first* frontier that touches it.
+/// Each round is one [`bfs_push`] — `vxm` over the `ANY_PAIR` structural
+/// semiring with the bitmap visited set as a complemented mask — so a vertex
+/// is assigned the level of the *first* frontier that touches it. Levels are
+/// kept in a dense array and gathered into the sparse result once, at the
+/// end.
 ///
 /// # Panics
 /// Panics if `source >= adj.nrows()` or if `adj` has pending updates.
 pub fn bfs_levels(adj: &SparseMatrix<bool>, source: Index) -> SparseVector<i64> {
-    let semiring = Semiring::lor_land();
-    let desc = Descriptor::new().with_mask_complement().with_mask_structure();
-
-    let mut levels = SparseVector::<i64>::new(adj.nrows());
-    levels.set_element(source, 0);
-    let mut visited = SparseVector::<bool>::new(adj.nrows());
-    visited.set_element(source, true);
-    let mut frontier = visited.clone();
+    assert!(source < adj.nrows(), "bfs source {source} out of bounds");
+    let mut levels = vec![0i64; adj.nrows() as usize];
+    let mut visited = Bitmap::new(adj.nrows());
+    visited.insert(source);
+    let mut frontier = vec![source];
 
     let mut level = 0i64;
     while !frontier.is_empty() {
         level += 1;
-        let mask = VectorMask::new(&visited);
-        let next = vxm(&frontier, adj, &semiring, Some(&mask), &desc);
-        for (i, _) in next.iter() {
-            levels.set_element(i, level);
+        let mut next = Vec::new();
+        bfs_push(adj, &frontier, &mut visited, &mut next);
+        for &v in &next {
+            levels[v as usize] = level;
         }
-        visited = ewise_add_vector(&visited, &next, &BinaryOp::LOr);
         frontier = next;
     }
-    levels
+    let entries: Vec<(Index, i64)> = visited.iter().map(|v| (v, levels[v as usize])).collect();
+    SparseVector::from_entries(adj.nrows(), &entries).expect("visited vertices are in bounds")
 }
 
 #[cfg(test)]

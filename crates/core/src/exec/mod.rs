@@ -5,8 +5,10 @@
 //! projections, writes) that is then interpreted against a
 //! [`crate::store::graph::Graph`]. Traversal operations read the graph's
 //! sparse matrices — single hops walk matrix rows, variable-length hops run the
-//! masked-`vxm` BFS in [`crate::store::graph::Graph::khop_reach`] — which is
-//! exactly the "Cypher → linear algebra" translation the paper describes.
+//! direction-optimising bitmap BFS (complement-masked `vxm` push steps, `mxv`
+//! pull steps over the stored transposes) in
+//! [`crate::store::graph::Graph::khop_reach`] — which is exactly the
+//! "Cypher → linear algebra" translation the paper describes.
 //!
 //! The pipeline is *materialised*: each operation maps a vector of records to
 //! a new vector of records. RedisGraph proper streams records through a

@@ -63,10 +63,41 @@ pub enum TraverseDir {
     Both,
 }
 
+impl TraverseDir {
+    /// A stored matrix `m` and its stored transpose `t` as the `(push,
+    /// pull)` pairs of one hop in this direction.
+    fn pairs<'a, T: Scalar>(
+        self,
+        m: &'a DeltaMatrix<T>,
+        t: &'a DeltaMatrix<T>,
+    ) -> Vec<MatrixPair<'a, T>> {
+        match self {
+            TraverseDir::Outgoing => vec![(m, t)],
+            TraverseDir::Incoming => vec![(t, m)],
+            TraverseDir::Both => vec![(m, t), (t, m)],
+        }
+    }
+}
+
 /// The operands of one traversal hop (see [`Graph::hop_operands`]): boolean
 /// adjacency views, edge-id-valued relation views.
 pub(crate) type HopOperands<'a> =
     (Vec<Cow<'a, SparseMatrix<bool>>>, Vec<Cow<'a, SparseMatrix<u64>>>);
+
+/// `(push, pull)` matrix pairs of one traversal hop (see
+/// [`Graph::hop_pairs`]): boolean adjacency pairs, edge-id-valued relation
+/// pairs.
+type HopPairs<'a> = (Vec<MatrixPair<'a, bool>>, Vec<MatrixPair<'a, u64>>);
+
+/// A stored matrix and its stored transpose.
+type MatrixPair<'a, T> = (&'a DeltaMatrix<T>, &'a DeltaMatrix<T>);
+
+/// Beamer's direction-switching rule (SC'12): a push hop turns to pull once
+/// the frontier's edges exceed `1/PULL_ALPHA` of the edges not yet explored,
+/// and a pull hop turns back to push once the frontier holds fewer than
+/// `1/PUSH_BETA` of the vertices. The constants are the paper's tuned values.
+const PULL_ALPHA: u64 = 14;
+const PUSH_BETA: u64 = 24;
 
 /// A property graph stored as GraphBLAS sparse matrices.
 #[derive(Debug, Clone)]
@@ -784,48 +815,51 @@ impl Graph {
         out
     }
 
-    /// The matrices one traversal hop multiplies in direction `dir`: the
+    /// The matrix pairs one traversal hop in direction `dir` runs on: the
     /// boolean adjacency (and/or its transpose) for an untyped pattern, else
-    /// the selected relation matrices (and/or their transposes). The
-    /// boolean semiring distributes over ∨, so a hop multiplies the frontier
-    /// by each and ORs the frontier-sized products — never materialising an
-    /// O(nnz) union matrix (the `Cow`s only merge when deltas are pending).
+    /// the selected relation matrices (and/or their transposes). Each pair
+    /// is `(push, pull)`: the matrix a push step multiplies the frontier by,
+    /// and its transpose, which a pull step walks. A hop ORs the pairs'
+    /// products, so no O(nnz) union matrix is ever built.
+    fn hop_pairs(&self, dir: TraverseDir, rel_types: Option<&[RelTypeId]>) -> HopPairs<'_> {
+        match rel_types {
+            None => (dir.pairs(&self.adjacency, &self.adjacency_t), Vec::new()),
+            Some(ids) => {
+                let relations = ids
+                    .iter()
+                    .filter_map(|&rel| {
+                        Some(dir.pairs(
+                            self.relation_matrices.get(rel)?,
+                            self.relation_matrices_t.get(rel)?,
+                        ))
+                    })
+                    .flatten()
+                    .collect();
+                (Vec::new(), relations)
+            }
+        }
+    }
+
+    /// The push-side matrices of [`Graph::hop_pairs`] as views (the `Cow`s
+    /// only merge when deltas are pending): what a batched hop multiplies.
     pub(crate) fn hop_operands(
         &self,
         dir: TraverseDir,
         rel_types: Option<&[RelTypeId]>,
     ) -> HopOperands<'_> {
-        let forward = matches!(dir, TraverseDir::Outgoing | TraverseDir::Both);
-        let backward = matches!(dir, TraverseDir::Incoming | TraverseDir::Both);
-        let (mut adjacency, mut relations) = (Vec::new(), Vec::new());
-        match rel_types {
-            None => {
-                if forward {
-                    adjacency.push(self.adjacency.view());
-                }
-                if backward {
-                    adjacency.push(self.adjacency_t.view());
-                }
-            }
-            Some(ids) => {
-                for &rel in ids {
-                    if forward {
-                        relations.extend(self.relation_matrix(rel));
-                    }
-                    if backward {
-                        relations.extend(self.relation_matrix_t(rel));
-                    }
-                }
-            }
-        }
-        (adjacency, relations)
+        let (adjacency, relations) = self.hop_pairs(dir, rel_types);
+        (
+            adjacency.iter().map(|(push, _)| push.view()).collect(),
+            relations.iter().map(|(push, _)| push.view()).collect(),
+        )
     }
 
     /// Algebraic k-hop reachability: the set of nodes reachable from `source`
     /// in between `min_hops` and `max_hops` hops following `dir` — over every
     /// edge, or only over the relation types in `rel_types` — computed as a
-    /// level-synchronous BFS of masked `vxm` operations (the core primitive
-    /// behind the paper's k-hop benchmark).
+    /// level-synchronous, direction-optimising BFS on a bitmap visited set
+    /// (the core primitive behind the paper's k-hop benchmark). A source
+    /// outside the matrix dimension reaches nothing.
     pub fn khop_reach(
         &self,
         source: NodeId,
@@ -834,57 +868,15 @@ impl Graph {
         dir: TraverseDir,
         rel_types: Option<&[RelTypeId]>,
     ) -> SparseVector<bool> {
-        let (adjacency, relations) = self.hop_operands(dir, rel_types);
-        let semiring = Semiring::lor_land();
-        let pair_semiring = Semiring::<u64>::any_pair();
-        let desc = Descriptor::new().with_mask_complement().with_mask_structure();
-
-        let mut frontier = SparseVector::<bool>::new(self.dim);
-        frontier.set_element(source, true);
-        let mut visited = frontier.clone();
-        let mut reached = SparseVector::<bool>::new(self.dim);
-        // Hop 0 is the source itself: a `*0..n` pattern matches the start
-        // node before any edge is traversed.
-        if min_hops == 0 {
-            reached.set_element(source, true);
+        if source >= self.dim {
+            return SparseVector::new(self.dim);
         }
-
-        for hop in 1..=max_hops {
-            if frontier.is_empty() {
-                break;
-            }
-            let mask = VectorMask::new(&visited);
-            let mut next: Option<SparseVector<bool>> = None;
-            let mut fold = |p: SparseVector<bool>| {
-                next = Some(match next.take() {
-                    None => p,
-                    Some(prev) => ewise_add_vector(&prev, &p, &BinaryOp::LOr),
-                });
-            };
-            for m in &adjacency {
-                fold(vxm(&frontier, m, &semiring, Some(&mask), &desc));
-            }
-            if !relations.is_empty() {
-                // Relation matrices hold edge ids: push a u64 copy of the
-                // frontier through each and keep the products' structure.
-                let frontier_u64 = fill_vector(&frontier, 1u64);
-                for m in &relations {
-                    fold(fill_vector(
-                        &vxm(&frontier_u64, m, &pair_semiring, Some(&mask), &desc),
-                        true,
-                    ));
-                }
-            }
-            // No matrices selected: nothing to traverse.
-            let Some(next) = next else { break };
-            // mark visited and accumulate the reached set when within range
-            visited = ewise_add_vector(&visited, &next, &BinaryOp::LOr);
-            if hop >= min_hops {
-                reached = ewise_add_vector(&reached, &next, &BinaryOp::LOr);
-            }
-            frontier = next;
+        let (adjacency, relations) = self.hop_pairs(dir, rel_types);
+        let hops = (source, min_hops, max_hops);
+        match rel_types {
+            None => bitmap_bfs(self.dim, &adjacency, hops),
+            Some(_) => bitmap_bfs(self.dim, &relations, hops),
         }
-        reached
     }
 
     /// Count of distinct nodes reachable within `k` hops (the TigerGraph
@@ -964,6 +956,72 @@ impl Graph {
     pub fn adjacency_epoch_pin(&self) -> std::sync::Arc<SparseMatrix<bool>> {
         self.adjacency.main_shared()
     }
+}
+
+/// Level-synchronous BFS from `source` over the union of `pairs` (see
+/// [`Graph::hop_pairs`]): the set of vertices first reached between
+/// `min_hops` and `max_hops` hops, as a vector of size `dim`.
+///
+/// Each hop pushes the frontier through the push matrices or pulls it
+/// through their transposes, whichever Beamer's rule picks; the transposes'
+/// views are taken on the first pull hop only, so a push-only query on an
+/// unflushed graph merges no second matrix.
+fn bitmap_bfs<T: Scalar>(
+    dim: u64,
+    pairs: &[MatrixPair<'_, T>],
+    (source, min_hops, max_hops): (NodeId, u32, u32),
+) -> SparseVector<bool> {
+    let push: Vec<Cow<'_, SparseMatrix<T>>> = pairs.iter().map(|(m, _)| m.view()).collect();
+    let mut pull: Vec<Cow<'_, SparseMatrix<T>>> = Vec::new();
+    let degree = |v: NodeId| push.iter().map(|m| m.row_degree(v) as u64).sum::<u64>();
+    let mut unexplored: u64 = push.iter().map(|m| m.nvals() as u64).sum();
+
+    let mut visited = Bitmap::new(dim);
+    visited.insert(source);
+    // Vertices first reached before `min_hops` (hop 0 is the source itself:
+    // a `*0..n` pattern matches the start node), dropped from the result.
+    let mut early = if min_hops == 0 { Vec::new() } else { vec![source] };
+    let mut frontier = vec![source];
+    let mut frontier_bits: Option<Bitmap> = None;
+    let mut pulling = false;
+    for hop in 1..=max_hops {
+        if frontier.is_empty() || push.is_empty() {
+            break;
+        }
+        let frontier_edges: u64 = frontier.iter().map(|&v| degree(v)).sum();
+        pulling = if pulling {
+            frontier.len() as u64 >= dim / PUSH_BETA
+        } else {
+            frontier_edges > unexplored / PULL_ALPHA
+        };
+        unexplored = unexplored.saturating_sub(frontier_edges);
+        let mut next = Vec::new();
+        if pulling {
+            if pull.is_empty() {
+                pull = pairs.iter().map(|(_, t)| t.view()).collect();
+            }
+            let bits = frontier_bits.get_or_insert_with(|| Bitmap::new(dim));
+            bits.clear();
+            for &v in &frontier {
+                bits.insert(v);
+            }
+            for m in &pull {
+                bfs_pull(m, bits, &mut visited, &mut next);
+            }
+        } else {
+            for m in &push {
+                bfs_push(m, &frontier, &mut visited, &mut next);
+            }
+        }
+        if hop < min_hops {
+            early.extend_from_slice(&next);
+        }
+        frontier = next;
+    }
+    for v in early {
+        visited.remove(v);
+    }
+    visited.to_vector()
 }
 
 /// An immutable, epoch-pinned view of a [`Graph`].
@@ -1190,6 +1248,19 @@ mod tests {
         assert_eq!(g.khop_reach(iso, 0, 5, TraverseDir::Both, None).indices(), &[iso]);
         // … and min_hops ≥ 1 still excludes it.
         assert_eq!(g.khop_reach(0, 1, 2, TraverseDir::Outgoing, None).indices(), &[1, 2]);
+    }
+
+    #[test]
+    fn khop_from_a_source_outside_the_dimension_reaches_nothing() {
+        // A source with no matrix row reaches nothing, as in the baseline,
+        // instead of panicking.
+        let g = triangle();
+        for source in [g.dim(), g.dim() + 1, u64::MAX] {
+            assert_eq!(g.khop_count(source, 3), 0);
+            let reached = g.khop_reach(source, 0, 3, TraverseDir::Both, None);
+            assert!(reached.is_empty());
+            assert_eq!(reached.size(), g.dim());
+        }
     }
 
     #[test]

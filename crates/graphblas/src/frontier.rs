@@ -12,7 +12,6 @@
 
 use crate::matrix::SparseMatrix;
 use crate::types::Scalar;
-use crate::vector::SparseVector;
 use crate::Index;
 
 /// Build a `nrows × ncols` frontier matrix with one stored `value` at each of
@@ -65,13 +64,6 @@ pub fn structure<T: Scalar>(m: &SparseMatrix<T>) -> SparseMatrix<bool> {
     )
 }
 
-/// The pattern of a vector with every stored value set to `value`: retypes a
-/// frontier between the boolean and the edge-id-valued traversal kernels.
-/// O(nnz), no re-sorting.
-pub fn fill_vector<T: Scalar, U: Scalar>(v: &SparseVector<T>, value: U) -> SparseVector<U> {
-    SparseVector::from_sorted_parts(v.size(), v.indices().to_vec(), vec![value; v.nvals()])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,14 +94,6 @@ mod tests {
         let (cols, vals) = probe_row(&c, 1);
         assert_eq!(cols, &[2]);
         assert_eq!(vals, &[4]);
-    }
-
-    #[test]
-    fn fill_vector_keeps_pattern_and_retypes() {
-        let v = SparseVector::from_entries(6, &[(1, 9u64), (4, 7)]).unwrap();
-        let b = fill_vector(&v, true);
-        assert_eq!(b.size(), 6);
-        assert_eq!(b.to_entries(), vec![(1, true), (4, true)]);
     }
 
     #[test]

@@ -34,6 +34,7 @@
 
 pub mod apply;
 pub mod binary_op;
+pub mod bitmap;
 pub mod delta;
 pub mod descriptor;
 pub mod error;
@@ -54,6 +55,7 @@ pub mod unary_op;
 pub mod vector;
 
 pub use binary_op::BinaryOp;
+pub use bitmap::{bfs_pull, bfs_push, Bitmap};
 pub use delta::{DeltaMatrix, DEFAULT_FLUSH_THRESHOLD};
 pub use descriptor::Descriptor;
 pub use error::{GrbError, GrbResult};
@@ -72,6 +74,7 @@ pub use vector::SparseVector;
 pub mod prelude {
     pub use crate::apply::{apply_matrix, apply_vector};
     pub use crate::binary_op::BinaryOp;
+    pub use crate::bitmap::{bfs_pull, bfs_push, Bitmap};
     pub use crate::delta::{DeltaMatrix, DEFAULT_FLUSH_THRESHOLD};
     pub use crate::descriptor::Descriptor;
     pub use crate::error::{GrbError, GrbResult};
@@ -79,7 +82,7 @@ pub mod prelude {
         ewise_add_matrix, ewise_add_vector, ewise_mult_matrix, ewise_mult_vector,
     };
     pub use crate::extract::{extract_col, extract_row, extract_submatrix};
-    pub use crate::frontier::{fill_vector, frontier_matrix, probe_row, structure};
+    pub use crate::frontier::{frontier_matrix, probe_row, structure};
     pub use crate::mask::{MatrixMask, VectorMask};
     pub use crate::matrix::SparseMatrix;
     pub use crate::monoid::Monoid;

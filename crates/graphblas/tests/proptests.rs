@@ -267,3 +267,118 @@ proptest! {
         }
     }
 }
+
+/// Strategy: a matrix size (deliberately not always a multiple of 64, the
+/// bitmap word width) and raw coordinates to be reduced modulo it.
+fn sized_pattern() -> impl Strategy<Value = (u64, Vec<(u64, u64)>)> {
+    (1u64..150, prop::collection::vec((any::<u64>(), any::<u64>()), 0..400))
+}
+
+/// An `n × n` pattern matrix from raw coordinates, with the given values.
+fn pattern_matrix<T: Scalar>(
+    n: u64,
+    raw: &[(u64, u64)],
+    value: impl Fn(usize) -> T,
+) -> SparseMatrix<T> {
+    let triples: Vec<(u64, u64, T)> =
+        raw.iter().enumerate().map(|(k, &(r, c))| (r % n, c % n, value(k))).collect();
+    SparseMatrix::from_triples(n, n, &triples).unwrap()
+}
+
+/// A boolean vertex set of size `n` from raw positions.
+fn vertex_set(n: u64, raw: &[u64]) -> SparseVector<bool> {
+    let entries: Vec<(u64, bool)> = raw.iter().map(|&i| (i % n, true)).collect();
+    SparseVector::from_entries(n, &entries).unwrap()
+}
+
+proptest! {
+    #[test]
+    fn bfs_push_equals_masked_vxm_then_ewise_add(
+        pattern in sized_pattern(),
+        raw_frontier in prop::collection::vec(any::<u64>(), 0..20),
+        raw_visited in prop::collection::vec(any::<u64>(), 0..60),
+    ) {
+        let (n, edges) = pattern;
+        let a = pattern_matrix(n, &edges, |_| true);
+        let frontier = vertex_set(n, &raw_frontier);
+        let visited = vertex_set(n, &raw_visited);
+        let desc = Descriptor::new().with_mask_complement().with_mask_structure();
+        let want_next =
+            vxm(&frontier, &a, &Semiring::lor_land(), Some(&VectorMask::new(&visited)), &desc);
+        let want_visited = ewise_add_vector(&visited, &want_next, &BinaryOp::LOr);
+
+        let mut bits = Bitmap::from_vector(&visited);
+        let mut next = Vec::new();
+        bfs_push(&a, frontier.indices(), &mut bits, &mut next);
+        let emitted = next.len();
+        next.sort_unstable();
+        prop_assert_eq!(next.as_slice(), want_next.indices());
+        prop_assert_eq!(emitted, want_next.nvals(), "a vertex was emitted twice");
+        prop_assert_eq!(bits.to_vector(), want_visited);
+
+        // Edge-id-valued matrices with the same pattern take the same step.
+        let ids = pattern_matrix(n, &edges, |k| k as u64);
+        let mut id_bits = Bitmap::from_vector(&visited);
+        let mut id_next = Vec::new();
+        bfs_push(&ids, frontier.indices(), &mut id_bits, &mut id_next);
+        id_next.sort_unstable();
+        prop_assert_eq!(id_next, next);
+        prop_assert_eq!(id_bits, bits);
+    }
+
+    #[test]
+    fn bfs_pull_equals_masked_mxv_over_the_explicit_transpose(
+        pattern in sized_pattern(),
+        raw_frontier in prop::collection::vec(any::<u64>(), 0..60),
+        raw_visited in prop::collection::vec(any::<u64>(), 0..60),
+    ) {
+        let (n, edges) = pattern;
+        let a = pattern_matrix(n, &edges, |k| k as u64);
+        let at = transpose(&a);
+        let frontier = vertex_set(n, &raw_frontier);
+        let visited = vertex_set(n, &raw_visited);
+        let desc = Descriptor::new().with_mask_complement().with_mask_structure();
+        let frontier_ids = SparseVector::from_entries(
+            n,
+            &frontier.indices().iter().map(|&i| (i, 1u64)).collect::<Vec<_>>(),
+        )
+        .unwrap();
+        let want =
+            mxv(&at, &frontier_ids, &Semiring::any_pair(), Some(&VectorMask::new(&visited)), &desc);
+
+        let mut bits = Bitmap::from_vector(&visited);
+        let mut next = Vec::new();
+        bfs_pull(&at, &Bitmap::from_vector(&frontier), &mut bits, &mut next);
+        prop_assert_eq!(next.as_slice(), want.indices(), "pull output is ascending");
+
+        // Pull over Aᵀ and push over A are the same level.
+        let mut push_bits = Bitmap::from_vector(&visited);
+        let mut push_next = Vec::new();
+        bfs_push(&a, frontier.indices(), &mut push_bits, &mut push_next);
+        push_next.sort_unstable();
+        prop_assert_eq!(push_next, next);
+        prop_assert_eq!(push_bits, bits);
+    }
+
+    #[test]
+    fn bitmap_roundtrips_through_sparse_vector(
+        n in 1u64..300,
+        raw in prop::collection::vec(any::<u64>(), 0..120),
+    ) {
+        for size in [n, 1, 63, 64, 65, 128, 130] {
+            let v = vertex_set(size, &raw);
+            let bits = Bitmap::from_vector(&v);
+            prop_assert_eq!(bits.size(), size);
+            prop_assert_eq!(bits.nvals(), v.nvals());
+            prop_assert_eq!(bits.to_vector(), v.clone());
+            prop_assert!((0..size).all(|i| bits.contains(i) == v.contains(i)));
+            // Values are dropped: only the pattern crosses over.
+            let ids = SparseVector::from_entries(
+                size,
+                &v.indices().iter().map(|&i| (i, i * 7)).collect::<Vec<_>>(),
+            )
+            .unwrap();
+            prop_assert_eq!(Bitmap::from_vector(&ids), bits);
+        }
+    }
+}

@@ -1,0 +1,205 @@
+//! Store-level differential for `Graph::khop_reach`, the direction-optimising
+//! bitmap BFS behind every variable-length traversal: its reached set must
+//! equal a plain queue BFS over the live edge list, for every direction,
+//! typed and untyped, `min_hops` ∈ {0, 1, 2}, bounded and unbounded.
+//!
+//! Two graph families: sparse random multigraphs (self-loops, parallel and
+//! cross-type edges), whose hops stay on the push step; and a dense family
+//! whose source has an edge to every other node, so the first outgoing hop
+//! provably takes the pull step (Beamer's rule pulls once the frontier's
+//! edges exceed 1/14 of the unexplored ones) and, on the larger sizes, the
+//! second hop pulls too. Every graph is checked unflushed (merged delta
+//! views), after a node deletion, and flushed; the untyped outgoing case is
+//! also checked against the `baseline` crate's own `khop_set`.
+
+use baseline::AdjacencyListGraph;
+use proptest::prelude::*;
+use redisgraph_core::{Graph, TraverseDir};
+
+const RELS: [&str; 3] = ["T0", "T1", "T2"];
+const DIRS: [TraverseDir; 3] = [TraverseDir::Outgoing, TraverseDir::Incoming, TraverseDir::Both];
+
+/// A graph and the edge list it holds, as `(src, dst, rel index)`.
+struct Case {
+    graph: Graph,
+    nodes: u64,
+    edges: Vec<(u64, u64, usize)>,
+}
+
+impl Case {
+    fn new(nodes: u64) -> Case {
+        let mut graph = Graph::new("khop");
+        // Keep every write buffered: reads run on merged delta views.
+        graph.set_flush_threshold(usize::MAX);
+        for _ in 0..nodes {
+            graph.add_node(&["N"], vec![]);
+        }
+        Case { graph, nodes, edges: Vec::new() }
+    }
+
+    fn add_edge(&mut self, src: u64, dst: u64, rel: usize) {
+        self.graph.add_edge(src, dst, RELS[rel], vec![]).expect("live endpoints");
+        self.edges.push((src, dst, rel));
+    }
+
+    fn delete_node(&mut self, node: u64) {
+        assert!(self.graph.delete_node(node));
+        self.edges.retain(|&(s, d, _)| s != node && d != node);
+    }
+}
+
+/// The oracle: a queue BFS over the edge list, giving every vertex's
+/// first-reach hop (`None` when unreachable).
+fn oracle_hops(
+    case: &Case,
+    source: u64,
+    dir: TraverseDir,
+    rels: Option<&[usize]>,
+) -> Vec<Option<u32>> {
+    let mut out_edges = vec![Vec::new(); case.nodes as usize];
+    for &(s, d, r) in &case.edges {
+        if rels.is_some_and(|rs| !rs.contains(&r)) {
+            continue;
+        }
+        if matches!(dir, TraverseDir::Outgoing | TraverseDir::Both) {
+            out_edges[s as usize].push(d);
+        }
+        if matches!(dir, TraverseDir::Incoming | TraverseDir::Both) {
+            out_edges[d as usize].push(s);
+        }
+    }
+    let mut hops = vec![None; case.nodes as usize];
+    hops[source as usize] = Some(0u32);
+    let mut queue = std::collections::VecDeque::from([source]);
+    while let Some(u) = queue.pop_front() {
+        let h = hops[u as usize].expect("queued vertices have a hop count");
+        for &v in &out_edges[u as usize] {
+            if hops[v as usize].is_none() {
+                hops[v as usize] = Some(h + 1);
+                queue.push_back(v);
+            }
+        }
+    }
+    hops
+}
+
+/// Hop ranges `(min_hops, max_hops)` checked on a flushed graph: every
+/// `min_hops` ∈ {0, 1, 2} against bounded and unbounded (`u32::MAX`, the
+/// store-level `*`) maxima.
+const ALL_RANGES: [(u32, u32); 10] = [
+    (0, 0),
+    (0, 1),
+    (0, 2),
+    (0, u32::MAX),
+    (1, 1),
+    (1, 2),
+    (1, u32::MAX),
+    (2, 1),
+    (2, 2),
+    (2, u32::MAX),
+];
+/// The subset checked on merged delta views, each of which costs a merge.
+const DELTA_RANGES: [(u32, u32); 2] = [(0, 2), (2, u32::MAX)];
+
+/// Every direction × relation selection × hop range from a few sources.
+fn check(case: &Case, sources: &[u64], ranges: &[(u32, u32)]) -> Result<(), TestCaseError> {
+    let g = &case.graph;
+    // Relation selections by index into RELS; types no edge has yet are
+    // absent from the schema and match nothing.
+    let selections: [Option<Vec<usize>>; 4] =
+        [None, Some(vec![0]), Some(vec![1, 2]), Some(Vec::new())];
+    for &source in sources {
+        for dir in DIRS {
+            for rels in &selections {
+                let ids: Option<Vec<usize>> = rels
+                    .as_ref()
+                    .map(|rs| rs.iter().filter_map(|&r| g.schema.rel_type_id(RELS[r])).collect());
+                let hops = oracle_hops(case, source, dir, rels.as_deref());
+                for &(min_hops, max_hops) in ranges {
+                    let got = g.khop_reach(source, min_hops, max_hops, dir, ids.as_deref());
+                    let want: Vec<u64> = (0..case.nodes)
+                        .filter(|&v| {
+                            hops[v as usize].is_some_and(|h| (min_hops..=max_hops).contains(&h))
+                        })
+                        .collect();
+                    prop_assert_eq!(
+                        got.indices(),
+                        want.as_slice(),
+                        "khop_reach({}, {}..{}, {:?}, {:?})",
+                        source,
+                        min_hops,
+                        max_hops,
+                        dir,
+                        rels
+                    );
+                }
+            }
+        }
+    }
+    // The baseline crate's own k-hop BFS (outgoing, untyped, `*1..k`).
+    let mut dedup: Vec<(u64, u64)> =
+        case.edges.iter().map(|&(s, d, _)| (s, d)).filter(|&(s, d)| s != d).collect();
+    dedup.sort_unstable();
+    dedup.dedup();
+    let base = AdjacencyListGraph::from_edge_list(case.nodes, &dedup);
+    for &source in sources {
+        for k in [2, 6] {
+            let got = g.khop_reach(source, 1, k, TraverseDir::Outgoing, None);
+            prop_assert_eq!(got.indices().to_vec(), base.khop_set(source, k), "khop_set");
+        }
+    }
+    Ok(())
+}
+
+/// Delete a node while every write is still buffered and check the merged
+/// views from the first source; then flush and check exhaustively. The deleted node stays a valid
+/// source: it reaches only itself.
+fn check_lifecycle(mut case: Case, sources: &[u64], victim: u64) -> Result<(), TestCaseError> {
+    case.delete_node(victim);
+    prop_assert!(case.edges.is_empty() || case.graph.has_pending_deltas());
+    check(&case, &sources[..1], &DELTA_RANGES)?;
+    case.graph.sync_matrices();
+    prop_assert!(!case.graph.has_pending_deltas());
+    check(&case, sources, &ALL_RANGES)
+}
+
+proptest! {
+    #[test]
+    fn khop_reach_matches_bfs_on_sparse_multigraphs(
+        nodes in 1u64..40,
+        raw_edges in prop::collection::vec((any::<u64>(), any::<u64>(), 0usize..3), 0..80),
+        picks in prop::collection::vec(any::<u64>(), 3),
+    ) {
+        let mut case = Case::new(nodes);
+        for &(s, d, r) in &raw_edges {
+            case.add_edge(s % nodes, d % nodes, r);
+        }
+        let sources: Vec<u64> = picks.iter().map(|p| p % nodes).collect();
+        check_lifecycle(case, &sources, picks[0] % nodes)?;
+    }
+
+    #[test]
+    fn khop_reach_matches_bfs_when_the_first_hop_pulls(
+        size_pick in 0usize..2,
+        raw_edges in prop::collection::vec((any::<u64>(), any::<u64>(), 0usize..3), 0..200),
+        victim_pick in any::<u64>(),
+    ) {
+        // Hub 0 points at every other node; a 699-node frontier is ≥ 1/24
+        // of the 16 384-wide matrix, so the larger size pulls at hop 2 too.
+        let nodes = [24u64, 700][size_pick];
+        let mut case = Case::new(nodes);
+        for v in 1..nodes {
+            case.add_edge(0, v, (v % 3) as usize);
+        }
+        for &(s, d, r) in &raw_edges {
+            case.add_edge(s % nodes, d % nodes, r);
+        }
+        // Beamer's push→pull test at hop 1 of the untyped outgoing BFS.
+        let adj = case.graph.adjacency_matrix();
+        prop_assert!(adj.row_degree(0) as u64 * 14 > adj.nvals() as u64);
+        drop(adj);
+        // The hub's own deletion would leave nothing to pull through.
+        let victim = 1 + victim_pick % (nodes - 1);
+        check_lifecycle(case, &[0, 1], victim)?;
+    }
+}
