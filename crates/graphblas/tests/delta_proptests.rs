@@ -12,6 +12,13 @@
 //! auto-flush thresholds force additional flushes mid-stream, so the
 //! delete-of-pending-insert / insert-over-pending-delete transitions are all
 //! exercised with every possible buffer state.
+//!
+//! The pending buffers are split into `Arc`-shared chunks of 256 rows, so a
+//! clone shares them and a later write copies only its own chunk. A 10×10
+//! matrix lives in one chunk; the wide scripts below draw rows from both
+//! sides of three chunk boundaries, clone at random points, and check every
+//! clone against the dense model frozen at clone time after the original
+//! has gone on to set, remove and flush.
 
 use graphblas::prelude::*;
 use proptest::prelude::*;
@@ -183,5 +190,100 @@ proptest! {
         exported.check_invariants().map_err(|e| TestCaseError::fail(format!("{e}")))?;
         prop_assert_eq!(&exported, &eager);
         prop_assert_eq!(delta.view().to_triples(), eager.to_triples());
+    }
+}
+
+/// Rows of the wide scripts: the first two and last two of each of four
+/// 256-row chunks, plus one mid-chunk row.
+const WIDE_ROW_OFFSETS: [u64; 5] = [0, 1, 127, 254, 255];
+const WIDE_CHUNKS: u64 = 4;
+const WIDE_COLS: u64 = 6;
+
+/// One wide op: `kind` 0–3 = set, 4–5 = remove, 6 = flush, 7 = clone;
+/// the row is `chunk * 256 + WIDE_ROW_OFFSETS[offset]`.
+type WideOp = (u8, u64, usize, u64, i64);
+
+fn wide_ops() -> impl Strategy<Value = Vec<WideOp>> {
+    prop::collection::vec(
+        (0u8..8, 0..WIDE_CHUNKS, 0..WIDE_ROW_OFFSETS.len(), 0..WIDE_COLS, -50i64..50),
+        0..160,
+    )
+}
+
+fn wide_rows() -> impl Iterator<Item = u64> {
+    (0..WIDE_CHUNKS).flat_map(|c| WIDE_ROW_OFFSETS.iter().map(move |o| c * 256 + o))
+}
+
+/// Check a delta matrix against a dense model on every row a wide script
+/// can touch, and its whole merged view against the model's triples.
+fn assert_frozen(
+    delta: &DeltaMatrix<i64>,
+    dense: &HashMap<(u64, u64), i64>,
+) -> Result<(), TestCaseError> {
+    delta.check_invariants().map_err(|e| TestCaseError::fail(format!("{e}")))?;
+    prop_assert_eq!(delta.nvals(), dense.len());
+    let mut expected: Vec<(u64, u64, i64)> = dense.iter().map(|(&(r, c), &v)| (r, c, v)).collect();
+    expected.sort_unstable();
+    prop_assert_eq!(delta.to_triples(), expected.clone());
+    for r in wide_rows() {
+        let row: Vec<(u64, i64)> =
+            expected.iter().filter(|t| t.0 == r).map(|&(_, c, v)| (c, v)).collect();
+        prop_assert_eq!(delta.row_iter(r).collect::<Vec<_>>(), row, "row {} diverged", r);
+        for c in 0..WIDE_COLS {
+            prop_assert_eq!(delta.extract_element(r, c), dense.get(&(r, c)).copied());
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn clones_stay_frozen_across_chunk_boundaries(script in wide_ops(), threshold in 1usize..200) {
+        let n = WIDE_CHUNKS * 256;
+        let mut delta = DeltaMatrix::<i64>::new(n, WIDE_COLS);
+        delta.set_flush_threshold(threshold);
+        let mut dense = HashMap::new();
+        let mut clones = Vec::new();
+        for &(kind, chunk, offset, c, v) in &script {
+            let r = chunk * 256 + WIDE_ROW_OFFSETS[offset];
+            match kind {
+                0..=3 => {
+                    delta.set_element(r, c, v);
+                    dense.insert((r, c), v);
+                }
+                4 | 5 => {
+                    delta.remove_element(r, c).unwrap();
+                    dense.remove(&(r, c));
+                }
+                6 => delta.flush(),
+                _ => clones.push((delta.clone(), dense.clone())),
+            }
+            delta.check_invariants().map_err(|e| TestCaseError::fail(format!("{e}")))?;
+        }
+        assert_frozen(&delta, &dense)?;
+        // Every clone still shows exactly the state it was taken at…
+        for (clone, frozen) in &clones {
+            assert_frozen(clone, frozen)?;
+        }
+        // …and still does once the original folds everything it shares.
+        delta.flush();
+        assert_frozen(&delta, &dense)?;
+        for (clone, frozen) in &clones {
+            assert_frozen(clone, frozen)?;
+        }
+        // Clones are full matrices in their own right: writing to one leaves
+        // the original and the other clones alone.
+        if let Some((first, frozen)) = clones.first_mut() {
+            first.set_element(255, 0, 99);
+            first.remove_element(256, 1).unwrap();
+            first.flush();
+            frozen.insert((255, 0), 99);
+            frozen.remove(&(256, 1));
+            assert_frozen(first, frozen)?;
+        }
+        assert_frozen(&delta, &dense)?;
+        for (clone, frozen) in clones.iter().skip(1) {
+            assert_frozen(clone, frozen)?;
+        }
     }
 }

@@ -1,0 +1,96 @@
+//! Structurally shared snapshots versus the copy-on-write writer.
+//!
+//! A snapshot shares the live graph's delta-buffer chunks and entity blocks
+//! by `Arc`. The writer below copies a shared chunk (in every matrix its
+//! write touches) and a shared entity block, then folds the buffers into
+//! fresh CSRs, while a reader holding a snapshot iterates the very row the
+//! writer rewrites. Whatever the interleaving, the reader must see exactly
+//! the epoch it pinned: the row, the entities and the reachability view all
+//! from one side of the write, and the same answers on every re-read.
+
+use std::sync::Arc;
+
+use modelcheck::{explore, thread, Config};
+use redisgraph_core::{Graph, GraphSnapshot, TraverseDir};
+
+fn cfg() -> Config {
+    Config { max_schedules: 1800, pct_iterations: 300, preemption_bound: None, ..Config::default() }
+}
+
+/// The server's single-flight pin (as in `epoch_reclaim`): serve the cached
+/// snapshot while it is the live epoch, otherwise seal a fresh one.
+fn pin(
+    lock: &parking_lot::RwLock<Graph>,
+    cache: &parking_lot::Mutex<Option<Arc<GraphSnapshot>>>,
+) -> Arc<GraphSnapshot> {
+    let mut cached = cache.lock();
+    let live = lock.read();
+    match cached.as_ref() {
+        Some(snap) if snap.epoch() == live.epoch() => Arc::clone(snap),
+        _ => {
+            let fresh = Arc::new(live.snapshot());
+            *cached = Some(Arc::clone(&fresh));
+            fresh
+        }
+    }
+}
+
+/// Destinations of `node`'s outgoing edges, ascending.
+fn out_row(snap: &GraphSnapshot, node: u64) -> Vec<u64> {
+    snap.neighbors(node, None, TraverseDir::Outgoing).into_iter().map(|(dst, _)| dst).collect()
+}
+
+#[test]
+fn a_reader_sees_its_own_epoch_while_the_writer_copies_and_folds() {
+    let report = explore("snapshot_share/copy_then_fold", &cfg(), || {
+        let mut g = Graph::new("s");
+        // Nothing folds on its own: the fold below is the writer's choice.
+        g.set_flush_threshold(1_000_000);
+        let [a, b, c, d] = [0, 1, 2, 3].map(|_| g.add_node(&["N"], vec![]));
+        let ab = g.add_edge(a, b, "R", vec![]).unwrap();
+        g.sync_matrices();
+        // A pending insert in row `a`: its chunk exists in every edge matrix.
+        let ad = g.add_edge(a, d, "R", vec![]).unwrap();
+        let lock = Arc::new(parking_lot::RwLock::new(g));
+        let cache = Arc::new(parking_lot::Mutex::new(None::<Arc<GraphSnapshot>>));
+        // The cached snapshot shares row `a`'s chunks and the edge block, so
+        // the writer's next write must copy them.
+        let base_epoch = pin(&lock, &cache).epoch();
+
+        let reader = {
+            let lock = Arc::clone(&lock);
+            let cache = Arc::clone(&cache);
+            thread::spawn(move || {
+                let snap = pin(&lock, &cache);
+                let old = snap.epoch() == base_epoch;
+                let row = if old { vec![b, d] } else { vec![b, c] };
+                for _ in 0..2 {
+                    assert_eq!(out_row(&snap, a), row, "row {a} mixes epochs (old = {old})");
+                    assert_eq!(snap.edge(ad).is_some(), old, "edge entity from the wrong epoch");
+                    assert!(snap.edge(ab).is_some());
+                    assert_eq!(snap.edge_count(), 2);
+                    let reached = snap.khop_reach(a, 1, 1, TraverseDir::Outgoing, None);
+                    assert_eq!(reached.indices(), &row[..], "matrices disagree with the row");
+                    // Let the writer copy and fold between the two reads.
+                    thread::yield_now();
+                }
+            })
+        };
+
+        // One epoch: a new edge in row `a` and the pending one deleted, under
+        // one write-lock hold. Then a separate fold of every buffer.
+        {
+            let mut g = lock.write();
+            g.add_edge(a, c, "R", vec![]).unwrap();
+            assert!(g.delete_edge(ad));
+        }
+        lock.write().sync_matrices();
+
+        reader.join().unwrap();
+        let snap = pin(&lock, &cache);
+        assert_ne!(snap.epoch(), base_epoch);
+        assert_eq!(out_row(&snap, a), vec![b, c]);
+        assert!(!lock.read().has_pending_deltas(), "the fold left buffers behind");
+    });
+    assert!(report.distinct >= 100, "only {} distinct schedules explored", report.distinct);
+}

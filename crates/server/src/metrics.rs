@@ -198,6 +198,9 @@ pub struct Metrics {
     pub bytes_out: AtomicU64,
     /// End-to-end query latency (dispatch to reply), nanoseconds.
     pub query_latency: Histogram,
+    /// Time one epoch-snapshot rebuild takes (the clone, the seal and the
+    /// cache swap that drops the superseded snapshot), nanoseconds.
+    pub snapshot_rebuild_latency: Histogram,
     /// Commands decoded per socket read (pipeline depth).
     pub pipeline_depth: Histogram,
 }

@@ -195,10 +195,12 @@ impl GraphEntry {
     /// across the rebuild (single-flight): concurrent first-readers of a
     /// fresh epoch briefly queue for one structural clone instead of each
     /// paying their own, and nobody holds the graph lock while they wait —
-    /// a writer is never blocked.
+    /// a writer is never blocked. A rebuild is timed from the clone to the
+    /// cache swap, which includes dropping the superseded snapshot
+    /// (`snapshot_rebuild_*` in `GRAPH.INFO`).
     fn snapshot(&self, metrics: &Metrics) -> Arc<GraphSnapshot> {
         let mut cache = self.snapshot_cache.lock();
-        let pending = {
+        let (started, pending) = {
             let g = self.graph.read();
             if let Some(cached) = cache.as_ref() {
                 if cached.epoch() == g.epoch() {
@@ -206,11 +208,12 @@ impl GraphEntry {
                     return Arc::clone(cached);
                 }
             }
-            g.clone()
+            (Instant::now(), g.clone())
         };
         metrics.snapshot_rebuilds.fetch_add(1, Ordering::Relaxed);
         let sealed = Arc::new(GraphSnapshot::seal(pending));
         *cache = Some(Arc::clone(&sealed));
+        metrics.snapshot_rebuild_latency.record_duration(started.elapsed());
         sealed
     }
 
@@ -759,6 +762,7 @@ impl RedisGraphServer {
         );
         // Histogram samples are nanoseconds; report microseconds (Redis'
         // LATENCY unit) so the integers stay readable.
+        let rebuild = &m.snapshot_rebuild_latency;
         let latency = section(
             "latency",
             vec![
@@ -767,6 +771,10 @@ impl RedisGraphServer {
                 ("query_max_usec", int(m.query_latency.max() / 1_000)),
                 ("query_mean_usec", int(m.query_latency.mean() / 1_000)),
                 ("query_samples", int(m.query_latency.count())),
+                ("snapshot_rebuild_p50_usec", int(rebuild.quantile(0.50) / 1_000)),
+                ("snapshot_rebuild_p99_usec", int(rebuild.quantile(0.99) / 1_000)),
+                ("snapshot_rebuild_max_usec", int(rebuild.max() / 1_000)),
+                ("snapshot_rebuild_mean_usec", int(rebuild.mean() / 1_000)),
             ],
         );
         let clients = section(
@@ -1121,6 +1129,9 @@ mod tests {
         assert_eq!(after["edges"], 1);
         assert!(after["query_samples"] == 2 && after["query_max_usec"] >= 0);
         assert_eq!(after["snapshot_rebuilds"], 1, "first read of the epoch rebuilds");
+        assert_eq!(server.metrics.snapshot_rebuild_latency.count(), 1, "each rebuild is timed");
+        assert!(after["snapshot_rebuild_max_usec"] >= after["snapshot_rebuild_mean_usec"]);
+        assert!(after["snapshot_rebuild_p99_usec"] >= after["snapshot_rebuild_p50_usec"]);
         // All three lookups missed (the parse error still looked up first);
         // only the two parseable queries left a plan behind.
         assert_eq!(after["plan_cache_misses"], 3);
@@ -1133,6 +1144,7 @@ mod tests {
         server.query("g", "MATCH (a)-[:R]->(b) RETURN count(b)");
         let third = info(&server);
         assert_eq!(third["snapshot_hits"], 1);
+        assert_eq!(server.metrics.snapshot_rebuild_latency.count(), 1, "a hit is not a rebuild");
         assert_eq!(third["plan_cache_hits"], 1);
     }
 
