@@ -16,7 +16,7 @@ use graphblas::Index;
 /// end.
 ///
 /// # Panics
-/// Panics if `source >= adj.nrows()` or if `adj` has pending updates.
+/// Panics if `source >= adj.nrows()`.
 pub fn bfs_levels(adj: &SparseMatrix<bool>, source: Index) -> SparseVector<i64> {
     assert!(source < adj.nrows(), "bfs source {source} out of bounds");
     let mut levels = vec![0i64; adj.nrows() as usize];

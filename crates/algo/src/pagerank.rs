@@ -40,7 +40,7 @@ pub struct PageRankResult {
 /// scores form a probability distribution at every step.
 ///
 /// # Panics
-/// Panics if `adj` has pending updates or a vertex id is out of bounds.
+/// Panics if a vertex id is out of bounds.
 pub fn pagerank(
     adj: &SparseMatrix<bool>,
     nodes: &[Index],

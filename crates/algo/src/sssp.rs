@@ -14,7 +14,7 @@ use graphblas::Index;
 /// so negative cycles cannot hang it.
 ///
 /// # Panics
-/// Panics if `source >= weights.nrows()` or if `weights` has pending updates.
+/// Panics if `source >= weights.nrows()`.
 pub fn sssp(weights: &SparseMatrix<f64>, source: Index) -> SparseVector<f64> {
     sssp_with_iterations(weights, source).0
 }

@@ -7,9 +7,6 @@ use graphblas::prelude::*;
 /// Number of undirected triangles in `adj`, counting each triangle once.
 /// Edge direction, parallel edges (one stored entry per pair) and self-loops
 /// are all ignored, as in LAGraph's `LAGr_TriangleCount`.
-///
-/// # Panics
-/// Panics if `adj` has pending updates.
 pub fn triangle_count(adj: &SparseMatrix<bool>) -> u64 {
     // Undirected, loop-free structure.
     let sym = ewise_add_matrix(adj, &transpose(adj), &BinaryOp::LOr);

@@ -11,7 +11,7 @@ use graphblas::Index;
 /// vertices are connected iff their labels are equal.
 ///
 /// # Panics
-/// Panics if `adj` has pending updates or a vertex id is out of bounds.
+/// Panics if a vertex id is out of bounds.
 pub fn wcc(adj: &SparseMatrix<bool>, nodes: &[Index]) -> Vec<(Index, Index)> {
     wcc_with_iterations(adj, nodes).0
 }

@@ -82,23 +82,12 @@ fn mxm_ablation(c: &mut Criterion) {
     group.finish();
 }
 
-/// Transpose and reduction kernels used when maintaining the graph object.
+/// The transpose kernel used when maintaining the graph object.
 fn maintenance_kernels(c: &mut Criterion) {
     let (matrix, _, _) = build_matrix(12);
     let mut group = c.benchmark_group("kernels/maintenance");
     group.sample_size(20);
     group.bench_function("transpose", |b| b.iter(|| black_box(transpose(black_box(&matrix)))));
-    group.bench_function("reduce_out_degrees", |b| {
-        let monoid = graphblas::monoid::plus_monoid::<u64>();
-        let counts = apply_matrix(&matrix, &UnaryOp::custom(|_| true));
-        let as_u64 = SparseMatrix::from_triples(
-            counts.nrows(),
-            counts.ncols(),
-            &counts.to_triples().into_iter().map(|(r, c, _)| (r, c, 1u64)).collect::<Vec<_>>(),
-        )
-        .unwrap();
-        b.iter(|| black_box(reduce_to_vector(black_box(&as_u64), &monoid)))
-    });
     group.finish();
 }
 

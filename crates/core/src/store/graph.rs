@@ -1054,9 +1054,9 @@ impl GraphSnapshot {
     /// Seal an owned clone of a graph into an immutable snapshot. Sealing
     /// itself does no work — pending deltas stay buffered, and the snapshot
     /// serves reads from merged views. The first whole-matrix plan to run
-    /// folds a private twin (copy-on-write through `Arc::make_mut`, so
-    /// epochs shared with the live graph and with other snapshots are never
-    /// touched); every later whole-matrix plan borrows that twin for free.
+    /// folds a private twin (each fold builds a fresh CSR, so epochs shared
+    /// with the live graph and with other snapshots are never touched);
+    /// every later whole-matrix plan borrows that twin for free.
     /// Folding reorganises without mutating, so the snapshot's logical
     /// contents and [`GraphSnapshot::epoch`] never change.
     pub fn seal(graph: Graph) -> GraphSnapshot {

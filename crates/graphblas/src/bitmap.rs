@@ -130,15 +130,14 @@ fn ones(base: Index, mut word: u64) -> impl Iterator<Item = Index> {
 /// order. Only the pattern of `a` is read.
 ///
 /// # Panics
-/// Panics if `a` has pending updates, if `visited.size() != a.ncols()`, or if
-/// a frontier vertex is not a row of `a`.
+/// Panics if `visited.size() != a.ncols()` or if a frontier vertex is not a
+/// row of `a`.
 pub fn bfs_push<T: Scalar>(
     a: &SparseMatrix<T>,
     frontier: &[Index],
     visited: &mut Bitmap,
     next: &mut Vec<Index>,
 ) {
-    assert!(a.is_flushed(), "bfs_push requires a flushed matrix");
     assert_eq!(visited.size(), a.ncols(), "bfs_push dimension mismatch: visited.size != a.ncols");
     for &i in frontier {
         for &j in a.row(i).0 {
@@ -158,15 +157,14 @@ pub fn bfs_push<T: Scalar>(
 /// frontier column. Only the pattern of `at` is read.
 ///
 /// # Panics
-/// Panics if `at` has pending updates, if `visited.size() != at.nrows()`, or
-/// if `frontier.size() != at.ncols()`.
+/// Panics if `visited.size() != at.nrows()` or if
+/// `frontier.size() != at.ncols()`.
 pub fn bfs_pull<T: Scalar>(
     at: &SparseMatrix<T>,
     frontier: &Bitmap,
     visited: &mut Bitmap,
     next: &mut Vec<Index>,
 ) {
-    assert!(at.is_flushed(), "bfs_pull requires a flushed matrix");
     assert_eq!(visited.size(), at.nrows(), "bfs_pull dimension mismatch: visited.size != at.nrows");
     assert_eq!(
         frontier.size(),

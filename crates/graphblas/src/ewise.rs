@@ -1,9 +1,8 @@
-//! Element-wise operations: `eWiseAdd` (set union of patterns) and `eWiseMult`
-//! (set intersection), for both matrices and vectors.
+//! Element-wise addition (`eWiseAdd`, the set union of two patterns) for
+//! matrices and vectors.
 //!
 //! RedisGraph uses `eWiseAdd` to maintain its combined adjacency matrix (the
-//! union of all per-relation-type matrices) and `eWiseMult` to intersect
-//! label constraints.
+//! union of all per-relation-type matrices).
 
 use crate::binary_op::{BinaryOp, OpApply};
 use crate::matrix::SparseMatrix;
@@ -52,63 +51,14 @@ pub fn ewise_add_vector<T: Scalar + OpApply>(
     SparseVector::from_sorted_parts(u.size(), indices, values)
 }
 
-/// `w = u ⊗ v` over the intersection of the two patterns.
-pub fn ewise_mult_vector<T: Scalar + OpApply>(
-    u: &SparseVector<T>,
-    v: &SparseVector<T>,
-    op: &BinaryOp<T>,
-) -> SparseVector<T> {
-    assert_eq!(u.size(), v.size(), "eWiseMult dimension mismatch");
-    let mut indices = Vec::new();
-    let mut values = Vec::new();
-    let (ui, uv) = (u.indices(), u.values());
-    let (vi, vv) = (v.indices(), v.values());
-    let (mut a, mut b) = (0usize, 0usize);
-    while a < ui.len() && b < vi.len() {
-        match ui[a].cmp(&vi[b]) {
-            std::cmp::Ordering::Less => a += 1,
-            std::cmp::Ordering::Greater => b += 1,
-            std::cmp::Ordering::Equal => {
-                indices.push(ui[a]);
-                values.push(T::apply(op, uv[a], vv[b]));
-                a += 1;
-                b += 1;
-            }
-        }
-    }
-    SparseVector::from_sorted_parts(u.size(), indices, values)
-}
-
 /// `C = A ⊕ B` over the union of the two patterns (row-by-row merge).
 pub fn ewise_add_matrix<T: Scalar + OpApply>(
     a: &SparseMatrix<T>,
     b: &SparseMatrix<T>,
     op: &BinaryOp<T>,
 ) -> SparseMatrix<T> {
-    assert!(a.is_flushed() && b.is_flushed(), "eWiseAdd requires flushed matrices");
     assert_eq!(a.nrows(), b.nrows(), "eWiseAdd nrows mismatch");
     assert_eq!(a.ncols(), b.ncols(), "eWiseAdd ncols mismatch");
-    merge_rows(a, b, op, true)
-}
-
-/// `C = A ⊗ B` over the intersection of the two patterns.
-pub fn ewise_mult_matrix<T: Scalar + OpApply>(
-    a: &SparseMatrix<T>,
-    b: &SparseMatrix<T>,
-    op: &BinaryOp<T>,
-) -> SparseMatrix<T> {
-    assert!(a.is_flushed() && b.is_flushed(), "eWiseMult requires flushed matrices");
-    assert_eq!(a.nrows(), b.nrows(), "eWiseMult nrows mismatch");
-    assert_eq!(a.ncols(), b.ncols(), "eWiseMult ncols mismatch");
-    merge_rows(a, b, op, false)
-}
-
-fn merge_rows<T: Scalar + OpApply>(
-    a: &SparseMatrix<T>,
-    b: &SparseMatrix<T>,
-    op: &BinaryOp<T>,
-    union: bool,
-) -> SparseMatrix<T> {
     let mut row_ptr = Vec::with_capacity(a.nrows() as usize + 1);
     row_ptr.push(0usize);
     let mut col_idx: Vec<Index> = Vec::new();
@@ -121,17 +71,13 @@ fn merge_rows<T: Scalar + OpApply>(
         while i < ac.len() && j < bc.len() {
             match ac[i].cmp(&bc[j]) {
                 std::cmp::Ordering::Less => {
-                    if union {
-                        col_idx.push(ac[i]);
-                        values.push(av[i]);
-                    }
+                    col_idx.push(ac[i]);
+                    values.push(av[i]);
                     i += 1;
                 }
                 std::cmp::Ordering::Greater => {
-                    if union {
-                        col_idx.push(bc[j]);
-                        values.push(bv[j]);
-                    }
+                    col_idx.push(bc[j]);
+                    values.push(bv[j]);
                     j += 1;
                 }
                 std::cmp::Ordering::Equal => {
@@ -142,18 +88,10 @@ fn merge_rows<T: Scalar + OpApply>(
                 }
             }
         }
-        if union {
-            while i < ac.len() {
-                col_idx.push(ac[i]);
-                values.push(av[i]);
-                i += 1;
-            }
-            while j < bc.len() {
-                col_idx.push(bc[j]);
-                values.push(bv[j]);
-                j += 1;
-            }
-        }
+        col_idx.extend_from_slice(&ac[i..]);
+        values.extend_from_slice(&av[i..]);
+        col_idx.extend_from_slice(&bc[j..]);
+        values.extend_from_slice(&bv[j..]);
         row_ptr.push(col_idx.len());
     }
     SparseMatrix::from_csr_parts(a.nrows(), a.ncols(), row_ptr, col_idx, values)
@@ -172,14 +110,6 @@ mod tests {
     }
 
     #[test]
-    fn vector_mult_is_intersection() {
-        let u = SparseVector::from_entries(5, &[(0, 1i64), (2, 2), (3, 3)]).unwrap();
-        let v = SparseVector::from_entries(5, &[(2, 10), (3, 10), (4, 4)]).unwrap();
-        let w = ewise_mult_vector(&u, &v, &BinaryOp::Times);
-        assert_eq!(w.to_entries(), vec![(2, 20), (3, 30)]);
-    }
-
-    #[test]
     fn matrix_add_union_of_relations() {
         // two relation matrices combined into one adjacency matrix
         let knows = SparseMatrix::from_triples(3, 3, &[(0, 1, true)]).unwrap();
@@ -191,22 +121,11 @@ mod tests {
     }
 
     #[test]
-    fn matrix_mult_intersection() {
-        let a = SparseMatrix::from_triples(2, 2, &[(0, 0, 2i64), (0, 1, 3), (1, 1, 4)]).unwrap();
-        let b = SparseMatrix::from_triples(2, 2, &[(0, 1, 5), (1, 1, 6)]).unwrap();
-        let c = ewise_mult_matrix(&a, &b, &BinaryOp::Times);
-        assert_eq!(c.nvals(), 2);
-        assert_eq!(c.extract_element(0, 1), Some(15));
-        assert_eq!(c.extract_element(1, 1), Some(24));
-    }
-
-    #[test]
     fn add_with_empty_operand_is_copy() {
         let a = SparseMatrix::from_triples(2, 2, &[(1, 0, 7i64)]).unwrap();
         let empty = SparseMatrix::<i64>::new(2, 2);
         assert_eq!(ewise_add_matrix(&a, &empty, &BinaryOp::Plus), a);
         assert_eq!(ewise_add_matrix(&empty, &a, &BinaryOp::Plus), a);
-        assert_eq!(ewise_mult_matrix(&a, &empty, &BinaryOp::Times).nvals(), 0);
     }
 
     #[test]
@@ -214,6 +133,6 @@ mod tests {
         let u = SparseVector::<i64>::new(3);
         let v = SparseVector::from_entries(3, &[(1, 5)]).unwrap();
         assert_eq!(ewise_add_vector(&u, &v, &BinaryOp::Plus).to_entries(), vec![(1, 5)]);
-        assert!(ewise_mult_vector(&u, &v, &BinaryOp::Times).is_empty());
+        assert_eq!(ewise_add_vector(&v, &u, &BinaryOp::Plus).to_entries(), vec![(1, 5)]);
     }
 }

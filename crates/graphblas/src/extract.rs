@@ -1,8 +1,8 @@
-//! `GrB_extract`: pull out submatrices, single rows, and single columns.
+//! `GrB_extract`: pull out single rows and single columns.
 //!
 //! RedisGraph extracts a row of the label matrix to enumerate the nodes of a
-//! label, and extracts submatrices when resolving patterns against a subset of
-//! already-bound nodes.
+//! label. The property tests use both as reference implementations for
+//! `vxm`, `mxv` and `mxm`.
 
 use crate::error::{check_index, GrbResult};
 use crate::matrix::SparseMatrix;
@@ -10,42 +10,8 @@ use crate::types::Scalar;
 use crate::vector::SparseVector;
 use crate::Index;
 
-/// Extract the submatrix `A[rows, cols]`. The output has dimensions
-/// `rows.len() × cols.len()`; output position `(i, j)` holds `A[rows[i], cols[j]]`
-/// if that entry is stored. Row and column index lists need not be sorted.
-pub fn extract_submatrix<T: Scalar>(
-    a: &SparseMatrix<T>,
-    rows: &[Index],
-    cols: &[Index],
-) -> GrbResult<SparseMatrix<T>> {
-    assert!(a.is_flushed(), "extract requires a flushed matrix");
-    for &r in rows {
-        check_index(r, a.nrows())?;
-    }
-    for &c in cols {
-        check_index(c, a.ncols())?;
-    }
-    // Map original column -> output column (last occurrence wins, matching
-    // GraphBLAS which allows duplicate indices in extract lists).
-    let mut col_map: Vec<Option<Index>> = vec![None; a.ncols() as usize];
-    for (out_j, &c) in cols.iter().enumerate() {
-        col_map[c as usize] = Some(out_j as Index);
-    }
-    let mut triples = Vec::new();
-    for (out_i, &r) in rows.iter().enumerate() {
-        let (rc, rv) = a.row(r);
-        for (&c, &v) in rc.iter().zip(rv.iter()) {
-            if let Some(out_j) = col_map[c as usize] {
-                triples.push((out_i as Index, out_j, v));
-            }
-        }
-    }
-    SparseMatrix::from_triples(rows.len() as Index, cols.len() as Index, &triples)
-}
-
 /// Extract row `i` of `A` as a sparse vector of length `A.ncols()`.
 pub fn extract_row<T: Scalar>(a: &SparseMatrix<T>, i: Index) -> GrbResult<SparseVector<T>> {
-    assert!(a.is_flushed(), "extract requires a flushed matrix");
     check_index(i, a.nrows())?;
     let (cols, vals) = a.row(i);
     Ok(SparseVector::from_sorted_parts(a.ncols(), cols.to_vec(), vals.to_vec()))
@@ -53,7 +19,6 @@ pub fn extract_row<T: Scalar>(a: &SparseMatrix<T>, i: Index) -> GrbResult<Sparse
 
 /// Extract column `j` of `A` as a sparse vector of length `A.nrows()`.
 pub fn extract_col<T: Scalar>(a: &SparseMatrix<T>, j: Index) -> GrbResult<SparseVector<T>> {
-    assert!(a.is_flushed(), "extract requires a flushed matrix");
     check_index(j, a.ncols())?;
     let mut indices = Vec::new();
     let mut values = Vec::new();
@@ -80,25 +45,6 @@ mod tests {
     }
 
     #[test]
-    fn submatrix_extraction_maps_indices() {
-        let s = extract_submatrix(&m(), &[0, 3], &[0, 3]).unwrap();
-        assert_eq!(s.nrows(), 2);
-        assert_eq!(s.ncols(), 2);
-        assert_eq!(s.extract_element(0, 0), Some(1));
-        assert_eq!(s.extract_element(0, 1), Some(2));
-        assert_eq!(s.extract_element(1, 1), Some(6));
-        assert_eq!(s.nvals(), 3);
-    }
-
-    #[test]
-    fn submatrix_with_permuted_indices() {
-        let s = extract_submatrix(&m(), &[3, 0], &[3, 0]).unwrap();
-        // (0,0) of the output is A[3,3] = 6
-        assert_eq!(s.extract_element(0, 0), Some(6));
-        assert_eq!(s.extract_element(1, 1), Some(1));
-    }
-
-    #[test]
     fn extract_row_and_col() {
         let r = extract_row(&m(), 0).unwrap();
         assert_eq!(r.to_entries(), vec![(0, 1), (3, 2)]);
@@ -110,14 +56,5 @@ mod tests {
     fn extract_rejects_out_of_bounds() {
         assert!(extract_row(&m(), 4).is_err());
         assert!(extract_col(&m(), 9).is_err());
-        assert!(extract_submatrix(&m(), &[0, 4], &[0]).is_err());
-    }
-
-    #[test]
-    fn empty_index_lists_give_empty_matrix() {
-        let s = extract_submatrix(&m(), &[], &[]).unwrap();
-        assert_eq!(s.nrows(), 0);
-        assert_eq!(s.ncols(), 0);
-        assert_eq!(s.nvals(), 0);
     }
 }

@@ -17,8 +17,8 @@ use crate::Index;
 /// Build a `nrows × ncols` frontier matrix with one stored `value` at each of
 /// the given `(row, col)` coordinates. Rows without a coordinate stay empty
 /// (a record whose source is unbound simply produces no output); duplicate
-/// coordinates collapse to one entry. The result is fully flushed, ready to be
-/// handed to [`crate::mxm`].
+/// coordinates collapse to one entry. The result is ready to be handed to
+/// [`crate::mxm`].
 ///
 /// # Panics
 /// Panics if any coordinate is out of bounds.
@@ -37,10 +37,6 @@ pub fn frontier_matrix<T: Scalar>(
 /// the columns are the destination node ids reached by the record whose
 /// frontier row this is, and the values carry whatever the semiring
 /// propagated (edge ids under `any_second`, `true` under `lor_land`).
-///
-/// # Panics
-/// Debug-panics if the matrix has pending updates (traversal products never
-/// do).
 pub fn probe_row<T: Scalar>(c: &SparseMatrix<T>, row: Index) -> (&[Index], &[T]) {
     c.row(row)
 }
@@ -49,11 +45,7 @@ pub fn probe_row<T: Scalar>(c: &SparseMatrix<T>, row: Index) -> (&[Index], &[T])
 /// Used to fold several edge-id-valued relation matrices into one boolean
 /// matrix for a variable-length (BFS) traversal, where only the pattern
 /// matters. O(nnz), reuses the CSR arrays.
-///
-/// # Panics
-/// Panics if the matrix has pending updates.
 pub fn structure<T: Scalar>(m: &SparseMatrix<T>) -> SparseMatrix<bool> {
-    assert!(m.is_flushed(), "structure() requires a flushed matrix");
     let nnz = m.nvals();
     SparseMatrix::from_csr_parts(
         m.nrows(),

@@ -15,24 +15,24 @@
 //! ```
 //! use graphblas::prelude::*;
 //!
-//! // Build a 4x4 boolean adjacency matrix of a directed path 0→1→2→3.
-//! let mut a = SparseMatrix::<bool>::new(4, 4);
+//! // A 4x4 boolean adjacency matrix of a directed path 0→1→2→3. Writes go
+//! // through a DeltaMatrix (RedisGraph's Δ⁺/Δ⁻ buffers over an immutable CSR).
+//! let mut a = DeltaMatrix::<bool>::new(4, 4);
 //! for i in 0..3 {
 //!     a.set_element(i, i + 1, true);
 //! }
-//! a.wait(); // flush pending tuples (SuiteSparse "non-blocking mode")
+//! a.flush(); // one merge-build folds the buffered writes into a fresh CSR
 //!
 //! // One BFS step from vertex 0: frontier × adjacency over the LOR-LAND semiring.
 //! let mut frontier = SparseVector::<bool>::new(4);
 //! frontier.set_element(0, true);
-//! let next = vxm(&frontier, &a, &Semiring::lor_land(), None, &Descriptor::default());
+//! let next = vxm(&frontier, &a.view(), &Semiring::lor_land(), None, &Descriptor::default());
 //! assert_eq!(next.extract_element(1), Some(true));
 //! assert_eq!(next.nvals(), 1);
 //! ```
 //!
 //! [GraphBLAS C API]: https://graphblas.org
 
-pub mod apply;
 pub mod binary_op;
 pub mod bitmap;
 pub mod delta;
@@ -51,7 +51,6 @@ pub mod select;
 pub mod semiring;
 pub mod transpose;
 pub mod types;
-pub mod unary_op;
 pub mod vector;
 
 pub use binary_op::BinaryOp;
@@ -67,33 +66,28 @@ pub use mxm::mxm;
 pub use mxv::{mxv, vxm};
 pub use semiring::Semiring;
 pub use types::Scalar;
-pub use unary_op::UnaryOp;
 pub use vector::SparseVector;
 
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
-    pub use crate::apply::{apply_matrix, apply_vector};
     pub use crate::binary_op::BinaryOp;
     pub use crate::bitmap::{bfs_pull, bfs_push, Bitmap};
     pub use crate::delta::{DeltaMatrix, DEFAULT_FLUSH_THRESHOLD};
     pub use crate::descriptor::Descriptor;
     pub use crate::error::{GrbError, GrbResult};
-    pub use crate::ewise::{
-        ewise_add_matrix, ewise_add_vector, ewise_mult_matrix, ewise_mult_vector,
-    };
-    pub use crate::extract::{extract_col, extract_row, extract_submatrix};
+    pub use crate::ewise::{ewise_add_matrix, ewise_add_vector};
+    pub use crate::extract::{extract_col, extract_row};
     pub use crate::frontier::{frontier_matrix, probe_row, structure};
     pub use crate::mask::{MatrixMask, VectorMask};
     pub use crate::matrix::SparseMatrix;
     pub use crate::monoid::Monoid;
     pub use crate::mxm::mxm;
     pub use crate::mxv::{mxv, vxm};
-    pub use crate::reduce::{reduce_matrix_to_scalar, reduce_to_vector, reduce_vector_to_scalar};
+    pub use crate::reduce::reduce_matrix_to_scalar;
     pub use crate::select::{select_matrix, SelectOp};
     pub use crate::semiring::Semiring;
     pub use crate::transpose::transpose;
     pub use crate::types::Scalar;
-    pub use crate::unary_op::UnaryOp;
     pub use crate::vector::SparseVector;
 }
 

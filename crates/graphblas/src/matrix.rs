@@ -1,50 +1,29 @@
-//! Sparse matrices (`GrB_Matrix`) in Compressed Sparse Row (CSR) form, with a
-//! pending-update log reproducing SuiteSparse's *non-blocking mode*: single
-//! element updates (`set_element` / `remove_element`) are buffered and folded
-//! into the CSR structure on [`SparseMatrix::wait`], so a burst of writes (as
-//! produced by a Cypher `CREATE` clause) costs one rebuild instead of many.
+//! Sparse matrices (`GrB_Matrix`) in Compressed Sparse Row (CSR) form.
+//!
+//! A [`SparseMatrix`] is immutable once built: [`SparseMatrix::new`],
+//! [`SparseMatrix::from_triples`] and the kernels produce it, and the read
+//! accessors borrow its arrays directly. Single-element writes are buffered by
+//! [`crate::DeltaMatrix`], which folds them into a fresh CSR in one merge —
+//! the one pending-update mechanism in this crate.
 
 use crate::error::{check_index, GrbError, GrbResult};
 use crate::types::Scalar;
 use crate::Index;
-use std::collections::HashMap;
-
-/// A buffered single-element update.
-#[derive(Clone, Debug, PartialEq)]
-enum PendingOp<T> {
-    Set(Index, Index, T),
-    Remove(Index, Index),
-}
 
 /// A sparse matrix stored by row (CSR).
 ///
 /// * `row_ptr[i]..row_ptr[i+1]` indexes the entries of row `i` inside
 ///   `col_idx` / `values`.
-/// * Column indices within a row are strictly ascending.
-/// * Element updates are buffered in a pending log and merged by
-///   [`SparseMatrix::wait`]; read accessors observe the log so results are
-///   always up to date, at a small cost until the next `wait`.
-#[derive(Clone, Debug)]
+/// * Column indices within a row are strictly ascending, so the arrays are
+///   canonical: two matrices with the same entries compare equal field by
+///   field.
+#[derive(Clone, Debug, PartialEq)]
 pub struct SparseMatrix<T: Scalar> {
     nrows: Index,
     ncols: Index,
     row_ptr: Vec<usize>,
     col_idx: Vec<Index>,
     values: Vec<T>,
-    pending: Vec<PendingOp<T>>,
-}
-
-impl<T: Scalar> PartialEq for SparseMatrix<T> {
-    fn eq(&self, other: &Self) -> bool {
-        if self.nrows != other.nrows || self.ncols != other.ncols {
-            return false;
-        }
-        let mut a = self.to_triples();
-        let mut b = other.to_triples();
-        a.sort_by_key(|&(r, c, _)| (r, c));
-        b.sort_by_key(|&(r, c, _)| (r, c));
-        a == b
-    }
 }
 
 impl<T: Scalar> SparseMatrix<T> {
@@ -56,7 +35,6 @@ impl<T: Scalar> SparseMatrix<T> {
             row_ptr: vec![0; nrows as usize + 1],
             col_idx: Vec::new(),
             values: Vec::new(),
-            pending: Vec::new(),
         }
     }
 
@@ -116,7 +94,7 @@ impl<T: Scalar> SparseMatrix<T> {
         for i in 0..nrows as usize {
             row_ptr[i + 1] += row_ptr[i];
         }
-        Ok(SparseMatrix { nrows, ncols, row_ptr, col_idx, values, pending: Vec::new() })
+        Ok(SparseMatrix { nrows, ncols, row_ptr, col_idx, values })
     }
 
     /// Construct directly from CSR parts produced by a kernel. The parts must
@@ -128,7 +106,7 @@ impl<T: Scalar> SparseMatrix<T> {
         col_idx: Vec<Index>,
         values: Vec<T>,
     ) -> Self {
-        let m = SparseMatrix { nrows, ncols, row_ptr, col_idx, values, pending: Vec::new() };
+        let m = SparseMatrix { nrows, ncols, row_ptr, col_idx, values };
         debug_assert!(m.check_invariants().is_ok(), "kernel produced invalid CSR");
         m
     }
@@ -143,42 +121,13 @@ impl<T: Scalar> SparseMatrix<T> {
         self.ncols
     }
 
-    /// True when no pending updates are buffered.
-    pub fn is_flushed(&self) -> bool {
-        self.pending.is_empty()
-    }
-
-    /// Number of stored entries (forces an exact count even with a pending
-    /// log; call [`SparseMatrix::wait`] first on hot paths).
+    /// Number of stored entries.
     pub fn nvals(&self) -> usize {
-        if self.pending.is_empty() {
-            return self.values.len();
-        }
-        // Determine the net effect of the pending log per coordinate.
-        let mut net: HashMap<(Index, Index), bool> = HashMap::new();
-        for op in &self.pending {
-            match *op {
-                PendingOp::Set(r, c, _) => {
-                    net.insert((r, c), true);
-                }
-                PendingOp::Remove(r, c) => {
-                    net.insert((r, c), false);
-                }
-            }
-        }
-        let mut count = self.values.len() as isize;
-        for (&(r, c), &present) in &net {
-            let stored = self.csr_get(r, c).is_some();
-            match (stored, present) {
-                (false, true) => count += 1,
-                (true, false) => count -= 1,
-                _ => {}
-            }
-        }
-        count.max(0) as usize
+        self.values.len()
     }
 
-    fn csr_get(&self, row: Index, col: Index) -> Option<T> {
+    /// Read a single entry: a binary search within its row.
+    pub fn extract_element(&self, row: Index, col: Index) -> Option<T> {
         if row >= self.nrows {
             return None;
         }
@@ -187,161 +136,44 @@ impl<T: Scalar> SparseMatrix<T> {
         cols.binary_search(&col).ok().map(|p| self.values[start + p])
     }
 
-    /// Set (insert or overwrite) a single entry. Buffered until
-    /// [`SparseMatrix::wait`].
-    ///
-    /// # Panics
-    /// Panics if the coordinate is out of bounds; see
-    /// [`SparseMatrix::try_set_element`].
-    pub fn set_element(&mut self, row: Index, col: Index, value: T) {
-        self.try_set_element(row, col, value).expect("index out of bounds");
-    }
-
-    /// Fallible element assignment.
-    pub fn try_set_element(&mut self, row: Index, col: Index, value: T) -> GrbResult<()> {
-        check_index(row, self.nrows)?;
-        check_index(col, self.ncols)?;
-        self.pending.push(PendingOp::Set(row, col, value));
-        Ok(())
-    }
-
-    /// Delete an entry (buffered). Deleting an absent entry is a no-op.
-    pub fn remove_element(&mut self, row: Index, col: Index) -> GrbResult<()> {
-        check_index(row, self.nrows)?;
-        check_index(col, self.ncols)?;
-        self.pending.push(PendingOp::Remove(row, col));
-        Ok(())
-    }
-
-    /// Read a single entry, observing any pending updates.
-    pub fn extract_element(&self, row: Index, col: Index) -> Option<T> {
-        for op in self.pending.iter().rev() {
-            match *op {
-                PendingOp::Set(r, c, v) if r == row && c == col => return Some(v),
-                PendingOp::Remove(r, c) if r == row && c == col => return None,
-                _ => {}
-            }
-        }
-        self.csr_get(row, col)
-    }
-
     /// Whether an entry is stored at `(row, col)`.
     pub fn contains(&self, row: Index, col: Index) -> bool {
         self.extract_element(row, col).is_some()
     }
 
-    /// Fold the pending update log into the CSR structure (GraphBLAS
-    /// `GrB_wait`). Cheap no-op when nothing is pending.
-    pub fn wait(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        // Net effect per coordinate, last operation wins.
-        let mut net: HashMap<(Index, Index), Option<T>> = HashMap::new();
-        for op in self.pending.drain(..) {
-            match op {
-                PendingOp::Set(r, c, v) => {
-                    net.insert((r, c), Some(v));
-                }
-                PendingOp::Remove(r, c) => {
-                    net.insert((r, c), None);
-                }
-            }
-        }
-        let mut changes: Vec<((Index, Index), Option<T>)> = net.into_iter().collect();
-        changes.sort_by_key(|&((r, c), _)| (r, c));
-
-        let old_nnz = self.values.len();
-        let mut new_row_ptr = Vec::with_capacity(self.row_ptr.len());
-        let mut new_col_idx = Vec::with_capacity(old_nnz + changes.len());
-        let mut new_values = Vec::with_capacity(old_nnz + changes.len());
-        new_row_ptr.push(0usize);
-
-        let mut ch = 0usize; // cursor into `changes`
-        for row in 0..self.nrows {
-            let (start, end) = (self.row_ptr[row as usize], self.row_ptr[row as usize + 1]);
-            let mut k = start;
-            // Merge existing row entries with this row's changes.
-            while ch < changes.len() && changes[ch].0 .0 == row {
-                let ((_, col), ref val) = changes[ch];
-                // copy existing entries with smaller column
-                while k < end && self.col_idx[k] < col {
-                    new_col_idx.push(self.col_idx[k]);
-                    new_values.push(self.values[k]);
-                    k += 1;
-                }
-                // skip an existing entry at the same column (it is replaced or removed)
-                if k < end && self.col_idx[k] == col {
-                    k += 1;
-                }
-                if let Some(v) = val {
-                    new_col_idx.push(col);
-                    new_values.push(*v);
-                }
-                ch += 1;
-            }
-            while k < end {
-                new_col_idx.push(self.col_idx[k]);
-                new_values.push(self.values[k]);
-                k += 1;
-            }
-            new_row_ptr.push(new_col_idx.len());
-        }
-        self.row_ptr = new_row_ptr;
-        self.col_idx = new_col_idx;
-        self.values = new_values;
-        debug_assert!(self.check_invariants().is_ok());
-    }
-
-    /// Column indices and values of one row. Requires a flushed matrix (call
-    /// [`SparseMatrix::wait`] after updates); pending updates are *not*
-    /// reflected here because the slices borrow the CSR arrays directly.
+    /// Column indices and values of one row, borrowed from the CSR arrays.
     pub fn row(&self, row: Index) -> (&[Index], &[T]) {
-        debug_assert!(self.is_flushed(), "row() on a matrix with pending updates");
         let (start, end) = (self.row_ptr[row as usize], self.row_ptr[row as usize + 1]);
         (&self.col_idx[start..end], &self.values[start..end])
     }
 
-    /// Number of stored entries in one row (flushed part only).
+    /// Number of stored entries in one row.
     pub fn row_degree(&self, row: Index) -> usize {
         self.row_ptr[row as usize + 1] - self.row_ptr[row as usize]
     }
 
-    /// Iterate over all stored entries in row-major order (flushed part only).
+    /// Iterate over all stored entries in row-major order.
     pub fn iter(&self) -> impl Iterator<Item = (Index, Index, T)> + '_ {
-        debug_assert!(self.is_flushed(), "iter() on a matrix with pending updates");
         (0..self.nrows).flat_map(move |r| {
-            let (cols, vals) = {
-                let (start, end) = (self.row_ptr[r as usize], self.row_ptr[r as usize + 1]);
-                (&self.col_idx[start..end], &self.values[start..end])
-            };
+            let (cols, vals) = self.row(r);
             cols.iter().copied().zip(vals.iter().copied()).map(move |(c, v)| (r, c, v))
         })
     }
 
-    /// Export all stored entries as `(row, col, value)` triples, including the
-    /// effect of pending updates.
+    /// Export all stored entries as `(row, col, value)` triples in row-major
+    /// order.
     pub fn to_triples(&self) -> Vec<(Index, Index, T)> {
-        if self.pending.is_empty() {
-            return self.iter().collect();
+        let mut out = Vec::with_capacity(self.nvals());
+        for r in 0..self.nrows {
+            let (cols, vals) = self.row(r);
+            out.extend(cols.iter().zip(vals).map(|(&c, &v)| (r, c, v)));
         }
-        let mut copy = self.clone();
-        copy.wait();
-        copy.iter().collect()
-    }
-
-    /// Remove every stored entry, keeping the dimensions.
-    pub fn clear(&mut self) {
-        self.pending.clear();
-        self.col_idx.clear();
-        self.values.clear();
-        self.row_ptr = vec![0; self.nrows as usize + 1];
+        out
     }
 
     /// Resize the matrix (GraphBLAS `GxB_Matrix_resize`). Growing adds empty
     /// rows/columns; shrinking drops out-of-range entries.
     pub fn resize(&mut self, nrows: Index, ncols: Index) {
-        self.wait();
         if nrows >= self.nrows && ncols >= self.ncols {
             self.row_ptr.resize(nrows as usize + 1, *self.row_ptr.last().unwrap_or(&0));
             self.nrows = nrows;
@@ -443,71 +275,12 @@ mod tests {
     }
 
     #[test]
-    fn pending_set_is_visible_before_wait() {
-        let mut m = small();
-        m.set_element(2, 3, 99);
-        assert!(!m.is_flushed());
-        assert_eq!(m.extract_element(2, 3), Some(99));
-        assert_eq!(m.nvals(), 5);
-        m.wait();
-        assert!(m.is_flushed());
-        assert_eq!(m.extract_element(2, 3), Some(99));
-        assert_eq!(m.nvals(), 5);
-        m.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn pending_overwrite_does_not_grow_nvals() {
-        let mut m = small();
-        m.set_element(0, 1, 11);
-        assert_eq!(m.nvals(), 4);
-        m.wait();
-        assert_eq!(m.nvals(), 4);
-        assert_eq!(m.extract_element(0, 1), Some(11));
-    }
-
-    #[test]
-    fn pending_remove_hides_entry() {
-        let mut m = small();
-        m.remove_element(0, 3).unwrap();
-        assert_eq!(m.extract_element(0, 3), None);
-        assert_eq!(m.nvals(), 3);
-        m.wait();
-        assert_eq!(m.nvals(), 3);
-        assert_eq!(m.row(0).0, &[1]);
-    }
-
-    #[test]
-    fn set_then_remove_then_set_last_wins() {
-        let mut m = SparseMatrix::<bool>::new(2, 2);
-        m.set_element(0, 0, true);
-        m.remove_element(0, 0).unwrap();
-        m.set_element(0, 0, true);
-        assert_eq!(m.extract_element(0, 0), Some(true));
-        m.wait();
-        assert_eq!(m.nvals(), 1);
-    }
-
-    #[test]
-    fn wait_merges_multiple_rows_in_order() {
-        let mut m = SparseMatrix::<i64>::new(4, 4);
-        for (r, c, v) in [(3u64, 1u64, 1i64), (0, 2, 2), (2, 0, 3), (0, 0, 4), (3, 3, 5)] {
-            m.set_element(r, c, v);
-        }
-        m.wait();
-        m.check_invariants().unwrap();
-        assert_eq!(m.nvals(), 5);
-        assert_eq!(m.row(0).0, &[0, 2]);
-        assert_eq!(m.row(3).0, &[1, 3]);
-    }
-
-    #[test]
     fn resize_grow_and_shrink() {
         let mut m = small();
         m.resize(5, 5);
         assert_eq!(m.nrows(), 5);
         assert_eq!(m.nvals(), 4);
-        m.set_element(4, 4, 1);
+        m.check_invariants().unwrap();
         m.resize(2, 2);
         assert_eq!(m.nvals(), 2); // only (0,1) and (1,0) survive
         assert_eq!(m.extract_element(0, 1), Some(10));
@@ -516,23 +289,14 @@ mod tests {
     }
 
     #[test]
-    fn clear_removes_everything() {
-        let mut m = small();
-        m.set_element(1, 1, 1);
-        m.clear();
-        assert_eq!(m.nvals(), 0);
-        assert_eq!(m.nrows(), 3);
-        m.check_invariants().unwrap();
-    }
-
-    #[test]
     fn equality_ignores_representation() {
         let a = small();
-        let mut b = SparseMatrix::new(3, 4);
-        for (r, c, v) in a.to_triples() {
-            b.set_element(r, c, v);
-        }
-        assert_eq!(a, b); // b still has a pending log
+        // Built in reverse order with a repeated coordinate: same entries.
+        let mut shuffled = a.to_triples();
+        shuffled.reverse();
+        shuffled.push(shuffled[0]);
+        assert_eq!(a, SparseMatrix::from_triples(3, 4, &shuffled).unwrap());
+        assert_ne!(a, SparseMatrix::from_triples(3, 4, &shuffled[..2]).unwrap());
     }
 
     #[test]

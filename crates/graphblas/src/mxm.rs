@@ -24,7 +24,7 @@ use crate::Index;
 /// structural interpretation.
 ///
 /// # Panics
-/// Panics on dimension mismatch or if either input has pending updates.
+/// Panics on dimension mismatch.
 pub fn mxm<T: Scalar + OpApply>(
     a: &SparseMatrix<T>,
     b: &SparseMatrix<T>,
@@ -32,8 +32,6 @@ pub fn mxm<T: Scalar + OpApply>(
     mask: Option<&MatrixMask<'_>>,
     desc: &Descriptor,
 ) -> SparseMatrix<T> {
-    assert!(a.is_flushed() && b.is_flushed(), "mxm requires flushed matrices");
-
     // Apply descriptor-requested transposes up front; correctness first, the
     // transposes are linear in nnz.
     let at;

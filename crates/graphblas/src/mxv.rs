@@ -69,8 +69,7 @@ impl<T: Scalar> Spa<T> {
 /// exactly "the set of vertices reachable in one hop from the set `u`".
 ///
 /// # Panics
-/// Panics if `u.size() != a.nrows()`. The matrix must be flushed
-/// ([`SparseMatrix::wait`]).
+/// Panics if `u.size() != a.nrows()`.
 pub fn vxm<T: Scalar + OpApply>(
     u: &SparseVector<T>,
     a: &SparseMatrix<T>,
@@ -78,7 +77,6 @@ pub fn vxm<T: Scalar + OpApply>(
     mask: Option<&VectorMask<'_>>,
     desc: &Descriptor,
 ) -> SparseVector<T> {
-    assert!(a.is_flushed(), "vxm requires a flushed matrix");
     if desc.transpose_b || desc.transpose_a {
         // vxm with a transposed matrix is mxv against the untransposed one.
         return mxv_internal(a, u, semiring, mask, desc, true);
@@ -99,7 +97,7 @@ pub fn vxm<T: Scalar + OpApply>(
 /// an adjacency matrix this follows edges *backwards*).
 ///
 /// # Panics
-/// Panics if `u.size() != a.ncols()`. The matrix must be flushed.
+/// Panics if `u.size() != a.ncols()`.
 pub fn mxv<T: Scalar + OpApply>(
     a: &SparseMatrix<T>,
     u: &SparseVector<T>,
@@ -107,7 +105,6 @@ pub fn mxv<T: Scalar + OpApply>(
     mask: Option<&VectorMask<'_>>,
     desc: &Descriptor,
 ) -> SparseVector<T> {
-    assert!(a.is_flushed(), "mxv requires a flushed matrix");
     if desc.transpose_a || desc.transpose_b {
         // mxv with Aᵀ is vxm against A.
         let plain = Descriptor { transpose_a: false, transpose_b: false, ..*desc };

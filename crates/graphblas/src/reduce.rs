@@ -1,61 +1,18 @@
-//! Reductions (`GrB_reduce`): matrix → vector (row-wise), matrix → scalar,
-//! vector → scalar.
+//! Reduction (`GrB_reduce`) of a matrix to a scalar.
 //!
-//! With the PLUS monoid over the adjacency matrix these compute out-degrees
-//! and edge counts; the k-hop count query in the paper's benchmark is a
-//! reduction of the reached frontier to a scalar.
+//! With the PLUS monoid over a product matrix this counts paths; triangle
+//! counting sums its masked wedge product this way.
 
 use crate::binary_op::OpApply;
 use crate::matrix::SparseMatrix;
 use crate::monoid::Monoid;
 use crate::types::Scalar;
-use crate::vector::SparseVector;
-
-/// Reduce each row of `a` to a single value: `w[i] = ⊕_j a[i,j]`.
-/// Rows with no entries produce no output entry.
-pub fn reduce_to_vector<T: Scalar + OpApply>(
-    a: &SparseMatrix<T>,
-    monoid: &Monoid<T>,
-) -> SparseVector<T> {
-    assert!(a.is_flushed(), "reduce requires a flushed matrix");
-    let mut indices = Vec::new();
-    let mut values = Vec::new();
-    for i in 0..a.nrows() {
-        let (_, vals) = a.row(i);
-        if vals.is_empty() {
-            continue;
-        }
-        let mut acc = vals[0];
-        for &v in &vals[1..] {
-            acc = monoid.combine(acc, v);
-            if monoid.is_terminal(acc) {
-                break;
-            }
-        }
-        indices.push(i);
-        values.push(acc);
-    }
-    SparseVector::from_sorted_parts(a.nrows(), indices, values)
-}
 
 /// Reduce every stored entry of a matrix to a single scalar. Returns the
 /// monoid identity for an empty matrix.
 pub fn reduce_matrix_to_scalar<T: Scalar + OpApply>(a: &SparseMatrix<T>, monoid: &Monoid<T>) -> T {
-    assert!(a.is_flushed(), "reduce requires a flushed matrix");
     let mut acc = monoid.identity;
     for &v in a.raw_values() {
-        acc = monoid.combine(acc, v);
-        if monoid.is_terminal(acc) {
-            break;
-        }
-    }
-    acc
-}
-
-/// Reduce every stored entry of a vector to a single scalar.
-pub fn reduce_vector_to_scalar<T: Scalar + OpApply>(u: &SparseVector<T>, monoid: &Monoid<T>) -> T {
-    let mut acc = monoid.identity;
-    for &v in u.values() {
         acc = monoid.combine(acc, v);
         if monoid.is_terminal(acc) {
             break;
@@ -70,15 +27,6 @@ mod tests {
     use crate::monoid::{lor_monoid, max_monoid, plus_monoid};
 
     #[test]
-    fn row_reduce_computes_out_degree() {
-        let a = SparseMatrix::from_triples(3, 3, &[(0, 1, 1u64), (0, 2, 1), (2, 0, 1)]).unwrap();
-        let deg = reduce_to_vector(&a, &plus_monoid());
-        assert_eq!(deg.extract_element(0), Some(2));
-        assert_eq!(deg.extract_element(1), None); // empty row → no entry
-        assert_eq!(deg.extract_element(2), Some(1));
-    }
-
-    #[test]
     fn matrix_scalar_reduce_sums_all_entries() {
         let a = SparseMatrix::from_triples(2, 2, &[(0, 0, 1i64), (0, 1, 2), (1, 1, 3)]).unwrap();
         assert_eq!(reduce_matrix_to_scalar(&a, &plus_monoid()), 6);
@@ -89,22 +37,14 @@ mod tests {
     fn empty_matrix_reduces_to_identity() {
         let a = SparseMatrix::<i64>::new(4, 4);
         assert_eq!(reduce_matrix_to_scalar(&a, &plus_monoid()), 0);
-        let v = reduce_to_vector(&a, &plus_monoid());
-        assert!(v.is_empty());
-    }
-
-    #[test]
-    fn vector_scalar_reduce_counts_frontier() {
-        // reduce with PLUS over a pattern of ones = neighbourhood size
-        let f = SparseVector::from_entries(10, &[(1, 1u64), (4, 1), (7, 1)]).unwrap();
-        assert_eq!(reduce_vector_to_scalar(&f, &plus_monoid()), 3);
     }
 
     #[test]
     fn boolean_reduce_short_circuits() {
-        let f = SparseVector::from_entries(3, &[(0, false), (1, true), (2, false)]).unwrap();
-        assert!(reduce_vector_to_scalar(&f, &lor_monoid()));
-        let none = SparseVector::from_entries(3, &[(0, false)]).unwrap();
-        assert!(!reduce_vector_to_scalar(&none, &lor_monoid()));
+        let a = SparseMatrix::from_triples(2, 2, &[(0, 0, false), (0, 1, true), (1, 0, false)])
+            .unwrap();
+        assert!(reduce_matrix_to_scalar(&a, &lor_monoid()));
+        let none = SparseMatrix::from_triples(2, 2, &[(1, 1, false)]).unwrap();
+        assert!(!reduce_matrix_to_scalar(&none, &lor_monoid()));
     }
 }

@@ -51,7 +51,6 @@ impl<T: Scalar> SelectOp<T> {
 
 /// Return a matrix containing only the entries of `a` selected by `op`.
 pub fn select_matrix<T: Scalar>(a: &SparseMatrix<T>, op: &SelectOp<T>) -> SparseMatrix<T> {
-    assert!(a.is_flushed(), "select requires a flushed matrix");
     let triples: Vec<_> = a.iter().filter(|&(r, c, v)| op.keep(r, c, v)).collect();
     SparseMatrix::from_triples(a.nrows(), a.ncols(), &triples).expect("pattern already valid")
 }

@@ -8,11 +8,10 @@ use crate::matrix::SparseMatrix;
 use crate::types::Scalar;
 use crate::Index;
 
-/// Return `Aᵀ`. The input must be flushed.
+/// Return `Aᵀ`.
 ///
 /// Runs in `O(nnz + nrows + ncols)` time using a counting sort over columns.
 pub fn transpose<T: Scalar>(a: &SparseMatrix<T>) -> SparseMatrix<T> {
-    assert!(a.is_flushed(), "transpose requires a flushed matrix");
     let nrows = a.nrows();
     let ncols = a.ncols();
     let nnz = a.nvals();

@@ -5,7 +5,8 @@
 //! eager application of the same sequence:
 //!
 //! * a dense `HashMap` reference (the simplest possible oracle);
-//! * an eagerly-flushed [`SparseMatrix`] (`wait()` after every mutation);
+//! * a [`SparseMatrix`] built from that reference with `from_triples` at each
+//!   check, so the merged view is compared with an independently built CSR;
 //! * an eager `DeltaMatrix` with `flush_threshold = 1`.
 //!
 //! Flushes are injected at arbitrary points in the sequence, and small
@@ -34,28 +35,28 @@ fn ops() -> impl Strategy<Value = Vec<ScriptedOp>> {
     prop::collection::vec((0u8..7, 0..DIM, 0..DIM, -50i64..50), 0..120)
 }
 
-/// Apply one scripted op to the delta matrix under test and to the oracles.
-fn apply(
-    op: ScriptedOp,
-    delta: &mut DeltaMatrix<i64>,
-    dense: &mut HashMap<(u64, u64), i64>,
-    eager: &mut SparseMatrix<i64>,
-) {
+/// Apply one scripted op to the delta matrix under test and to the dense
+/// reference.
+fn apply(op: ScriptedOp, delta: &mut DeltaMatrix<i64>, dense: &mut HashMap<(u64, u64), i64>) {
     let (kind, r, c, v) = op;
     match kind {
         0..=3 => {
             delta.set_element(r, c, v);
             dense.insert((r, c), v);
-            eager.set_element(r, c, v);
         }
         4 | 5 => {
             delta.remove_element(r, c).unwrap();
             dense.remove(&(r, c));
-            eager.remove_element(r, c).unwrap();
         }
         _ => delta.flush(),
     }
-    eager.wait();
+}
+
+/// The CSR oracle: the dense reference built straight into a `DIM × DIM`
+/// [`SparseMatrix`].
+fn eager(dense: &HashMap<(u64, u64), i64>) -> SparseMatrix<i64> {
+    let triples: Vec<_> = dense.iter().map(|(&(r, c), &v)| (r, c, v)).collect();
+    SparseMatrix::from_triples(DIM, DIM, &triples).unwrap()
 }
 
 /// Assert the delta matrix's merged view equals the dense reference,
@@ -85,18 +86,17 @@ proptest! {
         let mut delta = DeltaMatrix::<i64>::new(DIM, DIM);
         delta.set_flush_threshold(threshold);
         let mut dense = HashMap::new();
-        let mut eager = SparseMatrix::<i64>::new(DIM, DIM);
         for &op in &script {
-            apply(op, &mut delta, &mut dense, &mut eager);
+            apply(op, &mut delta, &mut dense);
             delta.check_invariants().map_err(|e| TestCaseError::fail(format!("{e}")))?;
         }
         // Merged view agrees with both oracles at the end of the script…
         assert_matches_dense(&delta, &dense)?;
-        prop_assert_eq!(delta.to_triples(), eager.to_triples());
+        prop_assert_eq!(delta.to_triples(), eager(&dense).to_triples());
         // …and still does after a final flush collapses the buffers.
         delta.flush();
         assert_matches_dense(&delta, &dense)?;
-        prop_assert_eq!(delta.main().to_triples(), eager.to_triples());
+        prop_assert_eq!(delta.main().to_triples(), eager(&dense).to_triples());
     }
 
     #[test]
@@ -109,9 +109,8 @@ proptest! {
         flushed.set_flush_threshold(usize::MAX);
         buffered.set_flush_threshold(usize::MAX);
         let mut dense = HashMap::new();
-        let mut eager = SparseMatrix::<i64>::new(DIM, DIM);
         for (i, &op) in script.iter().enumerate() {
-            apply(op, &mut flushed, &mut dense, &mut eager);
+            apply(op, &mut flushed, &mut dense);
             let (kind, r, c, v) = op;
             match kind {
                 0..=3 => buffered.set_element(r, c, v),
@@ -161,9 +160,8 @@ proptest! {
         let mut delta = DeltaMatrix::<i64>::new(DIM, DIM);
         delta.set_flush_threshold(usize::MAX);
         let mut dense = HashMap::new();
-        let mut eager = SparseMatrix::<i64>::new(DIM, DIM);
         for &op in &script {
-            apply(op, &mut delta, &mut dense, &mut eager);
+            apply(op, &mut delta, &mut dense);
         }
         for r in 0..DIM {
             let merged: Vec<(u64, i64)> = delta.row_iter(r).collect();
@@ -182,14 +180,13 @@ proptest! {
         let mut delta = DeltaMatrix::<i64>::new(DIM, DIM);
         delta.set_flush_threshold(threshold);
         let mut dense = HashMap::new();
-        let mut eager = SparseMatrix::<i64>::new(DIM, DIM);
         for &op in &script {
-            apply(op, &mut delta, &mut dense, &mut eager);
+            apply(op, &mut delta, &mut dense);
         }
         let exported = delta.export();
         exported.check_invariants().map_err(|e| TestCaseError::fail(format!("{e}")))?;
-        prop_assert_eq!(&exported, &eager);
-        prop_assert_eq!(delta.view().to_triples(), eager.to_triples());
+        prop_assert_eq!(&exported, &eager(&dense));
+        prop_assert_eq!(delta.view().to_triples(), eager(&dense).to_triples());
     }
 }
 
@@ -265,9 +262,14 @@ proptest! {
         for (clone, frozen) in &clones {
             assert_frozen(clone, frozen)?;
         }
-        // …and still does once the original folds everything it shares.
+        // …and still does once the original folds everything it shares. The
+        // fold publishes exactly the CSR `export` builds without publishing.
+        let exported = delta.export();
         delta.flush();
         assert_frozen(&delta, &dense)?;
+        exported.check_invariants().map_err(|e| TestCaseError::fail(format!("{e}")))?;
+        delta.main().check_invariants().map_err(|e| TestCaseError::fail(format!("{e}")))?;
+        prop_assert_eq!(&exported, delta.main());
         for (clone, frozen) in &clones {
             assert_frozen(clone, frozen)?;
         }

@@ -1,9 +1,9 @@
 //! Property-based tests for the GraphBLAS data structures and kernels.
 //!
 //! The properties mirror the algebraic identities the library is supposed to
-//! satisfy: CSR invariants after arbitrary update sequences, agreement between
-//! sparse kernels and dense reference implementations, transpose involution,
-//! and semiring identities used by the traversal engine.
+//! satisfy: agreement between sparse kernels and dense reference
+//! implementations, transpose involution, and semiring identities used by the
+//! traversal engine. Update sequences are covered by `delta_proptests.rs`.
 
 use graphblas::prelude::*;
 use proptest::prelude::*;
@@ -48,45 +48,6 @@ fn dense_mxm(a: &SparseMatrix<i64>, b: &SparseMatrix<i64>) -> Vec<Vec<i64>> {
 }
 
 proptest! {
-    #[test]
-    fn matrix_invariants_hold_after_arbitrary_updates(ops in triples(), removals in prop::collection::vec(((0..DIM), (0..DIM)), 0..20)) {
-        let mut m = SparseMatrix::<i64>::new(DIM, DIM);
-        for &(r, c, v) in &ops {
-            m.set_element(r, c, v);
-        }
-        for &(r, c) in &removals {
-            m.remove_element(r, c).unwrap();
-        }
-        m.wait();
-        prop_assert!(m.check_invariants().is_ok());
-        // Every removed coordinate that was not re-set afterwards must be absent.
-        for &(r, c) in &removals {
-            if !ops.is_empty() {
-                // (ordering: all sets happen before removals in this test)
-                prop_assert!(m.extract_element(r, c).is_none());
-            }
-        }
-    }
-
-    #[test]
-    fn set_then_get_roundtrip(ops in triples()) {
-        let mut m = SparseMatrix::<i64>::new(DIM, DIM);
-        let mut last = std::collections::HashMap::new();
-        for &(r, c, v) in &ops {
-            m.set_element(r, c, v);
-            last.insert((r, c), v);
-        }
-        // visible both before and after wait()
-        for (&(r, c), &v) in &last {
-            prop_assert_eq!(m.extract_element(r, c), Some(v));
-        }
-        m.wait();
-        prop_assert_eq!(m.nvals(), last.len());
-        for (&(r, c), &v) in &last {
-            prop_assert_eq!(m.extract_element(r, c), Some(v));
-        }
-    }
-
     #[test]
     fn transpose_is_an_involution(ts in triples()) {
         let m = SparseMatrix::from_triples(DIM, DIM, &ts).unwrap();
@@ -143,16 +104,6 @@ proptest! {
         coords.extend(a.to_triples().iter().map(|&(r, c, _)| (r, c)));
         coords.extend(b.to_triples().iter().map(|&(r, c, _)| (r, c)));
         prop_assert_eq!(ab.nvals(), coords.len());
-    }
-
-    #[test]
-    fn ewise_mult_pattern_is_intersection(ta in triples(), tb in triples()) {
-        let a = SparseMatrix::from_triples(DIM, DIM, &ta).unwrap();
-        let b = SparseMatrix::from_triples(DIM, DIM, &tb).unwrap();
-        let m = ewise_mult_matrix(&a, &b, &BinaryOp::Times);
-        let pa: std::collections::HashSet<_> = a.to_triples().iter().map(|&(r, c, _)| (r, c)).collect();
-        let pb: std::collections::HashSet<_> = b.to_triples().iter().map(|&(r, c, _)| (r, c)).collect();
-        prop_assert_eq!(m.nvals(), pa.intersection(&pb).count());
     }
 
     #[test]

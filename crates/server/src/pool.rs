@@ -4,7 +4,7 @@
 //! at the module's loading time", §II). The main Redis thread pushes each
 //! query as one job; one worker executes it to completion on a single core.
 
-use crossbeam::atomic::{AtomicUsize, Ordering};
+use crossbeam::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crossbeam::channel::{unbounded, Sender};
 use crossbeam::thread::JoinHandle;
 use std::panic::{self, AssertUnwindSafe};
@@ -21,6 +21,8 @@ pub struct ThreadPool {
     /// Jobs submitted but not yet finished (queued + executing). Graceful
     /// shutdown drains this to zero before tearing the listener down.
     in_flight: Arc<AtomicUsize>,
+    /// Jobs that panicked (`worker_panics` in `GRAPH.INFO`).
+    panics: Arc<AtomicU64>,
 }
 
 impl ThreadPool {
@@ -28,9 +30,11 @@ impl ThreadPool {
     pub fn new(size: usize) -> Self {
         let size = size.max(1);
         let (sender, receiver) = unbounded::<Job>();
+        let panics = Arc::new(AtomicU64::new(0));
         let mut workers = Vec::with_capacity(size);
         for i in 0..size {
             let rx = receiver.clone();
+            let panics = Arc::clone(&panics);
             let handle = crossbeam::thread::Builder::new()
                 .name(format!("redisgraph-worker-{i}"))
                 .spawn(move || {
@@ -40,13 +44,21 @@ impl ThreadPool {
                     // the worker goes on to the next job, so panics can never
                     // drain the pool of workers.
                     while let Ok(job) = rx.recv() {
-                        let _ = panic::catch_unwind(AssertUnwindSafe(job));
+                        if panic::catch_unwind(AssertUnwindSafe(job)).is_err() {
+                            panics.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
                 })
                 .expect("failed to spawn worker thread");
             workers.push(handle);
         }
-        ThreadPool { sender: Some(sender), workers, size, in_flight: Arc::new(AtomicUsize::new(0)) }
+        ThreadPool {
+            sender: Some(sender),
+            workers,
+            size,
+            in_flight: Arc::new(AtomicUsize::new(0)),
+            panics,
+        }
     }
 
     /// Number of worker threads.
@@ -57,6 +69,12 @@ impl ThreadPool {
     /// Jobs submitted but not yet completed (queued + executing).
     pub fn in_flight(&self) -> usize {
         self.in_flight.load(Ordering::SeqCst)
+    }
+
+    /// Jobs that panicked since the pool started. Each one unwound only
+    /// itself; its worker went on to the next job.
+    pub fn panics(&self) -> u64 {
+        self.panics.load(Ordering::Relaxed)
     }
 
     /// Block until every submitted job has finished, or `timeout` elapses.
@@ -184,8 +202,14 @@ mod tests {
         // One worker: if the panic took it down, the next submission would
         // have nobody to run it.
         let pool = ThreadPool::new(1);
+        assert_eq!(pool.panics(), 0);
         pool.execute(|| panic!("job blew up (expected in this test)"));
         assert_eq!(pool.execute_blocking(|| 7), 7);
+        // One worker runs jobs in order: the panic was counted before the
+        // next job ran.
+        assert_eq!(pool.panics(), 1);
+        pool.execute_blocking(|| ());
+        assert_eq!(pool.panics(), 1, "a job that returns is not a panic");
     }
 
     #[test]

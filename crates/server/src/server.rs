@@ -746,6 +746,7 @@ impl RedisGraphServer {
             vec![
                 ("queries_executed", load(&m.queries_executed)),
                 ("queries_failed", load(&m.queries_failed)),
+                ("worker_panics", int(self.pool.panics())),
                 ("queries_readonly", load(&m.queries_readonly)),
                 ("queries_write", load(&m.queries_write)),
                 ("snapshot_hits", load(&m.snapshot_hits)),
@@ -1121,6 +1122,7 @@ mod tests {
         let after = info(&server);
         assert_eq!(after["queries_executed"], 2);
         assert_eq!(after["queries_failed"], 1);
+        assert_eq!(after["worker_panics"], 0, "a parse error is not a panic");
         assert_eq!(after["queries_write"], 1);
         assert_eq!(after["queries_readonly"], 1);
         assert_eq!(after["graph.query"], 3);
