@@ -456,8 +456,9 @@ fn try_fuse_at(seg: &mut Segment, i: usize) -> Option<usize> {
     }
     let run = &chain[..=last];
     let n_labels: usize = run.iter().map(|e| e.labels.len()).sum();
-    // A lone unlabelled hop gains nothing from fusion (and would lose the
-    // batched path's shared-row probing); require a real chain or a pushdown.
+    // A lone unlabelled hop gains nothing from fusion (and would trade its
+    // row walk for a whole-matrix product); require a real chain or a
+    // pushdown.
     if run.len() < 2 && n_labels == 0 {
         return None;
     }

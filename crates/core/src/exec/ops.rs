@@ -13,35 +13,10 @@ use crate::store::graph::{Graph, TraverseDir};
 use crate::value::{EquivKey, Value};
 use crate::{EdgeId, NodeId};
 use cypher::{Direction, Expr, PathPattern, Projection, SetItem, SortOrder};
-use graphblas::prelude::*;
+use graphblas::SparseVector;
 use std::collections::{HashMap, HashSet};
 
-/// How `Conditional Traverse` / `Expand Into` operators execute.
-///
-/// The paper's central claim is that traversals *are* algebraic expressions:
-/// a batch of plan records becomes a frontier matrix `F` (record × node) and
-/// one relation step becomes `F ⊕.⊗ Aᵣ`, a masked sparse `mxm` whose rows
-/// are probed back into records. The scalar strategy is the per-record
-/// pointer-chasing fallback; both produce row-for-row identical output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TraverseStrategy {
-    /// Batch once at least [`BATCH_TRAVERSE_MIN_RECORDS`] records flow
-    /// through the traversal; pointer-chase below that (building frontier
-    /// matrices for a handful of records costs more than it saves).
-    #[default]
-    Auto,
-    /// Always traverse record by record (`graph.neighbors()` row walks).
-    Scalar,
-    /// Always evaluate the traversal as a frontier `mxm`.
-    Batched,
-}
-
-/// Record-batch size at which [`TraverseStrategy::Auto`] switches from the
-/// scalar path to the frontier `mxm`.
-pub const BATCH_TRAVERSE_MIN_RECORDS: usize = 64;
-
-/// The parameters of one `Traverse` plan op, bundled so the execution
-/// strategies share a signature.
+/// The parameters of one `Traverse` plan op, as [`run_traverse`] takes them.
 #[derive(Debug, Clone)]
 pub struct TraverseSpec<'a> {
     /// Slot of the already-bound source node.
@@ -113,7 +88,8 @@ pub enum PlanOp {
     },
     /// Traverse relationships from the node in `src_slot`, binding reached
     /// nodes to `dst_slot` (and the traversed edge to `edge_slot` for single
-    /// hops). Variable-length traversals run the masked-vxm BFS.
+    /// hops). Variable-length traversals run the bitmap BFS of
+    /// [`Graph::khop_reach`] once per distinct source.
     Traverse {
         /// Slot of the already-bound source node.
         src_slot: usize,
@@ -409,9 +385,18 @@ pub fn run_filter(
         .collect()
 }
 
-/// Execute a traverse op, dispatching on the graph's [`TraverseStrategy`].
-/// Both strategies produce row-for-row identical output (proven by the
-/// `traverse_differential` integration suite).
+/// Execute a traverse op.
+///
+/// A single hop reads each record's source row ([`Graph::neighbors`]); an
+/// Expand Into, whose destination is already bound, looks up only the
+/// `(source, destination)` cell of each selected relation instead. A
+/// variable-length hop runs one [`Graph::khop_reach`] per *distinct* source
+/// node and shares its reached set among the records bound to that source.
+///
+/// Rows come out record-major; within a record, per relation type forward
+/// then backward, destinations ascending, parallel edges by ascending id.
+/// The `traverse_differential` suite checks the rows against an edge-list
+/// oracle.
 pub fn run_traverse(
     records: Vec<Record>,
     bindings: &Bindings,
@@ -421,11 +406,68 @@ pub fn run_traverse(
     let Some(rel_ids) = resolve_rel_types(graph, spec.rel_types) else {
         return Vec::new();
     };
-    if batched_strategy(graph, records.len()) {
-        run_traverse_batched(records, bindings, graph, spec, rel_ids.as_deref())
-    } else {
-        run_traverse_scalar(records, bindings, graph, spec, rel_ids.as_deref())
+    let rel_ids = rel_ids.as_deref();
+    let dir = to_traverse_dir(spec.direction);
+    let bind = |record: &Record, dst: Option<NodeId>, edge: Option<EdgeId>| {
+        let mut r = record.clone();
+        ensure_len(&mut r, bindings);
+        if let Some(dst) = dst {
+            r[spec.dst_slot] = Value::Node(dst);
+        }
+        if let (Some(es), Some(edge)) = (spec.edge_slot, edge) {
+            r[es] = Value::Edge(edge);
+        }
+        r
+    };
+    let mut out = Vec::new();
+
+    if spec.min_hops == 1 && spec.max_hops == Some(1) {
+        let forward = matches!(dir, TraverseDir::Outgoing | TraverseDir::Both);
+        let backward = matches!(dir, TraverseDir::Incoming | TraverseDir::Both);
+        let rels: Vec<usize> =
+            rel_ids.map_or_else(|| (0..graph.relation_type_count()).collect(), <[_]>::to_vec);
+        for record in &records {
+            let Some(&Value::Node(src)) = record.get(spec.src_slot) else { continue };
+            if !spec.expand_into {
+                for (nbr, edge) in graph.neighbors(src, rel_ids, dir) {
+                    out.push(bind(record, Some(nbr), Some(edge)));
+                }
+                continue;
+            }
+            let Some(&Value::Node(dst)) = record.get(spec.dst_slot) else { continue };
+            let bind_edge = |edge| bind(record, None, Some(edge));
+            for &rel in &rels {
+                if forward {
+                    out.extend(graph.edges_between(rel, src, dst).map(bind_edge));
+                }
+                // A backward step follows a stored `dst → src` edge.
+                if backward {
+                    out.extend(graph.edges_between(rel, dst, src).map(bind_edge));
+                }
+            }
+        }
+        return out;
     }
+
+    let max = hop_limit(graph, spec.max_hops);
+    let batch = BatchFrontier::new(&records, spec.src_slot, graph.dim());
+    let reached: Vec<SparseVector<bool>> = batch
+        .entries
+        .iter()
+        .map(|&(_, src)| graph.khop_reach(src, spec.min_hops, max, dir, rel_ids))
+        .collect();
+    for (record, row) in records.iter().zip(&batch.record_rows) {
+        let Some(row) = *row else { continue };
+        let reached = &reached[row as usize];
+        if !spec.expand_into {
+            out.extend(reached.indices().iter().map(|&n| bind(record, Some(n), None)));
+        } else if let Some(&Value::Node(t)) = record.get(spec.dst_slot) {
+            if reached.contains(t) {
+                out.push(record.clone());
+            }
+        }
+    }
+    out
 }
 
 /// Resolve a pattern's relationship type names to relation ids: `Some(None)`
@@ -436,16 +478,6 @@ pub(crate) fn resolve_rel_types(graph: &Graph, rel_types: &[String]) -> Option<O
         return Some(None);
     }
     rel_types.iter().map(|t| graph.schema.rel_type_id(t)).collect::<Option<Vec<_>>>().map(Some)
-}
-
-/// Whether a traversal over `records` records takes the batched path under
-/// the graph's [`TraverseStrategy`].
-fn batched_strategy(graph: &Graph, records: usize) -> bool {
-    match graph.traverse_strategy() {
-        TraverseStrategy::Scalar => false,
-        TraverseStrategy::Batched => true,
-        TraverseStrategy::Auto => records >= BATCH_TRAVERSE_MIN_RECORDS,
-    }
 }
 
 /// The hop bound a traversal runs to: unbounded patterns stop after as many
@@ -488,24 +520,16 @@ pub fn run_traverse_count(op: &PlanOp, records: &[Record], graph: &Graph) -> Vec
         // Several reached sets union through one flag per node; a lone set
         // — the paper's k-hop query, one seek — counts as its `nvals`.
         let mut union = vec![false; if batch.entries.len() > 1 { batch.dim as usize } else { 0 }];
-        let mut add = |set: &[NodeId], copies: u64| {
-            total += copies * set.len() as u64;
+        for (&(_, src), &n) in batch.entries.iter().zip(&copies) {
+            let reached = graph.khop_reach(src, *min_hops, max, dir, rel_ids.as_deref());
+            let set = reached.indices();
+            total += n * set.len() as u64;
             if union.is_empty() {
                 distinct = set.len() as u64;
             } else {
-                for &n in set {
-                    distinct += u64::from(!std::mem::replace(&mut union[n as usize], true));
+                for &v in set {
+                    distinct += u64::from(!std::mem::replace(&mut union[v as usize], true));
                 }
-            }
-        };
-        if batched_strategy(graph, records.len()) && !batch.entries.is_empty() {
-            let reached = batched_reach(graph, rel_ids.as_deref(), dir, &batch, *min_hops, max);
-            for (row, &n) in copies.iter().enumerate() {
-                add(probe_row(&reached, row as u64).0, n);
-            }
-        } else {
-            for (&(_, src), &n) in batch.entries.iter().zip(&copies) {
-                add(graph.khop_reach(src, *min_hops, max, dir, rel_ids.as_deref()).indices(), n);
             }
         }
     }
@@ -519,123 +543,9 @@ pub fn run_traverse_count(op: &PlanOp, records: &[Record], graph: &Graph) -> Vec
     apply_order_skip_limit(projection, vec![(row, Vec::new())])
 }
 
-/// The per-record scalar strategy: pointer-chase `graph.neighbors()` row
-/// walks (single hop) or a per-source [`Graph::khop_reach`] (variable
-/// length).
-pub fn run_traverse_scalar(
-    records: Vec<Record>,
-    bindings: &Bindings,
-    graph: &Graph,
-    spec: &TraverseSpec<'_>,
-    rel_ids: Option<&[usize]>,
-) -> Vec<Record> {
-    let dir = to_traverse_dir(spec.direction);
-    let max = hop_limit(graph, spec.max_hops);
-    let single_hop = spec.min_hops == 1 && max == 1;
-    let mut out = Vec::new();
-
-    for record in records {
-        let Some(Value::Node(src)) = record.get(spec.src_slot).cloned() else { continue };
-        if single_hop {
-            let neighbors = graph.neighbors(src, rel_ids, dir);
-            if spec.expand_into {
-                let target = record.get(spec.dst_slot).cloned();
-                for (nbr, edge) in neighbors {
-                    if target == Some(Value::Node(nbr)) {
-                        let mut r = record.clone();
-                        ensure_len(&mut r, bindings);
-                        if let Some(es) = spec.edge_slot {
-                            r[es] = Value::Edge(edge);
-                        }
-                        out.push(r);
-                    }
-                }
-            } else {
-                for (nbr, edge) in neighbors {
-                    let mut r = record.clone();
-                    ensure_len(&mut r, bindings);
-                    r[spec.dst_slot] = Value::Node(nbr);
-                    if let Some(es) = spec.edge_slot {
-                        r[es] = Value::Edge(edge);
-                    }
-                    out.push(r);
-                }
-            }
-        } else {
-            // Variable-length traversal.
-            let reached = graph.khop_reach(src, spec.min_hops, max, dir, rel_ids);
-            if spec.expand_into {
-                if let Some(&Value::Node(t)) = record.get(spec.dst_slot) {
-                    if reached.contains(t) {
-                        out.push(record.clone());
-                    }
-                }
-            } else {
-                for &n in reached.indices() {
-                    let mut r = record.clone();
-                    ensure_len(&mut r, bindings);
-                    r[spec.dst_slot] = Value::Node(n);
-                    out.push(r);
-                }
-            }
-        }
-    }
-    out
-}
-
-/// The batched algebraic strategy: the whole record batch becomes one
-/// frontier matrix `F` (record × node, one entry per row at the record's
-/// source), the relation step is evaluated as `F ⊕.⊗ Aᵣ` per relation matrix
-/// (`any_second` carries edge ids into the product; reverse traversal
-/// multiplies the incrementally-maintained transpose), and the product rows
-/// are probed back into `(record, dst, edge)` tuples in record-major order so
-/// the output matches the scalar path row for row. Expand-into becomes a
-/// structural mask over the bound destinations; variable-length patterns run
-/// a level-synchronous masked-`mxm` BFS on the whole batch at once.
-pub fn run_traverse_batched(
-    records: Vec<Record>,
-    bindings: &Bindings,
-    graph: &Graph,
-    spec: &TraverseSpec<'_>,
-    rel_ids: Option<&[usize]>,
-) -> Vec<Record> {
-    let dir = to_traverse_dir(spec.direction);
-    let max = hop_limit(graph, spec.max_hops);
-    let single_hop = spec.min_hops == 1 && max == 1;
-    let batch = BatchFrontier::new(&records, spec.src_slot, graph.dim());
-    if batch.entries.is_empty() {
-        return Vec::new();
-    }
-    if single_hop {
-        batched_single_hop(&records, bindings, graph, spec, rel_ids, dir, &batch)
-    } else {
-        let reached = batched_reach(graph, rel_ids, dir, &batch, spec.min_hops, max);
-        let mut out = Vec::new();
-        for (record, row) in records.iter().zip(&batch.record_rows) {
-            let Some(row) = *row else { continue };
-            if spec.expand_into {
-                if let Some(Value::Node(t)) = record.get(spec.dst_slot) {
-                    if *t < batch.dim && reached.extract_element(row, *t).is_some() {
-                        out.push(record.clone());
-                    }
-                }
-            } else {
-                let (cols, _) = probe_row(&reached, row);
-                for &dst in cols {
-                    let mut r = record.clone();
-                    ensure_len(&mut r, bindings);
-                    r[spec.dst_slot] = Value::Node(dst);
-                    out.push(r);
-                }
-            }
-        }
-        out
-    }
-}
-
-/// The shared frontier layout of one batched traversal (and of a fused
-/// chain's frontier operand): distinct source coordinates plus the record →
-/// frontier-row mapping.
+/// The distinct sources of a record batch plus the record → source-row
+/// mapping: the frontier operand of a fused chain, and the reached-set index
+/// of a variable-length traversal.
 pub(crate) struct BatchFrontier {
     /// `(row, source node)` coordinates, one per distinct source.
     pub(crate) entries: Vec<(u64, u64)>,
@@ -669,203 +579,6 @@ impl BatchFrontier {
     pub(crate) fn nrows(&self) -> u64 {
         self.entries.len() as u64
     }
-}
-
-/// Per-relation single-hop products: the forward and backward `F ⊕.⊗ Aᵣ`
-/// results, in the pattern's relation-type order.
-type HopProducts = Vec<(Option<SparseMatrix<u64>>, Option<SparseMatrix<u64>>)>;
-
-/// One-hop batched traversal: `C = F ⊕.⊗ Aᵣ` per relation matrix under the
-/// edge-id-carrying `any_second` semiring.
-#[allow(clippy::too_many_arguments)]
-fn batched_single_hop(
-    records: &[Record],
-    bindings: &Bindings,
-    graph: &Graph,
-    spec: &TraverseSpec<'_>,
-    rel_ids: Option<&[usize]>,
-    dir: TraverseDir,
-    batch: &BatchFrontier,
-) -> Vec<Record> {
-    let forward = matches!(dir, TraverseDir::Outgoing | TraverseDir::Both);
-    let backward = matches!(dir, TraverseDir::Incoming | TraverseDir::Both);
-    let rels: Vec<usize> = match rel_ids {
-        Some(ids) => ids.to_vec(),
-        None => (0..graph.relation_type_count()).collect(),
-    };
-
-    let frontier = frontier_matrix::<u64>(batch.nrows(), batch.dim, &batch.entries, 1);
-    let semiring = Semiring::<u64>::any_second();
-    // Expand-into is a semi-join: mask the product with the bound
-    // destinations so only the (source row, target) entries are even
-    // computed. Records sharing a source row contribute their targets to the
-    // same mask row; emission below probes each record's own target.
-    let target_mask = if spec.expand_into {
-        let targets: Vec<(u64, u64)> = records
-            .iter()
-            .zip(&batch.record_rows)
-            .filter_map(|(r, row)| match (row, r.get(spec.dst_slot)) {
-                (Some(row), Some(Value::Node(t))) if *t < batch.dim => Some((*row, *t)),
-                _ => None,
-            })
-            .collect();
-        Some(frontier_matrix::<bool>(batch.nrows(), batch.dim, &targets, true))
-    } else {
-        None
-    };
-    let desc = if target_mask.is_some() {
-        Descriptor::new().with_mask_structure()
-    } else {
-        Descriptor::new()
-    };
-    let mask = target_mask.as_ref().map(MatrixMask::new);
-
-    // One product per relation matrix (and per direction), kept separate so
-    // row probing can interleave them in the scalar path's emission order.
-    let mut products: HopProducts = Vec::with_capacity(rels.len());
-    for &rel in &rels {
-        let fwd = if forward {
-            graph
-                .relation_matrix(rel)
-                .map(|m| mxm(&frontier, m.as_ref(), &semiring, mask.as_ref(), &desc))
-        } else {
-            None
-        };
-        let bwd = if backward {
-            graph
-                .relation_matrix_t(rel)
-                .map(|m| mxm(&frontier, m.as_ref(), &semiring, mask.as_ref(), &desc))
-        } else {
-            None
-        };
-        products.push((fwd, bwd));
-    }
-
-    // Probe: record-major, then per relation forward-then-backward, columns
-    // ascending — exactly the scalar `neighbors()` emission order. A product
-    // cell whose `(src, dst)` pair holds parallel same-type edges expands to
-    // one row per edge (ascending ids), matching `Graph::neighbors`.
-    let mut out = Vec::new();
-    for (record, row) in records.iter().zip(&batch.record_rows) {
-        let Some(row) = *row else { continue };
-        let Some(&Value::Node(src)) = record.get(spec.src_slot) else { continue };
-        let emit = |dst: NodeId, edge: EdgeId, rel: usize, fwd: bool, out: &mut Vec<Record>| {
-            // Transposed products traverse the edge backwards: the stored
-            // entity runs dst → src.
-            let (s, d) = if fwd { (src, dst) } else { (dst, src) };
-            let edges: &[EdgeId] = match graph.parallel_edges(rel, s, d) {
-                Some(list) => list,
-                None => std::slice::from_ref(&edge),
-            };
-            for &e in edges {
-                let mut r = record.clone();
-                ensure_len(&mut r, bindings);
-                if !spec.expand_into {
-                    r[spec.dst_slot] = Value::Node(dst);
-                }
-                if let Some(es) = spec.edge_slot {
-                    r[es] = Value::Edge(e);
-                }
-                out.push(r);
-            }
-        };
-        if spec.expand_into {
-            // Semi-join: only the record's own bound target counts.
-            let Some(&Value::Node(t)) = record.get(spec.dst_slot) else { continue };
-            if t >= batch.dim {
-                continue;
-            }
-            for (&rel, (fwd, bwd)) in rels.iter().zip(&products) {
-                for (product, is_fwd) in [(fwd, true), (bwd, false)] {
-                    if let Some(product) = product {
-                        if let Some(edge) = product.extract_element(row, t) {
-                            emit(t, edge, rel, is_fwd, &mut out);
-                        }
-                    }
-                }
-            }
-        } else {
-            for (&rel, (fwd, bwd)) in rels.iter().zip(&products) {
-                for (product, is_fwd) in [(fwd, true), (bwd, false)] {
-                    if let Some(product) = product {
-                        let (cols, vals) = probe_row(product, row);
-                        for (&dst, &edge) in cols.iter().zip(vals.iter()) {
-                            emit(dst, edge, rel, is_fwd, &mut out);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Variable-length batched reachability: a level-synchronous BFS of masked
-/// `mxm`s over the whole batch — the matrix generalisation of
-/// [`Graph::khop_reach`], row `r` holding the nodes reached from the batch's
-/// `r`-th distinct source.
-fn batched_reach(
-    graph: &Graph,
-    rel_ids: Option<&[usize]>,
-    dir: TraverseDir,
-    batch: &BatchFrontier,
-    min_hops: u32,
-    max: u32,
-) -> SparseMatrix<bool> {
-    let (adjacency, relations) = graph.hop_operands(dir, rel_ids);
-    let bool_semiring = Semiring::lor_land();
-    let pair_semiring = Semiring::<u64>::any_pair();
-    let desc = Descriptor::new().with_mask_complement().with_mask_structure();
-    let mut frontier = frontier_matrix::<bool>(batch.nrows(), batch.dim, &batch.entries, true);
-    let mut visited = frontier.clone();
-    // Hop 0 is each source node itself.
-    let mut reached = if min_hops == 0 {
-        frontier.clone()
-    } else {
-        SparseMatrix::<bool>::new(batch.nrows(), batch.dim)
-    };
-
-    for hop in 1..=max {
-        if frontier.nvals() == 0 {
-            break;
-        }
-        let next = {
-            let mask = MatrixMask::new(&visited);
-            let mut acc: Option<SparseMatrix<bool>> = None;
-            let mut fold = |p: SparseMatrix<bool>| {
-                acc = Some(match acc.take() {
-                    None => p,
-                    Some(prev) => ewise_add_matrix(&prev, &p, &BinaryOp::LOr),
-                });
-            };
-            for m in &adjacency {
-                fold(mxm(&frontier, m.as_ref(), &bool_semiring, Some(&mask), &desc));
-            }
-            if !relations.is_empty() {
-                // Relation matrices hold edge ids; retype the (small)
-                // frontier to u64 and take the structure of each product
-                // rather than copying whole relation matrices to bool.
-                let triples: Vec<(u64, u64, u64)> =
-                    frontier.iter().map(|(r, c, _)| (r, c, 1)).collect();
-                let frontier_u64 = SparseMatrix::from_triples(batch.nrows(), batch.dim, &triples)
-                    .expect("frontier coordinates are in bounds");
-                for m in &relations {
-                    let p = mxm(&frontier_u64, m.as_ref(), &pair_semiring, Some(&mask), &desc);
-                    fold(structure(&p));
-                }
-            }
-            match acc {
-                Some(next) => next,
-                None => break, // no matrices selected: nothing to traverse
-            }
-        };
-        visited = ewise_add_matrix(&visited, &next, &BinaryOp::LOr);
-        if hop >= min_hops {
-            reached = ewise_add_matrix(&reached, &next, &BinaryOp::LOr);
-        }
-        frontier = next;
-    }
-    reached
 }
 
 /// An output row paired with its evaluated `ORDER BY` keys.

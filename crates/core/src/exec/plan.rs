@@ -259,10 +259,9 @@ impl ExecutionPlan {
     /// (variable-length traversals, counted or not, run the algebraic
     /// `khop_reach`; procedures hand the adjacency matrix to `algo::*`),
     /// where flushing once clearly beats merging per read. Single-hop traversals are
-    /// deliberately excluded: the scalar strategy reads merged row views and
-    /// the batched strategy materialises at most one merged `Cow` view per
-    /// relation matrix per batch, so forcing a flush here would reintroduce
-    /// the per-query sync cost the delta write path exists to avoid.
+    /// deliberately excluded: they read merged row views and cells, so
+    /// forcing a flush here would reintroduce the per-query sync cost the
+    /// delta write path exists to avoid.
     /// `GraphSnapshot` consults this to decide whether a query runs on its
     /// pinned (possibly delta-dirty) graph or on its lazily folded twin.
     pub(crate) fn needs_matrix_views(&self) -> bool {

@@ -30,7 +30,6 @@ pub mod store;
 pub mod value;
 
 pub use error::QueryError;
-pub use exec::ops::{TraverseStrategy, BATCH_TRAVERSE_MIN_RECORDS};
 pub use exec::plan::{format_profile, ExecutionPlan, OpProfile, Params};
 pub use exec::resultset::{QueryStats, ResultSet};
 pub use store::graph::{Graph, GraphSnapshot, TraverseDir};

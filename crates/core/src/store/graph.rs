@@ -35,7 +35,6 @@
 //! when its last snapshot drops.
 
 use crate::error::QueryError;
-use crate::exec::ops::TraverseStrategy;
 use crate::exec::plan::{ExecutionPlan, OpProfile};
 use crate::exec::resultset::ResultSet;
 use crate::store::datablock::DataBlock;
@@ -79,11 +78,6 @@ impl TraverseDir {
     }
 }
 
-/// The operands of one traversal hop (see [`Graph::hop_operands`]): boolean
-/// adjacency views, edge-id-valued relation views.
-pub(crate) type HopOperands<'a> =
-    (Vec<Cow<'a, SparseMatrix<bool>>>, Vec<Cow<'a, SparseMatrix<u64>>>);
-
 /// `(push, pull)` matrix pairs of one traversal hop (see
 /// [`Graph::hop_pairs`]): boolean adjacency pairs, edge-id-valued relation
 /// pairs.
@@ -121,7 +115,6 @@ pub struct Graph {
     multi_edges: HashMap<(RelTypeId, NodeId, NodeId), Vec<EdgeId>>,
     label_matrices: Vec<DeltaMatrix<bool>>,
     flush_threshold: usize,
-    traverse_strategy: TraverseStrategy,
     /// Logical write version: bumped on every mutation, pinned by snapshots.
     epoch: u64,
     /// Per-instance memo of [`Graph::relation_count_matrix`] results, keyed
@@ -168,7 +161,6 @@ impl Graph {
             multi_edges: HashMap::new(),
             label_matrices: Vec::new(),
             flush_threshold: DEFAULT_FLUSH_THRESHOLD,
-            traverse_strategy: TraverseStrategy::Auto,
             epoch: 0,
             count_cache: CountMatrixCache::default(),
         }
@@ -207,19 +199,6 @@ impl Graph {
     /// which is what the server's per-epoch snapshot cache does.
     pub fn snapshot(&self) -> GraphSnapshot {
         GraphSnapshot::seal(self.clone())
-    }
-
-    /// How `Conditional Traverse` / `Expand Into` operators execute against
-    /// this graph (see [`TraverseStrategy`]). `Auto` batches once enough
-    /// records flow through a traversal; benchmarks and differential tests
-    /// pin `Scalar` / `Batched` explicitly.
-    pub fn traverse_strategy(&self) -> TraverseStrategy {
-        self.traverse_strategy
-    }
-
-    /// Set the traversal execution strategy.
-    pub fn set_traverse_strategy(&mut self, strategy: TraverseStrategy) {
-        self.traverse_strategy = strategy;
     }
 
     /// The pending-count threshold at which any one matrix folds its delta
@@ -647,13 +626,6 @@ impl Graph {
         self.relation_matrices.get(rel).map(DeltaMatrix::view)
     }
 
-    /// The incrementally-maintained transpose of a relation matrix (merged
-    /// view) — reverse traversals multiply against this instead of
-    /// transposing on the fly.
-    pub fn relation_matrix_t(&self, rel: RelTypeId) -> Option<Cow<'_, SparseMatrix<u64>>> {
-        self.relation_matrices_t.get(rel).map(DeltaMatrix::view)
-    }
-
     /// Number of relationship-type matrices currently allocated.
     pub fn relation_type_count(&self) -> usize {
         self.relation_matrices.len()
@@ -729,24 +701,29 @@ impl Graph {
             .expect("edge endpoints are in range")
     }
 
-    /// Every edge of type `rel` between `src` and `dst`, in ascending edge-id
+    /// Every edge of type `rel` from `src` to `dst`, in ascending edge-id
     /// order: the multi-edge side table's full list when the cell holds
-    /// parallel edges, otherwise the single id in the matrix cell.
-    pub fn edges_between(&self, rel: RelTypeId, src: NodeId, dst: NodeId) -> Cow<'_, [EdgeId]> {
-        match self.multi_edges.get(&(rel, src, dst)) {
-            Some(list) => Cow::Borrowed(list.as_slice()),
-            None => match self.relation_matrices.get(rel).and_then(|m| m.extract_element(src, dst))
-            {
-                Some(id) => Cow::Owned(vec![id]),
-                None => Cow::Owned(Vec::new()),
-            },
-        }
+    /// parallel edges, otherwise the single id in the matrix cell. A point
+    /// lookup that allocates nothing: Expand Into probes one cell per record
+    /// with it instead of walking the source's whole row.
+    pub fn edges_between(
+        &self,
+        rel: RelTypeId,
+        src: NodeId,
+        dst: NodeId,
+    ) -> impl Iterator<Item = EdgeId> + '_ {
+        let parallel = self.parallel_edges(rel, src, dst);
+        let single = match parallel {
+            Some(_) => None,
+            None => self.relation_matrices.get(rel).and_then(|m| m.extract_element(src, dst)),
+        };
+        parallel.into_iter().flatten().copied().chain(single)
     }
 
     /// The ascending edge-id list of a cell holding **parallel** same-type
-    /// edges, `None` for the common single-edge (or empty) cell. The batched
-    /// traversal's probe loop uses this to expand a product cell to one row
-    /// per edge without allocating for the single-edge case.
+    /// edges, `None` for the common single-edge (or empty) cell.
+    /// [`Graph::neighbors`] and [`Graph::edges_between`] use this to expand a
+    /// cell to one row per edge without allocating for the single-edge case.
     pub fn parallel_edges(&self, rel: RelTypeId, src: NodeId, dst: NodeId) -> Option<&[EdgeId]> {
         self.multi_edges.get(&(rel, src, dst)).map(|v| v.as_slice())
     }
@@ -843,20 +820,6 @@ impl Graph {
                 (Vec::new(), relations)
             }
         }
-    }
-
-    /// The push-side matrices of [`Graph::hop_pairs`] as views (the `Cow`s
-    /// only merge when deltas are pending): what a batched hop multiplies.
-    pub(crate) fn hop_operands(
-        &self,
-        dir: TraverseDir,
-        rel_types: Option<&[RelTypeId]>,
-    ) -> HopOperands<'_> {
-        let (adjacency, relations) = self.hop_pairs(dir, rel_types);
-        (
-            adjacency.iter().map(|(push, _)| push.view()).collect(),
-            relations.iter().map(|(push, _)| push.view()).collect(),
-        )
     }
 
     /// Algebraic k-hop reachability: the set of nodes reachable from `source`

@@ -441,3 +441,51 @@ fn fractional_node_ids_are_rejected_not_truncated() {
     let err = g.query("CALL algo.pagerank(0.85, 2.7) YIELD node RETURN node").unwrap_err();
     assert!(matches!(err, redisgraph_core::QueryError::Type(ref m) if m.contains("integer")));
 }
+
+// --- Expression depth budget ---------------------------------------------
+//
+// Each shape below once aborted the whole process with a stack overflow, even
+// on an 8 MB main-thread stack. They run on a thread with the 2 MiB stack Rust
+// gives spawned threads by default: the deepest accepted expression must still
+// parse, plan, evaluate and drop there, and one level past it must come back
+// as an `E_RECURSION_LIMIT` error.
+
+/// Run `query` through the whole pipeline on a fresh 2 MiB-stack thread.
+fn query_on_small_stack(query: String) -> Result<Value, String> {
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || {
+            let rs = Graph::new("deep").query(&query).map_err(|e| e.to_string())?;
+            Ok(rs.scalar().cloned().expect("one value"))
+        })
+        .expect("spawn")
+        .join()
+        .expect("no panic")
+}
+
+/// Expect `deep` rejected with the depth diagnostic, and `deepest` answered.
+fn assert_depth_budget(deep: String, deepest: String, answer: Value) {
+    let err = query_on_small_stack(deep).expect_err("past the budget");
+    assert!(err.contains("E_RECURSION_LIMIT"), "got {err}");
+    assert_eq!(query_on_small_stack(deepest), Ok(answer));
+}
+
+#[test]
+fn deeply_parenthesised_expressions_are_rejected_not_a_stack_overflow() {
+    let nest = |n: usize| format!("RETURN {}1{}", "(".repeat(n), ")".repeat(n));
+    assert_depth_budget(nest(200_000), nest(127), Value::Int(1));
+}
+
+#[test]
+fn long_operator_chains_are_rejected_not_a_stack_overflow() {
+    // A left-associative chain is built in a loop, not by recursion, but the
+    // tree it builds is as deep as the chain is long.
+    let chain = |n: usize| format!("RETURN 1{}", "+1".repeat(n));
+    assert_depth_budget(chain(100_000), chain(127), Value::Int(128));
+}
+
+#[test]
+fn long_not_chains_are_rejected_not_a_stack_overflow() {
+    let nots = |n: usize| format!("RETURN {}true", "NOT ".repeat(n));
+    assert_depth_budget(nots(100_000), nots(127), Value::Bool(false));
+}

@@ -42,6 +42,26 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// How deep an expression may nest: the height of the expression tree the
+/// parser builds, where every operator, parenthesis, list and call counts one
+/// level (so `1+1+1` is three levels deep). Every pass that walks the tree —
+/// planning, evaluation, `Drop` — recurses once per level, so bounding the
+/// height bounds their stack use; deeper input is rejected with
+/// `E_RECURSION_LIMIT` instead of overflowing the stack of the thread that
+/// parses or runs it. Parsing alone takes ~8 KiB of stack per nesting level
+/// in a debug build, so 128 levels leave half of a 2 MiB thread stack spare.
+pub const MAX_EXPR_DEPTH: usize = 128;
+
+/// The binding strength of a prefix `NOT` (see `Parser::binary_op`): its
+/// operand may hold comparisons and arithmetic, but not `AND`/`XOR`/`OR`.
+const NOT_LEVEL: u8 = 4;
+
+/// The binding strength of `=`, `<>`, `<`, `<=`, `>`, `>=` and `IN`.
+const COMPARISON_LEVEL: u8 = 5;
+
+/// An expression and the height of its tree (see [`MAX_EXPR_DEPTH`]).
+type Parsed = Result<(Expr, usize), RawDiagnostic>;
+
 /// Parse a Cypher query string into an AST. Fails with *every* diagnostic
 /// the recovering parser found, not just the first.
 pub fn parse(src: &str) -> Result<Query, ParseError> {
@@ -57,7 +77,7 @@ pub fn parse(src: &str) -> Result<Query, ParseError> {
 /// query is only trustworthy for execution when `diagnostics` is empty.
 pub fn parse_recovering(src: &str) -> (Option<Query>, Vec<Diagnostic>) {
     let (tokens, mut raw) = Lexer::tokenize_raw(src);
-    let query = Parser { tokens, pos: 0 }.parse_query(&mut raw);
+    let query = Parser { tokens, pos: 0, depth: 0 }.parse_query(&mut raw);
     (query, resolve(src, raw))
 }
 
@@ -71,6 +91,9 @@ const CLAUSE_STARTERS: &[&str] = &[
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Expression levels open around the current token: parentheses, lists,
+    /// calls and prefix operators still awaiting their operand.
+    depth: usize,
 }
 
 impl Parser {
@@ -558,160 +581,131 @@ impl Parser {
     // -------------------------------------------------------- expressions
 
     fn parse_expr(&mut self) -> Result<Expr, RawDiagnostic> {
-        self.parse_or()
+        self.parse_binary(0).map(|(expr, _)| expr)
     }
 
-    fn parse_or(&mut self) -> Result<Expr, RawDiagnostic> {
-        let mut lhs = self.parse_xor()?;
-        while self.eat_keyword("OR") {
-            let rhs = self.parse_xor()?;
-            lhs = Expr::Binary(BinaryOperator::Or, Box::new(lhs), Box::new(rhs));
+    fn too_deep<T>(&self) -> Result<T, RawDiagnostic> {
+        self.diag(
+            "E_RECURSION_LIMIT",
+            format!("expression nests deeper than {MAX_EXPR_DEPTH} levels"),
+        )
+        .map_err(|d| d.with_note("split the expression or flatten its nesting"))
+    }
+
+    /// Parse one level deeper inside a parenthesis, list, call or prefix
+    /// operator: the guard that stops the descent before the stack runs out.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, RawDiagnostic>,
+    ) -> Result<T, RawDiagnostic> {
+        if self.depth + 1 >= MAX_EXPR_DEPTH {
+            return self.too_deep();
         }
-        Ok(lhs)
+        self.depth += 1;
+        let out = parse(self);
+        self.depth -= 1;
+        out
     }
 
-    fn parse_xor(&mut self) -> Result<Expr, RawDiagnostic> {
-        let mut lhs = self.parse_and()?;
-        while self.eat_keyword("XOR") {
-            let rhs = self.parse_and()?;
-            lhs = Expr::Binary(BinaryOperator::Xor, Box::new(lhs), Box::new(rhs));
+    /// The height of a new node over children at most `children` high,
+    /// checked against the budget together with the levels still open
+    /// around it (which will all sit above it in the finished tree).
+    fn node_height(&self, children: usize) -> Result<usize, RawDiagnostic> {
+        let height = children + 1;
+        if self.depth + height > MAX_EXPR_DEPTH {
+            return self.too_deep();
         }
-        Ok(lhs)
+        Ok(height)
     }
 
-    fn parse_and(&mut self) -> Result<Expr, RawDiagnostic> {
-        let mut lhs = self.parse_not()?;
-        while self.eat_keyword("AND") {
-            let rhs = self.parse_not()?;
-            lhs = Expr::Binary(BinaryOperator::And, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_not(&mut self) -> Result<Expr, RawDiagnostic> {
-        if self.eat_keyword("NOT") {
-            let inner = self.parse_not()?;
-            return Ok(Expr::Unary(UnaryOperator::Not, Box::new(inner)));
-        }
-        self.parse_comparison()
-    }
-
-    fn parse_comparison(&mut self) -> Result<Expr, RawDiagnostic> {
-        let lhs = self.parse_additive()?;
+    /// The binary operator at the current token, with its binding strength:
+    /// `OR` binds loosest and `*` `/` `%` tightest. A prefix `NOT` binds
+    /// between `AND` and the comparisons ([`NOT_LEVEL`]).
+    fn binary_op(&self) -> Option<(BinaryOperator, u8)> {
         let op = match self.peek() {
-            TokenKind::Eq => Some(BinaryOperator::Eq),
-            TokenKind::Ne => Some(BinaryOperator::Ne),
-            TokenKind::Lt => Some(BinaryOperator::Lt),
-            TokenKind::Le => Some(BinaryOperator::Le),
-            TokenKind::Gt => Some(BinaryOperator::Gt),
-            TokenKind::Ge => Some(BinaryOperator::Ge),
-            TokenKind::Keyword(k) if k == "IN" => Some(BinaryOperator::In),
-            _ => None,
+            TokenKind::Keyword(k) => match k.as_str() {
+                "OR" => (BinaryOperator::Or, 1),
+                "XOR" => (BinaryOperator::Xor, 2),
+                "AND" => (BinaryOperator::And, 3),
+                "IN" => (BinaryOperator::In, COMPARISON_LEVEL),
+                _ => return None,
+            },
+            TokenKind::Eq => (BinaryOperator::Eq, COMPARISON_LEVEL),
+            TokenKind::Ne => (BinaryOperator::Ne, COMPARISON_LEVEL),
+            TokenKind::Lt => (BinaryOperator::Lt, COMPARISON_LEVEL),
+            TokenKind::Le => (BinaryOperator::Le, COMPARISON_LEVEL),
+            TokenKind::Gt => (BinaryOperator::Gt, COMPARISON_LEVEL),
+            TokenKind::Ge => (BinaryOperator::Ge, COMPARISON_LEVEL),
+            TokenKind::Plus => (BinaryOperator::Add, 6),
+            TokenKind::Dash => (BinaryOperator::Sub, 6),
+            TokenKind::Star => (BinaryOperator::Mul, 7),
+            TokenKind::Slash => (BinaryOperator::Div, 7),
+            TokenKind::Percent => (BinaryOperator::Mod, 7),
+            _ => return None,
         };
-        if let Some(op) = op {
-            self.bump();
-            let rhs = self.parse_additive()?;
-            Ok(Expr::Binary(op, Box::new(lhs), Box::new(rhs)))
+        Some(op)
+    }
+
+    /// An expression whose binary operators bind at least as tightly as
+    /// `min`, by precedence climbing: operators of one strength fold left in
+    /// a loop, so only a tighter operator, a prefix `NOT` or a nested
+    /// parenthesis costs a level of recursion. Comparisons do not chain.
+    fn parse_binary(&mut self, min: u8) -> Parsed {
+        // The loosest operator that may still extend `lhs`: once an operator
+        // of strength `l` has taken its right operand, anything tighter left
+        // over was refused by that operand, and must be refused here too.
+        let mut ceiling = u8::MAX;
+        let (mut lhs, mut height) = if min <= NOT_LEVEL && self.eat_keyword("NOT") {
+            ceiling = NOT_LEVEL - 1;
+            let (inner, height) = self.nested(|p| p.parse_binary(NOT_LEVEL))?;
+            (Expr::Unary(UnaryOperator::Not, Box::new(inner)), self.node_height(height)?)
         } else {
-            Ok(lhs)
-        }
-    }
-
-    fn parse_additive(&mut self) -> Result<Expr, RawDiagnostic> {
-        let mut lhs = self.parse_multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Plus => BinaryOperator::Add,
-                TokenKind::Dash => BinaryOperator::Sub,
-                _ => break,
-            };
+            self.parse_unary()?
+        };
+        while let Some((op, level)) = self.binary_op().filter(|&(_, l)| min <= l && l <= ceiling) {
             self.bump();
-            let rhs = self.parse_multiplicative()?;
+            let (rhs, rhs_height) = self.parse_binary(level + 1)?;
+            height = self.node_height(height.max(rhs_height))?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
+            ceiling = if level == COMPARISON_LEVEL { level - 1 } else { level };
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn parse_multiplicative(&mut self) -> Result<Expr, RawDiagnostic> {
-        let mut lhs = self.parse_unary()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Star => BinaryOperator::Mul,
-                TokenKind::Slash => BinaryOperator::Div,
-                TokenKind::Percent => BinaryOperator::Mod,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.parse_unary()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_unary(&mut self) -> Result<Expr, RawDiagnostic> {
+    fn parse_unary(&mut self) -> Parsed {
         if self.peek() == &TokenKind::Dash {
             self.bump();
-            let inner = self.parse_unary()?;
-            return Ok(Expr::Unary(UnaryOperator::Minus, Box::new(inner)));
+            let (inner, height) = self.nested(Self::parse_unary)?;
+            let height = self.node_height(height)?;
+            return Ok((Expr::Unary(UnaryOperator::Minus, Box::new(inner)), height));
         }
         self.parse_primary()
     }
 
-    fn parse_primary(&mut self) -> Result<Expr, RawDiagnostic> {
-        match self.peek().clone() {
-            TokenKind::Integer(v) => {
-                self.bump();
-                Ok(Expr::Literal(Literal::Integer(v)))
-            }
-            TokenKind::Float(v) => {
-                self.bump();
-                Ok(Expr::Literal(Literal::Float(v)))
-            }
-            TokenKind::Str(s) => {
-                self.bump();
-                Ok(Expr::Literal(Literal::Str(s)))
-            }
-            TokenKind::Parameter(p) => {
-                self.bump();
-                Ok(Expr::Parameter(p))
-            }
-            TokenKind::Keyword(k) if k == "TRUE" => {
-                self.bump();
-                Ok(Expr::Literal(Literal::Bool(true)))
-            }
-            TokenKind::Keyword(k) if k == "FALSE" => {
-                self.bump();
-                Ok(Expr::Literal(Literal::Bool(false)))
-            }
-            TokenKind::Keyword(k) if k == "NULL" => {
-                self.bump();
-                Ok(Expr::Literal(Literal::Null))
-            }
+    fn parse_primary(&mut self) -> Parsed {
+        let leaf = match self.peek().clone() {
+            TokenKind::Integer(v) => Expr::Literal(Literal::Integer(v)),
+            TokenKind::Float(v) => Expr::Literal(Literal::Float(v)),
+            TokenKind::Str(s) => Expr::Literal(Literal::Str(s)),
+            TokenKind::Parameter(p) => Expr::Parameter(p),
+            TokenKind::Keyword(k) if k == "TRUE" => Expr::Literal(Literal::Bool(true)),
+            TokenKind::Keyword(k) if k == "FALSE" => Expr::Literal(Literal::Bool(false)),
+            TokenKind::Keyword(k) if k == "NULL" => Expr::Literal(Literal::Null),
             TokenKind::Keyword(k) if k == "COUNT" => {
                 self.bump();
-                self.parse_function_call("count".to_string())
+                return self.parse_function_call("count".to_string());
             }
             TokenKind::LParen => {
                 self.bump();
-                let expr = self.parse_expr()?;
+                let (expr, height) = self.nested(|p| p.parse_binary(0))?;
                 self.expect(&TokenKind::RParen)?;
-                Ok(expr)
+                return Ok((expr, self.node_height(height)?));
             }
             TokenKind::LBracket => {
                 self.bump();
-                let mut items = Vec::new();
-                if self.peek() != &TokenKind::RBracket {
-                    loop {
-                        items.push(self.parse_expr()?);
-                        if self.peek() == &TokenKind::Comma {
-                            self.bump();
-                        } else {
-                            break;
-                        }
-                    }
-                }
+                let (items, height) = self.nested(|p| p.parse_expr_list(&TokenKind::RBracket))?;
                 self.expect(&TokenKind::RBracket)?;
-                Ok(Expr::List(items))
+                return Ok((Expr::List(items), self.node_height(height)?));
             }
             TokenKind::Ident(name) => {
                 self.bump();
@@ -721,24 +715,27 @@ impl Parser {
                 if self.peek() == &TokenKind::Dot {
                     self.bump();
                     let prop = self.expect_ident()?;
-                    return Ok(Expr::Property(name, prop));
+                    return Ok((Expr::Property(name, prop), 1));
                 }
-                Ok(Expr::Variable(name))
+                return Ok((Expr::Variable(name), 1));
             }
-            other => self.diag("E_EXPECTED_EXPR", format!("unexpected {other} in expression")),
-        }
+            other => {
+                return self.diag("E_EXPECTED_EXPR", format!("unexpected {other} in expression"))
+            }
+        };
+        self.bump();
+        Ok((leaf, 1))
     }
 
-    fn parse_function_call(&mut self, name: String) -> Result<Expr, RawDiagnostic> {
-        self.expect(&TokenKind::LParen)?;
-        let distinct = self.eat_keyword("DISTINCT");
-        let mut args = Vec::new();
-        if self.peek() == &TokenKind::Star {
-            // count(*)
-            self.bump();
-        } else if self.peek() != &TokenKind::RParen {
+    /// Comma-separated expressions up to (not including) `close`, and the
+    /// height of the tallest.
+    fn parse_expr_list(&mut self, close: &TokenKind) -> Result<(Vec<Expr>, usize), RawDiagnostic> {
+        let (mut items, mut height) = (Vec::new(), 0);
+        if self.peek() != close {
             loop {
-                args.push(self.parse_expr()?);
+                let (item, item_height) = self.parse_binary(0)?;
+                items.push(item);
+                height = height.max(item_height);
                 if self.peek() == &TokenKind::Comma {
                     self.bump();
                 } else {
@@ -746,8 +743,21 @@ impl Parser {
                 }
             }
         }
+        Ok((items, height))
+    }
+
+    fn parse_function_call(&mut self, name: String) -> Parsed {
+        self.expect(&TokenKind::LParen)?;
+        let distinct = self.eat_keyword("DISTINCT");
+        let (args, height) = if self.peek() == &TokenKind::Star {
+            // count(*)
+            self.bump();
+            (Vec::new(), 0)
+        } else {
+            self.nested(|p| p.parse_expr_list(&TokenKind::RParen))?
+        };
         self.expect(&TokenKind::RParen)?;
-        Ok(Expr::FunctionCall { name, args, distinct })
+        Ok((Expr::FunctionCall { name, args, distinct }, self.node_height(height)?))
     }
 }
 
@@ -837,6 +847,21 @@ mod tests {
         let Expr::Binary(BinaryOperator::Or, lhs, rhs) = expr else { panic!("expected OR at top") };
         assert!(matches!(**lhs, Expr::Binary(BinaryOperator::And, _, _)));
         assert!(matches!(**rhs, Expr::Unary(UnaryOperator::Not, _)));
+    }
+
+    #[test]
+    fn comparisons_do_not_chain_and_not_binds_below_them() {
+        assert!(parse("RETURN 1 = 2 = 3").is_err());
+        assert!(parse("RETURN true AND 1 < 2 < 3").is_err());
+        assert!(parse("RETURN 1 + NOT true").is_err());
+        let q = parse("RETURN NOT 1 = 2 AND NOT NOT -1 < 2 OR false").unwrap();
+        let proj = q.return_clause().unwrap();
+        let Expr::Binary(BinaryOperator::Or, lhs, _) = &proj.items[0].expr else { panic!() };
+        let Expr::Binary(BinaryOperator::And, not_eq, not_not) = &**lhs else { panic!() };
+        assert!(matches!(&**not_eq, Expr::Unary(UnaryOperator::Not, inner)
+            if matches!(**inner, Expr::Binary(BinaryOperator::Eq, _, _))));
+        assert!(matches!(&**not_not, Expr::Unary(UnaryOperator::Not, inner)
+            if matches!(**inner, Expr::Unary(UnaryOperator::Not, _))));
     }
 
     #[test]

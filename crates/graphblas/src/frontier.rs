@@ -1,14 +1,14 @@
-//! Frontier matrices for batched algebraic traversal.
+//! Frontier matrices for algebraic traversal of a record batch.
 //!
-//! RedisGraph evaluates a `MATCH` traversal for a *batch* of execution-plan
-//! records at once: every record contributes one row to a **frontier matrix**
-//! `F` (`batch × nodes`, one stored entry per row at the record's bound source
-//! node), the relation step becomes `C = F ⊕.⊗ A` over the relation's
-//! adjacency matrix, and row `i` of `C` holds exactly the destinations (and,
-//! with an edge-id-valued `A` under an `any_second` semiring, the traversed
-//! edge ids) reachable from record `i`'s source. This module provides the two
-//! small helpers on either side of the `mxm`: building `F` from `(record,
-//! node)` pairs and probing the result rows back out into records.
+//! RedisGraph evaluates a fused `MATCH` chain for a *batch* of execution-plan
+//! records at once: every distinct bound source node contributes one row to a
+//! **frontier matrix** `F` (`batch × nodes`, one stored entry per row), the
+//! chain becomes the product `C = F ⊕.⊗ A₁ ⊕.⊗ A₂ …` over the relations'
+//! matrices, and row `i` of `C` holds exactly the destinations reachable from
+//! source `i` (with path counts under the counting semiring, or edge ids under
+//! `any_second`). This module provides the two small helpers on either side
+//! of the product: building `F` from `(row, node)` pairs and probing the
+//! result rows back out into records.
 
 use crate::matrix::SparseMatrix;
 use crate::types::Scalar;
@@ -41,21 +41,6 @@ pub fn probe_row<T: Scalar>(c: &SparseMatrix<T>, row: Index) -> (&[Index], &[T])
     c.row(row)
 }
 
-/// The boolean structure of a matrix: same pattern, every stored value `true`.
-/// Used to fold several edge-id-valued relation matrices into one boolean
-/// matrix for a variable-length (BFS) traversal, where only the pattern
-/// matters. O(nnz), reuses the CSR arrays.
-pub fn structure<T: Scalar>(m: &SparseMatrix<T>) -> SparseMatrix<bool> {
-    let nnz = m.nvals();
-    SparseMatrix::from_csr_parts(
-        m.nrows(),
-        m.ncols(),
-        m.row_ptr().to_vec(),
-        m.col_indices().to_vec(),
-        vec![true; nnz],
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,15 +71,5 @@ mod tests {
         let (cols, vals) = probe_row(&c, 1);
         assert_eq!(cols, &[2]);
         assert_eq!(vals, &[4]);
-    }
-
-    #[test]
-    fn structure_preserves_pattern() {
-        let a = SparseMatrix::from_triples(3, 3, &[(0, 1, 42u64), (2, 0, 7)]).unwrap();
-        let s = structure(&a);
-        assert_eq!(s.nvals(), 2);
-        assert_eq!(s.extract_element(0, 1), Some(true));
-        assert_eq!(s.extract_element(2, 0), Some(true));
-        assert_eq!(s.extract_element(1, 1), None);
     }
 }

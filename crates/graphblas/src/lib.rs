@@ -77,7 +77,7 @@ pub mod prelude {
     pub use crate::error::{GrbError, GrbResult};
     pub use crate::ewise::{ewise_add_matrix, ewise_add_vector};
     pub use crate::extract::{extract_col, extract_row};
-    pub use crate::frontier::{frontier_matrix, probe_row, structure};
+    pub use crate::frontier::{frontier_matrix, probe_row};
     pub use crate::mask::{MatrixMask, VectorMask};
     pub use crate::matrix::SparseMatrix;
     pub use crate::monoid::Monoid;

@@ -199,11 +199,12 @@ impl Command {
 /// follows the header.
 ///
 /// Values are literals only — `null`, booleans, integers, floats (each with
-/// an optional leading `-`), quoted strings, and flat lists thereof — parsed
-/// with the Cypher lexer, so quoting and escaping behave exactly as they do
-/// inside a query. The header ends at the first token that is not the start
-/// of a `name=` pair (typically the body's opening clause keyword). A query
-/// with no header comes back untouched with an empty parameter map.
+/// an optional leading `-`), quoted strings, and lists thereof nested at most
+/// [`cypher::MAX_EXPR_DEPTH`] deep — parsed with the Cypher lexer, so quoting
+/// and escaping behave exactly as they do inside a query. The header ends at
+/// the first token that is not the start of a `name=` pair (typically the
+/// body's opening clause keyword). A query with no header comes back
+/// untouched with an empty parameter map.
 pub fn split_cypher_params(query: &str) -> Result<(Params, &str), String> {
     let (tokens, _) = Lexer::tokenize_recovering(query);
     let has_header = matches!(
@@ -220,7 +221,7 @@ pub fn split_cypher_params(query: &str) -> Result<(Params, &str), String> {
     {
         let name = name.clone();
         i += 2;
-        let value = parse_param_literal(&tokens, &mut i, &name)?;
+        let value = parse_param_literal(&tokens, &mut i, &name, 0)?;
         params.insert(name, value);
     }
     let body_start = tokens.get(i).map_or(query.len(), |t| t.offset);
@@ -228,10 +229,16 @@ pub fn split_cypher_params(query: &str) -> Result<(Params, &str), String> {
 }
 
 /// One literal value in a `CYPHER` parameter header, starting at `tokens[*i]`
-/// (which is advanced past the value). The token stream always ends with
-/// `Eof`, so indexing stays in bounds: every arm either consumes a real
-/// token or errors out on whatever it found instead.
-fn parse_param_literal(tokens: &[Token], i: &mut usize, name: &str) -> Result<Expr, String> {
+/// (which is advanced past the value), inside `depth` enclosing lists. The
+/// token stream always ends with `Eof`, so indexing stays in bounds: every
+/// arm either consumes a real token or errors out on whatever it found
+/// instead.
+fn parse_param_literal(
+    tokens: &[Token],
+    i: &mut usize,
+    name: &str,
+    depth: usize,
+) -> Result<Expr, String> {
     let unexpected = |found: &TokenKind| {
         format!(
             "invalid value for parameter `{name}`: expected a literal \
@@ -256,6 +263,11 @@ fn parse_param_literal(tokens: &[Token], i: &mut usize, name: &str) -> Result<Ex
                 other => Err(unexpected(other)),
             }
         }
+        TokenKind::LBracket if depth + 1 >= cypher::MAX_EXPR_DEPTH => Err(format!(
+            "invalid value for parameter `{name}`: lists nest deeper than {} levels \
+             (E_RECURSION_LIMIT)",
+            cypher::MAX_EXPR_DEPTH
+        )),
         TokenKind::LBracket => {
             let mut items = Vec::new();
             if tokens[*i].kind == TokenKind::RBracket {
@@ -263,7 +275,7 @@ fn parse_param_literal(tokens: &[Token], i: &mut usize, name: &str) -> Result<Ex
                 return Ok(Expr::List(items));
             }
             loop {
-                items.push(parse_param_literal(tokens, i, name)?);
+                items.push(parse_param_literal(tokens, i, name, depth + 1)?);
                 let sep = &tokens[*i].kind;
                 *i += 1;
                 match sep {

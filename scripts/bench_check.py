@@ -19,7 +19,6 @@ import sys
 # the forcing function that keeps this guard in sync with the bench bins.
 REQUIRED_RESULT_KEYS = {
     "writes": {"mode", "threshold", "wall_ms", "writes", "reads", "writes_per_sec", "checksum"},
-    "traverse": {"query", "mode", "wall_ms", "rows"},
     "network": {"op", "queries", "wall_ms", "qps", "rows"},
     "algos": {"dataset", "algorithm", "wall_ms", "iterations", "result"},
     "mixed": {"mode", "queries", "wall_ms", "qps", "rows"},
@@ -108,52 +107,6 @@ def check_network_plan_cache(path, doc):
     return []
 
 
-# Perf-regression tolerance for the traverse suite's mode comparisons. CI
-# wall times are noisy, so the gate only fires on multiples no amount of
-# jitter explains: the fused plan falling behind the per-hop batched plan it
-# replaces. Sub-millisecond queries (semi_join_varlen at scale 6) swing past
-# 1.5x on scheduling noise alone, so the gap must also exceed an absolute
-# floor before it counts.
-TRAVERSE_SLOWDOWN_TOLERANCE = 1.5
-TRAVERSE_SLOWDOWN_FLOOR_MS = 1.0
-
-
-def check_traverse(path, doc):
-    problems = []
-    by_query = {}
-    for entry in doc.get("results") or []:
-        if isinstance(entry, dict) and "query" in entry and "mode" in entry:
-            by_query.setdefault(entry["query"], {})[entry["mode"]] = entry
-
-    for query, modes in by_query.items():
-        # Row identity: every mode of a query answers the same count. This is
-        # the cheap end of the fused-vs-unfused differential suite — a fused
-        # 3hop_chain that multiplies wrong shows up right here.
-        rows = {mode: entry.get("rows") for mode, entry in modes.items()}
-        if len(set(rows.values())) > 1:
-            problems.append(f"{path}: '{query}' row counts diverge across modes: {rows}")
-
-        missing = {"scalar", "batched", "fused"} - set(modes)
-        if missing:
-            problems.append(f"{path}: '{query}' missing modes: {sorted(missing)}")
-            continue
-
-        batched = modes["batched"].get("wall_ms")
-        fused = modes["fused"].get("wall_ms")
-        if not all(isinstance(v, (int, float)) and v > 0 for v in (batched, fused)):
-            continue  # the generic positive-keys check reports these
-        if (
-            fused > batched * TRAVERSE_SLOWDOWN_TOLERANCE
-            and fused - batched > TRAVERSE_SLOWDOWN_FLOOR_MS
-        ):
-            problems.append(
-                f"{path}: '{query}' fused plan slower than unfused "
-                f"({fused:.2f}ms vs {batched:.2f}ms batched) — the algebraic "
-                f"optimizer regressed"
-            )
-    return problems
-
-
 def check_file(path):
     problems = []
     try:
@@ -175,8 +128,6 @@ def check_file(path):
     if suite == "network":
         problems.extend(check_network_metrics(path, doc))
         problems.extend(check_network_plan_cache(path, doc))
-    if suite == "traverse":
-        problems.extend(check_traverse(path, doc))
 
     results = doc.get("results")
     if not isinstance(results, list) or not results:

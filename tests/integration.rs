@@ -39,34 +39,28 @@ fn khop_agreement_across_all_three_paths() {
 }
 
 /// `*0..n` variable-length patterns include the start node (hop 0) all the
-/// way through parser → planner → executor, on both traversal strategies.
+/// way through parser → planner → executor.
 /// Regression: `khop_reach` started its hop loop at 1 and silently dropped
 /// the source from the reached set.
 #[test]
 fn zero_min_hops_includes_the_start_node_end_to_end() {
-    use redisgraph_core::TraverseStrategy;
-
     let mut g = Graph::new("zero-hop");
     // path 0→1→2 plus an isolated node 3
     g.query("CREATE (:Node {id: 0})-[:LINK]->(:Node {id: 1})-[:LINK]->(:Node {id: 2})").unwrap();
     g.query("CREATE (:Node {id: 3})").unwrap();
 
-    for strategy in [TraverseStrategy::Scalar, TraverseStrategy::Batched] {
-        g.set_traverse_strategy(strategy);
-        // *0..2 from node 0 reaches {0, 1, 2}.
-        let rs = g.query("MATCH (s:Node)-[*0..2]->(t) WHERE id(s) = 0 RETURN count(t)").unwrap();
-        assert_eq!(rs.scalar(), Some(&Value::Int(3)), "{strategy:?}");
-        // *0 (exactly zero hops) matches only the start node, even isolated.
-        let rs = g.query("MATCH (s:Node)-[*0]->(t) WHERE id(s) = 3 RETURN count(t)").unwrap();
-        assert_eq!(rs.scalar(), Some(&Value::Int(1)), "{strategy:?}");
-        // Typed zero-min patterns take the typed-BFS path.
-        let rs =
-            g.query("MATCH (s:Node)-[:LINK*0..1]->(t) WHERE id(s) = 1 RETURN count(t)").unwrap();
-        assert_eq!(rs.scalar(), Some(&Value::Int(2)), "{strategy:?}");
-        // min ≥ 1 still excludes the start node.
-        let rs = g.query("MATCH (s:Node)-[*1..2]->(t) WHERE id(s) = 0 RETURN count(t)").unwrap();
-        assert_eq!(rs.scalar(), Some(&Value::Int(2)), "{strategy:?}");
-    }
+    // *0..2 from node 0 reaches {0, 1, 2}.
+    let rs = g.query("MATCH (s:Node)-[*0..2]->(t) WHERE id(s) = 0 RETURN count(t)").unwrap();
+    assert_eq!(rs.scalar(), Some(&Value::Int(3)));
+    // *0 (exactly zero hops) matches only the start node, even isolated.
+    let rs = g.query("MATCH (s:Node)-[*0]->(t) WHERE id(s) = 3 RETURN count(t)").unwrap();
+    assert_eq!(rs.scalar(), Some(&Value::Int(1)));
+    // Typed zero-min patterns take the typed-BFS path.
+    let rs = g.query("MATCH (s:Node)-[:LINK*0..1]->(t) WHERE id(s) = 1 RETURN count(t)").unwrap();
+    assert_eq!(rs.scalar(), Some(&Value::Int(2)));
+    // min ≥ 1 still excludes the start node.
+    let rs = g.query("MATCH (s:Node)-[*1..2]->(t) WHERE id(s) = 0 RETURN count(t)").unwrap();
+    assert_eq!(rs.scalar(), Some(&Value::Int(2)));
 }
 
 /// The Twitter-like dataset behaves the same way (denser, heavy-tailed).

@@ -18,7 +18,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use redisgraph_core::{ExecutionPlan, Graph, TraverseStrategy};
+use redisgraph_core::{ExecutionPlan, Graph};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -151,17 +151,11 @@ fn fused_and_unfused_plans_are_row_identical() {
     for seed in 0..4u64 {
         let nodes = 8 + seed * 9; // 8..35 nodes
         let edges = (nodes as usize) * 3;
-        for strategy in [TraverseStrategy::Scalar, TraverseStrategy::Batched] {
-            let mut g = random_graph(seed, nodes, edges);
-            g.set_traverse_strategy(strategy);
-            for query in queries() {
-                let unfused = sorted_rows(&mut g, false, query);
-                let fused = sorted_rows(&mut g, true, query);
-                assert_eq!(
-                    unfused, fused,
-                    "optimizer changed rows on seed {seed} ({strategy:?}): {query}"
-                );
-            }
+        let mut g = random_graph(seed, nodes, edges);
+        for query in queries() {
+            let unfused = sorted_rows(&mut g, false, query);
+            let fused = sorted_rows(&mut g, true, query);
+            assert_eq!(unfused, fused, "optimizer changed rows on seed {seed}: {query}");
         }
     }
 }
@@ -180,13 +174,10 @@ fn fusion_is_correct_on_unflushed_delta_views() {
     g.add_edge(2, 3, "T1", vec![]).unwrap();
     g.add_edge(3, 3, "T0", vec![]).unwrap();
     assert!(g.delete_edge(doomed));
-    for strategy in [TraverseStrategy::Scalar, TraverseStrategy::Batched] {
-        g.set_traverse_strategy(strategy);
-        for query in queries() {
-            let unfused = sorted_rows(&mut g, false, query);
-            let fused = sorted_rows(&mut g, true, query);
-            assert_eq!(unfused, fused, "delta-view divergence ({strategy:?}): {query}");
-        }
+    for query in queries() {
+        let unfused = sorted_rows(&mut g, false, query);
+        let fused = sorted_rows(&mut g, true, query);
+        assert_eq!(unfused, fused, "delta-view divergence: {query}");
     }
 }
 
@@ -238,20 +229,17 @@ fn count_pushdown_reads_unflushed_snapshots() {
     let doomed = g.add_edge(4, 5, "T1", vec![]).unwrap();
     assert!(g.delete_edge(doomed));
     assert!(g.has_pending_deltas(), "edges must still be buffered");
-    for strategy in [TraverseStrategy::Scalar, TraverseStrategy::Batched] {
-        g.set_traverse_strategy(strategy);
-        let snap = g.snapshot();
-        for query in COUNT_PUSHDOWN {
-            let pushed = snap.execute_plan_at(&plan(true, query), Instant::now()).unwrap();
-            let oracle = plan(false, query).execute_read_only(&g).unwrap();
-            assert_eq!(
-                format!("{:?}", pushed.rows),
-                format!("{:?}", oracle.rows),
-                "unflushed snapshot ({strategy:?}): {query}"
-            );
-        }
-        assert!(g.has_pending_deltas(), "read-only queries must not flush");
+    let snap = g.snapshot();
+    for query in COUNT_PUSHDOWN {
+        let pushed = snap.execute_plan_at(&plan(true, query), Instant::now()).unwrap();
+        let oracle = plan(false, query).execute_read_only(&g).unwrap();
+        assert_eq!(
+            format!("{:?}", pushed.rows),
+            format!("{:?}", oracle.rows),
+            "unflushed snapshot: {query}"
+        );
     }
+    assert!(g.has_pending_deltas(), "read-only queries must not flush");
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! Differential proptest for parameterized queries: a `CYPHER p=… ` header
 //! binding `$p` at execution time must be observationally identical to the
-//! same query with the value spliced into the text as a literal — on both
-//! traversal strategies, both cold (first execution plans from scratch) and
-//! warm (second execution reuses the cached skeleton and re-binds).
+//! same query with the value spliced into the text as a literal — both cold
+//! (first execution plans from scratch) and warm (second execution reuses
+//! the cached skeleton and re-binds).
 //!
 //! The comparison runs through the full in-process server so the plan cache
 //! sits in the loop: a cache that leaked one binding's value into another
@@ -13,7 +13,6 @@
 //! comparing; headers must match exactly.
 
 use proptest::prelude::*;
-use redisgraph_core::TraverseStrategy;
 use redisgraph_server::{RedisGraphServer, RespValue, ServerConfig};
 
 /// Seeded server: a ring of `nodes` labelled nodes with ids, names, and a
@@ -121,28 +120,19 @@ proptest! {
         // `name` sometimes misses every node on purpose: empty results must
         // agree too.
         let name = format!("n{name_sel}");
-        for strategy in [TraverseStrategy::Scalar, TraverseStrategy::Batched] {
-            let server = seeded_server(nodes);
-            server.graph("g").write().set_traverse_strategy(strategy);
-            for (param_text, literal_text) in query_pairs(int_v, &name, &list) {
-                let cold = server.query("g", &param_text);
-                prop_assert!(!cached_flag(&cold), "first execution must miss: {param_text}");
-                let warm = server.query("g", &param_text);
-                prop_assert!(cached_flag(&warm), "second execution must hit: {param_text}");
-                let reference = server.query("g", &literal_text);
+        let server = seeded_server(nodes);
+        for (param_text, literal_text) in query_pairs(int_v, &name, &list) {
+            let cold = server.query("g", &param_text);
+            prop_assert!(!cached_flag(&cold), "first execution must miss: {param_text}");
+            let warm = server.query("g", &param_text);
+            prop_assert!(cached_flag(&warm), "second execution must hit: {param_text}");
+            let reference = server.query("g", &literal_text);
 
-                let cold = header_and_sorted_rows(&cold);
-                let warm = header_and_sorted_rows(&warm);
-                let reference = header_and_sorted_rows(&reference);
-                prop_assert_eq!(
-                    &cold, &reference,
-                    "cold parameterized run diverged ({:?}): {}", strategy, param_text
-                );
-                prop_assert_eq!(
-                    &warm, &reference,
-                    "cached parameterized run diverged ({:?}): {}", strategy, param_text
-                );
-            }
+            let cold = header_and_sorted_rows(&cold);
+            let warm = header_and_sorted_rows(&warm);
+            let reference = header_and_sorted_rows(&reference);
+            prop_assert_eq!(&cold, &reference, "cold parameterized run diverged: {}", param_text);
+            prop_assert_eq!(&warm, &reference, "cached parameterized run diverged: {}", param_text);
         }
     }
 }

@@ -2,11 +2,6 @@
 //! operator tree — with the run-to-run wall times redacted to `<ms>` — is
 //! snapshotted under `tests/golden/*.snap` and compared verbatim.
 //!
-//! Every case runs under **both** traversal strategies (scalar row-at-a-time
-//! and batched frontier `mxm`) and must produce the *same* redacted tree:
-//! the strategy changes how a traversal executes, never the operator shape
-//! or the record counts flowing between operators.
-//!
 //! To (re)generate snapshots after an intentional planner/formatter change:
 //!
 //! ```text
@@ -15,7 +10,7 @@
 //!
 //! and review the diff like any other code change.
 
-use redisgraph_core::{format_profile, Graph, TraverseStrategy};
+use redisgraph_core::{format_profile, Graph};
 use std::path::PathBuf;
 
 /// The corpus: name → profiled query. Covers a label scan + expand, a
@@ -37,11 +32,10 @@ fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
-/// A fresh deterministic fixture per (case, strategy): a 12-node ring with
-/// +4 chords, so traversals fan out but stay readable in a snapshot.
-fn fixture(strategy: TraverseStrategy) -> Graph {
+/// A fresh deterministic fixture per case: a 12-node ring with +4 chords,
+/// so traversals fan out but stay readable in a snapshot.
+fn fixture() -> Graph {
     let mut g = Graph::new("profile-golden");
-    g.set_traverse_strategy(strategy);
     let mut create = String::from("CREATE ");
     for k in 0..12 {
         if k > 0 {
@@ -74,8 +68,8 @@ fn redact(line: &str) -> String {
     }
 }
 
-fn render(query: &str, strategy: TraverseStrategy) -> String {
-    let mut g = fixture(strategy);
+fn render(query: &str) -> String {
+    let mut g = fixture();
     let (_rows, profiles) = g.profile(query).expect("profiled query");
     let mut out = format!("query: {query}\n");
     for line in format_profile(&profiles) {
@@ -86,32 +80,23 @@ fn render(query: &str, strategy: TraverseStrategy) -> String {
 }
 
 #[test]
-fn profile_output_matches_golden_snapshots_under_both_strategies() {
+fn profile_output_matches_golden_snapshots() {
     let update = std::env::var_os("UPDATE_GOLDEN").is_some();
     let dir = golden_dir();
     let mut failures = Vec::new();
 
     for (name, query) in CASES {
-        let scalar = render(query, TraverseStrategy::Scalar);
-        let batched = render(query, TraverseStrategy::Batched);
-        // Strategy independence first: identical operators, identical record
-        // counts — only the (redacted) timings may differ.
-        if scalar != batched {
-            failures.push(format!(
-                "`{name}` diverges between traversal strategies\n--- scalar ---\n{scalar}\n--- batched ---\n{batched}"
-            ));
-            continue;
-        }
+        let actual = render(query);
         let path = dir.join(format!("{name}.snap"));
         if update {
             std::fs::create_dir_all(&dir).unwrap();
-            std::fs::write(&path, &scalar).unwrap();
+            std::fs::write(&path, &actual).unwrap();
             continue;
         }
         match std::fs::read_to_string(&path) {
-            Ok(expected) if expected == scalar => {}
+            Ok(expected) if expected == actual => {}
             Ok(expected) => failures.push(format!(
-                "snapshot mismatch for `{name}`\n--- expected ({}) ---\n{expected}\n--- actual ---\n{scalar}",
+                "snapshot mismatch for `{name}`\n--- expected ({}) ---\n{expected}\n--- actual ---\n{actual}",
                 path.display()
             )),
             Err(e) => failures.push(format!(
@@ -134,7 +119,7 @@ fn every_profile_line_is_annotated() {
     // Shape contract independent of the snapshots: every line of every case
     // (segment separators aside) carries both annotations, and profiled
     // queries still return correct results.
-    let mut g = fixture(TraverseStrategy::Auto);
+    let mut g = fixture();
     let (rows, profiles) = g.profile("MATCH (n:Node) RETURN count(n)").expect("profile");
     assert_eq!(format!("{}", rows.rows[0][0]), "12");
     assert!(!profiles.is_empty());

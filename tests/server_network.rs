@@ -318,6 +318,30 @@ fn inline_unknown_command_errs_without_closing_the_connection() {
 }
 
 #[test]
+fn deeply_nested_queries_get_an_error_reply_and_the_connection_survives() {
+    // Each of these once overflowed the parsing thread's stack and aborted
+    // the whole server process.
+    let net = GraphServer::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let mut client = RespClient::connect(net.local_addr()).expect("connect");
+    let deep = [
+        format!("RETURN {}1{}", "(".repeat(200_000), ")".repeat(200_000)),
+        format!("RETURN 1{}", "+1".repeat(100_000)),
+        format!("RETURN {}true", "NOT ".repeat(100_000)),
+        format!("CYPHER p={}1{} RETURN $p", "[".repeat(200_000), "]".repeat(200_000)),
+    ];
+    let expected = net.server().query("g", "RETURN 1 + 1");
+    for query in &deep {
+        let reply = client.query("g", query).expect("an error reply, not a closed connection");
+        let RespValue::Error(message) = &reply else { panic!("expected an error, got {reply}") };
+        assert!(message.contains("E_RECURSION_LIMIT"), "got {message:?}");
+        // The next command on the same connection is served.
+        let next = client.query("g", "RETURN 1 + 1").expect("next command");
+        assert_eq!(header_and_rows(&next), header_and_rows(&expected));
+    }
+    net.shutdown();
+}
+
+#[test]
 fn inline_unbalanced_quotes_get_protocol_error_and_close() {
     let net = GraphServer::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
     let mut stream = TcpStream::connect(net.local_addr()).expect("connect");
