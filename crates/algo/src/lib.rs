@@ -41,6 +41,6 @@ pub mod wcc;
 
 pub use bfs::bfs_levels;
 pub use pagerank::{pagerank, PageRankConfig, PageRankResult};
-pub use sssp::{sssp, sssp_with_iterations};
+pub use sssp::sssp;
 pub use triangles::triangle_count;
-pub use wcc::{wcc, wcc_with_iterations};
+pub use wcc::wcc;

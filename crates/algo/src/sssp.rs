@@ -16,24 +16,13 @@ use graphblas::Index;
 /// # Panics
 /// Panics if `source >= weights.nrows()`.
 pub fn sssp(weights: &SparseMatrix<f64>, source: Index) -> SparseVector<f64> {
-    sssp_with_iterations(weights, source).0
-}
-
-/// [`sssp`] plus the number of Bellman–Ford relaxation rounds executed
-/// (including the final round that detected the fixpoint).
-pub fn sssp_with_iterations(
-    weights: &SparseMatrix<f64>,
-    source: Index,
-) -> (SparseVector<f64>, u32) {
     let semiring = Semiring::min_plus(f64::INFINITY);
     let desc = Descriptor::default();
 
     let mut dist = SparseVector::<f64>::new(weights.nrows());
     dist.set_element(source, 0.0);
 
-    let mut iterations = 0;
     for _ in 0..weights.nrows().max(1) {
-        iterations += 1;
         let relaxed = vxm(&dist, weights, &semiring, None, &desc);
         let next = ewise_add_vector(&dist, &relaxed, &BinaryOp::Min);
         if next == dist {
@@ -41,7 +30,7 @@ pub fn sssp_with_iterations(
         }
         dist = next;
     }
-    (dist, iterations)
+    dist
 }
 
 #[cfg(test)]

@@ -13,15 +13,6 @@ use graphblas::Index;
 /// # Panics
 /// Panics if a vertex id is out of bounds.
 pub fn wcc(adj: &SparseMatrix<bool>, nodes: &[Index]) -> Vec<(Index, Index)> {
-    wcc_with_iterations(adj, nodes).0
-}
-
-/// [`wcc`] plus the number of propagation rounds executed (including the
-/// final round that detected the fixpoint).
-pub fn wcc_with_iterations(
-    adj: &SparseMatrix<bool>,
-    nodes: &[Index],
-) -> (Vec<(Index, Index)>, u32) {
     // Symmetrise the structure into a u64 matrix so the FIRST multiply can
     // carry the propagated label through the product.
     let mut triples = Vec::with_capacity(2 * adj.nvals());
@@ -39,9 +30,7 @@ pub fn wcc_with_iterations(
     let entries: Vec<(Index, u64)> = nodes.iter().map(|&v| (v, v)).collect();
     let mut labels = SparseVector::from_entries(adj.nrows(), &entries).expect("in bounds");
 
-    let mut iterations = 0;
     loop {
-        iterations += 1;
         let propagated = vxm(&labels, &sym, &min_first, None, &desc);
         let next = ewise_add_vector(&labels, &propagated, &BinaryOp::Min);
         if next == labels {
@@ -49,7 +38,7 @@ pub fn wcc_with_iterations(
         }
         labels = next;
     }
-    (nodes.iter().map(|&v| (v, labels.extract_element(v).unwrap_or(v))).collect(), iterations)
+    nodes.iter().map(|&v| (v, labels.extract_element(v).unwrap_or(v))).collect()
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! A conventional adjacency-list graph engine (the "other graph databases"
 //! architecture in the paper's comparison).
 //!
-//! Nodes keep explicit `Vec` neighbour lists (out- and in-edges) and a property
-//! map; traversal is pointer chasing over those lists, and k-hop neighbourhood
+//! Nodes keep an explicit `Vec` out-neighbour list and a property map;
+//! traversal is pointer chasing over those lists, and k-hop neighbourhood
 //! counting is a queue-based BFS with a visited bitmap. Unlike the RedisGraph
 //! core there is no sparse-matrix representation and no linear algebra — this
 //! is exactly the design the paper positions RedisGraph against.
@@ -13,11 +13,10 @@ use std::collections::VecDeque;
 /// A property value stored on nodes of the baseline engine.
 pub type PropValue = i64;
 
-/// One node record: neighbour lists plus properties.
+/// One node record: out-neighbour list plus properties.
 #[derive(Debug, Clone, Default)]
 struct NodeRecord {
     out_edges: Vec<u64>,
-    in_edges: Vec<u64>,
     properties: HashMap<String, PropValue>,
 }
 
@@ -51,7 +50,6 @@ impl AdjacencyListGraph {
         dedup.dedup();
         for (s, d) in dedup {
             g.nodes[s as usize].out_edges.push(d);
-            g.nodes[d as usize].in_edges.push(s);
             g.edge_count += 1;
         }
         for (id, node) in g.nodes.iter_mut().enumerate() {
@@ -79,13 +77,7 @@ impl AdjacencyListGraph {
     /// Add a directed edge between existing nodes.
     pub fn add_edge(&mut self, src: u64, dst: u64) {
         self.nodes[src as usize].out_edges.push(dst);
-        self.nodes[dst as usize].in_edges.push(src);
         self.edge_count += 1;
-    }
-
-    /// Set a node property.
-    pub fn set_property(&mut self, node: u64, key: &str, value: PropValue) {
-        self.nodes[node as usize].properties.insert(key.to_string(), value);
     }
 
     /// Read a node property.
@@ -96,11 +88,6 @@ impl AdjacencyListGraph {
     /// Out-neighbours of a node.
     pub fn out_neighbors(&self, node: u64) -> &[u64] {
         &self.nodes[node as usize].out_edges
-    }
-
-    /// In-neighbours of a node.
-    pub fn in_neighbors(&self, node: u64) -> &[u64] {
-        &self.nodes[node as usize].in_edges
     }
 
     /// Out-degree of a node.
@@ -159,12 +146,6 @@ impl AdjacencyListGraph {
         out.sort_unstable();
         out
     }
-
-    /// Find the node whose `id` property equals `value` by scanning — the
-    /// un-indexed lookup a property filter costs in a traversal engine.
-    pub fn find_by_property(&self, key: &str, value: PropValue) -> Option<u64> {
-        self.nodes.iter().position(|n| n.properties.get(key) == Some(&value)).map(|i| i as u64)
-    }
 }
 
 #[cfg(test)]
@@ -182,7 +163,6 @@ mod tests {
         assert_eq!(g.node_count(), 3);
         assert_eq!(g.edge_count(), 2);
         assert_eq!(g.out_neighbors(0), &[1]);
-        assert_eq!(g.in_neighbors(2), &[1]);
     }
 
     #[test]
@@ -204,12 +184,10 @@ mod tests {
 
     #[test]
     fn properties_and_lookup() {
-        let mut g = diamond();
+        let g = diamond();
         assert_eq!(g.property(3, "id"), Some(3));
-        g.set_property(3, "weight", 7);
-        assert_eq!(g.property(3, "weight"), Some(7));
-        assert_eq!(g.find_by_property("id", 4), Some(4));
-        assert_eq!(g.find_by_property("id", 99), None);
+        assert_eq!(g.property(3, "weight"), None);
+        assert_eq!(g.property(99, "id"), None);
     }
 
     #[test]

@@ -8,17 +8,11 @@
 //!   databases the TigerGraph benchmark measured (Neo4j, JanusGraph, ArangoDB,
 //!   Neptune): every hop dereferences per-node neighbour lists instead of
 //!   operating on sparse matrices.
-//! * [`literature`] — the published average 1-hop response times from the
-//!   TigerGraph benchmark report that Fig. 1 of the paper plots for the
-//!   databases we cannot run here. They are carried as constants so the
-//!   figure harness can print the same comparison rows.
 //! * [`algorithms`] — naive reference implementations (queue BFS, edge-list
 //!   Bellman–Ford, dense power iteration, union–find, adjacency-intersection
 //!   triangle counting) used as oracles by `crates/algo`'s property tests.
 
 pub mod algorithms;
 pub mod engine;
-pub mod literature;
 
 pub use engine::AdjacencyListGraph;
-pub use literature::{literature_response_times, LiteratureEntry};

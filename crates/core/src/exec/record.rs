@@ -61,16 +61,6 @@ impl Bindings {
 /// One row of intermediate execution state.
 pub type Record = Vec<Value>;
 
-/// Create an empty record sized for the binding table (all slots `Null`).
-pub fn empty_record(bindings: &Bindings) -> Record {
-    vec![Value::Null; bindings.len()]
-}
-
-/// Extend an existing record to the current binding width (new slots `Null`).
-pub fn widen(record: &mut Record, bindings: &Bindings) {
-    record.resize(bindings.len(), Value::Null);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,16 +76,5 @@ mod tests {
         assert!(!b.is_bound("c"));
         assert_eq!(b.slot("b"), Some(1));
         assert_eq!(b.name(1), "b");
-    }
-
-    #[test]
-    fn records_widen_with_nulls() {
-        let mut b = Bindings::new();
-        b.slot_or_create("a");
-        let mut r = empty_record(&b);
-        r[0] = Value::Int(1);
-        b.slot_or_create("b");
-        widen(&mut r, &b);
-        assert_eq!(r, vec![Value::Int(1), Value::Null]);
     }
 }

@@ -1055,17 +1055,6 @@ impl GraphSnapshot {
         plan.execute_read_only_at(self.backing_graph(&plan), started)
     }
 
-    /// Profiled read-only execution against the pinned state
-    /// (`GRAPH.PROFILE` on the server's lock-free read path).
-    pub fn profile_readonly_ast_at(
-        &self,
-        ast: &cypher::Query,
-        started: std::time::Instant,
-    ) -> Result<(ResultSet, Vec<OpProfile>), QueryError> {
-        let plan = ExecutionPlan::build(ast)?;
-        plan.profile_read_only(self.backing_graph(&plan), started)
-    }
-
     /// Execute an already-built **read-only** plan against the pinned state,
     /// timing the statistics footer from a dispatch-captured `started`. The
     /// server's plan cache goes through here: the skeleton is planned once,

@@ -50,11 +50,6 @@ impl Schema {
         self.labels.get(id).map(|s| s.as_str())
     }
 
-    /// Number of labels.
-    pub fn label_count(&self) -> usize {
-        self.labels.len()
-    }
-
     /// Get or create the id for a relationship type name.
     pub fn rel_type_id_or_create(&mut self, name: &str) -> RelTypeId {
         if let Some(&id) = self.rel_type_ids.get(name) {
@@ -76,11 +71,6 @@ impl Schema {
         self.rel_types.get(id).map(|s| s.as_str())
     }
 
-    /// Number of relationship types.
-    pub fn rel_type_count(&self) -> usize {
-        self.rel_types.len()
-    }
-
     /// Get or create the id for an attribute (property key).
     pub fn attribute_id_or_create(&mut self, name: &str) -> AttributeId {
         if let Some(&id) = self.attribute_ids.get(name) {
@@ -96,11 +86,6 @@ impl Schema {
     pub fn attribute_id(&self, name: &str) -> Option<AttributeId> {
         self.attribute_ids.get(name).copied()
     }
-
-    /// Attribute name for an id.
-    pub fn attribute_name(&self, id: AttributeId) -> Option<&str> {
-        self.attributes.get(id).map(|s| s.as_str())
-    }
 }
 
 #[cfg(test)]
@@ -113,7 +98,6 @@ mod tests {
         assert_eq!(s.label_id_or_create("Person"), 0);
         assert_eq!(s.label_id_or_create("Company"), 1);
         assert_eq!(s.label_id_or_create("Person"), 0);
-        assert_eq!(s.label_count(), 2);
         assert_eq!(s.label_name(1), Some("Company"));
         assert_eq!(s.label_id("Missing"), None);
     }
@@ -127,8 +111,7 @@ mod tests {
         assert_eq!(knows, 0);
         assert_eq!(name, 0);
         assert_eq!(person, 0);
-        assert_eq!(s.rel_type_count(), 1);
-        assert_eq!(s.attribute_name(0), Some("name"));
+        assert_eq!(s.attribute_id("name"), Some(0));
         assert_eq!(s.rel_type_name(0), Some("KNOWS"));
     }
 }

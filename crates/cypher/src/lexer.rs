@@ -3,29 +3,10 @@
 //! The lexer is error-recovering: a malformed construct (unterminated
 //! string, stray character, …) is reported as a diagnostic and lexing
 //! continues, so one bad token never hides the rest of the query's
-//! problems. [`Lexer::tokenize`] keeps the strict first-error contract for
-//! callers that only need a yes/no answer.
+//! problems.
 
 use crate::diagnostics::{resolve, Diagnostic, RawDiagnostic};
 use crate::token::{is_keyword, Token, TokenKind};
-
-/// Errors produced while lexing (first-error view; see
-/// [`Lexer::tokenize_recovering`] for the full diagnostic list).
-#[derive(Debug, Clone, PartialEq)]
-pub struct LexError {
-    /// Description of the problem.
-    pub message: String,
-    /// Byte offset where it occurred.
-    pub offset: usize,
-}
-
-impl std::fmt::Display for LexError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "lex error at offset {}: {}", self.offset, self.message)
-    }
-}
-
-impl std::error::Error for LexError {}
 
 /// A streaming lexer over a query string.
 pub struct Lexer<'a> {
@@ -37,16 +18,6 @@ impl<'a> Lexer<'a> {
     /// Create a lexer over `src`.
     pub fn new(src: &'a str) -> Self {
         Lexer { src: src.as_bytes(), pos: 0 }
-    }
-
-    /// Lex the entire input into a vector of tokens terminated by `Eof`,
-    /// failing on the first malformed construct.
-    pub fn tokenize(src: &'a str) -> Result<Vec<Token>, LexError> {
-        let (tokens, diags) = Self::tokenize_raw(src);
-        match diags.into_iter().next() {
-            None => Ok(tokens),
-            Some(d) => Err(LexError { message: d.message, offset: d.offset }),
-        }
     }
 
     /// Lex the entire input, recovering past malformed constructs: always
@@ -130,21 +101,6 @@ impl<'a> Lexer<'a> {
                 }
                 _ => return,
             }
-        }
-    }
-
-    /// Produce the next token, failing on the first malformed construct.
-    pub fn next_token(&mut self) -> Result<Token, LexError> {
-        let mut diags = Vec::new();
-        loop {
-            let tok = self.next_token_recovering(&mut diags);
-            if let Some(d) = diags.into_iter().next() {
-                return Err(LexError { message: d.message, offset: d.offset });
-            }
-            if let Some(tok) = tok {
-                return Ok(tok);
-            }
-            diags = Vec::new();
         }
     }
 
@@ -414,8 +370,15 @@ impl<'a> Lexer<'a> {
 mod tests {
     use super::*;
 
+    /// The token stream of well-formed input, terminated by `Eof`.
+    fn tokens(src: &str) -> Vec<Token> {
+        let (tokens, diags) = Lexer::tokenize_recovering(src);
+        assert!(diags.is_empty(), "{src:?}: {diags:?}");
+        tokens
+    }
+
     fn kinds(src: &str) -> Vec<TokenKind> {
-        Lexer::tokenize(src).unwrap().into_iter().map(|t| t.kind).collect()
+        tokens(src).into_iter().map(|t| t.kind).collect()
     }
 
     #[test]
@@ -513,7 +476,7 @@ mod tests {
 
     #[test]
     fn tokens_carry_spans() {
-        let toks = Lexer::tokenize("MATCH $id").unwrap();
+        let toks = tokens("MATCH $id");
         assert_eq!((toks[0].offset, toks[0].len), (0, 5));
         assert_eq!((toks[1].offset, toks[1].len), (6, 3));
         assert_eq!(toks[2].len, 0); // Eof
@@ -521,10 +484,10 @@ mod tests {
 
     #[test]
     fn errors_carry_offsets() {
-        let err = Lexer::tokenize("MATCH ^").unwrap_err();
-        assert_eq!(err.offset, 6);
-        assert!(Lexer::tokenize("'oops").is_err());
-        assert!(Lexer::tokenize("/* nope").is_err());
+        let (_, diags) = Lexer::tokenize_recovering("MATCH ^");
+        assert_eq!(diags[0].span, (1, 7, 1));
+        assert!(!Lexer::tokenize_recovering("'oops").1.is_empty());
+        assert!(!Lexer::tokenize_recovering("/* nope").1.is_empty());
     }
 
     #[test]

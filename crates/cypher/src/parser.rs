@@ -18,13 +18,6 @@ pub struct ParseError {
     pub diagnostics: Vec<Diagnostic>,
 }
 
-impl ParseError {
-    /// The first (primary) diagnostic.
-    pub fn primary(&self) -> &Diagnostic {
-        &self.diagnostics[0]
-    }
-}
-
 impl std::fmt::Display for ParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         if self.diagnostics.len() == 1 {
@@ -1001,7 +994,7 @@ mod tests {
     #[test]
     fn error_spans_point_at_the_problem() {
         let err = parse("MATCH (a) RETURN ").unwrap_err();
-        let d = err.primary();
+        let d = &err.diagnostics[0];
         assert_eq!(d.code, "E_EXPECTED_EXPR");
         // The query is 17 bytes; the error is at end of input: line 1, col 18.
         assert_eq!(d.span, (1, 18, 0));
@@ -1052,7 +1045,7 @@ mod tests {
     #[test]
     fn unknown_clause_diagnostics_carry_notes() {
         let err = parse("FROB (a)").unwrap_err();
-        let d = err.primary();
+        let d = &err.diagnostics[0];
         assert_eq!(d.code, "E_UNKNOWN_CLAUSE");
         assert!(d.notes.iter().any(|n| n.contains("MATCH")));
     }

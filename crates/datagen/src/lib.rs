@@ -45,15 +45,6 @@ impl EdgeList {
         self.edges.len()
     }
 
-    /// Deduplicated edge count, ignoring self-loops — the number of entries an
-    /// adjacency matrix built from this list will hold.
-    pub fn distinct_edge_count(&self) -> usize {
-        let mut e: Vec<(u64, u64)> = self.edges.iter().copied().filter(|&(s, d)| s != d).collect();
-        e.sort_unstable();
-        e.dedup();
-        e.len()
-    }
-
     /// Out-degree of every vertex (counting duplicate edges once).
     pub fn out_degrees(&self) -> Vec<usize> {
         let mut deg = vec![0usize; self.num_vertices as usize];
@@ -70,13 +61,6 @@ impl EdgeList {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn distinct_edge_count_ignores_duplicates_and_loops() {
-        let el = EdgeList { num_vertices: 4, edges: vec![(0, 1), (0, 1), (1, 1), (2, 3)] };
-        assert_eq!(el.num_edges(), 4);
-        assert_eq!(el.distinct_edge_count(), 2);
-    }
 
     #[test]
     fn out_degrees_counts_unique_neighbours() {

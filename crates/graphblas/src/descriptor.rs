@@ -1,8 +1,8 @@
 //! Operation descriptors (`GrB_Descriptor`).
 //!
 //! A descriptor modifies how an operation treats its mask, inputs and output:
-//! complement the mask, use only the mask structure, clear (replace) the output
-//! first, and transpose either input.
+//! complement the mask, use only the mask structure, and transpose either
+//! input.
 
 /// Per-call modifiers for GraphBLAS operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -13,8 +13,6 @@ pub struct Descriptor {
     /// Use only the structure of the mask (`GrB_STRUCTURE`): any stored entry
     /// counts, regardless of its value.
     pub mask_structure: bool,
-    /// Clear the output object before writing results (`GrB_REPLACE`).
-    pub replace: bool,
     /// Transpose the first input (`GrB_TRAN` on `GrB_INP0`).
     pub transpose_a: bool,
     /// Transpose the second input (`GrB_TRAN` on `GrB_INP1`).
@@ -39,12 +37,6 @@ impl Descriptor {
         self
     }
 
-    /// Builder: replace the output.
-    pub fn with_replace(mut self) -> Self {
-        self.replace = true;
-        self
-    }
-
     /// Builder: transpose the first input.
     pub fn with_transpose_a(mut self) -> Self {
         self.transpose_a = true;
@@ -65,14 +57,13 @@ mod tests {
     #[test]
     fn default_descriptor_has_no_modifiers() {
         let d = Descriptor::default();
-        assert!(!d.mask_complement && !d.replace && !d.transpose_a && !d.transpose_b);
+        assert!(!d.mask_complement && !d.mask_structure && !d.transpose_a && !d.transpose_b);
     }
 
     #[test]
     fn builders_compose() {
-        let d = Descriptor::new().with_mask_complement().with_replace().with_transpose_a();
+        let d = Descriptor::new().with_mask_complement().with_transpose_a();
         assert!(d.mask_complement);
-        assert!(d.replace);
         assert!(d.transpose_a);
         assert!(!d.transpose_b);
     }

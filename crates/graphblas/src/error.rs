@@ -17,11 +17,6 @@ pub enum GrbError {
         /// The dimension it was checked against.
         bound: u64,
     },
-    /// Dimensions of the operands do not conform (`GrB_DIMENSION_MISMATCH`).
-    DimensionMismatch {
-        /// Human-readable description of the mismatch.
-        what: String,
-    },
     /// An output object was the same as an input where aliasing is not
     /// supported (`GrB_NOT_IMPLEMENTED` / aliasing restriction).
     InvalidValue(String),
@@ -35,7 +30,6 @@ impl fmt::Display for GrbError {
             GrbError::IndexOutOfBounds { index, bound } => {
                 write!(f, "index {index} out of bounds (dimension {bound})")
             }
-            GrbError::DimensionMismatch { what } => write!(f, "dimension mismatch: {what}"),
             GrbError::InvalidValue(msg) => write!(f, "invalid value: {msg}"),
             GrbError::NoValue => write!(f, "no stored value at the requested position"),
         }
@@ -57,16 +51,6 @@ pub fn check_index(index: u64, bound: u64) -> GrbResult<()> {
     }
 }
 
-/// Check that two dimensions are equal, returning a mismatch error otherwise.
-#[inline]
-pub fn check_dims(a: u64, b: u64, what: &str) -> GrbResult<()> {
-    if a == b {
-        Ok(())
-    } else {
-        Err(GrbError::DimensionMismatch { what: format!("{what}: {a} != {b}") })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,14 +65,6 @@ mod tests {
     fn check_index_rejects_out_of_bounds() {
         let err = check_index(10, 10).unwrap_err();
         assert_eq!(err, GrbError::IndexOutOfBounds { index: 10, bound: 10 });
-    }
-
-    #[test]
-    fn check_dims_reports_mismatch() {
-        assert!(check_dims(3, 3, "nrows").is_ok());
-        let err = check_dims(3, 4, "ncols").unwrap_err();
-        assert!(matches!(err, GrbError::DimensionMismatch { .. }));
-        assert!(err.to_string().contains("ncols"));
     }
 
     #[test]

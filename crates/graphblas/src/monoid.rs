@@ -40,28 +40,11 @@ impl<T: Scalar + OpApply> Monoid<T> {
     pub fn is_terminal(&self, v: T) -> bool {
         self.terminal.map(|t| t == v).unwrap_or(false)
     }
-
-    /// Reduce a slice of values; returns the identity for an empty slice.
-    pub fn reduce_slice(&self, values: &[T]) -> T {
-        let mut acc = self.identity;
-        for &v in values {
-            acc = self.combine(acc, v);
-            if self.is_terminal(acc) {
-                break;
-            }
-        }
-        acc
-    }
 }
 
 /// The PLUS monoid over a numeric type.
 pub fn plus_monoid<T: Scalar + OpApply>() -> Monoid<T> {
     Monoid::new(BinaryOp::Plus, T::zero())
-}
-
-/// The TIMES monoid over a numeric type.
-pub fn times_monoid<T: Scalar + OpApply>() -> Monoid<T> {
-    Monoid::new(BinaryOp::Times, T::one())
 }
 
 /// The MIN monoid with a caller-supplied identity (the type's "+infinity").
@@ -79,11 +62,6 @@ pub fn lor_monoid() -> Monoid<bool> {
     Monoid::with_terminal(BinaryOp::LOr, false, true)
 }
 
-/// The LAND monoid over `bool` (identity `true`, terminal `false`).
-pub fn land_monoid() -> Monoid<bool> {
-    Monoid::with_terminal(BinaryOp::LAnd, true, false)
-}
-
 /// The ANY monoid: picks an arbitrary operand; every value is terminal, so a
 /// reduction may stop at the first entry it sees. This is what makes the
 /// ANY_PAIR semiring the cheapest possible structural traversal.
@@ -95,27 +73,40 @@ pub fn any_monoid<T: Scalar + OpApply>() -> Monoid<T> {
 mod tests {
     use super::*;
 
+    /// Fold `values` the way the kernels do: from the identity, stopping at
+    /// the terminal value.
+    fn reduce<T: Scalar + OpApply>(m: &Monoid<T>, values: &[T]) -> T {
+        let mut acc = m.identity;
+        for &v in values {
+            acc = m.combine(acc, v);
+            if m.is_terminal(acc) {
+                break;
+            }
+        }
+        acc
+    }
+
     #[test]
     fn plus_monoid_reduces() {
         let m = plus_monoid::<i64>();
-        assert_eq!(m.reduce_slice(&[1, 2, 3, 4]), 10);
-        assert_eq!(m.reduce_slice(&[]), 0);
+        assert_eq!(reduce(&m, &[1, 2, 3, 4]), 10);
+        assert_eq!(reduce(&m, &[]), 0);
     }
 
     #[test]
     fn times_monoid_identity() {
-        let m = times_monoid::<i64>();
-        assert_eq!(m.reduce_slice(&[]), 1);
-        assert_eq!(m.reduce_slice(&[2, 3, 4]), 24);
+        let m = Monoid::new(BinaryOp::Times, 1i64);
+        assert_eq!(reduce(&m, &[]), 1);
+        assert_eq!(reduce(&m, &[2, 3, 4]), 24);
     }
 
     #[test]
     fn min_max_monoids() {
         let min = min_monoid(i64::MAX);
         let max = max_monoid(i64::MIN);
-        assert_eq!(min.reduce_slice(&[5, 2, 8]), 2);
-        assert_eq!(max.reduce_slice(&[5, 2, 8]), 8);
-        assert_eq!(min.reduce_slice(&[]), i64::MAX);
+        assert_eq!(reduce(&min, &[5, 2, 8]), 2);
+        assert_eq!(reduce(&max, &[5, 2, 8]), 8);
+        assert_eq!(reduce(&min, &[]), i64::MAX);
     }
 
     #[test]
@@ -123,15 +114,15 @@ mod tests {
         let m = lor_monoid();
         assert!(m.is_terminal(true));
         assert!(!m.is_terminal(false));
-        assert!(m.reduce_slice(&[false, true, false]));
-        assert!(!m.reduce_slice(&[false, false]));
+        assert!(reduce(&m, &[false, true, false]));
+        assert!(!reduce(&m, &[false, false]));
     }
 
     #[test]
     fn land_monoid_identity_true() {
-        let m = land_monoid();
-        assert!(m.reduce_slice(&[]));
-        assert!(!m.reduce_slice(&[true, false, true]));
+        let m = Monoid::with_terminal(BinaryOp::LAnd, true, false);
+        assert!(reduce(&m, &[]));
+        assert!(!reduce(&m, &[true, false, true]));
     }
 
     #[test]

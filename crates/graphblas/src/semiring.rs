@@ -71,13 +71,6 @@ impl<T: Scalar + OpApply> Semiring<T> {
         Semiring::new(monoid::any_monoid(), BinaryOp::Pair, "any_pair")
     }
 
-    /// Keep-the-source semiring (⊕ = any, ⊗ = first): propagates the left
-    /// operand's value along edges (RedisGraph uses this shape to carry edge
-    /// identifiers through traversals).
-    pub fn any_first() -> Self {
-        Semiring::new(monoid::any_monoid(), BinaryOp::First, "any_first")
-    }
-
     /// Keep-the-target semiring (⊕ = any, ⊗ = second).
     pub fn any_second() -> Self {
         Semiring::new(monoid::any_monoid(), BinaryOp::Second, "any_second")
@@ -131,7 +124,7 @@ mod tests {
 
     #[test]
     fn any_first_propagates_left_value() {
-        let s = Semiring::<u64>::any_first();
+        let s = Semiring::new(monoid::any_monoid::<u64>(), BinaryOp::First, "any_first");
         assert_eq!(s.mult(42, 7), 42);
     }
 }

@@ -163,13 +163,6 @@ impl<T: Scalar> SparseVector<T> {
         self.iter().collect()
     }
 
-    /// Fill every position `0..size` with `value` (a dense assignment,
-    /// `GrB_Vector_assign` with `GrB_ALL`).
-    pub fn assign_all(&mut self, value: T) {
-        self.indices = (0..self.size).collect();
-        self.values = vec![value; self.size as usize];
-    }
-
     /// Validate internal invariants (sorted, unique, in-bounds). Used by tests
     /// and debug assertions.
     pub fn check_invariants(&self) -> GrbResult<()> {
@@ -267,13 +260,5 @@ mod tests {
     fn dense_conversion() {
         let v = SparseVector::from_entries(4, &[(0, true), (2, true)]).unwrap();
         assert_eq!(v.to_dense(), vec![Some(true), None, Some(true), None]);
-    }
-
-    #[test]
-    fn assign_all_fills_vector() {
-        let mut v = SparseVector::<i32>::new(5);
-        v.assign_all(7);
-        assert_eq!(v.nvals(), 5);
-        assert!(v.iter().all(|(_, x)| x == 7));
     }
 }

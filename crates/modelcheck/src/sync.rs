@@ -572,8 +572,6 @@ pub mod atomic {
 
     model_int_atomic!(AtomicUsize, AtomicUsize, usize);
     model_int_atomic!(AtomicU64, AtomicU64, u64);
-    model_int_atomic!(AtomicU32, AtomicU32, u32);
-    model_int_atomic!(AtomicI64, AtomicI64, i64);
 
     #[derive(Default, Debug)]
     pub struct AtomicBool {

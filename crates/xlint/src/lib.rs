@@ -16,11 +16,14 @@
 //! |                  | paths must degrade per-connection, never panic the process)            |
 //! | `safety-comment` | every `unsafe` block carries a `// SAFETY:` comment                    |
 //! | `static-mut`     | no `static mut` anywhere                                               |
+//! | `dead-pub`       | every `pub fn` in `crates/*/src` is named somewhere in the workspace   |
+//! |                  | besides its definition and its own file's `#[cfg(test)]` items        |
 //!
 //! The lexer skips string literals and comments, and whole `#[cfg(test)]`
 //! items are exempt (tests may use std primitives freely — they never run
 //! under the model scheduler). Allowlists live in `xlint.toml`.
 
+use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -592,25 +595,93 @@ pub fn lint_source(path: &str, src: &str, cfg: &Config) -> Vec<Violation> {
     out
 }
 
+/// `dead-pub` over a whole workspace: `files` holds every `(path, source)`
+/// that may call a `pub fn` (tests, examples and the vendored shims
+/// included). A `pub fn` defined under `crates/*/src` is flagged when its
+/// name occurs in no token outside its own definition and its own file's
+/// `#[cfg(test)]` items. The match is by name only, so a name shared with
+/// any other item or call keeps the function unflagged.
+pub fn dead_pub(files: &[(String, String)]) -> Vec<Violation> {
+    let lexed: Vec<Vec<Token>> = files.iter().map(|(_, src)| lex(src).tokens).collect();
+    let mut mentions: HashMap<&str, usize> = HashMap::new();
+    for name in lexed.iter().flatten().filter_map(Token::ident) {
+        *mentions.entry(name).or_default() += 1;
+    }
+    let mut out = Vec::new();
+    for ((path, _), tokens) in files.iter().zip(&lexed) {
+        let in_crate_src = path
+            .strip_prefix("crates/")
+            .and_then(|rest| rest.split_once('/'))
+            .is_some_and(|(_, rest)| rest.starts_with("src/"));
+        if !in_crate_src {
+            continue;
+        }
+        let live = strip_test_items(tokens.clone());
+        let count = |toks: &[Token], name: &str| toks.iter().filter(|t| t.is_ident(name)).count();
+        for (i, t) in live.iter().enumerate() {
+            if !t.is_ident("pub") {
+                continue;
+            }
+            // `pub [const] [async] [unsafe] fn name`
+            let mut j = i + 1;
+            while live
+                .get(j)
+                .and_then(Token::ident)
+                .is_some_and(|q| matches!(q, "const" | "async" | "unsafe"))
+            {
+                j += 1;
+            }
+            if !live.get(j).is_some_and(|t| t.is_ident("fn")) {
+                continue;
+            }
+            let Some(def) = live.get(j + 1) else { continue };
+            let Some(name) = def.ident() else { continue };
+            // Mentions in this file's test items do not count as callers.
+            let own_tests = count(tokens, name) - count(&live, name);
+            if mentions[name] - own_tests <= 1 {
+                out.push(Violation {
+                    file: path.clone(),
+                    line: def.line,
+                    rule: "dead-pub",
+                    message: format!(
+                        "`pub fn {name}` has no caller outside its own file's tests — \
+                         delete it"
+                    ),
+                });
+            }
+        }
+    }
+    out
+}
+
 /// Recursively lint every `.rs` file under `root`, skipping `target/`,
-/// VCS metadata, test/bench/fixture trees, and the configured skip paths.
+/// hidden directories, test/bench/fixture trees, and the configured skip
+/// paths. `dead-pub` reads the tests, benches and skipped paths too: any
+/// of them may be a function's caller.
 pub fn lint_tree(root: &Path, cfg: &Config) -> io::Result<Vec<Violation>> {
     let mut files = Vec::new();
-    collect_rs_files(root, root, cfg, &mut files)?;
+    collect_rs_files(root, root, cfg, true, &mut files)?;
     files.sort();
     let mut out = Vec::new();
-    for rel in files {
+    let mut corpus = Vec::new();
+    for (rel, lintable) in files {
         let src = fs::read_to_string(root.join(&rel))?;
-        out.extend(lint_source(&rel, &src, cfg));
+        if lintable {
+            out.extend(lint_source(&rel, &src, cfg));
+        }
+        corpus.push((rel, src));
     }
+    out.extend(dead_pub(&corpus));
     Ok(out)
 }
 
+/// Every `.rs` file under `dir` with whether the per-file rules apply to it.
 fn collect_rs_files(
     root: &Path,
     dir: &Path,
     cfg: &Config,
-    out: &mut Vec<String>,
+    lintable: bool,
+    out: &mut Vec<(String, bool)>,
 ) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
@@ -623,17 +694,18 @@ fn collect_rs_files(
             .to_string_lossy()
             .replace('\\', "/");
         if path.is_dir() {
+            // Fixtures are deliberate violations and call nothing.
+            if name.starts_with('.') || matches!(name.as_str(), "target" | "fixtures") {
+                continue;
+            }
             // Tests and benches never run under the model scheduler and may
-            // use std primitives freely; fixtures are deliberate violations.
-            if matches!(name.as_str(), ".git" | "target" | "tests" | "benches" | "fixtures") {
-                continue;
-            }
-            if path_matches(&format!("{rel}/"), &cfg.skip_paths) {
-                continue;
-            }
-            collect_rs_files(root, &path, cfg, out)?;
-        } else if name.ends_with(".rs") && !path_matches(&rel, &cfg.skip_paths) {
-            out.push(rel);
+            // use std primitives freely.
+            let lintable = lintable
+                && !matches!(name.as_str(), "tests" | "benches")
+                && !path_matches(&format!("{rel}/"), &cfg.skip_paths);
+            collect_rs_files(root, &path, cfg, lintable, out)?;
+        } else if name.ends_with(".rs") {
+            out.push((rel.clone(), lintable && !path_matches(&rel, &cfg.skip_paths)));
         }
     }
     Ok(())
@@ -719,6 +791,23 @@ mod tests {
         cfg.no_unwrap_paths.push("x.rs".to_string());
         // `t.0.unwrap()` must still be seen through the tuple index.
         assert_eq!(lint_source("x.rs", "t.0.unwrap();", &cfg).len(), 1);
+    }
+
+    #[test]
+    fn dead_pub_counts_callers_in_other_files_and_outside_tests() {
+        let flagged = |files: &[(&str, &str)]| -> Vec<u32> {
+            let files: Vec<(String, String)> =
+                files.iter().map(|(p, s)| (p.to_string(), s.to_string())).collect();
+            dead_pub(&files).into_iter().map(|v| v.line).collect()
+        };
+        let def = "pub fn lonely() {}\n#[cfg(test)]\nmod t { fn f() { super::lonely(); } }";
+        assert_eq!(flagged(&[("crates/a/src/lib.rs", def)]), [1]);
+        assert!(flagged(&[("crates/a/src/lib.rs", def), ("tests/t.rs", "a::lonely();")]).is_empty());
+        assert!(flagged(&[("crates/a/src/lib.rs", "pub fn f() {}\nfn g() { f() }")]).is_empty());
+        // Only `crates/*/src` is checked, and `pub(crate)` is not `pub`.
+        assert!(flagged(&[("crates/a/tests/t.rs", "pub fn lonely() {}")]).is_empty());
+        assert!(flagged(&[("crates/a/src/lib.rs", "pub(crate) fn lonely() {}")]).is_empty());
+        assert_eq!(flagged(&[("crates/a/src/lib.rs", "\npub const unsafe fn lonely() {}")]), [2]);
     }
 
     #[test]

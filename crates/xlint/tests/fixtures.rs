@@ -2,14 +2,15 @@
 //!
 //! Each `bad_*.rs` fixture marks every line the linter must flag with a
 //! `// BAD` comment — the test asserts the flagged line set matches those
-//! markers exactly (no misses, no false positives), `clean.rs` yields zero
+//! markers exactly (no misses, no false positives; `bad_dead_pub.rs` through
+//! the workspace-wide `dead-pub` pass), `clean.rs` yields zero
 //! violations despite its decoys, and the real workspace is clean under
 //! the real `xlint.toml` (the same invocation CI blocks on).
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-use xlint::{lint_source, lint_tree, parse_config, Config};
+use xlint::{dead_pub, lint_source, lint_tree, parse_config, Config};
 
 fn repo_root() -> PathBuf {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -64,6 +65,15 @@ fn every_fixture_violation_is_flagged() {
     assert_flags_exactly_the_bad_lines("bad_unwrap.rs", "no-unwrap", &cfg);
     assert_flags_exactly_the_bad_lines("bad_unsafe.rs", "safety-comment", &cfg);
     assert_flags_exactly_the_bad_lines("bad_static_mut.rs", "static-mut", &cfg);
+}
+
+#[test]
+fn dead_pub_fixture_flags_exactly_the_bad_lines() {
+    let (_, src) = fixture("bad_dead_pub.rs");
+    let violations = dead_pub(&[("crates/fixture/src/lib.rs".to_string(), src.clone())]);
+    let flagged: BTreeSet<u32> = violations.iter().map(|v| v.line).collect();
+    assert_eq!(flagged, bad_lines(&src), "{violations:#?}");
+    assert!(violations.iter().all(|v| v.rule == "dead-pub"));
 }
 
 #[test]

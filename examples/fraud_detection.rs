@@ -10,7 +10,7 @@
 //!    measures.
 //!
 //! ```text
-//! cargo run --release -p redisgraph-bench --example fraud_detection
+//! cargo run --release --example fraud_detection
 //! ```
 
 use redisgraph_core::{Graph, Value};

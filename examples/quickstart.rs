@@ -1,7 +1,7 @@
 //! Quickstart: create a graph, run Cypher queries, inspect the execution plan.
 //!
 //! ```text
-//! cargo run --release -p redisgraph-bench --example quickstart
+//! cargo run --release --example quickstart
 //! ```
 
 use redisgraph_core::Graph;

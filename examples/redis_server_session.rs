@@ -4,7 +4,7 @@
 //! architecture §II of the paper describes.
 //!
 //! ```text
-//! cargo run --release -p redisgraph-bench --example redis_server_session
+//! cargo run --release --example redis_server_session
 //! ```
 
 use redisgraph_server::{RedisGraphServer, RespValue, ServerConfig, StreamDecoder};

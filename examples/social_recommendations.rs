@@ -8,7 +8,7 @@
 //! you already follow.
 //!
 //! ```text
-//! cargo run --release -p redisgraph-bench --example social_recommendations
+//! cargo run --release --example social_recommendations
 //! ```
 
 use datagen::PowerLawConfig;

@@ -9,7 +9,9 @@
 //! ```
 //!
 //! `--port 0` picks an ephemeral port; pair it with `--addr-file` so scripts
-//! (CI's `network-e2e` job) can discover the bound address.
+//! and tests can discover the bound address. The file appears only once the
+//! signal handlers are installed, so a SIGTERM sent after reading it always
+//! takes the graceful path.
 
 use crossbeam::atomic::{AtomicBool, Ordering};
 use datagen::RmatConfig;
@@ -179,15 +181,15 @@ fn main() {
         net.server().config().thread_count,
         net.server().config().max_connections
     );
+    SHUTDOWN_FLAG.set(net.shutdown_flag()).expect("flag published once");
+    install_signal_handlers();
+
     if let Some(path) = arg::<String>(&argv, "--addr-file") {
         if let Err(e) = std::fs::write(&path, addr.to_string()) {
             eprintln!("redisgraph-server: cannot write --addr-file {path}: {e}");
             std::process::exit(1);
         }
     }
-
-    SHUTDOWN_FLAG.set(net.shutdown_flag()).expect("flag published once");
-    install_signal_handlers();
 
     // Serve until a signal or a client's SHUTDOWN command flips the flag;
     // wait() then performs the graceful stop (drain in-flight, close, join).

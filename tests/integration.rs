@@ -3,17 +3,49 @@
 //! and the server substrate serves the benchmark workload correctly under
 //! concurrency.
 
-use datagen::{KhopWorkload, RmatConfig, SeedSelection};
-use redisgraph_bench::{load_dataset, Dataset};
+use baseline::AdjacencyListGraph;
+use datagen::{EdgeList, KhopWorkload, PowerLawConfig, RmatConfig, SeedSelection};
 use redisgraph_core::{Graph, Value};
 use redisgraph_server::{RedisGraphServer, RespValue, ServerConfig};
 use std::sync::Arc;
+
+/// A generated graph loaded into both engines under test.
+struct Loaded {
+    edges: EdgeList,
+    redisgraph: Graph,
+    baseline: AdjacencyListGraph,
+}
+
+fn load(name: &str, edges: EdgeList) -> Loaded {
+    let mut redisgraph = Graph::new(name);
+    redisgraph.bulk_load(edges.num_vertices, &edges.edges);
+    let baseline = AdjacencyListGraph::from_edge_list(edges.num_vertices, &edges.edges);
+    Loaded { edges, redisgraph, baseline }
+}
+
+/// The Graph500 RMAT graph at ≈28 edges per vertex, as in the TigerGraph
+/// benchmark's instance.
+fn graph500(scale: u32, seed: u64) -> Loaded {
+    let config = RmatConfig { scale, edge_factor: 28, seed, ..RmatConfig::default() };
+    load("Graph500", datagen::rmat::generate(&config))
+}
+
+/// The Twitter-like power-law graph at ≈35 edges per vertex.
+fn twitter(scale: u32, seed: u64) -> Loaded {
+    let config = PowerLawConfig {
+        num_vertices: 1u64 << scale,
+        edges_per_vertex: 35,
+        random_fraction: 0.15,
+        seed,
+    };
+    load("Twitter", datagen::powerlaw::generate(&config))
+}
 
 /// The three implementations of the k-hop count — baseline BFS, algebraic BFS,
 /// and the full Cypher query — must agree on every seed and every k.
 #[test]
 fn khop_agreement_across_all_three_paths() {
-    let loaded = load_dataset(Dataset::Graph500, 9, 5);
+    let loaded = graph500(9, 5);
     let degrees = loaded.edges.out_degrees();
     let workload = KhopWorkload::with_seed_count(
         2,
@@ -66,7 +98,7 @@ fn zero_min_hops_includes_the_start_node_end_to_end() {
 /// The Twitter-like dataset behaves the same way (denser, heavy-tailed).
 #[test]
 fn khop_agreement_on_twitter_dataset() {
-    let loaded = load_dataset(Dataset::Twitter, 9, 6);
+    let loaded = twitter(9, 6);
     for seed in [1u64, 7, 63, 200] {
         for k in [1u32, 2, 3] {
             assert_eq!(
@@ -176,7 +208,7 @@ fn server_mixes_reads_and_writes() {
 /// i.e. the benchmark driver and the query language stay in sync.
 #[test]
 fn workload_queries_parse_and_execute() {
-    let loaded = load_dataset(Dataset::Graph500, 8, 11);
+    let loaded = graph500(8, 11);
     let degrees = loaded.edges.out_degrees();
     let suite = KhopWorkload::full_suite(
         loaded.edges.num_vertices,
