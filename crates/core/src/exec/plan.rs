@@ -2,7 +2,7 @@
 //!
 //! [`ExecutionPlan::build`] compiles a parsed [`cypher::Query`] into segments
 //! of [`PlanOp`]s (segments are separated by `WITH`, which re-binds the record
-//! layout). [`ExecutionPlan::execute`] interprets the plan against a graph.
+//! layout). [`ExecutionPlan::run`] interprets the plan against a graph.
 //!
 //! Plan construction mirrors RedisGraph's planner for the supported subset:
 //!
@@ -199,62 +199,6 @@ impl ExecutionPlan {
         }
     }
 
-    /// Execute the plan against a graph, producing a result set.
-    pub fn execute(&self, graph: &mut Graph) -> Result<ResultSet, QueryError> {
-        self.run(GraphAccess::Write(graph), Instant::now(), None)
-    }
-
-    /// Execute against a graph, timing the result set's statistics footer
-    /// from `started` — the single `Instant` the server captures at dispatch,
-    /// so the reported time covers parse/queue/execute without being
-    /// re-measured per layer.
-    pub fn execute_at(&self, graph: &mut Graph, started: Instant) -> Result<ResultSet, QueryError> {
-        self.run(GraphAccess::Write(graph), started, None)
-    }
-
-    /// Execute a plan that contains no write operations against a shared graph
-    /// reference. Used by the server's read path so that many read queries can
-    /// run concurrently on different threadpool workers under a read lock.
-    /// Returns an error if the plan contains a write operation.
-    pub fn execute_read_only(&self, graph: &Graph) -> Result<ResultSet, QueryError> {
-        self.run(GraphAccess::Read(graph), Instant::now(), None)
-    }
-
-    /// Read-only execution timed from a dispatch-captured `started` (see
-    /// [`ExecutionPlan::execute_at`]).
-    pub fn execute_read_only_at(
-        &self,
-        graph: &Graph,
-        started: Instant,
-    ) -> Result<ResultSet, QueryError> {
-        self.run(GraphAccess::Read(graph), started, None)
-    }
-
-    /// Execute with per-operator instrumentation (`GRAPH.PROFILE`): every
-    /// operator's records-produced count and wall time are collected
-    /// alongside the ordinary result set. Write operators mutate the graph
-    /// exactly as [`ExecutionPlan::execute`] would.
-    pub fn profile(
-        &self,
-        graph: &mut Graph,
-        started: Instant,
-    ) -> Result<(ResultSet, Vec<OpProfile>), QueryError> {
-        let mut profiles = Vec::new();
-        let rs = self.run(GraphAccess::Write(graph), started, Some(&mut profiles))?;
-        Ok((rs, profiles))
-    }
-
-    /// Read-only counterpart of [`ExecutionPlan::profile`].
-    pub fn profile_read_only(
-        &self,
-        graph: &Graph,
-        started: Instant,
-    ) -> Result<(ResultSet, Vec<OpProfile>), QueryError> {
-        let mut profiles = Vec::new();
-        let rs = self.run(GraphAccess::Read(graph), started, Some(&mut profiles))?;
-        Ok((rs, profiles))
-    }
-
     /// True when executing the plan reads whole matrices *per record*
     /// (variable-length traversals, counted or not, run the algebraic
     /// `khop_reach`; procedures hand the adjacency matrix to `algo::*`),
@@ -274,7 +218,15 @@ impl ExecutionPlan {
         })
     }
 
-    fn run(
+    /// Execute the plan: the one way every caller runs one. `access` says
+    /// whether the plan may write; a write operator reached through
+    /// [`GraphAccess::Read`] is an error. The statistics footer is timed from
+    /// `started`, the one `Instant` the caller captured (the server's
+    /// dispatch anchor, so the reported time spans parse, queue and execute).
+    /// With `profiles`, every operator's records-produced count and wall time
+    /// are appended to it (`GRAPH.PROFILE`); write operators mutate exactly
+    /// as they do unprofiled.
+    pub fn run(
         &self,
         mut access: GraphAccess<'_>,
         started: Instant,
@@ -440,7 +392,7 @@ impl ExecutionPlan {
 /// How the executor is allowed to touch the graph: read-only plans can run
 /// against a shared reference (many at once on different threadpool workers),
 /// write plans need exclusive access.
-enum GraphAccess<'a> {
+pub enum GraphAccess<'a> {
     /// Shared, read-only access.
     Read(&'a Graph),
     /// Exclusive access, required by write operations.

@@ -35,7 +35,7 @@
 //! when its last snapshot drops.
 
 use crate::error::QueryError;
-use crate::exec::plan::{ExecutionPlan, OpProfile};
+use crate::exec::plan::{ExecutionPlan, GraphAccess, OpProfile};
 use crate::exec::resultset::ResultSet;
 use crate::store::datablock::DataBlock;
 use crate::store::entity::{AttributeSet, EdgeEntity, NodeEntity};
@@ -46,6 +46,7 @@ use graphblas::prelude::*;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Matrices are grown in chunks of this many rows/columns so that node
 /// insertion does not resize on every call (RedisGraph uses 16384).
@@ -279,61 +280,27 @@ impl Graph {
 
     /// Parse, plan and execute an openCypher query against this graph.
     pub fn query(&mut self, text: &str) -> Result<ResultSet, QueryError> {
-        let ast = cypher::parse(text)?;
-        self.query_ast(&ast)
+        let plan = ExecutionPlan::build(&cypher::parse(text)?)?;
+        plan.run(GraphAccess::Write(self), Instant::now(), None)
     }
 
-    /// Plan and execute an already-parsed query. The server parses once at
-    /// dispatch (to classify read vs write and reject syntax errors without
-    /// touching any lock) and passes the AST through here.
-    pub fn query_ast(&mut self, ast: &cypher::Query) -> Result<ResultSet, QueryError> {
-        self.query_ast_at(ast, std::time::Instant::now())
-    }
-
-    /// Like [`Graph::query_ast`], with the statistics footer timed from
-    /// `started` — the one `Instant` the server captures at dispatch, so the
-    /// reported time spans parse, queueing, and execution consistently.
-    pub fn query_ast_at(
-        &mut self,
-        ast: &cypher::Query,
-        started: std::time::Instant,
-    ) -> Result<ResultSet, QueryError> {
-        let plan = ExecutionPlan::build(ast)?;
-        plan.execute_at(self, started)
-    }
-
-    /// Execute with per-operator instrumentation (`GRAPH.PROFILE`): returns
-    /// the result set plus one [`OpProfile`] per executed operator. Write
-    /// clauses mutate the graph exactly as [`Graph::query_ast`] would.
-    pub fn profile_ast_at(
-        &mut self,
-        ast: &cypher::Query,
-        started: std::time::Instant,
-    ) -> Result<(ResultSet, Vec<OpProfile>), QueryError> {
-        let plan = ExecutionPlan::build(ast)?;
-        plan.profile(self, started)
-    }
-
-    /// Parse and profile a query (test/REPL convenience over
-    /// [`Graph::profile_ast_at`]).
+    /// Parse, plan and execute a query with per-operator instrumentation
+    /// (`GRAPH.PROFILE`): the result set plus one [`OpProfile`] per executed
+    /// operator. Write clauses mutate the graph exactly as [`Graph::query`]
+    /// would.
     pub fn profile(&mut self, text: &str) -> Result<(ResultSet, Vec<OpProfile>), QueryError> {
-        let ast = cypher::parse(text)?;
-        self.profile_ast_at(&ast, std::time::Instant::now())
+        let plan = ExecutionPlan::build(&cypher::parse(text)?)?;
+        let mut profiles = Vec::new();
+        let rs = plan.run(GraphAccess::Write(self), Instant::now(), Some(&mut profiles))?;
+        Ok((rs, profiles))
     }
 
     /// Parse, plan and execute a **read-only** query through a shared
     /// reference. Errors if the query contains write clauses. Concurrent
     /// readers go through [`Graph::snapshot`] instead and never block.
     pub fn query_readonly(&self, text: &str) -> Result<ResultSet, QueryError> {
-        let ast = cypher::parse(text)?;
-        self.query_readonly_ast(&ast)
-    }
-
-    /// Plan and execute an already-parsed read-only query (see
-    /// [`Graph::query_ast`]).
-    pub fn query_readonly_ast(&self, ast: &cypher::Query) -> Result<ResultSet, QueryError> {
-        let plan = ExecutionPlan::build(ast)?;
-        plan.execute_read_only(self)
+        let plan = ExecutionPlan::build(&cypher::parse(text)?)?;
+        plan.run(GraphAccess::Read(self), Instant::now(), None)
     }
 
     /// Build the execution plan for a query without running it
@@ -1032,48 +999,23 @@ impl GraphSnapshot {
     }
 
     /// Parse, plan and execute a read-only query against the pinned state.
+    /// Errors if the query contains write clauses. `&self`: many readers can
+    /// share one snapshot behind an `Arc`.
     pub fn query_readonly(&self, text: &str) -> Result<ResultSet, QueryError> {
-        let ast = cypher::parse(text)?;
-        self.query_readonly_ast(&ast)
+        self.run(&ExecutionPlan::build(&cypher::parse(text)?)?, Instant::now(), None)
     }
 
-    /// Plan and execute an already-parsed read-only query against the pinned
-    /// state. Errors if the query contains write clauses. `&self`: many
-    /// readers can share one snapshot behind an `Arc`.
-    pub fn query_readonly_ast(&self, ast: &cypher::Query) -> Result<ResultSet, QueryError> {
-        self.query_readonly_ast_at(ast, std::time::Instant::now())
-    }
-
-    /// Like [`GraphSnapshot::query_readonly_ast`], timing the statistics
-    /// footer from a dispatch-captured `started`.
-    pub fn query_readonly_ast_at(
-        &self,
-        ast: &cypher::Query,
-        started: std::time::Instant,
-    ) -> Result<ResultSet, QueryError> {
-        let plan = ExecutionPlan::build(ast)?;
-        plan.execute_read_only_at(self.backing_graph(&plan), started)
-    }
-
-    /// Execute an already-built **read-only** plan against the pinned state,
-    /// timing the statistics footer from a dispatch-captured `started`. The
-    /// server's plan cache goes through here: the skeleton is planned once,
-    /// then bound and executed per request without re-parse/re-plan.
-    pub fn execute_plan_at(
+    /// Run an already-built **read-only** plan against the pinned state (see
+    /// [`ExecutionPlan::run`] for `started` and `profiles`). The server's
+    /// plan cache goes through here: the skeleton is planned once, then bound
+    /// and executed per request without re-parse or re-plan.
+    pub fn run(
         &self,
         plan: &ExecutionPlan,
-        started: std::time::Instant,
+        started: Instant,
+        profiles: Option<&mut Vec<OpProfile>>,
     ) -> Result<ResultSet, QueryError> {
-        plan.execute_read_only_at(self.backing_graph(plan), started)
-    }
-
-    /// Profiled counterpart of [`GraphSnapshot::execute_plan_at`].
-    pub fn profile_plan_at(
-        &self,
-        plan: &ExecutionPlan,
-        started: std::time::Instant,
-    ) -> Result<(ResultSet, Vec<OpProfile>), QueryError> {
-        plan.profile_read_only(self.backing_graph(plan), started)
+        plan.run(GraphAccess::Read(self.backing_graph(plan)), started, profiles)
     }
 
     /// The graph a plan runs on: the pinned graph itself, or — for plans that

@@ -2,7 +2,7 @@
 
 use crate::resp::{push_bulk, push_header, push_integer, push_null, RespValue};
 use cypher::{Expr, Lexer, Literal, Token, TokenKind};
-use redisgraph_core::{format_profile, OpProfile, Params, QueryStats, ResultSet, Value};
+use redisgraph_core::{Params, QueryStats, ResultSet, Value};
 use std::fmt::Write;
 
 /// A parsed client command.
@@ -294,44 +294,6 @@ fn parse_param_literal(
     }
 }
 
-/// Encode profiled operators as the `GRAPH.PROFILE` reply: the
-/// `GRAPH.EXPLAIN` tree, one bulk string per operator, each annotated with
-/// its records-produced count and wall time.
-pub fn profile_to_resp(profiles: &[OpProfile]) -> RespValue {
-    RespValue::Array(format_profile(profiles).into_iter().map(RespValue::BulkString).collect())
-}
-
-/// Encode a runtime value as a RESP reply element (the same flattening the C
-/// module performs).
-pub fn value_to_resp(value: &Value) -> RespValue {
-    match value {
-        Value::Null => RespValue::Null,
-        Value::Bool(b) => RespValue::BulkString(if *b { "true".into() } else { "false".into() }),
-        Value::Int(i) => RespValue::Integer(*i),
-        Value::Float(f) => RespValue::BulkString(format!("{f}")),
-        Value::Str(s) => RespValue::BulkString(s.clone()),
-        Value::Node(id) => RespValue::BulkString(format!("(node:{id})")),
-        Value::Edge(id) => RespValue::BulkString(format!("[edge:{id}]")),
-        Value::List(items) => RespValue::Array(items.iter().map(value_to_resp).collect()),
-    }
-}
-
-/// Encode a [`ResultSet`] as the three-section reply `GRAPH.QUERY` returns:
-/// header, rows, statistics.
-pub fn resultset_to_resp(rs: &ResultSet) -> RespValue {
-    let header =
-        RespValue::Array(rs.columns.iter().map(|c| RespValue::BulkString(c.clone())).collect());
-    let rows = RespValue::Array(
-        rs.rows
-            .iter()
-            .map(|row| RespValue::Array(row.iter().map(value_to_resp).collect()))
-            .collect(),
-    );
-    let stats =
-        RespValue::Array(stats_lines(&rs.stats).into_iter().map(RespValue::BulkString).collect());
-    RespValue::Array(vec![header, rows, stats])
-}
-
 /// The statistics footer of a `GRAPH.QUERY` reply, one line per counter.
 fn stats_lines(stats: &QueryStats) -> [String; 7] {
     [
@@ -348,10 +310,10 @@ fn stats_lines(stats: &QueryStats) -> [String; 7] {
     ]
 }
 
-/// Append the bytes of `resultset_to_resp(rs).encode()` to `out` without
-/// building the tree: one pass over the rows, no `RespValue` per cell and no
-/// allocation per element (a reply is mostly integers and short lengths, so
-/// that is where a 15 k-row reply's encode time went).
+/// Append the `GRAPH.QUERY` reply for `rs` to `out`: a three-section array
+/// of header, rows and statistics. One pass over the rows, no `RespValue`
+/// per cell and no allocation per element (a reply is mostly integers and
+/// short lengths, so that is where a 15 k-row reply's encode time went).
 pub fn encode_resultset(rs: &ResultSet, out: &mut Vec<u8>) {
     // Scratch for the few cells that are formatted text (floats, entity
     // ids); reused so formatting them allocates at most once per reply.
@@ -375,7 +337,9 @@ pub fn encode_resultset(rs: &ResultSet, out: &mut Vec<u8>) {
     }
 }
 
-/// Append the bytes of `value_to_resp(value).encode()` to `out`.
+/// Append one cell of a row to `out`, flattened the way the C module does:
+/// integers as RESP integers, null as the null bulk string, lists as arrays,
+/// everything else as a bulk string.
 fn encode_value(value: &Value, out: &mut Vec<u8>, text: &mut String) {
     let mut formatted = |args: std::fmt::Arguments<'_>| {
         text.clear();
@@ -402,6 +366,17 @@ fn encode_value(value: &Value, out: &mut Vec<u8>, text: &mut String) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The reply `encode_resultset` writes for `rs`, decoded the way a
+    /// client decodes it: `[header, rows, statistics]`.
+    fn decoded_reply(rs: &ResultSet) -> Vec<RespValue> {
+        let mut out = Vec::new();
+        encode_resultset(rs, &mut out);
+        let (reply, used) = RespValue::decode(&out).expect("one whole reply");
+        assert_eq!(used, out.len(), "the reply is exactly one frame");
+        let RespValue::Array(sections) = reply else { panic!("expected an array, got {reply}") };
+        sections
+    }
 
     #[test]
     fn parses_graph_query() {
@@ -550,7 +525,7 @@ mod tests {
     fn stats_footer_reports_cache_status() {
         let mut rs = ResultSet::empty();
         let footer_lines = |rs: &ResultSet| -> Vec<String> {
-            let RespValue::Array(sections) = resultset_to_resp(rs) else { panic!() };
+            let sections = decoded_reply(rs);
             let RespValue::Array(stats) = &sections[2] else { panic!() };
             stats.iter().map(|v| v.to_string()).collect()
         };
@@ -580,8 +555,7 @@ mod tests {
             rows: vec![vec![Value::Int(9)]],
             stats: Default::default(),
         };
-        let reply = resultset_to_resp(&rs);
-        let RespValue::Array(sections) = reply else { panic!() };
+        let sections = decoded_reply(&rs);
         assert_eq!(sections.len(), 3);
         let RespValue::Array(rows) = &sections[1] else { panic!() };
         assert_eq!(rows.len(), 1);
@@ -589,9 +563,20 @@ mod tests {
 
     #[test]
     fn value_conversion_covers_all_kinds() {
-        assert_eq!(value_to_resp(&Value::Int(3)), RespValue::Integer(3));
-        assert_eq!(value_to_resp(&Value::Null), RespValue::Null);
-        assert_eq!(value_to_resp(&Value::Bool(true)), RespValue::BulkString("true".into()));
-        assert!(matches!(value_to_resp(&Value::List(vec![Value::Int(1)])), RespValue::Array(_)));
+        let cell = |value: Value| -> RespValue {
+            let rs = ResultSet {
+                columns: vec!["v".into()],
+                rows: vec![vec![value]],
+                stats: Default::default(),
+            };
+            let sections = decoded_reply(&rs);
+            let RespValue::Array(rows) = &sections[1] else { panic!() };
+            let RespValue::Array(row) = &rows[0] else { panic!() };
+            row[0].clone()
+        };
+        assert_eq!(cell(Value::Int(3)), RespValue::Integer(3));
+        assert_eq!(cell(Value::Null), RespValue::Null);
+        assert_eq!(cell(Value::Bool(true)), RespValue::BulkString("true".into()));
+        assert!(matches!(cell(Value::List(vec![Value::Int(1)])), RespValue::Array(_)));
     }
 }

@@ -19,15 +19,14 @@
 //!   `CREATE` pipelined before a `MATCH` is visible to it. Each query still
 //!   runs on a pool worker (the connection thread blocks on its reply);
 //!   cross-**connection** concurrency is what the pool parallelises, per the
-//!   paper's one-query-one-thread model. Replies of a batch are gathered into
-//!   one buffer and written with a single syscall; a query's reply arrives
-//!   from its worker already encoded, so the rows are walked once, there.
+//!   paper's one-query-one-thread model. Every command but `SHUTDOWN` goes
+//!   through [`RedisGraphServer::execute`], which appends its encoded reply
+//!   to the batch's one buffer, written with a single syscall.
 
 use crate::commands::Command;
 use crate::resp::{DecodeStop, RespValue, StreamDecoder};
 use crate::server::RedisGraphServer;
 use crossbeam::atomic::{AtomicBool, Ordering};
-use crossbeam::channel::bounded;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -134,9 +133,8 @@ pub(crate) fn serve_connection(
 }
 
 /// Execute one decoded frame to completion and append its encoded reply to
-/// `out`: queries go to the pool and are awaited (one worker, this connection
-/// blocked — the pool parallelises across connections), admin commands run
-/// inline, `SHUTDOWN` flips the listener's flag.
+/// `out`. `SHUTDOWN` flips the listener's flag; every other command goes
+/// through [`RedisGraphServer::execute`].
 fn execute_frame(
     server: &Arc<RedisGraphServer>,
     frame: &RespValue,
@@ -144,8 +142,7 @@ fn execute_frame(
     close_after_replies: &mut bool,
     out: &mut Vec<u8>,
 ) {
-    let reply = match Command::parse(frame) {
-        Err(e) => RespValue::Error(format!("ERR {e}")),
+    match Command::parse(frame) {
         Ok(Command::Shutdown) => {
             // Acknowledge, finish writing this pipeline's replies, then let
             // the listener drain every connection and exit. (Counted here:
@@ -153,24 +150,11 @@ fn execute_frame(
             server.metrics().count_command(crate::metrics::CommandKind::Shutdown);
             shutdown.store(true, Ordering::SeqCst);
             *close_after_replies = true;
-            RespValue::SimpleString("OK".to_string())
+            RespValue::SimpleString("OK".to_string()).encode_into(out);
         }
-        Ok(Command::GraphQuery { graph, query }) => {
-            // The worker encodes the result set itself; its bytes are the
-            // reply, with no tree in between.
-            let (tx, rx) = bounded::<Vec<u8>>(1);
-            server.submit_query(graph, query, tx);
-            match rx.recv() {
-                Ok(encoded) => {
-                    out.extend_from_slice(&encoded);
-                    return;
-                }
-                Err(_) => RespValue::Error("ERR query worker exited".to_string()),
-            }
-        }
-        Ok(other) => server.execute(other),
-    };
-    reply.encode_into(out);
+        Ok(command) => server.execute(command, out),
+        Err(e) => RespValue::Error(format!("ERR {e}")).encode_into(out),
+    }
 }
 
 /// Best-effort error reply before closing (the peer may already be gone).

@@ -13,18 +13,20 @@
 //!   clients because many pool threads can serve different queries at once,
 //!   not because one query uses many cores.
 //!
-//! The crate provides two entry points:
+//! Every command runs through one call, [`server::RedisGraphServer::execute`],
+//! which appends the command's encoded RESP reply to a byte buffer. It has
+//! two callers:
 //!
 //! * a synchronous façade ([`server::RedisGraphServer::handle`]) used by the
-//!   examples, the in-process tests and the throughput benchmark — concurrent
-//!   clients call it from their own threads on a shared server;
+//!   examples, the in-process tests and rgbench's ladder: it decodes the
+//!   bytes the way a client would, and concurrent clients call it from their
+//!   own threads on a shared server;
 //! * the **real network server** ([`listener::GraphServer`]): a TCP accept
 //!   loop whose per-connection framing loops ([`conn`]) run a resumable
-//!   [`resp::StreamDecoder`] under a bounded retained buffer and dispatch
-//!   queries onto the same worker pool — the byte-level interface RedisGraph
-//!   clients actually speak, plus a small blocking client
-//!   ([`client::RespClient`], the same decoder in its reply role) to drive
-//!   it.
+//!   [`resp::StreamDecoder`] under a bounded retained buffer and write the
+//!   bytes back — the byte-level interface RedisGraph clients actually speak,
+//!   plus a small blocking client ([`client::RespClient`], the same decoder
+//!   in its reply role) to drive it.
 
 pub mod client;
 pub mod commands;

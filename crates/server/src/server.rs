@@ -3,9 +3,10 @@
 //!
 //! Concurrency model (paper §II):
 //!
-//! * every command is dispatched by [`RedisGraphServer::handle`] (or, for the
-//!   TCP server, the connection loops' [`RedisGraphServer::submit_query`]) on
-//!   the caller's own thread, which plays the role of Redis' main thread;
+//! * every command is dispatched by [`RedisGraphServer::execute`] on the
+//!   caller's own thread (a TCP connection's loop, or an in-process caller
+//!   of [`RedisGraphServer::handle`]), which plays the role of Redis' main
+//!   thread, and its reply is appended to the caller's buffer as RESP bytes;
 //! * each `GRAPH.QUERY` is executed by **one** worker of the threadpool, and
 //!   every GraphBLAS kernel runs on that worker alone — as RedisGraph loads
 //!   GraphBLAS single-threaded — so throughput comes from many queries at
@@ -15,19 +16,21 @@
 //! * read-only queries pin an epoch snapshot ([`redisgraph_core::GraphSnapshot`])
 //!   under a momentary read lock and then execute entirely lock-free, so a
 //!   heavy procedure call or a burst of writers can never stall point reads;
-//! * write queries take the graph's write lock for exclusive access.
+//! * write queries take the graph's write lock for exclusive access;
+//! * the worker encodes its reply itself, so a query's rows are walked once,
+//!   straight into the bytes that go back to the client.
 
-use crate::commands::{
-    encode_resultset, profile_to_resp, resultset_to_resp, split_cypher_params, Command,
-};
+use crate::commands::{encode_resultset, split_cypher_params, Command};
 use crate::metrics::{CommandKind, Metrics, SlowLog, SlowLogEntry};
 use crate::plan_cache::{normalize, CachedPlan, PlanCache};
 use crate::pool::ThreadPool;
 use crate::resp::RespValue;
 use crossbeam::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use crossbeam::channel::Sender;
+use crossbeam::channel::{bounded, Sender};
 use parking_lot::{Mutex, RwLock};
-use redisgraph_core::{ExecutionPlan, Graph, GraphSnapshot, QueryError, ResultSet};
+use redisgraph_core::{
+    format_profile, ExecutionPlan, Graph, GraphAccess, GraphSnapshot, QueryError,
+};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -129,37 +132,16 @@ fn command_kind(command: &Command) -> CommandKind {
     }
 }
 
-/// The form a dispatch path takes a query's reply in — the one thing
-/// [`RedisGraphServer::submit_query`] does differently per caller. In-process
-/// callers ([`RedisGraphServer::handle`]) take the [`RespValue`] tree; a
-/// TCP connection takes the encoded bytes, which the worker writes straight
-/// from the [`ResultSet`] so that no tree is built, sent, walked and dropped
-/// for a reply nobody inspects.
-pub trait QueryReply: Send + 'static {
-    /// The reply to a query that produced `rs`.
-    fn from_resultset(rs: &ResultSet) -> Self;
-    /// Any other reply: an error, a profile tree.
-    fn from_resp(reply: RespValue) -> Self;
+/// The error reply for a failed command.
+fn error_reply(e: &dyn std::fmt::Display) -> RespValue {
+    RespValue::Error(format!("ERR {e}"))
 }
 
-impl QueryReply for RespValue {
-    fn from_resultset(rs: &ResultSet) -> Self {
-        resultset_to_resp(rs)
-    }
-    fn from_resp(reply: RespValue) -> Self {
-        reply
-    }
-}
-
-impl QueryReply for Vec<u8> {
-    fn from_resultset(rs: &ResultSet) -> Self {
-        let mut out = Vec::new();
-        encode_resultset(rs, &mut out);
-        out
-    }
-    fn from_resp(reply: RespValue) -> Self {
-        reply.encode()
-    }
+/// A query's plan as dispatch leaves it: served from the plan cache, or
+/// parsed and still to be planned.
+enum Dispatched {
+    Cached(Arc<CachedPlan>),
+    Parsed(cypher::Query),
 }
 
 /// One keyspace slot: the graph plus its delete tombstone.
@@ -217,30 +199,20 @@ impl GraphEntry {
         sealed
     }
 
-    /// Finish resolving a plan skeleton after a [`PlanCache::lookup`]: a hit
-    /// is served as is; a miss is parsed, planned and inserted. A plan is a
-    /// function of the query text alone, so neither path touches the graph
-    /// lock. `ast` carries the pre-parsed body when the dispatch path already
-    /// paid for the parse; otherwise the body is re-derived from
-    /// `query_text` here. Returns the skeleton and whether it came from the
-    /// cache.
+    /// Finish resolving a plan skeleton after [`RedisGraphServer::dispatch`]:
+    /// a cache hit is served as is; a parsed miss is planned and inserted
+    /// under `key`. A plan is a function of the query text alone, so neither
+    /// path touches the graph lock. Returns the skeleton and whether it came
+    /// from the cache.
     fn resolve_plan(
         &self,
         key: &str,
-        looked_up: Option<Arc<CachedPlan>>,
-        ast: Option<cypher::Query>,
-        query_text: &str,
+        dispatched: Dispatched,
         metrics: &Metrics,
     ) -> Result<(Arc<CachedPlan>, bool), QueryError> {
-        if let Some(cached) = looked_up {
-            return Ok((cached, true));
-        }
-        let ast = match ast {
-            Some(ast) => ast,
-            None => {
-                let (_, body) = split_cypher_params(query_text).map_err(QueryError::Syntax)?;
-                cypher::parse(body)?
-            }
+        let ast = match dispatched {
+            Dispatched::Cached(cached) => return Ok((cached, true)),
+            Dispatched::Parsed(ast) => ast,
         };
         let plan = ExecutionPlan::build(&ast)?;
         let skeleton = Arc::new(CachedPlan {
@@ -323,7 +295,7 @@ impl RedisGraphServer {
         &self.metrics
     }
 
-    /// The module threadpool (the network layer dispatches queries onto it).
+    /// The module threadpool (the listener drains it on shutdown).
     pub(crate) fn pool(&self) -> &Arc<ThreadPool> {
         &self.pool
     }
@@ -365,16 +337,18 @@ impl RedisGraphServer {
         names
     }
 
-    /// Handle one framed command synchronously: the calling thread plays the
-    /// role of the main Redis thread, the query itself runs on a pool worker.
-    /// Concurrent clients call this from their own threads on a shared
-    /// `Arc<RedisGraphServer>`.
+    /// Run one framed command synchronously and decode its reply, the way a
+    /// client does: the calling thread plays the role of the main Redis
+    /// thread, a query itself runs on a pool worker. Concurrent clients call
+    /// this from their own threads on a shared `Arc<RedisGraphServer>`.
     pub fn handle(&self, command: &RespValue) -> RespValue {
-        let parsed = match Command::parse(command) {
-            Ok(c) => c,
-            Err(e) => return RespValue::Error(format!("ERR {e}")),
-        };
-        self.execute(parsed)
+        let mut out = Vec::new();
+        match Command::parse(command) {
+            Ok(command) => self.execute(command, &mut out),
+            Err(e) => error_reply(&e).encode_into(&mut out),
+        }
+        let (reply, _) = RespValue::decode(&out).expect("the server encodes one whole reply");
+        reply
     }
 
     /// Convenience wrapper: run a Cypher query against a named graph.
@@ -382,160 +356,19 @@ impl RedisGraphServer {
         self.handle(&RespValue::command(&["GRAPH.QUERY", graph, query]))
     }
 
-    /// Submit a `GRAPH.QUERY` to the module threadpool: one query, one worker
-    /// thread (the paper's execution model). The reply is delivered on
-    /// `reply_to` when the worker finishes — this is the single dispatch path
-    /// shared by the synchronous façade and the TCP connection loops, so
-    /// locking discipline lives in exactly one place.
-    ///
-    /// The query is parsed exactly once, here: a parse error replies
-    /// immediately without creating the graph, occupying a worker, or
-    /// touching any lock (an unparseable query used to be classified as a
-    /// write and took the exclusive lock just to fail), and the AST rides
-    /// along to the worker so execution never re-parses the text.
-    pub fn submit_query<R: QueryReply>(&self, graph: String, query: String, reply_to: Sender<R>) {
-        self.submit(graph, query, false, reply_to);
-    }
-
-    /// Submit a `GRAPH.PROFILE`: same dispatch, locking, and mutation
-    /// semantics as [`RedisGraphServer::submit_query`], but the reply is the
-    /// per-operator profile tree instead of the result set.
-    pub fn submit_profile<R: QueryReply>(&self, graph: String, query: String, reply_to: Sender<R>) {
-        self.submit(graph, query, true, reply_to);
-    }
-
-    fn submit<R: QueryReply>(
-        &self,
-        graph: String,
-        query: String,
-        profile: bool,
-        reply_to: Sender<R>,
-    ) {
-        // The one wall-clock anchor for this query: the statistics footer,
-        // the profile totals, the latency histogram, and the slowlog all
-        // derive from it, so the layers can never disagree about a query's
-        // duration.
-        let started = Instant::now();
-        let metrics = Arc::clone(&self.metrics);
-        metrics.count_command(if profile {
-            CommandKind::GraphProfile
-        } else {
-            CommandKind::GraphQuery
-        });
-        let error = |e: &dyn std::fmt::Display| R::from_resp(RespValue::Error(format!("ERR {e}")));
-        // Split the `CYPHER name=value …` parameter header off the body
-        // first: the cache key is the normalized *body*, so the same query
-        // shape with different parameter values shares one cached plan.
-        let (params, body) = match split_cypher_params(&query) {
-            Ok(split) => split,
-            Err(e) => {
-                metrics.queries_failed.fetch_add(1, Ordering::Relaxed);
-                let _ = reply_to.send(error(&e));
-                return;
+    /// Execute a parsed command and append its encoded reply to `out`. A
+    /// query (`GRAPH.QUERY`, `GRAPH.PROFILE`) runs on a pool worker, which
+    /// encodes its reply; this thread blocks until the bytes arrive. Every
+    /// other command runs inline.
+    pub fn execute(&self, command: Command, out: &mut Vec<u8>) {
+        self.metrics.count_command(command_kind(&command));
+        let reply = match command {
+            Command::GraphQuery { graph, query } => {
+                return self.await_query(graph, query, false, out)
             }
-        };
-        let key = normalize(body);
-        // Plan-cache lookup before parsing: a hit skips both the parser and
-        // the planner. The keyspace entry is only *read* here — like parse
-        // errors, a cache miss on an unknown graph must not create it.
-        let existing = self.graphs.read().get(&graph).cloned();
-        let looked_up = match &existing {
-            Some(entry) => entry.plan_cache.lookup(&key, &metrics),
-            None => {
-                metrics.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
-                None
+            Command::GraphProfile { graph, query } => {
+                return self.await_query(graph, query, true, out)
             }
-        };
-        // On a miss, parse at dispatch: a syntax error answers immediately
-        // without creating the graph, occupying a worker, or touching any
-        // lock. The AST rides along so the worker never re-parses.
-        let ast = match &looked_up {
-            Some(_) => None,
-            None => match cypher::parse(body) {
-                Ok(ast) => Some(ast),
-                Err(e) => {
-                    metrics.queries_failed.fetch_add(1, Ordering::Relaxed);
-                    let _ = reply_to.send(error(&QueryError::from(e)));
-                    return;
-                }
-            },
-        };
-        let entry = existing.unwrap_or_else(|| self.entry(&graph));
-        let slowlog_threshold_ms = self.slowlog_time_threshold_ms();
-        self.pool.execute(move || {
-            let outcome: Result<R, Box<dyn std::error::Error>> = (|| {
-                // Resolve the skeleton (cache hit, or build + insert), then
-                // bind parameters into a private copy when the plan
-                // references any.
-                let (skeleton, was_cached) =
-                    entry.resolve_plan(&key, looked_up, ast, &query, &metrics)?;
-                let bound;
-                let plan: &ExecutionPlan = if skeleton.has_params {
-                    bound = skeleton.plan.bind(&params)?;
-                    &bound
-                } else {
-                    &skeleton.plan
-                };
-                let rows = |mut rs: ResultSet| {
-                    rs.stats.cached = was_cached;
-                    R::from_resultset(&rs)
-                };
-                let profiled =
-                    |(_rs, profiles): (ResultSet, Vec<_>)| R::from_resp(profile_to_resp(&profiles));
-                if skeleton.read_only {
-                    // Pin the current epoch's sealed snapshot (cached per
-                    // epoch, rebuilt outside every lock on a miss), then
-                    // execute with no lock held at all: a heavy query cannot
-                    // queue a flush's write-lock request in front of us, and
-                    // we cannot stall a writer. The live graph's deltas stay
-                    // buffered — the seal folded the snapshot's private COW
-                    // copies once per epoch.
-                    metrics.queries_readonly.fetch_add(1, Ordering::Relaxed);
-                    let snapshot = entry.snapshot(&metrics);
-                    if profile {
-                        Ok(profiled(snapshot.profile_plan_at(plan, started)?))
-                    } else {
-                        Ok(rows(snapshot.execute_plan_at(plan, started)?))
-                    }
-                } else {
-                    metrics.queries_write.fetch_add(1, Ordering::Relaxed);
-                    let mut g = entry.graph.write();
-                    // A `GRAPH.DELETE` that landed after dispatch marked the
-                    // entry; abort rather than mutate the orphan.
-                    if entry.deleted.load(Ordering::SeqCst) {
-                        return Err(format!("graph `{}` was deleted", g.name()).into());
-                    }
-                    if profile {
-                        Ok(profiled(plan.profile(&mut g, started)?))
-                    } else {
-                        Ok(rows(plan.execute_at(&mut g, started)?))
-                    }
-                }
-            })();
-            let elapsed = started.elapsed();
-            metrics.query_latency.record_duration(elapsed);
-            let outcome_counter =
-                if outcome.is_ok() { &metrics.queries_executed } else { &metrics.queries_failed };
-            outcome_counter.fetch_add(1, Ordering::Relaxed);
-            if elapsed.as_millis() as u64 >= slowlog_threshold_ms {
-                let command = if profile { "GRAPH.PROFILE" } else { "GRAPH.QUERY" };
-                entry.slowlog.lock().record(SlowLogEntry::now(command, query, elapsed));
-            }
-            let _ = reply_to.send(outcome.unwrap_or_else(|e| error(&e)));
-        });
-    }
-
-    /// Execute a parsed command.
-    pub fn execute(&self, command: Command) -> RespValue {
-        // `GRAPH.QUERY` / `GRAPH.PROFILE` are counted at their single
-        // dispatch point (`submit`), which every route — including the arms
-        // below — funnels through; counting them here too would double-count
-        // the in-process façade.
-        match &command {
-            Command::GraphQuery { .. } | Command::GraphProfile { .. } => {}
-            other => self.metrics.count_command(command_kind(other)),
-        }
-        match command {
             Command::Ping => RespValue::SimpleString("PONG".to_string()),
             // Only the network listener can wind the process down; the
             // in-process façade has nothing to shut.
@@ -564,150 +397,266 @@ impl RedisGraphServer {
                     None => RespValue::Error(format!("ERR graph `{graph}` does not exist")),
                 }
             }
-            Command::GraphConfigGet { parameter } => {
-                if parameter == "*" {
-                    // RedisGraph parity: every parameter as a name/value pair.
-                    return RespValue::Array(
-                        CONFIG_PARAMETERS
-                            .iter()
-                            .map(|name| {
-                                RespValue::Array(vec![
-                                    RespValue::BulkString(name.to_string()),
-                                    RespValue::Integer(
-                                        self.config_value(name).expect("listed parameter"),
-                                    ),
-                                ])
-                            })
-                            .collect(),
-                    );
-                }
-                let canonical =
-                    CONFIG_PARAMETERS.iter().find(|name| parameter.eq_ignore_ascii_case(name));
-                match canonical {
-                    Some(name) => RespValue::Array(vec![
-                        RespValue::BulkString(name.to_string()),
-                        RespValue::Integer(self.config_value(name).expect("listed parameter")),
-                    ]),
-                    None => RespValue::Error(format!(
-                        "ERR unknown configuration parameter `{parameter}`"
-                    )),
-                }
-            }
-            Command::GraphConfigSet { parameter, value } => {
-                if parameter.eq_ignore_ascii_case("DELTA_MAX_PENDING_CHANGES") {
-                    let Some(threshold) = value.parse::<usize>().ok().filter(|&v| v >= 1) else {
-                        return RespValue::Error(format!(
-                            "ERR DELTA_MAX_PENDING_CHANGES must be a positive integer (1 = flush \
-                             every mutation), got `{value}`"
-                        ));
-                    };
-                    self.delta_max_pending_changes.store(threshold, Ordering::Relaxed);
-                    // Retune every existing graph in place.
-                    let graphs: Vec<Arc<RwLock<Graph>>> =
-                        self.graphs.read().values().map(|e| e.graph.clone()).collect();
-                    for graph in graphs {
-                        graph.write().set_flush_threshold(threshold);
-                    }
-                    RespValue::SimpleString("OK".to_string())
-                } else if parameter.eq_ignore_ascii_case("PLAN_CACHE_SIZE") {
-                    let Ok(size) = value.parse::<usize>() else {
-                        return RespValue::Error(format!(
-                            "ERR PLAN_CACHE_SIZE must be a non-negative integer (cached plans \
-                             per graph; 0 disables the plan cache), got `{value}`"
-                        ));
-                    };
-                    self.plan_cache_size.store(size, Ordering::Relaxed);
-                    // Resize every existing cache in place (which clears it);
-                    // new graphs pick the value up on creation.
-                    for entry in self.graphs.read().values() {
-                        entry.plan_cache.set_capacity(size);
-                    }
-                    RespValue::SimpleString("OK".to_string())
-                } else if parameter.eq_ignore_ascii_case("MAX_QUERY_BUFFER") {
-                    let Some(bytes) =
-                        value.parse::<usize>().ok().filter(|&v| v >= MIN_QUERY_BUFFER)
-                    else {
-                        return RespValue::Error(format!(
-                            "ERR MAX_QUERY_BUFFER must be an integer >= {MIN_QUERY_BUFFER} \
-                             (bytes of unparsed input a connection may retain), got `{value}`"
-                        ));
-                    };
-                    self.max_query_buffer.store(bytes, Ordering::Relaxed);
-                    RespValue::SimpleString("OK".to_string())
-                } else if parameter.eq_ignore_ascii_case("SLOWLOG_TIME_THRESHOLD") {
-                    let Some(ms) = value.parse::<u64>().ok() else {
-                        return RespValue::Error(format!(
-                            "ERR SLOWLOG_TIME_THRESHOLD must be a non-negative integer \
-                             (milliseconds; 0 logs every query), got `{value}`"
-                        ));
-                    };
-                    self.slowlog_time_threshold_ms.store(ms, Ordering::Relaxed);
-                    RespValue::SimpleString("OK".to_string())
-                } else {
-                    RespValue::Error(format!("ERR unknown configuration parameter `{parameter}`"))
-                }
-            }
-            Command::GraphExplain { graph, query } => {
-                // EXPLAIN resolves through the same per-graph plan cache as
-                // QUERY/PROFILE: explaining a hot query is free, and an
-                // EXPLAIN warms the cache for the executions that follow.
-                let (_params, body) = match split_cypher_params(&query) {
-                    Ok(split) => split,
-                    Err(e) => return RespValue::Error(format!("ERR {e}")),
-                };
-                let key = normalize(body);
-                let entry = self.entry(&graph);
-                let looked_up = entry.plan_cache.lookup(&key, &self.metrics);
-                match entry.resolve_plan(&key, looked_up, None, &query, &self.metrics) {
-                    Ok((skeleton, _)) => RespValue::Array(
-                        skeleton.plan.describe().into_iter().map(RespValue::BulkString).collect(),
-                    ),
-                    Err(e) => RespValue::Error(format!("ERR {e}")),
-                }
-            }
-            Command::GraphQuery { graph, query } => {
-                let (tx, rx) = crossbeam::channel::bounded(1);
-                self.submit_query(graph, query, tx);
-                rx.recv()
-                    .unwrap_or_else(|_| RespValue::Error("ERR query worker exited".to_string()))
-            }
-            Command::GraphProfile { graph, query } => {
-                let (tx, rx) = crossbeam::channel::bounded(1);
-                self.submit_profile(graph, query, tx);
-                rx.recv()
-                    .unwrap_or_else(|_| RespValue::Error("ERR query worker exited".to_string()))
-            }
-            Command::GraphSlowlog { graph, reset } => {
-                // Unlike queries, SLOWLOG never creates the graph: asking for
-                // the log of a graph that does not exist is an error.
-                let Some(entry) = self.graphs.read().get(&graph).cloned() else {
-                    return RespValue::Error(format!("ERR graph `{graph}` does not exist"));
-                };
-                if reset {
-                    entry.slowlog.lock().reset();
-                    RespValue::SimpleString("OK".to_string())
-                } else {
-                    RespValue::Array(
-                        entry
-                            .slowlog
-                            .lock()
-                            .entries_newest_first()
-                            .into_iter()
-                            .map(|e| {
-                                RespValue::Array(vec![
-                                    RespValue::Integer(e.unix_time as i64),
-                                    RespValue::BulkString(e.command.to_string()),
-                                    RespValue::BulkString(e.query),
-                                    RespValue::BulkString(format!("{:.3}", e.millis)),
-                                    RespValue::Integer(e.args as i64),
-                                ])
-                            })
-                            .collect(),
-                    )
-                }
-            }
+            Command::GraphConfigGet { parameter } => self.config_get(&parameter),
+            Command::GraphConfigSet { parameter, value } => self.config_set(&parameter, &value),
+            Command::GraphExplain { graph, query } => self.explain(&graph, &query),
+            Command::GraphSlowlog { graph, reset } => self.slowlog(&graph, reset),
             Command::GraphInfo => self.info_resp(),
+        };
+        reply.encode_into(out);
+    }
+
+    /// Submit a query to the pool and append the reply its worker sends back.
+    fn await_query(&self, graph: String, query: String, profile: bool, out: &mut Vec<u8>) {
+        let (tx, rx) = bounded(1);
+        self.submit(graph, query, profile, tx);
+        match rx.recv() {
+            Ok(reply) => out.extend_from_slice(&reply),
+            Err(_) => error_reply(&"query worker exited").encode_into(out),
         }
+    }
+
+    /// The dispatch half of a query: find its graph and its plan. A
+    /// plan-cache hit skips both the parser and the planner; a miss parses
+    /// `body` here. The keyspace entry is only *read* until the body is known
+    /// to parse, so neither a syntax error nor a cache miss on an unknown
+    /// graph creates it, and nothing here takes the graph lock.
+    fn dispatch(
+        &self,
+        graph: &str,
+        key: &str,
+        body: &str,
+    ) -> Result<(GraphEntry, Dispatched), QueryError> {
+        let existing = self.graphs.read().get(graph).cloned();
+        let hit = match &existing {
+            Some(entry) => entry.plan_cache.lookup(key, &self.metrics),
+            None => {
+                self.metrics.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+        };
+        let dispatched = match hit {
+            Some(cached) => Dispatched::Cached(cached),
+            None => Dispatched::Parsed(cypher::parse(body)?),
+        };
+        Ok((existing.unwrap_or_else(|| self.entry(graph)), dispatched))
+    }
+
+    /// Submit a `GRAPH.QUERY` (or, with `profile`, a `GRAPH.PROFILE`) to the
+    /// module threadpool: one query, one worker thread (the paper's execution
+    /// model). The worker encodes the reply — the result set, or the
+    /// per-operator profile lines — and sends the bytes on `reply_to`. Every
+    /// query takes this path, so locking discipline lives in exactly one
+    /// place.
+    ///
+    /// The query is parsed at most once, here, at dispatch: a parse error
+    /// replies immediately without creating the graph, occupying a worker,
+    /// or touching any lock, and the AST rides along to the worker so
+    /// execution never re-parses the text.
+    pub fn submit(&self, graph: String, query: String, profile: bool, reply_to: Sender<Vec<u8>>) {
+        // The one wall-clock anchor for this query: the statistics footer,
+        // the profile totals, the latency histogram, and the slowlog all
+        // derive from it, so the layers can never disagree about a query's
+        // duration.
+        let started = Instant::now();
+        let metrics = Arc::clone(&self.metrics);
+        let fail = |e: &dyn std::fmt::Display| {
+            metrics.queries_failed.fetch_add(1, Ordering::Relaxed);
+            let _ = reply_to.send(error_reply(e).encode());
+        };
+        // Split the `CYPHER name=value …` parameter header off the body
+        // first: the cache key is the normalized *body*, so the same query
+        // shape with different parameter values shares one cached plan.
+        let (params, body) = match split_cypher_params(&query) {
+            Ok(split) => split,
+            Err(e) => return fail(&e),
+        };
+        let key = normalize(body);
+        let (entry, dispatched) = match self.dispatch(&graph, &key, body) {
+            Ok(found) => found,
+            Err(e) => return fail(&e),
+        };
+        let slowlog_threshold_ms = self.slowlog_time_threshold_ms();
+        self.pool.execute(move || {
+            let mut reply = Vec::new();
+            let outcome: Result<(), Box<dyn std::error::Error>> = (|| {
+                // Resolve the skeleton (cache hit, or build + insert), then
+                // bind parameters into a private copy when the plan
+                // references any.
+                let (skeleton, was_cached) = entry.resolve_plan(&key, dispatched, &metrics)?;
+                let bound;
+                let plan: &ExecutionPlan = if skeleton.has_params {
+                    bound = skeleton.plan.bind(&params)?;
+                    &bound
+                } else {
+                    &skeleton.plan
+                };
+                let mut profiles = profile.then(Vec::new);
+                let mut rs = if skeleton.read_only {
+                    // Pin the current epoch's sealed snapshot (cached per
+                    // epoch, rebuilt outside every lock on a miss), then
+                    // execute with no lock held at all: a heavy query cannot
+                    // queue a flush's write-lock request in front of us, and
+                    // we cannot stall a writer. The live graph's deltas stay
+                    // buffered — the seal folded the snapshot's private COW
+                    // copies once per epoch.
+                    metrics.queries_readonly.fetch_add(1, Ordering::Relaxed);
+                    entry.snapshot(&metrics).run(plan, started, profiles.as_mut())?
+                } else {
+                    metrics.queries_write.fetch_add(1, Ordering::Relaxed);
+                    let mut g = entry.graph.write();
+                    // A `GRAPH.DELETE` that landed after dispatch marked the
+                    // entry; abort rather than mutate the orphan.
+                    if entry.deleted.load(Ordering::SeqCst) {
+                        return Err(format!("graph `{}` was deleted", g.name()).into());
+                    }
+                    plan.run(GraphAccess::Write(&mut g), started, profiles.as_mut())?
+                };
+                match profiles {
+                    Some(profiles) => RespValue::Array(
+                        format_profile(&profiles).into_iter().map(RespValue::BulkString).collect(),
+                    )
+                    .encode_into(&mut reply),
+                    None => {
+                        rs.stats.cached = was_cached;
+                        encode_resultset(&rs, &mut reply);
+                    }
+                }
+                Ok(())
+            })();
+            let elapsed = started.elapsed();
+            metrics.query_latency.record_duration(elapsed);
+            let outcome_counter =
+                if outcome.is_ok() { &metrics.queries_executed } else { &metrics.queries_failed };
+            outcome_counter.fetch_add(1, Ordering::Relaxed);
+            if elapsed.as_millis() as u64 >= slowlog_threshold_ms {
+                let command = if profile { "GRAPH.PROFILE" } else { "GRAPH.QUERY" };
+                entry.slowlog.lock().record(SlowLogEntry::now(command, query, elapsed));
+            }
+            if let Err(e) = outcome {
+                error_reply(&e).encode_into(&mut reply);
+            }
+            let _ = reply_to.send(reply);
+        });
+    }
+
+    /// `GRAPH.CONFIG GET`: one parameter as a name/value pair, or every
+    /// parameter for `*`.
+    fn config_get(&self, parameter: &str) -> RespValue {
+        let pair = |name: &str| {
+            RespValue::Array(vec![
+                RespValue::BulkString(name.to_string()),
+                RespValue::Integer(self.config_value(name).expect("listed parameter")),
+            ])
+        };
+        if parameter == "*" {
+            // RedisGraph parity: every parameter as a name/value pair.
+            return RespValue::Array(CONFIG_PARAMETERS.iter().map(|name| pair(name)).collect());
+        }
+        match CONFIG_PARAMETERS.iter().find(|name| parameter.eq_ignore_ascii_case(name)) {
+            Some(name) => pair(name),
+            None => RespValue::Error(format!("ERR unknown configuration parameter `{parameter}`")),
+        }
+    }
+
+    /// `GRAPH.CONFIG SET` of one runtime-settable parameter.
+    fn config_set(&self, parameter: &str, value: &str) -> RespValue {
+        if parameter.eq_ignore_ascii_case("DELTA_MAX_PENDING_CHANGES") {
+            let Some(threshold) = value.parse::<usize>().ok().filter(|&v| v >= 1) else {
+                return RespValue::Error(format!(
+                    "ERR DELTA_MAX_PENDING_CHANGES must be a positive integer (1 = flush every \
+                     mutation), got `{value}`"
+                ));
+            };
+            self.delta_max_pending_changes.store(threshold, Ordering::Relaxed);
+            // Retune every existing graph in place.
+            let graphs: Vec<Arc<RwLock<Graph>>> =
+                self.graphs.read().values().map(|e| e.graph.clone()).collect();
+            for graph in graphs {
+                graph.write().set_flush_threshold(threshold);
+            }
+        } else if parameter.eq_ignore_ascii_case("PLAN_CACHE_SIZE") {
+            let Ok(size) = value.parse::<usize>() else {
+                return RespValue::Error(format!(
+                    "ERR PLAN_CACHE_SIZE must be a non-negative integer (cached plans per graph; \
+                     0 disables the plan cache), got `{value}`"
+                ));
+            };
+            self.plan_cache_size.store(size, Ordering::Relaxed);
+            // Resize every existing cache in place (which clears it); new
+            // graphs pick the value up on creation.
+            for entry in self.graphs.read().values() {
+                entry.plan_cache.set_capacity(size);
+            }
+        } else if parameter.eq_ignore_ascii_case("MAX_QUERY_BUFFER") {
+            let Some(bytes) = value.parse::<usize>().ok().filter(|&v| v >= MIN_QUERY_BUFFER) else {
+                return RespValue::Error(format!(
+                    "ERR MAX_QUERY_BUFFER must be an integer >= {MIN_QUERY_BUFFER} (bytes of \
+                     unparsed input a connection may retain), got `{value}`"
+                ));
+            };
+            self.max_query_buffer.store(bytes, Ordering::Relaxed);
+        } else if parameter.eq_ignore_ascii_case("SLOWLOG_TIME_THRESHOLD") {
+            let Ok(ms) = value.parse::<u64>() else {
+                return RespValue::Error(format!(
+                    "ERR SLOWLOG_TIME_THRESHOLD must be a non-negative integer (milliseconds; 0 \
+                     logs every query), got `{value}`"
+                ));
+            };
+            self.slowlog_time_threshold_ms.store(ms, Ordering::Relaxed);
+        } else {
+            return RespValue::Error(format!("ERR unknown configuration parameter `{parameter}`"));
+        }
+        RespValue::SimpleString("OK".to_string())
+    }
+
+    /// `GRAPH.EXPLAIN`: the plan's operator lines. It resolves through the
+    /// same per-graph plan cache and dispatch as QUERY/PROFILE: explaining a
+    /// hot query is free, an EXPLAIN warms the cache for the executions that
+    /// follow, and one that does not parse creates no graph.
+    fn explain(&self, graph: &str, query: &str) -> RespValue {
+        let (_params, body) = match split_cypher_params(query) {
+            Ok(split) => split,
+            Err(e) => return error_reply(&e),
+        };
+        let key = normalize(body);
+        let resolved = self
+            .dispatch(graph, &key, body)
+            .and_then(|(entry, dispatched)| entry.resolve_plan(&key, dispatched, &self.metrics));
+        match resolved {
+            Ok((skeleton, _)) => RespValue::Array(
+                skeleton.plan.describe().into_iter().map(RespValue::BulkString).collect(),
+            ),
+            Err(e) => error_reply(&e),
+        }
+    }
+
+    /// `GRAPH.SLOWLOG`: the graph's slow-query log, newest first, or `OK`
+    /// after a `RESET`. Unlike queries, SLOWLOG never creates the graph:
+    /// asking for the log of a graph that does not exist is an error.
+    fn slowlog(&self, graph: &str, reset: bool) -> RespValue {
+        let Some(entry) = self.graphs.read().get(graph).cloned() else {
+            return RespValue::Error(format!("ERR graph `{graph}` does not exist"));
+        };
+        if reset {
+            entry.slowlog.lock().reset();
+            return RespValue::SimpleString("OK".to_string());
+        }
+        let entries = entry.slowlog.lock().entries_newest_first();
+        RespValue::Array(
+            entries
+                .into_iter()
+                .map(|e| {
+                    RespValue::Array(vec![
+                        RespValue::Integer(e.unix_time as i64),
+                        RespValue::BulkString(e.command.to_string()),
+                        RespValue::BulkString(e.query),
+                        RespValue::BulkString(format!("{:.3}", e.millis)),
+                        RespValue::Integer(e.args as i64),
+                    ])
+                })
+                .collect(),
+        )
     }
 
     /// The current value of a canonical configuration parameter name.
@@ -1361,12 +1310,13 @@ mod tests {
 
         let (tx, rx) = crossbeam::channel::unbounded();
         for _ in 0..100 {
-            server.submit_query("g".into(), "MATCH (a RETURN a".into(), tx.clone());
+            server.submit("g".into(), "MATCH (a RETURN a".into(), false, tx.clone());
         }
         for _ in 0..50 {
-            server.submit_query(
+            server.submit(
                 "g".into(),
                 "MATCH (a)-[:R]->(b) RETURN count(b)".into(),
+                false,
                 tx.clone(),
             );
         }
@@ -1375,7 +1325,7 @@ mod tests {
             let reply = rx
                 .recv_timeout(std::time::Duration::from_secs(30))
                 .expect("a query stalled: something on the read path wants the write lock");
-            match reply {
+            match RespValue::decode(&reply).expect("one whole reply").0 {
                 RespValue::Error(e) => {
                     assert!(e.contains("syntax error"), "unexpected error: {e}");
                     errors += 1;
@@ -1403,7 +1353,7 @@ mod tests {
         let graph = server.graph("g");
         let guard = graph.write();
         let (tx, rx) = crossbeam::channel::bounded(1);
-        server.submit_query("g".into(), "CREATE (:Late)".into(), tx);
+        server.submit("g".into(), "CREATE (:Late)".into(), false, tx);
 
         // Delete on another thread: it removes the map entry and sets the
         // tombstone immediately, then blocks on the write lock to serialize
@@ -1423,7 +1373,7 @@ mod tests {
 
         assert_eq!(deleter.join().unwrap(), RespValue::SimpleString("OK".into()));
         let reply = rx.recv_timeout(std::time::Duration::from_secs(10)).unwrap();
-        match reply {
+        match RespValue::decode(&reply).expect("one whole reply").0 {
             RespValue::Error(e) => assert!(e.contains("was deleted"), "unexpected error: {e}"),
             other => panic!("queued write must abort after the delete, got {other}"),
         }
@@ -1453,6 +1403,15 @@ mod tests {
             server.handle(&RespValue::command(&["GRAPH.EXPLAIN", "g", "MATCH (a:Node) RETURN a"]));
         let RespValue::Array(lines) = reply else { panic!() };
         assert!(lines.iter().any(|l| l.to_string().contains("Node By Label Scan")));
+    }
+
+    #[test]
+    fn explain_of_an_unparseable_query_creates_no_graph() {
+        let server = RedisGraphServer::new(ServerConfig::default());
+        let reply =
+            server.handle(&RespValue::command(&["GRAPH.EXPLAIN", "nope", "MATCH (a RETURN a"]));
+        assert!(matches!(reply, RespValue::Error(_)), "expected an error, got {reply}");
+        assert!(server.graph_names().is_empty(), "a failed EXPLAIN must not create its graph");
     }
 
     #[test]

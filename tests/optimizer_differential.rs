@@ -18,7 +18,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use redisgraph_core::{ExecutionPlan, Graph};
+use redisgraph_core::{ExecutionPlan, Graph, GraphAccess};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -140,7 +140,9 @@ fn plan(optimize: bool, query: &str) -> ExecutionPlan {
 
 /// Run one query and return its rows as a sorted multiset of debug strings.
 fn sorted_rows(g: &mut Graph, optimize: bool, query: &str) -> Vec<String> {
-    let rs = plan(optimize, query).execute(g).expect("query executes");
+    let rs = plan(optimize, query)
+        .run(GraphAccess::Write(g), Instant::now(), None)
+        .expect("query executes");
     let mut rows: Vec<String> = rs.rows.iter().map(|r| format!("{r:?}")).collect();
     rows.sort_unstable();
     rows
@@ -231,8 +233,8 @@ fn count_pushdown_reads_unflushed_snapshots() {
     assert!(g.has_pending_deltas(), "edges must still be buffered");
     let snap = g.snapshot();
     for query in COUNT_PUSHDOWN {
-        let pushed = snap.execute_plan_at(&plan(true, query), Instant::now()).unwrap();
-        let oracle = plan(false, query).execute_read_only(&g).unwrap();
+        let pushed = snap.run(&plan(true, query), Instant::now(), None).unwrap();
+        let oracle = plan(false, query).run(GraphAccess::Read(&g), Instant::now(), None).unwrap();
         assert_eq!(
             format!("{:?}", pushed.rows),
             format!("{:?}", oracle.rows),

@@ -1,17 +1,64 @@
-//! Differential proptest for the `GRAPH.QUERY` reply encoders: the bytes a
-//! pool worker writes straight from a `ResultSet` (`encode_resultset`, the
-//! TCP path) must equal the bytes of the `RespValue` tree in-process callers
-//! get (`resultset_to_resp(rs).encode()`), for every `Value` kind and every
-//! reply shape. The tree encoder is the reference: it is the one the rest of
-//! the suite inspects cell by cell.
+//! Differential proptest for the `GRAPH.QUERY` reply encoder: the bytes a
+//! pool worker writes straight from a `ResultSet` (`encode_resultset`) must
+//! equal the bytes of the reply built as a `RespValue` tree and encoded
+//! (`resultset_to_resp(rs).encode()`), for every `Value` kind and every reply
+//! shape. The tree builder below is the reference: it states the reply's
+//! shape one value at a time, the way a client reads it back.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use redisgraph_core::{QueryStats, ResultSet, Value};
-use redisgraph_server::commands::{encode_resultset, resultset_to_resp};
+use redisgraph_server::commands::encode_resultset;
+use redisgraph_server::RespValue;
 use std::time::Duration;
+
+/// A runtime value as a RESP reply element (the same flattening the C module
+/// performs).
+fn value_to_resp(value: &Value) -> RespValue {
+    match value {
+        Value::Null => RespValue::Null,
+        Value::Bool(b) => RespValue::BulkString(if *b { "true".into() } else { "false".into() }),
+        Value::Int(i) => RespValue::Integer(*i),
+        Value::Float(f) => RespValue::BulkString(format!("{f}")),
+        Value::Str(s) => RespValue::BulkString(s.clone()),
+        Value::Node(id) => RespValue::BulkString(format!("(node:{id})")),
+        Value::Edge(id) => RespValue::BulkString(format!("[edge:{id}]")),
+        Value::List(items) => RespValue::Array(items.iter().map(value_to_resp).collect()),
+    }
+}
+
+/// The three-section reply `GRAPH.QUERY` returns for `rs`: header, rows,
+/// statistics.
+fn resultset_to_resp(rs: &ResultSet) -> RespValue {
+    let header = RespValue::Array(rs.columns.iter().cloned().map(RespValue::BulkString).collect());
+    let rows = RespValue::Array(
+        rs.rows
+            .iter()
+            .map(|row| RespValue::Array(row.iter().map(value_to_resp).collect()))
+            .collect(),
+    );
+    let s = &rs.stats;
+    let stats = RespValue::Array(
+        [
+            format!("Nodes created: {}", s.nodes_created),
+            format!("Relationships created: {}", s.relationships_created),
+            format!("Properties set: {}", s.properties_set),
+            format!("Nodes deleted: {}", s.nodes_deleted),
+            format!("Relationships deleted: {}", s.relationships_deleted),
+            format!("Cached: {}", s.cached),
+            format!(
+                "Query internal execution time: {:.6} milliseconds",
+                s.execution_time.as_secs_f64() * 1e3
+            ),
+        ]
+        .into_iter()
+        .map(RespValue::BulkString)
+        .collect(),
+    );
+    RespValue::Array(vec![header, rows, stats])
+}
 
 /// Cell generator: the vendored proptest has no string or recursive
 /// strategies, so cells are drawn from an RNG seeded by one generated value.

@@ -4,9 +4,10 @@
 //!
 //! What it proves:
 //!
-//! * **byte-level equivalence** — a pipelined 5 000-command workload sent
-//!   over TCP returns exactly the header+rows the in-process dispatcher
-//!   returns for the same commands, in pipeline order;
+//! * **byte-level equivalence** — a pipelined 5 000-command workload of
+//!   every command kind sent over TCP returns exactly the replies the
+//!   in-process dispatcher returns for the same commands, in pipeline order,
+//!   timing figures aside;
 //! * **slowloris resilience** — a client trickling one byte at a time (frames
 //!   split at every position, including exactly between a bulk trailer's
 //!   `\r` and `\n`) is served correctly, never disconnected, never misparsed;
@@ -53,6 +54,23 @@ fn header_and_rows(reply: &RespValue) -> (RespValue, RespValue) {
             (sections[0].clone(), sections[1].clone())
         }
         other => (other.clone(), RespValue::Null),
+    }
+}
+
+/// `reply` with its timing figures blanked: the statistics footer's `Query
+/// internal execution time` line and each PROFILE line's `Execution time`.
+/// They are the only parts of a reply that differ from run to run.
+fn redact_timings(reply: &RespValue) -> RespValue {
+    match reply {
+        RespValue::Array(items) => RespValue::Array(items.iter().map(redact_timings).collect()),
+        RespValue::BulkString(s) if s.starts_with("Query internal execution time: ") => {
+            RespValue::BulkString("Query internal execution time: <redacted>".into())
+        }
+        RespValue::BulkString(s) => match s.find("Execution time: ") {
+            Some(at) => RespValue::BulkString(format!("{}Execution time: <redacted>", &s[..at])),
+            None => reply.clone(),
+        },
+        other => other.clone(),
     }
 }
 
@@ -116,14 +134,39 @@ fn workload_commands(n: usize) -> Vec<RespValue> {
         .collect()
 }
 
+/// The command kinds besides queries and PING, one per call in rotation: a
+/// profiled query, an explained one, the configuration, the slowlog, and an
+/// error that echoes the client's CR/LF.
+fn other_command(i: usize) -> RespValue {
+    let k = (i * 17) % 40;
+    match i % 5 {
+        0 => RespValue::command(&[
+            "GRAPH.PROFILE",
+            "g",
+            &format!("MATCH (s:Node)-[:LINK]->(t) WHERE id(s) = {k} RETURN id(t)"),
+        ]),
+        1 => RespValue::command(&[
+            "GRAPH.EXPLAIN",
+            "g",
+            &format!("MATCH (s:Node)-[*1..2]->(t) WHERE id(s) = {k} RETURN count(t)"),
+        ]),
+        2 => RespValue::command(&["GRAPH.CONFIG", "GET", "*"]),
+        3 => RespValue::command(&["GRAPH.SLOWLOG", "g"]),
+        _ => RespValue::command(&["GRAPH.DELETE", "x\r\n+INJECTED"]),
+    }
+}
+
 #[test]
 fn pipelined_tcp_workload_matches_in_process_dispatcher_row_for_row() {
-    let net = GraphServer::bind(
-        "127.0.0.1:0",
-        ServerConfig { thread_count: 4, ..ServerConfig::default() },
-    )
-    .expect("bind ephemeral port");
-    let inproc = RedisGraphServer::new(ServerConfig { thread_count: 4, ..ServerConfig::default() });
+    // A slowlog threshold no query reaches keeps `GRAPH.SLOWLOG` replies
+    // free of timestamps.
+    let config = ServerConfig {
+        thread_count: 4,
+        slowlog_time_threshold_ms: 3_600_000,
+        ..ServerConfig::default()
+    };
+    let net = GraphServer::bind("127.0.0.1:0", config).expect("bind ephemeral port");
+    let inproc = RedisGraphServer::new(config);
 
     // Seed both servers with identical writes — the TCP one through the
     // socket, so even graph construction crosses the wire.
@@ -132,26 +175,38 @@ fn pipelined_tcp_workload_matches_in_process_dispatcher_row_for_row() {
         let over_tcp = client.query("g", &stmt).expect("seed over tcp");
         let in_process = inproc.query("g", &stmt);
         assert!(!matches!(over_tcp, RespValue::Error(_)), "seed failed over tcp: {over_tcp}");
-        assert_eq!(header_and_rows(&over_tcp), header_and_rows(&in_process));
+        assert_eq!(redact_timings(&over_tcp), redact_timings(&in_process));
     }
 
     // One 5 000-command pipeline in a single burst: replies must come back
-    // 1:1, in order, and identical (header + rows) to the in-process path.
-    let commands = workload_commands(5_000);
+    // 1:1, in order, and identical to the in-process path. Both servers run
+    // the same commands in the same order, so even the `Cached:` footer
+    // lines agree.
+    let commands: Vec<RespValue> = workload_commands(4_000)
+        .into_iter()
+        .enumerate()
+        .flat_map(|(i, command)| {
+            let other = (i % 4 == 3).then(|| other_command(i / 4));
+            std::iter::once(command).chain(other)
+        })
+        .collect();
+    assert_eq!(commands.len(), 5_000);
     let replies = client.pipeline(&commands).expect("pipeline");
     assert_eq!(replies.len(), commands.len());
     for (i, (command, over_tcp)) in commands.iter().zip(&replies).enumerate() {
-        let in_process = net.server().handle(command); // same engine, no socket
-        let reference = inproc.handle(command);
         assert_eq!(
-            header_and_rows(over_tcp),
-            header_and_rows(&reference),
+            redact_timings(over_tcp),
+            redact_timings(&inproc.handle(command)),
             "command #{i} diverged between TCP and the in-process dispatcher: {command}"
         );
+    }
+    // The same engine without the socket: the TCP server's own `handle`
+    // agrees with the reference, command for command.
+    for (i, command) in commands.iter().enumerate() {
         assert_eq!(
-            header_and_rows(over_tcp),
-            header_and_rows(&in_process),
-            "command #{i} diverged between TCP and its own server's handle(): {command}"
+            redact_timings(&net.server().handle(command)),
+            redact_timings(&inproc.handle(command)),
+            "command #{i} diverged between the TCP server's handle() and the reference: {command}"
         );
     }
     net.shutdown();

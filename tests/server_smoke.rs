@@ -23,13 +23,14 @@ const READS_PER_READER: usize = 40;
 const REPLY_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Dispatch one GRAPH.QUERY — the path `RedisGraphServer::handle` takes —
-/// and wait (bounded) for its reply.
+/// and wait (bounded) for its reply, decoded the way a client decodes it.
 fn roundtrip(server: &RedisGraphServer, graph: &str, query: &str) -> RespValue {
     let (reply_tx, reply_rx) = crossbeam::channel::bounded(1);
-    server.submit_query(graph.to_string(), query.to_string(), reply_tx);
-    reply_rx
+    server.submit(graph.to_string(), query.to_string(), false, reply_tx);
+    let reply = reply_rx
         .recv_timeout(REPLY_TIMEOUT)
-        .expect("no reply within timeout — a lock or the pool deadlocked")
+        .expect("no reply within timeout — a lock or the pool deadlocked");
+    RespValue::decode(&reply).expect("one whole reply").0
 }
 
 /// Pull the single integer cell out of a `count(...)` reply.

@@ -22,7 +22,7 @@
 
 use cypher::{Clause, Direction, Expr, NodePattern, Projection, RelationshipPattern};
 use rand::{Rng, SeedableRng, StdRng};
-use redisgraph_core::{ExecutionPlan, Graph, GraphSnapshot, Value};
+use redisgraph_core::{ExecutionPlan, Graph, GraphAccess, GraphSnapshot, Value};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::Instant;
 
@@ -338,8 +338,8 @@ fn check(graph: &Graph, snap: Option<&GraphSnapshot>, oracle: &Oracle, query: &s
     ] {
         let plan = plan.expect("query plans");
         let rs = match snap {
-            Some(snap) => snap.execute_plan_at(&plan, Instant::now()),
-            None => plan.execute_read_only(graph),
+            Some(snap) => snap.run(&plan, Instant::now(), None),
+            None => plan.run(GraphAccess::Read(graph), Instant::now(), None),
         }
         .expect("query executes");
         assert_eq!(
