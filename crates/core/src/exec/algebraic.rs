@@ -146,7 +146,7 @@ pub fn run_fused(
     let mut out = Vec::new();
     for (record, row) in records.iter().zip(&batch.record_rows) {
         let Some(row) = *row else { continue };
-        let (cols, counts) = probe_row(&product, row);
+        let (cols, counts) = product.row(row);
         for (&dst, &count) in cols.iter().zip(counts.iter()) {
             let copies = if weight_slot.is_some() { 1 } else { count };
             for _ in 0..copies {

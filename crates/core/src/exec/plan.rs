@@ -201,11 +201,11 @@ impl ExecutionPlan {
 
     /// True when executing the plan reads whole matrices *per record*
     /// (variable-length traversals, counted or not, run the algebraic
-    /// `khop_reach`; procedures hand the adjacency matrix to `algo::*`),
-    /// where flushing once clearly beats merging per read. Single-hop traversals are
-    /// deliberately excluded: they read merged row views and cells, so
-    /// forcing a flush here would reintroduce the per-query sync cost the
-    /// delta write path exists to avoid.
+    /// `khop_reach`; procedures hand `algo::*` the adjacency derived from the
+    /// relation matrices), where flushing once clearly beats merging per
+    /// read. Single-hop traversals are deliberately excluded: they read
+    /// merged row views and cells, so forcing a flush here would reintroduce
+    /// the per-query sync cost the delta write path exists to avoid.
     /// `GraphSnapshot` consults this to decide whether a query runs on its
     /// pinned (possibly delta-dirty) graph or on its lazily folded twin.
     pub(crate) fn needs_matrix_views(&self) -> bool {

@@ -6,8 +6,9 @@
 //! GraphBLAS Enabled Graph Database"* (Cailliau et al., 2019).
 //!
 //! * [`store`] — the graph object: node/edge entity storage (DataBlocks),
-//!   label matrices, one adjacency matrix per relationship type plus the
-//!   combined adjacency matrix and its transpose, and the schema registries.
+//!   label matrices, one relation matrix per relationship type plus its
+//!   transpose (the combined adjacency is derived from them on demand), and
+//!   the schema registries.
 //! * [`exec`] — the query engine: an AST→execution-plan compiler and the
 //!   operations (scans, algebraic traversals, filters, projections,
 //!   aggregations, writes) that evaluate it.

@@ -3,10 +3,11 @@
 //! Layout (exactly as described in the paper and the RedisGraph architecture
 //! docs):
 //!
-//! * one **boolean adjacency matrix** `ADJ` holding the union of all edges,
-//!   plus its transpose for reverse traversals;
 //! * one **relation matrix per relationship type** whose stored values are
-//!   edge ids (so traversals can recover the traversed edge entity);
+//!   edge ids (so traversals can recover the traversed edge entity), plus its
+//!   transpose for reverse traversals — the only stored edge patterns: an
+//!   untyped hop reads every type's matrix, and the `algo.*` procedures take
+//!   the structural union of all of them, built on demand;
 //! * one **boolean label matrix per label** with a diagonal entry for every
 //!   node carrying that label;
 //! * node and edge entities (labels + property sets) in DataBlocks; the
@@ -20,10 +21,10 @@
 //! incrementally (an edge insert buffers `(dst, src)` into the transpose)
 //! rather than recomputed from scratch after every write query. Readers see
 //! the merged `main ∪ Δ⁺ \ Δ⁻` view; whole-matrix consumers (`khop_reach`,
-//! the `algo.*` procedures) borrow the main matrix when nothing is pending
-//! and materialise a merged copy otherwise, so a `&Graph` read never blocks
-//! on a flush. Buffers are folded into the main matrices when a matrix's
-//! pending count crosses [`Graph::flush_threshold`] (the
+//! the union behind the `algo.*` procedures) borrow the main matrix when
+//! nothing is pending and materialise a merged copy otherwise, so a `&Graph`
+//! read never blocks on a flush. Buffers are folded into the main matrices
+//! when a matrix's pending count crosses [`Graph::flush_threshold`] (the
 //! `DELTA_MAX_PENDING_CHANGES` knob), or explicitly via
 //! [`Graph::sync_matrices`].
 //!
@@ -66,11 +67,7 @@ pub enum TraverseDir {
 impl TraverseDir {
     /// A stored matrix `m` and its stored transpose `t` as the `(push,
     /// pull)` pairs of one hop in this direction.
-    fn pairs<'a, T: Scalar>(
-        self,
-        m: &'a DeltaMatrix<T>,
-        t: &'a DeltaMatrix<T>,
-    ) -> Vec<MatrixPair<'a, T>> {
+    fn pairs<'a>(self, m: &'a DeltaMatrix<u64>, t: &'a DeltaMatrix<u64>) -> Vec<MatrixPair<'a>> {
         match self {
             TraverseDir::Outgoing => vec![(m, t)],
             TraverseDir::Incoming => vec![(t, m)],
@@ -79,13 +76,8 @@ impl TraverseDir {
     }
 }
 
-/// `(push, pull)` matrix pairs of one traversal hop (see
-/// [`Graph::hop_pairs`]): boolean adjacency pairs, edge-id-valued relation
-/// pairs.
-type HopPairs<'a> = (Vec<MatrixPair<'a, bool>>, Vec<MatrixPair<'a, u64>>);
-
-/// A stored matrix and its stored transpose.
-type MatrixPair<'a, T> = (&'a DeltaMatrix<T>, &'a DeltaMatrix<T>);
+/// A stored relation matrix and its stored transpose.
+type MatrixPair<'a> = (&'a DeltaMatrix<u64>, &'a DeltaMatrix<u64>);
 
 /// Beamer's direction-switching rule (SC'12): a push hop turns to pull once
 /// the frontier's edges exceed `1/PULL_ALPHA` of the edges not yet explored,
@@ -103,8 +95,6 @@ pub struct Graph {
     nodes: DataBlock<NodeEntity>,
     edges: DataBlock<EdgeEntity>,
     dim: u64,
-    adjacency: DeltaMatrix<bool>,
-    adjacency_t: DeltaMatrix<bool>,
     relation_matrices: Vec<DeltaMatrix<u64>>,
     relation_matrices_t: Vec<DeltaMatrix<u64>>,
     /// Parallel same-type edges: the full, ascending edge-id list of every
@@ -155,8 +145,6 @@ impl Graph {
             nodes: DataBlock::new(),
             edges: DataBlock::new(),
             dim: GROW_CHUNK,
-            adjacency: DeltaMatrix::new(GROW_CHUNK, GROW_CHUNK),
-            adjacency_t: DeltaMatrix::new(GROW_CHUNK, GROW_CHUNK),
             relation_matrices: Vec::new(),
             relation_matrices_t: Vec::new(),
             multi_edges: HashMap::new(),
@@ -212,8 +200,6 @@ impl Graph {
     /// `1` restores the eager behaviour of flushing on every mutation.
     pub fn set_flush_threshold(&mut self, threshold: usize) {
         self.flush_threshold = threshold.max(1);
-        self.adjacency.set_flush_threshold(self.flush_threshold);
-        self.adjacency_t.set_flush_threshold(self.flush_threshold);
         for m in &mut self.relation_matrices {
             m.set_flush_threshold(self.flush_threshold);
         }
@@ -239,9 +225,7 @@ impl Graph {
 
     /// Total buffered changes across every matrix.
     pub fn pending_delta_count(&self) -> usize {
-        self.adjacency.pending_count()
-            + self.adjacency_t.pending_count()
-            + self.relation_matrices.iter().map(DeltaMatrix::pending_count).sum::<usize>()
+        self.relation_matrices.iter().map(DeltaMatrix::pending_count).sum::<usize>()
             + self.relation_matrices_t.iter().map(DeltaMatrix::pending_count).sum::<usize>()
             + self.label_matrices.iter().map(DeltaMatrix::pending_count).sum::<usize>()
     }
@@ -249,9 +233,7 @@ impl Graph {
     /// Total delta-buffer folds performed across every matrix over the
     /// graph's lifetime (`GRAPH.INFO`'s `delta_flushes`).
     pub fn delta_flush_count(&self) -> u64 {
-        self.adjacency.flush_count()
-            + self.adjacency_t.flush_count()
-            + self.relation_matrices.iter().map(DeltaMatrix::flush_count).sum::<u64>()
+        self.relation_matrices.iter().map(DeltaMatrix::flush_count).sum::<u64>()
             + self.relation_matrices_t.iter().map(DeltaMatrix::flush_count).sum::<u64>()
             + self.label_matrices.iter().map(DeltaMatrix::flush_count).sum::<u64>()
     }
@@ -318,8 +300,6 @@ impl Graph {
             return;
         }
         let new_dim = ((needed / GROW_CHUNK) + 1) * GROW_CHUNK;
-        self.adjacency.resize(new_dim, new_dim);
-        self.adjacency_t.resize(new_dim, new_dim);
         for m in &mut self.relation_matrices {
             m.resize(new_dim, new_dim);
         }
@@ -411,8 +391,6 @@ impl Graph {
                 }
             }
         }
-        self.adjacency.set_element(src, dst, true);
-        self.adjacency_t.set_element(dst, src, true);
         self.epoch += 1;
         Ok(id)
     }
@@ -451,14 +429,6 @@ impl Graph {
                     .expect("in-bounds");
             }
         }
-        // The combined adjacency drops the cell only when no type still
-        // connects the endpoints (point reads on the per-type matrices, not
-        // an O(edges) entity scan).
-        let any_edge_left = self.relation_matrices.iter().any(|m| m.contains(edge.src, edge.dst));
-        if !any_edge_left {
-            self.adjacency.remove_element(edge.src, edge.dst).expect("in-bounds");
-            self.adjacency_t.remove_element(edge.dst, edge.src).expect("in-bounds");
-        }
         self.epoch += 1;
         true
     }
@@ -468,12 +438,12 @@ impl Graph {
         if !self.nodes.contains(id) {
             return false;
         }
-        let incident: Vec<EdgeId> = self
-            .edges
-            .iter()
-            .filter(|(_, e)| e.src == id || e.dst == id)
-            .map(|(eid, _)| eid)
-            .collect();
+        // The node's own rows, not an O(edges) entity scan. A self-loop sits
+        // in both the row and the transposed row, hence the dedup.
+        let mut incident: Vec<EdgeId> =
+            self.neighbors(id, None, TraverseDir::Both).into_iter().map(|(_, e)| e).collect();
+        incident.sort_unstable();
+        incident.dedup();
         for eid in incident {
             self.delete_edge(eid);
         }
@@ -492,8 +462,6 @@ impl Graph {
     /// snapshots fold their private copies the same way, and tests use it to
     /// pin state. Each non-trivial fold publishes a new epoch per matrix.
     pub fn sync_matrices(&mut self) {
-        self.adjacency.flush();
-        self.adjacency_t.flush();
         for m in &mut self.relation_matrices {
             m.flush();
         }
@@ -574,16 +542,17 @@ impl Graph {
         }
     }
 
-    /// The combined boolean adjacency matrix: a zero-cost borrow of the main
-    /// matrix when nothing is pending, a materialised merged copy otherwise
-    /// (call [`Graph::sync_matrices`] first on hot paths).
+    /// The combined boolean adjacency matrix: the structural union of every
+    /// relation matrix's merged view, built in O(nnz) on each call (always
+    /// `Cow::Owned`; no combined copy of the edges is stored).
     pub fn adjacency_matrix(&self) -> Cow<'_, SparseMatrix<bool>> {
-        self.adjacency.view()
-    }
-
-    /// The transposed adjacency matrix (merged view).
-    pub fn adjacency_matrix_t(&self) -> Cow<'_, SparseMatrix<bool>> {
-        self.adjacency_t.view()
+        let union = self
+            .relation_matrices
+            .iter()
+            .map(|m| m.view().pattern())
+            .reduce(|a, b| ewise_add_matrix(&a, &b, &BinaryOp::LOr))
+            .unwrap_or_else(|| SparseMatrix::new(self.dim, self.dim));
+        Cow::Owned(union)
     }
 
     /// The relation matrix for a relationship type id (merged view). Stored
@@ -736,57 +705,40 @@ impl Graph {
                 }
             }
         };
-        match rel_types {
-            Some(types) => {
-                for &t in types {
-                    if t >= self.relation_matrices.len() {
-                        continue;
-                    }
-                    if forward {
-                        extend(t, true);
-                    }
-                    if backward {
-                        extend(t, false);
-                    }
-                }
+        for t in self.selected_rels(rel_types) {
+            if forward {
+                extend(t, true);
             }
-            None => {
-                for t in 0..self.relation_matrices.len() {
-                    if forward {
-                        extend(t, true);
-                    }
-                    if backward {
-                        extend(t, false);
-                    }
-                }
+            if backward {
+                extend(t, false);
             }
         }
         out
     }
 
+    /// The relation types a pattern reads: the named types that exist, in
+    /// the order named, or every type when the pattern is untyped.
+    fn selected_rels<'a>(
+        &self,
+        rel_types: Option<&'a [RelTypeId]>,
+    ) -> impl Iterator<Item = RelTypeId> + 'a {
+        let count = self.relation_matrices.len();
+        let every = if rel_types.is_none() { count } else { 0 };
+        let named = rel_types.unwrap_or_default().iter().copied();
+        named.filter(move |&rel| rel < count).chain(0..every)
+    }
+
     /// The matrix pairs one traversal hop in direction `dir` runs on: the
-    /// boolean adjacency (and/or its transpose) for an untyped pattern, else
-    /// the selected relation matrices (and/or their transposes). Each pair
-    /// is `(push, pull)`: the matrix a push step multiplies the frontier by,
-    /// and its transpose, which a pull step walks. A hop ORs the pairs'
-    /// products, so no O(nnz) union matrix is ever built.
-    fn hop_pairs(&self, dir: TraverseDir, rel_types: Option<&[RelTypeId]>) -> HopPairs<'_> {
-        match rel_types {
-            None => (dir.pairs(&self.adjacency, &self.adjacency_t), Vec::new()),
-            Some(ids) => {
-                let relations = ids
-                    .iter()
-                    .filter_map(|&rel| {
-                        Some(dir.pairs(
-                            self.relation_matrices.get(rel)?,
-                            self.relation_matrices_t.get(rel)?,
-                        ))
-                    })
-                    .flatten()
-                    .collect();
-                (Vec::new(), relations)
-            }
-        }
+    /// selected relation matrices (and/or their transposes), or every
+    /// relation's when the pattern is untyped. Each pair is `(push, pull)`:
+    /// the matrix a push step multiplies the frontier by, and its transpose,
+    /// which a pull step walks. A hop ORs the pairs' products, so no O(nnz)
+    /// union matrix is ever built; the price is that an untyped hop reads
+    /// one row per relation type for each frontier vertex.
+    fn hop_pairs(&self, dir: TraverseDir, rel_types: Option<&[RelTypeId]>) -> Vec<MatrixPair<'_>> {
+        self.selected_rels(rel_types)
+            .flat_map(|rel| dir.pairs(&self.relation_matrices[rel], &self.relation_matrices_t[rel]))
+            .collect()
     }
 
     /// Algebraic k-hop reachability: the set of nodes reachable from `source`
@@ -806,12 +758,7 @@ impl Graph {
         if source >= self.dim {
             return SparseVector::new(self.dim);
         }
-        let (adjacency, relations) = self.hop_pairs(dir, rel_types);
-        let hops = (source, min_hops, max_hops);
-        match rel_types {
-            None => bitmap_bfs(self.dim, &adjacency, hops),
-            Some(_) => bitmap_bfs(self.dim, &relations, hops),
-        }
+        bitmap_bfs(self.dim, &self.hop_pairs(dir, rel_types), (source, min_hops, max_hops))
     }
 
     /// Count of distinct nodes reachable within `k` hops (the TigerGraph
@@ -850,7 +797,6 @@ impl Graph {
         dedup.sort_unstable();
         dedup.dedup();
 
-        let mut adj_triples = Vec::with_capacity(dedup.len());
         let mut rel_triples = Vec::with_capacity(dedup.len());
         for &(s, d) in &dedup {
             let eid = self.edges.insert(EdgeEntity {
@@ -859,13 +805,10 @@ impl Graph {
                 rel_type: rel,
                 attributes: AttributeSet::new(),
             });
-            adj_triples.push((s, d, true));
             rel_triples.push((s, d, eid));
         }
         // Bulk loads build the CSR structures directly (one construction, no
         // per-edge buffering) and the transposes with one transpose kernel.
-        self.adjacency = self.delta_from_triples(&adj_triples);
-        self.adjacency_t = self.delta_from_matrix(transpose(self.adjacency.main()));
         self.relation_matrices[rel] = self.delta_from_triples(&rel_triples);
         self.relation_matrices_t[rel] =
             self.delta_from_matrix(transpose(self.relation_matrices[rel].main()));
@@ -885,11 +828,11 @@ impl Graph {
         m
     }
 
-    /// Pin the adjacency matrix's current epoch CSR. Diagnostic/test use:
-    /// the epoch-reclamation tests assert through `Weak` handles derived from
+    /// Pin a relation matrix's current epoch CSR. Diagnostic/test use: the
+    /// epoch-reclamation tests assert through `Weak` handles derived from
     /// this that old epochs are freed, not accumulated.
-    pub fn adjacency_epoch_pin(&self) -> std::sync::Arc<SparseMatrix<bool>> {
-        self.adjacency.main_shared()
+    pub fn relation_epoch_pin(&self, rel: RelTypeId) -> Option<Arc<SparseMatrix<u64>>> {
+        self.relation_matrices.get(rel).map(DeltaMatrix::main_shared)
     }
 }
 
@@ -901,13 +844,13 @@ impl Graph {
 /// through their transposes, whichever Beamer's rule picks; the transposes'
 /// views are taken on the first pull hop only, so a push-only query on an
 /// unflushed graph merges no second matrix.
-fn bitmap_bfs<T: Scalar>(
+fn bitmap_bfs(
     dim: u64,
-    pairs: &[MatrixPair<'_, T>],
+    pairs: &[MatrixPair<'_>],
     (source, min_hops, max_hops): (NodeId, u32, u32),
 ) -> SparseVector<bool> {
-    let push: Vec<Cow<'_, SparseMatrix<T>>> = pairs.iter().map(|(m, _)| m.view()).collect();
-    let mut pull: Vec<Cow<'_, SparseMatrix<T>>> = Vec::new();
+    let push: Vec<Cow<'_, SparseMatrix<u64>>> = pairs.iter().map(|(m, _)| m.view()).collect();
+    let mut pull: Vec<Cow<'_, SparseMatrix<u64>>> = Vec::new();
     let degree = |v: NodeId| push.iter().map(|m| m.row_degree(v) as u64).sum::<u64>();
     let mut unexplored: u64 = push.iter().map(|m| m.nvals() as u64).sum();
 
@@ -1074,13 +1017,13 @@ mod tests {
 
     #[test]
     fn adjacency_matrix_reflects_edges() {
-        let g = triangle();
+        let mut g = triangle();
+        // A second type between the same endpoints adds no union cell.
+        g.add_edge(0, 1, "LIVES_IN", vec![]).unwrap();
         let adj = g.adjacency_matrix();
         assert_eq!(adj.nvals(), 3);
         assert_eq!(adj.extract_element(0, 1), Some(true));
         assert_eq!(adj.extract_element(1, 0), None);
-        let adj_t = g.adjacency_matrix_t();
-        assert_eq!(adj_t.extract_element(1, 0), Some(true));
     }
 
     #[test]
@@ -1271,10 +1214,38 @@ mod tests {
         assert_eq!(g.neighbors(a, None, TraverseDir::Both), vec![]);
         assert_eq!(g.neighbors(c, None, TraverseDir::Both), vec![]);
         assert_eq!(g.adjacency_matrix().nvals(), 0);
-        assert_eq!(g.adjacency_matrix_t().nvals(), 0);
         g.sync_matrices();
         assert_eq!(g.adjacency_matrix().nvals(), 0);
         assert_eq!(g.khop_count(a, 3), 0);
+    }
+
+    #[test]
+    fn delete_node_drops_self_loops_parallel_and_two_type_edges_from_its_rows() {
+        let mut g = Graph::new("delete-node-rows");
+        g.set_flush_threshold(1_000_000); // every change stays pending
+        let [a, b, c] = [(); 3].map(|_| g.add_node(&["N"], vec![]));
+        g.add_edge(a, a, "L", vec![]).unwrap();
+        g.add_edge(a, b, "L", vec![]).unwrap();
+        g.add_edge(a, b, "L", vec![]).unwrap();
+        g.add_edge(a, c, "M", vec![]).unwrap();
+        g.add_edge(c, a, "L", vec![]).unwrap();
+        g.add_edge(b, a, "M", vec![]).unwrap();
+        let survivor = g.add_edge(b, c, "L", vec![]).unwrap();
+        let l = g.schema.rel_type_id("L").unwrap();
+        assert!(g.parallel_edges(l, a, b).is_some());
+
+        assert!(g.delete_node(a));
+        assert!(g.has_pending_deltas(), "deletes must stay buffered");
+        for flushed in [false, true] {
+            assert_eq!(g.edge_count(), 1, "flushed: {flushed}");
+            assert_eq!(g.neighbors(b, None, TraverseDir::Both), vec![(c, survivor)]);
+            assert_eq!(g.neighbors(c, None, TraverseDir::Both), vec![(b, survivor)]);
+            assert_eq!(g.neighbors(a, None, TraverseDir::Both), vec![]);
+            assert!(g.parallel_edges(l, a, b).is_none());
+            assert_eq!(g.khop_count(b, 3), 1);
+            assert_eq!(g.khop_count(c, 3), 0);
+            g.sync_matrices();
+        }
     }
 
     #[test]
@@ -1319,8 +1290,8 @@ mod tests {
         // Deleting the survivor clears the entries everywhere.
         assert!(g.delete_edge(e1));
         assert_eq!(g.neighbors(a, None, TraverseDir::Outgoing), vec![]);
+        assert_eq!(g.neighbors(b, None, TraverseDir::Incoming), vec![]);
         assert_eq!(g.adjacency_matrix().nvals(), 0);
-        assert_eq!(g.adjacency_matrix_t().nvals(), 0);
     }
 
     #[test]
@@ -1359,32 +1330,35 @@ mod tests {
     fn snapshot_epochs_are_reclaimed_not_accumulated() {
         let mut g = Graph::new("reclaim");
         g.set_flush_threshold(4);
-        for _ in 0..8 {
+        for _ in 0..34 {
             g.add_node(&["N"], vec![]);
         }
+        let l = g.rel_type_id_or_create("L");
         g.sync_matrices();
 
         let pinned = g.snapshot(); // long-lived reader on the current epoch
-        let first_epoch_pin = g.adjacency_epoch_pin();
+        let first_epoch_pin = g.relation_epoch_pin(l).unwrap();
         let weak_first = std::sync::Arc::downgrade(&first_epoch_pin);
         drop(first_epoch_pin);
 
         // A write-heavy loop that keeps publishing epochs (threshold 4) while
         // short-lived snapshots come and go, as the server's read path does.
+        // Every edge fills a new cell: a parallel edge leaves the matrix as
+        // it is, so it would publish no epoch.
         let mut weaks = Vec::new();
         for i in 0..32 {
             let s = g.snapshot();
-            g.add_edge(i % 8, (i + 1) % 8, "L", vec![]).unwrap();
-            g.add_edge((i + 2) % 8, i % 8, "L", vec![]).unwrap();
+            g.add_edge(i, i + 1, "L", vec![]).unwrap();
+            g.add_edge(i + 2, i, "L", vec![]).unwrap();
             g.sync_matrices();
-            weaks.push(std::sync::Arc::downgrade(&g.adjacency_epoch_pin()));
+            weaks.push(std::sync::Arc::downgrade(&g.relation_epoch_pin(l).unwrap()));
             drop(s);
         }
         let live = weaks.iter().filter(|w| w.upgrade().is_some()).count();
-        assert_eq!(live, 1, "only the newest adjacency epoch may stay alive");
+        assert_eq!(live, 1, "only the newest relation epoch may stay alive");
         // The long-pinned first epoch is still alive through `pinned`…
         assert!(weak_first.upgrade().is_some());
-        assert_eq!(pinned.node_count(), 8);
+        assert_eq!(pinned.node_count(), 34);
         assert_eq!(pinned.edge_count(), 0);
         drop(pinned);
         // …and reclaimed the moment the last reader drops.
@@ -1397,11 +1371,7 @@ mod tests {
         fn each<T: Scalar>(a: &[DeltaMatrix<T>], b: &[DeltaMatrix<T>]) -> Vec<usize> {
             a.iter().zip(b).map(|(a, b)| a.chunks_not_shared_with(b)).collect()
         }
-        let mut out = vec![
-            g.adjacency.chunks_not_shared_with(&snap.adjacency),
-            g.adjacency_t.chunks_not_shared_with(&snap.adjacency_t),
-        ];
-        out.extend(each(&g.relation_matrices, &snap.relation_matrices));
+        let mut out = each(&g.relation_matrices, &snap.relation_matrices);
         out.extend(each(&g.relation_matrices_t, &snap.relation_matrices_t));
         out.extend(each(&g.label_matrices, &snap.label_matrices));
         out
@@ -1413,8 +1383,10 @@ mod tests {
         let mut g = Graph::new("share");
         g.bulk_load(n, &(0..n).map(|i| (i, (i + 1) % n)).collect::<Vec<_>>());
         g.set_flush_threshold(1_000_000);
-        for i in 0..2500 {
-            g.add_edge(i, (i + 2) % n, "LINK", vec![]).unwrap();
+        // Two buffered matrix changes per new cell: rows 0..n gain `v → v+2`,
+        // rows 0..904 also `v → v+3`.
+        for i in 0..5000 {
+            g.add_edge(i % n, (i + 2 + i / n) % n, "LINK", vec![]).unwrap();
         }
         assert!(g.pending_delta_count() >= 10_000);
 
@@ -1425,11 +1397,11 @@ mod tests {
         assert_eq!(g.edges.blocks_not_shared_with(&snap.edges), 0);
         assert_eq!(g.nodes.blocks_not_shared_with(&snap.nodes), 0);
 
-        // One edge insert touches four matrices and one entity block.
+        // One edge insert touches two matrices and one entity block.
         let e = g.add_edge(100, 3000, "LINK", vec![]).unwrap();
         let copied = unshared_chunks(&g, &snap);
         assert!(copied.iter().all(|&c| c <= 1), "more than one chunk per matrix: {copied:?}");
-        assert_eq!(copied.iter().sum::<usize>(), 4);
+        assert_eq!(copied.iter().sum::<usize>(), 2);
         assert_eq!(g.edges.blocks_not_shared_with(&snap.edges), 1);
         assert_eq!(g.nodes.blocks_not_shared_with(&snap.nodes), 0);
         assert!(snap.edge(e).is_none());
@@ -1441,11 +1413,13 @@ mod tests {
         assert!(g.delete_edge(7));
         let copied = unshared_chunks(&g, &snap);
         assert!(copied.iter().all(|&c| c <= 1), "more than one chunk per matrix: {copied:?}");
-        assert_eq!(copied.iter().sum::<usize>(), 4);
+        assert_eq!(copied.iter().sum::<usize>(), 2);
         assert_eq!(g.edges.blocks_not_shared_with(&snap.edges), 1);
         assert!(snap.edge(7).is_some());
-        assert_eq!(snap.neighbors(7, None, TraverseDir::Outgoing), vec![(8, 7), (9, n + 7)]);
-        assert_eq!(g.neighbors(7, None, TraverseDir::Outgoing), vec![(9, n + 7)]);
+        let survivors = vec![(9, n + 7), (10, 2 * n + 7)];
+        assert_eq!(snap.neighbors(7, None, TraverseDir::Outgoing)[1..], survivors);
+        assert_eq!(snap.neighbors(7, None, TraverseDir::Outgoing)[0], (8, 7));
+        assert_eq!(g.neighbors(7, None, TraverseDir::Outgoing), survivors);
     }
 
     #[test]

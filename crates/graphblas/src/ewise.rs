@@ -1,8 +1,8 @@
 //! Element-wise addition (`eWiseAdd`, the set union of two patterns) for
 //! matrices and vectors.
 //!
-//! RedisGraph uses `eWiseAdd` to maintain its combined adjacency matrix (the
-//! union of all per-relation-type matrices).
+//! RedisGraph uses `eWiseAdd` to form its combined adjacency matrix (the
+//! union of all per-relation-type matrices' patterns).
 
 use crate::binary_op::{BinaryOp, OpApply};
 use crate::matrix::SparseMatrix;

@@ -6,9 +6,8 @@
 //! chain becomes the product `C = F ⊕.⊗ A₁ ⊕.⊗ A₂ …` over the relations'
 //! matrices, and row `i` of `C` holds exactly the destinations reachable from
 //! source `i` (with path counts under the counting semiring, or edge ids under
-//! `any_second`). This module provides the two small helpers on either side
-//! of the product: building `F` from `(row, node)` pairs and probing the
-//! result rows back out into records.
+//! `any_second`). This module builds `F` from `(row, node)` pairs; the result
+//! rows are read back out with [`SparseMatrix::row`].
 
 use crate::matrix::SparseMatrix;
 use crate::types::Scalar;
@@ -32,15 +31,6 @@ pub fn frontier_matrix<T: Scalar>(
     SparseMatrix::from_triples(nrows, ncols, &triples).expect("frontier coordinate out of bounds")
 }
 
-/// Probe one row of a traversal product: the `(column, value)` entries of row
-/// `row` in ascending column order, as borrowed CSR slices. For `C = F ⊕.⊗ A`
-/// the columns are the destination node ids reached by the record whose
-/// frontier row this is, and the values carry whatever the semiring
-/// propagated (edge ids under `any_second`, `true` under `lor_land`).
-pub fn probe_row<T: Scalar>(c: &SparseMatrix<T>, row: Index) -> (&[Index], &[T]) {
-    c.row(row)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,7 +44,7 @@ mod tests {
         assert_eq!(f.nvals(), 3);
         assert_eq!(f.extract_element(0, 3), Some(true));
         assert_eq!(f.extract_element(1, 0), None);
-        let (cols, _) = probe_row(&f, 2);
+        let (cols, _) = f.row(2);
         assert_eq!(cols, &[5]);
     }
 
@@ -65,10 +55,10 @@ mod tests {
         // Two records: record 0 at node 0, record 1 at node 1.
         let f = frontier_matrix::<u64>(2, 4, &[(0, 0), (1, 1)], 1);
         let c = mxm(&f, &a, &Semiring::any_second(), None, &Descriptor::default());
-        let (cols, vals) = probe_row(&c, 0);
+        let (cols, vals) = c.row(0);
         assert_eq!(cols, &[1, 2]);
         assert_eq!(vals, &[7, 9]);
-        let (cols, vals) = probe_row(&c, 1);
+        let (cols, vals) = c.row(1);
         assert_eq!(cols, &[2]);
         assert_eq!(vals, &[4]);
     }

@@ -58,7 +58,7 @@ pub use bitmap::{bfs_pull, bfs_push, Bitmap};
 pub use delta::{DeltaMatrix, DEFAULT_FLUSH_THRESHOLD};
 pub use descriptor::Descriptor;
 pub use error::{GrbError, GrbResult};
-pub use frontier::{frontier_matrix, probe_row};
+pub use frontier::frontier_matrix;
 pub use mask::{MatrixMask, VectorMask};
 pub use matrix::SparseMatrix;
 pub use monoid::Monoid;
@@ -77,7 +77,7 @@ pub mod prelude {
     pub use crate::error::{GrbError, GrbResult};
     pub use crate::ewise::{ewise_add_matrix, ewise_add_vector};
     pub use crate::extract::{extract_col, extract_row};
-    pub use crate::frontier::{frontier_matrix, probe_row};
+    pub use crate::frontier::frontier_matrix;
     pub use crate::mask::{MatrixMask, VectorMask};
     pub use crate::matrix::SparseMatrix;
     pub use crate::monoid::Monoid;

@@ -147,6 +147,18 @@ impl<T: Scalar> SparseMatrix<T> {
         (&self.col_idx[start..end], &self.values[start..end])
     }
 
+    /// The structure of this matrix: a boolean matrix with `true` at every
+    /// stored entry. Shares no storage with `self`; O(nnz) copies, no sort.
+    pub fn pattern(&self) -> SparseMatrix<bool> {
+        SparseMatrix {
+            nrows: self.nrows,
+            ncols: self.ncols,
+            row_ptr: self.row_ptr.clone(),
+            col_idx: self.col_idx.clone(),
+            values: vec![true; self.col_idx.len()],
+        }
+    }
+
     /// Number of stored entries in one row.
     pub fn row_degree(&self, row: Index) -> usize {
         self.row_ptr[row as usize + 1] - self.row_ptr[row as usize]
@@ -250,6 +262,9 @@ mod tests {
         assert_eq!(m.extract_element(2, 2), Some(7));
         assert_eq!(m.extract_element(2, 3), None);
         assert_eq!(m.row(0).0, &[1, 3]);
+        let pattern = m.pattern();
+        assert_eq!(pattern.row_ptr(), m.row_ptr());
+        assert_eq!(pattern.to_triples(), [(0, 1, true), (0, 3, true), (1, 0, true), (2, 2, true)]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Matrix transposition (`GrB_transpose`) via a linear-time counting sort.
 //!
-//! RedisGraph keeps the transposed adjacency matrix alongside the original so
+//! RedisGraph keeps each relation matrix's transpose alongside the original so
 //! that right-to-left traversals (`(a)<-[]-(b)`) are as cheap as forward ones;
 //! this kernel is what maintains that pair.
 

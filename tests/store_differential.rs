@@ -13,7 +13,8 @@
 //!   rebuilt from the live edge set at every checkpoint (no matrices at all).
 //!
 //! At random checkpoints (and always at the end) the harness asserts equal
-//! adjacency / transpose / relation / label matrices, equal Cypher query
+//! derived adjacency / relation / label matrices, equal per-type incoming
+//! neighbours (the relation transposes), equal Cypher query
 //! results on both the write and the read-only paths — including through an
 //! epoch [`GraphSnapshot`] — equal `CALL algo.*` procedure outputs, and
 //! k-hop counts that agree with the baseline BFS.
@@ -26,7 +27,7 @@
 
 use baseline::AdjacencyListGraph;
 use proptest::prelude::*;
-use redisgraph_core::{Graph, Value};
+use redisgraph_core::{Graph, TraverseDir, Value};
 
 /// One scripted workload step, decoded from a generated tuple.
 #[derive(Debug, Clone, Copy)]
@@ -157,22 +158,28 @@ fn checkpoint(delta: &Graph, eager: &Graph, shadow: &Shadow) -> Result<(), TestC
     prop_assert_eq!(delta.node_count(), eager.node_count());
     prop_assert_eq!(delta.edge_count(), eager.edge_count());
 
-    // Matrix-level equality: merged views of every matrix, element for element.
+    // Matrix-level equality: merged views of every matrix, element for element
+    // (the adjacency is the union derived from the relation matrices).
     prop_assert_eq!(
         delta.adjacency_matrix().to_triples(),
         eager.adjacency_matrix().to_triples(),
         "adjacency diverged"
-    );
-    prop_assert_eq!(
-        delta.adjacency_matrix_t().to_triples(),
-        eager.adjacency_matrix_t().to_triples(),
-        "adjacency transpose diverged"
     );
     for rel in RELS {
         if let Some(id) = delta.schema.rel_type_id(rel) {
             let d = delta.relation_matrix(id).expect("exists").to_triples();
             let e = eager.relation_matrix(id).expect("exists").to_triples();
             prop_assert_eq!(d, e, "relation matrix {} diverged", rel);
+            // The relation transposes, through the public read surface.
+            for &v in &shadow.nodes {
+                prop_assert_eq!(
+                    delta.neighbors(v, Some(&[id]), TraverseDir::Incoming),
+                    eager.neighbors(v, Some(&[id]), TraverseDir::Incoming),
+                    "incoming {} neighbours of node {} diverged",
+                    rel,
+                    v
+                );
+            }
         }
     }
     for label in LABELS {
@@ -314,18 +321,19 @@ fn write_heavy_flush_loop_reclaims_epochs_instead_of_accumulating() {
     use std::sync::Arc;
 
     let mut g = Graph::new("reclaim");
-    g.query("CREATE (:A {id: 0})").unwrap();
+    g.query("CREATE (:A {id: 0})-[:R0]->(:B {id: 0})").unwrap();
     g.sync_matrices();
+    let r0 = g.schema.rel_type_id("R0").unwrap();
     // One long-lived reader keeps its epoch alive for the whole loop…
     let long_lived = g.snapshot();
-    let first_epoch = Arc::downgrade(&long_lived.adjacency_epoch_pin());
+    let first_epoch = Arc::downgrade(&long_lived.relation_epoch_pin(r0).unwrap());
 
     // …while 40 write+flush cycles each publish (and then abandon) an epoch.
     let mut weaks = Vec::new();
     for i in 1..=40 {
         g.query(&format!("CREATE (:A {{id: {i}}})-[:R0]->(:B {{id: {i}}})")).unwrap();
         g.sync_matrices();
-        weaks.push(Arc::downgrade(&g.adjacency_epoch_pin()));
+        weaks.push(Arc::downgrade(&g.relation_epoch_pin(r0).unwrap()));
         // The pin (the only reader of this epoch) drops right here.
     }
     let alive = weaks.iter().filter(|w| w.upgrade().is_some()).count();
