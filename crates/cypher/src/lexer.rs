@@ -6,28 +6,28 @@
 //! problems.
 
 use crate::diagnostics::{resolve, Diagnostic, RawDiagnostic};
-use crate::token::{is_keyword, Token, TokenKind};
+use crate::token::{keyword, Token, TokenKind};
 
 /// A streaming lexer over a query string.
 pub struct Lexer<'a> {
-    src: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
 impl<'a> Lexer<'a> {
     /// Create a lexer over `src`.
     pub fn new(src: &'a str) -> Self {
-        Lexer { src: src.as_bytes(), pos: 0 }
+        Lexer { src, pos: 0 }
     }
 
     /// Lex the entire input, recovering past malformed constructs: always
     /// returns the full token stream plus every diagnostic found.
-    pub fn tokenize_recovering(src: &'a str) -> (Vec<Token>, Vec<Diagnostic>) {
+    pub fn tokenize_recovering(src: &'a str) -> (Vec<Token<'a>>, Vec<Diagnostic>) {
         let (tokens, diags) = Self::tokenize_raw(src);
         (tokens, resolve(src, diags))
     }
 
-    pub(crate) fn tokenize_raw(src: &'a str) -> (Vec<Token>, Vec<RawDiagnostic>) {
+    pub(crate) fn tokenize_raw(src: &'a str) -> (Vec<Token<'a>>, Vec<RawDiagnostic>) {
         let mut lexer = Lexer::new(src);
         let mut tokens = Vec::new();
         let mut diags = Vec::new();
@@ -43,11 +43,11 @@ impl<'a> Lexer<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn peek2(&self) -> Option<u8> {
-        self.src.get(self.pos + 1).copied()
+        self.src.as_bytes().get(self.pos + 1).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -108,7 +108,7 @@ impl<'a> Lexer<'a> {
     /// when the malformed input produced no token at all (the caller should
     /// simply ask again); a partially-lexed token (e.g. an unterminated
     /// string) is returned so the parser can keep going.
-    fn next_token_recovering(&mut self, diags: &mut Vec<RawDiagnostic>) -> Option<Token> {
+    fn next_token_recovering(&mut self, diags: &mut Vec<RawDiagnostic>) -> Option<Token<'a>> {
         self.skip_whitespace_and_comments(diags);
         let offset = self.pos;
         let Some(c) = self.peek() else {
@@ -223,7 +223,7 @@ impl<'a> Lexer<'a> {
                     );
                     return None;
                 }
-                TokenKind::Parameter(name)
+                TokenKind::Parameter(name.into())
             }
             b'\'' | b'"' => self.lex_string(c, offset, diags),
             b'`' => {
@@ -236,7 +236,7 @@ impl<'a> Lexer<'a> {
                     }
                     self.pos += 1;
                 }
-                let name = String::from_utf8_lossy(&self.src[start..self.pos]).into_owned();
+                let name = &self.src[start..self.pos];
                 if self.peek() == Some(b'`') {
                     self.bump();
                 } else {
@@ -252,10 +252,9 @@ impl<'a> Lexer<'a> {
             c if c.is_ascii_digit() => self.lex_number(offset, diags),
             c if c.is_ascii_alphabetic() || c == b'_' => {
                 let word = self.lex_bare_word();
-                if is_keyword(&word) {
-                    TokenKind::Keyword(word.to_ascii_uppercase())
-                } else {
-                    TokenKind::Ident(word)
+                match keyword(word) {
+                    Some(keyword) => TokenKind::Keyword(keyword),
+                    None => TokenKind::Ident(word),
                 }
             }
             other => {
@@ -272,7 +271,7 @@ impl<'a> Lexer<'a> {
         Some(Token { kind, offset, len: self.pos - offset })
     }
 
-    fn lex_bare_word(&mut self) -> String {
+    fn lex_bare_word(&mut self) -> &'a str {
         let start = self.pos;
         while let Some(c) = self.peek() {
             if c.is_ascii_alphanumeric() || c == b'_' {
@@ -281,10 +280,10 @@ impl<'a> Lexer<'a> {
                 break;
             }
         }
-        String::from_utf8_lossy(&self.src[start..self.pos]).into_owned()
+        &self.src[start..self.pos]
     }
 
-    fn lex_number(&mut self, offset: usize, diags: &mut Vec<RawDiagnostic>) -> TokenKind {
+    fn lex_number(&mut self, offset: usize, diags: &mut Vec<RawDiagnostic>) -> TokenKind<'a> {
         let start = self.pos;
         while self.peek().map(|c| c.is_ascii_digit()).unwrap_or(false) {
             self.pos += 1;
@@ -299,7 +298,7 @@ impl<'a> Lexer<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap();
+        let text = &self.src[start..self.pos];
         if is_float {
             text.parse::<f64>().map(TokenKind::Float).unwrap_or_else(|e| {
                 diags.push(RawDiagnostic::new(
@@ -328,7 +327,7 @@ impl<'a> Lexer<'a> {
         quote: u8,
         offset: usize,
         diags: &mut Vec<RawDiagnostic>,
-    ) -> TokenKind {
+    ) -> TokenKind<'a> {
         self.bump(); // opening quote
         let mut out = String::new();
         loop {
@@ -371,13 +370,13 @@ mod tests {
     use super::*;
 
     /// The token stream of well-formed input, terminated by `Eof`.
-    fn tokens(src: &str) -> Vec<Token> {
+    fn tokens(src: &str) -> Vec<Token<'_>> {
         let (tokens, diags) = Lexer::tokenize_recovering(src);
         assert!(diags.is_empty(), "{src:?}: {diags:?}");
         tokens
     }
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         tokens(src).into_iter().map(|t| t.kind).collect()
     }
 
@@ -387,14 +386,14 @@ mod tests {
         assert_eq!(
             k,
             vec![
-                TokenKind::Keyword("MATCH".into()),
+                TokenKind::Keyword("MATCH"),
                 TokenKind::LParen,
-                TokenKind::Ident("a".into()),
+                TokenKind::Ident("a"),
                 TokenKind::Colon,
-                TokenKind::Ident("Person".into()),
+                TokenKind::Ident("Person"),
                 TokenKind::RParen,
-                TokenKind::Keyword("RETURN".into()),
-                TokenKind::Ident("a".into()),
+                TokenKind::Keyword("RETURN"),
+                TokenKind::Ident("a"),
                 TokenKind::Eof,
             ]
         );
@@ -402,8 +401,8 @@ mod tests {
 
     #[test]
     fn keywords_are_case_insensitive() {
-        assert_eq!(kinds("match")[0], TokenKind::Keyword("MATCH".into()));
-        assert_eq!(kinds("ReTuRn")[0], TokenKind::Keyword("RETURN".into()));
+        assert_eq!(kinds("match")[0], TokenKind::Keyword("MATCH"));
+        assert_eq!(kinds("ReTuRn")[0], TokenKind::Keyword("RETURN"));
     }
 
     #[test]
@@ -436,7 +435,7 @@ mod tests {
                 TokenKind::Dash,
                 TokenKind::LBracket,
                 TokenKind::Colon,
-                TokenKind::Ident("KNOWS".into()),
+                TokenKind::Ident("KNOWS"),
                 TokenKind::RBracket,
                 TokenKind::Dash,
                 TokenKind::Gt,
@@ -465,7 +464,7 @@ mod tests {
     #[test]
     fn parameters_and_backquoted_identifiers() {
         assert_eq!(kinds("$name")[0], TokenKind::Parameter("name".into()));
-        assert_eq!(kinds("`weird name`")[0], TokenKind::Ident("weird name".into()));
+        assert_eq!(kinds("`weird name`")[0], TokenKind::Ident("weird name"));
     }
 
     #[test]
@@ -499,7 +498,7 @@ mod tests {
         assert_eq!(diags[1].span, (1, 13, 1));
         // The good tokens around the junk all survive.
         let kinds: Vec<_> = tokens.into_iter().map(|t| t.kind).collect();
-        assert!(kinds.contains(&TokenKind::Keyword("RETURN".into())));
+        assert!(kinds.contains(&TokenKind::Keyword("RETURN")));
         assert_eq!(kinds.len(), 7); // MATCH ( a ) RETURN a Eof
     }
 

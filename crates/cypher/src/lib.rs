@@ -32,5 +32,5 @@ pub mod token;
 pub use ast::*;
 pub use diagnostics::{line_col, Diagnostic};
 pub use lexer::Lexer;
-pub use parser::{parse, parse_recovering, ParseError, MAX_EXPR_DEPTH};
+pub use parser::{parse, parse_recovering, parse_tokens, ParseError, MAX_EXPR_DEPTH};
 pub use token::{Token, TokenKind};

@@ -74,6 +74,17 @@ pub fn parse_recovering(src: &str) -> (Option<Query>, Vec<Diagnostic>) {
     (query, resolve(src, raw))
 }
 
+/// Parse an already-lexed token stream that ends in `Eof`, for a caller that
+/// rewrote some tokens first (the server lexes a query once and binds its
+/// body literals as parameters). `None` if the parser reports any problem:
+/// spans and messages only mean something against source text, so a caller
+/// that wants the diagnostics parses the text with [`parse`].
+pub fn parse_tokens(tokens: Vec<Token<'_>>) -> Option<Query> {
+    let mut raw = Vec::new();
+    let query = Parser { tokens, pos: 0, depth: 0 }.parse_query(&mut raw);
+    query.filter(|_| raw.is_empty())
+}
+
 /// Keywords that can begin a top-level clause — the parser's recovery
 /// synchronization points.
 const CLAUSE_STARTERS: &[&str] = &[
@@ -81,16 +92,16 @@ const CLAUSE_STARTERS: &[&str] = &[
     "UNWIND", "CALL",
 ];
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
     /// Expression levels open around the current token: parentheses, lists,
     /// calls and prefix operators still awaiting their operand.
     depth: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &TokenKind {
+impl<'a> Parser<'a> {
+    fn peek(&self) -> &TokenKind<'a> {
         &self.tokens[self.pos].kind
     }
 
@@ -102,19 +113,17 @@ impl Parser {
         self.tokens[self.pos].len
     }
 
-    fn bump(&mut self) -> TokenKind {
-        let kind = self.tokens[self.pos].kind.clone();
+    fn bump(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        kind
     }
 
     fn diag<T>(&self, code: &'static str, message: impl Into<String>) -> Result<T, RawDiagnostic> {
         Err(RawDiagnostic::new(code, self.peek_offset(), self.peek_len(), message.into()))
     }
 
-    fn expect(&mut self, kind: &TokenKind) -> Result<(), RawDiagnostic> {
+    fn expect(&mut self, kind: &TokenKind<'_>) -> Result<(), RawDiagnostic> {
         if self.peek() == kind {
             self.bump();
             Ok(())
@@ -124,7 +133,7 @@ impl Parser {
     }
 
     fn at_keyword(&self, kw: &str) -> bool {
-        matches!(self.peek(), TokenKind::Keyword(k) if k == kw)
+        matches!(self.peek(), TokenKind::Keyword(k) if *k == kw)
     }
 
     fn eat_keyword(&mut self, kw: &str) -> bool {
@@ -151,13 +160,13 @@ impl Parser {
         match self.peek().clone() {
             TokenKind::Ident(name) => {
                 self.bump();
-                Ok(name)
+                Ok(name.to_string())
             }
             // Allow non-reserved-looking keywords as identifiers where openCypher does
             // (e.g. a property called `count`).
-            TokenKind::Keyword(k) if k == "COUNT" => {
+            TokenKind::Keyword("COUNT") => {
                 self.bump();
-                Ok(k.to_ascii_lowercase())
+                Ok("count".to_string())
             }
             other => {
                 self.diag("E_EXPECTED_IDENT", format!("expected an identifier, found {other}"))
@@ -173,7 +182,7 @@ impl Parser {
         loop {
             match self.peek() {
                 TokenKind::Eof => return,
-                TokenKind::Keyword(k) if CLAUSE_STARTERS.contains(&k.as_str()) => return,
+                TokenKind::Keyword(k) if CLAUSE_STARTERS.contains(k) => return,
                 _ => {
                     self.bump();
                 }
@@ -186,7 +195,7 @@ impl Parser {
         loop {
             let result = match self.peek().clone() {
                 TokenKind::Eof => break,
-                TokenKind::Keyword(kw) => match kw.as_str() {
+                TokenKind::Keyword(kw) => match kw {
                     "MATCH" => {
                         self.bump();
                         self.parse_pattern_list()
@@ -372,7 +381,7 @@ impl Parser {
         self.expect(&TokenKind::LParen)?;
         let mut node = NodePattern::default();
         if let TokenKind::Ident(name) = self.peek().clone() {
-            node.variable = Some(name);
+            node.variable = Some(name.to_string());
             self.bump();
         }
         while self.peek() == &TokenKind::Colon {
@@ -401,7 +410,7 @@ impl Parser {
         if self.peek() == &TokenKind::LBracket {
             self.bump();
             if let TokenKind::Ident(name) = self.peek().clone() {
-                rel.variable = Some(name);
+                rel.variable = Some(name.to_string());
                 self.bump();
             }
             if self.peek() == &TokenKind::Colon {
@@ -493,9 +502,9 @@ impl Parser {
             TokenKind::Integer(v) => Literal::Integer(v),
             TokenKind::Float(v) => Literal::Float(v),
             TokenKind::Str(s) => Literal::Str(s),
-            TokenKind::Keyword(k) if k == "TRUE" => Literal::Bool(true),
-            TokenKind::Keyword(k) if k == "FALSE" => Literal::Bool(false),
-            TokenKind::Keyword(k) if k == "NULL" => Literal::Null,
+            TokenKind::Keyword("TRUE") => Literal::Bool(true),
+            TokenKind::Keyword("FALSE") => Literal::Bool(false),
+            TokenKind::Keyword("NULL") => Literal::Null,
             TokenKind::Dash => {
                 self.bump();
                 return match self.peek().clone() {
@@ -616,7 +625,7 @@ impl Parser {
     /// between `AND` and the comparisons ([`NOT_LEVEL`]).
     fn binary_op(&self) -> Option<(BinaryOperator, u8)> {
         let op = match self.peek() {
-            TokenKind::Keyword(k) => match k.as_str() {
+            TokenKind::Keyword(k) => match *k {
                 "OR" => (BinaryOperator::Or, 1),
                 "XOR" => (BinaryOperator::Xor, 2),
                 "AND" => (BinaryOperator::And, 3),
@@ -680,11 +689,11 @@ impl Parser {
             TokenKind::Integer(v) => Expr::Literal(Literal::Integer(v)),
             TokenKind::Float(v) => Expr::Literal(Literal::Float(v)),
             TokenKind::Str(s) => Expr::Literal(Literal::Str(s)),
-            TokenKind::Parameter(p) => Expr::Parameter(p),
-            TokenKind::Keyword(k) if k == "TRUE" => Expr::Literal(Literal::Bool(true)),
-            TokenKind::Keyword(k) if k == "FALSE" => Expr::Literal(Literal::Bool(false)),
-            TokenKind::Keyword(k) if k == "NULL" => Expr::Literal(Literal::Null),
-            TokenKind::Keyword(k) if k == "COUNT" => {
+            TokenKind::Parameter(p) => Expr::Parameter(p.into_owned()),
+            TokenKind::Keyword("TRUE") => Expr::Literal(Literal::Bool(true)),
+            TokenKind::Keyword("FALSE") => Expr::Literal(Literal::Bool(false)),
+            TokenKind::Keyword("NULL") => Expr::Literal(Literal::Null),
+            TokenKind::Keyword("COUNT") => {
                 self.bump();
                 return self.parse_function_call("count".to_string());
             }
@@ -708,9 +717,9 @@ impl Parser {
                 if self.peek() == &TokenKind::Dot {
                     self.bump();
                     let prop = self.expect_ident()?;
-                    return Ok((Expr::Property(name, prop), 1));
+                    return Ok((Expr::Property(name.to_string(), prop), 1));
                 }
-                return Ok((Expr::Variable(name), 1));
+                return Ok((Expr::Variable(name.to_string()), 1));
             }
             other => {
                 return self.diag("E_EXPECTED_EXPR", format!("unexpected {other} in expression"))
@@ -722,7 +731,10 @@ impl Parser {
 
     /// Comma-separated expressions up to (not including) `close`, and the
     /// height of the tallest.
-    fn parse_expr_list(&mut self, close: &TokenKind) -> Result<(Vec<Expr>, usize), RawDiagnostic> {
+    fn parse_expr_list(
+        &mut self,
+        close: &TokenKind<'_>,
+    ) -> Result<(Vec<Expr>, usize), RawDiagnostic> {
         let (mut items, mut height) = (Vec::new(), 0);
         if self.peek() != close {
             loop {
@@ -1048,6 +1060,19 @@ mod tests {
         let d = &err.diagnostics[0];
         assert_eq!(d.code, "E_UNKNOWN_CLAUSE");
         assert!(d.notes.iter().any(|n| n.contains("MATCH")));
+    }
+
+    #[test]
+    fn parse_tokens_agrees_with_parse() {
+        for src in [
+            "MATCH (a:Person)-[:KNOWS*1..2]->(b) WHERE a.age > 30 RETURN b.name, count(b)",
+            "UNWIND [1, 'x', $p] AS v RETURN v ORDER BY v SKIP 1 LIMIT 2",
+        ] {
+            let (tokens, _) = Lexer::tokenize_recovering(src);
+            assert_eq!(parse_tokens(tokens), Some(parse(src).unwrap()), "{src}");
+        }
+        let (tokens, _) = Lexer::tokenize_recovering("MATCH (a RETURN a");
+        assert_eq!(parse_tokens(tokens), None);
     }
 
     #[test]

@@ -1,23 +1,26 @@
 //! Token definitions for the Cypher lexer.
 
+use std::borrow::Cow;
 use std::fmt;
 
-/// The kind of a lexed token.
+/// The kind of a lexed token. Names borrow from the query text, so lexing
+/// allocates only for string literals.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+pub enum TokenKind<'a> {
     // literals & names
     /// An identifier or unquoted name (`a`, `Person`, `KNOWS`).
-    Ident(String),
-    /// A reserved keyword, stored upper-cased (`MATCH`, `RETURN`, …).
-    Keyword(String),
+    Ident(&'a str),
+    /// A reserved keyword, in its upper-case spelling (`MATCH`, `RETURN`, …).
+    Keyword(&'static str),
     /// An integer literal.
     Integer(i64),
     /// A floating-point literal.
     Float(f64),
     /// A single- or double-quoted string literal (quotes stripped).
     Str(String),
-    /// A query parameter (`$name`).
-    Parameter(String),
+    /// A query parameter (`$name`). Owned only when a caller rewrote a
+    /// token into a parameter the text does not spell.
+    Parameter(Cow<'a, str>),
 
     // punctuation
     /// `(`
@@ -69,7 +72,40 @@ pub enum TokenKind {
     Eof,
 }
 
-impl fmt::Display for TokenKind {
+impl TokenKind<'_> {
+    /// The source text of a punctuation token; `None` for names, literals,
+    /// parameters and `Eof`.
+    pub fn punctuation(&self) -> Option<&'static str> {
+        let text = match self {
+            TokenKind::LParen => "(",
+            TokenKind::RParen => ")",
+            TokenKind::LBracket => "[",
+            TokenKind::RBracket => "]",
+            TokenKind::LBrace => "{",
+            TokenKind::RBrace => "}",
+            TokenKind::Colon => ":",
+            TokenKind::Comma => ",",
+            TokenKind::Dot => ".",
+            TokenKind::DotDot => "..",
+            TokenKind::Dash => "-",
+            TokenKind::Plus => "+",
+            TokenKind::Star => "*",
+            TokenKind::Slash => "/",
+            TokenKind::Percent => "%",
+            TokenKind::Eq => "=",
+            TokenKind::Ne => "<>",
+            TokenKind::Lt => "<",
+            TokenKind::Le => "<=",
+            TokenKind::Gt => ">",
+            TokenKind::Ge => ">=",
+            TokenKind::Pipe => "|",
+            _ => return None,
+        };
+        Some(text)
+    }
+}
+
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::Ident(s) => write!(f, "identifier `{s}`"),
@@ -78,38 +114,17 @@ impl fmt::Display for TokenKind {
             TokenKind::Float(v) => write!(f, "float `{v}`"),
             TokenKind::Str(s) => write!(f, "string \"{s}\""),
             TokenKind::Parameter(s) => write!(f, "parameter `${s}`"),
-            TokenKind::LParen => write!(f, "`(`"),
-            TokenKind::RParen => write!(f, "`)`"),
-            TokenKind::LBracket => write!(f, "`[`"),
-            TokenKind::RBracket => write!(f, "`]`"),
-            TokenKind::LBrace => write!(f, "`{{`"),
-            TokenKind::RBrace => write!(f, "`}}`"),
-            TokenKind::Colon => write!(f, "`:`"),
-            TokenKind::Comma => write!(f, "`,`"),
-            TokenKind::Dot => write!(f, "`.`"),
-            TokenKind::DotDot => write!(f, "`..`"),
-            TokenKind::Dash => write!(f, "`-`"),
-            TokenKind::Plus => write!(f, "`+`"),
-            TokenKind::Star => write!(f, "`*`"),
-            TokenKind::Slash => write!(f, "`/`"),
-            TokenKind::Percent => write!(f, "`%`"),
-            TokenKind::Eq => write!(f, "`=`"),
-            TokenKind::Ne => write!(f, "`<>`"),
-            TokenKind::Lt => write!(f, "`<`"),
-            TokenKind::Le => write!(f, "`<=`"),
-            TokenKind::Gt => write!(f, "`>`"),
-            TokenKind::Ge => write!(f, "`>=`"),
-            TokenKind::Pipe => write!(f, "`|`"),
             TokenKind::Eof => write!(f, "end of input"),
+            punctuation => write!(f, "`{}`", punctuation.punctuation().unwrap_or_default()),
         }
     }
 }
 
 /// A token plus its byte range in the source (for spanned diagnostics).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub struct Token<'a> {
     /// What was lexed.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// Byte offset of the first character of the token in the query text.
     pub offset: usize,
     /// Length of the token's source text in bytes (0 for `Eof`).
@@ -124,10 +139,43 @@ pub const KEYWORDS: &[&str] = &[
     "TRUE", "FALSE", "NULL", "IN", "IS", "MERGE", "COUNT", "CALL", "YIELD",
 ];
 
-/// True if `word` (any case) is a reserved keyword.
-pub fn is_keyword(word: &str) -> bool {
-    let upper = word.to_ascii_uppercase();
-    KEYWORDS.contains(&upper.as_str())
+/// [`KEYWORDS`], each packed by [`packed_upper`]: the lexer looks every bare
+/// word up here, one integer compare per keyword.
+const PACKED_KEYWORDS: [u64; KEYWORDS.len()] = {
+    let mut packed = [0; KEYWORDS.len()];
+    let mut i = 0;
+    while i < KEYWORDS.len() {
+        packed[i] = match packed_upper(KEYWORDS[i].as_bytes()) {
+            Some(word) => word,
+            None => panic!("a keyword is longer than eight letters"),
+        };
+        i += 1;
+    }
+    packed
+};
+
+/// A word of at most eight bytes, upper-cased and packed little-endian into a
+/// zero-padded `u64`; `None` for a longer word.
+const fn packed_upper(word: &[u8]) -> Option<u64> {
+    if word.len() > 8 {
+        return None;
+    }
+    let mut packed = 0;
+    let mut i = 0;
+    while i < word.len() {
+        packed |= (word[i].to_ascii_uppercase() as u64) << (8 * i);
+        i += 1;
+    }
+    Some(packed)
+}
+
+/// The upper-case spelling of `word` if it is a reserved keyword in any
+/// case, without allocating.
+pub fn keyword(word: &str) -> Option<&'static str> {
+    let packed = packed_upper(word.as_bytes())?;
+    let found = PACKED_KEYWORDS.iter().position(|&k| k == packed).map(|i| KEYWORDS[i]);
+    // The zero padding reads like trailing NULs: the lengths must agree too.
+    found.filter(|k| k.len() == word.len())
 }
 
 #[cfg(test)]
@@ -136,15 +184,23 @@ mod tests {
 
     #[test]
     fn keyword_check_is_case_insensitive() {
-        assert!(is_keyword("match"));
-        assert!(is_keyword("Match"));
-        assert!(is_keyword("RETURN"));
-        assert!(!is_keyword("person"));
+        assert_eq!(keyword("match"), Some("MATCH"));
+        assert_eq!(keyword("Match"), Some("MATCH"));
+        assert_eq!(keyword("RETURN"), Some("RETURN"));
+        assert_eq!(keyword("person"), None);
+    }
+
+    #[test]
+    fn every_keyword_is_found_and_no_near_miss_is() {
+        assert!(KEYWORDS.iter().all(|k| keyword(k) == Some(*k)));
+        for word in ["optionally", "MATC", "matches", "a", "", "_", "AS\0"] {
+            assert_eq!(keyword(word), None, "{word}");
+        }
     }
 
     #[test]
     fn tokens_display_for_error_messages() {
-        assert_eq!(TokenKind::Ident("a".into()).to_string(), "identifier `a`");
+        assert_eq!(TokenKind::Ident("a").to_string(), "identifier `a`");
         assert_eq!(TokenKind::DotDot.to_string(), "`..`");
         assert_eq!(TokenKind::Eof.to_string(), "end of input");
     }

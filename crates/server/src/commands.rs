@@ -1,7 +1,7 @@
 //! The `GRAPH.*` module commands and their RESP encodings.
 
 use crate::resp::{push_bulk, push_header, push_integer, push_null, RespValue};
-use cypher::{Expr, Lexer, Literal, Token, TokenKind};
+use cypher::{Expr, Literal, Token, TokenKind};
 use redisgraph_core::{Params, QueryStats, ResultSet, Value};
 use std::fmt::Write;
 
@@ -19,7 +19,7 @@ pub enum Command {
         /// Graph key name.
         graph: String,
         /// Cypher query text (optionally prefixed with a `CYPHER name=value`
-        /// parameter header; see [`split_cypher_params`]).
+        /// parameter header, which dispatch splits off).
         query: String,
     },
     /// `GRAPH.EXPLAIN <graph> <cypher>`
@@ -195,37 +195,35 @@ impl Command {
 }
 
 /// Split the optional `CYPHER name=value [name=value …]` parameter header
-/// off a query, returning the typed parameters and the query body that
-/// follows the header.
+/// off a lexed query, returning the typed parameters and the index of the
+/// body's first token.
 ///
 /// Values are literals only — `null`, booleans, integers, floats (each with
 /// an optional leading `-`), quoted strings, and lists thereof nested at most
-/// [`cypher::MAX_EXPR_DEPTH`] deep — parsed with the Cypher lexer, so quoting
-/// and escaping behave exactly as they do inside a query. The header ends at
-/// the first token that is not the start of a `name=` pair (typically the
-/// body's opening clause keyword). A query with no header comes back
-/// untouched with an empty parameter map.
-pub fn split_cypher_params(query: &str) -> Result<(Params, &str), String> {
-    let (tokens, _) = Lexer::tokenize_recovering(query);
+/// [`cypher::MAX_EXPR_DEPTH`] deep — read from the Cypher lexer's tokens, so
+/// quoting and escaping behave exactly as they do inside a query. The header
+/// ends at the first token that is not the start of a `name=` pair
+/// (typically the body's opening clause keyword). A query with no header has
+/// its body at token 0 and an empty parameter map.
+pub(crate) fn split_cypher_header(tokens: &[Token<'_>]) -> Result<(Params, usize), String> {
     let has_header = matches!(
         tokens.first().map(|t| &t.kind),
         Some(TokenKind::Ident(word)) if word.eq_ignore_ascii_case("CYPHER")
     );
     if !has_header {
-        return Ok((Params::new(), query));
+        return Ok((Params::new(), 0));
     }
     let mut params = Params::new();
     let mut i = 1;
     while let (TokenKind::Ident(name), Some(TokenKind::Eq)) =
         (&tokens[i].kind, tokens.get(i + 1).map(|t| &t.kind))
     {
-        let name = name.clone();
+        let name = name.to_string();
         i += 2;
-        let value = parse_param_literal(&tokens, &mut i, &name, 0)?;
+        let value = parse_param_literal(tokens, &mut i, &name, 0)?;
         params.insert(name, value);
     }
-    let body_start = tokens.get(i).map_or(query.len(), |t| t.offset);
-    Ok((params, &query[body_start..]))
+    Ok((params, i))
 }
 
 /// One literal value in a `CYPHER` parameter header, starting at `tokens[*i]`
@@ -234,7 +232,7 @@ pub fn split_cypher_params(query: &str) -> Result<(Params, &str), String> {
 /// arm either consumes a real token or errors out on whatever it found
 /// instead.
 fn parse_param_literal(
-    tokens: &[Token],
+    tokens: &[Token<'_>],
     i: &mut usize,
     name: &str,
     depth: usize,
@@ -251,9 +249,9 @@ fn parse_param_literal(
         TokenKind::Integer(v) => Ok(Expr::Literal(Literal::Integer(*v))),
         TokenKind::Float(v) => Ok(Expr::Literal(Literal::Float(*v))),
         TokenKind::Str(s) => Ok(Expr::Literal(Literal::Str(s.clone()))),
-        TokenKind::Keyword(k) if k == "TRUE" => Ok(Expr::Literal(Literal::Bool(true))),
-        TokenKind::Keyword(k) if k == "FALSE" => Ok(Expr::Literal(Literal::Bool(false))),
-        TokenKind::Keyword(k) if k == "NULL" => Ok(Expr::Literal(Literal::Null)),
+        TokenKind::Keyword("TRUE") => Ok(Expr::Literal(Literal::Bool(true))),
+        TokenKind::Keyword("FALSE") => Ok(Expr::Literal(Literal::Bool(false))),
+        TokenKind::Keyword("NULL") => Ok(Expr::Literal(Literal::Null)),
         TokenKind::Dash => {
             let negated = &tokens[*i].kind;
             *i += 1;
@@ -464,6 +462,13 @@ mod tests {
         assert!(err.contains("unknown subcommand 'FROB' for 'graph.config'"), "got {err:?}");
         let err = Command::parse(&RespValue::command(&["GRAPH.INFO", "x"])).unwrap_err();
         assert_eq!(err, "wrong number of arguments for 'graph.info' command");
+    }
+
+    /// The header's parameters and the body text that follows it.
+    fn split_cypher_params(query: &str) -> Result<(Params, &str), String> {
+        let (tokens, _) = cypher::Lexer::tokenize_recovering(query);
+        let (params, first) = split_cypher_header(&tokens)?;
+        Ok((params, &query[tokens[first].offset..]))
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod resp;
 pub mod server;
 
 pub use client::RespClient;
-pub use commands::{split_cypher_params, Command};
+pub use commands::Command;
 pub use listener::GraphServer;
 pub use metrics::{CommandKind, Histogram, Metrics, SlowLog, SlowLogEntry};
 pub use plan_cache::{normalize, CachedPlan, PlanCache};

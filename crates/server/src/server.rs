@@ -20,9 +20,9 @@
 //! * the worker encodes its reply itself, so a query's rows are walked once,
 //!   straight into the bytes that go back to the client.
 
-use crate::commands::{encode_resultset, split_cypher_params, Command};
+use crate::commands::{encode_resultset, Command};
 use crate::metrics::{CommandKind, Metrics, SlowLog, SlowLogEntry};
-use crate::plan_cache::{normalize, CachedPlan, PlanCache};
+use crate::plan_cache::{CachedPlan, KeyedQuery, PlanCache, QueryBody};
 use crate::pool::ThreadPool;
 use crate::resp::RespValue;
 use crossbeam::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -62,10 +62,12 @@ pub struct ServerConfig {
     pub slowlog_time_threshold_ms: u64,
     /// Per-graph cap on cached execution-plan skeletons (`PLAN_CACHE_SIZE`).
     /// `GRAPH.QUERY` / `GRAPH.PROFILE` / `GRAPH.EXPLAIN` cache the parsed and
-    /// planned form of each whitespace-normalized query body and re-bind
-    /// `CYPHER` header parameters per execution. `0` disables caching.
-    /// Runtime-tunable with `GRAPH.CONFIG SET PLAN_CACHE_SIZE` (resizing
-    /// clears existing caches).
+    /// planned form of each query *shape* — the body's tokens with its
+    /// expression literals lifted out ([`crate::plan_cache::normalize`]) —
+    /// and bind `CYPHER` header parameters and the lifted literals per
+    /// execution. `0` disables caching, and with it the lifting: each body
+    /// is then planned with its literals as written. Runtime-tunable with
+    /// `GRAPH.CONFIG SET PLAN_CACHE_SIZE` (resizing clears existing caches).
     pub plan_cache_size: usize,
 }
 
@@ -84,8 +86,10 @@ impl Default for ServerConfig {
 
 /// Default `PLAN_CACHE_SIZE` (cached plan skeletons per graph). RedisGraph's
 /// query cache defaults to 25 entries per graph; a larger bound costs only
-/// retained plans (small) and keeps benchmark workloads with many distinct
-/// shapes entirely cache-resident.
+/// retained plans (small). Literal values do not make shapes (they are
+/// lifted out of the key), so the bound counts query shapes plus the
+/// distinct values of the few literals that stay in the key: `SKIP`/`LIMIT`
+/// operands, variable-length bounds and property-map values.
 pub const DEFAULT_PLAN_CACHE_SIZE: usize = 256;
 
 /// Default `SLOWLOG_TIME_THRESHOLD` (milliseconds; Redis' slowlog default is
@@ -162,9 +166,10 @@ struct GraphEntry {
     /// The graph's slow-query ring buffer (`GRAPH.SLOWLOG`). Per graph, like
     /// RedisGraph: a `GRAPH.DELETE` drops the log with the entry.
     slowlog: Arc<Mutex<SlowLog>>,
-    /// Cached plan skeletons keyed on the normalized query body; parameters
-    /// bind per execution. Per graph, so a `GRAPH.DELETE` drops the cache
-    /// with the entry and one graph's churn cannot evict another's plans.
+    /// Cached plan skeletons keyed on the query body's token shape;
+    /// parameters and lifted literals bind per execution. Per graph, so a
+    /// `GRAPH.DELETE` drops the cache with the entry and one graph's churn
+    /// cannot evict another's plans.
     plan_cache: Arc<PlanCache>,
 }
 
@@ -416,6 +421,12 @@ impl RedisGraphServer {
         }
     }
 
+    /// Lex `query` once and key it for the plan cache. With the cache off
+    /// (`PLAN_CACHE_SIZE 0`) no plan is shared, so no literal is lifted.
+    fn keyed<'q>(&self, query: &'q str) -> Result<KeyedQuery<'q>, String> {
+        KeyedQuery::new(query, self.plan_cache_size() > 0)
+    }
+
     /// The dispatch half of a query: find its graph and its plan. A
     /// plan-cache hit skips both the parser and the planner; a miss parses
     /// `body` here. The keyspace entry is only *read* until the body is known
@@ -425,19 +436,19 @@ impl RedisGraphServer {
         &self,
         graph: &str,
         key: &str,
-        body: &str,
+        body: QueryBody<'_>,
     ) -> Result<(GraphEntry, Dispatched), QueryError> {
         let existing = self.graphs.read().get(graph).cloned();
         let hit = match &existing {
-            Some(entry) => entry.plan_cache.lookup(key, &self.metrics),
-            None => {
+            Some(entry) if body.lexed_cleanly() => entry.plan_cache.lookup(key, &self.metrics),
+            _ => {
                 self.metrics.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
         };
         let dispatched = match hit {
             Some(cached) => Dispatched::Cached(cached),
-            None => Dispatched::Parsed(cypher::parse(body)?),
+            None => Dispatched::Parsed(body.parse()?),
         };
         Ok((existing.unwrap_or_else(|| self.entry(graph)), dispatched))
     }
@@ -464,14 +475,14 @@ impl RedisGraphServer {
             metrics.queries_failed.fetch_add(1, Ordering::Relaxed);
             let _ = reply_to.send(error_reply(e).encode());
         };
-        // Split the `CYPHER name=value …` parameter header off the body
-        // first: the cache key is the normalized *body*, so the same query
-        // shape with different parameter values shares one cached plan.
-        let (params, body) = match split_cypher_params(&query) {
-            Ok(split) => split,
+        // One lexer pass: the `CYPHER` header becomes parameters, and the
+        // body's token shape becomes the cache key, its literals lifted into
+        // parameters too — so one query shape shares one cached plan however
+        // its values are spelled.
+        let KeyedQuery { key, params, body } = match self.keyed(&query) {
+            Ok(keyed) => keyed,
             Err(e) => return fail(&e),
         };
-        let key = normalize(body);
         let (entry, dispatched) = match self.dispatch(&graph, &key, body) {
             Ok(found) => found,
             Err(e) => return fail(&e),
@@ -615,11 +626,10 @@ impl RedisGraphServer {
     /// hot query is free, an EXPLAIN warms the cache for the executions that
     /// follow, and one that does not parse creates no graph.
     fn explain(&self, graph: &str, query: &str) -> RespValue {
-        let (_params, body) = match split_cypher_params(query) {
-            Ok(split) => split,
+        let KeyedQuery { key, body, .. } = match self.keyed(query) {
+            Ok(keyed) => keyed,
             Err(e) => return error_reply(&e),
         };
-        let key = normalize(body);
         let resolved = self
             .dispatch(graph, &key, body)
             .and_then(|(entry, dispatched)| entry.resolve_plan(&key, dispatched, &self.metrics));
@@ -1199,6 +1209,82 @@ mod tests {
         server.query("g", "CREATE (:Node)");
         assert!(!cached_flag(&server.query("g", "MATCH (n) RETURN count(n)")));
         assert!(cached_flag(&server.query("g", "MATCH (n) RETURN count(n)")));
+    }
+
+    /// The single integer cell of a one-row, one-column query reply.
+    fn count_cell(reply: &RespValue) -> i64 {
+        let RespValue::Array(sections) = reply else { panic!("expected array, got {reply}") };
+        let RespValue::Array(rows) = &sections[1] else { panic!("no rows in {reply}") };
+        let RespValue::Array(row) = &rows[0] else { panic!("no row in {reply}") };
+        let RespValue::Integer(n) = row[0] else { panic!("not a count: {reply}") };
+        n
+    }
+
+    #[test]
+    fn string_escapes_and_comment_quotes_never_merge_two_cache_keys() {
+        let server = RedisGraphServer::new(ServerConfig::default());
+        server.query("g", r"CREATE (:P {name: 'a\' b'}), (:P {name: 'a b'})");
+        // Property-map strings stay in the key. Two spaces after an escaped
+        // quote, or after a quote inside a comment, are string content.
+        for (two_spaces, one_space) in [
+            (
+                r"MATCH (n {name: 'a\'  b'}) RETURN count(n)",
+                r"MATCH (n {name: 'a\' b'}) RETURN count(n)",
+            ),
+            (
+                "MATCH // it's\n(n {name: 'a  b'}) RETURN count(n)",
+                "MATCH // it's\n(n {name: 'a b'}) RETURN count(n)",
+            ),
+        ] {
+            assert_eq!(count_cell(&server.query("g", two_spaces)), 0, "{two_spaces}");
+            let reply = server.query("g", one_space);
+            assert_eq!(count_cell(&reply), 1, "{one_space}");
+            assert!(!cached_flag(&reply), "{one_space} shared the plan of {two_spaces}");
+        }
+        // A filter's strings are lifted out of the key: one plan, and each
+        // execution binds its own value.
+        let two = server.query("g", r"MATCH (n) WHERE n.name = 'a\'  b' RETURN count(n)");
+        let one = server.query("g", r"MATCH (n) WHERE n.name = 'a\' b' RETURN count(n)");
+        assert_eq!((count_cell(&two), count_cell(&one)), (0, 1));
+        assert!(cached_flag(&one));
+    }
+
+    #[test]
+    fn explain_and_profile_of_a_literal_query_print_its_plan_through_the_shared_key() {
+        let server = RedisGraphServer::new(ServerConfig::default());
+        server.query("g", "CREATE (:Node {v: 1})-[:LINK]->(:Node {v: 2})");
+        let lines = |reply: RespValue| -> Vec<String> {
+            let RespValue::Array(lines) = reply else { panic!("expected array, got {reply}") };
+            lines
+                .into_iter()
+                .map(|l| match l {
+                    RespValue::BulkString(s) => s,
+                    other => panic!("expected a line, got {other}"),
+                })
+                .collect()
+        };
+        let spelled = |id: i64, v: f64, tag: &str| {
+            format!(
+                "MATCH (s:Node)-[:LINK]->(t) WHERE id(s) = {id} AND t.v > {v} \
+                 RETURN t.v, '{tag}' ORDER BY t.v LIMIT 3"
+            )
+        };
+        let first = spelled(0, 1.5, "x");
+        let direct = ExecutionPlan::build(&cypher::parse(&first).unwrap()).unwrap().describe();
+        let explain = server.handle(&RespValue::command(&["GRAPH.EXPLAIN", "g", &first]));
+        assert_eq!(lines(explain), direct);
+
+        // The EXPLAIN planned the shape; PROFILE of another value hits it and
+        // runs the same operators.
+        let hits = server.metrics().plan_cache_hits.load(Ordering::Relaxed);
+        let profile = spelled(1, 0.5, "y");
+        let reply = server.handle(&RespValue::command(&["GRAPH.PROFILE", "g", &profile]));
+        assert_eq!(server.metrics().plan_cache_hits.load(Ordering::Relaxed), hits + 1);
+        let ops: Vec<String> = lines(reply)
+            .iter()
+            .map(|l| l.split(" | Records produced").next().unwrap().to_string())
+            .collect();
+        assert_eq!(ops, direct);
     }
 
     #[test]
