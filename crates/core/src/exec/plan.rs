@@ -199,25 +199,6 @@ impl ExecutionPlan {
         }
     }
 
-    /// True when executing the plan reads whole matrices *per record*
-    /// (variable-length traversals, counted or not, run the algebraic
-    /// `khop_reach`; procedures hand `algo::*` the adjacency derived from the
-    /// relation matrices), where flushing once clearly beats merging per
-    /// read. Single-hop traversals are deliberately excluded: they read
-    /// merged row views and cells, so forcing a flush here would reintroduce
-    /// the per-query sync cost the delta write path exists to avoid.
-    /// `GraphSnapshot` consults this to decide whether a query runs on its
-    /// pinned (possibly delta-dirty) graph or on its lazily folded twin.
-    pub(crate) fn needs_matrix_views(&self) -> bool {
-        self.segments.iter().flat_map(|s| &s.ops).any(|op| match op {
-            PlanOp::Traverse { min_hops, max_hops, .. } => {
-                !(*min_hops == 1 && *max_hops == Some(1))
-            }
-            PlanOp::TraverseCount { .. } | PlanOp::ProcedureCall { .. } => true,
-            _ => false,
-        })
-    }
-
     /// Execute the plan: the one way every caller runs one. `access` says
     /// whether the plan may write; a write operator reached through
     /// [`GraphAccess::Read`] is an error. The statistics footer is timed from
@@ -232,18 +213,6 @@ impl ExecutionPlan {
         started: Instant,
         mut profiles: Option<&mut Vec<OpProfile>>,
     ) -> Result<ResultSet, QueryError> {
-        // Read barrier for whole-matrix consumers: with exclusive access a
-        // flush is cheap and lets `khop_reach` / procedures borrow the main
-        // matrices once, instead of materialising a merged copy per record.
-        // (The server's read-only path runs against a shared `GraphSnapshot`,
-        // which routes whole-matrix plans to a lazily folded private twin;
-        // single-hop traversals use merged row views and need no flush at
-        // all.)
-        if self.needs_matrix_views() {
-            if let GraphAccess::Write(graph) = &mut access {
-                graph.sync_matrices();
-            }
-        }
         let mut stats = QueryStats::default();
         let mut records: Vec<Record> = vec![Vec::new()];
         let mut columns: Vec<String> = Vec::new();
@@ -380,10 +349,10 @@ impl ExecutionPlan {
                 }
             }
         }
-        // Write queries no longer resync matrices here: mutations append to
-        // each DeltaMatrix's pending buffers and readers see the merged view.
-        // Buffers fold into the main CSRs when a matrix crosses its flush
-        // threshold, or at the read barriers above.
+        // No plan folds matrices: mutations append to each DeltaMatrix's
+        // pending buffers, and every reader (this plan's later operators
+        // included) sees the merged view. Buffers fold into the main CSRs
+        // only when a matrix crosses its flush threshold.
         stats.execution_time = started.elapsed();
         Ok(ResultSet { columns, rows, stats })
     }

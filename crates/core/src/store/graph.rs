@@ -20,13 +20,12 @@
 //! rebuilding CSR structures, and the transposed matrices are maintained
 //! incrementally (an edge insert buffers `(dst, src)` into the transpose)
 //! rather than recomputed from scratch after every write query. Readers see
-//! the merged `main ∪ Δ⁺ \ Δ⁻` view; whole-matrix consumers (`khop_reach`,
-//! the union behind the `algo.*` procedures) borrow the main matrix when
-//! nothing is pending and materialise a merged copy otherwise, so a `&Graph`
-//! read never blocks on a flush. Buffers are folded into the main matrices
-//! when a matrix's pending count crosses [`Graph::flush_threshold`] (the
-//! `DELTA_MAX_PENDING_CHANGES` knob), or explicitly via
-//! [`Graph::sync_matrices`].
+//! the merged `main ∪ Δ⁺ \ Δ⁻` view a row at a time, merging only rows with
+//! pending changes; whole-matrix consumers (the `algo.*` procedures' union,
+//! the fused counting products) materialise a merged copy, so no read needs
+//! a flush. Buffers fold into the main matrices when a matrix's pending
+//! count crosses [`Graph::flush_threshold`] (`DELTA_MAX_PENDING_CHANGES`),
+//! or explicitly via [`Graph::sync_matrices`].
 //!
 //! Every flushed main CSR is an immutable, `Arc`-shared **epoch**:
 //! [`Graph::snapshot`] pins each matrix's current epoch — plus its
@@ -118,8 +117,8 @@ pub struct Graph {
 
 /// Epoch-scoped counting-matrix memo behind interior mutability, so sealed
 /// read-only snapshots (`&Graph`) populate it too. `Clone` yields an *empty*
-/// cache: a clone is either a mutable twin (whose epoch will diverge) or a
-/// snapshot (which rebuilds from its own pinned matrices on first use) —
+/// cache: a clone is a snapshot, which rebuilds from its own pinned matrices
+/// on first use, while the graph it was cloned from goes on to new epochs —
 /// sharing entries across instances would only invite cross-epoch mixups.
 #[derive(Debug, Default)]
 struct CountMatrixCache {
@@ -173,11 +172,9 @@ impl Graph {
     /// x86 host) whether 4 k or 36 k changes are pending, where copying the
     /// buffers entry by entry cost 16–352 µs. The first write after a
     /// snapshot copies one chunk per matrix it touches and one entity block.
-    /// Pending deltas are deliberately *not* folded: a fold rebuilds
-    /// whole CSRs (O(nnz) however few changes are buffered), which point
-    /// reads never need — they run on merged row views. Plans that do
-    /// consume whole matrices fold a private twin of the snapshot once, on
-    /// first demand (see [`GraphSnapshot`]).
+    /// Pending deltas deliberately stay buffered: a fold rebuilds
+    /// whole CSRs (O(nnz) however few changes are buffered), which no plan
+    /// needs — traversals of every length run on merged row views.
     ///
     /// Later writes to this graph copy-on-write around the snapshot, so
     /// reading from it never takes a lock and never observes a concurrent
@@ -455,11 +452,10 @@ impl Graph {
         true
     }
 
-    /// Fold every matrix's pending buffers into its main CSR so subsequent
-    /// whole-matrix reads borrow instead of merging. Correctness never
-    /// requires this — merged views stay consistent without it — it is a
-    /// performance lever: the write path calls it before whole-matrix plans,
-    /// snapshots fold their private copies the same way, and tests use it to
+    /// Fold every matrix's pending buffers into its main CSR, as the flush
+    /// threshold does one matrix at a time. Correctness never requires this —
+    /// merged views stay consistent without it, and no query calls it — but
+    /// it lets whole-matrix reads borrow instead of merging and lets tests
     /// pin state. Each non-trivial fold publishes a new epoch per matrix.
     pub fn sync_matrices(&mut self) {
         for m in &mut self.relation_matrices {
@@ -531,7 +527,7 @@ impl Graph {
     /// Ids of nodes carrying the given label (by name). Unknown label → empty.
     pub fn nodes_with_label(&self, label: &str) -> Vec<NodeId> {
         let Some(id) = self.schema.label_id(label) else { return Vec::new() };
-        self.label_matrices[id].iter().map(|(r, _, _)| r).collect()
+        self.label_matrices[id].to_triples().into_iter().map(|(r, _, _)| r).collect()
     }
 
     /// Whether the node carries the label (by name).
@@ -690,12 +686,8 @@ impl Graph {
         let forward = matches!(dir, TraverseDir::Outgoing | TraverseDir::Both);
         let backward = matches!(dir, TraverseDir::Incoming | TraverseDir::Both);
         let mut extend = |t: RelTypeId, fwd: bool| {
-            let row = if fwd {
-                self.relation_matrices[t].row_iter(node)
-            } else {
-                self.relation_matrices_t[t].row_iter(node)
-            };
-            for (nbr, edge) in row {
+            let m = if fwd { &self.relation_matrices[t] } else { &self.relation_matrices_t[t] };
+            m.any_entry_in_row(node, |nbr, edge| {
                 // Transposed rows traverse the edge backwards: the stored
                 // entity runs nbr → node.
                 let (s, d) = if fwd { (node, nbr) } else { (nbr, node) };
@@ -703,7 +695,8 @@ impl Graph {
                     Some(list) => out.extend(list.iter().map(|&e| (nbr, e))),
                     None => out.push((nbr, edge)),
                 }
-            }
+                false
+            });
         };
         for t in self.selected_rels(rel_types) {
             if forward {
@@ -841,18 +834,16 @@ impl Graph {
 /// `min_hops` and `max_hops` hops, as a vector of size `dim`.
 ///
 /// Each hop pushes the frontier through the push matrices or pulls it
-/// through their transposes, whichever Beamer's rule picks; the transposes'
-/// views are taken on the first pull hop only, so a push-only query on an
-/// unflushed graph merges no second matrix.
+/// through their transposes, whichever Beamer's rule picks. The kernels read
+/// a dirty matrix's merged rows in place, never a whole-matrix copy, and a
+/// matrix with nothing pending hands them its main CSR.
 fn bitmap_bfs(
     dim: u64,
     pairs: &[MatrixPair<'_>],
     (source, min_hops, max_hops): (NodeId, u32, u32),
 ) -> SparseVector<bool> {
-    let push: Vec<Cow<'_, SparseMatrix<u64>>> = pairs.iter().map(|(m, _)| m.view()).collect();
-    let mut pull: Vec<Cow<'_, SparseMatrix<u64>>> = Vec::new();
-    let degree = |v: NodeId| push.iter().map(|m| m.row_degree(v) as u64).sum::<u64>();
-    let mut unexplored: u64 = push.iter().map(|m| m.nvals() as u64).sum();
+    let degree = |v: NodeId| pairs.iter().map(|(m, _)| m.row_degree(v) as u64).sum::<u64>();
+    let mut unexplored: u64 = pairs.iter().map(|(m, _)| m.nvals() as u64).sum();
 
     let mut visited = Bitmap::new(dim);
     visited.insert(source);
@@ -863,7 +854,7 @@ fn bitmap_bfs(
     let mut frontier_bits: Option<Bitmap> = None;
     let mut pulling = false;
     for hop in 1..=max_hops {
-        if frontier.is_empty() || push.is_empty() {
+        if frontier.is_empty() || pairs.is_empty() {
             break;
         }
         let frontier_edges: u64 = frontier.iter().map(|&v| degree(v)).sum();
@@ -875,20 +866,23 @@ fn bitmap_bfs(
         unexplored = unexplored.saturating_sub(frontier_edges);
         let mut next = Vec::new();
         if pulling {
-            if pull.is_empty() {
-                pull = pairs.iter().map(|(_, t)| t.view()).collect();
-            }
             let bits = frontier_bits.get_or_insert_with(|| Bitmap::new(dim));
             bits.clear();
             for &v in &frontier {
                 bits.insert(v);
             }
-            for m in &pull {
-                bfs_pull(m, bits, &mut visited, &mut next);
+            for &(_, t) in pairs {
+                match t.is_flushed() {
+                    true => bfs_pull(t.main(), bits, &mut visited, &mut next),
+                    false => bfs_pull(t, bits, &mut visited, &mut next),
+                }
             }
         } else {
-            for m in &push {
-                bfs_push(m, &frontier, &mut visited, &mut next);
+            for &(m, _) in pairs {
+                match m.is_flushed() {
+                    true => bfs_push(m.main(), &frontier, &mut visited, &mut next),
+                    false => bfs_push(m, &frontier, &mut visited, &mut next),
+                }
             }
         }
         if hop < min_hops {
@@ -906,39 +900,23 @@ fn bitmap_bfs(
 ///
 /// Produced by [`Graph::snapshot`]. The server takes one per read-only query
 /// under a momentary read lock, then executes entirely lock-free: the
-/// snapshot shares the flushed epoch CSRs and entity blocks with the live
-/// graph by `Arc`, so concurrent writers copy-on-write around it and the
-/// snapshot observes exactly one [`GraphSnapshot::epoch`], forever.
+/// snapshot shares the flushed epoch CSRs, the delta-buffer chunks and the
+/// entity blocks with the live graph by `Arc`, so concurrent writers
+/// copy-on-write around it and the snapshot observes exactly one
+/// [`Graph::epoch`], forever, pending deltas and all.
 ///
 /// `Deref<Target = Graph>` exposes every shared read accessor; there is no
 /// way to reach the write surface, so a snapshot cannot leak writes.
 #[derive(Debug, Clone)]
 pub struct GraphSnapshot {
     graph: Graph,
-    /// A flushed twin of `graph`, folded once on first demand by a plan that
-    /// consumes whole matrices (variable-length traversals, procedures).
-    /// Point reads never build it: a fold rebuilds whole CSRs — O(nnz) no
-    /// matter how few deltas are pending — while merged row views serve
-    /// single-hop reads at no materialisation cost at all.
-    folded: std::sync::OnceLock<Graph>,
 }
 
 impl GraphSnapshot {
     /// Seal an owned clone of a graph into an immutable snapshot. Sealing
-    /// itself does no work — pending deltas stay buffered, and the snapshot
-    /// serves reads from merged views. The first whole-matrix plan to run
-    /// folds a private twin (each fold builds a fresh CSR, so epochs shared
-    /// with the live graph and with other snapshots are never touched);
-    /// every later whole-matrix plan borrows that twin for free.
-    /// Folding reorganises without mutating, so the snapshot's logical
-    /// contents and [`GraphSnapshot::epoch`] never change.
+    /// does no work: pending deltas stay buffered, read through merged views.
     pub fn seal(graph: Graph) -> GraphSnapshot {
-        GraphSnapshot { graph, folded: std::sync::OnceLock::new() }
-    }
-
-    /// The logical write version this snapshot pinned.
-    pub fn epoch(&self) -> u64 {
-        self.graph.epoch
+        GraphSnapshot { graph }
     }
 
     /// Parse, plan and execute a read-only query against the pinned state.
@@ -958,22 +936,7 @@ impl GraphSnapshot {
         started: Instant,
         profiles: Option<&mut Vec<OpProfile>>,
     ) -> Result<ResultSet, QueryError> {
-        plan.run(GraphAccess::Read(self.backing_graph(plan)), started, profiles)
-    }
-
-    /// The graph a plan runs on: the pinned graph itself, or — for plans that
-    /// consume whole matrices while deltas are pending — the lazily folded
-    /// private twin.
-    fn backing_graph(&self, plan: &ExecutionPlan) -> &Graph {
-        if plan.needs_matrix_views() && self.graph.has_pending_deltas() {
-            self.folded.get_or_init(|| {
-                let mut twin = self.graph.clone();
-                twin.sync_matrices();
-                twin
-            })
-        } else {
-            &self.graph
-        }
+        plan.run(GraphAccess::Read(&self.graph), started, profiles)
     }
 }
 
@@ -1316,9 +1279,8 @@ mod tests {
         assert_eq!(snap.adjacency_matrix().nvals(), 3);
         let rs = snap.query_readonly("MATCH (n) RETURN count(n)").unwrap();
         assert_eq!(rs.scalar(), Some(&Value::Int(3)));
-        // Whole-matrix plans fold the snapshot's private twin on demand,
-        // which must not have leaked into the live graph or changed the
-        // snapshot's contents.
+        // A var-length plan reads the snapshot's pinned rows, untouched by
+        // the live graph's later writes and fold.
         let rs = snap.query_readonly("MATCH (a)-[*1..3]->(b) RETURN count(DISTINCT b)").unwrap();
         assert_eq!(rs.scalar(), Some(&Value::Int(2)));
         assert_eq!(snap.node_count(), 3);

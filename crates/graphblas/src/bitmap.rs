@@ -13,10 +13,11 @@
 //!   the transpose that scans the in-edges of each unvisited vertex and stops
 //!   at the first one in a dense frontier.
 //!
-//! Both read only the matrix pattern, so one kernel serves boolean adjacency
-//! and edge-id-valued relation matrices alike. Both test the mask in O(1) and
-//! insert discovered vertices into `visited` in place, so a product for an
-//! already-visited vertex costs one bit test and no allocation.
+//! Both read only the matrix pattern, a row at a time through [`RowSource`],
+//! so one kernel serves any CSR matrix and a delta matrix with pending
+//! changes alike. Both test the mask in O(1) and insert discovered vertices
+//! into `visited` in place, so a product for an already-visited vertex costs
+//! one bit test and no allocation.
 
 use crate::matrix::SparseMatrix;
 use crate::types::Scalar;
@@ -123,6 +124,31 @@ fn ones(base: Index, mut word: u64) -> impl Iterator<Item = Index> {
     })
 }
 
+/// The pattern of a matrix, one row at a time: all the BFS-step kernels read.
+pub trait RowSource {
+    /// Number of rows.
+    fn nrows(&self) -> Index;
+    /// Number of columns.
+    fn ncols(&self) -> Index;
+    /// Call `f` on the columns of `row`, ascending, until it returns `true`;
+    /// returns whether it did.
+    fn any_in_row<F: FnMut(Index) -> bool>(&self, row: Index, f: F) -> bool;
+}
+
+impl<T: Scalar> RowSource for SparseMatrix<T> {
+    fn nrows(&self) -> Index {
+        self.nrows()
+    }
+
+    fn ncols(&self) -> Index {
+        self.ncols()
+    }
+
+    fn any_in_row<F: FnMut(Index) -> bool>(&self, row: Index, mut f: F) -> bool {
+        self.row(row).0.iter().any(|&j| f(j))
+    }
+}
+
 /// One push (top-down) BFS level: `next⟨¬visited⟩ = frontier any.pair A`.
 ///
 /// Every column `j` of a row `i ∈ frontier` of `a` that is not yet in
@@ -132,19 +158,20 @@ fn ones(base: Index, mut word: u64) -> impl Iterator<Item = Index> {
 /// # Panics
 /// Panics if `visited.size() != a.ncols()` or if a frontier vertex is not a
 /// row of `a`.
-pub fn bfs_push<T: Scalar>(
-    a: &SparseMatrix<T>,
+pub fn bfs_push(
+    a: &impl RowSource,
     frontier: &[Index],
     visited: &mut Bitmap,
     next: &mut Vec<Index>,
 ) {
     assert_eq!(visited.size(), a.ncols(), "bfs_push dimension mismatch: visited.size != a.ncols");
     for &i in frontier {
-        for &j in a.row(i).0 {
+        a.any_in_row(i, |j| {
             if visited.insert(j) {
                 next.push(j);
             }
-        }
+            false
+        });
     }
 }
 
@@ -159,8 +186,8 @@ pub fn bfs_push<T: Scalar>(
 /// # Panics
 /// Panics if `visited.size() != at.nrows()` or if
 /// `frontier.size() != at.ncols()`.
-pub fn bfs_pull<T: Scalar>(
-    at: &SparseMatrix<T>,
+pub fn bfs_pull(
+    at: &impl RowSource,
     frontier: &Bitmap,
     visited: &mut Bitmap,
     next: &mut Vec<Index>,
@@ -177,7 +204,7 @@ pub fn bfs_pull<T: Scalar>(
         // Bits past `size` in the last word are not positions.
         let in_range = if size - base >= 64 { !0 } else { (1 << (size - base)) - 1 };
         for v in ones(base, !visited.words[w] & in_range) {
-            if at.row(v).0.iter().any(|&u| frontier.contains(u)) {
+            if at.any_in_row(v, |u| frontier.contains(u)) {
                 visited.words[w] |= 1 << (v - base);
                 visited.nvals += 1;
                 next.push(v);
@@ -189,6 +216,7 @@ pub fn bfs_pull<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DeltaMatrix;
 
     #[test]
     fn insert_contains_remove() {
@@ -223,6 +251,69 @@ mod tests {
         bfs_push(&a, &[2, 1], &mut visited, &mut next);
         assert_eq!(next, vec![3], "3 is reached twice but emitted once");
         assert_eq!(visited.nvals(), 4);
+    }
+
+    #[test]
+    fn steps_over_a_delta_matrix_equal_the_steps_over_its_export() {
+        // Three 256-row buffer chunks. Row 1 holds a pending insert (1, 7),
+        // an insert shadowing the main entry (1, 5) and a pending delete of
+        // the main entry (1, 9); row 4's only change is a pending delete of
+        // (4, 9); row 3 has no change of its own but shares row 1's dirty
+        // chunk; rows 300, 520 and 700 lie in clean chunks.
+        let n = 3 * 256;
+        let main = [(1, 2), (1, 5), (1, 9), (3, 1), (3, 5), (4, 2), (4, 9), (300, 1), (300, 3)];
+        let main = [&main[..], &[(300, 700), (520, 300), (700, 3), (700, 9)]].concat();
+        let triples: Vec<_> = main.iter().map(|&(r, c)| (r, c, r * n + c)).collect();
+        let mut delta =
+            DeltaMatrix::from_matrix(SparseMatrix::from_triples(n, n, &triples).unwrap());
+        delta.set_element(1, 7, 0);
+        delta.set_element(1, 5, 0);
+        delta.remove_element(1, 9).unwrap();
+        delta.remove_element(4, 9).unwrap();
+        assert_eq!(delta.pending_count(), 4);
+        let export = delta.export();
+        assert_eq!(export.row(1).0, &[2, 5, 7]);
+        assert_eq!(delta.nvals(), export.nvals());
+        for row in 0..n {
+            assert_eq!(delta.row_degree(row), export.row_degree(row), "row {row}");
+        }
+
+        let bitmap = |set: &[Index]| {
+            let mut bits = Bitmap::new(n);
+            set.iter().for_each(|&v| _ = bits.insert(v));
+            bits
+        };
+        let sets: [&[Index]; 7] =
+            [&[1], &[9], &[7], &[5], &[3, 300], &[1, 3, 300, 520, 700], &[0, 2, 9]];
+        for set in sets {
+            for seen in [&[][..], &[3, 5][..]] {
+                // One step from the `seen` state: what it found, in order,
+                // and the visited set it left.
+                let step = |kernel: &dyn Fn(&mut Bitmap, &mut Vec<Index>)| {
+                    let (mut visited, mut next) = (bitmap(seen), Vec::new());
+                    kernel(&mut visited, &mut next);
+                    (next, visited)
+                };
+                assert_eq!(
+                    step(&|v, next| bfs_push(&delta, set, v, next)),
+                    step(&|v, next| bfs_push(&export, set, v, next)),
+                    "push from {set:?}, visited {seen:?}"
+                );
+                let frontier = bitmap(set);
+                assert_eq!(
+                    step(&|v, next| bfs_pull(&delta, &frontier, v, next)),
+                    step(&|v, next| bfs_pull(&export, &frontier, v, next)),
+                    "pull to {set:?}, visited {seen:?}"
+                );
+            }
+        }
+        // Rows 1 and 4 reach their pending insert, not their pending deletes.
+        let mut next = Vec::new();
+        bfs_pull(&delta, &bitmap(&[9]), &mut bitmap(&[]), &mut next);
+        assert_eq!(next, vec![700]);
+        next.clear();
+        bfs_pull(&delta, &bitmap(&[7]), &mut bitmap(&[]), &mut next);
+        assert_eq!(next, vec![1]);
     }
 
     #[test]

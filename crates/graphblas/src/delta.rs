@@ -25,13 +25,18 @@
 //! deletes into a 782 k-entry matrix (Graph500 scale 15, 2-core x86 host)
 //! takes 1.7–1.9 ms, with or without a snapshot pinning the old CSR.
 //!
+//! A row read ([`DeltaMatrix::any_entry_in_row`], and the BFS kernels'
+//! [`RowSource`]) walks one row the same way. Each chunk counts every row's
+//! pending changes: a row with none is its main CSR slice, a read searches
+//! only the buffers holding the row's changes, and a merged degree is O(1).
+//!
 //! Invariants (checked by [`DeltaMatrix::check_invariants`]):
 //!
 //! * `DM` only names coordinates that exist in the main matrix;
 //! * `DP` and `DM` are disjoint — a delete of a pending insert simply drops
 //!   the `DP` entry, and an insert over a pending delete drops the `DM` entry;
-//! * each buffer chunk (below) holds only rows of its own range and is never
-//!   kept empty.
+//! * each buffer chunk (below) holds only rows of its own range, is never
+//!   kept empty, and counts each row's changes exactly.
 //!
 //! ## Epochs and snapshots
 //!
@@ -52,6 +57,7 @@
 //! changes grew to 36 k (Graph500 scale 15, 2-core x86 host); with chunks it
 //! stays at 9–11 µs over the same range.
 
+use crate::bitmap::RowSource;
 use crate::error::{check_index, GrbError, GrbResult};
 use crate::matrix::SparseMatrix;
 use crate::types::Scalar;
@@ -75,12 +81,33 @@ struct Chunk<T> {
     plus: BTreeMap<(Index, Index), T>,
     /// `DM`: main-matrix coordinates deleted since the last flush.
     minus: BTreeSet<(Index, Index)>,
+    /// What each row of the range (by offset) has pending, so a reader
+    /// learns it without searching either tree.
+    rows: [RowChanges; CHUNK_ROWS as usize],
+}
+
+/// The pending changes of one row: its entries in `DP` and in `DM`, and its
+/// merged degree minus its main degree.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct RowChanges {
+    plus: u32,
+    minus: u32,
+    degree: i32,
 }
 
 impl<T> Default for Chunk<T> {
     fn default() -> Self {
-        Chunk { plus: BTreeMap::new(), minus: BTreeSet::new() }
+        Chunk {
+            plus: BTreeMap::new(),
+            minus: BTreeSet::new(),
+            rows: [RowChanges::default(); CHUNK_ROWS as usize],
+        }
     }
+}
+
+/// The position of `row` in its chunk.
+fn offset(row: Index) -> usize {
+    (row % CHUNK_ROWS) as usize
 }
 
 /// Number of chunks covering `nrows` rows.
@@ -225,15 +252,18 @@ impl<T: Scalar> DeltaMatrix<T> {
     pub fn try_set_element(&mut self, row: Index, col: Index, value: T) -> GrbResult<()> {
         check_index(row, self.nrows())?;
         check_index(col, self.ncols())?;
-        if self.extract_element(row, col).is_none() {
-            self.nvals += 1;
-        }
+        let absent = self.extract_element(row, col).is_none();
+        self.nvals += usize::from(absent);
         // An insert cancels a pending delete of the same coordinate; the new
         // value still has to shadow the (stale) main entry, so it goes to DP
         // unconditionally.
         let chunk = self.chunk_mut(row);
         let cancelled = chunk.minus.remove(&(row, col));
         let fresh = chunk.plus.insert((row, col), value).is_none();
+        let changes = &mut chunk.rows[offset(row)];
+        changes.plus += u32::from(fresh);
+        changes.minus -= u32::from(cancelled);
+        changes.degree += i32::from(absent);
         self.pending = self.pending + usize::from(fresh) - usize::from(cancelled);
         self.maybe_flush();
         Ok(())
@@ -254,6 +284,10 @@ impl<T: Scalar> DeltaMatrix<T> {
         let chunk = self.chunk_mut(row);
         let dropped = chunk.plus.remove(&(row, col)).is_some();
         let recorded = in_main && chunk.minus.insert((row, col));
+        let changes = &mut chunk.rows[offset(row)];
+        changes.plus -= u32::from(dropped);
+        changes.minus += u32::from(recorded);
+        changes.degree -= 1;
         if chunk.plus.is_empty() && chunk.minus.is_empty() {
             self.chunks[slot] = None;
         }
@@ -304,44 +338,21 @@ impl<T: Scalar> DeltaMatrix<T> {
     /// docs). [`DeltaMatrix::flush`] publishes it; [`DeltaMatrix::view`] and
     /// [`DeltaMatrix::export`] hand it out.
     fn merged(&self) -> SparseMatrix<T> {
-        let (row_ptr, cols, vals) =
-            (self.main.row_ptr(), self.main.col_indices(), self.main.raw_values());
-        let mut out_ptr = Vec::with_capacity(row_ptr.len());
+        let mut out_ptr = Vec::with_capacity(self.nrows() as usize + 1);
         let mut out_cols = Vec::with_capacity(self.nvals);
         let mut out_vals = Vec::with_capacity(self.nvals);
         out_ptr.push(0);
-        let mut plus = self.plus_entries().peekable();
-        let mut minus = self.minus_entries().peekable();
-        for r in 0..self.nrows() as usize {
-            let row = r as Index;
-            let (mut k, end) = (row_ptr[r], row_ptr[r + 1]);
-            // Visit this row's pending changes in column order and copy the
-            // main entries between them as whole runs.
-            loop {
-                let insert =
-                    plus.peek().filter(|(&(pr, _), _)| pr == row).map(|(&(_, c), &v)| (c, v));
-                let delete = minus.peek().filter(|&&&(mr, _)| mr == row).map(|&&(_, c)| c);
-                let Some(col) = insert.map(|(c, _)| c).into_iter().chain(delete).min() else {
-                    break;
-                };
-                let run = k + cols[k..end].partition_point(|&c| c < col);
-                out_cols.extend_from_slice(&cols[k..run]);
-                out_vals.extend_from_slice(&vals[k..run]);
-                // A main entry at `col` is shadowed by the insert or deleted.
-                k = if run < end && cols[run] == col { run + 1 } else { run };
-                match insert {
-                    Some((c, v)) if c == col => {
-                        out_cols.push(c);
-                        out_vals.push(v);
-                        plus.next();
-                    }
-                    _ => {
-                        minus.next();
-                    }
-                }
-            }
-            out_cols.extend_from_slice(&cols[k..end]);
-            out_vals.extend_from_slice(&vals[k..end]);
+        let mut plus = self.plus_entries().map(|(&(_, c), v)| (c, v));
+        let mut minus = self.minus_entries().map(|&(_, c)| c);
+        for row in 0..self.nrows() {
+            let changes = self.chunk(row).map_or_else(RowChanges::default, |c| c.rows[offset(row)]);
+            let plus = plus.by_ref().take(changes.plus as usize);
+            let minus = minus.by_ref().take(changes.minus as usize);
+            any_run(self.main.row(row), plus, minus, |cols, vals| {
+                out_cols.extend_from_slice(cols);
+                out_vals.extend_from_slice(vals);
+                false
+            });
             out_ptr.push(out_cols.len());
         }
         SparseMatrix::from_csr_parts(self.nrows(), self.ncols(), out_ptr, out_cols, out_vals)
@@ -373,53 +384,29 @@ impl<T: Scalar> DeltaMatrix<T> {
         self.extract_element(row, col).is_some()
     }
 
-    /// Iterate one row of the merged view in ascending column order: the main
-    /// row two-way-merged with this row's delta-plus range, minus the
-    /// delta-minus coordinates.
-    pub fn row_iter(&self, row: Index) -> impl Iterator<Item = (Index, T)> + '_ {
+    /// Call `f` on the entries of one row of the merged view in ascending
+    /// column order until it returns `true`; returns whether it did. A row
+    /// with nothing pending is its main CSR slice; otherwise the main row is
+    /// walked in runs between the row's pending changes, as by the flush.
+    pub fn any_entry_in_row(&self, row: Index, mut f: impl FnMut(Index, T) -> bool) -> bool {
         let (cols, vals) = self.main.row(row);
-        let mut main_iter = cols.iter().copied().zip(vals.iter().copied()).peekable();
-        let chunk = self.chunk(row);
-        let mut plus_iter = chunk
-            .into_iter()
-            .flat_map(move |c| c.plus.range((row, 0)..=(row, Index::MAX)))
-            .map(|(&(_, c), &v)| (c, v))
-            .peekable();
-        let deleted = move |col| chunk.is_some_and(|c| c.minus.contains(&(row, col)));
-        std::iter::from_fn(move || loop {
-            match (main_iter.peek().copied(), plus_iter.peek().copied()) {
-                (None, None) => return None,
-                (Some((mc, mv)), None) => {
-                    main_iter.next();
-                    if !deleted(mc) {
-                        return Some((mc, mv));
-                    }
-                }
-                (None, Some(p)) => {
-                    plus_iter.next();
-                    return Some(p);
-                }
-                (Some((mc, mv)), Some((pc, pv))) => {
-                    if mc < pc {
-                        main_iter.next();
-                        if !deleted(mc) {
-                            return Some((mc, mv));
-                        }
-                    } else {
-                        if mc == pc {
-                            main_iter.next(); // shadowed by the pending insert
-                        }
-                        plus_iter.next();
-                        return Some((pc, pv));
-                    }
-                }
-            }
-        })
+        let mut each = |cols: &[Index], vals: &[T]| cols.iter().zip(vals).any(|(&c, &v)| f(c, v));
+        let changes = self.chunk(row).map(|c| (c, c.rows[offset(row)]));
+        let dirty = changes.filter(|(_, r)| r.plus + r.minus > 0);
+        let Some((chunk, RowChanges { plus, minus, .. })) = dirty else { return each(cols, vals) };
+        // A buffer with none of the row's changes is not searched at all.
+        let plus = (plus > 0).then(|| chunk.plus.range((row, 0)..).take(plus as usize));
+        let plus = plus.into_iter().flatten().map(|(&(_, c), v)| (c, v));
+        let minus = (minus > 0).then(|| chunk.minus.range((row, 0)..).take(minus as usize));
+        any_run((cols, vals), plus, minus.into_iter().flatten().map(|&(_, c)| c), each)
     }
 
-    /// Iterate every merged entry in row-major order.
-    pub fn iter(&self) -> impl Iterator<Item = (Index, Index, T)> + '_ {
-        self.to_triples().into_iter()
+    /// Number of entries in one row of the merged view. A flushed matrix
+    /// skips the chunk lookup: Beamer's rule asks once per frontier vertex.
+    pub fn row_degree(&self, row: Index) -> usize {
+        let chunk = if self.is_flushed() { None } else { self.chunk(row) };
+        let pending = chunk.map_or(0, |c| c.rows[offset(row)].degree as isize);
+        (self.main.row_degree(row) as isize + pending) as usize
     }
 
     /// Export the merged view as `(row, col, value)` triples in row-major
@@ -435,8 +422,8 @@ impl<T: Scalar> DeltaMatrix<T> {
 
     /// The merged view as a [`SparseMatrix`] reference: a zero-cost borrow of
     /// the main matrix when nothing is pending, a materialised copy otherwise.
-    /// Callers that can take `&mut self` should prefer a [`DeltaMatrix::flush`]
-    /// read barrier, which pays the merge cost once instead of per read.
+    /// Only consumers of a whole matrix need it: row-at-a-time readers (the
+    /// BFS-step kernels, through [`RowSource`]) read the merged rows in place.
     pub fn view(&self) -> Cow<'_, SparseMatrix<T>> {
         if self.is_flushed() {
             Cow::Borrowed(&self.main)
@@ -445,8 +432,8 @@ impl<T: Scalar> DeltaMatrix<T> {
         }
     }
 
-    /// Direct access to the main matrix (test/diagnostic use: readers should
-    /// go through the merged view).
+    /// Direct access to the main matrix: the merged view itself while
+    /// [`DeltaMatrix::is_flushed`], only its flushed part otherwise.
     pub fn main(&self) -> &SparseMatrix<T> {
         &self.main
     }
@@ -485,57 +472,102 @@ impl<T: Scalar> DeltaMatrix<T> {
     /// Validate the delta-matrix invariants on top of the main CSR's own.
     pub fn check_invariants(&self) -> GrbResult<()> {
         self.main.check_invariants()?;
-        if self.chunks.len() != chunk_count(self.nrows()) {
-            return Err(GrbError::InvalidValue(format!(
-                "{} buffer chunks for {} rows",
-                self.chunks.len(),
-                self.nrows()
-            )));
+        let invalid = |message: String| Err(GrbError::InvalidValue(message));
+        let (chunks, nrows) = (self.chunks.len(), self.nrows());
+        if chunks != chunk_count(nrows) {
+            return invalid(format!("{chunks} buffer chunks for {nrows} rows"));
         }
-        let mut pending = 0;
+        let (mut pending, mut nvals) = (0, self.main.nvals() as i64);
         for (i, chunk) in self.chunks.iter().enumerate() {
             let Some(chunk) = chunk else { continue };
             if chunk.plus.is_empty() && chunk.minus.is_empty() {
-                return Err(GrbError::InvalidValue(format!("buffer chunk {i} is kept empty")));
+                return invalid(format!("buffer chunk {i} is kept empty"));
             }
-            let rows = i as Index * CHUNK_ROWS..(i as Index + 1) * CHUNK_ROWS;
-            let keys = chunk.plus.keys().chain(&chunk.minus);
-            if let Some((r, c)) = keys.clone().find(|(r, _)| !rows.contains(r)) {
-                return Err(GrbError::InvalidValue(format!(
-                    "({r}, {c}) is buffered in chunk {i}, which covers rows {rows:?}"
-                )));
+            let mut rows = Chunk::<T>::default().rows;
+            let plus = chunk.plus.keys().map(|key| (key, true));
+            for (&(r, c), inserted) in plus.chain(chunk.minus.iter().map(|key| (key, false))) {
+                if r / CHUNK_ROWS != i as Index {
+                    return invalid(format!("({r}, {c}) is buffered in chunk {i}"));
+                }
+                let in_main = self.main.contains(r, c);
+                let changes = &mut rows[offset(r)];
+                if inserted {
+                    changes.plus += 1;
+                    changes.degree += i32::from(!in_main);
+                } else if in_main && !chunk.plus.contains_key(&(r, c)) {
+                    changes.minus += 1;
+                    changes.degree -= 1;
+                } else {
+                    return invalid(format!("delta-minus names ({r}, {c}), no live main entry"));
+                }
             }
-            pending += keys.count();
+            if let Some(o) = (0..rows.len()).find(|&o| rows[o] != chunk.rows[o]) {
+                return invalid(format!("chunk {i} miscounts the changes of row offset {o}"));
+            }
+            pending += chunk.plus.len() + chunk.minus.len();
+            nvals += rows.iter().map(|changes| i64::from(changes.degree)).sum::<i64>();
         }
         if pending != self.pending {
-            return Err(GrbError::InvalidValue(format!(
-                "cached pending count {} != buffered {pending}",
-                self.pending
-            )));
+            return invalid(format!("cached pending count {} != buffered {pending}", self.pending));
         }
-        let mut minus = 0;
-        for &(r, c) in self.minus_entries() {
-            minus += 1;
-            if !self.main.contains(r, c) {
-                return Err(GrbError::InvalidValue(format!(
-                    "delta-minus names ({r}, {c}) which is not in the main matrix"
-                )));
-            }
-            if self.chunk(r).is_some_and(|chunk| chunk.plus.contains_key(&(r, c))) {
-                return Err(GrbError::InvalidValue(format!(
-                    "({r}, {c}) is in both delta-plus and delta-minus"
-                )));
-            }
-        }
-        let dp_new = self.plus_entries().filter(|&(&(r, c), _)| !self.main.contains(r, c)).count();
-        let expected = self.main.nvals() - minus + dp_new;
-        if expected != self.nvals {
-            return Err(GrbError::InvalidValue(format!(
-                "cached nvals {} != merged count {expected}",
-                self.nvals
-            )));
+        if nvals != self.nvals as i64 {
+            return invalid(format!("cached nvals {} != merged count {nvals}", self.nvals));
         }
         Ok(())
+    }
+}
+
+/// One row of the merged view as runs, in column order, until `f` returns
+/// `true` (returns whether it did): the main row `(cols, vals)` in slices
+/// between the row's pending changes, and each pending insert as a slice of
+/// one. `plus` and `minus` yield exactly the row's `DP` and `DM` entries,
+/// ascending; a main entry at an insert's column is shadowed by it.
+fn any_run<'a, T: Scalar>(
+    (cols, vals): (&[Index], &'a [T]),
+    plus: impl Iterator<Item = (Index, &'a T)>,
+    minus: impl Iterator<Item = Index>,
+    mut f: impl FnMut(&[Index], &[T]) -> bool,
+) -> bool {
+    let (mut plus, mut minus) = (plus.peekable(), minus.peekable());
+    let mut k = 0;
+    loop {
+        let insert = plus.peek().copied();
+        let Some(col) = insert.map(|(c, _)| c).into_iter().chain(minus.peek().copied()).min()
+        else {
+            return f(&cols[k..], &vals[k..]);
+        };
+        let end = k + cols[k..].partition_point(|&c| c < col);
+        if f(&cols[k..end], &vals[k..end]) {
+            return true;
+        }
+        // A main entry at `col` is shadowed by the insert or deleted.
+        k = if cols.get(end) == Some(&col) { end + 1 } else { end };
+        match insert {
+            Some((c, v)) if c == col => {
+                plus.next();
+                if f(std::slice::from_ref(&c), std::slice::from_ref(v)) {
+                    return true;
+                }
+            }
+            _ => {
+                minus.next();
+            }
+        }
+    }
+}
+
+/// The merged view, a row at a time (see [`DeltaMatrix::any_entry_in_row`]).
+impl<T: Scalar> RowSource for DeltaMatrix<T> {
+    fn nrows(&self) -> Index {
+        self.nrows()
+    }
+
+    fn ncols(&self) -> Index {
+        self.ncols()
+    }
+
+    fn any_in_row<F: FnMut(Index) -> bool>(&self, row: Index, mut f: F) -> bool {
+        self.any_entry_in_row(row, |j, _| f(j))
     }
 }
 
@@ -622,17 +654,36 @@ mod tests {
         assert_eq!(m.nvals(), 0);
     }
 
+    /// One merged row, read through `any_entry_in_row`.
+    fn row_of(m: &DeltaMatrix<i64>, row: Index) -> Vec<(Index, i64)> {
+        let mut out = Vec::new();
+        m.any_entry_in_row(row, |c, v| {
+            out.push((c, v));
+            false
+        });
+        out
+    }
+
     #[test]
-    fn row_iter_merges_in_column_order() {
+    fn any_entry_in_row_merges_in_column_order() {
         let mut m = seeded();
         m.set_element(0, 0, 1);
         m.set_element(0, 3, 3);
         m.set_element(0, 1, 11);
-        let row: Vec<_> = m.row_iter(0).collect();
-        assert_eq!(row, vec![(0, 1), (1, 11), (3, 3)]);
+        assert_eq!(row_of(&m, 0), vec![(0, 1), (1, 11), (3, 3)]);
         m.remove_element(0, 1).unwrap();
-        let row: Vec<_> = m.row_iter(0).collect();
-        assert_eq!(row, vec![(0, 1), (3, 3)]);
+        assert_eq!(row_of(&m, 0), vec![(0, 1), (3, 3)]);
+        assert_eq!(m.row_degree(0), 2);
+        // Row 1 shares row 0's chunk but has no change of its own.
+        assert_eq!(row_of(&m, 1), vec![(2, 20)]);
+        // The walk stops at the first entry `f` accepts.
+        let mut seen = Vec::new();
+        assert!(m.any_entry_in_row(0, |c, _| {
+            seen.push(c);
+            c == 0
+        }));
+        assert_eq!(seen, vec![0]);
+        m.check_invariants().unwrap();
     }
 
     #[test]
@@ -805,7 +856,7 @@ mod tests {
         m.flush();
         m.remove_element(CHUNK_ROWS - 1, 0).unwrap();
         m.set_element(CHUNK_ROWS, 1, 5);
-        let row = |r: Index| m.row_iter(r).collect::<Vec<_>>();
+        let row = |r: Index| row_of(&m, r);
         assert_eq!(row(CHUNK_ROWS - 1), vec![(CHUNK_ROWS - 1, (CHUNK_ROWS - 1) as i64)]);
         assert_eq!(row(CHUNK_ROWS), vec![(0, 1), (1, 5), (CHUNK_ROWS, CHUNK_ROWS as i64)]);
         let triples = m.to_triples();

@@ -54,7 +54,7 @@ pub mod types;
 pub mod vector;
 
 pub use binary_op::BinaryOp;
-pub use bitmap::{bfs_pull, bfs_push, Bitmap};
+pub use bitmap::{bfs_pull, bfs_push, Bitmap, RowSource};
 pub use delta::{DeltaMatrix, DEFAULT_FLUSH_THRESHOLD};
 pub use descriptor::Descriptor;
 pub use error::{GrbError, GrbResult};
@@ -71,7 +71,7 @@ pub use vector::SparseVector;
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
     pub use crate::binary_op::BinaryOp;
-    pub use crate::bitmap::{bfs_pull, bfs_push, Bitmap};
+    pub use crate::bitmap::{bfs_pull, bfs_push, Bitmap, RowSource};
     pub use crate::delta::{DeltaMatrix, DEFAULT_FLUSH_THRESHOLD};
     pub use crate::descriptor::Descriptor;
     pub use crate::error::{GrbError, GrbResult};

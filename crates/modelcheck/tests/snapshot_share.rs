@@ -4,14 +4,16 @@
 //! by `Arc`. The writer below copies a shared chunk (in every matrix its
 //! write touches) and a shared entity block, then folds the buffers into
 //! fresh CSRs, while a reader holding a snapshot iterates the very row the
-//! writer rewrites. Whatever the interleaving, the reader must see exactly
-//! the epoch it pinned: the row, the entities and the reachability view all
-//! from one side of the write, and the same answers on every re-read.
+//! writer rewrites and runs a variable-length count over it, whose BFS reads
+//! the shared chunks in place. Whatever the interleaving, the reader must
+//! see exactly the epoch it pinned: the row, the entities, the reachability
+//! view and the count all from one side of the write, and the same answers
+//! on every re-read.
 
 use std::sync::Arc;
 
 use modelcheck::{explore, thread, Config};
-use redisgraph_core::{Graph, GraphSnapshot, TraverseDir};
+use redisgraph_core::{Graph, GraphSnapshot, TraverseDir, Value};
 
 fn cfg() -> Config {
     Config { max_schedules: 1800, pct_iterations: 300, preemption_bound: None, ..Config::default() }
@@ -35,6 +37,9 @@ fn pin(
     }
 }
 
+/// The paper's k-hop count from node 0, through the query path.
+const KHOP_COUNT: &str = "MATCH (s)-[*1..2]->(n) WHERE id(s) = 0 RETURN count(DISTINCT n)";
+
 /// Destinations of `node`'s outgoing edges, ascending.
 fn out_row(snap: &GraphSnapshot, node: u64) -> Vec<u64> {
     snap.neighbors(node, None, TraverseDir::Outgoing).into_iter().map(|(dst, _)| dst).collect()
@@ -48,6 +53,8 @@ fn a_reader_sees_its_own_epoch_while_the_writer_copies_and_folds() {
         g.set_flush_threshold(1_000_000);
         let [a, b, c, d] = [0, 1, 2, 3].map(|_| g.add_node(&["N"], vec![]));
         let ab = g.add_edge(a, b, "R", vec![]).unwrap();
+        // Two hops from `a` reach `d` through `c` only in the new epoch.
+        g.add_edge(c, d, "R", vec![]).unwrap();
         g.sync_matrices();
         // A pending insert in row `a`: its chunk exists in every edge matrix.
         let ad = g.add_edge(a, d, "R", vec![]).unwrap();
@@ -64,13 +71,16 @@ fn a_reader_sees_its_own_epoch_while_the_writer_copies_and_folds() {
                 let snap = pin(&lock, &cache);
                 let old = snap.epoch() == base_epoch;
                 let row = if old { vec![b, d] } else { vec![b, c] };
+                let count = if old { 2 } else { 3 };
                 for _ in 0..2 {
                     assert_eq!(out_row(&snap, a), row, "row {a} mixes epochs (old = {old})");
                     assert_eq!(snap.edge(ad).is_some(), old, "edge entity from the wrong epoch");
                     assert!(snap.edge(ab).is_some());
-                    assert_eq!(snap.edge_count(), 2);
+                    assert_eq!(snap.edge_count(), 3);
                     let reached = snap.khop_reach(a, 1, 1, TraverseDir::Outgoing, None);
                     assert_eq!(reached.indices(), &row[..], "matrices disagree with the row");
+                    let rs = snap.query_readonly(KHOP_COUNT).unwrap();
+                    assert_eq!(rs.scalar(), Some(&Value::Int(count)), "k-hop count (old = {old})");
                     // Let the writer copy and fold between the two reads.
                     thread::yield_now();
                 }

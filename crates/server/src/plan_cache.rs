@@ -137,20 +137,23 @@ pub(crate) struct KeyedQuery<'q> {
 
 impl<'q> KeyedQuery<'q> {
     /// Lex `query` once, split its `CYPHER` header off (a malformed header
-    /// value is an error), and key its body. Without `lift_literals` (the
-    /// plan cache is off, so no plan is shared) every literal stays in the
-    /// key and in the plan, as written.
+    /// value, or a lexer diagnostic inside the header, is an error), and key
+    /// its body. Without `lift_literals` (the plan cache is off, so no plan
+    /// is shared) every literal stays in the key and in the plan, as written.
     pub(crate) fn new(query: &'q str, lift_literals: bool) -> Result<KeyedQuery<'q>, String> {
         let (mut tokens, diagnostics) = Lexer::tokenize_recovering(query);
         let (mut params, first) = split_cypher_header(&tokens)?;
-        let body_offset = tokens[first].offset;
-        // The header reads its values token by token and ignores what the
-        // lexer skipped; a problem from the body's first token on is the
-        // body's, and must surface as the body text's own parse error.
-        let clean = diagnostics.is_empty() || {
-            let body_start = line_col(query, body_offset);
-            diagnostics.iter().all(|d| (d.span.0, d.span.1) < body_start)
-        };
+        // Without a header the whole text is the body.
+        let body_offset = if first == 0 { 0 } else { tokens[first].offset };
+        // The header's tokens carry the lexer's recovery values (an
+        // out-of-range integer lexes as 0), so a problem in the header fails
+        // the query. A problem in the body must surface as the body text's
+        // own parse error.
+        let body_start = line_col(query, body_offset);
+        if let Some(d) = diagnostics.iter().find(|d| (d.span.0, d.span.1) < body_start) {
+            return Err(format!("invalid CYPHER header: {d}"));
+        }
+        let clean = diagnostics.is_empty();
         tokens.drain(..first);
         let key = shape_key(&mut tokens, &mut params, lift_literals);
         let body = QueryBody { text: &query[body_offset..], tokens: clean.then_some(tokens) };
@@ -381,11 +384,31 @@ mod tests {
         assert!(KeyedQuery::new("RETURN 'a'", true).unwrap().body.lexed_cleanly());
         assert!(!KeyedQuery::new("RETURN 'a", true).unwrap().body.lexed_cleanly());
         assert!(!KeyedQuery::new("CYPHER k=1 RETURN $k ^", true).unwrap().body.lexed_cleanly());
-        // The header reads its values token by token: a stray character
-        // before the body is not the body's problem.
-        let keyed = KeyedQuery::new("CYPHER k=1 ^ RETURN $k", true).unwrap();
-        assert!(keyed.body.lexed_cleanly());
-        assert!(keyed.body.parse().is_ok());
+        // A stray character before the body is the header's problem, not the
+        // body's: the query fails before any body is keyed. Without a header
+        // it is the body's.
+        assert!(KeyedQuery::new("CYPHER k=1 ^ RETURN $k", true).is_err());
+        assert!(!KeyedQuery::new("^ RETURN 1", true).unwrap().body.lexed_cleanly());
+    }
+
+    #[test]
+    fn a_lexer_diagnostic_in_the_header_fails_the_query_by_name() {
+        // The lexer recovers from an out-of-range integer with 0; binding
+        // that value would answer a query nobody sent.
+        for (query, code, at) in [
+            ("CYPHER k=99999999999999999999 RETURN $k", "E_BAD_NUMBER", "1:10"),
+            ("CYPHER k=[1, -99999999999999999999] RETURN $k", "E_BAD_NUMBER", "1:15"),
+            ("CYPHER k=1 ^ RETURN $k", "E_UNEXPECTED_CHAR", "1:12"),
+        ] {
+            let Err(err) = KeyedQuery::new(query, true) else { panic!("{query} was accepted") };
+            assert!(err.starts_with("invalid CYPHER header: "), "{query}: {err}");
+            assert!(err.contains(code) && err.contains(at), "{query}: {err}");
+        }
+        // With the plan cache off the header is read the same way.
+        assert!(KeyedQuery::new("CYPHER k=99999999999999999999 RETURN $k", false).is_err());
+        // In range, the same header binds its value.
+        let keyed = KeyedQuery::new("CYPHER k=9223372036854775807 RETURN $k", true).unwrap();
+        assert_eq!(keyed.params["k"], Expr::Literal(Literal::Integer(i64::MAX)));
     }
 
     #[test]

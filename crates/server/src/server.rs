@@ -509,8 +509,8 @@ impl RedisGraphServer {
                     // execute with no lock held at all: a heavy query cannot
                     // queue a flush's write-lock request in front of us, and
                     // we cannot stall a writer. The live graph's deltas stay
-                    // buffered — the seal folded the snapshot's private COW
-                    // copies once per epoch.
+                    // buffered, and the snapshot reads them in place through
+                    // merged views.
                     metrics.queries_readonly.fetch_add(1, Ordering::Relaxed);
                     entry.snapshot(&metrics).run(plan, started, profiles.as_mut())?
                 } else {
@@ -1368,8 +1368,8 @@ mod tests {
         // have taken the write lock here and flushed the live graph.
         let reply = server.query("g", "MATCH (a)-[:R]->(b) RETURN count(b)");
         assert!(matches!(reply, RespValue::Array(_)));
-        // Even a whole-matrix plan (procedure call) folds only its private
-        // snapshot, never the shared state.
+        // Even a whole-matrix plan (procedure call) only materialises its
+        // operands from the snapshot's merged views; nothing is flushed.
         let reply = server.query("g", "CALL algo.wcc() YIELD node, component RETURN count(node)");
         assert!(matches!(reply, RespValue::Array(_)), "unexpected reply {reply}");
         let graph = server.graph("g");

@@ -218,30 +218,64 @@ fn count_pushdown_applies_exactly_to_its_shapes() {
     }
 }
 
-#[test]
-fn count_pushdown_reads_unflushed_snapshots() {
-    // A sealed snapshot with pending deltas runs whole-matrix plans on its
-    // folded twin (`needs_matrix_views`); the pushed-down op must be routed
-    // there too, and agree with the materialising plan on the live graph.
+/// A flushed graph with pending changes on top, which nothing folds on its
+/// own: inserts, deletes of flushed edges (one of them a parallel pair's
+/// matrix representative) and an insert deleted again.
+fn dirty_graph() -> Graph {
     let mut g = random_graph(5, 20, 60);
     g.sync_matrices();
     g.set_flush_threshold(1_000_000);
     g.add_edge(2, 3, "T0", vec![]).unwrap();
     g.add_edge(3, 4, "T0", vec![]).unwrap();
+    for (rel, src, dst) in [("T0", 0, 1), ("T2", 1, 1)] {
+        let rel = g.schema.rel_type_id(rel).unwrap();
+        let flushed = g.edges_between(rel, src, dst).next().expect("random_graph adds it");
+        assert!(g.delete_edge(flushed));
+    }
     let doomed = g.add_edge(4, 5, "T1", vec![]).unwrap();
     assert!(g.delete_edge(doomed));
     assert!(g.has_pending_deltas(), "edges must still be buffered");
+    g
+}
+
+/// The materialising plan's rows on a flushed copy of `g`: its traversals
+/// read the folded CSRs, not the delta rows under test.
+fn flushed_oracle(g: &Graph, query: &str) -> String {
+    let mut flushed = g.clone();
+    flushed.sync_matrices();
+    let rs = plan(false, query).run(GraphAccess::Read(&flushed), Instant::now(), None).unwrap();
+    format!("{:?}", rs.rows)
+}
+
+#[test]
+fn count_pushdown_reads_unflushed_snapshots() {
+    // A sealed snapshot with pending deltas runs every plan on its pinned
+    // graph: the pushed-down op's BFS reads the merged rows of the dirty
+    // matrices in place, and must agree with the materialising plan on a
+    // flushed copy.
+    let g = dirty_graph();
     let snap = g.snapshot();
     for query in COUNT_PUSHDOWN {
         let pushed = snap.run(&plan(true, query), Instant::now(), None).unwrap();
-        let oracle = plan(false, query).run(GraphAccess::Read(&g), Instant::now(), None).unwrap();
-        assert_eq!(
-            format!("{:?}", pushed.rows),
-            format!("{:?}", oracle.rows),
-            "unflushed snapshot: {query}"
-        );
+        assert_eq!(format!("{:?}", pushed.rows), flushed_oracle(&g, query), "{query}");
     }
     assert!(g.has_pending_deltas(), "read-only queries must not flush");
+}
+
+#[test]
+fn count_pushdown_through_write_access_folds_nothing() {
+    // With write access a var-length plan reads the buffers in place, as
+    // any reader does: no flush runs before it, so the graph stays dirty.
+    let mut g = dirty_graph();
+    let flushes = g.delta_flush_count();
+    for query in COUNT_PUSHDOWN {
+        let oracle = flushed_oracle(&g, query);
+        let pushed =
+            plan(true, query).run(GraphAccess::Write(&mut g), Instant::now(), None).unwrap();
+        assert_eq!(format!("{:?}", pushed.rows), oracle, "{query}");
+    }
+    assert!(g.has_pending_deltas(), "a read through write access must not flush");
+    assert_eq!(g.delta_flush_count(), flushes);
 }
 
 #[test]
