@@ -8,24 +8,22 @@
 //! that gap: [`fuse_plan`] rewrites eligible runs of single-hop `Traverse`
 //! ops (plus adjacent `LabelFilter`s) into one [`PlanOp::FusedTraverse`]
 //! holding an [`AlgebraicExpression`], and [`run_fused`] evaluates the whole
-//! chain as one matrix product `F·A_R·A_S` under the **counting semiring**
-//! (⊕ = +, ⊗ = ×) so every output cell holds the exact number of distinct
-//! paths — parallel edges included, via [`Graph::relation_count_matrix`].
+//! chain as one product `F·A_R·A_S` under the **counting semiring** (⊕ = +,
+//! ⊗ = ×) so every output cell holds the exact number of distinct paths —
+//! parallel edges included, each cell weighted by its edge multiplicity.
+//! The product runs left to right one frontier row at a time (Gustavson's
+//! row-wise product): no operand is copied, every hop reads the relation
+//! matrices' merged rows in place, pending deltas and all.
 //!
-//! Three optimisations compose here:
+//! Two optimisations compose here:
 //!
 //! * **Chain fusion** — a fixed-length chain `(a)-[:R]->(b)-[:S]->(c)` whose
 //!   intermediates are unbound (not referenced by any later op) becomes the
 //!   single product `F·A_R·A_S`; no intermediate records exist at all.
-//! * **Mask pushdown** — a label predicate adjacent to a fused hop becomes a
-//!   structural column mask on the hop's operand (`(a)-[:R]->(b:B)` filters
-//!   the columns of `A_R` by the `B` diagonal before multiplying) instead of
-//!   a post-hoc record filter.
-//! * **Cost-based ordering** — the product is parenthesised by a classic
-//!   matrix-chain DP over nnz estimates taken from the operand CSRs at
-//!   execution time (density model: `nnz(AB) ≈ nnz(A)·nnz(B)/inner`), so a
-//!   tiny frontier is applied first but two mid-chain hops whose product is
-//!   predicted smaller than either operand multiply each other first.
+//! * **Mask pushdown** — a label predicate adjacent to a fused hop becomes
+//!   the label diagonal in the product (`(a)-[:R]->(b:B)` is `F·A_R·L_B`): a
+//!   check on each column the hop reaches, before the next hop reads it,
+//!   instead of a post-hoc record filter.
 //!
 //! When the op directly downstream of a fused chain is an `Aggregate` whose
 //! aggregates are all *weightable* (`count`/`sum`/`avg`/`min`/`max`, no
@@ -50,12 +48,11 @@ use crate::exec::ops::{resolve_rel_types, BatchFrontier, PlanOp};
 use crate::exec::plan::Segment;
 use crate::exec::record::{Bindings, Record};
 use crate::store::graph::Graph;
+use crate::store::schema::{LabelId, RelTypeId};
 use crate::value::Value;
+use crate::NodeId;
 use cypher::{Direction, Expr, Projection};
-use graphblas::prelude::*;
-use std::collections::HashSet;
 use std::fmt;
-use std::sync::Arc;
 
 /// One multiplicative operand of an [`AlgebraicExpression`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -111,9 +108,9 @@ impl fmt::Display for AlgebraicExpression {
 
 // --------------------------------------------------------------- execution
 
-/// Evaluate a fused chain: build the frontier, materialise the counting
-/// operands (label masks pushed into their columns), multiply in the
-/// DP-chosen parenthesisation under ⊕=+/⊗=×, and emit records.
+/// Evaluate a fused chain `F·A_R·L_B·A_S` and emit its records: each distinct
+/// source's count row is carried through the hops left to right under
+/// ⊕=+/⊗=×, reading every selected relation's merged row in place.
 pub fn run_fused(
     records: &[Record],
     bindings: &Bindings,
@@ -123,22 +120,19 @@ pub fn run_fused(
     expr: &AlgebraicExpression,
     weight_slot: Option<usize>,
 ) -> Vec<Record> {
-    let Some(operands) = materialise_operands(graph, expr) else {
+    let Some(hops) = resolve_hops(graph, expr) else {
         return Vec::new(); // an unknown type or label matches nothing
     };
 
-    // One frontier row per distinct source node (records fanning out of the
+    // One count row per distinct source node (records fanning out of the
     // same hub share one product row).
     let batch = BatchFrontier::new(records, src_slot, graph.dim());
-    if batch.entries.is_empty() {
-        return Vec::new();
-    }
-    let frontier = Arc::new(frontier_matrix::<u64>(batch.nrows(), batch.dim, &batch.entries, 1));
-
-    let mut chain = Vec::with_capacity(operands.len() + 1);
-    chain.push(frontier);
-    chain.extend(operands);
-    let product = chain_product(chain);
+    let mut acc = RowAccumulator { counts: vec![0; batch.dim as usize], touched: Vec::new() };
+    let rows: Vec<Vec<(NodeId, u64)>> = batch
+        .entries
+        .iter()
+        .map(|&(_, src)| hops.iter().fold(vec![(src, 1)], |row, hop| acc.hop(graph, hop, &row)))
+        .collect();
 
     // Emission: record-major, destinations ascending. With a weight slot the
     // count stays algebraic — one compact record per cell; otherwise each
@@ -146,8 +140,7 @@ pub fn run_fused(
     let mut out = Vec::new();
     for (record, row) in records.iter().zip(&batch.record_rows) {
         let Some(row) = *row else { continue };
-        let (cols, counts) = product.row(row);
-        for (&dst, &count) in cols.iter().zip(counts.iter()) {
+        for &(dst, count) in &rows[row as usize] {
             let copies = if weight_slot.is_some() { 1 } else { count };
             for _ in 0..copies {
                 let mut r = record.clone();
@@ -165,113 +158,69 @@ pub fn run_fused(
     out
 }
 
-/// Build the counting matrices for every hop operand. `None` when a named
-/// relationship type or label does not exist (nothing can match). The plain
-/// single-type, unmasked operand — the common case — comes straight out of
-/// the graph's epoch-scoped memo (`Arc`-shared, no per-query rebuild); only
-/// multi-type sums and label-masked operands construct a fresh matrix.
-fn materialise_operands(
-    graph: &Graph,
-    expr: &AlgebraicExpression,
-) -> Option<Vec<Arc<SparseMatrix<u64>>>> {
-    let mut out = Vec::with_capacity(expr.operands.len());
-    for op in &expr.operands {
-        let AlgebraicOperand::Rel { rel_types, transposed, dst_labels } = op;
-        let rels = resolve_rel_types(graph, rel_types)?
-            .unwrap_or_else(|| (0..graph.relation_type_count()).collect());
-        // ⊕ the per-type counting matrices (multi-type / untyped hops).
-        let mut acc: Option<Arc<SparseMatrix<u64>>> = None;
-        for rel in rels {
-            if let Some(m) = graph.relation_count_matrix_cached(rel, *transposed) {
-                acc = Some(match acc.take() {
-                    None => m,
-                    Some(prev) => Arc::new(ewise_add_matrix(&prev, &m, &BinaryOp::Plus)),
+/// One hop operand resolved against the graph: `A_R` (or `Aᵀ_R`) summed
+/// over `rels`, then the label diagonals `L_B` of `labels`.
+struct ResolvedHop {
+    rels: Vec<RelTypeId>,
+    transposed: bool,
+    labels: Vec<LabelId>,
+}
+
+/// Resolve every hop's names to ids. `None` when a named relationship type
+/// or label does not exist (nothing can match); an untyped hop reads every
+/// relation type.
+fn resolve_hops(graph: &Graph, expr: &AlgebraicExpression) -> Option<Vec<ResolvedHop>> {
+    expr.operands
+        .iter()
+        .map(|AlgebraicOperand::Rel { rel_types, transposed, dst_labels }| {
+            let rels = resolve_rel_types(graph, rel_types)?
+                .unwrap_or_else(|| (0..graph.relation_type_count()).collect());
+            let labels =
+                dst_labels.iter().map(|l| graph.schema.label_id(l)).collect::<Option<_>>()?;
+            Some(ResolvedHop { rels, transposed: *transposed, labels })
+        })
+        .collect()
+}
+
+/// Gustavson's sparse accumulator: a dense count per column plus the
+/// columns a row has touched, zeroed again as each row drains.
+struct RowAccumulator {
+    counts: Vec<u64>,
+    touched: Vec<NodeId>,
+}
+
+impl RowAccumulator {
+    /// `row · A_R · L_B` for one hop: every `(node, paths)` cell of `row`
+    /// adds `paths × k` to each neighbour its relation rows hold `k`
+    /// parallel edges to; the reached columns come back ascending, those
+    /// missing one of the hop's labels dropped.
+    fn hop(
+        &mut self,
+        graph: &Graph,
+        hop: &ResolvedHop,
+        row: &[(NodeId, u64)],
+    ) -> Vec<(NodeId, u64)> {
+        let RowAccumulator { counts, touched } = self;
+        for &(node, paths) in row {
+            for &rel in &hop.rels {
+                graph.relation_row_counts(rel, hop.transposed, node, |nbr, k| {
+                    let count = &mut counts[nbr as usize];
+                    if *count == 0 {
+                        touched.push(nbr);
+                    }
+                    *count += paths * k;
                 });
             }
         }
-        let mut m = acc.unwrap_or_else(|| Arc::new(SparseMatrix::new(graph.dim(), graph.dim())));
-        // Mask pushdown: restrict the operand's columns to the labelled
-        // destinations before any multiplication sees them.
-        for label in dst_labels {
-            graph.schema.label_id(label)?;
-            let keep: HashSet<u64> = graph.nodes_with_label(label).into_iter().collect();
-            let triples: Vec<(u64, u64, u64)> =
-                m.iter().filter(|(_, c, _)| keep.contains(c)).collect();
-            m = Arc::new(
-                SparseMatrix::from_triples(m.nrows(), m.ncols(), &triples)
-                    .expect("filtered triples stay in range"),
-            );
-        }
-        out.push(m);
+        touched.sort_unstable();
+        let has_labels =
+            |n: NodeId| graph.node(n).is_some_and(|n| hop.labels.iter().all(|&l| n.has_label(l)));
+        touched
+            .drain(..)
+            .map(|n| (n, std::mem::take(&mut counts[n as usize])))
+            .filter(|&(n, _)| hop.labels.is_empty() || has_labels(n))
+            .collect()
     }
-    Some(out)
-}
-
-/// Multiply a chain of counting matrices in the cheapest parenthesisation.
-///
-/// Classic matrix-chain DP, costing each candidate product by the density
-/// estimate `flops(AB) ≈ nnz(A)·nnz(B)/inner` and carrying
-/// `nnz(AB) ≈ min(rows·cols, flops)` upward — the nnz figures come straight
-/// from the operand CSRs, so the ordering adapts to the actual graph (a
-/// selective label mask mid-chain pulls its neighbours together first).
-fn chain_product(mats: Vec<Arc<SparseMatrix<u64>>>) -> SparseMatrix<u64> {
-    let n = mats.len();
-    let mut mats: Vec<Option<Arc<SparseMatrix<u64>>>> = mats.into_iter().map(Some).collect();
-    if n == 1 {
-        let only = mats[0].take().expect("single operand");
-        return Arc::try_unwrap(only).unwrap_or_else(|shared| (*shared).clone());
-    }
-    let rows: Vec<f64> = mats.iter().map(|m| m.as_ref().unwrap().nrows() as f64).collect();
-    let cols: Vec<f64> = mats.iter().map(|m| m.as_ref().unwrap().ncols() as f64).collect();
-
-    // est[i][j]: estimated nnz of the product of operands i..=j (independent
-    // of parenthesisation under the density model).
-    let mut est = vec![vec![0f64; n]; n];
-    for i in 0..n {
-        est[i][i] = mats[i].as_ref().unwrap().nvals() as f64;
-        for j in i + 1..n {
-            let grow = est[j][j] / rows[j].max(1.0); // avg out-degree of operand j
-            est[i][j] = (est[i][j - 1] * grow).min(rows[i] * cols[j]);
-        }
-    }
-    let mut cost = vec![vec![0f64; n]; n];
-    let mut split = vec![vec![0usize; n]; n];
-    for len in 2..=n {
-        for i in 0..=n - len {
-            let j = i + len - 1;
-            cost[i][j] = f64::INFINITY;
-            for s in i..j {
-                let flops = est[i][s] * est[s + 1][j] / cols[s].max(1.0);
-                let c = cost[i][s] + cost[s + 1][j] + flops;
-                if c < cost[i][j] {
-                    cost[i][j] = c;
-                    split[i][j] = s;
-                }
-            }
-        }
-    }
-
-    let semiring = Semiring::<u64>::plus_times();
-    let desc = Descriptor::new();
-    fn eval(
-        i: usize,
-        j: usize,
-        mats: &mut [Option<Arc<SparseMatrix<u64>>>],
-        split: &[Vec<usize>],
-        semiring: &Semiring<u64>,
-        desc: &Descriptor,
-    ) -> Arc<SparseMatrix<u64>> {
-        if i == j {
-            return mats[i].take().expect("each leaf is consumed once");
-        }
-        let s = split[i][j];
-        let left = eval(i, s, mats, split, semiring, desc);
-        let right = eval(s + 1, j, mats, split, semiring, desc);
-        Arc::new(mxm(&left, &right, semiring, None, desc))
-    }
-    let product = eval(0, n - 1, &mut mats, &split, &semiring, &desc);
-    // The root product was just built here, so this unwrap never copies.
-    Arc::try_unwrap(product).unwrap_or_else(|shared| (*shared).clone())
 }
 
 // ---------------------------------------------------------------- fusion
@@ -636,24 +585,36 @@ mod tests {
         assert_eq!(expr.to_string(), "(n)·A_*");
     }
 
-    #[test]
-    fn chain_product_counts_paths() {
-        // F = [1 at (0,0)], A = 0→1 and 0→2, B = 1→3 and 2→3: two paths 0→3.
-        let f = SparseMatrix::from_triples(1, 4, &[(0, 0, 1u64)]).unwrap();
-        let a = SparseMatrix::from_triples(4, 4, &[(0, 1, 1u64), (0, 2, 1)]).unwrap();
-        let b = SparseMatrix::from_triples(4, 4, &[(1, 3, 1u64), (2, 3, 1)]).unwrap();
-        let c = chain_product(vec![Arc::new(f), Arc::new(a), Arc::new(b)]);
-        assert_eq!(c.extract_element(0, 3), Some(2));
-        assert_eq!(c.nvals(), 1);
+    /// A graph of `n` nodes with the given `(src, dst, type)` edges and the
+    /// rows of `query`, which must plan as the fused product `expr`.
+    fn fused_rows(n: u64, edges: &[(u64, u64, &str)], query: &str, expr: &str) -> Vec<Vec<Value>> {
+        let mut g = Graph::new("fused");
+        for _ in 0..n {
+            g.add_node(&["N"], vec![]);
+        }
+        for &(src, dst, rel) in edges {
+            g.add_edge(src, dst, rel, vec![]).unwrap();
+        }
+        let plan = g.explain(query).unwrap();
+        assert!(plan.iter().any(|line| line.ends_with(expr)), "{plan:?}");
+        g.query_readonly(query).unwrap().rows
     }
 
     #[test]
-    fn chain_product_respects_multiplicity_weights() {
-        // A parallel pair (count 2) times a count-3 cell = 6 paths.
-        let f = SparseMatrix::from_triples(1, 3, &[(0, 0, 1u64)]).unwrap();
-        let a = SparseMatrix::from_triples(3, 3, &[(0, 1, 2u64)]).unwrap();
-        let b = SparseMatrix::from_triples(3, 3, &[(1, 2, 3u64)]).unwrap();
-        let c = chain_product(vec![Arc::new(f), Arc::new(a), Arc::new(b)]);
-        assert_eq!(c.extract_element(0, 2), Some(6));
+    fn fused_chain_counts_paths() {
+        // R = 0→1 and 0→2, S = 1→3 and 2→3: two paths 0→3, one row each.
+        let edges = [(0, 1, "R"), (0, 2, "R"), (1, 3, "S"), (2, 3, "S")];
+        let query = "MATCH (s)-[:R]->()-[:S]->(t) RETURN id(s), id(t)";
+        let rows = fused_rows(4, &edges, query, "(s)·A_R·A_S");
+        assert_eq!(rows, vec![vec![Value::Int(0), Value::Int(3)]; 2]);
+    }
+
+    #[test]
+    fn fused_chain_respects_edge_multiplicity() {
+        // A parallel pair times three parallel edges = 6 paths.
+        let edges = [(0, 1, "R"), (0, 1, "R"), (1, 2, "S"), (1, 2, "S"), (1, 2, "S")];
+        let query = "MATCH (s)-[:R]->()-[:S]->(t) RETURN id(t), count(t)";
+        let rows = fused_rows(3, &edges, query, "(s)·A_R·A_S");
+        assert_eq!(rows, vec![vec![Value::Int(2), Value::Int(6)]]);
     }
 }

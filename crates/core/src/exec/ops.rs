@@ -575,10 +575,6 @@ impl BatchFrontier {
             .collect();
         BatchFrontier { entries, record_rows, dim }
     }
-
-    pub(crate) fn nrows(&self) -> u64 {
-        self.entries.len() as u64
-    }
 }
 
 /// An output row paired with its evaluated `ORDER BY` keys.

@@ -21,11 +21,11 @@
 //! incrementally (an edge insert buffers `(dst, src)` into the transpose)
 //! rather than recomputed from scratch after every write query. Readers see
 //! the merged `main ∪ Δ⁺ \ Δ⁻` view a row at a time, merging only rows with
-//! pending changes; whole-matrix consumers (the `algo.*` procedures' union,
-//! the fused counting products) materialise a merged copy, so no read needs
-//! a flush. Buffers fold into the main matrices when a matrix's pending
-//! count crosses [`Graph::flush_threshold`] (`DELTA_MAX_PENDING_CHANGES`),
-//! or explicitly via [`Graph::sync_matrices`].
+//! pending changes; the one whole-matrix consumer, the `algo.*` procedures'
+//! union, materialises a merged copy, so no read needs a flush. Buffers
+//! fold into the main matrices when a matrix's pending count crosses
+//! [`Graph::flush_threshold`] (`DELTA_MAX_PENDING_CHANGES`), or explicitly
+//! via [`Graph::sync_matrices`].
 //!
 //! Every flushed main CSR is an immutable, `Arc`-shared **epoch**:
 //! [`Graph::snapshot`] pins each matrix's current epoch — plus its
@@ -107,31 +107,6 @@ pub struct Graph {
     flush_threshold: usize,
     /// Logical write version: bumped on every mutation, pinned by snapshots.
     epoch: u64,
-    /// Per-instance memo of [`Graph::relation_count_matrix`] results, keyed
-    /// by `(rel, transposed)` and valid for a single epoch. Fused algebraic
-    /// plans consume whole counting matrices; rebuilding them from the view
-    /// triples on every query made selective fused queries slower than the
-    /// per-hop plans they replaced.
-    count_cache: CountMatrixCache,
-}
-
-/// Epoch-scoped counting-matrix memo behind interior mutability, so sealed
-/// read-only snapshots (`&Graph`) populate it too. `Clone` yields an *empty*
-/// cache: a clone is a snapshot, which rebuilds from its own pinned matrices
-/// on first use, while the graph it was cloned from goes on to new epochs —
-/// sharing entries across instances would only invite cross-epoch mixups.
-#[derive(Debug, Default)]
-struct CountMatrixCache {
-    inner: parking_lot::Mutex<(u64, CountMatrixMap)>,
-}
-
-/// Memoised counting matrices, keyed by `(rel, transposed)`.
-type CountMatrixMap = HashMap<(RelTypeId, bool), Arc<SparseMatrix<u64>>>;
-
-impl Clone for CountMatrixCache {
-    fn clone(&self) -> Self {
-        CountMatrixCache::default()
-    }
 }
 
 impl Graph {
@@ -150,7 +125,6 @@ impl Graph {
             label_matrices: Vec::new(),
             flush_threshold: DEFAULT_FLUSH_THRESHOLD,
             epoch: 0,
-            count_cache: CountMatrixCache::default(),
         }
     }
 
@@ -565,53 +539,42 @@ impl Graph {
 
     /// The **counting** relation matrix for a relationship type: cell
     /// `(i, j)` holds the number of parallel type-`rel` edges from `i` to `j`
-    /// (`transposed` gives the reverse orientation). This is the operand the
-    /// fused algebraic expressions multiply under the `plus_times` counting
-    /// semiring, so multigraph row multiplicities survive fusion exactly.
-    /// O(nnz) to build from the merged view plus the multi-edge side table.
+    /// (`transposed` gives the reverse orientation), built in O(dim + nnz)
+    /// from the rows the fused traversal reads in place. The executor never
+    /// builds it: it is the operand of rgbench's whole-matrix `mxm` rung.
     pub fn relation_count_matrix(
         &self,
         rel: RelTypeId,
         transposed: bool,
     ) -> Option<SparseMatrix<u64>> {
-        let m = if transposed {
-            self.relation_matrices_t.get(rel)
-        } else {
-            self.relation_matrices.get(rel)
-        }?;
-        let view = m.view();
-        let triples: Vec<(u64, u64, u64)> = view
-            .iter()
-            .map(|(i, j, _)| {
-                let (src, dst) = if transposed { (j, i) } else { (i, j) };
-                (i, j, self.edge_multiplicity(rel, src, dst))
-            })
-            .collect();
-        Some(SparseMatrix::from_triples(view.nrows(), view.ncols(), &triples).expect("in range"))
+        self.relation_matrices.get(rel)?;
+        let mut triples = Vec::new();
+        for i in 0..self.dim {
+            self.relation_row_counts(rel, transposed, i, |j, k| triples.push((i, j, k)));
+        }
+        Some(SparseMatrix::from_triples(self.dim, self.dim, &triples).expect("in range"))
     }
 
-    /// [`Graph::relation_count_matrix`], memoised for the current epoch.
-    /// The O(nnz) rebuild happens at most once per `(rel, transposed)` per
-    /// write version; any mutation invalidates the whole memo. This is what
-    /// keeps *selective* fused queries (a one-row frontier against a large
-    /// graph) from paying a full matrix rebuild per query.
-    pub fn relation_count_matrix_cached(
+    /// One row of the counting relation matrix, read in place: call `f(nbr,
+    /// k)` on each cell of `node`'s row in relation `rel`'s merged view (its
+    /// stored transpose's when `transposed`), in ascending `nbr` order, where
+    /// `k` is how many parallel edges the cell holds. An unknown `rel` has
+    /// no cells.
+    pub(crate) fn relation_row_counts(
         &self,
         rel: RelTypeId,
         transposed: bool,
-    ) -> Option<Arc<SparseMatrix<u64>>> {
-        let mut cache = self.count_cache.inner.lock();
-        let (cached_epoch, matrices) = &mut *cache;
-        if *cached_epoch != self.epoch {
-            matrices.clear();
-            *cached_epoch = self.epoch;
-        }
-        if let Some(m) = matrices.get(&(rel, transposed)) {
-            return Some(Arc::clone(m));
-        }
-        let m = Arc::new(self.relation_count_matrix(rel, transposed)?);
-        matrices.insert((rel, transposed), Arc::clone(&m));
-        Some(m)
+        node: NodeId,
+        mut f: impl FnMut(NodeId, u64),
+    ) {
+        let matrices = if transposed { &self.relation_matrices_t } else { &self.relation_matrices };
+        let Some(m) = matrices.get(rel) else { return };
+        m.any_entry_in_row(node, |nbr, _| {
+            // A transposed row's cell stores the edge nbr → node.
+            let (src, dst) = if transposed { (nbr, node) } else { (node, nbr) };
+            f(nbr, self.parallel_edges(rel, src, dst).map_or(1, |list| list.len() as u64));
+            false
+        });
     }
 
     /// An `f64` matrix of edge weights read from property `prop` (edges
@@ -656,19 +619,13 @@ impl Graph {
     /// edges, `None` for the common single-edge (or empty) cell.
     /// [`Graph::neighbors`] and [`Graph::edges_between`] use this to expand a
     /// cell to one row per edge without allocating for the single-edge case.
+    /// A graph without parallel edges — every bulk-loaded one — answers
+    /// without hashing the cell: per-edge row walks call this once per cell.
     pub fn parallel_edges(&self, rel: RelTypeId, src: NodeId, dst: NodeId) -> Option<&[EdgeId]> {
-        self.multi_edges.get(&(rel, src, dst)).map(|v| v.as_slice())
-    }
-
-    /// How many parallel edges of type `rel` the `(src, dst)` cell holds
-    /// (`1` for the common single-edge cell, `0` when no such edge exists).
-    pub fn edge_multiplicity(&self, rel: RelTypeId, src: NodeId, dst: NodeId) -> u64 {
-        match self.multi_edges.get(&(rel, src, dst)) {
-            Some(list) => list.len() as u64,
-            None => {
-                u64::from(self.relation_matrices.get(rel).is_some_and(|m| m.contains(src, dst)))
-            }
+        if self.multi_edges.is_empty() {
+            return None;
         }
+        self.multi_edges.get(&(rel, src, dst)).map(|v| v.as_slice())
     }
 
     /// Out-neighbours (or in-neighbours, or both) of a node, optionally
@@ -917,13 +874,6 @@ impl GraphSnapshot {
     /// does no work: pending deltas stay buffered, read through merged views.
     pub fn seal(graph: Graph) -> GraphSnapshot {
         GraphSnapshot { graph }
-    }
-
-    /// Parse, plan and execute a read-only query against the pinned state.
-    /// Errors if the query contains write clauses. `&self`: many readers can
-    /// share one snapshot behind an `Arc`.
-    pub fn query_readonly(&self, text: &str) -> Result<ResultSet, QueryError> {
-        self.run(&ExecutionPlan::build(&cypher::parse(text)?)?, Instant::now(), None)
     }
 
     /// Run an already-built **read-only** plan against the pinned state (see

@@ -18,7 +18,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use redisgraph_core::{ExecutionPlan, Graph, GraphAccess};
+use redisgraph_core::{ExecutionPlan, Graph, GraphAccess, Value};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -143,7 +143,12 @@ fn sorted_rows(g: &mut Graph, optimize: bool, query: &str) -> Vec<String> {
     let rs = plan(optimize, query)
         .run(GraphAccess::Write(g), Instant::now(), None)
         .expect("query executes");
-    let mut rows: Vec<String> = rs.rows.iter().map(|r| format!("{r:?}")).collect();
+    sorted(&rs.rows)
+}
+
+/// Rows as a sorted multiset of debug strings.
+fn sorted(rows: &[Vec<Value>]) -> Vec<String> {
+    let mut rows: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
     rows.sort_unstable();
     rows
 }
@@ -238,13 +243,13 @@ fn dirty_graph() -> Graph {
     g
 }
 
-/// The materialising plan's rows on a flushed copy of `g`: its traversals
-/// read the folded CSRs, not the delta rows under test.
-fn flushed_oracle(g: &Graph, query: &str) -> String {
+/// The materialising plan's rows on a flushed copy of `g`, sorted: its
+/// traversals read the folded CSRs, not the delta rows under test.
+fn flushed_oracle(g: &Graph, query: &str) -> Vec<String> {
     let mut flushed = g.clone();
     flushed.sync_matrices();
     let rs = plan(false, query).run(GraphAccess::Read(&flushed), Instant::now(), None).unwrap();
-    format!("{:?}", rs.rows)
+    sorted(&rs.rows)
 }
 
 #[test]
@@ -257,7 +262,7 @@ fn count_pushdown_reads_unflushed_snapshots() {
     let snap = g.snapshot();
     for query in COUNT_PUSHDOWN {
         let pushed = snap.run(&plan(true, query), Instant::now(), None).unwrap();
-        assert_eq!(format!("{:?}", pushed.rows), flushed_oracle(&g, query), "{query}");
+        assert_eq!(sorted(&pushed.rows), flushed_oracle(&g, query), "{query}");
     }
     assert!(g.has_pending_deltas(), "read-only queries must not flush");
 }
@@ -272,18 +277,44 @@ fn count_pushdown_through_write_access_folds_nothing() {
         let oracle = flushed_oracle(&g, query);
         let pushed =
             plan(true, query).run(GraphAccess::Write(&mut g), Instant::now(), None).unwrap();
-        assert_eq!(format!("{:?}", pushed.rows), oracle, "{query}");
+        assert_eq!(sorted(&pushed.rows), oracle, "{query}");
     }
     assert!(g.has_pending_deltas(), "a read through write access must not flush");
     assert_eq!(g.delta_flush_count(), flushes);
 }
 
 #[test]
-fn count_matrix_cache_invalidates_on_mutation() {
-    // The fused path memoises counting matrices per epoch; a mutation after
-    // a fused query must be visible to the next fused query (stale cache =
-    // wrong counts), including a delete that demotes a parallel pair.
-    let mut g = Graph::new("cache-inv");
+fn fusion_reads_unflushed_snapshots() {
+    // A fused chain's hops read the merged rows of the dirty matrices in
+    // place, on a sealed snapshot as on the live graph: every fused shape
+    // must agree with the materialising plan on a flushed copy, and nothing
+    // may fold the pending deltas.
+    let g = dirty_graph();
+    let flushes = g.delta_flush_count();
+    let snap = g.snapshot();
+    let mut fused_shapes = 0;
+    for query in queries() {
+        let fused = plan(true, query);
+        if !fused.describe().iter().any(|line| line.contains("·A")) {
+            continue;
+        }
+        fused_shapes += 1;
+        let rows = snap.run(&fused, Instant::now(), None).unwrap().rows;
+        assert_eq!(sorted(&rows), flushed_oracle(&g, query), "{query}");
+    }
+    assert!(fused_shapes >= 21, "queries() has 21 fused shapes, {fused_shapes} planned fused");
+    assert!(g.has_pending_deltas(), "read-only queries must not flush");
+    assert_eq!(g.delta_flush_count(), flushes);
+}
+
+#[test]
+fn fused_counts_follow_parallel_edge_mutations() {
+    // Fused chains weight each cell by its parallel-edge count, read from
+    // the multi-edge side table of the graph they run on: a mutation after
+    // a fused query must be visible to the next one, including a delete
+    // that demotes a parallel pair, while a snapshot taken before the
+    // delete keeps the pair.
+    let mut g = Graph::new("multiplicity");
     for _ in 0..3 {
         g.add_node(&["A"], vec![]);
     }
@@ -294,8 +325,11 @@ fn count_matrix_cache_invalidates_on_mutation() {
     assert_eq!(count(&mut g), 1);
     let extra = g.add_edge(0, 1, "T0", vec![]).unwrap(); // parallel pair → 2 paths
     assert_eq!(count(&mut g), 2);
+    let snap = g.snapshot();
     assert!(g.delete_edge(extra));
     assert_eq!(count(&mut g), 1);
+    let in_snapshot = snap.query_readonly(query).unwrap().scalar().and_then(|v| v.as_i64());
+    assert_eq!(in_snapshot, Some(2));
 }
 
 // --- EXPLAIN golden snapshots -------------------------------------------
