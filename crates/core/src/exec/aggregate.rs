@@ -304,7 +304,11 @@ mod tests {
 
     /// Rows of a read-only query against an empty graph.
     fn rows(query: &str) -> Vec<Vec<Value>> {
-        crate::store::graph::Graph::new("equiv").query_readonly(query).expect("query runs").rows
+        crate::store::graph::Graph::new("equiv")
+            .query_readonly(query)
+            .expect("query runs")
+            .rows
+            .to_vec()
     }
 
     #[test]

@@ -46,7 +46,7 @@
 use crate::exec::expr::contains_aggregate;
 use crate::exec::ops::{resolve_rel_types, BatchFrontier, PlanOp};
 use crate::exec::plan::Segment;
-use crate::exec::record::{Bindings, Record};
+use crate::exec::record::RecordBatch;
 use crate::store::graph::Graph;
 use crate::store::schema::{LabelId, RelTypeId};
 use crate::value::Value;
@@ -111,47 +111,38 @@ impl fmt::Display for AlgebraicExpression {
 /// Evaluate a fused chain `F·A_R·L_B·A_S` and emit its records: each distinct
 /// source's count row is carried through the hops left to right under
 /// ⊕=+/⊗=×, reading every selected relation's merged row in place.
-pub fn run_fused(
-    records: &[Record],
-    bindings: &Bindings,
-    graph: &Graph,
-    src_slot: usize,
-    dst_slot: usize,
-    expr: &AlgebraicExpression,
-    weight_slot: Option<usize>,
-) -> Vec<Record> {
+pub fn run_fused(op: &PlanOp, records: &RecordBatch, graph: &Graph) -> RecordBatch {
+    let PlanOp::FusedTraverse { src_slot, dst_slot, ref expr, weight_slot, .. } = *op else {
+        unreachable!("run_fused called with a non-fused op")
+    };
+    let mut out = RecordBatch::new(records.width());
     let Some(hops) = resolve_hops(graph, expr) else {
-        return Vec::new(); // an unknown type or label matches nothing
+        return out; // an unknown type or label matches nothing
     };
 
     // One count row per distinct source node (records fanning out of the
     // same hub share one product row).
-    let batch = BatchFrontier::new(records, src_slot, graph.dim());
-    let mut acc = RowAccumulator { counts: vec![0; batch.dim as usize], touched: Vec::new() };
+    let batch = BatchFrontier::new(records, src_slot);
+    let mut acc = RowAccumulator { counts: vec![0; graph.dim() as usize], touched: Vec::new() };
     let rows: Vec<Vec<(NodeId, u64)>> = batch
-        .entries
+        .sources
         .iter()
-        .map(|&(_, src)| hops.iter().fold(vec![(src, 1)], |row, hop| acc.hop(graph, hop, &row)))
+        .map(|&src| hops.iter().fold(vec![(src, 1)], |row, hop| acc.hop(graph, hop, &row)))
         .collect();
 
     // Emission: record-major, destinations ascending. With a weight slot the
     // count stays algebraic — one compact record per cell; otherwise each
     // cell expands to `count` identical records (the unfused multiset).
-    let mut out = Vec::new();
     for (record, row) in records.iter().zip(&batch.record_rows) {
         let Some(row) = *row else { continue };
-        for &(dst, count) in &rows[row as usize] {
+        for &(dst, count) in &rows[row] {
             let copies = if weight_slot.is_some() { 1 } else { count };
             for _ in 0..copies {
-                let mut r = record.clone();
-                if r.len() < bindings.len() {
-                    r.resize(bindings.len(), Value::Null);
-                }
+                let r = out.push_copy(record);
                 r[dst_slot] = Value::Node(dst);
                 if let Some(ws) = weight_slot {
                     r[ws] = Value::Int(count as i64);
                 }
-                out.push(r);
             }
         }
     }
@@ -597,7 +588,7 @@ mod tests {
         }
         let plan = g.explain(query).unwrap();
         assert!(plan.iter().any(|line| line.ends_with(expr)), "{plan:?}");
-        g.query_readonly(query).unwrap().rows
+        g.query_readonly(query).unwrap().rows.to_vec()
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! connectives, `IN`, and the scalar functions `id`, `labels`, `type`, `size`,
 //! `abs`, `tointeger`, `tofloat`.
 
-use crate::exec::record::{Bindings, Record};
+use crate::exec::record::Bindings;
 use crate::store::graph::Graph;
 use crate::value::Value;
 use cypher::{BinaryOperator, Expr, UnaryOperator};
@@ -31,7 +31,7 @@ pub fn contains_aggregate(expr: &Expr) -> bool {
 ///
 /// Unknown variables and type mismatches evaluate to `Null` (openCypher's
 /// three-valued logic treats them as unknown rather than failing the query).
-pub fn eval(expr: &Expr, record: &Record, bindings: &Bindings, graph: &Graph) -> Value {
+pub fn eval(expr: &Expr, record: &[Value], bindings: &Bindings, graph: &Graph) -> Value {
     match expr {
         Expr::Literal(lit) => Value::from(lit),
         Expr::Parameter(_) => Value::Null,
@@ -73,10 +73,15 @@ pub fn eval(expr: &Expr, record: &Record, bindings: &Bindings, graph: &Graph) ->
         Expr::List(items) => {
             Value::List(items.iter().map(|e| eval(e, record, bindings, graph)).collect())
         }
-        Expr::FunctionCall { name, args, .. } => {
-            let argv: Vec<Value> = args.iter().map(|a| eval(a, record, bindings, graph)).collect();
-            eval_function(name, &argv, graph)
-        }
+        // One argument (`id(t)`, per projected row) needs no argument `Vec`.
+        Expr::FunctionCall { name, args, .. } => match args.as_slice() {
+            [arg] => eval_function(name, &[eval(arg, record, bindings, graph)], graph),
+            _ => {
+                let argv: Vec<Value> =
+                    args.iter().map(|a| eval(a, record, bindings, graph)).collect();
+                eval_function(name, &argv, graph)
+            }
+        },
     }
 }
 
@@ -173,7 +178,7 @@ mod tests {
     use super::*;
     use cypher::Literal;
 
-    fn setup() -> (Graph, Bindings, Record) {
+    fn setup() -> (Graph, Bindings, Vec<Value>) {
         let mut g = Graph::new("t");
         let a = g.add_node(
             &["Person"],

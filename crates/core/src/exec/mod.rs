@@ -10,11 +10,13 @@
 //! [`crate::store::graph::Graph::khop_reach`] — which is exactly the
 //! "Cypher → linear algebra" translation the paper describes.
 //!
-//! The pipeline is *materialised*: each operation maps a vector of records to
-//! a new vector of records. RedisGraph proper streams records through a
-//! volcano-style iterator; materialisation keeps the reproduction simple
-//! without changing the asymptotics of the benchmark queries, and each query
-//! still executes on a single thread as the paper's architecture dictates.
+//! The pipeline is *materialised*: each operation maps a
+//! [`record::RecordBatch`] (one flat slot-major buffer of fixed-width
+//! records) to the next batch, and the last projection's batch is the result
+//! set's rows. RedisGraph proper streams records through a volcano-style
+//! iterator; materialisation keeps the reproduction simple without changing
+//! the asymptotics of the benchmark queries, and each query still executes
+//! on a single thread as the paper's architecture dictates.
 
 pub mod aggregate;
 pub mod algebraic;

@@ -1,41 +1,22 @@
 //! Execution-plan operations.
 //!
-//! Each operation maps a batch of [`Record`]s to a new batch. The operation
-//! set mirrors RedisGraph's execution plan: scans, algebraic traversals,
-//! filters, projections/aggregations and the write operations.
+//! Each operation maps a [`RecordBatch`] to a new batch (a filter compacts
+//! its batch in place). The operation set mirrors RedisGraph's execution
+//! plan: scans, algebraic traversals, filters, projections/aggregations and
+//! the write operations.
 
 use crate::exec::aggregate::{Accumulator, AggFunc};
 use crate::exec::algebraic::AlgebraicExpression;
 use crate::exec::expr::{contains_aggregate, eval};
-use crate::exec::record::{Bindings, Record};
+use crate::exec::plan::expr_vars;
+use crate::exec::record::{Bindings, RecordBatch};
 use crate::exec::resultset::QueryStats;
 use crate::store::graph::{Graph, TraverseDir};
-use crate::value::{EquivKey, Value};
+use crate::value::{EquivKey, EquivRow, Value};
 use crate::{EdgeId, NodeId};
 use cypher::{Direction, Expr, PathPattern, Projection, SetItem, SortOrder};
 use graphblas::SparseVector;
 use std::collections::{HashMap, HashSet};
-
-/// The parameters of one `Traverse` plan op, as [`run_traverse`] takes them.
-#[derive(Debug, Clone)]
-pub struct TraverseSpec<'a> {
-    /// Slot of the already-bound source node.
-    pub src_slot: usize,
-    /// Slot receiving the destination node (already bound for expand-into).
-    pub dst_slot: usize,
-    /// Slot receiving the traversed edge (single hop, named edge only).
-    pub edge_slot: Option<usize>,
-    /// Relationship type names (empty = any type).
-    pub rel_types: &'a [String],
-    /// Pattern direction.
-    pub direction: Direction,
-    /// Minimum hop count (0 = the source itself matches).
-    pub min_hops: u32,
-    /// Maximum hop count; `None` = unbounded.
-    pub max_hops: Option<u32>,
-    /// True if the destination is already bound (expand-into / semi-join).
-    pub expand_into: bool,
-}
 
 /// One step of an execution plan.
 #[derive(Debug, Clone)]
@@ -302,87 +283,54 @@ fn to_traverse_dir(d: Direction) -> TraverseDir {
     }
 }
 
-/// Execute the scan-type ops.
+/// Execute the scan-type ops: every input record times every scanned node.
 pub fn run_scan(
     op: &PlanOp,
-    records: Vec<Record>,
+    records: &RecordBatch,
     bindings: &Bindings,
     graph: &Graph,
-) -> Vec<Record> {
-    let mut out = Vec::new();
-    match op {
-        PlanOp::AllNodeScan { slot, .. } => {
-            let nodes = graph.all_node_ids();
-            for record in &records {
-                for &n in &nodes {
-                    let mut r = record.clone();
-                    ensure_len(&mut r, bindings);
-                    r[*slot] = Value::Node(n);
-                    out.push(r);
-                }
-            }
-        }
-        PlanOp::NodeByLabelScan { slot, label, .. } => {
-            let nodes = graph.nodes_with_label(label);
-            for record in &records {
-                for &n in &nodes {
-                    let mut r = record.clone();
-                    ensure_len(&mut r, bindings);
-                    r[*slot] = Value::Node(n);
-                    out.push(r);
-                }
-            }
-        }
+) -> RecordBatch {
+    let mut out = RecordBatch::new(records.width());
+    let (slot, nodes) = match op {
+        PlanOp::AllNodeScan { slot, .. } => (*slot, graph.all_node_ids()),
+        PlanOp::NodeByLabelScan { slot, label, .. } => (*slot, graph.nodes_with_label(label)),
         PlanOp::NodeByIdSeek { slot, id_expr, .. } => {
-            for record in &records {
-                let id_val = eval(id_expr, record, bindings, graph);
-                if let Some(id) = id_val.as_i64() {
-                    if id >= 0 && graph.node(id as NodeId).is_some() {
-                        let mut r = record.clone();
-                        ensure_len(&mut r, bindings);
-                        r[*slot] = Value::Node(id as NodeId);
-                        out.push(r);
-                    }
+            for record in records {
+                let id = eval(id_expr, record, bindings, graph).as_i64();
+                if let Some(id) = id.filter(|&id| id >= 0 && graph.node(id as NodeId).is_some()) {
+                    out.push_copy(record)[*slot] = Value::Node(id as NodeId);
                 }
             }
+            return out;
         }
         _ => unreachable!("run_scan called with a non-scan op"),
+    };
+    for record in records {
+        for &n in &nodes {
+            out.push_copy(record)[slot] = Value::Node(n);
+        }
     }
     out
 }
 
-fn ensure_len(record: &mut Record, bindings: &Bindings) {
-    if record.len() < bindings.len() {
-        record.resize(bindings.len(), Value::Null);
-    }
-}
-
-/// Execute the filter-type ops.
-pub fn run_filter(
-    op: &PlanOp,
-    records: Vec<Record>,
-    bindings: &Bindings,
-    graph: &Graph,
-) -> Vec<Record> {
-    records
-        .into_iter()
-        .filter(|record| match op {
-            PlanOp::Filter { expr } => eval(expr, record, bindings, graph).is_truthy(),
-            PlanOp::LabelFilter { slot, label } => match record.get(*slot) {
-                Some(Value::Node(id)) => graph.node_has_label(*id, label),
-                _ => false,
-            },
-            PlanOp::PropFilter { slot, key, value } => {
-                let actual = match record.get(*slot) {
-                    Some(Value::Node(id)) => graph.node_property(*id, key),
-                    Some(Value::Edge(id)) => graph.edge_property(*id, key),
-                    _ => Value::Null,
-                };
-                actual.cypher_eq(value) == Some(true)
-            }
-            _ => unreachable!("run_filter called with a non-filter op"),
-        })
-        .collect()
+/// Execute the filter-type ops, dropping rejected records in place.
+pub fn run_filter(op: &PlanOp, records: &mut RecordBatch, bindings: &Bindings, graph: &Graph) {
+    records.retain(|record| match op {
+        PlanOp::Filter { expr } => eval(expr, record, bindings, graph).is_truthy(),
+        PlanOp::LabelFilter { slot, label } => match record.get(*slot) {
+            Some(Value::Node(id)) => graph.node_has_label(*id, label),
+            _ => false,
+        },
+        PlanOp::PropFilter { slot, key, value } => {
+            let actual = match record.get(*slot) {
+                Some(Value::Node(id)) => graph.node_property(*id, key),
+                Some(Value::Edge(id)) => graph.edge_property(*id, key),
+                _ => Value::Null,
+            };
+            actual.cypher_eq(value) == Some(true)
+        }
+        _ => unreachable!("run_filter called with a non-filter op"),
+    })
 }
 
 /// Execute a traverse op.
@@ -397,73 +345,82 @@ pub fn run_filter(
 /// then backward, destinations ascending, parallel edges by ascending id.
 /// The `traverse_differential` suite checks the rows against an edge-list
 /// oracle.
-pub fn run_traverse(
-    records: Vec<Record>,
-    bindings: &Bindings,
-    graph: &Graph,
-    spec: &TraverseSpec<'_>,
-) -> Vec<Record> {
-    let Some(rel_ids) = resolve_rel_types(graph, spec.rel_types) else {
-        return Vec::new();
+pub fn run_traverse(op: &PlanOp, records: &RecordBatch, graph: &Graph) -> RecordBatch {
+    let PlanOp::Traverse {
+        src_slot,
+        dst_slot,
+        edge_slot,
+        ref rel_types,
+        direction,
+        min_hops,
+        max_hops,
+        expand_into,
+        ..
+    } = *op
+    else {
+        unreachable!("run_traverse called with a non-traverse op")
+    };
+    let mut out = RecordBatch::new(records.width());
+    let Some(rel_ids) = resolve_rel_types(graph, rel_types) else {
+        return out;
     };
     let rel_ids = rel_ids.as_deref();
-    let dir = to_traverse_dir(spec.direction);
-    let bind = |record: &Record, dst: Option<NodeId>, edge: Option<EdgeId>| {
-        let mut r = record.clone();
-        ensure_len(&mut r, bindings);
-        if let Some(dst) = dst {
-            r[spec.dst_slot] = Value::Node(dst);
-        }
-        if let (Some(es), Some(edge)) = (spec.edge_slot, edge) {
-            r[es] = Value::Edge(edge);
-        }
-        r
-    };
-    let mut out = Vec::new();
+    let dir = to_traverse_dir(direction);
+    // Append a copy of `record` with the destination and edge slots set.
+    let bind =
+        |out: &mut RecordBatch, record: &[Value], dst: Option<NodeId>, edge: Option<EdgeId>| {
+            let r = out.push_copy(record);
+            if let Some(dst) = dst {
+                r[dst_slot] = Value::Node(dst);
+            }
+            if let (Some(es), Some(edge)) = (edge_slot, edge) {
+                r[es] = Value::Edge(edge);
+            }
+        };
 
-    if spec.min_hops == 1 && spec.max_hops == Some(1) {
+    if min_hops == 1 && max_hops == Some(1) {
         let forward = matches!(dir, TraverseDir::Outgoing | TraverseDir::Both);
         let backward = matches!(dir, TraverseDir::Incoming | TraverseDir::Both);
         let rels: Vec<usize> =
             rel_ids.map_or_else(|| (0..graph.relation_type_count()).collect(), <[_]>::to_vec);
-        for record in &records {
-            let Some(&Value::Node(src)) = record.get(spec.src_slot) else { continue };
-            if !spec.expand_into {
+        for record in records {
+            let Some(&Value::Node(src)) = record.get(src_slot) else { continue };
+            if !expand_into {
                 for (nbr, edge) in graph.neighbors(src, rel_ids, dir) {
-                    out.push(bind(record, Some(nbr), Some(edge)));
+                    bind(&mut out, record, Some(nbr), Some(edge));
                 }
                 continue;
             }
-            let Some(&Value::Node(dst)) = record.get(spec.dst_slot) else { continue };
-            let bind_edge = |edge| bind(record, None, Some(edge));
+            let Some(&Value::Node(dst)) = record.get(dst_slot) else { continue };
+            let mut bind_edge = |e| bind(&mut out, record, None, Some(e));
             for &rel in &rels {
                 if forward {
-                    out.extend(graph.edges_between(rel, src, dst).map(bind_edge));
+                    graph.edges_between(rel, src, dst).for_each(&mut bind_edge);
                 }
                 // A backward step follows a stored `dst → src` edge.
                 if backward {
-                    out.extend(graph.edges_between(rel, dst, src).map(bind_edge));
+                    graph.edges_between(rel, dst, src).for_each(&mut bind_edge);
                 }
             }
         }
         return out;
     }
 
-    let max = hop_limit(graph, spec.max_hops);
-    let batch = BatchFrontier::new(&records, spec.src_slot, graph.dim());
+    let max = hop_limit(graph, max_hops);
+    let batch = BatchFrontier::new(records, src_slot);
     let reached: Vec<SparseVector<bool>> = batch
-        .entries
+        .sources
         .iter()
-        .map(|&(_, src)| graph.khop_reach(src, spec.min_hops, max, dir, rel_ids))
+        .map(|&src| graph.khop_reach(src, min_hops, max, dir, rel_ids))
         .collect();
     for (record, row) in records.iter().zip(&batch.record_rows) {
         let Some(row) = *row else { continue };
-        let reached = &reached[row as usize];
-        if !spec.expand_into {
-            out.extend(reached.indices().iter().map(|&n| bind(record, Some(n), None)));
-        } else if let Some(&Value::Node(t)) = record.get(spec.dst_slot) {
+        let reached = &reached[row];
+        if !expand_into {
+            reached.indices().iter().for_each(|&n| bind(&mut out, record, Some(n), None));
+        } else if let Some(&Value::Node(t)) = record.get(dst_slot) {
             if reached.contains(t) {
-                out.push(record.clone());
+                out.push_copy(record);
             }
         }
     }
@@ -493,7 +450,7 @@ fn hop_limit(graph: &Graph, max_hops: Option<u32>) -> u32 {
 /// projection's `SKIP`/`LIMIT`. Row-identical to `Traverse` + `Aggregate`
 /// (the `optimizer_differential` suite proves it against
 /// [`crate::exec::plan::ExecutionPlan::build_unoptimized`]).
-pub fn run_traverse_count(op: &PlanOp, records: &[Record], graph: &Graph) -> Vec<Vec<Value>> {
+pub fn run_traverse_count(op: &PlanOp, records: &RecordBatch, graph: &Graph) -> RecordBatch {
     let PlanOp::TraverseCount {
         src_slot,
         rel_types,
@@ -511,16 +468,16 @@ pub fn run_traverse_count(op: &PlanOp, records: &[Record], graph: &Graph) -> Vec
     // A named type that does not exist matches nothing: both counts stay 0.
     if let Some(rel_ids) = resolve_rel_types(graph, rel_types) {
         let (dir, max) = (to_traverse_dir(*direction), hop_limit(graph, *max_hops));
-        let batch = BatchFrontier::new(records, *src_slot, graph.dim());
+        let batch = BatchFrontier::new(records, *src_slot);
         // How many records share each distinct source's reached set.
-        let mut copies = vec![0u64; batch.entries.len()];
-        for row in batch.record_rows.iter().flatten() {
-            copies[*row as usize] += 1;
+        let mut copies = vec![0u64; batch.sources.len()];
+        for &row in batch.record_rows.iter().flatten() {
+            copies[row] += 1;
         }
         // Several reached sets union through one flag per node; a lone set
         // — the paper's k-hop query, one seek — counts as its `nvals`.
-        let mut union = vec![false; if batch.entries.len() > 1 { batch.dim as usize } else { 0 }];
-        for (&(_, src), &n) in batch.entries.iter().zip(&copies) {
+        let mut union = vec![false; if batch.sources.len() > 1 { graph.dim() as usize } else { 0 }];
+        for (&src, &n) in batch.sources.iter().zip(&copies) {
             let reached = graph.khop_reach(src, *min_hops, max, dir, rel_ids.as_deref());
             let set = reached.indices();
             total += n * set.len() as u64;
@@ -533,26 +490,26 @@ pub fn run_traverse_count(op: &PlanOp, records: &[Record], graph: &Graph) -> Vec
             }
         }
     }
-    let row = counts
-        .iter()
-        .map(|count| match count {
+    // One aggregate row: ORDER BY and DISTINCT keep it, SKIP or LIMIT 0 drop it.
+    let (skip, limit) = skip_limit(projection);
+    let mut rows = RecordBatch::new(counts.len());
+    if skip == 0 && limit > 0 {
+        rows.push(counts.iter().map(|count| match count {
             ReachCount::Total => Value::Int(total as i64),
             ReachCount::Distinct => Value::Int(distinct as i64),
-        })
-        .collect();
-    apply_order_skip_limit(projection, vec![(row, Vec::new())])
+        }));
+    }
+    rows
 }
 
 /// The distinct sources of a record batch plus the record → source-row
 /// mapping: the frontier operand of a fused chain, and the reached-set index
 /// of a variable-length traversal.
 pub(crate) struct BatchFrontier {
-    /// `(row, source node)` coordinates, one per distinct source.
-    pub(crate) entries: Vec<(u64, u64)>,
+    /// One node per distinct source, in first-seen order (the frontier rows).
+    pub(crate) sources: Vec<NodeId>,
     /// Frontier row of each record (`None` = source not bound).
-    pub(crate) record_rows: Vec<Option<u64>>,
-    /// Node-space dimension (frontier column count).
-    pub(crate) dim: u64,
+    pub(crate) record_rows: Vec<Option<usize>>,
 }
 
 impl BatchFrontier {
@@ -560,113 +517,135 @@ impl BatchFrontier {
     /// (the common case deep in a multi-hop pipeline, where thousands of
     /// records fan out of a few hub nodes) share one product row instead of
     /// recomputing it. Records without a bound source get no row.
-    pub(crate) fn new(records: &[Record], src_slot: usize, dim: u64) -> Self {
-        let mut src_row: HashMap<NodeId, u64> = HashMap::new();
-        let mut entries: Vec<(u64, u64)> = Vec::new();
+    pub(crate) fn new(records: &RecordBatch, src_slot: usize) -> Self {
+        let mut src_row: HashMap<NodeId, usize> = HashMap::new();
+        let mut sources: Vec<NodeId> = Vec::new();
         let record_rows = records
             .iter()
             .map(|r| match r.get(src_slot) {
-                Some(Value::Node(s)) => Some(*src_row.entry(*s).or_insert_with(|| {
-                    entries.push((entries.len() as u64, *s));
-                    entries.len() as u64 - 1
+                Some(&Value::Node(s)) => Some(*src_row.entry(s).or_insert_with(|| {
+                    sources.push(s);
+                    sources.len() - 1
                 })),
                 _ => None,
             })
             .collect();
-        BatchFrontier { entries, record_rows, dim }
+        BatchFrontier { sources, record_rows }
     }
 }
 
-/// An output row paired with its evaluated `ORDER BY` keys.
-type SortableRow = (Vec<Value>, Vec<(Value, SortOrder)>);
-
-/// Evaluate the sort keys of `ORDER BY` for one output row.
-fn sort_keys(
-    order_by: &[(Expr, SortOrder)],
-    projection: &Projection,
-    row: &[Value],
-    record: &Record,
-    bindings: &Bindings,
-    graph: &Graph,
-) -> Vec<(Value, SortOrder)> {
-    order_by
-        .iter()
-        .map(|(expr, order)| {
-            // Prefer matching an output column (by alias or identical expression)
-            // so aggregated columns can be sorted on.
-            let col = projection.items.iter().position(|item| {
-                &item.expr == expr
-                    || matches!((expr, &item.alias), (Expr::Variable(v), Some(alias)) if v == alias)
-            });
-            let value = match col {
-                Some(i) => row.get(i).cloned().unwrap_or(Value::Null),
-                None => eval(expr, record, bindings, graph),
-            };
-            (value, *order)
-        })
-        .collect()
+/// A projection's `ORDER BY` keys, each resolved once per operator to the
+/// output column it names (by alias or identical expression, so aggregated
+/// columns can be sorted on) or else to its expression, evaluated per
+/// record.
+struct OrderBy<'p> {
+    keys: Vec<(Result<usize, &'p Expr>, SortOrder)>,
 }
 
-fn apply_order_skip_limit(projection: &Projection, mut rows: Vec<SortableRow>) -> Vec<Vec<Value>> {
-    if !projection.order_by.is_empty() {
-        rows.sort_by(|a, b| {
-            for ((va, order), (vb, _)) in a.1.iter().zip(b.1.iter()) {
-                let cmp = va.sort_cmp(vb);
-                let cmp = match order {
+impl<'p> OrderBy<'p> {
+    fn new(projection: &'p Projection) -> Self {
+        let column = |expr: &Expr| {
+            projection.items.iter().position(|item| {
+                &item.expr == expr
+                    || matches!((expr, &item.alias), (Expr::Variable(v), Some(alias)) if v == alias)
+            })
+        };
+        let keys = projection
+            .order_by
+            .iter()
+            .map(|(expr, order)| (column(expr).ok_or(expr), *order))
+            .collect();
+        OrderBy { keys }
+    }
+
+    /// Append the sort keys of output `row`, projected from `record`, to
+    /// `out`.
+    fn push_keys(
+        &self,
+        row: &[Value],
+        record: &[Value],
+        bindings: &Bindings,
+        graph: &Graph,
+        out: &mut Vec<Value>,
+    ) {
+        out.extend(self.keys.iter().map(|(key, _)| match key {
+            Ok(column) => row[*column].clone(),
+            Err(expr) => eval(expr, record, bindings, graph),
+        }));
+    }
+}
+
+/// A projection's `SKIP` and `LIMIT` (none = every row).
+fn skip_limit(projection: &Projection) -> (usize, usize) {
+    let skip = projection.skip.map_or(0, |skip| skip as usize);
+    (skip, projection.limit.map_or(usize::MAX, |limit| limit as usize))
+}
+
+/// Apply `ORDER BY`, `DISTINCT` (first occurrence in order), `SKIP` and
+/// `LIMIT` to projected `rows`, in that order; `keys` holds each row's sort
+/// keys ([`OrderBy::push_keys`]). The order is stable: ties keep input
+/// order. Under a `LIMIT` without `DISTINCT` only the first `skip + limit`
+/// rows in order can survive, so those are selected first and only they
+/// are sorted.
+fn order_skip_limit(
+    projection: &Projection,
+    order: &OrderBy<'_>,
+    mut rows: RecordBatch,
+    keys: &[Value],
+) -> RecordBatch {
+    let (skip, limit) = skip_limit(projection);
+    let mut picked: Vec<usize> = (0..rows.len()).collect();
+    if !order.keys.is_empty() {
+        let stride = order.keys.len();
+        let cmp = |&a: &usize, &b: &usize| {
+            for (k, (_, dir)) in order.keys.iter().enumerate() {
+                let cmp = keys[a * stride + k].sort_cmp(&keys[b * stride + k]);
+                let cmp = match dir {
                     SortOrder::Ascending => cmp,
                     SortOrder::Descending => cmp.reverse(),
                 };
-                if cmp != std::cmp::Ordering::Equal {
+                if cmp.is_ne() {
                     return cmp;
                 }
             }
-            std::cmp::Ordering::Equal
-        });
+            a.cmp(&b)
+        };
+        let top = skip.saturating_add(limit);
+        if !projection.distinct && top < picked.len() {
+            picked.select_nth_unstable_by(top, cmp);
+            picked.truncate(top);
+        }
+        picked.sort_unstable_by(cmp);
     }
-    let mut out: Vec<Vec<Value>> = rows.into_iter().map(|(row, _)| row).collect();
     if projection.distinct {
-        // First occurrence of each equivalence class, in order.
-        let keyed: Vec<Vec<EquivKey>> =
-            out.into_iter().map(|row| row.into_iter().map(EquivKey).collect()).collect();
-        let mut seen = HashSet::with_capacity(keyed.len());
-        let first: Vec<bool> = keyed.iter().map(|key| seen.insert(key.as_slice())).collect();
-        out = keyed
-            .into_iter()
-            .zip(first)
-            .filter(|(_, first)| *first)
-            .map(|(key, _)| key.into_iter().map(|k| k.0).collect())
-            .collect();
+        let mut seen = HashSet::with_capacity(picked.len());
+        picked.retain(|&i| seen.insert(EquivRow(&rows[i])));
     }
-    let skip = projection.skip.unwrap_or(0) as usize;
-    if skip > 0 {
-        out.drain(..skip.min(out.len()));
-    }
-    if let Some(limit) = projection.limit {
-        out.truncate(limit as usize);
-    }
-    out
+    rows.take_rows(picked.into_iter().skip(skip).take(limit))
 }
 
 /// Execute a plain projection (no aggregates): evaluate every item per record.
+/// Without `ORDER BY` or `DISTINCT`, records outside the `SKIP`/`LIMIT`
+/// window are never evaluated.
 pub fn run_project(
     projection: &Projection,
-    records: &[Record],
+    records: &RecordBatch,
     bindings: &Bindings,
     graph: &Graph,
-) -> Vec<Vec<Value>> {
-    let rows: Vec<SortableRow> = records
-        .iter()
-        .map(|record| {
-            let row: Vec<Value> = projection
-                .items
-                .iter()
-                .map(|item| eval(&item.expr, record, bindings, graph))
-                .collect();
-            let keys = sort_keys(&projection.order_by, projection, &row, record, bindings, graph);
-            (row, keys)
-        })
-        .collect();
-    apply_order_skip_limit(projection, rows)
+) -> RecordBatch {
+    let order = OrderBy::new(projection);
+    let window = order.keys.is_empty() && !projection.distinct;
+    let (skip, limit) = if window { skip_limit(projection) } else { (0, usize::MAX) };
+    let mut rows = RecordBatch::new(projection.items.len());
+    let mut keys = Vec::new();
+    for record in records.iter().skip(skip).take(limit) {
+        rows.push(projection.items.iter().map(|item| eval(&item.expr, record, bindings, graph)));
+        order.push_keys(&rows[rows.len() - 1], record, bindings, graph, &mut keys);
+    }
+    if window {
+        return rows;
+    }
+    order_skip_limit(projection, &order, rows, &keys)
 }
 
 /// Execute an aggregating projection: group records by the non-aggregate items
@@ -676,10 +655,10 @@ pub fn run_project(
 pub fn run_aggregate(
     projection: &Projection,
     weight_slot: Option<usize>,
-    records: &[Record],
+    records: &RecordBatch,
     bindings: &Bindings,
     graph: &Graph,
-) -> Vec<Vec<Value>> {
+) -> RecordBatch {
     // Split items into group keys and aggregates, remembering their positions.
     let mut group_positions = Vec::new();
     let mut agg_positions = Vec::new();
@@ -712,19 +691,23 @@ pub fn run_aggregate(
         groups.push((Vec::new(), new_accumulators()));
     }
 
+    // The current record's group key, reused: only a new group copies it.
+    let mut key: Vec<EquivKey> = Vec::new();
     for record in records {
         let g = if group_positions.is_empty() {
             0
         } else {
-            let key: Vec<EquivKey> = group_positions
-                .iter()
-                .map(|&i| EquivKey(eval(&projection.items[i].expr, record, bindings, graph)))
-                .collect();
-            match index.get(&key) {
+            key.clear();
+            key.extend(
+                group_positions
+                    .iter()
+                    .map(|&i| EquivKey(eval(&projection.items[i].expr, record, bindings, graph))),
+            );
+            match index.get(key.as_slice()) {
                 Some(&g) => g,
                 None => {
                     groups.push((key.iter().map(|k| k.0.clone()).collect(), new_accumulators()));
-                    index.insert(key, groups.len() - 1);
+                    index.insert(key.clone(), groups.len() - 1);
                     groups.len() - 1
                 }
             }
@@ -744,37 +727,66 @@ pub fn run_aggregate(
         }
     }
 
-    let rows: Vec<SortableRow> = groups
-        .into_iter()
-        .map(|(key_values, accs)| {
-            let mut row = vec![Value::Null; projection.items.len()];
-            for (value, &pos) in key_values.into_iter().zip(group_positions.iter()) {
-                row[pos] = value;
+    // Sort keys that are no output column see no record (no variable is
+    // bound past the grouping).
+    let order = OrderBy::new(projection);
+    let mut rows = RecordBatch::new(projection.items.len());
+    let mut keys = Vec::new();
+    for (key_values, accs) in groups {
+        let row = rows.push_nulls();
+        for (value, &pos) in key_values.into_iter().zip(group_positions.iter()) {
+            row[pos] = value;
+        }
+        for (acc, &pos) in accs.into_iter().zip(agg_positions.iter()) {
+            row[pos] = acc.finish();
+        }
+        order.push_keys(&rows[rows.len() - 1], &[], bindings, graph, &mut keys);
+    }
+    order_skip_limit(projection, &order, rows, &keys)
+}
+
+/// Execute a `WITH`: project (or aggregate) the records, then move each
+/// output column into its slot of the next segment's record layout
+/// (`next`), resolved once per operator.
+pub fn run_with(
+    projection: &Projection,
+    records: &RecordBatch,
+    bindings: &Bindings,
+    next: &Bindings,
+    graph: &Graph,
+) -> RecordBatch {
+    let mut produced = if projection.items.iter().any(|i| contains_aggregate(&i.expr)) {
+        run_aggregate(projection, None, records, bindings, graph)
+    } else {
+        run_project(projection, records, bindings, graph)
+    };
+    let slots: Vec<Option<usize>> =
+        projection.items.iter().map(|item| next.slot(&item.column_name())).collect();
+    let mut out = RecordBatch::new(next.len());
+    for i in 0..produced.len() {
+        let record = out.push_nulls();
+        for (&slot, value) in slots.iter().zip(&mut produced[i]) {
+            if let Some(slot) = slot {
+                record[slot] = std::mem::replace(value, Value::Null);
             }
-            for (acc, &pos) in accs.into_iter().zip(agg_positions.iter()) {
-                row[pos] = acc.finish();
-            }
-            let keys =
-                sort_keys(&projection.order_by, projection, &row, &Vec::new(), bindings, graph);
-            (row, keys)
-        })
-        .collect();
-    apply_order_skip_limit(projection, rows)
+        }
+    }
+    out
 }
 
 /// Execute a `CREATE` op for every incoming record.
 pub fn run_create(
     patterns: &[PathPattern],
-    records: &mut Vec<Record>,
+    records: &mut RecordBatch,
     bindings: &Bindings,
     graph: &mut Graph,
     stats: &mut QueryStats,
 ) {
     if records.is_empty() {
-        records.push(vec![Value::Null; bindings.len()]);
+        records.push_nulls();
     }
-    for record in records.iter_mut() {
-        ensure_len(record, bindings);
+    for i in 0..records.len() {
+        let record = &mut records[i];
         for pattern in patterns {
             // Create / resolve the start node, then walk the steps.
             let mut prev = resolve_or_create_node(&pattern.start, record, bindings, graph, stats);
@@ -803,7 +815,7 @@ pub fn run_create(
 
 fn resolve_or_create_node(
     pattern: &cypher::NodePattern,
-    record: &mut Record,
+    record: &mut [Value],
     bindings: &Bindings,
     graph: &mut Graph,
     stats: &mut QueryStats,
@@ -833,7 +845,7 @@ fn resolve_or_create_node(
 /// Execute a `DELETE` op.
 pub fn run_delete(
     vars: &[String],
-    records: &[Record],
+    records: &RecordBatch,
     bindings: &Bindings,
     graph: &mut Graph,
     stats: &mut QueryStats,
@@ -872,7 +884,7 @@ pub fn run_delete(
 /// Execute a `SET` op.
 pub fn run_set(
     items: &[SetItem],
-    records: &[Record],
+    records: &RecordBatch,
     bindings: &Bindings,
     graph: &mut Graph,
     stats: &mut QueryStats,
@@ -893,19 +905,6 @@ pub fn run_set(
     }
 }
 
-/// True if evaluating the expression can depend on the current record
-/// (i.e. it reads a bound variable or property somewhere).
-fn reads_record(expr: &Expr) -> bool {
-    match expr {
-        Expr::Variable(_) | Expr::Property(_, _) => true,
-        Expr::Literal(_) | Expr::Parameter(_) => false,
-        Expr::Unary(_, inner) => reads_record(inner),
-        Expr::Binary(_, lhs, rhs) => reads_record(lhs) || reads_record(rhs),
-        Expr::List(items) => items.iter().any(reads_record),
-        Expr::FunctionCall { args, .. } => args.iter().any(reads_record),
-    }
-}
-
 /// Execute a `CALL` op: run the registered procedure once per incoming record
 /// (arguments are evaluated against that record) and emit one output record
 /// per produced row, with the yielded columns written into their slots.
@@ -916,29 +915,29 @@ pub fn run_procedure(
     name: &str,
     args: &[Expr],
     outputs: &[(usize, usize)],
-    records: Vec<Record>,
+    records: &RecordBatch,
     bindings: &Bindings,
     graph: &Graph,
-) -> Result<Vec<Record>, crate::error::QueryError> {
+) -> Result<RecordBatch, crate::error::QueryError> {
     let proc = crate::exec::procedures::find(name).ok_or_else(|| {
         crate::error::QueryError::Internal(format!("procedure `{name}` vanished after planning"))
     })?;
-    let constant_args = !args.iter().any(reads_record);
-    let mut cached_rows: Option<Vec<Vec<Value>>> = None;
-    let mut out = Vec::new();
-    for record in &records {
+    let mut vars = Vec::new();
+    args.iter().for_each(|arg| expr_vars(arg, &mut vars));
+    let constant_args = vars.is_empty();
+    let mut cached_rows: Option<RecordBatch> = None;
+    let mut out = RecordBatch::new(records.width());
+    for record in records {
         if cached_rows.is_none() {
             let argv: Vec<Value> = args.iter().map(|a| eval(a, record, bindings, graph)).collect();
             cached_rows = Some((proc.run)(graph, &argv)?);
         }
         let rows = cached_rows.as_ref().expect("computed above");
         for row in rows {
-            let mut r = record.clone();
-            ensure_len(&mut r, bindings);
+            let r = out.push_copy(record);
             for &(col, slot) in outputs {
                 r[slot] = row[col].clone();
             }
-            out.push(r);
         }
         if !constant_args {
             cached_rows = None;
@@ -951,23 +950,19 @@ pub fn run_procedure(
 pub fn run_unwind(
     list: &Expr,
     slot: usize,
-    records: Vec<Record>,
+    records: &RecordBatch,
     bindings: &Bindings,
     graph: &Graph,
-) -> Vec<Record> {
-    let mut out = Vec::new();
+) -> RecordBatch {
+    let mut out = RecordBatch::new(records.width());
     for record in records {
-        let value = eval(list, &record, bindings, graph);
-        let items = match value {
+        let items = match eval(list, record, bindings, graph) {
             Value::List(items) => items,
             Value::Null => continue,
             single => vec![single],
         };
         for item in items {
-            let mut r = record.clone();
-            ensure_len(&mut r, bindings);
-            r[slot] = item;
-            out.push(r);
+            out.push_copy(record)[slot] = item;
         }
     }
     out

@@ -20,7 +20,7 @@
 use crate::error::QueryError;
 use crate::exec::expr::contains_aggregate;
 use crate::exec::ops::*;
-use crate::exec::record::{Bindings, Record};
+use crate::exec::record::{Bindings, RecordBatch};
 use crate::exec::resultset::{QueryStats, ResultSet};
 use crate::store::graph::Graph;
 use crate::value::Value;
@@ -37,7 +37,7 @@ pub type Params = HashMap<String, Expr>;
 /// What one operator did during a profiled execution (`GRAPH.PROFILE`): the
 /// operator's `describe()` line plus how many records it left in the
 /// interpreter's working set and how long its invocation took. The executor
-/// is a batch interpreter — each operator consumes the whole record vector
+/// is a batch interpreter — each operator consumes the whole record batch
 /// and produces the next one — so an operator's wall time is exactly the
 /// span of its invocation; there is no child time to subtract.
 #[derive(Debug, Clone, PartialEq)]
@@ -207,6 +207,14 @@ impl ExecutionPlan {
     /// With `profiles`, every operator's records-produced count and wall time
     /// are appended to it (`GRAPH.PROFILE`); write operators mutate exactly
     /// as they do unprofiled.
+    ///
+    /// Records travel as one [`RecordBatch`] per operator boundary, created
+    /// at the segment's `bindings.len()` width: the first operator extends a
+    /// single record of null slots (zero of them for `RETURN 1`), each
+    /// operator maps its input batch to the next (a filter compacts in
+    /// place), `WITH` moves the projected values into the next segment's
+    /// layout, and the last `Project`/`Aggregate` batch, one slot per
+    /// column, becomes [`ResultSet::rows`].
     pub fn run(
         &self,
         mut access: GraphAccess<'_>,
@@ -214,9 +222,11 @@ impl ExecutionPlan {
         mut profiles: Option<&mut Vec<OpProfile>>,
     ) -> Result<ResultSet, QueryError> {
         let mut stats = QueryStats::default();
-        let mut records: Vec<Record> = vec![Vec::new()];
+        // The first operator extends one record with nothing bound yet.
+        let mut records = RecordBatch::new(self.segments[0].bindings.len());
+        records.push_nulls();
         let mut columns: Vec<String> = Vec::new();
-        let mut rows: Vec<Vec<Value>> = Vec::new();
+        let mut rows = RecordBatch::default();
 
         for (si, segment) in self.segments.iter().enumerate() {
             let bindings = &segment.bindings;
@@ -228,50 +238,22 @@ impl ExecutionPlan {
                     PlanOp::AllNodeScan { .. }
                     | PlanOp::NodeByLabelScan { .. }
                     | PlanOp::NodeByIdSeek { .. } => {
-                        records = run_scan(op, records, bindings, access.graph());
+                        records = run_scan(op, &records, bindings, access.graph());
                     }
                     PlanOp::Filter { .. }
                     | PlanOp::LabelFilter { .. }
                     | PlanOp::PropFilter { .. } => {
-                        records = run_filter(op, records, bindings, access.graph());
+                        run_filter(op, &mut records, bindings, access.graph());
                     }
-                    PlanOp::Traverse {
-                        src_slot,
-                        dst_slot,
-                        edge_slot,
-                        rel_types,
-                        direction,
-                        min_hops,
-                        max_hops,
-                        expand_into,
-                        ..
-                    } => {
-                        let spec = TraverseSpec {
-                            src_slot: *src_slot,
-                            dst_slot: *dst_slot,
-                            edge_slot: *edge_slot,
-                            rel_types,
-                            direction: *direction,
-                            min_hops: *min_hops,
-                            max_hops: *max_hops,
-                            expand_into: *expand_into,
-                        };
-                        records = run_traverse(records, bindings, access.graph(), &spec);
+                    PlanOp::Traverse { .. } => {
+                        records = run_traverse(op, &records, access.graph());
                     }
                     PlanOp::TraverseCount { projection, .. } => {
                         columns = projection.items.iter().map(|i| i.column_name()).collect();
                         rows = run_traverse_count(op, &records, access.graph());
                     }
-                    PlanOp::FusedTraverse { src_slot, dst_slot, expr, weight_slot, .. } => {
-                        records = crate::exec::algebraic::run_fused(
-                            &records,
-                            bindings,
-                            access.graph(),
-                            *src_slot,
-                            *dst_slot,
-                            expr,
-                            *weight_slot,
-                        );
+                    PlanOp::FusedTraverse { .. } => {
+                        records = crate::exec::algebraic::run_fused(op, &records, access.graph());
                     }
                     PlanOp::Project(projection) => {
                         columns = projection.items.iter().map(|i| i.column_name()).collect();
@@ -288,25 +270,8 @@ impl ExecutionPlan {
                         );
                     }
                     PlanOp::With(projection) => {
-                        let agg = projection.items.iter().any(|i| contains_aggregate(&i.expr));
-                        let produced = if agg {
-                            run_aggregate(projection, None, &records, bindings, access.graph())
-                        } else {
-                            run_project(projection, &records, bindings, access.graph())
-                        };
-                        let next_bindings = &self.segments[si + 1].bindings;
-                        records = produced
-                            .into_iter()
-                            .map(|row| {
-                                let mut r = vec![Value::Null; next_bindings.len()];
-                                for (item, value) in projection.items.iter().zip(row) {
-                                    if let Some(slot) = next_bindings.slot(&item.column_name()) {
-                                        r[slot] = value;
-                                    }
-                                }
-                                r
-                            })
-                            .collect();
+                        let next = &self.segments[si + 1].bindings;
+                        records = run_with(projection, &records, bindings, next, access.graph());
                     }
                     PlanOp::Create { patterns } => {
                         run_create(
@@ -324,11 +289,11 @@ impl ExecutionPlan {
                         run_set(items, &records, bindings, access.graph_mut()?, &mut stats);
                     }
                     PlanOp::Unwind { list, slot, .. } => {
-                        records = run_unwind(list, *slot, records, bindings, access.graph());
+                        records = run_unwind(list, *slot, &records, bindings, access.graph());
                     }
                     PlanOp::ProcedureCall { name, args, outputs } => {
                         records =
-                            run_procedure(name, args, outputs, records, bindings, access.graph())?;
+                            run_procedure(name, args, outputs, &records, bindings, access.graph())?;
                     }
                 }
                 if let Some(profiles) = profiles.as_deref_mut() {
@@ -781,7 +746,7 @@ fn conjuncts(expr: &Expr) -> Vec<&Expr> {
 }
 
 /// Every variable an expression reads (`v` and `v.prop`).
-fn expr_vars<'e>(expr: &'e Expr, out: &mut Vec<&'e str>) {
+pub(crate) fn expr_vars<'e>(expr: &'e Expr, out: &mut Vec<&'e str>) {
     match expr {
         Expr::Variable(v) | Expr::Property(v, _) => out.push(v),
         Expr::Literal(_) | Expr::Parameter(_) => {}

@@ -7,13 +7,14 @@
 //! share one representation, which is the paper's core argument.
 
 use crate::error::QueryError;
+use crate::exec::record::RecordBatch;
 use crate::store::graph::Graph;
 use crate::value::Value;
 use crate::NodeId;
 
 /// The shape of a procedure implementation: evaluated arguments in, result
-/// rows out (one `Vec<Value>` per row, one value per yield column).
-pub type ProcedureFn = fn(&Graph, &[Value]) -> Result<Vec<Vec<Value>>, QueryError>;
+/// rows out (one record per row, one slot per yield column).
+pub type ProcedureFn = fn(&Graph, &[Value]) -> Result<RecordBatch, QueryError>;
 
 /// A registered procedure: fixed name, output columns, arity bounds, and the
 /// function that produces its rows.
@@ -92,14 +93,14 @@ fn node_arg(graph: &Graph, value: &Value, procedure: &str) -> Result<NodeId, Que
     Ok(id as NodeId)
 }
 
-fn proc_bfs(graph: &Graph, args: &[Value]) -> Result<Vec<Vec<Value>>, QueryError> {
+fn proc_bfs(graph: &Graph, args: &[Value]) -> Result<RecordBatch, QueryError> {
     let source = node_arg(graph, &args[0], "algo.bfs")?;
     let adj = graph.adjacency_matrix();
     let levels = algo::bfs_levels(&adj, source);
-    Ok(levels.iter().map(|(node, level)| vec![Value::Node(node), Value::Int(level)]).collect())
+    Ok(levels.iter().map(|(node, level)| [Value::Node(node), Value::Int(level)]).collect())
 }
 
-fn proc_sssp(graph: &Graph, args: &[Value]) -> Result<Vec<Vec<Value>>, QueryError> {
+fn proc_sssp(graph: &Graph, args: &[Value]) -> Result<RecordBatch, QueryError> {
     let source = node_arg(graph, &args[0], "algo.sssp")?;
     let weight_prop = match args.get(1) {
         None => "weight".to_string(),
@@ -112,10 +113,10 @@ fn proc_sssp(graph: &Graph, args: &[Value]) -> Result<Vec<Vec<Value>>, QueryErro
     };
     let weights = graph.weight_matrix(&weight_prop, 1.0);
     let dist = algo::sssp(&weights, source);
-    Ok(dist.iter().map(|(node, d)| vec![Value::Node(node), Value::Float(d)]).collect())
+    Ok(dist.iter().map(|(node, d)| [Value::Node(node), Value::Float(d)]).collect())
 }
 
-fn proc_pagerank(graph: &Graph, args: &[Value]) -> Result<Vec<Vec<Value>>, QueryError> {
+fn proc_pagerank(graph: &Graph, args: &[Value]) -> Result<RecordBatch, QueryError> {
     let mut config = algo::PageRankConfig::default();
     if let Some(damping) = args.first() {
         let d = damping.as_f64().ok_or_else(|| {
@@ -143,24 +144,24 @@ fn proc_pagerank(graph: &Graph, args: &[Value]) -> Result<Vec<Vec<Value>>, Query
     Ok(result
         .scores
         .into_iter()
-        .map(|(node, score)| vec![Value::Node(node), Value::Float(score)])
+        .map(|(node, score)| [Value::Node(node), Value::Float(score)])
         .collect())
 }
 
-fn proc_wcc(graph: &Graph, _args: &[Value]) -> Result<Vec<Vec<Value>>, QueryError> {
+fn proc_wcc(graph: &Graph, _args: &[Value]) -> Result<RecordBatch, QueryError> {
     let nodes = graph.all_node_ids();
     let adj = graph.adjacency_matrix();
     let labels = algo::wcc(&adj, &nodes);
     Ok(labels
         .into_iter()
-        .map(|(node, component)| vec![Value::Node(node), Value::Int(component as i64)])
+        .map(|(node, component)| [Value::Node(node), Value::Int(component as i64)])
         .collect())
 }
 
-fn proc_triangles(graph: &Graph, _args: &[Value]) -> Result<Vec<Vec<Value>>, QueryError> {
+fn proc_triangles(graph: &Graph, _args: &[Value]) -> Result<RecordBatch, QueryError> {
     let adj = graph.adjacency_matrix();
     let count = algo::triangle_count(&adj);
-    Ok(vec![vec![Value::Int(count as i64)]])
+    Ok([[Value::Int(count as i64)]].into_iter().collect())
 }
 
 #[cfg(test)]
@@ -191,8 +192,8 @@ mod tests {
         let g = triangle_graph();
         let rows = proc_bfs(&g, &[Value::Int(0)]).unwrap();
         assert_eq!(rows.len(), 3);
-        assert!(rows.contains(&vec![Value::Node(0), Value::Int(0)]));
-        assert!(rows.contains(&vec![Value::Node(2), Value::Int(2)]));
+        assert!(rows.to_vec().contains(&vec![Value::Node(0), Value::Int(0)]));
+        assert!(rows.to_vec().contains(&vec![Value::Node(2), Value::Int(2)]));
     }
 
     #[test]
@@ -200,8 +201,8 @@ mod tests {
         let g = triangle_graph();
         let rows = proc_sssp(&g, &[Value::Int(0)]).unwrap();
         // 0→1 (2.0), 0→1→2 (5.0); the unweighted edge 2→0 defaults to 1.0.
-        assert!(rows.contains(&vec![Value::Node(1), Value::Float(2.0)]));
-        assert!(rows.contains(&vec![Value::Node(2), Value::Float(5.0)]));
+        assert!(rows.to_vec().contains(&vec![Value::Node(1), Value::Float(2.0)]));
+        assert!(rows.to_vec().contains(&vec![Value::Node(2), Value::Float(5.0)]));
     }
 
     #[test]

@@ -1,6 +1,12 @@
 //! Query result sets and execution statistics, mirroring what `GRAPH.QUERY`
 //! returns to a Redis client (header, rows, statistics footer).
+//!
+//! The rows are the executor's last [`RecordBatch`], one slot per column:
+//! one flat buffer the reply encoder walks row by row (`rows.iter()` yields
+//! each row as a `&[Value]`, `rows[i][j]` indexes a cell, and
+//! `rows.to_vec()` copies them out as one `Vec` per row).
 
+use crate::exec::record::RecordBatch;
 use crate::value::Value;
 use std::time::Duration;
 
@@ -33,7 +39,7 @@ pub struct ResultSet {
     /// Column names, in projection order. Empty for pure-write queries.
     pub columns: Vec<String>,
     /// Result rows; each row has one value per column.
-    pub rows: Vec<Vec<Value>>,
+    pub rows: RecordBatch,
     /// Mutation/timing statistics.
     pub stats: QueryStats,
 }
@@ -57,7 +63,7 @@ impl ResultSet {
     /// The single scalar of a one-row one-column result (e.g. `RETURN count(t)`),
     /// if the shape matches.
     pub fn scalar(&self) -> Option<&Value> {
-        if self.rows.len() == 1 && self.rows[0].len() == 1 {
+        if self.rows.len() == 1 && self.rows.width() == 1 {
             Some(&self.rows[0][0])
         } else {
             None
@@ -101,7 +107,7 @@ mod tests {
     fn scalar_extraction() {
         let rs = ResultSet {
             columns: vec!["count(t)".into()],
-            rows: vec![vec![Value::Int(7)]],
+            rows: [[Value::Int(7)]].into_iter().collect(),
             stats: QueryStats::default(),
         };
         assert_eq!(rs.scalar(), Some(&Value::Int(7)));
@@ -109,7 +115,7 @@ mod tests {
 
         let multi = ResultSet {
             columns: vec!["a".into()],
-            rows: vec![vec![Value::Int(1)], vec![Value::Int(2)]],
+            rows: [[Value::Int(1)], [Value::Int(2)]].into_iter().collect(),
             stats: QueryStats::default(),
         };
         assert_eq!(multi.scalar(), None);
@@ -119,7 +125,7 @@ mod tests {
     fn table_rendering_includes_header_and_stats() {
         let rs = ResultSet {
             columns: vec!["name".into(), "age".into()],
-            rows: vec![vec![Value::Str("ann".into()), Value::Int(34)]],
+            rows: [[Value::Str("ann".into()), Value::Int(34)]].into_iter().collect(),
             stats: QueryStats { nodes_created: 2, ..Default::default() },
         };
         let table = rs.to_table();

@@ -17,12 +17,17 @@
 //! ## Quickstart
 //!
 //! ```
-//! use redisgraph_core::Graph;
+//! use redisgraph_core::{Graph, Value};
 //!
 //! let mut g = Graph::new("social");
 //! g.query("CREATE (:Person {name: 'Ann', age: 34})-[:KNOWS]->(:Person {name: 'Bob', age: 28})").unwrap();
 //! let result = g.query("MATCH (a:Person)-[:KNOWS]->(b) RETURN a.name, b.name").unwrap();
 //! assert_eq!(result.rows.len(), 1);
+//! // Rows are slices of one flat buffer, one value per column.
+//! for row in &result.rows {
+//!     assert_eq!(row, [Value::Str("Ann".into()), Value::Str("Bob".into())]);
+//! }
+//! assert_eq!(result.rows[0][1].to_string(), "Bob");
 //! ```
 
 pub mod error;

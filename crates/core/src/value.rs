@@ -285,6 +285,24 @@ impl Hash for EquivKey {
     }
 }
 
+/// A borrowed row as a hash key under the same equivalence, cell by cell:
+/// the key `RETURN DISTINCT` deduplicates a batch's rows with in place.
+pub(crate) struct EquivRow<'a>(pub(crate) &'a [Value]);
+
+impl PartialEq for EquivRow<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.len() == other.0.len() && self.0.iter().zip(other.0).all(|(a, b)| a.equivalent(b))
+    }
+}
+
+impl Eq for EquivRow<'_> {}
+
+impl Hash for EquivRow<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.iter().for_each(|v| v.hash_equivalence(state));
+    }
+}
+
 impl From<&cypher::Literal> for Value {
     fn from(lit: &cypher::Literal) -> Self {
         match lit {

@@ -489,3 +489,123 @@ fn long_not_chains_are_rejected_not_a_stack_overflow() {
     let nots = |n: usize| format!("RETURN {}true", "NOT ".repeat(n));
     assert_depth_budget(nots(100_000), nots(127), Value::Bool(false));
 }
+
+#[test]
+fn zero_width_records_still_count() {
+    // `RETURN 1` projects from one record of no slots; `UNWIND []` from none.
+    let g = Graph::new("w0");
+    assert_eq!(g.query_readonly("RETURN 1").unwrap().rows, vec![vec![Value::Int(1)]]);
+    assert_eq!(
+        g.query_readonly("RETURN 1, 'a'").unwrap().rows,
+        vec![vec![Value::Int(1), Value::Str("a".into())]]
+    );
+    assert_eq!(g.query_readonly("RETURN count(*)").unwrap().rows, vec![vec![Value::Int(1)]]);
+    assert!(g.query_readonly("UNWIND [] AS x RETURN x").unwrap().rows.is_empty());
+}
+
+#[test]
+fn heap_values_pass_unchanged_through_filter_with_distinct_and_order_by() {
+    let mut g = Graph::new("heap");
+    g.query("CREATE (:P {name: 'b'}), (:P {name: 'a'}), (:P {name: 'c'}), (:P {name: 'a'})")
+        .unwrap();
+    g.query("MATCH (p:P) SET p.tags = [p.name, 'x']").unwrap();
+    assert!(g.has_pending_deltas(), "the snapshot must read through pending deltas");
+    let snapshot = g.snapshot();
+    let s = |v: &str| Value::Str(v.into());
+    let tags = |v: &str| Value::List(vec![s(v), s("x")]);
+    // The record widens across `WITH` (one slot, then two); the filter
+    // compacts records holding strings and lists.
+    let rs = snapshot
+        .query_readonly(
+            "MATCH (p:P) WITH p.name AS name, p.tags AS tags WHERE name <> 'c' \
+             RETURN DISTINCT name, tags ORDER BY name DESC",
+        )
+        .unwrap();
+    assert_eq!(rs.rows, vec![vec![s("b"), tags("b")], vec![s("a"), tags("a")]]);
+    let rs = snapshot
+        .query_readonly(
+            "UNWIND [['y', 'z'], [], ['w']] AS l WITH l, size(l) AS n WHERE n > 0 \
+             RETURN l ORDER BY n",
+        )
+        .unwrap();
+    let list = |items: &[&str]| Value::List(items.iter().map(|v| s(v)).collect());
+    assert_eq!(rs.rows, vec![vec![list(&["w"])], vec![list(&["y", "z"])]]);
+}
+
+/// `ORDER BY … SKIP … LIMIT` selects the first `skip + limit` rows before
+/// sorting only those; the rows must equal a full stable sort of the
+/// unordered rows, over keys with many ties, projected or not.
+#[test]
+fn order_by_skip_limit_matches_a_full_stable_sort() {
+    let mut g = Graph::new("topk");
+    let nodes: Vec<String> = (0..60)
+        .map(|i| format!("(:N {{i: {i}, k: {}, j: {}}})", (i * 37) % 60 % 3, (i * 7) % 4))
+        .collect();
+    g.query(&format!("CREATE {}", nodes.join(", "))).unwrap();
+    let columns = ["n.k", "n.j", "n.i"];
+    let base = g.query_readonly("MATCH (n:N) RETURN n.k, n.j, n.i").unwrap().rows.to_vec();
+    // ORDER BY keys as (column, descending), and the projected columns.
+    let orders: [&[(usize, bool)]; 4] =
+        [&[(0, false)], &[(0, true)], &[(0, false), (1, true)], &[(1, true), (0, false)]];
+    let projections: [&[usize]; 4] = [&[0, 2], &[2], &[0, 1], &[1]];
+    for order in orders {
+        for projection in projections {
+            for distinct in [false, true] {
+                for skip in [None, Some(0), Some(3), Some(100)] {
+                    for limit in [None, Some(0), Some(1), Some(7), Some(100)] {
+                        let query = format!(
+                            "MATCH (n:N) RETURN {}{} ORDER BY {}{}{}",
+                            if distinct { "DISTINCT " } else { "" },
+                            projection.iter().map(|&c| columns[c]).collect::<Vec<_>>().join(", "),
+                            order
+                                .iter()
+                                .map(|&(c, desc)| format!(
+                                    "{}{}",
+                                    columns[c],
+                                    if desc { " DESC" } else { "" }
+                                ))
+                                .collect::<Vec<_>>()
+                                .join(", "),
+                            skip.map_or(String::new(), |s| format!(" SKIP {s}")),
+                            limit.map_or(String::new(), |l| format!(" LIMIT {l}")),
+                        );
+                        let mut sorted = base.clone();
+                        sorted.sort_by(|a, b| {
+                            order
+                                .iter()
+                                .map(|&(c, desc)| {
+                                    let o = a[c].sort_cmp(&b[c]);
+                                    if desc {
+                                        o.reverse()
+                                    } else {
+                                        o
+                                    }
+                                })
+                                .find(|o| o.is_ne())
+                                .unwrap_or(std::cmp::Ordering::Equal)
+                        });
+                        let mut expected: Vec<Vec<Value>> = sorted
+                            .iter()
+                            .map(|row| projection.iter().map(|&c| row[c].clone()).collect())
+                            .collect();
+                        if distinct {
+                            let mut seen = Vec::new();
+                            expected.retain(|row| {
+                                let first = !seen.contains(row);
+                                seen.push(row.clone());
+                                first
+                            });
+                        }
+                        let expected: Vec<Vec<Value>> = expected
+                            .into_iter()
+                            .skip(skip.unwrap_or(0))
+                            .take(limit.unwrap_or(usize::MAX))
+                            .collect();
+                        let rows = g.query_readonly(&query).unwrap().rows;
+                        assert_eq!(rows, expected, "{query}");
+                    }
+                }
+            }
+        }
+    }
+}

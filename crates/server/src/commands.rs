@@ -557,7 +557,7 @@ mod tests {
     fn resultset_reply_has_three_sections() {
         let rs = ResultSet {
             columns: vec!["count(t)".into()],
-            rows: vec![vec![Value::Int(9)]],
+            rows: [[Value::Int(9)]].into_iter().collect(),
             stats: Default::default(),
         };
         let sections = decoded_reply(&rs);
@@ -571,7 +571,7 @@ mod tests {
         let cell = |value: Value| -> RespValue {
             let rs = ResultSet {
                 columns: vec!["v".into()],
-                rows: vec![vec![value]],
+                rows: [[value]].into_iter().collect(),
                 stats: Default::default(),
             };
             let sections = decoded_reply(&rs);

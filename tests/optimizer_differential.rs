@@ -143,7 +143,7 @@ fn sorted_rows(g: &mut Graph, optimize: bool, query: &str) -> Vec<String> {
     let rs = plan(optimize, query)
         .run(GraphAccess::Write(g), Instant::now(), None)
         .expect("query executes");
-    sorted(&rs.rows)
+    sorted(&rs.rows.to_vec())
 }
 
 /// Rows as a sorted multiset of debug strings.
@@ -249,7 +249,7 @@ fn flushed_oracle(g: &Graph, query: &str) -> Vec<String> {
     let mut flushed = g.clone();
     flushed.sync_matrices();
     let rs = plan(false, query).run(GraphAccess::Read(&flushed), Instant::now(), None).unwrap();
-    sorted(&rs.rows)
+    sorted(&rs.rows.to_vec())
 }
 
 #[test]
@@ -262,7 +262,7 @@ fn count_pushdown_reads_unflushed_snapshots() {
     let snap = g.snapshot();
     for query in COUNT_PUSHDOWN {
         let pushed = snap.run(&plan(true, query), Instant::now(), None).unwrap();
-        assert_eq!(sorted(&pushed.rows), flushed_oracle(&g, query), "{query}");
+        assert_eq!(sorted(&pushed.rows.to_vec()), flushed_oracle(&g, query), "{query}");
     }
     assert!(g.has_pending_deltas(), "read-only queries must not flush");
 }
@@ -277,7 +277,7 @@ fn count_pushdown_through_write_access_folds_nothing() {
         let oracle = flushed_oracle(&g, query);
         let pushed =
             plan(true, query).run(GraphAccess::Write(&mut g), Instant::now(), None).unwrap();
-        assert_eq!(sorted(&pushed.rows), oracle, "{query}");
+        assert_eq!(sorted(&pushed.rows.to_vec()), oracle, "{query}");
     }
     assert!(g.has_pending_deltas(), "a read through write access must not flush");
     assert_eq!(g.delta_flush_count(), flushes);
@@ -299,7 +299,7 @@ fn fusion_reads_unflushed_snapshots() {
             continue;
         }
         fused_shapes += 1;
-        let rows = snap.run(&fused, Instant::now(), None).unwrap().rows;
+        let rows = snap.run(&fused, Instant::now(), None).unwrap().rows.to_vec();
         assert_eq!(sorted(&rows), flushed_oracle(&g, query), "{query}");
     }
     assert!(fused_shapes >= 21, "queries() has 21 fused shapes, {fused_shapes} planned fused");

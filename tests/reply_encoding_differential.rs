@@ -153,7 +153,9 @@ proptest! {
         let mut dice = Dice(StdRng::seed_from_u64(seed));
         let rs = ResultSet {
             columns: (0..columns).map(|_| dice.text()).collect(),
-            rows: (0..rows).map(|_| (0..columns).map(|_| dice.value(0)).collect()).collect(),
+            rows: (0..rows)
+                .map(|_| (0..columns).map(|_| dice.value(0)).collect::<Vec<_>>())
+                .collect(),
             stats: dice.stats(),
         };
         assert_encoders_agree(&rs);
@@ -192,13 +194,17 @@ fn every_value_kind_and_reply_shape_encodes_identically() {
         // One wide row of everything, and the same row many times over.
         ResultSet {
             columns: columns.clone(),
-            rows: vec![every_kind.clone()],
+            rows: [every_kind.clone()].into_iter().collect(),
             ..ResultSet::empty()
         },
-        ResultSet { columns: columns.clone(), rows: vec![every_kind; 100], ..ResultSet::empty() },
+        ResultSet {
+            columns: columns.clone(),
+            rows: vec![every_kind; 100].into_iter().collect(),
+            ..ResultSet::empty()
+        },
         // Zero rows under a header; zero columns (rows of nothing).
-        ResultSet { columns, rows: vec![], ..ResultSet::empty() },
-        ResultSet { columns: vec![], rows: vec![vec![], vec![]], ..ResultSet::empty() },
+        ResultSet { columns, ..ResultSet::empty() },
+        ResultSet { columns: vec![], rows: [[], []].into_iter().collect(), ..ResultSet::empty() },
         // A write-only reply: no header, no rows, only statistics.
         ResultSet { stats: write_stats, ..ResultSet::empty() },
         ResultSet::empty(),

@@ -266,7 +266,7 @@ fn pinned_snapshot_is_isolated_before_while_and_after_a_concurrent_writer() {
     let snapshot = graph.read().unwrap().snapshot();
     let pinned_epoch = snapshot.epoch();
     let before: Vec<Vec<_>> =
-        CHECK_QUERIES.iter().map(|q| snapshot.query_readonly(q).unwrap().rows).collect();
+        CHECK_QUERIES.iter().map(|q| snapshot.query_readonly(q).unwrap().rows.to_vec()).collect();
 
     let rounds = 8usize;
     let barrier = Arc::new(Barrier::new(2));
@@ -294,7 +294,7 @@ fn pinned_snapshot_is_isolated_before_while_and_after_a_concurrent_writer() {
     for _ in 0..rounds {
         barrier.wait(); // the writer just published a newer epoch
         for (q, expect) in CHECK_QUERIES.iter().zip(&before) {
-            let rows = snapshot.query_readonly(q).unwrap().rows;
+            let rows = snapshot.query_readonly(q).unwrap().rows.to_vec();
             assert_eq!(&rows, expect, "snapshot drifted mid-write for query `{q}`");
         }
         assert_eq!(snapshot.epoch(), pinned_epoch, "a snapshot's epoch is pinned forever");
@@ -306,7 +306,7 @@ fn pinned_snapshot_is_isolated_before_while_and_after_a_concurrent_writer() {
     // while the live graph has visibly moved on.
     for (q, expect) in CHECK_QUERIES.iter().zip(&before) {
         assert_eq!(
-            &snapshot.query_readonly(q).unwrap().rows,
+            &snapshot.query_readonly(q).unwrap().rows.to_vec(),
             expect,
             "snapshot drifted after join"
         );

@@ -343,7 +343,7 @@ fn check(graph: &Graph, snap: Option<&GraphSnapshot>, oracle: &Oracle, query: &s
         }
         .expect("query executes");
         assert_eq!(
-            sorted(rs.rows),
+            sorted(rs.rows.to_vec()),
             expected,
             "{name} plan diverged from the oracle ({case}): {query}"
         );
