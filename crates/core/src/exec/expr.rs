@@ -73,15 +73,9 @@ pub fn eval(expr: &Expr, record: &[Value], bindings: &Bindings, graph: &Graph) -
         Expr::List(items) => {
             Value::List(items.iter().map(|e| eval(e, record, bindings, graph)).collect())
         }
-        // One argument (`id(t)`, per projected row) needs no argument `Vec`.
-        Expr::FunctionCall { name, args, .. } => match args.as_slice() {
-            [arg] => eval_function(name, &[eval(arg, record, bindings, graph)], graph),
-            _ => {
-                let argv: Vec<Value> =
-                    args.iter().map(|a| eval(a, record, bindings, graph)).collect();
-                eval_function(name, &argv, graph)
-            }
-        },
+        Expr::FunctionCall { name, args, .. } => {
+            eval_function(name, args.first().map(|a| eval(a, record, bindings, graph)), graph)
+        }
     }
 }
 
@@ -126,16 +120,19 @@ fn eval_binary(op: BinaryOperator, l: &Value, r: &Value) -> Value {
     }
 }
 
-fn eval_function(name: &str, args: &[Value], graph: &Graph) -> Value {
+/// Apply scalar function `name` to its first argument: every supported
+/// function takes one, and evaluation has no side effects, so any further
+/// arguments are never evaluated.
+fn eval_function(name: &str, arg: Option<Value>, graph: &Graph) -> Value {
     match name {
-        "id" => match args.first() {
-            Some(Value::Node(id)) => Value::Int(*id as i64),
-            Some(Value::Edge(id)) => Value::Int(*id as i64),
+        "id" => match arg {
+            Some(Value::Node(id)) => Value::Int(id as i64),
+            Some(Value::Edge(id)) => Value::Int(id as i64),
             _ => Value::Null,
         },
-        "labels" => match args.first() {
+        "labels" => match arg {
             Some(Value::Node(id)) => {
-                let Some(node) = graph.node(*id) else { return Value::Null };
+                let Some(node) = graph.node(id) else { return Value::Null };
                 Value::List(
                     node.labels
                         .iter()
@@ -146,9 +143,9 @@ fn eval_function(name: &str, args: &[Value], graph: &Graph) -> Value {
             }
             _ => Value::Null,
         },
-        "type" => match args.first() {
+        "type" => match arg {
             Some(Value::Edge(id)) => {
-                let Some(edge) = graph.edge(*id) else { return Value::Null };
+                let Some(edge) = graph.edge(id) else { return Value::Null };
                 graph
                     .schema
                     .rel_type_name(edge.rel_type)
@@ -157,18 +154,18 @@ fn eval_function(name: &str, args: &[Value], graph: &Graph) -> Value {
             }
             _ => Value::Null,
         },
-        "size" => match args.first() {
+        "size" => match arg {
             Some(Value::List(items)) => Value::Int(items.len() as i64),
             Some(Value::Str(s)) => Value::Int(s.len() as i64),
             _ => Value::Null,
         },
-        "abs" => match args.first() {
+        "abs" => match arg {
             Some(Value::Int(i)) => Value::Int(i.abs()),
             Some(Value::Float(f)) => Value::Float(f.abs()),
             _ => Value::Null,
         },
-        "tointeger" => args.first().and_then(|v| v.as_i64()).map(Value::Int).unwrap_or(Value::Null),
-        "tofloat" => args.first().and_then(|v| v.as_f64()).map(Value::Float).unwrap_or(Value::Null),
+        "tointeger" => arg.and_then(|v| v.as_i64()).map(Value::Int).unwrap_or(Value::Null),
+        "tofloat" => arg.and_then(|v| v.as_f64()).map(Value::Float).unwrap_or(Value::Null),
         _ => Value::Null,
     }
 }

@@ -586,7 +586,7 @@ fn skip_limit(projection: &Projection) -> (usize, usize) {
 /// keys ([`OrderBy::push_keys`]). The order is stable: ties keep input
 /// order. Under a `LIMIT` without `DISTINCT` only the first `skip + limit`
 /// rows in order can survive, so those are selected first and only they
-/// are sorted.
+/// are sorted. `SKIP` and `LIMIT` cut the rows in place.
 fn order_skip_limit(
     projection: &Projection,
     order: &OrderBy<'_>,
@@ -594,39 +594,41 @@ fn order_skip_limit(
     keys: &[Value],
 ) -> RecordBatch {
     let (skip, limit) = skip_limit(projection);
-    let mut picked: Vec<usize> = (0..rows.len()).collect();
-    if !order.keys.is_empty() {
-        let stride = order.keys.len();
-        let cmp = |&a: &usize, &b: &usize| {
-            for (k, (_, dir)) in order.keys.iter().enumerate() {
-                let cmp = keys[a * stride + k].sort_cmp(&keys[b * stride + k]);
-                let cmp = match dir {
-                    SortOrder::Ascending => cmp,
-                    SortOrder::Descending => cmp.reverse(),
-                };
-                if cmp.is_ne() {
-                    return cmp;
+    if !order.keys.is_empty() || projection.distinct {
+        let mut picked: Vec<usize> = (0..rows.len()).collect();
+        if !order.keys.is_empty() {
+            let stride = order.keys.len();
+            let cmp = |&a: &usize, &b: &usize| {
+                for (k, (_, dir)) in order.keys.iter().enumerate() {
+                    let cmp = keys[a * stride + k].sort_cmp(&keys[b * stride + k]);
+                    let cmp = match dir {
+                        SortOrder::Ascending => cmp,
+                        SortOrder::Descending => cmp.reverse(),
+                    };
+                    if cmp.is_ne() {
+                        return cmp;
+                    }
                 }
+                a.cmp(&b)
+            };
+            let top = skip.saturating_add(limit);
+            if !projection.distinct && top < picked.len() {
+                picked.select_nth_unstable_by(top, cmp);
+                picked.truncate(top);
             }
-            a.cmp(&b)
-        };
-        let top = skip.saturating_add(limit);
-        if !projection.distinct && top < picked.len() {
-            picked.select_nth_unstable_by(top, cmp);
-            picked.truncate(top);
+            picked.sort_unstable_by(cmp);
         }
-        picked.sort_unstable_by(cmp);
+        if projection.distinct {
+            let mut seen = HashSet::with_capacity(picked.len());
+            picked.retain(|&i| seen.insert(EquivRow(&rows[i])));
+        }
+        rows = rows.take_rows(picked);
     }
-    if projection.distinct {
-        let mut seen = HashSet::with_capacity(picked.len());
-        picked.retain(|&i| seen.insert(EquivRow(&rows[i])));
-    }
-    rows.take_rows(picked.into_iter().skip(skip).take(limit))
+    rows.skip_take(skip, limit);
+    rows
 }
 
 /// Execute a plain projection (no aggregates): evaluate every item per record.
-/// Without `ORDER BY` or `DISTINCT`, records outside the `SKIP`/`LIMIT`
-/// window are never evaluated.
 pub fn run_project(
     projection: &Projection,
     records: &RecordBatch,
@@ -634,16 +636,11 @@ pub fn run_project(
     graph: &Graph,
 ) -> RecordBatch {
     let order = OrderBy::new(projection);
-    let window = order.keys.is_empty() && !projection.distinct;
-    let (skip, limit) = if window { skip_limit(projection) } else { (0, usize::MAX) };
     let mut rows = RecordBatch::new(projection.items.len());
     let mut keys = Vec::new();
-    for record in records.iter().skip(skip).take(limit) {
+    for record in records {
         rows.push(projection.items.iter().map(|item| eval(&item.expr, record, bindings, graph)));
         order.push_keys(&rows[rows.len() - 1], record, bindings, graph, &mut keys);
-    }
-    if window {
-        return rows;
     }
     order_skip_limit(projection, &order, rows, &keys)
 }
@@ -691,23 +688,19 @@ pub fn run_aggregate(
         groups.push((Vec::new(), new_accumulators()));
     }
 
-    // The current record's group key, reused: only a new group copies it.
-    let mut key: Vec<EquivKey> = Vec::new();
     for record in records {
         let g = if group_positions.is_empty() {
             0
         } else {
-            key.clear();
-            key.extend(
-                group_positions
-                    .iter()
-                    .map(|&i| EquivKey(eval(&projection.items[i].expr, record, bindings, graph))),
-            );
-            match index.get(key.as_slice()) {
+            let key: Vec<EquivKey> = group_positions
+                .iter()
+                .map(|&i| EquivKey(eval(&projection.items[i].expr, record, bindings, graph)))
+                .collect();
+            match index.get(&key) {
                 Some(&g) => g,
                 None => {
                     groups.push((key.iter().map(|k| k.0.clone()).collect(), new_accumulators()));
-                    index.insert(key.clone(), groups.len() - 1);
+                    index.insert(key, groups.len() - 1);
                     groups.len() - 1
                 }
             }

@@ -14,9 +14,7 @@
 use crate::value::Value;
 use std::collections::HashMap;
 use std::fmt;
-use std::iter::{self, Chain, Repeat, Take};
 use std::ops::{Index, IndexMut, Range};
-use std::slice::ChunksExact;
 
 /// Maps variable names to record slots. Built during planning; shared by every
 /// operation of the plan.
@@ -69,9 +67,6 @@ impl Bindings {
     }
 }
 
-/// Iterator over a batch's records (see [`RecordBatch::iter`]).
-pub type Rows<'a> = Take<Chain<ChunksExact<'a, Value>, Repeat<&'a [Value]>>>;
-
 /// A batch of fixed-width records in one flat, slot-major buffer.
 ///
 /// The record count is kept explicitly: a batch may be zero slots wide (the
@@ -107,9 +102,7 @@ impl RecordBatch {
 
     /// The records, in order, each as a slice of `width` values.
     pub fn iter(&self) -> Rows<'_> {
-        // A zero-width batch has no values to chunk: each of its records is
-        // the empty slice.
-        self.values.chunks_exact(self.width.max(1)).chain(iter::repeat(&[][..])).take(self.len)
+        Rows { batch: self, next: 0 }
     }
 
     /// Append a record given slot by slot; `record` must yield exactly
@@ -157,6 +150,14 @@ impl RecordBatch {
         self.len = kept;
     }
 
+    /// Drop the first `skip` records and keep at most `limit` of the rest.
+    pub fn skip_take(&mut self, skip: usize, limit: usize) {
+        let skip = skip.min(self.len);
+        self.len = limit.min(self.len - skip);
+        self.values.truncate((skip + self.len) * self.width);
+        self.values.drain(..skip * self.width);
+    }
+
     /// A new batch of the records at `rows`, in that order, moved out of
     /// this one (each index at most once; what is left behind is null).
     pub fn take_rows(&mut self, rows: impl IntoIterator<Item = usize>) -> RecordBatch {
@@ -191,6 +192,30 @@ impl IndexMut<usize> for RecordBatch {
     fn index_mut(&mut self, i: usize) -> &mut [Value] {
         let range = self.range(i);
         &mut self.values[range]
+    }
+}
+
+/// Iterator over a batch's records (see [`RecordBatch::iter`]).
+pub struct Rows<'a> {
+    batch: &'a RecordBatch,
+    next: usize,
+}
+
+impl<'a> Iterator for Rows<'a> {
+    type Item = &'a [Value];
+
+    fn next(&mut self) -> Option<&'a [Value]> {
+        let batch = self.batch;
+        if self.next == batch.len {
+            return None;
+        }
+        self.next += 1;
+        Some(&batch[self.next - 1])
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.batch.len - self.next;
+        (left, Some(left))
     }
 }
 
@@ -264,9 +289,13 @@ mod tests {
         );
         batch.retain(|r| r[0] != Value::Int(1));
         assert_eq!(format!("{batch:?}"), r#"[[Int(0), Str("a")], [Int(2), Null]]"#);
-        let taken = batch.take_rows([1, 0]);
+        let mut taken = batch.take_rows([1, 0]);
         let a = vec![Value::Int(0), Value::Str("a".into())];
-        assert_eq!(taken.to_vec(), vec![vec![Value::Int(2), Value::Null], a]);
+        assert_eq!(taken.to_vec(), vec![vec![Value::Int(2), Value::Null], a.clone()]);
+        taken.skip_take(1, 5);
+        assert_eq!(taken, vec![a]);
+        taken.skip_take(0, 0);
+        assert!(taken.is_empty());
     }
 
     #[test]
@@ -277,6 +306,12 @@ mod tests {
         assert_eq!(batch.len(), 2);
         assert_eq!(batch.iter().count(), 2);
         assert!(batch[1].is_empty());
+        batch.push_nulls();
+        batch.skip_take(1, 1);
+        assert_eq!(batch.len(), 1);
+        batch.skip_take(2, 1);
+        assert!(batch.is_empty());
+        batch.push_nulls();
         batch.retain(|_| false);
         assert!(batch.is_empty());
     }

@@ -534,7 +534,8 @@ fn heap_values_pass_unchanged_through_filter_with_distinct_and_order_by() {
 
 /// `ORDER BY … SKIP … LIMIT` selects the first `skip + limit` rows before
 /// sorting only those; the rows must equal a full stable sort of the
-/// unordered rows, over keys with many ties, projected or not.
+/// unordered rows, over keys with many ties, projected or not. Without
+/// `ORDER BY` (no keys) `SKIP` and `LIMIT` cut the rows in input order.
 #[test]
 fn order_by_skip_limit_matches_a_full_stable_sort() {
     let mut g = Graph::new("topk");
@@ -545,8 +546,8 @@ fn order_by_skip_limit_matches_a_full_stable_sort() {
     let columns = ["n.k", "n.j", "n.i"];
     let base = g.query_readonly("MATCH (n:N) RETURN n.k, n.j, n.i").unwrap().rows.to_vec();
     // ORDER BY keys as (column, descending), and the projected columns.
-    let orders: [&[(usize, bool)]; 4] =
-        [&[(0, false)], &[(0, true)], &[(0, false), (1, true)], &[(1, true), (0, false)]];
+    let orders: [&[(usize, bool)]; 5] =
+        [&[], &[(0, false)], &[(0, true)], &[(0, false), (1, true)], &[(1, true), (0, false)]];
     let projections: [&[usize]; 4] = [&[0, 2], &[2], &[0, 1], &[1]];
     for order in orders {
         for projection in projections {
@@ -554,9 +555,10 @@ fn order_by_skip_limit_matches_a_full_stable_sort() {
                 for skip in [None, Some(0), Some(3), Some(100)] {
                     for limit in [None, Some(0), Some(1), Some(7), Some(100)] {
                         let query = format!(
-                            "MATCH (n:N) RETURN {}{} ORDER BY {}{}{}",
+                            "MATCH (n:N) RETURN {}{}{}{}{}{}",
                             if distinct { "DISTINCT " } else { "" },
                             projection.iter().map(|&c| columns[c]).collect::<Vec<_>>().join(", "),
+                            if order.is_empty() { "" } else { " ORDER BY " },
                             order
                                 .iter()
                                 .map(|&(c, desc)| format!(
