@@ -5,34 +5,33 @@
 //! slots are recycled through a free list. Entity ids are stable for the
 //! lifetime of the entity and double as matrix row/column indices.
 //!
-//! Blocks are held behind `Arc`s with copy-on-write mutation, so cloning a
-//! DataBlock is O(#blocks) pointer bumps — that is what makes a whole-graph
-//! snapshot cheap enough to take per read query. A mutation of a block whose
-//! `Arc` is shared with a snapshot first clones that one block, never the
-//! whole store; with no snapshot pinning it, mutation is in place.
-//!
-//! The block size sets the price of that first write after a snapshot. With
-//! 16 384-slot blocks an edge insert or delete beside an outstanding
-//! snapshot cost 61–230 µs (Graph500 scale 15, 0.8 M edges, 2-core x86
-//! host); with 1 024-slot blocks it costs 10–13 µs. The price moves to the
-//! clone, which now bumps ~800 block pointers instead of ~50: a snapshot
-//! of the freshly loaded graph takes ~6 µs instead of ~0.7 µs.
+//! Blocks are the leaves of a copy-on-write [`ChunkTable`], and the free
+//! list sits behind its own `Arc`, so cloning a DataBlock is two pointer
+//! bumps however many entities it holds — that is what makes a whole-graph
+//! snapshot cheap enough to take per read query. A mutation beside a clone
+//! copies the one block it touches and that block's path through the table
+//! (and the free list, if it pushes or pops an id); with no clone sharing
+//! them, mutation is in place.
 
+use graphblas::ChunkTable;
 use std::sync::Arc;
 
-const BLOCK_CAP: usize = 1_024;
+/// Slots per block: the leaf a write after a snapshot copies. A clone no
+/// longer pays per block, so the size prices only that write. On rgbench's
+/// `mixed_rw_write` (2-core x86 host, medians of six runs) 64-slot blocks
+/// served 11 960 writes/s at p50 0.070 ms, 128-slot blocks 10 680 at
+/// 0.079 ms; 32-slot blocks (three runs) were no faster and used 0.8 MB
+/// more.
+const BLOCK_CAP: usize = 64;
 
-/// A block of `BLOCK_CAP` empty slots, allocated at full size once so
-/// filling it never reallocates.
-fn empty_block<T>() -> Arc<Vec<Option<T>>> {
-    Arc::new(std::iter::repeat_with(|| None).take(BLOCK_CAP).collect())
-}
+/// One block of slots, allocated at full size with its table leaf.
+type Block<T> = [Option<T>; BLOCK_CAP];
 
 /// A blocked, free-list-recycling arena of `T`.
 #[derive(Debug, Clone)]
 pub struct DataBlock<T> {
-    blocks: Vec<Arc<Vec<Option<T>>>>,
-    free: Vec<u64>,
+    blocks: ChunkTable<Block<T>>,
+    free: Arc<Vec<u64>>,
     len: usize,
     high_watermark: u64,
 }
@@ -46,7 +45,7 @@ impl<T> Default for DataBlock<T> {
 impl<T> DataBlock<T> {
     /// Create an empty DataBlock.
     pub fn new() -> Self {
-        DataBlock { blocks: Vec::new(), free: Vec::new(), len: 0, high_watermark: 0 }
+        DataBlock { blocks: ChunkTable::new(0), free: Arc::default(), len: 0, high_watermark: 0 }
     }
 
     /// Number of live entities.
@@ -67,7 +66,7 @@ impl<T> DataBlock<T> {
     /// Get a reference to an entity by id.
     pub fn get(&self, id: u64) -> Option<&T> {
         let (b, i) = (id as usize / BLOCK_CAP, id as usize % BLOCK_CAP);
-        self.blocks.get(b)?.get(i)?.as_ref()
+        self.blocks.get(b)?[i].as_ref()
     }
 
     /// Whether an entity with this id is live.
@@ -77,7 +76,7 @@ impl<T> DataBlock<T> {
 
     /// Iterate `(id, &entity)` over live entities in id order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> + '_ {
-        self.blocks.iter().enumerate().flat_map(|(b, block)| {
+        self.blocks.iter().flat_map(|(b, block)| {
             block.iter().enumerate().filter_map(move |(i, slot)| {
                 slot.as_ref().map(|item| ((b * BLOCK_CAP + i) as u64, item))
             })
@@ -89,18 +88,18 @@ impl<T: Clone> DataBlock<T> {
     /// Insert an entity, returning its id. Recycles the most recently freed
     /// slot if one exists.
     pub fn insert(&mut self, item: T) -> u64 {
-        let id = if let Some(id) = self.free.pop() {
-            id
-        } else {
+        let id = if self.free.is_empty() {
             let id = self.high_watermark;
             self.high_watermark += 1;
             id
+        } else {
+            Arc::make_mut(&mut self.free).pop().expect("checked non-empty")
         };
         let (b, i) = (id as usize / BLOCK_CAP, id as usize % BLOCK_CAP);
         if self.blocks.len() <= b {
-            self.blocks.resize_with(b + 1, empty_block);
+            self.blocks.resize(b + 1);
         }
-        let block = Arc::make_mut(&mut self.blocks[b]);
+        let block = self.blocks.get_or_insert_with(b, || std::array::from_fn(|_| None));
         debug_assert!(block[i].is_none(), "slot {id} already occupied");
         block[i] = Some(item);
         self.len += 1;
@@ -109,35 +108,28 @@ impl<T: Clone> DataBlock<T> {
 
     /// Get a mutable reference to an entity by id.
     pub fn get_mut(&mut self, id: u64) -> Option<&mut T> {
-        let (b, i) = (id as usize / BLOCK_CAP, id as usize % BLOCK_CAP);
         // Probe through the shared reference first so a miss never pays the
         // copy-on-write block clone.
-        self.blocks.get(b)?.get(i)?.as_ref()?;
-        Arc::make_mut(&mut self.blocks[b]).get_mut(i)?.as_mut()
+        self.get(id)?;
+        let (b, i) = (id as usize / BLOCK_CAP, id as usize % BLOCK_CAP);
+        self.blocks.get_mut(b)?[i].as_mut()
     }
 
     /// Remove an entity, freeing its slot for reuse. Returns the entity.
     pub fn remove(&mut self, id: u64) -> Option<T> {
+        self.get(id)?;
         let (b, i) = (id as usize / BLOCK_CAP, id as usize % BLOCK_CAP);
-        self.blocks.get(b)?.get(i)?.as_ref()?;
-        let item = Arc::make_mut(&mut self.blocks[b]).get_mut(i)?.take();
-        if item.is_some() {
-            self.free.push(id);
-            self.len -= 1;
-        }
+        let item = self.blocks.get_mut(b)?[i].take();
+        Arc::make_mut(&mut self.free).push(id);
+        self.len -= 1;
         item
     }
 
-    /// How many blocks this store holds that `other` does not share by
-    /// pointer: zero right after a clone, one per block written since.
+    /// The block table and the free list (test diagnostic): a clone shares
+    /// both by pointer until either side writes.
     #[cfg(test)]
-    pub(crate) fn blocks_not_shared_with(&self, other: &DataBlock<T>) -> usize {
-        let theirs = |b: usize| other.blocks.get(b);
-        self.blocks
-            .iter()
-            .enumerate()
-            .filter(|(b, mine)| !theirs(*b).is_some_and(|t| Arc::ptr_eq(mine, t)))
-            .count()
+    pub(crate) fn shared_parts(&self) -> (&ChunkTable<Block<T>>, &Arc<Vec<u64>>) {
+        (&self.blocks, &self.free)
     }
 }
 
@@ -209,15 +201,25 @@ mod tests {
         for i in 0..10 {
             db.insert(i);
         }
+        db.remove(5);
         let snap = db.clone();
+        let ((blocks, free), (snap_blocks, snap_free)) = (db.shared_parts(), snap.shared_parts());
+        assert!(
+            blocks.ptr_eq(snap_blocks) && Arc::ptr_eq(free, snap_free),
+            "a clone copies nothing"
+        );
         *db.get_mut(3).unwrap() = 99;
         db.remove(7);
         db.insert(42);
         assert_eq!(snap.get(3), Some(&3), "snapshot must not see later writes");
         assert_eq!(snap.get(7), Some(&7));
-        assert_eq!(snap.len(), 10);
+        assert_eq!(snap.get(5), None);
+        assert_eq!(snap.len(), 9);
         assert_eq!(db.get(3), Some(&99));
         assert_eq!(db.get(7), Some(&42), "freed slot is recycled in the live store only");
+        // The snapshot's own free list is intact: its next insert reuses 5.
+        let mut snap = snap;
+        assert_eq!(snap.insert(0), 5);
     }
 
     #[test]
@@ -227,25 +229,20 @@ mod tests {
             db.insert(i);
         }
         let snap = db.clone();
-        assert_eq!(db.blocks_not_shared_with(&snap), 0, "a clone copies no slot");
+        let unshared = |db: &DataBlock<usize>| db.blocks.leaves_not_shared_with(&snap.blocks);
+        assert_eq!(unshared(&db), 0, "a clone copies no slot");
         db.remove(3 * BLOCK_CAP as u64 + 5);
-        assert_eq!(db.blocks_not_shared_with(&snap), 1);
+        assert_eq!(unshared(&db), 1);
         // The recycled slot is in the block already copied.
         db.insert(0);
         *db.get_mut(3 * BLOCK_CAP as u64).unwrap() += 1;
-        assert_eq!(db.blocks_not_shared_with(&snap), 1);
+        assert_eq!(unshared(&db), 1);
         *db.get_mut(7).unwrap() = 0;
-        assert_eq!(db.blocks_not_shared_with(&snap), 2);
+        assert_eq!(unshared(&db), 2);
         // Misses never copy.
         assert_eq!(db.remove(10 * BLOCK_CAP as u64 + 1), None);
         assert!(db.get_mut(10 * BLOCK_CAP as u64 + 1).is_none());
-        assert_eq!(db.blocks_not_shared_with(&snap), 2);
-        for b in [0, 3] {
-            assert!(!Arc::ptr_eq(&db.blocks[b], &snap.blocks[b]));
-        }
-        for b in [1, 2, 4, 5, 6, 7, 8, 9] {
-            assert!(Arc::ptr_eq(&db.blocks[b], &snap.blocks[b]), "block {b} was copied");
-        }
+        assert_eq!(unshared(&db), 2);
         assert_eq!(snap.get(3 * BLOCK_CAP as u64 + 5), Some(&(3 * BLOCK_CAP + 5)));
         assert_eq!(snap.get(7), Some(&7));
     }
@@ -254,14 +251,31 @@ mod tests {
     fn blocks_are_allocated_at_full_capacity_once() {
         let mut db = DataBlock::new();
         db.insert(0u8);
-        let (ptr, cap) = (db.blocks[0].as_ptr(), db.blocks[0].capacity());
-        assert_eq!(cap, BLOCK_CAP);
+        let ptr = db.blocks.get(0).unwrap().as_ptr();
         for i in 1..BLOCK_CAP {
             db.insert(i as u8);
         }
-        assert_eq!(db.blocks.len(), 1);
-        assert_eq!(db.blocks[0].as_ptr(), ptr, "filling a block must not reallocate it");
+        assert_eq!(db.blocks.iter().count(), 1);
+        assert_eq!(db.blocks.get(0).unwrap().as_ptr(), ptr, "filling a block must not move it");
         db.insert(0);
-        assert_eq!(db.blocks.len(), 2);
+        assert_eq!(db.blocks.iter().count(), 2);
+    }
+
+    #[test]
+    fn ids_past_two_table_levels_read_back() {
+        // 32 × 32 blocks fill two levels of the table; the third starts here.
+        let n = 32 * 32 * BLOCK_CAP + 3 * BLOCK_CAP;
+        let mut db = DataBlock::new();
+        for i in 0..n {
+            db.insert(i);
+        }
+        let snap = db.clone();
+        for id in (0..n as u64).step_by(BLOCK_CAP - 1) {
+            db.remove(id);
+        }
+        assert_eq!(db.len() + n.div_ceil(BLOCK_CAP - 1), n);
+        assert!(db.iter().all(|(id, &v)| id as usize == v && id % (BLOCK_CAP as u64 - 1) != 0));
+        assert_eq!(snap.iter().count(), n);
+        assert!(snap.iter().all(|(id, &v)| id as usize == v));
     }
 }

@@ -29,7 +29,7 @@
 //!
 //! Every flushed main CSR is an immutable, `Arc`-shared **epoch**:
 //! [`Graph::snapshot`] pins each matrix's current epoch — plus its
-//! `Arc`-shared delta-buffer chunks and entity blocks — into a
+//! copy-on-write tables of delta-buffer chunks and entity blocks — into a
 //! [`GraphSnapshot`] that concurrent readers query without holding any lock,
 //! while writers publish new epochs copy-on-write. A pinned epoch is freed
 //! when its last snapshot drops.
@@ -39,7 +39,7 @@ use crate::exec::plan::{ExecutionPlan, GraphAccess, OpProfile};
 use crate::exec::resultset::ResultSet;
 use crate::store::datablock::DataBlock;
 use crate::store::entity::{AttributeSet, EdgeEntity, NodeEntity};
-use crate::store::schema::{LabelId, RelTypeId, Schema};
+use crate::store::schema::{AttributeId, LabelId, RelTypeId, Schema};
 use crate::value::Value;
 use crate::{EdgeId, NodeId};
 use graphblas::prelude::*;
@@ -88,9 +88,10 @@ const PUSH_BETA: u64 = 24;
 /// A property graph stored as GraphBLAS sparse matrices.
 #[derive(Debug, Clone)]
 pub struct Graph {
-    name: String,
-    /// Label / relationship type / attribute registries.
-    pub schema: Schema,
+    name: Arc<str>,
+    /// Label / relationship type / attribute registries, shared with every
+    /// snapshot and copied only when a name is created.
+    pub schema: Arc<Schema>,
     nodes: DataBlock<NodeEntity>,
     edges: DataBlock<EdgeEntity>,
     dim: u64,
@@ -114,8 +115,8 @@ impl Graph {
     /// live under).
     pub fn new(name: &str) -> Self {
         Graph {
-            name: name.to_string(),
-            schema: Schema::new(),
+            name: name.into(),
+            schema: Arc::default(),
             nodes: DataBlock::new(),
             edges: DataBlock::new(),
             dim: GROW_CHUNK,
@@ -139,13 +140,19 @@ impl Graph {
     ///
     /// The underlying clone is structural and copies no stored entry: each
     /// matrix's flushed CSR is shared by `Arc` (see
-    /// `DeltaMatrix::main_shared`), its delta buffers by 256-row chunk, and
-    /// the entity DataBlocks by 1 024-slot block; only the schema registries
-    /// and the side tables are copied. Its cost is one pointer bump per chunk
-    /// and block — 9–11 µs on a Graph500 scale-15 graph (0.8 M edges, 2-core
-    /// x86 host) whether 4 k or 36 k changes are pending, where copying the
-    /// buffers entry by entry cost 16–352 µs. The first write after a
-    /// snapshot copies one chunk per matrix it touches and one entity block.
+    /// `DeltaMatrix::main_shared`), its delta buffers and the entity
+    /// DataBlocks by the roots of their copy-on-write chunk tables, and the
+    /// schema and the free lists by `Arc`. Its cost is a few pointer bumps
+    /// per matrix however large the graph or its pending buffers; only the
+    /// parallel-edge side table is copied whole. Alternating one write with
+    /// one snapshot on a Graph500 scale-15 graph (0.8 M edges, 2-core x86
+    /// host), a snapshot takes 0.3–0.6 µs and dropping the one it replaces
+    /// 1.9–3.0 µs, where one pointer bump per 256-row chunk and 1 024-slot
+    /// block took 10–13 µs and 13–18 µs; at scale 17 (3.3 M edges) the
+    /// snapshot takes 0.2 µs, against 41 µs. The first write after a
+    /// snapshot copies one chunk path per matrix it touches and one entity
+    /// block path: 3.8–6.0 µs a write, against 16–20 µs for whole chunks
+    /// and blocks.
     /// Pending deltas deliberately stay buffered: a fold rebuilds
     /// whole CSRs (O(nnz) however few changes are buffered), which no plan
     /// needs — traversals of every length run on merged row views.
@@ -283,9 +290,26 @@ impl Graph {
         self.dim = new_dim;
     }
 
+    /// The schema id of `name`: looked up by `find`, or created by
+    /// `create` — on a copy of the schema if a snapshot shares it — only
+    /// when the name is new.
+    fn schema_id(
+        &mut self,
+        find: fn(&Schema, &str) -> Option<usize>,
+        create: fn(&mut Schema, &str) -> usize,
+        name: &str,
+    ) -> usize {
+        find(&self.schema, name).unwrap_or_else(|| create(Arc::make_mut(&mut self.schema), name))
+    }
+
+    /// Get or create an attribute (property key) id.
+    fn attribute_id_or_create(&mut self, name: &str) -> AttributeId {
+        self.schema_id(Schema::attribute_id, Schema::attribute_id_or_create, name)
+    }
+
     /// Get or create a label id, creating its label matrix on first use.
     pub fn label_id_or_create(&mut self, name: &str) -> LabelId {
-        let id = self.schema.label_id_or_create(name);
+        let id = self.schema_id(Schema::label_id, Schema::label_id_or_create, name);
         while self.label_matrices.len() <= id {
             self.label_matrices.push(self.new_matrix());
         }
@@ -294,7 +318,7 @@ impl Graph {
 
     /// Get or create a relationship type id, creating its matrices on first use.
     pub fn rel_type_id_or_create(&mut self, name: &str) -> RelTypeId {
-        let id = self.schema.rel_type_id_or_create(name);
+        let id = self.schema_id(Schema::rel_type_id, Schema::rel_type_id_or_create, name);
         while self.relation_matrices.len() <= id {
             self.relation_matrices.push(self.new_matrix());
             self.relation_matrices_t.push(self.new_matrix());
@@ -307,7 +331,7 @@ impl Graph {
         let label_ids: Vec<LabelId> = labels.iter().map(|l| self.label_id_or_create(l)).collect();
         let mut attrs = AttributeSet::new();
         for (key, value) in props {
-            let attr = self.schema.attribute_id_or_create(key);
+            let attr = self.attribute_id_or_create(key);
             attrs.set(attr, value);
         }
         let id = self.nodes.insert(NodeEntity { labels: label_ids.clone(), attributes: attrs });
@@ -336,7 +360,7 @@ impl Graph {
         let rel = self.rel_type_id_or_create(rel_type);
         let mut attrs = AttributeSet::new();
         for (key, value) in props {
-            let attr = self.schema.attribute_id_or_create(key);
+            let attr = self.attribute_id_or_create(key);
             attrs.set(attr, value);
         }
         let id = self.edges.insert(EdgeEntity { src, dst, rel_type: rel, attributes: attrs });
@@ -469,7 +493,7 @@ impl Graph {
 
     /// Set a node property; returns false if the node does not exist.
     pub fn set_node_property(&mut self, id: NodeId, key: &str, value: Value) -> bool {
-        let attr = self.schema.attribute_id_or_create(key);
+        let attr = self.attribute_id_or_create(key);
         match self.nodes.get_mut(id) {
             Some(n) => {
                 n.attributes.set(attr, value);
@@ -482,7 +506,7 @@ impl Graph {
 
     /// Set an edge property; returns false if the edge does not exist.
     pub fn set_edge_property(&mut self, id: EdgeId, key: &str, value: Value) -> bool {
-        let attr = self.schema.attribute_id_or_create(key);
+        let attr = self.attribute_id_or_create(key);
         match self.edges.get_mut(id) {
             Some(e) => {
                 e.attributes.set(attr, value);
@@ -726,7 +750,7 @@ impl Graph {
     pub fn bulk_load(&mut self, num_vertices: u64, edges: &[(u64, u64)]) {
         let label = self.label_id_or_create("Node");
         let rel = self.rel_type_id_or_create("LINK");
-        let id_attr = self.schema.attribute_id_or_create("id");
+        let id_attr = self.attribute_id_or_create("id");
 
         self.ensure_dim(num_vertices + 1);
         let mut label_triples = Vec::with_capacity(num_vertices as usize);
@@ -857,9 +881,9 @@ fn bitmap_bfs(
 ///
 /// Produced by [`Graph::snapshot`]. The server takes one per read-only query
 /// under a momentary read lock, then executes entirely lock-free: the
-/// snapshot shares the flushed epoch CSRs, the delta-buffer chunks and the
-/// entity blocks with the live graph by `Arc`, so concurrent writers
-/// copy-on-write around it and the snapshot observes exactly one
+/// snapshot shares the flushed epoch CSRs, the delta-buffer chunks, the
+/// entity blocks and the schema with the live graph by `Arc`, so concurrent
+/// writers copy-on-write around it and the snapshot observes exactly one
 /// [`Graph::epoch`], forever, pending deltas and all.
 ///
 /// `Deref<Target = Graph>` exposes every shared read accessor; there is no
@@ -1277,16 +1301,69 @@ mod tests {
         assert!(weak_first.upgrade().is_none(), "dropping the last snapshot frees its epoch");
     }
 
-    /// Per matrix, the pending-buffer chunks `g` holds that `snap` does not
-    /// share by pointer.
-    fn unshared_chunks(g: &Graph, snap: &Graph) -> Vec<usize> {
-        fn each<T: Scalar>(a: &[DeltaMatrix<T>], b: &[DeltaMatrix<T>]) -> Vec<usize> {
-            a.iter().zip(b).map(|(a, b)| a.chunks_not_shared_with(b)).collect()
+    /// Whether `a` shares every table of `b` by pointer — the schema, the
+    /// entity blocks and free lists, each matrix's epoch CSR and pending
+    /// chunks: what a clone must do in O(#matrices), whatever the graph's size.
+    fn shares_every_root(a: &Graph, b: &Graph) -> bool {
+        fn matrices<T: Scalar>(a: &[DeltaMatrix<T>], b: &[DeltaMatrix<T>]) -> bool {
+            let same = |(a, b): (&DeltaMatrix<T>, &DeltaMatrix<T>)| {
+                Arc::ptr_eq(&a.main_shared(), &b.main_shared())
+                    && a.pending_chunks().ptr_eq(b.pending_chunks())
+            };
+            a.len() == b.len() && a.iter().zip(b).all(same)
         }
-        let mut out = each(&g.relation_matrices, &snap.relation_matrices);
+        fn entities<T: Clone>(a: &DataBlock<T>, b: &DataBlock<T>) -> bool {
+            let ((a_blocks, a_free), (b_blocks, b_free)) = (a.shared_parts(), b.shared_parts());
+            a_blocks.ptr_eq(b_blocks) && Arc::ptr_eq(a_free, b_free)
+        }
+        Arc::ptr_eq(&a.name, &b.name)
+            && Arc::ptr_eq(&a.schema, &b.schema)
+            && entities(&a.nodes, &b.nodes)
+            && entities(&a.edges, &b.edges)
+            && matrices(&a.relation_matrices, &b.relation_matrices)
+            && matrices(&a.relation_matrices_t, &b.relation_matrices_t)
+            && matrices(&a.label_matrices, &b.label_matrices)
+    }
+
+    /// Per table, the leaves `g` holds that `snap` does not share by
+    /// pointer: the edge blocks, the node blocks, then every matrix's
+    /// pending chunks (relations, transposes, labels).
+    fn unshared_leaves(g: &Graph, snap: &Graph) -> Vec<usize> {
+        fn each<T: Scalar>(a: &[DeltaMatrix<T>], b: &[DeltaMatrix<T>]) -> Vec<usize> {
+            let count = |(a, b): (&DeltaMatrix<T>, &DeltaMatrix<T>)| {
+                a.pending_chunks().leaves_not_shared_with(b.pending_chunks())
+            };
+            a.iter().zip(b).map(count).collect()
+        }
+        fn blocks<T: Clone>(a: &DataBlock<T>, b: &DataBlock<T>) -> usize {
+            a.shared_parts().0.leaves_not_shared_with(b.shared_parts().0)
+        }
+        let mut out = vec![blocks(&g.edges, &snap.edges), blocks(&g.nodes, &snap.nodes)];
+        out.extend(each(&g.relation_matrices, &snap.relation_matrices));
         out.extend(each(&g.relation_matrices_t, &snap.relation_matrices_t));
         out.extend(each(&g.label_matrices, &snap.label_matrices));
         out
+    }
+
+    #[test]
+    fn a_clone_shares_every_table_root_after_many_deletes() {
+        let n = 20_000;
+        let mut g = Graph::new("roots");
+        g.bulk_load(
+            n,
+            &(0..n).flat_map(|i| [(i, (i + 1) % n), (i, (i + 2) % n)]).collect::<Vec<_>>(),
+        );
+        // 10 000 deleted edges: some folded, the rest pending, and every
+        // freed id on the free list.
+        g.set_flush_threshold(4_000);
+        for id in (0..40_000).step_by(4) {
+            assert!(g.delete_edge(id));
+        }
+        assert!(g.has_pending_deltas() && g.delta_flush_count() > 0);
+        assert_eq!(g.edges.shared_parts().1.len(), 10_000);
+        let snap = g.snapshot();
+        assert!(shares_every_root(&g, &snap), "a clone copied a table");
+        assert!(unshared_leaves(&g, &snap).iter().all(|&c| c == 0));
     }
 
     #[test]
@@ -1303,35 +1380,109 @@ mod tests {
         assert!(g.pending_delta_count() >= 10_000);
 
         // Snapshotting ~10 k pending changes copies no buffer entry and no
-        // entity slot: every chunk and block is shared by pointer.
+        // entity slot: every table is shared whole.
         let snap = g.snapshot();
-        assert!(unshared_chunks(&g, &snap).iter().all(|&c| c == 0));
-        assert_eq!(g.edges.blocks_not_shared_with(&snap.edges), 0);
-        assert_eq!(g.nodes.blocks_not_shared_with(&snap.nodes), 0);
+        assert!(shares_every_root(&g, &snap));
 
-        // One edge insert touches two matrices and one entity block.
+        // One edge insert copies one leaf (with its path) in the edge
+        // blocks and in each of the two matrices it touches, and nothing
+        // else: the node blocks, the label matrix, the schema and the free
+        // lists stay shared whole.
         let e = g.add_edge(100, 3000, "LINK", vec![]).unwrap();
-        let copied = unshared_chunks(&g, &snap);
-        assert!(copied.iter().all(|&c| c <= 1), "more than one chunk per matrix: {copied:?}");
-        assert_eq!(copied.iter().sum::<usize>(), 2);
-        assert_eq!(g.edges.blocks_not_shared_with(&snap.edges), 1);
-        assert_eq!(g.nodes.blocks_not_shared_with(&snap.nodes), 0);
+        assert_eq!(unshared_leaves(&g, &snap), vec![1, 0, 1, 1, 0]);
+        assert!(g.nodes.shared_parts().0.ptr_eq(snap.nodes.shared_parts().0));
+        assert!(g.label_matrices[0]
+            .pending_chunks()
+            .ptr_eq(snap.label_matrices[0].pending_chunks()));
+        assert!(Arc::ptr_eq(&g.schema, &snap.schema));
+        assert!(Arc::ptr_eq(g.edges.shared_parts().1, snap.edges.shared_parts().1));
         assert!(snap.edge(e).is_none());
         assert_eq!(snap.edge_count() + 1, g.edge_count());
         drop(snap);
 
-        // Likewise one delete, of a flushed edge, beside a fresh snapshot.
+        // Likewise one delete, of a flushed edge, beside a fresh snapshot;
+        // it also pushes the freed id onto a copy of the free list.
         let snap = g.snapshot();
         assert!(g.delete_edge(7));
-        let copied = unshared_chunks(&g, &snap);
-        assert!(copied.iter().all(|&c| c <= 1), "more than one chunk per matrix: {copied:?}");
-        assert_eq!(copied.iter().sum::<usize>(), 2);
-        assert_eq!(g.edges.blocks_not_shared_with(&snap.edges), 1);
+        assert_eq!(unshared_leaves(&g, &snap), vec![1, 0, 1, 1, 0]);
+        assert!(!Arc::ptr_eq(g.edges.shared_parts().1, snap.edges.shared_parts().1));
         assert!(snap.edge(7).is_some());
         let survivors = vec![(9, n + 7), (10, 2 * n + 7)];
         assert_eq!(snap.neighbors(7, None, TraverseDir::Outgoing)[1..], survivors);
         assert_eq!(snap.neighbors(7, None, TraverseDir::Outgoing)[0], (8, 7));
         assert_eq!(g.neighbors(7, None, TraverseDir::Outgoing), survivors);
+        // A new property name copies the schema; a known one does not.
+        let snap = g.snapshot();
+        g.set_node_property(1, "id", Value::Int(-1));
+        assert!(Arc::ptr_eq(&g.schema, &snap.schema));
+        g.set_node_property(1, "fresh", Value::Int(1));
+        assert!(!Arc::ptr_eq(&g.schema, &snap.schema));
+        assert_eq!(snap.schema.attribute_id("fresh"), None);
+    }
+
+    /// Every live node's outgoing row and every live edge's entity, checked
+    /// against a model of `id → (src, dst)`, on `nodes` node ids.
+    fn assert_reads_back(
+        g: &Graph,
+        nodes: u64,
+        edges: &std::collections::BTreeMap<u64, (u64, u64)>,
+    ) {
+        assert_eq!((g.node_count() as u64, g.edge_count()), (nodes, edges.len()));
+        let mut rows = vec![Vec::new(); nodes as usize];
+        for (&id, &(src, dst)) in edges {
+            let edge = g.edge(id).unwrap_or_else(|| panic!("edge {id} lost"));
+            assert_eq!((edge.src, edge.dst), (src, dst), "edge {id}");
+            rows[src as usize].push((dst, id));
+        }
+        for (v, mut row) in rows.into_iter().enumerate() {
+            row.sort_unstable();
+            assert_eq!(g.neighbors(v as u64, None, TraverseDir::Outgoing), row, "row {v}");
+            assert_eq!(g.node_property(v as u64, "id"), Value::Int(v as i64), "node {v}");
+        }
+    }
+
+    #[test]
+    fn writes_behind_a_snapshot_past_two_table_levels_read_back_on_both_sides() {
+        // 5 000 nodes fill 79 node blocks of 64 slots, past two 32-block
+        // groups; 140 000 edges fill 2 188 edge blocks, past the 1 024 two
+        // table levels hold.
+        let n = 5_000;
+        let mut links: Vec<(u64, u64)> =
+            (0..n).flat_map(|v| (1..=28).map(move |k| (v, (v + 37 * k) % n))).collect();
+        // `bulk_load` numbers the edges in sorted order.
+        links.sort_unstable();
+        let mut g = Graph::new("deep");
+        g.bulk_load(n, &links);
+        g.set_flush_threshold(1_000_000);
+        let mut model: std::collections::BTreeMap<u64, (u64, u64)> =
+            links.iter().enumerate().map(|(id, &e)| (id as u64, e)).collect();
+        assert_eq!(g.edge_count(), 140_000);
+        let snap = g.snapshot();
+        let frozen = model.clone();
+
+        // Deletes spread over every edge block, inserts that recycle their
+        // ids and then extend the table, and nodes past the old dimension's
+        // blocks.
+        for id in (0..140_000).step_by(331) {
+            assert!(g.delete_edge(id));
+            model.remove(&id);
+        }
+        for i in 0..1_000 {
+            let (src, dst) = ((i * 7919) % n, (i * 104_729 + 1) % n);
+            if src != dst {
+                model.insert(g.add_edge(src, dst, "LINK", vec![]).unwrap(), (src, dst));
+            }
+        }
+        for v in n..n + 300 {
+            assert_eq!(g.add_node(&["Node"], vec![("id", Value::Int(v as i64))]), v);
+            model.insert(g.add_edge(v, v - n, "LINK", vec![]).unwrap(), (v, v - n));
+        }
+        assert!(g.has_pending_deltas());
+        assert_reads_back(&g, n + 300, &model);
+        assert_reads_back(&snap, n, &frozen);
+        g.sync_matrices();
+        assert_reads_back(&g, n + 300, &model);
+        assert_reads_back(&snap, n, &frozen);
     }
 
     #[test]

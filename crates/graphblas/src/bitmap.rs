@@ -255,7 +255,7 @@ mod tests {
 
     #[test]
     fn steps_over_a_delta_matrix_equal_the_steps_over_its_export() {
-        // Three 256-row buffer chunks. Row 1 holds a pending insert (1, 7),
+        // Twelve 64-row buffer chunks. Row 1 holds a pending insert (1, 7),
         // an insert shadowing the main entry (1, 5) and a pending delete of
         // the main entry (1, 9); row 4's only change is a pending delete of
         // (4, 9); row 3 has no change of its own but shares row 1's dirty

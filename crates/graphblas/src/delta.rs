@@ -49,15 +49,20 @@
 //! [`Arc::make_mut`], which copies it first if an epoch is pinned.
 //!
 //! The pending buffers are shared the same way, by row range: `DP`/`DM` are
-//! split into chunks of `CHUNK_ROWS` (256) rows, each behind its own `Arc`. A
-//! clone — the consistent snapshot a reader takes — costs one pointer bump
-//! per chunk however many changes are pending, and a write after a clone
-//! copies only the one chunk it touches. When the buffers were copied entry
-//! by entry, a whole-graph snapshot rose from 16 to 352 µs as the pending
-//! changes grew to 36 k (Graph500 scale 15, 2-core x86 host); with chunks it
-//! stays at 9–11 µs over the same range.
+//! split into chunks of `CHUNK_ROWS` (64) rows, the leaves of a
+//! copy-on-write [`ChunkTable`]. A clone — the consistent snapshot a reader
+//! takes — bumps the table's root however many changes are pending, and a
+//! write after a clone copies the one chunk it touches and that chunk's
+//! path through the table. A flush installs an empty table, leaving a clone
+//! that shares the old one untouched. On the rgbench graph (Graph500 scale
+//! 15, 0.8 M edges, 2-core x86 host), alternating one write with one
+//! whole-graph snapshot, the snapshot takes 0.3–0.6 µs (0.2 µs at scale 17,
+//! 3.3 M edges), where bumping one pointer per 256-row chunk and entity
+//! block took 10–13 µs (41 µs at scale 17); the write beside it takes
+//! 3.8–6.0 µs, where copying whole chunks and blocks took 16–20 µs.
 
 use crate::bitmap::RowSource;
+use crate::chunk_table::ChunkTable;
 use crate::error::{check_index, GrbError, GrbResult};
 use crate::matrix::SparseMatrix;
 use crate::types::Scalar;
@@ -70,13 +75,17 @@ use std::sync::Arc;
 /// (RedisGraph ships `DELTA_MAX_PENDING_CHANGES = 10000`).
 pub const DEFAULT_FLUSH_THRESHOLD: usize = 10_000;
 
-/// Rows per pending-buffer chunk: the unit a clone shares and a write after
-/// a clone copies.
-const CHUNK_ROWS: Index = 256;
+/// Rows per pending-buffer chunk: the leaf a write after a clone copies.
+/// Smaller chunks copy fewer pending entries but need more table levels:
+/// at rgbench's 49 152 rows, 32-row chunks take three levels where 64-row
+/// chunks take two, and a write beside a snapshot measured slower with
+/// them.
+const CHUNK_ROWS: Index = 64;
 
-/// The pending changes of one [`CHUNK_ROWS`]-row range.
+/// The pending changes of one `CHUNK_ROWS`-row range: a leaf of the
+/// matrix's [`ChunkTable`].
 #[derive(Clone, Debug)]
-struct Chunk<T> {
+pub struct Chunk<T> {
     /// `DP`: entries inserted or overwritten since the last flush.
     plus: BTreeMap<(Index, Index), T>,
     /// `DM`: main-matrix coordinates deleted since the last flush.
@@ -122,9 +131,9 @@ pub struct DeltaMatrix<T: Scalar> {
     /// The current epoch: an immutable, shareable CSR.
     main: Arc<SparseMatrix<T>>,
     /// `DP` and `DM` by row range: slot `i` covers rows
-    /// `i * CHUNK_ROWS .. (i + 1) * CHUNK_ROWS` and is `None` while nothing
+    /// `i * CHUNK_ROWS .. (i + 1) * CHUNK_ROWS` and is empty while nothing
     /// in that range is pending.
-    chunks: Vec<Option<Arc<Chunk<T>>>>,
+    chunks: ChunkTable<Chunk<T>>,
     /// Entries across every chunk's `DP` and `DM`.
     pending: usize,
     /// Exact number of entries in the merged view, maintained incrementally.
@@ -159,7 +168,7 @@ impl<T: Scalar> DeltaMatrix<T> {
     pub fn from_matrix(main: SparseMatrix<T>) -> Self {
         let nvals = main.nvals();
         DeltaMatrix {
-            chunks: vec![None; chunk_count(main.nrows())],
+            chunks: ChunkTable::new(chunk_count(main.nrows())),
             main: Arc::new(main),
             pending: 0,
             nvals,
@@ -216,26 +225,29 @@ impl<T: Scalar> DeltaMatrix<T> {
 
     // ----------------------------------------------------------- mutation
 
-    /// The pending changes of `row`'s chunk, if any.
+    /// The pending changes of `row`'s chunk, if any. A matrix with nothing
+    /// pending answers without walking the table.
     fn chunk(&self, row: Index) -> Option<&Chunk<T>> {
-        self.chunks.get((row / CHUNK_ROWS) as usize)?.as_deref()
+        if self.is_flushed() {
+            return None;
+        }
+        self.chunks.get((row / CHUNK_ROWS) as usize)
     }
 
-    /// The chunk of `row` for writing, created if absent and copied first if
-    /// a clone still shares it — only this chunk, never the whole buffer.
+    /// The chunk of `row` for writing, created if absent and copied first
+    /// (with its table path) if a clone still shares it.
     fn chunk_mut(&mut self, row: Index) -> &mut Chunk<T> {
-        let slot = &mut self.chunks[(row / CHUNK_ROWS) as usize];
-        Arc::make_mut(slot.get_or_insert_with(Default::default))
+        self.chunks.get_or_insert_with((row / CHUNK_ROWS) as usize, Default::default)
     }
 
     /// Every pending insert, in row-major order.
     fn plus_entries(&self) -> impl Iterator<Item = (&(Index, Index), &T)> {
-        self.chunks.iter().flatten().flat_map(|c| c.plus.iter())
+        self.chunks.iter().flat_map(|(_, c)| c.plus.iter())
     }
 
     /// Every pending delete, in row-major order.
     fn minus_entries(&self) -> impl Iterator<Item = &(Index, Index)> {
-        self.chunks.iter().flatten().flat_map(|c| c.minus.iter())
+        self.chunks.iter().flat_map(|(_, c)| c.minus.iter())
     }
 
     /// Insert or overwrite a single entry. O(log pending); never rebuilds the
@@ -289,7 +301,7 @@ impl<T: Scalar> DeltaMatrix<T> {
         changes.minus += u32::from(recorded);
         changes.degree -= 1;
         if chunk.plus.is_empty() && chunk.minus.is_empty() {
-            self.chunks[slot] = None;
+            self.chunks.remove(slot);
         }
         self.pending = self.pending + usize::from(recorded) - usize::from(dropped);
         self.maybe_flush();
@@ -307,7 +319,7 @@ impl<T: Scalar> DeltaMatrix<T> {
         }
         // Readers pinning the old allocation keep the old dimensions.
         Arc::make_mut(&mut self.main).resize(nrows, ncols);
-        self.chunks.resize(chunk_count(nrows), None);
+        self.chunks.resize(chunk_count(nrows));
         if shrinks {
             self.nvals = self.main.nvals();
             self.epoch += 1;
@@ -326,7 +338,7 @@ impl<T: Scalar> DeltaMatrix<T> {
         }
         self.main = Arc::new(self.merged());
         // Dropping the chunks leaves a clone that shares them untouched.
-        self.chunks.fill(None);
+        self.chunks.clear();
         self.pending = 0;
         self.epoch += 1;
         self.flush_count += 1;
@@ -401,11 +413,10 @@ impl<T: Scalar> DeltaMatrix<T> {
         any_run((cols, vals), plus, minus.into_iter().flatten().map(|&(_, c)| c), each)
     }
 
-    /// Number of entries in one row of the merged view. A flushed matrix
-    /// skips the chunk lookup: Beamer's rule asks once per frontier vertex.
+    /// Number of entries in one row of the merged view (Beamer's rule asks
+    /// once per frontier vertex).
     pub fn row_degree(&self, row: Index) -> usize {
-        let chunk = if self.is_flushed() { None } else { self.chunk(row) };
-        let pending = chunk.map_or(0, |c| c.rows[offset(row)].degree as isize);
+        let pending = self.chunk(row).map_or(0, |c| c.rows[offset(row)].degree as isize);
         (self.main.row_degree(row) as isize + pending) as usize
     }
 
@@ -454,19 +465,11 @@ impl<T: Scalar> DeltaMatrix<T> {
         Arc::clone(&self.main)
     }
 
-    /// How many pending-buffer chunks this matrix holds that `other` does
-    /// not share by pointer (diagnostic/test use). Zero right after a clone,
-    /// whatever the pending count; a write after the clone makes it one.
-    pub fn chunks_not_shared_with(&self, other: &DeltaMatrix<T>) -> usize {
-        let theirs = |i: usize| other.chunks.get(i).and_then(Option::as_ref);
-        self.chunks
-            .iter()
-            .enumerate()
-            .filter(|(i, mine)| match (mine, theirs(*i)) {
-                (Some(a), Some(b)) => !Arc::ptr_eq(a, b),
-                (mine, _) => mine.is_some(),
-            })
-            .count()
+    /// The pending buffers by row range: the table a clone shares
+    /// (diagnostic/test use, through [`ChunkTable::ptr_eq`] and
+    /// [`ChunkTable::leaves_not_shared_with`]).
+    pub fn pending_chunks(&self) -> &ChunkTable<Chunk<T>> {
+        &self.chunks
     }
 
     /// Validate the delta-matrix invariants on top of the main CSR's own.
@@ -478,8 +481,7 @@ impl<T: Scalar> DeltaMatrix<T> {
             return invalid(format!("{chunks} buffer chunks for {nrows} rows"));
         }
         let (mut pending, mut nvals) = (0, self.main.nvals() as i64);
-        for (i, chunk) in self.chunks.iter().enumerate() {
-            let Some(chunk) = chunk else { continue };
+        for (i, chunk) in self.chunks.iter() {
             if chunk.plus.is_empty() && chunk.minus.is_empty() {
                 return invalid(format!("buffer chunk {i} is kept empty"));
             }
@@ -807,21 +809,20 @@ mod tests {
         let mut m = pending_in_every_chunk(64);
         assert_eq!(m.pending_count(), 16 * 64);
         let snap = m.clone();
-        assert_eq!(m.chunks_not_shared_with(&snap), 0, "a clone copies no buffer entry");
-        for (a, b) in m.chunks.iter().zip(&snap.chunks) {
-            assert!(Arc::ptr_eq(a.as_ref().unwrap(), b.as_ref().unwrap()));
-        }
+        let unshared = |m: &DeltaMatrix<i64>| m.chunks.leaves_not_shared_with(&snap.chunks);
+        assert!(m.chunks.ptr_eq(&snap.chunks), "a clone shares the whole table");
+        assert_eq!(unshared(&m), 0, "a clone copies no buffer entry");
         let before = snap.to_triples();
 
         m.set_element(3, 7, 1); // chunk 0
-        assert_eq!(m.chunks_not_shared_with(&snap), 1);
+        assert_eq!(unshared(&m), 1);
         m.set_element(5, 9, 2); // chunk 0 again: already private
-        assert_eq!(m.chunks_not_shared_with(&snap), 1);
+        assert_eq!(unshared(&m), 1);
         m.remove_element(CHUNK_ROWS, 0).unwrap(); // a main entry in chunk 1
-        assert_eq!(m.chunks_not_shared_with(&snap), 2);
+        assert_eq!(unshared(&m), 2);
         m.remove_element(7 * CHUNK_ROWS + 3, 0).unwrap(); // absent: no copy
-        assert_eq!(m.chunks_not_shared_with(&snap), 2);
-        assert!(Arc::ptr_eq(m.chunks[2].as_ref().unwrap(), snap.chunks[2].as_ref().unwrap()));
+        assert_eq!(unshared(&m), 2);
+        assert_eq!(m.chunks.iter().count(), 16, "chunks 2..16 stay shared");
 
         assert_eq!(snap.to_triples(), before, "the clone sees exactly its own state");
         snap.check_invariants().unwrap();
@@ -833,15 +834,13 @@ mod tests {
         let mut m = pending_in_every_chunk(8);
         let snap = m.clone();
         let before = snap.to_triples();
-        let weak = Arc::downgrade(snap.chunks[5].as_ref().unwrap());
         m.remove_element(5 * CHUNK_ROWS, 0).unwrap();
         m.flush();
-        assert!(m.chunks.iter().all(Option::is_none), "a fold drains every chunk");
+        assert_eq!(m.chunks.iter().count(), 0, "a fold drains every chunk");
+        assert_eq!(m.chunks.len(), 16);
         assert_eq!(snap.to_triples(), before);
         assert_eq!(snap.pending_count(), 16 * 8);
         snap.check_invariants().unwrap();
-        drop(snap);
-        assert!(weak.upgrade().is_none(), "the last holder's drop frees a chunk");
     }
 
     #[test]
@@ -865,7 +864,7 @@ mod tests {
         m.check_invariants().unwrap();
         // Deleting the only pending insert of a chunk releases the chunk.
         m.remove_element(CHUNK_ROWS, 1).unwrap();
-        assert!(m.chunks[1].is_none());
+        assert!(m.chunks.get(1).is_none());
         m.check_invariants().unwrap();
     }
 

@@ -35,6 +35,7 @@
 
 pub mod binary_op;
 pub mod bitmap;
+pub mod chunk_table;
 pub mod delta;
 pub mod descriptor;
 pub mod error;
@@ -55,6 +56,7 @@ pub mod vector;
 
 pub use binary_op::BinaryOp;
 pub use bitmap::{bfs_pull, bfs_push, Bitmap, RowSource};
+pub use chunk_table::ChunkTable;
 pub use delta::{DeltaMatrix, DEFAULT_FLUSH_THRESHOLD};
 pub use descriptor::Descriptor;
 pub use error::{GrbError, GrbResult};
@@ -72,6 +74,7 @@ pub use vector::SparseVector;
 pub mod prelude {
     pub use crate::binary_op::BinaryOp;
     pub use crate::bitmap::{bfs_pull, bfs_push, Bitmap, RowSource};
+    pub use crate::chunk_table::ChunkTable;
     pub use crate::delta::{DeltaMatrix, DEFAULT_FLUSH_THRESHOLD};
     pub use crate::descriptor::Descriptor;
     pub use crate::error::{GrbError, GrbResult};

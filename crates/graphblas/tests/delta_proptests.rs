@@ -14,12 +14,13 @@
 //! delete-of-pending-insert / insert-over-pending-delete transitions are all
 //! exercised with every possible buffer state.
 //!
-//! The pending buffers are split into `Arc`-shared chunks of 256 rows, so a
-//! clone shares them and a later write copies only its own chunk. A 10×10
-//! matrix lives in one chunk; the wide scripts below draw rows from both
-//! sides of three chunk boundaries, clone at random points, and check every
-//! clone against the dense model frozen at clone time after the original
-//! has gone on to set, remove and flush.
+//! The pending buffers are split into chunks of 64 rows, the leaves of a
+//! copy-on-write `ChunkTable`, so a clone shares them and a later write
+//! copies only its own chunk's path. A 10×10 matrix lives in one chunk; the
+//! wide scripts below draw rows from both sides of three chunk boundaries,
+//! clone at random points, and check every clone against the dense model
+//! frozen at clone time after the original has gone on to set, remove and
+//! flush.
 
 use graphblas::prelude::*;
 use proptest::prelude::*;
@@ -201,7 +202,8 @@ proptest! {
 }
 
 /// Rows of the wide scripts: the first two and last two of each of four
-/// 256-row chunks, plus one mid-chunk row.
+/// 256-row ranges (four 64-row chunks each), plus the last row of the
+/// range's second chunk.
 const WIDE_ROW_OFFSETS: [u64; 5] = [0, 1, 127, 254, 255];
 const WIDE_CHUNKS: u64 = 4;
 const WIDE_COLS: u64 = 6;

@@ -1,14 +1,16 @@
 //! Structurally shared snapshots versus the copy-on-write writer.
 //!
-//! A snapshot shares the live graph's delta-buffer chunks and entity blocks
-//! by `Arc`. The writer below copies a shared chunk (in every matrix its
-//! write touches) and a shared entity block, then folds the buffers into
-//! fresh CSRs, while a reader holding a snapshot iterates the very row the
-//! writer rewrites and runs a variable-length count over it, whose BFS reads
-//! the shared chunks in place. Whatever the interleaving, the reader must
-//! see exactly the epoch it pinned: the row, the entities, the reachability
-//! view and the count all from one side of the write, and the same answers
-//! on every re-read.
+//! A snapshot shares the live graph's chunk tables (delta-buffer chunks,
+//! entity blocks) by their roots. The first writer below copies a shared
+//! chunk's path (in every matrix its write touches) and a shared entity
+//! block's, then folds the buffers into fresh CSRs, while a reader holding a
+//! snapshot iterates the very row the writer rewrites and runs a
+//! variable-length count over it, whose BFS reads the shared chunks in
+//! place. The second writer grows the node table past a full level — a new
+//! leaf under a new root — while the reader holds a snapshot of the smaller
+//! table. Whatever the interleaving, the reader must see exactly the epoch
+//! it pinned: the row, the entities, the reachability view and the count all
+//! from one side of the write, and the same answers on every re-read.
 
 use std::sync::Arc;
 
@@ -103,4 +105,56 @@ fn a_reader_sees_its_own_epoch_while_the_writer_copies_and_folds() {
         assert!(!lock.read().has_pending_deltas(), "the fold left buffers behind");
     });
     assert!(report.distinct >= 100, "only {} distinct schedules explored", report.distinct);
+}
+
+/// Nodes that fill the node table's first level: 32 blocks of 64 slots.
+/// The next node needs a new leaf and a new root above the old one.
+const FULL_LEVEL: u64 = 32 * 64;
+
+#[test]
+fn a_reader_keeps_its_epoch_while_the_writer_grows_the_entity_table() {
+    // Built once: a clone per schedule costs a few pointer bumps.
+    let mut base = Graph::new("g");
+    base.bulk_load(FULL_LEVEL, &[(0, 1), (FULL_LEVEL - 1, 0)]);
+    let report = explore("snapshot_share/grow_past_a_leaf", &cfg(), || {
+        let lock = Arc::new(parking_lot::RwLock::new(base.clone()));
+        let cache = Arc::new(parking_lot::Mutex::new(None::<Arc<GraphSnapshot>>));
+        let base_epoch = pin(&lock, &cache).epoch();
+        let (last, fresh) = (FULL_LEVEL - 1, FULL_LEVEL);
+
+        let reader = {
+            let lock = Arc::clone(&lock);
+            let cache = Arc::clone(&cache);
+            thread::spawn(move || {
+                let snap = pin(&lock, &cache);
+                let old = snap.epoch() == base_epoch;
+                let nodes = if old { FULL_LEVEL } else { FULL_LEVEL + 1 };
+                let row = if old { vec![0] } else { vec![0, fresh] };
+                for _ in 0..2 {
+                    assert_eq!(snap.node_count() as u64, nodes, "node count (old = {old})");
+                    assert_eq!(snap.node(fresh).is_some(), !old, "node from the wrong epoch");
+                    assert_eq!(snap.node_property(last, "id"), Value::Int(last as i64));
+                    assert_eq!(out_row(&snap, last), row, "row {last} mixes epochs (old = {old})");
+                    assert_eq!(snap.edge_count(), if old { 2 } else { 3 });
+                    thread::yield_now();
+                }
+            })
+        };
+
+        // One epoch: a node in a fresh leaf past the full level, and an edge
+        // to it; then a fold of every buffer.
+        {
+            let mut g = lock.write();
+            assert_eq!(g.add_node(&["Node"], vec![("id", Value::Int(fresh as i64))]), fresh);
+            g.add_edge(last, fresh, "LINK", vec![]).unwrap();
+        }
+        lock.write().sync_matrices();
+
+        reader.join().unwrap();
+        let snap = pin(&lock, &cache);
+        assert_eq!(snap.node_count() as u64, FULL_LEVEL + 1);
+        assert_eq!(out_row(&snap, last), vec![0, fresh]);
+        assert_eq!(base.node_count() as u64, FULL_LEVEL, "the writer reached the base graph");
+    });
+    assert!(report.distinct >= 20, "only {} distinct schedules explored", report.distinct);
 }
