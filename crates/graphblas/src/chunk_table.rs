@@ -113,7 +113,7 @@ impl<L> ChunkTable<L> {
     }
 
     /// The `Arc` of the leaf in slot `i`, if any.
-    fn leaf(&self, i: usize) -> Option<&Arc<L>> {
+    pub(crate) fn leaf(&self, i: usize) -> Option<&Arc<L>> {
         if i >= self.len {
             return None;
         }
@@ -406,5 +406,30 @@ mod tests {
         assert_eq!(t.get(99), None);
         assert_eq!(snap.get(99), Some(&'x'));
         assert_eq!(snap.leaves_not_shared_with(&t), 1);
+    }
+
+    #[test]
+    fn every_leaf_is_released_with_its_last_holder() {
+        let tracker = Arc::new(());
+        let holders = || Arc::strong_count(&tracker) - 1;
+        let n = FANOUT * FANOUT * 2;
+        let mut t = ChunkTable::new(n);
+        for i in (0..n).step_by(5) {
+            t.get_or_insert_with(i, || Arc::clone(&tracker));
+        }
+        let kept = (0..FANOUT * FANOUT).step_by(5).count();
+        t.resize(FANOUT * FANOUT);
+        assert_eq!(holders(), kept, "shrinking must free the cut leaves");
+
+        let snap = t.clone();
+        assert_eq!(holders(), kept, "a clone copies no leaf");
+        t.get_mut(5 * FANOUT).unwrap();
+        assert_eq!(holders(), kept + 1, "a write copies its one leaf");
+        assert!(t.remove(0).is_some());
+        assert_eq!(holders(), kept + 1, "a removed copy is the caller's to drop");
+        t.clear();
+        assert_eq!(holders(), kept, "clearing frees the leaves no clone shares");
+        drop(snap);
+        assert_eq!(holders(), 0, "the last holder's drop frees every leaf");
     }
 }

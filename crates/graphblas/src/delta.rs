@@ -834,6 +834,7 @@ mod tests {
         let mut m = pending_in_every_chunk(8);
         let snap = m.clone();
         let before = snap.to_triples();
+        let weak = Arc::downgrade(snap.chunks.leaf(5).unwrap());
         m.remove_element(5 * CHUNK_ROWS, 0).unwrap();
         m.flush();
         assert_eq!(m.chunks.iter().count(), 0, "a fold drains every chunk");
@@ -841,6 +842,8 @@ mod tests {
         assert_eq!(snap.to_triples(), before);
         assert_eq!(snap.pending_count(), 16 * 8);
         snap.check_invariants().unwrap();
+        drop(snap);
+        assert!(weak.upgrade().is_none(), "the last holder's drop frees a chunk");
     }
 
     #[test]
