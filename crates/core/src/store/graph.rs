@@ -7,7 +7,10 @@
 //!   edge ids (so traversals can recover the traversed edge entity), plus its
 //!   transpose for reverse traversals — the only stored edge patterns: an
 //!   untyped hop reads every type's matrix, and the `algo.*` procedures take
-//!   the structural union of all of them, built on demand;
+//!   the structural union of all of them, built on demand. A cell holding
+//!   parallel same-type edges stores `LIST_TAG | slot` instead, naming an
+//!   ascending edge-id list in a DataBlock arena (RedisGraph 2.x's
+//!   multi-edge cells);
 //! * one **boolean label matrix per label** with a diagonal entry for every
 //!   node carrying that label;
 //! * node and edge entities (labels + property sets) in DataBlocks; the
@@ -23,9 +26,11 @@
 //! the merged `main ∪ Δ⁺ \ Δ⁻` view a row at a time, merging only rows with
 //! pending changes; the one whole-matrix consumer, the `algo.*` procedures'
 //! union, materialises a merged copy, so no read needs a flush. Buffers
-//! fold into the main matrices when a matrix's pending count crosses
-//! [`Graph::flush_threshold`] (`DELTA_MAX_PENDING_CHANGES`), or explicitly
-//! via [`Graph::sync_matrices`].
+//! fold into the main matrices when a matrix's pending inserts and deletes
+//! reach [`Graph::flush_threshold`] (`DELTA_MAX_PENDING_CHANGES`), or
+//! explicitly via [`Graph::sync_matrices`]. Rewriting a stored cell's value
+//! (a parallel-edge list taking over a cell, or giving it back) is buffered
+//! too, but does not count: it changes no entry's presence.
 //!
 //! Every flushed main CSR is an immutable, `Arc`-shared **epoch**:
 //! [`Graph::snapshot`] pins each matrix's current epoch — plus its
@@ -44,13 +49,17 @@ use crate::value::Value;
 use crate::{EdgeId, NodeId};
 use graphblas::prelude::*;
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Matrices are grown in chunks of this many rows/columns so that node
 /// insertion does not resize on every call (RedisGraph uses 16384).
 const GROW_CHUNK: u64 = 16_384;
+
+/// The top bit of a relation cell: clear, the cell is the one edge id it
+/// holds; set, the other bits are a slot of [`Graph`]'s `edge_lists`. Edge
+/// ids are DataBlock slots, far below this bit.
+const LIST_TAG: u64 = 1 << 63;
 
 /// Traversal direction at the storage level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,13 +106,13 @@ pub struct Graph {
     dim: u64,
     relation_matrices: Vec<DeltaMatrix<u64>>,
     relation_matrices_t: Vec<DeltaMatrix<u64>>,
-    /// Parallel same-type edges: the full, ascending edge-id list of every
-    /// `(rel, src, dst)` cell that holds **two or more** edges. The relation
-    /// matrix cell keeps the smallest id (so algebraic products always carry
-    /// a live representative); traversals expand a cell to one row per edge
-    /// through [`Graph::edges_between`]. Cells with a single edge — the
-    /// overwhelming majority — have no entry here.
-    multi_edges: HashMap<(RelTypeId, NodeId, NodeId), Vec<EdgeId>>,
+    /// Parallel same-type edges: the ascending edge-id list of every
+    /// relation cell that holds **two or more** edges, at the slot its
+    /// tagged cell (`LIST_TAG | slot`) names in both the matrix and its
+    /// transpose. Cells with a single edge — the overwhelming majority —
+    /// have no list. A clone shares the arena by the root of its
+    /// copy-on-write table, like the entity blocks.
+    edge_lists: DataBlock<Vec<EdgeId>>,
     label_matrices: Vec<DeltaMatrix<bool>>,
     flush_threshold: usize,
     /// Logical write version: bumped on every mutation, pinned by snapshots.
@@ -122,7 +131,7 @@ impl Graph {
             dim: GROW_CHUNK,
             relation_matrices: Vec::new(),
             relation_matrices_t: Vec::new(),
-            multi_edges: HashMap::new(),
+            edge_lists: DataBlock::new(),
             label_matrices: Vec::new(),
             flush_threshold: DEFAULT_FLUSH_THRESHOLD,
             epoch: 0,
@@ -140,24 +149,24 @@ impl Graph {
     ///
     /// The underlying clone is structural and copies no stored entry: each
     /// matrix's flushed CSR is shared by `Arc` (see
-    /// `DeltaMatrix::main_shared`), its delta buffers and the entity
-    /// DataBlocks by the roots of their copy-on-write chunk tables, and the
-    /// schema and the free lists by `Arc`. Its cost is a few pointer bumps
-    /// per matrix however large the graph or its pending buffers; only the
-    /// parallel-edge side table is copied whole. Alternating one write with
-    /// one snapshot on a Graph500 scale-15 graph (0.8 M edges, 2-core x86
-    /// host), a snapshot takes 0.3–0.6 µs and dropping the one it replaces
-    /// 1.9–3.0 µs, where one pointer bump per 256-row chunk and 1 024-slot
-    /// block took 10–13 µs and 13–18 µs; at scale 17 (3.3 M edges) the
-    /// snapshot takes 0.2 µs, against 41 µs. The first write after a
-    /// snapshot copies one chunk path per matrix it touches and one entity
-    /// block path: 3.8–6.0 µs a write, against 16–20 µs for whole chunks
-    /// and blocks. A write that frees or reuses an entity id (a delete, or
-    /// a create after one) also copies that DataBlock's free list, O(freed
-    /// ids): about 0.3 µs per 1 000 ids on the same host (3.4 µs at
-    /// 10 000, 30 µs at 100 000). rgbench's `mixed_rw_write` reuses each
-    /// freed id at once, so its list holds 0–1 ids and no workload
-    /// measures this cost.
+    /// `DeltaMatrix::main_shared`); its delta buffers, the entity DataBlocks
+    /// and the parallel-edge lists' DataBlock by the roots of their
+    /// copy-on-write chunk tables; the schema and the free lists by `Arc`.
+    /// Its cost is a few pointer bumps per matrix however large the graph,
+    /// its pending buffers or its number of parallel cells. Alternating one
+    /// write with one snapshot on a Graph500 scale-15 graph (0.8 M edges,
+    /// 2-core x86 host), a snapshot takes 0.3–0.6 µs and dropping the one it
+    /// replaces 1.9–3.0 µs, where one pointer bump per 256-row chunk and
+    /// 1 024-slot block took 10–13 µs and 13–18 µs; at scale 17 (3.3 M
+    /// edges) the snapshot takes 0.2 µs, against 41 µs. The first write
+    /// after a snapshot copies one chunk path per matrix it touches and one
+    /// entity block path: 3.8–6.0 µs a write, against 16–20 µs for whole
+    /// chunks and blocks. A write that frees or reuses an entity id (a
+    /// delete, or a create after one) also copies that DataBlock's free
+    /// list, O(freed ids): about 0.3 µs per 1 000 ids on the same host
+    /// (3.4 µs at 10 000, 30 µs at 100 000). rgbench's `mixed_rw_write`
+    /// reuses each freed id at once, so its list holds 0–1 ids and no
+    /// workload measures this cost.
     /// Pending deltas deliberately stay buffered: a fold rebuilds
     /// whole CSRs (O(nnz) however few changes are buffered), which no plan
     /// needs — traversals of every length run on merged row views.
@@ -173,14 +182,16 @@ impl Graph {
         GraphSnapshot::seal(self.clone())
     }
 
-    /// The pending-count threshold at which any one matrix folds its delta
-    /// buffers into its main CSR (the `DELTA_MAX_PENDING_CHANGES` knob).
+    /// The number of pending inserts and deletes at which any one matrix
+    /// folds its delta buffers into its main CSR (the
+    /// `DELTA_MAX_PENDING_CHANGES` knob).
     pub fn flush_threshold(&self) -> usize {
         self.flush_threshold
     }
 
     /// Set the delta flush threshold on every matrix (existing and future).
-    /// `1` restores the eager behaviour of flushing on every mutation.
+    /// `1` restores the eager behaviour of flushing on every edge or label
+    /// insert and delete.
     pub fn set_flush_threshold(&mut self, threshold: usize) {
         self.flush_threshold = threshold.max(1);
         for m in &mut self.relation_matrices {
@@ -370,63 +381,49 @@ impl Graph {
         }
         let id = self.edges.insert(EdgeEntity { src, dst, rel_type: rel, attributes: attrs });
         match self.relation_matrices[rel].extract_element(src, dst) {
-            // First edge of this type between the endpoints: the matrix cell
-            // carries it directly.
-            None => {
-                self.relation_matrices[rel].set_element(src, dst, id);
-                self.relation_matrices_t[rel].set_element(dst, src, id);
-            }
-            // Parallel same-type edge: the cell's full edge list moves to the
-            // multi-edge side table (ascending ids) and the matrix keeps the
-            // smallest id as the representative.
-            Some(existing) => {
-                let list =
-                    self.multi_edges.entry((rel, src, dst)).or_insert_with(|| vec![existing]);
+            // First edge of this type between the endpoints: the cell is its id.
+            None => self.set_cell(rel, src, dst, id),
+            // A third or later edge joins the cell's list; no matrix changes.
+            Some(cell) if cell & LIST_TAG != 0 => {
+                let list = self.edge_lists.get_mut(cell ^ LIST_TAG).expect("a live list");
                 let pos = list.binary_search(&id).unwrap_err();
                 list.insert(pos, id);
-                let smallest = list[0];
-                if smallest != existing {
-                    self.relation_matrices[rel].set_element(src, dst, smallest);
-                    self.relation_matrices_t[rel].set_element(dst, src, smallest);
-                }
+            }
+            // A second edge: both ids move to a new list the cell names.
+            Some(first) => {
+                let slot = self.edge_lists.insert(vec![first.min(id), first.max(id)]);
+                self.set_cell(rel, src, dst, LIST_TAG | slot);
             }
         }
         self.epoch += 1;
         Ok(id)
     }
 
+    /// Write `cell` at `(src, dst)` of relation `rel` and at `(dst, src)` of
+    /// its transpose.
+    fn set_cell(&mut self, rel: RelTypeId, src: NodeId, dst: NodeId, cell: u64) {
+        self.relation_matrices[rel].set_element(src, dst, cell);
+        self.relation_matrices_t[rel].set_element(dst, src, cell);
+    }
+
     /// Delete an edge by id.
     pub fn delete_edge(&mut self, id: EdgeId) -> bool {
-        let Some(edge) = self.edges.remove(id) else { return false };
-        let key = (edge.rel_type, edge.src, edge.dst);
-        match self.multi_edges.get_mut(&key) {
-            // Parallel same-type edges survive: drop the id from the cell's
-            // edge list, keep the matrix cell pointed at the smallest
-            // survivor, and dissolve the side-table entry once a single edge
-            // remains.
-            Some(list) => {
-                if let Ok(pos) = list.binary_search(&id) {
-                    list.remove(pos);
-                }
-                let smallest = list[0];
-                if list.len() == 1 {
-                    self.multi_edges.remove(&key);
-                }
-                if self.relation_matrices[edge.rel_type].extract_element(edge.src, edge.dst)
-                    != Some(smallest)
-                {
-                    self.relation_matrices[edge.rel_type].set_element(edge.src, edge.dst, smallest);
-                    self.relation_matrices_t[edge.rel_type]
-                        .set_element(edge.dst, edge.src, smallest);
-                }
-            }
-            None => {
-                self.relation_matrices[edge.rel_type]
-                    .remove_element(edge.src, edge.dst)
-                    .expect("in-bounds");
-                self.relation_matrices_t[edge.rel_type]
-                    .remove_element(edge.dst, edge.src)
-                    .expect("in-bounds");
+        let Some(EdgeEntity { src, dst, rel_type: rel, .. }) = self.edges.remove(id) else {
+            return false;
+        };
+        let cell = self.relation_matrices[rel].extract_element(src, dst).expect("a live edge");
+        if cell & LIST_TAG == 0 {
+            self.relation_matrices[rel].remove_element(src, dst).expect("in-bounds");
+            self.relation_matrices_t[rel].remove_element(dst, src).expect("in-bounds");
+        } else {
+            // Parallel edges survive: drop the id from the cell's list, and
+            // once one edge is left, free the list and store that edge in
+            // the cell again.
+            let list = self.edge_lists.get_mut(cell ^ LIST_TAG).expect("a live list");
+            list.retain(|&e| e != id);
+            if let [survivor] = list[..] {
+                self.edge_lists.remove(cell ^ LIST_TAG);
+                self.set_cell(rel, src, dst, survivor);
             }
         }
         self.epoch += 1;
@@ -554,9 +551,10 @@ impl Graph {
         Cow::Owned(union)
     }
 
-    /// The relation matrix for a relationship type id (merged view). Stored
-    /// values are edge ids, so algebraic traversals recover the traversed
-    /// edge entity straight from the product.
+    /// The relation matrix for a relationship type id (merged view). A
+    /// stored value is the cell's edge id, or `LIST_TAG | slot` when the
+    /// cell holds parallel edges: [`Graph::edges_between`] and
+    /// [`Graph::neighbors`] expand a cell to its edge ids.
     pub fn relation_matrix(&self, rel: RelTypeId) -> Option<Cow<'_, SparseMatrix<u64>>> {
         self.relation_matrices.get(rel).map(DeltaMatrix::view)
     }
@@ -598,10 +596,8 @@ impl Graph {
     ) {
         let matrices = if transposed { &self.relation_matrices_t } else { &self.relation_matrices };
         let Some(m) = matrices.get(rel) else { return };
-        m.any_entry_in_row(node, |nbr, _| {
-            // A transposed row's cell stores the edge nbr → node.
-            let (src, dst) = if transposed { (nbr, node) } else { (node, nbr) };
-            f(nbr, self.parallel_edges(rel, src, dst).map_or(1, |list| list.len() as u64));
+        m.any_entry_in_row(node, |nbr, cell| {
+            f(nbr, self.cell_edges(cell).count() as u64);
             false
         });
     }
@@ -626,35 +622,26 @@ impl Graph {
     }
 
     /// Every edge of type `rel` from `src` to `dst`, in ascending edge-id
-    /// order: the multi-edge side table's full list when the cell holds
-    /// parallel edges, otherwise the single id in the matrix cell. A point
-    /// lookup that allocates nothing: Expand Into probes one cell per record
-    /// with it instead of walking the source's whole row.
+    /// order. A point lookup that allocates nothing: Expand Into probes one
+    /// cell per record with it instead of walking the source's whole row.
     pub fn edges_between(
         &self,
         rel: RelTypeId,
         src: NodeId,
         dst: NodeId,
     ) -> impl Iterator<Item = EdgeId> + '_ {
-        let parallel = self.parallel_edges(rel, src, dst);
-        let single = match parallel {
-            Some(_) => None,
-            None => self.relation_matrices.get(rel).and_then(|m| m.extract_element(src, dst)),
-        };
-        parallel.into_iter().flatten().copied().chain(single)
+        let cell = self.relation_matrices.get(rel).and_then(|m| m.extract_element(src, dst));
+        cell.into_iter().flat_map(move |cell| self.cell_edges(cell))
     }
 
-    /// The ascending edge-id list of a cell holding **parallel** same-type
-    /// edges, `None` for the common single-edge (or empty) cell.
-    /// [`Graph::neighbors`] and [`Graph::edges_between`] use this to expand a
-    /// cell to one row per edge without allocating for the single-edge case.
-    /// A graph without parallel edges — every bulk-loaded one — answers
-    /// without hashing the cell: per-edge row walks call this once per cell.
-    pub fn parallel_edges(&self, rel: RelTypeId, src: NodeId, dst: NodeId) -> Option<&[EdgeId]> {
-        if self.multi_edges.is_empty() {
-            return None;
-        }
-        self.multi_edges.get(&(rel, src, dst)).map(|v| v.as_slice())
+    /// The edge ids a stored relation cell holds, ascending: an untagged
+    /// cell is its one edge, a tagged one names its list in `edge_lists`.
+    fn cell_edges(&self, cell: u64) -> impl Iterator<Item = EdgeId> + '_ {
+        let (single, list) = match cell & LIST_TAG {
+            0 => (Some(cell), &[][..]),
+            _ => (None, &self.edge_lists.get(cell ^ LIST_TAG).expect("a live list")[..]),
+        };
+        single.into_iter().chain(list.iter().copied())
     }
 
     /// Out-neighbours (or in-neighbours, or both) of a node, optionally
@@ -673,14 +660,8 @@ impl Graph {
         let backward = matches!(dir, TraverseDir::Incoming | TraverseDir::Both);
         let mut extend = |t: RelTypeId, fwd: bool| {
             let m = if fwd { &self.relation_matrices[t] } else { &self.relation_matrices_t[t] };
-            m.any_entry_in_row(node, |nbr, edge| {
-                // Transposed rows traverse the edge backwards: the stored
-                // entity runs nbr → node.
-                let (s, d) = if fwd { (node, nbr) } else { (nbr, node) };
-                match self.parallel_edges(t, s, d) {
-                    Some(list) => out.extend(list.iter().map(|&e| (nbr, e))),
-                    None => out.push((nbr, edge)),
-                }
+            m.any_entry_in_row(node, |nbr, cell| {
+                out.extend(self.cell_edges(cell).map(|e| (nbr, e)));
                 false
             });
         };
@@ -1174,7 +1155,7 @@ mod tests {
         g.add_edge(b, a, "M", vec![]).unwrap();
         let survivor = g.add_edge(b, c, "L", vec![]).unwrap();
         let l = g.schema.rel_type_id("L").unwrap();
-        assert!(g.parallel_edges(l, a, b).is_some());
+        assert_eq!(g.edges_between(l, a, b).count(), 2);
 
         assert!(g.delete_node(a));
         assert!(g.has_pending_deltas(), "deletes must stay buffered");
@@ -1183,7 +1164,7 @@ mod tests {
             assert_eq!(g.neighbors(b, None, TraverseDir::Both), vec![(c, survivor)]);
             assert_eq!(g.neighbors(c, None, TraverseDir::Both), vec![(b, survivor)]);
             assert_eq!(g.neighbors(a, None, TraverseDir::Both), vec![]);
-            assert!(g.parallel_edges(l, a, b).is_none());
+            assert_eq!(g.edges_between(l, a, b).count(), 0);
             assert_eq!(g.khop_count(b, 3), 1);
             assert_eq!(g.khop_count(c, 3), 0);
             g.sync_matrices();
@@ -1216,24 +1197,77 @@ mod tests {
 
     #[test]
     fn parallel_edge_delete_repoints_matrix_at_survivor() {
-        let mut g = Graph::new("parallel");
-        let a = g.add_node(&["N"], vec![]);
-        let b = g.add_node(&["N"], vec![]);
-        let e1 = g.add_edge(a, b, "L", vec![]).unwrap();
-        let e2 = g.add_edge(a, b, "L", vec![]).unwrap();
-        // Deleting the edge the matrix currently points at must re-point the
-        // entry at the survivor, never hand out a dead edge id.
-        assert!(g.delete_edge(e2));
-        let nbrs = g.neighbors(a, None, TraverseDir::Outgoing);
-        assert_eq!(nbrs, vec![(b, e1)]);
-        assert!(g.edge(nbrs[0].1).is_some(), "traversal returned a dead edge id");
-        let rel = g.schema.rel_type_id("L").unwrap();
-        assert_eq!(g.relation_matrix(rel).unwrap().extract_element(a, b), Some(e1));
-        // Deleting the survivor clears the entries everywhere.
-        assert!(g.delete_edge(e1));
-        assert_eq!(g.neighbors(a, None, TraverseDir::Outgoing), vec![]);
-        assert_eq!(g.neighbors(b, None, TraverseDir::Incoming), vec![]);
-        assert_eq!(g.adjacency_matrix().nvals(), 0);
+        use TraverseDir::{Incoming, Outgoing};
+        for flushed in [false, true] {
+            let mut g = Graph::new("parallel");
+            g.set_flush_threshold(1_000_000); // only `sync` folds
+            let sync = |g: &mut Graph| {
+                if flushed {
+                    g.sync_matrices()
+                }
+            };
+            let [a, b] = [(); 2].map(|_| g.add_node(&["N"], vec![]));
+            let rel = g.rel_type_id_or_create("L");
+            // The cell at (src, dst) and at (dst, src) of the transpose.
+            let cells = |g: &Graph, src, dst| {
+                let t = g.relation_matrices_t[rel].extract_element(dst, src);
+                (g.relation_matrices[rel].extract_element(src, dst), t)
+            };
+            let between = |g: &Graph, src, dst| g.edges_between(rel, src, dst).collect::<Vec<_>>();
+
+            // A recycled id below the cell's edge still lists ascending.
+            let spare = g.add_edge(b, a, "L", vec![]).unwrap();
+            let e1 = g.add_edge(a, b, "L", vec![]).unwrap();
+            assert!(g.delete_edge(spare));
+            sync(&mut g);
+            let e0 = g.add_edge(a, b, "L", vec![]).unwrap();
+            assert_eq!((e0, between(&g, a, b)), (spare, vec![e0, e1]), "flushed: {flushed}");
+            let (tagged, tagged_t) = cells(&g, a, b);
+            assert_eq!(tagged, tagged_t, "both orientations name one list");
+            let tagged = tagged.unwrap();
+            assert_ne!(tagged & LIST_TAG, 0);
+            sync(&mut g);
+
+            // A third edge writes only the list: no matrix buffers a change.
+            let pending = g.pending_delta_count();
+            let e2 = g.add_edge(a, b, "L", vec![]).unwrap();
+            assert_eq!(g.pending_delta_count(), pending);
+            assert_eq!(cells(&g, a, b), (Some(tagged), Some(tagged)));
+            assert_eq!(g.neighbors(a, None, Outgoing), vec![(b, e0), (b, e1), (b, e2)]);
+            assert_eq!(g.neighbors(b, None, Incoming), vec![(a, e0), (a, e1), (a, e2)]);
+            let counts = |t| g.relation_count_matrix(rel, t).unwrap();
+            assert_eq!(
+                (counts(false).extract_element(a, b), counts(true).extract_element(b, a)),
+                (Some(3), Some(3))
+            );
+
+            // Deleting down to one edge frees the list and stores the
+            // survivor in both cells, never a dead edge id.
+            let snap = g.snapshot();
+            assert!(g.delete_edge(e0));
+            assert!(g.delete_edge(e2));
+            sync(&mut g);
+            assert_eq!(cells(&g, a, b), (Some(e1), Some(e1)));
+            assert_eq!(g.neighbors(a, None, Outgoing), vec![(b, e1)]);
+
+            // A parallel self-loop promotes into the freed slot; the snapshot
+            // taken before still reads the slot's old list.
+            let loops = [(); 2].map(|_| g.add_edge(a, a, "L", vec![]).unwrap());
+            let [lo, hi] = [loops[0].min(loops[1]), loops[0].max(loops[1])];
+            assert_eq!(cells(&g, a, a), (Some(tagged), Some(tagged)), "the slot is reused");
+            assert_eq!(g.neighbors(a, None, Outgoing), vec![(a, lo), (a, hi), (b, e1)]);
+            assert_eq!(g.neighbors(a, None, Incoming), vec![(a, lo), (a, hi)]);
+            sync(&mut g);
+            assert_eq!(between(&snap, a, b), vec![e0, e1, e2]);
+            assert_eq!(snap.neighbors(b, None, Incoming), vec![(a, e0), (a, e1), (a, e2)]);
+            assert_eq!(between(&snap, a, a), vec![]);
+
+            // Deleting the survivor clears its entries everywhere.
+            assert!(g.delete_edge(e1));
+            assert_eq!(g.neighbors(a, None, Outgoing), vec![(a, lo), (a, hi)]);
+            assert_eq!(g.neighbors(b, None, Incoming), vec![]);
+            assert_eq!(g.adjacency_matrix().nvals(), 1);
+        }
     }
 
     #[test]
@@ -1284,8 +1318,8 @@ mod tests {
 
         // A write-heavy loop that keeps publishing epochs (threshold 4) while
         // short-lived snapshots come and go, as the server's read path does.
-        // Every edge fills a new cell: a parallel edge leaves the matrix as
-        // it is, so it would publish no epoch.
+        // Every edge fills a new cell: a third or later parallel edge
+        // writes only its cell's list, so it would publish no epoch.
         let mut weaks = Vec::new();
         for i in 0..32 {
             let s = g.snapshot();
@@ -1307,8 +1341,9 @@ mod tests {
     }
 
     /// Whether `a` shares every table of `b` by pointer — the schema, the
-    /// entity blocks and free lists, each matrix's epoch CSR and pending
-    /// chunks: what a clone must do in O(#matrices), whatever the graph's size.
+    /// entity blocks, the parallel-edge lists and their free lists, each
+    /// matrix's epoch CSR and pending chunks: what a clone must do in
+    /// O(#matrices), whatever the graph's size.
     fn shares_every_root(a: &Graph, b: &Graph) -> bool {
         fn matrices<T: Scalar>(a: &[DeltaMatrix<T>], b: &[DeltaMatrix<T>]) -> bool {
             let same = |(a, b): (&DeltaMatrix<T>, &DeltaMatrix<T>)| {
@@ -1325,14 +1360,16 @@ mod tests {
             && Arc::ptr_eq(&a.schema, &b.schema)
             && entities(&a.nodes, &b.nodes)
             && entities(&a.edges, &b.edges)
+            && entities(&a.edge_lists, &b.edge_lists)
             && matrices(&a.relation_matrices, &b.relation_matrices)
             && matrices(&a.relation_matrices_t, &b.relation_matrices_t)
             && matrices(&a.label_matrices, &b.label_matrices)
     }
 
     /// Per table, the leaves `g` holds that `snap` does not share by
-    /// pointer: the edge blocks, the node blocks, then every matrix's
-    /// pending chunks (relations, transposes, labels).
+    /// pointer: the edge blocks, the node blocks, the parallel-edge list
+    /// blocks, then every matrix's pending chunks (relations, transposes,
+    /// labels).
     fn unshared_leaves(g: &Graph, snap: &Graph) -> Vec<usize> {
         fn each<T: Scalar>(a: &[DeltaMatrix<T>], b: &[DeltaMatrix<T>]) -> Vec<usize> {
             let count = |(a, b): (&DeltaMatrix<T>, &DeltaMatrix<T>)| {
@@ -1343,7 +1380,11 @@ mod tests {
         fn blocks<T: Clone>(a: &DataBlock<T>, b: &DataBlock<T>) -> usize {
             a.shared_parts().0.leaves_not_shared_with(b.shared_parts().0)
         }
-        let mut out = vec![blocks(&g.edges, &snap.edges), blocks(&g.nodes, &snap.nodes)];
+        let mut out = vec![
+            blocks(&g.edges, &snap.edges),
+            blocks(&g.nodes, &snap.nodes),
+            blocks(&g.edge_lists, &snap.edge_lists),
+        ];
         out.extend(each(&g.relation_matrices, &snap.relation_matrices));
         out.extend(each(&g.relation_matrices_t, &snap.relation_matrices_t));
         out.extend(each(&g.label_matrices, &snap.label_matrices));
@@ -1372,6 +1413,26 @@ mod tests {
     }
 
     #[test]
+    fn a_clone_shares_every_root_of_a_graph_with_10_000_parallel_cells() {
+        let n = 10_000;
+        let mut g = Graph::new("lists");
+        let ring: Vec<_> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+        g.bulk_load(n, &ring);
+        for &(src, dst) in &ring {
+            g.add_edge(src, dst, "LINK", vec![]).unwrap();
+        }
+        assert_eq!(g.edge_lists.len(), n as usize);
+        let snap = g.snapshot();
+        assert!(shares_every_root(&g, &snap), "a clone copied a table");
+        assert!(unshared_leaves(&g, &snap).iter().all(|&c| c == 0));
+        // A third edge in a cell copies one list block and no matrix chunk.
+        let e = g.add_edge(0, 1, "LINK", vec![]).unwrap();
+        assert_eq!(unshared_leaves(&g, &snap), vec![1, 0, 1, 0, 0, 0]);
+        assert_eq!(g.edges_between(0, 0, 1).collect::<Vec<_>>(), vec![0, n, e]);
+        assert_eq!(snap.edges_between(0, 0, 1).collect::<Vec<_>>(), vec![0, n]);
+    }
+
+    #[test]
     fn a_write_after_a_snapshot_copies_one_chunk_per_matrix_and_one_block() {
         let n = 4096;
         let mut g = Graph::new("share");
@@ -1394,7 +1455,7 @@ mod tests {
         // else: the node blocks, the label matrix, the schema and the free
         // lists stay shared whole.
         let e = g.add_edge(100, 3000, "LINK", vec![]).unwrap();
-        assert_eq!(unshared_leaves(&g, &snap), vec![1, 0, 1, 1, 0]);
+        assert_eq!(unshared_leaves(&g, &snap), vec![1, 0, 0, 1, 1, 0]);
         assert!(g.nodes.shared_parts().0.ptr_eq(snap.nodes.shared_parts().0));
         assert!(g.label_matrices[0]
             .pending_chunks()
@@ -1409,7 +1470,7 @@ mod tests {
         // it also pushes the freed id onto a copy of the free list.
         let snap = g.snapshot();
         assert!(g.delete_edge(7));
-        assert_eq!(unshared_leaves(&g, &snap), vec![1, 0, 1, 1, 0]);
+        assert_eq!(unshared_leaves(&g, &snap), vec![1, 0, 0, 1, 1, 0]);
         assert!(!Arc::ptr_eq(g.edges.shared_parts().1, snap.edges.shared_parts().1));
         assert!(snap.edge(7).is_some());
         let survivors = vec![(9, n + 7), (10, 2 * n + 7)];

@@ -12,8 +12,12 @@
 //! taking precedence over `M` on overlap), so readers never observe a torn
 //! state, while each write is an O(log pending) map update instead of a CSR
 //! rebuild. [`DeltaMatrix::flush`] folds both buffers into a fresh main matrix
-//! in one merge-build; a configurable pending-count threshold triggers that
-//! flush automatically so writes stay O(1) amortized under sustained load.
+//! in one merge-build; a configurable threshold on the pending structural
+//! changes — inserts of new entries and deletes of main entries — triggers
+//! that flush automatically so writes stay O(1) amortized under sustained
+//! load. A `DP` entry that overwrites a main entry's value is buffered like
+//! any other but not counted toward the threshold: RedisGraph writes such an
+//! overwrite into `M` in place, which an immutable epoch cannot take.
 //! This is the crate's only pending-update mechanism: [`SparseMatrix`] itself
 //! has no write path.
 //!
@@ -136,6 +140,9 @@ pub struct DeltaMatrix<T: Scalar> {
     chunks: ChunkTable<Chunk<T>>,
     /// Entries across every chunk's `DP` and `DM`.
     pending: usize,
+    /// The `DP` entries among them that overwrite a main entry's value: not
+    /// structural changes, so not counted toward `flush_threshold`.
+    overwrites: usize,
     /// Exact number of entries in the merged view, maintained incrementally.
     nvals: usize,
     flush_threshold: usize,
@@ -171,6 +178,7 @@ impl<T: Scalar> DeltaMatrix<T> {
             chunks: ChunkTable::new(chunk_count(main.nrows())),
             main: Arc::new(main),
             pending: 0,
+            overwrites: 0,
             nvals,
             flush_threshold: DEFAULT_FLUSH_THRESHOLD,
             epoch: 0,
@@ -210,13 +218,16 @@ impl<T: Scalar> DeltaMatrix<T> {
         self.flush_count
     }
 
-    /// The pending-count threshold that triggers an automatic flush.
+    /// The count of pending structural changes (inserts of new entries,
+    /// deletes of main entries) that triggers an automatic flush; buffered
+    /// overwrites of main values do not count.
     pub fn flush_threshold(&self) -> usize {
         self.flush_threshold
     }
 
-    /// Set the automatic-flush threshold. `1` makes every mutation flush
-    /// immediately (the eager behaviour); large values batch more.
+    /// Set the automatic-flush threshold. `1` makes every insert and delete
+    /// flush immediately (the eager behaviour); large values batch more.
+    /// Overwrites of main values stay buffered until a flush.
     /// A threshold of `0` is treated as `1`.
     pub fn set_flush_threshold(&mut self, threshold: usize) {
         self.flush_threshold = threshold.max(1);
@@ -277,6 +288,8 @@ impl<T: Scalar> DeltaMatrix<T> {
         changes.minus -= u32::from(cancelled);
         changes.degree += i32::from(absent);
         self.pending = self.pending + usize::from(fresh) - usize::from(cancelled);
+        // A fresh entry over a live or a deleted main entry overwrites it.
+        self.overwrites += usize::from(fresh && (!absent || cancelled));
         self.maybe_flush();
         Ok(())
     }
@@ -304,6 +317,7 @@ impl<T: Scalar> DeltaMatrix<T> {
             self.chunks.remove(slot);
         }
         self.pending = self.pending + usize::from(recorded) - usize::from(dropped);
+        self.overwrites -= usize::from(dropped && in_main);
         self.maybe_flush();
         Ok(())
     }
@@ -340,6 +354,7 @@ impl<T: Scalar> DeltaMatrix<T> {
         // Dropping the chunks leaves a clone that shares them untouched.
         self.chunks.clear();
         self.pending = 0;
+        self.overwrites = 0;
         self.epoch += 1;
         self.flush_count += 1;
         debug_assert_eq!(self.main.nvals(), self.nvals, "flush changed the merged entry count");
@@ -371,7 +386,7 @@ impl<T: Scalar> DeltaMatrix<T> {
     }
 
     fn maybe_flush(&mut self) {
-        if self.pending_count() >= self.flush_threshold {
+        if self.pending - self.overwrites >= self.flush_threshold {
             self.flush();
         }
     }
@@ -480,7 +495,7 @@ impl<T: Scalar> DeltaMatrix<T> {
         if chunks != chunk_count(nrows) {
             return invalid(format!("{chunks} buffer chunks for {nrows} rows"));
         }
-        let (mut pending, mut nvals) = (0, self.main.nvals() as i64);
+        let (mut pending, mut overwrites, mut nvals) = (0, 0, self.main.nvals() as i64);
         for (i, chunk) in self.chunks.iter() {
             if chunk.plus.is_empty() && chunk.minus.is_empty() {
                 return invalid(format!("buffer chunk {i} is kept empty"));
@@ -496,6 +511,7 @@ impl<T: Scalar> DeltaMatrix<T> {
                 if inserted {
                     changes.plus += 1;
                     changes.degree += i32::from(!in_main);
+                    overwrites += usize::from(in_main);
                 } else if in_main && !chunk.plus.contains_key(&(r, c)) {
                     changes.minus += 1;
                     changes.degree -= 1;
@@ -511,6 +527,10 @@ impl<T: Scalar> DeltaMatrix<T> {
         }
         if pending != self.pending {
             return invalid(format!("cached pending count {} != buffered {pending}", self.pending));
+        }
+        if overwrites != self.overwrites {
+            let cached = self.overwrites;
+            return invalid(format!("cached overwrite count {cached} != buffered {overwrites}"));
         }
         if nvals != self.nvals as i64 {
             return invalid(format!("cached nvals {} != merged count {nvals}", self.nvals));
@@ -643,6 +663,28 @@ mod tests {
         m.set_element(2, 2, true); // trips the threshold
         assert!(m.is_flushed());
         assert_eq!(m.main().nvals(), 3);
+    }
+
+    #[test]
+    fn overwrites_of_main_values_do_not_count_toward_the_threshold() {
+        let mut m = seeded();
+        m.set_flush_threshold(2);
+        // Two overwrites, one of them over a pending delete: buffered, and
+        // read back, but no fold.
+        m.set_element(0, 1, 7);
+        m.remove_element(1, 2).unwrap();
+        m.set_element(1, 2, 8);
+        assert_eq!((m.pending_count(), m.flush_count()), (2, 0));
+        assert_eq!((m.extract_element(0, 1), m.extract_element(1, 2)), (Some(7), Some(8)));
+        m.check_invariants().unwrap();
+        // Deleting an overwritten entry is a structural change; so is a new
+        // entry, the second of them, which folds.
+        m.remove_element(0, 1).unwrap();
+        assert_eq!((m.pending_count(), m.flush_count()), (2, 0));
+        m.check_invariants().unwrap();
+        m.set_element(3, 3, 9);
+        assert!(m.is_flushed());
+        assert_eq!(m.to_triples(), vec![(1, 2, 8), (3, 0, 30), (3, 3, 9)]);
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //! variable-length count over it, whose BFS reads the shared chunks in
 //! place. The second writer grows the node table past a full level — a new
 //! leaf under a new root — while the reader holds a snapshot of the smaller
-//! table. Whatever the interleaving, the reader must see exactly the epoch
+//! table. The third deletes one of a parallel pair, which stores the
+//! survivor back in the relation cells and frees the pair's edge list, and
+//! promotes another pair into the freed list slot, while the reader expands
+//! the old pair's cell. Whatever the interleaving, the reader must see exactly the epoch
 //! it pinned: the row, the entities, the reachability view and the count all
 //! from one side of the write, and the same answers on every re-read.
 
@@ -155,6 +158,64 @@ fn a_reader_keeps_its_epoch_while_the_writer_grows_the_entity_table() {
         assert_eq!(snap.node_count() as u64, FULL_LEVEL + 1);
         assert_eq!(out_row(&snap, last), vec![0, fresh]);
         assert_eq!(base.node_count() as u64, FULL_LEVEL, "the writer reached the base graph");
+    });
+    assert!(report.distinct >= 20, "only {} distinct schedules explored", report.distinct);
+}
+
+/// One hop from node 0, fused by its label mask: the count reads each
+/// cell's multiplicity, one path per parallel edge.
+const ONE_HOP_COUNT: &str = "MATCH (s)-[:R]->(t:N) WHERE id(s) = 0 RETURN count(t)";
+
+#[test]
+fn a_reader_keeps_a_parallel_pair_whose_list_slot_the_writer_frees_and_reuses() {
+    let report = explore("snapshot_share/parallel_slot_reuse", &cfg(), || {
+        let mut g = Graph::new("p");
+        g.set_flush_threshold(1_000_000);
+        let [a, b, c] = [0, 1, 2].map(|_| g.add_node(&["N"], vec![]));
+        let pair = [(); 2].map(|_| g.add_edge(a, b, "R", vec![]).unwrap());
+        g.sync_matrices();
+        let r = g.schema.rel_type_id("R").unwrap();
+        let plan = g.explain(ONE_HOP_COUNT).unwrap();
+        assert!(plan.iter().any(|op| op.ends_with("(s)·A_R·L_N")), "{plan:?}");
+        let tagged = g.relation_matrix(r).unwrap().extract_element(a, b);
+        let lock = Arc::new(parking_lot::RwLock::new(g));
+        let cache = Arc::new(parking_lot::Mutex::new(None::<Arc<GraphSnapshot>>));
+        let base_epoch = pin(&lock, &cache).epoch();
+
+        let reader = {
+            let lock = Arc::clone(&lock);
+            let cache = Arc::clone(&cache);
+            thread::spawn(move || {
+                let snap = pin(&lock, &cache);
+                let old = snap.epoch() == base_epoch;
+                let row = if old { vec![(b, pair[0]), (b, pair[1])] } else { vec![(b, pair[0])] };
+                for _ in 0..2 {
+                    let got = snap.neighbors(a, None, TraverseDir::Outgoing);
+                    assert_eq!(got, row, "row {a} mixes epochs (old = {old})");
+                    let count = Value::Int(row.len() as i64);
+                    let rs = snap.query_readonly(ONE_HOP_COUNT).unwrap();
+                    assert_eq!(rs.scalar(), Some(&count), "one-hop count (old = {old})");
+                    assert_eq!(snap.edges_between(r, b, c).count(), if old { 0 } else { 2 });
+                    thread::yield_now();
+                }
+            })
+        };
+
+        // One epoch: the pair shrinks to one edge and a new pair takes its
+        // list slot. Then a separate fold of every buffer.
+        {
+            let mut g = lock.write();
+            assert!(g.delete_edge(pair[1]));
+            g.add_edge(b, c, "R", vec![]).unwrap();
+            g.add_edge(b, c, "R", vec![]).unwrap();
+            assert_eq!(g.relation_matrix(r).unwrap().extract_element(b, c), tagged);
+        }
+        lock.write().sync_matrices();
+
+        reader.join().unwrap();
+        let snap = pin(&lock, &cache);
+        assert_eq!(snap.neighbors(a, None, TraverseDir::Outgoing), vec![(b, pair[0])]);
+        assert_eq!(snap.relation_matrix(r).unwrap().extract_element(a, b), Some(pair[0]));
     });
     assert!(report.distinct >= 20, "only {} distinct schedules explored", report.distinct);
 }

@@ -576,7 +576,7 @@ impl RedisGraphServer {
             let Some(threshold) = value.parse::<usize>().ok().filter(|&v| v >= 1) else {
                 return RespValue::Error(format!(
                     "ERR DELTA_MAX_PENDING_CHANGES must be a positive integer (1 = flush every \
-                     mutation), got `{value}`"
+                     insert or delete), got `{value}`"
                 ));
             };
             self.delta_max_pending_changes.store(threshold, Ordering::Relaxed);

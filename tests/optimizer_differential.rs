@@ -310,10 +310,10 @@ fn fusion_reads_unflushed_snapshots() {
 #[test]
 fn fused_counts_follow_parallel_edge_mutations() {
     // Fused chains weight each cell by its parallel-edge count, read from
-    // the multi-edge side table of the graph they run on: a mutation after
-    // a fused query must be visible to the next one, including a delete
-    // that demotes a parallel pair, while a snapshot taken before the
-    // delete keeps the pair.
+    // the edge list a tagged cell names, in the graph they run on: a
+    // mutation after a fused query must be visible to the next one,
+    // including a delete that demotes a parallel pair, while a snapshot
+    // taken before the delete keeps the pair.
     let mut g = Graph::new("multiplicity");
     for _ in 0..3 {
         g.add_node(&["A"], vec![]);

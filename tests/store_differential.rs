@@ -28,6 +28,7 @@
 use baseline::AdjacencyListGraph;
 use proptest::prelude::*;
 use redisgraph_core::{Graph, TraverseDir, Value};
+use std::collections::BTreeMap;
 
 /// One scripted workload step, decoded from a generated tuple.
 #[derive(Debug, Clone, Copy)]
@@ -66,7 +67,7 @@ const RELS: [&str; 3] = ["R0", "R1", "R2"];
 #[derive(Default)]
 struct Shadow {
     nodes: Vec<u64>,
-    edges: Vec<(u64, u64, u64)>, // (edge id, src, dst)
+    edges: Vec<(u64, usize, u64, u64)>, // (edge id, index into RELS, src, dst)
 }
 
 /// Apply one step to both graphs (and the shadow). Both graphs run exactly
@@ -88,11 +89,11 @@ fn apply(step: Step, delta: &mut Graph, eager: &mut Graph, shadow: &mut Shadow) 
             }
             let src = shadow.nodes[(src_sel as usize) % shadow.nodes.len()];
             let dst = shadow.nodes[(dst_sel as usize) % shadow.nodes.len()];
-            let rel = RELS[(rel_sel % 3) as usize];
-            let id_d = delta.add_edge(src, dst, rel, vec![]).expect("live endpoints");
-            let id_e = eager.add_edge(src, dst, rel, vec![]).expect("live endpoints");
+            let rel = (rel_sel % 3) as usize;
+            let id_d = delta.add_edge(src, dst, RELS[rel], vec![]).expect("live endpoints");
+            let id_e = eager.add_edge(src, dst, RELS[rel], vec![]).expect("live endpoints");
             assert_eq!(id_d, id_e, "edge id allocation diverged");
-            shadow.edges.push((id_d, src, dst));
+            shadow.edges.push((id_d, rel, src, dst));
             true
         }
         Step::DeleteEdge { edge_sel } => {
@@ -100,7 +101,7 @@ fn apply(step: Step, delta: &mut Graph, eager: &mut Graph, shadow: &mut Shadow) 
                 return false;
             }
             let idx = (edge_sel as usize) % shadow.edges.len();
-            let (eid, _, _) = shadow.edges.swap_remove(idx);
+            let (eid, ..) = shadow.edges.swap_remove(idx);
             assert_eq!(delta.delete_edge(eid), eager.delete_edge(eid));
             true
         }
@@ -111,7 +112,7 @@ fn apply(step: Step, delta: &mut Graph, eager: &mut Graph, shadow: &mut Shadow) 
             let idx = (node_sel as usize) % shadow.nodes.len();
             let nid = shadow.nodes.swap_remove(idx);
             assert_eq!(delta.delete_node(nid), eager.delete_node(nid));
-            shadow.edges.retain(|&(_, s, d)| s != nid && d != nid);
+            shadow.edges.retain(|&(_, _, s, d)| s != nid && d != nid);
             true
         }
         Step::SetProp { node_sel, value } => {
@@ -214,13 +215,38 @@ fn checkpoint(delta: &Graph, eager: &Graph, shadow: &Shadow) -> Result<(), TestC
         prop_assert_eq!(s.unwrap(), e.unwrap(), "snapshot query `{}` diverged", q);
     }
 
+    // Every relation cell's edges, on both graphs and the snapshot, against
+    // the shadow's ascending ids: parallel edges share one cell, so a bug in
+    // how a cell names its edges shows here even when both graphs share it.
+    let mut cells: BTreeMap<(usize, u64, u64), Vec<u64>> = BTreeMap::new();
+    for &(id, rel, src, dst) in &shadow.edges {
+        cells.entry((rel, src, dst)).or_default().push(id);
+    }
+    for (who, g) in [("delta", delta), ("eager", eager), ("snapshot", &*snap)] {
+        for (rel, name) in RELS.iter().enumerate() {
+            let expect: Vec<_> = cells.range((rel, 0, 0)..(rel + 1, 0, 0)).collect();
+            let Some(id) = g.schema.rel_type_id(name) else {
+                prop_assert!(expect.is_empty(), "{} lost relation {}", who, name);
+                continue;
+            };
+            let stored = g.relation_matrix(id).expect("exists").nvals();
+            prop_assert_eq!(stored, expect.len(), "{} cells of {} on {}", stored, name, who);
+            for (&(_, src, dst), ids) in expect {
+                let mut ids = ids.clone();
+                ids.sort_unstable();
+                let got: Vec<u64> = g.edges_between(id, src, dst).collect();
+                prop_assert_eq!(got, ids, "{} cell {}→{} on {}", name, src, dst, who);
+            }
+        }
+    }
+
     // k-hop counts agree with the pointer-chasing baseline rebuilt from the
     // live edge set (a matrix-free oracle).
     if !shadow.nodes.is_empty() {
         let max_id = shadow.nodes.iter().copied().max().unwrap_or(0) + 1;
         let mut oracle = AdjacencyListGraph::from_edge_list(max_id, &[]);
         let mut dedup: Vec<(u64, u64)> =
-            shadow.edges.iter().map(|&(_, s, d)| (s, d)).filter(|&(s, d)| s != d).collect();
+            shadow.edges.iter().map(|&(_, _, s, d)| (s, d)).filter(|&(s, d)| s != d).collect();
         dedup.sort_unstable();
         dedup.dedup();
         for (s, d) in dedup {
