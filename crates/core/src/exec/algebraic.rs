@@ -133,6 +133,16 @@ pub fn run_fused(op: &PlanOp, records: &RecordBatch, graph: &Graph) -> RecordBat
     // Emission: record-major, destinations ascending. With a weight slot the
     // count stays algebraic — one compact record per cell; otherwise each
     // cell expands to `count` identical records (the unfused multiset).
+    let emitted: u64 = batch
+        .record_rows
+        .iter()
+        .flatten()
+        .map(|&row| match weight_slot {
+            Some(_) => rows[row].len() as u64,
+            None => rows[row].iter().map(|&(_, count)| count).sum(),
+        })
+        .sum();
+    out.reserve(emitted as usize);
     for (record, row) in records.iter().zip(&batch.record_rows) {
         let Some(row) = *row else { continue };
         for &(dst, count) in &rows[row] {
@@ -265,7 +275,7 @@ fn count_pushdown(traverse: &PlanOp, aggregate: &PlanOp) -> Option<PlanOp> {
     if *min_hops == 1 && *max_hops == Some(1) {
         return None; // a single hop counts parallel edges: not a reached set
     }
-    let PlanOp::Aggregate { projection, weight_slot: None } = aggregate else { return None };
+    let PlanOp::Aggregate { projection, weight_slot: None, .. } = aggregate else { return None };
     let counts = projection
         .items
         .iter()
@@ -494,7 +504,7 @@ fn op_uses(op: &PlanOp, var: &str, slot: usize) -> bool {
     match op {
         PlanOp::AllNodeScan { slot: s, .. } | PlanOp::NodeByLabelScan { slot: s, .. } => *s == slot,
         PlanOp::NodeByIdSeek { slot: s, id_expr, .. } => *s == slot || expr_uses(id_expr),
-        PlanOp::Filter { expr } => expr_uses(expr),
+        PlanOp::Filter { expr, .. } => expr_uses(expr),
         PlanOp::LabelFilter { slot: s, .. } => *s == slot,
         PlanOp::PropFilter { slot: s, .. } => *s == slot,
         PlanOp::Traverse { src_slot, dst_slot, edge_slot, .. } => {
@@ -504,14 +514,16 @@ fn op_uses(op: &PlanOp, var: &str, slot: usize) -> bool {
         PlanOp::TraverseCount { src_slot, projection, .. } => {
             *src_slot == slot || projection_uses(projection, var)
         }
-        PlanOp::Project(p) | PlanOp::With(p) => projection_uses(p, var),
+        PlanOp::Project { projection: p, .. } | PlanOp::With { projection: p, .. } => {
+            projection_uses(p, var)
+        }
         PlanOp::Aggregate { projection, .. } => projection_uses(projection, var),
-        PlanOp::Create { patterns } => patterns.iter().any(|pat| {
+        PlanOp::Create { patterns, .. } => patterns.iter().any(|pat| {
             pat.nodes().iter().any(|n| n.variable.as_deref() == Some(var))
                 || pat.steps.iter().any(|(r, _)| r.variable.as_deref() == Some(var))
         }),
         PlanOp::Delete { vars, .. } => vars.iter().any(|v| v == var),
-        PlanOp::SetProps { items } => {
+        PlanOp::SetProps { items, .. } => {
             items.iter().any(|item| item.variable == var || expr_uses(&item.value))
         }
         PlanOp::Unwind { list, slot: s, .. } => *s == slot || expr_uses(list),

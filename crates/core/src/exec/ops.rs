@@ -4,13 +4,20 @@
 //! its batch in place). The operation set mirrors RedisGraph's execution
 //! plan: scans, algebraic traversals, filters, projections/aggregations and
 //! the write operations.
+//!
+//! An op keeps the AST the planner and the optimizer read (for `EXPLAIN` and
+//! the rewrites) beside the compiled form the executor runs, which the
+//! plan's compile step ([`PlanOp::compile`]) fills in: expressions as
+//! [`SlotExpr`]s, variables as slots, names as name-table indexes. No run
+//! function sees a variable name.
 
 use crate::exec::aggregate::{Accumulator, AggFunc};
 use crate::exec::algebraic::AlgebraicExpression;
-use crate::exec::expr::{contains_aggregate, eval};
+use crate::exec::expr::{contains_aggregate, property, Compiler, NameIds, Scope, SlotExpr};
 use crate::exec::plan::expr_vars;
 use crate::exec::record::{Bindings, RecordBatch};
 use crate::exec::resultset::QueryStats;
+use crate::store::entity::AttributeSet;
 use crate::store::graph::{Graph, TraverseDir};
 use crate::value::{EquivKey, EquivRow, Value};
 use crate::{EdgeId, NodeId};
@@ -45,11 +52,15 @@ pub enum PlanOp {
         var: String,
         /// Expression producing the node id.
         id_expr: Expr,
+        /// `id_expr`, compiled.
+        compiled: SlotExpr,
     },
     /// Keep only records whose predicate evaluates to `true`.
     Filter {
         /// The predicate.
         expr: Expr,
+        /// `expr`, compiled.
+        compiled: SlotExpr,
     },
     /// Keep only records whose `slot` node carries `label`.
     LabelFilter {
@@ -57,6 +68,8 @@ pub enum PlanOp {
         slot: usize,
         /// Required label.
         label: String,
+        /// `label`'s index in the plan's name table.
+        label_index: usize,
     },
     /// Keep only records whose `slot` entity has property `key` equal to `value`.
     PropFilter {
@@ -64,6 +77,8 @@ pub enum PlanOp {
         slot: usize,
         /// Property name.
         key: String,
+        /// `key`'s index in the plan's name table.
+        key_index: usize,
         /// Required value.
         value: Value,
     },
@@ -134,7 +149,12 @@ pub enum PlanOp {
         projection: Projection,
     },
     /// Final projection (`RETURN`).
-    Project(Projection),
+    Project {
+        /// The projection.
+        projection: Projection,
+        /// `projection`, compiled.
+        compiled: SlotProjection,
+    },
     /// Final aggregation (`RETURN` containing aggregate functions).
     Aggregate {
         /// The aggregating projection.
@@ -142,13 +162,25 @@ pub enum PlanOp {
         /// Slot holding a per-record path-count weight written by an
         /// upstream [`PlanOp::FusedTraverse`] (`Null`/absent = weight 1).
         weight_slot: Option<usize>,
+        /// `projection`, compiled.
+        compiled: SlotProjection,
     },
     /// Intermediate projection (`WITH`); re-binds records for the next segment.
-    With(Projection),
+    With {
+        /// The projection (aggregating or not).
+        projection: Projection,
+        /// `projection`, compiled.
+        compiled: SlotProjection,
+        /// The next segment's slot for each output column (`None` when the
+        /// next segment never binds the column's name).
+        next_slots: Vec<Option<usize>>,
+    },
     /// Create the given patterns once per incoming record.
     Create {
         /// Patterns to instantiate.
         patterns: Vec<PathPattern>,
+        /// `patterns`, compiled.
+        compiled: Vec<CreatePattern>,
     },
     /// Delete the entities bound to the named variables.
     Delete {
@@ -157,16 +189,22 @@ pub enum PlanOp {
         detach: bool,
         /// Variables to delete.
         vars: Vec<String>,
+        /// Their slots.
+        slots: Vec<usize>,
     },
     /// Set properties on bound entities.
     SetProps {
         /// Assignments.
         items: Vec<SetItem>,
+        /// `items`, compiled.
+        compiled: Vec<SetStep>,
     },
     /// Expand a list expression into one record per element.
     Unwind {
         /// List-valued expression.
         list: Expr,
+        /// `list`, compiled.
+        compiled: SlotExpr,
         /// Output slot.
         slot: usize,
         /// Variable name.
@@ -179,10 +217,178 @@ pub enum PlanOp {
         name: String,
         /// Argument expressions, evaluated per record.
         args: Vec<Expr>,
+        /// `args`, compiled.
+        compiled: Vec<SlotExpr>,
+        /// True when no argument reads a variable: the procedure runs once
+        /// and its rows serve every record.
+        constant_args: bool,
         /// `(procedure output column index, record slot)` pairs for the
         /// yielded columns.
         outputs: Vec<(usize, usize)>,
     },
+}
+
+/// A `RETURN`/`WITH` projection compiled against its segment.
+#[derive(Debug, Clone, Default)]
+pub struct SlotProjection {
+    items: Vec<SlotItem>,
+    order: Vec<(SortKey, SortOrder)>,
+    distinct: bool,
+    skip: usize,
+    limit: usize,
+}
+
+/// One compiled projection item.
+#[derive(Debug, Clone)]
+enum SlotItem {
+    /// A scalar item: a group key, when the projection aggregates.
+    Scalar(SlotExpr),
+    /// An aggregate fed `arg` per record (`None` = `count(*)`, a non-null
+    /// marker per record). An item that nests its aggregate inside another
+    /// expression is fed `Null`, so it folds nothing.
+    Aggregate { func: AggFunc, distinct: bool, arg: Option<SlotExpr> },
+}
+
+/// An `ORDER BY` key: an output column it names (by alias or identical
+/// expression, so aggregated columns can be sorted on), or else an
+/// expression evaluated per record.
+#[derive(Debug, Clone)]
+enum SortKey {
+    Column(usize),
+    Expr(SlotExpr),
+}
+
+impl SlotProjection {
+    fn compile(projection: &Projection, bindings: &Bindings, c: &mut Compiler) -> Self {
+        let items = projection
+            .items
+            .iter()
+            .map(|item| match &item.expr {
+                expr if !contains_aggregate(expr) => SlotItem::Scalar(c.expr(expr, bindings)),
+                Expr::FunctionCall { name, args, distinct } => SlotItem::Aggregate {
+                    func: AggFunc::from_name(name).unwrap_or(AggFunc::Count),
+                    distinct: *distinct,
+                    arg: c.first_arg(args, bindings),
+                },
+                nested => {
+                    c.expr(nested, bindings); // its parameters must still be bound
+                    SlotItem::Aggregate {
+                        func: AggFunc::Count,
+                        distinct: false,
+                        arg: Some(SlotExpr::default()),
+                    }
+                }
+            })
+            .collect();
+        let column = |expr: &Expr| {
+            projection.items.iter().position(|item| {
+                &item.expr == expr
+                    || matches!((expr, &item.alias), (Expr::Variable(v), Some(alias)) if v == alias)
+            })
+        };
+        let order = projection
+            .order_by
+            .iter()
+            .map(|(expr, order)| {
+                let key = match column(expr) {
+                    Some(i) => SortKey::Column(i),
+                    None => SortKey::Expr(c.expr(expr, bindings)),
+                };
+                (key, *order)
+            })
+            .collect();
+        let (skip, limit) = skip_limit(projection);
+        SlotProjection { items, order, distinct: projection.distinct, skip, limit }
+    }
+
+    fn aggregates(&self) -> bool {
+        self.items.iter().any(|item| matches!(item, SlotItem::Aggregate { .. }))
+    }
+
+    /// Append the sort keys of output `row`, projected from `record`, to
+    /// `out`.
+    fn push_keys(&self, row: &[Value], record: &[Value], scope: &Scope<'_>, out: &mut Vec<Value>) {
+        out.extend(self.order.iter().map(|(key, _)| match key {
+            SortKey::Column(column) => row[*column].clone(),
+            SortKey::Expr(expr) => expr.eval(record, scope),
+        }));
+    }
+}
+
+/// One node of a compiled `CREATE` pattern.
+#[derive(Debug, Clone)]
+pub struct CreateNode {
+    /// The node's slot, when it is named: a bound node is reused.
+    slot: Option<usize>,
+    /// Name-table indexes of its labels.
+    labels: Vec<usize>,
+    /// Its properties, by name-table index.
+    props: Vec<(usize, Value)>,
+}
+
+/// One relationship of a compiled `CREATE` pattern.
+#[derive(Debug, Clone)]
+pub struct CreateRel {
+    slot: Option<usize>,
+    /// Name-table index of its type.
+    rel_type: usize,
+    props: Vec<(usize, Value)>,
+    /// Stored from the step's node to the previous one.
+    incoming: bool,
+}
+
+/// A compiled `CREATE` path pattern.
+#[derive(Debug, Clone)]
+pub struct CreatePattern {
+    start: CreateNode,
+    steps: Vec<(CreateRel, CreateNode)>,
+}
+
+impl CreateNode {
+    fn compile(node: &cypher::NodePattern, bindings: &Bindings, c: &mut Compiler) -> Self {
+        CreateNode {
+            slot: node.variable.as_deref().and_then(|v| bindings.slot(v)),
+            labels: node.labels.iter().map(|l| c.names.label(l)).collect(),
+            props: compile_props(&node.properties, c),
+        }
+    }
+}
+
+impl CreatePattern {
+    fn compile(pattern: &PathPattern, bindings: &Bindings, c: &mut Compiler) -> Self {
+        let start = CreateNode::compile(&pattern.start, bindings, c);
+        let steps = pattern
+            .steps
+            .iter()
+            .map(|(rel, node)| {
+                let node = CreateNode::compile(node, bindings, c);
+                let rel_type = rel.types.first().map_or("RELATED_TO", String::as_str);
+                let rel = CreateRel {
+                    slot: rel.variable.as_deref().and_then(|v| bindings.slot(v)),
+                    rel_type: c.names.rel_type(rel_type),
+                    props: compile_props(&rel.properties, c),
+                    incoming: rel.direction == Direction::Incoming,
+                };
+                (rel, node)
+            })
+            .collect();
+        CreatePattern { start, steps }
+    }
+}
+
+/// A pattern's property map as `(name-table index, value)` pairs.
+fn compile_props(props: &[(String, cypher::Literal)], c: &mut Compiler) -> Vec<(usize, Value)> {
+    props.iter().map(|(key, lit)| (c.names.key(key), Value::from(lit))).collect()
+}
+
+/// A compiled `SET` item.
+#[derive(Debug, Clone)]
+pub struct SetStep {
+    /// Slot of the node or edge to update.
+    slot: usize,
+    /// Name-table index of the property key.
+    key: usize,
+    value: SlotExpr,
 }
 
 /// The count a [`PlanOp::TraverseCount`] item reduces the reached sets to.
@@ -263,14 +469,73 @@ impl PlanOp {
                 )
             }
             PlanOp::FusedTraverse { expr, .. } => format!("Conditional Traverse | {expr}"),
-            PlanOp::Project(_) => "Project".to_string(),
+            PlanOp::Project { .. } => "Project".to_string(),
             PlanOp::Aggregate { .. } => "Aggregate".to_string(),
-            PlanOp::With(_) => "With".to_string(),
+            PlanOp::With { .. } => "With".to_string(),
             PlanOp::Create { .. } => "Create".to_string(),
             PlanOp::Delete { .. } => "Delete".to_string(),
             PlanOp::SetProps { .. } => "Update".to_string(),
             PlanOp::Unwind { var, .. } => format!("Unwind | ({var})"),
             PlanOp::ProcedureCall { name, .. } => format!("ProcedureCall | {name}"),
+        }
+    }
+
+    /// Fill in the op's compiled form against its segment's `bindings` (and,
+    /// for `WITH`, the `next` segment's): the last step of building a plan.
+    pub(crate) fn compile(
+        &mut self,
+        bindings: &Bindings,
+        next: Option<&Bindings>,
+        c: &mut Compiler,
+    ) {
+        match self {
+            PlanOp::NodeByIdSeek { id_expr: expr, compiled, .. }
+            | PlanOp::Filter { expr, compiled }
+            | PlanOp::Unwind { list: expr, compiled, .. } => *compiled = c.expr(expr, bindings),
+            PlanOp::LabelFilter { label, label_index, .. } => *label_index = c.names.label(label),
+            PlanOp::PropFilter { key, key_index, .. } => *key_index = c.names.key(key),
+            PlanOp::Project { projection, compiled }
+            | PlanOp::Aggregate { projection, compiled, .. } => {
+                *compiled = SlotProjection::compile(projection, bindings, c);
+            }
+            PlanOp::With { projection, compiled, next_slots } => {
+                *compiled = SlotProjection::compile(projection, bindings, c);
+                let next = next.expect("a WITH ends a segment");
+                *next_slots =
+                    projection.items.iter().map(|item| next.slot(&item.column_name())).collect();
+            }
+            PlanOp::Create { patterns, compiled } => {
+                *compiled =
+                    patterns.iter().map(|p| CreatePattern::compile(p, bindings, c)).collect();
+            }
+            PlanOp::Delete { vars, slots, .. } => {
+                *slots = vars.iter().filter_map(|v| bindings.slot(v)).collect();
+            }
+            PlanOp::SetProps { items, compiled } => {
+                *compiled = items
+                    .iter()
+                    .filter_map(|item| {
+                        let slot = bindings.slot(&item.variable)?;
+                        let key = c.names.key(&item.property);
+                        Some(SetStep { slot, key, value: c.expr(&item.value, bindings) })
+                    })
+                    .collect();
+            }
+            PlanOp::ProcedureCall { args, compiled, constant_args, .. } => {
+                *compiled = args.iter().map(|a| c.expr(a, bindings)).collect();
+                let mut vars = Vec::new();
+                args.iter().for_each(|arg| expr_vars(arg, &mut vars));
+                *constant_args = vars.is_empty();
+            }
+            // The counts read no expression, but an `ORDER BY $name` on the
+            // one count row must still be bound.
+            PlanOp::TraverseCount { projection, .. } => {
+                SlotProjection::compile(projection, bindings, c);
+            }
+            PlanOp::AllNodeScan { .. }
+            | PlanOp::NodeByLabelScan { .. }
+            | PlanOp::Traverse { .. }
+            | PlanOp::FusedTraverse { .. } => {}
         }
     }
 }
@@ -284,19 +549,15 @@ fn to_traverse_dir(d: Direction) -> TraverseDir {
 }
 
 /// Execute the scan-type ops: every input record times every scanned node.
-pub fn run_scan(
-    op: &PlanOp,
-    records: &RecordBatch,
-    bindings: &Bindings,
-    graph: &Graph,
-) -> RecordBatch {
+pub fn run_scan(op: &PlanOp, records: &RecordBatch, scope: &Scope<'_>) -> RecordBatch {
+    let graph = scope.graph;
     let mut out = RecordBatch::new(records.width());
     let (slot, nodes) = match op {
         PlanOp::AllNodeScan { slot, .. } => (*slot, graph.all_node_ids()),
         PlanOp::NodeByLabelScan { slot, label, .. } => (*slot, graph.nodes_with_label(label)),
-        PlanOp::NodeByIdSeek { slot, id_expr, .. } => {
+        PlanOp::NodeByIdSeek { slot, compiled, .. } => {
             for record in records {
-                let id = eval(id_expr, record, bindings, graph).as_i64();
+                let id = compiled.eval(record, scope).as_i64();
                 if let Some(id) = id.filter(|&id| id >= 0 && graph.node(id as NodeId).is_some()) {
                     out.push_copy(record)[*slot] = Value::Node(id as NodeId);
                 }
@@ -314,23 +575,31 @@ pub fn run_scan(
 }
 
 /// Execute the filter-type ops, dropping rejected records in place.
-pub fn run_filter(op: &PlanOp, records: &mut RecordBatch, bindings: &Bindings, graph: &Graph) {
-    records.retain(|record| match op {
-        PlanOp::Filter { expr } => eval(expr, record, bindings, graph).is_truthy(),
-        PlanOp::LabelFilter { slot, label } => match record.get(*slot) {
-            Some(Value::Node(id)) => graph.node_has_label(*id, label),
-            _ => false,
-        },
-        PlanOp::PropFilter { slot, key, value } => {
-            let actual = match record.get(*slot) {
-                Some(Value::Node(id)) => graph.node_property(*id, key),
-                Some(Value::Edge(id)) => graph.edge_property(*id, key),
-                _ => Value::Null,
-            };
-            actual.cypher_eq(value) == Some(true)
+pub fn run_filter(op: &PlanOp, records: &mut RecordBatch, scope: &Scope<'_>) {
+    let graph = scope.graph;
+    match op {
+        PlanOp::Filter { compiled, .. } => {
+            records.retain(|record| compiled.eval(record, scope).is_truthy());
+        }
+        PlanOp::LabelFilter { slot, label_index, .. } => {
+            // A label the graph does not have matches no node.
+            let label = scope.names.labels[*label_index];
+            records.retain(|record| match (record.get(*slot), label) {
+                (Some(Value::Node(id)), Some(label)) => {
+                    graph.node(*id).is_some_and(|n| n.has_label(label))
+                }
+                _ => false,
+            });
+        }
+        PlanOp::PropFilter { slot, key_index, value, .. } => {
+            let key = scope.names.keys[*key_index];
+            records.retain(|record| match record.get(*slot) {
+                Some(entity) => property(graph, entity, key).cypher_eq(value) == Some(true),
+                None => false,
+            });
         }
         _ => unreachable!("run_filter called with a non-filter op"),
-    })
+    }
 }
 
 /// Execute a traverse op.
@@ -534,47 +803,6 @@ impl BatchFrontier {
     }
 }
 
-/// A projection's `ORDER BY` keys, each resolved once per operator to the
-/// output column it names (by alias or identical expression, so aggregated
-/// columns can be sorted on) or else to its expression, evaluated per
-/// record.
-struct OrderBy<'p> {
-    keys: Vec<(Result<usize, &'p Expr>, SortOrder)>,
-}
-
-impl<'p> OrderBy<'p> {
-    fn new(projection: &'p Projection) -> Self {
-        let column = |expr: &Expr| {
-            projection.items.iter().position(|item| {
-                &item.expr == expr
-                    || matches!((expr, &item.alias), (Expr::Variable(v), Some(alias)) if v == alias)
-            })
-        };
-        let keys = projection
-            .order_by
-            .iter()
-            .map(|(expr, order)| (column(expr).ok_or(expr), *order))
-            .collect();
-        OrderBy { keys }
-    }
-
-    /// Append the sort keys of output `row`, projected from `record`, to
-    /// `out`.
-    fn push_keys(
-        &self,
-        row: &[Value],
-        record: &[Value],
-        bindings: &Bindings,
-        graph: &Graph,
-        out: &mut Vec<Value>,
-    ) {
-        out.extend(self.keys.iter().map(|(key, _)| match key {
-            Ok(column) => row[*column].clone(),
-            Err(expr) => eval(expr, record, bindings, graph),
-        }));
-    }
-}
-
 /// A projection's `SKIP` and `LIMIT` (none = every row).
 fn skip_limit(projection: &Projection) -> (usize, usize) {
     let skip = projection.skip.map_or(0, |skip| skip as usize);
@@ -583,23 +811,22 @@ fn skip_limit(projection: &Projection) -> (usize, usize) {
 
 /// Apply `ORDER BY`, `DISTINCT` (first occurrence in order), `SKIP` and
 /// `LIMIT` to projected `rows`, in that order; `keys` holds each row's sort
-/// keys ([`OrderBy::push_keys`]). The order is stable: ties keep input
-/// order. Under a `LIMIT` without `DISTINCT` only the first `skip + limit`
-/// rows in order can survive, so those are selected first and only they
-/// are sorted. `SKIP` and `LIMIT` cut the rows in place.
+/// keys ([`SlotProjection::push_keys`]). The order is stable: ties keep
+/// input order. Under a `LIMIT` without `DISTINCT` only the first `skip +
+/// limit` rows in order can survive, so those are selected first and only
+/// they are sorted. `SKIP` and `LIMIT` cut the rows in place.
 fn order_skip_limit(
-    projection: &Projection,
-    order: &OrderBy<'_>,
+    projection: &SlotProjection,
     mut rows: RecordBatch,
     keys: &[Value],
 ) -> RecordBatch {
-    let (skip, limit) = skip_limit(projection);
-    if !order.keys.is_empty() || projection.distinct {
+    let SlotProjection { order, distinct, skip, limit, .. } = projection;
+    if !order.is_empty() || *distinct {
         let mut picked: Vec<usize> = (0..rows.len()).collect();
-        if !order.keys.is_empty() {
-            let stride = order.keys.len();
+        if !order.is_empty() {
+            let stride = order.len();
             let cmp = |&a: &usize, &b: &usize| {
-                for (k, (_, dir)) in order.keys.iter().enumerate() {
+                for (k, (_, dir)) in order.iter().enumerate() {
                     let cmp = keys[a * stride + k].sort_cmp(&keys[b * stride + k]);
                     let cmp = match dir {
                         SortOrder::Ascending => cmp,
@@ -611,38 +838,44 @@ fn order_skip_limit(
                 }
                 a.cmp(&b)
             };
-            let top = skip.saturating_add(limit);
-            if !projection.distinct && top < picked.len() {
+            let top = skip.saturating_add(*limit);
+            if !distinct && top < picked.len() {
                 picked.select_nth_unstable_by(top, cmp);
                 picked.truncate(top);
             }
             picked.sort_unstable_by(cmp);
         }
-        if projection.distinct {
+        if *distinct {
             let mut seen = HashSet::with_capacity(picked.len());
             picked.retain(|&i| seen.insert(EquivRow(&rows[i])));
         }
         rows = rows.take_rows(picked);
     }
-    rows.skip_take(skip, limit);
+    rows.skip_take(*skip, *limit);
     rows
 }
 
 /// Execute a plain projection (no aggregates): evaluate every item per record.
 pub fn run_project(
-    projection: &Projection,
+    projection: &SlotProjection,
     records: &RecordBatch,
-    bindings: &Bindings,
-    graph: &Graph,
+    scope: &Scope<'_>,
 ) -> RecordBatch {
-    let order = OrderBy::new(projection);
     let mut rows = RecordBatch::new(projection.items.len());
-    let mut keys = Vec::new();
+    rows.reserve(records.len());
     for record in records {
-        rows.push(projection.items.iter().map(|item| eval(&item.expr, record, bindings, graph)));
-        order.push_keys(&rows[rows.len() - 1], record, bindings, graph, &mut keys);
+        rows.push(projection.items.iter().map(|item| match item {
+            SlotItem::Scalar(expr) => expr.eval(record, scope),
+            SlotItem::Aggregate { .. } => unreachable!("a projection without aggregates"),
+        }));
     }
-    order_skip_limit(projection, &order, rows, &keys)
+    let mut keys = Vec::new();
+    if !projection.order.is_empty() {
+        for (row, record) in rows.iter().zip(records) {
+            projection.push_keys(row, record, scope, &mut keys);
+        }
+    }
+    order_skip_limit(projection, rows, &keys)
 }
 
 /// Execute an aggregating projection: group records by the non-aggregate items
@@ -650,32 +883,26 @@ pub fn run_project(
 /// the path-count weight of compact records emitted by a fused traversal
 /// (`Null` or absent = weight 1, i.e. an ordinary record).
 pub fn run_aggregate(
-    projection: &Projection,
+    projection: &SlotProjection,
     weight_slot: Option<usize>,
     records: &RecordBatch,
-    bindings: &Bindings,
-    graph: &Graph,
+    scope: &Scope<'_>,
 ) -> RecordBatch {
     // Split items into group keys and aggregates, remembering their positions.
-    let mut group_positions = Vec::new();
-    let mut agg_positions = Vec::new();
+    let mut group_keys = Vec::new();
+    let mut aggregates = Vec::new();
     for (i, item) in projection.items.iter().enumerate() {
-        if contains_aggregate(&item.expr) {
-            agg_positions.push(i);
-        } else {
-            group_positions.push(i);
+        match item {
+            SlotItem::Scalar(expr) => group_keys.push((i, expr)),
+            SlotItem::Aggregate { func, distinct, arg } => {
+                aggregates.push((i, func, distinct, arg))
+            }
         }
     }
-
     let new_accumulators = || -> Vec<Accumulator> {
-        agg_positions
+        aggregates
             .iter()
-            .map(|&i| match &projection.items[i].expr {
-                Expr::FunctionCall { name, distinct, .. } => {
-                    Accumulator::new(AggFunc::from_name(name).unwrap_or(AggFunc::Count), *distinct)
-                }
-                _ => Accumulator::new(AggFunc::Count, false),
-            })
+            .map(|&(_, &func, &distinct, _)| Accumulator::new(func, distinct))
             .collect()
     };
 
@@ -684,18 +911,16 @@ pub fn run_aggregate(
     // input records (e.g. count = 0).
     let mut groups: Vec<(Vec<Value>, Vec<Accumulator>)> = Vec::new();
     let mut index: HashMap<Vec<EquivKey>, usize> = HashMap::new();
-    if group_positions.is_empty() {
+    if group_keys.is_empty() {
         groups.push((Vec::new(), new_accumulators()));
     }
 
     for record in records {
-        let g = if group_positions.is_empty() {
+        let g = if group_keys.is_empty() {
             0
         } else {
-            let key: Vec<EquivKey> = group_positions
-                .iter()
-                .map(|&i| EquivKey(eval(&projection.items[i].expr, record, bindings, graph)))
-                .collect();
+            let key: Vec<EquivKey> =
+                group_keys.iter().map(|(_, expr)| EquivKey(expr.eval(record, scope))).collect();
             match index.get(&key) {
                 Some(&g) => g,
                 None => {
@@ -709,56 +934,51 @@ pub fn run_aggregate(
             .and_then(|ws| record.get(ws))
             .and_then(Value::as_i64)
             .map_or(1, |w| w.max(0) as u64);
-        for (acc, &item_pos) in groups[g].1.iter_mut().zip(agg_positions.iter()) {
-            if let Expr::FunctionCall { args, .. } = &projection.items[item_pos].expr {
-                let value = match args.first() {
-                    Some(arg) => eval(arg, record, bindings, graph),
-                    None => Value::Bool(true), // count(*): every record counts
-                };
-                acc.update_weighted(value, weight);
-            }
+        for (acc, (_, _, _, arg)) in groups[g].1.iter_mut().zip(&aggregates) {
+            let value = match arg {
+                Some(arg) => arg.eval(record, scope),
+                None => Value::Bool(true), // count(*): every record counts
+            };
+            acc.update_weighted(value, weight);
         }
     }
 
     // Sort keys that are no output column see no record (no variable is
     // bound past the grouping).
-    let order = OrderBy::new(projection);
     let mut rows = RecordBatch::new(projection.items.len());
     let mut keys = Vec::new();
     for (key_values, accs) in groups {
         let row = rows.push_nulls();
-        for (value, &pos) in key_values.into_iter().zip(group_positions.iter()) {
+        for (value, &(pos, _)) in key_values.into_iter().zip(&group_keys) {
             row[pos] = value;
         }
-        for (acc, &pos) in accs.into_iter().zip(agg_positions.iter()) {
+        for (acc, &(pos, ..)) in accs.into_iter().zip(&aggregates) {
             row[pos] = acc.finish();
         }
-        order.push_keys(&rows[rows.len() - 1], &[], bindings, graph, &mut keys);
+        projection.push_keys(&rows[rows.len() - 1], &[], scope, &mut keys);
     }
-    order_skip_limit(projection, &order, rows, &keys)
+    order_skip_limit(projection, rows, &keys)
 }
 
 /// Execute a `WITH`: project (or aggregate) the records, then move each
-/// output column into its slot of the next segment's record layout
-/// (`next`), resolved once per operator.
+/// output column into its slot of the next segment's record layout, a
+/// `next_width`-slot record.
 pub fn run_with(
-    projection: &Projection,
+    projection: &SlotProjection,
+    next_slots: &[Option<usize>],
+    next_width: usize,
     records: &RecordBatch,
-    bindings: &Bindings,
-    next: &Bindings,
-    graph: &Graph,
+    scope: &Scope<'_>,
 ) -> RecordBatch {
-    let mut produced = if projection.items.iter().any(|i| contains_aggregate(&i.expr)) {
-        run_aggregate(projection, None, records, bindings, graph)
+    let mut produced = if projection.aggregates() {
+        run_aggregate(projection, None, records, scope)
     } else {
-        run_project(projection, records, bindings, graph)
+        run_project(projection, records, scope)
     };
-    let slots: Vec<Option<usize>> =
-        projection.items.iter().map(|item| next.slot(&item.column_name())).collect();
-    let mut out = RecordBatch::new(next.len());
+    let mut out = RecordBatch::new(next_width);
     for i in 0..produced.len() {
         let record = out.push_nulls();
-        for (&slot, value) in slots.iter().zip(&mut produced[i]) {
+        for (&slot, value) in next_slots.iter().zip(&mut produced[i]) {
             if let Some(slot) = slot {
                 record[slot] = std::mem::replace(value, Value::Null);
             }
@@ -767,12 +987,14 @@ pub fn run_with(
     out
 }
 
-/// Execute a `CREATE` op for every incoming record.
+/// Execute a `CREATE` op for every incoming record. Labels, types and keys
+/// the graph does not have yet are created on first use and recorded in
+/// `names`.
 pub fn run_create(
-    patterns: &[PathPattern],
+    patterns: &[CreatePattern],
     records: &mut RecordBatch,
-    bindings: &Bindings,
     graph: &mut Graph,
+    names: &mut NameIds<'_>,
     stats: &mut QueryStats,
 ) {
     if records.is_empty() {
@@ -782,23 +1004,17 @@ pub fn run_create(
         let record = &mut records[i];
         for pattern in patterns {
             // Create / resolve the start node, then walk the steps.
-            let mut prev = resolve_or_create_node(&pattern.start, record, bindings, graph, stats);
+            let mut prev = resolve_or_create_node(&pattern.start, record, graph, names, stats);
             for (rel, node) in &pattern.steps {
-                let current = resolve_or_create_node(node, record, bindings, graph, stats);
-                let rel_type = rel.types.first().map(|s| s.as_str()).unwrap_or("RELATED_TO");
-                let props: Vec<(&str, Value)> =
-                    rel.properties.iter().map(|(k, lit)| (k.as_str(), Value::from(lit))).collect();
-                stats.properties_set += props.len();
-                let (src, dst) = match rel.direction {
-                    Direction::Incoming => (current, prev),
-                    _ => (prev, current),
-                };
-                let edge = graph.add_edge(src, dst, rel_type, props).expect("endpoints exist");
+                let current = resolve_or_create_node(node, record, graph, names, stats);
+                let rel_type = names.rel_type_or_create(rel.rel_type, graph);
+                let attrs = attribute_set(&rel.props, graph, names);
+                stats.properties_set += rel.props.len();
+                let (src, dst) = if rel.incoming { (current, prev) } else { (prev, current) };
+                let edge = graph.create_edge(src, dst, rel_type, attrs);
                 stats.relationships_created += 1;
-                if let Some(var) = &rel.variable {
-                    if let Some(slot) = bindings.slot(var) {
-                        record[slot] = Value::Edge(edge);
-                    }
+                if let Some(slot) = rel.slot {
+                    record[slot] = Value::Edge(edge);
                 }
                 prev = current;
             }
@@ -806,57 +1022,60 @@ pub fn run_create(
     }
 }
 
-fn resolve_or_create_node(
-    pattern: &cypher::NodePattern,
-    record: &mut [Value],
-    bindings: &Bindings,
+/// A compiled property map as an attribute set.
+fn attribute_set(
+    props: &[(usize, Value)],
     graph: &mut Graph,
+    names: &mut NameIds<'_>,
+) -> AttributeSet {
+    let mut attrs = AttributeSet::new();
+    for (key, value) in props {
+        attrs.set(names.key_or_create(*key, graph), value.clone());
+    }
+    attrs
+}
+
+fn resolve_or_create_node(
+    node: &CreateNode,
+    record: &mut [Value],
+    graph: &mut Graph,
+    names: &mut NameIds<'_>,
     stats: &mut QueryStats,
 ) -> NodeId {
-    if let Some(var) = &pattern.variable {
-        if let Some(slot) = bindings.slot(var) {
-            if let Some(Value::Node(id)) = record.get(slot) {
-                return *id;
-            }
-        }
+    if let Some(&Value::Node(id)) = node.slot.and_then(|slot| record.get(slot)) {
+        return id;
     }
-    let labels: Vec<&str> = pattern.labels.iter().map(|s| s.as_str()).collect();
-    let props: Vec<(&str, Value)> =
-        pattern.properties.iter().map(|(k, lit)| (k.as_str(), Value::from(lit))).collect();
-    stats.properties_set += props.len();
-    stats.labels_added += labels.len();
-    let id = graph.add_node(&labels, props);
+    let labels = node.labels.iter().map(|&l| names.label_or_create(l, graph)).collect();
+    let attrs = attribute_set(&node.props, graph, names);
+    stats.properties_set += node.props.len();
+    stats.labels_added += node.labels.len();
+    let id = graph.create_node(labels, attrs);
     stats.nodes_created += 1;
-    if let Some(var) = &pattern.variable {
-        if let Some(slot) = bindings.slot(var) {
-            record[slot] = Value::Node(id);
-        }
+    if let Some(slot) = node.slot {
+        record[slot] = Value::Node(id);
     }
     id
 }
 
-/// Execute a `DELETE` op.
+/// Execute a `DELETE` op over the entities in `slots`.
 pub fn run_delete(
-    vars: &[String],
+    slots: &[usize],
     records: &RecordBatch,
-    bindings: &Bindings,
     graph: &mut Graph,
     stats: &mut QueryStats,
 ) {
     let mut nodes: HashSet<NodeId> = HashSet::new();
     let mut edges: HashSet<EdgeId> = HashSet::new();
     for record in records {
-        for var in vars {
-            if let Some(slot) = bindings.slot(var) {
-                match record.get(slot) {
-                    Some(Value::Node(id)) => {
-                        nodes.insert(*id);
-                    }
-                    Some(Value::Edge(id)) => {
-                        edges.insert(*id);
-                    }
-                    _ => {}
+        for &slot in slots {
+            match record.get(slot) {
+                Some(Value::Node(id)) => {
+                    nodes.insert(*id);
                 }
+                Some(Value::Edge(id)) => {
+                    edges.insert(*id);
+                }
+                _ => {}
             }
         }
     }
@@ -874,21 +1093,29 @@ pub fn run_delete(
     }
 }
 
-/// Execute a `SET` op.
+/// Execute a `SET` op. A key the graph does not have yet is created on its
+/// first assignment and recorded in `names`, so later items and records
+/// read it.
 pub fn run_set(
-    items: &[SetItem],
+    items: &[SetStep],
     records: &RecordBatch,
-    bindings: &Bindings,
     graph: &mut Graph,
+    params: &[Value],
+    names: &mut NameIds<'_>,
     stats: &mut QueryStats,
 ) {
     for record in records {
         for item in items {
-            let Some(slot) = bindings.slot(&item.variable) else { continue };
-            let value = eval(&item.value, record, bindings, graph);
-            let updated = match record.get(slot) {
-                Some(Value::Node(id)) => graph.set_node_property(*id, &item.property, value),
-                Some(Value::Edge(id)) => graph.set_edge_property(*id, &item.property, value),
+            let value = item.value.eval(record, &Scope { graph, params, names });
+            let updated = match record.get(item.slot) {
+                Some(&Value::Node(id)) => {
+                    let attr = names.key_or_create(item.key, graph);
+                    graph.set_node_attribute(id, attr, value)
+                }
+                Some(&Value::Edge(id)) => {
+                    let attr = names.key_or_create(item.key, graph);
+                    graph.set_edge_attribute(id, attr, value)
+                }
                 _ => false,
             };
             if updated {
@@ -901,29 +1128,26 @@ pub fn run_set(
 /// Execute a `CALL` op: run the registered procedure once per incoming record
 /// (arguments are evaluated against that record) and emit one output record
 /// per produced row, with the yielded columns written into their slots.
-/// When every argument is record-independent (the common `CALL algo.x(…)`
-/// with literal arguments) the algorithm runs once and its rows are reused
-/// for every incoming record.
+/// When every argument is record-independent (`constant_args`: the common
+/// `CALL algo.x(…)` with literal arguments) the algorithm runs once and its
+/// rows are reused for every incoming record.
 pub fn run_procedure(
     name: &str,
-    args: &[Expr],
+    args: &[SlotExpr],
+    constant_args: bool,
     outputs: &[(usize, usize)],
     records: &RecordBatch,
-    bindings: &Bindings,
-    graph: &Graph,
+    scope: &Scope<'_>,
 ) -> Result<RecordBatch, crate::error::QueryError> {
     let proc = crate::exec::procedures::find(name).ok_or_else(|| {
         crate::error::QueryError::Internal(format!("procedure `{name}` vanished after planning"))
     })?;
-    let mut vars = Vec::new();
-    args.iter().for_each(|arg| expr_vars(arg, &mut vars));
-    let constant_args = vars.is_empty();
     let mut cached_rows: Option<RecordBatch> = None;
     let mut out = RecordBatch::new(records.width());
     for record in records {
         if cached_rows.is_none() {
-            let argv: Vec<Value> = args.iter().map(|a| eval(a, record, bindings, graph)).collect();
-            cached_rows = Some((proc.run)(graph, &argv)?);
+            let argv: Vec<Value> = args.iter().map(|a| a.eval(record, scope)).collect();
+            cached_rows = Some((proc.run)(scope.graph, &argv)?);
         }
         let rows = cached_rows.as_ref().expect("computed above");
         for row in rows {
@@ -941,15 +1165,14 @@ pub fn run_procedure(
 
 /// Execute an `UNWIND` op.
 pub fn run_unwind(
-    list: &Expr,
+    list: &SlotExpr,
     slot: usize,
     records: &RecordBatch,
-    bindings: &Bindings,
-    graph: &Graph,
+    scope: &Scope<'_>,
 ) -> RecordBatch {
     let mut out = RecordBatch::new(records.width());
     for record in records {
-        let items = match eval(list, record, bindings, graph) {
+        let items = match list.eval(record, scope) {
             Value::List(items) => items,
             Value::Null => continue,
             single => vec![single],

@@ -2,7 +2,9 @@
 //!
 //! [`ExecutionPlan::build`] compiles a parsed [`cypher::Query`] into segments
 //! of [`PlanOp`]s (segments are separated by `WITH`, which re-binds the record
-//! layout). [`ExecutionPlan::run`] interprets the plan against a graph.
+//! layout). [`ExecutionPlan::bind`] turns query parameters into the plan's
+//! [`ParamValues`], and [`ExecutionPlan::run`] interprets the plan against a
+//! graph with them.
 //!
 //! Plan construction mirrors RedisGraph's planner for the supported subset:
 //!
@@ -15,10 +17,15 @@
 //! * inline property maps and label constraints on non-scan nodes become
 //!   filters directly after the traverse that binds them;
 //! * [`ExecutionPlan::build`] then splits each `WHERE` into its `AND`
-//!   conjuncts and places each right after the op binding its last variable.
+//!   conjuncts and places each right after the op binding its last variable;
+//! * the last build step compiles every op's expressions once (see
+//!   [`crate::exec::expr`]): variables become record slots, `$name`s indexes
+//!   into the plan's parameter table, property keys and labels indexes into
+//!   its name table. The executor reads no variable name and substitutes
+//!   nothing into the plan, so one plan serves every execution in place.
 
 use crate::error::QueryError;
-use crate::exec::expr::contains_aggregate;
+use crate::exec::expr::{contains_aggregate, Compiler, NameTable, Scope};
 use crate::exec::ops::*;
 use crate::exec::record::{Bindings, RecordBatch};
 use crate::exec::resultset::{QueryStats, ResultSet};
@@ -28,11 +35,17 @@ use cypher::{Clause, Expr, NodePattern, PathPattern, Query};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-/// Query parameters (`CYPHER name=value …`): name → constant expression.
-/// Values are the literal / list-of-literal expressions the server parses
-/// from the `CYPHER` header; [`ExecutionPlan::bind`] substitutes them for
-/// `$name` references at plan-bind time — never by splicing query text.
-pub type Params = HashMap<String, Expr>;
+/// Query parameters (`CYPHER name=value …`): name → value. The server parses
+/// them from the `CYPHER` header (and lifts a body's literals into them);
+/// [`ExecutionPlan::bind`] turns them into the values a plan's `$name`
+/// references read — values are never spliced into query text.
+pub type Params = HashMap<String, Value>;
+
+/// One execution's parameter values, in the order of the plan's parameter
+/// table: what [`ExecutionPlan::bind`] returns and [`ExecutionPlan::run`]
+/// reads.
+#[derive(Debug, Clone)]
+pub struct ParamValues(Vec<Value>);
 
 /// What one operator did during a profiled execution (`GRAPH.PROFILE`): the
 /// operator's `describe()` line plus how many records it left in the
@@ -75,7 +88,7 @@ pub fn format_profile(profiles: &[OpProfile]) -> Vec<String> {
 }
 
 /// One plan segment: a record layout plus the operations that run under it.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Segment {
     /// Variable → slot table for this segment.
     pub bindings: Bindings,
@@ -84,9 +97,15 @@ pub struct Segment {
 }
 
 /// A compiled query plan.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ExecutionPlan {
     segments: Vec<Segment>,
+    /// The `$name`s the plan reads, in first-reference order.
+    params: Vec<String>,
+    /// The property keys, labels and relationship types its ops name.
+    names: NameTable,
+    /// The result set's column names.
+    columns: Vec<String>,
 }
 
 impl ExecutionPlan {
@@ -95,10 +114,10 @@ impl ExecutionPlan {
     /// run the algebraic optimizer over it (chain fusion, mask pushdown,
     /// count pushdown — see [`crate::exec::algebraic`]).
     pub fn build(query: &Query) -> Result<Self, QueryError> {
-        let mut plan = Self::build_unoptimized(query)?;
-        plan.segments.iter_mut().for_each(place_filters);
-        crate::exec::algebraic::fuse_plan(&mut plan.segments);
-        Ok(plan)
+        let mut segments = Builder::new().build(query)?;
+        segments.iter_mut().for_each(place_filters);
+        crate::exec::algebraic::fuse_plan(&mut segments);
+        Ok(Self::compile(segments))
     }
 
     /// Compile without the optimizer pass: one `Traverse` op per hop, label
@@ -107,7 +126,30 @@ impl ExecutionPlan {
     /// suites compare this plan's output against the optimized plan's row
     /// for row.
     pub fn build_unoptimized(query: &Query) -> Result<Self, QueryError> {
-        Builder::new().build(query)
+        Ok(Self::compile(Builder::new().build(query)?))
+    }
+
+    /// The last build step: compile every op against its segment's record
+    /// layout, collecting the parameter and name tables, and fix the result
+    /// columns (those of the last projection that emits rows).
+    fn compile(mut segments: Vec<Segment>) -> Self {
+        let mut compiler = Compiler::default();
+        let mut columns = Vec::new();
+        for i in 0..segments.len() {
+            let (head, tail) = segments.split_at_mut(i + 1);
+            let Segment { bindings, ops } = &mut head[i];
+            for op in ops {
+                op.compile(bindings, tail.first().map(|next| &next.bindings), &mut compiler);
+                if let PlanOp::Project { projection, .. }
+                | PlanOp::Aggregate { projection, .. }
+                | PlanOp::TraverseCount { projection, .. } = op
+                {
+                    columns = projection.items.iter().map(|item| item.column_name()).collect();
+                }
+            }
+        }
+        let Compiler { params, names } = compiler;
+        ExecutionPlan { segments, params, names, columns }
     }
 
     /// Human-readable plan description (`GRAPH.EXPLAIN`).
@@ -129,79 +171,27 @@ impl ExecutionPlan {
         &self.segments
     }
 
-    /// True if any expression in the plan references a `$parameter`. Plans
-    /// without parameter references execute a cached skeleton directly;
-    /// plans with them go through [`ExecutionPlan::bind`] first.
-    pub fn has_params(&self) -> bool {
-        let mut found = false;
-        self.visit_exprs(&mut |expr| found |= expr_has_param(expr));
-        found
-    }
-
-    /// Clone the plan with every `$name` reference replaced by its value
-    /// from `params` — substitution happens on the plan's expressions, so a
-    /// cached skeleton is never re-parsed or re-planned per execution, and
-    /// parameter values can never be misread as query text. Errors if the
-    /// plan references a parameter `params` does not supply.
-    pub fn bind(&self, params: &Params) -> Result<ExecutionPlan, QueryError> {
-        let mut plan = self.clone();
-        let mut missing: Option<String> = None;
-        plan.visit_exprs_mut(&mut |expr| substitute_params(expr, params, &mut missing));
-        match missing {
-            Some(name) => Err(QueryError::Type(format!("missing query parameter `${name}`"))),
-            None => Ok(plan),
-        }
-    }
-
-    /// Visit every expression embedded in the plan's operators.
-    fn visit_exprs(&self, f: &mut impl FnMut(&Expr)) {
-        for segment in &self.segments {
-            for op in &segment.ops {
-                match op {
-                    PlanOp::NodeByIdSeek { id_expr, .. } => f(id_expr),
-                    PlanOp::Filter { expr } => f(expr),
-                    PlanOp::Unwind { list, .. } => f(list),
-                    PlanOp::ProcedureCall { args, .. } => args.iter().for_each(&mut *f),
-                    PlanOp::Project(p)
-                    | PlanOp::With(p)
-                    | PlanOp::Aggregate { projection: p, .. }
-                    | PlanOp::TraverseCount { projection: p, .. } => {
-                        p.items.iter().for_each(|i| f(&i.expr));
-                        p.order_by.iter().for_each(|(e, _)| f(e));
-                    }
-                    PlanOp::SetProps { items } => items.iter().for_each(|i| f(&i.value)),
-                    _ => {}
-                }
-            }
-        }
-    }
-
-    /// Mutable counterpart of [`ExecutionPlan::visit_exprs`].
-    fn visit_exprs_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
-        for segment in &mut self.segments {
-            for op in &mut segment.ops {
-                match op {
-                    PlanOp::NodeByIdSeek { id_expr, .. } => f(id_expr),
-                    PlanOp::Filter { expr } => f(expr),
-                    PlanOp::Unwind { list, .. } => f(list),
-                    PlanOp::ProcedureCall { args, .. } => args.iter_mut().for_each(&mut *f),
-                    PlanOp::Project(p)
-                    | PlanOp::With(p)
-                    | PlanOp::Aggregate { projection: p, .. }
-                    | PlanOp::TraverseCount { projection: p, .. } => {
-                        p.items.iter_mut().for_each(|i| f(&mut i.expr));
-                        p.order_by.iter_mut().for_each(|(e, _)| f(e));
-                    }
-                    PlanOp::SetProps { items } => items.iter_mut().for_each(|i| f(&mut i.value)),
-                    _ => {}
-                }
-            }
-        }
+    /// The plan's parameter values, read from `params` by name: the only
+    /// per-execution step besides running it (the plan itself is shared and
+    /// never copied). Errors if the plan references a parameter `params`
+    /// does not supply; names `params` has and the plan never reads are
+    /// ignored.
+    pub fn bind(&self, params: &Params) -> Result<ParamValues, QueryError> {
+        let values = self.params.iter().map(|name| {
+            params
+                .get(name)
+                .cloned()
+                .ok_or_else(|| QueryError::Type(format!("missing query parameter `${name}`")))
+        });
+        Ok(ParamValues(values.collect::<Result<_, _>>()?))
     }
 
     /// Execute the plan: the one way every caller runs one. `access` says
     /// whether the plan may write; a write operator reached through
-    /// [`GraphAccess::Read`] is an error. The statistics footer is timed from
+    /// [`GraphAccess::Read`] is an error. `params` are this plan's
+    /// [`ExecutionPlan::bind`] values. The plan's name table is resolved
+    /// against the graph once, here, so names created since the plan was
+    /// built are found. The statistics footer is timed from
     /// `started`, the one `Instant` the caller captured (the server's
     /// dispatch anchor, so the reported time spans parse, queue and execute).
     /// With `profiles`, every operator's records-produced count and wall time
@@ -218,89 +208,87 @@ impl ExecutionPlan {
     pub fn run(
         &self,
         mut access: GraphAccess<'_>,
+        params: &ParamValues,
         started: Instant,
         mut profiles: Option<&mut Vec<OpProfile>>,
     ) -> Result<ResultSet, QueryError> {
+        let params = params.0.as_slice();
+        if params.len() != self.params.len() {
+            return Err(QueryError::Internal("parameter values bound for another plan".into()));
+        }
+        let mut names = self.names.resolve(access.graph());
         let mut stats = QueryStats::default();
         // The first operator extends one record with nothing bound yet.
         let mut records = RecordBatch::new(self.segments[0].bindings.len());
         records.push_nulls();
-        let mut columns: Vec<String> = Vec::new();
         let mut rows = RecordBatch::default();
 
         for (si, segment) in self.segments.iter().enumerate() {
-            let bindings = &segment.bindings;
             for op in &segment.ops {
                 // Per-op timing only when profiling: the 40k+-qps point-read
                 // path pays nothing for the instrumentation's existence.
                 let op_started = profiles.as_ref().map(|_| Instant::now());
+                let scope = Scope { graph: access.graph(), params, names: &names };
                 match op {
                     PlanOp::AllNodeScan { .. }
                     | PlanOp::NodeByLabelScan { .. }
                     | PlanOp::NodeByIdSeek { .. } => {
-                        records = run_scan(op, &records, bindings, access.graph());
+                        records = run_scan(op, &records, &scope);
                     }
                     PlanOp::Filter { .. }
                     | PlanOp::LabelFilter { .. }
                     | PlanOp::PropFilter { .. } => {
-                        run_filter(op, &mut records, bindings, access.graph());
+                        run_filter(op, &mut records, &scope);
                     }
                     PlanOp::Traverse { .. } => {
-                        records = run_traverse(op, &records, access.graph());
+                        records = run_traverse(op, &records, scope.graph);
                     }
-                    PlanOp::TraverseCount { projection, .. } => {
-                        columns = projection.items.iter().map(|i| i.column_name()).collect();
-                        rows = run_traverse_count(op, &records, access.graph());
+                    PlanOp::TraverseCount { .. } => {
+                        rows = run_traverse_count(op, &records, scope.graph);
                     }
                     PlanOp::FusedTraverse { .. } => {
-                        records = crate::exec::algebraic::run_fused(op, &records, access.graph());
+                        records = crate::exec::algebraic::run_fused(op, &records, scope.graph);
                     }
-                    PlanOp::Project(projection) => {
-                        columns = projection.items.iter().map(|i| i.column_name()).collect();
-                        rows = run_project(projection, &records, bindings, access.graph());
+                    PlanOp::Project { compiled, .. } => {
+                        rows = run_project(compiled, &records, &scope);
                     }
-                    PlanOp::Aggregate { projection, weight_slot } => {
-                        columns = projection.items.iter().map(|i| i.column_name()).collect();
-                        rows = run_aggregate(
-                            projection,
-                            *weight_slot,
+                    PlanOp::Aggregate { compiled, weight_slot, .. } => {
+                        rows = run_aggregate(compiled, *weight_slot, &records, &scope);
+                    }
+                    PlanOp::With { compiled, next_slots, .. } => {
+                        let next_width = self.segments[si + 1].bindings.len();
+                        records = run_with(compiled, next_slots, next_width, &records, &scope);
+                    }
+                    PlanOp::Unwind { compiled, slot, .. } => {
+                        records = run_unwind(compiled, *slot, &records, &scope);
+                    }
+                    PlanOp::ProcedureCall { name, compiled, constant_args, outputs, .. } => {
+                        records = run_procedure(
+                            name,
+                            compiled,
+                            *constant_args,
+                            outputs,
                             &records,
-                            bindings,
-                            access.graph(),
-                        );
+                            &scope,
+                        )?;
                     }
-                    PlanOp::With(projection) => {
-                        let next = &self.segments[si + 1].bindings;
-                        records = run_with(projection, &records, bindings, next, access.graph());
+                    PlanOp::Create { compiled, .. } => {
+                        let graph = access.graph_mut()?;
+                        run_create(compiled, &mut records, graph, &mut names, &mut stats);
                     }
-                    PlanOp::Create { patterns } => {
-                        run_create(
-                            patterns,
-                            &mut records,
-                            bindings,
-                            access.graph_mut()?,
-                            &mut stats,
-                        );
+                    PlanOp::Delete { slots, .. } => {
+                        run_delete(slots, &records, access.graph_mut()?, &mut stats);
                     }
-                    PlanOp::Delete { vars, .. } => {
-                        run_delete(vars, &records, bindings, access.graph_mut()?, &mut stats);
-                    }
-                    PlanOp::SetProps { items } => {
-                        run_set(items, &records, bindings, access.graph_mut()?, &mut stats);
-                    }
-                    PlanOp::Unwind { list, slot, .. } => {
-                        records = run_unwind(list, *slot, &records, bindings, access.graph());
-                    }
-                    PlanOp::ProcedureCall { name, args, outputs } => {
-                        records =
-                            run_procedure(name, args, outputs, &records, bindings, access.graph())?;
+                    PlanOp::SetProps { compiled, .. } => {
+                        let graph = access.graph_mut()?;
+                        run_set(compiled, &records, graph, params, &mut names, &mut stats);
                     }
                 }
                 if let Some(profiles) = profiles.as_deref_mut() {
                     // Projections emit rows, every other operator leaves its
                     // output in the record working set.
                     let produced = match op {
-                        PlanOp::Project(_)
+                        PlanOp::Project { .. }
                         | PlanOp::Aggregate { .. }
                         | PlanOp::TraverseCount { .. } => rows.len(),
                         _ => records.len(),
@@ -319,7 +307,7 @@ impl ExecutionPlan {
         // included) sees the merged view. Buffers fold into the main CSRs
         // only when a matrix crosses its flush threshold.
         stats.execution_time = started.elapsed();
-        Ok(ResultSet { columns, rows, stats })
+        Ok(ResultSet { columns: self.columns.clone(), rows, stats })
     }
 }
 
@@ -380,7 +368,7 @@ impl Builder {
         self.segments.push(Segment { bindings, ops });
     }
 
-    fn build(mut self, query: &Query) -> Result<ExecutionPlan, QueryError> {
+    fn build(mut self, query: &Query) -> Result<Vec<Segment>, QueryError> {
         let id_seeks = collect_id_seeks(query);
         for clause in &query.clauses {
             match clause {
@@ -395,18 +383,24 @@ impl Builder {
                     }
                 }
                 Clause::Where(expr) => {
-                    self.ops.push(PlanOp::Filter { expr: expr.clone() });
+                    self.ops
+                        .push(PlanOp::Filter { expr: expr.clone(), compiled: Default::default() });
                 }
                 Clause::Return(projection) => {
                     let agg = projection.items.iter().any(|i| contains_aggregate(&i.expr));
+                    let (projection, compiled) = (projection.clone(), Default::default());
                     self.ops.push(if agg {
-                        PlanOp::Aggregate { projection: projection.clone(), weight_slot: None }
+                        PlanOp::Aggregate { projection, weight_slot: None, compiled }
                     } else {
-                        PlanOp::Project(projection.clone())
+                        PlanOp::Project { projection, compiled }
                     });
                 }
                 Clause::With(projection) => {
-                    self.ops.push(PlanOp::With(projection.clone()));
+                    self.ops.push(PlanOp::With {
+                        projection: projection.clone(),
+                        compiled: Default::default(),
+                        next_slots: Vec::new(),
+                    });
                     self.finish_segment();
                     // The next segment's variables are the projected column names.
                     for item in &projection.items {
@@ -428,7 +422,8 @@ impl Builder {
                             }
                         }
                     }
-                    self.ops.push(PlanOp::Create { patterns: patterns.clone() });
+                    self.ops
+                        .push(PlanOp::Create { patterns: patterns.clone(), compiled: Vec::new() });
                 }
                 Clause::Delete { detach, variables } => {
                     for var in variables {
@@ -436,7 +431,11 @@ impl Builder {
                             return Err(QueryError::UnknownVariable(var.clone()));
                         }
                     }
-                    self.ops.push(PlanOp::Delete { detach: *detach, vars: variables.clone() });
+                    self.ops.push(PlanOp::Delete {
+                        detach: *detach,
+                        vars: variables.clone(),
+                        slots: Vec::new(),
+                    });
                 }
                 Clause::Set(items) => {
                     for item in items {
@@ -444,12 +443,13 @@ impl Builder {
                             return Err(QueryError::UnknownVariable(item.variable.clone()));
                         }
                     }
-                    self.ops.push(PlanOp::SetProps { items: items.clone() });
+                    self.ops.push(PlanOp::SetProps { items: items.clone(), compiled: Vec::new() });
                 }
                 Clause::Unwind { list, variable } => {
                     let slot = self.bindings.slot_or_create(variable);
                     self.ops.push(PlanOp::Unwind {
                         list: list.clone(),
+                        compiled: Default::default(),
                         slot,
                         var: variable.clone(),
                     });
@@ -460,7 +460,7 @@ impl Builder {
             }
         }
         self.finish_segment();
-        Ok(ExecutionPlan { segments: self.segments })
+        Ok(self.segments)
     }
 
     /// Plan a `CALL … YIELD` clause: resolve the procedure, validate arity and
@@ -521,6 +521,8 @@ impl Builder {
         self.ops.push(PlanOp::ProcedureCall {
             name: proc.name.to_string(),
             args: args.to_vec(),
+            compiled: Vec::new(),
+            constant_args: false,
             outputs,
         });
         Ok(())
@@ -576,11 +578,7 @@ impl Builder {
             // Edge property constraints (single hop only).
             if let Some(es) = edge_slot {
                 for (key, lit) in &rel.properties {
-                    self.ops.push(PlanOp::PropFilter {
-                        slot: es,
-                        key: key.clone(),
-                        value: Value::from(lit),
-                    });
+                    self.ops.push(prop_filter(es, key, lit));
                 }
             }
             // Destination constraints apply whether the traversal expands into
@@ -604,6 +602,7 @@ impl Builder {
                 slot,
                 var: var.to_string(),
                 id_expr: id_expr.clone(),
+                compiled: Default::default(),
             });
             // Remaining label/property constraints still apply.
             self.plan_node_constraints(node, slot);
@@ -616,13 +615,13 @@ impl Builder {
                 label: first_label.clone(),
             });
             for label in node.labels.iter().skip(1) {
-                self.ops.push(PlanOp::LabelFilter { slot, label: label.clone() });
+                self.ops.push(label_filter(slot, label));
             }
         } else {
             self.ops.push(PlanOp::AllNodeScan { slot, var: var.to_string() });
         }
         for (key, lit) in &node.properties {
-            self.ops.push(PlanOp::PropFilter { slot, key: key.clone(), value: Value::from(lit) });
+            self.ops.push(prop_filter(slot, key, lit));
         }
     }
 
@@ -630,12 +629,22 @@ impl Builder {
     /// by an earlier pattern.
     fn plan_node_constraints(&mut self, node: &NodePattern, slot: usize) {
         for label in &node.labels {
-            self.ops.push(PlanOp::LabelFilter { slot, label: label.clone() });
+            self.ops.push(label_filter(slot, label));
         }
         for (key, lit) in &node.properties {
-            self.ops.push(PlanOp::PropFilter { slot, key: key.clone(), value: Value::from(lit) });
+            self.ops.push(prop_filter(slot, key, lit));
         }
     }
+}
+
+/// A `LabelFilter` op, compiled with the rest of the plan.
+fn label_filter(slot: usize, label: &str) -> PlanOp {
+    PlanOp::LabelFilter { slot, label: label.to_string(), label_index: 0 }
+}
+
+/// A `PropFilter` op, compiled with the rest of the plan.
+fn prop_filter(slot: usize, key: &str, value: &cypher::Literal) -> PlanOp {
+    PlanOp::PropFilter { slot, key: key.to_string(), key_index: 0, value: Value::from(value) }
 }
 
 /// Split each `WHERE` filter of a segment into its top-level `AND`
@@ -673,7 +682,7 @@ fn place_filters(segment: &mut Segment) {
     let mut floor = 0; // just below the last write seen
     for (i, op) in ops.iter().enumerate() {
         match op {
-            PlanOp::Filter { expr } => {
+            PlanOp::Filter { expr, .. } => {
                 for conjunct in conjuncts(expr) {
                     let mut vars = Vec::new();
                     expr_vars(conjunct, &mut vars);
@@ -700,7 +709,7 @@ fn place_filters(segment: &mut Segment) {
         if let Some(expr) = here.into_iter().reduce(|lhs, rhs| {
             Expr::Binary(cypher::BinaryOperator::And, Box::new(lhs), Box::new(rhs))
         }) {
-            segment.ops.push(PlanOp::Filter { expr });
+            segment.ops.push(PlanOp::Filter { expr, compiled: Default::default() });
         }
         if !matches!(op, PlanOp::Filter { .. }) {
             segment.ops.push(op);
@@ -720,7 +729,7 @@ fn bound_slots(op: &PlanOp, bindings: &Bindings) -> Vec<usize> {
             dst.into_iter().chain(*edge_slot).collect()
         }
         PlanOp::ProcedureCall { outputs, .. } => outputs.iter().map(|&(_, slot)| slot).collect(),
-        PlanOp::Create { patterns } => patterns
+        PlanOp::Create { patterns, .. } => patterns
             .iter()
             .flat_map(|p| {
                 let nodes = p.nodes().into_iter().filter_map(|n| n.variable.as_deref());
@@ -788,43 +797,6 @@ fn collect_id_seeks_expr(expr: &Expr, seeks: &mut HashMap<String, Expr>) {
     }
 }
 
-/// True if `expr` contains a `$parameter` reference anywhere.
-fn expr_has_param(expr: &Expr) -> bool {
-    match expr {
-        Expr::Parameter(_) => true,
-        Expr::Unary(_, inner) => expr_has_param(inner),
-        Expr::Binary(_, lhs, rhs) => expr_has_param(lhs) || expr_has_param(rhs),
-        Expr::FunctionCall { args, .. } => args.iter().any(expr_has_param),
-        Expr::List(items) => items.iter().any(expr_has_param),
-        Expr::Literal(_) | Expr::Variable(_) | Expr::Property(_, _) => false,
-    }
-}
-
-/// Replace every `$name` in `expr` with its value from `params`, recording
-/// the first missing name in `missing`.
-fn substitute_params(expr: &mut Expr, params: &Params, missing: &mut Option<String>) {
-    match expr {
-        Expr::Parameter(name) => match params.get(name.as_str()) {
-            Some(value) => *expr = value.clone(),
-            None => {
-                if missing.is_none() {
-                    *missing = Some(name.clone());
-                }
-            }
-        },
-        Expr::Unary(_, inner) => substitute_params(inner, params, missing),
-        Expr::Binary(_, lhs, rhs) => {
-            substitute_params(lhs, params, missing);
-            substitute_params(rhs, params, missing);
-        }
-        Expr::FunctionCall { args, .. } => {
-            args.iter_mut().for_each(|a| substitute_params(a, params, missing))
-        }
-        Expr::List(items) => items.iter_mut().for_each(|i| substitute_params(i, params, missing)),
-        Expr::Literal(_) | Expr::Variable(_) | Expr::Property(_, _) => {}
-    }
-}
-
 fn match_id_eq(call: &Expr, value: &Expr) -> Option<(String, Expr)> {
     if let Expr::FunctionCall { name, args, .. } = call {
         if name == "id" && args.len() == 1 {
@@ -889,20 +861,30 @@ mod tests {
         assert!(matches!(err, QueryError::UnknownVariable(v) if v == "b"));
     }
 
+    fn params(pairs: &[(&str, Value)]) -> Params {
+        pairs.iter().map(|(name, value)| (name.to_string(), value.clone())).collect()
+    }
+
+    /// Run `plan` read-only against `g` with `pairs` bound.
+    fn run(plan: &ExecutionPlan, g: &Graph, pairs: &[(&str, Value)]) -> Vec<Vec<Value>> {
+        let values = plan.bind(&params(pairs)).unwrap();
+        plan.run(GraphAccess::Read(g), &values, Instant::now(), None).unwrap().rows.to_vec()
+    }
+
     #[test]
     fn bind_substitutes_parameters_at_plan_level() {
-        let p = plan("MATCH (s)-[:L]->(t) WHERE id(s) = $src AND t.name = $name RETURN t");
-        assert!(p.has_params());
-        let params: Params = [
-            ("src".to_string(), Expr::Literal(cypher::Literal::Integer(3))),
-            ("name".to_string(), Expr::Literal(cypher::Literal::Str("x".into()))),
-        ]
-        .into_iter()
-        .collect();
-        let bound = p.bind(&params).unwrap();
-        assert!(!bound.has_params(), "all $refs must be substituted");
-        // The skeleton itself is untouched: it can be re-bound with other values.
-        assert!(p.has_params());
+        let mut g = Graph::new("t");
+        let a = g.add_node(&[], vec![("name", Value::Str("a".into()))]);
+        let b = g.add_node(&[], vec![("name", Value::Str("b".into()))]);
+        g.add_edge(a, b, "L", vec![]).unwrap();
+        let p = plan("MATCH (s)-[:L]->(t) WHERE id(s) = $src AND t.name = $name RETURN id(t)");
+        assert_eq!(p.params, ["src", "name"]);
+        let hit = [("src", Value::Int(0)), ("name", Value::Str("b".into()))];
+        assert_eq!(run(&p, &g, &hit), vec![vec![Value::Int(1)]]);
+        // One plan serves every binding: nothing is substituted into it.
+        let miss = [("src", Value::Int(0)), ("name", Value::Str("x".into()))];
+        assert!(run(&p, &g, &miss).is_empty());
+        assert_eq!(run(&p, &g, &hit), vec![vec![Value::Int(1)]]);
     }
 
     #[test]
@@ -910,32 +892,56 @@ mod tests {
         let p = plan("MATCH (s) WHERE id(s) = $src RETURN s");
         let err = p.bind(&Params::new()).unwrap_err();
         assert!(matches!(&err, QueryError::Type(m) if m.contains("$src")), "{err}");
+        // Values bound for another plan are refused, not misread.
+        let other = plan("RETURN 1").bind(&Params::new()).unwrap();
+        let g = Graph::new("t");
+        assert!(p.run(GraphAccess::Read(&g), &other, Instant::now(), None).is_err());
     }
 
     #[test]
     fn params_reach_every_expression_position() {
         // UNWIND list, projection item, ORDER BY key, and SET value.
-        let p = plan("UNWIND $xs AS x RETURN x + $inc AS y ORDER BY $inc");
-        assert!(p.has_params());
-        let params: Params = [
-            (
-                "xs".to_string(),
-                Expr::List(vec![
-                    Expr::Literal(cypher::Literal::Integer(1)),
-                    Expr::Literal(cypher::Literal::Integer(2)),
-                ]),
-            ),
-            ("inc".to_string(), Expr::Literal(cypher::Literal::Integer(10))),
-        ]
-        .into_iter()
-        .collect();
-        assert!(!p.bind(&params).unwrap().has_params());
+        let p = plan("UNWIND $xs AS x RETURN x + $inc AS y ORDER BY $inc - x");
+        let xs = Value::List(vec![Value::Int(1), Value::Int(2)]);
+        let rows = run(&p, &Graph::new("t"), &[("xs", xs), ("inc", Value::Int(10))]);
+        assert_eq!(rows, vec![vec![Value::Int(12)], vec![Value::Int(11)]]);
 
+        let mut g = Graph::new("t");
+        g.add_node(&[], vec![]);
         let p = plan("MATCH (a) SET a.v = $v");
-        assert!(p.has_params());
-        let params: Params =
-            [("v".to_string(), Expr::Literal(cypher::Literal::Integer(1)))].into_iter().collect();
-        assert!(!p.bind(&params).unwrap().has_params());
+        let values = p.bind(&params(&[("v", Value::Int(1))])).unwrap();
+        p.run(GraphAccess::Write(&mut g), &values, Instant::now(), None).unwrap();
+        assert_eq!(g.node_property(0, "v"), Value::Int(1));
+    }
+
+    #[test]
+    fn unbound_parameters_are_an_error_in_process() {
+        let mut g = Graph::new("t");
+        g.add_node(&[], vec![]);
+        let missing = "type error: missing query parameter `$x`";
+        for query in [
+            "RETURN $x",
+            "MATCH (n) WHERE id(n) = $x RETURN n",
+            "MATCH (n)-[*1..2]->(m) WHERE id(n) = 0 RETURN count(m) ORDER BY $x",
+        ] {
+            assert_eq!(g.query(query).unwrap_err().to_string(), missing, "{query}");
+            assert_eq!(g.query_readonly(query).unwrap_err().to_string(), missing, "{query}");
+            assert_eq!(g.profile(query).unwrap_err().to_string(), missing, "{query}");
+        }
+    }
+
+    #[test]
+    fn names_created_after_planning_are_read() {
+        let mut g = Graph::new("t");
+        g.add_node(&["A"], vec![]);
+        let p = plan("MATCH (n:A:B) WHERE n.fresh = 7 RETURN n.fresh");
+        assert!(run(&p, &g, &[]).is_empty());
+        g.query("MATCH (n:A) SET n.fresh = 7").unwrap();
+        g.query("CREATE (:A:B {fresh: 7})").unwrap();
+        assert_eq!(run(&p, &g, &[]), vec![vec![Value::Int(7)]]);
+        // A key created by a write is read by the same execution's later ops.
+        let rows = g.query("MATCH (n:B) SET n.late = 1, n.later = n.late + 1 RETURN n.later");
+        assert_eq!(rows.unwrap().rows.to_vec(), vec![vec![Value::Int(2)]]);
     }
 
     #[test]

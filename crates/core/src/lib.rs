@@ -36,7 +36,7 @@ pub mod store;
 pub mod value;
 
 pub use error::QueryError;
-pub use exec::plan::{format_profile, ExecutionPlan, GraphAccess, OpProfile, Params};
+pub use exec::plan::{format_profile, ExecutionPlan, GraphAccess, OpProfile, ParamValues, Params};
 pub use exec::resultset::{QueryStats, ResultSet};
 pub use store::graph::{Graph, GraphSnapshot, TraverseDir};
 pub use value::{EquivKey, Value};

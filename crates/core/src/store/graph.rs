@@ -40,7 +40,7 @@
 //! when its last snapshot drops.
 
 use crate::error::QueryError;
-use crate::exec::plan::{ExecutionPlan, GraphAccess, OpProfile};
+use crate::exec::plan::{ExecutionPlan, GraphAccess, OpProfile, ParamValues, Params};
 use crate::exec::resultset::ResultSet;
 use crate::store::datablock::DataBlock;
 use crate::store::entity::{AttributeSet, EdgeEntity, NodeEntity};
@@ -254,10 +254,12 @@ impl Graph {
 
     // ------------------------------------------------------------- queries
 
-    /// Parse, plan and execute an openCypher query against this graph.
+    /// Parse, plan and execute an openCypher query against this graph. The
+    /// query takes no parameters: a `$name` in it is an error.
     pub fn query(&mut self, text: &str) -> Result<ResultSet, QueryError> {
         let plan = ExecutionPlan::build(&cypher::parse(text)?)?;
-        plan.run(GraphAccess::Write(self), Instant::now(), None)
+        let params = plan.bind(&Params::new())?;
+        plan.run(GraphAccess::Write(self), &params, Instant::now(), None)
     }
 
     /// Parse, plan and execute a query with per-operator instrumentation
@@ -266,8 +268,10 @@ impl Graph {
     /// would.
     pub fn profile(&mut self, text: &str) -> Result<(ResultSet, Vec<OpProfile>), QueryError> {
         let plan = ExecutionPlan::build(&cypher::parse(text)?)?;
+        let params = plan.bind(&Params::new())?;
         let mut profiles = Vec::new();
-        let rs = plan.run(GraphAccess::Write(self), Instant::now(), Some(&mut profiles))?;
+        let rs =
+            plan.run(GraphAccess::Write(self), &params, Instant::now(), Some(&mut profiles))?;
         Ok((rs, profiles))
     }
 
@@ -276,7 +280,8 @@ impl Graph {
     /// readers go through [`Graph::snapshot`] instead and never block.
     pub fn query_readonly(&self, text: &str) -> Result<ResultSet, QueryError> {
         let plan = ExecutionPlan::build(&cypher::parse(text)?)?;
-        plan.run(GraphAccess::Read(self), Instant::now(), None)
+        let params = plan.bind(&Params::new())?;
+        plan.run(GraphAccess::Read(self), &params, Instant::now(), None)
     }
 
     /// Build the execution plan for a query without running it
@@ -319,7 +324,7 @@ impl Graph {
     }
 
     /// Get or create an attribute (property key) id.
-    fn attribute_id_or_create(&mut self, name: &str) -> AttributeId {
+    pub(crate) fn attribute_id_or_create(&mut self, name: &str) -> AttributeId {
         self.schema_id(Schema::attribute_id, Schema::attribute_id_or_create, name)
     }
 
@@ -345,18 +350,30 @@ impl Graph {
     /// Create a node with labels and properties; returns its id.
     pub fn add_node(&mut self, labels: &[&str], props: Vec<(&str, Value)>) -> NodeId {
         let label_ids: Vec<LabelId> = labels.iter().map(|l| self.label_id_or_create(l)).collect();
+        let attrs = self.attribute_set(props);
+        self.create_node(label_ids, attrs)
+    }
+
+    /// Create a node from label ids (each made by
+    /// [`Graph::label_id_or_create`]) and attributes; returns its id.
+    pub(crate) fn create_node(&mut self, labels: Vec<LabelId>, attributes: AttributeSet) -> NodeId {
+        let id = self.nodes.insert(NodeEntity { labels: labels.clone(), attributes });
+        self.ensure_dim(id + 1);
+        for label in labels {
+            self.label_matrices[label].set_element(id, id, true);
+        }
+        self.epoch += 1;
+        id
+    }
+
+    /// Named properties as an attribute set, creating keys as needed.
+    fn attribute_set(&mut self, props: Vec<(&str, Value)>) -> AttributeSet {
         let mut attrs = AttributeSet::new();
         for (key, value) in props {
             let attr = self.attribute_id_or_create(key);
             attrs.set(attr, value);
         }
-        let id = self.nodes.insert(NodeEntity { labels: label_ids.clone(), attributes: attrs });
-        self.ensure_dim(id + 1);
-        for label in label_ids {
-            self.label_matrices[label].set_element(id, id, true);
-        }
-        self.epoch += 1;
-        id
+        attrs
     }
 
     /// Create an edge of the given relationship type; returns its id.
@@ -374,12 +391,20 @@ impl Graph {
             return Err(QueryError::Internal(format!("destination node {dst} does not exist")));
         }
         let rel = self.rel_type_id_or_create(rel_type);
-        let mut attrs = AttributeSet::new();
-        for (key, value) in props {
-            let attr = self.attribute_id_or_create(key);
-            attrs.set(attr, value);
-        }
-        let id = self.edges.insert(EdgeEntity { src, dst, rel_type: rel, attributes: attrs });
+        let attrs = self.attribute_set(props);
+        Ok(self.create_edge(src, dst, rel, attrs))
+    }
+
+    /// Create an edge between two live nodes, of a relationship type id
+    /// made by [`Graph::rel_type_id_or_create`]; returns its id.
+    pub(crate) fn create_edge(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        rel: RelTypeId,
+        attributes: AttributeSet,
+    ) -> EdgeId {
+        let id = self.edges.insert(EdgeEntity { src, dst, rel_type: rel, attributes });
         match self.relation_matrices[rel].extract_element(src, dst) {
             // First edge of this type between the endpoints: the cell is its id.
             None => self.set_cell(rel, src, dst, id),
@@ -396,7 +421,7 @@ impl Graph {
             }
         }
         self.epoch += 1;
-        Ok(id)
+        id
     }
 
     /// Write `cell` at `(src, dst)` of relation `rel` and at `(dst, src)` of
@@ -487,15 +512,20 @@ impl Graph {
         self.nodes.get(id).map(|n| n.attributes.get(attr)).unwrap_or(Value::Null)
     }
 
-    /// Read an edge property by name.
-    pub fn edge_property(&self, id: EdgeId, key: &str) -> Value {
-        let Some(attr) = self.schema.attribute_id(key) else { return Value::Null };
-        self.edges.get(id).map(|e| e.attributes.get(attr)).unwrap_or(Value::Null)
-    }
-
     /// Set a node property; returns false if the node does not exist.
     pub fn set_node_property(&mut self, id: NodeId, key: &str, value: Value) -> bool {
         let attr = self.attribute_id_or_create(key);
+        self.set_node_attribute(id, attr, value)
+    }
+
+    /// Set a node attribute by key id; returns false if the node does not
+    /// exist.
+    pub(crate) fn set_node_attribute(
+        &mut self,
+        id: NodeId,
+        attr: AttributeId,
+        value: Value,
+    ) -> bool {
         match self.nodes.get_mut(id) {
             Some(n) => {
                 n.attributes.set(attr, value);
@@ -506,9 +536,14 @@ impl Graph {
         }
     }
 
-    /// Set an edge property; returns false if the edge does not exist.
-    pub fn set_edge_property(&mut self, id: EdgeId, key: &str, value: Value) -> bool {
-        let attr = self.attribute_id_or_create(key);
+    /// Set an edge attribute by key id; returns false if the edge does not
+    /// exist.
+    pub(crate) fn set_edge_attribute(
+        &mut self,
+        id: EdgeId,
+        attr: AttributeId,
+        value: Value,
+    ) -> bool {
         match self.edges.get_mut(id) {
             Some(e) => {
                 e.attributes.set(attr, value);
@@ -528,14 +563,6 @@ impl Graph {
     pub fn nodes_with_label(&self, label: &str) -> Vec<NodeId> {
         let Some(id) = self.schema.label_id(label) else { return Vec::new() };
         self.label_matrices[id].to_triples().into_iter().map(|(r, _, _)| r).collect()
-    }
-
-    /// Whether the node carries the label (by name).
-    pub fn node_has_label(&self, node: NodeId, label: &str) -> bool {
-        match self.schema.label_id(label) {
-            Some(id) => self.nodes.get(node).map(|n| n.has_label(id)).unwrap_or(false),
-            None => false,
-        }
     }
 
     /// The combined boolean adjacency matrix: the structural union of every
@@ -886,17 +913,19 @@ impl GraphSnapshot {
         GraphSnapshot { graph }
     }
 
-    /// Run an already-built **read-only** plan against the pinned state (see
-    /// [`ExecutionPlan::run`] for `started` and `profiles`). The server's
-    /// plan cache goes through here: the skeleton is planned once, then bound
-    /// and executed per request without re-parse or re-plan.
+    /// Run an already-built **read-only** plan against the pinned state with
+    /// its bound `params` (see [`ExecutionPlan::run`] for `started` and
+    /// `profiles`). The server's plan cache goes through here: the plan is
+    /// built once, then bound and executed in place per request, without
+    /// re-parse, re-plan or copy.
     pub fn run(
         &self,
         plan: &ExecutionPlan,
+        params: &ParamValues,
         started: Instant,
         profiles: Option<&mut Vec<OpProfile>>,
     ) -> Result<ResultSet, QueryError> {
-        plan.run(GraphAccess::Read(&self.graph), started, profiles)
+        plan.run(GraphAccess::Read(&self.graph), params, started, profiles)
     }
 }
 
@@ -924,6 +953,11 @@ mod tests {
         g
     }
 
+    /// Property `key` of edge `id` (`Null` when absent).
+    fn edge_property(g: &Graph, id: EdgeId, key: &str) -> Value {
+        crate::exec::expr::property(g, &Value::Edge(id), g.schema.attribute_id(key))
+    }
+
     #[test]
     fn add_nodes_and_edges() {
         let g = triangle();
@@ -931,9 +965,10 @@ mod tests {
         assert_eq!(g.edge_count(), 3);
         assert_eq!(g.node_property(0, "name"), Value::Str("a".into()));
         assert_eq!(g.node_property(0, "missing"), Value::Null);
-        assert_eq!(g.edge_property(2, "since"), Value::Int(2020));
-        assert!(g.node_has_label(0, "Person"));
-        assert!(!g.node_has_label(2, "Person"));
+        assert_eq!(edge_property(&g, 2, "since"), Value::Int(2020));
+        let person = g.schema.label_id("Person").unwrap();
+        assert!(g.node(0).unwrap().has_label(person));
+        assert!(!g.node(2).unwrap().has_label(person));
         assert_eq!(g.nodes_with_label("Person"), vec![0, 1]);
         assert_eq!(g.nodes_with_label("Nope"), Vec::<u64>::new());
     }
@@ -1072,8 +1107,9 @@ mod tests {
         let mut g = triangle();
         assert!(g.set_node_property(0, "age", Value::Int(40)));
         assert_eq!(g.node_property(0, "age"), Value::Int(40));
-        assert!(g.set_edge_property(0, "w", Value::Float(0.5)));
-        assert_eq!(g.edge_property(0, "w"), Value::Float(0.5));
+        let w = g.attribute_id_or_create("w");
+        assert!(g.set_edge_attribute(0, w, Value::Float(0.5)));
+        assert_eq!(edge_property(&g, 0, "w"), Value::Float(0.5));
         assert!(!g.set_node_property(99, "x", Value::Int(1)));
     }
 
@@ -1112,7 +1148,7 @@ mod tests {
         let e2 = g.add_edge(a, b, "L", vec![("w", Value::Int(1))]).unwrap();
         assert_eq!(e2, e, "freed edge id must be recycled");
         assert_eq!(g.neighbors(a, None, TraverseDir::Outgoing), vec![(b, e2)]);
-        assert_eq!(g.edge_property(e2, "w"), Value::Int(1));
+        assert_eq!(edge_property(&g, e2, "w"), Value::Int(1));
         g.sync_matrices();
         assert_eq!(g.neighbors(a, None, TraverseDir::Outgoing), vec![(b, e2)]);
         assert_eq!(g.adjacency_matrix().nvals(), 1);

@@ -23,7 +23,7 @@ fn build(query: &str) -> Arc<CachedPlan> {
     let ast = cypher::parse(query).expect("suite queries parse");
     let read_only = ast.is_read_only();
     let plan = ExecutionPlan::build(&ast).expect("suite queries plan");
-    Arc::new(CachedPlan { has_params: plan.has_params(), plan: Arc::new(plan), read_only })
+    Arc::new(CachedPlan { plan: Arc::new(plan), read_only })
 }
 
 /// Concurrent misses racing their inserts into a capacity-1 cache: the

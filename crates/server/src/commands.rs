@@ -1,7 +1,7 @@
 //! The `GRAPH.*` module commands and their RESP encodings.
 
 use crate::resp::{push_bulk, push_header, push_integer, push_null, RespValue};
-use cypher::{Expr, Literal, Token, TokenKind};
+use cypher::{Token, TokenKind};
 use redisgraph_core::{Params, QueryStats, ResultSet, Value};
 use std::fmt::Write;
 
@@ -236,7 +236,7 @@ fn parse_param_literal(
     i: &mut usize,
     name: &str,
     depth: usize,
-) -> Result<Expr, String> {
+) -> Result<Value, String> {
     let unexpected = |found: &TokenKind| {
         format!(
             "invalid value for parameter `{name}`: expected a literal \
@@ -246,18 +246,18 @@ fn parse_param_literal(
     let kind = &tokens[*i].kind;
     *i += 1;
     match kind {
-        TokenKind::Integer(v) => Ok(Expr::Literal(Literal::Integer(*v))),
-        TokenKind::Float(v) => Ok(Expr::Literal(Literal::Float(*v))),
-        TokenKind::Str(s) => Ok(Expr::Literal(Literal::Str(s.clone()))),
-        TokenKind::Keyword("TRUE") => Ok(Expr::Literal(Literal::Bool(true))),
-        TokenKind::Keyword("FALSE") => Ok(Expr::Literal(Literal::Bool(false))),
-        TokenKind::Keyword("NULL") => Ok(Expr::Literal(Literal::Null)),
+        TokenKind::Integer(v) => Ok(Value::Int(*v)),
+        TokenKind::Float(v) => Ok(Value::Float(*v)),
+        TokenKind::Str(s) => Ok(Value::Str(s.to_string())),
+        TokenKind::Keyword("TRUE") => Ok(Value::Bool(true)),
+        TokenKind::Keyword("FALSE") => Ok(Value::Bool(false)),
+        TokenKind::Keyword("NULL") => Ok(Value::Null),
         TokenKind::Dash => {
             let negated = &tokens[*i].kind;
             *i += 1;
             match negated {
-                TokenKind::Integer(v) => Ok(Expr::Literal(Literal::Integer(-v))),
-                TokenKind::Float(v) => Ok(Expr::Literal(Literal::Float(-v))),
+                TokenKind::Integer(v) => Ok(Value::Int(-v)),
+                TokenKind::Float(v) => Ok(Value::Float(-v)),
                 other => Err(unexpected(other)),
             }
         }
@@ -270,7 +270,7 @@ fn parse_param_literal(
             let mut items = Vec::new();
             if tokens[*i].kind == TokenKind::RBracket {
                 *i += 1;
-                return Ok(Expr::List(items));
+                return Ok(Value::List(items));
             }
             loop {
                 items.push(parse_param_literal(tokens, i, name, depth + 1)?);
@@ -278,7 +278,7 @@ fn parse_param_literal(
                 *i += 1;
                 match sep {
                     TokenKind::Comma => {}
-                    TokenKind::RBracket => return Ok(Expr::List(items)),
+                    TokenKind::RBracket => return Ok(Value::List(items)),
                     other => {
                         return Err(format!(
                             "invalid value for parameter `{name}`: expected `,` or `]` \
@@ -479,12 +479,12 @@ mod tests {
         )
         .unwrap();
         assert_eq!(body, "MATCH (s) WHERE id(s) = $src RETURN s");
-        assert_eq!(params["src"], Expr::Literal(Literal::Integer(7)));
-        assert_eq!(params["name"], Expr::Literal(Literal::Str("Ann".into())));
-        assert_eq!(params["ratio"], Expr::Literal(Literal::Float(0.5)));
-        assert_eq!(params["neg"], Expr::Literal(Literal::Integer(-3)));
-        assert_eq!(params["ok"], Expr::Literal(Literal::Bool(true)));
-        assert_eq!(params["gone"], Expr::Literal(Literal::Null));
+        assert_eq!(params["src"], Value::Int(7));
+        assert_eq!(params["name"], Value::Str("Ann".into()));
+        assert_eq!(params["ratio"], Value::Float(0.5));
+        assert_eq!(params["neg"], Value::Int(-3));
+        assert_eq!(params["ok"], Value::Bool(true));
+        assert_eq!(params["gone"], Value::Null);
         assert_eq!(params.len(), 6);
     }
 
@@ -493,15 +493,8 @@ mod tests {
         let (params, body) =
             split_cypher_params("cypher xs=[1, 2, 3] empty=[] UNWIND $xs AS x RETURN x").unwrap();
         assert_eq!(body, "UNWIND $xs AS x RETURN x");
-        assert_eq!(
-            params["xs"],
-            Expr::List(vec![
-                Expr::Literal(Literal::Integer(1)),
-                Expr::Literal(Literal::Integer(2)),
-                Expr::Literal(Literal::Integer(3)),
-            ])
-        );
-        assert_eq!(params["empty"], Expr::List(vec![]));
+        assert_eq!(params["xs"], Value::List(vec![Value::Int(1), Value::Int(2), Value::Int(3)]));
+        assert_eq!(params["empty"], Value::List(vec![]));
     }
 
     #[test]

@@ -22,9 +22,9 @@
 use crate::commands::split_cypher_header;
 use crate::metrics::Metrics;
 use crossbeam::atomic::Ordering;
-use cypher::{line_col, Expr, Lexer, Literal, Query, Token, TokenKind};
+use cypher::{line_col, Lexer, Literal, Query, Token, TokenKind};
 use parking_lot::Mutex;
-use redisgraph_core::{ExecutionPlan, Params, QueryError};
+use redisgraph_core::{ExecutionPlan, Params, QueryError, Value};
 use std::collections::HashMap;
 use std::fmt::Write;
 use std::sync::Arc;
@@ -34,15 +34,13 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct CachedPlan {
     /// The compiled plan. Parameter references (`$name`, and the
-    /// placeholders of lifted literals) are still symbolic; executions with
-    /// parameters bind a private copy first ([`ExecutionPlan::bind`]).
+    /// placeholders of lifted literals) index its parameter table: each
+    /// execution binds its own values ([`ExecutionPlan::bind`]) and runs
+    /// the shared plan in place.
     pub plan: Arc<ExecutionPlan>,
     /// Whether the query is read-only (epoch-snapshot path) or a write
     /// (exclusive-lock path) — classified once, at plan time.
     pub read_only: bool,
-    /// True if the plan contains `$name` references and must be bound before
-    /// executing. False lets parameter-free hits skip the bind clone.
-    pub has_params: bool,
 }
 
 #[derive(Debug)]
@@ -128,8 +126,8 @@ impl PlanCache {
 pub(crate) struct KeyedQuery<'q> {
     /// The plan-cache key: the body's token shape (see [`normalize`]).
     pub(crate) key: String,
-    /// What [`ExecutionPlan::bind`] substitutes: the `CYPHER` header's
-    /// values, plus one placeholder per literal lifted out of the key.
+    /// What [`ExecutionPlan::bind`] reads: the `CYPHER` header's values,
+    /// plus one placeholder per literal lifted out of the key.
     pub(crate) params: Params,
     /// The body, parsed on a cache miss.
     pub(crate) body: QueryBody<'q>,
@@ -244,7 +242,7 @@ fn shape_key(tokens: &mut [Token<'_>], params: &mut Params, lift: bool) -> Strin
         let name = format!("{PLACEHOLDER}{lifted}");
         lifted += 1;
         tokens[i].kind = TokenKind::Parameter(name.clone().into());
-        params.insert(name, Expr::Literal(literal));
+        params.insert(name, Value::from(&literal));
         key.push(PLACEHOLDER);
     }
     key
@@ -295,7 +293,7 @@ mod tests {
         let ast = cypher::parse(query).unwrap();
         let read_only = ast.is_read_only();
         let plan = ExecutionPlan::build(&ast).unwrap();
-        Arc::new(CachedPlan { has_params: plan.has_params(), plan: Arc::new(plan), read_only })
+        Arc::new(CachedPlan { plan: Arc::new(plan), read_only })
     }
 
     #[test]
@@ -342,7 +340,7 @@ mod tests {
             "MATCH ( `s` : `Node` { `id` : - 3 } ) - [ * 1 .. 2 ] - > ( `t` ) WHERE `s` . `v` = ? \
              AND `t` . `w` > - ? RETURN `t` , ? ORDER BY `t` . `w` SKIP 2 LIMIT 4"
         );
-        let lit = |l: Literal| Expr::Literal(l);
+        let lit = |l: Literal| Value::from(&l);
         assert_eq!(keyed.params.len(), 3);
         assert_eq!(keyed.params["?0"], lit(Literal::Str("x".into())));
         assert_eq!(keyed.params["?1"], lit(Literal::Float(1.5)));
@@ -374,8 +372,8 @@ mod tests {
         // reference it: the lifted literal wins.
         let keyed = KeyedQuery::new("CYPHER `?0`=99 p=1 RETURN 5, $p", true).unwrap();
         assert_eq!(keyed.key, "RETURN ? , $p");
-        assert_eq!(keyed.params["?0"], Expr::Literal(Literal::Integer(5)));
-        assert_eq!(keyed.params["p"], Expr::Literal(Literal::Integer(1)));
+        assert_eq!(keyed.params["?0"], Value::Int(5));
+        assert_eq!(keyed.params["p"], Value::Int(1));
         assert!(KeyedQuery::new("CYPHER p=MATCH RETURN 1", true).is_err());
     }
 
@@ -408,7 +406,7 @@ mod tests {
         assert!(KeyedQuery::new("CYPHER k=99999999999999999999 RETURN $k", false).is_err());
         // In range, the same header binds its value.
         let keyed = KeyedQuery::new("CYPHER k=9223372036854775807 RETURN $k", true).unwrap();
-        assert_eq!(keyed.params["k"], Expr::Literal(Literal::Integer(i64::MAX)));
+        assert_eq!(keyed.params["k"], Value::Int(i64::MAX));
     }
 
     #[test]

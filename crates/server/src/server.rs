@@ -220,11 +220,7 @@ impl GraphEntry {
             Dispatched::Parsed(ast) => ast,
         };
         let plan = ExecutionPlan::build(&ast)?;
-        let skeleton = Arc::new(CachedPlan {
-            read_only: ast.is_read_only(),
-            has_params: plan.has_params(),
-            plan: Arc::new(plan),
-        });
+        let skeleton = Arc::new(CachedPlan { read_only: ast.is_read_only(), plan: Arc::new(plan) });
         self.plan_cache.insert(key.to_string(), Arc::clone(&skeleton), metrics);
         Ok((skeleton, false))
     }
@@ -416,6 +412,11 @@ impl RedisGraphServer {
         let (tx, rx) = bounded(1);
         self.submit(graph, query, profile, tx);
         match rx.recv() {
+            // A reply at least as large as the empty batch buffer's room
+            // becomes the buffer: a large result set is not copied a second
+            // time, and no room later replies of a pipelined batch would
+            // append into is given up for a smaller one.
+            Ok(reply) if out.is_empty() && reply.capacity() >= out.capacity() => *out = reply,
             Ok(reply) => out.extend_from_slice(&reply),
             Err(_) => error_reply(&"query worker exited").encode_into(out),
         }
@@ -492,16 +493,10 @@ impl RedisGraphServer {
             let mut reply = Vec::new();
             let outcome: Result<(), Box<dyn std::error::Error>> = (|| {
                 // Resolve the skeleton (cache hit, or build + insert), then
-                // bind parameters into a private copy when the plan
-                // references any.
+                // read its parameter values; the shared plan runs in place.
                 let (skeleton, was_cached) = entry.resolve_plan(&key, dispatched, &metrics)?;
-                let bound;
-                let plan: &ExecutionPlan = if skeleton.has_params {
-                    bound = skeleton.plan.bind(&params)?;
-                    &bound
-                } else {
-                    &skeleton.plan
-                };
+                let plan: &ExecutionPlan = &skeleton.plan;
+                let params = plan.bind(&params)?;
                 let mut profiles = profile.then(Vec::new);
                 let mut rs = if skeleton.read_only {
                     // Pin the current epoch's sealed snapshot (cached per
@@ -512,7 +507,7 @@ impl RedisGraphServer {
                     // buffered, and the snapshot reads them in place through
                     // merged views.
                     metrics.queries_readonly.fetch_add(1, Ordering::Relaxed);
-                    entry.snapshot(&metrics).run(plan, started, profiles.as_mut())?
+                    entry.snapshot(&metrics).run(plan, &params, started, profiles.as_mut())?
                 } else {
                     metrics.queries_write.fetch_add(1, Ordering::Relaxed);
                     let mut g = entry.graph.write();
@@ -521,7 +516,7 @@ impl RedisGraphServer {
                     if entry.deleted.load(Ordering::SeqCst) {
                         return Err(format!("graph `{}` was deleted", g.name()).into());
                     }
-                    plan.run(GraphAccess::Write(&mut g), started, profiles.as_mut())?
+                    plan.run(GraphAccess::Write(&mut g), &params, started, profiles.as_mut())?
                 };
                 match profiles {
                     Some(profiles) => RespValue::Array(
@@ -1148,7 +1143,7 @@ mod tests {
         assert_eq!(first_cell(&ann), RespValue::BulkString("Ann".into()));
         assert!(!cached_flag(&ann));
         // Different binding, same shape: the skeleton is reused and the new
-        // value is substituted at execution time, not spliced into the text.
+        // value is bound at execution time, not spliced into the text.
         let bob = server
             .query("g", "CYPHER who='Bob' MATCH (p:Person) WHERE p.name = $who RETURN p.name");
         assert_eq!(first_cell(&bob), RespValue::BulkString("Bob".into()));

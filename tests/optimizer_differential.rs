@@ -18,7 +18,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use redisgraph_core::{ExecutionPlan, Graph, GraphAccess, Value};
+use redisgraph_core::{ExecutionPlan, Graph, GraphAccess, ParamValues, Params, Value};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -138,11 +138,16 @@ fn plan(optimize: bool, query: &str) -> ExecutionPlan {
     build(&ast).expect("query plans")
 }
 
+/// The parameter values of a plan that takes none.
+fn unbound(plan: &ExecutionPlan) -> ParamValues {
+    plan.bind(&Params::new()).expect("no parameters")
+}
+
 /// Run one query and return its rows as a sorted multiset of debug strings.
 fn sorted_rows(g: &mut Graph, optimize: bool, query: &str) -> Vec<String> {
-    let rs = plan(optimize, query)
-        .run(GraphAccess::Write(g), Instant::now(), None)
-        .expect("query executes");
+    let plan = plan(optimize, query);
+    let rs = plan.run(GraphAccess::Write(g), &unbound(&plan), Instant::now(), None);
+    let rs = rs.expect("query executes");
     sorted(&rs.rows.to_vec())
 }
 
@@ -248,7 +253,8 @@ fn dirty_graph() -> Graph {
 fn flushed_oracle(g: &Graph, query: &str) -> Vec<String> {
     let mut flushed = g.clone();
     flushed.sync_matrices();
-    let rs = plan(false, query).run(GraphAccess::Read(&flushed), Instant::now(), None).unwrap();
+    let plan = plan(false, query);
+    let rs = plan.run(GraphAccess::Read(&flushed), &unbound(&plan), Instant::now(), None).unwrap();
     sorted(&rs.rows.to_vec())
 }
 
@@ -261,7 +267,8 @@ fn count_pushdown_reads_unflushed_snapshots() {
     let g = dirty_graph();
     let snap = g.snapshot();
     for query in COUNT_PUSHDOWN {
-        let pushed = snap.run(&plan(true, query), Instant::now(), None).unwrap();
+        let plan = plan(true, query);
+        let pushed = snap.run(&plan, &unbound(&plan), Instant::now(), None).unwrap();
         assert_eq!(sorted(&pushed.rows.to_vec()), flushed_oracle(&g, query), "{query}");
     }
     assert!(g.has_pending_deltas(), "read-only queries must not flush");
@@ -275,8 +282,9 @@ fn count_pushdown_through_write_access_folds_nothing() {
     let flushes = g.delta_flush_count();
     for query in COUNT_PUSHDOWN {
         let oracle = flushed_oracle(&g, query);
+        let plan = plan(true, query);
         let pushed =
-            plan(true, query).run(GraphAccess::Write(&mut g), Instant::now(), None).unwrap();
+            plan.run(GraphAccess::Write(&mut g), &unbound(&plan), Instant::now(), None).unwrap();
         assert_eq!(sorted(&pushed.rows.to_vec()), oracle, "{query}");
     }
     assert!(g.has_pending_deltas(), "a read through write access must not flush");
@@ -299,7 +307,7 @@ fn fusion_reads_unflushed_snapshots() {
             continue;
         }
         fused_shapes += 1;
-        let rows = snap.run(&fused, Instant::now(), None).unwrap().rows.to_vec();
+        let rows = snap.run(&fused, &unbound(&fused), Instant::now(), None).unwrap().rows.to_vec();
         assert_eq!(sorted(&rows), flushed_oracle(&g, query), "{query}");
     }
     assert!(fused_shapes >= 21, "queries() has 21 fused shapes, {fused_shapes} planned fused");

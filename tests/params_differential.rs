@@ -11,9 +11,9 @@
 //!
 //! The comparisons run through the full in-process server so the plan cache
 //! sits in the loop: a cache that leaked one binding's value into another
-//! execution, or a substitution pass that missed an expression position
-//! (filters, projections, ORDER BY, UNWIND lists, SET values, procedure and
-//! aggregate arguments), would diverge from the reference.
+//! execution, or a compile step that missed a parameter in some expression
+//! position (filters, projections, ORDER BY, UNWIND lists, SET values,
+//! procedure and aggregate arguments), would diverge from the reference.
 
 use proptest::prelude::*;
 use redisgraph_server::{RedisGraphServer, RespValue, ServerConfig, DEFAULT_PLAN_CACHE_SIZE};
@@ -69,8 +69,7 @@ fn cached_flag(reply: &RespValue) -> bool {
 }
 
 /// The query shapes under test, as (parameter spelling, literal spelling)
-/// pairs covering every expression position `ExecutionPlan::bind`
-/// substitutes into.
+/// pairs covering every expression position a `$name` is read from.
 fn query_pairs(int_v: i64, name: &str, list: &[i64]) -> Vec<(String, String)> {
     let list_lit =
         format!("[{}]", list.iter().map(|v| v.to_string()).collect::<Vec<_>>().join(", "));
@@ -331,4 +330,51 @@ fn a_header_parameter_spelled_like_a_placeholder_does_not_collide_with_one() {
     let reply = server.query("g", "RETURN $?0 AS lit");
     let RespValue::Error(message) = reply else { panic!("expected an error, got {reply}") };
     assert!(message.contains("E_EMPTY_PARAMETER"), "{message}");
+}
+
+#[test]
+fn names_created_after_a_plan_was_cached_are_read() {
+    // A cached plan names property keys and labels by index into its own
+    // name table; each execution resolves that table against the graph it
+    // reads. A key or label created after the plan was cached must be read
+    // by the next execution of the cached plan, exactly as a server that
+    // plans every query afresh reads it.
+    let cached = seeded_server(6, DEFAULT_PLAN_CACHE_SIZE);
+    let reference = seeded_server(6, 0);
+    let reads = [
+        "MATCH (n:Node) WHERE n.id = 1 RETURN n.fresh",
+        "MATCH (n:Node) WHERE n.fresh = 7 RETURN n.id ORDER BY n.id",
+        "MATCH (n:Node:Fresh) RETURN n.id, n.fresh ORDER BY n.id",
+        "MATCH (a:Node)-[:LINK]->(b:Node:Fresh) RETURN a.id, b.id ORDER BY a.id",
+    ];
+    let run_reads = |pass: &str| -> Vec<RespValue> {
+        reads
+            .iter()
+            .map(|query| {
+                let got = cached.query("g", query);
+                assert_eq!(cached_flag(&got), pass == "after", "{pass}: {query}");
+                assert_eq!(comparable(&got), comparable(&reference.query("g", query)), "{query}");
+                got
+            })
+            .collect()
+    };
+    let rows = |reply: &RespValue| {
+        let RespValue::Array(sections) = reply else { panic!("not a query reply: {reply}") };
+        sections[1].clone()
+    };
+    let before = run_reads("before");
+    assert!(before.iter().skip(1).all(|r| rows(r) == RespValue::Array(vec![])), "{before:?}");
+    for write in [
+        "MATCH (n:Node) WHERE n.id = 1 SET n.fresh = 7",
+        "MATCH (a:Node) WHERE a.id = 0 CREATE (a)-[:LINK]->(:Node:Fresh {id: 100, fresh: 7})",
+    ] {
+        assert_eq!(comparable(&cached.query("g", write)), comparable(&reference.query("g", write)));
+    }
+    let after = run_reads("after");
+    let int = RespValue::Integer;
+    let row = |values: Vec<RespValue>| RespValue::Array(values);
+    assert_eq!(rows(&after[0]), row(vec![row(vec![int(7)])]));
+    assert_eq!(rows(&after[1]), row(vec![row(vec![int(1)]), row(vec![int(100)])]));
+    assert_eq!(rows(&after[2]), row(vec![row(vec![int(100), int(7)])]));
+    assert_eq!(rows(&after[3]), row(vec![row(vec![int(0), int(100)])]));
 }

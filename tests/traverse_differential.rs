@@ -22,7 +22,7 @@
 
 use cypher::{Clause, Direction, Expr, NodePattern, Projection, RelationshipPattern};
 use rand::{Rng, SeedableRng, StdRng};
-use redisgraph_core::{ExecutionPlan, Graph, GraphAccess, GraphSnapshot, Value};
+use redisgraph_core::{ExecutionPlan, Graph, GraphAccess, GraphSnapshot, Params, Value};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::Instant;
 
@@ -337,9 +337,10 @@ fn check(graph: &Graph, snap: Option<&GraphSnapshot>, oracle: &Oracle, query: &s
         ("optimized", ExecutionPlan::build(&ast)),
     ] {
         let plan = plan.expect("query plans");
+        let params = plan.bind(&Params::new()).expect("no parameters");
         let rs = match snap {
-            Some(snap) => snap.run(&plan, Instant::now(), None),
-            None => plan.run(GraphAccess::Read(graph), Instant::now(), None),
+            Some(snap) => snap.run(&plan, &params, Instant::now(), None),
+            None => plan.run(GraphAccess::Read(graph), &params, Instant::now(), None),
         }
         .expect("query executes");
         assert_eq!(
