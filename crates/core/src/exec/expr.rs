@@ -77,7 +77,7 @@ impl Function {
     /// no side effects, so any further arguments are never evaluated.
     fn apply(self, arg: &Value, graph: &Graph) -> Value {
         match (self, arg) {
-            (Function::Id, &(Value::Node(id) | Value::Edge(id))) => Value::Int(id as i64),
+            (Function::Id, &(Value::Node(id) | Value::Edge { id, .. })) => Value::Int(id as i64),
             (Function::Labels, &Value::Node(id)) => {
                 let Some(node) = graph.node(id) else { return Value::Null };
                 Value::List(
@@ -88,13 +88,13 @@ impl Function {
                         .collect(),
                 )
             }
-            (Function::Type, &Value::Edge(id)) => {
-                let Some(edge) = graph.edge(id) else { return Value::Null };
-                graph
-                    .schema
-                    .rel_type_name(edge.rel_type)
-                    .map(|s| Value::Str(s.to_string()))
-                    .unwrap_or(Value::Null)
+            // A deleted edge has no type, as it has no properties.
+            (Function::Type, &Value::Edge { id, rel, .. }) => {
+                if graph.edge_attributes(id).is_none() {
+                    return Value::Null;
+                }
+                let name = graph.schema.rel_type_name(rel as RelTypeId);
+                name.map(|s| Value::Str(s.to_string())).unwrap_or(Value::Null)
             }
             (Function::Size, Value::List(items)) => Value::Int(items.len() as i64),
             (Function::Size, Value::Str(s)) => Value::Int(s.len() as i64),
@@ -200,7 +200,7 @@ pub(crate) fn property(graph: &Graph, entity: &Value, attr: Option<AttributeId>)
     let Some(attr) = attr else { return Value::Null };
     let attributes = match entity {
         Value::Node(id) => graph.node(*id).map(|n| &n.attributes),
-        Value::Edge(id) => graph.edge(*id).map(|e| &e.attributes),
+        Value::Edge { id, .. } => graph.edge_attributes(*id),
         _ => None,
     };
     attributes.map_or(Value::Null, |a| a.get(attr))
@@ -393,7 +393,9 @@ mod tests {
         bindings.slot_or_create("a");
         bindings.slot_or_create("b");
         bindings.slot_or_create("e");
-        let record = vec![Value::Node(a), Value::Node(b), Value::Edge(e)];
+        let rel = g.schema.rel_type_id("KNOWS").unwrap() as u32;
+        let record =
+            vec![Value::Node(a), Value::Node(b), Value::Edge { id: e, src: a, dst: b, rel }];
         (g, bindings, record)
     }
 

@@ -637,13 +637,13 @@ pub fn run_traverse(op: &PlanOp, records: &RecordBatch, graph: &Graph) -> Record
     let dir = to_traverse_dir(direction);
     // Append a copy of `record` with the destination and edge slots set.
     let bind =
-        |out: &mut RecordBatch, record: &[Value], dst: Option<NodeId>, edge: Option<EdgeId>| {
+        |out: &mut RecordBatch, record: &[Value], dst: Option<NodeId>, edge: Option<Value>| {
             let r = out.push_copy(record);
             if let Some(dst) = dst {
                 r[dst_slot] = Value::Node(dst);
             }
             if let (Some(es), Some(edge)) = (edge_slot, edge) {
-                r[es] = Value::Edge(edge);
+                r[es] = edge;
             }
         };
 
@@ -655,20 +655,25 @@ pub fn run_traverse(op: &PlanOp, records: &RecordBatch, graph: &Graph) -> Record
         for record in records {
             let Some(&Value::Node(src)) = record.get(src_slot) else { continue };
             if !expand_into {
-                for (nbr, edge) in graph.neighbors(src, rel_ids, dir) {
-                    bind(&mut out, record, Some(nbr), Some(edge));
-                }
+                graph.for_each_edge(src, rel_ids, dir, |nbr, edge| {
+                    bind(&mut out, record, Some(nbr), Some(edge))
+                });
                 continue;
             }
             let Some(&Value::Node(dst)) = record.get(dst_slot) else { continue };
-            let mut bind_edge = |e| bind(&mut out, record, None, Some(e));
+            let mut bind_cell = |rel: usize, src, dst| {
+                for id in graph.edges_between(rel, src, dst) {
+                    let edge = Value::Edge { id, src, dst, rel: rel as u32 };
+                    bind(&mut out, record, None, Some(edge));
+                }
+            };
             for &rel in &rels {
                 if forward {
-                    graph.edges_between(rel, src, dst).for_each(&mut bind_edge);
+                    bind_cell(rel, src, dst);
                 }
                 // A backward step follows a stored `dst → src` edge.
                 if backward {
-                    graph.edges_between(rel, dst, src).for_each(&mut bind_edge);
+                    bind_cell(rel, dst, src);
                 }
             }
         }
@@ -1014,7 +1019,7 @@ pub fn run_create(
                 let edge = graph.create_edge(src, dst, rel_type, attrs);
                 stats.relationships_created += 1;
                 if let Some(slot) = rel.slot {
-                    record[slot] = Value::Edge(edge);
+                    record[slot] = Value::Edge { id: edge, src, dst, rel: rel_type as u32 };
                 }
                 prev = current;
             }
@@ -1065,22 +1070,22 @@ pub fn run_delete(
     stats: &mut QueryStats,
 ) {
     let mut nodes: HashSet<NodeId> = HashSet::new();
-    let mut edges: HashSet<EdgeId> = HashSet::new();
+    let mut edges: HashMap<EdgeId, &Value> = HashMap::new();
     for record in records {
         for &slot in slots {
             match record.get(slot) {
                 Some(Value::Node(id)) => {
                     nodes.insert(*id);
                 }
-                Some(Value::Edge(id)) => {
-                    edges.insert(*id);
+                Some(edge @ &Value::Edge { id, .. }) => {
+                    edges.insert(id, edge);
                 }
                 _ => {}
             }
         }
     }
-    for e in edges {
-        if graph.delete_edge(e) {
+    for edge in edges.into_values() {
+        if graph.delete_edge(edge) {
             stats.relationships_deleted += 1;
         }
     }
@@ -1112,7 +1117,7 @@ pub fn run_set(
                     let attr = names.key_or_create(item.key, graph);
                     graph.set_node_attribute(id, attr, value)
                 }
-                Some(&Value::Edge(id)) => {
+                Some(&Value::Edge { id, .. }) => {
                     let attr = names.key_or_create(item.key, graph);
                     graph.set_edge_attribute(id, attr, value)
                 }

@@ -38,10 +38,10 @@ pub mod value;
 pub use error::QueryError;
 pub use exec::plan::{format_profile, ExecutionPlan, GraphAccess, OpProfile, ParamValues, Params};
 pub use exec::resultset::{QueryStats, ResultSet};
-pub use store::graph::{Graph, GraphSnapshot, TraverseDir};
+pub use store::graph::{Graph, GraphSnapshot, StorageBytes, TraverseDir};
 pub use value::{EquivKey, Value};
 
 /// Node identifier: the row/column index of the node in every matrix.
 pub type NodeId = u64;
-/// Edge identifier: index into the edge DataBlock.
+/// Edge identifier: the edge's slot in the edge attribute DataBlock.
 pub type EdgeId = u64;

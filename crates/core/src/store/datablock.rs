@@ -1,9 +1,12 @@
 //! DataBlock: RedisGraph's blocked entity store.
 //!
-//! Entities (nodes, edges) are stored in fixed-size blocks so that the store
-//! can grow without reallocating or moving existing entities, and deleted
-//! slots are recycled through a free list. Entity ids are stable for the
-//! lifetime of the entity and double as matrix row/column indices.
+//! A graph keeps its node entities in one DataBlock, each edge's attribute
+//! set (16 bytes a slot) in another, and its parallel-edge lists in a
+//! third. Slots live in fixed-size blocks, so a store grows without
+//! reallocating or moving what it holds, and deleted slots are recycled
+//! through a free list. Ids are stable for the lifetime of what they name:
+//! a node id is its matrix row and column, an edge id the value of the
+//! relation cells that hold the edge.
 //!
 //! Blocks are the leaves of a copy-on-write [`ChunkTable`], and the free
 //! list sits behind its own `Arc`, so cloning a DataBlock is two pointer
@@ -73,6 +76,13 @@ impl<T> DataBlock<T> {
     /// Whether an entity with this id is live.
     pub fn contains(&self, id: u64) -> bool {
         self.get(id).is_some()
+    }
+
+    /// Bytes of the allocated blocks: every slot of each, live or free, at
+    /// `size_of::<Option<T>>()`. The table's interior nodes and whatever the
+    /// entities own on the heap are not counted.
+    pub fn block_bytes(&self) -> usize {
+        self.blocks.iter().count() * std::mem::size_of::<Block<T>>()
     }
 
     /// Iterate `(id, &entity)` over live entities in id order.

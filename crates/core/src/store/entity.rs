@@ -1,17 +1,30 @@
-//! Node and edge entities and their attribute sets.
+//! Node entities and the attribute sets of nodes and edges.
+//!
+//! An edge has no entity of its own: its slot in the graph's edge DataBlock
+//! is its attribute set alone, and its endpoints and relationship type are
+//! the relation-matrix cells that hold its id. A traversal that finds an
+//! edge carries them in the edge's [`Value::Edge`], as RedisGraph's `Edge`
+//! does.
 
-use crate::store::schema::{AttributeId, LabelId, RelTypeId};
+use crate::store::schema::{AttributeId, LabelId};
 use crate::value::Value;
-use crate::NodeId;
 
 /// A set of `(attribute id, value)` pairs attached to a node or edge.
 ///
-/// Stored as a small sorted vector: property counts per entity are tiny, and a
-/// vector beats a hash map for both memory and lookup speed at that size.
+/// Stored as a small sorted boxed slice: property counts per entity are tiny,
+/// and a slice beats a hash map for both memory and lookup speed at that
+/// size. It is a pointer and a length, 16 bytes with no spare capacity, and
+/// an empty set allocates nothing: an edge without properties costs its
+/// slot and no heap. A write reallocates the slice, which is as cheap as a
+/// vector's shift at these sizes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AttributeSet {
-    attrs: Vec<(AttributeId, Value)>,
+    attrs: Box<[(AttributeId, Value)]>,
 }
+
+// An edge slot is an `Option<AttributeSet>`: the box's non-null pointer is
+// the `None` niche, so a slot is the set's 16 bytes.
+const _: () = assert!(std::mem::size_of::<Option<AttributeSet>>() == 16);
 
 impl AttributeSet {
     /// Create an empty attribute set.
@@ -42,7 +55,9 @@ impl AttributeSet {
                 true
             }
             Err(pos) => {
-                self.attrs.insert(pos, (id, value));
+                let mut attrs = std::mem::take(&mut self.attrs).into_vec();
+                attrs.insert(pos, (id, value));
+                self.attrs = attrs.into_boxed_slice();
                 true
             }
         }
@@ -52,7 +67,9 @@ impl AttributeSet {
     pub fn remove(&mut self, id: AttributeId) -> bool {
         match self.attrs.binary_search_by_key(&id, |(a, _)| *a) {
             Ok(pos) => {
-                self.attrs.remove(pos);
+                let mut attrs = std::mem::take(&mut self.attrs).into_vec();
+                attrs.remove(pos);
+                self.attrs = attrs.into_boxed_slice();
                 true
             }
             Err(_) => false,
@@ -88,19 +105,6 @@ impl NodeEntity {
     pub fn has_label(&self, label: LabelId) -> bool {
         self.labels.contains(&label)
     }
-}
-
-/// An edge entity: endpoints, relationship type, properties.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EdgeEntity {
-    /// Source node id.
-    pub src: NodeId,
-    /// Destination node id.
-    pub dst: NodeId,
-    /// Relationship type id.
-    pub rel_type: RelTypeId,
-    /// Property values.
-    pub attributes: AttributeSet,
 }
 
 #[cfg(test)]

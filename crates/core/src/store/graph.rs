@@ -13,8 +13,12 @@
 //!   multi-edge cells);
 //! * one **boolean label matrix per label** with a diagonal entry for every
 //!   node carrying that label;
-//! * node and edge entities (labels + property sets) in DataBlocks; the
-//!   DataBlock slot index *is* the matrix row/column index.
+//! * node entities (labels + property set) in a DataBlock whose slot index
+//!   *is* the matrix row/column index, and each edge's property set alone in
+//!   a DataBlock slot named by its edge id. An edge's endpoints and type
+//!   are the relation cells that hold its id, and nowhere else: a traversal
+//!   that finds an edge carries them in its [`Value::Edge`], as RedisGraph's
+//!   `Edge` does. A stored edge is its two cells plus a 16-byte slot.
 //!
 //! All matrices share one dimension, grown in chunks as nodes are added.
 //!
@@ -43,12 +47,13 @@ use crate::error::QueryError;
 use crate::exec::plan::{ExecutionPlan, GraphAccess, OpProfile, ParamValues, Params};
 use crate::exec::resultset::ResultSet;
 use crate::store::datablock::DataBlock;
-use crate::store::entity::{AttributeSet, EdgeEntity, NodeEntity};
+use crate::store::entity::{AttributeSet, NodeEntity};
 use crate::store::schema::{AttributeId, LabelId, RelTypeId, Schema};
 use crate::value::Value;
 use crate::{EdgeId, NodeId};
 use graphblas::prelude::*;
 use std::borrow::Cow;
+use std::mem::{size_of, size_of_val};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -94,6 +99,27 @@ type MatrixPair<'a> = (&'a DeltaMatrix<u64>, &'a DeltaMatrix<u64>);
 const PULL_ALPHA: u64 = 14;
 const PUSH_BETA: u64 = 24;
 
+/// Bytes each of a [`Graph`]'s stores holds ([`Graph::storage_bytes`]).
+/// Matrices count their main CSR arrays (a fold or a bulk load leaves no
+/// pending buffer); entity stores count their allocated blocks plus the
+/// label lists, attribute entries and edge-id lists their slots own, but
+/// no string payload; allocator overhead is not counted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StorageBytes {
+    /// The relation matrices: one edge-id cell per connected pair and type.
+    pub relations: usize,
+    /// Their stored transposes.
+    pub transposes: usize,
+    /// The boolean label matrices.
+    pub labels: usize,
+    /// The edge attribute slots.
+    pub edge_slots: usize,
+    /// The node entities.
+    pub node_slots: usize,
+    /// The parallel-edge lists.
+    pub edge_lists: usize,
+}
+
 /// A property graph stored as GraphBLAS sparse matrices.
 #[derive(Debug, Clone)]
 pub struct Graph {
@@ -102,7 +128,9 @@ pub struct Graph {
     /// snapshot and copied only when a name is created.
     pub schema: Arc<Schema>,
     nodes: DataBlock<NodeEntity>,
-    edges: DataBlock<EdgeEntity>,
+    /// Each live edge's property set, at its edge id: a 16-byte slot,
+    /// whose endpoints and type are the relation cells that name the id.
+    edges: DataBlock<AttributeSet>,
     dim: u64,
     relation_matrices: Vec<DeltaMatrix<u64>>,
     relation_matrices_t: Vec<DeltaMatrix<u64>>,
@@ -404,7 +432,7 @@ impl Graph {
         rel: RelTypeId,
         attributes: AttributeSet,
     ) -> EdgeId {
-        let id = self.edges.insert(EdgeEntity { src, dst, rel_type: rel, attributes });
+        let id = self.edges.insert(attributes);
         match self.relation_matrices[rel].extract_element(src, dst) {
             // First edge of this type between the endpoints: the cell is its id.
             None => self.set_cell(rel, src, dst, id),
@@ -431,12 +459,19 @@ impl Graph {
         self.relation_matrices_t[rel].set_element(dst, src, cell);
     }
 
-    /// Delete an edge by id.
-    pub fn delete_edge(&mut self, id: EdgeId) -> bool {
-        let Some(EdgeEntity { src, dst, rel_type: rel, .. }) = self.edges.remove(id) else {
+    /// Delete the edge an edge value names: a [`Value::Edge`] as a
+    /// traversal or a `CREATE` bound it. Returns false, and changes nothing,
+    /// unless the value's relation cell at `(rel, src, dst)` holds its id —
+    /// so a stale value, whose edge was deleted and whose id may since name
+    /// another edge, deletes nothing. A cell only ever holds live ids.
+    pub fn delete_edge(&mut self, edge: &Value) -> bool {
+        let &Value::Edge { id, src, dst, rel } = edge else { return false };
+        let rel = rel as RelTypeId;
+        let cell = self.relation_matrices.get(rel).and_then(|m| m.extract_element(src, dst));
+        let Some(cell) = cell.filter(|&cell| self.cell_edges(cell).any(|e| e == id)) else {
             return false;
         };
-        let cell = self.relation_matrices[rel].extract_element(src, dst).expect("a live edge");
+        self.edges.remove(id);
         if cell & LIST_TAG == 0 {
             self.relation_matrices[rel].remove_element(src, dst).expect("in-bounds");
             self.relation_matrices_t[rel].remove_element(dst, src).expect("in-bounds");
@@ -460,14 +495,14 @@ impl Graph {
         if !self.nodes.contains(id) {
             return false;
         }
-        // The node's own rows, not an O(edges) entity scan. A self-loop sits
-        // in both the row and the transposed row, hence the dedup.
-        let mut incident: Vec<EdgeId> =
-            self.neighbors(id, None, TraverseDir::Both).into_iter().map(|(_, e)| e).collect();
-        incident.sort_unstable();
+        // The node's own rows, not an O(edges) scan. A self-loop sits in
+        // both the row and the transposed row, hence the dedup.
+        let mut incident = Vec::new();
+        self.for_each_edge(id, None, TraverseDir::Both, |_, edge| incident.push(edge));
+        incident.sort_unstable_by(Value::sort_cmp);
         incident.dedup();
-        for eid in incident {
-            self.delete_edge(eid);
+        for edge in &incident {
+            self.delete_edge(edge);
         }
         let node = self.nodes.remove(id).expect("checked above");
         for label in node.labels {
@@ -501,8 +536,8 @@ impl Graph {
         self.nodes.get(id)
     }
 
-    /// Edge entity by id.
-    pub fn edge(&self, id: EdgeId) -> Option<&EdgeEntity> {
+    /// The property set of a live edge, by id.
+    pub fn edge_attributes(&self, id: EdgeId) -> Option<&AttributeSet> {
         self.edges.get(id)
     }
 
@@ -545,8 +580,8 @@ impl Graph {
         value: Value,
     ) -> bool {
         match self.edges.get_mut(id) {
-            Some(e) => {
-                e.attributes.set(attr, value);
+            Some(attributes) => {
+                attributes.set(attr, value);
                 self.epoch += 1;
                 true
             }
@@ -633,17 +668,25 @@ impl Graph {
     /// without the property, or with a non-numeric value, get `default`).
     /// Parallel edges between the same endpoints keep the minimum weight —
     /// the natural semantics for the min-plus shortest-path semiring the
-    /// `algo.sssp` procedure multiplies this matrix with.
+    /// `algo.sssp` procedure multiplies this matrix with. Built from each
+    /// relation's merged rows, a cell's parallel list at a time, and the
+    /// property slots of the edges they name.
     pub fn weight_matrix(&self, prop: &str, default: f64) -> SparseMatrix<f64> {
         let attr = self.schema.attribute_id(prop);
-        let triples: Vec<(u64, u64, f64)> = self
-            .edges
-            .iter()
-            .map(|(_, e)| {
-                let w = attr.and_then(|a| e.attributes.get(a).as_f64()).unwrap_or(default);
-                (e.src, e.dst, w)
-            })
-            .collect();
+        let weight = |id: EdgeId| {
+            let attributes = self.edges.get(id).expect("a cell names live edges");
+            attr.and_then(|a| attributes.get(a).as_f64()).unwrap_or(default)
+        };
+        let mut triples = Vec::new();
+        for m in &self.relation_matrices {
+            for src in 0..self.dim {
+                m.any_entry_in_row(src, |dst, cell| {
+                    let w = self.cell_edges(cell).map(weight).reduce(f64::min);
+                    triples.push((src, dst, w.expect("a cell holds an edge")));
+                    false
+                });
+            }
+        }
         SparseMatrix::from_triples_dup(self.dim, self.dim, &triples, f64::min)
             .expect("edge endpoints are in range")
     }
@@ -683,24 +726,45 @@ impl Graph {
         dir: TraverseDir,
     ) -> Vec<(NodeId, EdgeId)> {
         let mut out = Vec::new();
+        self.for_each_edge(node, rel_types, dir, |nbr, edge| {
+            if let Value::Edge { id, .. } = edge {
+                out.push((nbr, id));
+            }
+        });
+        out
+    }
+
+    /// Call `f(neighbour, edge)` on every edge [`Graph::neighbors`] lists,
+    /// in the same order, where `edge` is the [`Value::Edge`] naming the
+    /// edge with its stored endpoints and type: a backward step's edge runs
+    /// from the neighbour to `node`.
+    pub(crate) fn for_each_edge(
+        &self,
+        node: NodeId,
+        rel_types: Option<&[RelTypeId]>,
+        dir: TraverseDir,
+        mut f: impl FnMut(NodeId, Value),
+    ) {
         let forward = matches!(dir, TraverseDir::Outgoing | TraverseDir::Both);
         let backward = matches!(dir, TraverseDir::Incoming | TraverseDir::Both);
-        let mut extend = |t: RelTypeId, fwd: bool| {
-            let m = if fwd { &self.relation_matrices[t] } else { &self.relation_matrices_t[t] };
+        let mut visit = |rel: RelTypeId, fwd: bool| {
+            let m = if fwd { &self.relation_matrices[rel] } else { &self.relation_matrices_t[rel] };
             m.any_entry_in_row(node, |nbr, cell| {
-                out.extend(self.cell_edges(cell).map(|e| (nbr, e)));
+                let (src, dst) = if fwd { (node, nbr) } else { (nbr, node) };
+                for id in self.cell_edges(cell) {
+                    f(nbr, Value::Edge { id, src, dst, rel: rel as u32 });
+                }
                 false
             });
         };
-        for t in self.selected_rels(rel_types) {
+        for rel in self.selected_rels(rel_types) {
             if forward {
-                extend(t, true);
+                visit(rel, true);
             }
             if backward {
-                extend(t, false);
+                visit(rel, false);
             }
         }
-        out
     }
 
     /// The relation types a pattern reads: the named types that exist, in
@@ -756,63 +820,105 @@ impl Graph {
 
     // ----------------------------------------------------------- bulk load
 
-    /// Bulk-load a generated edge list: every vertex becomes a `:Node` node
-    /// whose `id` property equals its vertex id, and every edge becomes a
-    /// `:LINK` relationship. Duplicate edges and self-loops are dropped, as
-    /// they are by an adjacency-matrix representation.
+    /// Bulk-load a generated edge list into an empty graph: every vertex
+    /// becomes a `:Node` node whose `id` property equals its vertex id, and
+    /// every edge becomes a `:LINK` relationship. Duplicate edges,
+    /// self-loops and edges with an endpoint outside `0..num_vertices` are
+    /// dropped, as an adjacency-matrix representation drops them.
+    ///
+    /// The matrices are built in place, in one pass, with no per-edge
+    /// buffering and no triple list: the label diagonal is written as CSR
+    /// arrays, and one walk of the sorted, deduplicated pairs numbers the
+    /// edges in that order while it fills the relation's row counts,
+    /// columns and edge ids. The pairs are freed before the transpose kernel
+    /// runs, so the load's transient is that one pair list. Each edge's
+    /// attribute slot is an empty set, which allocates nothing.
     pub fn bulk_load(&mut self, num_vertices: u64, edges: &[(u64, u64)]) {
         let label = self.label_id_or_create("Node");
         let rel = self.rel_type_id_or_create("LINK");
         let id_attr = self.attribute_id_or_create("id");
 
         self.ensure_dim(num_vertices + 1);
-        let mut label_triples = Vec::with_capacity(num_vertices as usize);
+        let (dim, n) = (self.dim as usize, num_vertices as usize);
         for v in 0..num_vertices {
             let mut attrs = AttributeSet::new();
             attrs.set(id_attr, Value::Int(v as i64));
             let id = self.nodes.insert(NodeEntity { labels: vec![label], attributes: attrs });
             debug_assert_eq!(id, v, "bulk_load requires an empty graph");
-            label_triples.push((v, v, true));
         }
-        self.label_matrices[label] = self.delta_from_triples(&label_triples);
+        let diagonal_rows = (0..=dim).map(|row| row.min(n)).collect();
+        self.label_matrices[label] =
+            self.delta_from_csr(diagonal_rows, (0..num_vertices).collect(), vec![true; n]);
 
-        let mut dedup: Vec<(u64, u64)> = edges
+        let mut pairs: Vec<(u64, u64)> = edges
             .iter()
             .copied()
             .filter(|&(s, d)| s != d && s < num_vertices && d < num_vertices)
             .collect();
-        dedup.sort_unstable();
-        dedup.dedup();
-
-        let mut rel_triples = Vec::with_capacity(dedup.len());
-        for &(s, d) in &dedup {
-            let eid = self.edges.insert(EdgeEntity {
-                src: s,
-                dst: d,
-                rel_type: rel,
-                attributes: AttributeSet::new(),
-            });
-            rel_triples.push((s, d, eid));
+        pairs.sort_unstable();
+        pairs.dedup();
+        let mut row_ptr = vec![0usize; dim + 1];
+        let mut col_idx = Vec::with_capacity(pairs.len());
+        let mut ids = Vec::with_capacity(pairs.len());
+        for &(s, d) in &pairs {
+            row_ptr[s as usize + 1] += 1;
+            col_idx.push(d);
+            ids.push(self.edges.insert(AttributeSet::new()));
         }
-        // Bulk loads build the CSR structures directly (one construction, no
-        // per-edge buffering) and the transposes with one transpose kernel.
-        self.relation_matrices[rel] = self.delta_from_triples(&rel_triples);
+        drop(pairs);
+        for row in 0..dim {
+            row_ptr[row + 1] += row_ptr[row];
+        }
+        self.relation_matrices[rel] = self.delta_from_csr(row_ptr, col_idx, ids);
         self.relation_matrices_t[rel] =
             self.delta_from_matrix(transpose(self.relation_matrices[rel].main()));
         self.epoch += 1;
     }
 
-    /// Build a flushed delta matrix from triples at this graph's dimension.
-    fn delta_from_triples<T: Scalar>(&self, triples: &[(u64, u64, T)]) -> DeltaMatrix<T> {
-        self.delta_from_matrix(
-            SparseMatrix::from_triples(self.dim, self.dim, triples).expect("in range"),
-        )
+    /// A flushed delta matrix at this graph's dimension from CSR arrays,
+    /// checked by [`SparseMatrix::from_csr`].
+    fn delta_from_csr<T: Scalar>(
+        &self,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<u64>,
+        values: Vec<T>,
+    ) -> DeltaMatrix<T> {
+        let matrix = SparseMatrix::from_csr(self.dim, self.dim, row_ptr, col_idx, values);
+        self.delta_from_matrix(matrix.expect("sorted, deduplicated in-range entries"))
     }
 
     fn delta_from_matrix<T: Scalar>(&self, matrix: SparseMatrix<T>) -> DeltaMatrix<T> {
         let mut m = DeltaMatrix::from_matrix(matrix);
         m.set_flush_threshold(self.flush_threshold);
         m
+    }
+
+    /// The bytes each store holds (see [`StorageBytes`]): O(nnz + entities)
+    /// for the entity walks, a diagnostic rather than a serving path.
+    pub fn storage_bytes(&self) -> StorageBytes {
+        fn csr<T: Scalar>(matrices: &[DeltaMatrix<T>]) -> usize {
+            let bytes = |m: &SparseMatrix<T>| {
+                size_of_val(m.row_ptr())
+                    + size_of_val(m.col_indices())
+                    + size_of_val(m.raw_values())
+            };
+            matrices.iter().map(|m| bytes(m.main())).sum()
+        }
+        let attributes = |a: &AttributeSet| a.len() * size_of::<(AttributeId, Value)>();
+        let node =
+            |n: &NodeEntity| n.labels.capacity() * size_of::<LabelId>() + attributes(&n.attributes);
+        let list = |l: &Vec<EdgeId>| l.capacity() * size_of::<EdgeId>();
+        StorageBytes {
+            relations: csr(&self.relation_matrices),
+            transposes: csr(&self.relation_matrices_t),
+            labels: csr(&self.label_matrices),
+            edge_slots: self.edges.block_bytes()
+                + self.edges.iter().map(|(_, a)| attributes(a)).sum::<usize>(),
+            node_slots: self.nodes.block_bytes()
+                + self.nodes.iter().map(|(_, n)| node(n)).sum::<usize>(),
+            edge_lists: self.edge_lists.block_bytes()
+                + self.edge_lists.iter().map(|(_, l)| list(l)).sum::<usize>(),
+        }
     }
 
     /// Pin a relation matrix's current epoch CSR. Diagnostic/test use: the
@@ -955,7 +1061,28 @@ mod tests {
 
     /// Property `key` of edge `id` (`Null` when absent).
     fn edge_property(g: &Graph, id: EdgeId, key: &str) -> Value {
-        crate::exec::expr::property(g, &Value::Edge(id), g.schema.attribute_id(key))
+        let attributes = g.edge_attributes(id);
+        attributes.zip(g.schema.attribute_id(key)).map_or(Value::Null, |(a, k)| a.get(k))
+    }
+
+    /// The edge value of every live edge, by id, read from each node's
+    /// outgoing cells: what a traversal binds.
+    fn edge_values(g: &Graph) -> std::collections::HashMap<EdgeId, Value> {
+        let mut out = std::collections::HashMap::new();
+        for node in 0..g.dim() {
+            g.for_each_edge(node, None, TraverseDir::Outgoing, |_, edge| {
+                if let Value::Edge { id, .. } = edge {
+                    out.insert(id, edge);
+                }
+            });
+        }
+        out
+    }
+
+    /// Delete edge `id` through the value a traversal would bind for it.
+    fn delete_by_id(g: &mut Graph, id: EdgeId) -> bool {
+        let edge = edge_values(g).remove(&id);
+        edge.is_some_and(|edge| g.delete_edge(&edge))
     }
 
     #[test]
@@ -1084,11 +1211,98 @@ mod tests {
     #[test]
     fn delete_edge_updates_matrices() {
         let mut g = triangle();
-        assert!(g.delete_edge(0));
+        let knows = Value::Edge { id: 0, src: 0, dst: 1, rel: 0 };
+        assert!(g.delete_edge(&knows));
         g.sync_matrices();
         assert_eq!(g.edge_count(), 2);
         assert_eq!(g.adjacency_matrix().extract_element(0, 1), None);
-        assert!(!g.delete_edge(0));
+        assert!(!g.delete_edge(&knows));
+    }
+
+    #[test]
+    fn delete_edge_ignores_a_stale_or_recycled_value() {
+        use TraverseDir::Both;
+        let mut g = Graph::new("stale");
+        g.set_flush_threshold(1_000_000); // only `sync` folds
+        let [a, b, c] = [(); 3].map(|_| g.add_node(&["N"], vec![]));
+        let l = g.rel_type_id_or_create("L") as u32;
+        let e = g.add_edge(a, b, "L", vec![]).unwrap();
+        let value = Value::Edge { id: e, src: a, dst: b, rel: l };
+        // A value naming another cell, relation or id, or no edge at all,
+        // deletes nothing.
+        for wrong in [
+            Value::Edge { id: e, src: b, dst: a, rel: l },
+            Value::Edge { id: e, src: a, dst: b, rel: l + 1 },
+            Value::Edge { id: e, src: u64::MAX, dst: b, rel: l },
+            Value::Edge { id: e + 1, src: a, dst: b, rel: l },
+            Value::Node(e),
+        ] {
+            assert!(!g.delete_edge(&wrong), "{wrong:?}");
+        }
+        assert!(g.delete_edge(&value));
+        let state = |g: &Graph| {
+            let rows = (g.neighbors(a, None, Both), g.neighbors(c, None, Both));
+            (g.epoch(), g.edge_count(), g.pending_delta_count(), rows)
+        };
+        for flushed in [false, true] {
+            // Stale: its edge is gone.
+            let before = state(&g);
+            assert!(!g.delete_edge(&value), "flushed: {flushed}");
+            assert_eq!(state(&g), before);
+            // Recycled: the id now names an edge in another cell.
+            let recycled = g.add_edge(c, a, "L", vec![]).unwrap();
+            assert_eq!(recycled, e, "the freed id is reused");
+            if flushed {
+                g.sync_matrices();
+            }
+            let before = state(&g);
+            assert!(!g.delete_edge(&value), "flushed: {flushed}");
+            assert_eq!(state(&g), before);
+            assert_eq!(g.edges_between(l as RelTypeId, c, a).collect::<Vec<_>>(), vec![e]);
+            assert!(g.delete_edge(&Value::Edge { id: e, src: c, dst: a, rel: l }));
+        }
+    }
+
+    #[test]
+    fn deleting_one_parallel_edge_through_its_value_keeps_the_others() {
+        for flushed in [false, true] {
+            let mut g = Graph::new("parallel-value");
+            let [a, b] = [(); 2].map(|_| g.add_node(&["N"], vec![]));
+            let ids = [(); 3].map(|_| g.add_edge(a, b, "L", vec![]).unwrap());
+            if flushed {
+                g.sync_matrices();
+            }
+            let between = |g: &Graph| g.edges_between(0, a, b).collect::<Vec<_>>();
+            // Forward and backward traversals bind the value of the one edge
+            // the filter picks out of the cell.
+            let deleted = |g: &mut Graph, pattern: &str, id: EdgeId| {
+                let text = format!("MATCH {pattern} WHERE id(r) = {id} DELETE r");
+                g.query(&text).unwrap().stats.relationships_deleted
+            };
+            assert_eq!(deleted(&mut g, "(x)-[r:L]->(y)", ids[1]), 1, "flushed: {flushed}");
+            assert_eq!(between(&g), vec![ids[0], ids[2]]);
+            // A live parallel edge's value with its endpoints swapped names
+            // no cell of that edge.
+            assert!(!g.delete_edge(&Value::Edge { id: ids[0], src: b, dst: a, rel: 0 }));
+            assert_eq!(deleted(&mut g, "(y)<-[r:L]-(x)", ids[0]), 1);
+            assert_eq!(between(&g), vec![ids[2]]);
+            assert_eq!(
+                (g.edge_count(), g.neighbors(b, None, TraverseDir::Incoming)),
+                (1, vec![(a, ids[2])])
+            );
+        }
+    }
+
+    #[test]
+    fn type_of_a_deleted_edge_is_null() {
+        let mut g = triangle();
+        let rs = g.query("MATCH (a)-[e:KNOWS]->(b) DELETE e RETURN type(e), id(e)").unwrap();
+        assert_eq!(rs.stats.relationships_deleted, 1);
+        assert_eq!(rs.rows.to_vec(), vec![vec![Value::Null, Value::Int(0)]]);
+        // A live edge's type comes from the relation its value names.
+        let rs = g.query("MATCH (a)-[e]->(c) RETURN type(e) ORDER BY id(e)").unwrap();
+        let types = |t: &str| vec![Value::Str(t.into())];
+        assert_eq!(rs.rows.to_vec(), vec![types("LIVES_IN"), types("LIVES_IN")]);
     }
 
     #[test]
@@ -1125,6 +1339,84 @@ mod tests {
         assert_eq!(g.khop_count(0, 2), 2); // 0→1→2
     }
 
+    /// A generated edge list with duplicates, self-loops and endpoints past
+    /// `n`, bulk-loaded and built with `add_node`/`add_edge` from its
+    /// deduplicated, in-range pairs, must give the same matrices, ids and
+    /// counts.
+    #[test]
+    fn bulk_load_equals_the_incremental_build_of_its_deduplicated_list() {
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut below = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        // The last size fills more than the 32 × 32 edge blocks two table
+        // levels hold, and more than 32 node blocks.
+        for (n, m) in [(0, 4), (1, 3), (7, 60), (300, 4_000), (3_000, 70_000)] {
+            let mut list: Vec<(u64, u64)> = (0..m).map(|_| (below(n + 3), below(n + 3))).collect();
+            list.extend_from_within(..m / 10);
+            let mut bulk = Graph::new("bulk");
+            bulk.bulk_load(n, &list);
+
+            let mut kept: Vec<_> =
+                list.iter().copied().filter(|&(s, d)| s != d && s < n && d < n).collect();
+            kept.sort_unstable();
+            kept.dedup();
+            let mut inc = Graph::new("incremental");
+            inc.label_id_or_create("Node");
+            inc.rel_type_id_or_create("LINK");
+            for v in 0..n {
+                assert_eq!(inc.add_node(&["Node"], vec![("id", Value::Int(v as i64))]), v);
+            }
+            for (id, &(s, d)) in kept.iter().enumerate() {
+                assert_eq!(inc.add_edge(s, d, "LINK", vec![]).unwrap(), id as EdgeId);
+            }
+            inc.sync_matrices();
+
+            let label = |g: &Graph| g.label_matrices[0].main().clone();
+            let rel = |g: &Graph| g.relation_matrices[0].main().clone();
+            let rel_t = |g: &Graph| g.relation_matrices_t[0].main().clone();
+            assert_eq!(bulk.dim(), inc.dim(), "n = {n}");
+            assert_eq!(label(&bulk), label(&inc), "label diagonal, n = {n}");
+            assert_eq!(rel(&bulk), rel(&inc), "relation, n = {n}");
+            assert_eq!(rel_t(&bulk), rel_t(&inc), "transpose, n = {n}");
+            assert_eq!(rel(&bulk).nvals(), kept.len());
+            assert_eq!((bulk.edge_count(), bulk.node_count()), (kept.len(), n as usize));
+            assert_eq!((inc.edge_count(), inc.node_count()), (kept.len(), n as usize));
+            assert!(!bulk.has_pending_deltas() && bulk.edge_lists.is_empty());
+            for v in (0..n).step_by(97) {
+                assert_eq!(bulk.node_property(v, "id"), Value::Int(v as i64));
+                assert_eq!(bulk.node(v), inc.node(v));
+            }
+            assert!((0..kept.len() as u64).all(|id| bulk.edge_attributes(id).is_some()));
+            assert!(bulk.edge_attributes(kept.len() as u64).is_none());
+        }
+    }
+
+    #[test]
+    fn storage_bytes_counts_each_store_of_a_loaded_ring() {
+        let n = 1_000u64;
+        let mut g = Graph::new("bytes");
+        g.bulk_load(n, &(0..n).map(|v| (v, (v + 1) % n)).collect::<Vec<_>>());
+        let csr = |nnz: u64, cell: u64| ((g.dim() + 1) * 8 + nnz * (8 + cell)) as usize;
+        // 16 blocks of 64 slots; an empty attribute set owns nothing.
+        let slots = |slot: usize| 16 * 64 * slot;
+        let node = 8 + size_of::<(AttributeId, Value)>();
+        let expect = StorageBytes {
+            relations: csr(n, 8),
+            transposes: csr(n, 8),
+            labels: csr(n, 1),
+            edge_slots: slots(16),
+            node_slots: slots(size_of::<Option<NodeEntity>>()) + n as usize * node,
+            edge_lists: 0,
+        };
+        assert_eq!(g.storage_bytes(), expect);
+        g.add_edge(0, 1, "LINK", vec![]).unwrap();
+        assert_eq!(g.storage_bytes().edge_lists, 64 * size_of::<Option<Vec<EdgeId>>>() + 2 * 8);
+    }
+
     #[test]
     fn grows_past_initial_dimension() {
         let mut g = Graph::new("grow");
@@ -1142,7 +1434,7 @@ mod tests {
         let a = g.add_node(&["N"], vec![]);
         let b = g.add_node(&["N"], vec![]);
         let e = g.add_edge(a, b, "L", vec![]).unwrap();
-        assert!(g.delete_edge(e));
+        assert!(delete_by_id(&mut g, e));
         // The DataBlock recycles the freed slot, so the new edge gets the
         // just-deleted id back while the delete is still pending.
         let e2 = g.add_edge(a, b, "L", vec![("w", Value::Int(1))]).unwrap();
@@ -1254,7 +1546,7 @@ mod tests {
             // A recycled id below the cell's edge still lists ascending.
             let spare = g.add_edge(b, a, "L", vec![]).unwrap();
             let e1 = g.add_edge(a, b, "L", vec![]).unwrap();
-            assert!(g.delete_edge(spare));
+            assert!(delete_by_id(&mut g, spare));
             sync(&mut g);
             let e0 = g.add_edge(a, b, "L", vec![]).unwrap();
             assert_eq!((e0, between(&g, a, b)), (spare, vec![e0, e1]), "flushed: {flushed}");
@@ -1280,8 +1572,8 @@ mod tests {
             // Deleting down to one edge frees the list and stores the
             // survivor in both cells, never a dead edge id.
             let snap = g.snapshot();
-            assert!(g.delete_edge(e0));
-            assert!(g.delete_edge(e2));
+            assert!(delete_by_id(&mut g, e0));
+            assert!(delete_by_id(&mut g, e2));
             sync(&mut g);
             assert_eq!(cells(&g, a, b), (Some(e1), Some(e1)));
             assert_eq!(g.neighbors(a, None, Outgoing), vec![(b, e1)]);
@@ -1299,7 +1591,7 @@ mod tests {
             assert_eq!(between(&snap, a, a), vec![]);
 
             // Deleting the survivor clears its entries everywhere.
-            assert!(g.delete_edge(e1));
+            assert!(delete_by_id(&mut g, e1));
             assert_eq!(g.neighbors(a, None, Outgoing), vec![(a, lo), (a, hi)]);
             assert_eq!(g.neighbors(b, None, Incoming), vec![]);
             assert_eq!(g.adjacency_matrix().nvals(), 1);
@@ -1438,8 +1730,9 @@ mod tests {
         // 10 000 deleted edges: some folded, the rest pending, and every
         // freed id on the free list.
         g.set_flush_threshold(4_000);
+        let values = edge_values(&g);
         for id in (0..40_000).step_by(4) {
-            assert!(g.delete_edge(id));
+            assert!(g.delete_edge(&values[&id]));
         }
         assert!(g.has_pending_deltas() && g.delta_flush_count() > 0);
         assert_eq!(g.edges.shared_parts().1.len(), 10_000);
@@ -1498,17 +1791,17 @@ mod tests {
             .ptr_eq(snap.label_matrices[0].pending_chunks()));
         assert!(Arc::ptr_eq(&g.schema, &snap.schema));
         assert!(Arc::ptr_eq(g.edges.shared_parts().1, snap.edges.shared_parts().1));
-        assert!(snap.edge(e).is_none());
+        assert!(snap.edge_attributes(e).is_none());
         assert_eq!(snap.edge_count() + 1, g.edge_count());
         drop(snap);
 
         // Likewise one delete, of a flushed edge, beside a fresh snapshot;
         // it also pushes the freed id onto a copy of the free list.
         let snap = g.snapshot();
-        assert!(g.delete_edge(7));
+        assert!(g.delete_edge(&Value::Edge { id: 7, src: 7, dst: 8, rel: 0 }));
         assert_eq!(unshared_leaves(&g, &snap), vec![1, 0, 0, 1, 1, 0]);
         assert!(!Arc::ptr_eq(g.edges.shared_parts().1, snap.edges.shared_parts().1));
-        assert!(snap.edge(7).is_some());
+        assert!(snap.edge_attributes(7).is_some());
         let survivors = vec![(9, n + 7), (10, 2 * n + 7)];
         assert_eq!(snap.neighbors(7, None, TraverseDir::Outgoing)[1..], survivors);
         assert_eq!(snap.neighbors(7, None, TraverseDir::Outgoing)[0], (8, 7));
@@ -1522,8 +1815,9 @@ mod tests {
         assert_eq!(snap.schema.attribute_id("fresh"), None);
     }
 
-    /// Every live node's outgoing row and every live edge's entity, checked
-    /// against a model of `id → (src, dst)`, on `nodes` node ids.
+    /// Every live node's outgoing row and every live edge's slot and cell,
+    /// checked against a model of `id → (src, dst)` of the one relation
+    /// `LINK`, on `nodes` node ids.
     fn assert_reads_back(
         g: &Graph,
         nodes: u64,
@@ -1532,8 +1826,8 @@ mod tests {
         assert_eq!((g.node_count() as u64, g.edge_count()), (nodes, edges.len()));
         let mut rows = vec![Vec::new(); nodes as usize];
         for (&id, &(src, dst)) in edges {
-            let edge = g.edge(id).unwrap_or_else(|| panic!("edge {id} lost"));
-            assert_eq!((edge.src, edge.dst), (src, dst), "edge {id}");
+            assert!(g.edge_attributes(id).is_some(), "edge {id} lost");
+            assert!(g.edges_between(0, src, dst).any(|e| e == id), "edge {id}");
             rows[src as usize].push((dst, id));
         }
         for (v, mut row) in rows.into_iter().enumerate() {
@@ -1566,8 +1860,8 @@ mod tests {
         // ids and then extend the table, and nodes past the old dimension's
         // blocks.
         for id in (0..140_000).step_by(331) {
-            assert!(g.delete_edge(id));
-            model.remove(&id);
+            let (src, dst) = model.remove(&id).unwrap();
+            assert!(g.delete_edge(&Value::Edge { id, src, dst, rel: 0 }));
         }
         for i in 0..1_000 {
             let (src, dst) = ((i * 7919) % n, (i * 104_729 + 1) % n);

@@ -7,6 +7,6 @@ pub mod graph;
 pub mod schema;
 
 pub use datablock::DataBlock;
-pub use entity::{AttributeSet, EdgeEntity, NodeEntity};
+pub use entity::{AttributeSet, NodeEntity};
 pub use graph::{Graph, GraphSnapshot};
 pub use schema::{AttributeId, LabelId, RelTypeId, Schema};

@@ -13,7 +13,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 
 /// A runtime value.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// Missing / unknown.
     Null,
@@ -27,10 +27,43 @@ pub enum Value {
     Str(String),
     /// A graph node, by id.
     Node(NodeId),
-    /// A graph relationship, by id.
-    Edge(EdgeId),
+    /// A graph relationship: its id, plus the endpoints and relationship
+    /// type of the relation cell it was found in, which the edge's store
+    /// slot does not repeat. Equality, ordering, hashing and display go by
+    /// `id` alone.
+    Edge {
+        /// The edge id: its slot in the graph's edge attribute store.
+        id: EdgeId,
+        /// Source node id.
+        src: NodeId,
+        /// Destination node id.
+        dst: NodeId,
+        /// Relationship type id.
+        rel: u32,
+    },
     /// An ordered list of values.
     List(Vec<Value>),
+}
+
+// Every variant fits beside the tag in 32 bytes: the edge's `rel` shares
+// the tag's word. Records and result rows are flat arrays of values.
+const _: () = assert!(std::mem::size_of::<Value>() == 32);
+
+impl PartialEq for Value {
+    /// Structural equality, except that edges compare by id.
+    fn eq(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Null, Value::Null) => true,
+            (Value::Bool(a), Value::Bool(b)) => a == b,
+            (Value::Int(a), Value::Int(b)) => a == b,
+            (Value::Float(a), Value::Float(b)) => a == b,
+            (Value::Str(a), Value::Str(b)) => a == b,
+            (Value::Node(a), Value::Node(b)) => a == b,
+            (Value::Edge { id: a, .. }, Value::Edge { id: b, .. }) => a == b,
+            (Value::List(a), Value::List(b)) => a == b,
+            _ => false,
+        }
+    }
 }
 
 impl Value {
@@ -93,7 +126,7 @@ impl Value {
             }
             (Value::Str(a), Value::Str(b)) => a == b,
             (Value::Node(a), Value::Node(b)) => a == b,
-            (Value::Edge(a), Value::Edge(b)) => a == b,
+            (Value::Edge { id: a, .. }, Value::Edge { id: b, .. }) => a == b,
             (Value::List(a), Value::List(b)) => {
                 a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.equivalent(y))
             }
@@ -130,7 +163,7 @@ impl Value {
                 state.write_u8(5);
                 id.hash(state);
             }
-            Value::Edge(id) => {
+            Value::Edge { id, .. } => {
                 state.write_u8(6);
                 id.hash(state);
             }
@@ -166,7 +199,7 @@ impl Value {
                 Value::Int(_) | Value::Float(_) => 1,
                 Value::Str(_) => 2,
                 Value::Node(_) => 3,
-                Value::Edge(_) => 4,
+                Value::Edge { .. } => 4,
                 Value::List(_) => 5,
                 Value::Null => 6,
             }
@@ -177,7 +210,7 @@ impl Value {
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
             (Value::Str(a), Value::Str(b)) => a.cmp(b),
             (Value::Node(a), Value::Node(b)) => a.cmp(b),
-            (Value::Edge(a), Value::Edge(b)) => a.cmp(b),
+            (Value::Edge { id: a, .. }, Value::Edge { id: b, .. }) => a.cmp(b),
             (Value::List(a), Value::List(b)) => {
                 for (x, y) in a.iter().zip(b.iter()) {
                     let c = x.sort_cmp(y);
@@ -324,7 +357,7 @@ impl fmt::Display for Value {
             Value::Float(x) => write!(f, "{x}"),
             Value::Str(s) => write!(f, "{s}"),
             Value::Node(id) => write!(f, "(node:{id})"),
-            Value::Edge(id) => write!(f, "[edge:{id}]"),
+            Value::Edge { id, .. } => write!(f, "[edge:{id}]"),
             Value::List(items) => {
                 write!(f, "[")?;
                 for (i, item) in items.iter().enumerate() {
@@ -408,8 +441,14 @@ mod tests {
         assert!(same_key(Value::Str("a".into()), Value::Str("a".into())));
         assert!(!same_key(Value::Str("2".into()), Value::Int(2)));
         assert!(!same_key(Value::Bool(true), Value::Int(1)));
-        assert!(!same_key(Value::Node(3), Value::Edge(3)));
-        assert!(same_key(Value::Edge(3), Value::Edge(3)));
+        let edge = |id, src| Value::Edge { id, src, dst: 0, rel: 0 };
+        assert!(!same_key(Value::Node(3), edge(3, 0)));
+        assert!(same_key(edge(3, 0), edge(3, 0)));
+        // An edge is its id: the cell it was read from does not split it.
+        assert!(same_key(edge(3, 0), edge(3, 1)));
+        assert_eq!(edge(3, 0), edge(3, 1));
+        assert_eq!(edge(3, 0).sort_cmp(&edge(3, 1)), Ordering::Equal);
+        assert_eq!(edge(3, 1).sort_cmp(&edge(4, 0)), Ordering::Less);
     }
 
     #[test]
@@ -452,6 +491,7 @@ mod tests {
         assert_eq!(Value::Null.to_string(), "null");
         assert_eq!(Value::List(vec![Value::Int(1), Value::Int(2)]).to_string(), "[1, 2]");
         assert_eq!(Value::Node(3).to_string(), "(node:3)");
+        assert_eq!(Value::Edge { id: 7, src: 1, dst: 2, rel: 3 }.to_string(), "[edge:7]");
     }
 
     #[test]

@@ -40,7 +40,6 @@ pub mod delta;
 pub mod descriptor;
 pub mod error;
 pub mod ewise;
-pub mod extract;
 pub mod frontier;
 pub mod mask;
 pub mod matrix;
@@ -79,7 +78,6 @@ pub mod prelude {
     pub use crate::descriptor::Descriptor;
     pub use crate::error::{GrbError, GrbResult};
     pub use crate::ewise::{ewise_add_matrix, ewise_add_vector};
-    pub use crate::extract::{extract_col, extract_row};
     pub use crate::frontier::frontier_matrix;
     pub use crate::mask::{MatrixMask, VectorMask};
     pub use crate::matrix::SparseMatrix;

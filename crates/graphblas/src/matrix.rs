@@ -97,6 +97,22 @@ impl<T: Scalar> SparseMatrix<T> {
         Ok(SparseMatrix { nrows, ncols, row_ptr, col_idx, values })
     }
 
+    /// Build a matrix from CSR arrays assembled by the caller, in O(nnz) and
+    /// without a copy or a sort: the arrays become the matrix's own. The
+    /// parts are checked against every CSR invariant (see
+    /// [`SparseMatrix::check_invariants`]) in every build profile.
+    pub fn from_csr(
+        nrows: Index,
+        ncols: Index,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<Index>,
+        values: Vec<T>,
+    ) -> GrbResult<Self> {
+        let m = SparseMatrix { nrows, ncols, row_ptr, col_idx, values };
+        m.check_invariants()?;
+        Ok(m)
+    }
+
     /// Construct directly from CSR parts produced by a kernel. The parts must
     /// already satisfy the CSR invariants (checked in debug builds).
     pub(crate) fn from_csr_parts(
@@ -211,7 +227,7 @@ impl<T: Scalar> SparseMatrix<T> {
         &self.values
     }
 
-    /// Validate the CSR invariants: monotone row pointers, strictly ascending
+    /// Validate the CSR invariants: monotone row pointers from 0 to nnz, strictly ascending
     /// in-row columns, in-bounds indices, parallel arrays of equal length.
     pub fn check_invariants(&self) -> GrbResult<()> {
         if self.row_ptr.len() != self.nrows as usize + 1 {
@@ -219,6 +235,9 @@ impl<T: Scalar> SparseMatrix<T> {
         }
         if self.col_idx.len() != self.values.len() {
             return Err(GrbError::InvalidValue("col/value length mismatch".into()));
+        }
+        if self.row_ptr[0] != 0 {
+            return Err(GrbError::InvalidValue("row_ptr does not start at 0".into()));
         }
         if *self.row_ptr.last().unwrap() != self.col_idx.len() {
             return Err(GrbError::InvalidValue("row_ptr end != nnz".into()));
@@ -281,6 +300,38 @@ mod tests {
                 .unwrap();
         assert_eq!(m.extract_element(0, 0), Some(3));
         assert_eq!(m.extract_element(1, 1), Some(5));
+    }
+
+    #[test]
+    fn from_csr_takes_valid_parts_and_rejects_broken_ones() {
+        let m = small();
+        let parts = |m: &SparseMatrix<i64>| {
+            (m.row_ptr().to_vec(), m.col_indices().to_vec(), m.raw_values().to_vec())
+        };
+        let (row_ptr, col_idx, values) = parts(&m);
+        assert_eq!(
+            SparseMatrix::from_csr(3, 4, row_ptr.clone(), col_idx.clone(), values.clone()),
+            Ok(m)
+        );
+        // Each broken invariant is an error, not a debug-only assertion.
+        let mut descending = col_idx.clone();
+        descending.swap(0, 1);
+        assert!(SparseMatrix::from_csr(3, 4, row_ptr.clone(), descending, values.clone()).is_err());
+        assert!(
+            SparseMatrix::from_csr(3, 2, row_ptr.clone(), col_idx.clone(), values.clone()).is_err()
+        );
+        assert!(SparseMatrix::from_csr(
+            3,
+            4,
+            row_ptr.clone(),
+            col_idx.clone(),
+            values[1..].to_vec()
+        )
+        .is_err());
+        let mut offset = row_ptr.clone();
+        offset[0] = 1;
+        assert!(SparseMatrix::from_csr(3, 4, offset, col_idx.clone(), values.clone()).is_err());
+        assert!(SparseMatrix::from_csr(4, 4, row_ptr, col_idx, values).is_err());
     }
 
     #[test]

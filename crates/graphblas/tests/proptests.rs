@@ -23,6 +23,51 @@ fn rect_triples() -> impl Strategy<Value = Vec<(u64, u64, i64)>> {
     prop::collection::vec(((0..RDIM_ROWS), (0..RDIM_COLS), -100i64..100), 0..80)
 }
 
+/// Row `i` of `A` as a sparse vector of length `A.ncols()`: the reference
+/// `vxm` is checked against.
+fn extract_row<T: Scalar>(a: &SparseMatrix<T>, i: u64) -> GrbResult<SparseVector<T>> {
+    if i >= a.nrows() {
+        return Err(GrbError::IndexOutOfBounds { index: i, bound: a.nrows() });
+    }
+    let (cols, vals) = a.row(i);
+    let entries: Vec<_> = cols.iter().copied().zip(vals.iter().copied()).collect();
+    SparseVector::from_entries(a.ncols(), &entries)
+}
+
+/// Column `j` of `A` as a sparse vector of length `A.nrows()`: the reference
+/// `mxv` and `mxm` are checked against.
+fn extract_col<T: Scalar>(a: &SparseMatrix<T>, j: u64) -> GrbResult<SparseVector<T>> {
+    if j >= a.ncols() {
+        return Err(GrbError::IndexOutOfBounds { index: j, bound: a.ncols() });
+    }
+    let entries: Vec<_> =
+        (0..a.nrows()).filter_map(|r| Some((r, a.extract_element(r, j)?))).collect();
+    SparseVector::from_entries(a.nrows(), &entries)
+}
+
+fn extract_fixture() -> SparseMatrix<i64> {
+    SparseMatrix::from_triples(
+        4,
+        4,
+        &[(0, 0, 1), (0, 3, 2), (1, 1, 3), (2, 0, 4), (3, 2, 5), (3, 3, 6)],
+    )
+    .unwrap()
+}
+
+#[test]
+fn extract_row_and_col() {
+    let r = extract_row(&extract_fixture(), 0).unwrap();
+    assert_eq!(r.to_entries(), vec![(0, 1), (3, 2)]);
+    let c = extract_col(&extract_fixture(), 0).unwrap();
+    assert_eq!(c.to_entries(), vec![(0, 1), (2, 4)]);
+}
+
+#[test]
+fn extract_rejects_out_of_bounds() {
+    assert!(extract_row(&extract_fixture(), 4).is_err());
+    assert!(extract_col(&extract_fixture(), 9).is_err());
+}
+
 /// Dense reference multiply under plus_times.
 fn dense_mxm(a: &SparseMatrix<i64>, b: &SparseMatrix<i64>) -> Vec<Vec<i64>> {
     let mut da = vec![vec![0i64; DIM as usize]; DIM as usize];

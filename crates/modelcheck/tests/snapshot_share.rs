@@ -63,6 +63,7 @@ fn a_reader_sees_its_own_epoch_while_the_writer_copies_and_folds() {
         g.sync_matrices();
         // A pending insert in row `a`: its chunk exists in every edge matrix.
         let ad = g.add_edge(a, d, "R", vec![]).unwrap();
+        let rel = g.schema.rel_type_id("R").unwrap() as u32;
         let lock = Arc::new(parking_lot::RwLock::new(g));
         let cache = Arc::new(parking_lot::Mutex::new(None::<Arc<GraphSnapshot>>));
         // The cached snapshot shares row `a`'s chunks and the edge block, so
@@ -79,8 +80,9 @@ fn a_reader_sees_its_own_epoch_while_the_writer_copies_and_folds() {
                 let count = if old { 2 } else { 3 };
                 for _ in 0..2 {
                     assert_eq!(out_row(&snap, a), row, "row {a} mixes epochs (old = {old})");
-                    assert_eq!(snap.edge(ad).is_some(), old, "edge entity from the wrong epoch");
-                    assert!(snap.edge(ab).is_some());
+                    let slot = |id| snap.edge_attributes(id).is_some();
+                    assert_eq!(slot(ad), old, "edge slot from the wrong epoch");
+                    assert!(slot(ab));
                     assert_eq!(snap.edge_count(), 3);
                     let reached = snap.khop_reach(a, 1, 1, TraverseDir::Outgoing, None);
                     assert_eq!(reached.indices(), &row[..], "matrices disagree with the row");
@@ -97,7 +99,7 @@ fn a_reader_sees_its_own_epoch_while_the_writer_copies_and_folds() {
         {
             let mut g = lock.write();
             g.add_edge(a, c, "R", vec![]).unwrap();
-            assert!(g.delete_edge(ad));
+            assert!(g.delete_edge(&Value::Edge { id: ad, src: a, dst: d, rel }));
         }
         lock.write().sync_matrices();
 
@@ -205,7 +207,7 @@ fn a_reader_keeps_a_parallel_pair_whose_list_slot_the_writer_frees_and_reuses() 
         // list slot. Then a separate fold of every buffer.
         {
             let mut g = lock.write();
-            assert!(g.delete_edge(pair[1]));
+            assert!(g.delete_edge(&Value::Edge { id: pair[1], src: a, dst: b, rel: r as u32 }));
             g.add_edge(b, c, "R", vec![]).unwrap();
             g.add_edge(b, c, "R", vec![]).unwrap();
             assert_eq!(g.relation_matrix(r).unwrap().extract_element(b, c), tagged);

@@ -351,7 +351,7 @@ fn encode_value(value: &Value, out: &mut Vec<u8>, text: &mut String) {
         Value::Float(f) => formatted(format_args!("{f}")),
         Value::Str(s) => push_bulk(out, s),
         Value::Node(id) => formatted(format_args!("(node:{id})")),
-        Value::Edge(id) => formatted(format_args!("[edge:{id}]")),
+        Value::Edge { id, .. } => formatted(format_args!("[edge:{id}]")),
         Value::List(items) => {
             push_header(out, b'*', items.len());
             for item in items {

@@ -183,8 +183,11 @@ impl GraphEntry {
     /// fresh epoch briefly queue for one structural clone instead of each
     /// paying their own, and nobody holds the graph lock while they wait —
     /// a writer is never blocked. A rebuild is timed from the clone to the
-    /// cache swap, which includes dropping the superseded snapshot
-    /// (`snapshot_rebuild_*` in `GRAPH.INFO`).
+    /// cache swap (`snapshot_rebuild_*` in `GRAPH.INFO`). The superseded
+    /// snapshot is dropped after the mutex is released and outside that
+    /// time: it may hold the last pin on a pre-fold epoch, whose free takes
+    /// milliseconds on a large graph, and the other first readers of the new
+    /// epoch need not wait for it.
     fn snapshot(&self, metrics: &Metrics) -> Arc<GraphSnapshot> {
         let mut cache = self.snapshot_cache.lock();
         let (started, pending) = {
@@ -199,8 +202,10 @@ impl GraphEntry {
         };
         metrics.snapshot_rebuilds.fetch_add(1, Ordering::Relaxed);
         let sealed = Arc::new(GraphSnapshot::seal(pending));
-        *cache = Some(Arc::clone(&sealed));
+        let superseded = cache.replace(Arc::clone(&sealed));
         metrics.snapshot_rebuild_latency.record_duration(started.elapsed());
+        drop(cache);
+        drop(superseded);
         sealed
     }
 

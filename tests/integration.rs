@@ -272,3 +272,59 @@ fn algo_procedures_agree_with_direct_calls_and_baseline() {
         assert_eq!(row[1].as_i64().unwrap(), oracle_levels[node as usize]);
     }
 }
+
+/// `algo.sssp` over parallel weighted edges of two types, some folded and
+/// some pending, some without the weight property and some deleted through
+/// Cypher: the weight matrix keeps each pair's cheapest live edge, as the
+/// Bellman–Ford oracle over the edge list does.
+#[test]
+fn sssp_over_parallel_weighted_edges_matches_the_baseline() {
+    let n = 12u64;
+    let mut g = Graph::new("sssp-parallel");
+    g.set_flush_threshold(1_000_000);
+    for _ in 0..n {
+        g.add_node(&["N"], vec![]);
+    }
+    let mut state = 7u64;
+    let mut next = |bound: u64| {
+        state =
+            state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) % bound
+    };
+    // (src, dst, type, weight property), then the explicit parallel pairs.
+    let mut edges: Vec<(u64, u64, &str, Option<f64>)> = (0..80)
+        .map(|i| {
+            let (src, dst, w) = (next(n), next(n), next(9) as f64 * 0.5 + 0.25);
+            (src, dst, ["R", "S"][i % 2], (i % 5 != 0).then_some(w))
+        })
+        .collect();
+    edges.extend([(0, 1, "R", Some(4.0)), (0, 1, "R", Some(0.5)), (0, 1, "R", None)]);
+    edges.extend([(1, 2, "S", Some(3.0)), (1, 2, "S", Some(0.125)), (1, 2, "R", Some(2.0))]);
+    let mut live = Vec::new();
+    for (i, &(src, dst, rel, w)) in edges.iter().enumerate() {
+        let props = w.map(|w| vec![("w", Value::Float(w))]).unwrap_or_default();
+        live.push((g.add_edge(src, dst, rel, props).unwrap(), src, dst, w.unwrap_or(1.0)));
+        if i == 40 {
+            g.sync_matrices();
+        }
+    }
+    // Delete the cheap parallel edge 1 -[:S]-> 2 and a few others.
+    for victim in [live[84].0, live[3].0, live[50].0] {
+        let rs = g.query(&format!("MATCH ()-[e]->() WHERE id(e) = {victim} DELETE e")).unwrap();
+        assert_eq!(rs.stats.relationships_deleted, 1);
+        live.retain(|&(id, ..)| id != victim);
+    }
+    let oracle: Vec<(u64, u64, f64)> = live.iter().map(|&(_, s, d, w)| (s, d, w)).collect();
+    for source in 0..n {
+        let expect = baseline::algorithms::sssp(n, &oracle, source);
+        let text =
+            format!("CALL algo.sssp({source}, 'w') YIELD node, distance RETURN node, distance");
+        let rs = g.query_readonly(&text).unwrap();
+        assert_eq!(rs.rows.len(), expect.iter().filter(|d| d.is_finite()).count(), "from {source}");
+        for row in &rs.rows {
+            let Value::Node(node) = row[0] else { panic!("expected a node") };
+            let got = row[1].as_f64().unwrap();
+            assert!((got - expect[node as usize]).abs() < 1e-9, "{source} → {node}: {got}");
+        }
+    }
+}

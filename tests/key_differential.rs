@@ -41,7 +41,13 @@ impl Strategy for MixedValue {
             ),
             9 => Value::Str(["a", "b", "2"][rng.gen_range(0..3usize)].to_string()),
             10 => Value::Node(rng.gen_range(0u64..3)),
-            11 => Value::Edge(rng.gen_range(0u64..3)),
+            // An edge is its id, whatever cell it was read from.
+            11 => Value::Edge {
+                id: rng.gen_range(0u64..3),
+                src: rng.gen_range(0u64..2),
+                dst: 0,
+                rel: 0,
+            },
             _ => {
                 let inner = MixedValue { depth: self.depth - 1 };
                 Value::List((0..rng.gen_range(0..3usize)).map(|_| inner.generate(rng)).collect())
@@ -62,7 +68,8 @@ fn equivalent(a: &Value, b: &Value) -> bool {
         (Value::Int(i), Value::Float(f)) | (Value::Float(f), Value::Int(i)) => int_float(*i, *f),
         (Value::Float(x), Value::Float(y)) => x == y || (x.is_nan() && y.is_nan()),
         (Value::Str(x), Value::Str(y)) => x == y,
-        (Value::Node(x), Value::Node(y)) | (Value::Edge(x), Value::Edge(y)) => x == y,
+        (Value::Node(x), Value::Node(y)) => x == y,
+        (Value::Edge { id: x, .. }, Value::Edge { id: y, .. }) => x == y,
         (Value::List(x), Value::List(y)) => {
             x.len() == y.len() && x.iter().zip(y).all(|(p, q)| equivalent(p, q))
         }

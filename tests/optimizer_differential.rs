@@ -185,7 +185,7 @@ fn fusion_is_correct_on_unflushed_delta_views() {
     let doomed = g.add_edge(2, 3, "T1", vec![]).unwrap();
     g.add_edge(2, 3, "T1", vec![]).unwrap();
     g.add_edge(3, 3, "T0", vec![]).unwrap();
-    assert!(g.delete_edge(doomed));
+    assert!(g.delete_edge(&edge(&g, "T1", 2, 3, doomed)));
     for query in queries() {
         let unfused = sorted_rows(&mut g, false, query);
         let fused = sorted_rows(&mut g, true, query);
@@ -228,6 +228,12 @@ fn count_pushdown_applies_exactly_to_its_shapes() {
     }
 }
 
+/// The value a traversal binds for edge `id` of type `rel` from `src` to
+/// `dst`: what `delete_edge` takes.
+fn edge(g: &Graph, rel: &str, src: u64, dst: u64, id: u64) -> Value {
+    Value::Edge { id, src, dst, rel: g.schema.rel_type_id(rel).unwrap() as u32 }
+}
+
 /// A flushed graph with pending changes on top, which nothing folds on its
 /// own: inserts, deletes of flushed edges (one of them a parallel pair's
 /// matrix representative) and an insert deleted again.
@@ -240,10 +246,10 @@ fn dirty_graph() -> Graph {
     for (rel, src, dst) in [("T0", 0, 1), ("T2", 1, 1)] {
         let rel = g.schema.rel_type_id(rel).unwrap();
         let flushed = g.edges_between(rel, src, dst).next().expect("random_graph adds it");
-        assert!(g.delete_edge(flushed));
+        assert!(g.delete_edge(&Value::Edge { id: flushed, src, dst, rel: rel as u32 }));
     }
     let doomed = g.add_edge(4, 5, "T1", vec![]).unwrap();
-    assert!(g.delete_edge(doomed));
+    assert!(g.delete_edge(&edge(&g, "T1", 4, 5, doomed)));
     assert!(g.has_pending_deltas(), "edges must still be buffered");
     g
 }
@@ -334,7 +340,7 @@ fn fused_counts_follow_parallel_edge_mutations() {
     let extra = g.add_edge(0, 1, "T0", vec![]).unwrap(); // parallel pair → 2 paths
     assert_eq!(count(&mut g), 2);
     let snap = g.snapshot();
-    assert!(g.delete_edge(extra));
+    assert!(g.delete_edge(&edge(&g, "T0", 0, 1, extra)));
     assert_eq!(count(&mut g), 1);
     let in_snapshot = snap.query_readonly(query).unwrap().scalar().and_then(|v| v.as_i64());
     assert_eq!(in_snapshot, Some(2));

@@ -24,7 +24,7 @@ fn value_to_resp(value: &Value) -> RespValue {
         Value::Float(f) => RespValue::BulkString(format!("{f}")),
         Value::Str(s) => RespValue::BulkString(s.clone()),
         Value::Node(id) => RespValue::BulkString(format!("(node:{id})")),
-        Value::Edge(id) => RespValue::BulkString(format!("[edge:{id}]")),
+        Value::Edge { id, .. } => RespValue::BulkString(format!("[edge:{id}]")),
         Value::List(items) => RespValue::Array(items.iter().map(value_to_resp).collect()),
     }
 }
@@ -107,7 +107,7 @@ impl Dice {
                 if self.coin() {
                     Value::Node(id)
                 } else {
-                    Value::Edge(id)
+                    Value::Edge { id, src: id / 2, dst: 3, rel: 1 }
                 }
             }
             _ => Value::List((0..self.roll() % 4).map(|_| self.value(depth + 1)).collect()),
@@ -178,7 +178,7 @@ fn every_value_kind_and_reply_shape_encodes_identically() {
         Value::Str("x\r\n+INJECTED".into()),
         Value::Str(String::new()),
         Value::Node(42),
-        Value::Edge(u64::MAX),
+        Value::Edge { id: u64::MAX, src: 0, dst: 1, rel: u32::MAX },
         Value::List(vec![]),
         Value::List(vec![Value::List(vec![Value::Int(-7), Value::Null]), Value::Str("in".into())]),
     ];

@@ -101,8 +101,10 @@ fn apply(step: Step, delta: &mut Graph, eager: &mut Graph, shadow: &mut Shadow) 
                 return false;
             }
             let idx = (edge_sel as usize) % shadow.edges.len();
-            let (eid, ..) = shadow.edges.swap_remove(idx);
-            assert_eq!(delta.delete_edge(eid), eager.delete_edge(eid));
+            let (id, rel, src, dst) = shadow.edges.swap_remove(idx);
+            let rel = delta.schema.rel_type_id(RELS[rel]).expect("made by its first edge") as u32;
+            let edge = Value::Edge { id, src, dst, rel };
+            assert_eq!((delta.delete_edge(&edge), eager.delete_edge(&edge)), (true, true));
             true
         }
         Step::DeleteNode { node_sel } => {

@@ -47,7 +47,9 @@ impl Oracle {
     }
 
     fn delete_edge(&mut self, g: &mut Graph, edge: u64) {
-        assert!(g.delete_edge(edge), "edge {edge} must exist");
+        let &(src, id, dst, rel) = self.edges.iter().find(|e| e.1 == edge).expect("live edge");
+        let rel = g.schema.rel_type_id(rel).expect("made by its first edge") as u32;
+        assert!(g.delete_edge(&Value::Edge { id, src, dst, rel }), "edge {edge} must exist");
         self.edges.retain(|&(_, e, _, _)| e != edge);
     }
 
@@ -149,7 +151,8 @@ impl Oracle {
                             continue;
                         };
                         if let (Some(ev), Some(e)) = (&rel.variable, edge) {
-                            r.insert(ev.clone(), Value::Edge(e));
+                            // The oracle reads an edge by its id alone.
+                            r.insert(ev.clone(), Value::Edge { id: e, src: 0, dst: 0, rel: 0 });
                         }
                         next.push(r);
                     }
@@ -166,11 +169,11 @@ impl Oracle {
         let eval = |row: &Row, expr: &Expr| match expr {
             Expr::FunctionCall { name, args, .. } => match (name.as_str(), args.as_slice()) {
                 ("id", [Expr::Variable(v)]) => match row[v] {
-                    Value::Node(id) | Value::Edge(id) => Value::Int(id as i64),
+                    Value::Node(id) | Value::Edge { id, .. } => Value::Int(id as i64),
                     ref other => panic!("id() of {other:?}"),
                 },
                 ("type", [Expr::Variable(v)]) => {
-                    let Value::Edge(e) = row[v] else { panic!("type() of a non-edge") };
+                    let Value::Edge { id: e, .. } = row[v] else { panic!("type() of a non-edge") };
                     let (.., rel) = self.edges.iter().find(|edge| edge.1 == e).expect("live edge");
                     Value::Str(rel.to_string())
                 }
@@ -440,8 +443,9 @@ fn single_hop_yields_one_row_per_parallel_edge() {
 
     // Deleting one parallel edge drops exactly its row; the survivors keep
     // traversing through the re-pointed representative cell.
-    let victim = oracle[1].1;
-    assert!(g.delete_edge(victim));
+    let (src, victim, dst, rel) = oracle[1];
+    let rel = g.schema.rel_type_id(rel).unwrap() as u32;
+    assert!(g.delete_edge(&Value::Edge { id: victim, src, dst, rel }));
     oracle.retain(|&(_, e, _, _)| e != victim);
     let got = observed(&mut g, "MATCH (a)-[e:T0]->(b) RETURN id(a), id(e), id(b)");
     assert_eq!(got, expect(&oracle, Some("T0")), "after delete");
