@@ -22,26 +22,26 @@
 //!
 //! All matrices share one dimension, grown in chunks as nodes are added.
 //!
-//! Every matrix is a [`DeltaMatrix`]: mutations append to per-matrix
-//! pending-insert/pending-delete buffers in O(log pending) instead of
-//! rebuilding CSR structures, and the transposed matrices are maintained
-//! incrementally (an edge insert buffers `(dst, src)` into the transpose)
-//! rather than recomputed from scratch after every write query. Readers see
-//! the merged `main ∪ Δ⁺ \ Δ⁻` view a row at a time, merging only rows with
-//! pending changes; the one whole-matrix consumer, the `algo.*` procedures'
-//! union, materialises a merged copy, so no read needs a flush. Buffers
-//! fold into the main matrices when a matrix's pending inserts and deletes
-//! reach [`Graph::flush_threshold`] (`DELTA_MAX_PENDING_CHANGES`), or
-//! explicitly via [`Graph::sync_matrices`]. Rewriting a stored cell's value
-//! (a parallel-edge list taking over a cell, or giving it back) is buffered
-//! too, but does not count: it changes no entry's presence.
+//! Every matrix is a [`DeltaMatrix`]: 1 024-row leaves, each an immutable CSR
+//! slice plus pending-insert/pending-delete buffers that a mutation appends
+//! to in O(log pending) instead of rebuilding CSR structures. The transposed
+//! matrices are maintained incrementally (an edge insert buffers `(dst,
+//! src)` into the transpose) rather than recomputed after every write
+//! query. Readers see the merged `main ∪ Δ⁺ \ Δ⁻` view a row at a time,
+//! merging only rows with pending changes; the one whole-matrix consumer,
+//! the `algo.*` procedures' union, materialises a merged copy, so no read
+//! needs a flush. A leaf folds its buffers into a fresh leaf alone, once its
+//! pending inserts and deletes reach its share of [`Graph::flush_threshold`]
+//! (`DELTA_MAX_PENDING_CHANGES`, which so caps each matrix's pending
+//! changes), or explicitly via [`Graph::sync_matrices`]. Rewriting a stored
+//! cell's value (a parallel-edge list taking over a cell, or giving it back)
+//! is buffered too, but does not count: it changes no entry's presence.
 //!
-//! Every flushed main CSR is an immutable, `Arc`-shared **epoch**:
-//! [`Graph::snapshot`] pins each matrix's current epoch — plus its
-//! copy-on-write tables of delta-buffer chunks and entity blocks — into a
-//! [`GraphSnapshot`] that concurrent readers query without holding any lock,
-//! while writers publish new epochs copy-on-write. A pinned epoch is freed
-//! when its last snapshot drops.
+//! [`Graph::snapshot`] pins each matrix's copy-on-write table of leaves,
+//! and the entity blocks', into a [`GraphSnapshot`] that concurrent readers
+//! query without holding any lock, while writers copy the leaves they touch
+//! and publish folded leaves beside the pinned ones. A leaf is freed when
+//! the last snapshot holding it drops.
 
 use crate::error::QueryError;
 use crate::exec::plan::{ExecutionPlan, GraphAccess, OpProfile, ParamValues, Params};
@@ -51,9 +51,10 @@ use crate::store::entity::{AttributeSet, NodeEntity};
 use crate::store::schema::{AttributeId, LabelId, RelTypeId, Schema};
 use crate::value::Value;
 use crate::{EdgeId, NodeId};
+use graphblas::delta::Leaf;
 use graphblas::prelude::*;
 use std::borrow::Cow;
-use std::mem::{size_of, size_of_val};
+use std::mem::size_of;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -100,7 +101,7 @@ const PULL_ALPHA: u64 = 14;
 const PUSH_BETA: u64 = 24;
 
 /// Bytes each of a [`Graph`]'s stores holds ([`Graph::storage_bytes`]).
-/// Matrices count their main CSR arrays (a fold or a bulk load leaves no
+/// Matrices count their leaves' CSR arrays (a fold or a bulk load leaves no
 /// pending buffer); entity stores count their allocated blocks plus the
 /// label lists, attribute entries and edge-id lists their slots own, but
 /// no string payload; allocator overhead is not counted.
@@ -176,10 +177,10 @@ impl Graph {
     /// Pin the current state as an immutable snapshot.
     ///
     /// The underlying clone is structural and copies no stored entry: each
-    /// matrix's flushed CSR is shared by `Arc` (see
-    /// `DeltaMatrix::main_shared`); its delta buffers, the entity DataBlocks
-    /// and the parallel-edge lists' DataBlock by the roots of their
-    /// copy-on-write chunk tables; the schema and the free lists by `Arc`.
+    /// matrix's leaves (CSR slices and delta buffers), the entity DataBlocks
+    /// and the parallel-edge lists' DataBlock are shared by the roots of
+    /// their copy-on-write chunk tables; the schema and the free lists by
+    /// `Arc`.
     /// Its cost is a few pointer bumps per matrix however large the graph,
     /// its pending buffers or its number of parallel cells. Alternating one
     /// write with one snapshot on a Graph500 scale-15 graph (0.8 M edges,
@@ -195,9 +196,11 @@ impl Graph {
     /// (3.4 µs at 10 000, 30 µs at 100 000). rgbench's `mixed_rw_write`
     /// reuses each freed id at once, so its list holds 0–1 ids and no
     /// workload measures this cost.
-    /// Pending deltas deliberately stay buffered: a fold rebuilds
-    /// whole CSRs (O(nnz) however few changes are buffered), which no plan
-    /// needs — traversals of every length run on merged row views.
+    /// Pending deltas deliberately stay buffered: no plan needs a fold —
+    /// traversals of every length run on merged row views. A fold after the
+    /// snapshot rebuilds one 1 024-row leaf into a fresh one and leaves the old
+    /// one to the snapshot, which frees it on its drop if no one else holds
+    /// it.
     ///
     /// Later writes to this graph copy-on-write around the snapshot, so
     /// reading from it never takes a lock and never observes a concurrent
@@ -210,9 +213,9 @@ impl Graph {
         GraphSnapshot::seal(self.clone())
     }
 
-    /// The number of pending inserts and deletes at which any one matrix
-    /// folds its delta buffers into its main CSR (the
-    /// `DELTA_MAX_PENDING_CHANGES` knob).
+    /// The cap on any one matrix's pending inserts and deletes (the
+    /// `DELTA_MAX_PENDING_CHANGES` knob): each leaf folds its delta buffers
+    /// into a fresh CSR slice at its share of it.
     pub fn flush_threshold(&self) -> usize {
         self.flush_threshold
     }
@@ -252,8 +255,9 @@ impl Graph {
             + self.label_matrices.iter().map(DeltaMatrix::pending_count).sum::<usize>()
     }
 
-    /// Total delta-buffer folds performed across every matrix over the
-    /// graph's lifetime (`GRAPH.INFO`'s `delta_flushes`).
+    /// Total leaf folds performed across every matrix over the graph's
+    /// lifetime (`GRAPH.INFO`'s `delta_flushes`): one per 1 024-row leaf whose
+    /// buffers were merged into a fresh CSR slice.
     pub fn delta_flush_count(&self) -> u64 {
         self.relation_matrices.iter().map(DeltaMatrix::flush_count).sum::<u64>()
             + self.relation_matrices_t.iter().map(DeltaMatrix::flush_count).sum::<u64>()
@@ -322,11 +326,13 @@ impl Graph {
 
     // ------------------------------------------------------------ mutation
 
+    /// Grow every matrix, by whole `GROW_CHUNK`s, to hold `needed` rows.
+    /// Growing adds empty leaf slots and copies no leaf.
     fn ensure_dim(&mut self, needed: u64) {
-        if needed < self.dim {
+        if needed <= self.dim {
             return;
         }
-        let new_dim = ((needed / GROW_CHUNK) + 1) * GROW_CHUNK;
+        let new_dim = needed.div_ceil(GROW_CHUNK) * GROW_CHUNK;
         for m in &mut self.relation_matrices {
             m.resize(new_dim, new_dim);
         }
@@ -512,11 +518,11 @@ impl Graph {
         true
     }
 
-    /// Fold every matrix's pending buffers into its main CSR, as the flush
-    /// threshold does one matrix at a time. Correctness never requires this —
-    /// merged views stay consistent without it, and no query calls it — but
-    /// it lets whole-matrix reads borrow instead of merging and lets tests
-    /// pin state. Each non-trivial fold publishes a new epoch per matrix.
+    /// Fold every leaf's pending buffers into a fresh CSR slice, as the
+    /// flush threshold does one leaf at a time. Correctness never requires
+    /// this — merged views stay consistent without it, and no query calls
+    /// it — but it lets tests pin state. Each fold costs its own leaf's
+    /// entries, and a snapshot keeps the leaves it held.
     pub fn sync_matrices(&mut self) {
         for m in &mut self.relation_matrices {
             m.flush();
@@ -607,7 +613,7 @@ impl Graph {
         let union = self
             .relation_matrices
             .iter()
-            .map(|m| m.view().pattern())
+            .map(|m| m.export().pattern())
             .reduce(|a, b| ewise_add_matrix(&a, &b, &BinaryOp::LOr))
             .unwrap_or_else(|| SparseMatrix::new(self.dim, self.dim));
         Cow::Owned(union)
@@ -617,8 +623,8 @@ impl Graph {
     /// stored value is the cell's edge id, or `LIST_TAG | slot` when the
     /// cell holds parallel edges: [`Graph::edges_between`] and
     /// [`Graph::neighbors`] expand a cell to its edge ids.
-    pub fn relation_matrix(&self, rel: RelTypeId) -> Option<Cow<'_, SparseMatrix<u64>>> {
-        self.relation_matrices.get(rel).map(DeltaMatrix::view)
+    pub fn relation_matrix(&self, rel: RelTypeId) -> Option<SparseMatrix<u64>> {
+        self.relation_matrices.get(rel).map(DeltaMatrix::export)
     }
 
     /// Number of relationship-type matrices currently allocated.
@@ -826,29 +832,28 @@ impl Graph {
     /// self-loops and edges with an endpoint outside `0..num_vertices` are
     /// dropped, as an adjacency-matrix representation drops them.
     ///
-    /// The matrices are built in place, in one pass, with no per-edge
-    /// buffering and no triple list: the label diagonal is written as CSR
-    /// arrays, and one walk of the sorted, deduplicated pairs numbers the
-    /// edges in that order while it fills the relation's row counts,
-    /// columns and edge ids. The pairs are freed before the transpose kernel
-    /// runs, so the load's transient is that one pair list. Each edge's
-    /// attribute slot is an empty set, which allocates nothing.
+    /// The matrices are built leaf by leaf, with no per-edge buffering, no
+    /// triple list and no whole-matrix copy: the label diagonal straight
+    /// from the vertex ids, and the relation from one walk of the sorted,
+    /// deduplicated pairs, which numbers the edges in that order. The pairs
+    /// are freed before the transpose is built from the relation's leaves,
+    /// so the load's transient is that one pair list. Each edge's attribute
+    /// slot is an empty set, which allocates nothing.
     pub fn bulk_load(&mut self, num_vertices: u64, edges: &[(u64, u64)]) {
         let label = self.label_id_or_create("Node");
         let rel = self.rel_type_id_or_create("LINK");
         let id_attr = self.attribute_id_or_create("id");
 
-        self.ensure_dim(num_vertices + 1);
-        let (dim, n) = (self.dim as usize, num_vertices as usize);
+        self.ensure_dim(num_vertices);
         for v in 0..num_vertices {
             let mut attrs = AttributeSet::new();
             attrs.set(id_attr, Value::Int(v as i64));
             let id = self.nodes.insert(NodeEntity { labels: vec![label], attributes: attrs });
             debug_assert_eq!(id, v, "bulk_load requires an empty graph");
         }
-        let diagonal_rows = (0..=dim).map(|row| row.min(n)).collect();
-        self.label_matrices[label] =
-            self.delta_from_csr(diagonal_rows, (0..num_vertices).collect(), vec![true; n]);
+        let (dim, threshold) = (self.dim, self.flush_threshold);
+        let diagonal = (0..num_vertices).map(|v| (v, v, true));
+        self.label_matrices[label] = loaded(dim, threshold, diagonal);
 
         let mut pairs: Vec<(u64, u64)> = edges
             .iter()
@@ -857,52 +862,20 @@ impl Graph {
             .collect();
         pairs.sort_unstable();
         pairs.dedup();
-        let mut row_ptr = vec![0usize; dim + 1];
-        let mut col_idx = Vec::with_capacity(pairs.len());
-        let mut ids = Vec::with_capacity(pairs.len());
-        for &(s, d) in &pairs {
-            row_ptr[s as usize + 1] += 1;
-            col_idx.push(d);
-            ids.push(self.edges.insert(AttributeSet::new()));
-        }
+        let slots = &mut self.edges;
+        let cells = pairs.iter().map(|&(s, d)| (s, d, slots.insert(AttributeSet::new())));
+        let relation = loaded(dim, threshold, cells);
         drop(pairs);
-        for row in 0..dim {
-            row_ptr[row + 1] += row_ptr[row];
-        }
-        self.relation_matrices[rel] = self.delta_from_csr(row_ptr, col_idx, ids);
-        self.relation_matrices_t[rel] =
-            self.delta_from_matrix(transpose(self.relation_matrices[rel].main()));
+        self.relation_matrices_t[rel] = relation.transposed();
+        self.relation_matrices[rel] = relation;
         self.epoch += 1;
-    }
-
-    /// A flushed delta matrix at this graph's dimension from CSR arrays,
-    /// checked by [`SparseMatrix::from_csr`].
-    fn delta_from_csr<T: Scalar>(
-        &self,
-        row_ptr: Vec<usize>,
-        col_idx: Vec<u64>,
-        values: Vec<T>,
-    ) -> DeltaMatrix<T> {
-        let matrix = SparseMatrix::from_csr(self.dim, self.dim, row_ptr, col_idx, values);
-        self.delta_from_matrix(matrix.expect("sorted, deduplicated in-range entries"))
-    }
-
-    fn delta_from_matrix<T: Scalar>(&self, matrix: SparseMatrix<T>) -> DeltaMatrix<T> {
-        let mut m = DeltaMatrix::from_matrix(matrix);
-        m.set_flush_threshold(self.flush_threshold);
-        m
     }
 
     /// The bytes each store holds (see [`StorageBytes`]): O(nnz + entities)
     /// for the entity walks, a diagnostic rather than a serving path.
     pub fn storage_bytes(&self) -> StorageBytes {
         fn csr<T: Scalar>(matrices: &[DeltaMatrix<T>]) -> usize {
-            let bytes = |m: &SparseMatrix<T>| {
-                size_of_val(m.row_ptr())
-                    + size_of_val(m.col_indices())
-                    + size_of_val(m.raw_values())
-            };
-            matrices.iter().map(|m| bytes(m.main())).sum()
+            matrices.iter().map(DeltaMatrix::main_bytes).sum()
         }
         let attributes = |a: &AttributeSet| a.len() * size_of::<(AttributeId, Value)>();
         let node =
@@ -921,12 +894,25 @@ impl Graph {
         }
     }
 
-    /// Pin a relation matrix's current epoch CSR. Diagnostic/test use: the
+    /// Pin a relation matrix's current leaves. Diagnostic/test use: the
     /// epoch-reclamation tests assert through `Weak` handles derived from
-    /// this that old epochs are freed, not accumulated.
-    pub fn relation_epoch_pin(&self, rel: RelTypeId) -> Option<Arc<SparseMatrix<u64>>> {
-        self.relation_matrices.get(rel).map(DeltaMatrix::main_shared)
+    /// this that replaced leaves are freed, not accumulated.
+    pub fn relation_epoch_pin(&self, rel: RelTypeId) -> Option<Vec<Arc<Leaf<u64>>>> {
+        let m = self.relation_matrices.get(rel)?;
+        Some(m.table().leaves().map(|(_, leaf)| Arc::clone(leaf)).collect())
     }
+}
+
+/// A `dim × dim` matrix folding at `threshold`, holding `entries` (sorted,
+/// deduplicated, in range) with nothing pending.
+fn loaded<T: Scalar>(
+    dim: u64,
+    threshold: usize,
+    entries: impl IntoIterator<Item = (u64, u64, T)>,
+) -> DeltaMatrix<T> {
+    let mut m = DeltaMatrix::from_sorted(dim, dim, entries).expect("sorted, in-range entries");
+    m.set_flush_threshold(threshold);
+    m
 }
 
 /// Level-synchronous BFS from `source` over the union of `pairs` (see
@@ -935,14 +921,14 @@ impl Graph {
 ///
 /// Each hop pushes the frontier through the push matrices or pulls it
 /// through their transposes, whichever Beamer's rule picks. The kernels read
-/// a dirty matrix's merged rows in place, never a whole-matrix copy, and a
-/// matrix with nothing pending hands them its main CSR.
+/// the merged rows in place, never a whole-matrix copy: a push, and the
+/// degree sum that picks the direction, look a leaf up once for a run of
+/// frontier rows in it; a pull walks the leaves in row order.
 fn bitmap_bfs(
     dim: u64,
     pairs: &[MatrixPair<'_>],
     (source, min_hops, max_hops): (NodeId, u32, u32),
 ) -> SparseVector<bool> {
-    let degree = |v: NodeId| pairs.iter().map(|(m, _)| m.row_degree(v) as u64).sum::<u64>();
     let mut unexplored: u64 = pairs.iter().map(|(m, _)| m.nvals() as u64).sum();
 
     let mut visited = Bitmap::new(dim);
@@ -957,7 +943,7 @@ fn bitmap_bfs(
         if frontier.is_empty() || pairs.is_empty() {
             break;
         }
-        let frontier_edges: u64 = frontier.iter().map(|&v| degree(v)).sum();
+        let frontier_edges: u64 = pairs.iter().map(|(m, _)| m.degree_sum(&frontier)).sum();
         pulling = if pulling {
             frontier.len() as u64 >= dim / PUSH_BETA
         } else {
@@ -972,17 +958,11 @@ fn bitmap_bfs(
                 bits.insert(v);
             }
             for &(_, t) in pairs {
-                match t.is_flushed() {
-                    true => bfs_pull(t.main(), bits, &mut visited, &mut next),
-                    false => bfs_pull(t, bits, &mut visited, &mut next),
-                }
+                bfs_pull(t, bits, &mut visited, &mut next);
             }
         } else {
             for &(m, _) in pairs {
-                match m.is_flushed() {
-                    true => bfs_push(m.main(), &frontier, &mut visited, &mut next),
-                    false => bfs_push(m, &frontier, &mut visited, &mut next),
-                }
+                bfs_push(m, &frontier, &mut visited, &mut next);
             }
         }
         if hop < min_hops {
@@ -1375,9 +1355,9 @@ mod tests {
             }
             inc.sync_matrices();
 
-            let label = |g: &Graph| g.label_matrices[0].main().clone();
-            let rel = |g: &Graph| g.relation_matrices[0].main().clone();
-            let rel_t = |g: &Graph| g.relation_matrices_t[0].main().clone();
+            let label = |g: &Graph| g.label_matrices[0].export();
+            let rel = |g: &Graph| g.relation_matrices[0].export();
+            let rel_t = |g: &Graph| g.relation_matrices_t[0].export();
             assert_eq!(bulk.dim(), inc.dim(), "n = {n}");
             assert_eq!(label(&bulk), label(&inc), "label diagonal, n = {n}");
             assert_eq!(rel(&bulk), rel(&inc), "relation, n = {n}");
@@ -1400,7 +1380,9 @@ mod tests {
         let n = 1_000u64;
         let mut g = Graph::new("bytes");
         g.bulk_load(n, &(0..n).map(|v| (v, (v + 1) % n)).collect::<Vec<_>>());
-        let csr = |nnz: u64, cell: u64| ((g.dim() + 1) * 8 + nnz * (8 + cell)) as usize;
+        // One leaf of 1 024 rows holds the ring, with 1 025 row pointers;
+        // the rest of the dimension allocates nothing.
+        let csr = |nnz: u64, cell: u64| (1025 * 8 + nnz * (8 + cell)) as usize;
         // 16 blocks of 64 slots; an empty attribute set owns nothing.
         let slots = |slot: usize| 16 * 64 * slot;
         let node = 8 + size_of::<(AttributeId, Value)>();
@@ -1423,6 +1405,31 @@ mod tests {
         g.bulk_load(GROW_CHUNK + 5, &[(0, GROW_CHUNK + 1)]);
         assert!(g.dim() > GROW_CHUNK);
         assert_eq!(g.khop_count(0, 1), 1);
+    }
+
+    #[test]
+    fn a_load_of_a_power_of_two_vertices_fills_its_dimension_exactly() {
+        let n = 1 << 15;
+        let mut g = Graph::new("exact");
+        g.bulk_load(n, &(0..n).map(|v| (v, (v * 7 + 1) % n)).collect::<Vec<_>>());
+        assert_eq!(g.dim(), 32_768, "no chunk of rows that no node can use");
+        let snap = g.snapshot();
+        let v = g.add_node(&["Node"], vec![("id", Value::Int(n as i64))]);
+        assert_eq!((v, g.dim()), (n, 49_152));
+        // Growth adds empty leaf slots: it copies no leaf of any matrix, and
+        // the new node's label entry is one new leaf.
+        assert_eq!(unshared_leaves(&g, &snap)[3..], [0, 0, 1]);
+        let e = g.add_edge(v, 0, "LINK", vec![]).unwrap();
+        g.add_edge(n - 1, v, "LINK", vec![]).unwrap();
+        assert_eq!(g.neighbors(v, None, TraverseDir::Outgoing), vec![(0, e)]);
+        assert_eq!(g.node_property(v, "id"), Value::Int(n as i64));
+        assert_eq!(g.nodes_with_label("Node").len(), n as usize + 1);
+        // Two hops from the last old node: through the new one to 0, and
+        // through its loaded edge.
+        let two_hops = (((n - 1) * 7 + 1) % n * 7 + 1) % n;
+        assert_eq!(g.khop_reach(n - 1, 2, 2, TraverseDir::Outgoing, None).indices(), [0, two_hops]);
+        assert_eq!(snap.dim(), 32_768);
+        assert_eq!(snap.neighbors(n - 1, None, TraverseDir::Outgoing).len(), 1);
     }
 
     // ------------------------------------------------- delta-path edge cases
@@ -1503,8 +1510,8 @@ mod tests {
     fn ensure_dim_growth_with_pending_buffers() {
         let mut g = Graph::new("grow-pending");
         g.set_flush_threshold(1_000_000);
-        // One short of the chunk boundary: the *next* node triggers growth.
-        for _ in 0..GROW_CHUNK - 1 {
+        // Up to the chunk boundary: the *next* node triggers growth.
+        for _ in 0..GROW_CHUNK {
             g.add_node(&["N"], vec![]);
         }
         g.add_edge(0, 1, "L", vec![]).unwrap();
@@ -1629,6 +1636,11 @@ mod tests {
         assert!(snap.query_readonly("CREATE (:Nope)").is_err());
     }
 
+    /// `Weak` handles on relation `rel`'s current leaves.
+    fn weak_leaves(g: &Graph, rel: RelTypeId) -> Vec<std::sync::Weak<Leaf<u64>>> {
+        g.relation_epoch_pin(rel).unwrap().iter().map(Arc::downgrade).collect()
+    }
+
     #[test]
     fn snapshot_epochs_are_reclaimed_not_accumulated() {
         let mut g = Graph::new("reclaim");
@@ -1637,47 +1649,49 @@ mod tests {
             g.add_node(&["N"], vec![]);
         }
         let l = g.rel_type_id_or_create("L");
+        // One edge, so the first epoch holds a relation leaf.
+        g.add_edge(33, 0, "L", vec![]).unwrap();
         g.sync_matrices();
 
         let pinned = g.snapshot(); // long-lived reader on the current epoch
-        let first_epoch_pin = g.relation_epoch_pin(l).unwrap();
-        let weak_first = std::sync::Arc::downgrade(&first_epoch_pin);
-        drop(first_epoch_pin);
+        let weak_first = weak_leaves(&g, l);
+        assert_eq!(weak_first.len(), 1);
 
-        // A write-heavy loop that keeps publishing epochs (threshold 4) while
+        // A write-heavy loop that keeps folding leaves (threshold 4) while
         // short-lived snapshots come and go, as the server's read path does.
         // Every edge fills a new cell: a third or later parallel edge
-        // writes only its cell's list, so it would publish no epoch.
+        // writes only its cell's list, so it would fold nothing.
         let mut weaks = Vec::new();
         for i in 0..32 {
             let s = g.snapshot();
             g.add_edge(i, i + 1, "L", vec![]).unwrap();
             g.add_edge(i + 2, i, "L", vec![]).unwrap();
             g.sync_matrices();
-            weaks.push(std::sync::Arc::downgrade(&g.relation_epoch_pin(l).unwrap()));
+            weaks.extend(weak_leaves(&g, l));
             drop(s);
         }
-        let live = weaks.iter().filter(|w| w.upgrade().is_some()).count();
-        assert_eq!(live, 1, "only the newest relation epoch may stay alive");
-        // The long-pinned first epoch is still alive through `pinned`…
-        assert!(weak_first.upgrade().is_some());
+        let current = g.relation_epoch_pin(l).unwrap();
+        let live: Vec<_> = weaks.iter().filter_map(std::sync::Weak::upgrade).collect();
+        let newest = |leaf: &Arc<Leaf<u64>>| current.iter().any(|c| Arc::ptr_eq(c, leaf));
+        assert!(live.iter().all(newest), "only the newest relation leaves may stay alive");
+        assert_eq!(live.len(), current.len());
+        // The long-pinned first leaves are still alive through `pinned`…
+        assert!(weak_first.iter().all(|w| w.upgrade().is_some()));
         assert_eq!(pinned.node_count(), 34);
-        assert_eq!(pinned.edge_count(), 0);
+        assert_eq!(pinned.edge_count(), 1);
         drop(pinned);
         // …and reclaimed the moment the last reader drops.
-        assert!(weak_first.upgrade().is_none(), "dropping the last snapshot frees its epoch");
+        let freed = weak_first.iter().all(|w| w.upgrade().is_none());
+        assert!(freed, "dropping the last snapshot frees the leaves it alone held");
     }
 
     /// Whether `a` shares every table of `b` by pointer — the schema, the
     /// entity blocks, the parallel-edge lists and their free lists, each
-    /// matrix's epoch CSR and pending chunks: what a clone must do in
-    /// O(#matrices), whatever the graph's size.
+    /// matrix's leaves: what a clone must do in O(#matrices), whatever the
+    /// graph's size.
     fn shares_every_root(a: &Graph, b: &Graph) -> bool {
         fn matrices<T: Scalar>(a: &[DeltaMatrix<T>], b: &[DeltaMatrix<T>]) -> bool {
-            let same = |(a, b): (&DeltaMatrix<T>, &DeltaMatrix<T>)| {
-                Arc::ptr_eq(&a.main_shared(), &b.main_shared())
-                    && a.pending_chunks().ptr_eq(b.pending_chunks())
-            };
+            let same = |(a, b): (&DeltaMatrix<T>, &DeltaMatrix<T>)| a.table().ptr_eq(b.table());
             a.len() == b.len() && a.iter().zip(b).all(same)
         }
         fn entities<T: Clone>(a: &DataBlock<T>, b: &DataBlock<T>) -> bool {
@@ -1696,12 +1710,11 @@ mod tests {
 
     /// Per table, the leaves `g` holds that `snap` does not share by
     /// pointer: the edge blocks, the node blocks, the parallel-edge list
-    /// blocks, then every matrix's pending chunks (relations, transposes,
-    /// labels).
+    /// blocks, then every matrix's leaves (relations, transposes, labels).
     fn unshared_leaves(g: &Graph, snap: &Graph) -> Vec<usize> {
         fn each<T: Scalar>(a: &[DeltaMatrix<T>], b: &[DeltaMatrix<T>]) -> Vec<usize> {
             let count = |(a, b): (&DeltaMatrix<T>, &DeltaMatrix<T>)| {
-                a.pending_chunks().leaves_not_shared_with(b.pending_chunks())
+                a.table().leaves_not_shared_with(b.table())
             };
             a.iter().zip(b).map(count).collect()
         }
@@ -1786,9 +1799,7 @@ mod tests {
         let e = g.add_edge(100, 3000, "LINK", vec![]).unwrap();
         assert_eq!(unshared_leaves(&g, &snap), vec![1, 0, 0, 1, 1, 0]);
         assert!(g.nodes.shared_parts().0.ptr_eq(snap.nodes.shared_parts().0));
-        assert!(g.label_matrices[0]
-            .pending_chunks()
-            .ptr_eq(snap.label_matrices[0].pending_chunks()));
+        assert!(g.label_matrices[0].table().ptr_eq(snap.label_matrices[0].table()));
         assert!(Arc::ptr_eq(&g.schema, &snap.schema));
         assert!(Arc::ptr_eq(g.edges.shared_parts().1, snap.edges.shared_parts().1));
         assert!(snap.edge_attributes(e).is_none());

@@ -160,7 +160,7 @@ impl<L> ChunkTable<L> {
 
     /// Every leaf's `Arc` with its slot, in slot order: one walk per slot,
     /// cheap beside what a caller does with a leaf of many entries.
-    fn leaves(&self) -> impl Iterator<Item = (usize, &Arc<L>)> + '_ {
+    pub fn leaves(&self) -> impl Iterator<Item = (usize, &Arc<L>)> + '_ {
         (0..self.len).filter_map(|i| Some((i, self.leaf(i)?)))
     }
 }
@@ -201,6 +201,15 @@ impl<L: Clone> ChunkTable<L> {
     /// Panics if `i >= len`.
     pub fn get_or_insert_with(&mut self, i: usize, make: impl FnOnce() -> L) -> &mut L {
         Arc::make_mut(self.slot_mut(i).get_or_insert_with(|| Arc::new(make())))
+    }
+
+    /// Put `leaf` in slot `i`, or empty the slot, copying only the slot's
+    /// path: the old leaf is dropped, or left to the clones that share it.
+    ///
+    /// # Panics
+    /// Panics if `i >= len`.
+    pub fn set(&mut self, i: usize, leaf: Option<L>) {
+        *self.slot_mut(i) = leaf.map(Arc::new);
     }
 
     /// Empty slot `i`, returning its leaf (a copy if a clone still shares
@@ -262,12 +271,12 @@ fn truncate<L>(slot: &mut Option<Arc<Node<L>>>, shift: u32, keep: usize) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// Nodes (inner and leaf) under `mine` that `theirs` does not share at
     /// the same position: what a write after a clone copied.
-    fn nodes_copied<L>(mine: &ChunkTable<L>, theirs: &ChunkTable<L>) -> usize {
+    pub(crate) fn nodes_copied<L>(mine: &ChunkTable<L>, theirs: &ChunkTable<L>) -> usize {
         fn walk<L>(a: Option<&Arc<Node<L>>>, b: Option<&Arc<Node<L>>>) -> usize {
             let Some(a) = a else { return 0 };
             if b.is_some_and(|b| Arc::ptr_eq(a, b)) {

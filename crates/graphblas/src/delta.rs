@@ -1,98 +1,132 @@
 //! Delta matrices: RedisGraph's production answer to write amplification.
 //!
-//! A [`DeltaMatrix`] wraps an immutable **main** CSR matrix together with two
-//! small pending buffers:
+//! A [`DeltaMatrix`] stores its rows in ranges of `LEAF_ROWS` (1 024) rows,
+//! the leaves of a copy-on-write [`ChunkTable`]. A leaf holds its range's
+//! **main** entries as an immutable CSR slice and, while it has changes
+//! pending, two small buffers per `CHUNK_ROWS` (64) rows:
 //!
-//! * **delta-plus** (`DP`) — entries inserted (or overwritten) since the last
-//!   flush, keyed by coordinate;
-//! * **delta-minus** (`DM`) — coordinates of main-matrix entries deleted since
-//!   the last flush.
+//! * **delta-plus** (`DP`) — entries inserted (or overwritten) since the
+//!   leaf's last fold, keyed by coordinate;
+//! * **delta-minus** (`DM`) — coordinates of main entries deleted since
+//!   then.
 //!
 //! Every read accessor presents the *merged* view `(M \ DM) ∪ DP` (with `DP`
 //! taking precedence over `M` on overlap), so readers never observe a torn
 //! state, while each write is an O(log pending) map update instead of a CSR
-//! rebuild. [`DeltaMatrix::flush`] folds both buffers into a fresh main matrix
-//! in one merge-build; a configurable threshold on the pending structural
-//! changes — inserts of new entries and deletes of main entries — triggers
-//! that flush automatically so writes stay O(1) amortized under sustained
-//! load. A `DP` entry that overwrites a main entry's value is buffered like
-//! any other but not counted toward the threshold: RedisGraph writes such an
-//! overwrite into `M` in place, which an immutable epoch cannot take.
-//! This is the crate's only pending-update mechanism: [`SparseMatrix`] itself
-//! has no write path.
+//! rebuild. A leaf **folds** alone, into a fresh leaf, once its pending
+//! structural changes — inserts of new entries and deletes of main entries
+//! — reach its share of the flush threshold: the threshold divided by the
+//! number of leaves, at least one. The threshold so stays a cap on the whole
+//! matrix's pending changes, and a threshold of 1 folds every insert and
+//! delete. A `DP` entry that overwrites a main entry's value is buffered like
+//! any other but not counted: RedisGraph writes such an overwrite into `M`
+//! in place, which an immutable leaf cannot take. [`DeltaMatrix::flush`]
+//! folds every leaf with changes pending. This is the crate's only
+//! pending-update mechanism: [`SparseMatrix`] itself has no write path.
 //!
-//! The merge walks the main CSR once in row order, visits each row's pending
-//! changes in column order and copies the main entries between them as whole
-//! slices. Both buffers are kept sorted by coordinate, so the fold hashes and
-//! sorts nothing. [`DeltaMatrix::export`] and [`DeltaMatrix::view`] build the
-//! same merged CSR without publishing it. Folding 9 000 inserts and 1 000
-//! deletes into a 782 k-entry matrix (Graph500 scale 15, 2-core x86 host)
-//! takes 1.7–1.9 ms, with or without a snapshot pinning the old CSR.
-//!
-//! A row read ([`DeltaMatrix::any_entry_in_row`], and the BFS kernels'
-//! [`RowSource`]) walks one row the same way. Each chunk counts every row's
-//! pending changes: a row with none is its main CSR slice, a read searches
-//! only the buffers holding the row's changes, and a merged degree is O(1).
+//! A fold walks its leaf's rows in order, visits each row's pending changes
+//! in column order and copies the main entries between them as whole
+//! slices. Both buffers are kept sorted by coordinate, so the fold hashes
+//! and sorts nothing, and it costs one leaf's entries however large the
+//! matrix is. A row read ([`DeltaMatrix::any_entry_in_row`], and the BFS
+//! kernels' [`RowSource`]) walks one row the same way. A leaf with changes
+//! pending counts every row's: a row with none is its CSR slice, a read
+//! searches only the buffers holding the row's changes, and a merged degree
+//! is O(1). A leaf with nothing pending carries no buffers and no counts.
 //!
 //! Invariants (checked by [`DeltaMatrix::check_invariants`]):
 //!
-//! * `DM` only names coordinates that exist in the main matrix;
+//! * `DM` only names coordinates that exist in its leaf's main entries;
 //! * `DP` and `DM` are disjoint — a delete of a pending insert simply drops
 //!   the `DP` entry, and an insert over a pending delete drops the `DM` entry;
-//! * each buffer chunk (below) holds only rows of its own range, is never
-//!   kept empty, and counts each row's changes exactly.
+//! * each leaf holds only rows of its own range, is never kept empty, keeps
+//!   no empty buffers, and counts each row's changes exactly.
 //!
-//! ## Epochs and snapshots
+//! ## Snapshots
 //!
-//! The main matrix is held behind an [`Arc`]: each flushed CSR is an immutable
-//! **epoch**. [`DeltaMatrix::main_shared`] hands out a reference-counted pin
-//! on the current epoch. A flush builds the next epoch into a fresh
-//! allocation and publishes it with [`Arc::new`], so a pinned epoch is never
-//! modified and costs the fold nothing extra; it is reclaimed when its last
-//! pin drops. Only a resize changes the main matrix through
-//! [`Arc::make_mut`], which copies it first if an epoch is pinned.
-//!
-//! The pending buffers are shared the same way, by row range: `DP`/`DM` are
-//! split into chunks of `CHUNK_ROWS` (64) rows, the leaves of a
-//! copy-on-write [`ChunkTable`]. A clone — the consistent snapshot a reader
-//! takes — bumps the table's root however many changes are pending, and a
-//! write after a clone copies the one chunk it touches and that chunk's
-//! path through the table. A flush installs an empty table, leaving a clone
-//! that shares the old one untouched. On the rgbench graph (Graph500 scale
-//! 15, 0.8 M edges, 2-core x86 host), alternating one write with one
-//! whole-graph snapshot, the snapshot takes 0.3–0.6 µs (0.2 µs at scale 17,
-//! 3.3 M edges), where bumping one pointer per 256-row chunk and entity
-//! block took 10–13 µs (41 µs at scale 17); the write beside it takes
-//! 3.8–6.0 µs, where copying whole chunks and blocks took 16–20 µs.
+//! A clone — the consistent snapshot a reader takes — bumps the table's root
+//! however many entries or pending changes the matrix holds. A write after a
+//! clone copies the leaf it touches, sharing the leaf's CSR slice and every
+//! buffer chunk but the one it writes, which it copies; and that leaf's path
+//! through the table. A fold publishes a fresh leaf in its slot and leaves
+//! the old one to the clones that hold it, so a clone reads every row as it
+//! was, and the last clone's drop frees only the leaves that no newer state
+//! shares. No step copies or frees more than one leaf's entries. Taking a
+//! snapshot after each of 25 000 random edge inserts on Graph500 scale 15
+//! (0.78 M edges, 2-core x86 host, `examples/fold_pause.rs`), the slowest
+//! insert, a fold of the heaviest leaf (172 k entries), takes 1.8 ms and the
+//! slowest snapshot drop 34 µs, where a whole-matrix fold took 26 ms and the
+//! drop that freed the old matrices 2.1 ms; at scale 18 (6.7 M edges),
+//! 8.5 ms and 98 µs against 252 ms and 20 ms. A leaf is a range of rows,
+//! so it cannot bound its entries: Graph500's low ids are its hubs, and the
+//! first 1 024 rows hold 0.64 M entries at scale 18.
 
-use crate::bitmap::RowSource;
+use crate::bitmap::{ones, Bitmap, RowSource};
 use crate::chunk_table::ChunkTable;
 use crate::error::{check_index, GrbError, GrbResult};
 use crate::matrix::SparseMatrix;
 use crate::types::Scalar;
 use crate::Index;
-use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
+use std::mem::size_of_val;
 use std::sync::Arc;
 
-/// Default number of pending changes that triggers an automatic flush
+/// Default number of pending changes that caps a matrix's buffers
 /// (RedisGraph ships `DELTA_MAX_PENDING_CHANGES = 10000`).
 pub const DEFAULT_FLUSH_THRESHOLD: usize = 10_000;
 
-/// Rows per pending-buffer chunk: the leaf a write after a clone copies.
-/// Smaller chunks copy fewer pending entries but need more table levels:
-/// at rgbench's 49 152 rows, 32-row chunks take three levels where 64-row
-/// chunks take two, and a write beside a snapshot measured slower with
-/// them.
+/// Rows per leaf: the range a fold rebuilds. Reading a row looks its leaf
+/// up first; with 64-row leaves, two table levels deep at rgbench's 32 768
+/// rows, rgbench's `khop_k6` ran ~25% slower than over one CSR, with
+/// 1 024-row leaves, one level, within ~10%.
+const LEAF_ROWS: Index = 1024;
+/// Rows per pending-change chunk: the part of a leaf's buffers that a write
+/// after a clone copies.
 const CHUNK_ROWS: Index = 64;
+/// Chunks per leaf.
+const CHUNKS: usize = (LEAF_ROWS / CHUNK_ROWS) as usize;
+// A bitmap word of 64 rows never straddles two leaves (`rows_reaching`).
+const _: () = assert!(LEAF_ROWS.is_multiple_of(64) && LEAF_ROWS.is_multiple_of(CHUNK_ROWS));
 
-/// The pending changes of one `CHUNK_ROWS`-row range: a leaf of the
-/// matrix's [`ChunkTable`].
+/// One leaf: the main entries of one `LEAF_ROWS`-row range, and its pending
+/// changes while it has any.
 #[derive(Clone, Debug)]
-pub struct Chunk<T> {
-    /// `DP`: entries inserted or overwritten since the last flush.
+pub struct Leaf<T> {
+    /// The folded rows, shared by every copy of the leaf that a write after
+    /// a clone makes.
+    main: Arc<Csr<T>>,
+    pending: Option<Box<Pending<T>>>,
+}
+
+/// The main entries of a leaf's rows: row offset `o` is
+/// `cols[row_ptr[o]..row_ptr[o + 1]]`, ascending, with its `vals`.
+#[derive(Debug)]
+struct Csr<T> {
+    row_ptr: Vec<usize>,
+    cols: Vec<Index>,
+    vals: Vec<T>,
+}
+
+/// The pending changes of one leaf, by `CHUNK_ROWS`-row chunk: a write
+/// after a clone copies this table of chunk pointers and one chunk.
+#[derive(Clone, Debug)]
+struct Pending<T> {
+    /// Slot `k` holds the changes of the leaf's `k`-th chunk of rows, and is
+    /// empty while that chunk has none.
+    chunks: [Option<Arc<Chunk<T>>>; CHUNKS],
+    /// Entries across every chunk's `DP` and `DM`.
+    entries: usize,
+    /// The `DP` entries that overwrite a main entry's value: not structural
+    /// changes, so not counted toward the fold threshold.
+    overwrites: usize,
+}
+
+/// The pending changes of one `CHUNK_ROWS`-row range.
+#[derive(Clone, Debug)]
+struct Chunk<T> {
+    /// `DP`: entries inserted or overwritten since the leaf's last fold.
     plus: BTreeMap<(Index, Index), T>,
-    /// `DM`: main-matrix coordinates deleted since the last flush.
+    /// `DM`: main coordinates deleted since the leaf's last fold.
     minus: BTreeSet<(Index, Index)>,
     /// What each row of the range (by offset) has pending, so a reader
     /// learns it without searching either tree.
@@ -108,50 +142,198 @@ struct RowChanges {
     degree: i32,
 }
 
-impl<T> Default for Chunk<T> {
-    fn default() -> Self {
-        Chunk {
-            plus: BTreeMap::new(),
-            minus: BTreeSet::new(),
-            rows: [RowChanges::default(); CHUNK_ROWS as usize],
-        }
+/// The slot of `row`'s leaf.
+fn slot(row: Index) -> usize {
+    (row / LEAF_ROWS) as usize
+}
+
+/// The position of `row` in its leaf.
+fn offset(row: Index) -> usize {
+    (row % LEAF_ROWS) as usize
+}
+
+/// Number of leaves covering `nrows` rows.
+fn leaf_count(nrows: Index) -> usize {
+    nrows.div_ceil(LEAF_ROWS) as usize
+}
+
+impl<T: Scalar> Csr<T> {
+    /// A CSR with no row ended yet, to be filled row by row.
+    fn open(capacity: usize) -> Self {
+        let mut row_ptr = Vec::with_capacity(LEAF_ROWS as usize + 1);
+        row_ptr.push(0);
+        Csr { row_ptr, cols: Vec::with_capacity(capacity), vals: Vec::with_capacity(capacity) }
+    }
+
+    /// End every row before offset `o`; a row given no entry stays empty.
+    fn end_rows(&mut self, o: usize) {
+        self.row_ptr.resize(o + 1, self.cols.len());
+    }
+
+    /// The main entries of the row at offset `o`.
+    fn row(&self, o: usize) -> (&[Index], &[T]) {
+        let (start, end) = (self.row_ptr[o], self.row_ptr[o + 1]);
+        (&self.cols[start..end], &self.vals[start..end])
+    }
+
+    /// The main value at row offset `o`, column `col`.
+    fn get(&self, o: usize, col: Index) -> Option<T> {
+        let (cols, vals) = self.row(o);
+        cols.binary_search(&col).ok().map(|p| vals[p])
+    }
+
+    /// Bytes of the three arrays.
+    fn bytes(&self) -> usize {
+        size_of_val(&self.row_ptr[..]) + size_of_val(&self.cols[..]) + size_of_val(&self.vals[..])
     }
 }
 
-/// The position of `row` in its chunk.
-fn offset(row: Index) -> usize {
-    (row % CHUNK_ROWS) as usize
+impl<T> Default for Pending<T> {
+    fn default() -> Self {
+        Pending { chunks: Default::default(), entries: 0, overwrites: 0 }
+    }
 }
 
-/// Number of chunks covering `nrows` rows.
-fn chunk_count(nrows: Index) -> usize {
-    nrows.div_ceil(CHUNK_ROWS) as usize
+impl<T> Default for Chunk<T> {
+    fn default() -> Self {
+        let rows = [RowChanges::default(); CHUNK_ROWS as usize];
+        Chunk { plus: BTreeMap::new(), minus: BTreeSet::new(), rows }
+    }
 }
 
-/// A sparse matrix with buffered mutations: main CSR + pending additions +
-/// pending deletions, flushed in bulk.
+/// The slot of `row`'s chunk in its leaf.
+fn chunk_slot(row: Index) -> usize {
+    offset(row) / CHUNK_ROWS as usize
+}
+
+impl<T: Scalar> Pending<T> {
+    /// Buffered structural changes: what the fold threshold counts.
+    fn changes(&self) -> usize {
+        self.entries - self.overwrites
+    }
+
+    /// The chunk holding `row`'s changes, for writing: created if absent,
+    /// copied first if a clone shares it.
+    fn chunk_mut(&mut self, row: Index) -> &mut Chunk<T> {
+        Arc::make_mut(self.chunks[chunk_slot(row)].get_or_insert_with(Default::default))
+    }
+}
+
+impl<T: Scalar> Leaf<T> {
+    /// A leaf of `main`'s rows with nothing pending, or none if it has no
+    /// entry.
+    fn clean(mut main: Csr<T>) -> Option<Self> {
+        main.end_rows(LEAF_ROWS as usize);
+        main.cols.shrink_to_fit();
+        main.vals.shrink_to_fit();
+        (!main.cols.is_empty()).then(|| Leaf { main: Arc::new(main), pending: None })
+    }
+
+    /// The chunk holding `row`'s pending changes, if it has any.
+    fn chunk(&self, row: Index) -> Option<&Chunk<T>> {
+        self.pending.as_ref()?.chunks[chunk_slot(row)].as_deref()
+    }
+
+    /// The merged degree of `row`.
+    fn degree(&self, row: Index) -> isize {
+        let pending =
+            self.chunk(row).map_or(0, |c| c.rows[row as usize % CHUNK_ROWS as usize].degree);
+        self.main.row(offset(row)).0.len() as isize + pending as isize
+    }
+
+    /// `row`'s merged entries as runs, until `f` returns `true` (returns
+    /// whether it did): the CSR row itself when the row has nothing
+    /// pending, otherwise as [`any_run`] splits it.
+    fn any_run(&self, row: Index, mut f: impl FnMut(&[Index], &[T]) -> bool) -> bool {
+        let (cols, vals) = self.main.row(offset(row));
+        let Some(p) = self.chunk(row) else { return f(cols, vals) };
+        let RowChanges { plus, minus, .. } = p.rows[row as usize % CHUNK_ROWS as usize];
+        if plus + minus == 0 {
+            return f(cols, vals);
+        }
+        // A buffer with none of the row's changes is not searched at all.
+        let plus = (plus > 0).then(|| p.plus.range((row, 0)..).take(plus as usize));
+        let plus = plus.into_iter().flatten().map(|(&(_, c), v)| (c, v));
+        let minus = (minus > 0).then(|| p.minus.range((row, 0)..).take(minus as usize));
+        any_run((cols, vals), plus, minus.into_iter().flatten().map(|&(_, c)| c), f)
+    }
+
+    /// The fold: this leaf's merged rows, starting at row `first`, written
+    /// into `out`, an emptied CSR.
+    fn fold_into(&self, first: Index, mut out: Csr<T>) -> Csr<T> {
+        let chunks = self.pending.iter().flat_map(|p| p.chunks.iter().flatten());
+        let degrees = chunks.flat_map(|c| c.rows.iter().map(|r| r.degree as isize));
+        let nvals = (self.main.cols.len() as isize + degrees.sum::<isize>()) as usize;
+        out.cols.reserve_exact(nvals);
+        out.vals.reserve_exact(nvals);
+        for o in 0..LEAF_ROWS as usize {
+            self.any_run(first + o as Index, |cols, vals| {
+                out.cols.extend_from_slice(cols);
+                out.vals.extend_from_slice(vals);
+                false
+            });
+            out.end_rows(o + 1);
+        }
+        out
+    }
+}
+
+/// A sparse matrix with buffered mutations, stored as leaves of main CSR
+/// rows and their pending additions and deletions, each leaf folded on its
+/// own.
 #[derive(Clone, Debug)]
 pub struct DeltaMatrix<T: Scalar> {
-    /// The current epoch: an immutable, shareable CSR.
-    main: Arc<SparseMatrix<T>>,
-    /// `DP` and `DM` by row range: slot `i` covers rows
-    /// `i * CHUNK_ROWS .. (i + 1) * CHUNK_ROWS` and is empty while nothing
-    /// in that range is pending.
-    chunks: ChunkTable<Chunk<T>>,
-    /// Entries across every chunk's `DP` and `DM`.
+    /// Slot `i` holds rows `i * LEAF_ROWS .. (i + 1) * LEAF_ROWS`, and is
+    /// empty while that range has no entry and nothing pending.
+    leaves: ChunkTable<Leaf<T>>,
+    nrows: Index,
+    ncols: Index,
+    /// Entries across every leaf's `DP` and `DM`.
     pending: usize,
-    /// The `DP` entries among them that overwrite a main entry's value: not
-    /// structural changes, so not counted toward `flush_threshold`.
-    overwrites: usize,
     /// Exact number of entries in the merged view, maintained incrementally.
     nvals: usize,
     flush_threshold: usize,
-    /// Publication counter: bumped whenever the main matrix's *contents*
-    /// change (flush or shrinking resize).
-    epoch: u64,
-    /// Lifetime count of CSR rebuilds caused by folding pending buffers
-    /// (the observability counter behind `GRAPH.INFO`'s `delta_flushes`).
+    /// Lifetime count of leaf folds (the observability counter behind
+    /// `GRAPH.INFO`'s `delta_flushes`).
     flush_count: u64,
+    spares: Spares<T>,
+}
+
+/// How many replaced CSR slices a matrix keeps for its next folds.
+const SPARES: usize = 2;
+
+/// The CSR slices that folds replaced, kept so that a later fold refills
+/// their arrays once no clone holds them. Refilled and regrown in place, an
+/// array stays where the allocator first put it: fresh arrays, taken from
+/// whichever allocator arena the writing thread uses, would strand the
+/// replaced arrays' memory in theirs. A clone starts with none.
+#[derive(Debug)]
+struct Spares<T>(Vec<Arc<Csr<T>>>);
+
+impl<T> Clone for Spares<T> {
+    fn clone(&self) -> Self {
+        Spares(Vec::new())
+    }
+}
+
+impl<T: Scalar> Spares<T> {
+    /// A kept slice that no leaf holds any more, emptied.
+    fn take(&mut self) -> Option<Csr<T>> {
+        let i = self.0.iter().position(|main| Arc::strong_count(main) == 1)?;
+        let mut main = Arc::try_unwrap(self.0.swap_remove(i)).ok()?;
+        main.row_ptr.truncate(1);
+        main.cols.clear();
+        main.vals.clear();
+        Some(main)
+    }
+
+    /// Keep a replaced slice, letting the oldest kept one go.
+    fn keep(&mut self, main: Arc<Csr<T>>) {
+        if self.0.len() == SPARES {
+            self.0.remove(0);
+        }
+        self.0.push(main);
+    }
 }
 
 impl<T: Scalar> PartialEq for DeltaMatrix<T> {
@@ -164,36 +346,102 @@ impl<T: Scalar> PartialEq for DeltaMatrix<T> {
 
 impl<T: Scalar> DeltaMatrix<T> {
     /// Create an empty `nrows × ncols` delta matrix with the default flush
-    /// threshold.
+    /// threshold. Allocates no leaf.
     pub fn new(nrows: Index, ncols: Index) -> Self {
-        Self::from_matrix(SparseMatrix::new(nrows, ncols))
+        DeltaMatrix {
+            leaves: ChunkTable::new(leaf_count(nrows)),
+            nrows,
+            ncols,
+            pending: 0,
+            nvals: 0,
+            flush_threshold: DEFAULT_FLUSH_THRESHOLD,
+            flush_count: 0,
+            spares: Spares(Vec::new()),
+        }
     }
 
-    /// Wrap an existing matrix as the main matrix. This is the bulk-load
-    /// path: construct the CSR directly from triples, then hand it over with
-    /// empty pending buffers.
+    /// A delta matrix holding `main`'s entries, with nothing pending.
     pub fn from_matrix(main: SparseMatrix<T>) -> Self {
-        let nvals = main.nvals();
-        DeltaMatrix {
-            chunks: ChunkTable::new(chunk_count(main.nrows())),
-            main: Arc::new(main),
-            pending: 0,
-            overwrites: 0,
-            nvals,
-            flush_threshold: DEFAULT_FLUSH_THRESHOLD,
-            epoch: 0,
-            flush_count: 0,
+        Self::from_sorted(main.nrows(), main.ncols(), main.iter()).expect("a CSR is sorted")
+    }
+
+    /// The bulk-load path: a matrix with nothing pending from its entries
+    /// in row-major order, each leaf built as its rows arrive, with no
+    /// whole-matrix copy. An entry out of bounds, out of order or repeated
+    /// is an error.
+    pub fn from_sorted(
+        nrows: Index,
+        ncols: Index,
+        entries: impl IntoIterator<Item = (Index, Index, T)>,
+    ) -> GrbResult<Self> {
+        let mut m = Self::new(nrows, ncols);
+        let (mut entries, mut last) = (entries.into_iter().peekable(), None);
+        while let Some(&(first, ..)) = entries.peek() {
+            let mut main = Csr::open(0);
+            while let Some((r, c, v)) = entries.next_if(|&(r, ..)| slot(r) == slot(first)) {
+                check_index(r, nrows)?;
+                check_index(c, ncols)?;
+                if last >= Some((r, c)) {
+                    return Err(GrbError::InvalidValue(format!("({r}, {c}) is out of order")));
+                }
+                last = Some((r, c));
+                main.end_rows(offset(r));
+                main.cols.push(c);
+                main.vals.push(v);
+            }
+            m.nvals += main.cols.len();
+            m.leaves.set(slot(first), Leaf::clean(main));
         }
+        Ok(m)
+    }
+
+    /// The transpose of the merged view, with nothing pending and the same
+    /// fold threshold, built leaf by leaf with no whole-matrix copy: one
+    /// walk counts each column's entries, which sizes every transposed leaf
+    /// exactly, and a second, row-ordered walk appends each entry to its
+    /// transposed row, so each of those comes out ascending.
+    pub fn transposed(&self) -> Self {
+        // Each column's count, then each transposed row's next free position
+        // in its leaf.
+        let mut next = vec![0usize; self.ncols as usize];
+        self.runs(|_, cols, _| cols.iter().for_each(|&c| next[c as usize] += 1));
+        let mut parts: Vec<Csr<T>> = next
+            .chunks_mut(LEAF_ROWS as usize)
+            .map(|counts| {
+                let mut part = Csr::open(0);
+                let mut end = 0;
+                for count in counts {
+                    (*count, end) = (end, end + *count);
+                    part.row_ptr.push(end);
+                }
+                part.end_rows(LEAF_ROWS as usize);
+                (part.cols, part.vals) = (vec![0; end], vec![T::zero(); end]);
+                part
+            })
+            .collect();
+        self.runs(|row, cols, vals| {
+            for (&c, &v) in cols.iter().zip(vals) {
+                let (part, pos) = (&mut parts[slot(c)], &mut next[c as usize]);
+                (part.cols[*pos], part.vals[*pos]) = (row, v);
+                *pos += 1;
+            }
+        });
+        let (nvals, flush_threshold) = (self.nvals, self.flush_threshold);
+        let mut out = DeltaMatrix { nvals, flush_threshold, ..Self::new(self.ncols, self.nrows) };
+        for (i, part) in parts.into_iter().enumerate() {
+            out.leaves.set(i, Leaf::clean(part));
+        }
+        out
     }
 
     /// Number of rows.
     pub fn nrows(&self) -> Index {
-        self.main.nrows()
+        self.nrows
     }
 
     /// Number of columns.
     pub fn ncols(&self) -> Index {
-        self.main.ncols()
+        self.ncols
     }
 
     /// Number of entries in the merged view (exact, O(1)).
@@ -201,68 +449,53 @@ impl<T: Scalar> DeltaMatrix<T> {
         self.nvals
     }
 
-    /// Number of buffered changes awaiting a flush.
+    /// Number of buffered changes awaiting a fold.
     pub fn pending_count(&self) -> usize {
         self.pending
     }
 
-    /// True when both pending buffers are empty, i.e. the main matrix *is*
-    /// the merged view.
+    /// True when no leaf has anything pending: every entry is a main entry.
     pub fn is_flushed(&self) -> bool {
         self.pending == 0
     }
 
-    /// Number of buffer folds this matrix has performed over its lifetime
-    /// (a clone inherits its source's count and diverges from there).
+    /// Number of leaf folds this matrix has performed over its lifetime (a
+    /// clone inherits its source's count and diverges from there).
     pub fn flush_count(&self) -> u64 {
         self.flush_count
     }
 
-    /// The count of pending structural changes (inserts of new entries,
-    /// deletes of main entries) that triggers an automatic flush; buffered
-    /// overwrites of main values do not count.
+    /// The cap on pending structural changes (inserts of new entries,
+    /// deletes of main entries); buffered overwrites of main values do not
+    /// count. Each leaf folds at its share of it.
     pub fn flush_threshold(&self) -> usize {
         self.flush_threshold
     }
 
-    /// Set the automatic-flush threshold. `1` makes every insert and delete
-    /// flush immediately (the eager behaviour); large values batch more.
-    /// Overwrites of main values stay buffered until a flush.
-    /// A threshold of `0` is treated as `1`.
+    /// Set the fold threshold, and fold every leaf already at its new share.
+    /// `1` folds every insert and delete at once (the eager behaviour);
+    /// large values batch more. Overwrites of main values stay buffered
+    /// until a fold. A threshold of `0` is treated as `1`.
     pub fn set_flush_threshold(&mut self, threshold: usize) {
         self.flush_threshold = threshold.max(1);
-        self.maybe_flush();
+        let share = self.fold_share();
+        self.fold_where(|p| p.changes() >= share);
     }
 
     // ----------------------------------------------------------- mutation
 
-    /// The pending changes of `row`'s chunk, if any. A matrix with nothing
-    /// pending answers without walking the table.
-    fn chunk(&self, row: Index) -> Option<&Chunk<T>> {
-        if self.is_flushed() {
-            return None;
-        }
-        self.chunks.get((row / CHUNK_ROWS) as usize)
+    /// The leaf holding `row`, if any.
+    fn leaf(&self, row: Index) -> Option<&Leaf<T>> {
+        self.leaves.get(slot(row))
     }
 
-    /// The chunk of `row` for writing, created if absent and copied first
-    /// (with its table path) if a clone still shares it.
-    fn chunk_mut(&mut self, row: Index) -> &mut Chunk<T> {
-        self.chunks.get_or_insert_with((row / CHUNK_ROWS) as usize, Default::default)
+    /// How many structural changes a leaf buffers before it folds.
+    fn fold_share(&self) -> usize {
+        (self.flush_threshold / self.leaves.len().max(1)).max(1)
     }
 
-    /// Every pending insert, in row-major order.
-    fn plus_entries(&self) -> impl Iterator<Item = (&(Index, Index), &T)> {
-        self.chunks.iter().flat_map(|(_, c)| c.plus.iter())
-    }
-
-    /// Every pending delete, in row-major order.
-    fn minus_entries(&self) -> impl Iterator<Item = &(Index, Index)> {
-        self.chunks.iter().flat_map(|(_, c)| c.minus.iter())
-    }
-
-    /// Insert or overwrite a single entry. O(log pending); never rebuilds the
-    /// CSR (until the flush threshold trips).
+    /// Insert or overwrite a single entry. O(log pending); never rebuilds a
+    /// CSR (until its leaf's share of the threshold trips).
     ///
     /// # Panics
     /// Panics if the coordinate is out of bounds; see
@@ -277,26 +510,35 @@ impl<T: Scalar> DeltaMatrix<T> {
         check_index(col, self.ncols())?;
         let absent = self.extract_element(row, col).is_none();
         self.nvals += usize::from(absent);
+        // A leaf is created for a write into an empty range; a leaf a clone
+        // shares is copied, buffers only.
+        let leaf = self.leaves.get_or_insert_with(slot(row), || {
+            let mut main = Csr::open(0);
+            main.end_rows(LEAF_ROWS as usize);
+            Leaf { main: Arc::new(main), pending: None }
+        });
+        let p = leaf.pending.get_or_insert_with(Default::default);
+        let chunk = p.chunk_mut(row);
         // An insert cancels a pending delete of the same coordinate; the new
         // value still has to shadow the (stale) main entry, so it goes to DP
         // unconditionally.
-        let chunk = self.chunk_mut(row);
         let cancelled = chunk.minus.remove(&(row, col));
         let fresh = chunk.plus.insert((row, col), value).is_none();
-        let changes = &mut chunk.rows[offset(row)];
+        let changes = &mut chunk.rows[row as usize % CHUNK_ROWS as usize];
         changes.plus += u32::from(fresh);
         changes.minus -= u32::from(cancelled);
         changes.degree += i32::from(absent);
-        self.pending = self.pending + usize::from(fresh) - usize::from(cancelled);
+        p.entries = p.entries + usize::from(fresh) - usize::from(cancelled);
         // A fresh entry over a live or a deleted main entry overwrites it.
-        self.overwrites += usize::from(fresh && (!absent || cancelled));
-        self.maybe_flush();
+        p.overwrites += usize::from(fresh && (!absent || cancelled));
+        self.pending = self.pending + usize::from(fresh) - usize::from(cancelled);
+        self.maybe_fold(row);
         Ok(())
     }
 
     /// Delete an entry. Deleting an absent entry is a no-op. A delete of a
-    /// pending insert just drops the buffered insert; only entries stored in
-    /// the main matrix earn a delta-minus record.
+    /// pending insert just drops the buffered insert; only main entries earn
+    /// a delta-minus record.
     pub fn remove_element(&mut self, row: Index, col: Index) -> GrbResult<()> {
         check_index(row, self.nrows())?;
         check_index(col, self.ncols())?;
@@ -304,98 +546,96 @@ impl<T: Scalar> DeltaMatrix<T> {
             return Ok(());
         }
         self.nvals -= 1;
-        let in_main = self.main.contains(row, col);
-        let slot = (row / CHUNK_ROWS) as usize;
-        let chunk = self.chunk_mut(row);
+        let leaf = self.leaves.get_mut(slot(row)).expect("a live entry has a leaf");
+        let in_main = leaf.main.get(offset(row), col).is_some();
+        let p = leaf.pending.get_or_insert_with(Default::default);
+        let chunk = p.chunk_mut(row);
         let dropped = chunk.plus.remove(&(row, col)).is_some();
         let recorded = in_main && chunk.minus.insert((row, col));
-        let changes = &mut chunk.rows[offset(row)];
+        let changes = &mut chunk.rows[row as usize % CHUNK_ROWS as usize];
         changes.plus -= u32::from(dropped);
         changes.minus += u32::from(recorded);
         changes.degree -= 1;
         if chunk.plus.is_empty() && chunk.minus.is_empty() {
-            self.chunks.remove(slot);
+            p.chunks[chunk_slot(row)] = None;
+        }
+        p.entries = p.entries + usize::from(recorded) - usize::from(dropped);
+        p.overwrites -= usize::from(dropped && in_main);
+        if p.entries == 0 {
+            leaf.pending = None;
+            if leaf.main.cols.is_empty() {
+                self.leaves.set(slot(row), None);
+            }
         }
         self.pending = self.pending + usize::from(recorded) - usize::from(dropped);
-        self.overwrites -= usize::from(dropped && in_main);
-        self.maybe_flush();
+        self.maybe_fold(row);
         Ok(())
     }
 
-    /// Resize the matrix. Growing keeps the pending buffers (all buffered
-    /// coordinates stay in bounds) and the epoch number; shrinking either
-    /// dimension flushes first and lets the CSR rebuild drop out-of-range
-    /// entries.
+    /// Resize the matrix. Growing adds empty leaf slots and keeps every
+    /// leaf, pending changes included; shrinking either dimension rebuilds
+    /// the leaves from the merged entries still in range.
     pub fn resize(&mut self, nrows: Index, ncols: Index) {
-        let shrinks = nrows < self.nrows() || ncols < self.ncols();
-        if shrinks {
-            self.flush();
-        }
-        // Readers pinning the old allocation keep the old dimensions.
-        Arc::make_mut(&mut self.main).resize(nrows, ncols);
-        self.chunks.resize(chunk_count(nrows));
-        if shrinks {
-            self.nvals = self.main.nvals();
-            self.epoch += 1;
-        }
-    }
-
-    /// Fold both pending buffers into a fresh main matrix in one merge-build
-    /// and publish it as the next epoch. Cheap no-op when nothing is pending.
-    ///
-    /// The current epoch is only read, never copied or modified, so a reader
-    /// pinning it (via [`DeltaMatrix::main_shared`] or a clone of this matrix)
-    /// costs the fold nothing.
-    pub fn flush(&mut self) {
-        if self.is_flushed() {
+        if nrows < self.nrows || ncols < self.ncols {
+            let mut kept = self.export();
+            kept.resize(nrows, ncols);
+            let (flush_threshold, flush_count) = (self.flush_threshold, self.flush_count);
+            *self = DeltaMatrix { flush_threshold, flush_count, ..Self::from_matrix(kept) };
             return;
         }
-        self.main = Arc::new(self.merged());
-        // Dropping the chunks leaves a clone that shares them untouched.
-        self.chunks.clear();
-        self.pending = 0;
-        self.overwrites = 0;
-        self.epoch += 1;
+        // Readers holding a clone keep the old dimensions.
+        self.leaves.resize(leaf_count(nrows));
+        (self.nrows, self.ncols) = (nrows, ncols);
+    }
+
+    /// Fold every leaf with changes pending. Cheap no-op when nothing is
+    /// pending.
+    pub fn flush(&mut self) {
+        if !self.is_flushed() {
+            self.fold_where(|_| true);
+        }
+    }
+
+    /// Fold every leaf whose buffers `due` picks.
+    fn fold_where(&mut self, due: impl Fn(&Pending<T>) -> bool) {
+        let picked =
+            |(i, leaf): (usize, &Leaf<T>)| leaf.pending.as_deref().is_some_and(&due).then_some(i);
+        let slots: Vec<usize> = self.leaves.iter().filter_map(picked).collect();
+        for i in slots {
+            self.fold(i);
+        }
+    }
+
+    /// Fold `row`'s leaf if its structural changes reached its share of the
+    /// threshold.
+    fn maybe_fold(&mut self, row: Index) {
+        let share = self.fold_share();
+        let pending = self.leaf(row).and_then(|leaf| leaf.pending.as_deref());
+        if pending.is_some_and(|p| p.changes() >= share) {
+            self.fold(slot(row));
+        }
+    }
+
+    /// Merge slot `i`'s buffers into a fresh leaf published in that slot.
+    /// The old leaf is only read, never copied or modified: a clone holding
+    /// it keeps it, and it is freed when no one does.
+    fn fold(&mut self, i: usize) {
+        let Some(leaf) = self.leaves.get(i) else { return };
+        let Some(p) = leaf.pending.as_deref() else { return };
+        self.pending -= p.entries;
         self.flush_count += 1;
-        debug_assert_eq!(self.main.nvals(), self.nvals, "flush changed the merged entry count");
-    }
-
-    /// The merged view `(M \ DM) ∪ DP` as a fresh CSR, built in one
-    /// row-ordered walk over the main matrix and the chunks (see the module
-    /// docs). [`DeltaMatrix::flush`] publishes it; [`DeltaMatrix::view`] and
-    /// [`DeltaMatrix::export`] hand it out.
-    fn merged(&self) -> SparseMatrix<T> {
-        let mut out_ptr = Vec::with_capacity(self.nrows() as usize + 1);
-        let mut out_cols = Vec::with_capacity(self.nvals);
-        let mut out_vals = Vec::with_capacity(self.nvals);
-        out_ptr.push(0);
-        let mut plus = self.plus_entries().map(|(&(_, c), v)| (c, v));
-        let mut minus = self.minus_entries().map(|&(_, c)| c);
-        for row in 0..self.nrows() {
-            let changes = self.chunk(row).map_or_else(RowChanges::default, |c| c.rows[offset(row)]);
-            let plus = plus.by_ref().take(changes.plus as usize);
-            let minus = minus.by_ref().take(changes.minus as usize);
-            any_run(self.main.row(row), plus, minus, |cols, vals| {
-                out_cols.extend_from_slice(cols);
-                out_vals.extend_from_slice(vals);
-                false
-            });
-            out_ptr.push(out_cols.len());
-        }
-        SparseMatrix::from_csr_parts(self.nrows(), self.ncols(), out_ptr, out_cols, out_vals)
-    }
-
-    fn maybe_flush(&mut self) {
-        if self.pending - self.overwrites >= self.flush_threshold {
-            self.flush();
-        }
+        let out = self.spares.take().unwrap_or_else(|| Csr::open(0));
+        let folded = Leaf::clean(leaf.fold_into(i as Index * LEAF_ROWS, out));
+        self.spares.keep(Arc::clone(&leaf.main));
+        self.leaves.set(i, folded);
     }
 
     // ------------------------------------------------------------ readers
 
     /// Read a single entry through the merged view.
     pub fn extract_element(&self, row: Index, col: Index) -> Option<T> {
-        if let Some(chunk) = self.chunk(row) {
+        let leaf = self.leaf(row)?;
+        if let Some(chunk) = leaf.chunk(row) {
             if let Some(&v) = chunk.plus.get(&(row, col)) {
                 return Some(v);
             }
@@ -403,7 +643,7 @@ impl<T: Scalar> DeltaMatrix<T> {
                 return None;
             }
         }
-        self.main.extract_element(row, col)
+        leaf.main.get(offset(row), col)
     }
 
     /// Whether the merged view stores an entry at `(row, col)`.
@@ -413,124 +653,162 @@ impl<T: Scalar> DeltaMatrix<T> {
 
     /// Call `f` on the entries of one row of the merged view in ascending
     /// column order until it returns `true`; returns whether it did. A row
-    /// with nothing pending is its main CSR slice; otherwise the main row is
-    /// walked in runs between the row's pending changes, as by the flush.
+    /// with nothing pending is its leaf's CSR slice; otherwise the slice is
+    /// walked in runs between the row's pending changes, as by the fold.
     pub fn any_entry_in_row(&self, row: Index, mut f: impl FnMut(Index, T) -> bool) -> bool {
-        let (cols, vals) = self.main.row(row);
-        let mut each = |cols: &[Index], vals: &[T]| cols.iter().zip(vals).any(|(&c, &v)| f(c, v));
-        let changes = self.chunk(row).map(|c| (c, c.rows[offset(row)]));
-        let dirty = changes.filter(|(_, r)| r.plus + r.minus > 0);
-        let Some((chunk, RowChanges { plus, minus, .. })) = dirty else { return each(cols, vals) };
-        // A buffer with none of the row's changes is not searched at all.
-        let plus = (plus > 0).then(|| chunk.plus.range((row, 0)..).take(plus as usize));
-        let plus = plus.into_iter().flatten().map(|(&(_, c), v)| (c, v));
-        let minus = (minus > 0).then(|| chunk.minus.range((row, 0)..).take(minus as usize));
-        any_run((cols, vals), plus, minus.into_iter().flatten().map(|&(_, c)| c), each)
+        let each = |cols: &[Index], vals: &[T]| cols.iter().zip(vals).any(|(&c, &v)| f(c, v));
+        self.leaf(row).is_some_and(|leaf| leaf.any_run(row, each))
     }
 
-    /// Number of entries in one row of the merged view (Beamer's rule asks
-    /// once per frontier vertex).
-    pub fn row_degree(&self, row: Index) -> usize {
-        let pending = self.chunk(row).map_or(0, |c| c.rows[offset(row)].degree as isize);
-        (self.main.row_degree(row) as isize + pending) as usize
+    /// The merged degrees of `rows`, summed (Beamer's rule asks for a
+    /// frontier's).
+    pub fn degree_sum(&self, rows: &[Index]) -> u64 {
+        self.with_leaves(rows).map(|(row, leaf)| leaf.degree(row) as u64).sum()
+    }
+
+    /// Each of `rows` that has a leaf, with it: a run of rows in one leaf
+    /// looks it up once.
+    fn with_leaves<'a>(&'a self, rows: &'a [Index]) -> impl Iterator<Item = (Index, &'a Leaf<T>)> {
+        let mut cached = None;
+        rows.iter().filter_map(move |&row| {
+            let leaf = match cached {
+                Some((i, leaf)) if i == slot(row) => leaf,
+                _ => cached.insert((slot(row), self.leaf(row))).1,
+            };
+            Some((row, leaf?))
+        })
+    }
+
+    /// Call `f(row, cols, vals)` on every run of the merged view, in
+    /// row-major order: a leaf at a time, a row at a time, each row as
+    /// [`Leaf::any_run`] splits it.
+    fn runs(&self, mut f: impl FnMut(Index, &[Index], &[T])) {
+        for (i, leaf) in self.leaves.iter() {
+            let first = i as Index * LEAF_ROWS;
+            for row in first..(first + LEAF_ROWS).min(self.nrows) {
+                leaf.any_run(row, |cols, vals| {
+                    f(row, cols, vals);
+                    false
+                });
+            }
+        }
     }
 
     /// Export the merged view as `(row, col, value)` triples in row-major
     /// order.
     pub fn to_triples(&self) -> Vec<(Index, Index, T)> {
-        self.view().to_triples()
+        let mut out = Vec::with_capacity(self.nvals);
+        self.runs(|row, cols, vals| out.extend(cols.iter().zip(vals).map(|(&c, &v)| (row, c, v))));
+        out
     }
 
-    /// Materialise the merged view as a standalone [`SparseMatrix`].
+    /// Materialise the merged view as a standalone [`SparseMatrix`], in one
+    /// walk of the leaves. Only consumers of a whole matrix need it:
+    /// row-at-a-time readers (the BFS-step kernels, through [`RowSource`])
+    /// read the merged rows in place.
     pub fn export(&self) -> SparseMatrix<T> {
-        self.view().into_owned()
-    }
-
-    /// The merged view as a [`SparseMatrix`] reference: a zero-cost borrow of
-    /// the main matrix when nothing is pending, a materialised copy otherwise.
-    /// Only consumers of a whole matrix need it: row-at-a-time readers (the
-    /// BFS-step kernels, through [`RowSource`]) read the merged rows in place.
-    pub fn view(&self) -> Cow<'_, SparseMatrix<T>> {
-        if self.is_flushed() {
-            Cow::Borrowed(&self.main)
-        } else {
-            Cow::Owned(self.merged())
+        let mut row_ptr = vec![0; self.nrows as usize + 1];
+        let (mut cols, mut vals) = (Vec::with_capacity(self.nvals), Vec::with_capacity(self.nvals));
+        self.runs(|row, c, v| {
+            row_ptr[row as usize + 1] += c.len();
+            cols.extend_from_slice(c);
+            vals.extend_from_slice(v);
+        });
+        for row in 0..self.nrows as usize {
+            row_ptr[row + 1] += row_ptr[row];
         }
+        SparseMatrix::from_csr_parts(self.nrows, self.ncols, row_ptr, cols, vals)
     }
 
-    /// Direct access to the main matrix: the merged view itself while
-    /// [`DeltaMatrix::is_flushed`], only its flushed part otherwise.
-    pub fn main(&self) -> &SparseMatrix<T> {
-        &self.main
+    /// The leaves: the table a clone shares (diagnostic/test use, through
+    /// [`ChunkTable::ptr_eq`], [`ChunkTable::leaves_not_shared_with`] and
+    /// [`ChunkTable::leaves`]).
+    pub fn table(&self) -> &ChunkTable<Leaf<T>> {
+        &self.leaves
     }
 
-    /// The publication counter: how many times a new main matrix has been
-    /// published (flush or shrinking resize) since construction.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
+    /// Bytes of the leaves' CSR arrays: the main entries and their row
+    /// pointers, not the buffers.
+    pub fn main_bytes(&self) -> usize {
+        self.leaves.iter().map(|(_, leaf)| leaf.main.bytes()).sum()
     }
 
-    /// Pin the current epoch: a shared handle on the immutable main CSR.
-    ///
-    /// Flushes always publish the next epoch into a fresh allocation, so the
-    /// pinned one never changes; it is reclaimed when its last handle drops.
-    /// Note the handle is the *flushed* state only — pending buffers are not
-    /// included (clone the whole `DeltaMatrix` for a merged-view snapshot).
-    pub fn main_shared(&self) -> Arc<SparseMatrix<T>> {
-        Arc::clone(&self.main)
-    }
-
-    /// The pending buffers by row range: the table a clone shares
-    /// (diagnostic/test use, through [`ChunkTable::ptr_eq`] and
-    /// [`ChunkTable::leaves_not_shared_with`]).
-    pub fn pending_chunks(&self) -> &ChunkTable<Chunk<T>> {
-        &self.chunks
-    }
-
-    /// Validate the delta-matrix invariants on top of the main CSR's own.
+    /// Validate the delta-matrix invariants, each leaf's CSR slice included.
     pub fn check_invariants(&self) -> GrbResult<()> {
-        self.main.check_invariants()?;
         let invalid = |message: String| Err(GrbError::InvalidValue(message));
-        let (chunks, nrows) = (self.chunks.len(), self.nrows());
-        if chunks != chunk_count(nrows) {
-            return invalid(format!("{chunks} buffer chunks for {nrows} rows"));
+        let (leaves, nrows) = (self.leaves.len(), self.nrows());
+        if leaves != leaf_count(nrows) {
+            return invalid(format!("{leaves} leaves for {nrows} rows"));
         }
-        let (mut pending, mut overwrites, mut nvals) = (0, 0, self.main.nvals() as i64);
-        for (i, chunk) in self.chunks.iter() {
-            if chunk.plus.is_empty() && chunk.minus.is_empty() {
-                return invalid(format!("buffer chunk {i} is kept empty"));
+        let (mut pending, mut nvals) = (0, 0);
+        for (i, leaf) in self.leaves.iter() {
+            let (first, main) = (i as Index * LEAF_ROWS, &leaf.main);
+            let ptr = &main.row_ptr;
+            if ptr.len() != LEAF_ROWS as usize + 1
+                || ptr[0] != 0
+                || ptr.windows(2).any(|w| w[0] > w[1])
+                || ptr[ptr.len() - 1] != main.cols.len()
+                || main.vals.len() != main.cols.len()
+            {
+                return invalid(format!("leaf {i}'s CSR arrays disagree"));
             }
-            let mut rows = Chunk::<T>::default().rows;
-            let plus = chunk.plus.keys().map(|key| (key, true));
-            for (&(r, c), inserted) in plus.chain(chunk.minus.iter().map(|key| (key, false))) {
-                if r / CHUNK_ROWS != i as Index {
-                    return invalid(format!("({r}, {c}) is buffered in chunk {i}"));
-                }
-                let in_main = self.main.contains(r, c);
-                let changes = &mut rows[offset(r)];
-                if inserted {
-                    changes.plus += 1;
-                    changes.degree += i32::from(!in_main);
-                    overwrites += usize::from(in_main);
-                } else if in_main && !chunk.plus.contains_key(&(r, c)) {
-                    changes.minus += 1;
-                    changes.degree -= 1;
-                } else {
-                    return invalid(format!("delta-minus names ({r}, {c}), no live main entry"));
+            for o in 0..LEAF_ROWS as usize {
+                let cols = main.row(o).0;
+                let past = first + o as Index >= nrows || cols.last() >= Some(&self.ncols);
+                if cols.windows(2).any(|w| w[0] >= w[1]) || (past && !cols.is_empty()) {
+                    return invalid(format!("leaf {i}, row offset {o}: unsorted or out of range"));
                 }
             }
-            if let Some(o) = (0..rows.len()).find(|&o| rows[o] != chunk.rows[o]) {
-                return invalid(format!("chunk {i} miscounts the changes of row offset {o}"));
+            nvals += main.cols.len() as i64;
+            let Some(p) = leaf.pending.as_deref() else {
+                if main.cols.is_empty() {
+                    return invalid(format!("leaf {i} is kept empty"));
+                }
+                continue;
+            };
+            let (mut entries, mut overwrites) = (0, 0);
+            for (k, chunk) in p.chunks.iter().enumerate() {
+                let Some(chunk) = chunk else { continue };
+                if chunk.plus.is_empty() && chunk.minus.is_empty() {
+                    return invalid(format!("leaf {i} keeps chunk {k} empty"));
+                }
+                let mut rows = [RowChanges::default(); CHUNK_ROWS as usize];
+                let plus = chunk.plus.keys().map(|key| (key, true));
+                for (&(r, c), inserted) in plus.chain(chunk.minus.iter().map(|key| (key, false))) {
+                    if slot(r) != i || chunk_slot(r) != k {
+                        return invalid(format!("({r}, {c}) is buffered in leaf {i}, chunk {k}"));
+                    }
+                    let in_main = main.get(offset(r), c).is_some();
+                    let changes = &mut rows[r as usize % CHUNK_ROWS as usize];
+                    if inserted {
+                        changes.plus += 1;
+                        changes.degree += i32::from(!in_main);
+                        overwrites += usize::from(in_main);
+                    } else if in_main && !chunk.plus.contains_key(&(r, c)) {
+                        changes.minus += 1;
+                        changes.degree -= 1;
+                    } else {
+                        return invalid(format!(
+                            "delta-minus names ({r}, {c}), no live main entry"
+                        ));
+                    }
+                }
+                if let Some(o) = (0..rows.len()).find(|&o| rows[o] != chunk.rows[o]) {
+                    return invalid(format!("leaf {i}, chunk {k} miscounts row offset {o}"));
+                }
+                entries += chunk.plus.len() + chunk.minus.len();
+                nvals += rows.iter().map(|changes| i64::from(changes.degree)).sum::<i64>();
             }
-            pending += chunk.plus.len() + chunk.minus.len();
-            nvals += rows.iter().map(|changes| i64::from(changes.degree)).sum::<i64>();
+            if entries == 0 || (entries, overwrites) != (p.entries, p.overwrites) {
+                let (cached, buffered) = ((p.entries, p.overwrites), (entries, overwrites));
+                return invalid(format!(
+                    "leaf {i} caches {cached:?} entries, overwrites; {buffered:?}"
+                ));
+            }
+            pending += entries;
         }
         if pending != self.pending {
             return invalid(format!("cached pending count {} != buffered {pending}", self.pending));
-        }
-        if overwrites != self.overwrites {
-            let cached = self.overwrites;
-            return invalid(format!("cached overwrite count {cached} != buffered {overwrites}"));
         }
         if nvals != self.nvals as i64 {
             return invalid(format!("cached nvals {} != merged count {nvals}", self.nvals));
@@ -589,17 +867,48 @@ impl<T: Scalar> RowSource for DeltaMatrix<T> {
     }
 
     fn any_in_row<F: FnMut(Index) -> bool>(&self, row: Index, mut f: F) -> bool {
-        self.any_entry_in_row(row, |j, _| f(j))
+        self.leaf(row).is_some_and(|leaf| leaf.any_run(row, |cols, _| cols.iter().any(|&j| f(j))))
+    }
+
+    fn each_in_rows(&self, rows: &[Index], mut f: impl FnMut(Index)) {
+        for (row, leaf) in self.with_leaves(rows) {
+            leaf.any_run(row, |cols, _| {
+                cols.iter().for_each(|&j| f(j));
+                false
+            });
+        }
+    }
+
+    /// One leaf lookup for the word's 64 rows, none of them for an empty
+    /// leaf.
+    fn rows_reaching(&self, base: Index, rows: u64, frontier: &Bitmap) -> u64 {
+        let Some(leaf) = self.leaf(base) else { return 0 };
+        let reaches =
+            |&v: &Index| leaf.any_run(v, |cols, _| cols.iter().any(|&u| frontier.contains(u)));
+        ones(base, rows).filter(reaches).fold(0, |bits, v| bits | 1 << (v - base))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk_table::tests::nodes_copied;
+    use crate::transpose::transpose;
+    use std::sync::Weak;
 
     fn seeded() -> DeltaMatrix<i64> {
         let main = SparseMatrix::from_triples(4, 4, &[(0, 1, 10), (1, 2, 20), (3, 0, 30)]).unwrap();
         DeltaMatrix::from_matrix(main)
+    }
+
+    /// Entries held in the leaves' CSR slices, pending changes aside.
+    fn main_entries<T: Scalar>(m: &DeltaMatrix<T>) -> usize {
+        m.leaves.iter().map(|(_, leaf)| leaf.main.cols.len()).sum()
+    }
+
+    /// Whether no leaf carries buffers or per-row counts.
+    fn every_leaf_clean<T: Scalar>(m: &DeltaMatrix<T>) -> bool {
+        m.leaves.iter().all(|(_, leaf)| leaf.pending.is_none())
     }
 
     #[test]
@@ -624,9 +933,9 @@ mod tests {
         m.remove_element(0, 1).unwrap();
         let before = m.to_triples();
         m.flush();
-        assert!(m.is_flushed());
+        assert!(m.is_flushed() && every_leaf_clean(&m));
         assert_eq!(m.to_triples(), before);
-        assert_eq!(m.main().nvals(), 3);
+        assert_eq!(main_entries(&m), 3);
         m.check_invariants().unwrap();
     }
 
@@ -637,6 +946,7 @@ mod tests {
         m.remove_element(2, 3).unwrap();
         assert_eq!(m.extract_element(2, 3), None);
         assert_eq!(m.pending_count(), 0, "insert+delete of a new entry must cancel out");
+        assert!(every_leaf_clean(&m), "the emptied buffers are dropped");
         assert_eq!(m.nvals(), 3);
         m.check_invariants().unwrap();
     }
@@ -662,7 +972,7 @@ mod tests {
         assert_eq!(m.pending_count(), 2);
         m.set_element(2, 2, true); // trips the threshold
         assert!(m.is_flushed());
-        assert_eq!(m.main().nvals(), 3);
+        assert_eq!(main_entries(&m), 3);
     }
 
     #[test]
@@ -717,8 +1027,8 @@ mod tests {
         assert_eq!(row_of(&m, 0), vec![(0, 1), (1, 11), (3, 3)]);
         m.remove_element(0, 1).unwrap();
         assert_eq!(row_of(&m, 0), vec![(0, 1), (3, 3)]);
-        assert_eq!(m.row_degree(0), 2);
-        // Row 1 shares row 0's chunk but has no change of its own.
+        assert_eq!(m.degree_sum(&[0]), 2);
+        // Row 1 shares row 0's leaf but has no change of its own.
         assert_eq!(row_of(&m, 1), vec![(2, 20)]);
         // The walk stops at the first entry `f` accepts.
         let mut seen = Vec::new();
@@ -731,14 +1041,16 @@ mod tests {
     }
 
     #[test]
-    fn view_borrows_when_flushed_and_merges_when_not() {
+    fn export_walks_the_leaves_and_merges_pending_changes() {
         let mut m = seeded();
-        assert!(matches!(m.view(), Cow::Borrowed(_)));
+        assert_eq!(m.export(), SparseMatrix::from_triples(4, 4, &m.to_triples()).unwrap());
         m.set_element(2, 2, 1);
-        let view = m.view();
-        assert!(matches!(view, Cow::Owned(_)));
-        assert_eq!(view.extract_element(2, 2), Some(1));
-        assert_eq!(view.nvals(), m.nvals());
+        m.remove_element(0, 1).unwrap();
+        let export = m.export();
+        export.check_invariants().unwrap();
+        assert_eq!(export.to_triples(), vec![(1, 2, 20), (2, 2, 1), (3, 0, 30)]);
+        assert_eq!(export.nvals(), m.nvals());
+        assert!(!m.is_flushed(), "exporting folds nothing");
     }
 
     #[test]
@@ -778,43 +1090,64 @@ mod tests {
     #[test]
     fn snapshot_pins_epoch_across_flush() {
         let mut m = seeded();
-        let epoch0 = m.epoch();
-        let pinned = m.main_shared();
+        let pinned = m.clone();
         m.set_element(2, 2, 99);
         m.flush();
-        assert_eq!(m.epoch(), epoch0 + 1);
-        // The pinned epoch still shows the pre-flush state…
+        assert_eq!(m.flush_count(), pinned.flush_count() + 1);
+        // The pinned clone still shows the pre-fold state…
         assert_eq!(pinned.extract_element(2, 2), None);
-        // …while the published epoch has the write.
-        assert_eq!(m.main().extract_element(2, 2), Some(99));
+        assert_eq!(main_entries(&pinned), 3);
+        // …while the folded leaf has the write.
+        assert_eq!(m.extract_element(2, 2), Some(99));
+        assert_eq!(main_entries(&m), 4);
+        pinned.check_invariants().unwrap();
         m.check_invariants().unwrap();
     }
 
     #[test]
     fn pinned_epoch_is_reclaimed_when_last_reader_drops() {
         let mut m = seeded();
-        let pinned = m.main_shared();
-        let weak = Arc::downgrade(&pinned);
+        let pinned = m.clone();
+        let weak = Arc::downgrade(pinned.leaves.leaf(0).unwrap());
         m.set_element(0, 0, 1);
-        m.flush(); // publishes the next epoch; the old one lives via `pinned`
-        assert!(weak.upgrade().is_some(), "a pinned epoch must stay alive");
+        m.flush(); // publishes a fresh leaf; the old one lives via `pinned`
+        assert!(weak.upgrade().is_some(), "a pinned leaf must stay alive");
         drop(pinned);
-        assert!(weak.upgrade().is_none(), "the last reader drop reclaims the epoch");
+        assert!(weak.upgrade().is_none(), "the last reader drop reclaims the leaf");
+    }
+
+    /// Every leaf's `Weak` handle, by slot.
+    fn weak_leaves<T: Scalar>(m: &DeltaMatrix<T>) -> Vec<Weak<Leaf<T>>> {
+        m.leaves.leaves().map(|(_, leaf)| Arc::downgrade(leaf)).collect()
     }
 
     #[test]
     fn write_heavy_loop_does_not_accumulate_epochs() {
-        let mut m = DeltaMatrix::<i64>::new(64, 64);
-        let pinned = m.main_shared(); // one long-lived reader on epoch 0
+        // Four leaves, one long-lived reader pinning the first state.
+        let n = 4 * LEAF_ROWS;
+        let mut m = DeltaMatrix::from_matrix(
+            SparseMatrix::from_triples(n, n, &[(0, 0, 0), (LEAF_ROWS, 0, 0)]).unwrap(),
+        );
+        let pinned = m.clone();
+        let first = weak_leaves(&pinned);
         let mut weaks = Vec::new();
         for i in 0..50u64 {
-            m.set_element(i % 64, (i * 7) % 64, i as i64);
+            m.set_element((i * 37) % n, (i * 7) % n, i as i64);
             m.flush();
-            weaks.push(Arc::downgrade(&m.main_shared()));
+            weaks.extend(weak_leaves(&m));
         }
-        let live = weaks.iter().filter(|w| w.upgrade().is_some()).count();
-        assert_eq!(live, 1, "only the newest epoch may stay alive, not all 50");
+        // Only the newest version of each leaf stays alive, not all 50, and
+        // the versions the reader holds.
+        let live: Vec<_> = weaks.iter().filter_map(Weak::upgrade).collect();
+        fn held(m: &DeltaMatrix<i64>, leaf: &Arc<Leaf<i64>>) -> bool {
+            m.leaves.leaves().any(|(_, l)| Arc::ptr_eq(l, leaf))
+        }
+        let kept = |leaf: &Arc<Leaf<i64>>| held(&m, leaf) || held(&pinned, leaf);
+        assert!(live.iter().all(kept), "a replaced leaf outlived its last holder");
+        assert!(first.iter().all(|w| w.upgrade().is_some()), "the reader's leaves stay alive");
+        drop(live);
         drop(pinned);
+        assert!(first.iter().all(|w| w.upgrade().is_none()), "its drop frees its own leaves");
     }
 
     #[test]
@@ -833,14 +1166,14 @@ mod tests {
         m.check_invariants().unwrap();
     }
 
-    /// A 16-chunk matrix with `per_chunk` pending inserts in every chunk and
-    /// a flushed main row per chunk, so deletes earn delta-minus records.
-    fn pending_in_every_chunk(per_chunk: Index) -> DeltaMatrix<i64> {
-        let n = 16 * CHUNK_ROWS;
-        let main: Vec<_> = (0..16).map(|i| (i * CHUNK_ROWS, 0, -1)).collect();
+    /// A `leaves`-leaf matrix with `per_leaf` pending inserts in every leaf
+    /// and a main row per leaf, so deletes earn delta-minus records.
+    fn pending_in_every_leaf(leaves: Index, per_leaf: Index) -> DeltaMatrix<i64> {
+        let n = leaves * LEAF_ROWS;
+        let main: Vec<_> = (0..leaves).map(|i| (i * LEAF_ROWS, 0, -1)).collect();
         let mut m = DeltaMatrix::from_matrix(SparseMatrix::from_triples(n, n, &main).unwrap());
         m.set_flush_threshold(usize::MAX);
-        for r in (0..n).step_by((CHUNK_ROWS / per_chunk) as usize) {
+        for r in (0..n).step_by((LEAF_ROWS / per_leaf) as usize) {
             m.set_element(r, r, r as i64);
         }
         m
@@ -848,23 +1181,32 @@ mod tests {
 
     #[test]
     fn clone_shares_every_chunk_and_a_write_copies_one() {
-        let mut m = pending_in_every_chunk(64);
+        let mut m = pending_in_every_leaf(16, 64);
         assert_eq!(m.pending_count(), 16 * 64);
         let snap = m.clone();
-        let unshared = |m: &DeltaMatrix<i64>| m.chunks.leaves_not_shared_with(&snap.chunks);
-        assert!(m.chunks.ptr_eq(&snap.chunks), "a clone shares the whole table");
-        assert_eq!(unshared(&m), 0, "a clone copies no buffer entry");
+        let unshared = |m: &DeltaMatrix<i64>| m.leaves.leaves_not_shared_with(&snap.leaves);
+        assert!(m.leaves.ptr_eq(&snap.leaves), "a clone shares the whole table");
+        assert_eq!(unshared(&m), 0, "a clone copies no leaf");
         let before = snap.to_triples();
 
-        m.set_element(3, 7, 1); // chunk 0
+        m.set_element(3, 7, 1); // leaf 0
         assert_eq!(unshared(&m), 1);
-        m.set_element(5, 9, 2); // chunk 0 again: already private
+        m.set_element(5, 9, 2); // leaf 0 again: already private
         assert_eq!(unshared(&m), 1);
-        m.remove_element(CHUNK_ROWS, 0).unwrap(); // a main entry in chunk 1
+        m.remove_element(LEAF_ROWS, 0).unwrap(); // a main entry in leaf 1
         assert_eq!(unshared(&m), 2);
-        m.remove_element(7 * CHUNK_ROWS + 3, 0).unwrap(); // absent: no copy
+        m.remove_element(7 * LEAF_ROWS + 3, 0).unwrap(); // absent: no copy
         assert_eq!(unshared(&m), 2);
-        assert_eq!(m.chunks.iter().count(), 16, "chunks 2..16 stay shared");
+        assert_eq!(m.leaves.iter().count(), 16, "leaves 2..16 stay shared");
+        // A copied leaf shares its CSR slice and every chunk of its buffers
+        // but the one written.
+        let main = |m: &DeltaMatrix<i64>, i| Arc::clone(&m.leaves.get(i).unwrap().main);
+        assert!(Arc::ptr_eq(&main(&m, 1), &main(&snap, 1)));
+        let chunks =
+            |m: &DeltaMatrix<i64>| m.leaves.get(0).unwrap().pending.clone().unwrap().chunks;
+        let (mine, theirs) = (chunks(&m), chunks(&snap));
+        let same = |k: usize| Arc::ptr_eq(mine[k].as_ref().unwrap(), theirs[k].as_ref().unwrap());
+        assert_eq!((0..CHUNKS).filter(|&k| !same(k)).collect::<Vec<_>>(), vec![0]);
 
         assert_eq!(snap.to_triples(), before, "the clone sees exactly its own state");
         snap.check_invariants().unwrap();
@@ -873,57 +1215,65 @@ mod tests {
 
     #[test]
     fn flush_after_clone_leaves_the_clones_chunks_intact() {
-        let mut m = pending_in_every_chunk(8);
+        let mut m = pending_in_every_leaf(16, 8);
         let snap = m.clone();
         let before = snap.to_triples();
-        let weak = Arc::downgrade(snap.chunks.leaf(5).unwrap());
-        m.remove_element(5 * CHUNK_ROWS, 0).unwrap();
+        let weak = Arc::downgrade(snap.leaves.leaf(5).unwrap());
+        m.remove_element(5 * LEAF_ROWS, 0).unwrap();
         m.flush();
-        assert_eq!(m.chunks.iter().count(), 0, "a fold drains every chunk");
-        assert_eq!(m.chunks.len(), 16);
+        assert!(every_leaf_clean(&m), "a fold drains every leaf's buffers");
+        assert_eq!(m.leaves.leaves_not_shared_with(&snap.leaves), 16, "each fold is a fresh leaf");
+        assert_eq!(m.leaves.len(), 16);
         assert_eq!(snap.to_triples(), before);
         assert_eq!(snap.pending_count(), 16 * 8);
         snap.check_invariants().unwrap();
         drop(snap);
-        assert!(weak.upgrade().is_none(), "the last holder's drop frees a chunk");
+        assert!(weak.upgrade().is_none(), "the last holder's drop frees a leaf");
     }
 
     #[test]
     fn rows_on_either_side_of_a_chunk_boundary_stay_apart() {
-        let n = 3 * CHUNK_ROWS;
+        let n = 3 * LEAF_ROWS;
         let mut m = DeltaMatrix::<i64>::new(n, n);
         m.set_flush_threshold(usize::MAX);
-        for r in [CHUNK_ROWS - 1, CHUNK_ROWS, 2 * CHUNK_ROWS - 1, 2 * CHUNK_ROWS] {
+        let edges = [CHUNK_ROWS - 1, CHUNK_ROWS, LEAF_ROWS - 1, LEAF_ROWS, 2 * LEAF_ROWS - 1];
+        for r in edges.into_iter().chain([2 * LEAF_ROWS]) {
             m.set_element(r, r, r as i64);
             m.set_element(r, 0, 1);
         }
         m.flush();
-        m.remove_element(CHUNK_ROWS - 1, 0).unwrap();
-        m.set_element(CHUNK_ROWS, 1, 5);
+        m.remove_element(LEAF_ROWS - 1, 0).unwrap();
+        m.set_element(LEAF_ROWS, 1, 5);
+        // Likewise on either side of a chunk boundary inside a leaf.
+        m.remove_element(CHUNK_ROWS, 0).unwrap();
+        m.set_element(CHUNK_ROWS - 1, 1, 6);
         let row = |r: Index| row_of(&m, r);
-        assert_eq!(row(CHUNK_ROWS - 1), vec![(CHUNK_ROWS - 1, (CHUNK_ROWS - 1) as i64)]);
-        assert_eq!(row(CHUNK_ROWS), vec![(0, 1), (1, 5), (CHUNK_ROWS, CHUNK_ROWS as i64)]);
+        assert_eq!(row(CHUNK_ROWS), vec![(CHUNK_ROWS, CHUNK_ROWS as i64)]);
+        let below = (CHUNK_ROWS - 1) as i64;
+        assert_eq!(row(CHUNK_ROWS - 1), vec![(0, 1), (1, 6), (CHUNK_ROWS - 1, below)]);
+        assert_eq!(row(LEAF_ROWS - 1), vec![(LEAF_ROWS - 1, (LEAF_ROWS - 1) as i64)]);
+        assert_eq!(row(LEAF_ROWS), vec![(0, 1), (1, 5), (LEAF_ROWS, LEAF_ROWS as i64)]);
         let triples = m.to_triples();
         assert!(triples.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
         assert_eq!(triples.len(), m.nvals());
         m.check_invariants().unwrap();
-        // Deleting the only pending insert of a chunk releases the chunk.
-        m.remove_element(CHUNK_ROWS, 1).unwrap();
-        assert!(m.chunks.get(1).is_none());
+        // Deleting the only pending insert of a leaf drops its buffers.
+        m.remove_element(LEAF_ROWS, 1).unwrap();
+        assert!(m.leaves.get(1).unwrap().pending.is_none());
         m.check_invariants().unwrap();
     }
 
     #[test]
     fn resize_keeps_one_chunk_per_row_range() {
         let mut m = DeltaMatrix::<i64>::new(10, 10);
-        assert_eq!(m.chunks.len(), 1);
+        assert_eq!(m.leaves.len(), 1);
         m.set_element(9, 9, 1);
-        m.resize(CHUNK_ROWS * 2 + 1, 10);
-        assert_eq!(m.chunks.len(), 3);
-        m.set_element(CHUNK_ROWS * 2, 3, 2);
+        m.resize(LEAF_ROWS * 2 + 1, 10);
+        assert_eq!(m.leaves.len(), 3);
+        m.set_element(LEAF_ROWS * 2, 3, 2);
         m.check_invariants().unwrap();
-        m.resize(CHUNK_ROWS, 10);
-        assert_eq!(m.chunks.len(), 1);
+        m.resize(LEAF_ROWS, 10);
+        assert_eq!(m.leaves.len(), 1);
         assert_eq!(m.to_triples(), vec![(9, 9, 1)]);
         m.check_invariants().unwrap();
     }
@@ -933,7 +1283,7 @@ mod tests {
         let mut m = DeltaMatrix::<i64>::new(10, 10);
         m.set_element(3, 7, 1); // dropped: column 7 is out of the new range
         m.resize(600, 5);
-        assert_eq!(m.chunks.len(), chunk_count(600));
+        assert_eq!(m.leaves.len(), leaf_count(600));
         m.set_element(300, 4, 2);
         assert_eq!(m.to_triples(), vec![(300, 4, 2)]);
         m.check_invariants().unwrap();
@@ -949,5 +1299,105 @@ mod tests {
         assert_eq!(a, b);
         b.remove_element(2, 2).unwrap();
         assert_ne!(a, b);
+    }
+
+    /// A 40-leaf matrix (two table levels) with entries in every leaf,
+    /// folding at 4 structural changes a leaf.
+    fn forty_leaves() -> DeltaMatrix<i64> {
+        let n = 40 * LEAF_ROWS;
+        let entries = (0..n).map(|r| (r, (r * 7) % n, r as i64));
+        let mut m = DeltaMatrix::from_sorted(n, n, entries).unwrap();
+        m.set_flush_threshold(4 * 40);
+        assert_eq!(m.fold_share(), 4);
+        m
+    }
+
+    #[test]
+    fn a_leaf_fold_copies_that_leaf_and_its_table_path_only() {
+        let mut m = forty_leaves();
+        assert!(every_leaf_clean(&m), "a loaded leaf carries no per-row counts");
+        let snap = m.clone();
+        let (row, slot) = (5 * LEAF_ROWS + 3, 5);
+        let old = Arc::downgrade(snap.leaves.leaf(slot).unwrap());
+        // Three writes: buffered in a copy of the leaf (its CSR slice still
+        // shared), along one copied table path.
+        for col in 0..3 {
+            m.set_element(row, col, -1);
+        }
+        assert_eq!((m.flush_count(), m.leaves.leaves_not_shared_with(&snap.leaves)), (0, 1));
+        assert_eq!(nodes_copied(&m.leaves, &snap.leaves), 3, "root, leaf-level node, leaf");
+        // The fourth folds it into a fresh leaf, on the same path.
+        m.remove_element(row, (row * 7) % m.nrows()).unwrap();
+        assert_eq!(m.flush_count(), 1);
+        assert!(m.is_flushed() && every_leaf_clean(&m));
+        assert_eq!(m.leaves.leaves_not_shared_with(&snap.leaves), 1);
+        assert_eq!(nodes_copied(&m.leaves, &snap.leaves), 3);
+        // The reader pinned before the fold keeps its old row; every other
+        // leaf is the same allocation on both sides.
+        assert_eq!(row_of(&snap, row), vec![((row * 7) % m.nrows(), row as i64)]);
+        assert_eq!(row_of(&m, row), vec![(0, -1), (1, -1), (2, -1)]);
+        let shared = |i| Arc::ptr_eq(m.leaves.leaf(i).unwrap(), snap.leaves.leaf(i).unwrap());
+        assert!((0..40).filter(|&i| i != slot).all(shared));
+        assert!(old.upgrade().is_some());
+        m.check_invariants().unwrap();
+        snap.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn dropping_the_last_pin_frees_only_its_own_leaves() {
+        let mut m = forty_leaves();
+        let first = m.clone();
+        for col in 0..4 {
+            m.set_element(5 * LEAF_ROWS, col + 1, 0); // folds leaf 5
+        }
+        let second = m.clone();
+        for col in 0..4 {
+            m.set_element(30 * LEAF_ROWS, col + 1, 0); // folds leaf 30
+        }
+        assert_eq!(m.flush_count(), 2);
+        let (weak_first, weak_second) = (weak_leaves(&first), weak_leaves(&second));
+        drop(first);
+        // The first pin held leaf 5's old version alone.
+        let live =
+            |weaks: &[Weak<Leaf<i64>>]| weaks.iter().filter(|w| w.upgrade().is_some()).count();
+        assert!(weak_first[5].upgrade().is_none());
+        assert_eq!(live(&weak_first), 39, "leaves shared with newer states stay");
+        drop(second);
+        assert!(weak_second[30].upgrade().is_none());
+        assert_eq!(live(&weak_second), 39);
+        assert_eq!(live(&weak_leaves(&m)), 40);
+    }
+
+    #[test]
+    fn transposed_equals_the_transpose_kernel_on_the_merged_view() {
+        let mut m = forty_leaves();
+        m.set_flush_threshold(usize::MAX);
+        m.set_element(3, 2_000, 9);
+        m.remove_element(64, 448).unwrap();
+        m.set_element(2_559, 0, 8);
+        let t = m.transposed();
+        t.check_invariants().unwrap();
+        assert!(t.is_flushed() && every_leaf_clean(&t));
+        assert_eq!(t.export(), transpose(&m.export()));
+        assert_eq!(t.nvals(), m.nvals());
+        let wide =
+            DeltaMatrix::from_matrix(SparseMatrix::from_triples(3, 200, &[(2, 199, 1)]).unwrap());
+        assert_eq!(wide.transposed().to_triples(), vec![(199, 2, 1)]);
+    }
+
+    #[test]
+    fn from_sorted_rejects_entries_out_of_order_or_range() {
+        let n = 3 * LEAF_ROWS;
+        let build =
+            |entries: &[(Index, Index, i64)]| DeltaMatrix::from_sorted(n, 4, entries.to_vec());
+        let far = 2 * LEAF_ROWS + 2;
+        let m = build(&[(0, 3, 1), (1, 0, 2), (far, 2, 3)]).unwrap();
+        assert_eq!(m.to_triples(), vec![(0, 3, 1), (1, 0, 2), (far, 2, 3)]);
+        assert_eq!(m.leaves.iter().map(|(i, _)| i).collect::<Vec<_>>(), vec![0, 2]);
+        m.check_invariants().unwrap();
+        assert!(build(&[(1, 0, 1), (0, 3, 1)]).is_err());
+        assert!(build(&[(LEAF_ROWS + 6, 0, 1), (3, 0, 1)]).is_err(), "back into an earlier leaf");
+        assert!(build(&[(1, 2, 1), (1, 2, 1)]).is_err());
+        assert!(build(&[(n, 0, 1)]).is_err() && build(&[(0, 4, 1)]).is_err());
     }
 }

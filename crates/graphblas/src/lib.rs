@@ -21,12 +21,12 @@
 //! for i in 0..3 {
 //!     a.set_element(i, i + 1, true);
 //! }
-//! a.flush(); // one merge-build folds the buffered writes into a fresh CSR
+//! a.flush(); // each leaf's buffered writes fold into a fresh CSR slice
 //!
 //! // One BFS step from vertex 0: frontier × adjacency over the LOR-LAND semiring.
 //! let mut frontier = SparseVector::<bool>::new(4);
 //! frontier.set_element(0, true);
-//! let next = vxm(&frontier, &a.view(), &Semiring::lor_land(), None, &Descriptor::default());
+//! let next = vxm(&frontier, &a.export(), &Semiring::lor_land(), None, &Descriptor::default());
 //! assert_eq!(next.extract_element(1), Some(true));
 //! assert_eq!(next.nvals(), 1);
 //! ```

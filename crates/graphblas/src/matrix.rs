@@ -3,8 +3,8 @@
 //! A [`SparseMatrix`] is immutable once built: [`SparseMatrix::new`],
 //! [`SparseMatrix::from_triples`] and the kernels produce it, and the read
 //! accessors borrow its arrays directly. Single-element writes are buffered by
-//! [`crate::DeltaMatrix`], which folds them into a fresh CSR in one merge —
-//! the one pending-update mechanism in this crate.
+//! [`crate::DeltaMatrix`], which folds them into fresh CSR slices a leaf of
+//! rows at a time — the one pending-update mechanism in this crate.
 
 use crate::error::{check_index, GrbError, GrbResult};
 use crate::types::Scalar;
@@ -95,22 +95,6 @@ impl<T: Scalar> SparseMatrix<T> {
             row_ptr[i + 1] += row_ptr[i];
         }
         Ok(SparseMatrix { nrows, ncols, row_ptr, col_idx, values })
-    }
-
-    /// Build a matrix from CSR arrays assembled by the caller, in O(nnz) and
-    /// without a copy or a sort: the arrays become the matrix's own. The
-    /// parts are checked against every CSR invariant (see
-    /// [`SparseMatrix::check_invariants`]) in every build profile.
-    pub fn from_csr(
-        nrows: Index,
-        ncols: Index,
-        row_ptr: Vec<usize>,
-        col_idx: Vec<Index>,
-        values: Vec<T>,
-    ) -> GrbResult<Self> {
-        let m = SparseMatrix { nrows, ncols, row_ptr, col_idx, values };
-        m.check_invariants()?;
-        Ok(m)
     }
 
     /// Construct directly from CSR parts produced by a kernel. The parts must
@@ -300,38 +284,6 @@ mod tests {
                 .unwrap();
         assert_eq!(m.extract_element(0, 0), Some(3));
         assert_eq!(m.extract_element(1, 1), Some(5));
-    }
-
-    #[test]
-    fn from_csr_takes_valid_parts_and_rejects_broken_ones() {
-        let m = small();
-        let parts = |m: &SparseMatrix<i64>| {
-            (m.row_ptr().to_vec(), m.col_indices().to_vec(), m.raw_values().to_vec())
-        };
-        let (row_ptr, col_idx, values) = parts(&m);
-        assert_eq!(
-            SparseMatrix::from_csr(3, 4, row_ptr.clone(), col_idx.clone(), values.clone()),
-            Ok(m)
-        );
-        // Each broken invariant is an error, not a debug-only assertion.
-        let mut descending = col_idx.clone();
-        descending.swap(0, 1);
-        assert!(SparseMatrix::from_csr(3, 4, row_ptr.clone(), descending, values.clone()).is_err());
-        assert!(
-            SparseMatrix::from_csr(3, 2, row_ptr.clone(), col_idx.clone(), values.clone()).is_err()
-        );
-        assert!(SparseMatrix::from_csr(
-            3,
-            4,
-            row_ptr.clone(),
-            col_idx.clone(),
-            values[1..].to_vec()
-        )
-        .is_err());
-        let mut offset = row_ptr.clone();
-        offset[0] = 1;
-        assert!(SparseMatrix::from_csr(3, 4, offset, col_idx.clone(), values.clone()).is_err());
-        assert!(SparseMatrix::from_csr(4, 4, row_ptr, col_idx, values).is_err());
     }
 
     #[test]

@@ -14,13 +14,15 @@
 //! delete-of-pending-insert / insert-over-pending-delete transitions are all
 //! exercised with every possible buffer state.
 //!
-//! The pending buffers are split into chunks of 64 rows, the leaves of a
-//! copy-on-write `ChunkTable`, so a clone shares them and a later write
-//! copies only its own chunk's path. A 10×10 matrix lives in one chunk; the
-//! wide scripts below draw rows from both sides of three chunk boundaries,
-//! clone at random points, and check every clone against the dense model
-//! frozen at clone time after the original has gone on to set, remove and
-//! flush.
+//! The rows are split into leaves of 1 024, each a CSR slice with its own
+//! buffers in 64-row chunks, held by a copy-on-write `ChunkTable`, so a
+//! clone shares them, a later write copies only its own leaf's path and
+//! chunk, and a fold replaces one leaf. A 10×10 matrix lives in one leaf;
+//! the wide scripts below draw rows from both sides of chunk and leaf
+//! boundaries over 36 leaves (past the 32 one table level holds), fold each
+//! leaf at its share of thresholds from 1 up, clone at random points, and
+//! check every clone against the dense model frozen at clone time after the
+//! original has gone on to set, remove and flush.
 
 use graphblas::prelude::*;
 use proptest::prelude::*;
@@ -106,8 +108,9 @@ proptest! {
         prop_assert_eq!(delta.to_triples(), eager(&dense).to_triples());
         // …and still does after a final flush collapses the buffers.
         delta.flush();
+        prop_assert!(delta.is_flushed());
         assert_matches_dense(&delta, &dense)?;
-        prop_assert_eq!(delta.main().to_triples(), eager(&dense).to_triples());
+        prop_assert_eq!(delta.to_triples(), eager(&dense).to_triples());
     }
 
     #[test]
@@ -197,19 +200,20 @@ proptest! {
         let exported = delta.export();
         exported.check_invariants().map_err(|e| TestCaseError::fail(format!("{e}")))?;
         prop_assert_eq!(&exported, &eager(&dense));
-        prop_assert_eq!(delta.view().to_triples(), eager(&dense).to_triples());
+        prop_assert_eq!(delta.to_triples(), eager(&dense).to_triples());
     }
 }
 
-/// Rows of the wide scripts: the first two and last two of each of four
-/// 256-row ranges (four 64-row chunks each), plus the last row of the
-/// range's second chunk.
-const WIDE_ROW_OFFSETS: [u64; 5] = [0, 1, 127, 254, 255];
-const WIDE_CHUNKS: u64 = 4;
+/// Rows of the wide scripts: in each of twelve ranges of three 1 024-row
+/// leaves, the first two, both sides of the first 64-row chunk boundary and
+/// of the first leaf boundary, and the last.
+const WIDE_ROW_OFFSETS: [u64; 7] = [0, 1, 63, 64, 1023, 1024, WIDE_STRIDE - 1];
+const WIDE_STRIDE: u64 = 3 * 1024;
+const WIDE_CHUNKS: u64 = 12;
 const WIDE_COLS: u64 = 6;
 
 /// One wide op: `kind` 0–3 = set, 4–5 = remove, 6 = flush, 7 = clone;
-/// the row is `chunk * 256 + WIDE_ROW_OFFSETS[offset]`.
+/// the row is `chunk * WIDE_STRIDE + WIDE_ROW_OFFSETS[offset]`.
 type WideOp = (u8, u64, usize, u64, i64);
 
 fn wide_ops() -> impl Strategy<Value = Vec<WideOp>> {
@@ -220,7 +224,7 @@ fn wide_ops() -> impl Strategy<Value = Vec<WideOp>> {
 }
 
 fn wide_rows() -> impl Iterator<Item = u64> {
-    (0..WIDE_CHUNKS).flat_map(|c| WIDE_ROW_OFFSETS.iter().map(move |o| c * 256 + o))
+    (0..WIDE_CHUNKS).flat_map(|c| WIDE_ROW_OFFSETS.iter().map(move |o| c * WIDE_STRIDE + o))
 }
 
 /// Check a delta matrix against a dense model on every row a wide script
@@ -247,14 +251,14 @@ fn assert_frozen(
 
 proptest! {
     #[test]
-    fn clones_stay_frozen_across_chunk_boundaries(script in wide_ops(), threshold in 1usize..200) {
-        let n = WIDE_CHUNKS * 256;
+    fn clones_stay_frozen_across_chunk_boundaries(script in wide_ops(), threshold in 1usize..400) {
+        let n = WIDE_CHUNKS * WIDE_STRIDE;
         let mut delta = DeltaMatrix::<i64>::new(n, WIDE_COLS);
         delta.set_flush_threshold(threshold);
         let mut dense = HashMap::new();
         let mut clones = Vec::new();
         for &(kind, chunk, offset, c, v) in &script {
-            let r = chunk * 256 + WIDE_ROW_OFFSETS[offset];
+            let r = chunk * WIDE_STRIDE + WIDE_ROW_OFFSETS[offset];
             match kind {
                 0..=3 => {
                     delta.set_element(r, c, v);
@@ -275,24 +279,24 @@ proptest! {
             assert_frozen(clone, frozen)?;
         }
         // …and still does once the original folds everything it shares. The
-        // fold publishes exactly the CSR `export` builds without publishing.
+        // folds publish exactly the CSR `export` builds without publishing.
         let exported = delta.export();
         delta.flush();
+        prop_assert!(delta.is_flushed());
         assert_frozen(&delta, &dense)?;
         exported.check_invariants().map_err(|e| TestCaseError::fail(format!("{e}")))?;
-        delta.main().check_invariants().map_err(|e| TestCaseError::fail(format!("{e}")))?;
-        prop_assert_eq!(&exported, delta.main());
+        prop_assert_eq!(&exported, &delta.export());
         for (clone, frozen) in &clones {
             assert_frozen(clone, frozen)?;
         }
         // Clones are full matrices in their own right: writing to one leaves
         // the original and the other clones alone.
         if let Some((first, frozen)) = clones.first_mut() {
-            first.set_element(255, 0, 99);
-            first.remove_element(256, 1).unwrap();
+            first.set_element(1023, 0, 99);
+            first.remove_element(1024, 1).unwrap();
             first.flush();
-            frozen.insert((255, 0), 99);
-            frozen.remove(&(256, 1));
+            frozen.insert((1023, 0), 99);
+            frozen.remove(&(1024, 1));
             assert_frozen(first, frozen)?;
         }
         assert_frozen(&delta, &dense)?;

@@ -2,10 +2,11 @@
 //!
 //! The server pins a [`GraphSnapshot`] under a momentary read lock, then
 //! executes the query with no lock held. With the flush threshold at one,
-//! every mutation folds the delta buffers into fresh epoch CSRs mid-write —
+//! every insert and delete folds its leaf's buffers into a fresh leaf mid-write —
 //! a snapshot taken around that fold must still observe either *all* of the
 //! write-lock holder's mutations or *none* of them, and its reachability
-//! view must agree with its entity counts.
+//! view must agree with its entity counts. A snapshot pinned before a fold
+//! keeps reading the leaf the fold replaced.
 
 use std::sync::Arc;
 
@@ -75,4 +76,55 @@ fn snapshots_never_observe_a_half_applied_flush() {
         assert_eq!(snap.edge_count(), 2);
     });
     assert!(report.distinct >= 1400, "only {} distinct schedules explored", report.distinct);
+}
+
+#[test]
+fn a_reader_pinned_before_a_leaf_fold_keeps_its_old_row() {
+    let report = explore("delta_flush_epoch/leaf_fold_keeps_the_pinned_row", &cfg(), || {
+        let mut g = Graph::new("f");
+        // Every insert and delete folds its leaf into a fresh one.
+        g.set_flush_threshold(1);
+        let [a, b, c] = [(); 3].map(|_| g.add_node(&["N"], vec![]));
+        let ab = g.add_edge(a, b, "R", vec![]).unwrap();
+        let rel = g.schema.rel_type_id("R").unwrap() as u32;
+        let lock = Arc::new(parking_lot::RwLock::new(g));
+        // Pinned before the writer runs: it must keep `a`'s old row while
+        // the writer folds that row's leaf twice.
+        let pinned = lock.read().snapshot();
+
+        let writer = {
+            let lock = Arc::clone(&lock);
+            thread::spawn(move || {
+                let mut g = lock.write();
+                g.add_edge(a, c, "R", vec![]).unwrap();
+                assert!(g.delete_edge(&redisgraph_core::Value::Edge {
+                    id: ab,
+                    src: a,
+                    dst: b,
+                    rel
+                }));
+            })
+        };
+        let reader = thread::spawn(move || {
+            for _ in 0..2 {
+                let row = pinned.neighbors(a, None, TraverseDir::Outgoing);
+                assert_eq!(row, vec![(b, ab)], "a pinned row changed under a leaf fold");
+                assert_eq!(pinned.khop_reach(a, 1, 1, TraverseDir::Outgoing, None).indices(), &[b]);
+                thread::yield_now();
+            }
+        });
+        // A reader pinning at any point sees one side of the writer's hold.
+        let snap = lock.read().snapshot();
+        let row: Vec<_> =
+            snap.neighbors(a, None, TraverseDir::Outgoing).into_iter().map(|(n, _)| n).collect();
+        assert!(row == vec![b] || row == vec![c], "a row mixes two sides of a write: {row:?}");
+
+        writer.join().unwrap();
+        reader.join().unwrap();
+        let live = lock.read().snapshot();
+        assert_eq!(live.neighbors(a, None, TraverseDir::Outgoing).len(), 1);
+        assert!(live.delta_flush_count() >= 2, "each write folded its leaf");
+        assert!(!live.has_pending_deltas());
+    });
+    assert!(report.distinct >= 100, "only {} distinct schedules explored", report.distinct);
 }

@@ -5,12 +5,13 @@
 //! `Arc`. Reclamation must be precise in both directions: a snapshot still
 //! held by an in-flight query is never freed or mutated (its contents are
 //! immutable for its whole lifetime), and once the last holder lets go the
-//! old epoch really is freed, not accumulated.
+//! old epoch really is freed, not accumulated — down to each relation leaf
+//! the epoch held that no newer state shares.
 
 use std::sync::{Arc, Weak};
 
 use modelcheck::{explore, thread, Config};
-use redisgraph_core::{Graph, GraphSnapshot};
+use redisgraph_core::{Graph, GraphSnapshot, TraverseDir};
 
 fn cfg() -> Config {
     Config { max_schedules: 1800, pct_iterations: 300, preemption_bound: None, ..Config::default() }
@@ -39,12 +40,17 @@ fn pin(
 fn reclamation_never_frees_or_mutates_a_held_snapshot() {
     let report = explore("epoch_reclaim/held_snapshot_stays_valid", &cfg(), || {
         let mut g = Graph::new("e");
-        g.add_node(&["N"], vec![]);
+        // Every write folds its leaf: the writer below replaces the relation
+        // leaf that the first epoch holds.
+        g.set_flush_threshold(1);
+        let first = g.add_node(&["N"], vec![]);
+        g.add_edge(first, first, "R", vec![]).unwrap();
+        let rel = g.schema.rel_type_id("R").unwrap();
         let base_epoch = g.epoch();
         let lock = Arc::new(parking_lot::RwLock::new(g));
         let cache = Arc::new(parking_lot::Mutex::new(None::<Arc<GraphSnapshot>>));
-        let held: Arc<parking_lot::Mutex<Option<Weak<GraphSnapshot>>>> =
-            Arc::new(parking_lot::Mutex::new(None));
+        // The reader's snapshot and its relation leaves, as `Weak` handles.
+        let held = Arc::new(parking_lot::Mutex::new(None));
 
         let reader = {
             let lock = Arc::clone(&lock);
@@ -52,9 +58,13 @@ fn reclamation_never_frees_or_mutates_a_held_snapshot() {
             let held = Arc::clone(&held);
             thread::spawn(move || {
                 let snap = pin(&lock, &cache);
-                *held.lock() = Some(Arc::downgrade(&snap));
+                let leaves = snap.relation_epoch_pin(rel).unwrap();
+                let weak_leaves: Vec<_> = leaves.iter().map(Arc::downgrade).collect();
+                *held.lock() = Some((Arc::downgrade(&snap), weak_leaves));
+                drop(leaves);
                 let epoch = snap.epoch();
                 let nodes = snap.node_count();
+                let row = snap.neighbors(first, None, TraverseDir::Incoming);
                 // Epoch pinning: the snapshot's contents are a function of
                 // its epoch alone, no matter when the writer runs.
                 assert_eq!(
@@ -68,12 +78,19 @@ fn reclamation_never_frees_or_mutates_a_held_snapshot() {
                 // ...then re-read: a held snapshot is immutable forever.
                 assert_eq!(snap.epoch(), epoch, "held snapshot changed epoch");
                 assert_eq!(snap.node_count(), nodes, "held snapshot mutated under us");
+                assert_eq!(row.len(), nodes, "a row disagrees with its pinned epoch");
+                let again = snap.neighbors(first, None, TraverseDir::Incoming);
+                assert_eq!(again, row, "a held snapshot's row changed under a fold");
             })
         };
 
         // The writer publishes a new epoch and re-pins: the cache swap is
         // the reclamation point for the previous epoch's snapshot.
-        lock.write().add_node(&["N"], vec![]);
+        {
+            let mut g = lock.write();
+            let second = g.add_node(&["N"], vec![]);
+            g.add_edge(second, first, "R", vec![]).unwrap();
+        }
         let fresh = pin(&lock, &cache);
         assert_eq!(fresh.node_count(), 2);
         drop(fresh);
@@ -84,8 +101,15 @@ fn reclamation_never_frees_or_mutates_a_held_snapshot() {
         // epoch — reclamation may be deferred, never skipped.
         *cache.lock() = None;
         let weak = held.lock().take();
-        if let Some(weak) = weak {
+        if let Some((weak, leaves)) = weak {
             assert!(weak.upgrade().is_none(), "snapshot epoch leaked past its last holder");
+            // Each of its relation leaves is freed too, unless the live
+            // graph still holds it.
+            let live = lock.read().relation_epoch_pin(rel).unwrap();
+            for leaf in leaves.iter().filter_map(Weak::upgrade) {
+                let shared = live.iter().any(|l| Arc::ptr_eq(l, &leaf));
+                assert!(shared, "a relation leaf leaked past its last holder");
+            }
         }
     });
     assert!(report.distinct >= 100, "only {} distinct schedules explored", report.distinct);

@@ -11,9 +11,12 @@
 //! table. The third deletes one of a parallel pair, which stores the
 //! survivor back in the relation cells and frees the pair's edge list, and
 //! promotes another pair into the freed list slot, while the reader expands
-//! the old pair's cell. Whatever the interleaving, the reader must see exactly the epoch
-//! it pinned: the row, the entities, the reachability view and the count all
-//! from one side of the write, and the same answers on every re-read.
+//! the old pair's cell. The fourth inserts one edge at a flush threshold of
+//! one, which folds the row's leaf into a fresh one at once, while the reader
+//! holds a snapshot of the leaf it replaces. Whatever the interleaving, the
+//! reader must see exactly the epoch it pinned: the row, the entities, the
+//! reachability view and the count all from one side of the write, and the
+//! same answers on every re-read.
 
 use std::sync::Arc;
 
@@ -218,6 +221,50 @@ fn a_reader_keeps_a_parallel_pair_whose_list_slot_the_writer_frees_and_reuses() 
         let snap = pin(&lock, &cache);
         assert_eq!(snap.neighbors(a, None, TraverseDir::Outgoing), vec![(b, pair[0])]);
         assert_eq!(snap.relation_matrix(r).unwrap().extract_element(a, b), Some(pair[0]));
+    });
+    assert!(report.distinct >= 20, "only {} distinct schedules explored", report.distinct);
+}
+
+#[test]
+fn a_reader_pinned_before_a_leaf_fold_keeps_its_old_row() {
+    let report = explore("snapshot_share/leaf_fold", &cfg(), || {
+        let mut g = Graph::new("l");
+        // Every insert and delete folds its leaf: no buffer survives a write.
+        g.set_flush_threshold(1);
+        let [a, b, c, d] = [0, 1, 2, 3].map(|_| g.add_node(&["N"], vec![]));
+        g.add_edge(a, b, "R", vec![]).unwrap();
+        g.add_edge(b, c, "R", vec![]).unwrap();
+        let lock = Arc::new(parking_lot::RwLock::new(g));
+        let cache = Arc::new(parking_lot::Mutex::new(None::<Arc<GraphSnapshot>>));
+        let base_epoch = pin(&lock, &cache).epoch();
+
+        let reader = {
+            let lock = Arc::clone(&lock);
+            let cache = Arc::clone(&cache);
+            thread::spawn(move || {
+                let snap = pin(&lock, &cache);
+                let old = snap.epoch() == base_epoch;
+                let row = if old { vec![b] } else { vec![b, d] };
+                let count = if old { 2 } else { 3 };
+                for _ in 0..2 {
+                    assert_eq!(out_row(&snap, a), row, "row {a} mixes epochs (old = {old})");
+                    let rs = snap.query_readonly(KHOP_COUNT).unwrap();
+                    assert_eq!(rs.scalar(), Some(&Value::Int(count)), "k-hop count (old = {old})");
+                    assert!(!snap.has_pending_deltas(), "a fold left buffers behind");
+                    // Let the writer fold `a`'s leaf between the two reads.
+                    thread::yield_now();
+                }
+            })
+        };
+
+        // One write, folded at once into a fresh leaf beside the pinned one.
+        lock.write().add_edge(a, d, "R", vec![]).unwrap();
+
+        reader.join().unwrap();
+        let snap = pin(&lock, &cache);
+        assert_ne!(snap.epoch(), base_epoch);
+        assert_eq!(out_row(&snap, a), vec![b, d]);
+        assert!(snap.delta_flush_count() > 0);
     });
     assert!(report.distinct >= 20, "only {} distinct schedules explored", report.distinct);
 }

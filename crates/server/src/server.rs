@@ -40,9 +40,10 @@ use std::time::Instant;
 pub struct ServerConfig {
     /// Number of worker threads in the query pool (`THREAD_COUNT` module arg).
     pub thread_count: usize,
-    /// Per-matrix pending-change count at which delta buffers are folded into
-    /// the main matrices (`DELTA_MAX_PENDING_CHANGES`; runtime-tunable with
-    /// `GRAPH.CONFIG SET`).
+    /// Cap on each matrix's pending changes: every leaf folds its delta
+    /// buffers into a fresh CSR slice at its share of it
+    /// (`DELTA_MAX_PENDING_CHANGES`; runtime-tunable with `GRAPH.CONFIG
+    /// SET`).
     pub delta_max_pending_changes: usize,
     /// Per-connection cap on the retained query buffer (`MAX_QUERY_BUFFER`,
     /// Redis' `client-query-buffer-limit`): a connection whose unparsed
@@ -185,8 +186,8 @@ impl GraphEntry {
     /// a writer is never blocked. A rebuild is timed from the clone to the
     /// cache swap (`snapshot_rebuild_*` in `GRAPH.INFO`). The superseded
     /// snapshot is dropped after the mutex is released and outside that
-    /// time: it may hold the last pin on a pre-fold epoch, whose free takes
-    /// milliseconds on a large graph, and the other first readers of the new
+    /// time: it may hold the last pin on leaves that folds replaced, whose
+    /// free is the drop's cost, and the other first readers of the new
     /// epoch need not wait for it.
     fn snapshot(&self, metrics: &Metrics) -> Arc<GraphSnapshot> {
         let mut cache = self.snapshot_cache.lock();

@@ -354,21 +354,33 @@ fn write_heavy_flush_loop_reclaims_epochs_instead_of_accumulating() {
     let r0 = g.schema.rel_type_id("R0").unwrap();
     // One long-lived reader keeps its epoch alive for the whole loop…
     let long_lived = g.snapshot();
-    let first_epoch = Arc::downgrade(&long_lived.relation_epoch_pin(r0).unwrap());
+    // `Weak` handles on a graph's current relation leaves.
+    let pin = |g: &Graph| -> Vec<_> {
+        g.relation_epoch_pin(r0).unwrap().iter().map(Arc::downgrade).collect()
+    };
+    let first_epoch = pin(&long_lived);
+    assert!(!first_epoch.is_empty());
 
-    // …while 40 write+flush cycles each publish (and then abandon) an epoch.
+    // …while 40 write+flush cycles each fold (and then abandon) a leaf.
     let mut weaks = Vec::new();
     for i in 1..=40 {
         g.query(&format!("CREATE (:A {{id: {i}}})-[:R0]->(:B {{id: {i}}})")).unwrap();
         g.sync_matrices();
-        weaks.push(Arc::downgrade(&g.relation_epoch_pin(r0).unwrap()));
-        // The pin (the only reader of this epoch) drops right here.
+        weaks.extend(pin(&g));
+        // The pin (the only reader of these leaves) drops right here.
     }
-    let alive = weaks.iter().filter(|w| w.upgrade().is_some()).count();
-    assert!(alive <= 1, "unreferenced epochs must be reclaimed, {alive} of 40 still alive");
-    assert!(first_epoch.upgrade().is_some(), "an epoch with a live reader must survive");
+    let current = g.relation_epoch_pin(r0).unwrap();
+    let stale = weaks
+        .iter()
+        .filter_map(|w| w.upgrade())
+        .filter(|leaf| !current.iter().any(|c| Arc::ptr_eq(c, leaf)))
+        .count();
+    assert_eq!(stale, 0, "unreferenced leaves must be reclaimed, {stale} still alive");
+    let alive = |weaks: &[std::sync::Weak<_>]| weaks.iter().all(|w| w.upgrade().is_some());
+    assert!(alive(&first_epoch), "leaves with a live reader must survive");
     drop(long_lived);
-    assert!(first_epoch.upgrade().is_none(), "the last reader dropping must release its epoch");
+    let freed = first_epoch.iter().all(|w| w.upgrade().is_none());
+    assert!(freed, "the last reader dropping must release the leaves it alone held");
 }
 
 proptest! {
