@@ -22,7 +22,7 @@ use crate::store::graph::{Graph, TraverseDir};
 use crate::value::{EquivKey, EquivRow, Value};
 use crate::{EdgeId, NodeId};
 use cypher::{Direction, Expr, PathPattern, Projection, SetItem, SortOrder};
-use graphblas::SparseVector;
+use graphblas::{Bitmap, SparseVector};
 use std::collections::{HashMap, HashSet};
 
 /// One step of an execution plan.
@@ -748,19 +748,15 @@ pub fn run_traverse_count(op: &PlanOp, records: &RecordBatch, graph: &Graph) -> 
         for &row in batch.record_rows.iter().flatten() {
             copies[row] += 1;
         }
-        // Several reached sets union through one flag per node; a lone set
-        // — the paper's k-hop query, one seek — counts as its `nvals`.
-        let mut union = vec![false; if batch.sources.len() > 1 { graph.dim() as usize } else { 0 }];
+        // Several reached sets union into one bitmap; a lone set — the
+        // paper's k-hop query, one seek — counts as its `nvals`.
+        let mut union = (batch.sources.len() > 1).then(|| Bitmap::new(graph.dim()));
         for (&src, &n) in batch.sources.iter().zip(&copies) {
-            let reached = graph.khop_reach(src, *min_hops, max, dir, rel_ids.as_deref());
-            let set = reached.indices();
-            total += n * set.len() as u64;
-            if union.is_empty() {
-                distinct = set.len() as u64;
-            } else {
-                for &v in set {
-                    distinct += u64::from(!std::mem::replace(&mut union[v as usize], true));
-                }
+            let reached = graph.khop_reached(src, *min_hops, max, dir, rel_ids.as_deref());
+            total += n * reached.nvals() as u64;
+            match &mut union {
+                None => distinct = reached.nvals() as u64,
+                Some(union) => reached.iter().for_each(|v| distinct += u64::from(union.insert(v))),
             }
         }
     }

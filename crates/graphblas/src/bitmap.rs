@@ -133,10 +133,7 @@ pub trait RowSource {
     /// Call `f` on the columns of `row`, ascending, until it returns `true`;
     /// returns whether it did.
     fn any_in_row<F: FnMut(Index) -> bool>(&self, row: Index, f: F) -> bool;
-    /// Of the rows `base + i` for each set bit `i` of `rows` (`base` a
-    /// multiple of 64), the ones holding a column in `frontier`, as bits of
-    /// the same word: a pull step's unit of work. A source stored in blocks
-    /// of rows reads the word's block once.
+
     /// Call `f` on the columns of each of `rows` in turn: a push step's unit
     /// of work. A source stored in blocks of rows looks a block up once for
     /// a run of rows in it.
@@ -149,6 +146,10 @@ pub trait RowSource {
         }
     }
 
+    /// Of the rows `base + i` for each set bit `i` of `rows` (`base` a
+    /// multiple of 64), the ones holding a column in `frontier`, as bits of
+    /// the same word: a pull step's unit of work. A source stored in blocks
+    /// of rows reads the word's block once.
     fn rows_reaching(&self, base: Index, rows: u64, frontier: &Bitmap) -> u64 {
         let reaches = |&v: &Index| self.any_in_row(v, |u| frontier.contains(u));
         ones(base, rows).filter(reaches).fold(0, |bits, v| bits | 1 << (v - base))
@@ -269,22 +270,37 @@ mod tests {
 
     #[test]
     fn steps_over_a_delta_matrix_equal_the_steps_over_its_export() {
-        // One 1 024-row leaf. Row 1 holds a pending insert (1, 7),
-        // an insert shadowing the main entry (1, 5) and a pending delete of
-        // the main entry (1, 9); row 4's only change is a pending delete of
-        // (4, 9); row 3 has no change of its own but shares row 1's dirty
-        // chunk; rows 300, 520 and 700 lie in clean chunks.
-        let n = 3 * 256;
-        let main = [(1, 2), (1, 5), (1, 9), (3, 1), (3, 5), (4, 2), (4, 9), (300, 1), (300, 3)];
-        let main = [&main[..], &[(300, 700), (520, 300), (700, 3), (700, 9)]].concat();
+        // Four 1 024-row leaves, the last one partial. Leaf 0 is dirty: row 1
+        // holds a pending insert (1, 7), an insert shadowing the main entry
+        // (1, 5) and a pending delete of the main entry (1, 9); row 4's only
+        // change is a pending delete of (4, 9); both main entries of row 5
+        // are pending deletes; rows 6 and 960 have no main entry but a
+        // pending insert; row 3 has no change of its own but shares row 1's
+        // dirty chunk; rows 300, 520 and 700 lie in clean chunks. Leaf 1 was
+        // folded after row 1 030 gained its first entry and row 1 500 lost
+        // its only one. Leaf 2 holds only a pending insert, leaf 3 only main
+        // entries, one of them in its last row.
+        let n = 3 * 1024 + 100;
+        let main = [(1, 2), (1, 5), (1, 9), (3, 1), (3, 5), (4, 2), (4, 9), (5, 2), (5, 9)];
+        let main = [&main[..], &[(300, 1), (300, 3), (300, 700), (520, 300), (700, 3), (700, 9)]];
+        let main = [&main.concat()[..], &[(1100, 9), (1500, 1), (2047, 3), (3171, 9)]].concat();
         let triples: Vec<_> = main.iter().map(|&(r, c)| (r, c, r * n + c)).collect();
         let mut delta =
             DeltaMatrix::from_matrix(SparseMatrix::from_triples(n, n, &triples).unwrap());
+        delta.set_element(1030, 7, 0);
+        delta.remove_element(1500, 1).unwrap();
+        delta.flush();
         delta.set_element(1, 7, 0);
         delta.set_element(1, 5, 0);
         delta.remove_element(1, 9).unwrap();
         delta.remove_element(4, 9).unwrap();
-        assert_eq!(delta.pending_count(), 4);
+        delta.remove_element(5, 2).unwrap();
+        delta.remove_element(5, 9).unwrap();
+        delta.set_element(6, 9, 0);
+        delta.set_element(960, 1, 0);
+        delta.set_element(2100, 5, 0);
+        assert_eq!(delta.pending_count(), 9);
+        delta.check_invariants().unwrap();
         let export = delta.export();
         assert_eq!(export.row(1).0, &[2, 5, 7]);
         assert_eq!(delta.nvals(), export.nvals());
@@ -297,10 +313,20 @@ mod tests {
             set.iter().for_each(|&v| _ = bits.insert(v));
             bits
         };
-        let sets: [&[Index]; 7] =
-            [&[1], &[9], &[7], &[5], &[3, 300], &[1, 3, 300, 520, 700], &[0, 2, 9]];
+        let sets: [&[Index]; 10] = [
+            &[1],
+            &[9],
+            &[7],
+            &[5],
+            &[3, 300],
+            &[1, 3, 300, 520, 700],
+            &[0, 2, 9],
+            &[5, 6, 960, 1030, 1500, 2100],
+            &[2047, 3171],
+            &[1, 2, 3, 5, 7, 9, 300, 700],
+        ];
         for set in sets {
-            for seen in [&[][..], &[3, 5][..]] {
+            for seen in [&[][..], &[3, 5, 6][..]] {
                 // One step from the `seen` state: what it found, in order,
                 // and the visited set it left.
                 let step = |kernel: &dyn Fn(&mut Bitmap, &mut Vec<Index>)| {
@@ -321,13 +347,17 @@ mod tests {
                 );
             }
         }
-        // Rows 1 and 4 reach their pending insert, not their pending deletes.
-        let mut next = Vec::new();
-        bfs_pull(&delta, &bitmap(&[9]), &mut bitmap(&[]), &mut next);
-        assert_eq!(next, vec![700]);
-        next.clear();
-        bfs_pull(&delta, &bitmap(&[7]), &mut bitmap(&[]), &mut next);
-        assert_eq!(next, vec![1]);
+        // Rows reach their pending inserts and their folded entries, not
+        // their pending deletes or the entries a fold dropped.
+        let pull = |set: &[Index]| {
+            let mut next = Vec::new();
+            bfs_pull(&delta, &bitmap(set), &mut bitmap(&[]), &mut next);
+            next
+        };
+        assert_eq!(pull(&[9]), vec![6, 700, 1100, 3171]);
+        assert_eq!(pull(&[7]), vec![1, 1030]);
+        assert_eq!(pull(&[1]), vec![3, 300, 960]);
+        assert_eq!(pull(&[5]), vec![1, 3, 2100]);
     }
 
     #[test]

@@ -34,13 +34,27 @@
 //! searches only the buffers holding the row's changes, and a merged degree
 //! is O(1). A leaf with nothing pending carries no buffers and no counts.
 //!
+//! Each CSR slice carries a mask of its non-empty rows, 16 words, built with
+//! the slice. A pull step ANDs each 64-row word of unvisited rows with it,
+//! and with a dirty chunk also ORs in the rows with an insert pending, so it
+//! reads only rows that can hold an entry: those with nothing pending
+//! straight from the slice, the rest merged. Whole-matrix walks (`export`,
+//! `to_triples`, `transposed`) skip rows the same way. At rgbench's scale
+//! 15, where 8 944 of the 32 768 rows of the transpose are empty, a
+//! typical `khop_k6` seed's fifth hop, a pull finding ~10 vertices, took
+//! 28–53 µs while every unvisited row was read and takes 7–12 µs so; its
+//! fourth, finding 1 300–2 000, took 88–154 µs and takes 55–99 µs
+//! (`examples/khop_hops.rs`, three runs each, shared 2-core x86 host).
+//!
 //! Invariants (checked by [`DeltaMatrix::check_invariants`]):
 //!
 //! * `DM` only names coordinates that exist in its leaf's main entries;
 //! * `DP` and `DM` are disjoint — a delete of a pending insert simply drops
 //!   the `DP` entry, and an insert over a pending delete drops the `DM` entry;
 //! * each leaf holds only rows of its own range, is never kept empty, keeps
-//!   no empty buffers, and counts each row's changes exactly.
+//!   no empty buffers, and counts each row's changes exactly;
+//! * each CSR slice's rows ascend, and its mask names exactly its non-empty
+//!   rows.
 //!
 //! ## Snapshots
 //!
@@ -67,26 +81,32 @@ use crate::error::{check_index, GrbError, GrbResult};
 use crate::matrix::SparseMatrix;
 use crate::types::Scalar;
 use crate::Index;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::mem::size_of_val;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Default number of pending changes that caps a matrix's buffers
 /// (RedisGraph ships `DELTA_MAX_PENDING_CHANGES = 10000`).
 pub const DEFAULT_FLUSH_THRESHOLD: usize = 10_000;
 
-/// Rows per leaf: the range a fold rebuilds. Reading a row looks its leaf
-/// up first; with 64-row leaves, two table levels deep at rgbench's 32 768
-/// rows, rgbench's `khop_k6` ran ~25% slower than over one CSR, with
-/// 1 024-row leaves, one level, within ~10%.
+/// Rows per leaf: the range a fold rebuilds. A push step and a degree sum
+/// look a leaf up once for a run of rows in it, a pull step once per 64
+/// rows. With 64-row leaves, two table levels deep at rgbench's 32 768
+/// rows, rgbench's `khop_k6` ran ~25% slower than over one CSR; with
+/// 1 024-row leaves, one level, ~5% slower while a pull read every
+/// unvisited row, and at ~1.5× that qps once it read only the rows that can
+/// hold an entry (ten paired runs, 2-core x86 host).
 const LEAF_ROWS: Index = 1024;
 /// Rows per pending-change chunk: the part of a leaf's buffers that a write
 /// after a clone copies.
 const CHUNK_ROWS: Index = 64;
 /// Chunks per leaf.
 const CHUNKS: usize = (LEAF_ROWS / CHUNK_ROWS) as usize;
-// A bitmap word of 64 rows never straddles two leaves (`rows_reaching`).
-const _: () = assert!(LEAF_ROWS.is_multiple_of(64) && LEAF_ROWS.is_multiple_of(CHUNK_ROWS));
+/// 64-row words per leaf, in a CSR slice's mask of non-empty rows.
+const WORDS: usize = (LEAF_ROWS / 64) as usize;
+// A bitmap word of 64 rows is one chunk of one leaf (`rows_reaching`).
+const _: () = assert!(CHUNK_ROWS == 64 && LEAF_ROWS.is_multiple_of(CHUNK_ROWS));
 
 /// One leaf: the main entries of one `LEAF_ROWS`-row range, and its pending
 /// changes while it has any.
@@ -105,6 +125,9 @@ struct Csr<T> {
     row_ptr: Vec<usize>,
     cols: Vec<Index>,
     vals: Vec<T>,
+    /// Bit `o % 64` of word `o / 64` is set when row offset `o` has an
+    /// entry, so a pull step skips the rows with none a word at a time.
+    nonempty: [u64; WORDS],
 }
 
 /// The pending changes of one leaf, by `CHUNK_ROWS`-row chunk: a write
@@ -162,7 +185,8 @@ impl<T: Scalar> Csr<T> {
     fn open(capacity: usize) -> Self {
         let mut row_ptr = Vec::with_capacity(LEAF_ROWS as usize + 1);
         row_ptr.push(0);
-        Csr { row_ptr, cols: Vec::with_capacity(capacity), vals: Vec::with_capacity(capacity) }
+        let (cols, vals) = (Vec::with_capacity(capacity), Vec::with_capacity(capacity));
+        Csr { row_ptr, cols, vals, nonempty: [0; WORDS] }
     }
 
     /// End every row before offset `o`; a row given no entry stays empty.
@@ -185,6 +209,30 @@ impl<T: Scalar> Csr<T> {
     /// Bytes of the three arrays.
     fn bytes(&self) -> usize {
         size_of_val(&self.row_ptr[..]) + size_of_val(&self.cols[..]) + size_of_val(&self.vals[..])
+    }
+
+    /// The checks that hold for as long as the slice lives, since no leaf
+    /// changes the slice it holds: its arrays agree, its rows ascend and its
+    /// mask names exactly its non-empty rows.
+    fn check(&self) -> Result<(), String> {
+        let ptr = &self.row_ptr;
+        if ptr.len() != LEAF_ROWS as usize + 1
+            || ptr[0] != 0
+            || ptr[LEAF_ROWS as usize] != self.cols.len()
+            || self.vals.len() != self.cols.len()
+        {
+            return Err("its CSR arrays disagree".into());
+        }
+        for o in 0..LEAF_ROWS as usize {
+            let (start, end) = (ptr[o], ptr[o + 1]);
+            if start > end || self.cols[start..end].windows(2).any(|w| w[0] >= w[1]) {
+                return Err(format!("row offset {o} is unsorted"));
+            }
+            if (self.nonempty[o / 64] >> (o % 64) & 1 == 1) != (start < end) {
+                return Err(format!("its mask disagrees at row offset {o}"));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -226,12 +274,29 @@ impl<T: Scalar> Leaf<T> {
         main.end_rows(LEAF_ROWS as usize);
         main.cols.shrink_to_fit();
         main.vals.shrink_to_fit();
+        main.nonempty = [0; WORDS];
+        for o in 0..LEAF_ROWS as usize {
+            main.nonempty[o / 64] |= u64::from(main.row_ptr[o] < main.row_ptr[o + 1]) << (o % 64);
+        }
         (!main.cols.is_empty()).then(|| Leaf { main: Arc::new(main), pending: None })
     }
 
     /// The chunk holding `row`'s pending changes, if it has any.
     fn chunk(&self, row: Index) -> Option<&Chunk<T>> {
         self.pending.as_ref()?.chunks[chunk_slot(row)].as_deref()
+    }
+
+    /// Of the 64 rows from offset `first` (a multiple of 64, so one chunk's):
+    /// the ones that may hold an entry, having a main entry or an insert
+    /// pending, and the ones with changes pending, as bits by row.
+    fn word(&self, first: usize) -> (u64, u64) {
+        let (mut live, mut changed) = (self.main.nonempty[first / 64], 0);
+        let chunk = self.pending.as_ref().and_then(|p| p.chunks[first / 64].as_deref());
+        for (o, r) in chunk.iter().flat_map(|c| c.rows.iter().enumerate()) {
+            live |= u64::from(r.plus > 0) << o;
+            changed |= u64::from(r.plus + r.minus > 0) << o;
+        }
+        (live, changed)
     }
 
     /// The merged degree of `row`.
@@ -680,16 +745,18 @@ impl<T: Scalar> DeltaMatrix<T> {
     }
 
     /// Call `f(row, cols, vals)` on every run of the merged view, in
-    /// row-major order: a leaf at a time, a row at a time, each row as
-    /// [`Leaf::any_run`] splits it.
+    /// row-major order: a leaf at a time, a row that may hold an entry at a
+    /// time (see [`Leaf::word`]), each row as [`Leaf::any_run`] splits it.
     fn runs(&self, mut f: impl FnMut(Index, &[Index], &[T])) {
         for (i, leaf) in self.leaves.iter() {
-            let first = i as Index * LEAF_ROWS;
-            for row in first..(first + LEAF_ROWS).min(self.nrows) {
-                leaf.any_run(row, |cols, vals| {
-                    f(row, cols, vals);
-                    false
-                });
+            for first in (0..LEAF_ROWS as usize).step_by(64) {
+                let base = i as Index * LEAF_ROWS + first as Index;
+                for row in ones(base, leaf.word(first).0) {
+                    leaf.any_run(row, |cols, vals| {
+                        f(row, cols, vals);
+                        false
+                    });
+                }
             }
         }
     }
@@ -735,6 +802,14 @@ impl<T: Scalar> DeltaMatrix<T> {
 
     /// Validate the delta-matrix invariants, each leaf's CSR slice included.
     pub fn check_invariants(&self) -> GrbResult<()> {
+        self.check_invariants_with(&mut CheckedSlices::default())
+    }
+
+    /// [`DeltaMatrix::check_invariants`], checking only the CSR slices that
+    /// `checked` does not hold yet and adding them to it: a script that
+    /// checks a matrix and its clones after every step checks each slice
+    /// once.
+    pub fn check_invariants_with(&self, checked: &mut CheckedSlices<T>) -> GrbResult<()> {
         let invalid = |message: String| Err(GrbError::InvalidValue(message));
         let (leaves, nrows) = (self.leaves.len(), self.nrows());
         if leaves != leaf_count(nrows) {
@@ -743,21 +818,16 @@ impl<T: Scalar> DeltaMatrix<T> {
         let (mut pending, mut nvals) = (0, 0);
         for (i, leaf) in self.leaves.iter() {
             let (first, main) = (i as Index * LEAF_ROWS, &leaf.main);
-            let ptr = &main.row_ptr;
-            if ptr.len() != LEAF_ROWS as usize + 1
-                || ptr[0] != 0
-                || ptr.windows(2).any(|w| w[0] > w[1])
-                || ptr[ptr.len() - 1] != main.cols.len()
-                || main.vals.len() != main.cols.len()
-            {
-                return invalid(format!("leaf {i}'s CSR arrays disagree"));
-            }
-            for o in 0..LEAF_ROWS as usize {
-                let cols = main.row(o).0;
-                let past = first + o as Index >= nrows || cols.last() >= Some(&self.ncols);
-                if cols.windows(2).any(|w| w[0] >= w[1]) || (past && !cols.is_empty()) {
-                    return invalid(format!("leaf {i}, row offset {o}: unsorted or out of range"));
+            if let Entry::Vacant(unchecked) = checked.0.entry(Arc::as_ptr(main)) {
+                if let Err(e) = main.check() {
+                    return invalid(format!("leaf {i}: {e}"));
                 }
+                unchecked.insert(Arc::downgrade(main));
+            }
+            // No entry lies past the matrix's last row or column.
+            let past = nrows.saturating_sub(first).min(LEAF_ROWS) as usize;
+            if main.row_ptr[past] != main.cols.len() || main.cols.iter().any(|&c| c >= self.ncols) {
+                return invalid(format!("leaf {i} holds an entry out of range"));
             }
             nvals += main.cols.len() as i64;
             let Some(p) = leaf.pending.as_deref() else {
@@ -814,6 +884,18 @@ impl<T: Scalar> DeltaMatrix<T> {
             return invalid(format!("cached nvals {} != merged count {nvals}", self.nvals));
         }
         Ok(())
+    }
+}
+
+/// The CSR slices that [`DeltaMatrix::check_invariants_with`] has checked,
+/// by address. Each is held by a `Weak`, which keeps its allocation, so no
+/// later slice can take a checked one's address while this record lasts.
+#[derive(Debug)]
+pub struct CheckedSlices<T>(HashMap<*const Csr<T>, Weak<Csr<T>>>);
+
+impl<T> Default for CheckedSlices<T> {
+    fn default() -> Self {
+        CheckedSlices(HashMap::new())
     }
 }
 
@@ -879,13 +961,26 @@ impl<T: Scalar> RowSource for DeltaMatrix<T> {
         }
     }
 
-    /// One leaf lookup for the word's 64 rows, none of them for an empty
-    /// leaf.
+    /// One leaf lookup for the word's 64 rows, none for an empty leaf. Only
+    /// the rows with a main entry or a pending insert are read: a row with
+    /// nothing pending straight from the CSR slice, the others merged.
     fn rows_reaching(&self, base: Index, rows: u64, frontier: &Bitmap) -> u64 {
         let Some(leaf) = self.leaf(base) else { return 0 };
-        let reaches =
-            |&v: &Index| leaf.any_run(v, |cols, _| cols.iter().any(|&u| frontier.contains(u)));
-        ones(base, rows).filter(reaches).fold(0, |bits, v| bits | 1 << (v - base))
+        let (main, first) = (&leaf.main, offset(base));
+        let (live, changed) = leaf.word(first);
+        let rows = rows & live;
+        let reaches = |cols: &[Index]| cols.iter().any(|&u| frontier.contains(u));
+        let mut found = 0;
+        for bit in ones(0, rows & !changed) {
+            // The columns alone: slicing `vals` too (`Csr::row`) read
+            // ~5% lower `khop_k6` qps in three paired runs.
+            let o = first + bit as usize;
+            found |= u64::from(reaches(&main.cols[main.row_ptr[o]..main.row_ptr[o + 1]])) << bit;
+        }
+        for bit in ones(0, rows & changed) {
+            found |= u64::from(leaf.any_run(base + bit, |cols, _| reaches(cols))) << bit;
+        }
+        found
     }
 }
 
@@ -894,7 +989,6 @@ mod tests {
     use super::*;
     use crate::chunk_table::tests::nodes_copied;
     use crate::transpose::transpose;
-    use std::sync::Weak;
 
     fn seeded() -> DeltaMatrix<i64> {
         let main = SparseMatrix::from_triples(4, 4, &[(0, 1, 10), (1, 2, 20), (3, 0, 30)]).unwrap();

@@ -23,7 +23,12 @@
 //! leaf at its share of thresholds from 1 up, clone at random points, and
 //! check every clone against the dense model frozen at clone time after the
 //! original has gone on to set, remove and flush.
+//!
+//! A script checks the invariants after every step through one
+//! [`CheckedSlices`] record, so each leaf's immutable CSR slice is checked
+//! once, when it first appears, however many steps and clones share it.
 
+use graphblas::delta::CheckedSlices;
 use graphblas::prelude::*;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -72,6 +77,12 @@ fn eager(dense: &HashMap<(u64, u64), i64>) -> SparseMatrix<i64> {
     SparseMatrix::from_triples(DIM, DIM, &triples).unwrap()
 }
 
+/// The delta-matrix invariants, checking only the CSR slices that `checked`
+/// has not seen.
+fn check(delta: &DeltaMatrix<i64>, checked: &mut CheckedSlices<i64>) -> Result<(), TestCaseError> {
+    delta.check_invariants_with(checked).map_err(|e| TestCaseError::fail(format!("{e}")))
+}
+
 /// Assert the delta matrix's merged view equals the dense reference,
 /// element-wise over the full index space.
 fn assert_matches_dense(
@@ -98,10 +109,10 @@ proptest! {
     fn interleaved_ops_match_dense_reference(script in ops(), threshold in 1usize..40) {
         let mut delta = DeltaMatrix::<i64>::new(DIM, DIM);
         delta.set_flush_threshold(threshold);
-        let mut dense = HashMap::new();
+        let (mut dense, mut checked) = (HashMap::new(), CheckedSlices::default());
         for &op in &script {
             apply(op, &mut delta, &mut dense);
-            delta.check_invariants().map_err(|e| TestCaseError::fail(format!("{e}")))?;
+            check(&delta, &mut checked)?;
         }
         // Merged view agrees with both oracles at the end of the script…
         assert_matches_dense(&delta, &dense)?;
@@ -147,7 +158,7 @@ proptest! {
         // delete — the full transition diagram of one cell.
         let mut delta = DeltaMatrix::<i64>::new(DIM, DIM);
         delta.set_flush_threshold(usize::MAX);
-        let mut dense = HashMap::new();
+        let (mut dense, mut checked) = (HashMap::new(), CheckedSlices::default());
         for (i, &(r, c)) in coords.iter().enumerate() {
             let v = i as i64;
             delta.set_element(r, c, v);
@@ -156,7 +167,7 @@ proptest! {
             dense.remove(&(r, c));
             delta.set_element(r, c, v + 1);
             dense.insert((r, c), v + 1);
-            delta.check_invariants().map_err(|e| TestCaseError::fail(format!("{e}")))?;
+            check(&delta, &mut checked)?;
         }
         delta.flush();
         for &(r, c) in &coords {
@@ -232,8 +243,9 @@ fn wide_rows() -> impl Iterator<Item = u64> {
 fn assert_frozen(
     delta: &DeltaMatrix<i64>,
     dense: &HashMap<(u64, u64), i64>,
+    checked: &mut CheckedSlices<i64>,
 ) -> Result<(), TestCaseError> {
-    delta.check_invariants().map_err(|e| TestCaseError::fail(format!("{e}")))?;
+    check(delta, checked)?;
     prop_assert_eq!(delta.nvals(), dense.len());
     let mut expected: Vec<(u64, u64, i64)> = dense.iter().map(|(&(r, c), &v)| (r, c, v)).collect();
     expected.sort_unstable();
@@ -255,7 +267,7 @@ proptest! {
         let n = WIDE_CHUNKS * WIDE_STRIDE;
         let mut delta = DeltaMatrix::<i64>::new(n, WIDE_COLS);
         delta.set_flush_threshold(threshold);
-        let mut dense = HashMap::new();
+        let (mut dense, mut checked) = (HashMap::new(), CheckedSlices::default());
         let mut clones = Vec::new();
         for &(kind, chunk, offset, c, v) in &script {
             let r = chunk * WIDE_STRIDE + WIDE_ROW_OFFSETS[offset];
@@ -271,23 +283,23 @@ proptest! {
                 6 => delta.flush(),
                 _ => clones.push((delta.clone(), dense.clone())),
             }
-            delta.check_invariants().map_err(|e| TestCaseError::fail(format!("{e}")))?;
+            check(&delta, &mut checked)?;
         }
-        assert_frozen(&delta, &dense)?;
+        assert_frozen(&delta, &dense, &mut checked)?;
         // Every clone still shows exactly the state it was taken at…
         for (clone, frozen) in &clones {
-            assert_frozen(clone, frozen)?;
+            assert_frozen(clone, frozen, &mut checked)?;
         }
         // …and still does once the original folds everything it shares. The
         // folds publish exactly the CSR `export` builds without publishing.
         let exported = delta.export();
         delta.flush();
         prop_assert!(delta.is_flushed());
-        assert_frozen(&delta, &dense)?;
+        assert_frozen(&delta, &dense, &mut checked)?;
         exported.check_invariants().map_err(|e| TestCaseError::fail(format!("{e}")))?;
         prop_assert_eq!(&exported, &delta.export());
         for (clone, frozen) in &clones {
-            assert_frozen(clone, frozen)?;
+            assert_frozen(clone, frozen, &mut checked)?;
         }
         // Clones are full matrices in their own right: writing to one leaves
         // the original and the other clones alone.
@@ -297,11 +309,11 @@ proptest! {
             first.flush();
             frozen.insert((1023, 0), 99);
             frozen.remove(&(1024, 1));
-            assert_frozen(first, frozen)?;
+            assert_frozen(first, frozen, &mut checked)?;
         }
-        assert_frozen(&delta, &dense)?;
+        assert_frozen(&delta, &dense, &mut checked)?;
         for (clone, frozen) in clones.iter().skip(1) {
-            assert_frozen(clone, frozen)?;
+            assert_frozen(clone, frozen, &mut checked)?;
         }
     }
 }

@@ -3,14 +3,16 @@
 //! equal a plain queue BFS over the live edge list, for every direction,
 //! typed and untyped, `min_hops` ∈ {0, 1, 2}, bounded and unbounded.
 //!
-//! Two graph families: sparse random multigraphs (self-loops, parallel and
-//! cross-type edges), whose hops stay on the push step; and a dense family
+//! Three graph families: sparse random multigraphs (self-loops, parallel and
+//! cross-type edges), whose hops stay on the push step; a dense family
 //! whose source has an edge to every other node, so the first outgoing hop
 //! provably takes the pull step (Beamer's rule pulls once the frontier's
 //! edges exceed 1/14 of the unexplored ones) and, on the larger sizes, the
-//! second hop pulls too. Every graph is checked unflushed (merged delta
-//! views), after a node deletion, and flushed; the untyped outgoing case is
-//! also checked against the `baseline` crate's own `khop_set`.
+//! second hop pulls too; and a family over three 1 024-row matrix leaves
+//! whose pulls cross leaves folded before the last writes and leaves those
+//! writes left dirty. Every graph is checked unflushed (merged delta views),
+//! after a node deletion, and flushed; the untyped outgoing case is also
+//! checked against the `baseline` crate's own `khop_set`.
 
 use baseline::AdjacencyListGraph;
 use proptest::prelude::*;
@@ -204,6 +206,37 @@ proptest! {
         }
         prop_assert!(hub_degree * 14 > nvals);
         // The hub's own deletion would leave nothing to pull through.
+        let victim = 1 + victim_pick % (nodes - 1);
+        check_lifecycle(case, &[0, 1], victim)?;
+    }
+
+    #[test]
+    fn khop_reach_matches_bfs_when_a_pull_crosses_folded_and_dirty_leaves(
+        folded in prop::collection::vec((any::<u64>(), any::<u64>(), 0usize..3), 0..300),
+        dirty in prop::collection::vec((0u64..2, any::<u64>(), any::<u64>(), 0usize..3), 1..60),
+        victim_pick in any::<u64>(),
+    ) {
+        // Hub 0 points at every third node, 866 of them across all three
+        // leaves: Beamer's rule pulls hop 1 (866 · 14 exceeds the ≤ 1 225
+        // edges), and hop 2 too (866 ≥ 16 384 / 24).
+        let nodes = 2_600u64;
+        let mut case = Case::new(nodes);
+        for v in (1..nodes).step_by(3) {
+            case.add_edge(0, v, (v % 3) as usize);
+        }
+        for &(s, d, r) in &folded {
+            case.add_edge(s % nodes, d % nodes, r);
+        }
+        case.graph.sync_matrices();
+        // The last writes land in leaf 0 or leaf 2 of each transpose, the
+        // matrices an outgoing pull walks, and leave its leaf 1 as the fold
+        // left it: rows that had no edge gain one, and the victim's deletion
+        // empties its rows.
+        for &(leaf, s, d, r) in &dirty {
+            let (s, d) = (s % nodes, leaf * 2_048 + d % 552);
+            case.add_edge(s, d, r);
+        }
+        prop_assert!(866 * 14 > case.graph.edge_count());
         let victim = 1 + victim_pick % (nodes - 1);
         check_lifecycle(case, &[0, 1], victim)?;
     }
