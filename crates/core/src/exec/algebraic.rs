@@ -43,16 +43,16 @@
 //! that reduces the BFS's reached sets (`Σ |reached|`, `|∪ reached|` —
 //! `reached.nvals()` for a single seek) without a record per reached node.
 
-use crate::exec::expr::contains_aggregate;
-use crate::exec::ops::{resolve_rel_types, BatchFrontier, PlanOp};
+use crate::exec::aggregate::AggFunc;
+use crate::exec::expr::{NameTable, Scope, SlotExpr};
+use crate::exec::ops::{BatchFrontier, PlanOp, ReachCount, SlotItem, SlotProjection, Traverse};
 use crate::exec::plan::Segment;
 use crate::exec::record::RecordBatch;
 use crate::store::graph::Graph;
 use crate::store::schema::{LabelId, RelTypeId};
 use crate::value::Value;
 use crate::NodeId;
-use cypher::{Direction, Expr, Projection};
-use std::fmt;
+use cypher::Direction;
 
 /// One multiplicative operand of an [`AlgebraicExpression`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,13 +61,13 @@ pub enum AlgebraicOperand {
     /// maintained transpose for incoming hops). An empty type list is the
     /// untyped hop: the ⊕ of every relation matrix.
     Rel {
-        /// Relationship type names (empty = any type).
-        rel_types: Vec<String>,
+        /// Relationship types, by name-table index (empty = any type).
+        rel_types: Vec<usize>,
         /// Traverse against the transpose (incoming pattern direction).
         transposed: bool,
-        /// Label mask pushed down onto this operand's columns
-        /// (`(…)-[:R]->(b:B)` stores `B` here, not a `LabelFilter` op).
-        dst_labels: Vec<String>,
+        /// Label mask pushed down onto this operand's columns, by name-table
+        /// index (`(…)-[:R]->(b:B)` stores `B` here, not a `LabelFilter` op).
+        dst_labels: Vec<usize>,
     },
 }
 
@@ -82,27 +82,26 @@ pub struct AlgebraicExpression {
     /// Source variable name (the frontier operand).
     pub src_var: String,
     /// Label of the source access path, when it was a label scan.
-    pub src_label: Option<String>,
+    pub src_label: Option<usize>,
     /// The hop operands, left to right.
     pub operands: Vec<AlgebraicOperand>,
 }
 
-impl fmt::Display for AlgebraicExpression {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.src_label {
-            Some(label) => write!(f, "({}:{})", self.src_var, label)?,
-            None => write!(f, "({})", self.src_var)?,
-        }
-        for op in &self.operands {
-            let AlgebraicOperand::Rel { rel_types, transposed, dst_labels } = op;
-            let types = if rel_types.is_empty() { "*".to_string() } else { rel_types.join("|") };
+impl AlgebraicExpression {
+    /// The product in the paper's notation; `names` is the plan's name table.
+    pub(crate) fn describe(&self, names: &NameTable) -> String {
+        let mut out = match self.src_label {
+            Some(label) => format!("({}:{})", self.src_var, names.labels[label]),
+            None => format!("({})", self.src_var),
+        };
+        for AlgebraicOperand::Rel { rel_types, transposed, dst_labels } in &self.operands {
             let t = if *transposed { "ᵀ" } else { "" };
-            write!(f, "·A{t}_{types}")?;
-            for label in dst_labels {
-                write!(f, "·L_{label}")?;
+            out += &format!("·A{t}_{}", names.rel_types_text(rel_types));
+            for &label in dst_labels {
+                out += &format!("·L_{}", names.labels[label]);
             }
         }
-        Ok(())
+        out
     }
 }
 
@@ -111,12 +110,17 @@ impl fmt::Display for AlgebraicExpression {
 /// Evaluate a fused chain `F·A_R·L_B·A_S` and emit its records: each distinct
 /// source's count row is carried through the hops left to right under
 /// ⊕=+/⊗=×, reading every selected relation's merged row in place.
-pub fn run_fused(op: &PlanOp, records: &RecordBatch, graph: &Graph) -> RecordBatch {
-    let PlanOp::FusedTraverse { src_slot, dst_slot, ref expr, weight_slot, .. } = *op else {
-        unreachable!("run_fused called with a non-fused op")
-    };
+pub fn run_fused(
+    expr: &AlgebraicExpression,
+    src_slot: usize,
+    dst_slot: usize,
+    weight_slot: Option<usize>,
+    records: &RecordBatch,
+    scope: &Scope<'_>,
+) -> RecordBatch {
+    let graph = scope.graph;
     let mut out = RecordBatch::new(records.width());
-    let Some(hops) = resolve_hops(graph, expr) else {
+    let Some(hops) = resolve_hops(expr, scope) else {
         return out; // an unknown type or label matches nothing
     };
 
@@ -167,17 +171,19 @@ struct ResolvedHop {
     labels: Vec<LabelId>,
 }
 
-/// Resolve every hop's names to ids. `None` when a named relationship type
-/// or label does not exist (nothing can match); an untyped hop reads every
-/// relation type.
-fn resolve_hops(graph: &Graph, expr: &AlgebraicExpression) -> Option<Vec<ResolvedHop>> {
+/// Every hop's names as the execution's ids. `None` when a named
+/// relationship type or label does not exist (nothing can match); an untyped
+/// hop reads every relation type.
+fn resolve_hops(expr: &AlgebraicExpression, scope: &Scope<'_>) -> Option<Vec<ResolvedHop>> {
     expr.operands
         .iter()
         .map(|AlgebraicOperand::Rel { rel_types, transposed, dst_labels }| {
-            let rels = resolve_rel_types(graph, rel_types)?
-                .unwrap_or_else(|| (0..graph.relation_type_count()).collect());
+            let rels = scope
+                .names
+                .rel_types(rel_types)?
+                .unwrap_or_else(|| (0..scope.graph.relation_type_count()).collect());
             let labels =
-                dst_labels.iter().map(|l| graph.schema.label_id(l)).collect::<Option<_>>()?;
+                dst_labels.iter().map(|&l| scope.names.labels[l]).collect::<Option<_>>()?;
             Some(ResolvedHop { rels, transposed: *transposed, labels })
         })
         .collect()
@@ -257,82 +263,48 @@ fn push_down_counts(seg: &mut Segment) {
 /// The [`PlanOp::TraverseCount`] a `traverse` + `aggregate` pair reduces
 /// to, if it does.
 fn count_pushdown(traverse: &PlanOp, aggregate: &PlanOp) -> Option<PlanOp> {
-    use crate::exec::ops::ReachCount;
-    let PlanOp::Traverse {
-        src_slot,
-        dst_slot: _,
-        dst_var,
-        edge_slot: None,
-        rel_types,
-        direction,
-        min_hops,
-        max_hops,
-        expand_into: false,
-    } = traverse
-    else {
+    let PlanOp::Traverse(traverse) = traverse else { return None };
+    // A single hop counts parallel edges: not a reached set.
+    if traverse.edge_slot.is_some() || traverse.expand_into || traverse.single_hop() {
         return None;
-    };
-    if *min_hops == 1 && *max_hops == Some(1) {
-        return None; // a single hop counts parallel edges: not a reached set
     }
-    let PlanOp::Aggregate { projection, weight_slot: None, .. } = aggregate else { return None };
+    let PlanOp::Aggregate { projection, weight_slot: None } = aggregate else { return None };
     let counts = projection
         .items
         .iter()
-        .map(|item| match &item.expr {
-            Expr::FunctionCall { name, args, distinct } if name == "count" => {
-                match (args.as_slice(), distinct) {
-                    ([], false) => Some(ReachCount::Total),
-                    ([Expr::Variable(v)], false) if v == dst_var => Some(ReachCount::Total),
-                    ([Expr::Variable(v)], true) if v == dst_var => Some(ReachCount::Distinct),
-                    _ => None,
-                }
+        .map(|item| match item {
+            SlotItem::Aggregate { func: AggFunc::Count, distinct: false, arg: None } => {
+                Some(ReachCount::Total)
+            }
+            SlotItem::Aggregate {
+                func: AggFunc::Count,
+                distinct,
+                arg: Some(SlotExpr::Slot(s)),
+            } if *s == traverse.dst_slot => {
+                Some(if *distinct { ReachCount::Distinct } else { ReachCount::Total })
             }
             _ => None,
         })
         .collect::<Option<Vec<_>>>()?;
     Some(PlanOp::TraverseCount {
-        src_slot: *src_slot,
-        dst_var: dst_var.clone(),
-        rel_types: rel_types.clone(),
-        direction: *direction,
-        min_hops: *min_hops,
-        max_hops: *max_hops,
+        traverse: traverse.clone(),
         counts,
         projection: projection.clone(),
     })
 }
 
-/// A traverse op's fields, when it is fusable on its own terms: exactly one
-/// hop, a fresh (not expand-into) destination, no bound edge, and a fixed
-/// direction (`Both` would double-count self-loops in a summed operand).
-struct Hop<'a> {
-    src_slot: usize,
-    dst_slot: usize,
-    dst_var: &'a str,
-    rel_types: &'a [String],
-    transposed: bool,
-}
-
-fn fusable_hop(op: &PlanOp) -> Option<Hop<'_>> {
+/// A traverse op, when it is fusable on its own terms: exactly one hop, a
+/// fresh (not expand-into) destination, no bound edge, and a fixed direction
+/// (`Both` would double-count self-loops in a summed operand).
+fn fusable_hop(op: &PlanOp) -> Option<&Traverse> {
     match op {
-        PlanOp::Traverse {
-            src_slot,
-            dst_slot,
-            dst_var,
-            edge_slot: None,
-            rel_types,
-            direction,
-            min_hops: 1,
-            max_hops: Some(1),
-            expand_into: false,
-        } => {
-            let transposed = match direction {
-                Direction::Outgoing => false,
-                Direction::Incoming => true,
-                Direction::Both => return None,
-            };
-            Some(Hop { src_slot: *src_slot, dst_slot: *dst_slot, dst_var, rel_types, transposed })
+        PlanOp::Traverse(t)
+            if t.single_hop()
+                && t.edge_slot.is_none()
+                && !t.expand_into
+                && t.direction != Direction::Both =>
+        {
+            Some(t)
         }
         _ => None,
     }
@@ -398,7 +370,7 @@ fn try_fuse_at(seg: &mut Segment, i: usize) -> Option<usize> {
             break;
         }
         let hop = fusable_hop(&seg.ops[elem.traverse]).expect("chain element");
-        let used = seg.ops[chain_end..].iter().any(|op| op_uses(op, hop.dst_var, hop.dst_slot));
+        let used = seg.ops[chain_end..].iter().any(|op| op_uses(op, hop.dst_slot));
         if used {
             last = m;
             break;
@@ -418,7 +390,7 @@ fn try_fuse_at(seg: &mut Segment, i: usize) -> Option<usize> {
     let src_slot = first.src_slot;
     let src_var = seg.bindings.name(src_slot).to_string();
     let src_label = seg.ops[..i].iter().find_map(|op| match op {
-        PlanOp::NodeByLabelScan { slot, label, .. } if *slot == src_slot => Some(label.clone()),
+        PlanOp::NodeByLabelScan { slot, label, .. } if *slot == src_slot => Some(*label),
         _ => None,
     });
     let mut operands = Vec::with_capacity(run.len());
@@ -427,19 +399,18 @@ fn try_fuse_at(seg: &mut Segment, i: usize) -> Option<usize> {
         let dst_labels = elem
             .labels
             .iter()
-            .map(|&k| match &seg.ops[k] {
-                PlanOp::LabelFilter { label, .. } => label.clone(),
-                _ => unreachable!("collected as a label filter"),
+            .filter_map(|&k| match seg.ops[k] {
+                PlanOp::LabelFilter { label, .. } => Some(label),
+                _ => None,
             })
             .collect();
         operands.push(AlgebraicOperand::Rel {
-            rel_types: hop.rel_types.to_vec(),
-            transposed: hop.transposed,
+            rel_types: hop.rel_types.clone(),
+            transposed: hop.direction == Direction::Incoming,
             dst_labels,
         });
     }
-    let final_hop = fusable_hop(&seg.ops[run[last].traverse]).expect("chain element");
-    let (dst_slot, dst_var) = (final_hop.dst_slot, final_hop.dst_var.to_string());
+    let dst_slot = fusable_hop(&seg.ops[run[last].traverse]).expect("chain element").dst_slot;
     let run_end = run[last].end;
 
     // Weighted emission: the op right after the run must be an aggregation
@@ -456,7 +427,6 @@ fn try_fuse_at(seg: &mut Segment, i: usize) -> Option<usize> {
     let fused = PlanOp::FusedTraverse {
         src_slot,
         dst_slot,
-        dst_var,
         expr: AlgebraicExpression { src_var, src_label, operands },
         weight_slot,
     };
@@ -472,80 +442,43 @@ fn try_fuse_at(seg: &mut Segment, i: usize) -> Option<usize> {
 /// True when every aggregate of the projection folds a per-record weight
 /// exactly: `count`/`sum`/`avg` scale linearly, `min`/`max` ignore
 /// duplicates. `DISTINCT` and `collect` need the expanded multiset.
-fn weightable(projection: &Projection) -> bool {
-    use crate::exec::aggregate::AggFunc;
-    projection.items.iter().all(|item| {
-        if !contains_aggregate(&item.expr) {
-            return true;
-        }
-        match &item.expr {
-            Expr::FunctionCall { name, distinct, .. } => {
-                !*distinct
-                    && matches!(
-                        AggFunc::from_name(name),
-                        Some(
-                            AggFunc::Count
-                                | AggFunc::Sum
-                                | AggFunc::Avg
-                                | AggFunc::Min
-                                | AggFunc::Max
-                        )
-                    )
-            }
-            _ => false,
-        }
+fn weightable(projection: &SlotProjection) -> bool {
+    projection.items.iter().all(|item| match item {
+        SlotItem::Scalar(_) => true,
+        SlotItem::Aggregate { func, distinct, .. } => !distinct && *func != AggFunc::Collect,
     })
 }
 
-/// Does an op read or write the given variable (by slot or by name)?
-/// Conservative: any mention counts as a use.
-fn op_uses(op: &PlanOp, var: &str, slot: usize) -> bool {
-    let expr_uses = |e: &Expr| expr_mentions(e, var);
+/// Does an op read or write record slot `slot`? Conservative: any mention
+/// counts as a use.
+fn op_uses(op: &PlanOp, slot: usize) -> bool {
     match op {
-        PlanOp::AllNodeScan { slot: s, .. } | PlanOp::NodeByLabelScan { slot: s, .. } => *s == slot,
-        PlanOp::NodeByIdSeek { slot: s, id_expr, .. } => *s == slot || expr_uses(id_expr),
-        PlanOp::Filter { expr, .. } => expr_uses(expr),
-        PlanOp::LabelFilter { slot: s, .. } => *s == slot,
-        PlanOp::PropFilter { slot: s, .. } => *s == slot,
-        PlanOp::Traverse { src_slot, dst_slot, edge_slot, .. } => {
-            *src_slot == slot || *dst_slot == slot || *edge_slot == Some(slot)
+        PlanOp::AllNodeScan { slot: s, .. }
+        | PlanOp::NodeByLabelScan { slot: s, .. }
+        | PlanOp::LabelFilter { slot: s, .. }
+        | PlanOp::PropFilter { slot: s, .. } => *s == slot,
+        PlanOp::NodeByIdSeek { slot: s, id: e, .. } | PlanOp::Unwind { slot: s, list: e, .. } => {
+            *s == slot || e.reads(slot)
+        }
+        PlanOp::Filter { predicates } => predicates.iter().any(|p| p.reads(slot)),
+        PlanOp::Traverse(t) => {
+            t.src_slot == slot || t.dst_slot == slot || t.edge_slot == Some(slot)
         }
         PlanOp::FusedTraverse { src_slot, dst_slot, .. } => *src_slot == slot || *dst_slot == slot,
-        PlanOp::TraverseCount { src_slot, projection, .. } => {
-            *src_slot == slot || projection_uses(projection, var)
+        PlanOp::TraverseCount { traverse, projection, .. } => {
+            traverse.src_slot == slot || projection.reads(slot)
         }
-        PlanOp::Project { projection: p, .. } | PlanOp::With { projection: p, .. } => {
-            projection_uses(p, var)
+        PlanOp::Project { projection }
+        | PlanOp::Aggregate { projection, .. }
+        | PlanOp::With { projection, .. } => projection.reads(slot),
+        PlanOp::Create { patterns } => patterns.iter().any(|p| p.slots().any(|s| s == slot)),
+        PlanOp::Delete { slots } => slots.contains(&slot),
+        PlanOp::SetProps { items } => {
+            items.iter().any(|item| item.slot == slot || item.value.reads(slot))
         }
-        PlanOp::Aggregate { projection, .. } => projection_uses(projection, var),
-        PlanOp::Create { patterns, .. } => patterns.iter().any(|pat| {
-            pat.nodes().iter().any(|n| n.variable.as_deref() == Some(var))
-                || pat.steps.iter().any(|(r, _)| r.variable.as_deref() == Some(var))
-        }),
-        PlanOp::Delete { vars, .. } => vars.iter().any(|v| v == var),
-        PlanOp::SetProps { items, .. } => {
-            items.iter().any(|item| item.variable == var || expr_uses(&item.value))
-        }
-        PlanOp::Unwind { list, slot: s, .. } => *s == slot || expr_uses(list),
         PlanOp::ProcedureCall { args, outputs, .. } => {
-            args.iter().any(expr_uses) || outputs.iter().any(|&(_, s)| s == slot)
+            args.iter().any(|a| a.reads(slot)) || outputs.iter().any(|&(_, s)| s == slot)
         }
-    }
-}
-
-fn projection_uses(p: &Projection, var: &str) -> bool {
-    p.items.iter().any(|item| expr_mentions(&item.expr, var))
-        || p.order_by.iter().any(|(e, _)| expr_mentions(e, var))
-}
-
-fn expr_mentions(expr: &Expr, var: &str) -> bool {
-    match expr {
-        Expr::Variable(v) | Expr::Property(v, _) => v == var,
-        Expr::Literal(_) | Expr::Parameter(_) => false,
-        Expr::Unary(_, inner) => expr_mentions(inner, var),
-        Expr::Binary(_, lhs, rhs) => expr_mentions(lhs, var) || expr_mentions(rhs, var),
-        Expr::List(items) => items.iter().any(|e| expr_mentions(e, var)),
-        Expr::FunctionCall { args, .. } => args.iter().any(|e| expr_mentions(e, var)),
     }
 }
 
@@ -555,23 +488,24 @@ mod tests {
 
     #[test]
     fn expression_renders_paper_notation() {
+        let mut names = NameTable::default();
         let expr = AlgebraicExpression {
             src_var: "a".into(),
-            src_label: Some("F".into()),
+            src_label: Some(names.label("F")),
             operands: vec![
                 AlgebraicOperand::Rel {
-                    rel_types: vec!["R".into()],
+                    rel_types: vec![names.rel_type("R")],
                     transposed: false,
                     dst_labels: vec![],
                 },
                 AlgebraicOperand::Rel {
-                    rel_types: vec!["S".into()],
+                    rel_types: vec![names.rel_type("S")],
                     transposed: true,
-                    dst_labels: vec!["B".into()],
+                    dst_labels: vec![names.label("B")],
                 },
             ],
         };
-        assert_eq!(expr.to_string(), "(a:F)·A_R·Aᵀ_S·L_B");
+        assert_eq!(expr.describe(&names), "(a:F)·A_R·Aᵀ_S·L_B");
     }
 
     #[test]
@@ -585,7 +519,7 @@ mod tests {
                 dst_labels: vec![],
             }],
         };
-        assert_eq!(expr.to_string(), "(n)·A_*");
+        assert_eq!(expr.describe(&NameTable::default()), "(n)·A_*");
     }
 
     /// A graph of `n` nodes with the given `(src, dst, type)` edges and the

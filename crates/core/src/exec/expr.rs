@@ -5,16 +5,17 @@
 //! connectives, `IN`, and the scalar functions `id`, `labels`, `type`, `size`,
 //! `abs`, `tointeger`, `tofloat`.
 //!
-//! The planner and the optimizer read [`cypher::Expr`]; the executor never
-//! does. The plan's compile step runs every expression through a
-//! [`Compiler`], which turns it into a [`SlotExpr`]: variables become record
+//! Only the plan builder reads [`cypher::Expr`]: it runs each expression
+//! through its [`Compiler`] as it creates the op holding it, against that
+//! op's segment. The result is a [`SlotExpr`]: variables become record
 //! slots, function names a [`Function`], literals [`Value`]s, each `$name`
 //! an index into the plan's parameter table and each property key an index
-//! into its [`NameTable`]. So no name is looked up while records flow: the
-//! parameter table is bound once per execution
+//! into its [`NameTable`] (which holds the plan's labels and relationship
+//! types too). So no name is looked up while records flow: the parameter
+//! table is bound once per execution
 //! ([`crate::exec::plan::ExecutionPlan::bind`]), and the name table is
 //! resolved once per execution against the graph being read ([`NameIds`]),
-//! so a key or label created after the plan was built is still found.
+//! so a name created after the plan was built is still found.
 
 use crate::exec::record::Bindings;
 use crate::store::graph::Graph;
@@ -139,7 +140,7 @@ pub enum SlotExpr {
 }
 
 impl Default for SlotExpr {
-    /// `Null`: what an op holds before the plan's compile step fills it in.
+    /// `Null`: what an unknown variable or function compiles to.
     fn default() -> Self {
         SlotExpr::Const(Value::Null)
     }
@@ -157,6 +158,27 @@ pub struct Scope<'a> {
 }
 
 impl SlotExpr {
+    /// Append every record slot the expression reads to `out`.
+    pub(crate) fn slots(&self, out: &mut Vec<usize>) {
+        match self {
+            SlotExpr::Slot(slot) | SlotExpr::Property { slot, .. } => out.push(*slot),
+            SlotExpr::Const(_) | SlotExpr::Param(_) => {}
+            SlotExpr::Unary(_, inner) | SlotExpr::Call(_, inner) => inner.slots(out),
+            SlotExpr::Binary(_, lhs, rhs) => {
+                lhs.slots(out);
+                rhs.slots(out);
+            }
+            SlotExpr::List(items) => items.iter().for_each(|e| e.slots(out)),
+        }
+    }
+
+    /// True when the expression reads record slot `slot`.
+    pub(crate) fn reads(&self, slot: usize) -> bool {
+        let mut slots = Vec::new();
+        self.slots(&mut slots);
+        slots.contains(&slot)
+    }
+
     /// Evaluate against one record. A slot past the record's end reads
     /// `Null` (an aggregate's sort keys see no record).
     pub fn eval(&self, record: &[Value], scope: &Scope<'_>) -> Value {
@@ -247,13 +269,13 @@ fn eval_binary(op: BinaryOperator, l: &Value, r: &Value) -> Value {
     }
 }
 
-/// The property keys, labels and relationship types a plan's compiled ops
-/// name, each once: ops and expressions hold indexes into it.
+/// The property keys, labels and relationship types a plan's ops name, each
+/// once: ops and expressions hold indexes into it.
 #[derive(Debug, Clone, Default)]
 pub struct NameTable {
-    keys: Vec<String>,
-    labels: Vec<String>,
-    types: Vec<String>,
+    pub(crate) keys: Vec<String>,
+    pub(crate) labels: Vec<String>,
+    pub(crate) types: Vec<String>,
 }
 
 /// The index of `name` in `names`, appended if new.
@@ -278,6 +300,15 @@ impl NameTable {
     /// The index of a relationship type.
     pub(crate) fn rel_type(&mut self, name: &str) -> usize {
         intern(&mut self.types, name)
+    }
+
+    /// Relationship types `types` as a pattern spells them: `R|S`, or `*`
+    /// for the untyped pattern.
+    pub(crate) fn rel_types_text(&self, types: &[usize]) -> String {
+        if types.is_empty() {
+            return "*".to_string();
+        }
+        types.iter().map(|&t| self.types[t].as_str()).collect::<Vec<_>>().join("|")
     }
 
     /// Look every name up in `graph`'s schema: once per execution.
@@ -321,15 +352,25 @@ impl NameIds<'_> {
     pub(crate) fn rel_type_or_create(&mut self, i: usize, graph: &mut Graph) -> RelTypeId {
         *self.types[i].get_or_insert_with(|| graph.rel_type_id_or_create(&self.table.types[i]))
     }
+
+    /// The relation ids of a pattern's types (name-table indexes):
+    /// `Some(None)` for the untyped pattern, `None` when a named type does
+    /// not exist (so nothing can match).
+    pub(crate) fn rel_types(&self, types: &[usize]) -> Option<Option<Vec<RelTypeId>>> {
+        if types.is_empty() {
+            return Some(None);
+        }
+        types.iter().map(|&t| self.types[t]).collect::<Option<Vec<_>>>().map(Some)
+    }
 }
 
-/// Compiles a plan's expressions, collecting its parameter and name tables
-/// as it goes.
+/// Compiles a plan's expressions as the builder creates its ops, collecting
+/// the parameter and name tables as it goes.
 #[derive(Debug, Default)]
 pub(crate) struct Compiler {
     /// Parameter names, in first-reference order.
     pub(crate) params: Vec<String>,
-    /// Every name the compiled ops read or write.
+    /// Every name the plan's ops read or write.
     pub(crate) names: NameTable,
 }
 

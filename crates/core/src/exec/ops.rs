@@ -5,28 +5,30 @@
 //! plan: scans, algebraic traversals, filters, projections/aggregations and
 //! the write operations.
 //!
-//! An op keeps the AST the planner and the optimizer read (for `EXPLAIN` and
-//! the rewrites) beside the compiled form the executor runs, which the
-//! plan's compile step ([`PlanOp::compile`]) fills in: expressions as
-//! [`SlotExpr`]s, variables as slots, names as name-table indexes. No run
-//! function sees a variable name.
+//! The plan builder ([`crate::exec::plan`]) creates each op already compiled
+//! against its segment, and an op holds nothing of the query's AST: record
+//! slots, [`SlotExpr`]s and [`SlotProjection`]s, name-table indexes for
+//! property keys, labels and relationship types, a procedure's registry
+//! entry, and the variable names `EXPLAIN` prints. No run function sees a
+//! name: the plan's [`NameTable`] is resolved once per execution.
 
 use crate::exec::aggregate::{Accumulator, AggFunc};
 use crate::exec::algebraic::AlgebraicExpression;
-use crate::exec::expr::{contains_aggregate, property, Compiler, NameIds, Scope, SlotExpr};
-use crate::exec::plan::expr_vars;
-use crate::exec::record::{Bindings, RecordBatch};
+use crate::exec::expr::{property, NameIds, NameTable, Scope, SlotExpr};
+use crate::exec::procedures::Procedure;
+use crate::exec::record::RecordBatch;
 use crate::exec::resultset::QueryStats;
 use crate::store::entity::AttributeSet;
 use crate::store::graph::{Graph, TraverseDir};
 use crate::value::{EquivKey, EquivRow, Value};
 use crate::{EdgeId, NodeId};
-use cypher::{Direction, Expr, PathPattern, Projection, SetItem, SortOrder};
+use cypher::{Direction, SortOrder};
 use graphblas::{Bitmap, SparseVector};
 use std::collections::{HashMap, HashSet};
 
-/// One step of an execution plan.
-#[derive(Debug, Clone)]
+/// One step of an execution plan. Labels, relationship types and property
+/// keys are indexes into the plan's [`NameTable`].
+#[derive(Debug)]
 pub enum PlanOp {
     /// Bind every node of the graph to `slot` (cartesian with existing records).
     AllNodeScan {
@@ -42,70 +44,42 @@ pub enum PlanOp {
         /// Variable name.
         var: String,
         /// Label to scan.
-        label: String,
+        label: usize,
     },
-    /// Bind a single node looked up by internal id (`WHERE id(n) = …`).
+    /// Bind the node whose id equals `id` (`WHERE id(n) = …`, a conjunct the
+    /// seek answers alone).
     NodeByIdSeek {
         /// Output slot.
         slot: usize,
         /// Variable name.
         var: String,
-        /// Expression producing the node id.
-        id_expr: Expr,
-        /// `id_expr`, compiled.
-        compiled: SlotExpr,
+        /// The id value: a literal or a parameter.
+        id: SlotExpr,
     },
-    /// Keep only records whose predicate evaluates to `true`.
+    /// Keep only records for which every predicate evaluates to `true` (the
+    /// `AND` conjuncts of a `WHERE`).
     Filter {
-        /// The predicate.
-        expr: Expr,
-        /// `expr`, compiled.
-        compiled: SlotExpr,
+        /// The predicates.
+        predicates: Vec<SlotExpr>,
     },
     /// Keep only records whose `slot` node carries `label`.
     LabelFilter {
         /// Slot holding the node.
         slot: usize,
         /// Required label.
-        label: String,
-        /// `label`'s index in the plan's name table.
-        label_index: usize,
+        label: usize,
     },
     /// Keep only records whose `slot` entity has property `key` equal to `value`.
     PropFilter {
         /// Slot holding the node or edge.
         slot: usize,
-        /// Property name.
-        key: String,
-        /// `key`'s index in the plan's name table.
-        key_index: usize,
+        /// Property key.
+        key: usize,
         /// Required value.
         value: Value,
     },
-    /// Traverse relationships from the node in `src_slot`, binding reached
-    /// nodes to `dst_slot` (and the traversed edge to `edge_slot` for single
-    /// hops). Variable-length traversals run the bitmap BFS of
-    /// [`Graph::khop_reach`] once per distinct source.
-    Traverse {
-        /// Slot of the already-bound source node.
-        src_slot: usize,
-        /// Slot receiving the destination node.
-        dst_slot: usize,
-        /// Destination variable name.
-        dst_var: String,
-        /// Slot receiving the traversed edge (single hop, named edge only).
-        edge_slot: Option<usize>,
-        /// Relationship type names (empty = any type).
-        rel_types: Vec<String>,
-        /// Pattern direction.
-        direction: Direction,
-        /// Minimum hop count.
-        min_hops: u32,
-        /// Maximum hop count; `None` = unbounded.
-        max_hops: Option<u32>,
-        /// True if the destination is already bound (expand-into / semi-join).
-        expand_into: bool,
-    },
+    /// Traverse relationships from the bound source node (see [`Traverse`]).
+    Traverse(Traverse),
     /// A fused fixed-length chain traversal: the whole chain evaluates as
     /// one algebraic product under the counting semiring instead of one
     /// `Traverse` op (and record materialisation) per hop. Built by the
@@ -115,8 +89,6 @@ pub enum PlanOp {
         src_slot: usize,
         /// Slot receiving the chain's final destination node.
         dst_slot: usize,
-        /// Final destination variable name.
-        dst_var: String,
         /// The algebraic expression (`F·A_R·A_S`) the op evaluates.
         expr: AlgebraicExpression,
         /// Hidden slot receiving the per-row path count when the downstream
@@ -130,81 +102,53 @@ pub enum PlanOp {
     /// reached node. Built by the optimizer pass in
     /// [`crate::exec::algebraic`] from a `Traverse` + `Aggregate` pair.
     TraverseCount {
-        /// Slot of the already-bound source node.
-        src_slot: usize,
-        /// Destination variable name (for `EXPLAIN`).
-        dst_var: String,
-        /// Relationship type names (empty = any type).
-        rel_types: Vec<String>,
-        /// Pattern direction.
-        direction: Direction,
-        /// Minimum hop count.
-        min_hops: u32,
-        /// Maximum hop count; `None` = unbounded.
-        max_hops: Option<u32>,
+        /// The variable-length traversal.
+        traverse: Traverse,
         /// What each projection item reduces to, in projection order.
         counts: Vec<ReachCount>,
-        /// The aggregating projection it replaces (column names, `SKIP`,
-        /// `LIMIT`).
-        projection: Projection,
+        /// The aggregating projection it replaces (`SKIP`, `LIMIT`).
+        projection: SlotProjection,
     },
     /// Final projection (`RETURN`).
     Project {
         /// The projection.
-        projection: Projection,
-        /// `projection`, compiled.
-        compiled: SlotProjection,
+        projection: SlotProjection,
     },
     /// Final aggregation (`RETURN` containing aggregate functions).
     Aggregate {
         /// The aggregating projection.
-        projection: Projection,
+        projection: SlotProjection,
         /// Slot holding a per-record path-count weight written by an
         /// upstream [`PlanOp::FusedTraverse`] (`Null`/absent = weight 1).
         weight_slot: Option<usize>,
-        /// `projection`, compiled.
-        compiled: SlotProjection,
     },
     /// Intermediate projection (`WITH`); re-binds records for the next segment.
     With {
         /// The projection (aggregating or not).
-        projection: Projection,
-        /// `projection`, compiled.
-        compiled: SlotProjection,
-        /// The next segment's slot for each output column (`None` when the
-        /// next segment never binds the column's name).
-        next_slots: Vec<Option<usize>>,
+        projection: SlotProjection,
+        /// The next segment's slot for each output column.
+        next_slots: Vec<usize>,
     },
     /// Create the given patterns once per incoming record.
     Create {
         /// Patterns to instantiate.
-        patterns: Vec<PathPattern>,
-        /// `patterns`, compiled.
-        compiled: Vec<CreatePattern>,
+        patterns: Vec<CreatePattern>,
     },
-    /// Delete the entities bound to the named variables.
+    /// Delete the entities in the given slots (node deletion always cascades
+    /// to incident edges, as RedisGraph does).
     Delete {
-        /// `DETACH DELETE` flag (node deletion always cascades to incident
-        /// edges, as RedisGraph does).
-        detach: bool,
-        /// Variables to delete.
-        vars: Vec<String>,
-        /// Their slots.
+        /// Slots of the entities to delete.
         slots: Vec<usize>,
     },
     /// Set properties on bound entities.
     SetProps {
         /// Assignments.
-        items: Vec<SetItem>,
-        /// `items`, compiled.
-        compiled: Vec<SetStep>,
+        items: Vec<SetStep>,
     },
     /// Expand a list expression into one record per element.
     Unwind {
         /// List-valued expression.
-        list: Expr,
-        /// `list`, compiled.
-        compiled: SlotExpr,
+        list: SlotExpr,
         /// Output slot.
         slot: usize,
         /// Variable name.
@@ -213,12 +157,10 @@ pub enum PlanOp {
     /// Invoke a registered procedure (`CALL algo.*`) and stream its rows into
     /// the record pipeline, once per incoming record.
     ProcedureCall {
-        /// Canonical procedure name (validated at plan-build time).
-        name: String,
+        /// The procedure (resolved and validated at plan-build time).
+        procedure: &'static Procedure,
         /// Argument expressions, evaluated per record.
-        args: Vec<Expr>,
-        /// `args`, compiled.
-        compiled: Vec<SlotExpr>,
+        args: Vec<SlotExpr>,
         /// True when no argument reads a variable: the procedure runs once
         /// and its rows serve every record.
         constant_args: bool,
@@ -228,19 +170,63 @@ pub enum PlanOp {
     },
 }
 
+/// A relationship-pattern step: traverse relationships from the node in
+/// `src_slot`, binding reached nodes to `dst_slot` (and the traversed edge
+/// to `edge_slot` for single hops). Variable-length traversals run the
+/// bitmap BFS of [`Graph::khop_reach`] once per distinct source.
+#[derive(Debug, Clone)]
+pub struct Traverse {
+    /// Slot of the already-bound source node.
+    pub(crate) src_slot: usize,
+    /// Slot receiving the destination node.
+    pub(crate) dst_slot: usize,
+    /// Destination variable name (for `EXPLAIN`).
+    pub(crate) dst_var: String,
+    /// Slot receiving the traversed edge (single hop, named edge only).
+    pub(crate) edge_slot: Option<usize>,
+    /// Relationship types (empty = any type).
+    pub(crate) rel_types: Vec<usize>,
+    /// Pattern direction.
+    pub(crate) direction: Direction,
+    /// Minimum hop count.
+    pub(crate) min_hops: u32,
+    /// Maximum hop count; `None` = unbounded.
+    pub(crate) max_hops: Option<u32>,
+    /// True if the destination is already bound (expand-into / semi-join).
+    pub(crate) expand_into: bool,
+}
+
+impl Traverse {
+    /// True for a single hop (`-[]->`, no `*`).
+    pub(crate) fn single_hop(&self) -> bool {
+        self.min_hops == 1 && self.max_hops == Some(1)
+    }
+
+    /// The `[:types *min..max] -> (dst)` part of the step's description.
+    fn pattern(&self, names: &NameTable) -> String {
+        let types = names.rel_types_text(&self.rel_types);
+        let hops = match (self.min_hops, self.max_hops) {
+            (1, Some(1)) => String::new(),
+            (min, Some(max)) => format!(" *{min}..{max}"),
+            (min, None) => format!(" *{min}.."),
+        };
+        format!("[:{types}{hops}] -> ({})", self.dst_var)
+    }
+}
+
 /// A `RETURN`/`WITH` projection compiled against its segment.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct SlotProjection {
-    items: Vec<SlotItem>,
-    order: Vec<(SortKey, SortOrder)>,
-    distinct: bool,
-    skip: usize,
-    limit: usize,
+    pub(crate) items: Vec<SlotItem>,
+    pub(crate) order: Vec<(SortKey, SortOrder)>,
+    pub(crate) distinct: bool,
+    pub(crate) skip: usize,
+    pub(crate) limit: usize,
 }
 
 /// One compiled projection item.
 #[derive(Debug, Clone)]
-enum SlotItem {
+pub(crate) enum SlotItem {
     /// A scalar item: a group key, when the projection aggregates.
     Scalar(SlotExpr),
     /// An aggregate fed `arg` per record (`None` = `count(*)`, a non-null
@@ -253,56 +239,26 @@ enum SlotItem {
 /// expression, so aggregated columns can be sorted on), or else an
 /// expression evaluated per record.
 #[derive(Debug, Clone)]
-enum SortKey {
+pub(crate) enum SortKey {
     Column(usize),
     Expr(SlotExpr),
 }
 
 impl SlotProjection {
-    fn compile(projection: &Projection, bindings: &Bindings, c: &mut Compiler) -> Self {
-        let items = projection
-            .items
-            .iter()
-            .map(|item| match &item.expr {
-                expr if !contains_aggregate(expr) => SlotItem::Scalar(c.expr(expr, bindings)),
-                Expr::FunctionCall { name, args, distinct } => SlotItem::Aggregate {
-                    func: AggFunc::from_name(name).unwrap_or(AggFunc::Count),
-                    distinct: *distinct,
-                    arg: c.first_arg(args, bindings),
-                },
-                nested => {
-                    c.expr(nested, bindings); // its parameters must still be bound
-                    SlotItem::Aggregate {
-                        func: AggFunc::Count,
-                        distinct: false,
-                        arg: Some(SlotExpr::default()),
-                    }
-                }
-            })
-            .collect();
-        let column = |expr: &Expr| {
-            projection.items.iter().position(|item| {
-                &item.expr == expr
-                    || matches!((expr, &item.alias), (Expr::Variable(v), Some(alias)) if v == alias)
-            })
-        };
-        let order = projection
-            .order_by
-            .iter()
-            .map(|(expr, order)| {
-                let key = match column(expr) {
-                    Some(i) => SortKey::Column(i),
-                    None => SortKey::Expr(c.expr(expr, bindings)),
-                };
-                (key, *order)
-            })
-            .collect();
-        let (skip, limit) = skip_limit(projection);
-        SlotProjection { items, order, distinct: projection.distinct, skip, limit }
+    pub(crate) fn aggregates(&self) -> bool {
+        self.items.iter().any(|item| matches!(item, SlotItem::Aggregate { .. }))
     }
 
-    fn aggregates(&self) -> bool {
-        self.items.iter().any(|item| matches!(item, SlotItem::Aggregate { .. }))
+    /// True when an item or a sort key reads record slot `slot`.
+    pub(crate) fn reads(&self, slot: usize) -> bool {
+        let item_reads = |item: &SlotItem| match item {
+            SlotItem::Scalar(expr) | SlotItem::Aggregate { arg: Some(expr), .. } => {
+                expr.reads(slot)
+            }
+            SlotItem::Aggregate { arg: None, .. } => false,
+        };
+        self.items.iter().any(item_reads)
+            || self.order.iter().any(|(key, _)| matches!(key, SortKey::Expr(e) if e.reads(slot)))
     }
 
     /// Append the sort keys of output `row`, projected from `record`, to
@@ -319,76 +275,47 @@ impl SlotProjection {
 #[derive(Debug, Clone)]
 pub struct CreateNode {
     /// The node's slot, when it is named: a bound node is reused.
-    slot: Option<usize>,
+    pub(crate) slot: Option<usize>,
     /// Name-table indexes of its labels.
-    labels: Vec<usize>,
+    pub(crate) labels: Vec<usize>,
     /// Its properties, by name-table index.
-    props: Vec<(usize, Value)>,
+    pub(crate) props: Vec<(usize, Value)>,
 }
 
 /// One relationship of a compiled `CREATE` pattern.
 #[derive(Debug, Clone)]
 pub struct CreateRel {
-    slot: Option<usize>,
+    pub(crate) slot: Option<usize>,
     /// Name-table index of its type.
-    rel_type: usize,
-    props: Vec<(usize, Value)>,
+    pub(crate) rel_type: usize,
+    pub(crate) props: Vec<(usize, Value)>,
     /// Stored from the step's node to the previous one.
-    incoming: bool,
+    pub(crate) incoming: bool,
 }
 
 /// A compiled `CREATE` path pattern.
 #[derive(Debug, Clone)]
 pub struct CreatePattern {
-    start: CreateNode,
-    steps: Vec<(CreateRel, CreateNode)>,
-}
-
-impl CreateNode {
-    fn compile(node: &cypher::NodePattern, bindings: &Bindings, c: &mut Compiler) -> Self {
-        CreateNode {
-            slot: node.variable.as_deref().and_then(|v| bindings.slot(v)),
-            labels: node.labels.iter().map(|l| c.names.label(l)).collect(),
-            props: compile_props(&node.properties, c),
-        }
-    }
+    pub(crate) start: CreateNode,
+    pub(crate) steps: Vec<(CreateRel, CreateNode)>,
 }
 
 impl CreatePattern {
-    fn compile(pattern: &PathPattern, bindings: &Bindings, c: &mut Compiler) -> Self {
-        let start = CreateNode::compile(&pattern.start, bindings, c);
-        let steps = pattern
-            .steps
-            .iter()
-            .map(|(rel, node)| {
-                let node = CreateNode::compile(node, bindings, c);
-                let rel_type = rel.types.first().map_or("RELATED_TO", String::as_str);
-                let rel = CreateRel {
-                    slot: rel.variable.as_deref().and_then(|v| bindings.slot(v)),
-                    rel_type: c.names.rel_type(rel_type),
-                    props: compile_props(&rel.properties, c),
-                    incoming: rel.direction == Direction::Incoming,
-                };
-                (rel, node)
-            })
-            .collect();
-        CreatePattern { start, steps }
+    /// The slots of the pattern's named nodes and relationships.
+    pub(crate) fn slots(&self) -> impl Iterator<Item = usize> + '_ {
+        let steps = self.steps.iter().flat_map(|(rel, node)| [rel.slot, node.slot]);
+        std::iter::once(self.start.slot).chain(steps).flatten()
     }
-}
-
-/// A pattern's property map as `(name-table index, value)` pairs.
-fn compile_props(props: &[(String, cypher::Literal)], c: &mut Compiler) -> Vec<(usize, Value)> {
-    props.iter().map(|(key, lit)| (c.names.key(key), Value::from(lit))).collect()
 }
 
 /// A compiled `SET` item.
 #[derive(Debug, Clone)]
 pub struct SetStep {
     /// Slot of the node or edge to update.
-    slot: usize,
+    pub(crate) slot: usize,
     /// Name-table index of the property key.
-    key: usize,
-    value: SlotExpr,
+    pub(crate) key: usize,
+    pub(crate) value: SlotExpr,
 }
 
 /// The count a [`PlanOp::TraverseCount`] item reduces the reached sets to.
@@ -401,58 +328,37 @@ pub enum ReachCount {
     Distinct,
 }
 
-/// The `[:types *min..max] -> (dst)` part of a traversal's description.
-fn traverse_pattern(
-    rel_types: &[String],
-    min_hops: u32,
-    max_hops: Option<u32>,
-    dst_var: &str,
-) -> String {
-    let types = if rel_types.is_empty() { "*".to_string() } else { rel_types.join("|") };
-    let hops = match (min_hops, max_hops) {
-        (1, Some(1)) => String::new(),
-        (min, Some(max)) => format!(" *{min}..{max}"),
-        (min, None) => format!(" *{min}.."),
-    };
-    format!("[:{types}{hops}] -> ({dst_var})")
-}
-
 impl PlanOp {
-    /// One-line description used by `GRAPH.EXPLAIN`.
-    pub fn describe(&self) -> String {
+    /// One-line description used by `GRAPH.EXPLAIN`; `names` is the plan's
+    /// name table.
+    pub fn describe(&self, names: &NameTable) -> String {
         match self {
             PlanOp::AllNodeScan { var, .. } => format!("All Node Scan | ({var})"),
             PlanOp::NodeByLabelScan { var, label, .. } => {
-                format!("Node By Label Scan | ({var}:{label})")
+                format!("Node By Label Scan | ({var}:{})", names.labels[*label])
             }
             PlanOp::NodeByIdSeek { var, .. } => format!("Node By Id Seek | ({var})"),
             PlanOp::Filter { .. } => "Filter".to_string(),
-            PlanOp::LabelFilter { label, .. } => format!("Label Filter | :{label}"),
-            PlanOp::PropFilter { key, .. } => format!("Property Filter | .{key}"),
-            PlanOp::Traverse { dst_var, rel_types, min_hops, max_hops, expand_into, .. } => {
-                let pattern = traverse_pattern(rel_types, *min_hops, *max_hops, dst_var);
-                if *expand_into {
+            PlanOp::LabelFilter { label, .. } => {
+                format!("Label Filter | :{}", names.labels[*label])
+            }
+            PlanOp::PropFilter { key, .. } => format!("Property Filter | .{}", names.keys[*key]),
+            PlanOp::Traverse(traverse) => {
+                let pattern = traverse.pattern(names);
+                if traverse.expand_into {
                     format!("Expand Into | {pattern}")
                 } else {
                     format!("Conditional Traverse | {pattern}")
                 }
             }
-            PlanOp::TraverseCount {
-                dst_var,
-                rel_types,
-                min_hops,
-                max_hops,
-                counts,
-                projection,
-                ..
-            } => {
+            PlanOp::TraverseCount { traverse, counts, projection } => {
                 let reduces: Vec<String> = counts
                     .iter()
                     .zip(&projection.items)
                     .map(|(count, item)| {
-                        let arg = match &item.expr {
-                            Expr::FunctionCall { args, .. } if args.is_empty() => "*",
-                            _ => dst_var.as_str(),
+                        let arg = match item {
+                            SlotItem::Aggregate { arg: None, .. } => "*",
+                            _ => traverse.dst_var.as_str(),
                         };
                         match count {
                             ReachCount::Total => format!("count({arg}) = Σ nvals(reached)"),
@@ -464,11 +370,13 @@ impl PlanOp {
                     .collect();
                 format!(
                     "Conditional Traverse | {} | Aggregate pushdown: {}",
-                    traverse_pattern(rel_types, *min_hops, *max_hops, dst_var),
+                    traverse.pattern(names),
                     reduces.join(", ")
                 )
             }
-            PlanOp::FusedTraverse { expr, .. } => format!("Conditional Traverse | {expr}"),
+            PlanOp::FusedTraverse { expr, .. } => {
+                format!("Conditional Traverse | {}", expr.describe(names))
+            }
             PlanOp::Project { .. } => "Project".to_string(),
             PlanOp::Aggregate { .. } => "Aggregate".to_string(),
             PlanOp::With { .. } => "With".to_string(),
@@ -476,66 +384,9 @@ impl PlanOp {
             PlanOp::Delete { .. } => "Delete".to_string(),
             PlanOp::SetProps { .. } => "Update".to_string(),
             PlanOp::Unwind { var, .. } => format!("Unwind | ({var})"),
-            PlanOp::ProcedureCall { name, .. } => format!("ProcedureCall | {name}"),
-        }
-    }
-
-    /// Fill in the op's compiled form against its segment's `bindings` (and,
-    /// for `WITH`, the `next` segment's): the last step of building a plan.
-    pub(crate) fn compile(
-        &mut self,
-        bindings: &Bindings,
-        next: Option<&Bindings>,
-        c: &mut Compiler,
-    ) {
-        match self {
-            PlanOp::NodeByIdSeek { id_expr: expr, compiled, .. }
-            | PlanOp::Filter { expr, compiled }
-            | PlanOp::Unwind { list: expr, compiled, .. } => *compiled = c.expr(expr, bindings),
-            PlanOp::LabelFilter { label, label_index, .. } => *label_index = c.names.label(label),
-            PlanOp::PropFilter { key, key_index, .. } => *key_index = c.names.key(key),
-            PlanOp::Project { projection, compiled }
-            | PlanOp::Aggregate { projection, compiled, .. } => {
-                *compiled = SlotProjection::compile(projection, bindings, c);
+            PlanOp::ProcedureCall { procedure, .. } => {
+                format!("ProcedureCall | {}", procedure.name)
             }
-            PlanOp::With { projection, compiled, next_slots } => {
-                *compiled = SlotProjection::compile(projection, bindings, c);
-                let next = next.expect("a WITH ends a segment");
-                *next_slots =
-                    projection.items.iter().map(|item| next.slot(&item.column_name())).collect();
-            }
-            PlanOp::Create { patterns, compiled } => {
-                *compiled =
-                    patterns.iter().map(|p| CreatePattern::compile(p, bindings, c)).collect();
-            }
-            PlanOp::Delete { vars, slots, .. } => {
-                *slots = vars.iter().filter_map(|v| bindings.slot(v)).collect();
-            }
-            PlanOp::SetProps { items, compiled } => {
-                *compiled = items
-                    .iter()
-                    .filter_map(|item| {
-                        let slot = bindings.slot(&item.variable)?;
-                        let key = c.names.key(&item.property);
-                        Some(SetStep { slot, key, value: c.expr(&item.value, bindings) })
-                    })
-                    .collect();
-            }
-            PlanOp::ProcedureCall { args, compiled, constant_args, .. } => {
-                *compiled = args.iter().map(|a| c.expr(a, bindings)).collect();
-                let mut vars = Vec::new();
-                args.iter().for_each(|arg| expr_vars(arg, &mut vars));
-                *constant_args = vars.is_empty();
-            }
-            // The counts read no expression, but an `ORDER BY $name` on the
-            // one count row must still be bound.
-            PlanOp::TraverseCount { projection, .. } => {
-                SlotProjection::compile(projection, bindings, c);
-            }
-            PlanOp::AllNodeScan { .. }
-            | PlanOp::NodeByLabelScan { .. }
-            | PlanOp::Traverse { .. }
-            | PlanOp::FusedTraverse { .. } => {}
         }
     }
 }
@@ -548,24 +399,22 @@ fn to_traverse_dir(d: Direction) -> TraverseDir {
     }
 }
 
-/// Execute the scan-type ops: every input record times every scanned node.
-pub fn run_scan(op: &PlanOp, records: &RecordBatch, scope: &Scope<'_>) -> RecordBatch {
+/// Execute a node scan: every input record times every node, or every node
+/// carrying `label` (a label the graph does not have labels no node).
+pub fn run_scan(
+    slot: usize,
+    label: Option<usize>,
+    records: &RecordBatch,
+    scope: &Scope<'_>,
+) -> RecordBatch {
     let graph = scope.graph;
-    let mut out = RecordBatch::new(records.width());
-    let (slot, nodes) = match op {
-        PlanOp::AllNodeScan { slot, .. } => (*slot, graph.all_node_ids()),
-        PlanOp::NodeByLabelScan { slot, label, .. } => (*slot, graph.nodes_with_label(label)),
-        PlanOp::NodeByIdSeek { slot, compiled, .. } => {
-            for record in records {
-                let id = compiled.eval(record, scope).as_i64();
-                if let Some(id) = id.filter(|&id| id >= 0 && graph.node(id as NodeId).is_some()) {
-                    out.push_copy(record)[*slot] = Value::Node(id as NodeId);
-                }
-            }
-            return out;
+    let nodes = match label {
+        None => graph.all_node_ids(),
+        Some(label) => {
+            scope.names.labels[label].map_or_else(Vec::new, |l| graph.nodes_with_label(l))
         }
-        _ => unreachable!("run_scan called with a non-scan op"),
     };
+    let mut out = RecordBatch::new(records.width());
     for record in records {
         for &n in &nodes {
             out.push_copy(record)[slot] = Value::Node(n);
@@ -574,32 +423,61 @@ pub fn run_scan(op: &PlanOp, records: &RecordBatch, scope: &Scope<'_>) -> Record
     out
 }
 
-/// Execute the filter-type ops, dropping rejected records in place.
-pub fn run_filter(op: &PlanOp, records: &mut RecordBatch, scope: &Scope<'_>) {
-    let graph = scope.graph;
-    match op {
-        PlanOp::Filter { compiled, .. } => {
-            records.retain(|record| compiled.eval(record, scope).is_truthy());
+/// Execute a `Node By Id Seek`: bind the node whose id equals the record's
+/// `id` value, by the same equality as `id(n) = value` (`3.0` finds node 3;
+/// `3.5`, `'3'`, `null`, a negative id or one with no node find nothing).
+/// The seek answers its conjunct alone: no filter checks it again.
+pub fn run_seek(
+    slot: usize,
+    id: &SlotExpr,
+    records: &RecordBatch,
+    scope: &Scope<'_>,
+) -> RecordBatch {
+    let mut out = RecordBatch::new(records.width());
+    for record in records {
+        let value = id.eval(record, scope);
+        let Some(n) = value.as_i64().filter(|&n| Value::Int(n).cypher_eq(&value) == Some(true))
+        else {
+            continue;
+        };
+        if n >= 0 && scope.graph.node(n as NodeId).is_some() {
+            out.push_copy(record)[slot] = Value::Node(n as NodeId);
         }
-        PlanOp::LabelFilter { slot, label_index, .. } => {
-            // A label the graph does not have matches no node.
-            let label = scope.names.labels[*label_index];
-            records.retain(|record| match (record.get(*slot), label) {
-                (Some(Value::Node(id)), Some(label)) => {
-                    graph.node(*id).is_some_and(|n| n.has_label(label))
-                }
-                _ => false,
-            });
-        }
-        PlanOp::PropFilter { slot, key_index, value, .. } => {
-            let key = scope.names.keys[*key_index];
-            records.retain(|record| match record.get(*slot) {
-                Some(entity) => property(graph, entity, key).cypher_eq(value) == Some(true),
-                None => false,
-            });
-        }
-        _ => unreachable!("run_filter called with a non-filter op"),
     }
+    out
+}
+
+/// Execute a `Filter`: keep the records every predicate holds for.
+pub fn run_filter(predicates: &[SlotExpr], records: &mut RecordBatch, scope: &Scope<'_>) {
+    records.retain(|record| predicates.iter().all(|p| p.eval(record, scope).is_truthy()));
+}
+
+/// Execute a `Label Filter`: keep the records whose `slot` node carries
+/// `label` (a label the graph does not have matches no node).
+pub fn run_label_filter(slot: usize, label: usize, records: &mut RecordBatch, scope: &Scope<'_>) {
+    let label = scope.names.labels[label];
+    records.retain(|record| match (record.get(slot), label) {
+        (Some(Value::Node(id)), Some(label)) => {
+            scope.graph.node(*id).is_some_and(|n| n.has_label(label))
+        }
+        _ => false,
+    });
+}
+
+/// Execute a `Property Filter`: keep the records whose `slot` entity has
+/// property `key` equal to `value`.
+pub fn run_prop_filter(
+    slot: usize,
+    key: usize,
+    value: &Value,
+    records: &mut RecordBatch,
+    scope: &Scope<'_>,
+) {
+    let key = scope.names.keys[key];
+    records.retain(|record| match record.get(slot) {
+        Some(entity) => property(scope.graph, entity, key).cypher_eq(value) == Some(true),
+        None => false,
+    });
 }
 
 /// Execute a traverse op.
@@ -614,8 +492,8 @@ pub fn run_filter(op: &PlanOp, records: &mut RecordBatch, scope: &Scope<'_>) {
 /// then backward, destinations ascending, parallel edges by ascending id.
 /// The `traverse_differential` suite checks the rows against an edge-list
 /// oracle.
-pub fn run_traverse(op: &PlanOp, records: &RecordBatch, graph: &Graph) -> RecordBatch {
-    let PlanOp::Traverse {
+pub fn run_traverse(traverse: &Traverse, records: &RecordBatch, scope: &Scope<'_>) -> RecordBatch {
+    let Traverse {
         src_slot,
         dst_slot,
         edge_slot,
@@ -625,12 +503,10 @@ pub fn run_traverse(op: &PlanOp, records: &RecordBatch, graph: &Graph) -> Record
         max_hops,
         expand_into,
         ..
-    } = *op
-    else {
-        unreachable!("run_traverse called with a non-traverse op")
-    };
+    } = *traverse;
+    let graph = scope.graph;
     let mut out = RecordBatch::new(records.width());
-    let Some(rel_ids) = resolve_rel_types(graph, rel_types) else {
+    let Some(rel_ids) = scope.names.rel_types(rel_types) else {
         return out;
     };
     let rel_ids = rel_ids.as_deref();
@@ -647,7 +523,7 @@ pub fn run_traverse(op: &PlanOp, records: &RecordBatch, graph: &Graph) -> Record
             }
         };
 
-    if min_hops == 1 && max_hops == Some(1) {
+    if traverse.single_hop() {
         let forward = matches!(dir, TraverseDir::Outgoing | TraverseDir::Both);
         let backward = matches!(dir, TraverseDir::Incoming | TraverseDir::Both);
         let rels: Vec<usize> =
@@ -701,16 +577,6 @@ pub fn run_traverse(op: &PlanOp, records: &RecordBatch, graph: &Graph) -> Record
     out
 }
 
-/// Resolve a pattern's relationship type names to relation ids: `Some(None)`
-/// for the untyped pattern, `None` when a named type does not exist (so
-/// nothing can match).
-pub(crate) fn resolve_rel_types(graph: &Graph, rel_types: &[String]) -> Option<Option<Vec<usize>>> {
-    if rel_types.is_empty() {
-        return Some(None);
-    }
-    rel_types.iter().map(|t| graph.schema.rel_type_id(t)).collect::<Option<Vec<_>>>().map(Some)
-}
-
 /// The hop bound a traversal runs to: unbounded patterns stop after as many
 /// hops as the graph has nodes, past which no BFS level can be new.
 fn hop_limit(graph: &Graph, max_hops: Option<u32>) -> u32 {
@@ -724,25 +590,20 @@ fn hop_limit(graph: &Graph, max_hops: Option<u32>) -> u32 {
 /// projection's `SKIP`/`LIMIT`. Row-identical to `Traverse` + `Aggregate`
 /// (the `optimizer_differential` suite proves it against
 /// [`crate::exec::plan::ExecutionPlan::build_unoptimized`]).
-pub fn run_traverse_count(op: &PlanOp, records: &RecordBatch, graph: &Graph) -> RecordBatch {
-    let PlanOp::TraverseCount {
-        src_slot,
-        rel_types,
-        direction,
-        min_hops,
-        max_hops,
-        counts,
-        projection,
-        ..
-    } = op
-    else {
-        unreachable!("run_traverse_count called with a non-count op")
-    };
+pub fn run_traverse_count(
+    traverse: &Traverse,
+    counts: &[ReachCount],
+    projection: &SlotProjection,
+    records: &RecordBatch,
+    scope: &Scope<'_>,
+) -> RecordBatch {
+    let Traverse { src_slot, ref rel_types, direction, min_hops, max_hops, .. } = *traverse;
+    let graph = scope.graph;
     let (mut total, mut distinct) = (0u64, 0u64);
     // A named type that does not exist matches nothing: both counts stay 0.
-    if let Some(rel_ids) = resolve_rel_types(graph, rel_types) {
-        let (dir, max) = (to_traverse_dir(*direction), hop_limit(graph, *max_hops));
-        let batch = BatchFrontier::new(records, *src_slot);
+    if let Some(rel_ids) = scope.names.rel_types(rel_types) {
+        let (dir, max) = (to_traverse_dir(direction), hop_limit(graph, max_hops));
+        let batch = BatchFrontier::new(records, src_slot);
         // How many records share each distinct source's reached set.
         let mut copies = vec![0u64; batch.sources.len()];
         for &row in batch.record_rows.iter().flatten() {
@@ -752,7 +613,7 @@ pub fn run_traverse_count(op: &PlanOp, records: &RecordBatch, graph: &Graph) -> 
         // paper's k-hop query, one seek — counts as its `nvals`.
         let mut union = (batch.sources.len() > 1).then(|| Bitmap::new(graph.dim()));
         for (&src, &n) in batch.sources.iter().zip(&copies) {
-            let reached = graph.khop_reached(src, *min_hops, max, dir, rel_ids.as_deref());
+            let reached = graph.khop_reached(src, min_hops, max, dir, rel_ids.as_deref());
             total += n * reached.nvals() as u64;
             match &mut union {
                 None => distinct = reached.nvals() as u64,
@@ -761,9 +622,8 @@ pub fn run_traverse_count(op: &PlanOp, records: &RecordBatch, graph: &Graph) -> 
         }
     }
     // One aggregate row: ORDER BY and DISTINCT keep it, SKIP or LIMIT 0 drop it.
-    let (skip, limit) = skip_limit(projection);
     let mut rows = RecordBatch::new(counts.len());
-    if skip == 0 && limit > 0 {
+    if projection.skip == 0 && projection.limit > 0 {
         rows.push(counts.iter().map(|count| match count {
             ReachCount::Total => Value::Int(total as i64),
             ReachCount::Distinct => Value::Int(distinct as i64),
@@ -802,12 +662,6 @@ impl BatchFrontier {
             .collect();
         BatchFrontier { sources, record_rows }
     }
-}
-
-/// A projection's `SKIP` and `LIMIT` (none = every row).
-fn skip_limit(projection: &Projection) -> (usize, usize) {
-    let skip = projection.skip.map_or(0, |skip| skip as usize);
-    (skip, projection.limit.map_or(usize::MAX, |limit| limit as usize))
 }
 
 /// Apply `ORDER BY`, `DISTINCT` (first occurrence in order), `SKIP` and
@@ -966,7 +820,7 @@ pub fn run_aggregate(
 /// `next_width`-slot record.
 pub fn run_with(
     projection: &SlotProjection,
-    next_slots: &[Option<usize>],
+    next_slots: &[usize],
     next_width: usize,
     records: &RecordBatch,
     scope: &Scope<'_>,
@@ -980,9 +834,7 @@ pub fn run_with(
     for i in 0..produced.len() {
         let record = out.push_nulls();
         for (&slot, value) in next_slots.iter().zip(&mut produced[i]) {
-            if let Some(slot) = slot {
-                record[slot] = std::mem::replace(value, Value::Null);
-            }
+            record[slot] = std::mem::replace(value, Value::Null);
         }
     }
     out
@@ -1133,22 +985,19 @@ pub fn run_set(
 /// `CALL algo.x(…)` with literal arguments) the algorithm runs once and its
 /// rows are reused for every incoming record.
 pub fn run_procedure(
-    name: &str,
+    procedure: &Procedure,
     args: &[SlotExpr],
     constant_args: bool,
     outputs: &[(usize, usize)],
     records: &RecordBatch,
     scope: &Scope<'_>,
 ) -> Result<RecordBatch, crate::error::QueryError> {
-    let proc = crate::exec::procedures::find(name).ok_or_else(|| {
-        crate::error::QueryError::Internal(format!("procedure `{name}` vanished after planning"))
-    })?;
     let mut cached_rows: Option<RecordBatch> = None;
     let mut out = RecordBatch::new(records.width());
     for record in records {
         if cached_rows.is_none() {
             let argv: Vec<Value> = args.iter().map(|a| a.eval(record, scope)).collect();
-            cached_rows = Some((proc.run)(scope.graph, &argv)?);
+            cached_rows = Some((procedure.run)(scope.graph, &argv)?);
         }
         let rows = cached_rows.as_ref().expect("computed above");
         for row in rows {
@@ -1198,20 +1047,21 @@ mod tests {
 
     #[test]
     fn op_descriptions_for_explain() {
+        let mut names = NameTable::default();
         let scan = PlanOp::AllNodeScan { slot: 0, var: "n".into() };
-        assert!(scan.describe().contains("All Node Scan"));
-        let traverse = PlanOp::Traverse {
+        assert!(scan.describe(&names).contains("All Node Scan"));
+        let traverse = PlanOp::Traverse(Traverse {
             src_slot: 0,
             dst_slot: 1,
             dst_var: "m".into(),
             edge_slot: None,
-            rel_types: vec!["KNOWS".into()],
+            rel_types: vec![names.rel_type("KNOWS")],
             direction: Direction::Outgoing,
             min_hops: 1,
             max_hops: Some(3),
             expand_into: false,
-        };
-        let text = traverse.describe();
+        });
+        let text = traverse.describe(&names);
         assert!(text.contains("Conditional Traverse"));
         assert!(text.contains("KNOWS"));
         assert!(text.contains("*1..3"));

@@ -18,6 +18,7 @@ pub type ProcedureFn = fn(&Graph, &[Value]) -> Result<RecordBatch, QueryError>;
 
 /// A registered procedure: fixed name, output columns, arity bounds, and the
 /// function that produces its rows.
+#[derive(Debug)]
 pub struct Procedure {
     /// Canonical dotted name (`algo.pagerank`); matched case-insensitively.
     pub name: &'static str,

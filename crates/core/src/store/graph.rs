@@ -615,10 +615,9 @@ impl Graph {
         self.nodes.iter().map(|(id, _)| id).collect()
     }
 
-    /// Ids of nodes carrying the given label (by name). Unknown label → empty.
-    pub fn nodes_with_label(&self, label: &str) -> Vec<NodeId> {
-        let Some(id) = self.schema.label_id(label) else { return Vec::new() };
-        self.label_matrices[id].to_triples().into_iter().map(|(r, _, _)| r).collect()
+    /// Ids of nodes carrying label `label`.
+    pub fn nodes_with_label(&self, label: LabelId) -> Vec<NodeId> {
+        self.label_matrices[label].to_triples().into_iter().map(|(r, _, _)| r).collect()
     }
 
     /// The combined boolean adjacency matrix: the structural union of every
@@ -1057,6 +1056,11 @@ impl std::ops::Deref for GraphSnapshot {
 mod tests {
     use super::*;
 
+    /// The nodes carrying the label named `label`; none for an unknown name.
+    fn labelled(g: &Graph, label: &str) -> Vec<NodeId> {
+        g.schema.label_id(label).map_or_else(Vec::new, |l| g.nodes_with_label(l))
+    }
+
     fn triangle() -> Graph {
         let mut g = Graph::new("t");
         let a = g.add_node(&["Person"], vec![("name", Value::Str("a".into()))]);
@@ -1106,8 +1110,8 @@ mod tests {
         let person = g.schema.label_id("Person").unwrap();
         assert!(g.node(0).unwrap().has_label(person));
         assert!(!g.node(2).unwrap().has_label(person));
-        assert_eq!(g.nodes_with_label("Person"), vec![0, 1]);
-        assert_eq!(g.nodes_with_label("Nope"), Vec::<u64>::new());
+        assert_eq!(labelled(&g, "Person"), vec![0, 1]);
+        assert_eq!(labelled(&g, "Nope"), Vec::<u64>::new());
     }
 
     #[test]
@@ -1323,7 +1327,7 @@ mod tests {
         assert_eq!(g.node_count(), 2);
         assert_eq!(g.edge_count(), 1); // only a-KNOWS->b remains
         assert_eq!(g.adjacency_matrix().nvals(), 1);
-        assert_eq!(g.nodes_with_label("City"), Vec::<u64>::new());
+        assert_eq!(labelled(&g, "City"), Vec::<u64>::new());
     }
 
     #[test]
@@ -1345,7 +1349,7 @@ mod tests {
         assert_eq!(g.edge_count(), 4); // dup and self-loop dropped
         assert_eq!(g.adjacency_matrix().nvals(), 4);
         assert_eq!(g.node_property(3, "id"), Value::Int(3));
-        assert_eq!(g.nodes_with_label("Node").len(), 5);
+        assert_eq!(labelled(&g, "Node").len(), 5);
         assert_eq!(g.khop_count(0, 2), 2); // 0→1→2
     }
 
@@ -1453,7 +1457,7 @@ mod tests {
         g.add_edge(n - 1, v, "LINK", vec![]).unwrap();
         assert_eq!(g.neighbors(v, None, TraverseDir::Outgoing), vec![(0, e)]);
         assert_eq!(g.node_property(v, "id"), Value::Int(n as i64));
-        assert_eq!(g.nodes_with_label("Node").len(), n as usize + 1);
+        assert_eq!(labelled(&g, "Node").len(), n as usize + 1);
         // Two hops from the last old node: through the new one to 0, and
         // through its loaded edge.
         let two_hops = (((n - 1) * 7 + 1) % n * 7 + 1) % n;
@@ -1933,7 +1937,7 @@ mod tests {
         g.add_edge(b, c, "LIVES_IN", vec![]).unwrap();
         assert!(g.has_pending_deltas());
         // Every read surface answers from the merged view.
-        assert_eq!(g.nodes_with_label("Person"), vec![a, b]);
+        assert_eq!(labelled(&g, "Person"), vec![a, b]);
         assert_eq!(g.khop_count(a, 2), 2);
         assert_eq!(g.khop_reach(c, 1, 2, TraverseDir::Incoming, None).nvals(), 2);
         assert_eq!(g.adjacency_matrix().nvals(), 2);

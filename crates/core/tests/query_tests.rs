@@ -1,7 +1,8 @@
 //! End-to-end query tests: Cypher text in, result rows out, exercising the
 //! full parse → plan → execute pipeline against the matrix-backed store.
 
-use redisgraph_core::{Graph, Value};
+use redisgraph_core::{ExecutionPlan, Graph, GraphAccess, Params, Value};
+use std::time::Instant;
 
 /// A small social graph used by most tests.
 fn social_graph() -> Graph {
@@ -488,6 +489,63 @@ fn long_operator_chains_are_rejected_not_a_stack_overflow() {
 fn long_not_chains_are_rejected_not_a_stack_overflow() {
     let nots = |n: usize| format!("RETURN {}true", "NOT ".repeat(n));
     assert_depth_budget(nots(100_000), nots(127), Value::Bool(false));
+}
+
+/// Six `:N` nodes, ids 0–5, each with `v` equal to its id.
+fn six_nodes() -> Graph {
+    let mut g = Graph::new("six");
+    g.query("CREATE (:N {v: 0}), (:N {v: 1}), (:N {v: 2}), (:N {v: 3}), (:N {v: 4}), (:N {v: 5})")
+        .unwrap();
+    g
+}
+
+/// The rows of `query` with `params` bound, read-only, asserting that the
+/// optimized and the unoptimized plan agree.
+fn rows_of_both_builds(g: &Graph, query: &str, params: &Params) -> Vec<Vec<Value>> {
+    let ast = cypher::parse(query).unwrap();
+    let run = |plan: ExecutionPlan| {
+        let values = plan.bind(params).unwrap();
+        plan.run(GraphAccess::Read(g), &values, Instant::now(), None).unwrap().rows.to_vec()
+    };
+    let rows = run(ExecutionPlan::build(&ast).unwrap());
+    assert_eq!(rows, run(ExecutionPlan::build_unoptimized(&ast).unwrap()), "{query}");
+    rows
+}
+
+#[test]
+fn a_where_seeks_only_in_its_own_segment() {
+    let g = six_nodes();
+    // The later segment's `id(s) = 2` must not narrow the first scan of `s`.
+    let query = "MATCH (s) WITH count(s) AS c MATCH (s) WHERE id(s) = 2 RETURN id(s), c";
+    assert_eq!(rows_of_both_builds(&g, query, &Params::new()), [[Value::Int(2), Value::Int(6)]]);
+    // After the `WITH`, `s` is node 0 (the least `v`): `id(s) = 5` keeps nothing.
+    let query = "MATCH (s) WITH s ORDER BY s.v LIMIT 1 WHERE id(s) = 5 RETURN id(s)";
+    assert!(rows_of_both_builds(&g, query, &Params::new()).is_empty());
+}
+
+#[test]
+fn an_id_seek_answers_its_equality_exactly() {
+    let g = six_nodes();
+    let node_3 = vec![vec![Value::Int(3)]];
+    for (literal, value, expected) in [
+        ("3", Value::Int(3), node_3.clone()),
+        ("3.0", Value::Float(3.0), node_3),
+        ("3.5", Value::Float(3.5), vec![]),
+        ("-1", Value::Int(-1), vec![]),
+        ("'3'", Value::Str("3".into()), vec![]),
+        ("null", Value::Null, vec![]),
+        ("99", Value::Int(99), vec![]),
+    ] {
+        let query = format!("MATCH (s) WHERE id(s) = {literal} RETURN id(s)");
+        assert_eq!(rows_of_both_builds(&g, &query, &Params::new()), expected, "{query}");
+        // As a parameter (`-1` included, which the parser reads as a negation
+        // rather than a literal), the seek alone answers the equality.
+        let query = "MATCH (s) WHERE id(s) = $v RETURN id(s)";
+        let params = Params::from([("v".to_string(), value)]);
+        assert_eq!(rows_of_both_builds(&g, query, &params), expected, "$v = {literal}");
+    }
+    let plan = g.explain("MATCH (s) WHERE id(s) = $v RETURN id(s)").unwrap();
+    assert_eq!(plan, ["Node By Id Seek | (s)", "Project"]);
 }
 
 #[test]

@@ -365,9 +365,17 @@ const EXPLAIN_CASES: &[&str] = &[
     // A live intermediate keeps the per-hop plan.
     "MATCH (a)-[:T0]->(b)-[:T1]->(c) RETURN id(a), id(b), id(c)",
     // Count pushdown: the paper's k-hop query reduces the reached set, its
-    // `WHERE` placed right after the seek; a typed undirected `*0..k` shape.
+    // `WHERE` answered by the seek alone; a typed undirected `*0..k` shape.
     "MATCH (s)-[*1..6]->(n) WHERE id(s) = 0 RETURN count(DISTINCT n)",
     "MATCH (a:A)-[:T0|T1*0..2]-(b) RETURN count(b), count(*) AS c",
+    // The shapes rgbench serves: point, chain2, the `mixed_rw` CREATE and
+    // DELETE, and the k-hop query. Each seek answers its own `id(…) = $p`;
+    // the DELETE keeps `id(y) = $b` as a filter, since a traverse binds `y`.
+    "MATCH (s:Node)-[:LINK]->(t) WHERE id(s) = $k RETURN count(t)",
+    "MATCH (s:Node)-[:LINK]->()-[:LINK]->(t) WHERE id(s) = $id RETURN id(t)",
+    "MATCH (x:Node),(y:Node) WHERE id(x)=$a AND id(y)=$b CREATE (x)-[:LINK]->(y)",
+    "MATCH (x:Node)-[e:LINK]->(y:Node) WHERE id(x)=$a AND id(y)=$b DELETE e",
+    "MATCH (s)-[*1..6]->(n) WHERE id(s) = $id RETURN count(DISTINCT n)",
 ];
 
 #[test]

@@ -346,6 +346,12 @@ fn names_created_after_a_plan_was_cached_are_read() {
         "MATCH (n:Node) WHERE n.fresh = 7 RETURN n.id ORDER BY n.id",
         "MATCH (n:Node:Fresh) RETURN n.id, n.fresh ORDER BY n.id",
         "MATCH (a:Node)-[:LINK]->(b:Node:Fresh) RETURN a.id, b.id ORDER BY a.id",
+        // A label scan, a single hop, a fused 2-hop and a count pushdown,
+        // each on a label or relationship type the graph does not have yet.
+        "MATCH (n:Fresh) RETURN n.id ORDER BY n.id",
+        "MATCH (a:Node)-[:FRESH]->(b) RETURN a.id, b.id ORDER BY a.id",
+        "MATCH (a:Node)-[:FRESH]->()-[:LINK]->(c) RETURN a.id, c.id ORDER BY a.id, c.id",
+        "MATCH (a:Node)-[:FRESH*1..2]->(b) RETURN count(DISTINCT b)",
     ];
     let run_reads = |pass: &str| -> Vec<RespValue> {
         reads
@@ -362,19 +368,48 @@ fn names_created_after_a_plan_was_cached_are_read() {
         let RespValue::Array(sections) = reply else { panic!("not a query reply: {reply}") };
         sections[1].clone()
     };
+    let int = RespValue::Integer;
+    let row = |values: Vec<RespValue>| RespValue::Array(values);
     let before = run_reads("before");
-    assert!(before.iter().skip(1).all(|r| rows(r) == RespValue::Array(vec![])), "{before:?}");
+    let empty = RespValue::Array(vec![]);
+    assert!(before[1..7].iter().all(|r| rows(r) == empty), "{before:?}");
+    assert_eq!(rows(&before[7]), row(vec![row(vec![int(0)])]));
     for write in [
         "MATCH (n:Node) WHERE n.id = 1 SET n.fresh = 7",
         "MATCH (a:Node) WHERE a.id = 0 CREATE (a)-[:LINK]->(:Node:Fresh {id: 100, fresh: 7})",
+        "MATCH (a:Node), (b:Node), (c:Node) WHERE a.id = 1 AND b.id = 2 AND c.id = 3 \
+         CREATE (a)-[:FRESH]->(b)-[:FRESH]->(c)",
     ] {
         assert_eq!(comparable(&cached.query("g", write)), comparable(&reference.query("g", write)));
     }
     let after = run_reads("after");
-    let int = RespValue::Integer;
-    let row = |values: Vec<RespValue>| RespValue::Array(values);
+    let pairs =
+        |pairs: &[(i64, i64)]| row(pairs.iter().map(|&(a, b)| row(vec![int(a), int(b)])).collect());
     assert_eq!(rows(&after[0]), row(vec![row(vec![int(7)])]));
     assert_eq!(rows(&after[1]), row(vec![row(vec![int(1)]), row(vec![int(100)])]));
     assert_eq!(rows(&after[2]), row(vec![row(vec![int(100), int(7)])]));
-    assert_eq!(rows(&after[3]), row(vec![row(vec![int(0), int(100)])]));
+    assert_eq!(rows(&after[3]), pairs(&[(0, 100)]));
+    assert_eq!(rows(&after[4]), row(vec![row(vec![int(100)])]));
+    assert_eq!(rows(&after[5]), pairs(&[(1, 2), (2, 3)]));
+    // The ring's LINKs run k → k+1 and k → k+3 (mod 6).
+    assert_eq!(rows(&after[6]), pairs(&[(1, 3), (1, 5), (2, 0), (2, 4)]));
+    assert_eq!(rows(&after[7]), row(vec![row(vec![int(2)])]));
+}
+
+#[test]
+fn an_id_seek_served_from_one_cached_plan_answers_each_value_exactly() {
+    // The four spellings share one skeleton (the value is lifted out of the
+    // key), and the seek alone answers `id(s) = value`: `3.0` is node 3,
+    // `3.5` and `'3'` are no node.
+    let server = seeded_server(6, DEFAULT_PLAN_CACHE_SIZE);
+    let reference = seeded_server(6, 0);
+    for (value, count, cached) in
+        [("3", 1, false), ("3.5", 0, true), ("3.0", 1, true), ("'3'", 0, true)]
+    {
+        let query = format!("MATCH (s:Node) WHERE id(s) = {value} RETURN id(s)");
+        let reply = server.query("g", &query);
+        assert_eq!(cached_flag(&reply), cached, "{query}");
+        assert_eq!(header_and_sorted_rows(&reply).1.len(), count, "{query}");
+        assert_eq!(comparable(&reply), comparable(&reference.query("g", &query)), "{query}");
+    }
 }
