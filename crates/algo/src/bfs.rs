@@ -11,9 +11,10 @@ use graphblas::Index;
 ///
 /// Each round is one [`bfs_push`] — `vxm` over the `ANY_PAIR` structural
 /// semiring with the bitmap visited set as a complemented mask — so a vertex
-/// is assigned the level of the *first* frontier that touches it. Levels are
-/// kept in a dense array and gathered into the sparse result once, at the
-/// end.
+/// is assigned the level of the *first* frontier that touches it. Every
+/// round reuses one `reached` bitmap and emits its frontier ascending. Levels
+/// are kept in a dense array and gathered into the sparse result once, at
+/// the end.
 ///
 /// # Panics
 /// Panics if `source >= adj.nrows()`.
@@ -22,13 +23,14 @@ pub fn bfs_levels(adj: &SparseMatrix<bool>, source: Index) -> SparseVector<i64> 
     let mut levels = vec![0i64; adj.nrows() as usize];
     let mut visited = Bitmap::new(adj.nrows());
     visited.insert(source);
+    let mut reached = Bitmap::new(adj.nrows());
     let mut frontier = vec![source];
 
     let mut level = 0i64;
     while !frontier.is_empty() {
         level += 1;
         let mut next = Vec::new();
-        bfs_push(adj, &frontier, &mut visited, &mut next);
+        bfs_push(&[adj], &frontier, &mut reached, &mut visited, &mut next);
         for &v in &next {
             levels[v as usize] = level;
         }

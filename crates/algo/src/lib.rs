@@ -7,7 +7,7 @@
 //!
 //! | Algorithm | Kernel | Semiring |
 //! |---|---|---|
-//! | [`bfs_levels`] | bitmap-masked `vxm` (`bfs_push`), level-synchronous | `ANY_PAIR` over the pattern |
+//! | [`bfs_levels`] | bitmap-masked `vxm` (`bfs_push`: edges ORed into a reached bitmap, masked a word at a time), level-synchronous | `ANY_PAIR` over the pattern |
 //! | [`sssp`] | Bellman–Ford rounds of `vxm` | `MIN_PLUS` over `f64` |
 //! | [`pagerank`] | damped power iteration via `vxm` + `ewise` | `PLUS_TIMES` over `f64` |
 //! | [`wcc`] | min-label propagation | `MIN_FIRST` over `u64` |

@@ -354,13 +354,15 @@ impl NameIds<'_> {
     }
 
     /// The relation ids of a pattern's types (name-table indexes):
-    /// `Some(None)` for the untyped pattern, `None` when a named type does
-    /// not exist (so nothing can match).
+    /// `Some(None)` for the untyped pattern, else the ids of the named types
+    /// that exist, since `[:R|S]` matches `R` edges while the graph has no
+    /// `S`; `None` when none of them exists (so nothing can match).
     pub(crate) fn rel_types(&self, types: &[usize]) -> Option<Option<Vec<RelTypeId>>> {
         if types.is_empty() {
             return Some(None);
         }
-        types.iter().map(|&t| self.types[t]).collect::<Option<Vec<_>>>().map(Some)
+        let ids: Vec<_> = types.iter().filter_map(|&t| self.types[t]).collect();
+        (!ids.is_empty()).then_some(Some(ids))
     }
 }
 

@@ -373,7 +373,7 @@ impl Builder {
                 Clause::Where(expr) => self.plan_where(expr),
                 Clause::Return(projection) => {
                     self.columns = projection.items.iter().map(|item| item.column_name()).collect();
-                    let projection = self.projection(projection);
+                    let projection = self.projection(projection)?;
                     self.ops.push(if projection.aggregates() {
                         PlanOp::Aggregate { projection, weight_slot: None }
                     } else {
@@ -381,7 +381,7 @@ impl Builder {
                     });
                 }
                 Clause::With(projection) => {
-                    let compiled = self.projection(projection);
+                    let compiled = self.projection(projection)?;
                     // The next segment's variables are the projected column names.
                     let mut next = Bindings::new();
                     let next_slots = projection
@@ -485,29 +485,39 @@ impl Builder {
         true
     }
 
-    /// Compile a `RETURN`/`WITH` projection against the segment.
-    fn projection(&mut self, projection: &Projection) -> SlotProjection {
+    /// Compile a `RETURN`/`WITH` projection against the segment. An item
+    /// is a scalar expression or one aggregate call over a scalar argument;
+    /// an aggregate nested in an expression (`count(n) + 1`, or
+    /// `sum(count(n))`) fails the build.
+    fn projection(&mut self, projection: &Projection) -> Result<SlotProjection, QueryError> {
         let (c, bindings) = (&mut self.compiler, &self.bindings);
         let items = projection
             .items
             .iter()
-            .map(|item| match &item.expr {
-                expr if !contains_aggregate(expr) => SlotItem::Scalar(c.expr(expr, bindings)),
-                Expr::FunctionCall { name, args, distinct } => SlotItem::Aggregate {
-                    func: AggFunc::from_name(name).unwrap_or(AggFunc::Count),
+            .map(|item| {
+                let expr = &item.expr;
+                if !contains_aggregate(expr) {
+                    return Ok(SlotItem::Scalar(c.expr(expr, bindings)));
+                }
+                let nested = || {
+                    QueryError::Unsupported(
+                        "aggregate inside an expression is not supported".into(),
+                    )
+                };
+                let Expr::FunctionCall { name, args, distinct } = expr else {
+                    return Err(nested());
+                };
+                let func = AggFunc::from_name(name).ok_or_else(nested)?;
+                if args.iter().any(contains_aggregate) {
+                    return Err(nested());
+                }
+                Ok(SlotItem::Aggregate {
+                    func,
                     distinct: *distinct,
                     arg: c.first_arg(args, bindings),
-                },
-                nested => {
-                    c.expr(nested, bindings); // its parameters must still be bound
-                    SlotItem::Aggregate {
-                        func: AggFunc::Count,
-                        distinct: false,
-                        arg: Some(SlotExpr::default()),
-                    }
-                }
+                })
             })
-            .collect();
+            .collect::<Result<_, _>>()?;
         let column = |expr: &Expr| {
             projection.items.iter().position(|item| {
                 &item.expr == expr
@@ -525,13 +535,13 @@ impl Builder {
                 (key, *order)
             })
             .collect();
-        SlotProjection {
+        Ok(SlotProjection {
             items,
             order,
             distinct: projection.distinct,
             skip: projection.skip.map_or(0, |skip| skip as usize),
             limit: projection.limit.map_or(usize::MAX, |limit| limit as usize),
-        }
+        })
     }
 
     /// Compile a `CREATE` path pattern against the segment.

@@ -96,9 +96,16 @@ type MatrixPair<'a> = (&'a DeltaMatrix<u64>, &'a DeltaMatrix<u64>);
 /// Beamer's direction-switching rule (SC'12): a push hop turns to pull once
 /// the frontier's edges exceed `1/PULL_ALPHA` of the edges not yet explored,
 /// and a pull hop turns back to push once the frontier holds fewer than
-/// `1/PUSH_BETA` of the vertices. The constants are the paper's tuned values.
-const PULL_ALPHA: u64 = 14;
-const PUSH_BETA: u64 = 24;
+/// `1/PUSH_BETA` of the vertices. SC'12 tuned α = 14, β = 24 for its own
+/// kernels; these are re-derived from `examples/khop_hops.rs`, which times
+/// both of this crate's kernels from each hop's state on rgbench's Graph500
+/// graphs at scales 15 and 18. Push is the cheaper direction at frontier
+/// edge shares up to 0.09 of the unexplored edges (heavy seeds' hop 2), and
+/// pull from 0.38 up (typical seeds' hop 3), so α = 6 splits them. After a
+/// pull, pull stays cheaper at frontiers of 1 348 of 32 768 vertices and
+/// push at 2 474 of 262 144, so β = 48 splits those.
+const PULL_ALPHA: u64 = 6;
+const PUSH_BETA: u64 = 48;
 
 /// Whether a BFS hop pulls, by Beamer's rule, after a hop that `pulled`.
 pub fn beamer_pulls(
@@ -948,21 +955,27 @@ fn loaded<T: Scalar>(
 ///
 /// Each hop pushes the frontier through the push matrices or pulls it
 /// through their transposes, whichever Beamer's rule picks, into buffers
-/// that every hop reuses. The kernels read the merged rows in place, never a
-/// whole-matrix copy: a push, and the degree sum that picks the direction,
-/// look a leaf up once for a run of frontier rows in it; a pull looks a leaf
-/// up once per 64 unvisited rows, reads only the rows its CSR slice marks
-/// non-empty or that have an insert pending, and merges only the rows with
-/// changes pending. A pull so costs the edges it scans rather than the rows
-/// it passes: at rgbench's scale 15, 8 944 of the 32 768 vertices have no
-/// in-edge, so as many rows of the transpose that an outgoing pull walks
-/// are empty (`examples/khop_hops.rs` times each hop both ways).
+/// that every hop reuses. One bitmap serves both kernels: a push ORs the
+/// edges of every push matrix into it and takes `reached ∧ ¬visited` in one
+/// pass over the words, handing it back empty, and a pull fills it with the
+/// frontier and clears it after. A push emits `next` ascending (the union
+/// of an undirected or untyped hop's several matrices in one pass), a pull
+/// ascending per transpose, so the next hop's degree sum and push look each
+/// leaf up once per run of rows. The kernels read the merged rows in place,
+/// never a whole-matrix copy: a pull looks a leaf up once per 64 unvisited
+/// rows, reads only the rows its CSR slice marks non-empty or that have an
+/// insert pending, and merges only the rows with changes pending. A pull so
+/// costs the edges it scans rather than the rows it passes: at rgbench's
+/// scale 15, 8 944 of the 32 768 vertices have no in-edge, so as many rows
+/// of the transpose that an outgoing pull walks are empty
+/// (`examples/khop_hops.rs` times each hop both ways).
 fn bitmap_bfs(
     dim: u64,
     pairs: &[MatrixPair<'_>],
     (source, min_hops, max_hops): (NodeId, u32, u32),
 ) -> Bitmap {
     let mut unexplored: u64 = pairs.iter().map(|(m, _)| m.nvals() as u64).sum();
+    let pushes: Vec<_> = pairs.iter().map(|&(m, _)| m).collect();
 
     let mut visited = Bitmap::new(dim);
     visited.insert(source);
@@ -970,7 +983,8 @@ fn bitmap_bfs(
     // a `*0..n` pattern matches the start node), dropped from the result.
     let mut early = if min_hops == 0 { Vec::new() } else { vec![source] };
     let (mut frontier, mut next) = (vec![source], Vec::new());
-    let mut frontier_bits: Option<Bitmap> = None;
+    // All-zero between hops: a push's `reached`, a pull's frontier.
+    let mut bits = Bitmap::new(dim);
     let mut pulling = false;
     for hop in 1..=max_hops {
         if frontier.is_empty() || pairs.is_empty() {
@@ -981,18 +995,15 @@ fn bitmap_bfs(
         unexplored = unexplored.saturating_sub(frontier_edges);
         next.clear();
         if pulling {
-            let bits = frontier_bits.get_or_insert_with(|| Bitmap::new(dim));
-            bits.clear();
             for &v in &frontier {
                 bits.insert(v);
             }
             for &(_, t) in pairs {
-                bfs_pull(t, bits, &mut visited, &mut next);
+                bfs_pull(t, &bits, &mut visited, &mut next);
             }
+            bits.clear();
         } else {
-            for &(m, _) in pairs {
-                bfs_push(m, &frontier, &mut visited, &mut next);
-            }
+            bfs_push(&pushes, &frontier, &mut bits, &mut visited, &mut next);
         }
         if hop < min_hops {
             early.extend_from_slice(&next);

@@ -239,6 +239,55 @@ fn nonexistent_relationship_type_matches_nothing() {
 }
 
 #[test]
+fn a_multi_type_pattern_matches_the_types_that_exist() {
+    // `S` is named but never created: `[:R|S]` must give what `[:R]` gives
+    // on a single hop, the `*1..2` count pushdown and a fused 2-hop.
+    let mut g = Graph::new("types");
+    g.query("CREATE (a:N {id: 0})-[:R]->(b:N {id: 1})-[:R]->(c:N {id: 2}), (a)-[:R]->(c)").unwrap();
+    let shapes = [
+        ("MATCH (a)-[:R]->(b) RETURN count(b)", "Aggregate", vec![vec![Value::Int(3)]]),
+        (
+            "MATCH (a)-[:R*1..2]->(b) WHERE id(a) = 0 RETURN count(DISTINCT b)",
+            "Aggregate pushdown",
+            vec![vec![Value::Int(2)]],
+        ),
+        (
+            "MATCH (a)-[:R]->()-[:R]->(c) RETURN a.id, c.id",
+            "(a)·A_R",
+            vec![vec![Value::Int(0), Value::Int(2)]],
+        ),
+    ];
+    for (typed, op, want) in shapes {
+        let multi = typed.replace(":R", ":R|S");
+        assert!(g.explain(&multi).unwrap().join("\n").contains(op), "{multi} plans {op}");
+        assert_eq!(g.query(typed).unwrap().rows, want, "{typed}");
+        assert_eq!(g.query(&multi).unwrap().rows, want, "{multi}");
+    }
+    // Only when no named type exists does the pattern match nothing.
+    let rs = g.query("MATCH (a)-[:S|T]->(b) RETURN count(b)").unwrap();
+    assert_eq!(rs.scalar(), Some(&Value::Int(0)));
+}
+
+#[test]
+fn an_aggregate_inside_an_expression_is_an_error() {
+    let mut g = social_graph();
+    for query in [
+        "MATCH (n) RETURN count(n) + 1",
+        "MATCH (n) RETURN abs(count(n))",
+        "MATCH (n) RETURN sum(count(n))",
+    ] {
+        let err = g.query(query).unwrap_err();
+        assert!(
+            err.to_string().contains("aggregate inside an expression is not supported"),
+            "{query}: {err}"
+        );
+    }
+    // The graph still serves the next query.
+    let rs = g.query("MATCH (n) RETURN count(n)").unwrap();
+    assert_eq!(rs.scalar(), Some(&Value::Int(5)));
+}
+
+#[test]
 fn cartesian_product_of_patterns() {
     let mut g = social_graph();
     let rs = g.query("MATCH (p:Person), (c:Company) RETURN count(*)").unwrap();

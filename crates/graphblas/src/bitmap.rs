@@ -15,9 +15,11 @@
 //!
 //! Both read only the matrix pattern, a row at a time through [`RowSource`],
 //! so one kernel serves any CSR matrix and a delta matrix with pending
-//! changes alike. Both test the mask in O(1) and insert discovered vertices
-//! into `visited` in place, so a product for an already-visited vertex costs
-//! one bit test and no allocation.
+//! changes alike. Both apply the mask a word of 64 vertices at a time and
+//! emit `next` ascending: a push ORs every scanned edge into a bitmap of
+//! reached vertices, with no test or branch per edge, and then takes
+//! `reached ∧ ¬visited` word by word; a pull tests only the unvisited rows
+//! of each word. Neither allocates.
 
 use crate::matrix::SparseMatrix;
 use crate::types::Scalar;
@@ -170,27 +172,43 @@ impl<T: Scalar> RowSource for SparseMatrix<T> {
     }
 }
 
-/// One push (top-down) BFS level: `next⟨¬visited⟩ = frontier any.pair A`.
+/// One push (top-down) BFS level over the union of `sources`:
+/// `next⟨¬visited⟩ = frontier any.pair (A₁ ∨ A₂ ∨ …)`.
 ///
-/// Every column `j` of a row `i ∈ frontier` of `a` that is not yet in
-/// `visited` is inserted into `visited` and appended to `next`, in discovery
-/// order. Only the pattern of `a` is read.
+/// The columns of the frontier rows of every source are ORed into
+/// `reached`, one bit per scanned edge and no test. One pass over the words
+/// then moves `reached ∧ ¬visited` into `visited` and appends it to `next`,
+/// so `next` comes out ascending and each vertex once, however many edges
+/// reach it. `reached` must be all-zero on entry and is all-zero again on
+/// return: a caller keeps one for every level. Only the pattern of the
+/// sources is read.
 ///
 /// # Panics
-/// Panics if `visited.size() != a.ncols()` or if a frontier vertex is not a
-/// row of `a`.
-pub fn bfs_push(
-    a: &impl RowSource,
+/// Panics if `visited`, `reached` and the sources' columns differ in size,
+/// or if a frontier vertex is not a row of a source.
+pub fn bfs_push<R: RowSource>(
+    sources: &[&R],
     frontier: &[Index],
+    reached: &mut Bitmap,
     visited: &mut Bitmap,
     next: &mut Vec<Index>,
 ) {
-    assert_eq!(visited.size(), a.ncols(), "bfs_push dimension mismatch: visited.size != a.ncols");
-    a.each_in_rows(frontier, |j| {
-        if visited.insert(j) {
-            next.push(j);
+    assert_eq!(visited.size(), reached.size(), "bfs_push dimension mismatch: visited != reached");
+    debug_assert!(reached.words.iter().all(|&w| w == 0), "bfs_push needs an empty `reached`");
+    for a in sources {
+        assert_eq!(visited.size(), a.ncols(), "bfs_push dimension mismatch: visited != a.ncols");
+        a.each_in_rows(frontier, |j| reached.words[(j / 64) as usize] |= 1 << (j % 64));
+    }
+    // Each fresh vertex is emitted once, so `next` grows by the count.
+    let emitted = next.len();
+    for (w, (reached, seen)) in reached.words.iter_mut().zip(&mut visited.words).enumerate() {
+        let fresh = std::mem::take(reached) & !*seen;
+        *seen |= fresh;
+        if fresh != 0 {
+            next.extend(ones(w as Index * 64, fresh));
         }
-    });
+    }
+    visited.nvals += next.len() - emitted;
 }
 
 /// One pull (bottom-up) BFS level over `at = Aᵀ`:
@@ -251,21 +269,50 @@ mod tests {
         assert_eq!(b.size(), 130);
     }
 
+    /// One push step from `visited`: `next`, after checking that the step
+    /// handed `reached` back empty.
+    fn push(a: &[&impl RowSource], frontier: &[Index], visited: &mut Bitmap) -> Vec<Index> {
+        let (mut reached, mut next) = (Bitmap::new(visited.size()), Vec::new());
+        bfs_push(a, frontier, &mut reached, visited, &mut next);
+        assert_eq!(reached, Bitmap::new(visited.size()), "`reached` comes back all-zero");
+        next
+    }
+
     #[test]
-    fn push_skips_visited_and_keeps_discovery_order() {
+    fn push_skips_visited_and_emits_ascending() {
         // 0→2, 0→1, 1→3, 2→3
         let a = SparseMatrix::from_triples(4, 4, &[(0, 2, 7u64), (0, 1, 9), (1, 3, 1), (2, 3, 1)])
             .unwrap();
         let mut visited = Bitmap::new(4);
         visited.insert(0);
         visited.insert(2);
-        let mut next = Vec::new();
-        bfs_push(&a, &[0], &mut visited, &mut next);
-        assert_eq!(next, vec![1]);
-        next.clear();
-        bfs_push(&a, &[2, 1], &mut visited, &mut next);
-        assert_eq!(next, vec![3], "3 is reached twice but emitted once");
+        assert_eq!(push(&[&a], &[0], &mut visited), vec![1]);
+        assert_eq!(push(&[&a], &[2, 1], &mut visited), vec![3], "3 is reached twice, emitted once");
         assert_eq!(visited.nvals(), 4);
+        // Two sources are one step: their union, ascending, each vertex once.
+        let b = SparseMatrix::from_triples(4, 4, &[(1, 2, 1u64), (1, 0, 1)]).unwrap();
+        let mut visited = Bitmap::new(4);
+        visited.insert(1);
+        assert_eq!(push(&[&a, &b], &[1], &mut visited), vec![0, 2, 3]);
+        assert_eq!(visited.nvals(), 4);
+    }
+
+    #[test]
+    fn push_into_the_last_partial_word() {
+        // 130 vertices: the third word holds positions 128 and 129 only.
+        // Hub 0 reaches 63, 64, 127, 128 and 129 (the last twice, through
+        // 1); the word pass must count and emit exactly the unvisited ones.
+        let edges = [(0, 129, true), (0, 128, true), (0, 64, true), (0, 63, true), (0, 127, true)];
+        let a = SparseMatrix::from_triples(130, 130, &[&edges[..], &[(1, 129, true)]].concat())
+            .unwrap();
+        let mut visited = Bitmap::new(130);
+        visited.insert(0);
+        visited.insert(128);
+        assert_eq!(push(&[&a], &[1, 0], &mut visited), vec![63, 64, 127, 129]);
+        assert_eq!(visited.nvals(), 6);
+        assert_eq!(visited.iter().collect::<Vec<_>>(), vec![0, 63, 64, 127, 128, 129]);
+        assert!(push(&[&a], &[0, 1], &mut visited).is_empty());
+        assert_eq!(visited.nvals(), 6);
     }
 
     #[test]
@@ -335,8 +382,8 @@ mod tests {
                     (next, visited)
                 };
                 assert_eq!(
-                    step(&|v, next| bfs_push(&delta, set, v, next)),
-                    step(&|v, next| bfs_push(&export, set, v, next)),
+                    step(&|v, next| *next = push(&[&delta], set, v)),
+                    step(&|v, next| *next = push(&[&export], set, v)),
                     "push from {set:?}, visited {seen:?}"
                 );
                 let frontier = bitmap(set);

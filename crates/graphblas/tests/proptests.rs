@@ -304,22 +304,47 @@ proptest! {
         let want_visited = ewise_add_vector(&visited, &want_next, &BinaryOp::LOr);
 
         let mut bits = Bitmap::from_vector(&visited);
-        let mut next = Vec::new();
-        bfs_push(&a, frontier.indices(), &mut bits, &mut next);
-        let emitted = next.len();
-        next.sort_unstable();
-        prop_assert_eq!(next.as_slice(), want_next.indices());
-        prop_assert_eq!(emitted, want_next.nvals(), "a vertex was emitted twice");
+        let (mut reached, mut next) = (Bitmap::new(n), Vec::new());
+        bfs_push(&[&a], frontier.indices(), &mut reached, &mut bits, &mut next);
+        prop_assert_eq!(next.as_slice(), want_next.indices(), "push output is ascending");
+        prop_assert_eq!(&reached, &Bitmap::new(n), "`reached` comes back all-zero");
         prop_assert_eq!(bits.to_vector(), want_visited);
 
-        // Edge-id-valued matrices with the same pattern take the same step.
+        // Edge-id-valued matrices with the same pattern take the same step,
+        // reusing the `reached` bitmap the first step handed back.
         let ids = pattern_matrix(n, &edges, |k| k as u64);
         let mut id_bits = Bitmap::from_vector(&visited);
         let mut id_next = Vec::new();
-        bfs_push(&ids, frontier.indices(), &mut id_bits, &mut id_next);
-        id_next.sort_unstable();
-        prop_assert_eq!(id_next, next);
-        prop_assert_eq!(id_bits, bits);
+        bfs_push(&[&ids], frontier.indices(), &mut reached, &mut id_bits, &mut id_next);
+        prop_assert_eq!(&id_next, &next);
+        prop_assert_eq!(&id_bits, &bits);
+        prop_assert_eq!(&reached, &Bitmap::new(n));
+    }
+
+    #[test]
+    fn bfs_push_over_two_matrices_is_one_step_over_their_union(
+        pattern in sized_pattern(),
+        raw_other in prop::collection::vec((any::<u64>(), any::<u64>()), 0..120),
+        raw_frontier in prop::collection::vec(any::<u64>(), 0..20),
+        raw_visited in prop::collection::vec(any::<u64>(), 0..60),
+    ) {
+        // An undirected hop pushes through a matrix and its transpose; an
+        // untyped one through every type's matrix.
+        let (n, edges) = pattern;
+        let (a, b) = (pattern_matrix(n, &edges, |_| true), pattern_matrix(n, &raw_other, |_| true));
+        let union = ewise_add_matrix(&a, &b, &BinaryOp::LOr);
+        let frontier = vertex_set(n, &raw_frontier);
+        let visited = vertex_set(n, &raw_visited);
+        let desc = Descriptor::new().with_mask_complement().with_mask_structure();
+        let want_next =
+            vxm(&frontier, &union, &Semiring::lor_land(), Some(&VectorMask::new(&visited)), &desc);
+
+        let mut bits = Bitmap::from_vector(&visited);
+        let (mut reached, mut next) = (Bitmap::new(n), Vec::new());
+        bfs_push(&[&a, &b], frontier.indices(), &mut reached, &mut bits, &mut next);
+        prop_assert_eq!(next.as_slice(), want_next.indices(), "one ascending union");
+        prop_assert_eq!(&reached, &Bitmap::new(n));
+        prop_assert_eq!(bits.to_vector(), ewise_add_vector(&visited, &want_next, &BinaryOp::LOr));
     }
 
     #[test]
@@ -349,9 +374,8 @@ proptest! {
 
         // Pull over Aᵀ and push over A are the same level.
         let mut push_bits = Bitmap::from_vector(&visited);
-        let mut push_next = Vec::new();
-        bfs_push(&a, frontier.indices(), &mut push_bits, &mut push_next);
-        push_next.sort_unstable();
+        let (mut reached, mut push_next) = (Bitmap::new(n), Vec::new());
+        bfs_push(&[&a], frontier.indices(), &mut reached, &mut push_bits, &mut push_next);
         prop_assert_eq!(push_next, next);
         prop_assert_eq!(push_bits, bits);
     }

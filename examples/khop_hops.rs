@@ -11,10 +11,13 @@
 //! k-hop seeds, and taken evenly from the 45–55% and 95–97.5% bands of that
 //! ranking. Each hop
 //! takes the direction `Graph::khop_reach` takes (`beamer_pulls`), and
-//! prints it with the frontier and next sizes and the median µs of
-//! `bfs_push` and of `bfs_pull` (with the frontier bitmap it builds) over
-//! five runs from the same visited set. Both kernels must find the same
-//! vertices.
+//! prints it with the frontier and next sizes, the frontier's edges and the
+//! edges still unexplored (what the rule reads), the median µs of `bfs_push`
+//! and of `bfs_pull` over five runs from the same visited set, and the
+//! chosen kernel's time over the cheaper one's. Both kernels run as
+//! `bitmap_bfs` runs them, on one all-zero bitmap that the push takes as
+//! `reached` and the pull fills with the frontier and clears. Both must
+//! find the same vertices, ascending.
 //!
 //! ```text
 //! cargo run --release --example khop_hops          # scale 15
@@ -35,8 +38,8 @@ const BANDS: [(&str, f64, f64, usize); 2] = [("typical", 0.45, 0.55, 4), ("heavy
 const REPS: usize = 5;
 
 /// The median µs of `REPS` runs of `kernel` on a fresh copy of `visited`,
-/// and the vertices it found, sorted.
-fn time(visited: &Bitmap, kernel: impl Fn(&mut Bitmap, &mut Vec<u64>)) -> (f64, Vec<u64>) {
+/// and the vertices it found.
+fn time(visited: &Bitmap, mut kernel: impl FnMut(&mut Bitmap, &mut Vec<u64>)) -> (f64, Vec<u64>) {
     let mut us = Vec::with_capacity(REPS);
     let mut found = Vec::new();
     for _ in 0..REPS {
@@ -47,7 +50,6 @@ fn time(visited: &Bitmap, kernel: impl Fn(&mut Bitmap, &mut Vec<u64>)) -> (f64, 
         found = next;
     }
     us.sort_by(f64::total_cmp);
-    found.sort_unstable();
     (us[REPS / 2], found)
 }
 
@@ -88,9 +90,20 @@ fn main() {
     ranked.sort_by_key(|&v| (rank[v as usize], v));
 
     println!(
-        "{:>8} {:>6} {:>3} {:>4} {:>8} {:>8} {:>9} {:>9}",
-        "band", "seed", "hop", "dir", "frontier", "next", "push_us", "pull_us"
+        "{:>8} {:>6} {:>3} {:>4} {:>8} {:>8} {:>8} {:>10} {:>9} {:>9} {:>6}",
+        "band",
+        "seed",
+        "hop",
+        "dir",
+        "frontier",
+        "next",
+        "edges",
+        "unexplored",
+        "push_us",
+        "pull_us",
+        "chosen"
     );
+    let mut bits = Bitmap::new(n);
     for (band, low, high, count) in BANDS {
         let len = ranked.len() as f64;
         let (low, high) = ((low * len) as usize, (high * len) as usize);
@@ -105,20 +118,23 @@ fn main() {
                 }
                 let edges = a.degree_sum(&frontier);
                 pulled = beamer_pulls(pulled, frontier.len() as u64, edges, unexplored, n);
-                unexplored = unexplored.saturating_sub(edges);
-                let (push_us, pushed) = time(&visited, |v, next| bfs_push(&a, &frontier, v, next));
+                let (push_us, pushed) =
+                    time(&visited, |v, next| bfs_push(&[&a], &frontier, &mut bits, v, next));
                 let (pull_us, pulled_set) = time(&visited, |v, next| {
-                    let mut bits = Bitmap::new(n);
                     frontier.iter().for_each(|&u| _ = bits.insert(u));
                     bfs_pull(&at, &bits, v, next);
+                    bits.clear();
                 });
                 assert_eq!(pushed, pulled_set, "push and pull disagree at hop {hop} from {seed}");
-                let dir = if pulled { "pull" } else { "push" };
+                let (dir, chosen_us) = if pulled { ("pull", pull_us) } else { ("push", push_us) };
                 println!(
-                    "{band:>8} {seed:>6} {hop:>3} {dir:>4} {:>8} {:>8} {push_us:>9.1} {pull_us:>9.1}",
+                    "{band:>8} {seed:>6} {hop:>3} {dir:>4} {:>8} {:>8} {edges:>8} {unexplored:>10} \
+                     {push_us:>9.1} {pull_us:>9.1} {:>6.2}",
                     frontier.len(),
-                    pushed.len()
+                    pushed.len(),
+                    chosen_us / push_us.min(pull_us)
                 );
+                unexplored = unexplored.saturating_sub(edges);
                 pushed.iter().for_each(|&u| _ = visited.insert(u));
                 frontier = pushed;
             }

@@ -3,14 +3,16 @@
 //! equal a plain queue BFS over the live edge list, for every direction,
 //! typed and untyped, `min_hops` ∈ {0, 1, 2}, bounded and unbounded.
 //!
-//! Three graph families: sparse random multigraphs (self-loops, parallel and
+//! Four graph families: sparse random multigraphs (self-loops, parallel and
 //! cross-type edges), whose hops stay on the push step; a dense family
 //! whose source has an edge to every other node, so the first outgoing hop
 //! provably takes the pull step (Beamer's rule pulls once the frontier's
-//! edges exceed 1/14 of the unexplored ones) and, on the larger sizes, the
-//! second hop pulls too; and a family over three 1 024-row matrix leaves
-//! whose pulls cross leaves folded before the last writes and leaves those
-//! writes left dirty. Every graph is checked unflushed (merged delta views),
+//! edges exceed 1/6 of the unexplored ones) and, on the larger sizes, the
+//! second hop pulls too; a family over three 1 024-row matrix leaves whose
+//! pulls cross leaves folded before the last writes and leaves those writes
+//! left dirty; and a star of stars over the same leaves, whose second hop
+//! pushes a frontier of more than 1/64 of the vertices, so the push's
+//! bitmap of reached vertices fills words in every leaf. Every graph is checked unflushed (merged delta views),
 //! after a node deletion, and flushed; the untyped outgoing case is also
 //! checked against the `baseline` crate's own `khop_set`.
 
@@ -186,12 +188,15 @@ proptest! {
         raw_edges in prop::collection::vec((any::<u64>(), any::<u64>(), 0usize..3), 0..200),
         victim_pick in any::<u64>(),
     ) {
-        // Hub 0 points at every other node; a 699-node frontier is ≥ 1/24
-        // of the 16 384-wide matrix, so the larger size pulls at hop 2 too.
+        // Hub 0 points at every other node through two of the three types,
+        // so its edges stay over 1/6 of the graph's beside 200 random ones;
+        // a 699-node frontier is ≥ 1/48 of the 16 384-wide matrix, so the
+        // larger size pulls at hop 2 too.
         let nodes = [24u64, 700][size_pick];
         let mut case = Case::new(nodes);
         for v in 1..nodes {
             case.add_edge(0, v, (v % 3) as usize);
+            case.add_edge(0, v, ((v + 1) % 3) as usize);
         }
         for &(s, d, r) in &raw_edges {
             case.add_edge(s % nodes, d % nodes, r);
@@ -204,7 +209,7 @@ proptest! {
             hub_degree += m.row_degree(0) as u64;
             nvals += m.nvals() as u64;
         }
-        prop_assert!(hub_degree * 14 > nvals);
+        prop_assert!(hub_degree * 6 > nvals);
         // The hub's own deletion would leave nothing to pull through.
         let victim = 1 + victim_pick % (nodes - 1);
         check_lifecycle(case, &[0, 1], victim)?;
@@ -217,8 +222,8 @@ proptest! {
         victim_pick in any::<u64>(),
     ) {
         // Hub 0 points at every third node, 866 of them across all three
-        // leaves: Beamer's rule pulls hop 1 (866 · 14 exceeds the ≤ 1 225
-        // edges), and hop 2 too (866 ≥ 16 384 / 24).
+        // leaves: Beamer's rule pulls hop 1 (866 · 6 exceeds the ≤ 1 225
+        // edges), and hop 2 too (866 ≥ 16 384 / 48).
         let nodes = 2_600u64;
         let mut case = Case::new(nodes);
         for v in (1..nodes).step_by(3) {
@@ -236,7 +241,58 @@ proptest! {
             let (s, d) = (s % nodes, leaf * 2_048 + d % 552);
             case.add_edge(s, d, r);
         }
-        prop_assert!(866 * 14 > case.graph.edge_count());
+        prop_assert!(866 * 6 > case.graph.edge_count());
+        let victim = 1 + victim_pick % (nodes - 1);
+        check_lifecycle(case, &[0, 1], victim)?;
+    }
+
+    #[test]
+    fn khop_reach_matches_bfs_when_a_push_frontier_spans_every_leaf(
+        folded in prop::collection::vec((any::<u64>(), any::<u64>(), 0usize..3), 0..100),
+        dirty in prop::collection::vec((0u64..2, 0u64..60, any::<u64>(), 0usize..3), 1..40),
+        victim_pick in any::<u64>(),
+    ) {
+        // Hub 0 points at the 325 centres 1, 9, 17, … across all three
+        // leaves, each centre at its next two nodes, and every node with
+        // `v % 8 ≥ 3` at three others: the centres' 650 edges are under 1/6
+        // of the ~5 500 left unexplored, so hop 2 pushes 325 > 16 384 / 64
+        // vertices.
+        let nodes = 2_600u64;
+        let mut case = Case::new(nodes);
+        for c in (1..nodes).step_by(8) {
+            case.add_edge(0, c, (c % 3) as usize);
+            for leaf in [c + 1, c + 2] {
+                case.add_edge(c, leaf, (leaf % 3) as usize);
+            }
+        }
+        for v in (0..nodes).filter(|v| v % 8 >= 3) {
+            for k in 1..=3 {
+                case.add_edge(v, (v * 7 + k * 131) % nodes, k as usize - 1);
+            }
+        }
+        for &(s, d, r) in &folded {
+            case.add_edge(s % nodes, d % nodes, r);
+        }
+        case.graph.sync_matrices();
+        // The last writes leave centres' rows in leaf 0 or leaf 2 dirty.
+        for &(leaf, centre, d, r) in &dirty {
+            case.add_edge(leaf * 2_048 + 1 + 8 * centre, d % nodes, r);
+        }
+        // Beamer's push test at hops 1 and 2 of the untyped outgoing BFS,
+        // on the degrees and entry counts it reads.
+        let matrices: Vec<_> = (0..case.graph.relation_type_count())
+            .map(|rel| case.graph.relation_matrix(rel).expect("exists"))
+            .collect();
+        let degree = |v: u64| matrices.iter().map(|m| m.row_degree(v) as u64).sum::<u64>();
+        let nvals: u64 = matrices.iter().map(|m| m.nvals() as u64).sum();
+        let mut centres: Vec<u64> =
+            case.edges.iter().filter(|&&(s, d, _)| s == 0 && d != 0).map(|&(_, d, _)| d).collect();
+        centres.sort_unstable();
+        centres.dedup();
+        let frontier_edges: u64 = centres.iter().map(|&c| degree(c)).sum();
+        prop_assert!(degree(0) <= nvals / 6, "hop 1 pushes");
+        prop_assert!(frontier_edges <= (nvals - degree(0)) / 6, "hop 2 pushes");
+        prop_assert!(centres.len() as u64 > case.graph.dim() / 64);
         let victim = 1 + victim_pick % (nodes - 1);
         check_lifecycle(case, &[0, 1], victim)?;
     }

@@ -352,6 +352,9 @@ fn names_created_after_a_plan_was_cached_are_read() {
         "MATCH (a:Node)-[:FRESH]->(b) RETURN a.id, b.id ORDER BY a.id",
         "MATCH (a:Node)-[:FRESH]->()-[:LINK]->(c) RETURN a.id, c.id ORDER BY a.id, c.id",
         "MATCH (a:Node)-[:FRESH*1..2]->(b) RETURN count(DISTINCT b)",
+        // A multi-type pattern naming a type the graph does not have yet
+        // matches the types it has.
+        "MATCH (a:Node)-[:LINK|FRESH]->(b) RETURN count(b)",
     ];
     let run_reads = |pass: &str| -> Vec<RespValue> {
         reads
@@ -374,6 +377,7 @@ fn names_created_after_a_plan_was_cached_are_read() {
     let empty = RespValue::Array(vec![]);
     assert!(before[1..7].iter().all(|r| rows(r) == empty), "{before:?}");
     assert_eq!(rows(&before[7]), row(vec![row(vec![int(0)])]));
+    assert_eq!(rows(&before[8]), row(vec![row(vec![int(12)])]));
     for write in [
         "MATCH (n:Node) WHERE n.id = 1 SET n.fresh = 7",
         "MATCH (a:Node) WHERE a.id = 0 CREATE (a)-[:LINK]->(:Node:Fresh {id: 100, fresh: 7})",
@@ -394,6 +398,7 @@ fn names_created_after_a_plan_was_cached_are_read() {
     // The ring's LINKs run k → k+1 and k → k+3 (mod 6).
     assert_eq!(rows(&after[6]), pairs(&[(1, 3), (1, 5), (2, 0), (2, 4)]));
     assert_eq!(rows(&after[7]), row(vec![row(vec![int(2)])]));
+    assert_eq!(rows(&after[8]), row(vec![row(vec![int(15)])]));
 }
 
 #[test]
