@@ -1,46 +1,52 @@
 //! # algo
 //!
-//! LAGraph-style whole-graph algorithms expressed purely in terms of the
-//! [`graphblas`] crate's primitives — the "analytics on the same matrix
-//! substrate" half of the paper's story. Each algorithm is one semiring choice
-//! away from the traversal machinery the query engine already uses:
+//! LAGraph-style whole-graph algorithms over the stored matrices themselves —
+//! the "analytics on the same matrix substrate" half of the paper's story.
+//! Each reads its relations in place through [`graphblas::RowSource`], as
+//! the query engine's traversals do, with plain row loops over dense
+//! per-vertex arrays:
 //!
-//! | Algorithm | Kernel | Semiring |
+//! | Algorithm | Reads | LAGraph shape |
 //! |---|---|---|
-//! | [`bfs_levels`] | bitmap-masked `vxm` (`bfs_push`: edges ORed into a reached bitmap, masked a word at a time), level-synchronous | `ANY_PAIR` over the pattern |
-//! | [`sssp`] | Bellman–Ford rounds of `vxm` | `MIN_PLUS` over `f64` |
-//! | [`pagerank`] | damped power iteration via `vxm` + `ewise` | `PLUS_TIMES` over `f64` |
-//! | [`wcc`] | min-label propagation | `MIN_FIRST` over `u64` |
-//! | [`triangle_count`] | masked `mxm` + `reduce` | `PLUS_PAIR` over `u64` |
+//! | [`sssp`] | forward rows of the vertices that moved, cells weighted by the caller | Bellman–Ford rounds |
+//! | [`pagerank`] | in-rows (the stored transposes), merged across relations | damped power iteration, pulled |
+//! | [`wcc`] | each relation's whole-matrix walk | min-label propagation |
+//! | [`triangle_count`] | both directions' rows, merged into sorted, loop-free lower rows | `L ⊙ L·Lᵀ` as sorted-row intersections |
 //!
-//! Inputs are plain adjacency matrices (`SparseMatrix<bool>` for structure,
-//! `SparseMatrix<f64>` for weights), so the crate depends only on
-//! `graphblas`; `redisgraph-core` exposes these functions to Cypher as
-//! `CALL algo.*` procedures.
+//! Each takes its relations as `&[&R]`: a pair stored in several is one edge
+//! of their union. `algo.bfs` is the query engine's own bitmap BFS recording
+//! levels, so this crate depends only on `graphblas`; `redisgraph-core`
+//! exposes these functions to Cypher as `CALL algo.*` procedures.
 //!
 //! ```
-//! use graphblas::prelude::*;
+//! use graphblas::DeltaMatrix;
 //!
-//! // Directed path 0→1→2 plus a chord 0→2.
-//! let adj = SparseMatrix::from_triples(
-//!     4,
-//!     4,
-//!     &[(0, 1, true), (1, 2, true), (0, 2, true)],
-//! )
-//! .unwrap();
-//! let levels = algo::bfs_levels(&adj, 0);
-//! assert_eq!(levels.extract_element(2), Some(1)); // the chord wins
-//! assert_eq!(levels.extract_element(3), None); // unreachable
+//! // A triangle 0→1→2→0 and an edge 2→3 under two relation types, which
+//! // both store 0→1; vertex 4 has no edge.
+//! let r = DeltaMatrix::from_sorted(5, 5, [(0, 1, ()), (1, 2, ()), (2, 0, ())]).unwrap();
+//! let s = DeltaMatrix::from_sorted(5, 5, [(0, 1, ()), (2, 3, ())]).unwrap();
+//! let (rt, st) = (r.transposed(), s.transposed());
+//! assert_eq!(algo::triangle_count(&[&r, &rt, &s, &st]), 1);
+//! let labels = algo::wcc(&[&r, &s], &[0, 1, 2, 3, 4]);
+//! assert_eq!(labels, [(0, 0), (1, 0), (2, 0), (3, 0), (4, 4)]);
+//! ```
 //! ```
 
-pub mod bfs;
 pub mod pagerank;
 pub mod sssp;
 pub mod triangles;
 pub mod wcc;
 
-pub use bfs::bfs_levels;
 pub use pagerank::{pagerank, PageRankConfig, PageRankResult};
 pub use sssp::sssp;
 pub use triangles::triangle_count;
 pub use wcc::wcc;
+
+use graphblas::{Index, RowSource};
+
+/// Length of the dense per-vertex arrays: every row of the sources and
+/// every vertex in `vertices`.
+fn dim<R: RowSource>(sources: &[&R], vertices: &[Index]) -> usize {
+    let rows = sources.iter().map(|s| s.nrows());
+    rows.chain(vertices.iter().map(|&v| v + 1)).max().unwrap_or(0) as usize
+}

@@ -1,9 +1,9 @@
-//! PageRank as a damped power iteration: one `PLUS_TIMES` `vxm` per round
-//! against the column-stochastic transition matrix, plus element-wise
-//! teleport/dangling correction (LAGraph `LAGr_PageRank`).
+//! PageRank as a damped power iteration (LAGraph `LAGr_PageRank`): each
+//! round pulls every vertex's score from its in-rows, the stored
+//! transposes, plus the teleport and dangling correction.
 
-use graphblas::prelude::*;
-use graphblas::Index;
+use crate::dim;
+use graphblas::{union_row, Index, RowSource};
 
 /// Tuning knobs for [`pagerank`].
 #[derive(Debug, Clone, Copy)]
@@ -32,17 +32,20 @@ pub struct PageRankResult {
     pub iterations: u32,
 }
 
-/// Damped PageRank over the directed graph `adj`, restricted to the vertex
-/// set `nodes` (the matrix dimension is usually much larger than the number
-/// of live vertices; every stored edge must connect vertices in `nodes`).
+/// Damped PageRank over the union of the relations whose **transposes** are
+/// `in_rows`, restricted to the vertex set `nodes` (every stored edge must
+/// connect vertices in `nodes`). A pair stored in several relations is one
+/// edge, in its source's out-degree and among its target's in-edges.
 ///
 /// Dangling vertices (no out-edges) redistribute their mass uniformly, so the
-/// scores form a probability distribution at every step.
+/// scores form a probability distribution at every step. A vertex sums its
+/// in-neighbours' shares in ascending order of neighbour, the order a push
+/// from ascending vertices adds them in, so the pull gives a push's bits.
 ///
 /// # Panics
-/// Panics if a vertex id is out of bounds.
-pub fn pagerank(
-    adj: &SparseMatrix<bool>,
+/// Panics if a stored column lies beyond the dense arrays.
+pub fn pagerank<R: RowSource>(
+    in_rows: &[&R],
     nodes: &[Index],
     config: &PageRankConfig,
 ) -> PageRankResult {
@@ -53,64 +56,59 @@ pub fn pagerank(
     let nf = n as f64;
     let d = config.damping;
 
-    // Column-stochastic transition matrix W[u][v] = 1 / outdeg(u).
-    let mut triples = Vec::with_capacity(adj.nvals());
-    let mut dangling_nodes = Vec::new();
-    for &u in nodes {
-        let deg = adj.row_degree(u);
-        if deg == 0 {
-            dangling_nodes.push(u);
-            continue;
-        }
-        let (cols, _) = adj.row(u);
-        let w = 1.0 / deg as f64;
-        triples.extend(cols.iter().map(|&v| (u, v, w)));
+    // Each vertex's in-row of the union, merged once: every round re-reads
+    // them, and a row with changes pending costs a merge per read. A vertex
+    // passes `1 / outdeg` of its score along each out-edge.
+    let (mut starts, mut in_edges, mut row) = (vec![0], Vec::new(), Vec::new());
+    for &v in nodes {
+        union_row(in_rows, v, &mut row);
+        in_edges.extend_from_slice(&row);
+        starts.push(in_edges.len());
     }
-    let transition = SparseMatrix::from_triples(adj.nrows(), adj.ncols(), &triples)
-        .expect("triples are in bounds");
+    let mut share = vec![0.0f64; dim(in_rows, nodes)];
+    in_edges.iter().for_each(|&u| share[u as usize] += 1.0);
+    let dangling_nodes: Vec<Index> =
+        nodes.iter().copied().filter(|&u| share[u as usize] == 0.0).collect();
+    nodes.iter().for_each(|&u| share[u as usize] = 1.0 / share[u as usize]);
 
-    let semiring = Semiring::<f64>::plus_times();
-    let desc = Descriptor::default();
-
-    let entries: Vec<(Index, f64)> = nodes.iter().map(|&v| (v, 1.0 / nf)).collect();
-    let mut rank = SparseVector::from_entries(adj.nrows(), &entries).expect("in bounds");
-
+    let mut rank = vec![0.0f64; share.len()];
+    nodes.iter().for_each(|&v| rank[v as usize] = 1.0 / nf);
+    let mut next = rank.clone();
     let mut iterations = 0;
     for _ in 0..config.max_iterations {
         iterations += 1;
-        let contrib = vxm(&rank, &transition, &semiring, None, &desc);
-        let dangling_mass: f64 =
-            dangling_nodes.iter().map(|&u| rank.extract_element(u).unwrap_or(0.0)).sum();
+        let dangling_mass: f64 = dangling_nodes.iter().map(|&u| rank[u as usize]).sum();
         let teleport = (1.0 - d) / nf + d * dangling_mass / nf;
 
         let mut delta = 0.0;
-        let next_entries: Vec<(Index, f64)> = nodes
-            .iter()
-            .map(|&v| {
-                let score = teleport + d * contrib.extract_element(v).unwrap_or(0.0);
-                delta += (score - rank.extract_element(v).unwrap_or(0.0)).abs();
-                (v, score)
-            })
-            .collect();
-        rank = SparseVector::from_entries(adj.nrows(), &next_entries).expect("in bounds");
+        for (k, &v) in nodes.iter().enumerate() {
+            let in_row = &in_edges[starts[k]..starts[k + 1]];
+            let contrib: f64 =
+                in_row.iter().fold(0.0, |sum, &u| sum + rank[u as usize] * share[u as usize]);
+            let score = teleport + d * contrib;
+            delta += (score - rank[v as usize]).abs();
+            next[v as usize] = score;
+        }
+        std::mem::swap(&mut rank, &mut next);
         if delta < config.tolerance {
             break;
         }
     }
 
-    let scores = nodes.iter().map(|&v| (v, rank.extract_element(v).unwrap_or(0.0))).collect();
+    let scores = nodes.iter().map(|&v| (v, rank[v as usize])).collect();
     PageRankResult { scores, iterations }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphblas::SparseMatrix;
 
     fn run(dim: u64, edges: &[(u64, u64)], n: u64) -> PageRankResult {
-        let triples: Vec<(u64, u64, bool)> = edges.iter().map(|&(s, t)| (s, t, true)).collect();
-        let adj = SparseMatrix::from_triples(dim, dim, &triples).unwrap();
+        let triples: Vec<(u64, u64, bool)> = edges.iter().map(|&(s, t)| (t, s, true)).collect();
+        let in_rows = SparseMatrix::from_triples(dim, dim, &triples).unwrap();
         let nodes: Vec<u64> = (0..n).collect();
-        pagerank(&adj, &nodes, &PageRankConfig::default())
+        pagerank(&[&in_rows], &nodes, &PageRankConfig::default())
     }
 
     #[test]

@@ -1,72 +1,91 @@
-//! Single-source shortest paths as Bellman–Ford rounds over the `MIN_PLUS`
-//! (tropical) semiring — LAGraph's `LAGr_SingleSourceShortestPath` shape.
+//! Single-source shortest paths as Bellman–Ford rounds —
+//! `d ← d min (d min.+ W)`, LAGraph's `LAGr_SingleSourceShortestPath` shape —
+//! relaxing stored rows in place.
 
-use graphblas::prelude::*;
-use graphblas::Index;
+use crate::dim;
+use graphblas::{Bitmap, Index, RowSource};
 
-/// Shortest-path distances from `source` over a weighted adjacency matrix
-/// (`weights[u][v]` = cost of edge `u→v`; absent entry = no edge). Vertices
-/// that are unreachable have no entry in the result.
+/// Shortest-path distances from `source` over the union of `sources`, where
+/// `weight` maps a stored value to the cost of its cell and the cheapest cell
+/// over all sources wins: each vertex a path reaches, ascending, with its
+/// distance.
 ///
-/// Each round relaxes every edge once: `d ← d min (d min.+ W)`. The iteration
-/// stops at a fixpoint, which a graph with non-negative weights reaches after
-/// at most |V| − 1 rounds; the loop is additionally capped at `nrows` rounds
-/// so negative cycles cannot hang it.
+/// Rounds are synchronous: a vertex's next distance is the minimum of its
+/// distance and of `d[u] + w(u, v)` over the previous round's `d`. A vertex
+/// whose distance did not move lowers nothing it did not lower already, so a
+/// round relaxes only the rows of the vertices that moved in the round
+/// before and still computes the full relaxation. The rounds stop at a
+/// fixpoint, or after one per row, so a negative cycle cannot hang them.
 ///
 /// # Panics
-/// Panics if `source >= weights.nrows()`.
-pub fn sssp(weights: &SparseMatrix<f64>, source: Index) -> SparseVector<f64> {
-    let semiring = Semiring::min_plus(f64::INFINITY);
-    let desc = Descriptor::default();
-
-    let mut dist = SparseVector::<f64>::new(weights.nrows());
-    dist.set_element(source, 0.0);
-
-    for _ in 0..weights.nrows().max(1) {
-        let relaxed = vxm(&dist, weights, &semiring, None, &desc);
-        let next = ewise_add_vector(&dist, &relaxed, &BinaryOp::Min);
-        if next == dist {
+/// Panics if a stored column lies beyond the sources' rows.
+pub fn sssp<R: RowSource>(
+    sources: &[&R],
+    weight: impl Fn(R::Value) -> f64,
+    source: Index,
+) -> Vec<(Index, f64)> {
+    let min = |x: f64, y: f64| if x < y { x } else { y };
+    let n = dim(sources, &[source]);
+    let (mut dist, mut reached) = (vec![f64::INFINITY; n], Bitmap::new(n as Index));
+    (dist[source as usize], _) = (0.0, reached.insert(source));
+    // A vertex's cheapest offer of the round, while `offered` holds it.
+    let (mut best, mut offered) = (vec![f64::INFINITY; n], Bitmap::new(n as Index));
+    let mut moved = vec![source];
+    for _ in 0..n.max(1) {
+        for &u in &moved {
+            let du = dist[u as usize];
+            for s in sources {
+                s.any_run(u, |cols, cells| {
+                    for (&v, &cell) in cols.iter().zip(cells) {
+                        let (offer, b) = (du + weight(cell), &mut best[v as usize]);
+                        *b = if offered.insert(v) { offer } else { min(*b, offer) };
+                    }
+                    false
+                });
+            }
+        }
+        moved.clear();
+        for v in offered.iter() {
+            let (d, b, fresh) = (dist[v as usize], best[v as usize], reached.insert(v));
+            let next = if fresh { b } else { min(d, b) };
+            if fresh || next != d {
+                dist[v as usize] = next;
+                moved.push(v);
+            }
+        }
+        offered.clear();
+        if moved.is_empty() {
             break;
         }
-        dist = next;
     }
-    dist
+    reached.iter().map(|v| (v, dist[v as usize])).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphblas::SparseMatrix;
 
-    fn weighted() -> SparseMatrix<f64> {
-        // 0→1 (1), 1→2 (1), 0→2 (5): the two-hop path beats the direct edge.
-        SparseMatrix::from_triples(4, 4, &[(0, 1, 1.0), (1, 2, 1.0), (0, 2, 5.0)]).unwrap()
+    fn run(n: u64, edges: &[(u64, u64, f64)], source: u64) -> Vec<(u64, f64)> {
+        sssp(&[&SparseMatrix::from_triples(n, n, edges).unwrap()], |w| w, source)
     }
 
     #[test]
     fn multi_hop_path_beats_heavier_direct_edge() {
-        let dist = sssp(&weighted(), 0);
-        assert_eq!(dist.extract_element(0), Some(0.0));
-        assert_eq!(dist.extract_element(1), Some(1.0));
-        assert_eq!(dist.extract_element(2), Some(2.0));
-        assert_eq!(dist.extract_element(3), None);
+        // 0→1 (1), 1→2 (1), 0→2 (5): the two-hop path beats the direct edge.
+        let dist = run(4, &[(0, 1, 1.0), (1, 2, 1.0), (0, 2, 5.0)], 0);
+        assert_eq!(dist, [(0, 0.0), (1, 1.0), (2, 2.0)], "3 is unreachable");
     }
 
     #[test]
     fn unit_weights_reduce_to_bfs_distance() {
-        let w =
-            SparseMatrix::from_triples(5, 5, &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
-                .unwrap();
-        let dist = sssp(&w, 0);
-        assert_eq!(dist.extract_element(3), Some(1.0));
-        assert_eq!(dist.extract_element(2), Some(2.0));
+        let dist = run(5, &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)], 0);
+        assert_eq!(dist, [(0, 0.0), (1, 1.0), (2, 2.0), (3, 1.0)]);
     }
 
     #[test]
     fn cycle_converges_to_fixpoint() {
-        let w = SparseMatrix::from_triples(3, 3, &[(0, 1, 2.0), (1, 2, 2.0), (2, 0, 2.0)]).unwrap();
-        let dist = sssp(&w, 0);
-        assert_eq!(dist.extract_element(0), Some(0.0));
-        assert_eq!(dist.extract_element(1), Some(2.0));
-        assert_eq!(dist.extract_element(2), Some(4.0));
+        let dist = run(3, &[(0, 1, 2.0), (1, 2, 2.0), (2, 0, 2.0)], 0);
+        assert_eq!(dist, [(0, 0.0), (1, 2.0), (2, 4.0)]);
     }
 }

@@ -1,40 +1,52 @@
-//! Triangle counting with the "Sandia" masked-SpGEMM formulation:
-//! `ntri = Σ (L ⊙ (L ·(+,pair) Lᵀ))` where `L` is the strictly lower triangle
-//! of the symmetrised, loop-free adjacency matrix.
+//! Triangle counting in the "Sandia" formulation,
+//! `ntri = Σ (L ⊙ (L ·(+,pair) Lᵀ))` where `L` is the strictly lower
+//! triangle of the symmetrised, loop-free adjacency matrix, read as
+//! Gustavson's row-wise product: entry `(i, j)` of `L · Lᵀ` is the size of
+//! the intersection of the sorted rows `L[i]` and `L[j]`, and the mask asks
+//! for it only where `j` is in `L[i]`. Row `L[i]` is marked in a bitmap
+//! while each `L[j]` is intersected with it.
 
-use graphblas::prelude::*;
+use graphblas::{union_row, Bitmap, Index, RowSource};
 
-/// Number of undirected triangles in `adj`, counting each triangle once.
-/// Edge direction, parallel edges (one stored entry per pair) and self-loops
-/// are all ignored, as in LAGraph's `LAGr_TriangleCount`.
-pub fn triangle_count(adj: &SparseMatrix<bool>) -> u64 {
-    // Undirected, loop-free structure.
-    let sym = ewise_add_matrix(adj, &transpose(adj), &BinaryOp::LOr);
-    let sym = select_matrix(&sym, &SelectOp::OffDiag);
-    let lower = select_matrix(&sym, &SelectOp::StrictLower);
-
-    // The mask is the bool pattern; the operand carries u64 so PLUS_PAIR can
-    // count matched wedges.
-    let lower_triples: Vec<(u64, u64, u64)> = lower.iter().map(|(r, c, _)| (r, c, 1u64)).collect();
-    let l = SparseMatrix::from_triples(lower.nrows(), lower.ncols(), &lower_triples)
-        .expect("in bounds");
-
-    // C⟨L⟩ = L ·(+,pair) Lᵀ: C[i][j] counts the common lower neighbours of i
-    // and j, evaluated only on positions where the edge (i, j) exists — each
-    // triangle {k < j < i} is counted exactly once, at entry (i, j).
-    let mask = MatrixMask::new(&lower);
-    let desc = Descriptor::new().with_transpose_b().with_mask_structure();
-    let wedges = mxm(&l, &l, &Semiring::<u64>::plus_pair(), Some(&mask), &desc);
-    reduce_matrix_to_scalar(&wedges, &graphblas::monoid::plus_monoid())
+/// Number of undirected triangles in the union of `sources`, counting each
+/// triangle once. `sources` must hold both directions of every relation
+/// (each relation matrix and its transpose), so that a vertex's merged row
+/// is its undirected neighbourhood. Edge direction, a pair stored in several
+/// sources and self-loops are all ignored, as in LAGraph's
+/// `LAGr_TriangleCount`.
+pub fn triangle_count<R: RowSource>(sources: &[&R]) -> u64 {
+    // L: each vertex's neighbours below it, ascending, as one CSR.
+    let (mut row_ptr, mut lower, mut row) = (vec![0], Vec::new(), Vec::new());
+    let n = sources.iter().map(|s| s.nrows()).max().unwrap_or(0);
+    for v in 0..n {
+        union_row(sources, v, &mut row);
+        lower.extend_from_slice(&row[..row.partition_point(|&u| u < v)]);
+        row_ptr.push(lower.len());
+    }
+    let lower_row = |v: Index| &lower[row_ptr[v as usize]..row_ptr[v as usize + 1]];
+    // Triangle {w < u < v} is counted once, at entry (v, u), by w: a member
+    // of L[u] (so below u) that L[v], marked in `in_lv`, holds too.
+    let (mut in_lv, mut triangles) = (Bitmap::new(n), 0);
+    for v in 0..n {
+        let lv = lower_row(v);
+        lv.iter().for_each(|&u| _ = in_lv.insert(u));
+        for &u in lv {
+            triangles += lower_row(u).iter().filter(|&&w| in_lv.contains(w)).count() as u64;
+        }
+        lv.iter().for_each(|&u| _ = in_lv.remove(u));
+    }
+    triangles
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphblas::prelude::{transpose, SparseMatrix};
 
     fn count(dim: u64, edges: &[(u64, u64)]) -> u64 {
         let triples: Vec<(u64, u64, bool)> = edges.iter().map(|&(s, t)| (s, t, true)).collect();
-        triangle_count(&SparseMatrix::from_triples(dim, dim, &triples).unwrap())
+        let adj = SparseMatrix::from_triples(dim, dim, &triples).unwrap();
+        triangle_count(&[&adj, &transpose(&adj)])
     }
 
     #[test]

@@ -1,55 +1,55 @@
 //! Weakly connected components by min-label propagation: every vertex starts
-//! with its own id and repeatedly adopts the smallest label among its
-//! neighbours (both edge directions), one `MIN_FIRST` `vxm` per round.
+//! with its own id, and each edge pulls both its endpoints to the smaller of
+//! their labels until no label moves.
 
-use graphblas::prelude::*;
-use graphblas::Index;
+use crate::dim;
+use graphblas::{Index, RowSource};
 
-/// Component labels for the vertex set `nodes` of the directed graph `adj`,
+/// Component labels for the vertex set `nodes` of the union of `sources`,
 /// ignoring edge direction. Each vertex is labelled with the smallest vertex
 /// id of its weakly connected component, so labels are canonical: two
 /// vertices are connected iff their labels are equal.
 ///
+/// Each sweep reads every stored edge once, in each source's whole-matrix
+/// walk, and lowers the larger of its endpoints' labels to the smaller: so
+/// an edge carries a label both ways, and a sweep passes a label along a
+/// whole run of edges that ascend the walk. Labels only fall, and always
+/// name a vertex of the component, so the sweeps stop with every vertex at
+/// its component's smallest id.
+///
 /// # Panics
-/// Panics if a vertex id is out of bounds.
-pub fn wcc(adj: &SparseMatrix<bool>, nodes: &[Index]) -> Vec<(Index, Index)> {
-    // Symmetrise the structure into a u64 matrix so the FIRST multiply can
-    // carry the propagated label through the product.
-    let mut triples = Vec::with_capacity(2 * adj.nvals());
-    for (u, v, _) in adj.iter() {
-        triples.push((u, v, 1u64));
-        triples.push((v, u, 1u64));
-    }
-    let sym = SparseMatrix::from_triples_dup(adj.nrows(), adj.ncols(), &triples, |a, _| a)
-        .expect("in bounds");
-
-    let min_first =
-        Semiring::new(graphblas::monoid::min_monoid(u64::MAX), BinaryOp::First, "min_first");
-    let desc = Descriptor::default();
-
-    let entries: Vec<(Index, u64)> = nodes.iter().map(|&v| (v, v)).collect();
-    let mut labels = SparseVector::from_entries(adj.nrows(), &entries).expect("in bounds");
-
-    loop {
-        let propagated = vxm(&labels, &sym, &min_first, None, &desc);
-        let next = ewise_add_vector(&labels, &propagated, &BinaryOp::Min);
-        if next == labels {
-            break;
+/// Panics if a stored column lies beyond the dense arrays.
+pub fn wcc<R: RowSource>(sources: &[&R], nodes: &[Index]) -> Vec<(Index, Index)> {
+    let mut labels: Vec<Index> = (0..dim(sources, nodes) as Index).collect();
+    let mut moved = true;
+    while moved {
+        moved = false;
+        for s in sources {
+            s.runs(|u, cols, _| {
+                for &v in cols {
+                    let (lu, lv) = (labels[u as usize], labels[v as usize]);
+                    if lu != lv {
+                        let low = lu.min(lv);
+                        (labels[u as usize], labels[v as usize]) = (low, low);
+                        moved = true;
+                    }
+                }
+            });
         }
-        labels = next;
     }
-    nodes.iter().map(|&v| (v, labels.extract_element(v).unwrap_or(v))).collect()
+    nodes.iter().map(|&v| (v, labels[v as usize])).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphblas::SparseMatrix;
 
     fn labels(dim: u64, edges: &[(u64, u64)], n: u64) -> Vec<(u64, u64)> {
         let triples: Vec<(u64, u64, bool)> = edges.iter().map(|&(s, t)| (s, t, true)).collect();
         let adj = SparseMatrix::from_triples(dim, dim, &triples).unwrap();
         let nodes: Vec<u64> = (0..n).collect();
-        wcc(&adj, &nodes)
+        wcc(&[&adj], &nodes)
     }
 
     #[test]
@@ -68,7 +68,11 @@ mod tests {
 
     #[test]
     fn long_path_converges() {
+        // Up the ids and down them.
         let edges: Vec<(u64, u64)> = (0..9).map(|i| (i, i + 1)).collect();
+        let l = labels(10, &edges, 10);
+        assert!(l.iter().all(|&(_, c)| c == 0));
+        let edges: Vec<(u64, u64)> = (0..9).map(|i| (9 - i, 8 - i)).collect();
         let l = labels(10, &edges, 10);
         assert!(l.iter().all(|&(_, c)| c == 0));
     }

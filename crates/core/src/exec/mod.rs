@@ -4,11 +4,13 @@
 //! into a linear sequence of operations (scans, traversals, filters,
 //! projections, writes) that is then interpreted against a
 //! [`crate::store::graph::Graph`]. Traversal operations read the graph's
-//! sparse matrices — single hops walk matrix rows, variable-length hops run the
-//! direction-optimising bitmap BFS (complement-masked `vxm` push steps, `mxv`
-//! pull steps over the stored transposes) in
-//! [`crate::store::graph::Graph::khop_reach`] — which is exactly the
-//! "Cypher → linear algebra" translation the paper describes.
+//! sparse matrices in place — single hops walk matrix rows, variable-length
+//! hops run the direction-optimising bitmap BFS
+//! ([`crate::store::graph::Graph::khop_reached`]: push steps that OR each
+//! frontier row into a reached bitmap and mask it with the visited one a
+//! word at a time, pull steps over the stored transposes) — which is exactly
+//! the "Cypher → linear algebra" translation the paper describes. The `CALL
+//! algo.*` procedures read the same rows the same way.
 //!
 //! The pipeline is *materialised*: each operation maps a
 //! [`record::RecordBatch`] (one flat slot-major buffer of fixed-width

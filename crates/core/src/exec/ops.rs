@@ -23,7 +23,7 @@ use crate::store::graph::{Graph, TraverseDir};
 use crate::value::{EquivKey, EquivRow, Value};
 use crate::{EdgeId, NodeId};
 use cypher::{Direction, SortOrder};
-use graphblas::{Bitmap, SparseVector};
+use graphblas::Bitmap;
 use std::collections::{HashMap, HashSet};
 
 /// One step of an execution plan. Labels, relationship types and property
@@ -173,7 +173,7 @@ pub enum PlanOp {
 /// A relationship-pattern step: traverse relationships from the node in
 /// `src_slot`, binding reached nodes to `dst_slot` (and the traversed edge
 /// to `edge_slot` for single hops). Variable-length traversals run the
-/// bitmap BFS of [`Graph::khop_reach`] once per distinct source.
+/// bitmap BFS of [`Graph::khop_reached`] once per distinct source.
 #[derive(Debug, Clone)]
 pub struct Traverse {
     /// Slot of the already-bound source node.
@@ -485,7 +485,7 @@ pub fn run_prop_filter(
 /// A single hop reads each record's source row ([`Graph::neighbors`]); an
 /// Expand Into, whose destination is already bound, looks up only the
 /// `(source, destination)` cell of each selected relation instead. A
-/// variable-length hop runs one [`Graph::khop_reach`] per *distinct* source
+/// variable-length hop runs one [`Graph::khop_reached`] per *distinct* source
 /// node and shares its reached set among the records bound to that source.
 ///
 /// Rows come out record-major; within a record, per relation type forward
@@ -558,16 +558,16 @@ pub fn run_traverse(traverse: &Traverse, records: &RecordBatch, scope: &Scope<'_
 
     let max = hop_limit(graph, max_hops);
     let batch = BatchFrontier::new(records, src_slot);
-    let reached: Vec<SparseVector<bool>> = batch
+    let reached: Vec<Bitmap> = batch
         .sources
         .iter()
-        .map(|&src| graph.khop_reach(src, min_hops, max, dir, rel_ids))
+        .map(|&src| graph.khop_reached(src, min_hops, max, dir, rel_ids))
         .collect();
     for (record, row) in records.iter().zip(&batch.record_rows) {
         let Some(row) = *row else { continue };
         let reached = &reached[row];
         if !expand_into {
-            reached.indices().iter().for_each(|&n| bind(&mut out, record, Some(n), None));
+            reached.iter().for_each(|n| bind(&mut out, record, Some(n), None));
         } else if let Some(&Value::Node(t)) = record.get(dst_slot) {
             if reached.contains(t) {
                 out.push_copy(record);

@@ -2,13 +2,14 @@
 //! `crates/algo` exposed as row-streaming procedures that plug into the
 //! normal record pipeline (composable with `WHERE` / `ORDER BY` / `LIMIT`).
 //!
-//! Every procedure reads the graph's sparse matrices directly — the same
-//! substrate `MATCH` traversals multiply against — so analytics and queries
-//! share one representation, which is the paper's core argument.
+//! Every procedure reads the stored relation matrices in place, as `MATCH`
+//! traversals do (`algo.bfs` is their own bitmap BFS), so analytics and
+//! queries share one representation and one way to read it, which is the
+//! paper's core argument.
 
 use crate::error::QueryError;
 use crate::exec::record::RecordBatch;
-use crate::store::graph::Graph;
+use crate::store::graph::{Graph, TraverseDir};
 use crate::value::Value;
 use crate::NodeId;
 
@@ -96,9 +97,11 @@ fn node_arg(graph: &Graph, value: &Value, procedure: &str) -> Result<NodeId, Que
 
 fn proc_bfs(graph: &Graph, args: &[Value]) -> Result<RecordBatch, QueryError> {
     let source = node_arg(graph, &args[0], "algo.bfs")?;
-    let adj = graph.adjacency_matrix();
-    let levels = algo::bfs_levels(&adj, source);
-    Ok(levels.iter().map(|(node, level)| [Value::Node(node), Value::Int(level)]).collect())
+    let levels = graph.bfs_levels(source);
+    Ok(levels
+        .into_iter()
+        .map(|(node, level)| [Value::Node(node), Value::Int(level.into())])
+        .collect())
 }
 
 fn proc_sssp(graph: &Graph, args: &[Value]) -> Result<RecordBatch, QueryError> {
@@ -112,9 +115,9 @@ fn proc_sssp(graph: &Graph, args: &[Value]) -> Result<RecordBatch, QueryError> {
             )))
         }
     };
-    let weights = graph.weight_matrix(&weight_prop, 1.0);
-    let dist = algo::sssp(&weights, source);
-    Ok(dist.iter().map(|(node, d)| [Value::Node(node), Value::Float(d)]).collect())
+    let forward = graph.relations(TraverseDir::Outgoing);
+    let dist = algo::sssp(&forward, graph.cell_weight(&weight_prop, 1.0), source);
+    Ok(dist.into_iter().map(|(node, d)| [Value::Node(node), Value::Float(d)]).collect())
 }
 
 fn proc_pagerank(graph: &Graph, args: &[Value]) -> Result<RecordBatch, QueryError> {
@@ -132,16 +135,15 @@ fn proc_pagerank(graph: &Graph, args: &[Value]) -> Result<RecordBatch, QueryErro
     }
     if let Some(iters) = args.get(1) {
         let n = int_arg(iters, "algo.pagerank iteration cap")?;
-        if n <= 0 {
-            return Err(QueryError::Type(format!(
-                "algo.pagerank iteration cap must be positive, got {n}"
-            )));
-        }
-        config.max_iterations = n as u32;
+        config.max_iterations = u32::try_from(n).ok().filter(|&n| n > 0).ok_or_else(|| {
+            QueryError::Type(format!(
+                "algo.pagerank iteration cap must be in 1..={}, got {n}",
+                u32::MAX
+            ))
+        })?;
     }
     let nodes = graph.all_node_ids();
-    let adj = graph.adjacency_matrix();
-    let result = algo::pagerank(&adj, &nodes, &config);
+    let result = algo::pagerank(&graph.relations(TraverseDir::Incoming), &nodes, &config);
     Ok(result
         .scores
         .into_iter()
@@ -151,8 +153,7 @@ fn proc_pagerank(graph: &Graph, args: &[Value]) -> Result<RecordBatch, QueryErro
 
 fn proc_wcc(graph: &Graph, _args: &[Value]) -> Result<RecordBatch, QueryError> {
     let nodes = graph.all_node_ids();
-    let adj = graph.adjacency_matrix();
-    let labels = algo::wcc(&adj, &nodes);
+    let labels = algo::wcc(&graph.relations(TraverseDir::Outgoing), &nodes);
     Ok(labels
         .into_iter()
         .map(|(node, component)| [Value::Node(node), Value::Int(component as i64)])
@@ -160,8 +161,7 @@ fn proc_wcc(graph: &Graph, _args: &[Value]) -> Result<RecordBatch, QueryError> {
 }
 
 fn proc_triangles(graph: &Graph, _args: &[Value]) -> Result<RecordBatch, QueryError> {
-    let adj = graph.adjacency_matrix();
-    let count = algo::triangle_count(&adj);
+    let count = algo::triangle_count(&graph.relations(TraverseDir::Both));
     Ok([[Value::Int(count as i64)]].into_iter().collect())
 }
 

@@ -6,8 +6,8 @@
 //! * one **relation matrix per relationship type** whose stored values are
 //!   edge ids (so traversals can recover the traversed edge entity), plus its
 //!   transpose for reverse traversals — the only stored edge patterns: an
-//!   untyped hop reads every type's matrix, and the `algo.*` procedures take
-//!   the structural union of all of them, built on demand. A cell holding
+//!   untyped hop, and every `algo.*` procedure, reads every type's matrix
+//!   and takes their union as it goes. A cell holding
 //!   parallel same-type edges stores `LIST_TAG | slot` instead, naming an
 //!   ascending edge-id list in a DataBlock arena (RedisGraph 2.x's
 //!   multi-edge cells);
@@ -27,10 +27,10 @@
 //! to in O(log pending) instead of rebuilding CSR structures. The transposed
 //! matrices are maintained incrementally (an edge insert buffers `(dst,
 //! src)` into the transpose) rather than recomputed after every write
-//! query. Readers see the merged `main ∪ Δ⁺ \ Δ⁻` view a row at a time,
-//! merging only rows with pending changes; the one whole-matrix consumer,
-//! the `algo.*` procedures' union, materialises a merged copy, so no read
-//! needs a flush. A leaf folds its buffers into a fresh leaf alone, once its
+//! query. Every reader sees the merged `main ∪ Δ⁺ \ Δ⁻` view in place, a
+//! row at a time or in one walk of the leaves, merging only rows with
+//! pending changes, so no read needs a flush or a whole-matrix copy. A leaf
+//! folds its buffers into a fresh leaf alone, once its
 //! pending inserts and deletes reach its share of [`Graph::flush_threshold`]
 //! (`DELTA_MAX_PENDING_CHANGES`, which so caps each matrix's pending
 //! changes), or explicitly via [`Graph::sync_matrices`]. Rewriting a stored
@@ -622,22 +622,30 @@ impl Graph {
         self.nodes.iter().map(|(id, _)| id).collect()
     }
 
-    /// Ids of nodes carrying label `label`.
+    /// Ids of nodes carrying label `label`, ascending: the columns of its
+    /// diagonal matrix, in one walk of its rows.
     pub fn nodes_with_label(&self, label: LabelId) -> Vec<NodeId> {
-        self.label_matrices[label].to_triples().into_iter().map(|(r, _, _)| r).collect()
+        let m = &self.label_matrices[label];
+        let mut ids = Vec::with_capacity(m.nvals());
+        m.runs(|_, cols, _| ids.extend_from_slice(cols));
+        ids
     }
 
     /// The combined boolean adjacency matrix: the structural union of every
-    /// relation matrix's merged view, built in O(nnz) on each call (always
-    /// `Cow::Owned`; no combined copy of the edges is stored).
+    /// relation matrix's merged view, read a row of each at a time and built
+    /// on every call (always `Cow::Owned`; no combined copy of the edges is
+    /// stored). rgbench's ladder only; T9a deletes.
     pub fn adjacency_matrix(&self) -> Cow<'_, SparseMatrix<bool>> {
-        let union = self
-            .relation_matrices
-            .iter()
-            .map(|m| m.export().pattern())
-            .reduce(|a, b| ewise_add_matrix(&a, &b, &BinaryOp::LOr))
-            .unwrap_or_else(|| SparseMatrix::new(self.dim, self.dim));
-        Cow::Owned(union)
+        let relations: Vec<_> = self.relation_matrices.iter().collect();
+        let (mut row_ptr, mut cols, mut row) = (vec![0], Vec::new(), Vec::new());
+        for r in 0..self.dim {
+            union_row(&relations, r, &mut row);
+            cols.extend_from_slice(&row);
+            row_ptr.push(cols.len());
+        }
+        let values = vec![true; cols.len()];
+        let union = SparseMatrix::from_csr(self.dim, self.dim, row_ptr, cols, values);
+        Cow::Owned(union.expect("rows ascend, endpoints in range"))
     }
 
     /// The relation matrix for a relationship type id (merged view). A
@@ -655,9 +663,9 @@ impl Graph {
 
     /// The **counting** relation matrix for a relationship type: cell
     /// `(i, j)` holds the number of parallel type-`rel` edges from `i` to `j`
-    /// (`transposed` gives the reverse orientation), built in O(dim + nnz)
-    /// from the rows the fused traversal reads in place. The executor never
-    /// builds it: it is the operand of rgbench's whole-matrix `mxm` rung.
+    /// (`transposed` gives the reverse orientation), built from the rows the
+    /// fused traversal reads in place. rgbench's ladder only (the operand of
+    /// its whole-matrix `mxm` rung); T9a deletes.
     pub fn relation_count_matrix(
         &self,
         rel: RelTypeId,
@@ -691,31 +699,18 @@ impl Graph {
         });
     }
 
-    /// An `f64` matrix of edge weights read from property `prop` (edges
-    /// without the property, or with a non-numeric value, get `default`).
-    /// Parallel edges between the same endpoints keep the minimum weight —
-    /// the natural semantics for the min-plus shortest-path semiring the
-    /// `algo.sssp` procedure multiplies this matrix with. Built from each
-    /// relation's merged rows, a cell's parallel list at a time, and the
-    /// property slots of the edges they name.
-    pub fn weight_matrix(&self, prop: &str, default: f64) -> SparseMatrix<f64> {
+    /// The weight of a relation cell for `algo.sssp`: the smallest value of
+    /// property `prop` among the edges the cell holds, where an edge without
+    /// the property, or with a non-numeric value, weighs `default`.
+    pub(crate) fn cell_weight(&self, prop: &str, default: f64) -> impl Fn(u64) -> f64 + '_ {
         let attr = self.schema.attribute_id(prop);
-        let weight = |id: EdgeId| {
+        let weight = move |id: EdgeId| {
             let attributes = self.edges.get(id).expect("a cell names live edges");
             attr.and_then(|a| attributes.get(a).as_f64()).unwrap_or(default)
         };
-        let mut triples = Vec::new();
-        for m in &self.relation_matrices {
-            for src in 0..self.dim {
-                m.any_entry_in_row(src, |dst, cell| {
-                    let w = self.cell_edges(cell).map(weight).reduce(f64::min);
-                    triples.push((src, dst, w.expect("a cell holds an edge")));
-                    false
-                });
-            }
+        move |cell| {
+            self.cell_edges(cell).map(weight).reduce(f64::min).expect("a cell holds an edge")
         }
-        SparseMatrix::from_triples_dup(self.dim, self.dim, &triples, f64::min)
-            .expect("edge endpoints are in range")
     }
 
     /// Every edge of type `rel` from `src` to `dst`, in ascending edge-id
@@ -819,25 +814,18 @@ impl Graph {
             .collect()
     }
 
+    /// The stored matrices an untyped hop in direction `dir` pushes through
+    /// (see [`Graph::hop_pairs`]), which the `algo.*` procedures read.
+    pub(crate) fn relations(&self, dir: TraverseDir) -> Vec<&DeltaMatrix<u64>> {
+        self.hop_pairs(dir, None).into_iter().map(|(m, _)| m).collect()
+    }
+
     /// Algebraic k-hop reachability: the set of nodes reachable from `source`
     /// in between `min_hops` and `max_hops` hops following `dir` — over every
     /// edge, or only over the relation types in `rel_types` — computed as a
     /// level-synchronous, direction-optimising BFS on a bitmap visited set
-    /// (the core primitive behind the paper's k-hop benchmark). A source
-    /// outside the matrix dimension reaches nothing.
-    pub fn khop_reach(
-        &self,
-        source: NodeId,
-        min_hops: u32,
-        max_hops: u32,
-        dir: TraverseDir,
-        rel_types: Option<&[RelTypeId]>,
-    ) -> SparseVector<bool> {
-        self.khop_reached(source, min_hops, max_hops, dir, rel_types).to_vector()
-    }
-
-    /// [`Graph::khop_reach`]'s set as the BFS's own visited bitmap, for a
-    /// caller that only counts it or tests membership.
+    /// (the core primitive behind the paper's k-hop benchmark), returned as
+    /// that bitmap. A source outside the matrix dimension reaches nothing.
     pub fn khop_reached(
         &self,
         source: NodeId,
@@ -849,7 +837,20 @@ impl Graph {
         if source >= self.dim {
             return Bitmap::new(self.dim);
         }
-        bitmap_bfs(self.dim, &self.hop_pairs(dir, rel_types), (source, min_hops, max_hops))
+        let pairs = self.hop_pairs(dir, rel_types);
+        bitmap_bfs(self.dim, &pairs, (source, min_hops, max_hops), |_, _| {})
+    }
+
+    /// `algo.bfs`: the k-hop BFS from `source` over every outgoing edge,
+    /// recording the hop that finds each node, ascending by node (the source
+    /// at level 0).
+    pub(crate) fn bfs_levels(&self, source: NodeId) -> Vec<(NodeId, u32)> {
+        let mut levels = vec![0; self.dim as usize];
+        let pairs = self.hop_pairs(TraverseDir::Outgoing, None);
+        let reached = bitmap_bfs(self.dim, &pairs, (source, 0, u32::MAX), |hop, next| {
+            next.iter().for_each(|&v| levels[v as usize] = hop);
+        });
+        reached.iter().map(|v| (v, levels[v as usize])).collect()
     }
 
     /// Count of distinct nodes reachable within `k` hops (the TigerGraph
@@ -951,7 +952,9 @@ fn loaded<T: Scalar>(
 
 /// Level-synchronous BFS from `source` over the union of `pairs` (see
 /// [`Graph::hop_pairs`]): the set of vertices first reached between
-/// `min_hops` and `max_hops` hops, as a bitmap of size `dim`.
+/// `min_hops` and `max_hops` hops, as a bitmap of size `dim`. After each
+/// hop, `on_hop(hop, next)` sees the vertices that hop reached first; the
+/// k-hop callers pass a no-op, which compiles away.
 ///
 /// Each hop pushes the frontier through the push matrices or pulls it
 /// through their transposes, whichever Beamer's rule picks, into buffers
@@ -973,6 +976,7 @@ fn bitmap_bfs(
     dim: u64,
     pairs: &[MatrixPair<'_>],
     (source, min_hops, max_hops): (NodeId, u32, u32),
+    mut on_hop: impl FnMut(u32, &[NodeId]),
 ) -> Bitmap {
     let mut unexplored: u64 = pairs.iter().map(|(m, _)| m.nvals() as u64).sum();
     let pushes: Vec<_> = pairs.iter().map(|&(m, _)| m).collect();
@@ -1005,6 +1009,7 @@ fn bitmap_bfs(
         } else {
             bfs_push(&pushes, &frontier, &mut bits, &mut visited, &mut next);
         }
+        on_hop(hop, &next);
         if hop < min_hops {
             early.extend_from_slice(&next);
         }
@@ -1169,13 +1174,13 @@ mod tests {
         assert_eq!(g.khop_count(0, 6), 3);
         assert_eq!(g.khop_count(3, 3), 0);
         // min_hops: nodes first reached at exactly 2 hops
-        let exactly2 = g.khop_reach(0, 2, 2, TraverseDir::Outgoing, None);
+        let exactly2 = g.khop_reached(0, 2, 2, TraverseDir::Outgoing, None);
         // only node 3 (2 was already reached at hop 1)
         assert_eq!(exactly2.nvals(), 1);
         // incoming direction
-        assert_eq!(g.khop_reach(3, 1, 3, TraverseDir::Incoming, None).nvals(), 3);
+        assert_eq!(g.khop_reached(3, 1, 3, TraverseDir::Incoming, None).nvals(), 3);
         // both directions from the middle
-        assert!(g.khop_reach(2, 1, 1, TraverseDir::Both, None).nvals() >= 2);
+        assert!(g.khop_reached(2, 1, 1, TraverseDir::Both, None).nvals() >= 2);
     }
 
     #[test]
@@ -1190,16 +1195,22 @@ mod tests {
         g.add_edge(1, 2, "L", vec![]).unwrap();
         g.sync_matrices();
 
-        let zero_to_two = g.khop_reach(0, 0, 2, TraverseDir::Outgoing, None);
-        assert_eq!(zero_to_two.indices(), &[0, 1, 2]);
+        let zero_to_two = g.khop_reached(0, 0, 2, TraverseDir::Outgoing, None);
+        assert_eq!(zero_to_two.iter().collect::<Vec<_>>(), &[0, 1, 2]);
         // `*0` (zero hops exactly) is just the source.
-        let zero_only = g.khop_reach(1, 0, 0, TraverseDir::Outgoing, None);
-        assert_eq!(zero_only.indices(), &[1]);
+        let zero_only = g.khop_reached(1, 0, 0, TraverseDir::Outgoing, None);
+        assert_eq!(zero_only.iter().collect::<Vec<_>>(), &[1]);
         // An isolated source still reaches itself at hop 0 …
         let iso = g.add_node(&["Node"], vec![]);
-        assert_eq!(g.khop_reach(iso, 0, 5, TraverseDir::Both, None).indices(), &[iso]);
+        assert_eq!(
+            g.khop_reached(iso, 0, 5, TraverseDir::Both, None).iter().collect::<Vec<_>>(),
+            &[iso]
+        );
         // … and min_hops ≥ 1 still excludes it.
-        assert_eq!(g.khop_reach(0, 1, 2, TraverseDir::Outgoing, None).indices(), &[1, 2]);
+        assert_eq!(
+            g.khop_reached(0, 1, 2, TraverseDir::Outgoing, None).iter().collect::<Vec<_>>(),
+            &[1, 2]
+        );
     }
 
     #[test]
@@ -1209,8 +1220,8 @@ mod tests {
         let g = triangle();
         for source in [g.dim(), g.dim() + 1, u64::MAX] {
             assert_eq!(g.khop_count(source, 3), 0);
-            let reached = g.khop_reach(source, 0, 3, TraverseDir::Both, None);
-            assert!(reached.is_empty());
+            let reached = g.khop_reached(source, 0, 3, TraverseDir::Both, None);
+            assert_eq!(reached.nvals(), 0);
             assert_eq!(reached.size(), g.dim());
         }
     }
@@ -1222,7 +1233,7 @@ mod tests {
         let knows = g.schema.rel_type_id("KNOWS").unwrap();
         let lives = g.schema.rel_type_id("LIVES_IN").unwrap();
         let reach = |src, dir, types: &[RelTypeId]| {
-            g.khop_reach(src, 1, 3, dir, Some(types)).indices().to_vec()
+            g.khop_reached(src, 1, 3, dir, Some(types)).iter().collect::<Vec<_>>()
         };
         assert_eq!(reach(0, TraverseDir::Outgoing, &[knows]), vec![1]);
         assert_eq!(reach(0, TraverseDir::Outgoing, &[lives]), vec![2]);
@@ -1231,6 +1242,59 @@ mod tests {
         // Undirected over LIVES_IN only: c reaches a and b, b reaches a via c.
         assert_eq!(reach(1, TraverseDir::Both, &[lives]), vec![0, 2]);
         assert_eq!(reach(1, TraverseDir::Outgoing, &[]), Vec::<NodeId>::new());
+    }
+
+    /// A graph of `n` nodes holding `edges`, each under the type it names;
+    /// the edges before `folded` are flushed, the rest pending.
+    fn typed(n: u64, edges: &[(u64, u64, &str)], folded: usize) -> Graph {
+        let mut g = Graph::new("typed");
+        g.set_flush_threshold(1_000_000);
+        for _ in 0..n {
+            g.add_node(&["Node"], vec![]);
+        }
+        for (i, &(src, dst, rel)) in edges.iter().enumerate() {
+            if i == folded {
+                g.sync_matrices();
+            }
+            g.add_edge(src, dst, rel, vec![]).unwrap();
+        }
+        g
+    }
+
+    #[test]
+    fn bfs_levels_match_hop_distances() {
+        // 0→1, 0→2, 1→3, 2→3, 3→4 over two types, the last two pending;
+        // vertex 5 isolated.
+        let edges = [(0, 1, "R"), (0, 2, "S"), (1, 3, "R"), (2, 3, "S"), (3, 4, "R")];
+        let g = typed(6, &edges, 3);
+        assert!(g.has_pending_deltas());
+        assert_eq!(g.bfs_levels(0), [(0, 0), (1, 1), (2, 1), (3, 2), (4, 3)]);
+    }
+
+    #[test]
+    fn bfs_from_a_sink_reaches_only_itself() {
+        let edges = [(0, 1, "R"), (0, 2, "R"), (1, 3, "R"), (2, 3, "R"), (3, 4, "R")];
+        assert_eq!(typed(6, &edges, 5).bfs_levels(4), [(4, 0)]);
+    }
+
+    #[test]
+    fn bfs_shortcut_edges_produce_the_shorter_level() {
+        let g = typed(4, &[(0, 1, "R"), (1, 2, "R"), (0, 2, "S")], 1);
+        assert_eq!(g.bfs_levels(0), [(0, 0), (1, 1), (2, 1)]);
+    }
+
+    #[test]
+    fn bfs_cycles_terminate() {
+        let g = typed(3, &[(0, 1, "R"), (1, 2, "R"), (2, 0, "R")], 3);
+        assert_eq!(g.bfs_levels(0), [(0, 0), (1, 1), (2, 2)]);
+        // Each vertex reaches the 32 after it, cyclically: the second hop's
+        // frontier holds half the edges, so it pulls.
+        let edges: Vec<_> =
+            (0..64).flat_map(|u| (1..33).map(move |k| (u, (u + k) % 64, "R"))).collect();
+        let g = typed(64, &edges, 1000);
+        let want: Vec<(u64, u32)> =
+            (0..64).map(|v| (v, u32::from(v != 0) + u32::from(v > 32))).collect();
+        assert_eq!(g.bfs_levels(0), want);
     }
 
     #[test]
@@ -1472,7 +1536,10 @@ mod tests {
         // Two hops from the last old node: through the new one to 0, and
         // through its loaded edge.
         let two_hops = (((n - 1) * 7 + 1) % n * 7 + 1) % n;
-        assert_eq!(g.khop_reach(n - 1, 2, 2, TraverseDir::Outgoing, None).indices(), [0, two_hops]);
+        assert_eq!(
+            g.khop_reached(n - 1, 2, 2, TraverseDir::Outgoing, None).iter().collect::<Vec<_>>(),
+            [0, two_hops]
+        );
         assert_eq!(snap.dim(), 32_768);
         assert_eq!(snap.neighbors(n - 1, None, TraverseDir::Outgoing).len(), 1);
     }
@@ -1950,7 +2017,7 @@ mod tests {
         // Every read surface answers from the merged view.
         assert_eq!(labelled(&g, "Person"), vec![a, b]);
         assert_eq!(g.khop_count(a, 2), 2);
-        assert_eq!(g.khop_reach(c, 1, 2, TraverseDir::Incoming, None).nvals(), 2);
+        assert_eq!(g.khop_reached(c, 1, 2, TraverseDir::Incoming, None).nvals(), 2);
         assert_eq!(g.adjacency_matrix().nvals(), 2);
         let rs = g.query_readonly("MATCH (p:Person)-[:KNOWS]->(q) RETURN count(q)").unwrap();
         assert_eq!(rs.scalar(), Some(&Value::Int(1)));

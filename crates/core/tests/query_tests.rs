@@ -492,6 +492,80 @@ fn fractional_node_ids_are_rejected_not_truncated() {
     assert!(matches!(err, redisgraph_core::QueryError::Type(ref m) if m.contains("integer")));
 }
 
+#[test]
+fn pagerank_iteration_caps_outside_u32_are_type_errors() {
+    // A cap of 2^32 once wrapped to 0 rounds (uniform scores) and 2^32 + 1
+    // to one; every cap outside 1..=u32::MAX is the same error as 0.
+    let mut g = algo_graph();
+    for cap in ["0", "-1", "4294967296", "4294967297", "9223372036854775807"] {
+        let err = g.query(&format!("CALL algo.pagerank(0.85, {cap}) YIELD node RETURN node"));
+        assert!(
+            matches!(err, Err(redisgraph_core::QueryError::Type(ref m)) if m.contains("iteration cap")),
+            "cap {cap}: {err:?}"
+        );
+    }
+    let rs = g.query("CALL algo.pagerank(0.85, 4294967295) YIELD node RETURN count(node)").unwrap();
+    assert_eq!(rs.scalar(), Some(&Value::Int(6)));
+}
+
+/// A pair stored under two relation types is one edge of the union the
+/// procedures read: `u→v` under `R` and `S` plus `u→w` under `R`, with `z`
+/// deleted below the top id.
+fn two_type_graph() -> (Graph, [u64; 4]) {
+    let mut g = Graph::new("two-types");
+    let [u, z, v, w] = ["u", "z", "v", "w"]
+        .map(|name| g.add_node(&["N"], vec![("name", Value::Str(name.into()))]));
+    g.add_edge(u, v, "R", vec![("weight", Value::Float(5.0))]).unwrap();
+    g.add_edge(u, v, "S", vec![("weight", Value::Float(2.0))]).unwrap();
+    g.add_edge(u, w, "R", vec![]).unwrap();
+    g.add_edge(v, w, "S", vec![]).unwrap();
+    g.add_edge(w, u, "S", vec![]).unwrap();
+    assert!(g.delete_node(z));
+    (g, [u, z, v, w])
+}
+
+#[test]
+fn procedures_read_a_pair_stored_under_two_types_as_one_edge() {
+    let (g, [u, z, v, w]) = two_type_graph();
+    let rows = |q: &str| g.query_readonly(q).unwrap().rows.to_vec();
+    // u's out-degree is 2, not 3: v and w get equal shares of it, and the
+    // deleted z, below the top id, is no vertex.
+    let scores = rows("CALL algo.pagerank() YIELD node, score RETURN node, score");
+    let score =
+        |n: u64| scores.iter().find(|r| r[0] == Value::Node(n)).map(|r| r[1].as_f64().unwrap());
+    assert_eq!(score(z), None);
+    assert_eq!(scores.len(), 3);
+    let (su, sv, sw) = (score(u).unwrap(), score(v).unwrap(), score(w).unwrap());
+    assert!((su + sv + sw - 1.0).abs() < 1e-12);
+    // v is reached from u alone; w from u and from v, which passes on its
+    // whole score: w - v = 0.85 * v once u's share to each is equal.
+    assert!((sw - sv - 0.85 * sv).abs() < 1e-9, "{su} {sv} {sw}");
+    // The duplicate u→v is one side of the triangle u, v, w.
+    let tri = rows("CALL algo.triangles() YIELD triangles RETURN triangles");
+    assert_eq!(tri, vec![vec![Value::Int(1)]]);
+    // The cheaper of the two u→v types wins; the untyped-weight edges weigh 1.
+    let dist = rows("CALL algo.sssp(0) YIELD node, distance RETURN node, distance");
+    assert_eq!(
+        dist,
+        vec![
+            vec![Value::Node(u), Value::Float(0.0)],
+            vec![Value::Node(v), Value::Float(2.0)],
+            vec![Value::Node(w), Value::Float(1.0)],
+        ]
+    );
+    let levels = rows("CALL algo.bfs(0) YIELD node, level RETURN node, level");
+    assert_eq!(
+        levels,
+        vec![
+            vec![Value::Node(u), Value::Int(0)],
+            vec![Value::Node(v), Value::Int(1)],
+            vec![Value::Node(w), Value::Int(1)]
+        ]
+    );
+    let components = rows("CALL algo.wcc() YIELD node, component RETURN node, component");
+    assert!(components.iter().all(|r| r[1] == Value::Int(0)) && components.len() == 3);
+}
+
 // --- Expression depth budget ---------------------------------------------
 //
 // Each shape below once aborted the whole process with a stack overflow, even

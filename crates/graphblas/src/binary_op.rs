@@ -35,7 +35,8 @@ pub enum BinaryOp<T: Scalar> {
     /// Logical AND (meaningful for `bool`; for numeric types both operands must
     /// be non-zero).
     LAnd,
-    /// Logical OR.
+    /// Logical OR (rgbench's ladder grows its visited set with it; T9a
+    /// deletes that use).
     LOr,
     /// `z = x - y`.
     Minus,
@@ -66,14 +67,6 @@ impl<T: Scalar> BinaryOp<T> {
             BinaryOp::Minus => "minus",
             BinaryOp::Custom(_) => "custom",
         }
-    }
-
-    /// Construct a user-defined binary operator from a closure.
-    pub fn custom<F>(f: F) -> Self
-    where
-        F: Fn(T, T) -> T + Send + Sync + 'static,
-    {
-        BinaryOp::Custom(Arc::new(f))
     }
 }
 
@@ -195,7 +188,7 @@ mod tests {
 
     #[test]
     fn custom_operator_is_applied() {
-        let saturating = BinaryOp::custom(|x: u8, y: u8| x.saturating_add(y));
+        let saturating = BinaryOp::Custom(Arc::new(|x: u8, y: u8| x.saturating_add(y)));
         assert_eq!(u8::apply(&saturating, 200, 100), 255);
         assert_eq!(saturating.name(), "custom");
     }

@@ -1,4 +1,5 @@
-//! Bitmap vertex sets and the two structural BFS-step kernels built on them.
+//! Bitmap vertex sets, [`RowSource`] (the one way to read a stored matrix),
+//! and the two structural BFS-step kernels built on them.
 //!
 //! SuiteSparse:GraphBLAS keeps a vector whose entries are dense enough in
 //! *bitmap* format — one presence bit per position, O(1) test and insert —
@@ -9,9 +10,9 @@
 //!
 //! * [`bfs_push`] — `next⟨¬visited⟩ = frontier any.pair A`, a
 //!   complement-masked `vxm` that scans the out-edges of a sparse frontier;
-//! * [`bfs_pull`] — `next⟨¬visited⟩ = Aᵀ any.pair frontier`, an `mxv` over
-//!   the transpose that scans the in-edges of each unvisited vertex and stops
-//!   at the first one in a dense frontier.
+//! * [`bfs_pull`] — `next⟨¬visited⟩ = Aᵀ any.pair frontier`, a masked
+//!   product with the transpose that scans the in-edges of each unvisited
+//!   vertex and stops at the first one in a dense frontier.
 //!
 //! Both read only the matrix pattern, a row at a time through [`RowSource`],
 //! so one kernel serves any CSR matrix and a delta matrix with pending
@@ -20,10 +21,13 @@
 //! reached vertices, with no test or branch per edge, and then takes
 //! `reached ∧ ¬visited` word by word; a pull tests only the unvisited rows
 //! of each word. Neither allocates.
+//!
+//! The `algo` crate's algorithms and every whole-matrix copy read stored
+//! matrices through [`RowSource`] too: [`RowSource::runs`] walks every row
+//! in order, and [`union_row`] merges one row of several relations.
 
 use crate::matrix::SparseMatrix;
 use crate::types::Scalar;
-use crate::vector::SparseVector;
 use crate::Index;
 
 /// A set of positions `0..size` stored as one bit per position.
@@ -38,15 +42,6 @@ impl Bitmap {
     /// An empty set over positions `0..size`.
     pub fn new(size: Index) -> Self {
         Bitmap { size, words: vec![0; size.div_ceil(64) as usize], nvals: 0 }
-    }
-
-    /// The pattern of a sparse vector (values are ignored).
-    pub fn from_vector<T: Scalar>(v: &SparseVector<T>) -> Self {
-        let mut bitmap = Bitmap::new(v.size());
-        for &i in v.indices() {
-            bitmap.insert(i);
-        }
-        bitmap
     }
 
     /// Logical length of the set's universe.
@@ -105,14 +100,6 @@ impl Bitmap {
     pub fn iter(&self) -> impl Iterator<Item = Index> + '_ {
         self.words.iter().enumerate().flat_map(|(w, &word)| ones(w as Index * 64, word))
     }
-
-    /// The set as a boolean sparse vector of the same size (every stored
-    /// value `true`), in one ascending pass over the words.
-    pub fn to_vector(&self) -> SparseVector<bool> {
-        let mut indices = Vec::with_capacity(self.nvals);
-        indices.extend(self.iter());
-        SparseVector::from_sorted_parts(self.size, indices, vec![true; self.nvals])
-    }
 }
 
 /// The positions of the set bits of `word`, ascending, offset by `base`.
@@ -126,15 +113,31 @@ pub(crate) fn ones(base: Index, mut word: u64) -> impl Iterator<Item = Index> {
     })
 }
 
-/// The pattern of a matrix, one row at a time: all the BFS-step kernels read.
+/// A matrix read in place, a row at a time or in one row-major walk: the
+/// one way the BFS-step kernels, the `algo` crate and every whole-matrix
+/// copy read a stored matrix.
 pub trait RowSource {
+    /// The stored value type.
+    type Value: Scalar;
     /// Number of rows.
     fn nrows(&self) -> Index;
     /// Number of columns.
     fn ncols(&self) -> Index;
+    /// Call `f` on the entries of `row` as runs of ascending columns with
+    /// their values, in column order, until it returns `true`; returns
+    /// whether it did. A row may come as several runs, some of them empty.
+    fn any_run(&self, row: Index, f: impl FnMut(&[Index], &[Self::Value]) -> bool) -> bool;
+
+    /// Call `f(row, cols, vals)` on every run of the matrix, row-major, as
+    /// [`RowSource::any_run`] splits each row: the whole-matrix walk. Rows
+    /// with no entry may be skipped.
+    fn runs(&self, f: impl FnMut(Index, &[Index], &[Self::Value]));
+
     /// Call `f` on the columns of `row`, ascending, until it returns `true`;
     /// returns whether it did.
-    fn any_in_row<F: FnMut(Index) -> bool>(&self, row: Index, f: F) -> bool;
+    fn any_in_row(&self, row: Index, mut f: impl FnMut(Index) -> bool) -> bool {
+        self.any_run(row, |cols, _| cols.iter().any(|&j| f(j)))
+    }
 
     /// Call `f` on the columns of each of `rows` in turn: a push step's unit
     /// of work. A source stored in blocks of rows looks a block up once for
@@ -158,7 +161,25 @@ pub trait RowSource {
     }
 }
 
+/// The columns of `row` in the union of `sources`, into `buf`, ascending and
+/// each once: a pair stored in two sources is one entry of the union.
+pub fn union_row<R: RowSource>(sources: &[&R], row: Index, buf: &mut Vec<Index>) {
+    buf.clear();
+    for s in sources {
+        s.any_in_row(row, |j| {
+            buf.push(j);
+            false
+        });
+    }
+    if sources.len() > 1 {
+        buf.sort_unstable();
+        buf.dedup();
+    }
+}
+
 impl<T: Scalar> RowSource for SparseMatrix<T> {
+    type Value = T;
+
     fn nrows(&self) -> Index {
         self.nrows()
     }
@@ -167,8 +188,18 @@ impl<T: Scalar> RowSource for SparseMatrix<T> {
         self.ncols()
     }
 
-    fn any_in_row<F: FnMut(Index) -> bool>(&self, row: Index, mut f: F) -> bool {
-        self.row(row).0.iter().any(|&j| f(j))
+    fn any_run(&self, row: Index, mut f: impl FnMut(&[Index], &[T]) -> bool) -> bool {
+        let (cols, vals) = self.row(row);
+        f(cols, vals)
+    }
+
+    fn runs(&self, mut f: impl FnMut(Index, &[Index], &[T])) {
+        for row in 0..self.nrows() {
+            let (cols, vals) = self.row(row);
+            if !cols.is_empty() {
+                f(row, cols, vals);
+            }
+        }
     }
 }
 

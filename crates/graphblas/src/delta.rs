@@ -425,7 +425,9 @@ impl<T: Scalar> DeltaMatrix<T> {
         }
     }
 
-    /// A delta matrix holding `main`'s entries, with nothing pending.
+    /// A delta matrix holding `main`'s entries, with nothing pending: the
+    /// shrinking [`DeltaMatrix::resize`], and rgbench's ladder (T9a deletes
+    /// that use).
     pub fn from_matrix(main: SparseMatrix<T>) -> Self {
         Self::from_sorted(main.nrows(), main.ncols(), main.iter()).expect("a CSR is sorted")
     }
@@ -721,8 +723,7 @@ impl<T: Scalar> DeltaMatrix<T> {
     /// with nothing pending is its leaf's CSR slice; otherwise the slice is
     /// walked in runs between the row's pending changes, as by the fold.
     pub fn any_entry_in_row(&self, row: Index, mut f: impl FnMut(Index, T) -> bool) -> bool {
-        let each = |cols: &[Index], vals: &[T]| cols.iter().zip(vals).any(|(&c, &v)| f(c, v));
-        self.leaf(row).is_some_and(|leaf| leaf.any_run(row, each))
+        self.any_run(row, |cols, vals| cols.iter().zip(vals).any(|(&c, &v)| f(c, v)))
     }
 
     /// The merged degrees of `rows`, summed (Beamer's rule asks for a
@@ -744,23 +745,6 @@ impl<T: Scalar> DeltaMatrix<T> {
         })
     }
 
-    /// Call `f(row, cols, vals)` on every run of the merged view, in
-    /// row-major order: a leaf at a time, a row that may hold an entry at a
-    /// time (see [`Leaf::word`]), each row as [`Leaf::any_run`] splits it.
-    fn runs(&self, mut f: impl FnMut(Index, &[Index], &[T])) {
-        for (i, leaf) in self.leaves.iter() {
-            for first in (0..LEAF_ROWS as usize).step_by(64) {
-                let base = i as Index * LEAF_ROWS + first as Index;
-                for row in ones(base, leaf.word(first).0) {
-                    leaf.any_run(row, |cols, vals| {
-                        f(row, cols, vals);
-                        false
-                    });
-                }
-            }
-        }
-    }
-
     /// Export the merged view as `(row, col, value)` triples in row-major
     /// order.
     pub fn to_triples(&self) -> Vec<(Index, Index, T)> {
@@ -770,9 +754,10 @@ impl<T: Scalar> DeltaMatrix<T> {
     }
 
     /// Materialise the merged view as a standalone [`SparseMatrix`], in one
-    /// walk of the leaves. Only consumers of a whole matrix need it:
-    /// row-at-a-time readers (the BFS-step kernels, through [`RowSource`])
-    /// read the merged rows in place.
+    /// walk of the leaves ([`RowSource::runs`]). Only tests, diagnostics and
+    /// rgbench's ladder take one: every production reader (the BFS-step
+    /// kernels, the `algo` crate, the label scan) reads the merged rows in
+    /// place through [`RowSource`].
     pub fn export(&self) -> SparseMatrix<T> {
         let mut row_ptr = vec![0; self.nrows as usize + 1];
         let (mut cols, mut vals) = (Vec::with_capacity(self.nvals), Vec::with_capacity(self.nvals));
@@ -784,7 +769,7 @@ impl<T: Scalar> DeltaMatrix<T> {
         for row in 0..self.nrows as usize {
             row_ptr[row + 1] += row_ptr[row];
         }
-        SparseMatrix::from_csr_parts(self.nrows, self.ncols, row_ptr, cols, vals)
+        SparseMatrix::from_csr(self.nrows, self.ncols, row_ptr, cols, vals).expect("a valid CSR")
     }
 
     /// The leaves: the table a clone shares (diagnostic/test use, through
@@ -940,6 +925,8 @@ fn any_run<'a, T: Scalar>(
 
 /// The merged view, a row at a time (see [`DeltaMatrix::any_entry_in_row`]).
 impl<T: Scalar> RowSource for DeltaMatrix<T> {
+    type Value = T;
+
     fn nrows(&self) -> Index {
         self.nrows()
     }
@@ -948,8 +935,24 @@ impl<T: Scalar> RowSource for DeltaMatrix<T> {
         self.ncols()
     }
 
-    fn any_in_row<F: FnMut(Index) -> bool>(&self, row: Index, mut f: F) -> bool {
-        self.leaf(row).is_some_and(|leaf| leaf.any_run(row, |cols, _| cols.iter().any(|&j| f(j))))
+    fn any_run(&self, row: Index, f: impl FnMut(&[Index], &[T]) -> bool) -> bool {
+        self.leaf(row).is_some_and(|leaf| leaf.any_run(row, f))
+    }
+
+    /// A leaf at a time, a row that may hold an entry at a time (see
+    /// [`Leaf::word`]), each row as [`Leaf::any_run`] splits it.
+    fn runs(&self, mut f: impl FnMut(Index, &[Index], &[T])) {
+        for (i, leaf) in self.leaves.iter() {
+            for first in (0..LEAF_ROWS as usize).step_by(64) {
+                let base = i as Index * LEAF_ROWS + first as Index;
+                for row in ones(base, leaf.word(first).0) {
+                    leaf.any_run(row, |cols, vals| {
+                        f(row, cols, vals);
+                        false
+                    });
+                }
+            }
+        }
     }
 
     fn each_in_rows(&self, rows: &[Index], mut f: impl FnMut(Index)) {

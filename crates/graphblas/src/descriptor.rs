@@ -1,8 +1,8 @@
 //! Operation descriptors (`GrB_Descriptor`).
 //!
-//! A descriptor modifies how an operation treats its mask, inputs and output:
-//! complement the mask, use only the mask structure, and transpose either
-//! input.
+//! A descriptor modifies how an operation treats its mask: complement it,
+//! or use only its structure. rgbench's ladder only (its complemented,
+//! structural `vxm` mask); T9a deletes.
 
 /// Per-call modifiers for GraphBLAS operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -13,10 +13,6 @@ pub struct Descriptor {
     /// Use only the structure of the mask (`GrB_STRUCTURE`): any stored entry
     /// counts, regardless of its value.
     pub mask_structure: bool,
-    /// Transpose the first input (`GrB_TRAN` on `GrB_INP0`).
-    pub transpose_a: bool,
-    /// Transpose the second input (`GrB_TRAN` on `GrB_INP1`).
-    pub transpose_b: bool,
 }
 
 impl Descriptor {
@@ -36,18 +32,6 @@ impl Descriptor {
         self.mask_structure = true;
         self
     }
-
-    /// Builder: transpose the first input.
-    pub fn with_transpose_a(mut self) -> Self {
-        self.transpose_a = true;
-        self
-    }
-
-    /// Builder: transpose the second input.
-    pub fn with_transpose_b(mut self) -> Self {
-        self.transpose_b = true;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -57,14 +41,15 @@ mod tests {
     #[test]
     fn default_descriptor_has_no_modifiers() {
         let d = Descriptor::default();
-        assert!(!d.mask_complement && !d.mask_structure && !d.transpose_a && !d.transpose_b);
+        assert!(!d.mask_complement && !d.mask_structure);
     }
 
     #[test]
     fn builders_compose() {
-        let d = Descriptor::new().with_mask_complement().with_transpose_a();
+        let d = Descriptor::new().with_mask_complement();
         assert!(d.mask_complement);
-        assert!(d.transpose_a);
-        assert!(!d.transpose_b);
+        assert!(!d.mask_structure);
+        let d = d.with_mask_structure();
+        assert!(d.mask_complement && d.mask_structure);
     }
 }

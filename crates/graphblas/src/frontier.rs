@@ -5,9 +5,12 @@
 //! **frontier matrix** `F` (`batch × nodes`, one stored entry per row), the
 //! chain becomes the product `C = F ⊕.⊗ A₁ ⊕.⊗ A₂ …` over the relations'
 //! matrices, and row `i` of `C` holds exactly the destinations reachable from
-//! source `i` (with path counts under the counting semiring, or edge ids under
-//! `any_second`). This module builds `F` from `(row, node)` pairs; the result
+//! source `i` (with path counts under the counting semiring). This module builds `F` from `(row, node)` pairs; the result
 //! rows are read back out with [`SparseMatrix::row`].
+//!
+//! rgbench's ladder only (the operand of its `mxm` rung); T9a deletes. The
+//! fused traversal (`exec/algebraic.rs` in `redisgraph-core`) reads the
+//! stored rows in place a frontier row at a time instead.
 
 use crate::matrix::SparseMatrix;
 use crate::types::Scalar;
@@ -54,7 +57,7 @@ mod tests {
         let a = SparseMatrix::from_triples(4, 4, &[(0, 1, 7u64), (0, 2, 9), (1, 2, 4)]).unwrap();
         // Two records: record 0 at node 0, record 1 at node 1.
         let f = frontier_matrix::<u64>(2, 4, &[(0, 0), (1, 1)], 1);
-        let c = mxm(&f, &a, &Semiring::any_second(), None, &Descriptor::default());
+        let c = mxm(&f, &a, &Semiring::plus_times(), None, &Descriptor::default());
         let (cols, vals) = c.row(0);
         assert_eq!(cols, &[1, 2]);
         assert_eq!(vals, &[7, 9]);

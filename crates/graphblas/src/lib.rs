@@ -1,34 +1,48 @@
 //! # graphblas
 //!
 //! A pure-Rust reimplementation of the subset of the [GraphBLAS C API] /
-//! SuiteSparse:GraphBLAS that RedisGraph relies on, plus the general typed
-//! machinery (operators, monoids, semirings, masks, descriptors) needed to make
-//! it a usable standalone sparse linear-algebra library.
+//! SuiteSparse:GraphBLAS that RedisGraph relies on.
 //!
 //! The central idea — exploited by RedisGraph and described in the paper this
 //! repository reproduces — is the duality between graphs and sparse matrices:
 //! a graph traversal step is a (masked) sparse matrix–vector or matrix–matrix
 //! multiplication over a suitable semiring.
 //!
+//! A stored matrix is a [`DeltaMatrix`], and [`RowSource`] is the one way to
+//! read it: a row at a time or in one row-major walk, in place, pending
+//! changes merged. The BFS-step kernels ([`bfs_push`], [`bfs_pull`]), the
+//! `algo` crate's algorithms and every whole-matrix copy
+//! ([`DeltaMatrix::export`]) read through it. The whole-matrix kernels
+//! ([`vxm`], [`mxm`], [`transpose`](transpose::transpose),
+//! [`ewise_add_vector`](ewise::ewise_add_vector)) and the [`SparseMatrix`] /
+//! [`SparseVector`] / [`Semiring`] machinery they take serve rgbench's
+//! ladder only; T9a deletes them.
+//!
 //! ## Quick tour
 //!
 //! ```
 //! use graphblas::prelude::*;
 //!
-//! // A 4x4 boolean adjacency matrix of a directed path 0→1→2→3. Writes go
-//! // through a DeltaMatrix (RedisGraph's Δ⁺/Δ⁻ buffers over an immutable CSR).
+//! // A 4x4 adjacency matrix of a directed path 0→1→2→3. Writes go through a
+//! // DeltaMatrix (RedisGraph's Δ⁺/Δ⁻ buffers over immutable CSR leaves).
 //! let mut a = DeltaMatrix::<bool>::new(4, 4);
 //! for i in 0..3 {
 //!     a.set_element(i, i + 1, true);
 //! }
 //! a.flush(); // each leaf's buffered writes fold into a fresh CSR slice
+//! a.set_element(0, 2, true); // pending, and read through the merged view
 //!
-//! // One BFS step from vertex 0: frontier × adjacency over the LOR-LAND semiring.
-//! let mut frontier = SparseVector::<bool>::new(4);
-//! frontier.set_element(0, true);
-//! let next = vxm(&frontier, &a.export(), &Semiring::lor_land(), None, &Descriptor::default());
-//! assert_eq!(next.extract_element(1), Some(true));
-//! assert_eq!(next.nvals(), 1);
+//! // One BFS step from vertex 0, reading the rows in place:
+//! // next⟨¬visited⟩ = frontier any.pair A.
+//! let (mut visited, mut reached, mut next) = (Bitmap::new(4), Bitmap::new(4), Vec::new());
+//! visited.insert(0);
+//! bfs_push(&[&a], &[0], &mut reached, &mut visited, &mut next);
+//! assert_eq!(next, [1, 2]);
+//!
+//! // The whole-matrix walk: every stored entry, row-major.
+//! let mut entries = Vec::new();
+//! a.runs(|row, cols, _| entries.extend(cols.iter().map(|&col| (row, col))));
+//! assert_eq!(entries, [(0, 1), (0, 2), (1, 2), (2, 3)]);
 //! ```
 //!
 //! [GraphBLAS C API]: https://graphblas.org
@@ -46,15 +60,13 @@ pub mod matrix;
 pub mod monoid;
 pub mod mxm;
 pub mod mxv;
-pub mod reduce;
-pub mod select;
 pub mod semiring;
 pub mod transpose;
 pub mod types;
 pub mod vector;
 
 pub use binary_op::BinaryOp;
-pub use bitmap::{bfs_pull, bfs_push, Bitmap, RowSource};
+pub use bitmap::{bfs_pull, bfs_push, union_row, Bitmap, RowSource};
 pub use chunk_table::ChunkTable;
 pub use delta::{DeltaMatrix, DEFAULT_FLUSH_THRESHOLD};
 pub use descriptor::Descriptor;
@@ -64,7 +76,7 @@ pub use mask::{MatrixMask, VectorMask};
 pub use matrix::SparseMatrix;
 pub use monoid::Monoid;
 pub use mxm::mxm;
-pub use mxv::{mxv, vxm};
+pub use mxv::vxm;
 pub use semiring::Semiring;
 pub use types::Scalar;
 pub use vector::SparseVector;
@@ -72,20 +84,18 @@ pub use vector::SparseVector;
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
     pub use crate::binary_op::BinaryOp;
-    pub use crate::bitmap::{bfs_pull, bfs_push, Bitmap, RowSource};
+    pub use crate::bitmap::{bfs_pull, bfs_push, union_row, Bitmap, RowSource};
     pub use crate::chunk_table::ChunkTable;
     pub use crate::delta::{DeltaMatrix, DEFAULT_FLUSH_THRESHOLD};
     pub use crate::descriptor::Descriptor;
     pub use crate::error::{GrbError, GrbResult};
-    pub use crate::ewise::{ewise_add_matrix, ewise_add_vector};
+    pub use crate::ewise::ewise_add_vector;
     pub use crate::frontier::frontier_matrix;
     pub use crate::mask::{MatrixMask, VectorMask};
     pub use crate::matrix::SparseMatrix;
     pub use crate::monoid::Monoid;
     pub use crate::mxm::mxm;
-    pub use crate::mxv::{mxv, vxm};
-    pub use crate::reduce::reduce_matrix_to_scalar;
-    pub use crate::select::{select_matrix, SelectOp};
+    pub use crate::mxv::vxm;
     pub use crate::semiring::Semiring;
     pub use crate::transpose::transpose;
     pub use crate::types::Scalar;

@@ -1,4 +1,6 @@
-//! Masks: write-control objects for GraphBLAS operations.
+//! Masks: write-control objects for GraphBLAS operations. rgbench's ladder
+//! only (a [`VectorMask`] for its masked `vxm`, the [`MatrixMask`] `mxm`
+//! takes); T9a deletes.
 //!
 //! A mask restricts which output positions an operation may write. RedisGraph
 //! uses masks heavily — e.g. "all nodes with label L reachable in one hop but
@@ -32,11 +34,6 @@ impl<'a> VectorMask<'a> {
         };
         present != desc.mask_complement
     }
-
-    /// The underlying mask vector.
-    pub fn inner(&self) -> &SparseVector<bool> {
-        self.mask
-    }
 }
 
 /// A mask over matrix outputs.
@@ -60,11 +57,6 @@ impl<'a> MatrixMask<'a> {
             self.mask.extract_element(i, j).unwrap_or(false)
         };
         present != desc.mask_complement
-    }
-
-    /// The underlying mask matrix.
-    pub fn inner(&self) -> &SparseMatrix<bool> {
-        self.mask
     }
 }
 

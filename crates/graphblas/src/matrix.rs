@@ -5,6 +5,12 @@
 //! accessors borrow its arrays directly. Single-element writes are buffered by
 //! [`crate::DeltaMatrix`], which folds them into fresh CSR slices a leaf of
 //! rows at a time — the one pending-update mechanism in this crate.
+//!
+//! No production reader takes one: stored matrices are read in place through
+//! [`crate::RowSource`]. A `SparseMatrix` is the standalone copy
+//! [`crate::DeltaMatrix::export`] builds for tests and diagnostics, and the
+//! operand of the whole-matrix kernels, which serve rgbench's ladder only;
+//! T9a deletes that use.
 
 use crate::error::{check_index, GrbError, GrbResult};
 use crate::types::Scalar;
@@ -97,18 +103,18 @@ impl<T: Scalar> SparseMatrix<T> {
         Ok(SparseMatrix { nrows, ncols, row_ptr, col_idx, values })
     }
 
-    /// Construct directly from CSR parts produced by a kernel. The parts must
-    /// already satisfy the CSR invariants (checked in debug builds).
-    pub(crate) fn from_csr_parts(
+    /// Build a matrix from CSR arrays: row `i` is
+    /// `col_idx[row_ptr[i]..row_ptr[i + 1]]`, strictly ascending, with its
+    /// `values`. Arrays that break a CSR invariant are an error.
+    pub fn from_csr(
         nrows: Index,
         ncols: Index,
         row_ptr: Vec<usize>,
         col_idx: Vec<Index>,
         values: Vec<T>,
-    ) -> Self {
+    ) -> GrbResult<Self> {
         let m = SparseMatrix { nrows, ncols, row_ptr, col_idx, values };
-        debug_assert!(m.check_invariants().is_ok(), "kernel produced invalid CSR");
-        m
+        m.check_invariants().map(|()| m)
     }
 
     /// Number of rows.
@@ -147,18 +153,6 @@ impl<T: Scalar> SparseMatrix<T> {
         (&self.col_idx[start..end], &self.values[start..end])
     }
 
-    /// The structure of this matrix: a boolean matrix with `true` at every
-    /// stored entry. Shares no storage with `self`; O(nnz) copies, no sort.
-    pub fn pattern(&self) -> SparseMatrix<bool> {
-        SparseMatrix {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            row_ptr: self.row_ptr.clone(),
-            col_idx: self.col_idx.clone(),
-            values: vec![true; self.col_idx.len()],
-        }
-    }
-
     /// Number of stored entries in one row.
     pub fn row_degree(&self, row: Index) -> usize {
         self.row_ptr[row as usize + 1] - self.row_ptr[row as usize]
@@ -175,12 +169,7 @@ impl<T: Scalar> SparseMatrix<T> {
     /// Export all stored entries as `(row, col, value)` triples in row-major
     /// order.
     pub fn to_triples(&self) -> Vec<(Index, Index, T)> {
-        let mut out = Vec::with_capacity(self.nvals());
-        for r in 0..self.nrows {
-            let (cols, vals) = self.row(r);
-            out.extend(cols.iter().zip(vals).map(|(&c, &v)| (r, c, v)));
-        }
-        out
+        self.iter().collect()
     }
 
     /// Resize the matrix (GraphBLAS `GxB_Matrix_resize`). Growing adds empty
@@ -265,9 +254,8 @@ mod tests {
         assert_eq!(m.extract_element(2, 2), Some(7));
         assert_eq!(m.extract_element(2, 3), None);
         assert_eq!(m.row(0).0, &[1, 3]);
-        let pattern = m.pattern();
-        assert_eq!(pattern.row_ptr(), m.row_ptr());
-        assert_eq!(pattern.to_triples(), [(0, 1, true), (0, 3, true), (1, 0, true), (2, 2, true)]);
+        assert_eq!(m.row_ptr(), [0, 2, 3, 4]);
+        assert_eq!(m.to_triples(), [(0, 1, 10), (0, 3, 30), (1, 0, 5), (2, 2, 7)]);
     }
 
     #[test]

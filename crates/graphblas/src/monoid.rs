@@ -1,6 +1,6 @@
 //! Monoids (`GrB_Monoid`): an associative, commutative binary operator with an
-//! identity element, optionally with a *terminal* (annihilator) value that lets
-//! kernels exit a reduction early (SuiteSparse's `GxB_Monoid_terminal_new`).
+//! identity element, optionally with a *terminal* (annihilator) value at which
+//! a reduction may stop (SuiteSparse's `GxB_Monoid_terminal_new`).
 
 use crate::binary_op::{BinaryOp, OpApply};
 use crate::types::Scalar;
@@ -34,12 +34,6 @@ impl<T: Scalar + OpApply> Monoid<T> {
     pub fn combine(&self, x: T, y: T) -> T {
         T::apply(&self.op, x, y)
     }
-
-    /// True if `v` equals the terminal value (reduction can stop early).
-    #[inline]
-    pub fn is_terminal(&self, v: T) -> bool {
-        self.terminal.map(|t| t == v).unwrap_or(false)
-    }
 }
 
 /// The PLUS monoid over a numeric type.
@@ -47,26 +41,9 @@ pub fn plus_monoid<T: Scalar + OpApply>() -> Monoid<T> {
     Monoid::new(BinaryOp::Plus, T::zero())
 }
 
-/// The MIN monoid with a caller-supplied identity (the type's "+infinity").
-pub fn min_monoid<T: Scalar + OpApply>(identity: T) -> Monoid<T> {
-    Monoid::new(BinaryOp::Min, identity)
-}
-
-/// The MAX monoid with a caller-supplied identity (the type's "-infinity").
-pub fn max_monoid<T: Scalar + OpApply>(identity: T) -> Monoid<T> {
-    Monoid::new(BinaryOp::Max, identity)
-}
-
 /// The LOR monoid over `bool` (identity `false`, terminal `true`).
 pub fn lor_monoid() -> Monoid<bool> {
     Monoid::with_terminal(BinaryOp::LOr, false, true)
-}
-
-/// The ANY monoid: picks an arbitrary operand; every value is terminal, so a
-/// reduction may stop at the first entry it sees. This is what makes the
-/// ANY_PAIR semiring the cheapest possible structural traversal.
-pub fn any_monoid<T: Scalar + OpApply>() -> Monoid<T> {
-    Monoid { op: BinaryOp::Any, identity: T::zero(), terminal: None }
 }
 
 #[cfg(test)]
@@ -79,7 +56,7 @@ mod tests {
         let mut acc = m.identity;
         for &v in values {
             acc = m.combine(acc, v);
-            if m.is_terminal(acc) {
+            if m.terminal == Some(acc) {
                 break;
             }
         }
@@ -102,8 +79,8 @@ mod tests {
 
     #[test]
     fn min_max_monoids() {
-        let min = min_monoid(i64::MAX);
-        let max = max_monoid(i64::MIN);
+        let min = Monoid::new(BinaryOp::Min, i64::MAX);
+        let max = Monoid::new(BinaryOp::Max, i64::MIN);
         assert_eq!(reduce(&min, &[5, 2, 8]), 2);
         assert_eq!(reduce(&max, &[5, 2, 8]), 8);
         assert_eq!(reduce(&min, &[]), i64::MAX);
@@ -112,8 +89,7 @@ mod tests {
     #[test]
     fn lor_terminal_short_circuits() {
         let m = lor_monoid();
-        assert!(m.is_terminal(true));
-        assert!(!m.is_terminal(false));
+        assert_eq!(m.terminal, Some(true));
         assert!(reduce(&m, &[false, true, false]));
         assert!(!reduce(&m, &[false, false]));
     }

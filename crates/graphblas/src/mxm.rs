@@ -2,26 +2,24 @@
 //! SpGEMM on the calling thread.
 //!
 //! RedisGraph compiles a multi-hop `MATCH` pattern into a chain of `mxm`
-//! calls over the per-relation adjacency matrices; the mask is used to
-//! restrict the result to labelled nodes or to exclude already-bound ones.
-//! As in RedisGraph, which loads GraphBLAS single-threaded, a kernel never
-//! fans out: concurrency comes from running many queries at once on the
-//! server's threadpool.
+//! calls over the per-relation adjacency matrices. Here the fused traversal
+//! (`exec/algebraic.rs` in `redisgraph-core`) evaluates that product a
+//! frontier row at a time over the stored rows instead, and this
+//! whole-matrix kernel serves rgbench's ladder only (its
+//! `graphblas.mxm_2hop` rung); T9a deletes.
 
 use crate::binary_op::OpApply;
 use crate::descriptor::Descriptor;
 use crate::mask::MatrixMask;
 use crate::matrix::SparseMatrix;
 use crate::semiring::Semiring;
-use crate::transpose::transpose;
 use crate::types::Scalar;
 use crate::Index;
 
 /// `C = A ⊕.⊗ B` with an optional mask on the output.
 ///
 /// Dimensions: `A` is `m×k`, `B` is `k×n`, the result is `m×n`. The descriptor
-/// may request transposition of either input and mask complement /
-/// structural interpretation.
+/// may request mask complement / structural interpretation.
 ///
 /// # Panics
 /// Panics on dimension mismatch.
@@ -32,23 +30,6 @@ pub fn mxm<T: Scalar + OpApply>(
     mask: Option<&MatrixMask<'_>>,
     desc: &Descriptor,
 ) -> SparseMatrix<T> {
-    // Apply descriptor-requested transposes up front; correctness first, the
-    // transposes are linear in nnz.
-    let at;
-    let bt;
-    let a = if desc.transpose_a {
-        at = transpose(a);
-        &at
-    } else {
-        a
-    };
-    let b = if desc.transpose_b {
-        bt = transpose(b);
-        &bt
-    } else {
-        b
-    };
-
     assert_eq!(a.ncols(), b.nrows(), "mxm dimension mismatch: a.ncols != b.nrows");
     let m = a.nrows();
     let n = b.ncols();
@@ -91,7 +72,7 @@ pub fn mxm<T: Scalar + OpApply>(
         touched.clear();
         row_ptr.push(col_idx.len());
     }
-    SparseMatrix::from_csr_parts(m, n, row_ptr, col_idx, values)
+    SparseMatrix::from_csr(m, n, row_ptr, col_idx, values).expect("a valid CSR")
 }
 
 #[cfg(test)]
@@ -189,17 +170,6 @@ mod tests {
         );
         // two-hop 0→2 exists but is masked out because 0→2 is already an edge
         assert_eq!(c.nvals(), 0);
-    }
-
-    #[test]
-    fn transpose_descriptor_matches_explicit_transpose() {
-        let a = SparseMatrix::from_triples(3, 3, &[(0, 1, 2.0), (1, 2, 3.0), (2, 0, 4.0)]).unwrap();
-        let b = SparseMatrix::from_triples(3, 3, &[(0, 2, 1.0), (2, 1, 5.0)]).unwrap();
-        let via_desc =
-            mxm(&a, &b, &Semiring::plus_times(), None, &Descriptor::new().with_transpose_a());
-        let via_explicit =
-            mxm(&transpose(&a), &b, &Semiring::plus_times(), None, &Descriptor::default());
-        assert_eq!(via_desc, via_explicit);
     }
 
     #[test]

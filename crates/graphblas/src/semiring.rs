@@ -3,11 +3,11 @@
 //! traversal semantics:
 //!
 //! * `LOR_LAND` over `bool` — plain reachability / BFS,
-//! * `ANY_PAIR` — structural traversal where only the pattern matters
-//!   (RedisGraph's default for `MATCH` traversals),
-//! * `PLUS_TIMES` — conventional linear algebra (e.g. counting paths),
-//! * `MIN_PLUS` — shortest paths,
-//! * `PLUS_PAIR` — neighbourhood counting (k-hop count queries).
+//! * `PLUS_TIMES` — conventional linear algebra (e.g. counting paths).
+//!
+//! Whole-matrix products serve rgbench's ladder only: `lor_land` its
+//! masked-`vxm` rung, `plus_times` its `mxm` rung (T9a deletes them). The
+//! queries and `algo` read stored rows in place with plain loops.
 
 use crate::binary_op::{BinaryOp, OpApply};
 use crate::monoid::{self, Monoid};
@@ -43,42 +43,16 @@ impl<T: Scalar + OpApply> Semiring<T> {
         self.add.combine(a, b)
     }
 
-    /// The additive identity.
-    #[inline]
-    pub fn zero(&self) -> T {
-        self.add.identity
-    }
-
-    /// Conventional arithmetic semiring (⊕ = +, ⊗ = ×).
+    /// Conventional arithmetic semiring (⊕ = +, ⊗ = ×). rgbench's ladder only;
+    /// T9a deletes.
     pub fn plus_times() -> Self {
         Semiring::new(monoid::plus_monoid(), BinaryOp::Times, "plus_times")
-    }
-
-    /// Neighbourhood-count semiring (⊕ = +, ⊗ = pair): `C = A ⊕.⊗ B` counts,
-    /// for every output entry, how many intermediate vertices connect the pair.
-    pub fn plus_pair() -> Self {
-        Semiring::new(monoid::plus_monoid(), BinaryOp::Pair, "plus_pair")
-    }
-
-    /// Shortest-path semiring (⊕ = min, ⊗ = +) with the supplied "infinity".
-    pub fn min_plus(infinity: T) -> Self {
-        Semiring::new(monoid::min_monoid(infinity), BinaryOp::Plus, "min_plus")
-    }
-
-    /// Structural traversal semiring (⊕ = any, ⊗ = pair). The cheapest semiring
-    /// when only the output pattern matters; used by RedisGraph traversals.
-    pub fn any_pair() -> Self {
-        Semiring::new(monoid::any_monoid(), BinaryOp::Pair, "any_pair")
-    }
-
-    /// Keep-the-target semiring (⊕ = any, ⊗ = second).
-    pub fn any_second() -> Self {
-        Semiring::new(monoid::any_monoid(), BinaryOp::Second, "any_second")
     }
 }
 
 impl Semiring<bool> {
     /// Boolean reachability semiring (⊕ = ∨, ⊗ = ∧) — the classic BFS semiring.
+    /// rgbench's ladder only; T9a deletes.
     pub fn lor_land() -> Self {
         Semiring::new(monoid::lor_monoid(), BinaryOp::LAnd, "lor_land")
     }
@@ -93,7 +67,7 @@ mod tests {
         let s = Semiring::<i64>::plus_times();
         assert_eq!(s.mult(3, 4), 12);
         assert_eq!(s.add(3, 4), 7);
-        assert_eq!(s.zero(), 0);
+        assert_eq!(s.add.identity, 0);
         assert_eq!(s.name, "plus_times");
     }
 
@@ -103,12 +77,12 @@ mod tests {
         assert!(s.mult(true, true));
         assert!(!s.mult(true, false));
         assert!(s.add(false, true));
-        assert!(!s.zero());
+        assert!(!s.add.identity);
     }
 
     #[test]
     fn plus_pair_counts_matches() {
-        let s = Semiring::<u64>::plus_pair();
+        let s = Semiring::new(monoid::plus_monoid::<u64>(), BinaryOp::Pair, "plus_pair");
         // every matched pair contributes exactly 1 regardless of stored values
         assert_eq!(s.mult(17, 99), 1);
         assert_eq!(s.add(1, 1), 2);
@@ -116,15 +90,15 @@ mod tests {
 
     #[test]
     fn min_plus_shortest_path_algebra() {
-        let s = Semiring::<i64>::min_plus(i64::MAX / 2);
+        let s = Semiring::new(Monoid::new(BinaryOp::Min, i64::MAX / 2), BinaryOp::Plus, "min_plus");
         assert_eq!(s.mult(2, 3), 5);
         assert_eq!(s.add(7, 5), 5);
-        assert_eq!(s.zero(), i64::MAX / 2);
+        assert_eq!(s.add.identity, i64::MAX / 2);
     }
 
     #[test]
     fn any_first_propagates_left_value() {
-        let s = Semiring::new(monoid::any_monoid::<u64>(), BinaryOp::First, "any_first");
+        let s = Semiring::new(Monoid::new(BinaryOp::Any, 0u64), BinaryOp::First, "any_first");
         assert_eq!(s.mult(42, 7), 42);
     }
 }

@@ -1,8 +1,11 @@
 //! Matrix transposition (`GrB_transpose`) via a linear-time counting sort.
 //!
 //! RedisGraph keeps each relation matrix's transpose alongside the original so
-//! that right-to-left traversals (`(a)<-[]-(b)`) are as cheap as forward ones;
-//! this kernel is what maintains that pair.
+//! that right-to-left traversals (`(a)<-[]-(b)`) are as cheap as forward ones.
+//! The store builds its transposes leaf by leaf
+//! ([`crate::DeltaMatrix::transposed`]); this whole-matrix kernel serves
+//! rgbench's ladder (its `graphblas.transpose` rung) and the tests only; T9a
+//! deletes that use.
 
 use crate::matrix::SparseMatrix;
 use crate::types::Scalar;
@@ -38,7 +41,7 @@ pub fn transpose<T: Scalar>(a: &SparseMatrix<T>) -> SparseMatrix<T> {
             cursor[c as usize] += 1;
         }
     }
-    SparseMatrix::from_csr_parts(ncols, nrows, row_ptr, col_idx, values)
+    SparseMatrix::from_csr(ncols, nrows, row_ptr, col_idx, values).expect("a valid CSR")
 }
 
 #[cfg(test)]

@@ -1,4 +1,8 @@
 //! Sparse vectors (`GrB_Vector`), stored as parallel sorted index/value arrays.
+//!
+//! rgbench's ladder only (the frontier and visited set of its masked-`vxm`
+//! rung); T9a deletes. A BFS keeps its sets as [`crate::Bitmap`]s and the
+//! `algo` crate its state in dense arrays.
 
 use crate::error::{check_index, GrbError, GrbResult};
 use crate::types::Scalar;
@@ -148,16 +152,6 @@ impl<T: Scalar> SparseVector<T> {
         self.size = new_size;
     }
 
-    /// Densify into a `Vec<Option<T>>` of length `size` (for small vectors and
-    /// tests; not used by the hot kernels).
-    pub fn to_dense(&self) -> Vec<Option<T>> {
-        let mut out = vec![None; self.size as usize];
-        for (i, v) in self.iter() {
-            out[i as usize] = Some(v);
-        }
-        out
-    }
-
     /// Extract all stored entries as a vector of `(index, value)` tuples.
     pub fn to_entries(&self) -> Vec<(Index, T)> {
         self.iter().collect()
@@ -254,11 +248,5 @@ mod tests {
         v.resize(20);
         assert_eq!(v.size(), 20);
         assert_eq!(v.nvals(), 1);
-    }
-
-    #[test]
-    fn dense_conversion() {
-        let v = SparseVector::from_entries(4, &[(0, true), (2, true)]).unwrap();
-        assert_eq!(v.to_dense(), vec![Some(true), None, Some(true), None]);
     }
 }

@@ -56,7 +56,7 @@ fn snapshots_never_observe_a_half_applied_flush() {
                     // Matrix state must agree with the entity counts: with
                     // both edges, c is reachable from a in two hops; with
                     // neither, nothing is.
-                    let reached = snap.khop_reach(a, 1, 2, TraverseDir::Outgoing, None);
+                    let reached = snap.khop_reached(a, 1, 2, TraverseDir::Outgoing, None);
                     let expected = if edges == 2 { 2 } else { 0 };
                     assert_eq!(
                         reached.nvals(),
@@ -109,7 +109,8 @@ fn a_reader_pinned_before_a_leaf_fold_keeps_its_old_row() {
             for _ in 0..2 {
                 let row = pinned.neighbors(a, None, TraverseDir::Outgoing);
                 assert_eq!(row, vec![(b, ab)], "a pinned row changed under a leaf fold");
-                assert_eq!(pinned.khop_reach(a, 1, 1, TraverseDir::Outgoing, None).indices(), &[b]);
+                let reached = pinned.khop_reached(a, 1, 1, TraverseDir::Outgoing, None);
+                assert_eq!(reached.iter().collect::<Vec<_>>(), [b]);
                 thread::yield_now();
             }
         });

@@ -87,8 +87,9 @@ fn a_reader_sees_its_own_epoch_while_the_writer_copies_and_folds() {
                     assert_eq!(slot(ad), old, "edge slot from the wrong epoch");
                     assert!(slot(ab));
                     assert_eq!(snap.edge_count(), 3);
-                    let reached = snap.khop_reach(a, 1, 1, TraverseDir::Outgoing, None);
-                    assert_eq!(reached.indices(), &row[..], "matrices disagree with the row");
+                    let reached = snap.khop_reached(a, 1, 1, TraverseDir::Outgoing, None);
+                    let reached: Vec<_> = reached.iter().collect();
+                    assert_eq!(reached, row, "matrices disagree with the row");
                     let rs = snap.query_readonly(KHOP_COUNT).unwrap();
                     assert_eq!(rs.scalar(), Some(&Value::Int(count)), "k-hop count (old = {old})");
                     // Let the writer copy and fold between the two reads.

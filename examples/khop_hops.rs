@@ -10,7 +10,7 @@
 //! out-edge ranked by out-degree plus two-hop paths, as rgbench ranks its
 //! k-hop seeds, and taken evenly from the 45–55% and 95–97.5% bands of that
 //! ranking. Each hop
-//! takes the direction `Graph::khop_reach` takes (`beamer_pulls`), and
+//! takes the direction `Graph::khop_reached` takes (`beamer_pulls`), and
 //! prints it with the frontier and next sizes, the frontier's edges and the
 //! edges still unexplored (what the rule reads), the median µs of `bfs_push`
 //! and of `bfs_pull` over five runs from the same visited set, and the

@@ -8,11 +8,12 @@
 //!
 //! Layer map (bottom to top):
 //!
-//! * [`graphblas`] — sparse matrices/vectors and the algebraic kernels
-//!   (`mxm`, `mxv`/`vxm`, `ewise`, `transpose`, …);
-//! * [`algo`] — LAGraph-style whole-graph algorithms (BFS, SSSP, PageRank,
-//!   WCC, triangle counting) on the same matrix substrate, surfaced in
-//!   Cypher as `CALL algo.*` procedures;
+//! * [`graphblas`] — delta matrices read in place through `RowSource`, the
+//!   bitmap BFS steps, and (for rgbench's ladder) whole-matrix kernels;
+//! * [`algo`] — LAGraph-style whole-graph algorithms (SSSP, PageRank, WCC,
+//!   triangle counting) over the same stored rows, surfaced in Cypher as
+//!   `CALL algo.*` procedures with the BFS levels of the query engine's own
+//!   BFS;
 //! * [`cypher`] — openCypher lexer/parser producing the AST;
 //! * [`core`](redisgraph_core) — the graph store (DataBlocks + label and
 //!   relation matrices) and the AST→plan→GraphBLAS executor;

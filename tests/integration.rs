@@ -72,7 +72,7 @@ fn khop_agreement_across_all_three_paths() {
 
 /// `*0..n` variable-length patterns include the start node (hop 0) all the
 /// way through parser → planner → executor.
-/// Regression: `khop_reach` started its hop loop at 1 and silently dropped
+/// Regression: the k-hop BFS started its hop loop at 1 and silently dropped
 /// the source from the reached set.
 #[test]
 fn zero_min_hops_includes_the_start_node_end_to_end() {
@@ -248,7 +248,8 @@ fn algo_procedures_agree_with_direct_calls_and_baseline() {
         .scalar()
         .and_then(|v| v.as_i64())
         .unwrap() as u64;
-    assert_eq!(via_cypher, algo::triangle_count(&g.adjacency_matrix()));
+    let adj = g.adjacency_matrix();
+    assert_eq!(via_cypher, algo::triangle_count(&[&*adj, &graphblas::transpose::transpose(&adj)]));
     assert_eq!(via_cypher, baseline::algorithms::triangle_count(el.num_vertices, &el.edges));
 
     // WCC: component count agrees with the union-find oracle.

@@ -1,4 +1,4 @@
-//! Store-level differential for `Graph::khop_reach`, the direction-optimising
+//! Store-level differential for `Graph::khop_reached`, the direction-optimising
 //! bitmap BFS behind every variable-length traversal: its reached set must
 //! equal a plain queue BFS over the live edge list, for every direction,
 //! typed and untyped, `min_hops` ∈ {0, 1, 2}, bounded and unbounded.
@@ -120,16 +120,19 @@ fn check(case: &Case, sources: &[u64], ranges: &[(u32, u32)]) -> Result<(), Test
                     .map(|rs| rs.iter().filter_map(|&r| g.schema.rel_type_id(RELS[r])).collect());
                 let hops = oracle_hops(case, source, dir, rels.as_deref());
                 for &(min_hops, max_hops) in ranges {
-                    let got = g.khop_reach(source, min_hops, max_hops, dir, ids.as_deref());
+                    let got: Vec<u64> = g
+                        .khop_reached(source, min_hops, max_hops, dir, ids.as_deref())
+                        .iter()
+                        .collect();
                     let want: Vec<u64> = (0..case.nodes)
                         .filter(|&v| {
                             hops[v as usize].is_some_and(|h| (min_hops..=max_hops).contains(&h))
                         })
                         .collect();
                     prop_assert_eq!(
-                        got.indices(),
-                        want.as_slice(),
-                        "khop_reach({}, {}..{}, {:?}, {:?})",
+                        got,
+                        want,
+                        "khop_reached({}, {}..{}, {:?}, {:?})",
                         source,
                         min_hops,
                         max_hops,
@@ -148,8 +151,8 @@ fn check(case: &Case, sources: &[u64], ranges: &[(u32, u32)]) -> Result<(), Test
     let base = AdjacencyListGraph::from_edge_list(case.nodes, &dedup);
     for &source in sources {
         for k in [2, 6] {
-            let got = g.khop_reach(source, 1, k, TraverseDir::Outgoing, None);
-            prop_assert_eq!(got.indices().to_vec(), base.khop_set(source, k), "khop_set");
+            let got = g.khop_reached(source, 1, k, TraverseDir::Outgoing, None);
+            prop_assert_eq!(got.iter().collect::<Vec<_>>(), base.khop_set(source, k), "khop_set");
         }
     }
     Ok(())

@@ -16,8 +16,10 @@
 //! derived adjacency / relation / label matrices, equal per-type incoming
 //! neighbours (the relation transposes), equal Cypher query
 //! results on both the write and the read-only paths — including through an
-//! epoch [`GraphSnapshot`] — equal `CALL algo.*` procedure outputs, and
-//! k-hop counts that agree with the baseline BFS.
+//! epoch [`GraphSnapshot`] — every `CALL algo.*` procedure answering as the
+//! `baseline` crate's matrix-free algorithms do over the live edges (each
+//! edge weighted, so `algo.sssp` takes the cheapest of parallel and
+//! cross-type edges), and k-hop counts that agree with the baseline BFS.
 //!
 //! Two further (non-property) tests pin the MVCC semantics the server's
 //! lock-free read path depends on: a snapshot pinned at epoch N answers
@@ -67,7 +69,7 @@ const RELS: [&str; 3] = ["R0", "R1", "R2"];
 #[derive(Default)]
 struct Shadow {
     nodes: Vec<u64>,
-    edges: Vec<(u64, usize, u64, u64)>, // (edge id, index into RELS, src, dst)
+    edges: Vec<(u64, usize, u64, u64, f64)>, // (edge id, index into RELS, src, dst, weight)
 }
 
 /// Apply one step to both graphs (and the shadow). Both graphs run exactly
@@ -90,10 +92,14 @@ fn apply(step: Step, delta: &mut Graph, eager: &mut Graph, shadow: &mut Shadow) 
             let src = shadow.nodes[(src_sel as usize) % shadow.nodes.len()];
             let dst = shadow.nodes[(dst_sel as usize) % shadow.nodes.len()];
             let rel = (rel_sel % 3) as usize;
-            let id_d = delta.add_edge(src, dst, RELS[rel], vec![]).expect("live endpoints");
-            let id_e = eager.add_edge(src, dst, RELS[rel], vec![]).expect("live endpoints");
+            // A fifth of the edges has no weight and weighs 1.
+            let weight = ((src_sel + dst_sel) % 5) as f64 * 0.75;
+            let props = || (weight > 0.0).then(|| vec![("weight", Value::Float(weight))]);
+            let id_d = delta.add_edge(src, dst, RELS[rel], props().unwrap_or_default());
+            let id_e = eager.add_edge(src, dst, RELS[rel], props().unwrap_or_default());
+            let (id_d, id_e) = (id_d.expect("live endpoints"), id_e.expect("live endpoints"));
             assert_eq!(id_d, id_e, "edge id allocation diverged");
-            shadow.edges.push((id_d, rel, src, dst));
+            shadow.edges.push((id_d, rel, src, dst, if weight > 0.0 { weight } else { 1.0 }));
             true
         }
         Step::DeleteEdge { edge_sel } => {
@@ -101,7 +107,7 @@ fn apply(step: Step, delta: &mut Graph, eager: &mut Graph, shadow: &mut Shadow) 
                 return false;
             }
             let idx = (edge_sel as usize) % shadow.edges.len();
-            let (id, rel, src, dst) = shadow.edges.swap_remove(idx);
+            let (id, rel, src, dst, _) = shadow.edges.swap_remove(idx);
             let rel = delta.schema.rel_type_id(RELS[rel]).expect("made by its first edge") as u32;
             let edge = Value::Edge { id, src, dst, rel };
             assert_eq!((delta.delete_edge(&edge), eager.delete_edge(&edge)), (true, true));
@@ -114,7 +120,7 @@ fn apply(step: Step, delta: &mut Graph, eager: &mut Graph, shadow: &mut Shadow) 
             let idx = (node_sel as usize) % shadow.nodes.len();
             let nid = shadow.nodes.swap_remove(idx);
             assert_eq!(delta.delete_node(nid), eager.delete_node(nid));
-            shadow.edges.retain(|&(_, _, s, d)| s != nid && d != nid);
+            shadow.edges.retain(|&(_, _, s, d, _)| s != nid && d != nid);
             true
         }
         Step::SetProp { node_sel, value } => {
@@ -151,11 +157,75 @@ const CHECK_QUERIES: [&str; 6] = [
     "MATCH (a)<-[:R1]-(b) RETURN count(b)",
 ];
 
-/// Procedures whose row sets must match at checkpoints.
-const CHECK_PROCS: [&str; 2] = [
-    "CALL algo.wcc() YIELD node, component RETURN node, component ORDER BY node",
-    "CALL algo.triangles() YIELD triangles RETURN triangles",
-];
+/// A procedure's rows as `node id → its numeric column`.
+fn proc_rows(g: &Graph, query: &str) -> BTreeMap<u64, f64> {
+    let rs = g.query_readonly(query).unwrap_or_else(|e| panic!("`{query}`: {e}"));
+    let row = |row: &[Value]| match row {
+        [Value::Node(node), value] => (*node, value.as_f64().expect("a number")),
+        other => panic!("`{query}` returned {other:?}"),
+    };
+    rs.rows.iter().map(row).collect()
+}
+
+/// Every `CALL algo.*` procedure on `g` against the `baseline` algorithms
+/// over the shadow's live edges, self-loops included, with node ids as
+/// vertex ids (a deleted id is an isolated vertex, which no answer below
+/// reads) — but PageRank, whose vertex count is the live node count, runs
+/// on the live ids numbered in order. BFS levels, WCC labels and triangle
+/// counts must match exactly; SSSP distances and PageRank scores to 1e-9.
+fn check_procedures(who: &str, g: &Graph, shadow: &Shadow) -> Result<(), TestCaseError> {
+    use baseline::algorithms as oracle;
+    let n = shadow.nodes.iter().max().map_or(0, |&max| max + 1);
+    let mut pattern: Vec<(u64, u64)> = shadow.edges.iter().map(|e| (e.2, e.3)).collect();
+    pattern.sort_unstable();
+    pattern.dedup();
+    let mut live = shadow.nodes.clone();
+    live.sort_unstable();
+    let close = |got: &BTreeMap<u64, f64>, want: &BTreeMap<u64, f64>| {
+        got.len() == want.len()
+            && got.iter().zip(want).all(|((v, x), (w, y))| v == w && (x - y).abs() < 1e-9)
+    };
+
+    let triangles = g.query_readonly("CALL algo.triangles() YIELD triangles RETURN triangles");
+    let triangles = triangles.unwrap().scalar().and_then(Value::as_i64);
+    prop_assert_eq!(triangles, Some(oracle::triangle_count(n, &pattern) as i64), "{}", who);
+
+    let labels = oracle::wcc(n, &pattern);
+    let want = live.iter().map(|&v| (v, labels[v as usize] as f64)).collect();
+    let got = proc_rows(g, "CALL algo.wcc() YIELD node, component RETURN node, component");
+    prop_assert_eq!(got, want, "wcc on {}", who);
+
+    let number = |v: u64| live.binary_search(&v).expect("a live node") as u64;
+    let numbered: Vec<(u64, u64)> = pattern.iter().map(|&(s, d)| (number(s), number(d))).collect();
+    let (scores, _) = oracle::pagerank(live.len() as u64, &numbered, 0.85, 100, 1e-9);
+    let want = live.iter().zip(scores).map(|(&v, score)| (v, score)).collect();
+    let got = proc_rows(g, "CALL algo.pagerank() YIELD node, score RETURN node, score");
+    prop_assert!(close(&got, &want), "pagerank on {}: {:?} vs {:?}", who, got, want);
+
+    let weighted: Vec<(u64, u64, f64)> = shadow.edges.iter().map(|e| (e.2, e.3, e.4)).collect();
+    for &source in shadow.nodes.iter().take(3) {
+        let levels = oracle::bfs_levels(n, &pattern, source);
+        let reached = (0..n).filter(|&v| levels[v as usize] >= 0);
+        let want = reached.map(|v| (v, levels[v as usize] as f64)).collect();
+        let query = format!("CALL algo.bfs({source}) YIELD node, level RETURN node, level");
+        prop_assert_eq!(proc_rows(g, &query), want, "bfs from {} on {}", source, who);
+
+        let dist = oracle::sssp(n, &weighted, source);
+        let want = (0..n).filter(|&v| dist[v as usize].is_finite());
+        let want = want.map(|v| (v, dist[v as usize])).collect();
+        let query = format!("CALL algo.sssp({source}) YIELD node, distance RETURN node, distance");
+        let got = proc_rows(g, &query);
+        prop_assert!(
+            close(&got, &want),
+            "sssp from {} on {}: {:?} vs {:?}",
+            source,
+            who,
+            got,
+            want
+        );
+    }
+    Ok(())
+}
 
 fn checkpoint(delta: &Graph, eager: &Graph, shadow: &Shadow) -> Result<(), TestCaseError> {
     prop_assert_eq!(delta.node_count(), eager.node_count());
@@ -197,11 +267,6 @@ fn checkpoint(delta: &Graph, eager: &Graph, shadow: &Shadow) -> Result<(), TestC
         let e = eager.query_readonly(q).map(|rs| rs.rows);
         prop_assert_eq!(d.unwrap(), e.unwrap(), "query `{}` diverged", q);
     }
-    for q in CHECK_PROCS {
-        let d = delta.query_readonly(q).map(|rs| rs.rows);
-        let e = eager.query_readonly(q).map(|rs| rs.rows);
-        prop_assert_eq!(d.unwrap(), e.unwrap(), "procedure `{}` diverged", q);
-    }
 
     // The epoch-snapshot read path (what the server actually serves reads
     // from): a snapshot taken now must answer exactly like the live graphs,
@@ -213,11 +278,15 @@ fn checkpoint(delta: &Graph, eager: &Graph, shadow: &Shadow) -> Result<(), TestC
         prop_assert_eq!(s.unwrap(), e.unwrap(), "snapshot query `{}` diverged", q);
     }
 
+    for (who, g) in [("delta", delta), ("eager", eager), ("snapshot", &*snap)] {
+        check_procedures(who, g, shadow)?;
+    }
+
     // Every relation cell's edges, on both graphs and the snapshot, against
     // the shadow's ascending ids: parallel edges share one cell, so a bug in
     // how a cell names its edges shows here even when both graphs share it.
     let mut cells: BTreeMap<(usize, u64, u64), Vec<u64>> = BTreeMap::new();
-    for &(id, rel, src, dst) in &shadow.edges {
+    for &(id, rel, src, dst, _) in &shadow.edges {
         cells.entry((rel, src, dst)).or_default().push(id);
     }
     for (who, g) in [("delta", delta), ("eager", eager), ("snapshot", &*snap)] {
@@ -244,7 +313,7 @@ fn checkpoint(delta: &Graph, eager: &Graph, shadow: &Shadow) -> Result<(), TestC
         let max_id = shadow.nodes.iter().copied().max().unwrap_or(0) + 1;
         let mut oracle = AdjacencyListGraph::from_edge_list(max_id, &[]);
         let mut dedup: Vec<(u64, u64)> =
-            shadow.edges.iter().map(|&(_, _, s, d)| (s, d)).filter(|&(s, d)| s != d).collect();
+            shadow.edges.iter().map(|&(_, _, s, d, _)| (s, d)).filter(|&(s, d)| s != d).collect();
         dedup.sort_unstable();
         dedup.dedup();
         for (s, d) in dedup {
