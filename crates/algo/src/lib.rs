@@ -10,8 +10,8 @@
 //! |---|---|---|
 //! | [`sssp`] | forward rows of the vertices that moved, cells weighted by the caller | Bellman–Ford rounds |
 //! | [`pagerank`] | in-rows (the stored transposes), merged across relations | damped power iteration, pulled |
-//! | [`wcc`] | each relation's whole-matrix walk | min-label propagation |
-//! | [`triangle_count`] | both directions' rows, merged into sorted, loop-free lower rows | `L ⊙ L·Lᵀ` as sorted-row intersections |
+//! | [`wcc`] | each relation's whole-matrix walk, once | union-find |
+//! | [`triangle_count`] | each relation's whole-matrix walk, counted into sorted, loop-free lower rows | `L ⊙ L·Lᵀ` as sorted-row intersections |
 //!
 //! Each takes its relations as `&[&R]`: a pair stored in several is one edge
 //! of their union. `algo.bfs` is the query engine's own bitmap BFS recording
@@ -23,13 +23,14 @@
 //!
 //! // A triangle 0→1→2→0 and an edge 2→3 under two relation types, which
 //! // both store 0→1; vertex 4 has no edge.
-//! let r = DeltaMatrix::from_sorted(5, 5, [(0, 1, ()), (1, 2, ()), (2, 0, ())]).unwrap();
-//! let s = DeltaMatrix::from_sorted(5, 5, [(0, 1, ()), (2, 3, ())]).unwrap();
-//! let (rt, st) = (r.transposed(), s.transposed());
-//! assert_eq!(algo::triangle_count(&[&r, &rt, &s, &st]), 1);
+//! let relation = |pairs: &[(u64, u64)]| {
+//!     let walk = |f: &mut dyn FnMut(u64, u64)| pairs.iter().for_each(|&(u, v)| f(u, v));
+//!     DeltaMatrix::from_pairs(5, 5, walk, |_, _| ()).unwrap()
+//! };
+//! let (r, s) = (relation(&[(0, 1), (1, 2), (2, 0)]), relation(&[(0, 1), (2, 3)]));
+//! assert_eq!(algo::triangle_count(&[&r, &s]), 1);
 //! let labels = algo::wcc(&[&r, &s], &[0, 1, 2, 3, 4]);
 //! assert_eq!(labels, [(0, 0), (1, 0), (2, 0), (3, 0), (4, 4)]);
-//! ```
 //! ```
 
 pub mod pagerank;

@@ -102,11 +102,12 @@ pub fn pagerank<R: RowSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphblas::SparseMatrix;
+    use graphblas::{DeltaMatrix, SparseMatrix};
 
     fn run(dim: u64, edges: &[(u64, u64)], n: u64) -> PageRankResult {
         let triples: Vec<(u64, u64, bool)> = edges.iter().map(|&(s, t)| (t, s, true)).collect();
-        let in_rows = SparseMatrix::from_triples(dim, dim, &triples).unwrap();
+        let in_rows =
+            DeltaMatrix::from_matrix(SparseMatrix::from_triples(dim, dim, &triples).unwrap());
         let nodes: Vec<u64> = (0..n).collect();
         pagerank(&[&in_rows], &nodes, &PageRankConfig::default())
     }

@@ -38,7 +38,7 @@ pub fn sssp<R: RowSource>(
                 s.any_run(u, |cols, cells| {
                     for (&v, &cell) in cols.iter().zip(cells) {
                         let (offer, b) = (du + weight(cell), &mut best[v as usize]);
-                        *b = if offered.insert(v) { offer } else { min(*b, offer) };
+                        *b = if offered.insert(Index::from(v)) { offer } else { min(*b, offer) };
                     }
                     false
                 });
@@ -64,10 +64,11 @@ pub fn sssp<R: RowSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphblas::SparseMatrix;
+    use graphblas::{DeltaMatrix, SparseMatrix};
 
     fn run(n: u64, edges: &[(u64, u64, f64)], source: u64) -> Vec<(u64, f64)> {
-        sssp(&[&SparseMatrix::from_triples(n, n, edges).unwrap()], |w| w, source)
+        let stored = DeltaMatrix::from_matrix(SparseMatrix::from_triples(n, n, edges).unwrap());
+        sssp(&[&stored], |w| w, source)
     }
 
     #[test]

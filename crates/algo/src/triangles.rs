@@ -3,50 +3,57 @@
 //! triangle of the symmetrised, loop-free adjacency matrix, read as
 //! Gustavson's row-wise product: entry `(i, j)` of `L · Lᵀ` is the size of
 //! the intersection of the sorted rows `L[i]` and `L[j]`, and the mask asks
-//! for it only where `j` is in `L[i]`. Row `L[i]` is marked in a bitmap
-//! while each `L[j]` is intersected with it.
+//! for it only where `j` is in `L[i]`. `L` is built by the stored leaves'
+//! counting sort from one direction of each relation, and row `L[i]` is
+//! marked in a bitmap while each `L[j]` is intersected with it.
 
-use graphblas::{union_row, Bitmap, Index, RowSource};
+use graphblas::{Bitmap, DeltaMatrix, Index, RowSource};
 
 /// Number of undirected triangles in the union of `sources`, counting each
-/// triangle once. `sources` must hold both directions of every relation
-/// (each relation matrix and its transpose), so that a vertex's merged row
-/// is its undirected neighbourhood. Edge direction, a pair stored in several
-/// sources and self-loops are all ignored, as in LAGraph's
-/// `LAGr_TriangleCount`.
+/// triangle once. Each stored pair `(u, v)` is the edge `{u, v}`: edge
+/// direction, a pair stored in several sources or in both directions, and
+/// self-loops are all ignored, as in LAGraph's `LAGr_TriangleCount`.
 pub fn triangle_count<R: RowSource>(sources: &[&R]) -> u64 {
-    // L: each vertex's neighbours below it, ascending, as one CSR.
-    let (mut row_ptr, mut lower, mut row) = (vec![0], Vec::new(), Vec::new());
-    let n = sources.iter().map(|s| s.nrows()).max().unwrap_or(0);
-    for v in 0..n {
-        union_row(sources, v, &mut row);
-        lower.extend_from_slice(&row[..row.partition_point(|&u| u < v)]);
-        row_ptr.push(lower.len());
-    }
-    let lower_row = |v: Index| &lower[row_ptr[v as usize]..row_ptr[v as usize + 1]];
-    // Triangle {w < u < v} is counted once, at entry (v, u), by w: a member
-    // of L[u] (so below u) that L[v], marked in `in_lv`, holds too.
-    let (mut in_lv, mut triangles) = (Bitmap::new(n), 0);
-    for v in 0..n {
-        let lv = lower_row(v);
-        lv.iter().for_each(|&u| _ = in_lv.insert(u));
-        for &u in lv {
-            triangles += lower_row(u).iter().filter(|&&w| in_lv.contains(w)).count() as u64;
+    // L: each vertex's neighbours below it, ascending and each once.
+    let n = sources.iter().map(|s| s.nrows().max(s.ncols())).max().unwrap_or(0);
+    let edges = |f: &mut dyn FnMut(Index, Index)| {
+        for s in sources {
+            s.runs(|u, cols, _| {
+                let below = cols.iter().map(|&v| Index::from(v)).filter(|&v| v != u);
+                below.for_each(|v| f(u.max(v), u.min(v)));
+            });
         }
-        lv.iter().for_each(|&u| _ = in_lv.remove(u));
-    }
+    };
+    let lower = DeltaMatrix::from_pairs(n, n, edges, |_, _| ()).expect("stored pairs in bounds");
+    // Triangle {w < u < v} is counted once, at entry (v, u), by w: a member
+    // of L[u] (so below u) that L[v], marked in `in_lv`, holds too. `lower`
+    // has nothing pending, so each row is one run.
+    let (mut in_lv, mut triangles) = (Bitmap::new(n), 0);
+    lower.runs(|_, lv, _| {
+        lv.iter().for_each(|&u| _ = in_lv.insert(Index::from(u)));
+        for &u in lv {
+            lower.any_in_row(Index::from(u), |w| {
+                triangles += u64::from(in_lv.contains(w));
+                false
+            });
+        }
+        lv.iter().for_each(|&u| _ = in_lv.remove(Index::from(u)));
+    });
     triangles
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphblas::prelude::{transpose, SparseMatrix};
+    use graphblas::SparseMatrix;
 
+    /// The count over the stored edges, and over them with their transpose.
     fn count(dim: u64, edges: &[(u64, u64)]) -> u64 {
         let triples: Vec<(u64, u64, bool)> = edges.iter().map(|&(s, t)| (s, t, true)).collect();
-        let adj = SparseMatrix::from_triples(dim, dim, &triples).unwrap();
-        triangle_count(&[&adj, &transpose(&adj)])
+        let adj = DeltaMatrix::from_matrix(SparseMatrix::from_triples(dim, dim, &triples).unwrap());
+        let both = triangle_count(&[&adj]);
+        assert_eq!(triangle_count(&[&adj.transposed()]), both);
+        both
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Weakly connected components by min-label propagation: every vertex starts
-//! with its own id, and each edge pulls both its endpoints to the smaller of
-//! their labels until no label moves.
+//! Weakly connected components by union-find (LAGraph's `LAGr_ConnectedComponents`
+//! answer, without its sampling): one pass over every stored edge links its
+//! endpoints' trees.
 
 use crate::dim;
 use graphblas::{Index, RowSource};
@@ -10,44 +10,54 @@ use graphblas::{Index, RowSource};
 /// id of its weakly connected component, so labels are canonical: two
 /// vertices are connected iff their labels are equal.
 ///
-/// Each sweep reads every stored edge once, in each source's whole-matrix
-/// walk, and lowers the larger of its endpoints' labels to the smaller: so
-/// an edge carries a label both ways, and a sweep passes a label along a
-/// whole run of edges that ascend the walk. Labels only fall, and always
-/// name a vertex of the component, so the sweeps stop with every vertex at
-/// its component's smallest id.
+/// One walk of each source's rows reads every stored edge once, so a row
+/// with changes pending is merged once per call. Each edge finds its
+/// endpoints' roots, halving the paths it walks (a row's own root is found
+/// once), and links the larger root under the smaller. A root so stays the
+/// smallest id of its tree, and each vertex's root is its component's
+/// smallest id. Parents are `u32`s, as stored columns are.
 ///
 /// # Panics
-/// Panics if a stored column lies beyond the dense arrays.
+/// Panics if a stored column, or a vertex of `nodes`, lies beyond the
+/// dense arrays or past `u32::MAX`.
 pub fn wcc<R: RowSource>(sources: &[&R], nodes: &[Index]) -> Vec<(Index, Index)> {
-    let mut labels: Vec<Index> = (0..dim(sources, nodes) as Index).collect();
-    let mut moved = true;
-    while moved {
-        moved = false;
-        for s in sources {
-            s.runs(|u, cols, _| {
-                for &v in cols {
-                    let (lu, lv) = (labels[u as usize], labels[v as usize]);
-                    if lu != lv {
-                        let low = lu.min(lv);
-                        (labels[u as usize], labels[v as usize]) = (low, low);
-                        moved = true;
-                    }
-                }
-            });
-        }
+    let dim = u32::try_from(dim(sources, nodes)).expect("vertex ids a u32 holds");
+    let mut parent: Vec<u32> = (0..dim).collect();
+    for s in sources {
+        s.runs(|u, cols, _| {
+            let mut ru = root(&mut parent, u as u32);
+            for &v in cols {
+                let rv = root(&mut parent, v);
+                parent[ru.max(rv) as usize] = ru.min(rv);
+                ru = ru.min(rv);
+            }
+        });
     }
-    nodes.iter().map(|&v| (v, labels[v as usize])).collect()
+    nodes.iter().map(|&v| (v, Index::from(root(&mut parent, v as u32)))).collect()
+}
+
+/// The root of `v`'s tree, each vertex on the way pointed at its
+/// grandparent (path halving).
+fn root(parent: &mut [u32], mut v: u32) -> u32 {
+    loop {
+        let p = parent[v as usize];
+        let grandparent = parent[p as usize];
+        if grandparent == p {
+            return p;
+        }
+        parent[v as usize] = grandparent;
+        v = grandparent;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphblas::SparseMatrix;
+    use graphblas::{DeltaMatrix, SparseMatrix};
 
     fn labels(dim: u64, edges: &[(u64, u64)], n: u64) -> Vec<(u64, u64)> {
         let triples: Vec<(u64, u64, bool)> = edges.iter().map(|&(s, t)| (s, t, true)).collect();
-        let adj = SparseMatrix::from_triples(dim, dim, &triples).unwrap();
+        let adj = DeltaMatrix::from_matrix(SparseMatrix::from_triples(dim, dim, &triples).unwrap());
         let nodes: Vec<u64> = (0..n).collect();
         wcc(&[&adj], &nodes)
     }

@@ -12,6 +12,7 @@
 //! entry, and the variable names `EXPLAIN` prints. No run function sees a
 //! name: the plan's [`NameTable`] is resolved once per execution.
 
+use crate::error::QueryError;
 use crate::exec::aggregate::{Accumulator, AggFunc};
 use crate::exec::algebraic::AlgebraicExpression;
 use crate::exec::expr::{property, NameIds, NameTable, Scope, SlotExpr};
@@ -842,14 +843,14 @@ pub fn run_with(
 
 /// Execute a `CREATE` op for every incoming record. Labels, types and keys
 /// the graph does not have yet are created on first use and recorded in
-/// `names`.
+/// `names`. A node id past the matrices' dimension cap is an error.
 pub fn run_create(
     patterns: &[CreatePattern],
     records: &mut RecordBatch,
     graph: &mut Graph,
     names: &mut NameIds<'_>,
     stats: &mut QueryStats,
-) {
+) -> Result<(), QueryError> {
     if records.is_empty() {
         records.push_nulls();
     }
@@ -857,9 +858,9 @@ pub fn run_create(
         let record = &mut records[i];
         for pattern in patterns {
             // Create / resolve the start node, then walk the steps.
-            let mut prev = resolve_or_create_node(&pattern.start, record, graph, names, stats);
+            let mut prev = resolve_or_create_node(&pattern.start, record, graph, names, stats)?;
             for (rel, node) in &pattern.steps {
-                let current = resolve_or_create_node(node, record, graph, names, stats);
+                let current = resolve_or_create_node(node, record, graph, names, stats)?;
                 let rel_type = names.rel_type_or_create(rel.rel_type, graph);
                 let attrs = attribute_set(&rel.props, graph, names);
                 stats.properties_set += rel.props.len();
@@ -873,6 +874,7 @@ pub fn run_create(
             }
         }
     }
+    Ok(())
 }
 
 /// A compiled property map as an attribute set.
@@ -894,20 +896,20 @@ fn resolve_or_create_node(
     graph: &mut Graph,
     names: &mut NameIds<'_>,
     stats: &mut QueryStats,
-) -> NodeId {
+) -> Result<NodeId, QueryError> {
     if let Some(&Value::Node(id)) = node.slot.and_then(|slot| record.get(slot)) {
-        return id;
+        return Ok(id);
     }
     let labels = node.labels.iter().map(|&l| names.label_or_create(l, graph)).collect();
     let attrs = attribute_set(&node.props, graph, names);
     stats.properties_set += node.props.len();
     stats.labels_added += node.labels.len();
-    let id = graph.create_node(labels, attrs);
+    let id = graph.create_node(labels, attrs)?;
     stats.nodes_created += 1;
     if let Some(slot) = node.slot {
         record[slot] = Value::Node(id);
     }
-    id
+    Ok(id)
 }
 
 /// Execute a `DELETE` op over the entities in `slots`.

@@ -267,7 +267,7 @@ impl ExecutionPlan {
                     }
                     PlanOp::Create { patterns } => {
                         let graph = access.graph_mut()?;
-                        run_create(patterns, &mut records, graph, &mut names, &mut stats);
+                        run_create(patterns, &mut records, graph, &mut names, &mut stats)?;
                     }
                     PlanOp::Delete { slots } => {
                         run_delete(slots, &records, access.graph_mut()?, &mut stats);

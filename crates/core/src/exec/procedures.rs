@@ -9,7 +9,7 @@
 
 use crate::error::QueryError;
 use crate::exec::record::RecordBatch;
-use crate::store::graph::{Graph, TraverseDir};
+use crate::store::graph::Graph;
 use crate::value::Value;
 use crate::NodeId;
 
@@ -115,7 +115,7 @@ fn proc_sssp(graph: &Graph, args: &[Value]) -> Result<RecordBatch, QueryError> {
             )))
         }
     };
-    let forward = graph.relations(TraverseDir::Outgoing);
+    let forward = graph.relations();
     let dist = algo::sssp(&forward, graph.cell_weight(&weight_prop, 1.0), source);
     Ok(dist.into_iter().map(|(node, d)| [Value::Node(node), Value::Float(d)]).collect())
 }
@@ -143,7 +143,7 @@ fn proc_pagerank(graph: &Graph, args: &[Value]) -> Result<RecordBatch, QueryErro
         })?;
     }
     let nodes = graph.all_node_ids();
-    let result = algo::pagerank(&graph.relations(TraverseDir::Incoming), &nodes, &config);
+    let result = algo::pagerank(&graph.transposes(), &nodes, &config);
     Ok(result
         .scores
         .into_iter()
@@ -153,7 +153,7 @@ fn proc_pagerank(graph: &Graph, args: &[Value]) -> Result<RecordBatch, QueryErro
 
 fn proc_wcc(graph: &Graph, _args: &[Value]) -> Result<RecordBatch, QueryError> {
     let nodes = graph.all_node_ids();
-    let labels = algo::wcc(&graph.relations(TraverseDir::Outgoing), &nodes);
+    let labels = algo::wcc(&graph.relations(), &nodes);
     Ok(labels
         .into_iter()
         .map(|(node, component)| [Value::Node(node), Value::Int(component as i64)])
@@ -161,7 +161,7 @@ fn proc_wcc(graph: &Graph, _args: &[Value]) -> Result<RecordBatch, QueryError> {
 }
 
 fn proc_triangles(graph: &Graph, _args: &[Value]) -> Result<RecordBatch, QueryError> {
-    let count = algo::triangle_count(&graph.relations(TraverseDir::Both));
+    let count = algo::triangle_count(&graph.relations());
     Ok([[Value::Int(count as i64)]].into_iter().collect())
 }
 

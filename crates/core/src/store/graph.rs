@@ -10,24 +10,28 @@
 //!   and takes their union as it goes. A cell holding
 //!   parallel same-type edges stores `LIST_TAG | slot` instead, naming an
 //!   ascending edge-id list in a DataBlock arena (RedisGraph 2.x's
-//!   multi-edge cells);
-//! * one **boolean label matrix per label** with a diagonal entry for every
-//!   node carrying that label;
+//!   multi-edge cells). The transpose holds the pattern alone: a backward
+//!   step that binds an edge finds each in-neighbour in the transpose's row
+//!   and reads the cell from the neighbour's forward row;
+//! * one **label matrix per label**, a pattern with a diagonal entry for
+//!   every node carrying that label;
 //! * node entities (labels + property set) in a DataBlock whose slot index
 //!   *is* the matrix row/column index, and each edge's property set alone in
 //!   a DataBlock slot named by its edge id. An edge's endpoints and type
-//!   are the relation cells that hold its id, and nowhere else: a traversal
+//!   are the relation cell that holds its id, and nowhere else: a traversal
 //!   that finds an edge carries them in its [`Value::Edge`], as RedisGraph's
-//!   `Edge` does. A stored edge is its two cells plus a 16-byte slot.
+//!   `Edge` does. A stored edge is one 12-byte entry of its relation (a
+//!   `u32` column and the cell), one 4-byte entry of the transpose and a
+//!   16-byte slot.
 //!
 //! All matrices share one dimension, grown in chunks as nodes are added.
 //!
 //! Every matrix is a [`DeltaMatrix`]: 1 024-row leaves, each an immutable CSR
 //! slice plus pending-insert/pending-delete buffers that a mutation appends
 //! to in O(log pending) instead of rebuilding CSR structures. The transposed
-//! matrices are maintained incrementally (an edge insert buffers `(dst,
-//! src)` into the transpose) rather than recomputed after every write
-//! query. Every reader sees the merged `main ∪ Δ⁺ \ Δ⁻` view in place, a
+//! matrices are maintained incrementally (a new cell buffers `(dst, src)`
+//! into the transpose) rather than recomputed after every write query.
+//! Every reader sees the merged `main ∪ Δ⁺ \ Δ⁻` view in place, a
 //! row at a time or in one walk of the leaves, merging only rows with
 //! pending changes, so no read needs a flush or a whole-matrix copy. A leaf
 //! folds its buffers into a fresh leaf alone, once its
@@ -35,7 +39,8 @@
 //! (`DELTA_MAX_PENDING_CHANGES`, which so caps each matrix's pending
 //! changes), or explicitly via [`Graph::sync_matrices`]. Rewriting a stored
 //! cell's value (a parallel-edge list taking over a cell, or giving it back)
-//! is buffered too, but does not count: it changes no entry's presence.
+//! writes the relation matrix alone, buffered too, but does not count: it
+//! changes no entry's presence.
 //!
 //! [`Graph::snapshot`] pins each matrix's copy-on-write table of leaves,
 //! and the entity blocks', into a [`GraphSnapshot`] that concurrent readers
@@ -79,19 +84,61 @@ pub enum TraverseDir {
 }
 
 impl TraverseDir {
-    /// A stored matrix `m` and its stored transpose `t` as the `(push,
-    /// pull)` pairs of one hop in this direction.
-    fn pairs<'a>(self, m: &'a DeltaMatrix<u64>, t: &'a DeltaMatrix<u64>) -> Vec<MatrixPair<'a>> {
+    /// A stored matrix `m` and its stored transpose `t` as the pairs one hop
+    /// in this direction reads.
+    fn pairs<'a>(self, m: &'a DeltaMatrix<u64>, t: &'a DeltaMatrix<()>) -> Vec<MatrixPair<'a>> {
         match self {
-            TraverseDir::Outgoing => vec![(m, t)],
-            TraverseDir::Incoming => vec![(t, m)],
-            TraverseDir::Both => vec![(m, t), (t, m)],
+            TraverseDir::Outgoing => vec![MatrixPair::Forward(m, t)],
+            TraverseDir::Incoming => vec![MatrixPair::Backward(t, m)],
+            TraverseDir::Both => vec![MatrixPair::Forward(m, t), MatrixPair::Backward(t, m)],
         }
     }
 }
 
-/// A stored relation matrix and its stored transpose.
-type MatrixPair<'a> = (&'a DeltaMatrix<u64>, &'a DeltaMatrix<u64>);
+/// One relation's stored matrices as a hop in one direction reads them:
+/// the matrix a push step scans the frontier's rows of, and its transpose,
+/// which a pull step walks. The relation matrix holds the cells and its
+/// stored transpose only the pattern, so a forward and a backward pair hold
+/// two value types in opposite order, and each kernel call is generic over
+/// its own matrix's.
+#[derive(Clone, Copy)]
+enum MatrixPair<'a> {
+    Forward(&'a DeltaMatrix<u64>, &'a DeltaMatrix<()>),
+    Backward(&'a DeltaMatrix<()>, &'a DeltaMatrix<u64>),
+}
+
+impl MatrixPair<'_> {
+    /// The relation's edges.
+    fn nvals(self) -> u64 {
+        let (MatrixPair::Forward(m, _) | MatrixPair::Backward(_, m)) = self;
+        m.nvals() as u64
+    }
+
+    /// The push matrix's degrees of `rows`, summed.
+    fn degree_sum(self, rows: &[NodeId]) -> u64 {
+        match self {
+            MatrixPair::Forward(m, _) => m.degree_sum(rows),
+            MatrixPair::Backward(t, _) => t.degree_sum(rows),
+        }
+    }
+
+    /// A push step's scan of the push matrix's `frontier` rows into
+    /// `reached` ([`bfs_scan`]).
+    fn scan(self, frontier: &[NodeId], reached: &mut Bitmap) {
+        match self {
+            MatrixPair::Forward(m, _) => bfs_scan(m, frontier, reached),
+            MatrixPair::Backward(t, _) => bfs_scan(t, frontier, reached),
+        }
+    }
+
+    /// A pull step through the push matrix's transpose ([`bfs_pull`]).
+    fn pull(self, frontier: &Bitmap, visited: &mut Bitmap, next: &mut Vec<NodeId>) {
+        match self {
+            MatrixPair::Forward(_, t) => bfs_pull(t, frontier, visited, next),
+            MatrixPair::Backward(_, m) => bfs_pull(m, frontier, visited, next),
+        }
+    }
+}
 
 /// Beamer's direction-switching rule (SC'12): a push hop turns to pull once
 /// the frontier's edges exceed `1/PULL_ALPHA` of the edges not yet explored,
@@ -131,9 +178,9 @@ pub fn beamer_pulls(
 pub struct StorageBytes {
     /// The relation matrices: one edge-id cell per connected pair and type.
     pub relations: usize,
-    /// Their stored transposes.
+    /// Their stored transposes: the pattern alone.
     pub transposes: usize,
-    /// The boolean label matrices.
+    /// The label matrices: the pattern alone.
     pub labels: usize,
     /// The edge attribute slots.
     pub edge_slots: usize,
@@ -156,15 +203,20 @@ pub struct Graph {
     edges: DataBlock<AttributeSet>,
     dim: u64,
     relation_matrices: Vec<DeltaMatrix<u64>>,
-    relation_matrices_t: Vec<DeltaMatrix<u64>>,
+    /// Each relation matrix's transpose: its pattern, no cell.
+    relation_matrices_t: Vec<DeltaMatrix<()>>,
     /// Parallel same-type edges: the ascending edge-id list of every
     /// relation cell that holds **two or more** edges, at the slot its
-    /// tagged cell (`LIST_TAG | slot`) names in both the matrix and its
-    /// transpose. Cells with a single edge — the overwhelming majority —
-    /// have no list. A clone shares the arena by the root of its
-    /// copy-on-write table, like the entity blocks.
+    /// tagged cell (`LIST_TAG | slot`) names in the relation matrix. Cells
+    /// with a single edge — the overwhelming majority — have no list. A
+    /// clone shares the arena by the root of its copy-on-write table, like
+    /// the entity blocks.
     edge_lists: DataBlock<Vec<EdgeId>>,
-    label_matrices: Vec<DeltaMatrix<bool>>,
+    /// How many of each relation's cells hold a list. While none does, each
+    /// pair of its transpose is one edge, and a backward count reads no
+    /// forward cell.
+    list_cells: Vec<usize>,
+    label_matrices: Vec<DeltaMatrix<()>>,
     flush_threshold: usize,
     /// Logical write version: bumped on every mutation, pinned by snapshots.
     epoch: u64,
@@ -183,6 +235,7 @@ impl Graph {
             relation_matrices: Vec::new(),
             relation_matrices_t: Vec::new(),
             edge_lists: DataBlock::new(),
+            list_cells: Vec::new(),
             label_matrices: Vec::new(),
             flush_threshold: DEFAULT_FLUSH_THRESHOLD,
             epoch: 0,
@@ -260,7 +313,7 @@ impl Graph {
 
     /// A delta matrix sized and tuned for this graph.
     fn new_matrix<T: Scalar>(&self) -> DeltaMatrix<T> {
-        let mut m = DeltaMatrix::new(self.dim, self.dim);
+        let mut m = DeltaMatrix::new(self.dim, self.dim).expect("`ensure_dim` caps the dimension");
         m.set_flush_threshold(self.flush_threshold);
         m
     }
@@ -348,23 +401,31 @@ impl Graph {
 
     // ------------------------------------------------------------ mutation
 
-    /// Grow every matrix, by whole `GROW_CHUNK`s, to hold `needed` rows.
-    /// Growing adds empty leaf slots and copies no leaf.
-    fn ensure_dim(&mut self, needed: u64) {
+    /// Grow every matrix, by whole `GROW_CHUNK`s up to [`MAX_DIM`], to hold
+    /// `needed` rows. Growing adds empty leaf slots and copies no leaf. A
+    /// need past [`MAX_DIM`], the most a `u32` column indexes, is an error,
+    /// refused before any matrix changes.
+    fn ensure_dim(&mut self, needed: u64) -> Result<(), QueryError> {
         if needed <= self.dim {
-            return;
+            return Ok(());
         }
-        let new_dim = needed.div_ceil(GROW_CHUNK) * GROW_CHUNK;
+        if needed > MAX_DIM {
+            let most = format!("{needed} node ids, past the {MAX_DIM} a matrix holds");
+            return Err(QueryError::Unsupported(most));
+        }
+        let new_dim = (needed.div_ceil(GROW_CHUNK) * GROW_CHUNK).min(MAX_DIM);
+        let grow = "a dimension up to MAX_DIM";
         for m in &mut self.relation_matrices {
-            m.resize(new_dim, new_dim);
+            m.resize(new_dim, new_dim).expect(grow);
         }
         for m in &mut self.relation_matrices_t {
-            m.resize(new_dim, new_dim);
+            m.resize(new_dim, new_dim).expect(grow);
         }
         for m in &mut self.label_matrices {
-            m.resize(new_dim, new_dim);
+            m.resize(new_dim, new_dim).expect(grow);
         }
         self.dim = new_dim;
+        Ok(())
     }
 
     /// The schema id of `name`: looked up by `find`, or created by
@@ -399,27 +460,40 @@ impl Graph {
         while self.relation_matrices.len() <= id {
             self.relation_matrices.push(self.new_matrix());
             self.relation_matrices_t.push(self.new_matrix());
+            self.list_cells.push(0);
         }
         id
     }
 
     /// Create a node with labels and properties; returns its id.
+    ///
+    /// # Panics
+    /// Panics if the graph already holds [`MAX_DIM`] node ids.
     pub fn add_node(&mut self, labels: &[&str], props: Vec<(&str, Value)>) -> NodeId {
         let label_ids: Vec<LabelId> = labels.iter().map(|l| self.label_id_or_create(l)).collect();
         let attrs = self.attribute_set(props);
-        self.create_node(label_ids, attrs)
+        self.create_node(label_ids, attrs).expect("a node id a matrix holds")
     }
 
     /// Create a node from label ids (each made by
-    /// [`Graph::label_id_or_create`]) and attributes; returns its id.
-    pub(crate) fn create_node(&mut self, labels: Vec<LabelId>, attributes: AttributeSet) -> NodeId {
+    /// [`Graph::label_id_or_create`]) and attributes; returns its id. A
+    /// node id past the matrices' [`MAX_DIM`] is an error, and creates
+    /// nothing.
+    pub(crate) fn create_node(
+        &mut self,
+        labels: Vec<LabelId>,
+        attributes: AttributeSet,
+    ) -> Result<NodeId, QueryError> {
         let id = self.nodes.insert(NodeEntity { labels: labels.clone(), attributes });
-        self.ensure_dim(id + 1);
+        if let Err(e) = self.ensure_dim(id + 1) {
+            self.nodes.remove(id);
+            return Err(e);
+        }
         for label in labels {
-            self.label_matrices[label].set_element(id, id, true);
+            self.label_matrices[label].set_element(id, id, ());
         }
         self.epoch += 1;
-        id
+        Ok(id)
     }
 
     /// Named properties as an attribute set, creating keys as needed.
@@ -461,9 +535,14 @@ impl Graph {
         attributes: AttributeSet,
     ) -> EdgeId {
         let id = self.edges.insert(attributes);
-        match self.relation_matrices[rel].extract_element(src, dst) {
-            // First edge of this type between the endpoints: the cell is its id.
-            None => self.set_cell(rel, src, dst, id),
+        let m = &mut self.relation_matrices[rel];
+        match m.extract_element(src, dst) {
+            // First edge of this type between the endpoints: the cell is its
+            // id, and the transpose gains the pair.
+            None => {
+                m.set_element(src, dst, id);
+                self.relation_matrices_t[rel].set_element(dst, src, ());
+            }
             // A third or later edge joins the cell's list; no matrix changes.
             Some(cell) if cell & LIST_TAG != 0 => {
                 let list = self.edge_lists.get_mut(cell ^ LIST_TAG).expect("a live list");
@@ -473,18 +552,12 @@ impl Graph {
             // A second edge: both ids move to a new list the cell names.
             Some(first) => {
                 let slot = self.edge_lists.insert(vec![first.min(id), first.max(id)]);
-                self.set_cell(rel, src, dst, LIST_TAG | slot);
+                m.set_element(src, dst, LIST_TAG | slot);
+                self.list_cells[rel] += 1;
             }
         }
         self.epoch += 1;
         id
-    }
-
-    /// Write `cell` at `(src, dst)` of relation `rel` and at `(dst, src)` of
-    /// its transpose.
-    fn set_cell(&mut self, rel: RelTypeId, src: NodeId, dst: NodeId, cell: u64) {
-        self.relation_matrices[rel].set_element(src, dst, cell);
-        self.relation_matrices_t[rel].set_element(dst, src, cell);
     }
 
     /// Delete the edge an edge value names: a [`Value::Edge`] as a
@@ -511,7 +584,8 @@ impl Graph {
             list.retain(|&e| e != id);
             if let [survivor] = list[..] {
                 self.edge_lists.remove(cell ^ LIST_TAG);
-                self.set_cell(rel, src, dst, survivor);
+                self.relation_matrices[rel].set_element(src, dst, survivor);
+                self.list_cells[rel] -= 1;
             }
         }
         self.epoch += 1;
@@ -627,7 +701,7 @@ impl Graph {
     pub fn nodes_with_label(&self, label: LabelId) -> Vec<NodeId> {
         let m = &self.label_matrices[label];
         let mut ids = Vec::with_capacity(m.nvals());
-        m.runs(|_, cols, _| ids.extend_from_slice(cols));
+        m.runs(|_, cols, _| ids.extend(cols.iter().map(|&c| NodeId::from(c))));
         ids
     }
 
@@ -640,7 +714,7 @@ impl Graph {
         let (mut row_ptr, mut cols, mut row) = (vec![0], Vec::new(), Vec::new());
         for r in 0..self.dim {
             union_row(&relations, r, &mut row);
-            cols.extend_from_slice(&row);
+            cols.extend(row.iter().map(|&c| NodeId::from(c)));
             row_ptr.push(cols.len());
         }
         let values = vec![true; cols.len()];
@@ -681,9 +755,8 @@ impl Graph {
 
     /// One row of the counting relation matrix, read in place: call `f(nbr,
     /// k)` on each cell of `node`'s row in relation `rel`'s merged view (its
-    /// stored transpose's when `transposed`), in ascending `nbr` order, where
-    /// `k` is how many parallel edges the cell holds. An unknown `rel` has
-    /// no cells.
+    /// column when `transposed`), in ascending `nbr` order, where `k` is how
+    /// many parallel edges the cell holds. An unknown `rel` has no cells.
     pub(crate) fn relation_row_counts(
         &self,
         rel: RelTypeId,
@@ -691,10 +764,41 @@ impl Graph {
         node: NodeId,
         mut f: impl FnMut(NodeId, u64),
     ) {
-        let matrices = if transposed { &self.relation_matrices_t } else { &self.relation_matrices };
-        let Some(m) = matrices.get(rel) else { return };
-        m.any_entry_in_row(node, |nbr, cell| {
-            f(nbr, self.cell_edges(cell).count() as u64);
+        if transposed && self.list_cells.get(rel) == Some(&0) {
+            // Every cell is one edge: the transpose's pattern is the count.
+            self.relation_matrices_t[rel].any_in_row(node, |nbr| {
+                f(nbr, 1);
+                false
+            });
+            return;
+        }
+        self.row_cells(rel, transposed, node, |nbr, cell| {
+            f(nbr, self.cell_edges(cell).count() as u64)
+        });
+    }
+
+    /// Call `f(nbr, cell)` on each cell of `node`'s row in relation `rel`'s
+    /// merged view, ascending by `nbr`; when `transposed`, on each cell of
+    /// its column, `(nbr, node)`, found in the stored transpose's row and
+    /// read from `nbr`'s forward row, since the transpose holds no cell. An
+    /// unknown `rel` has no cells.
+    fn row_cells(
+        &self,
+        rel: RelTypeId,
+        transposed: bool,
+        node: NodeId,
+        mut f: impl FnMut(NodeId, u64),
+    ) {
+        let Some(m) = self.relation_matrices.get(rel) else { return };
+        if !transposed {
+            m.any_entry_in_row(node, |nbr, cell| {
+                f(nbr, cell);
+                false
+            });
+            return;
+        }
+        self.relation_matrices_t[rel].any_in_row(node, |nbr| {
+            f(nbr, m.extract_element(nbr, node).expect("a transposed pair has its cell"));
             false
         });
     }
@@ -769,22 +873,20 @@ impl Graph {
     ) {
         let forward = matches!(dir, TraverseDir::Outgoing | TraverseDir::Both);
         let backward = matches!(dir, TraverseDir::Incoming | TraverseDir::Both);
-        let mut visit = |rel: RelTypeId, fwd: bool| {
-            let m = if fwd { &self.relation_matrices[rel] } else { &self.relation_matrices_t[rel] };
-            m.any_entry_in_row(node, |nbr, cell| {
-                let (src, dst) = if fwd { (node, nbr) } else { (nbr, node) };
+        let mut visit = |rel: RelTypeId, transposed: bool| {
+            self.row_cells(rel, transposed, node, |nbr, cell| {
+                let (src, dst) = if transposed { (nbr, node) } else { (node, nbr) };
                 for id in self.cell_edges(cell) {
                     f(nbr, Value::Edge { id, src, dst, rel: rel as u32 });
                 }
-                false
             });
         };
         for rel in self.selected_rels(rel_types) {
             if forward {
-                visit(rel, true);
+                visit(rel, false);
             }
             if backward {
-                visit(rel, false);
+                visit(rel, true);
             }
         }
     }
@@ -814,10 +916,14 @@ impl Graph {
             .collect()
     }
 
-    /// The stored matrices an untyped hop in direction `dir` pushes through
-    /// (see [`Graph::hop_pairs`]), which the `algo.*` procedures read.
-    pub(crate) fn relations(&self, dir: TraverseDir) -> Vec<&DeltaMatrix<u64>> {
-        self.hop_pairs(dir, None).into_iter().map(|(m, _)| m).collect()
+    /// Every type's relation matrix, which the `algo.*` procedures read.
+    pub(crate) fn relations(&self) -> Vec<&DeltaMatrix<u64>> {
+        self.relation_matrices.iter().collect()
+    }
+
+    /// Every type's stored transpose: the in-rows `algo.pagerank` pulls.
+    pub(crate) fn transposes(&self) -> Vec<&DeltaMatrix<()>> {
+        self.relation_matrices_t.iter().collect()
     }
 
     /// Algebraic k-hop reachability: the set of nodes reachable from `source`
@@ -867,40 +973,38 @@ impl Graph {
     /// self-loops and edges with an endpoint outside `0..num_vertices` are
     /// dropped, as an adjacency-matrix representation drops them.
     ///
-    /// The matrices are built leaf by leaf, with no per-edge buffering, no
-    /// triple list and no whole-matrix copy: the label diagonal straight
-    /// from the vertex ids, and the relation from one walk of the sorted,
-    /// deduplicated pairs, which numbers the edges in that order. The pairs
-    /// are freed before the transpose is built from the relation's leaves,
-    /// so the load's transient is that one pair list. Each edge's attribute
-    /// slot is an empty set, which allocates nothing.
+    /// The matrices are built leaf by leaf by [`DeltaMatrix::from_pairs`]'s
+    /// counting sort, with no copy of `edges`, no triple list and no
+    /// whole-matrix copy: the label diagonal from the vertex ids, the
+    /// relation from two walks of `edges`, which number the edges in
+    /// (source, destination) order, and the transpose from two walks of the
+    /// relation's leaves. Each edge's attribute slot is an empty set, which
+    /// allocates nothing.
+    ///
+    /// # Panics
+    /// Panics if `num_vertices` is past [`MAX_DIM`].
     pub fn bulk_load(&mut self, num_vertices: u64, edges: &[(u64, u64)]) {
         let label = self.label_id_or_create("Node");
         let rel = self.rel_type_id_or_create("LINK");
         let id_attr = self.attribute_id_or_create("id");
 
-        self.ensure_dim(num_vertices);
+        self.ensure_dim(num_vertices).expect("a vertex count a matrix holds");
         for v in 0..num_vertices {
             let mut attrs = AttributeSet::new();
             attrs.set(id_attr, Value::Int(v as i64));
             let id = self.nodes.insert(NodeEntity { labels: vec![label], attributes: attrs });
             debug_assert_eq!(id, v, "bulk_load requires an empty graph");
         }
-        let (dim, threshold) = (self.dim, self.flush_threshold);
-        let diagonal = (0..num_vertices).map(|v| (v, v, true));
-        self.label_matrices[label] = loaded(dim, threshold, diagonal);
+        let (dim, threshold, n) = (self.dim, self.flush_threshold, num_vertices);
+        let diagonal = |f: &mut dyn FnMut(u64, u64)| (0..n).for_each(|v| f(v, v));
+        self.label_matrices[label] = loaded(dim, threshold, diagonal, |_, _| ());
 
-        let mut pairs: Vec<(u64, u64)> = edges
-            .iter()
-            .copied()
-            .filter(|&(s, d)| s != d && s < num_vertices && d < num_vertices)
-            .collect();
-        pairs.sort_unstable();
-        pairs.dedup();
+        let pairs = |f: &mut dyn FnMut(u64, u64)| {
+            let kept = edges.iter().filter(|&&(s, d)| s != d && s < n && d < n);
+            kept.for_each(|&(s, d)| f(s, d));
+        };
         let slots = &mut self.edges;
-        let cells = pairs.iter().map(|&(s, d)| (s, d, slots.insert(AttributeSet::new())));
-        let relation = loaded(dim, threshold, cells);
-        drop(pairs);
+        let relation = loaded(dim, threshold, pairs, |_, _| slots.insert(AttributeSet::new()));
         self.relation_matrices_t[rel] = relation.transposed();
         self.relation_matrices[rel] = relation;
         self.epoch += 1;
@@ -938,14 +1042,16 @@ impl Graph {
     }
 }
 
-/// A `dim × dim` matrix folding at `threshold`, holding `entries` (sorted,
-/// deduplicated, in range) with nothing pending.
+/// A `dim × dim` matrix folding at `threshold`, holding the in-range pairs
+/// `walk` hands over, valued by `value` ([`DeltaMatrix::from_pairs`]), with
+/// nothing pending.
 fn loaded<T: Scalar>(
     dim: u64,
     threshold: usize,
-    entries: impl IntoIterator<Item = (u64, u64, T)>,
+    walk: impl Fn(&mut dyn FnMut(u64, u64)),
+    value: impl FnMut(u64, u64) -> T,
 ) -> DeltaMatrix<T> {
-    let mut m = DeltaMatrix::from_sorted(dim, dim, entries).expect("sorted, in-range entries");
+    let mut m = DeltaMatrix::from_pairs(dim, dim, walk, value).expect("in-range pairs");
     m.set_flush_threshold(threshold);
     m
 }
@@ -959,9 +1065,10 @@ fn loaded<T: Scalar>(
 /// Each hop pushes the frontier through the push matrices or pulls it
 /// through their transposes, whichever Beamer's rule picks, into buffers
 /// that every hop reuses. One bitmap serves both kernels: a push ORs the
-/// edges of every push matrix into it and takes `reached ∧ ¬visited` in one
-/// pass over the words, handing it back empty, and a pull fills it with the
-/// frontier and clears it after. A push emits `next` ascending (the union
+/// edges of every push matrix into it, one generic scan per matrix whatever
+/// its value type, and takes `reached ∧ ¬visited` in one pass over the
+/// words, handing it back empty, and a pull fills it with the frontier and
+/// clears it after. A push emits `next` ascending (the union
 /// of an undirected or untyped hop's several matrices in one pass), a pull
 /// ascending per transpose, so the next hop's degree sum and push look each
 /// leaf up once per run of rows. The kernels read the merged rows in place,
@@ -978,8 +1085,7 @@ fn bitmap_bfs(
     (source, min_hops, max_hops): (NodeId, u32, u32),
     mut on_hop: impl FnMut(u32, &[NodeId]),
 ) -> Bitmap {
-    let mut unexplored: u64 = pairs.iter().map(|(m, _)| m.nvals() as u64).sum();
-    let pushes: Vec<_> = pairs.iter().map(|&(m, _)| m).collect();
+    let mut unexplored: u64 = pairs.iter().map(|p| p.nvals()).sum();
 
     let mut visited = Bitmap::new(dim);
     visited.insert(source);
@@ -994,7 +1100,7 @@ fn bitmap_bfs(
         if frontier.is_empty() || pairs.is_empty() {
             break;
         }
-        let frontier_edges: u64 = pairs.iter().map(|(m, _)| m.degree_sum(&frontier)).sum();
+        let frontier_edges: u64 = pairs.iter().map(|p| p.degree_sum(&frontier)).sum();
         pulling = beamer_pulls(pulling, frontier.len() as u64, frontier_edges, unexplored, dim);
         unexplored = unexplored.saturating_sub(frontier_edges);
         next.clear();
@@ -1002,12 +1108,15 @@ fn bitmap_bfs(
             for &v in &frontier {
                 bits.insert(v);
             }
-            for &(_, t) in pairs {
-                bfs_pull(t, &bits, &mut visited, &mut next);
+            for p in pairs {
+                p.pull(&bits, &mut visited, &mut next);
             }
             bits.clear();
         } else {
-            bfs_push(&pushes, &frontier, &mut bits, &mut visited, &mut next);
+            for p in pairs {
+                p.scan(&frontier, &mut bits);
+            }
+            bfs_push(&mut bits, &mut visited, &mut next);
         }
         on_hop(hop, &next);
         if hop < min_hops {
@@ -1489,16 +1598,18 @@ mod tests {
         let n = 1_000u64;
         let mut g = Graph::new("bytes");
         g.bulk_load(n, &(0..n).map(|v| (v, (v + 1) % n)).collect::<Vec<_>>());
-        // One leaf of 1 024 rows holds the ring, with 1 025 row pointers;
-        // the rest of the dimension allocates nothing.
-        let csr = |nnz: u64, cell: u64| (1025 * 8 + nnz * (8 + cell)) as usize;
+        // One leaf of 1 024 rows holds the ring, with 1 025 row pointers and
+        // a 4-byte column per entry, plus an 8-byte edge-id cell in the
+        // relation and none in the transpose or the label diagonal; the rest
+        // of the dimension allocates nothing.
+        let csr = |nnz: u64, cell: u64| (1025 * 8 + nnz * (4 + cell)) as usize;
         // 16 blocks of 64 slots; an empty attribute set owns nothing.
         let slots = |slot: usize| 16 * 64 * slot;
         let node = 8 + size_of::<(AttributeId, Value)>();
         let expect = StorageBytes {
             relations: csr(n, 8),
-            transposes: csr(n, 8),
-            labels: csr(n, 1),
+            transposes: csr(n, 0),
+            labels: csr(n, 0),
             edge_slots: slots(16),
             node_slots: slots(size_of::<Option<NodeEntity>>()) + n as usize * node,
             edge_lists: 0,
@@ -1506,6 +1617,103 @@ mod tests {
         assert_eq!(g.storage_bytes(), expect);
         g.add_edge(0, 1, "LINK", vec![]).unwrap();
         assert_eq!(g.storage_bytes().edge_lists, 64 * size_of::<Option<Vec<EdgeId>>>() + 2 * 8);
+    }
+
+    #[test]
+    fn a_dimension_past_u32_is_refused_before_any_matrix_changes() {
+        let mut g = triangle();
+        let before = (g.dim(), g.relation_matrices[0].nrows(), g.label_matrices[0].nrows());
+        assert!(matches!(g.ensure_dim(MAX_DIM + 1), Err(QueryError::Unsupported(_))));
+        assert_eq!((g.dim(), g.relation_matrices[0].nrows(), g.label_matrices[0].nrows()), before);
+        // Up to the cap, growth rounds to it, not past it; no leaf is made.
+        g.ensure_dim(MAX_DIM).unwrap();
+        assert_eq!((g.dim(), g.relation_matrices_t[1].ncols()), (MAX_DIM, MAX_DIM));
+        assert_eq!(g.neighbors(0, None, TraverseDir::Outgoing).len(), 2);
+    }
+
+    /// Three parallel `L` edges a→b (one tagged cell), one c→b, one b→c,
+    /// and an `M` edge a→b; pending, or folded.
+    fn parallel_in_edges(folded: bool) -> (Graph, [NodeId; 3], Vec<EdgeId>) {
+        let mut g = Graph::new("parallel-in");
+        g.set_flush_threshold(1_000_000);
+        let [a, b, c] = [(); 3].map(|_| g.add_node(&["N"], vec![]));
+        let mut ids: Vec<_> = (0..3).map(|_| g.add_edge(a, b, "L", vec![]).unwrap()).collect();
+        ids.push(g.add_edge(c, b, "L", vec![]).unwrap());
+        ids.push(g.add_edge(b, c, "L", vec![]).unwrap());
+        g.add_edge(a, b, "M", vec![]).unwrap();
+        if folded {
+            g.sync_matrices();
+        }
+        (g, [a, b, c], ids)
+    }
+
+    #[test]
+    fn a_backward_expand_binds_each_edge_of_a_tagged_cell() {
+        for folded in [false, true] {
+            let (mut g, [a, b, c], ids) = parallel_in_edges(folded);
+            let l = g.schema.rel_type_id("L").unwrap();
+            assert_ne!(g.relation_matrices[l].extract_element(a, b).unwrap() & LIST_TAG, 0);
+            let rows = |g: &mut Graph, q: &str| g.query(q).unwrap().rows.to_vec();
+            let int = |v: u64| Value::Int(v as i64);
+            // Every (dst, src, edge) binding, read backward and forward.
+            let backward =
+                rows(&mut g, "MATCH (x)<-[e:L]-(y) RETURN id(x), id(y), id(e) ORDER BY id(e)");
+            let forward =
+                rows(&mut g, "MATCH (y)-[e:L]->(x) RETURN id(x), id(y), id(e) ORDER BY id(e)");
+            let want: Vec<_> =
+                [(b, a, ids[0]), (b, a, ids[1]), (b, a, ids[2]), (b, c, ids[3]), (c, b, ids[4])]
+                    .map(|(x, y, e)| vec![int(x), int(y), int(e)])
+                    .into();
+            assert_eq!((&backward, &forward), (&want, &want), "folded: {folded}");
+            // The values bound backward name their stored endpoints.
+            let mut bound = Vec::new();
+            g.for_each_edge(b, Some(&[l]), TraverseDir::Incoming, |nbr, edge| {
+                bound.push((nbr, edge))
+            });
+            let edge = |id, src, dst| Value::Edge { id, src, dst, rel: l as u32 };
+            let want = vec![
+                (a, edge(ids[0], a, b)),
+                (a, edge(ids[1], a, b)),
+                (a, edge(ids[2], a, b)),
+                (c, edge(ids[3], c, b)),
+            ];
+            assert_eq!(bound, want, "folded: {folded}");
+        }
+    }
+
+    #[test]
+    fn a_fused_backward_two_hop_counts_parallel_edges() {
+        for folded in [false, true] {
+            let (mut g, [a, b, c], ids) = parallel_in_edges(folded);
+            let l = g.schema.rel_type_id("L").unwrap();
+            // Each cell's multiplicity, read through the transpose's row.
+            let mut into_b = Vec::new();
+            g.relation_row_counts(l, true, b, |nbr, k| into_b.push((nbr, k)));
+            assert_eq!(into_b, vec![(a, 3), (c, 1)], "folded: {folded}");
+            // Paths c←b←a (3), c←b←c (1) and b←c←b (1); the fused chain's
+            // counts equal the forward chain's.
+            let count = |g: &mut Graph, q: &str| g.query(q).unwrap().scalar().cloned();
+            let backward = count(&mut g, "MATCH (x)<-[:L]-(y)<-[:L]-(z) RETURN count(*)");
+            let forward = count(&mut g, "MATCH (z)-[:L]->(y)-[:L]->(x) RETURN count(*)");
+            assert_eq!((backward.clone(), forward), (Some(Value::Int(5)), Some(Value::Int(5))));
+            let from_c = count(
+                &mut g,
+                &format!("MATCH (x)<-[:L]-(y)<-[:L]-(z) WHERE id(x) = {c} RETURN count(*)"),
+            );
+            assert_eq!(from_c, Some(Value::Int(4)), "folded: {folded}");
+            // Demoted back to single edges, the relation holds no list, and
+            // the counts come from the transpose's pattern alone.
+            assert_eq!(g.list_cells[l], 1);
+            let values = edge_values(&g);
+            let [x, y] = [0, 1].map(|i| values[&ids[i]].clone());
+            assert!(g.delete_edge(&x) && g.delete_edge(&y));
+            assert_eq!(g.list_cells[l], 0);
+            let mut into_b = Vec::new();
+            g.relation_row_counts(l, true, b, |nbr, k| into_b.push((nbr, k)));
+            assert_eq!(into_b, vec![(a, 1), (c, 1)], "folded: {folded}");
+            let backward = count(&mut g, "MATCH (x)<-[:L]-(y)<-[:L]-(z) RETURN count(*)");
+            assert_eq!(backward, Some(Value::Int(3)), "folded: {folded}");
+        }
     }
 
     #[test]
@@ -1655,9 +1863,10 @@ mod tests {
             };
             let [a, b] = [(); 2].map(|_| g.add_node(&["N"], vec![]));
             let rel = g.rel_type_id_or_create("L");
-            // The cell at (src, dst) and at (dst, src) of the transpose.
+            // The cell at (src, dst), and whether the transpose holds the
+            // pair (dst, src): it holds no cell.
             let cells = |g: &Graph, src, dst| {
-                let t = g.relation_matrices_t[rel].extract_element(dst, src);
+                let t = g.relation_matrices_t[rel].contains(dst, src);
                 (g.relation_matrices[rel].extract_element(src, dst), t)
             };
             let between = |g: &Graph, src, dst| g.edges_between(rel, src, dst).collect::<Vec<_>>();
@@ -1669,8 +1878,8 @@ mod tests {
             sync(&mut g);
             let e0 = g.add_edge(a, b, "L", vec![]).unwrap();
             assert_eq!((e0, between(&g, a, b)), (spare, vec![e0, e1]), "flushed: {flushed}");
-            let (tagged, tagged_t) = cells(&g, a, b);
-            assert_eq!(tagged, tagged_t, "both orientations name one list");
+            let (tagged, paired) = cells(&g, a, b);
+            assert!(paired, "the transpose holds the pair");
             let tagged = tagged.unwrap();
             assert_ne!(tagged & LIST_TAG, 0);
             sync(&mut g);
@@ -1679,7 +1888,7 @@ mod tests {
             let pending = g.pending_delta_count();
             let e2 = g.add_edge(a, b, "L", vec![]).unwrap();
             assert_eq!(g.pending_delta_count(), pending);
-            assert_eq!(cells(&g, a, b), (Some(tagged), Some(tagged)));
+            assert_eq!(cells(&g, a, b), (Some(tagged), true));
             assert_eq!(g.neighbors(a, None, Outgoing), vec![(b, e0), (b, e1), (b, e2)]);
             assert_eq!(g.neighbors(b, None, Incoming), vec![(a, e0), (a, e1), (a, e2)]);
             let counts = |t| g.relation_count_matrix(rel, t).unwrap();
@@ -1694,14 +1903,14 @@ mod tests {
             assert!(delete_by_id(&mut g, e0));
             assert!(delete_by_id(&mut g, e2));
             sync(&mut g);
-            assert_eq!(cells(&g, a, b), (Some(e1), Some(e1)));
+            assert_eq!(cells(&g, a, b), (Some(e1), true));
             assert_eq!(g.neighbors(a, None, Outgoing), vec![(b, e1)]);
 
             // A parallel self-loop promotes into the freed slot; the snapshot
             // taken before still reads the slot's old list.
             let loops = [(); 2].map(|_| g.add_edge(a, a, "L", vec![]).unwrap());
             let [lo, hi] = [loops[0].min(loops[1]), loops[0].max(loops[1])];
-            assert_eq!(cells(&g, a, a), (Some(tagged), Some(tagged)), "the slot is reused");
+            assert_eq!(cells(&g, a, a), (Some(tagged), true), "the slot is reused");
             assert_eq!(g.neighbors(a, None, Outgoing), vec![(a, lo), (a, hi), (b, e1)]);
             assert_eq!(g.neighbors(a, None, Incoming), vec![(a, lo), (a, hi)]);
             sync(&mut g);

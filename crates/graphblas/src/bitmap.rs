@@ -8,17 +8,20 @@
 //! level in whichever direction scans fewer edges (Beamer et al.,
 //! *Direction-Optimizing Breadth-First Search*, SC'12):
 //!
-//! * [`bfs_push`] — `next⟨¬visited⟩ = frontier any.pair A`, a
-//!   complement-masked `vxm` that scans the out-edges of a sparse frontier;
+//! * [`bfs_scan`] then [`bfs_push`] — `next⟨¬visited⟩ = frontier any.pair
+//!   A`, a complement-masked `vxm` that scans the out-edges of a sparse
+//!   frontier;
 //! * [`bfs_pull`] — `next⟨¬visited⟩ = Aᵀ any.pair frontier`, a masked
 //!   product with the transpose that scans the in-edges of each unvisited
 //!   vertex and stops at the first one in a dense frontier.
 //!
 //! Both read only the matrix pattern, a row at a time through [`RowSource`],
-//! so one kernel serves any CSR matrix and a delta matrix with pending
-//! changes alike. Both apply the mask a word of 64 vertices at a time and
-//! emit `next` ascending: a push ORs every scanned edge into a bitmap of
-//! reached vertices, with no test or branch per edge, and then takes
+//! so one kernel serves a delta matrix with or without pending changes,
+//! whatever its value type: a relation matrix holding edge ids and its
+//! stored transpose holding none. Both apply the mask a word of 64 vertices
+//! at a time and emit `next` ascending: a push ORs every scanned edge of
+//! each matrix, through its own generic scan, into a bitmap of reached
+//! vertices, with no test or branch per edge, and then takes
 //! `reached ∧ ¬visited` word by word; a pull tests only the unvisited rows
 //! of each word. Neither allocates.
 //!
@@ -26,7 +29,6 @@
 //! matrices through [`RowSource`] too: [`RowSource::runs`] walks every row
 //! in order, and [`union_row`] merges one row of several relations.
 
-use crate::matrix::SparseMatrix;
 use crate::types::Scalar;
 use crate::Index;
 
@@ -126,48 +128,39 @@ pub trait RowSource {
     /// Call `f` on the entries of `row` as runs of ascending columns with
     /// their values, in column order, until it returns `true`; returns
     /// whether it did. A row may come as several runs, some of them empty.
-    fn any_run(&self, row: Index, f: impl FnMut(&[Index], &[Self::Value]) -> bool) -> bool;
+    /// A column is a `u32`, as a stored leaf holds it.
+    fn any_run(&self, row: Index, f: impl FnMut(&[u32], &[Self::Value]) -> bool) -> bool;
 
     /// Call `f(row, cols, vals)` on every run of the matrix, row-major, as
     /// [`RowSource::any_run`] splits each row: the whole-matrix walk. Rows
     /// with no entry may be skipped.
-    fn runs(&self, f: impl FnMut(Index, &[Index], &[Self::Value]));
+    fn runs(&self, f: impl FnMut(Index, &[u32], &[Self::Value]));
 
     /// Call `f` on the columns of `row`, ascending, until it returns `true`;
     /// returns whether it did.
     fn any_in_row(&self, row: Index, mut f: impl FnMut(Index) -> bool) -> bool {
-        self.any_run(row, |cols, _| cols.iter().any(|&j| f(j)))
+        self.any_run(row, |cols, _| cols.iter().any(|&j| f(Index::from(j))))
     }
 
     /// Call `f` on the columns of each of `rows` in turn: a push step's unit
     /// of work. A source stored in blocks of rows looks a block up once for
     /// a run of rows in it.
-    fn each_in_rows(&self, rows: &[Index], mut f: impl FnMut(Index)) {
-        for &row in rows {
-            self.any_in_row(row, |j| {
-                f(j);
-                false
-            });
-        }
-    }
+    fn each_in_rows(&self, rows: &[Index], f: impl FnMut(Index));
 
     /// Of the rows `base + i` for each set bit `i` of `rows` (`base` a
     /// multiple of 64), the ones holding a column in `frontier`, as bits of
     /// the same word: a pull step's unit of work. A source stored in blocks
     /// of rows reads the word's block once.
-    fn rows_reaching(&self, base: Index, rows: u64, frontier: &Bitmap) -> u64 {
-        let reaches = |&v: &Index| self.any_in_row(v, |u| frontier.contains(u));
-        ones(base, rows).filter(reaches).fold(0, |bits, v| bits | 1 << (v - base))
-    }
+    fn rows_reaching(&self, base: Index, rows: u64, frontier: &Bitmap) -> u64;
 }
 
 /// The columns of `row` in the union of `sources`, into `buf`, ascending and
 /// each once: a pair stored in two sources is one entry of the union.
-pub fn union_row<R: RowSource>(sources: &[&R], row: Index, buf: &mut Vec<Index>) {
+pub fn union_row<R: RowSource>(sources: &[&R], row: Index, buf: &mut Vec<u32>) {
     buf.clear();
     for s in sources {
-        s.any_in_row(row, |j| {
-            buf.push(j);
+        s.any_run(row, |cols, _| {
+            buf.extend_from_slice(cols);
             false
         });
     }
@@ -177,61 +170,35 @@ pub fn union_row<R: RowSource>(sources: &[&R], row: Index, buf: &mut Vec<Index>)
     }
 }
 
-impl<T: Scalar> RowSource for SparseMatrix<T> {
-    type Value = T;
-
-    fn nrows(&self) -> Index {
-        self.nrows()
-    }
-
-    fn ncols(&self) -> Index {
-        self.ncols()
-    }
-
-    fn any_run(&self, row: Index, mut f: impl FnMut(&[Index], &[T]) -> bool) -> bool {
-        let (cols, vals) = self.row(row);
-        f(cols, vals)
-    }
-
-    fn runs(&self, mut f: impl FnMut(Index, &[Index], &[T])) {
-        for row in 0..self.nrows() {
-            let (cols, vals) = self.row(row);
-            if !cols.is_empty() {
-                f(row, cols, vals);
-            }
-        }
-    }
-}
-
-/// One push (top-down) BFS level over the union of `sources`:
-/// `next⟨¬visited⟩ = frontier any.pair (A₁ ∨ A₂ ∨ …)`.
-///
-/// The columns of the frontier rows of every source are ORed into
-/// `reached`, one bit per scanned edge and no test. One pass over the words
-/// then moves `reached ∧ ¬visited` into `visited` and appends it to `next`,
-/// so `next` comes out ascending and each vertex once, however many edges
-/// reach it. `reached` must be all-zero on entry and is all-zero again on
-/// return: a caller keeps one for every level. Only the pattern of the
-/// sources is read.
+/// The scan of one push (top-down) BFS level over one source `a`: the
+/// columns of `a`'s `frontier` rows are ORed into `reached`, one bit per
+/// scanned edge and no test. A level over the union of several sources
+/// (`next⟨¬visited⟩ = frontier any.pair (A₁ ∨ A₂ ∨ …)`), of any value
+/// types, scans each of them into one `reached` and then takes one
+/// [`bfs_push`]. `reached`'s count is not kept until `bfs_push` empties it.
+/// Only the pattern of `a` is read.
 ///
 /// # Panics
-/// Panics if `visited`, `reached` and the sources' columns differ in size,
-/// or if a frontier vertex is not a row of a source.
-pub fn bfs_push<R: RowSource>(
-    sources: &[&R],
-    frontier: &[Index],
-    reached: &mut Bitmap,
-    visited: &mut Bitmap,
-    next: &mut Vec<Index>,
-) {
+/// Panics if `reached` and `a`'s columns differ in size, or if a frontier
+/// vertex is not a row of `a`.
+pub fn bfs_scan(a: &impl RowSource, frontier: &[Index], reached: &mut Bitmap) {
+    assert_eq!(reached.size(), a.ncols(), "bfs_scan dimension mismatch: reached != a.ncols");
+    a.each_in_rows(frontier, |j| reached.words[(j / 64) as usize] |= 1 << (j % 64));
+}
+
+/// The word pass that ends a push level after its [`bfs_scan`]s: one pass
+/// over the words moves `reached ∧ ¬visited` into `visited` and appends it
+/// to `next`, so `next` comes out ascending and each vertex once, however
+/// many edges reach it. `reached` is all-zero again on return: a caller
+/// keeps one for every level.
+///
+/// # Panics
+/// Panics if `visited` and `reached` differ in size.
+pub fn bfs_push(reached: &mut Bitmap, visited: &mut Bitmap, next: &mut Vec<Index>) {
     assert_eq!(visited.size(), reached.size(), "bfs_push dimension mismatch: visited != reached");
-    debug_assert!(reached.words.iter().all(|&w| w == 0), "bfs_push needs an empty `reached`");
-    for a in sources {
-        assert_eq!(visited.size(), a.ncols(), "bfs_push dimension mismatch: visited != a.ncols");
-        a.each_in_rows(frontier, |j| reached.words[(j / 64) as usize] |= 1 << (j % 64));
-    }
     // Each fresh vertex is emitted once, so `next` grows by the count.
     let emitted = next.len();
+    reached.nvals = 0;
     for (w, (reached, seen)) in reached.words.iter_mut().zip(&mut visited.words).enumerate() {
         let fresh = std::mem::take(reached) & !*seen;
         *seen |= fresh;
@@ -280,7 +247,12 @@ pub fn bfs_pull(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DeltaMatrix;
+    use crate::{DeltaMatrix, SparseMatrix};
+
+    /// A stored matrix holding `triples`.
+    fn stored<T: Scalar>(n: Index, triples: &[(Index, Index, T)]) -> DeltaMatrix<T> {
+        DeltaMatrix::from_matrix(SparseMatrix::from_triples(n, n, triples).unwrap())
+    }
 
     #[test]
     fn insert_contains_remove() {
@@ -304,7 +276,8 @@ mod tests {
     /// handed `reached` back empty.
     fn push(a: &[&impl RowSource], frontier: &[Index], visited: &mut Bitmap) -> Vec<Index> {
         let (mut reached, mut next) = (Bitmap::new(visited.size()), Vec::new());
-        bfs_push(a, frontier, &mut reached, visited, &mut next);
+        a.iter().for_each(|a| bfs_scan(*a, frontier, &mut reached));
+        bfs_push(&mut reached, visited, &mut next);
         assert_eq!(reached, Bitmap::new(visited.size()), "`reached` comes back all-zero");
         next
     }
@@ -312,8 +285,7 @@ mod tests {
     #[test]
     fn push_skips_visited_and_emits_ascending() {
         // 0→2, 0→1, 1→3, 2→3
-        let a = SparseMatrix::from_triples(4, 4, &[(0, 2, 7u64), (0, 1, 9), (1, 3, 1), (2, 3, 1)])
-            .unwrap();
+        let a = stored(4, &[(0, 2, 7u64), (0, 1, 9), (1, 3, 1), (2, 3, 1)]);
         let mut visited = Bitmap::new(4);
         visited.insert(0);
         visited.insert(2);
@@ -321,7 +293,7 @@ mod tests {
         assert_eq!(push(&[&a], &[2, 1], &mut visited), vec![3], "3 is reached twice, emitted once");
         assert_eq!(visited.nvals(), 4);
         // Two sources are one step: their union, ascending, each vertex once.
-        let b = SparseMatrix::from_triples(4, 4, &[(1, 2, 1u64), (1, 0, 1)]).unwrap();
+        let b = stored(4, &[(1, 2, 1u64), (1, 0, 1)]);
         let mut visited = Bitmap::new(4);
         visited.insert(1);
         assert_eq!(push(&[&a, &b], &[1], &mut visited), vec![0, 2, 3]);
@@ -334,8 +306,7 @@ mod tests {
         // Hub 0 reaches 63, 64, 127, 128 and 129 (the last twice, through
         // 1); the word pass must count and emit exactly the unvisited ones.
         let edges = [(0, 129, true), (0, 128, true), (0, 64, true), (0, 63, true), (0, 127, true)];
-        let a = SparseMatrix::from_triples(130, 130, &[&edges[..], &[(1, 129, true)]].concat())
-            .unwrap();
+        let a = stored(130, &[&edges[..], &[(1, 129, true)]].concat());
         let mut visited = Bitmap::new(130);
         visited.insert(0);
         visited.insert(128);
@@ -363,8 +334,7 @@ mod tests {
         let main = [&main[..], &[(300, 1), (300, 3), (300, 700), (520, 300), (700, 3), (700, 9)]];
         let main = [&main.concat()[..], &[(1100, 9), (1500, 1), (2047, 3), (3171, 9)]].concat();
         let triples: Vec<_> = main.iter().map(|&(r, c)| (r, c, r * n + c)).collect();
-        let mut delta =
-            DeltaMatrix::from_matrix(SparseMatrix::from_triples(n, n, &triples).unwrap());
+        let mut delta = stored(n, &triples);
         delta.set_element(1030, 7, 0);
         delta.remove_element(1500, 1).unwrap();
         delta.flush();
@@ -385,6 +355,8 @@ mod tests {
         for row in 0..n {
             assert_eq!(delta.degree_sum(&[row]), export.row_degree(row) as u64, "row {row}");
         }
+        // The same entries folded, as a matrix with nothing pending.
+        let folded = DeltaMatrix::from_matrix(export);
 
         let bitmap = |set: &[Index]| {
             let mut bits = Bitmap::new(n);
@@ -414,13 +386,13 @@ mod tests {
                 };
                 assert_eq!(
                     step(&|v, next| *next = push(&[&delta], set, v)),
-                    step(&|v, next| *next = push(&[&export], set, v)),
+                    step(&|v, next| *next = push(&[&folded], set, v)),
                     "push from {set:?}, visited {seen:?}"
                 );
                 let frontier = bitmap(set);
                 assert_eq!(
                     step(&|v, next| bfs_pull(&delta, &frontier, v, next)),
-                    step(&|v, next| bfs_pull(&export, &frontier, v, next)),
+                    step(&|v, next| bfs_pull(&folded, &frontier, v, next)),
                     "pull to {set:?}, visited {seen:?}"
                 );
             }
@@ -443,7 +415,7 @@ mod tests {
         // 70 vertices: every one but 69 has an in-edge from 0; the pull must
         // find exactly 1..=68 and never report a position past the size.
         let triples: Vec<(u64, u64, bool)> = (1..69).map(|v| (v, 0, true)).collect();
-        let at = SparseMatrix::from_triples(70, 70, &triples).unwrap();
+        let at = stored(70, &triples);
         let mut frontier = Bitmap::new(70);
         frontier.insert(0);
         let mut visited = frontier.clone();

@@ -24,11 +24,12 @@
 //! folds every leaf with changes pending. This is the crate's only
 //! pending-update mechanism: [`SparseMatrix`] itself has no write path.
 //!
-//! A fold walks its leaf's rows in order, visits each row's pending changes
-//! in column order and copies the main entries between them as whole
-//! slices. Both buffers are kept sorted by coordinate, so the fold hashes
-//! and sorts nothing, and it costs one leaf's entries however large the
-//! matrix is. A row read ([`DeltaMatrix::any_entry_in_row`], and the BFS
+//! A fold copies each 64-row chunk with nothing pending as one slice, and
+//! walks the rows of the others in order, visiting each row's pending
+//! changes in column order and copying the main entries between them as
+//! whole slices. Both buffers are kept sorted by coordinate, so the fold
+//! hashes and sorts nothing, and it costs one leaf's entries however large
+//! the matrix is. A row read ([`DeltaMatrix::any_entry_in_row`], and the BFS
 //! kernels' [`RowSource`]) walks one row the same way. A leaf with changes
 //! pending counts every row's: a row with none is its CSR slice, a read
 //! searches only the buffers holding the row's changes, and a merged degree
@@ -45,6 +46,15 @@
 //! 28–53 µs while every unvisited row was read and takes 7–12 µs so; its
 //! fourth, finding 1 300–2 000, took 88–154 µs and takes 55–99 µs
 //! (`examples/khop_hops.rs`, three runs each, shared 2-core x86 host).
+//!
+//! A stored column is a `u32` (so no dimension passes [`MAX_DIM`]), and a
+//! stored transpose or label diagonal is a `DeltaMatrix<()>`, its columns
+//! alone: narrower adjacency is smaller and, traversal being memory-bound,
+//! faster to read (Ligra+, Shun, Dhulipala & Blelloch, DCC 2015). A stored
+//! edge at rgbench's scale 15 so costs 12.3 B in its relation and 4.3 B in
+//! the transpose, against 16.3 B in each with `u64` columns and copied
+//! cells (`examples/load_memory.rs`). [`DeltaMatrix::from_pairs`], a
+//! counting sort, builds every matrix that no fold makes.
 //!
 //! Invariants (checked by [`DeltaMatrix::check_invariants`]):
 //!
@@ -103,6 +113,8 @@ const LEAF_ROWS: Index = 1024;
 const CHUNK_ROWS: Index = 64;
 /// Chunks per leaf.
 const CHUNKS: usize = (LEAF_ROWS / CHUNK_ROWS) as usize;
+/// The largest dimension a delta matrix takes: a stored column is a `u32`.
+pub const MAX_DIM: Index = u32::MAX as Index;
 /// 64-row words per leaf, in a CSR slice's mask of non-empty rows.
 const WORDS: usize = (LEAF_ROWS / 64) as usize;
 // A bitmap word of 64 rows is one chunk of one leaf (`rows_reaching`).
@@ -123,7 +135,7 @@ pub struct Leaf<T> {
 #[derive(Debug)]
 struct Csr<T> {
     row_ptr: Vec<usize>,
-    cols: Vec<Index>,
+    cols: Vec<u32>,
     vals: Vec<T>,
     /// Bit `o % 64` of word `o / 64` is set when row offset `o` has an
     /// entry, so a pull step skips the rows with none a word at a time.
@@ -195,7 +207,7 @@ impl<T: Scalar> Csr<T> {
     }
 
     /// The main entries of the row at offset `o`.
-    fn row(&self, o: usize) -> (&[Index], &[T]) {
+    fn row(&self, o: usize) -> (&[u32], &[T]) {
         let (start, end) = (self.row_ptr[o], self.row_ptr[o + 1]);
         (&self.cols[start..end], &self.vals[start..end])
     }
@@ -203,6 +215,7 @@ impl<T: Scalar> Csr<T> {
     /// The main value at row offset `o`, column `col`.
     fn get(&self, o: usize, col: Index) -> Option<T> {
         let (cols, vals) = self.row(o);
+        let col = u32::try_from(col).ok()?;
         cols.binary_search(&col).ok().map(|p| vals[p])
     }
 
@@ -309,7 +322,7 @@ impl<T: Scalar> Leaf<T> {
     /// `row`'s merged entries as runs, until `f` returns `true` (returns
     /// whether it did): the CSR row itself when the row has nothing
     /// pending, otherwise as [`any_run`] splits it.
-    fn any_run(&self, row: Index, mut f: impl FnMut(&[Index], &[T]) -> bool) -> bool {
+    fn any_run(&self, row: Index, mut f: impl FnMut(&[u32], &[T]) -> bool) -> bool {
         let (cols, vals) = self.main.row(offset(row));
         let Some(p) = self.chunk(row) else { return f(cols, vals) };
         let RowChanges { plus, minus, .. } = p.rows[row as usize % CHUNK_ROWS as usize];
@@ -318,26 +331,42 @@ impl<T: Scalar> Leaf<T> {
         }
         // A buffer with none of the row's changes is not searched at all.
         let plus = (plus > 0).then(|| p.plus.range((row, 0)..).take(plus as usize));
-        let plus = plus.into_iter().flatten().map(|(&(_, c), v)| (c, v));
+        let plus = plus.into_iter().flatten().map(|(&(_, c), v)| (c as u32, v));
         let minus = (minus > 0).then(|| p.minus.range((row, 0)..).take(minus as usize));
-        any_run((cols, vals), plus, minus.into_iter().flatten().map(|&(_, c)| c), f)
+        any_run((cols, vals), plus, minus.into_iter().flatten().map(|&(_, c)| c as u32), f)
     }
 
     /// The fold: this leaf's merged rows, starting at row `first`, written
-    /// into `out`, an emptied CSR.
+    /// into `out`, an emptied CSR. A chunk of rows with nothing pending is
+    /// copied as one slice of the main entries, its row pointers shifted;
+    /// only the rows of the other chunks are merged.
     fn fold_into(&self, first: Index, mut out: Csr<T>) -> Csr<T> {
-        let chunks = self.pending.iter().flat_map(|p| p.chunks.iter().flatten());
-        let degrees = chunks.flat_map(|c| c.rows.iter().map(|r| r.degree as isize));
+        let chunks = self.pending.as_deref().map_or(&[][..], |p| &p.chunks[..]);
+        let dirty = chunks.iter().flatten();
+        let degrees = dirty.flat_map(|c| c.rows.iter().map(|r| r.degree as isize));
         let nvals = (self.main.cols.len() as isize + degrees.sum::<isize>()) as usize;
         out.cols.reserve_exact(nvals);
         out.vals.reserve_exact(nvals);
-        for o in 0..LEAF_ROWS as usize {
-            self.any_run(first + o as Index, |cols, vals| {
-                out.cols.extend_from_slice(cols);
-                out.vals.extend_from_slice(vals);
-                false
-            });
-            out.end_rows(o + 1);
+        let main = &self.main;
+        for k in 0..CHUNKS {
+            let rows = k * CHUNK_ROWS as usize..(k + 1) * CHUNK_ROWS as usize;
+            if chunks.get(k).is_some_and(Option::is_some) {
+                for o in rows {
+                    self.any_run(first + o as Index, |cols, vals| {
+                        out.cols.extend_from_slice(cols);
+                        out.vals.extend_from_slice(vals);
+                        false
+                    });
+                    out.end_rows(o + 1);
+                }
+                continue;
+            }
+            let (start, end, base) =
+                (main.row_ptr[rows.start], main.row_ptr[rows.end], out.cols.len());
+            out.cols.extend_from_slice(&main.cols[start..end]);
+            out.vals.extend_from_slice(&main.vals[start..end]);
+            let ends = &main.row_ptr[rows.start + 1..=rows.end];
+            out.row_ptr.extend(ends.iter().map(|&p| p - start + base));
         }
         out
     }
@@ -411,9 +440,11 @@ impl<T: Scalar> PartialEq for DeltaMatrix<T> {
 
 impl<T: Scalar> DeltaMatrix<T> {
     /// Create an empty `nrows × ncols` delta matrix with the default flush
-    /// threshold. Allocates no leaf.
-    pub fn new(nrows: Index, ncols: Index) -> Self {
-        DeltaMatrix {
+    /// threshold. Allocates no leaf. A dimension past [`MAX_DIM`] is an
+    /// error, refused before anything is allocated.
+    pub fn new(nrows: Index, ncols: Index) -> GrbResult<Self> {
+        check_dim(nrows, ncols)?;
+        Ok(DeltaMatrix {
             leaves: ChunkTable::new(leaf_count(nrows)),
             nrows,
             ncols,
@@ -422,56 +453,45 @@ impl<T: Scalar> DeltaMatrix<T> {
             flush_threshold: DEFAULT_FLUSH_THRESHOLD,
             flush_count: 0,
             spares: Spares(Vec::new()),
-        }
+        })
     }
 
     /// A delta matrix holding `main`'s entries, with nothing pending: the
-    /// shrinking [`DeltaMatrix::resize`], and rgbench's ladder (T9a deletes
-    /// that use).
+    /// shrinking [`DeltaMatrix::resize`], tests, and rgbench's ladder (T9a
+    /// deletes that use).
+    ///
+    /// # Panics
+    /// Panics if a dimension of `main` is past [`MAX_DIM`].
     pub fn from_matrix(main: SparseMatrix<T>) -> Self {
-        Self::from_sorted(main.nrows(), main.ncols(), main.iter()).expect("a CSR is sorted")
+        let walk = |f: &mut dyn FnMut(Index, Index)| main.iter().for_each(|(r, c, _)| f(r, c));
+        let mut vals = main.raw_values().iter();
+        Self::from_pairs(main.nrows(), main.ncols(), walk, |_, _| *vals.next().expect("a value"))
+            .expect("dimensions a leaf takes")
     }
 
-    /// The bulk-load path: a matrix with nothing pending from its entries
-    /// in row-major order, each leaf built as its rows arrive, with no
-    /// whole-matrix copy. An entry out of bounds, out of order or repeated
-    /// is an error.
-    pub fn from_sorted(
+    /// The bulk-load path: a matrix with nothing pending from the
+    /// `(row, col)` pairs that `walk` hands its callback, built by a
+    /// counting sort with no copy of the pairs. `walk` runs twice and must
+    /// hand over the same pairs both times, in any order, repeats allowed.
+    /// The first walk counts each row's pairs, which sizes every leaf
+    /// exactly; the second places each column in its row; then each row is
+    /// sorted and deduplicated in place, and `value(row, col)` gives each
+    /// entry its value, in row-major order. A pair out of bounds, or a
+    /// dimension past [`MAX_DIM`], is an error.
+    pub fn from_pairs(
         nrows: Index,
         ncols: Index,
-        entries: impl IntoIterator<Item = (Index, Index, T)>,
+        walk: impl Fn(&mut dyn FnMut(Index, Index)),
+        mut value: impl FnMut(Index, Index) -> T,
     ) -> GrbResult<Self> {
-        let mut m = Self::new(nrows, ncols);
-        let (mut entries, mut last) = (entries.into_iter().peekable(), None);
-        while let Some(&(first, ..)) = entries.peek() {
-            let mut main = Csr::open(0);
-            while let Some((r, c, v)) = entries.next_if(|&(r, ..)| slot(r) == slot(first)) {
-                check_index(r, nrows)?;
-                check_index(c, ncols)?;
-                if last >= Some((r, c)) {
-                    return Err(GrbError::InvalidValue(format!("({r}, {c}) is out of order")));
-                }
-                last = Some((r, c));
-                main.end_rows(offset(r));
-                main.cols.push(c);
-                main.vals.push(v);
-            }
-            m.nvals += main.cols.len();
-            m.leaves.set(slot(first), Leaf::clean(main));
-        }
-        Ok(m)
-    }
-
-    /// The transpose of the merged view, with nothing pending and the same
-    /// fold threshold, built leaf by leaf with no whole-matrix copy: one
-    /// walk counts each column's entries, which sizes every transposed leaf
-    /// exactly, and a second, row-ordered walk appends each entry to its
-    /// transposed row, so each of those comes out ascending.
-    pub fn transposed(&self) -> Self {
-        // Each column's count, then each transposed row's next free position
-        // in its leaf.
-        let mut next = vec![0usize; self.ncols as usize];
-        self.runs(|_, cols, _| cols.iter().for_each(|&c| next[c as usize] += 1));
+        let mut m = Self::new(nrows, ncols)?;
+        // Each row's count, then its next free position in its leaf.
+        let (mut next, mut outside) = (vec![0usize; nrows as usize], Ok(()));
+        walk(&mut |r, c| match check_index(r, nrows).and(check_index(c, ncols)) {
+            Ok(()) => next[r as usize] += 1,
+            Err(e) => outside = Err(e),
+        });
+        outside?;
         let mut parts: Vec<Csr<T>> = next
             .chunks_mut(LEAF_ROWS as usize)
             .map(|counts| {
@@ -481,24 +501,54 @@ impl<T: Scalar> DeltaMatrix<T> {
                     (*count, end) = (end, end + *count);
                     part.row_ptr.push(end);
                 }
+                part.cols = vec![0; end];
                 part.end_rows(LEAF_ROWS as usize);
-                (part.cols, part.vals) = (vec![0; end], vec![T::zero(); end]);
                 part
             })
             .collect();
-        self.runs(|row, cols, vals| {
-            for (&c, &v) in cols.iter().zip(vals) {
-                let (part, pos) = (&mut parts[slot(c)], &mut next[c as usize]);
-                (part.cols[*pos], part.vals[*pos]) = (row, v);
-                *pos += 1;
-            }
+        walk(&mut |r, c| {
+            let pos = &mut next[r as usize];
+            parts[slot(r)].cols[*pos] = c as u32;
+            *pos += 1;
         });
-        let (nvals, flush_threshold) = (self.nvals, self.flush_threshold);
-        let mut out = DeltaMatrix { nvals, flush_threshold, ..Self::new(self.ncols, self.nrows) };
-        for (i, part) in parts.into_iter().enumerate() {
-            out.leaves.set(i, Leaf::clean(part));
+        drop(next);
+        for (i, mut part) in parts.into_iter().enumerate() {
+            // Each row sorted, and its distinct columns moved down to `end`.
+            let (mut start, mut end) = (0, 0);
+            part.vals.reserve_exact(part.cols.len());
+            for o in 0..LEAF_ROWS as usize {
+                let (row_end, row_start) = (part.row_ptr[o + 1], end);
+                part.cols[start..row_end].sort_unstable();
+                for k in start..row_end {
+                    let c = part.cols[k];
+                    if end == row_start || part.cols[end - 1] != c {
+                        part.cols[end] = c;
+                        part.vals.push(value(i as Index * LEAF_ROWS + o as Index, Index::from(c)));
+                        end += 1;
+                    }
+                }
+                (start, part.row_ptr[o + 1]) = (row_end, end);
+            }
+            part.cols.truncate(end);
+            m.nvals += end;
+            m.leaves.set(i, Leaf::clean(part));
         }
-        out
+        Ok(m)
+    }
+
+    /// The pattern of the merged view's transpose, with nothing pending and
+    /// the same fold threshold, built by [`DeltaMatrix::from_pairs`] from two
+    /// walks of the leaves ([`RowSource::runs`]). The walks visit rows in
+    /// order, so each transposed row arrives ascending and its sort is one
+    /// pass.
+    pub fn transposed(&self) -> DeltaMatrix<()> {
+        let walk = |f: &mut dyn FnMut(Index, Index)| {
+            self.runs(|row, cols, _| cols.iter().for_each(|&c| f(Index::from(c), row)));
+        };
+        let mut t = DeltaMatrix::from_pairs(self.ncols, self.nrows, walk, |_, _| ())
+            .expect("stored entries are in bounds");
+        t.flush_threshold = self.flush_threshold;
+        t
     }
 
     /// Number of rows.
@@ -641,18 +691,21 @@ impl<T: Scalar> DeltaMatrix<T> {
 
     /// Resize the matrix. Growing adds empty leaf slots and keeps every
     /// leaf, pending changes included; shrinking either dimension rebuilds
-    /// the leaves from the merged entries still in range.
-    pub fn resize(&mut self, nrows: Index, ncols: Index) {
+    /// the leaves from the merged entries still in range. A dimension past
+    /// [`MAX_DIM`] is an error, and changes nothing.
+    pub fn resize(&mut self, nrows: Index, ncols: Index) -> GrbResult<()> {
+        check_dim(nrows, ncols)?;
         if nrows < self.nrows || ncols < self.ncols {
             let mut kept = self.export();
             kept.resize(nrows, ncols);
             let (flush_threshold, flush_count) = (self.flush_threshold, self.flush_count);
             *self = DeltaMatrix { flush_threshold, flush_count, ..Self::from_matrix(kept) };
-            return;
+            return Ok(());
         }
         // Readers holding a clone keep the old dimensions.
         self.leaves.resize(leaf_count(nrows));
         (self.nrows, self.ncols) = (nrows, ncols);
+        Ok(())
     }
 
     /// Fold every leaf with changes pending. Cheap no-op when nothing is
@@ -723,7 +776,7 @@ impl<T: Scalar> DeltaMatrix<T> {
     /// with nothing pending is its leaf's CSR slice; otherwise the slice is
     /// walked in runs between the row's pending changes, as by the fold.
     pub fn any_entry_in_row(&self, row: Index, mut f: impl FnMut(Index, T) -> bool) -> bool {
-        self.any_run(row, |cols, vals| cols.iter().zip(vals).any(|(&c, &v)| f(c, v)))
+        self.any_run(row, |cols, vals| cols.iter().zip(vals).any(|(&c, &v)| f(Index::from(c), v)))
     }
 
     /// The merged degrees of `rows`, summed (Beamer's rule asks for a
@@ -749,7 +802,10 @@ impl<T: Scalar> DeltaMatrix<T> {
     /// order.
     pub fn to_triples(&self) -> Vec<(Index, Index, T)> {
         let mut out = Vec::with_capacity(self.nvals);
-        self.runs(|row, cols, vals| out.extend(cols.iter().zip(vals).map(|(&c, &v)| (row, c, v))));
+        let entries = |row, cols: &[u32], vals: &[T]| {
+            out.extend(cols.iter().zip(vals).map(|(&c, &v)| (row, Index::from(c), v)));
+        };
+        self.runs(entries);
         out
     }
 
@@ -763,7 +819,7 @@ impl<T: Scalar> DeltaMatrix<T> {
         let (mut cols, mut vals) = (Vec::with_capacity(self.nvals), Vec::with_capacity(self.nvals));
         self.runs(|row, c, v| {
             row_ptr[row as usize + 1] += c.len();
-            cols.extend_from_slice(c);
+            cols.extend(c.iter().map(|&c| Index::from(c)));
             vals.extend_from_slice(v);
         });
         for row in 0..self.nrows as usize {
@@ -811,7 +867,8 @@ impl<T: Scalar> DeltaMatrix<T> {
             }
             // No entry lies past the matrix's last row or column.
             let past = nrows.saturating_sub(first).min(LEAF_ROWS) as usize;
-            if main.row_ptr[past] != main.cols.len() || main.cols.iter().any(|&c| c >= self.ncols) {
+            let wide = |&c: &u32| Index::from(c) >= self.ncols;
+            if main.row_ptr[past] != main.cols.len() || main.cols.iter().any(wide) {
                 return invalid(format!("leaf {i} holds an entry out of range"));
             }
             nvals += main.cols.len() as i64;
@@ -872,6 +929,16 @@ impl<T: Scalar> DeltaMatrix<T> {
     }
 }
 
+/// Refuse a dimension past [`MAX_DIM`].
+fn check_dim(nrows: Index, ncols: Index) -> GrbResult<()> {
+    match nrows.max(ncols) {
+        dim if dim > MAX_DIM => Err(GrbError::InvalidValue(format!(
+            "dimension {dim} is past {MAX_DIM}, the most a u32 column indexes"
+        ))),
+        _ => Ok(()),
+    }
+}
+
 /// The CSR slices that [`DeltaMatrix::check_invariants_with`] has checked,
 /// by address. Each is held by a `Weak`, which keeps its allocation, so no
 /// later slice can take a checked one's address while this record lasts.
@@ -890,10 +957,10 @@ impl<T> Default for CheckedSlices<T> {
 /// one. `plus` and `minus` yield exactly the row's `DP` and `DM` entries,
 /// ascending; a main entry at an insert's column is shadowed by it.
 fn any_run<'a, T: Scalar>(
-    (cols, vals): (&[Index], &'a [T]),
-    plus: impl Iterator<Item = (Index, &'a T)>,
-    minus: impl Iterator<Item = Index>,
-    mut f: impl FnMut(&[Index], &[T]) -> bool,
+    (cols, vals): (&[u32], &'a [T]),
+    plus: impl Iterator<Item = (u32, &'a T)>,
+    minus: impl Iterator<Item = u32>,
+    mut f: impl FnMut(&[u32], &[T]) -> bool,
 ) -> bool {
     let (mut plus, mut minus) = (plus.peekable(), minus.peekable());
     let mut k = 0;
@@ -935,13 +1002,13 @@ impl<T: Scalar> RowSource for DeltaMatrix<T> {
         self.ncols()
     }
 
-    fn any_run(&self, row: Index, f: impl FnMut(&[Index], &[T]) -> bool) -> bool {
+    fn any_run(&self, row: Index, f: impl FnMut(&[u32], &[T]) -> bool) -> bool {
         self.leaf(row).is_some_and(|leaf| leaf.any_run(row, f))
     }
 
     /// A leaf at a time, a row that may hold an entry at a time (see
     /// [`Leaf::word`]), each row as [`Leaf::any_run`] splits it.
-    fn runs(&self, mut f: impl FnMut(Index, &[Index], &[T])) {
+    fn runs(&self, mut f: impl FnMut(Index, &[u32], &[T])) {
         for (i, leaf) in self.leaves.iter() {
             for first in (0..LEAF_ROWS as usize).step_by(64) {
                 let base = i as Index * LEAF_ROWS + first as Index;
@@ -958,7 +1025,7 @@ impl<T: Scalar> RowSource for DeltaMatrix<T> {
     fn each_in_rows(&self, rows: &[Index], mut f: impl FnMut(Index)) {
         for (row, leaf) in self.with_leaves(rows) {
             leaf.any_run(row, |cols, _| {
-                cols.iter().for_each(|&j| f(j));
+                cols.iter().for_each(|&j| f(Index::from(j)));
                 false
             });
         }
@@ -972,7 +1039,7 @@ impl<T: Scalar> RowSource for DeltaMatrix<T> {
         let (main, first) = (&leaf.main, offset(base));
         let (live, changed) = leaf.word(first);
         let rows = rows & live;
-        let reaches = |cols: &[Index]| cols.iter().any(|&u| frontier.contains(u));
+        let reaches = |cols: &[u32]| cols.iter().any(|&u| frontier.contains(Index::from(u)));
         let mut found = 0;
         for bit in ones(0, rows & !changed) {
             // The columns alone: slicing `vals` too (`Csr::row`) read
@@ -1062,7 +1129,7 @@ mod tests {
 
     #[test]
     fn threshold_triggers_automatic_flush() {
-        let mut m = DeltaMatrix::<bool>::new(8, 8);
+        let mut m = DeltaMatrix::<bool>::new(8, 8).unwrap();
         m.set_flush_threshold(3);
         m.set_element(0, 0, true);
         m.set_element(1, 1, true);
@@ -1096,7 +1163,7 @@ mod tests {
 
     #[test]
     fn eager_threshold_flushes_every_mutation() {
-        let mut m = DeltaMatrix::<i64>::new(4, 4);
+        let mut m = DeltaMatrix::<i64>::new(4, 4).unwrap();
         m.set_flush_threshold(1);
         m.set_element(1, 2, 5);
         assert!(m.is_flushed());
@@ -1155,7 +1222,7 @@ mod tests {
         let mut m = seeded();
         m.set_element(2, 2, 99);
         m.remove_element(0, 1).unwrap();
-        m.resize(10, 10);
+        m.resize(10, 10).unwrap();
         assert_eq!(m.nrows(), 10);
         assert!(!m.is_flushed(), "growing must not force a flush");
         assert_eq!(m.extract_element(2, 2), Some(99));
@@ -1170,7 +1237,7 @@ mod tests {
     fn shrink_resize_drops_out_of_range_entries() {
         let mut m = seeded();
         m.set_element(3, 3, 99);
-        m.resize(2, 3);
+        m.resize(2, 3).unwrap();
         assert!(m.is_flushed());
         assert_eq!(m.to_triples(), vec![(0, 1, 10), (1, 2, 20)]);
         assert_eq!(m.nvals(), 2);
@@ -1179,7 +1246,7 @@ mod tests {
 
     #[test]
     fn out_of_bounds_is_an_error() {
-        let mut m = DeltaMatrix::<i64>::new(2, 2);
+        let mut m = DeltaMatrix::<i64>::new(2, 2).unwrap();
         assert!(m.try_set_element(2, 0, 1).is_err());
         assert!(m.remove_element(0, 2).is_err());
     }
@@ -1331,7 +1398,7 @@ mod tests {
     #[test]
     fn rows_on_either_side_of_a_chunk_boundary_stay_apart() {
         let n = 3 * LEAF_ROWS;
-        let mut m = DeltaMatrix::<i64>::new(n, n);
+        let mut m = DeltaMatrix::<i64>::new(n, n).unwrap();
         m.set_flush_threshold(usize::MAX);
         let edges = [CHUNK_ROWS - 1, CHUNK_ROWS, LEAF_ROWS - 1, LEAF_ROWS, 2 * LEAF_ROWS - 1];
         for r in edges.into_iter().chain([2 * LEAF_ROWS]) {
@@ -1362,14 +1429,14 @@ mod tests {
 
     #[test]
     fn resize_keeps_one_chunk_per_row_range() {
-        let mut m = DeltaMatrix::<i64>::new(10, 10);
+        let mut m = DeltaMatrix::<i64>::new(10, 10).unwrap();
         assert_eq!(m.leaves.len(), 1);
         m.set_element(9, 9, 1);
-        m.resize(LEAF_ROWS * 2 + 1, 10);
+        m.resize(LEAF_ROWS * 2 + 1, 10).unwrap();
         assert_eq!(m.leaves.len(), 3);
         m.set_element(LEAF_ROWS * 2, 3, 2);
         m.check_invariants().unwrap();
-        m.resize(LEAF_ROWS, 10);
+        m.resize(LEAF_ROWS, 10).unwrap();
         assert_eq!(m.leaves.len(), 1);
         assert_eq!(m.to_triples(), vec![(9, 9, 1)]);
         m.check_invariants().unwrap();
@@ -1377,9 +1444,9 @@ mod tests {
 
     #[test]
     fn resize_growing_rows_while_shrinking_columns_adds_chunks() {
-        let mut m = DeltaMatrix::<i64>::new(10, 10);
+        let mut m = DeltaMatrix::<i64>::new(10, 10).unwrap();
         m.set_element(3, 7, 1); // dropped: column 7 is out of the new range
-        m.resize(600, 5);
+        m.resize(600, 5).unwrap();
         assert_eq!(m.leaves.len(), leaf_count(600));
         m.set_element(300, 4, 2);
         assert_eq!(m.to_triples(), vec![(300, 4, 2)]);
@@ -1402,8 +1469,8 @@ mod tests {
     /// folding at 4 structural changes a leaf.
     fn forty_leaves() -> DeltaMatrix<i64> {
         let n = 40 * LEAF_ROWS;
-        let entries = (0..n).map(|r| (r, (r * 7) % n, r as i64));
-        let mut m = DeltaMatrix::from_sorted(n, n, entries).unwrap();
+        let pairs = |f: &mut dyn FnMut(Index, Index)| (0..n).for_each(|r| f(r, (r * 7) % n));
+        let mut m = DeltaMatrix::from_pairs(n, n, pairs, |r, _| r as i64).unwrap();
         m.set_flush_threshold(4 * 40);
         assert_eq!(m.fold_share(), 4);
         m
@@ -1475,26 +1542,80 @@ mod tests {
         let t = m.transposed();
         t.check_invariants().unwrap();
         assert!(t.is_flushed() && every_leaf_clean(&t));
-        assert_eq!(t.export(), transpose(&m.export()));
-        assert_eq!(t.nvals(), m.nvals());
+        let pattern = |m: &SparseMatrix<i64>| {
+            let triples: Vec<_> = m.iter().map(|(r, c, _)| (r, c, ())).collect();
+            SparseMatrix::from_triples(m.nrows(), m.ncols(), &triples).unwrap()
+        };
+        assert_eq!(t.export(), pattern(&transpose(&m.export())));
+        assert_eq!((t.nvals(), t.flush_threshold()), (m.nvals(), m.flush_threshold()));
         let wide =
             DeltaMatrix::from_matrix(SparseMatrix::from_triples(3, 200, &[(2, 199, 1)]).unwrap());
-        assert_eq!(wide.transposed().to_triples(), vec![(199, 2, 1)]);
+        assert_eq!(wide.transposed().to_triples(), vec![(199, 2, ())]);
     }
 
     #[test]
-    fn from_sorted_rejects_entries_out_of_order_or_range() {
+    fn from_pairs_sorts_dedups_numbers_in_order_and_rejects_pairs_out_of_range() {
         let n = 3 * LEAF_ROWS;
-        let build =
-            |entries: &[(Index, Index, i64)]| DeltaMatrix::from_sorted(n, 4, entries.to_vec());
+        // Each entry's value is its rank in row-major order.
+        let build = |pairs: &[(Index, Index)]| {
+            let mut rank = 0;
+            let walk = |f: &mut dyn FnMut(Index, Index)| pairs.iter().for_each(|&(r, c)| f(r, c));
+            DeltaMatrix::from_pairs(n, 4, walk, |_, _| (rank, rank += 1).0)
+        };
         let far = 2 * LEAF_ROWS + 2;
-        let m = build(&[(0, 3, 1), (1, 0, 2), (far, 2, 3)]).unwrap();
-        assert_eq!(m.to_triples(), vec![(0, 3, 1), (1, 0, 2), (far, 2, 3)]);
+        let m = build(&[(far, 2), (1, 0), (0, 3), (far, 0), (1, 0), (0, 1), (far, 2)]).unwrap();
+        let want = [(0, 1, 0), (0, 3, 1), (1, 0, 2), (far, 0, 3), (far, 2, 4)];
+        assert_eq!(m.to_triples(), want);
+        assert_eq!((m.nvals(), m.is_flushed()), (5, true));
         assert_eq!(m.leaves.iter().map(|(i, _)| i).collect::<Vec<_>>(), vec![0, 2]);
         m.check_invariants().unwrap();
-        assert!(build(&[(1, 0, 1), (0, 3, 1)]).is_err());
-        assert!(build(&[(LEAF_ROWS + 6, 0, 1), (3, 0, 1)]).is_err(), "back into an earlier leaf");
-        assert!(build(&[(1, 2, 1), (1, 2, 1)]).is_err());
-        assert!(build(&[(n, 0, 1)]).is_err() && build(&[(0, 4, 1)]).is_err());
+        assert!(build(&[]).unwrap().leaves.iter().next().is_none());
+        assert!(build(&[(0, 0), (n, 0)]).is_err() && build(&[(0, 4), (1, 1)]).is_err());
+    }
+
+    #[test]
+    fn a_dimension_past_u32_is_refused_before_anything_is_allocated() {
+        let past = MAX_DIM + 1;
+        for (nrows, ncols) in [(past, 1), (1, past), (u64::MAX, u64::MAX)] {
+            assert!(DeltaMatrix::<()>::new(nrows, ncols).is_err(), "{nrows} x {ncols}");
+            // The walk never runs: no count array of `nrows` is allocated.
+            let walk = |_: &mut dyn FnMut(Index, Index)| panic!("walked a refused matrix");
+            assert!(DeltaMatrix::from_pairs(nrows, ncols, walk, |_, _| ()).is_err());
+        }
+        let mut m = seeded();
+        m.set_element(2, 2, 5);
+        assert!(m.resize(past, 4).is_err() && m.resize(4, past).is_err());
+        assert_eq!(
+            (m.nrows(), m.ncols(), m.pending_count()),
+            (4, 4, 1),
+            "a refusal changes nothing"
+        );
+        assert!(m.resize(MAX_DIM, MAX_DIM).is_ok());
+        assert_eq!((m.nrows(), m.extract_element(2, 2)), (MAX_DIM, Some(5)));
+        m.set_element(MAX_DIM - 1, MAX_DIM - 1, 7);
+        assert_eq!(m.extract_element(MAX_DIM - 1, MAX_DIM - 1), Some(7));
+        // A column an `Index` holds but a `u32` does not is absent, not
+        // truncated onto column 0.
+        assert_eq!(m.extract_element(0, 1 << 32), None);
+    }
+
+    #[test]
+    fn a_fold_copies_clean_chunks_whole_and_merges_only_dirty_ones() {
+        // Entries in every chunk of leaf 0; changes in chunks 1 and 15 only.
+        let n = LEAF_ROWS;
+        let walk = |f: &mut dyn FnMut(Index, Index)| (0..n).step_by(3).for_each(|r| f(r, r % 7));
+        let mut m = DeltaMatrix::from_pairs(n, n, walk, |r, _| r as i64).unwrap();
+        m.set_flush_threshold(usize::MAX);
+        let before = m.clone();
+        m.set_element(CHUNK_ROWS + 1, 9, -1);
+        m.remove_element(CHUNK_ROWS + 3, 3).unwrap();
+        m.set_element(LEAF_ROWS - 1, 0, -2);
+        let want = m.to_triples();
+        m.flush();
+        assert_eq!(m.to_triples(), want);
+        m.check_invariants().unwrap();
+        // The clean chunks' rows read as before the fold.
+        let clean = |r: &Index| (r / CHUNK_ROWS) != 1 && (r / CHUNK_ROWS) != 15;
+        assert!((0..n).filter(clean).all(|r| row_of(&m, r) == row_of(&before, r)));
     }
 }

@@ -10,7 +10,8 @@
 //!
 //! A stored matrix is a [`DeltaMatrix`], and [`RowSource`] is the one way to
 //! read it: a row at a time or in one row-major walk, in place, pending
-//! changes merged. The BFS-step kernels ([`bfs_push`], [`bfs_pull`]), the
+//! changes merged. The BFS-step kernels ([`bfs_scan`] and [`bfs_push`],
+//! [`bfs_pull`]), the
 //! `algo` crate's algorithms and every whole-matrix copy
 //! ([`DeltaMatrix::export`]) read through it. The whole-matrix kernels
 //! ([`vxm`], [`mxm`], [`transpose`](transpose::transpose),
@@ -25,7 +26,7 @@
 //!
 //! // A 4x4 adjacency matrix of a directed path 0→1→2→3. Writes go through a
 //! // DeltaMatrix (RedisGraph's Δ⁺/Δ⁻ buffers over immutable CSR leaves).
-//! let mut a = DeltaMatrix::<bool>::new(4, 4);
+//! let mut a = DeltaMatrix::<bool>::new(4, 4)?;
 //! for i in 0..3 {
 //!     a.set_element(i, i + 1, true);
 //! }
@@ -36,13 +37,15 @@
 //! // next⟨¬visited⟩ = frontier any.pair A.
 //! let (mut visited, mut reached, mut next) = (Bitmap::new(4), Bitmap::new(4), Vec::new());
 //! visited.insert(0);
-//! bfs_push(&[&a], &[0], &mut reached, &mut visited, &mut next);
+//! bfs_scan(&a, &[0], &mut reached);
+//! bfs_push(&mut reached, &mut visited, &mut next);
 //! assert_eq!(next, [1, 2]);
 //!
 //! // The whole-matrix walk: every stored entry, row-major.
 //! let mut entries = Vec::new();
 //! a.runs(|row, cols, _| entries.extend(cols.iter().map(|&col| (row, col))));
 //! assert_eq!(entries, [(0, 1), (0, 2), (1, 2), (2, 3)]);
+//! # Ok::<(), GrbError>(())
 //! ```
 //!
 //! [GraphBLAS C API]: https://graphblas.org
@@ -66,9 +69,9 @@ pub mod types;
 pub mod vector;
 
 pub use binary_op::BinaryOp;
-pub use bitmap::{bfs_pull, bfs_push, union_row, Bitmap, RowSource};
+pub use bitmap::{bfs_pull, bfs_push, bfs_scan, union_row, Bitmap, RowSource};
 pub use chunk_table::ChunkTable;
-pub use delta::{DeltaMatrix, DEFAULT_FLUSH_THRESHOLD};
+pub use delta::{DeltaMatrix, DEFAULT_FLUSH_THRESHOLD, MAX_DIM};
 pub use descriptor::Descriptor;
 pub use error::{GrbError, GrbResult};
 pub use frontier::frontier_matrix;
@@ -84,9 +87,9 @@ pub use vector::SparseVector;
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
     pub use crate::binary_op::BinaryOp;
-    pub use crate::bitmap::{bfs_pull, bfs_push, union_row, Bitmap, RowSource};
+    pub use crate::bitmap::{bfs_pull, bfs_push, bfs_scan, union_row, Bitmap, RowSource};
     pub use crate::chunk_table::ChunkTable;
-    pub use crate::delta::{DeltaMatrix, DEFAULT_FLUSH_THRESHOLD};
+    pub use crate::delta::{DeltaMatrix, DEFAULT_FLUSH_THRESHOLD, MAX_DIM};
     pub use crate::descriptor::Descriptor;
     pub use crate::error::{GrbError, GrbResult};
     pub use crate::ewise::ewise_add_vector;

@@ -107,7 +107,7 @@ fn assert_matches_dense(
 proptest! {
     #[test]
     fn interleaved_ops_match_dense_reference(script in ops(), threshold in 1usize..40) {
-        let mut delta = DeltaMatrix::<i64>::new(DIM, DIM);
+        let mut delta = DeltaMatrix::<i64>::new(DIM, DIM).unwrap();
         delta.set_flush_threshold(threshold);
         let (mut dense, mut checked) = (HashMap::new(), CheckedSlices::default());
         for &op in &script {
@@ -129,8 +129,8 @@ proptest! {
         // Two runs of the same script: one flushes at an arbitrary mid-point,
         // the other never flushes (huge threshold). Readers must not be able
         // to tell them apart.
-        let mut flushed = DeltaMatrix::<i64>::new(DIM, DIM);
-        let mut buffered = DeltaMatrix::<i64>::new(DIM, DIM);
+        let mut flushed = DeltaMatrix::<i64>::new(DIM, DIM).unwrap();
+        let mut buffered = DeltaMatrix::<i64>::new(DIM, DIM).unwrap();
         flushed.set_flush_threshold(usize::MAX);
         buffered.set_flush_threshold(usize::MAX);
         let mut dense = HashMap::new();
@@ -156,7 +156,7 @@ proptest! {
         // For every coordinate: insert while absent, delete while pending,
         // re-insert, flush, delete while stored, re-insert over the pending
         // delete — the full transition diagram of one cell.
-        let mut delta = DeltaMatrix::<i64>::new(DIM, DIM);
+        let mut delta = DeltaMatrix::<i64>::new(DIM, DIM).unwrap();
         delta.set_flush_threshold(usize::MAX);
         let (mut dense, mut checked) = (HashMap::new(), CheckedSlices::default());
         for (i, &(r, c)) in coords.iter().enumerate() {
@@ -182,7 +182,7 @@ proptest! {
 
     #[test]
     fn any_entry_in_row_matches_dense_rows(script in ops()) {
-        let mut delta = DeltaMatrix::<i64>::new(DIM, DIM);
+        let mut delta = DeltaMatrix::<i64>::new(DIM, DIM).unwrap();
         delta.set_flush_threshold(usize::MAX);
         let mut dense = HashMap::new();
         for &op in &script {
@@ -202,7 +202,7 @@ proptest! {
 
     #[test]
     fn export_and_view_match_merged_state(script in ops(), threshold in 1usize..60) {
-        let mut delta = DeltaMatrix::<i64>::new(DIM, DIM);
+        let mut delta = DeltaMatrix::<i64>::new(DIM, DIM).unwrap();
         delta.set_flush_threshold(threshold);
         let mut dense = HashMap::new();
         for &op in &script {
@@ -265,7 +265,7 @@ proptest! {
     #[test]
     fn clones_stay_frozen_across_chunk_boundaries(script in wide_ops(), threshold in 1usize..400) {
         let n = WIDE_CHUNKS * WIDE_STRIDE;
-        let mut delta = DeltaMatrix::<i64>::new(n, WIDE_COLS);
+        let mut delta = DeltaMatrix::<i64>::new(n, WIDE_COLS).unwrap();
         delta.set_flush_threshold(threshold);
         let (mut dense, mut checked) = (HashMap::new(), CheckedSlices::default());
         let mut clones = Vec::new();

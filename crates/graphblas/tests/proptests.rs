@@ -196,6 +196,11 @@ fn pattern_matrix<T: Scalar>(
     SparseMatrix::from_triples(n, n, &triples).unwrap()
 }
 
+/// `a` as a stored matrix, which the BFS kernels read.
+fn stored<T: Scalar>(a: &SparseMatrix<T>) -> DeltaMatrix<T> {
+    DeltaMatrix::from_matrix(a.clone())
+}
+
 /// The pattern of a vertex set as a bitmap.
 fn bitmap_of(v: &SparseVector<bool>) -> Bitmap {
     let mut bits = Bitmap::new(v.size());
@@ -233,7 +238,8 @@ proptest! {
 
         let mut bits = bitmap_of(&visited);
         let (mut reached, mut next) = (Bitmap::new(n), Vec::new());
-        bfs_push(&[&a], frontier.indices(), &mut reached, &mut bits, &mut next);
+        bfs_scan(&stored(&a), frontier.indices(), &mut reached);
+        bfs_push(&mut reached, &mut bits, &mut next);
         prop_assert_eq!(next.as_slice(), want_next.indices(), "push output is ascending");
         prop_assert_eq!(&reached, &Bitmap::new(n), "`reached` comes back all-zero");
         prop_assert_eq!(vector_of(&bits), want_visited);
@@ -243,7 +249,8 @@ proptest! {
         let ids = pattern_matrix(n, &edges, |k| k as u64);
         let mut id_bits = bitmap_of(&visited);
         let mut id_next = Vec::new();
-        bfs_push(&[&ids], frontier.indices(), &mut reached, &mut id_bits, &mut id_next);
+        bfs_scan(&stored(&ids), frontier.indices(), &mut reached);
+        bfs_push(&mut reached, &mut id_bits, &mut id_next);
         prop_assert_eq!(&id_next, &next);
         prop_assert_eq!(&id_bits, &bits);
         prop_assert_eq!(&reached, &Bitmap::new(n));
@@ -256,10 +263,11 @@ proptest! {
         raw_frontier in prop::collection::vec(any::<u64>(), 0..20),
         raw_visited in prop::collection::vec(any::<u64>(), 0..60),
     ) {
-        // An undirected hop pushes through a matrix and its transpose; an
-        // untyped one through every type's matrix.
+        // An undirected hop pushes through a matrix and its transpose, which
+        // hold different value types; an untyped one through every type's
+        // matrix.
         let (n, edges) = pattern;
-        let (a, b) = (pattern_matrix(n, &edges, |_| true), pattern_matrix(n, &raw_other, |_| true));
+        let (a, b) = (pattern_matrix(n, &edges, |_| true), pattern_matrix(n, &raw_other, |k| k));
         let union = pattern_matrix(n, &[&edges[..], &raw_other[..]].concat(), |_| true);
         let frontier = vertex_set(n, &raw_frontier);
         let visited = vertex_set(n, &raw_visited);
@@ -269,7 +277,9 @@ proptest! {
 
         let mut bits = bitmap_of(&visited);
         let (mut reached, mut next) = (Bitmap::new(n), Vec::new());
-        bfs_push(&[&a, &b], frontier.indices(), &mut reached, &mut bits, &mut next);
+        bfs_scan(&stored(&a), frontier.indices(), &mut reached);
+        bfs_scan(&stored(&b), frontier.indices(), &mut reached);
+        bfs_push(&mut reached, &mut bits, &mut next);
         prop_assert_eq!(next.as_slice(), want_next.indices(), "one ascending union");
         prop_assert_eq!(&reached, &Bitmap::new(n));
         prop_assert_eq!(vector_of(&bits), ewise_add_vector(&visited, &want_next, &BinaryOp::LOr));
@@ -295,13 +305,14 @@ proptest! {
 
         let mut bits = bitmap_of(&visited);
         let mut next = Vec::new();
-        bfs_pull(&at, &bitmap_of(&frontier), &mut bits, &mut next);
+        bfs_pull(&stored(&at), &bitmap_of(&frontier), &mut bits, &mut next);
         prop_assert_eq!(next.as_slice(), want.indices(), "pull output is ascending");
 
         // Pull over Aᵀ and push over A are the same level.
         let mut push_bits = bitmap_of(&visited);
         let (mut reached, mut push_next) = (Bitmap::new(n), Vec::new());
-        bfs_push(&[&a], frontier.indices(), &mut reached, &mut push_bits, &mut push_next);
+        bfs_scan(&stored(&a), frontier.indices(), &mut reached);
+        bfs_push(&mut reached, &mut push_bits, &mut push_next);
         prop_assert_eq!(push_next, next);
         prop_assert_eq!(push_bits, bits);
     }

@@ -24,7 +24,7 @@
 //! cargo run --release --example khop_hops -- 17
 //! ```
 
-use graphblas::{bfs_pull, bfs_push, Bitmap, DeltaMatrix};
+use graphblas::{bfs_pull, bfs_push, bfs_scan, Bitmap, DeltaMatrix};
 use redisgraph_core::store::graph::beamer_pulls;
 use std::time::Instant;
 
@@ -64,8 +64,9 @@ fn main() {
         list.edges.iter().copied().filter(|&(s, d)| s != d && s < n && d < n).collect();
     pairs.sort_unstable();
     pairs.dedup();
-    let cells = pairs.iter().enumerate().map(|(id, &(s, d))| (s, d, id as u64));
-    let a = DeltaMatrix::from_sorted(n, n, cells).expect("sorted, in-range pairs");
+    let walk = |f: &mut dyn FnMut(u64, u64)| pairs.iter().for_each(|&(s, d)| f(s, d));
+    let mut id = 0;
+    let a = DeltaMatrix::from_pairs(n, n, walk, |_, _| (id, id += 1).0).expect("in-range pairs");
     let at = a.transposed();
 
     let mut deg = vec![0u64; n as usize];
@@ -118,8 +119,10 @@ fn main() {
                 }
                 let edges = a.degree_sum(&frontier);
                 pulled = beamer_pulls(pulled, frontier.len() as u64, edges, unexplored, n);
-                let (push_us, pushed) =
-                    time(&visited, |v, next| bfs_push(&[&a], &frontier, &mut bits, v, next));
+                let (push_us, pushed) = time(&visited, |v, next| {
+                    bfs_scan(&a, &frontier, &mut bits);
+                    bfs_push(&mut bits, v, next);
+                });
                 let (pull_us, pulled_set) = time(&visited, |v, next| {
                     frontier.iter().for_each(|&u| _ = bits.insert(u));
                     bfs_pull(&at, &bits, v, next);

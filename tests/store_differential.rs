@@ -13,8 +13,9 @@
 //!   rebuilt from the live edge set at every checkpoint (no matrices at all).
 //!
 //! At random checkpoints (and always at the end) the harness asserts equal
-//! derived adjacency / relation / label matrices, equal per-type incoming
-//! neighbours (the relation transposes), equal Cypher query
+//! derived adjacency / relation / label matrices, each stored transpose
+//! holding its relation's pattern transposed, equal per-type incoming
+//! neighbours (read through the transposes), equal Cypher query
 //! results on both the write and the read-only paths — including through an
 //! epoch [`GraphSnapshot`] — every `CALL algo.*` procedure answering as the
 //! `baseline` crate's matrix-free algorithms do over the live edges (each
@@ -28,6 +29,7 @@
 //! accumulating them.
 
 use baseline::AdjacencyListGraph;
+use graphblas::prelude::transpose;
 use proptest::prelude::*;
 use redisgraph_core::{Graph, TraverseDir, Value};
 use std::collections::BTreeMap;
@@ -243,6 +245,13 @@ fn checkpoint(delta: &Graph, eager: &Graph, shadow: &Shadow) -> Result<(), TestC
             let d = delta.relation_matrix(id).expect("exists").to_triples();
             let e = eager.relation_matrix(id).expect("exists").to_triples();
             prop_assert_eq!(d, e, "relation matrix {} diverged", rel);
+            // Each stored transpose holds the relation's pattern transposed:
+            // read through it, every cell's multiplicity equals the forward
+            // read's, pending promotions, demotions and deletes included.
+            for g in [delta, eager] {
+                let counts = |transposed| g.relation_count_matrix(id, transposed).expect("exists");
+                prop_assert_eq!(counts(true), transpose(&counts(false)), "{} transpose", rel);
+            }
             // The relation transposes, through the public read surface.
             for &v in &shadow.nodes {
                 prop_assert_eq!(
