@@ -12,7 +12,9 @@
 //!   ascending edge-id list in a DataBlock arena (RedisGraph 2.x's
 //!   multi-edge cells). The transpose holds the pattern alone: a backward
 //!   step that binds an edge finds each in-neighbour in the transpose's row
-//!   and reads the cell from the neighbour's forward row;
+//!   and reads the cell from the neighbour's forward row. A backward count
+//!   reads that cell only for a pair whose cell holds a list: each relation
+//!   keeps the pattern of its tagged cells, transposed, beside it;
 //! * one **label matrix per label**, a pattern with a diagonal entry for
 //!   every node carrying that label;
 //! * node entities (labels + property set) in a DataBlock whose slot index
@@ -39,8 +41,8 @@
 //! (`DELTA_MAX_PENDING_CHANGES`, which so caps each matrix's pending
 //! changes), or explicitly via [`Graph::sync_matrices`]. Rewriting a stored
 //! cell's value (a parallel-edge list taking over a cell, or giving it back)
-//! writes the relation matrix alone, buffered too, but does not count: it
-//! changes no entry's presence.
+//! is buffered too, but does not count: it changes no entry's presence. It
+//! inserts or deletes the pair in the relation's list pattern, which does.
 //!
 //! [`Graph::snapshot`] pins each matrix's copy-on-write table of leaves,
 //! and the entity blocks', into a [`GraphSnapshot`] that concurrent readers
@@ -124,7 +126,7 @@ impl MatrixPair<'_> {
 
     /// A push step's scan of the push matrix's `frontier` rows into
     /// `reached` ([`bfs_scan`]).
-    fn scan(self, frontier: &[NodeId], reached: &mut Bitmap) {
+    fn scan(self, frontier: &[NodeId], reached: &mut Reached) {
         match self {
             MatrixPair::Forward(m, _) => bfs_scan(m, frontier, reached),
             MatrixPair::Backward(t, _) => bfs_scan(t, frontier, reached),
@@ -186,7 +188,7 @@ pub struct StorageBytes {
     pub edge_slots: usize,
     /// The node entities.
     pub node_slots: usize,
-    /// The parallel-edge lists.
+    /// The parallel-edge lists, and the pattern of the cells naming them.
     pub edge_lists: usize,
 }
 
@@ -212,10 +214,11 @@ pub struct Graph {
     /// clone shares the arena by the root of its copy-on-write table, like
     /// the entity blocks.
     edge_lists: DataBlock<Vec<EdgeId>>,
-    /// How many of each relation's cells hold a list. While none does, each
-    /// pair of its transpose is one edge, and a backward count reads no
-    /// forward cell.
-    list_cells: Vec<usize>,
+    /// Each relation's tagged cells, transposed: the pattern `(dst, src)` of
+    /// every cell at `(src, dst)` that holds a list. Every other pair of the
+    /// transpose is one edge, so a backward count reads the forward cell of
+    /// these pairs alone.
+    list_pairs_t: Vec<DeltaMatrix<()>>,
     label_matrices: Vec<DeltaMatrix<()>>,
     flush_threshold: usize,
     /// Logical write version: bumped on every mutation, pinned by snapshots.
@@ -235,7 +238,7 @@ impl Graph {
             relation_matrices: Vec::new(),
             relation_matrices_t: Vec::new(),
             edge_lists: DataBlock::new(),
-            list_cells: Vec::new(),
+            list_pairs_t: Vec::new(),
             label_matrices: Vec::new(),
             flush_threshold: DEFAULT_FLUSH_THRESHOLD,
             epoch: 0,
@@ -303,7 +306,7 @@ impl Graph {
         for m in &mut self.relation_matrices {
             m.set_flush_threshold(self.flush_threshold);
         }
-        for m in &mut self.relation_matrices_t {
+        for m in self.relation_matrices_t.iter_mut().chain(&mut self.list_pairs_t) {
             m.set_flush_threshold(self.flush_threshold);
         }
         for m in &mut self.label_matrices {
@@ -327,6 +330,7 @@ impl Graph {
     pub fn pending_delta_count(&self) -> usize {
         self.relation_matrices.iter().map(DeltaMatrix::pending_count).sum::<usize>()
             + self.relation_matrices_t.iter().map(DeltaMatrix::pending_count).sum::<usize>()
+            + self.list_pairs_t.iter().map(DeltaMatrix::pending_count).sum::<usize>()
             + self.label_matrices.iter().map(DeltaMatrix::pending_count).sum::<usize>()
     }
 
@@ -336,6 +340,7 @@ impl Graph {
     pub fn delta_flush_count(&self) -> u64 {
         self.relation_matrices.iter().map(DeltaMatrix::flush_count).sum::<u64>()
             + self.relation_matrices_t.iter().map(DeltaMatrix::flush_count).sum::<u64>()
+            + self.list_pairs_t.iter().map(DeltaMatrix::flush_count).sum::<u64>()
             + self.label_matrices.iter().map(DeltaMatrix::flush_count).sum::<u64>()
     }
 
@@ -418,7 +423,7 @@ impl Graph {
         for m in &mut self.relation_matrices {
             m.resize(new_dim, new_dim).expect(grow);
         }
-        for m in &mut self.relation_matrices_t {
+        for m in self.relation_matrices_t.iter_mut().chain(&mut self.list_pairs_t) {
             m.resize(new_dim, new_dim).expect(grow);
         }
         for m in &mut self.label_matrices {
@@ -460,7 +465,7 @@ impl Graph {
         while self.relation_matrices.len() <= id {
             self.relation_matrices.push(self.new_matrix());
             self.relation_matrices_t.push(self.new_matrix());
-            self.list_cells.push(0);
+            self.list_pairs_t.push(self.new_matrix());
         }
         id
     }
@@ -553,7 +558,7 @@ impl Graph {
             Some(first) => {
                 let slot = self.edge_lists.insert(vec![first.min(id), first.max(id)]);
                 m.set_element(src, dst, LIST_TAG | slot);
-                self.list_cells[rel] += 1;
+                self.list_pairs_t[rel].set_element(dst, src, ());
             }
         }
         self.epoch += 1;
@@ -585,7 +590,7 @@ impl Graph {
             if let [survivor] = list[..] {
                 self.edge_lists.remove(cell ^ LIST_TAG);
                 self.relation_matrices[rel].set_element(src, dst, survivor);
-                self.list_cells[rel] -= 1;
+                self.list_pairs_t[rel].remove_element(dst, src).expect("in-bounds");
             }
         }
         self.epoch += 1;
@@ -623,7 +628,7 @@ impl Graph {
         for m in &mut self.relation_matrices {
             m.flush();
         }
-        for m in &mut self.relation_matrices_t {
+        for m in self.relation_matrices_t.iter_mut().chain(&mut self.list_pairs_t) {
             m.flush();
         }
         for m in &mut self.label_matrices {
@@ -764,16 +769,30 @@ impl Graph {
         node: NodeId,
         mut f: impl FnMut(NodeId, u64),
     ) {
-        if transposed && self.list_cells.get(rel) == Some(&0) {
-            // Every cell is one edge: the transpose's pattern is the count.
-            self.relation_matrices_t[rel].any_in_row(node, |nbr| {
-                f(nbr, 1);
+        let Some(m) = self.relation_matrices.get(rel) else { return };
+        let count = |cell| self.cell_edges(cell).count() as u64;
+        if !transposed {
+            m.any_entry_in_row(node, |nbr, cell| {
+                f(nbr, count(cell));
                 false
             });
             return;
         }
-        self.row_cells(rel, transposed, node, |nbr, cell| {
-            f(nbr, self.cell_edges(cell).count() as u64)
+        // The row's pairs whose cell holds a list, ascending (most rows have
+        // none, and then this allocates nothing); every other pair of the
+        // transpose's row is one edge.
+        let mut lists = Vec::new();
+        self.list_pairs_t[rel].any_run(node, |cols, _| {
+            lists.extend_from_slice(cols);
+            false
+        });
+        self.relation_matrices_t[rel].any_in_row(node, |nbr| {
+            let k = match lists.binary_search(&(nbr as u32)) {
+                Ok(_) => count(m.extract_element(nbr, node).expect("a listed pair has its cell")),
+                Err(_) => 1,
+            };
+            f(nbr, k);
+            false
         });
     }
 
@@ -1029,7 +1048,8 @@ impl Graph {
             node_slots: self.nodes.block_bytes()
                 + self.nodes.iter().map(|(_, n)| node(n)).sum::<usize>(),
             edge_lists: self.edge_lists.block_bytes()
-                + self.edge_lists.iter().map(|(_, l)| list(l)).sum::<usize>(),
+                + self.edge_lists.iter().map(|(_, l)| list(l)).sum::<usize>()
+                + csr(&self.list_pairs_t),
         }
     }
 
@@ -1093,8 +1113,8 @@ fn bitmap_bfs(
     // a `*0..n` pattern matches the start node), dropped from the result.
     let mut early = if min_hops == 0 { Vec::new() } else { vec![source] };
     let (mut frontier, mut next) = (vec![source], Vec::new());
-    // All-zero between hops: a push's `reached`, a pull's frontier.
-    let mut bits = Bitmap::new(dim);
+    // Empty between hops: a push's reached set, a pull's frontier.
+    let (mut reached, mut bits) = (Reached::new(dim), Bitmap::new(dim));
     let mut pulling = false;
     for hop in 1..=max_hops {
         if frontier.is_empty() || pairs.is_empty() {
@@ -1114,9 +1134,9 @@ fn bitmap_bfs(
             bits.clear();
         } else {
             for p in pairs {
-                p.scan(&frontier, &mut bits);
+                p.scan(&frontier, &mut reached);
             }
-            bfs_push(&mut bits, &mut visited, &mut next);
+            bfs_push(&mut reached, &mut visited, &mut next);
         }
         on_hop(hop, &next);
         if hop < min_hops {
@@ -1615,8 +1635,13 @@ mod tests {
             edge_lists: 0,
         };
         assert_eq!(g.storage_bytes(), expect);
+        // A second edge in a cell: a block of lists, its two ids, and the
+        // list pattern's one leaf, the pair pending and then folded.
         g.add_edge(0, 1, "LINK", vec![]).unwrap();
-        assert_eq!(g.storage_bytes().edge_lists, 64 * size_of::<Option<Vec<EdgeId>>>() + 2 * 8);
+        let lists = 64 * size_of::<Option<Vec<EdgeId>>>() + 2 * 8;
+        assert_eq!(g.storage_bytes().edge_lists, lists + csr(0, 0));
+        g.sync_matrices();
+        assert_eq!(g.storage_bytes().edge_lists, lists + csr(1, 0));
     }
 
     #[test]
@@ -1703,16 +1728,69 @@ mod tests {
             assert_eq!(from_c, Some(Value::Int(4)), "folded: {folded}");
             // Demoted back to single edges, the relation holds no list, and
             // the counts come from the transpose's pattern alone.
-            assert_eq!(g.list_cells[l], 1);
+            assert_eq!(g.list_pairs_t[l].to_triples(), vec![(b, a, ())]);
             let values = edge_values(&g);
             let [x, y] = [0, 1].map(|i| values[&ids[i]].clone());
             assert!(g.delete_edge(&x) && g.delete_edge(&y));
-            assert_eq!(g.list_cells[l], 0);
+            assert_eq!(g.list_pairs_t[l].nvals(), 0);
             let mut into_b = Vec::new();
             g.relation_row_counts(l, true, b, |nbr, k| into_b.push((nbr, k)));
             assert_eq!(into_b, vec![(a, 1), (c, 1)], "folded: {folded}");
             let backward = count(&mut g, "MATCH (x)<-[:L]-(y)<-[:L]-(z) RETURN count(*)");
             assert_eq!(backward, Some(Value::Int(3)), "folded: {folded}");
+        }
+    }
+
+    /// Whether each relation's list pattern is exactly its tagged cells,
+    /// transposed.
+    fn list_pairs_are_the_tagged_cells_transposed(g: &Graph) -> bool {
+        g.relation_matrices.iter().zip(&g.list_pairs_t).all(|(m, lists)| {
+            let tagged = m.to_triples().into_iter().filter(|&(_, _, cell)| cell & LIST_TAG != 0);
+            let mut want: Vec<_> = tagged.map(|(src, dst, _)| (dst, src, ())).collect();
+            want.sort_unstable();
+            lists.to_triples() == want
+        })
+    }
+
+    #[test]
+    fn the_list_pattern_follows_promotions_demotions_and_deletes() {
+        // Random creates and deletes over five nodes and two types, so most
+        // cells are promoted to lists and demoted again; with everything
+        // pending until a sync every 40 writes, and with a leaf folding at
+        // every second change.
+        for threshold in [1_000_000, 2] {
+            let mut g = Graph::new("lists");
+            g.set_flush_threshold(threshold);
+            let nodes: Vec<_> = (0..5).map(|_| g.add_node(&["N"], vec![])).collect();
+            let (mut live, mut state) = (Vec::new(), 0x2545_f491_4f6c_dd1d_u64);
+            for step in 0..400 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let pick = |n: usize, shift: u32| (state >> shift) as usize % n;
+                if live.is_empty() || pick(3, 0) > 0 {
+                    let (src, dst) = (nodes[pick(5, 8)], nodes[pick(5, 16)]);
+                    let rel = ["L", "M"][pick(2, 24)];
+                    let id = g.add_edge(src, dst, rel, vec![]).unwrap();
+                    let rel = g.schema.rel_type_id(rel).unwrap() as u32;
+                    live.push(Value::Edge { id, src, dst, rel });
+                } else {
+                    assert!(g.delete_edge(&live.swap_remove(pick(live.len(), 32))));
+                }
+                if threshold > 2 && step % 40 == 39 {
+                    g.sync_matrices();
+                }
+                assert!(list_pairs_are_the_tagged_cells_transposed(&g), "step {step}");
+                // Every backward count equals its forward cell's.
+                for rel in 0..g.relation_type_count() {
+                    let mut forward = Vec::new();
+                    let counts = g.relation_count_matrix(rel, false).unwrap().to_triples();
+                    forward.extend(counts.into_iter().map(|(i, j, k)| (j, i, k)));
+                    forward.sort_unstable();
+                    let backward = g.relation_count_matrix(rel, true).unwrap().to_triples();
+                    assert_eq!(backward, forward, "step {step}, relation {rel}");
+                }
+            }
         }
     }
 
@@ -1735,7 +1813,7 @@ mod tests {
         assert_eq!((v, g.dim()), (n, 49_152));
         // Growth adds empty leaf slots: it copies no leaf of any matrix, and
         // the new node's label entry is one new leaf.
-        assert_eq!(unshared_leaves(&g, &snap)[3..], [0, 0, 1]);
+        assert_eq!(unshared_leaves(&g, &snap)[3..], [0, 0, 1, 0]);
         let e = g.add_edge(v, 0, "LINK", vec![]).unwrap();
         g.add_edge(n - 1, v, "LINK", vec![]).unwrap();
         assert_eq!(g.neighbors(v, None, TraverseDir::Outgoing), vec![(0, e)]);
@@ -2027,11 +2105,13 @@ mod tests {
             && matrices(&a.relation_matrices, &b.relation_matrices)
             && matrices(&a.relation_matrices_t, &b.relation_matrices_t)
             && matrices(&a.label_matrices, &b.label_matrices)
+            && matrices(&a.list_pairs_t, &b.list_pairs_t)
     }
 
     /// Per table, the leaves `g` holds that `snap` does not share by
     /// pointer: the edge blocks, the node blocks, the parallel-edge list
-    /// blocks, then every matrix's leaves (relations, transposes, labels).
+    /// blocks, then every matrix's leaves (relations, transposes, labels,
+    /// list patterns).
     fn unshared_leaves(g: &Graph, snap: &Graph) -> Vec<usize> {
         fn each<T: Scalar>(a: &[DeltaMatrix<T>], b: &[DeltaMatrix<T>]) -> Vec<usize> {
             let count = |(a, b): (&DeltaMatrix<T>, &DeltaMatrix<T>)| {
@@ -2050,6 +2130,7 @@ mod tests {
         out.extend(each(&g.relation_matrices, &snap.relation_matrices));
         out.extend(each(&g.relation_matrices_t, &snap.relation_matrices_t));
         out.extend(each(&g.label_matrices, &snap.label_matrices));
+        out.extend(each(&g.list_pairs_t, &snap.list_pairs_t));
         out
     }
 
@@ -2090,7 +2171,7 @@ mod tests {
         assert!(unshared_leaves(&g, &snap).iter().all(|&c| c == 0));
         // A third edge in a cell copies one list block and no matrix chunk.
         let e = g.add_edge(0, 1, "LINK", vec![]).unwrap();
-        assert_eq!(unshared_leaves(&g, &snap), vec![1, 0, 1, 0, 0, 0]);
+        assert_eq!(unshared_leaves(&g, &snap), vec![1, 0, 1, 0, 0, 0, 0]);
         assert_eq!(g.edges_between(0, 0, 1).collect::<Vec<_>>(), vec![0, n, e]);
         assert_eq!(snap.edges_between(0, 0, 1).collect::<Vec<_>>(), vec![0, n]);
     }
@@ -2118,7 +2199,7 @@ mod tests {
         // else: the node blocks, the label matrix, the schema and the free
         // lists stay shared whole.
         let e = g.add_edge(100, 3000, "LINK", vec![]).unwrap();
-        assert_eq!(unshared_leaves(&g, &snap), vec![1, 0, 0, 1, 1, 0]);
+        assert_eq!(unshared_leaves(&g, &snap), vec![1, 0, 0, 1, 1, 0, 0]);
         assert!(g.nodes.shared_parts().0.ptr_eq(snap.nodes.shared_parts().0));
         assert!(g.label_matrices[0].table().ptr_eq(snap.label_matrices[0].table()));
         assert!(Arc::ptr_eq(&g.schema, &snap.schema));
@@ -2131,7 +2212,7 @@ mod tests {
         // it also pushes the freed id onto a copy of the free list.
         let snap = g.snapshot();
         assert!(g.delete_edge(&Value::Edge { id: 7, src: 7, dst: 8, rel: 0 }));
-        assert_eq!(unshared_leaves(&g, &snap), vec![1, 0, 0, 1, 1, 0]);
+        assert_eq!(unshared_leaves(&g, &snap), vec![1, 0, 0, 1, 1, 0, 0]);
         assert!(!Arc::ptr_eq(g.edges.shared_parts().1, snap.edges.shared_parts().1));
         assert!(snap.edge_attributes(7).is_some());
         let survivors = vec![(9, n + 7), (10, 2 * n + 7)];

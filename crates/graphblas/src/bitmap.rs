@@ -20,8 +20,8 @@
 //! whatever its value type: a relation matrix holding edge ids and its
 //! stored transpose holding none. Both apply the mask a word of 64 vertices
 //! at a time and emit `next` ascending: a push ORs every scanned edge of
-//! each matrix, through its own generic scan, into a bitmap of reached
-//! vertices, with no test or branch per edge, and then takes
+//! each matrix, through its own generic scan, into a [`Reached`] set, with
+//! no test or branch per edge, and then takes
 //! `reached ∧ ¬visited` word by word; a pull tests only the unvisited rows
 //! of each word. Neither allocates.
 //!
@@ -170,35 +170,49 @@ pub fn union_row<R: RowSource>(sources: &[&R], row: Index, buf: &mut Vec<u32>) {
     }
 }
 
+/// The vertices one push level's [`bfs_scan`]s reach: one bit per vertex
+/// and no count, so a scan sets a bit per edge with no test or branch.
+/// [`bfs_push`] moves its new vertices into the visited [`Bitmap`] and
+/// empties it, so one serves every level.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Reached {
+    size: Index,
+    words: Vec<u64>,
+}
+
+impl Reached {
+    /// An empty set over positions `0..size`.
+    pub fn new(size: Index) -> Self {
+        Reached { size, words: vec![0; size.div_ceil(64) as usize] }
+    }
+}
+
 /// The scan of one push (top-down) BFS level over one source `a`: the
 /// columns of `a`'s `frontier` rows are ORed into `reached`, one bit per
 /// scanned edge and no test. A level over the union of several sources
 /// (`next⟨¬visited⟩ = frontier any.pair (A₁ ∨ A₂ ∨ …)`), of any value
 /// types, scans each of them into one `reached` and then takes one
-/// [`bfs_push`]. `reached`'s count is not kept until `bfs_push` empties it.
-/// Only the pattern of `a` is read.
+/// [`bfs_push`]. Only the pattern of `a` is read.
 ///
 /// # Panics
 /// Panics if `reached` and `a`'s columns differ in size, or if a frontier
 /// vertex is not a row of `a`.
-pub fn bfs_scan(a: &impl RowSource, frontier: &[Index], reached: &mut Bitmap) {
-    assert_eq!(reached.size(), a.ncols(), "bfs_scan dimension mismatch: reached != a.ncols");
+pub fn bfs_scan(a: &impl RowSource, frontier: &[Index], reached: &mut Reached) {
+    assert_eq!(reached.size, a.ncols(), "bfs_scan dimension mismatch: reached != a.ncols");
     a.each_in_rows(frontier, |j| reached.words[(j / 64) as usize] |= 1 << (j % 64));
 }
 
 /// The word pass that ends a push level after its [`bfs_scan`]s: one pass
 /// over the words moves `reached ∧ ¬visited` into `visited` and appends it
 /// to `next`, so `next` comes out ascending and each vertex once, however
-/// many edges reach it. `reached` is all-zero again on return: a caller
-/// keeps one for every level.
+/// many edges reach it. `reached` is empty again on return.
 ///
 /// # Panics
 /// Panics if `visited` and `reached` differ in size.
-pub fn bfs_push(reached: &mut Bitmap, visited: &mut Bitmap, next: &mut Vec<Index>) {
-    assert_eq!(visited.size(), reached.size(), "bfs_push dimension mismatch: visited != reached");
+pub fn bfs_push(reached: &mut Reached, visited: &mut Bitmap, next: &mut Vec<Index>) {
+    assert_eq!(visited.size(), reached.size, "bfs_push dimension mismatch: visited != reached");
     // Each fresh vertex is emitted once, so `next` grows by the count.
     let emitted = next.len();
-    reached.nvals = 0;
     for (w, (reached, seen)) in reached.words.iter_mut().zip(&mut visited.words).enumerate() {
         let fresh = std::mem::take(reached) & !*seen;
         *seen |= fresh;
@@ -275,10 +289,10 @@ mod tests {
     /// One push step from `visited`: `next`, after checking that the step
     /// handed `reached` back empty.
     fn push(a: &[&impl RowSource], frontier: &[Index], visited: &mut Bitmap) -> Vec<Index> {
-        let (mut reached, mut next) = (Bitmap::new(visited.size()), Vec::new());
+        let (mut reached, mut next) = (Reached::new(visited.size()), Vec::new());
         a.iter().for_each(|a| bfs_scan(*a, frontier, &mut reached));
         bfs_push(&mut reached, visited, &mut next);
-        assert_eq!(reached, Bitmap::new(visited.size()), "`reached` comes back all-zero");
+        assert_eq!(reached, Reached::new(visited.size()), "`reached` comes back empty");
         next
     }
 

@@ -35,7 +35,7 @@
 //!
 //! // One BFS step from vertex 0, reading the rows in place:
 //! // next⟨¬visited⟩ = frontier any.pair A.
-//! let (mut visited, mut reached, mut next) = (Bitmap::new(4), Bitmap::new(4), Vec::new());
+//! let (mut visited, mut reached, mut next) = (Bitmap::new(4), Reached::new(4), Vec::new());
 //! visited.insert(0);
 //! bfs_scan(&a, &[0], &mut reached);
 //! bfs_push(&mut reached, &mut visited, &mut next);
@@ -69,7 +69,7 @@ pub mod types;
 pub mod vector;
 
 pub use binary_op::BinaryOp;
-pub use bitmap::{bfs_pull, bfs_push, bfs_scan, union_row, Bitmap, RowSource};
+pub use bitmap::{bfs_pull, bfs_push, bfs_scan, union_row, Bitmap, Reached, RowSource};
 pub use chunk_table::ChunkTable;
 pub use delta::{DeltaMatrix, DEFAULT_FLUSH_THRESHOLD, MAX_DIM};
 pub use descriptor::Descriptor;
@@ -87,7 +87,7 @@ pub use vector::SparseVector;
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
     pub use crate::binary_op::BinaryOp;
-    pub use crate::bitmap::{bfs_pull, bfs_push, bfs_scan, union_row, Bitmap, RowSource};
+    pub use crate::bitmap::{bfs_pull, bfs_push, bfs_scan, union_row, Bitmap, Reached, RowSource};
     pub use crate::chunk_table::ChunkTable;
     pub use crate::delta::{DeltaMatrix, DEFAULT_FLUSH_THRESHOLD, MAX_DIM};
     pub use crate::descriptor::Descriptor;

@@ -237,15 +237,15 @@ proptest! {
         let want_visited = ewise_add_vector(&visited, &want_next, &BinaryOp::LOr);
 
         let mut bits = bitmap_of(&visited);
-        let (mut reached, mut next) = (Bitmap::new(n), Vec::new());
+        let (mut reached, mut next) = (Reached::new(n), Vec::new());
         bfs_scan(&stored(&a), frontier.indices(), &mut reached);
         bfs_push(&mut reached, &mut bits, &mut next);
         prop_assert_eq!(next.as_slice(), want_next.indices(), "push output is ascending");
-        prop_assert_eq!(&reached, &Bitmap::new(n), "`reached` comes back all-zero");
+        prop_assert_eq!(&reached, &Reached::new(n), "`reached` comes back empty");
         prop_assert_eq!(vector_of(&bits), want_visited);
 
         // Edge-id-valued matrices with the same pattern take the same step,
-        // reusing the `reached` bitmap the first step handed back.
+        // reusing the `reached` set the first step handed back.
         let ids = pattern_matrix(n, &edges, |k| k as u64);
         let mut id_bits = bitmap_of(&visited);
         let mut id_next = Vec::new();
@@ -253,7 +253,7 @@ proptest! {
         bfs_push(&mut reached, &mut id_bits, &mut id_next);
         prop_assert_eq!(&id_next, &next);
         prop_assert_eq!(&id_bits, &bits);
-        prop_assert_eq!(&reached, &Bitmap::new(n));
+        prop_assert_eq!(&reached, &Reached::new(n));
     }
 
     #[test]
@@ -276,12 +276,12 @@ proptest! {
             vxm(&frontier, &union, &Semiring::lor_land(), Some(&VectorMask::new(&visited)), &desc);
 
         let mut bits = bitmap_of(&visited);
-        let (mut reached, mut next) = (Bitmap::new(n), Vec::new());
+        let (mut reached, mut next) = (Reached::new(n), Vec::new());
         bfs_scan(&stored(&a), frontier.indices(), &mut reached);
         bfs_scan(&stored(&b), frontier.indices(), &mut reached);
         bfs_push(&mut reached, &mut bits, &mut next);
         prop_assert_eq!(next.as_slice(), want_next.indices(), "one ascending union");
-        prop_assert_eq!(&reached, &Bitmap::new(n));
+        prop_assert_eq!(&reached, &Reached::new(n));
         prop_assert_eq!(vector_of(&bits), ewise_add_vector(&visited, &want_next, &BinaryOp::LOr));
     }
 
@@ -310,7 +310,7 @@ proptest! {
 
         // Pull over Aᵀ and push over A are the same level.
         let mut push_bits = bitmap_of(&visited);
-        let (mut reached, mut push_next) = (Bitmap::new(n), Vec::new());
+        let (mut reached, mut push_next) = (Reached::new(n), Vec::new());
         bfs_scan(&stored(&a), frontier.indices(), &mut reached);
         bfs_push(&mut reached, &mut push_bits, &mut push_next);
         prop_assert_eq!(push_next, next);

@@ -15,16 +15,16 @@
 //! edges still unexplored (what the rule reads), the median µs of `bfs_push`
 //! and of `bfs_pull` over five runs from the same visited set, and the
 //! chosen kernel's time over the cheaper one's. Both kernels run as
-//! `bitmap_bfs` runs them, on one all-zero bitmap that the push takes as
-//! `reached` and the pull fills with the frontier and clears. Both must
-//! find the same vertices, ascending.
+//! `bitmap_bfs` runs them: the push scans into one `Reached` set, which it
+//! empties, and the pull fills one all-zero bitmap with the frontier and
+//! clears it. Both must find the same vertices, ascending.
 //!
 //! ```text
 //! cargo run --release --example khop_hops          # scale 15
 //! cargo run --release --example khop_hops -- 17
 //! ```
 
-use graphblas::{bfs_pull, bfs_push, bfs_scan, Bitmap, DeltaMatrix};
+use graphblas::{bfs_pull, bfs_push, bfs_scan, Bitmap, DeltaMatrix, Reached};
 use redisgraph_core::store::graph::beamer_pulls;
 use std::time::Instant;
 
@@ -104,7 +104,7 @@ fn main() {
         "pull_us",
         "chosen"
     );
-    let mut bits = Bitmap::new(n);
+    let (mut reached, mut bits) = (Reached::new(n), Bitmap::new(n));
     for (band, low, high, count) in BANDS {
         let len = ranked.len() as f64;
         let (low, high) = ((low * len) as usize, (high * len) as usize);
@@ -120,8 +120,8 @@ fn main() {
                 let edges = a.degree_sum(&frontier);
                 pulled = beamer_pulls(pulled, frontier.len() as u64, edges, unexplored, n);
                 let (push_us, pushed) = time(&visited, |v, next| {
-                    bfs_scan(&a, &frontier, &mut bits);
-                    bfs_push(&mut bits, v, next);
+                    bfs_scan(&a, &frontier, &mut reached);
+                    bfs_push(&mut reached, v, next);
                 });
                 let (pull_us, pulled_set) = time(&visited, |v, next| {
                     frontier.iter().for_each(|&u| _ = bits.insert(u));
