@@ -2,7 +2,7 @@
 //!
 //! LAGraph-style whole-graph algorithms over the stored matrices themselves —
 //! the "analytics on the same matrix substrate" half of the paper's story.
-//! Each reads its relations in place through [`graphblas::RowSource`], as
+//! Each reads its relations' [`graphblas::DeltaMatrix`] rows in place, as
 //! the query engine's traversals do, with plain row loops over dense
 //! per-vertex arrays:
 //!
@@ -13,10 +13,11 @@
 //! | [`wcc`] | each relation's whole-matrix walk, once | union-find |
 //! | [`triangle_count`] | each relation's whole-matrix walk, counted into sorted, loop-free lower rows | `L ⊙ L·Lᵀ` as sorted-row intersections |
 //!
-//! Each takes its relations as `&[&R]`: a pair stored in several is one edge
-//! of their union. `algo.bfs` is the query engine's own bitmap BFS recording
-//! levels, so this crate depends only on `graphblas`; `redisgraph-core`
-//! exposes these functions to Cypher as `CALL algo.*` procedures.
+//! Each takes its relations as `&[&DeltaMatrix<T>]`: a pair stored in
+//! several is one edge of their union. `algo.bfs` is the query engine's own
+//! bitmap BFS recording levels, so this crate depends only on `graphblas`;
+//! `redisgraph-core` exposes these functions to Cypher as `CALL algo.*`
+//! procedures.
 //!
 //! ```
 //! use graphblas::DeltaMatrix;
@@ -43,11 +44,11 @@ pub use sssp::sssp;
 pub use triangles::triangle_count;
 pub use wcc::wcc;
 
-use graphblas::{Index, RowSource};
+use graphblas::{DeltaMatrix, Index, Scalar};
 
 /// Length of the dense per-vertex arrays: every row of the sources and
 /// every vertex in `vertices`.
-fn dim<R: RowSource>(sources: &[&R], vertices: &[Index]) -> usize {
+fn dim<T: Scalar>(sources: &[&DeltaMatrix<T>], vertices: &[Index]) -> usize {
     let rows = sources.iter().map(|s| s.nrows());
     rows.chain(vertices.iter().map(|&v| v + 1)).max().unwrap_or(0) as usize
 }

@@ -3,7 +3,7 @@
 //! transposes, plus the teleport and dangling correction.
 
 use crate::dim;
-use graphblas::{union_row, Index, RowSource};
+use graphblas::{union_row, DeltaMatrix, Index, Scalar};
 
 /// Tuning knobs for [`pagerank`].
 #[derive(Debug, Clone, Copy)]
@@ -44,8 +44,8 @@ pub struct PageRankResult {
 ///
 /// # Panics
 /// Panics if a stored column lies beyond the dense arrays.
-pub fn pagerank<R: RowSource>(
-    in_rows: &[&R],
+pub fn pagerank<T: Scalar>(
+    in_rows: &[&DeltaMatrix<T>],
     nodes: &[Index],
     config: &PageRankConfig,
 ) -> PageRankResult {

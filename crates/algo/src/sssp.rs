@@ -3,7 +3,7 @@
 //! relaxing stored rows in place.
 
 use crate::dim;
-use graphblas::{Bitmap, Index, RowSource};
+use graphblas::{Bitmap, DeltaMatrix, Index, Scalar};
 
 /// Shortest-path distances from `source` over the union of `sources`, where
 /// `weight` maps a stored value to the cost of its cell and the cheapest cell
@@ -19,9 +19,9 @@ use graphblas::{Bitmap, Index, RowSource};
 ///
 /// # Panics
 /// Panics if a stored column lies beyond the sources' rows.
-pub fn sssp<R: RowSource>(
-    sources: &[&R],
-    weight: impl Fn(R::Value) -> f64,
+pub fn sssp<T: Scalar>(
+    sources: &[&DeltaMatrix<T>],
+    weight: impl Fn(T) -> f64,
     source: Index,
 ) -> Vec<(Index, f64)> {
     let min = |x: f64, y: f64| if x < y { x } else { y };

@@ -7,13 +7,13 @@
 //! counting sort from one direction of each relation, and row `L[i]` is
 //! marked in a bitmap while each `L[j]` is intersected with it.
 
-use graphblas::{Bitmap, DeltaMatrix, Index, RowSource};
+use graphblas::{Bitmap, DeltaMatrix, Index, Scalar};
 
 /// Number of undirected triangles in the union of `sources`, counting each
 /// triangle once. Each stored pair `(u, v)` is the edge `{u, v}`: edge
 /// direction, a pair stored in several sources or in both directions, and
 /// self-loops are all ignored, as in LAGraph's `LAGr_TriangleCount`.
-pub fn triangle_count<R: RowSource>(sources: &[&R]) -> u64 {
+pub fn triangle_count<T: Scalar>(sources: &[&DeltaMatrix<T>]) -> u64 {
     // L: each vertex's neighbours below it, ascending and each once.
     let n = sources.iter().map(|s| s.nrows().max(s.ncols())).max().unwrap_or(0);
     let edges = |f: &mut dyn FnMut(Index, Index)| {

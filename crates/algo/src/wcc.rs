@@ -3,7 +3,7 @@
 //! endpoints' trees.
 
 use crate::dim;
-use graphblas::{Index, RowSource};
+use graphblas::{DeltaMatrix, Index, Scalar};
 
 /// Component labels for the vertex set `nodes` of the union of `sources`,
 /// ignoring edge direction. Each vertex is labelled with the smallest vertex
@@ -20,7 +20,7 @@ use graphblas::{Index, RowSource};
 /// # Panics
 /// Panics if a stored column, or a vertex of `nodes`, lies beyond the
 /// dense arrays or past `u32::MAX`.
-pub fn wcc<R: RowSource>(sources: &[&R], nodes: &[Index]) -> Vec<(Index, Index)> {
+pub fn wcc<T: Scalar>(sources: &[&DeltaMatrix<T>], nodes: &[Index]) -> Vec<(Index, Index)> {
     let dim = u32::try_from(dim(sources, nodes)).expect("vertex ids a u32 holds");
     let mut parent: Vec<u32> = (0..dim).collect();
     for s in sources {

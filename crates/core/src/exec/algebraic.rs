@@ -7,7 +7,7 @@
 //! intermediate records that the query never returns. This module closes
 //! that gap: [`fuse_plan`] rewrites eligible runs of single-hop `Traverse`
 //! ops (plus adjacent `LabelFilter`s) into one [`PlanOp::FusedTraverse`]
-//! holding an [`AlgebraicExpression`], and [`run_fused`] evaluates the whole
+//! holding an [`AlgebraicExpression`], and [`fused`] evaluates the whole
 //! chain as one product `F·A_R·A_S` under the **counting semiring** (⊕ = +,
 //! ⊗ = ×) so every output cell holds the exact number of distinct paths —
 //! parallel edges included, each cell weighted by its edge multiplicity.
@@ -107,10 +107,10 @@ impl AlgebraicExpression {
 
 // --------------------------------------------------------------- execution
 
-/// Evaluate a fused chain `F·A_R·L_B·A_S` and emit its records: each distinct
+/// Run a fused chain `F·A_R·L_B·A_S` and emit its records: each distinct
 /// source's count row is carried through the hops left to right under
 /// ⊕=+/⊗=×, reading every selected relation's merged row in place.
-pub fn run_fused(
+pub(crate) fn fused(
     expr: &AlgebraicExpression,
     src_slot: usize,
     dst_slot: usize,
@@ -370,7 +370,9 @@ fn try_fuse_at(seg: &mut Segment, i: usize) -> Option<usize> {
             break;
         }
         let hop = fusable_hop(&seg.ops[elem.traverse]).expect("chain element");
-        let used = seg.ops[chain_end..].iter().any(|op| op_uses(op, hop.dst_slot));
+        let used = seg.ops[chain_end..]
+            .iter()
+            .any(|op| op.slots().iter().any(|&(slot, _)| slot == hop.dst_slot));
         if used {
             last = m;
             break;
@@ -447,39 +449,6 @@ fn weightable(projection: &SlotProjection) -> bool {
         SlotItem::Scalar(_) => true,
         SlotItem::Aggregate { func, distinct, .. } => !distinct && *func != AggFunc::Collect,
     })
-}
-
-/// Does an op read or write record slot `slot`? Conservative: any mention
-/// counts as a use.
-fn op_uses(op: &PlanOp, slot: usize) -> bool {
-    match op {
-        PlanOp::AllNodeScan { slot: s, .. }
-        | PlanOp::NodeByLabelScan { slot: s, .. }
-        | PlanOp::LabelFilter { slot: s, .. }
-        | PlanOp::PropFilter { slot: s, .. } => *s == slot,
-        PlanOp::NodeByIdSeek { slot: s, id: e, .. } | PlanOp::Unwind { slot: s, list: e, .. } => {
-            *s == slot || e.reads(slot)
-        }
-        PlanOp::Filter { predicates } => predicates.iter().any(|p| p.reads(slot)),
-        PlanOp::Traverse(t) => {
-            t.src_slot == slot || t.dst_slot == slot || t.edge_slot == Some(slot)
-        }
-        PlanOp::FusedTraverse { src_slot, dst_slot, .. } => *src_slot == slot || *dst_slot == slot,
-        PlanOp::TraverseCount { traverse, projection, .. } => {
-            traverse.src_slot == slot || projection.reads(slot)
-        }
-        PlanOp::Project { projection }
-        | PlanOp::Aggregate { projection, .. }
-        | PlanOp::With { projection, .. } => projection.reads(slot),
-        PlanOp::Create { patterns } => patterns.iter().any(|p| p.slots().any(|s| s == slot)),
-        PlanOp::Delete { slots } => slots.contains(&slot),
-        PlanOp::SetProps { items } => {
-            items.iter().any(|item| item.slot == slot || item.value.reads(slot))
-        }
-        PlanOp::ProcedureCall { args, outputs, .. } => {
-            args.iter().any(|a| a.reads(slot)) || outputs.iter().any(|&(_, s)| s == slot)
-        }
-    }
 }
 
 #[cfg(test)]

@@ -172,13 +172,6 @@ impl SlotExpr {
         }
     }
 
-    /// True when the expression reads record slot `slot`.
-    pub(crate) fn reads(&self, slot: usize) -> bool {
-        let mut slots = Vec::new();
-        self.slots(&mut slots);
-        slots.contains(&slot)
-    }
-
     /// Evaluate against one record. A slot past the record's end reads
     /// `Null` (an aggregate's sort keys see no record).
     pub fn eval(&self, record: &[Value], scope: &Scope<'_>) -> Value {

@@ -12,13 +12,16 @@
 //! the "Cypher → linear algebra" translation the paper describes. The `CALL
 //! algo.*` procedures read the same rows the same way.
 //!
-//! The pipeline is *materialised*: each operation maps a
+//! Every operation has one signature: `PlanOp::run` maps the
 //! [`record::RecordBatch`] (one flat slot-major buffer of fixed-width
-//! records) to the next batch, and the last projection's batch is the result
-//! set's rows. RedisGraph proper streams records through a volcano-style
-//! iterator; materialisation keeps the reproduction simple without changing
-//! the asymptotics of the benchmark queries, and each query still executes
-//! on a single thread as the paper's architecture dictates.
+//! records) its predecessor returned to the next batch, and
+//! [`plan::ExecutionPlan::run`] is one loop that drives the operations in
+//! order; the `RETURN`'s batch is the result set's rows. That is Volcano's
+//! open/next/close a whole batch at a time: RedisGraph proper streams
+//! records through the same chain, and materialising each batch keeps the
+//! reproduction simple without changing the asymptotics of the benchmark
+//! queries. Each query executes on a single thread, as the paper's
+//! architecture dictates.
 
 pub mod aggregate;
 pub mod algebraic;

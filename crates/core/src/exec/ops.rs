@@ -1,21 +1,23 @@
 //! Execution-plan operations.
 //!
-//! Each operation maps a [`RecordBatch`] to a new batch (a filter compacts
-//! its batch in place). The operation set mirrors RedisGraph's execution
-//! plan: scans, algebraic traversals, filters, projections/aggregations and
-//! the write operations.
+//! Every operation runs through one protocol, `PlanOp::run`: it takes the
+//! [`RecordBatch`] its predecessor produced and returns the batch it
+//! produces (a filter compacts the batch it is given). The operation set
+//! mirrors RedisGraph's execution plan: scans, algebraic traversals,
+//! filters, projections/aggregations and the write operations.
 //!
 //! The plan builder ([`crate::exec::plan`]) creates each op already compiled
 //! against its segment, and an op holds nothing of the query's AST: record
 //! slots, [`SlotExpr`]s and [`SlotProjection`]s, name-table indexes for
 //! property keys, labels and relationship types, a procedure's registry
-//! entry, and the variable names `EXPLAIN` prints. No run function sees a
-//! name: the plan's [`NameTable`] is resolved once per execution.
+//! entry, and the variable names `EXPLAIN` prints. No op sees a name: the
+//! plan's [`NameTable`] is resolved once per execution.
 
 use crate::error::QueryError;
 use crate::exec::aggregate::{Accumulator, AggFunc};
-use crate::exec::algebraic::AlgebraicExpression;
+use crate::exec::algebraic::{fused, AlgebraicExpression};
 use crate::exec::expr::{property, NameIds, NameTable, Scope, SlotExpr};
+use crate::exec::plan::GraphAccess;
 use crate::exec::procedures::Procedure;
 use crate::exec::record::RecordBatch;
 use crate::exec::resultset::QueryStats;
@@ -129,6 +131,8 @@ pub enum PlanOp {
         projection: SlotProjection,
         /// The next segment's slot for each output column.
         next_slots: Vec<usize>,
+        /// The next segment's record width, set once the plan is optimized.
+        next_width: usize,
     },
     /// Create the given patterns once per incoming record.
     Create {
@@ -250,16 +254,18 @@ impl SlotProjection {
         self.items.iter().any(|item| matches!(item, SlotItem::Aggregate { .. }))
     }
 
-    /// True when an item or a sort key reads record slot `slot`.
-    pub(crate) fn reads(&self, slot: usize) -> bool {
-        let item_reads = |item: &SlotItem| match item {
-            SlotItem::Scalar(expr) | SlotItem::Aggregate { arg: Some(expr), .. } => {
-                expr.reads(slot)
+    /// Append every record slot an item or a sort key reads to `out`.
+    fn slots(&self, out: &mut Vec<usize>) {
+        for item in &self.items {
+            if let SlotItem::Scalar(expr) | SlotItem::Aggregate { arg: Some(expr), .. } = item {
+                expr.slots(out);
             }
-            SlotItem::Aggregate { arg: None, .. } => false,
-        };
-        self.items.iter().any(item_reads)
-            || self.order.iter().any(|(key, _)| matches!(key, SortKey::Expr(e) if e.reads(slot)))
+        }
+        for (key, _) in &self.order {
+            if let SortKey::Expr(expr) = key {
+                expr.slots(out);
+            }
+        }
     }
 
     /// Append the sort keys of output `row`, projected from `record`, to
@@ -329,6 +335,13 @@ pub enum ReachCount {
     Distinct,
 }
 
+/// Whether an operator reads a record slot or binds it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SlotUse {
+    Read,
+    Bound,
+}
+
 impl PlanOp {
     /// One-line description used by `GRAPH.EXPLAIN`; `names` is the plan's
     /// name table.
@@ -390,6 +403,184 @@ impl PlanOp {
             }
         }
     }
+
+    /// Every record slot of its segment the operator touches, with whether
+    /// it reads or binds it. A `CREATE` binds all its named slots (a node
+    /// already bound is reused), a `WITH`'s outputs are the next segment's.
+    pub(crate) fn slots(&self) -> Vec<(usize, SlotUse)> {
+        let (mut read, mut bound) = (Vec::new(), Vec::new());
+        match self {
+            PlanOp::AllNodeScan { slot, .. } | PlanOp::NodeByLabelScan { slot, .. } => {
+                bound.push(*slot)
+            }
+            PlanOp::NodeByIdSeek { slot, id: expr, .. }
+            | PlanOp::Unwind { slot, list: expr, .. } => {
+                bound.push(*slot);
+                expr.slots(&mut read);
+            }
+            PlanOp::Filter { predicates } => predicates.iter().for_each(|p| p.slots(&mut read)),
+            PlanOp::LabelFilter { slot, .. } | PlanOp::PropFilter { slot, .. } => read.push(*slot),
+            PlanOp::Traverse(t) => {
+                read.push(t.src_slot);
+                if t.expand_into { &mut read } else { &mut bound }.push(t.dst_slot);
+                bound.extend(t.edge_slot);
+            }
+            PlanOp::FusedTraverse { src_slot, dst_slot, weight_slot, .. } => {
+                read.push(*src_slot);
+                bound.extend([*dst_slot].into_iter().chain(*weight_slot));
+            }
+            PlanOp::TraverseCount { traverse, projection, .. } => {
+                read.push(traverse.src_slot);
+                projection.slots(&mut read);
+            }
+            PlanOp::Project { projection } | PlanOp::With { projection, .. } => {
+                projection.slots(&mut read)
+            }
+            PlanOp::Aggregate { projection, weight_slot } => {
+                projection.slots(&mut read);
+                read.extend(*weight_slot);
+            }
+            PlanOp::Create { patterns } => {
+                bound.extend(patterns.iter().flat_map(CreatePattern::slots))
+            }
+            PlanOp::Delete { slots } => read.extend(slots),
+            PlanOp::SetProps { items } => items.iter().for_each(|item| {
+                read.push(item.slot);
+                item.value.slots(&mut read);
+            }),
+            PlanOp::ProcedureCall { args, outputs, .. } => {
+                args.iter().for_each(|arg| arg.slots(&mut read));
+                bound.extend(outputs.iter().map(|&(_, slot)| slot));
+            }
+        }
+        let read = read.into_iter().map(|slot| (slot, SlotUse::Read));
+        read.chain(bound.into_iter().map(|slot| (slot, SlotUse::Bound))).collect()
+    }
+
+    /// Run the operator over `records`, the batch its predecessor produced,
+    /// and return the batch it produces: the one operator protocol. Scans,
+    /// seeks, traversals, `UNWIND` and `CALL` extend each record; filters
+    /// compact the batch they are given; `RETURN` and `WITH` map records to
+    /// rows; the writes apply themselves once per record and pass the batch
+    /// on.
+    pub(crate) fn run(
+        &self,
+        mut records: RecordBatch,
+        cx: &mut Exec<'_>,
+    ) -> Result<RecordBatch, QueryError> {
+        let scope = &cx.scope();
+        let graph = scope.graph;
+        Ok(match self {
+            PlanOp::AllNodeScan { slot, .. } | PlanOp::NodeByLabelScan { slot, .. } => {
+                // A label the graph does not have labels no node.
+                let nodes = match self {
+                    PlanOp::NodeByLabelScan { label, .. } => scope.names.labels[*label]
+                        .map_or_else(Vec::new, |l| graph.nodes_with_label(l)),
+                    _ => graph.all_node_ids(),
+                };
+                let mut out = RecordBatch::new(records.width());
+                for record in &records {
+                    for &n in &nodes {
+                        out.push_copy(record)[*slot] = Value::Node(n);
+                    }
+                }
+                out
+            }
+            // Bind the node whose id equals `id` by the equality of `id(n) =
+            // value` (`3.0` finds node 3; `3.5`, `'3'`, `null`, a negative id
+            // or one with no node find nothing): no filter checks it again.
+            PlanOp::NodeByIdSeek { slot, id, .. } => {
+                let mut out = RecordBatch::new(records.width());
+                for record in &records {
+                    let value = id.eval(record, scope);
+                    let Some(n) =
+                        value.as_i64().filter(|&n| Value::Int(n).cypher_eq(&value) == Some(true))
+                    else {
+                        continue;
+                    };
+                    if n >= 0 && graph.node(n as NodeId).is_some() {
+                        out.push_copy(record)[*slot] = Value::Node(n as NodeId);
+                    }
+                }
+                out
+            }
+            PlanOp::Filter { predicates } => {
+                records
+                    .retain(|record| predicates.iter().all(|p| p.eval(record, scope).is_truthy()));
+                records
+            }
+            // A label the graph does not have matches no node.
+            PlanOp::LabelFilter { slot, label } => {
+                let label = scope.names.labels[*label];
+                records.retain(|record| match (record.get(*slot), label) {
+                    (Some(Value::Node(id)), Some(label)) => {
+                        graph.node(*id).is_some_and(|n| n.has_label(label))
+                    }
+                    _ => false,
+                });
+                records
+            }
+            PlanOp::PropFilter { slot, key, value } => {
+                let key = scope.names.keys[*key];
+                records.retain(|record| match record.get(*slot) {
+                    Some(entity) => property(graph, entity, key).cypher_eq(value) == Some(true),
+                    None => false,
+                });
+                records
+            }
+            PlanOp::Traverse(t) => traverse(t, &records, scope),
+            PlanOp::TraverseCount { traverse, counts, projection } => {
+                traverse_count(traverse, counts, projection, &records, scope)
+            }
+            PlanOp::FusedTraverse { src_slot, dst_slot, expr, weight_slot } => {
+                fused(expr, *src_slot, *dst_slot, *weight_slot, &records, scope)
+            }
+            PlanOp::Project { projection } => project(projection, &records, scope),
+            PlanOp::Aggregate { projection, weight_slot } => {
+                aggregate(projection, *weight_slot, &records, scope)
+            }
+            PlanOp::With { projection, next_slots, next_width } => {
+                with(projection, next_slots, *next_width, &records, scope)
+            }
+            PlanOp::Unwind { list, slot, .. } => {
+                let mut out = RecordBatch::new(records.width());
+                for record in &records {
+                    let items = match list.eval(record, scope) {
+                        Value::List(items) => items,
+                        Value::Null => continue,
+                        single => vec![single],
+                    };
+                    for item in items {
+                        out.push_copy(record)[*slot] = item;
+                    }
+                }
+                out
+            }
+            PlanOp::ProcedureCall { procedure, args, constant_args, outputs } => {
+                procedure_call(procedure, args, *constant_args, outputs, &records, scope)?
+            }
+            PlanOp::Create { patterns } => create(patterns, records, cx)?,
+            PlanOp::Delete { slots } => delete(slots, records, cx)?,
+            PlanOp::SetProps { items } => set(items, records, cx)?,
+        })
+    }
+}
+
+/// What the operators of one execution run against besides their records:
+/// the graph, the bound parameter values, the plan's names resolved against
+/// the graph, and the statistics the writes count.
+pub(crate) struct Exec<'a> {
+    pub(crate) access: GraphAccess<'a>,
+    pub(crate) params: &'a [Value],
+    pub(crate) names: NameIds<'a>,
+    pub(crate) stats: QueryStats,
+}
+
+impl Exec<'_> {
+    /// What an expression reads besides its record.
+    fn scope(&self) -> Scope<'_> {
+        Scope { graph: self.access.graph(), params: self.params, names: &self.names }
+    }
 }
 
 fn to_traverse_dir(d: Direction) -> TraverseDir {
@@ -400,88 +591,7 @@ fn to_traverse_dir(d: Direction) -> TraverseDir {
     }
 }
 
-/// Execute a node scan: every input record times every node, or every node
-/// carrying `label` (a label the graph does not have labels no node).
-pub fn run_scan(
-    slot: usize,
-    label: Option<usize>,
-    records: &RecordBatch,
-    scope: &Scope<'_>,
-) -> RecordBatch {
-    let graph = scope.graph;
-    let nodes = match label {
-        None => graph.all_node_ids(),
-        Some(label) => {
-            scope.names.labels[label].map_or_else(Vec::new, |l| graph.nodes_with_label(l))
-        }
-    };
-    let mut out = RecordBatch::new(records.width());
-    for record in records {
-        for &n in &nodes {
-            out.push_copy(record)[slot] = Value::Node(n);
-        }
-    }
-    out
-}
-
-/// Execute a `Node By Id Seek`: bind the node whose id equals the record's
-/// `id` value, by the same equality as `id(n) = value` (`3.0` finds node 3;
-/// `3.5`, `'3'`, `null`, a negative id or one with no node find nothing).
-/// The seek answers its conjunct alone: no filter checks it again.
-pub fn run_seek(
-    slot: usize,
-    id: &SlotExpr,
-    records: &RecordBatch,
-    scope: &Scope<'_>,
-) -> RecordBatch {
-    let mut out = RecordBatch::new(records.width());
-    for record in records {
-        let value = id.eval(record, scope);
-        let Some(n) = value.as_i64().filter(|&n| Value::Int(n).cypher_eq(&value) == Some(true))
-        else {
-            continue;
-        };
-        if n >= 0 && scope.graph.node(n as NodeId).is_some() {
-            out.push_copy(record)[slot] = Value::Node(n as NodeId);
-        }
-    }
-    out
-}
-
-/// Execute a `Filter`: keep the records every predicate holds for.
-pub fn run_filter(predicates: &[SlotExpr], records: &mut RecordBatch, scope: &Scope<'_>) {
-    records.retain(|record| predicates.iter().all(|p| p.eval(record, scope).is_truthy()));
-}
-
-/// Execute a `Label Filter`: keep the records whose `slot` node carries
-/// `label` (a label the graph does not have matches no node).
-pub fn run_label_filter(slot: usize, label: usize, records: &mut RecordBatch, scope: &Scope<'_>) {
-    let label = scope.names.labels[label];
-    records.retain(|record| match (record.get(slot), label) {
-        (Some(Value::Node(id)), Some(label)) => {
-            scope.graph.node(*id).is_some_and(|n| n.has_label(label))
-        }
-        _ => false,
-    });
-}
-
-/// Execute a `Property Filter`: keep the records whose `slot` entity has
-/// property `key` equal to `value`.
-pub fn run_prop_filter(
-    slot: usize,
-    key: usize,
-    value: &Value,
-    records: &mut RecordBatch,
-    scope: &Scope<'_>,
-) {
-    let key = scope.names.keys[key];
-    records.retain(|record| match record.get(slot) {
-        Some(entity) => property(scope.graph, entity, key).cypher_eq(value) == Some(true),
-        None => false,
-    });
-}
-
-/// Execute a traverse op.
+/// Run a traverse op.
 ///
 /// A single hop reads each record's source row ([`Graph::neighbors`]); an
 /// Expand Into, whose destination is already bound, looks up only the
@@ -493,7 +603,7 @@ pub fn run_prop_filter(
 /// then backward, destinations ascending, parallel edges by ascending id.
 /// The `traverse_differential` suite checks the rows against an edge-list
 /// oracle.
-pub fn run_traverse(traverse: &Traverse, records: &RecordBatch, scope: &Scope<'_>) -> RecordBatch {
+fn traverse(traverse: &Traverse, records: &RecordBatch, scope: &Scope<'_>) -> RecordBatch {
     let Traverse {
         src_slot,
         dst_slot,
@@ -584,14 +694,14 @@ fn hop_limit(graph: &Graph, max_hops: Option<u32>) -> u32 {
     max_hops.unwrap_or_else(|| graph.node_count().max(1) as u32)
 }
 
-/// Execute a [`PlanOp::TraverseCount`]: the variable-length traversal's
+/// Run a [`PlanOp::TraverseCount`]: the variable-length traversal's
 /// reached sets are reduced to the aggregate's counts directly — `Σ
 /// |reached|` over the records for `count(dst)`/`count(*)`, `|∪ reached|`
 /// for `count(DISTINCT dst)` — and the one aggregate row goes through the
 /// projection's `SKIP`/`LIMIT`. Row-identical to `Traverse` + `Aggregate`
 /// (the `optimizer_differential` suite proves it against
 /// [`crate::exec::plan::ExecutionPlan::build_unoptimized`]).
-pub fn run_traverse_count(
+fn traverse_count(
     traverse: &Traverse,
     counts: &[ReachCount],
     projection: &SlotProjection,
@@ -711,12 +821,8 @@ fn order_skip_limit(
     rows
 }
 
-/// Execute a plain projection (no aggregates): evaluate every item per record.
-pub fn run_project(
-    projection: &SlotProjection,
-    records: &RecordBatch,
-    scope: &Scope<'_>,
-) -> RecordBatch {
+/// Run a plain projection (no aggregates): evaluate every item per record.
+fn project(projection: &SlotProjection, records: &RecordBatch, scope: &Scope<'_>) -> RecordBatch {
     let mut rows = RecordBatch::new(projection.items.len());
     rows.reserve(records.len());
     for record in records {
@@ -734,11 +840,11 @@ pub fn run_project(
     order_skip_limit(projection, rows, &keys)
 }
 
-/// Execute an aggregating projection: group records by the non-aggregate items
+/// Run an aggregating projection: group records by the non-aggregate items
 /// and fold the aggregate items with [`Accumulator`]s. `weight_slot` carries
 /// the path-count weight of compact records emitted by a fused traversal
 /// (`Null` or absent = weight 1, i.e. an ordinary record).
-pub fn run_aggregate(
+fn aggregate(
     projection: &SlotProjection,
     weight_slot: Option<usize>,
     records: &RecordBatch,
@@ -816,10 +922,10 @@ pub fn run_aggregate(
     order_skip_limit(projection, rows, &keys)
 }
 
-/// Execute a `WITH`: project (or aggregate) the records, then move each
+/// Run a `WITH`: project (or aggregate) the records, then move each
 /// output column into its slot of the next segment's record layout, a
 /// `next_width`-slot record.
-pub fn run_with(
+fn with(
     projection: &SlotProjection,
     next_slots: &[usize],
     next_width: usize,
@@ -827,9 +933,9 @@ pub fn run_with(
     scope: &Scope<'_>,
 ) -> RecordBatch {
     let mut produced = if projection.aggregates() {
-        run_aggregate(projection, None, records, scope)
+        aggregate(projection, None, records, scope)
     } else {
-        run_project(projection, records, scope)
+        project(projection, records, scope)
     };
     let mut out = RecordBatch::new(next_width);
     for i in 0..produced.len() {
@@ -841,19 +947,18 @@ pub fn run_with(
     out
 }
 
-/// Execute a `CREATE` op for every incoming record. Labels, types and keys
-/// the graph does not have yet are created on first use and recorded in
-/// `names`. A node id past the matrices' dimension cap is an error.
-pub fn run_create(
+/// Run a `CREATE` once per incoming record, none for no record, binding
+/// what it creates into the record's named slots. Labels, types and keys
+/// the graph does not have yet are created on first use and recorded in the
+/// execution's names. A node id past the matrices' dimension cap is an
+/// error.
+fn create(
     patterns: &[CreatePattern],
-    records: &mut RecordBatch,
-    graph: &mut Graph,
-    names: &mut NameIds<'_>,
-    stats: &mut QueryStats,
-) -> Result<(), QueryError> {
-    if records.is_empty() {
-        records.push_nulls();
-    }
+    mut records: RecordBatch,
+    cx: &mut Exec<'_>,
+) -> Result<RecordBatch, QueryError> {
+    let Exec { access, names, stats, .. } = cx;
+    let graph = access.graph_mut()?;
     for i in 0..records.len() {
         let record = &mut records[i];
         for pattern in patterns {
@@ -874,7 +979,7 @@ pub fn run_create(
             }
         }
     }
-    Ok(())
+    Ok(records)
 }
 
 /// A compiled property map as an attribute set.
@@ -912,16 +1017,17 @@ fn resolve_or_create_node(
     Ok(id)
 }
 
-/// Execute a `DELETE` op over the entities in `slots`.
-pub fn run_delete(
+/// Run a `DELETE` of the entities in `slots`.
+fn delete(
     slots: &[usize],
-    records: &RecordBatch,
-    graph: &mut Graph,
-    stats: &mut QueryStats,
-) {
+    records: RecordBatch,
+    cx: &mut Exec<'_>,
+) -> Result<RecordBatch, QueryError> {
+    let graph = cx.access.graph_mut()?;
+    let stats = &mut cx.stats;
     let mut nodes: HashSet<NodeId> = HashSet::new();
     let mut edges: HashMap<EdgeId, &Value> = HashMap::new();
-    for record in records {
+    for record in &records {
         for &slot in slots {
             match record.get(slot) {
                 Some(Value::Node(id)) => {
@@ -946,20 +1052,20 @@ pub fn run_delete(
             stats.relationships_deleted += before - graph.edge_count();
         }
     }
+    Ok(records)
 }
 
-/// Execute a `SET` op. A key the graph does not have yet is created on its
-/// first assignment and recorded in `names`, so later items and records
-/// read it.
-pub fn run_set(
+/// Run a `SET`. A key the graph does not have yet is created on its first
+/// assignment and recorded in the execution's names, so later items and
+/// records read it.
+fn set(
     items: &[SetStep],
-    records: &RecordBatch,
-    graph: &mut Graph,
-    params: &[Value],
-    names: &mut NameIds<'_>,
-    stats: &mut QueryStats,
-) {
-    for record in records {
+    records: RecordBatch,
+    cx: &mut Exec<'_>,
+) -> Result<RecordBatch, QueryError> {
+    let Exec { access, params, names, stats } = cx;
+    let graph = access.graph_mut()?;
+    for record in &records {
         for item in items {
             let value = item.value.eval(record, &Scope { graph, params, names });
             let updated = match record.get(item.slot) {
@@ -978,22 +1084,23 @@ pub fn run_set(
             }
         }
     }
+    Ok(records)
 }
 
-/// Execute a `CALL` op: run the registered procedure once per incoming record
+/// Run a `CALL`: run the registered procedure once per incoming record
 /// (arguments are evaluated against that record) and emit one output record
 /// per produced row, with the yielded columns written into their slots.
 /// When every argument is record-independent (`constant_args`: the common
 /// `CALL algo.x(…)` with literal arguments) the algorithm runs once and its
 /// rows are reused for every incoming record.
-pub fn run_procedure(
+fn procedure_call(
     procedure: &Procedure,
     args: &[SlotExpr],
     constant_args: bool,
     outputs: &[(usize, usize)],
     records: &RecordBatch,
     scope: &Scope<'_>,
-) -> Result<RecordBatch, crate::error::QueryError> {
+) -> Result<RecordBatch, QueryError> {
     let mut cached_rows: Option<RecordBatch> = None;
     let mut out = RecordBatch::new(records.width());
     for record in records {
@@ -1013,27 +1120,6 @@ pub fn run_procedure(
         }
     }
     Ok(out)
-}
-
-/// Execute an `UNWIND` op.
-pub fn run_unwind(
-    list: &SlotExpr,
-    slot: usize,
-    records: &RecordBatch,
-    scope: &Scope<'_>,
-) -> RecordBatch {
-    let mut out = RecordBatch::new(records.width());
-    for record in records {
-        let items = match list.eval(record, scope) {
-            Value::List(items) => items,
-            Value::Null => continue,
-            single => vec![single],
-        };
-        for item in items {
-            out.push_copy(record)[slot] = item;
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@
 
 use crate::error::QueryError;
 use crate::exec::aggregate::AggFunc;
-use crate::exec::expr::{contains_aggregate, Compiler, NameTable, Scope, SlotExpr};
+use crate::exec::expr::{contains_aggregate, Compiler, NameTable, SlotExpr};
 use crate::exec::ops::*;
 use crate::exec::record::{Bindings, RecordBatch};
 use crate::exec::resultset::{QueryStats, ResultSet};
@@ -55,16 +55,15 @@ pub type Params = HashMap<String, Value>;
 pub struct ParamValues(Vec<Value>);
 
 /// What one operator did during a profiled execution (`GRAPH.PROFILE`): the
-/// operator's `describe()` line plus how many records it left in the
-/// interpreter's working set and how long its invocation took. The executor
-/// is a batch interpreter — each operator consumes the whole record batch
-/// and produces the next one — so an operator's wall time is exactly the
-/// span of its invocation; there is no child time to subtract.
+/// operator's `describe()` line plus how many records its batch held and
+/// how long its invocation took. Each operator consumes its predecessor's
+/// whole batch and returns the next, so an operator's wall time is exactly
+/// the span of its invocation; there is no child time to subtract.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OpProfile {
     /// The operator's `GRAPH.EXPLAIN` line.
     pub description: String,
-    /// Records in the working set after the operator ran.
+    /// Records (for `RETURN`, rows) in the batch the operator returned.
     pub records_produced: usize,
     /// Wall time of the operator's invocation.
     pub elapsed: Duration,
@@ -122,10 +121,10 @@ impl ExecutionPlan {
     /// fusion, mask pushdown, count pushdown — see
     /// [`crate::exec::algebraic`]).
     pub fn build(query: &Query) -> Result<Self, QueryError> {
-        let mut plan = Self::build_unoptimized(query)?;
+        let mut plan = Builder::default().build(query)?;
         plan.segments.iter_mut().for_each(place_filters);
         crate::exec::algebraic::fuse_plan(&mut plan.segments);
-        Ok(plan)
+        Ok(plan.with_widths())
     }
 
     /// Build without the optimizer passes: one `Traverse` op per hop, label
@@ -134,7 +133,20 @@ impl ExecutionPlan {
     /// own conjunct here too. The differential suites compare this plan's
     /// output against the optimized plan's row for row.
     pub fn build_unoptimized(query: &Query) -> Result<Self, QueryError> {
-        Builder::default().build(query)
+        Ok(Builder::default().build(query)?.with_widths())
+    }
+
+    /// Give each segment-ending `WITH` the record width of the segment it
+    /// starts, once the optimizer passes are done: fusion may bind a hidden
+    /// weight slot in any segment.
+    fn with_widths(mut self) -> Self {
+        for i in 1..self.segments.len() {
+            let width = self.segments[i].bindings.len();
+            if let Some(PlanOp::With { next_width, .. }) = self.segments[i - 1].ops.last_mut() {
+                *next_width = width;
+            }
+        }
+        self
     }
 
     /// Human-readable plan description (`GRAPH.EXPLAIN`).
@@ -178,16 +190,16 @@ impl ExecutionPlan {
     /// are appended to it (`GRAPH.PROFILE`); write operators mutate exactly
     /// as they do unprofiled.
     ///
-    /// Records travel as one [`RecordBatch`] per operator boundary, created
-    /// at the segment's `bindings.len()` width: the first operator extends a
-    /// single record of null slots (zero of them for `RETURN 1`), each
-    /// operator maps its input batch to the next (a filter compacts in
-    /// place), `WITH` moves the projected values into the next segment's
-    /// layout, and the last `Project`/`Aggregate` batch, one slot per
-    /// column, becomes [`ResultSet::rows`].
+    /// One loop drives every operator: each takes the [`RecordBatch`] its
+    /// predecessor returned and returns the next. The first operator
+    /// extends a single record of null slots (zero of them for `RETURN 1`)
+    /// at the first segment's `bindings.len()` width, and a `WITH` returns
+    /// records of the next segment's layout. A plan with columns ends in
+    /// its `RETURN`, whose batch, one slot per column, becomes
+    /// [`ResultSet::rows`]; a plan without columns returns no row.
     pub fn run(
         &self,
-        mut access: GraphAccess<'_>,
+        access: GraphAccess<'_>,
         params: &ParamValues,
         started: Instant,
         mut profiles: Option<&mut Vec<OpProfile>>,
@@ -196,99 +208,21 @@ impl ExecutionPlan {
         if params.len() != self.params.len() {
             return Err(QueryError::Internal("parameter values bound for another plan".into()));
         }
-        let mut names = self.names.resolve(access.graph());
-        let mut stats = QueryStats::default();
+        let names = self.names.resolve(access.graph());
+        let mut cx = Exec { access, params, names, stats: QueryStats::default() };
         // The first operator extends one record with nothing bound yet.
         let mut records = RecordBatch::new(self.segments[0].bindings.len());
         records.push_nulls();
-        let mut rows = RecordBatch::default();
-
         for (si, segment) in self.segments.iter().enumerate() {
             for op in &segment.ops {
                 // Per-op timing only when profiling: the 40k+-qps point-read
                 // path pays nothing for the instrumentation's existence.
                 let op_started = profiles.as_ref().map(|_| Instant::now());
-                let scope = Scope { graph: access.graph(), params, names: &names };
-                match op {
-                    PlanOp::AllNodeScan { slot, .. } => {
-                        records = run_scan(*slot, None, &records, &scope);
-                    }
-                    PlanOp::NodeByLabelScan { slot, label, .. } => {
-                        records = run_scan(*slot, Some(*label), &records, &scope);
-                    }
-                    PlanOp::NodeByIdSeek { slot, id, .. } => {
-                        records = run_seek(*slot, id, &records, &scope);
-                    }
-                    PlanOp::Filter { predicates } => run_filter(predicates, &mut records, &scope),
-                    PlanOp::LabelFilter { slot, label } => {
-                        run_label_filter(*slot, *label, &mut records, &scope);
-                    }
-                    PlanOp::PropFilter { slot, key, value } => {
-                        run_prop_filter(*slot, *key, value, &mut records, &scope);
-                    }
-                    PlanOp::Traverse(traverse) => {
-                        records = run_traverse(traverse, &records, &scope);
-                    }
-                    PlanOp::TraverseCount { traverse, counts, projection } => {
-                        rows = run_traverse_count(traverse, counts, projection, &records, &scope);
-                    }
-                    PlanOp::FusedTraverse { src_slot, dst_slot, expr, weight_slot } => {
-                        records = crate::exec::algebraic::run_fused(
-                            expr,
-                            *src_slot,
-                            *dst_slot,
-                            *weight_slot,
-                            &records,
-                            &scope,
-                        );
-                    }
-                    PlanOp::Project { projection } => {
-                        rows = run_project(projection, &records, &scope);
-                    }
-                    PlanOp::Aggregate { projection, weight_slot } => {
-                        rows = run_aggregate(projection, *weight_slot, &records, &scope);
-                    }
-                    PlanOp::With { projection, next_slots } => {
-                        let next_width = self.segments[si + 1].bindings.len();
-                        records = run_with(projection, next_slots, next_width, &records, &scope);
-                    }
-                    PlanOp::Unwind { list, slot, .. } => {
-                        records = run_unwind(list, *slot, &records, &scope);
-                    }
-                    PlanOp::ProcedureCall { procedure, args, constant_args, outputs } => {
-                        records = run_procedure(
-                            procedure,
-                            args,
-                            *constant_args,
-                            outputs,
-                            &records,
-                            &scope,
-                        )?;
-                    }
-                    PlanOp::Create { patterns } => {
-                        let graph = access.graph_mut()?;
-                        run_create(patterns, &mut records, graph, &mut names, &mut stats)?;
-                    }
-                    PlanOp::Delete { slots } => {
-                        run_delete(slots, &records, access.graph_mut()?, &mut stats);
-                    }
-                    PlanOp::SetProps { items } => {
-                        let graph = access.graph_mut()?;
-                        run_set(items, &records, graph, params, &mut names, &mut stats);
-                    }
-                }
+                records = op.run(records, &mut cx)?;
                 if let Some(profiles) = profiles.as_deref_mut() {
-                    // Projections emit rows, every other operator leaves its
-                    // output in the record working set.
-                    let produced = match op {
-                        PlanOp::Project { .. }
-                        | PlanOp::Aggregate { .. }
-                        | PlanOp::TraverseCount { .. } => rows.len(),
-                        _ => records.len(),
-                    };
                     profiles.push(OpProfile {
                         description: op.describe(&self.names),
-                        records_produced: produced,
+                        records_produced: records.len(),
                         elapsed: op_started.expect("set when profiling").elapsed(),
                         segment: si,
                     });
@@ -299,6 +233,8 @@ impl ExecutionPlan {
         // pending buffers, and every reader (this plan's later operators
         // included) sees the merged view. Buffers fold into the main CSRs
         // only when a matrix crosses its flush threshold.
+        let rows = if self.columns.is_empty() { RecordBatch::default() } else { records };
+        let mut stats = cx.stats;
         stats.execution_time = started.elapsed();
         Ok(ResultSet { columns: self.columns.clone(), rows, stats })
     }
@@ -315,14 +251,14 @@ pub enum GraphAccess<'a> {
 }
 
 impl<'a> GraphAccess<'a> {
-    fn graph(&self) -> &Graph {
+    pub(crate) fn graph(&self) -> &Graph {
         match self {
             GraphAccess::Read(g) => g,
             GraphAccess::Write(g) => g,
         }
     }
 
-    fn graph_mut(&mut self) -> Result<&mut Graph, QueryError> {
+    pub(crate) fn graph_mut(&mut self) -> Result<&mut Graph, QueryError> {
         match self {
             GraphAccess::Read(_) => Err(QueryError::Internal(
                 "write operation reached the read-only execution path".into(),
@@ -358,6 +294,13 @@ impl Builder {
     }
 
     fn build(mut self, query: &Query) -> Result<ExecutionPlan, QueryError> {
+        // openCypher ends a query at its `RETURN`: a plan with columns ends
+        // in its projection.
+        if query.clauses.iter().rev().skip(1).any(|c| matches!(c, Clause::Return(_))) {
+            return Err(QueryError::Syntax(
+                "RETURN can only be used at the end of the query".into(),
+            ));
+        }
         for clause in &query.clauses {
             match clause {
                 Clause::Match { optional, patterns } => {
@@ -389,7 +332,7 @@ impl Builder {
                         .iter()
                         .map(|item| next.slot_or_create(&item.column_name()))
                         .collect();
-                    self.ops.push(PlanOp::With { projection: compiled, next_slots });
+                    self.ops.push(PlanOp::With { projection: compiled, next_slots, next_width: 0 });
                     self.finish_segment();
                     self.bindings = next;
                 }
@@ -756,8 +699,10 @@ fn place_filters(segment: &mut Segment) {
     // previous segment.
     let mut binder: HashMap<usize, usize> = HashMap::new();
     for (i, op) in ops.iter().enumerate() {
-        for slot in bound_slots(op) {
-            binder.entry(slot).or_insert(i);
+        for (slot, slot_use) in op.slots() {
+            if slot_use == SlotUse::Bound {
+                binder.entry(slot).or_insert(i);
+            }
         }
     }
 
@@ -809,22 +754,6 @@ fn place_filters(segment: &mut Segment) {
         if !matches!(op, PlanOp::Filter { .. }) {
             segment.ops.push(op);
         }
-    }
-}
-
-/// The slots an operator binds.
-fn bound_slots(op: &PlanOp) -> Vec<usize> {
-    match op {
-        PlanOp::AllNodeScan { slot, .. }
-        | PlanOp::NodeByLabelScan { slot, .. }
-        | PlanOp::NodeByIdSeek { slot, .. }
-        | PlanOp::Unwind { slot, .. } => vec![*slot],
-        PlanOp::Traverse(t) => {
-            (!t.expand_into).then_some(t.dst_slot).into_iter().chain(t.edge_slot).collect()
-        }
-        PlanOp::ProcedureCall { outputs, .. } => outputs.iter().map(|&(_, slot)| slot).collect(),
-        PlanOp::Create { patterns } => patterns.iter().flat_map(CreatePattern::slots).collect(),
-        _ => Vec::new(),
     }
 }
 

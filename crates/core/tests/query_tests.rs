@@ -340,6 +340,51 @@ fn return_without_match_evaluates_expressions() {
 }
 
 #[test]
+fn a_write_after_return_is_an_error() {
+    let mut g = social_graph();
+    let err = g.query("MATCH (n) RETURN count(n) CREATE (q:Q)").unwrap_err();
+    assert!(matches!(err, redisgraph_core::QueryError::Syntax(_)), "{err}");
+    assert_eq!(g.node_count(), 5);
+}
+
+#[test]
+fn a_second_return_is_an_error() {
+    let mut g = Graph::new("t");
+    let err = g.query("RETURN 1 AS a RETURN 2 AS b").unwrap_err();
+    assert!(matches!(err, redisgraph_core::QueryError::Syntax(_)), "{err}");
+}
+
+#[test]
+fn create_over_no_matched_record_creates_nothing() {
+    let mut g = Graph::new("t");
+    g.query("CREATE (:Node)").unwrap();
+    let query = "MATCH (x:Node),(y:Node) WHERE id(x)=5 AND id(y)=6 CREATE (x)-[:LINK]->(y)";
+    let stats = g.query(query).unwrap().stats;
+    assert_eq!((stats.nodes_created, stats.relationships_created), (0, 0));
+    assert_eq!((g.node_count(), g.edge_count()), (1, 0));
+}
+
+#[test]
+fn create_after_an_empty_unwind_creates_nothing() {
+    let mut g = Graph::new("t");
+    assert_eq!(g.query("UNWIND [] AS x CREATE (:M)").unwrap().stats.nodes_created, 0);
+    assert_eq!(g.node_count(), 0);
+    // A bare CREATE runs once, on the one record every plan starts from.
+    assert_eq!(g.query("CREATE (:M)").unwrap().stats.nodes_created, 1);
+    assert_eq!(g.node_count(), 1);
+}
+
+#[test]
+fn a_write_only_plan_returns_no_columns_and_no_rows() {
+    let mut g = social_graph();
+    for query in ["CREATE (:M {v: 1})", "MATCH (m:M) SET m.v = 2", "MATCH (m:M) DELETE m"] {
+        let rs = g.query(query).unwrap();
+        assert!(rs.columns.is_empty() && rs.rows.is_empty(), "{query}: {rs:?}");
+    }
+    assert_eq!(g.node_count(), 5);
+}
+
+#[test]
 fn execution_time_is_recorded() {
     let mut g = social_graph();
     let rs = g.query("MATCH (p:Person) RETURN count(p)").unwrap();

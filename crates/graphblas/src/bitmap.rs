@@ -1,5 +1,5 @@
-//! Bitmap vertex sets, [`RowSource`] (the one way to read a stored matrix),
-//! and the two structural BFS-step kernels built on them.
+//! Bitmap vertex sets and the two structural BFS-step kernels built on
+//! them.
 //!
 //! SuiteSparse:GraphBLAS keeps a vector whose entries are dense enough in
 //! *bitmap* format — one presence bit per position, O(1) test and insert —
@@ -15,8 +15,9 @@
 //!   product with the transpose that scans the in-edges of each unvisited
 //!   vertex and stops at the first one in a dense frontier.
 //!
-//! Both read only the matrix pattern, a row at a time through [`RowSource`],
-//! so one kernel serves a delta matrix with or without pending changes,
+//! Both read only the matrix pattern, a row at a time in place
+//! ([`DeltaMatrix::each_in_rows`], [`DeltaMatrix::rows_reaching`]), so one
+//! kernel serves a delta matrix with or without pending changes,
 //! whatever its value type: a relation matrix holding edge ids and its
 //! stored transpose holding none. Both apply the mask a word of 64 vertices
 //! at a time and emit `next` ascending: a push ORs every scanned edge of
@@ -26,9 +27,10 @@
 //! of each word. Neither allocates.
 //!
 //! The `algo` crate's algorithms and every whole-matrix copy read stored
-//! matrices through [`RowSource`] too: [`RowSource::runs`] walks every row
-//! in order, and [`union_row`] merges one row of several relations.
+//! matrices in place too: [`DeltaMatrix::runs`] walks every row in order,
+//! and [`union_row`] merges one row of several relations.
 
+use crate::delta::DeltaMatrix;
 use crate::types::Scalar;
 use crate::Index;
 
@@ -115,48 +117,9 @@ pub(crate) fn ones(base: Index, mut word: u64) -> impl Iterator<Item = Index> {
     })
 }
 
-/// A matrix read in place, a row at a time or in one row-major walk: the
-/// one way the BFS-step kernels, the `algo` crate and every whole-matrix
-/// copy read a stored matrix.
-pub trait RowSource {
-    /// The stored value type.
-    type Value: Scalar;
-    /// Number of rows.
-    fn nrows(&self) -> Index;
-    /// Number of columns.
-    fn ncols(&self) -> Index;
-    /// Call `f` on the entries of `row` as runs of ascending columns with
-    /// their values, in column order, until it returns `true`; returns
-    /// whether it did. A row may come as several runs, some of them empty.
-    /// A column is a `u32`, as a stored leaf holds it.
-    fn any_run(&self, row: Index, f: impl FnMut(&[u32], &[Self::Value]) -> bool) -> bool;
-
-    /// Call `f(row, cols, vals)` on every run of the matrix, row-major, as
-    /// [`RowSource::any_run`] splits each row: the whole-matrix walk. Rows
-    /// with no entry may be skipped.
-    fn runs(&self, f: impl FnMut(Index, &[u32], &[Self::Value]));
-
-    /// Call `f` on the columns of `row`, ascending, until it returns `true`;
-    /// returns whether it did.
-    fn any_in_row(&self, row: Index, mut f: impl FnMut(Index) -> bool) -> bool {
-        self.any_run(row, |cols, _| cols.iter().any(|&j| f(Index::from(j))))
-    }
-
-    /// Call `f` on the columns of each of `rows` in turn: a push step's unit
-    /// of work. A source stored in blocks of rows looks a block up once for
-    /// a run of rows in it.
-    fn each_in_rows(&self, rows: &[Index], f: impl FnMut(Index));
-
-    /// Of the rows `base + i` for each set bit `i` of `rows` (`base` a
-    /// multiple of 64), the ones holding a column in `frontier`, as bits of
-    /// the same word: a pull step's unit of work. A source stored in blocks
-    /// of rows reads the word's block once.
-    fn rows_reaching(&self, base: Index, rows: u64, frontier: &Bitmap) -> u64;
-}
-
 /// The columns of `row` in the union of `sources`, into `buf`, ascending and
 /// each once: a pair stored in two sources is one entry of the union.
-pub fn union_row<R: RowSource>(sources: &[&R], row: Index, buf: &mut Vec<u32>) {
+pub fn union_row<T: Scalar>(sources: &[&DeltaMatrix<T>], row: Index, buf: &mut Vec<u32>) {
     buf.clear();
     for s in sources {
         s.any_run(row, |cols, _| {
@@ -197,7 +160,7 @@ impl Reached {
 /// # Panics
 /// Panics if `reached` and `a`'s columns differ in size, or if a frontier
 /// vertex is not a row of `a`.
-pub fn bfs_scan(a: &impl RowSource, frontier: &[Index], reached: &mut Reached) {
+pub fn bfs_scan<T: Scalar>(a: &DeltaMatrix<T>, frontier: &[Index], reached: &mut Reached) {
     assert_eq!(reached.size, a.ncols(), "bfs_scan dimension mismatch: reached != a.ncols");
     a.each_in_rows(frontier, |j| reached.words[(j / 64) as usize] |= 1 << (j % 64));
 }
@@ -234,8 +197,8 @@ pub fn bfs_push(reached: &mut Reached, visited: &mut Bitmap, next: &mut Vec<Inde
 /// # Panics
 /// Panics if `visited.size() != at.nrows()` or if
 /// `frontier.size() != at.ncols()`.
-pub fn bfs_pull(
-    at: &impl RowSource,
+pub fn bfs_pull<T: Scalar>(
+    at: &DeltaMatrix<T>,
     frontier: &Bitmap,
     visited: &mut Bitmap,
     next: &mut Vec<Index>,
@@ -261,7 +224,7 @@ pub fn bfs_pull(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DeltaMatrix, SparseMatrix};
+    use crate::SparseMatrix;
 
     /// A stored matrix holding `triples`.
     fn stored<T: Scalar>(n: Index, triples: &[(Index, Index, T)]) -> DeltaMatrix<T> {
@@ -288,7 +251,11 @@ mod tests {
 
     /// One push step from `visited`: `next`, after checking that the step
     /// handed `reached` back empty.
-    fn push(a: &[&impl RowSource], frontier: &[Index], visited: &mut Bitmap) -> Vec<Index> {
+    fn push<T: Scalar>(
+        a: &[&DeltaMatrix<T>],
+        frontier: &[Index],
+        visited: &mut Bitmap,
+    ) -> Vec<Index> {
         let (mut reached, mut next) = (Reached::new(visited.size()), Vec::new());
         a.iter().for_each(|a| bfs_scan(*a, frontier, &mut reached));
         bfs_push(&mut reached, visited, &mut next);

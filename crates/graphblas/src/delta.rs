@@ -29,8 +29,8 @@
 //! changes in column order and copying the main entries between them as
 //! whole slices. Both buffers are kept sorted by coordinate, so the fold
 //! hashes and sorts nothing, and it costs one leaf's entries however large
-//! the matrix is. A row read ([`DeltaMatrix::any_entry_in_row`], and the BFS
-//! kernels' [`RowSource`]) walks one row the same way. A leaf with changes
+//! the matrix is. A row read ([`DeltaMatrix::any_run`], under the BFS kernels
+//! too) walks one row the same way. A leaf with changes
 //! pending counts every row's: a row with none is its CSR slice, a read
 //! searches only the buffers holding the row's changes, and a merged degree
 //! is O(1). A leaf with nothing pending carries no buffers and no counts.
@@ -85,7 +85,7 @@
 //! so it cannot bound its entries: Graph500's low ids are its hubs, and the
 //! first 1 024 rows hold 0.64 M entries at scale 18.
 
-use crate::bitmap::{ones, Bitmap, RowSource};
+use crate::bitmap::{ones, Bitmap};
 use crate::chunk_table::ChunkTable;
 use crate::error::{check_index, GrbError, GrbResult};
 use crate::matrix::SparseMatrix;
@@ -538,7 +538,7 @@ impl<T: Scalar> DeltaMatrix<T> {
 
     /// The pattern of the merged view's transpose, with nothing pending and
     /// the same fold threshold, built by [`DeltaMatrix::from_pairs`] from two
-    /// walks of the leaves ([`RowSource::runs`]). The walks visit rows in
+    /// walks of the leaves ([`DeltaMatrix::runs`]). The walks visit rows in
     /// order, so each transposed row arrives ascending and its sort is one
     /// pass.
     pub fn transposed(&self) -> DeltaMatrix<()> {
@@ -810,10 +810,10 @@ impl<T: Scalar> DeltaMatrix<T> {
     }
 
     /// Materialise the merged view as a standalone [`SparseMatrix`], in one
-    /// walk of the leaves ([`RowSource::runs`]). Only tests, diagnostics and
-    /// rgbench's ladder take one: every production reader (the BFS-step
+    /// walk of the leaves ([`DeltaMatrix::runs`]). Only tests, diagnostics
+    /// and rgbench's ladder take one: every production reader (the BFS-step
     /// kernels, the `algo` crate, the label scan) reads the merged rows in
-    /// place through [`RowSource`].
+    /// place.
     pub fn export(&self) -> SparseMatrix<T> {
         let mut row_ptr = vec![0; self.nrows as usize + 1];
         let (mut cols, mut vals) = (Vec::with_capacity(self.nvals), Vec::with_capacity(self.nvals));
@@ -990,25 +990,28 @@ fn any_run<'a, T: Scalar>(
     }
 }
 
-/// The merged view, a row at a time (see [`DeltaMatrix::any_entry_in_row`]).
-impl<T: Scalar> RowSource for DeltaMatrix<T> {
-    type Value = T;
-
-    fn nrows(&self) -> Index {
-        self.nrows()
-    }
-
-    fn ncols(&self) -> Index {
-        self.ncols()
-    }
-
-    fn any_run(&self, row: Index, f: impl FnMut(&[u32], &[T]) -> bool) -> bool {
+/// The merged view read in place, a row at a time or in one row-major walk:
+/// the one way the BFS-step kernels, the `algo` crate and every
+/// whole-matrix copy read a stored matrix.
+impl<T: Scalar> DeltaMatrix<T> {
+    /// Call `f` on the entries of `row` as runs of ascending `u32` columns
+    /// with their values, in column order, until it returns `true`; returns
+    /// whether it did. A row may come as several runs, some of them empty.
+    pub fn any_run(&self, row: Index, f: impl FnMut(&[u32], &[T]) -> bool) -> bool {
         self.leaf(row).is_some_and(|leaf| leaf.any_run(row, f))
     }
 
-    /// A leaf at a time, a row that may hold an entry at a time (see
-    /// [`Leaf::word`]), each row as [`Leaf::any_run`] splits it.
-    fn runs(&self, mut f: impl FnMut(Index, &[u32], &[T])) {
+    /// Call `f` on the columns of `row`, ascending, until it returns `true`;
+    /// returns whether it did.
+    pub fn any_in_row(&self, row: Index, mut f: impl FnMut(Index) -> bool) -> bool {
+        self.any_run(row, |cols, _| cols.iter().any(|&j| f(Index::from(j))))
+    }
+
+    /// Call `f(row, cols, vals)` on every run of the matrix, row-major, as
+    /// [`DeltaMatrix::any_run`] splits each row: the whole-matrix walk. A
+    /// leaf at a time, and only the rows that may hold an entry (see
+    /// [`Leaf::word`]).
+    pub fn runs(&self, mut f: impl FnMut(Index, &[u32], &[T])) {
         for (i, leaf) in self.leaves.iter() {
             for first in (0..LEAF_ROWS as usize).step_by(64) {
                 let base = i as Index * LEAF_ROWS + first as Index;
@@ -1022,7 +1025,9 @@ impl<T: Scalar> RowSource for DeltaMatrix<T> {
         }
     }
 
-    fn each_in_rows(&self, rows: &[Index], mut f: impl FnMut(Index)) {
+    /// Call `f` on the columns of each of `rows` in turn: a push step's unit
+    /// of work. A run of rows in one leaf looks the leaf up once.
+    pub fn each_in_rows(&self, rows: &[Index], mut f: impl FnMut(Index)) {
         for (row, leaf) in self.with_leaves(rows) {
             leaf.any_run(row, |cols, _| {
                 cols.iter().for_each(|&j| f(Index::from(j)));
@@ -1031,10 +1036,13 @@ impl<T: Scalar> RowSource for DeltaMatrix<T> {
         }
     }
 
-    /// One leaf lookup for the word's 64 rows, none for an empty leaf. Only
-    /// the rows with a main entry or a pending insert are read: a row with
-    /// nothing pending straight from the CSR slice, the others merged.
-    fn rows_reaching(&self, base: Index, rows: u64, frontier: &Bitmap) -> u64 {
+    /// Of the rows `base + i` for each set bit `i` of `rows` (`base` a
+    /// multiple of 64), the ones holding a column in `frontier`, as bits of
+    /// the same word: a pull step's unit of work. One leaf lookup for the
+    /// word's 64 rows, none for an empty leaf. Only the rows with a main
+    /// entry or a pending insert are read: a row with nothing pending
+    /// straight from the CSR slice, the others merged.
+    pub fn rows_reaching(&self, base: Index, rows: u64, frontier: &Bitmap) -> u64 {
         let Some(leaf) = self.leaf(base) else { return 0 };
         let (main, first) = (&leaf.main, offset(base));
         let (live, changed) = leaf.word(first);

@@ -8,12 +8,12 @@
 //! a graph traversal step is a (masked) sparse matrix–vector or matrix–matrix
 //! multiplication over a suitable semiring.
 //!
-//! A stored matrix is a [`DeltaMatrix`], and [`RowSource`] is the one way to
-//! read it: a row at a time or in one row-major walk, in place, pending
-//! changes merged. The BFS-step kernels ([`bfs_scan`] and [`bfs_push`],
-//! [`bfs_pull`]), the
-//! `algo` crate's algorithms and every whole-matrix copy
-//! ([`DeltaMatrix::export`]) read through it. The whole-matrix kernels
+//! A stored matrix is a [`DeltaMatrix`], read in place a row at a time
+//! ([`DeltaMatrix::any_run`]) or in one row-major walk
+//! ([`DeltaMatrix::runs`]), pending changes merged. The BFS-step kernels
+//! ([`bfs_scan`] and [`bfs_push`], [`bfs_pull`]), the `algo` crate's
+//! algorithms and every whole-matrix copy ([`DeltaMatrix::export`]) read it
+//! so. The whole-matrix kernels
 //! ([`vxm`], [`mxm`], [`transpose`](transpose::transpose),
 //! [`ewise_add_vector`](ewise::ewise_add_vector)) and the [`SparseMatrix`] /
 //! [`SparseVector`] / [`Semiring`] machinery they take serve rgbench's
@@ -69,7 +69,7 @@ pub mod types;
 pub mod vector;
 
 pub use binary_op::BinaryOp;
-pub use bitmap::{bfs_pull, bfs_push, bfs_scan, union_row, Bitmap, Reached, RowSource};
+pub use bitmap::{bfs_pull, bfs_push, bfs_scan, union_row, Bitmap, Reached};
 pub use chunk_table::ChunkTable;
 pub use delta::{DeltaMatrix, DEFAULT_FLUSH_THRESHOLD, MAX_DIM};
 pub use descriptor::Descriptor;
@@ -87,7 +87,7 @@ pub use vector::SparseVector;
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
     pub use crate::binary_op::BinaryOp;
-    pub use crate::bitmap::{bfs_pull, bfs_push, bfs_scan, union_row, Bitmap, Reached, RowSource};
+    pub use crate::bitmap::{bfs_pull, bfs_push, bfs_scan, union_row, Bitmap, Reached};
     pub use crate::chunk_table::ChunkTable;
     pub use crate::delta::{DeltaMatrix, DEFAULT_FLUSH_THRESHOLD, MAX_DIM};
     pub use crate::descriptor::Descriptor;

@@ -6,8 +6,8 @@
 //! [`crate::DeltaMatrix`], which folds them into fresh CSR slices a leaf of
 //! rows at a time — the one pending-update mechanism in this crate.
 //!
-//! No production reader takes one: stored matrices are read in place through
-//! [`crate::RowSource`]. A `SparseMatrix` is the standalone copy
+//! No production reader takes one: stored matrices are read in place
+//! ([`crate::DeltaMatrix::any_run`]). A `SparseMatrix` is the standalone copy
 //! [`crate::DeltaMatrix::export`] builds for tests and diagnostics, and the
 //! operand of the whole-matrix kernels, which serve rgbench's ladder only;
 //! T9a deletes that use.

@@ -8,7 +8,7 @@
 //!
 //! Layer map (bottom to top):
 //!
-//! * [`graphblas`] — delta matrices read in place through `RowSource`, the
+//! * [`graphblas`] — delta matrices read a row at a time in place, the
 //!   bitmap BFS steps, and (for rgbench's ladder) whole-matrix kernels;
 //! * [`algo`] — LAGraph-style whole-graph algorithms (SSSP, PageRank, WCC,
 //!   triangle counting) over the same stored rows, surfaced in Cypher as
