@@ -220,8 +220,7 @@ impl RowAccumulator {
             }
         }
         touched.sort_unstable();
-        let has_labels =
-            |n: NodeId| graph.node(n).is_some_and(|n| hop.labels.iter().all(|&l| n.has_label(l)));
+        let has_labels = |n: NodeId| hop.labels.iter().all(|&l| graph.has_label(n, l));
         touched
             .drain(..)
             .map(|n| (n, std::mem::take(&mut counts[n as usize])))

@@ -45,7 +45,8 @@ pub fn contains_aggregate(expr: &Expr) -> bool {
 pub enum Function {
     /// `id(entity)`.
     Id,
-    /// `labels(node)`.
+    /// `labels(node)`: the label diagonals holding the node, in ascending
+    /// label id (the order the graph first saw each label), each once.
     Labels,
     /// `type(edge)`.
     Type,
@@ -80,18 +81,16 @@ impl Function {
         match (self, arg) {
             (Function::Id, &(Value::Node(id) | Value::Edge { id, .. })) => Value::Int(id as i64),
             (Function::Labels, &Value::Node(id)) => {
-                let Some(node) = graph.node(id) else { return Value::Null };
-                Value::List(
-                    node.labels
-                        .iter()
-                        .filter_map(|&l| graph.schema.label_name(l))
-                        .map(|s| Value::Str(s.to_string()))
-                        .collect(),
-                )
+                if graph.node_attributes(id).is_none() {
+                    return Value::Null;
+                }
+                let names = graph.node_labels(id).filter_map(|l| graph.schema.label_name(l));
+                Value::List(names.map(|s| Value::Str(s.to_string())).collect())
             }
-            // A deleted edge has no type, as it has no properties.
-            (Function::Type, &Value::Edge { id, rel, .. }) => {
-                if graph.edge_attributes(id).is_none() {
+            // A stale edge value, whose cell no longer holds its id, has no
+            // type, as it has no properties.
+            (Function::Type, edge @ &Value::Edge { rel, .. }) => {
+                if graph.live_edge(edge).is_none() {
                     return Value::Null;
                 }
                 let name = graph.schema.rel_type_name(rel as RelTypeId);
@@ -214,8 +213,8 @@ impl SlotExpr {
 pub(crate) fn property(graph: &Graph, entity: &Value, attr: Option<AttributeId>) -> Value {
     let Some(attr) = attr else { return Value::Null };
     let attributes = match entity {
-        Value::Node(id) => graph.node(*id).map(|n| &n.attributes),
-        Value::Edge { id, .. } => graph.edge_attributes(*id),
+        Value::Node(id) => graph.node_attributes(*id),
+        Value::Edge { .. } => graph.live_edge(entity).and_then(|(id, _)| graph.edge_attributes(id)),
         _ => None,
     };
     attributes.map_or(Value::Null, |a| a.get(attr))

@@ -498,7 +498,7 @@ impl PlanOp {
                     else {
                         continue;
                     };
-                    if n >= 0 && graph.node(n as NodeId).is_some() {
+                    if n >= 0 && graph.node_attributes(n as NodeId).is_some() {
                         out.push_copy(record)[*slot] = Value::Node(n as NodeId);
                     }
                 }
@@ -513,9 +513,7 @@ impl PlanOp {
             PlanOp::LabelFilter { slot, label } => {
                 let label = scope.names.labels[*label];
                 records.retain(|record| match (record.get(*slot), label) {
-                    (Some(Value::Node(id)), Some(label)) => {
-                        graph.node(*id).is_some_and(|n| n.has_label(label))
-                    }
+                    (Some(Value::Node(id)), Some(label)) => graph.has_label(*id, label),
                     _ => false,
                 });
                 records
@@ -1073,9 +1071,9 @@ fn set(
                     let attr = names.key_or_create(item.key, graph);
                     graph.set_node_attribute(id, attr, value)
                 }
-                Some(&Value::Edge { id, .. }) => {
+                Some(edge @ Value::Edge { .. }) => {
                     let attr = names.key_or_create(item.key, graph);
-                    graph.set_edge_attribute(id, attr, value)
+                    graph.set_edge_attribute(edge, attr, value)
                 }
                 _ => false,
             };

@@ -89,7 +89,7 @@ fn int_arg(value: &Value, what: &str) -> Result<i64, QueryError> {
 /// Extract a node id argument, checking the node exists.
 fn node_arg(graph: &Graph, value: &Value, procedure: &str) -> Result<NodeId, QueryError> {
     let id = int_arg(value, &format!("{procedure} node id"))?;
-    if id < 0 || graph.node(id as NodeId).is_none() {
+    if id < 0 || graph.node_attributes(id as NodeId).is_none() {
         return Err(QueryError::Type(format!("{procedure}: node {id} does not exist")));
     }
     Ok(id as NodeId)

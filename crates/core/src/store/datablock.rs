@@ -1,7 +1,7 @@
 //! DataBlock: RedisGraph's blocked entity store.
 //!
-//! A graph keeps its node entities in one DataBlock, each edge's attribute
-//! set (16 bytes a slot) in another, and its parallel-edge lists in a
+//! A graph keeps each node's attribute set in one DataBlock, each edge's in
+//! another (16 bytes a slot in both), and its parallel-edge lists in a
 //! third. Slots live in fixed-size blocks, so a store grows without
 //! reallocating or moving what it holds, and deleted slots are recycled
 //! through a free list. Ids are stable for the lifetime of what they name:

@@ -1,12 +1,14 @@
-//! Node entities and the attribute sets of nodes and edges.
+//! The attribute sets of nodes and edges: all that an entity slot holds.
 //!
-//! An edge has no entity of its own: its slot in the graph's edge DataBlock
-//! is its attribute set alone, and its endpoints and relationship type are
+//! Neither a node nor an edge has an entity of its own. A node's slot in the
+//! graph's node DataBlock is its attribute set alone, and its labels are the
+//! label diagonals that hold its id. An edge's slot in the edge DataBlock is
+//! likewise its attribute set, and its endpoints and relationship type are
 //! the relation-matrix cells that hold its id. A traversal that finds an
 //! edge carries them in the edge's [`Value::Edge`], as RedisGraph's `Edge`
 //! does.
 
-use crate::store::schema::{AttributeId, LabelId};
+use crate::store::schema::AttributeId;
 use crate::value::Value;
 
 /// A set of `(attribute id, value)` pairs attached to a node or edge.
@@ -14,16 +16,16 @@ use crate::value::Value;
 /// Stored as a small sorted boxed slice: property counts per entity are tiny,
 /// and a slice beats a hash map for both memory and lookup speed at that
 /// size. It is a pointer and a length, 16 bytes with no spare capacity, and
-/// an empty set allocates nothing: an edge without properties costs its
-/// slot and no heap. A write reallocates the slice, which is as cheap as a
+/// an empty set allocates nothing: a node or edge without properties costs
+/// its slot and no heap. A write reallocates the slice, which is as cheap as a
 /// vector's shift at these sizes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AttributeSet {
     attrs: Box<[(AttributeId, Value)]>,
 }
 
-// An edge slot is an `Option<AttributeSet>`: the box's non-null pointer is
-// the `None` niche, so a slot is the set's 16 bytes.
+// A node or edge slot is an `Option<AttributeSet>`: the box's non-null
+// pointer is the `None` niche, so a slot is the set's 16 bytes.
 const _: () = assert!(std::mem::size_of::<Option<AttributeSet>>() == 16);
 
 impl AttributeSet {
@@ -90,23 +92,6 @@ impl AttributeSet {
     }
 }
 
-/// A node entity: labels plus properties. The node's id (matrix index) is the
-/// DataBlock slot it lives in.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct NodeEntity {
-    /// Label ids attached to this node.
-    pub labels: Vec<LabelId>,
-    /// Property values.
-    pub attributes: AttributeSet,
-}
-
-impl NodeEntity {
-    /// Whether the node carries the given label.
-    pub fn has_label(&self, label: LabelId) -> bool {
-        self.labels.contains(&label)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,12 +119,5 @@ mod tests {
         a.set(0, Value::Null);
         assert_eq!(a.get(0), Value::Null);
         assert!(a.is_empty());
-    }
-
-    #[test]
-    fn node_label_membership() {
-        let n = NodeEntity { labels: vec![0, 2], attributes: AttributeSet::new() };
-        assert!(n.has_label(0));
-        assert!(!n.has_label(1));
     }
 }

@@ -16,15 +16,16 @@
 //!   reads that cell only for a pair whose cell holds a list: each relation
 //!   keeps the pattern of its tagged cells, transposed, beside it;
 //! * one **label matrix per label**, a pattern with a diagonal entry for
-//!   every node carrying that label;
-//! * node entities (labels + property set) in a DataBlock whose slot index
-//!   *is* the matrix row/column index, and each edge's property set alone in
-//!   a DataBlock slot named by its edge id. An edge's endpoints and type
-//!   are the relation cell that holds its id, and nowhere else: a traversal
-//!   that finds an edge carries them in its [`Value::Edge`], as RedisGraph's
-//!   `Edge` does. A stored edge is one 12-byte entry of its relation (a
+//!   every node carrying that label: the only record of a node's labels;
+//! * each node's property set alone in a DataBlock slot whose index *is*
+//!   the matrix row/column index, and each edge's property set alone in a
+//!   DataBlock slot named by its edge id. An edge's endpoints and type are
+//!   the relation cell that holds its id, and nowhere else: a traversal that
+//!   finds an edge carries them in its [`Value::Edge`], as RedisGraph's
+//!   `Edge` does, and the value reads as that edge only while the cell still
+//!   holds the id. A stored edge is one 12-byte entry of its relation (a
 //!   `u32` column and the cell), one 4-byte entry of the transpose and a
-//!   16-byte slot.
+//!   16-byte slot; a node is a 16-byte slot and one 4-byte entry per label.
 //!
 //! All matrices share one dimension, grown in chunks as nodes are added.
 //!
@@ -54,7 +55,7 @@ use crate::error::QueryError;
 use crate::exec::plan::{ExecutionPlan, GraphAccess, OpProfile, ParamValues, Params};
 use crate::exec::resultset::ResultSet;
 use crate::store::datablock::DataBlock;
-use crate::store::entity::{AttributeSet, NodeEntity};
+use crate::store::entity::AttributeSet;
 use crate::store::schema::{AttributeId, LabelId, RelTypeId, Schema};
 use crate::value::Value;
 use crate::{EdgeId, NodeId};
@@ -174,7 +175,7 @@ pub fn beamer_pulls(
 /// Bytes each of a [`Graph`]'s stores holds ([`Graph::storage_bytes`]).
 /// Matrices count their leaves' CSR arrays (a fold or a bulk load leaves no
 /// pending buffer); entity stores count their allocated blocks plus the
-/// label lists, attribute entries and edge-id lists their slots own, but
+/// attribute entries and edge-id lists their slots own, but
 /// no string payload; allocator overhead is not counted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StorageBytes {
@@ -186,7 +187,7 @@ pub struct StorageBytes {
     pub labels: usize,
     /// The edge attribute slots.
     pub edge_slots: usize,
-    /// The node entities.
+    /// The node attribute slots.
     pub node_slots: usize,
     /// The parallel-edge lists, and the pattern of the cells naming them.
     pub edge_lists: usize,
@@ -199,7 +200,9 @@ pub struct Graph {
     /// Label / relationship type / attribute registries, shared with every
     /// snapshot and copied only when a name is created.
     pub schema: Arc<Schema>,
-    nodes: DataBlock<NodeEntity>,
+    /// Each live node's property set, at its node id: a 16-byte slot,
+    /// whose labels are the label diagonals that hold the id.
+    nodes: DataBlock<AttributeSet>,
     /// Each live edge's property set, at its edge id: a 16-byte slot,
     /// whose endpoints and type are the relation cells that name the id.
     edges: DataBlock<AttributeSet>,
@@ -369,9 +372,7 @@ impl Graph {
     /// Parse, plan and execute an openCypher query against this graph. The
     /// query takes no parameters: a `$name` in it is an error.
     pub fn query(&mut self, text: &str) -> Result<ResultSet, QueryError> {
-        let plan = ExecutionPlan::build(&cypher::parse(text)?)?;
-        let params = plan.bind(&Params::new())?;
-        plan.run(GraphAccess::Write(self), &params, Instant::now(), None)
+        execute(GraphAccess::Write(self), text, None)
     }
 
     /// Parse, plan and execute a query with per-operator instrumentation
@@ -379,11 +380,8 @@ impl Graph {
     /// operator. Write clauses mutate the graph exactly as [`Graph::query`]
     /// would.
     pub fn profile(&mut self, text: &str) -> Result<(ResultSet, Vec<OpProfile>), QueryError> {
-        let plan = ExecutionPlan::build(&cypher::parse(text)?)?;
-        let params = plan.bind(&Params::new())?;
         let mut profiles = Vec::new();
-        let rs =
-            plan.run(GraphAccess::Write(self), &params, Instant::now(), Some(&mut profiles))?;
+        let rs = execute(GraphAccess::Write(self), text, Some(&mut profiles))?;
         Ok((rs, profiles))
     }
 
@@ -391,17 +389,13 @@ impl Graph {
     /// reference. Errors if the query contains write clauses. Concurrent
     /// readers go through [`Graph::snapshot`] instead and never block.
     pub fn query_readonly(&self, text: &str) -> Result<ResultSet, QueryError> {
-        let plan = ExecutionPlan::build(&cypher::parse(text)?)?;
-        let params = plan.bind(&Params::new())?;
-        plan.run(GraphAccess::Read(self), &params, Instant::now(), None)
+        execute(GraphAccess::Read(self), text, None)
     }
 
     /// Build the execution plan for a query without running it
     /// (`GRAPH.EXPLAIN`).
     pub fn explain(&self, text: &str) -> Result<Vec<String>, QueryError> {
-        let ast = cypher::parse(text)?;
-        let plan = ExecutionPlan::build(&ast)?;
-        Ok(plan.describe())
+        Ok(ExecutionPlan::build(&cypher::parse(text)?)?.describe())
     }
 
     // ------------------------------------------------------------ mutation
@@ -489,7 +483,7 @@ impl Graph {
         labels: Vec<LabelId>,
         attributes: AttributeSet,
     ) -> Result<NodeId, QueryError> {
-        let id = self.nodes.insert(NodeEntity { labels: labels.clone(), attributes });
+        let id = self.nodes.insert(attributes);
         if let Err(e) = self.ensure_dim(id + 1) {
             self.nodes.remove(id);
             return Err(e);
@@ -565,18 +559,26 @@ impl Graph {
         id
     }
 
+    /// The id of the edge an edge value names, and the relation cell at the
+    /// value's `(rel, src, dst)`, while that cell holds the id: `None` for a
+    /// stale value, whose edge was deleted and whose id may since name
+    /// another edge, and for any value that is not an edge. A cell only ever
+    /// holds live ids, so this is the one test of an edge value's liveness.
+    pub(crate) fn live_edge(&self, edge: &Value) -> Option<(EdgeId, u64)> {
+        let &Value::Edge { id, src, dst, rel } = edge else { return None };
+        let cell = self.relation_matrices.get(rel as RelTypeId)?.extract_element(src, dst)?;
+        self.cell_edges(cell).any(|e| e == id).then_some((id, cell))
+    }
+
     /// Delete the edge an edge value names: a [`Value::Edge`] as a
     /// traversal or a `CREATE` bound it. Returns false, and changes nothing,
-    /// unless the value's relation cell at `(rel, src, dst)` holds its id —
-    /// so a stale value, whose edge was deleted and whose id may since name
-    /// another edge, deletes nothing. A cell only ever holds live ids.
+    /// for a stale value ([`Graph::live_edge`]).
     pub fn delete_edge(&mut self, edge: &Value) -> bool {
-        let &Value::Edge { id, src, dst, rel } = edge else { return false };
-        let rel = rel as RelTypeId;
-        let cell = self.relation_matrices.get(rel).and_then(|m| m.extract_element(src, dst));
-        let Some(cell) = cell.filter(|&cell| self.cell_edges(cell).any(|e| e == id)) else {
+        let (Some((id, cell)), &Value::Edge { src, dst, rel, .. }) = (self.live_edge(edge), edge)
+        else {
             return false;
         };
+        let rel = rel as RelTypeId;
         self.edges.remove(id);
         if cell & LIST_TAG == 0 {
             self.relation_matrices[rel].remove_element(src, dst).expect("in-bounds");
@@ -611,9 +613,9 @@ impl Graph {
         for edge in &incident {
             self.delete_edge(edge);
         }
-        let node = self.nodes.remove(id).expect("checked above");
-        for label in node.labels {
-            self.label_matrices[label].remove_element(id, id).expect("in-bounds");
+        self.nodes.remove(id);
+        for m in &mut self.label_matrices {
+            m.remove_element(id, id).expect("in-bounds");
         }
         self.epoch += 1;
         true
@@ -638,12 +640,25 @@ impl Graph {
 
     // ------------------------------------------------------------- readers
 
-    /// Node entity by id.
-    pub fn node(&self, id: NodeId) -> Option<&NodeEntity> {
+    /// The property set of a live node, by id.
+    pub fn node_attributes(&self, id: NodeId) -> Option<&AttributeSet> {
         self.nodes.get(id)
     }
 
-    /// The property set of a live edge, by id.
+    /// Whether node `id` carries label `label`: its entry in the label's
+    /// diagonal. An unknown label is carried by no node.
+    pub fn has_label(&self, id: NodeId, label: LabelId) -> bool {
+        self.label_matrices.get(label).is_some_and(|m| m.contains(id, id))
+    }
+
+    /// The labels node `id` carries, in ascending label id: the order the
+    /// graph first saw each label.
+    pub fn node_labels(&self, id: NodeId) -> impl Iterator<Item = LabelId> + '_ {
+        (0..self.label_matrices.len()).filter(move |&label| self.has_label(id, label))
+    }
+
+    /// The property set of a live edge, by id: the raw slot, for an id read
+    /// from a relation cell (an edge value first passes [`Graph::live_edge`]).
     pub fn edge_attributes(&self, id: EdgeId) -> Option<&AttributeSet> {
         self.edges.get(id)
     }
@@ -651,7 +666,7 @@ impl Graph {
     /// Read a node property by name (`Null` when absent).
     pub fn node_property(&self, id: NodeId, key: &str) -> Value {
         let Some(attr) = self.schema.attribute_id(key) else { return Value::Null };
-        self.nodes.get(id).map(|n| n.attributes.get(attr)).unwrap_or(Value::Null)
+        self.nodes.get(id).map_or(Value::Null, |a| a.get(attr))
     }
 
     /// Set a node property; returns false if the node does not exist.
@@ -668,32 +683,24 @@ impl Graph {
         attr: AttributeId,
         value: Value,
     ) -> bool {
-        match self.nodes.get_mut(id) {
-            Some(n) => {
-                n.attributes.set(attr, value);
-                self.epoch += 1;
-                true
-            }
-            None => false,
-        }
+        let Some(attributes) = self.nodes.get_mut(id) else { return false };
+        attributes.set(attr, value);
+        self.epoch += 1;
+        true
     }
 
-    /// Set an edge attribute by key id; returns false if the edge does not
-    /// exist.
+    /// Set an attribute, by key id, of the edge an edge value names; returns
+    /// false, and sets nothing, for a stale value ([`Graph::live_edge`]).
     pub(crate) fn set_edge_attribute(
         &mut self,
-        id: EdgeId,
+        edge: &Value,
         attr: AttributeId,
         value: Value,
     ) -> bool {
-        match self.edges.get_mut(id) {
-            Some(attributes) => {
-                attributes.set(attr, value);
-                self.epoch += 1;
-                true
-            }
-            None => false,
-        }
+        let Some((id, _)) = self.live_edge(edge) else { return false };
+        self.edges.get_mut(id).expect("a live edge's slot").set(attr, value);
+        self.epoch += 1;
+        true
     }
 
     /// All live node ids.
@@ -1011,7 +1018,7 @@ impl Graph {
         for v in 0..num_vertices {
             let mut attrs = AttributeSet::new();
             attrs.set(id_attr, Value::Int(v as i64));
-            let id = self.nodes.insert(NodeEntity { labels: vec![label], attributes: attrs });
+            let id = self.nodes.insert(attrs);
             debug_assert_eq!(id, v, "bulk_load requires an empty graph");
         }
         let (dim, threshold, n) = (self.dim, self.flush_threshold, num_vertices);
@@ -1036,8 +1043,6 @@ impl Graph {
             matrices.iter().map(DeltaMatrix::main_bytes).sum()
         }
         let attributes = |a: &AttributeSet| a.len() * size_of::<(AttributeId, Value)>();
-        let node =
-            |n: &NodeEntity| n.labels.capacity() * size_of::<LabelId>() + attributes(&n.attributes);
         let list = |l: &Vec<EdgeId>| l.capacity() * size_of::<EdgeId>();
         StorageBytes {
             relations: csr(&self.relation_matrices),
@@ -1046,7 +1051,7 @@ impl Graph {
             edge_slots: self.edges.block_bytes()
                 + self.edges.iter().map(|(_, a)| attributes(a)).sum::<usize>(),
             node_slots: self.nodes.block_bytes()
-                + self.nodes.iter().map(|(_, n)| node(n)).sum::<usize>(),
+                + self.nodes.iter().map(|(_, a)| attributes(a)).sum::<usize>(),
             edge_lists: self.edge_lists.block_bytes()
                 + self.edge_lists.iter().map(|(_, l)| list(l)).sum::<usize>()
                 + csr(&self.list_pairs_t),
@@ -1060,6 +1065,19 @@ impl Graph {
         let m = self.relation_matrices.get(rel)?;
         Some(m.table().leaves().map(|(_, leaf)| Arc::clone(leaf)).collect())
     }
+}
+
+/// Parse and plan `text`, bind it an empty parameter map (so a `$name` in
+/// it is an error) and run it on `access`, with one [`OpProfile`] per
+/// operator into `profiles` when given: the one path of [`Graph::query`],
+/// [`Graph::profile`] and [`Graph::query_readonly`].
+fn execute(
+    access: GraphAccess<'_>,
+    text: &str,
+    profiles: Option<&mut Vec<OpProfile>>,
+) -> Result<ResultSet, QueryError> {
+    let plan = ExecutionPlan::build(&cypher::parse(text)?)?;
+    plan.run(access, &plan.bind(&Params::new())?, Instant::now(), profiles)
 }
 
 /// A `dim × dim` matrix folding at `threshold`, holding the in-range pairs
@@ -1253,10 +1271,27 @@ mod tests {
         assert_eq!(g.node_property(0, "missing"), Value::Null);
         assert_eq!(edge_property(&g, 2, "since"), Value::Int(2020));
         let person = g.schema.label_id("Person").unwrap();
-        assert!(g.node(0).unwrap().has_label(person));
-        assert!(!g.node(2).unwrap().has_label(person));
+        assert!(g.has_label(0, person));
+        assert!(!g.has_label(2, person));
         assert_eq!(labelled(&g, "Person"), vec![0, 1]);
         assert_eq!(labelled(&g, "Nope"), Vec::<u64>::new());
+    }
+
+    #[test]
+    fn node_label_membership() {
+        // A node's labels are its diagonal entries alone: a repeated label
+        // is one entry, the labels read back in label-id order, and a
+        // delete clears them.
+        let mut g = Graph::new("labels");
+        let b = g.label_id_or_create("B");
+        let n = g.add_node(&["A", "B", "A"], vec![]);
+        let a = g.schema.label_id("A").unwrap();
+        assert!(g.has_label(n, a) && g.has_label(n, b) && !g.has_label(n, 9));
+        assert_eq!(g.node_labels(n).collect::<Vec<_>>(), vec![b, a]);
+        assert_eq!(g.label_matrices[a].nvals(), 1);
+        assert!(g.delete_node(n));
+        assert_eq!(g.node_labels(n).count(), 0);
+        assert_eq!(g.label_matrices[a].nvals() + g.label_matrices[b].nvals(), 0);
     }
 
     #[test]
@@ -1540,8 +1575,11 @@ mod tests {
         assert!(g.set_node_property(0, "age", Value::Int(40)));
         assert_eq!(g.node_property(0, "age"), Value::Int(40));
         let w = g.attribute_id_or_create("w");
-        assert!(g.set_edge_attribute(0, w, Value::Float(0.5)));
+        let edge = edge_values(&g).remove(&0).unwrap();
+        assert!(g.set_edge_attribute(&edge, w, Value::Float(0.5)));
         assert_eq!(edge_property(&g, 0, "w"), Value::Float(0.5));
+        // A stale value sets nothing.
+        assert!(g.delete_edge(&edge) && !g.set_edge_attribute(&edge, w, Value::Int(1)));
         assert!(!g.set_node_property(99, "x", Value::Int(1)));
     }
 
@@ -1606,7 +1644,7 @@ mod tests {
             assert!(!bulk.has_pending_deltas() && bulk.edge_lists.is_empty());
             for v in (0..n).step_by(97) {
                 assert_eq!(bulk.node_property(v, "id"), Value::Int(v as i64));
-                assert_eq!(bulk.node(v), inc.node(v));
+                assert_eq!(bulk.node_attributes(v), inc.node_attributes(v));
             }
             assert!((0..kept.len() as u64).all(|id| bulk.edge_attributes(id).is_some()));
             assert!(bulk.edge_attributes(kept.len() as u64).is_none());
@@ -1625,13 +1663,13 @@ mod tests {
         let csr = |nnz: u64, cell: u64| (1025 * 8 + nnz * (4 + cell)) as usize;
         // 16 blocks of 64 slots; an empty attribute set owns nothing.
         let slots = |slot: usize| 16 * 64 * slot;
-        let node = 8 + size_of::<(AttributeId, Value)>();
+        let node = size_of::<(AttributeId, Value)>();
         let expect = StorageBytes {
             relations: csr(n, 8),
             transposes: csr(n, 0),
             labels: csr(n, 0),
             edge_slots: slots(16),
-            node_slots: slots(size_of::<Option<NodeEntity>>()) + n as usize * node,
+            node_slots: slots(16) + n as usize * node,
             edge_lists: 0,
         };
         assert_eq!(g.storage_bytes(), expect);

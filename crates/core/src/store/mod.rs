@@ -1,5 +1,6 @@
-//! The graph storage layer: entity DataBlocks, schemas (label / relationship
-//! type / attribute registries) and the matrix-backed [`graph::Graph`] object.
+//! The graph storage layer: attribute DataBlocks, schemas (label /
+//! relationship type / attribute registries) and the matrix-backed
+//! [`graph::Graph`] object.
 
 pub mod datablock;
 pub mod entity;
@@ -7,6 +8,6 @@ pub mod graph;
 pub mod schema;
 
 pub use datablock::DataBlock;
-pub use entity::{AttributeSet, NodeEntity};
+pub use entity::AttributeSet;
 pub use graph::{Graph, GraphSnapshot};
 pub use schema::{AttributeId, LabelId, RelTypeId, Schema};

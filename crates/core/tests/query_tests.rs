@@ -837,3 +837,33 @@ fn order_by_skip_limit_matches_a_full_stable_sort() {
         }
     }
 }
+
+#[test]
+fn a_repeated_label_is_one_label_and_labels_come_in_label_id_order() {
+    let mut g = Graph::new("labels");
+    let rs = g.query("CREATE (n:A:A) RETURN labels(n)").unwrap();
+    assert_eq!(rs.scalar(), Some(&Value::List(vec![Value::Str("A".into())])));
+    g.query("CREATE (:B)").unwrap();
+    let rs = g.query("CREATE (n:C:B) RETURN labels(n)").unwrap();
+    let names = ["B", "C"].map(|l| Value::Str(l.into())).to_vec();
+    assert_eq!(rs.scalar(), Some(&Value::List(names)));
+}
+
+/// An edge deleted in a query whose later `CREATE` reuses its id: the
+/// deleted edge's value must not read, or write, the new edge.
+#[test]
+fn a_deleted_edge_does_not_read_as_the_edge_that_reuses_its_id() {
+    let reuse = "MATCH (a)-[e:R]->(b) DELETE e CREATE (a)-[:S {w: 2}]->(b)";
+    let mut g = Graph::new("reuse");
+    g.query("CREATE (:N)-[:R {w: 1}]->(:N)").unwrap();
+    let rs = g.query(&format!("{reuse} RETURN type(e), e.w")).unwrap();
+    assert_eq!(rs.rows.len(), 1);
+    assert_eq!(rs.rows[0], [Value::Null, Value::Null]);
+
+    let mut g = Graph::new("reuse");
+    g.query("CREATE (:N)-[:R {w: 1}]->(:N)").unwrap();
+    let rs = g.query(&format!("{reuse} SET e.w = 5")).unwrap();
+    assert_eq!(rs.stats.properties_set, 1, "only the CREATE sets a property");
+    let rs = g.query("MATCH ()-[s:S]->() RETURN s.w").unwrap();
+    assert_eq!(rs.scalar(), Some(&Value::Int(2)));
+}

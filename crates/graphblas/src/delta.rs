@@ -456,9 +456,8 @@ impl<T: Scalar> DeltaMatrix<T> {
         })
     }
 
-    /// A delta matrix holding `main`'s entries, with nothing pending: the
-    /// shrinking [`DeltaMatrix::resize`], tests, and rgbench's ladder (T9a
-    /// deletes that use).
+    /// A delta matrix holding `main`'s entries, with nothing pending: tests,
+    /// and rgbench's ladder (T9a deletes that use).
     ///
     /// # Panics
     /// Panics if a dimension of `main` is past [`MAX_DIM`].
@@ -689,18 +688,16 @@ impl<T: Scalar> DeltaMatrix<T> {
         Ok(())
     }
 
-    /// Resize the matrix. Growing adds empty leaf slots and keeps every
-    /// leaf, pending changes included; shrinking either dimension rebuilds
-    /// the leaves from the merged entries still in range. A dimension past
-    /// [`MAX_DIM`] is an error, and changes nothing.
+    /// Grow the matrix: add empty leaf slots, keeping every leaf, pending
+    /// changes included. A matrix only grows: shrinking either dimension is
+    /// an error, as is a dimension past [`MAX_DIM`], and changes nothing.
     pub fn resize(&mut self, nrows: Index, ncols: Index) -> GrbResult<()> {
         check_dim(nrows, ncols)?;
         if nrows < self.nrows || ncols < self.ncols {
-            let mut kept = self.export();
-            kept.resize(nrows, ncols);
-            let (flush_threshold, flush_count) = (self.flush_threshold, self.flush_count);
-            *self = DeltaMatrix { flush_threshold, flush_count, ..Self::from_matrix(kept) };
-            return Ok(());
+            let (rows, cols) = (self.nrows, self.ncols);
+            return Err(GrbError::InvalidValue(format!(
+                "{nrows} x {ncols} shrinks {rows} x {cols}"
+            )));
         }
         // Readers holding a clone keep the old dimensions.
         self.leaves.resize(leaf_count(nrows));
@@ -1242,17 +1239,6 @@ mod tests {
     }
 
     #[test]
-    fn shrink_resize_drops_out_of_range_entries() {
-        let mut m = seeded();
-        m.set_element(3, 3, 99);
-        m.resize(2, 3).unwrap();
-        assert!(m.is_flushed());
-        assert_eq!(m.to_triples(), vec![(0, 1, 10), (1, 2, 20)]);
-        assert_eq!(m.nvals(), 2);
-        m.check_invariants().unwrap();
-    }
-
-    #[test]
     fn out_of_bounds_is_an_error() {
         let mut m = DeltaMatrix::<i64>::new(2, 2).unwrap();
         assert!(m.try_set_element(2, 0, 1).is_err());
@@ -1444,21 +1430,11 @@ mod tests {
         assert_eq!(m.leaves.len(), 3);
         m.set_element(LEAF_ROWS * 2, 3, 2);
         m.check_invariants().unwrap();
-        m.resize(LEAF_ROWS, 10).unwrap();
-        assert_eq!(m.leaves.len(), 1);
-        assert_eq!(m.to_triples(), vec![(9, 9, 1)]);
-        m.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn resize_growing_rows_while_shrinking_columns_adds_chunks() {
-        let mut m = DeltaMatrix::<i64>::new(10, 10).unwrap();
-        m.set_element(3, 7, 1); // dropped: column 7 is out of the new range
-        m.resize(600, 5).unwrap();
-        assert_eq!(m.leaves.len(), leaf_count(600));
-        m.set_element(300, 4, 2);
-        assert_eq!(m.to_triples(), vec![(300, 4, 2)]);
-        m.check_invariants().unwrap();
+        // A matrix only grows: shrinking either dimension, even while
+        // growing the other, is refused and changes nothing.
+        assert!(m.resize(LEAF_ROWS, 10).is_err() && m.resize(LEAF_ROWS * 3, 5).is_err());
+        assert_eq!((m.nrows(), m.ncols(), m.leaves.len()), (LEAF_ROWS * 2 + 1, 10, 3));
+        assert_eq!(m.to_triples(), vec![(9, 9, 1), (LEAF_ROWS * 2, 3, 2)]);
     }
 
     #[test]

@@ -172,19 +172,6 @@ impl<T: Scalar> SparseMatrix<T> {
         self.iter().collect()
     }
 
-    /// Resize the matrix (GraphBLAS `GxB_Matrix_resize`). Growing adds empty
-    /// rows/columns; shrinking drops out-of-range entries.
-    pub fn resize(&mut self, nrows: Index, ncols: Index) {
-        if nrows >= self.nrows && ncols >= self.ncols {
-            self.row_ptr.resize(nrows as usize + 1, *self.row_ptr.last().unwrap_or(&0));
-            self.nrows = nrows;
-            self.ncols = ncols;
-            return;
-        }
-        let triples: Vec<_> = self.iter().filter(|&(r, c, _)| r < nrows && c < ncols).collect();
-        *self = SparseMatrix::from_triples(nrows, ncols, &triples).expect("resize rebuild");
-    }
-
     /// Internal CSR row pointer array (for kernels and tests).
     pub fn row_ptr(&self) -> &[usize] {
         &self.row_ptr
@@ -278,20 +265,6 @@ mod tests {
     fn from_triples_rejects_out_of_bounds() {
         assert!(SparseMatrix::from_triples(2, 2, &[(2, 0, 1)]).is_err());
         assert!(SparseMatrix::from_triples(2, 2, &[(0, 2, 1)]).is_err());
-    }
-
-    #[test]
-    fn resize_grow_and_shrink() {
-        let mut m = small();
-        m.resize(5, 5);
-        assert_eq!(m.nrows(), 5);
-        assert_eq!(m.nvals(), 4);
-        m.check_invariants().unwrap();
-        m.resize(2, 2);
-        assert_eq!(m.nvals(), 2); // only (0,1) and (1,0) survive
-        assert_eq!(m.extract_element(0, 1), Some(10));
-        assert_eq!(m.extract_element(1, 0), Some(5));
-        m.check_invariants().unwrap();
     }
 
     #[test]

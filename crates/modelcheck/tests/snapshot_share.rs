@@ -141,7 +141,11 @@ fn a_reader_keeps_its_epoch_while_the_writer_grows_the_entity_table() {
                 let row = if old { vec![0] } else { vec![0, fresh] };
                 for _ in 0..2 {
                     assert_eq!(snap.node_count() as u64, nodes, "node count (old = {old})");
-                    assert_eq!(snap.node(fresh).is_some(), !old, "node from the wrong epoch");
+                    assert_eq!(
+                        snap.node_attributes(fresh).is_some(),
+                        !old,
+                        "node from the wrong epoch"
+                    );
                     assert_eq!(snap.node_property(last, "id"), Value::Int(last as i64));
                     assert_eq!(out_row(&snap, last), row, "row {last} mixes epochs (old = {old})");
                     assert_eq!(snap.edge_count(), if old { 2 } else { 3 });

@@ -236,7 +236,10 @@ impl GraphEntry {
 pub struct RedisGraphServer {
     graphs: Arc<RwLock<HashMap<String, GraphEntry>>>,
     pool: Arc<ThreadPool>,
-    config: ServerConfig,
+    /// `THREAD_COUNT` and `MAX_CONNECTIONS`, fixed at load time; every other
+    /// parameter is one of the live values below.
+    thread_count: usize,
+    max_connections: usize,
     /// Live value of `DELTA_MAX_PENDING_CHANGES` (`GRAPH.CONFIG SET` updates
     /// it at runtime; new graphs pick it up on creation, existing graphs are
     /// retuned in place).
@@ -262,7 +265,8 @@ impl RedisGraphServer {
         RedisGraphServer {
             graphs: Arc::new(RwLock::new(HashMap::new())),
             pool: Arc::new(ThreadPool::new(config.thread_count)),
-            config,
+            thread_count: config.thread_count,
+            max_connections: config.max_connections,
             delta_max_pending_changes: AtomicUsize::new(config.delta_max_pending_changes.max(1)),
             max_query_buffer: AtomicUsize::new(config.max_query_buffer.max(MIN_QUERY_BUFFER)),
             slowlog_time_threshold_ms: AtomicU64::new(config.slowlog_time_threshold_ms),
@@ -271,9 +275,18 @@ impl RedisGraphServer {
         }
     }
 
-    /// The active configuration.
+    /// The active configuration: the load-time `THREAD_COUNT` and
+    /// `MAX_CONNECTIONS`, and the live value of every runtime-settable
+    /// parameter.
     pub fn config(&self) -> ServerConfig {
-        self.config
+        ServerConfig {
+            thread_count: self.thread_count,
+            delta_max_pending_changes: self.delta_max_pending_changes(),
+            max_query_buffer: self.max_query_buffer(),
+            max_connections: self.max_connections,
+            slowlog_time_threshold_ms: self.slowlog_time_threshold_ms(),
+            plan_cache_size: self.plan_cache_size(),
+        }
     }
 
     /// The live `DELTA_MAX_PENDING_CHANGES` value.
@@ -677,8 +690,8 @@ impl RedisGraphServer {
             "MAX_QUERY_BUFFER" => Some(self.max_query_buffer() as i64),
             "SLOWLOG_TIME_THRESHOLD" => Some(self.slowlog_time_threshold_ms() as i64),
             "PLAN_CACHE_SIZE" => Some(self.plan_cache_size() as i64),
-            "THREAD_COUNT" => Some(self.config.thread_count as i64),
-            "MAX_CONNECTIONS" => Some(self.config.max_connections as i64),
+            "THREAD_COUNT" => Some(self.thread_count as i64),
+            "MAX_CONNECTIONS" => Some(self.max_connections as i64),
             _ => None,
         }
     }
@@ -941,6 +954,31 @@ mod tests {
                 RespValue::Integer(3),
             ])
         );
+    }
+
+    #[test]
+    fn config_reports_the_live_value_of_every_set_parameter() {
+        let server = RedisGraphServer::new(ServerConfig {
+            thread_count: 3,
+            max_connections: 77,
+            ..ServerConfig::default()
+        });
+        for (parameter, value) in [
+            ("PLAN_CACHE_SIZE", "0"),
+            ("DELTA_MAX_PENDING_CHANGES", "5"),
+            ("MAX_QUERY_BUFFER", "65536"),
+            ("SLOWLOG_TIME_THRESHOLD", "9"),
+        ] {
+            let reply =
+                server.handle(&RespValue::command(&["GRAPH.CONFIG", "SET", parameter, value]));
+            assert_eq!(reply, RespValue::SimpleString("OK".into()), "{parameter}");
+        }
+        let config = server.config();
+        assert_eq!((config.thread_count, config.max_connections), (3, 77));
+        assert_eq!(config.plan_cache_size, 0);
+        assert_eq!(config.delta_max_pending_changes, 5);
+        assert_eq!(config.max_query_buffer, 65_536);
+        assert_eq!(config.slowlog_time_threshold_ms, 9);
     }
 
     #[test]

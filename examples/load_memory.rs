@@ -5,7 +5,7 @@
 //! the load's wall time, the process's peak resident set (`VmHWM`) before
 //! and after the load, and the bytes each store of the graph holds, in
 //! total and per stored edge: relation CSRs, their transposes, the label
-//! matrices, the edge attribute slots, the node entities and the
+//! matrices, the edge attribute slots, the node attribute slots and the
 //! parallel-edge lists (see `Graph::storage_bytes` for what each counts).
 //!
 //! ```text

@@ -22,6 +22,11 @@
 //! edge weighted, so `algo.sssp` takes the cheapest of parallel and
 //! cross-type edges), and k-hop counts that agree with the baseline BFS.
 //!
+//! A third property checks every reader of node labels against a shadow of
+//! the labels each Cypher `CREATE` wrote, with the label diagonals pending
+//! and folded, on the graph and on a snapshot (see
+//! [`every_label_reader_agrees_with_the_labels_written`]).
+//!
 //! Two further (non-property) tests pin the MVCC semantics the server's
 //! lock-free read path depends on: a snapshot pinned at epoch N answers
 //! identically before, while, and after a concurrent writer publishes epoch
@@ -29,10 +34,10 @@
 //! accumulating them.
 
 use baseline::AdjacencyListGraph;
-use graphblas::prelude::transpose;
+use graphblas::prelude::{transpose, DEFAULT_FLUSH_THRESHOLD};
 use proptest::prelude::*;
 use redisgraph_core::{Graph, TraverseDir, Value};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One scripted workload step, decoded from a generated tuple.
 #[derive(Debug, Clone, Copy)]
@@ -457,7 +462,175 @@ fn write_heavy_flush_loop_reclaims_epochs_instead_of_accumulating() {
     assert!(freed, "the last reader dropping must release the leaves it alone held");
 }
 
+/// The labels the label-agreement property draws from.
+const NODE_LABELS: [&str; 3] = ["A", "B", "C"];
+
+/// What the Cypher writes of the label-agreement property left: each live
+/// node's labels and the live `:R` edges, as `(src, dst)` pairs.
+#[derive(Default)]
+struct LabelShadow {
+    nodes: BTreeMap<u64, BTreeSet<&'static str>>,
+    edges: Vec<(u64, u64)>,
+    /// The labels in the order the graph first saw them: label-id order.
+    seen: Vec<&'static str>,
+}
+
+impl LabelShadow {
+    /// The live node `sel` picks, if any.
+    fn pick(&self, sel: u64) -> Option<u64> {
+        let n = self.nodes.len() as u64;
+        (n > 0).then(|| *self.nodes.keys().nth((sel % n) as usize).expect("in range"))
+    }
+
+    fn has(&self, id: u64, label: &str) -> bool {
+        self.nodes[&id].contains(label)
+    }
+}
+
+/// Run one write of the label-agreement property on every graph, and record
+/// it in the shadow: a node create with 0–3 labels (`sel`'s base-4 digits,
+/// 0 for none, so a label may repeat), a node delete, or an `:R` edge.
+fn write_labels(kind: u8, sel: u64, other: u64, graphs: &mut [Graph], shadow: &mut LabelShadow) {
+    let query = match kind {
+        0 | 1 => {
+            let picked: Vec<&'static str> = (0..3)
+                .map(|digit| (sel >> (2 * digit)) % 4)
+                .filter(|&d| d > 0)
+                .map(|d| NODE_LABELS[d as usize - 1])
+                .collect();
+            let query = format!(
+                "CREATE (n{}) RETURN id(n)",
+                picked.iter().map(|l| format!(":{l}")).collect::<String>()
+            );
+            let mut ids = graphs.iter_mut().map(|g| g.query(&query).expect("a create").rows);
+            let id = ids.next().expect("a graph")[0][0].clone();
+            assert!(ids.all(|rows| rows[0][0] == id), "`{query}` reused different ids");
+            let Value::Int(id) = id else { panic!("id(n) is {id}") };
+            for &l in &picked {
+                if !shadow.seen.contains(&l) {
+                    shadow.seen.push(l);
+                }
+            }
+            shadow.nodes.insert(id as u64, picked.into_iter().collect());
+            return;
+        }
+        2 => {
+            let Some(id) = shadow.pick(sel) else { return };
+            shadow.nodes.remove(&id);
+            shadow.edges.retain(|&(s, d)| s != id && d != id);
+            format!("MATCH (n) WHERE id(n) = {id} DELETE n")
+        }
+        _ => {
+            // No self-loop: a path may not bind one edge twice.
+            let (Some(src), Some(dst)) = (shadow.pick(sel), shadow.pick(other)) else { return };
+            if src == dst {
+                return;
+            }
+            shadow.edges.push((src, dst));
+            format!("MATCH (a), (b) WHERE id(a) = {src} AND id(b) = {dst} CREATE (a)-[:R]->(b)")
+        }
+    };
+    for g in graphs {
+        g.query(&query).unwrap_or_else(|e| panic!("`{query}`: {e}"));
+    }
+}
+
+/// Every label reader of `g` against the shadow: `labels(n)` on every live
+/// node, the label scan `MATCH (n:L)`, the label filter of `MATCH
+/// (n:L1:L2)`, and the label mask of the fused product `MATCH
+/// (a)-[:R]->(b:L)-[:R]->(c)`.
+fn check_labels(who: &str, g: &Graph, shadow: &LabelShadow) -> Result<(), TestCaseError> {
+    let rows =
+        |query: &str| g.query_readonly(query).unwrap_or_else(|e| panic!("`{query}`: {e}")).rows;
+    let ids = |query: &str| -> BTreeSet<u64> {
+        rows(query).iter().map(|row| row[0].as_i64().expect("an id") as u64).collect()
+    };
+    let mut labels = BTreeMap::new();
+    for row in &rows("MATCH (n) RETURN id(n), labels(n)") {
+        let Value::List(names) = &row[1] else { panic!("labels(n) is {}", row[1]) };
+        labels.insert(
+            row[0].as_i64().expect("an id") as u64,
+            names.iter().map(Value::to_string).collect::<Vec<_>>(),
+        );
+    }
+    let expect: BTreeMap<u64, Vec<String>> = shadow
+        .nodes
+        .iter()
+        .map(|(&id, set)| {
+            let ordered = shadow.seen.iter().filter(|l| set.contains(*l)).map(|l| l.to_string());
+            (id, ordered.collect())
+        })
+        .collect();
+    prop_assert_eq!(labels, expect, "labels(n) on {}", who);
+
+    for l1 in NODE_LABELS {
+        let expect: BTreeSet<u64> =
+            shadow.nodes.keys().copied().filter(|&n| shadow.has(n, l1)).collect();
+        prop_assert_eq!(
+            ids(&format!("MATCH (n:{l1}) RETURN id(n)")),
+            expect,
+            "scan :{} on {}",
+            l1,
+            who
+        );
+        for l2 in NODE_LABELS.into_iter().filter(|&l2| l2 != l1) {
+            let query = format!("MATCH (n:{l1}:{l2}) RETURN id(n)");
+            let expect: BTreeSet<u64> = shadow
+                .nodes
+                .keys()
+                .copied()
+                .filter(|&n| shadow.has(n, l1) && shadow.has(n, l2))
+                .collect();
+            prop_assert_eq!(ids(&query), expect, "`{}` on {}", query, who);
+        }
+        let query = format!("MATCH (a)-[:R]->(b:{l1})-[:R]->(c) RETURN count(c)");
+        let paths: usize = shadow
+            .edges
+            .iter()
+            .filter(|&&(_, b)| shadow.has(b, l1))
+            .map(|&(_, b)| shadow.edges.iter().filter(|&&(s, _)| s == b).count())
+            .sum();
+        prop_assert_eq!(
+            rows(&query)[0][0].clone(),
+            Value::Int(paths as i64),
+            "`{}` on {}",
+            query,
+            who
+        );
+    }
+    Ok(())
+}
+
 proptest! {
+    /// Random node creates with 0–3 labels (repeats allowed), deletes whose
+    /// ids later creates reuse, and `:R` edges, all through Cypher, on a
+    /// graph that folds its label diagonals at every insert and one that
+    /// keeps them pending: every label reader of both, and of a snapshot
+    /// of each, agrees with the labels written.
+    #[test]
+    fn every_label_reader_agrees_with_the_labels_written(
+        ops in prop::collection::vec((0u8..5, 0u64..64, 0u64..64), 0..40),
+    ) {
+        let mut graphs = [Graph::new("folded"), Graph::new("pending")];
+        graphs[0].set_flush_threshold(1);
+        graphs[1].set_flush_threshold(DEFAULT_FLUSH_THRESHOLD);
+        let mut shadow = LabelShadow::default();
+        for (i, &(kind, sel, other)) in ops.iter().enumerate() {
+            write_labels(kind.min(3), sel, other, &mut graphs, &mut shadow);
+            if kind == 4 || i + 1 == ops.len() {
+                for g in &graphs {
+                    check_labels(g.name(), g, &shadow)?;
+                    check_labels(&format!("a snapshot of {}", g.name()), &g.snapshot(), &shadow)?;
+                }
+            }
+        }
+        prop_assert!(graphs[1].has_pending_deltas() || shadow.nodes.is_empty());
+        let plan = graphs[0].explain("MATCH (a)-[:R]->(b:A)-[:R]->(c) RETURN count(c)").unwrap();
+        prop_assert!(plan.iter().any(|line| line.contains("·L_A")), "unfused: {:?}", plan);
+        let plan = graphs[0].explain("MATCH (n:A:B) RETURN id(n)").unwrap();
+        prop_assert!(plan.iter().any(|line| line.contains("Label Filter")), "no filter: {:?}", plan);
+    }
+
     #[test]
     fn delta_store_is_observationally_identical_to_eager(
         script in steps(),
