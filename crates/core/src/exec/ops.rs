@@ -1003,10 +1003,13 @@ fn resolve_or_create_node(
     if let Some(&Value::Node(id)) = node.slot.and_then(|slot| record.get(slot)) {
         return Ok(id);
     }
-    let labels = node.labels.iter().map(|&l| names.label_or_create(l, graph)).collect();
+    // A label named twice is one diagonal entry, so it is added once.
+    let mut labels: Vec<_> = node.labels.iter().map(|&l| names.label_or_create(l, graph)).collect();
+    labels.sort_unstable();
+    labels.dedup();
     let attrs = attribute_set(&node.props, graph, names);
     stats.properties_set += node.props.len();
-    stats.labels_added += node.labels.len();
+    stats.labels_added += labels.len();
     let id = graph.create_node(labels, attrs)?;
     stats.nodes_created += 1;
     if let Some(slot) = node.slot {

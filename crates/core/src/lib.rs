@@ -5,7 +5,7 @@
 //! are executed as sparse linear algebra, as described in *"RedisGraph:
 //! GraphBLAS Enabled Graph Database"* (Cailliau et al., 2019).
 //!
-//! * [`store`] — the graph object: node/edge entity storage (DataBlocks),
+//! * [`store`] — the graph object: id allocators and attribute slots,
 //!   label matrices, one relation matrix per relationship type plus its
 //!   transpose (the combined adjacency is derived from them on demand), and
 //!   the schema registries.
@@ -43,5 +43,6 @@ pub use value::{EquivKey, Value};
 
 /// Node identifier: the row/column index of the node in every matrix.
 pub type NodeId = u64;
-/// Edge identifier: the edge's slot in the edge attribute DataBlock.
+/// Edge identifier: the value of the relation cells that hold the edge, and
+/// the index of its attribute slot, which it has only if it has properties.
 pub type EdgeId = u64;

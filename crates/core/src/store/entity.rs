@@ -1,12 +1,12 @@
 //! The attribute sets of nodes and edges: all that an entity slot holds.
 //!
 //! Neither a node nor an edge has an entity of its own. A node's slot in the
-//! graph's node DataBlock is its attribute set alone, and its labels are the
-//! label diagonals that hold its id. An edge's slot in the edge DataBlock is
-//! likewise its attribute set, and its endpoints and relationship type are
-//! the relation-matrix cells that hold its id. A traversal that finds an
-//! edge carries them in the edge's [`Value::Edge`], as RedisGraph's `Edge`
-//! does.
+//! graph's node slots is its attribute set alone, and its labels are the
+//! label diagonals that hold its id. An edge's endpoints and relationship
+//! type are the relation-matrix cells that hold its id, and it has a slot
+//! in the edge slots only while its attribute set is not empty. A traversal
+//! that finds an edge carries them in the edge's [`Value::Edge`], as
+//! RedisGraph's `Edge` does.
 
 use crate::store::schema::AttributeId;
 use crate::value::Value;
@@ -16,16 +16,17 @@ use crate::value::Value;
 /// Stored as a small sorted boxed slice: property counts per entity are tiny,
 /// and a slice beats a hash map for both memory and lookup speed at that
 /// size. It is a pointer and a length, 16 bytes with no spare capacity, and
-/// an empty set allocates nothing: a node or edge without properties costs
-/// its slot and no heap. A write reallocates the slice, which is as cheap as a
+/// an empty set allocates nothing: a node without properties costs its slot
+/// and no heap, and an edge without properties is not stored at all. A write reallocates the slice, which is as cheap as a
 /// vector's shift at these sizes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AttributeSet {
     attrs: Box<[(AttributeId, Value)]>,
 }
 
-// A node or edge slot is an `Option<AttributeSet>`: the box's non-null
-// pointer is the `None` niche, so a slot is the set's 16 bytes.
+// A node slot, and the slot of an edge with properties, is an
+// `Option<AttributeSet>`: the box's non-null pointer is the `None` niche, so
+// a slot is the set's 16 bytes.
 const _: () = assert!(std::mem::size_of::<Option<AttributeSet>>() == 16);
 
 impl AttributeSet {

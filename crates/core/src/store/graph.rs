@@ -9,23 +9,24 @@
 //!   untyped hop, and every `algo.*` procedure, reads every type's matrix
 //!   and takes their union as it goes. A cell holding
 //!   parallel same-type edges stores `LIST_TAG | slot` instead, naming an
-//!   ascending edge-id list in a DataBlock arena (RedisGraph 2.x's
-//!   multi-edge cells). The transpose holds the pattern alone: a backward
+//!   ascending edge-id list in a slot arena (RedisGraph 2.x's multi-edge
+//!   cells). The transpose holds the pattern alone: a backward
 //!   step that binds an edge finds each in-neighbour in the transpose's row
 //!   and reads the cell from the neighbour's forward row. A backward count
 //!   reads that cell only for a pair whose cell holds a list: each relation
 //!   keeps the pattern of its tagged cells, transposed, beside it;
 //! * one **label matrix per label**, a pattern with a diagonal entry for
 //!   every node carrying that label: the only record of a node's labels;
-//! * each node's property set alone in a DataBlock slot whose index *is*
-//!   the matrix row/column index, and each edge's property set alone in a
-//!   DataBlock slot named by its edge id. An edge's endpoints and type are
-//!   the relation cell that holds its id, and nowhere else: a traversal that
-//!   finds an edge carries them in its [`Value::Edge`], as RedisGraph's
-//!   `Edge` does, and the value reads as that edge only while the cell still
-//!   holds the id. A stored edge is one 12-byte entry of its relation (a
-//!   `u32` column and the cell), one 4-byte entry of the transpose and a
-//!   16-byte slot; a node is a 16-byte slot and one 4-byte entry per label.
+//! * each node's property set alone in a slot whose index *is* the matrix
+//!   row/column index, and each edge's property set, if it has one, in a
+//!   slot named by its edge id; an edge without properties has no slot. An
+//!   edge's endpoints and type are the relation cell that holds its id, and
+//!   nowhere else: a traversal that finds an edge carries them in its
+//!   [`Value::Edge`], as RedisGraph's `Edge` does, and the value reads as
+//!   that edge only while the cell still holds the id. A stored edge without
+//!   properties is one 12-byte entry of its relation (a `u32` column and the
+//!   cell) and one 4-byte entry of the transpose; a node is a 16-byte slot
+//!   and one 4-byte entry per label.
 //!
 //! All matrices share one dimension, grown in chunks as nodes are added.
 //!
@@ -46,7 +47,7 @@
 //! inserts or deletes the pair in the relation's list pattern, which does.
 //!
 //! [`Graph::snapshot`] pins each matrix's copy-on-write table of leaves,
-//! and the entity blocks', into a [`GraphSnapshot`] that concurrent readers
+//! and the slot blocks', into a [`GraphSnapshot`] that concurrent readers
 //! query without holding any lock, while writers copy the leaves they touch
 //! and publish folded leaves beside the pinned ones. A leaf is freed when
 //! the last snapshot holding it drops.
@@ -54,7 +55,7 @@
 use crate::error::QueryError;
 use crate::exec::plan::{ExecutionPlan, GraphAccess, OpProfile, ParamValues, Params};
 use crate::exec::resultset::ResultSet;
-use crate::store::datablock::DataBlock;
+use crate::store::datablock::{IdAlloc, Slots};
 use crate::store::entity::AttributeSet;
 use crate::store::schema::{AttributeId, LabelId, RelTypeId, Schema};
 use crate::value::Value;
@@ -72,7 +73,7 @@ const GROW_CHUNK: u64 = 16_384;
 
 /// The top bit of a relation cell: clear, the cell is the one edge id it
 /// holds; set, the other bits are a slot of [`Graph`]'s `edge_lists`. Edge
-/// ids are DataBlock slots, far below this bit.
+/// ids come from an [`IdAlloc`], far below this bit.
 const LIST_TAG: u64 = 1 << 63;
 
 /// Traversal direction at the storage level.
@@ -174,9 +175,9 @@ pub fn beamer_pulls(
 
 /// Bytes each of a [`Graph`]'s stores holds ([`Graph::storage_bytes`]).
 /// Matrices count their leaves' CSR arrays (a fold or a bulk load leaves no
-/// pending buffer); entity stores count their allocated blocks plus the
-/// attribute entries and edge-id lists their slots own, but
-/// no string payload; allocator overhead is not counted.
+/// pending buffer); slot stores count their allocated blocks plus the
+/// attribute entries and edge-id lists their slots own, but no string
+/// payload; the free-id stacks and allocator overhead are not counted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StorageBytes {
     /// The relation matrices: one edge-id cell per connected pair and type.
@@ -185,7 +186,8 @@ pub struct StorageBytes {
     pub transposes: usize,
     /// The label matrices: the pattern alone.
     pub labels: usize,
-    /// The edge attribute slots.
+    /// The edge attribute slots: a 64-slot block only where an edge has a
+    /// property, so none for a graph whose edges have none.
     pub edge_slots: usize,
     /// The node attribute slots.
     pub node_slots: usize,
@@ -200,12 +202,17 @@ pub struct Graph {
     /// Label / relationship type / attribute registries, shared with every
     /// snapshot and copied only when a name is created.
     pub schema: Arc<Schema>,
+    /// Node ids, and the live-node count.
+    node_ids: IdAlloc,
     /// Each live node's property set, at its node id: a 16-byte slot,
     /// whose labels are the label diagonals that hold the id.
-    nodes: DataBlock<AttributeSet>,
-    /// Each live edge's property set, at its edge id: a 16-byte slot,
-    /// whose endpoints and type are the relation cells that name the id.
-    edges: DataBlock<AttributeSet>,
+    nodes: Slots<AttributeSet>,
+    /// The ids the relation cells hold, and the live-edge count.
+    edge_ids: IdAlloc,
+    /// The property set of each edge that has a property, at its edge id:
+    /// an edge's endpoints and type are the relation cells that name the
+    /// id, and an edge without properties has no slot.
+    edge_attrs: Slots<AttributeSet>,
     dim: u64,
     relation_matrices: Vec<DeltaMatrix<u64>>,
     /// Each relation matrix's transpose: its pattern, no cell.
@@ -215,8 +222,10 @@ pub struct Graph {
     /// tagged cell (`LIST_TAG | slot`) names in the relation matrix. Cells
     /// with a single edge — the overwhelming majority — have no list. A
     /// clone shares the arena by the root of its copy-on-write table, like
-    /// the entity blocks.
-    edge_lists: DataBlock<Vec<EdgeId>>,
+    /// the attribute blocks.
+    edge_lists: Slots<Vec<EdgeId>>,
+    /// The slots of `edge_lists` that hold a list.
+    list_ids: IdAlloc,
     /// Each relation's tagged cells, transposed: the pattern `(dst, src)` of
     /// every cell at `(src, dst)` that holds a list. Every other pair of the
     /// transpose is one edge, so a backward count reads the forward cell of
@@ -235,12 +244,15 @@ impl Graph {
         Graph {
             name: name.into(),
             schema: Arc::default(),
-            nodes: DataBlock::new(),
-            edges: DataBlock::new(),
+            node_ids: IdAlloc::default(),
+            nodes: Slots::default(),
+            edge_ids: IdAlloc::default(),
+            edge_attrs: Slots::default(),
             dim: GROW_CHUNK,
             relation_matrices: Vec::new(),
             relation_matrices_t: Vec::new(),
-            edge_lists: DataBlock::new(),
+            edge_lists: Slots::default(),
+            list_ids: IdAlloc::default(),
             list_pairs_t: Vec::new(),
             label_matrices: Vec::new(),
             flush_threshold: DEFAULT_FLUSH_THRESHOLD,
@@ -258,10 +270,9 @@ impl Graph {
     /// Pin the current state as an immutable snapshot.
     ///
     /// The underlying clone is structural and copies no stored entry: each
-    /// matrix's leaves (CSR slices and delta buffers), the entity DataBlocks
-    /// and the parallel-edge lists' DataBlock are shared by the roots of
-    /// their copy-on-write chunk tables; the schema and the free lists by
-    /// `Arc`.
+    /// matrix's leaves (CSR slices and delta buffers), the attribute and
+    /// parallel-edge list slots and the free-id stacks are shared by the
+    /// roots of their copy-on-write chunk tables, and the schema by `Arc`.
     /// Its cost is a few pointer bumps per matrix however large the graph,
     /// its pending buffers or its number of parallel cells. Alternating one
     /// write with one snapshot on a Graph500 scale-15 graph (0.8 M edges,
@@ -269,14 +280,13 @@ impl Graph {
     /// replaces 1.9–3.0 µs, where one pointer bump per 256-row chunk and
     /// 1 024-slot block took 10–13 µs and 13–18 µs; at scale 17 (3.3 M
     /// edges) the snapshot takes 0.2 µs, against 41 µs. The first write
-    /// after a snapshot copies one chunk path per matrix it touches and one
-    /// entity block path: 3.8–6.0 µs a write, against 16–20 µs for whole
-    /// chunks and blocks. A write that frees or reuses an entity id (a
-    /// delete, or a create after one) also copies that DataBlock's free
-    /// list, O(freed ids): about 0.3 µs per 1 000 ids on the same host
-    /// (3.4 µs at 10 000, 30 µs at 100 000). rgbench's `mixed_rw_write`
-    /// reuses each freed id at once, so its list holds 0–1 ids and no
-    /// workload measures this cost.
+    /// after a snapshot copies one chunk path per matrix it touches and the
+    /// path of each slot block it writes: 3.8–6.0 µs a write, against
+    /// 16–20 µs for whole chunks and blocks. An edge without properties has
+    /// no slot, so creating or deleting one writes no block. A write that
+    /// frees an id (a delete) also copies the top 64-id chunk of that
+    /// allocator's free stack and its path, however many ids are free; a
+    /// create that reuses the id copies nothing.
     /// Pending deltas deliberately stay buffered: no plan needs a fold —
     /// traversals of every length run on merged row views. A fold after the
     /// snapshot rebuilds one 1 024-row leaf into a fresh one and leaves the old
@@ -354,12 +364,12 @@ impl Graph {
 
     /// Number of live nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.node_ids.live()
     }
 
-    /// Number of live edges.
+    /// Number of live edges: a count kept by every create and delete.
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.edge_ids.live()
     }
 
     /// Current matrix dimension (≥ the highest node id ever created).
@@ -483,11 +493,12 @@ impl Graph {
         labels: Vec<LabelId>,
         attributes: AttributeSet,
     ) -> Result<NodeId, QueryError> {
-        let id = self.nodes.insert(attributes);
+        let id = self.node_ids.alloc();
         if let Err(e) = self.ensure_dim(id + 1) {
-            self.nodes.remove(id);
+            self.node_ids.free(id);
             return Err(e);
         }
+        self.nodes.put(id, attributes);
         for label in labels {
             self.label_matrices[label].set_element(id, id, ());
         }
@@ -513,10 +524,10 @@ impl Graph {
         rel_type: &str,
         props: Vec<(&str, Value)>,
     ) -> Result<EdgeId, QueryError> {
-        if !self.nodes.contains(src) {
+        if self.nodes.get(src).is_none() {
             return Err(QueryError::Internal(format!("source node {src} does not exist")));
         }
-        if !self.nodes.contains(dst) {
+        if self.nodes.get(dst).is_none() {
             return Err(QueryError::Internal(format!("destination node {dst} does not exist")));
         }
         let rel = self.rel_type_id_or_create(rel_type);
@@ -525,7 +536,8 @@ impl Graph {
     }
 
     /// Create an edge between two live nodes, of a relationship type id
-    /// made by [`Graph::rel_type_id_or_create`]; returns its id.
+    /// made by [`Graph::rel_type_id_or_create`]; returns its id. An edge
+    /// without attributes gets an id and no slot.
     pub(crate) fn create_edge(
         &mut self,
         src: NodeId,
@@ -533,7 +545,10 @@ impl Graph {
         rel: RelTypeId,
         attributes: AttributeSet,
     ) -> EdgeId {
-        let id = self.edges.insert(attributes);
+        let id = self.edge_ids.alloc();
+        if !attributes.is_empty() {
+            self.edge_attrs.put(id, attributes);
+        }
         let m = &mut self.relation_matrices[rel];
         match m.extract_element(src, dst) {
             // First edge of this type between the endpoints: the cell is its
@@ -550,7 +565,8 @@ impl Graph {
             }
             // A second edge: both ids move to a new list the cell names.
             Some(first) => {
-                let slot = self.edge_lists.insert(vec![first.min(id), first.max(id)]);
+                let slot = self.list_ids.alloc();
+                self.edge_lists.put(slot, vec![first.min(id), first.max(id)]);
                 m.set_element(src, dst, LIST_TAG | slot);
                 self.list_pairs_t[rel].set_element(dst, src, ());
             }
@@ -579,7 +595,9 @@ impl Graph {
             return false;
         };
         let rel = rel as RelTypeId;
-        self.edges.remove(id);
+        // The slot goes with the id, so an edge that reuses it has none.
+        self.edge_ids.free(id);
+        self.edge_attrs.take(id);
         if cell & LIST_TAG == 0 {
             self.relation_matrices[rel].remove_element(src, dst).expect("in-bounds");
             self.relation_matrices_t[rel].remove_element(dst, src).expect("in-bounds");
@@ -590,7 +608,8 @@ impl Graph {
             let list = self.edge_lists.get_mut(cell ^ LIST_TAG).expect("a live list");
             list.retain(|&e| e != id);
             if let [survivor] = list[..] {
-                self.edge_lists.remove(cell ^ LIST_TAG);
+                self.edge_lists.take(cell ^ LIST_TAG);
+                self.list_ids.free(cell ^ LIST_TAG);
                 self.relation_matrices[rel].set_element(src, dst, survivor);
                 self.list_pairs_t[rel].remove_element(dst, src).expect("in-bounds");
             }
@@ -601,7 +620,7 @@ impl Graph {
 
     /// Delete a node and all edges incident to it.
     pub fn delete_node(&mut self, id: NodeId) -> bool {
-        if !self.nodes.contains(id) {
+        if self.nodes.get(id).is_none() {
             return false;
         }
         // The node's own rows, not an O(edges) scan. A self-loop sits in
@@ -613,7 +632,8 @@ impl Graph {
         for edge in &incident {
             self.delete_edge(edge);
         }
-        self.nodes.remove(id);
+        self.nodes.take(id);
+        self.node_ids.free(id);
         for m in &mut self.label_matrices {
             m.remove_element(id, id).expect("in-bounds");
         }
@@ -657,10 +677,11 @@ impl Graph {
         (0..self.label_matrices.len()).filter(move |&label| self.has_label(id, label))
     }
 
-    /// The property set of a live edge, by id: the raw slot, for an id read
-    /// from a relation cell (an edge value first passes [`Graph::live_edge`]).
+    /// The property set of a live edge, by id, or `None` when it has no
+    /// property: the raw slot, for an id read from a relation cell (an edge
+    /// value first passes [`Graph::live_edge`]).
     pub fn edge_attributes(&self, id: EdgeId) -> Option<&AttributeSet> {
-        self.edges.get(id)
+        self.edge_attrs.get(id)
     }
 
     /// Read a node property by name (`Null` when absent).
@@ -698,7 +719,13 @@ impl Graph {
         value: Value,
     ) -> bool {
         let Some((id, _)) = self.live_edge(edge) else { return false };
-        self.edges.get_mut(id).expect("a live edge's slot").set(attr, value);
+        // A set is stored only while non-empty: the first property creates
+        // the edge's slot (and its block), and removing the last frees it.
+        let mut attributes = self.edge_attrs.take(id).unwrap_or_default();
+        attributes.set(attr, value);
+        if !attributes.is_empty() {
+            self.edge_attrs.put(id, attributes);
+        }
         self.epoch += 1;
         true
     }
@@ -835,8 +862,7 @@ impl Graph {
     pub(crate) fn cell_weight(&self, prop: &str, default: f64) -> impl Fn(u64) -> f64 + '_ {
         let attr = self.schema.attribute_id(prop);
         let weight = move |id: EdgeId| {
-            let attributes = self.edges.get(id).expect("a cell names live edges");
-            attr.and_then(|a| attributes.get(a).as_f64()).unwrap_or(default)
+            attr.and_then(|a| self.edge_attrs.get(id)?.get(a).as_f64()).unwrap_or(default)
         };
         move |cell| {
             self.cell_edges(cell).map(weight).reduce(f64::min).expect("a cell holds an edge")
@@ -1004,8 +1030,7 @@ impl Graph {
     /// whole-matrix copy: the label diagonal from the vertex ids, the
     /// relation from two walks of `edges`, which number the edges in
     /// (source, destination) order, and the transpose from two walks of the
-    /// relation's leaves. Each edge's attribute slot is an empty set, which
-    /// allocates nothing.
+    /// relation's leaves. An edge gets an id and no attribute slot.
     ///
     /// # Panics
     /// Panics if `num_vertices` is past [`MAX_DIM`].
@@ -1018,8 +1043,9 @@ impl Graph {
         for v in 0..num_vertices {
             let mut attrs = AttributeSet::new();
             attrs.set(id_attr, Value::Int(v as i64));
-            let id = self.nodes.insert(attrs);
+            let id = self.node_ids.alloc();
             debug_assert_eq!(id, v, "bulk_load requires an empty graph");
+            self.nodes.put(id, attrs);
         }
         let (dim, threshold, n) = (self.dim, self.flush_threshold, num_vertices);
         let diagonal = |f: &mut dyn FnMut(u64, u64)| (0..n).for_each(|v| f(v, v));
@@ -1029,8 +1055,8 @@ impl Graph {
             let kept = edges.iter().filter(|&&(s, d)| s != d && s < n && d < n);
             kept.for_each(|&(s, d)| f(s, d));
         };
-        let slots = &mut self.edges;
-        let relation = loaded(dim, threshold, pairs, |_, _| slots.insert(AttributeSet::new()));
+        let ids = &mut self.edge_ids;
+        let relation = loaded(dim, threshold, pairs, |_, _| ids.alloc());
         self.relation_matrices_t[rel] = relation.transposed();
         self.relation_matrices[rel] = relation;
         self.epoch += 1;
@@ -1048,8 +1074,8 @@ impl Graph {
             relations: csr(&self.relation_matrices),
             transposes: csr(&self.relation_matrices_t),
             labels: csr(&self.label_matrices),
-            edge_slots: self.edges.block_bytes()
-                + self.edges.iter().map(|(_, a)| attributes(a)).sum::<usize>(),
+            edge_slots: self.edge_attrs.block_bytes()
+                + self.edge_attrs.iter().map(|(_, a)| attributes(a)).sum::<usize>(),
             node_slots: self.nodes.block_bytes()
                 + self.nodes.iter().map(|(_, a)| attributes(a)).sum::<usize>(),
             edge_lists: self.edge_lists.block_bytes()
@@ -1641,13 +1667,17 @@ mod tests {
             assert_eq!(rel(&bulk).nvals(), kept.len());
             assert_eq!((bulk.edge_count(), bulk.node_count()), (kept.len(), n as usize));
             assert_eq!((inc.edge_count(), inc.node_count()), (kept.len(), n as usize));
-            assert!(!bulk.has_pending_deltas() && bulk.edge_lists.is_empty());
+            assert!(!bulk.has_pending_deltas() && bulk.list_ids.live() == 0);
             for v in (0..n).step_by(97) {
                 assert_eq!(bulk.node_property(v, "id"), Value::Int(v as i64));
                 assert_eq!(bulk.node_attributes(v), inc.node_attributes(v));
             }
-            assert!((0..kept.len() as u64).all(|id| bulk.edge_attributes(id).is_some()));
-            assert!(bulk.edge_attributes(kept.len() as u64).is_none());
+            // Edge ids without attribute slots: not one block.
+            assert_eq!(bulk.storage_bytes().edge_slots, 0);
+            if n > 1 {
+                let next = kept.len() as EdgeId;
+                assert_eq!(bulk.add_edge(0, 1, "LINK", vec![]).unwrap(), next);
+            }
         }
     }
 
@@ -1661,14 +1691,15 @@ mod tests {
         // relation and none in the transpose or the label diagonal; the rest
         // of the dimension allocates nothing.
         let csr = |nnz: u64, cell: u64| (1025 * 8 + nnz * (4 + cell)) as usize;
-        // 16 blocks of 64 slots; an empty attribute set owns nothing.
+        // 16 blocks of 64 node slots; an empty attribute set owns nothing,
+        // and an edge without one has no slot.
         let slots = |slot: usize| 16 * 64 * slot;
         let node = size_of::<(AttributeId, Value)>();
         let expect = StorageBytes {
             relations: csr(n, 8),
             transposes: csr(n, 0),
             labels: csr(n, 0),
-            edge_slots: slots(16),
+            edge_slots: 0,
             node_slots: slots(16) + n as usize * node,
             edge_lists: 0,
         };
@@ -1878,8 +1909,8 @@ mod tests {
         let b = g.add_node(&["N"], vec![]);
         let e = g.add_edge(a, b, "L", vec![]).unwrap();
         assert!(delete_by_id(&mut g, e));
-        // The DataBlock recycles the freed slot, so the new edge gets the
-        // just-deleted id back while the delete is still pending.
+        // The edge id allocator recycles the freed id, so the new edge gets
+        // the just-deleted id back while the delete is still pending.
         let e2 = g.add_edge(a, b, "L", vec![("w", Value::Int(1))]).unwrap();
         assert_eq!(e2, e, "freed edge id must be recycled");
         assert_eq!(g.neighbors(a, None, TraverseDir::Outgoing), vec![(b, e2)]);
@@ -2123,23 +2154,21 @@ mod tests {
     }
 
     /// Whether `a` shares every table of `b` by pointer — the schema, the
-    /// entity blocks, the parallel-edge lists and their free lists, each
-    /// matrix's leaves: what a clone must do in O(#matrices), whatever the
-    /// graph's size.
+    /// slot blocks, the free-id stacks, each matrix's leaves: what a clone
+    /// must do in O(#matrices), whatever the graph's size.
     fn shares_every_root(a: &Graph, b: &Graph) -> bool {
         fn matrices<T: Scalar>(a: &[DeltaMatrix<T>], b: &[DeltaMatrix<T>]) -> bool {
             let same = |(a, b): (&DeltaMatrix<T>, &DeltaMatrix<T>)| a.table().ptr_eq(b.table());
             a.len() == b.len() && a.iter().zip(b).all(same)
         }
-        fn entities<T: Clone>(a: &DataBlock<T>, b: &DataBlock<T>) -> bool {
-            let ((a_blocks, a_free), (b_blocks, b_free)) = (a.shared_parts(), b.shared_parts());
-            a_blocks.ptr_eq(b_blocks) && Arc::ptr_eq(a_free, b_free)
+        fn slots<T>((a, a_ids): (&Slots<T>, &IdAlloc), (b, b_ids): (&Slots<T>, &IdAlloc)) -> bool {
+            a.blocks().ptr_eq(b.blocks()) && a_ids.free_chunks().ptr_eq(b_ids.free_chunks())
         }
         Arc::ptr_eq(&a.name, &b.name)
             && Arc::ptr_eq(&a.schema, &b.schema)
-            && entities(&a.nodes, &b.nodes)
-            && entities(&a.edges, &b.edges)
-            && entities(&a.edge_lists, &b.edge_lists)
+            && slots((&a.nodes, &a.node_ids), (&b.nodes, &b.node_ids))
+            && slots((&a.edge_attrs, &a.edge_ids), (&b.edge_attrs, &b.edge_ids))
+            && slots((&a.edge_lists, &a.list_ids), (&b.edge_lists, &b.list_ids))
             && matrices(&a.relation_matrices, &b.relation_matrices)
             && matrices(&a.relation_matrices_t, &b.relation_matrices_t)
             && matrices(&a.label_matrices, &b.label_matrices)
@@ -2147,9 +2176,9 @@ mod tests {
     }
 
     /// Per table, the leaves `g` holds that `snap` does not share by
-    /// pointer: the edge blocks, the node blocks, the parallel-edge list
-    /// blocks, then every matrix's leaves (relations, transposes, labels,
-    /// list patterns).
+    /// pointer: the edge attribute blocks, the node blocks, the
+    /// parallel-edge list blocks, then every matrix's leaves (relations,
+    /// transposes, labels, list patterns).
     fn unshared_leaves(g: &Graph, snap: &Graph) -> Vec<usize> {
         fn each<T: Scalar>(a: &[DeltaMatrix<T>], b: &[DeltaMatrix<T>]) -> Vec<usize> {
             let count = |(a, b): (&DeltaMatrix<T>, &DeltaMatrix<T>)| {
@@ -2157,11 +2186,11 @@ mod tests {
             };
             a.iter().zip(b).map(count).collect()
         }
-        fn blocks<T: Clone>(a: &DataBlock<T>, b: &DataBlock<T>) -> usize {
-            a.shared_parts().0.leaves_not_shared_with(b.shared_parts().0)
+        fn blocks<T>(a: &Slots<T>, b: &Slots<T>) -> usize {
+            a.blocks().leaves_not_shared_with(b.blocks())
         }
         let mut out = vec![
-            blocks(&g.edges, &snap.edges),
+            blocks(&g.edge_attrs, &snap.edge_attrs),
             blocks(&g.nodes, &snap.nodes),
             blocks(&g.edge_lists, &snap.edge_lists),
         ];
@@ -2181,17 +2210,25 @@ mod tests {
             &(0..n).flat_map(|i| [(i, (i + 1) % n), (i, (i + 2) % n)]).collect::<Vec<_>>(),
         );
         // 10 000 deleted edges: some folded, the rest pending, and every
-        // freed id on the free list.
+        // freed id on the free stack, in 157 chunks of 64.
         g.set_flush_threshold(4_000);
         let values = edge_values(&g);
         for id in (0..40_000).step_by(4) {
             assert!(g.delete_edge(&values[&id]));
         }
         assert!(g.has_pending_deltas() && g.delta_flush_count() > 0);
-        assert_eq!(g.edges.shared_parts().1.len(), 10_000);
+        assert_eq!(g.edge_ids.free_chunks().iter().count(), 157);
+        assert_eq!(g.edge_count(), 30_000);
         let snap = g.snapshot();
         assert!(shares_every_root(&g, &snap), "a clone copied a table");
         assert!(unshared_leaves(&g, &snap).iter().all(|&c| c == 0));
+        // One more delete copies the free stack's top chunk, not the stack.
+        assert!(g.delete_edge(&values[&1]));
+        let free = g.edge_ids.free_chunks();
+        assert_eq!(
+            (free.iter().count(), free.leaves_not_shared_with(snap.edge_ids.free_chunks())),
+            (157, 1)
+        );
     }
 
     #[test]
@@ -2203,13 +2240,14 @@ mod tests {
         for &(src, dst) in &ring {
             g.add_edge(src, dst, "LINK", vec![]).unwrap();
         }
-        assert_eq!(g.edge_lists.len(), n as usize);
+        assert_eq!(g.list_ids.live(), n as usize);
         let snap = g.snapshot();
         assert!(shares_every_root(&g, &snap), "a clone copied a table");
         assert!(unshared_leaves(&g, &snap).iter().all(|&c| c == 0));
-        // A third edge in a cell copies one list block and no matrix chunk.
+        // A third edge in a cell copies one list block and no matrix chunk,
+        // and, without properties, no edge block.
         let e = g.add_edge(0, 1, "LINK", vec![]).unwrap();
-        assert_eq!(unshared_leaves(&g, &snap), vec![1, 0, 1, 0, 0, 0, 0]);
+        assert_eq!(unshared_leaves(&g, &snap), vec![0, 0, 1, 0, 0, 0, 0]);
         assert_eq!(g.edges_between(0, 0, 1).collect::<Vec<_>>(), vec![0, n, e]);
         assert_eq!(snap.edges_between(0, 0, 1).collect::<Vec<_>>(), vec![0, n]);
     }
@@ -2228,35 +2266,42 @@ mod tests {
         assert!(g.pending_delta_count() >= 10_000);
 
         // Snapshotting ~10 k pending changes copies no buffer entry and no
-        // entity slot: every table is shared whole.
+        // slot: every table is shared whole.
         let snap = g.snapshot();
         assert!(shares_every_root(&g, &snap));
 
-        // One edge insert copies one leaf (with its path) in the edge
-        // blocks and in each of the two matrices it touches, and nothing
-        // else: the node blocks, the label matrix, the schema and the free
-        // lists stay shared whole.
+        // One edge insert without properties copies one leaf (with its
+        // path) in each of the two matrices it touches, and nothing else:
+        // no edge block, the node blocks, the label matrix, the schema and
+        // the free-id stacks stay shared whole.
         let e = g.add_edge(100, 3000, "LINK", vec![]).unwrap();
-        assert_eq!(unshared_leaves(&g, &snap), vec![1, 0, 0, 1, 1, 0, 0]);
-        assert!(g.nodes.shared_parts().0.ptr_eq(snap.nodes.shared_parts().0));
+        assert_eq!(unshared_leaves(&g, &snap), vec![0, 0, 0, 1, 1, 0, 0]);
+        assert!(g.nodes.blocks().ptr_eq(snap.nodes.blocks()));
         assert!(g.label_matrices[0].table().ptr_eq(snap.label_matrices[0].table()));
         assert!(Arc::ptr_eq(&g.schema, &snap.schema));
-        assert!(Arc::ptr_eq(g.edges.shared_parts().1, snap.edges.shared_parts().1));
-        assert!(snap.edge_attributes(e).is_none());
+        assert!(g.edge_ids.free_chunks().ptr_eq(snap.edge_ids.free_chunks()));
+        assert_eq!(snap.edges_between(0, 100, 3000).count(), 0);
+        assert_eq!(g.edges_between(0, 100, 3000).collect::<Vec<_>>(), vec![e]);
         assert_eq!(snap.edge_count() + 1, g.edge_count());
         drop(snap);
 
         // Likewise one delete, of a flushed edge, beside a fresh snapshot;
-        // it also pushes the freed id onto a copy of the free list.
+        // it also pushes the freed id onto a copy of the free stack's top
+        // chunk, and the create that reuses the id copies nothing more.
         let snap = g.snapshot();
         assert!(g.delete_edge(&Value::Edge { id: 7, src: 7, dst: 8, rel: 0 }));
-        assert_eq!(unshared_leaves(&g, &snap), vec![1, 0, 0, 1, 1, 0, 0]);
-        assert!(!Arc::ptr_eq(g.edges.shared_parts().1, snap.edges.shared_parts().1));
-        assert!(snap.edge_attributes(7).is_some());
+        assert_eq!(unshared_leaves(&g, &snap), vec![0, 0, 0, 1, 1, 0, 0]);
+        let free_copies = |g: &Graph| {
+            g.edge_ids.free_chunks().leaves_not_shared_with(snap.edge_ids.free_chunks())
+        };
+        assert_eq!(free_copies(&g), 1);
+        assert!(g.node_ids.free_chunks().ptr_eq(snap.node_ids.free_chunks()));
         let survivors = vec![(9, n + 7), (10, 2 * n + 7)];
         assert_eq!(snap.neighbors(7, None, TraverseDir::Outgoing)[1..], survivors);
         assert_eq!(snap.neighbors(7, None, TraverseDir::Outgoing)[0], (8, 7));
         assert_eq!(g.neighbors(7, None, TraverseDir::Outgoing), survivors);
+        let reused = g.add_edge(3000, 100, "LINK", vec![]).unwrap();
+        assert_eq!((reused, free_copies(&g)), (7, 1));
         // A new property name copies the schema; a known one does not.
         let snap = g.snapshot();
         g.set_node_property(1, "id", Value::Int(-1));
@@ -2264,6 +2309,41 @@ mod tests {
         g.set_node_property(1, "fresh", Value::Int(1));
         assert!(!Arc::ptr_eq(&g.schema, &snap.schema));
         assert_eq!(snap.schema.attribute_id("fresh"), None);
+    }
+
+    #[test]
+    fn a_snapshot_keeps_its_edge_properties_when_a_write_adds_a_blocks_first() {
+        let n = 1_000;
+        let mut g = Graph::new("frozen-props");
+        g.bulk_load(n, &(0..n).map(|i| (i, (i + 1) % n)).collect::<Vec<_>>());
+        let values = edge_values(&g);
+        let w = g.attribute_id_or_create("w");
+        // One attributed edge, in block 1; block 0 has none.
+        assert!(g.set_edge_attribute(&values[&70], w, Value::Int(1)));
+        let snap = g.snapshot();
+        assert!(snap.edge_attrs.blocks().get(0).is_none(), "a block with no property");
+
+        // The first property in block 0 creates the block beside the
+        // snapshot; a change in block 1 copies it; removing the last
+        // property of block 1 drops the copy.
+        assert!(g.set_edge_attribute(&values[&5], w, Value::Int(2)));
+        assert!(g.set_edge_attribute(&values[&6], w, Value::Null));
+        assert_eq!(g.edge_attrs.blocks().leaves_not_shared_with(snap.edge_attrs.blocks()), 1);
+        assert!(g.set_edge_attribute(&values[&70], w, Value::Int(3)));
+        assert_eq!(g.edge_attrs.blocks().leaves_not_shared_with(snap.edge_attrs.blocks()), 2);
+        let read = |g: &Graph, id| edge_property(g, id, "w");
+        assert_eq!([5, 6, 70].map(|id| read(&g, id)), [Value::Int(2), Value::Null, Value::Int(3)]);
+        assert_eq!([5, 70].map(|id| read(&snap, id)), [Value::Null, Value::Int(1)]);
+        assert!(g.set_edge_attribute(&values[&70], w, Value::Null));
+        assert!(g.edge_attrs.blocks().get(1).is_none(), "a block left empty is dropped");
+        assert_eq!(g.storage_bytes().edge_slots, 64 * 16 + size_of::<(AttributeId, Value)>());
+        assert_eq!([5, 70].map(|id| read(&snap, id)), [Value::Null, Value::Int(1)]);
+        assert!(snap.edge_attrs.blocks().get(0).is_none());
+        // A delete clears the slot: the edge that reuses the id has none.
+        assert!(g.delete_edge(&values[&5]));
+        let reused = g.add_edge(5, 7, "LINK", vec![]).unwrap();
+        assert_eq!((reused, read(&g, reused)), (5, Value::Null));
+        assert_eq!(g.storage_bytes().edge_slots, 0);
     }
 
     /// Every live node's outgoing row and every live edge's slot and cell,
@@ -2277,7 +2357,6 @@ mod tests {
         assert_eq!((g.node_count() as u64, g.edge_count()), (nodes, edges.len()));
         let mut rows = vec![Vec::new(); nodes as usize];
         for (&id, &(src, dst)) in edges {
-            assert!(g.edge_attributes(id).is_some(), "edge {id} lost");
             assert!(g.edges_between(0, src, dst).any(|e| e == id), "edge {id}");
             rows[src as usize].push((dst, id));
         }

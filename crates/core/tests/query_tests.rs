@@ -867,3 +867,65 @@ fn a_deleted_edge_does_not_read_as_the_edge_that_reuses_its_id() {
     let rs = g.query("MATCH ()-[s:S]->() RETURN s.w").unwrap();
     assert_eq!(rs.scalar(), Some(&Value::Int(2)));
 }
+
+#[test]
+fn a_repeated_label_is_added_once() {
+    let mut g = Graph::new("labels-added");
+    let rs = g.query("CREATE (n:A:A) RETURN labels(n)").unwrap();
+    assert_eq!(rs.stats.labels_added, 1);
+    assert_eq!(rs.scalar(), Some(&Value::List(vec![Value::Str("A".into())])));
+    let rs = g.query("CREATE (:B:A:B), (:C)").unwrap();
+    assert_eq!((rs.stats.nodes_created, rs.stats.labels_added), (2, 3));
+}
+
+/// An edge id freed by a delete and reused by the next create: the new
+/// edge reads no property of the deleted one, whether it was created
+/// through `Graph::add_edge` or through Cypher `CREATE`.
+#[test]
+fn a_reused_edge_id_reads_no_property_of_the_deleted_edge() {
+    let mut g = Graph::new("reuse-props");
+    let [a, b] = [(); 2].map(|_| g.add_node(&["N"], vec![]));
+    let old = g.add_edge(a, b, "R", vec![("w", Value::Int(1)), ("x", Value::Int(2))]).unwrap();
+    let rel = g.schema.rel_type_id("R").unwrap() as u32;
+    assert!(g.delete_edge(&Value::Edge { id: old, src: a, dst: b, rel }));
+    let new = g.add_edge(b, a, "R", vec![]).unwrap();
+    assert_eq!(new, old, "the freed id is reused");
+    assert!(g.edge_attributes(new).is_none());
+    let rs = g.query("MATCH ()-[r:R]->() RETURN id(r), r.w, r.x").unwrap();
+    assert_eq!(rs.rows.to_vec(), vec![vec![Value::Int(new as i64), Value::Null, Value::Null]]);
+
+    let mut g = Graph::new("reuse-props-cypher");
+    let rs = g.query("CREATE (:N {k: 1})-[r:R {w: 5}]->(:N {k: 2}) RETURN id(r)").unwrap();
+    let old = rs.scalar().cloned();
+    g.query("MATCH ()-[r:R]->() DELETE r").unwrap();
+    let rs = g
+        .query("MATCH (a:N {k: 2}), (b:N {k: 1}) CREATE (a)-[r:R]->(b) RETURN id(r), r.w")
+        .unwrap();
+    assert_eq!(rs.rows.to_vec(), vec![vec![old.unwrap(), Value::Null]]);
+    let rs = g.query("MATCH ()-[r:R]->() RETURN r.w").unwrap();
+    assert_eq!(rs.scalar(), Some(&Value::Null));
+}
+
+/// `algo.sssp` on a bulk-loaded graph, whose edges have no weight and so
+/// weigh the default 1, equals its answer on the same graph with every
+/// weight set to 1 explicitly.
+#[test]
+fn sssp_over_default_weights_equals_sssp_over_explicit_ones() {
+    let n = 200;
+    let edges: Vec<(u64, u64)> =
+        (0..n).flat_map(|v| [(v, (v * 7 + 1) % n), (v, (v * 13 + 5) % n)]).collect();
+    let mut loaded = Graph::new("default-weights");
+    loaded.bulk_load(n, &edges);
+    let mut weighted = Graph::new("explicit-weights");
+    weighted.bulk_load(n, &edges);
+    let rs = weighted.query("MATCH ()-[r]->() SET r.weight = 1.0").unwrap();
+    assert_eq!(rs.stats.properties_set, weighted.edge_count());
+    for source in [0, 17, n - 1] {
+        let query = format!(
+            "CALL algo.sssp({source}) YIELD node, distance RETURN node, distance ORDER BY node"
+        );
+        let defaulted = loaded.query_readonly(&query).unwrap().rows;
+        assert!(defaulted.len() > 100, "source {source} reaches {} nodes", defaulted.len());
+        assert_eq!(defaulted, weighted.query_readonly(&query).unwrap().rows, "source {source}");
+    }
+}

@@ -71,6 +71,13 @@ impl<L> Clone for ChunkTable<L> {
     }
 }
 
+// An empty table of no slots, with no `L: Default` bound.
+impl<L> Default for ChunkTable<L> {
+    fn default() -> Self {
+        ChunkTable::new(0)
+    }
+}
+
 impl<L: std::fmt::Debug> std::fmt::Debug for ChunkTable<L> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_map().entries(self.iter()).finish()

@@ -1,11 +1,13 @@
 //! Structurally shared snapshots versus the copy-on-write writer.
 //!
 //! A snapshot shares the live graph's chunk tables (delta-buffer chunks,
-//! entity blocks) by their roots. The first writer below copies a shared
-//! chunk's path (in every matrix its write touches) and a shared entity
-//! block's, then folds the buffers into fresh CSRs, while a reader holding a
-//! snapshot iterates the very row the writer rewrites and runs a
-//! variable-length count over it, whose BFS reads the shared chunks in
+//! attribute blocks, free-id stacks) by their roots. The first writer below
+//! copies a shared chunk's path (in every matrix its write touches), pushes
+//! a freed edge id onto a shared free stack and gives an edge the first
+//! property of its attribute block, then folds the buffers into fresh CSRs,
+//! while a reader holding a snapshot iterates the very row the writer
+//! rewrites, reads the edges' cells and properties, and runs a
+//! variable-length count over the row, whose BFS reads the shared chunks in
 //! place. The second writer grows the node table past a full level — a new
 //! leaf under a new root — while the reader holds a snapshot of the smaller
 //! table. The third deletes one of a parallel pair, which stores the
@@ -67,10 +69,15 @@ fn a_reader_sees_its_own_epoch_while_the_writer_copies_and_folds() {
         // A pending insert in row `a`: its chunk exists in every edge matrix.
         let ad = g.add_edge(a, d, "R", vec![]).unwrap();
         let rel = g.schema.rel_type_id("R").unwrap() as u32;
+        // The key exists in both epochs; no edge has a property yet, so the
+        // attribute table holds no block. A freed id starts the free stack.
+        g.set_node_property(a, "w", Value::Int(0));
+        let spare = g.add_edge(b, a, "R", vec![]).unwrap();
+        assert!(g.delete_edge(&Value::Edge { id: spare, src: b, dst: a, rel }));
         let lock = Arc::new(parking_lot::RwLock::new(g));
         let cache = Arc::new(parking_lot::Mutex::new(None::<Arc<GraphSnapshot>>));
-        // The cached snapshot shares row `a`'s chunks and the edge block, so
-        // the writer's next write must copy them.
+        // The cached snapshot shares row `a`'s chunks and the edge id free
+        // stack, so the writer's next write must copy them.
         let base_epoch = pin(&lock, &cache).epoch();
 
         let reader = {
@@ -83,9 +90,15 @@ fn a_reader_sees_its_own_epoch_while_the_writer_copies_and_folds() {
                 let count = if old { 2 } else { 3 };
                 for _ in 0..2 {
                     assert_eq!(out_row(&snap, a), row, "row {a} mixes epochs (old = {old})");
-                    let slot = |id| snap.edge_attributes(id).is_some();
-                    assert_eq!(slot(ad), old, "edge slot from the wrong epoch");
-                    assert!(slot(ab));
+                    // Liveness from the cells, and the property the new
+                    // epoch writes, each from the snapshot's own epoch.
+                    let cell = |dst| snap.edges_between(rel as usize, a, dst).collect::<Vec<_>>();
+                    assert_eq!(cell(d), if old { vec![ad] } else { vec![] }, "edge {ad}'s cell");
+                    assert_eq!(cell(b), vec![ab]);
+                    let w = snap.schema.attribute_id("w").expect("made before the snapshot");
+                    let ab_w = snap.edge_attributes(ab).map(|attrs| attrs.get(w));
+                    let want = if old { None } else { Some(Value::Int(1)) };
+                    assert_eq!(ab_w, want, "edge {ab}'s property from the wrong epoch");
                     assert_eq!(snap.edge_count(), 3);
                     let reached = snap.khop_reached(a, 1, 1, TraverseDir::Outgoing, None);
                     let reached: Vec<_> = reached.iter().collect();
@@ -98,12 +111,16 @@ fn a_reader_sees_its_own_epoch_while_the_writer_copies_and_folds() {
             })
         };
 
-        // One epoch: a new edge in row `a` and the pending one deleted, under
-        // one write-lock hold. Then a separate fold of every buffer.
+        // One epoch: a new edge in row `a` (reusing the spare id), the
+        // pending one deleted (its id pushed onto the shared stack) and the
+        // first edge property, under one write-lock hold. Then a separate
+        // fold of every buffer.
         {
             let mut g = lock.write();
-            g.add_edge(a, c, "R", vec![]).unwrap();
+            assert_eq!(g.add_edge(a, c, "R", vec![]).unwrap(), spare);
             assert!(g.delete_edge(&Value::Edge { id: ad, src: a, dst: d, rel }));
+            let set = format!("MATCH ()-[e:R]->() WHERE id(e) = {ab} SET e.w = 1");
+            assert_eq!(g.query(&set).unwrap().stats.properties_set, 1);
         }
         lock.write().sync_matrices();
 

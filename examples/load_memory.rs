@@ -5,8 +5,10 @@
 //! the load's wall time, the process's peak resident set (`VmHWM`) before
 //! and after the load, and the bytes each store of the graph holds, in
 //! total and per stored edge: relation CSRs, their transposes, the label
-//! matrices, the edge attribute slots, the node attribute slots and the
-//! parallel-edge lists (see `Graph::storage_bytes` for what each counts).
+//! matrices, the edge attribute slots (none: an edge without properties
+//! has no slot, and no loaded edge has one), the node attribute slots and
+//! the parallel-edge lists (see `Graph::storage_bytes` for what each
+//! counts).
 //!
 //! ```text
 //! cargo run --release --example load_memory          # scale 15

@@ -25,7 +25,11 @@
 //! A third property checks every reader of node labels against a shadow of
 //! the labels each Cypher `CREATE` wrote, with the label diagonals pending
 //! and folded, on the graph and on a snapshot (see
-//! [`every_label_reader_agrees_with_the_labels_written`]).
+//! [`every_label_reader_agrees_with_the_labels_written`]). A fourth checks
+//! every live edge's properties, the edge count and the order in which
+//! freed edge ids are reused against a shadow of edges with and without
+//! properties, under property sets and removals, edge and node deletes (see
+//! [`every_edge_property_agrees_with_the_properties_written`]).
 //!
 //! Two further (non-property) tests pin the MVCC semantics the server's
 //! lock-free read path depends on: a snapshot pinned at epoch N answers
@@ -36,7 +40,7 @@
 use baseline::AdjacencyListGraph;
 use graphblas::prelude::{transpose, DEFAULT_FLUSH_THRESHOLD};
 use proptest::prelude::*;
-use redisgraph_core::{Graph, TraverseDir, Value};
+use redisgraph_core::{Graph, GraphSnapshot, TraverseDir, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One scripted workload step, decoded from a generated tuple.
@@ -601,7 +605,184 @@ fn check_labels(who: &str, g: &Graph, shadow: &LabelShadow) -> Result<(), TestCa
     Ok(())
 }
 
+/// The edge property keys the property-agreement property draws from.
+const EDGE_KEYS: [&str; 2] = ["w", "x"];
+
+/// What the writes of the property-agreement property left: the live
+/// nodes, each live edge's endpoints and properties by id, and the edge ids
+/// the allocator hands out next: a freed id before a new one, last freed
+/// first.
+#[derive(Default, Clone)]
+struct PropShadow {
+    nodes: Vec<u64>,
+    edges: BTreeMap<u64, (u64, u64, BTreeMap<&'static str, i64>)>,
+    freed: Vec<u64>,
+    next: u64,
+}
+
+impl PropShadow {
+    fn pick_node(&self, sel: u64) -> Option<u64> {
+        (!self.nodes.is_empty()).then(|| self.nodes[sel as usize % self.nodes.len()])
+    }
+
+    fn pick_edge(&self, sel: u64) -> Option<u64> {
+        let n = self.edges.len();
+        (n > 0).then(|| *self.edges.keys().nth(sel as usize % n).expect("in range"))
+    }
+
+    /// The id the next edge gets.
+    fn next_id(&mut self) -> u64 {
+        self.freed.pop().unwrap_or_else(|| {
+            self.next += 1;
+            self.next - 1
+        })
+    }
+
+    fn delete_edge(&mut self, id: u64) {
+        self.edges.remove(&id).expect("a live edge");
+        self.freed.push(id);
+    }
+}
+
+/// The properties `sel` picks for a new edge: none for a quarter of the
+/// edges, `w`, `x` or both for the rest.
+fn edge_props(sel: u64, value: i64) -> BTreeMap<&'static str, i64> {
+    let keys = EDGE_KEYS.iter().enumerate().filter(|&(k, _)| (sel % 4) >> k & 1 == 1);
+    keys.map(|(_, &key)| (key, value)).collect()
+}
+
+/// Run one write of the property-agreement property on every graph, and
+/// record it in the shadow: a node; an edge, through `Graph::add_edge` or a
+/// Cypher `CREATE`, with or without properties, whose id must be the one
+/// the shadow expects; a `SET` of an edge property, or of `null`, which
+/// removes it; an edge delete or a node delete, through Cypher.
+fn write_props(
+    (kind, a, b, value): (u8, u64, u64, i64),
+    graphs: &mut [Graph],
+    shadow: &mut PropShadow,
+) {
+    let query = match kind {
+        0 => {
+            let ids: Vec<u64> = graphs.iter_mut().map(|g| g.add_node(&["N"], vec![])).collect();
+            assert!(ids.iter().all(|&id| id == ids[0]), "node ids diverged: {ids:?}");
+            shadow.nodes.push(ids[0]);
+            return;
+        }
+        1 | 2 => {
+            let (Some(src), Some(dst)) = (shadow.pick_node(a), shadow.pick_node(b)) else { return };
+            let (rel, props) = (["R", "S"][(a / 7 % 2) as usize], edge_props(b / 3, value));
+            let expected = shadow.next_id();
+            for g in graphs.iter_mut() {
+                let id = if kind == 1 {
+                    let named = props.iter().map(|(&k, &v)| (k, Value::Int(v))).collect();
+                    g.add_edge(src, dst, rel, named).expect("live endpoints")
+                } else {
+                    let map: Vec<String> = props.iter().map(|(k, v)| format!("{k}: {v}")).collect();
+                    let map = if map.is_empty() {
+                        String::new()
+                    } else {
+                        format!(" {{{}}}", map.join(", "))
+                    };
+                    let query = format!(
+                        "MATCH (a), (b) WHERE id(a) = {src} AND id(b) = {dst} \
+                         CREATE (a)-[r:{rel}{map}]->(b) RETURN id(r)"
+                    );
+                    let rows = g.query(&query).unwrap_or_else(|e| panic!("`{query}`: {e}")).rows;
+                    rows[0][0].as_i64().expect("an id") as u64
+                };
+                assert_eq!(id, expected, "{}: the edge id reuse order changed", g.name());
+            }
+            shadow.edges.insert(expected, (src, dst, props));
+            return;
+        }
+        3 | 4 => {
+            let Some(id) = shadow.pick_edge(a) else { return };
+            let key = EDGE_KEYS[(b % 2) as usize];
+            let props = &mut shadow.edges.get_mut(&id).expect("picked").2;
+            let set = if kind == 3 {
+                props.insert(key, value);
+                value.to_string()
+            } else {
+                props.remove(key);
+                "null".to_string()
+            };
+            format!("MATCH ()-[r]->() WHERE id(r) = {id} SET r.{key} = {set}")
+        }
+        5 => {
+            let Some(id) = shadow.pick_edge(a) else { return };
+            shadow.delete_edge(id);
+            format!("MATCH ()-[r]->() WHERE id(r) = {id} DELETE r")
+        }
+        _ => {
+            let Some(node) = shadow.pick_node(a) else { return };
+            shadow.nodes.retain(|&n| n != node);
+            // The graph deletes the node's edges in ascending id order.
+            let incident = shadow.edges.iter().filter(|(_, e)| e.0 == node || e.1 == node);
+            let incident: Vec<u64> = incident.map(|(&id, _)| id).collect();
+            incident.into_iter().for_each(|id| shadow.delete_edge(id));
+            format!("MATCH (n) WHERE id(n) = {node} DELETE n")
+        }
+    };
+    for g in graphs {
+        g.query(&query).unwrap_or_else(|e| panic!("`{query}`: {e}"));
+    }
+}
+
+/// Every live edge of `g`, with its endpoints and properties, read through
+/// Cypher and through `Graph::edge_attributes`, and the edge count, against
+/// the shadow. An edge without properties has no attribute set at all.
+fn check_props(who: &str, g: &Graph, shadow: &PropShadow) -> Result<(), TestCaseError> {
+    prop_assert_eq!(g.edge_count(), shadow.edges.len(), "edge count on {}", who);
+    let query = "MATCH (a)-[r]->(b) RETURN id(r), id(a), id(b), r.w, r.x";
+    let mut edges = BTreeMap::new();
+    for row in &g.query_readonly(query).unwrap_or_else(|e| panic!("`{query}`: {e}")).rows {
+        let int = |v: &Value| v.as_i64().expect("an int") as u64;
+        let props = EDGE_KEYS.iter().zip(&row[3..]).filter_map(|(&k, v)| Some((k, v.as_i64()?)));
+        edges.insert(int(&row[0]), (int(&row[1]), int(&row[2]), props.collect()));
+    }
+    prop_assert_eq!(&edges, &shadow.edges, "edges on {}", who);
+    for (&id, (_, _, props)) in &shadow.edges {
+        let stored = g.edge_attributes(id).map(|attrs| attrs.len());
+        let want = (!props.is_empty()).then_some(props.len());
+        prop_assert_eq!(stored, want, "edge {}'s attribute set on {}", id, who);
+    }
+    Ok(())
+}
+
 proptest! {
+    /// Random nodes, edges of two types with and without properties, sets
+    /// and removals of edge properties, edge deletes and node deletes whose
+    /// freed edge ids later creates reuse, on a graph that folds at every
+    /// change and one that keeps its changes pending: every live edge's
+    /// properties, and the edge count, agree with the shadow on both
+    /// graphs, on a snapshot of each taken then, and on the snapshot taken
+    /// at the checkpoint before, which later writes must not reach.
+    #[test]
+    fn every_edge_property_agrees_with_the_properties_written(
+        ops in prop::collection::vec((0u8..8, 0u64..64, 0u64..64, 1i64..5), 0..60),
+    ) {
+        let mut graphs = [Graph::new("folded"), Graph::new("pending")];
+        graphs[0].set_flush_threshold(1);
+        graphs[1].set_flush_threshold(DEFAULT_FLUSH_THRESHOLD);
+        let mut shadow = PropShadow::default();
+        let mut held: Vec<(GraphSnapshot, PropShadow)> = Vec::new();
+        for (i, &op) in ops.iter().enumerate() {
+            write_props((op.0.min(6), op.1, op.2, op.3), &mut graphs, &mut shadow);
+            if op.0 == 7 || i + 1 == ops.len() {
+                for (snap, then) in &held {
+                    check_props(&format!("an older snapshot of {}", snap.name()), snap, then)?;
+                }
+                held.clear();
+                for g in &graphs {
+                    check_props(g.name(), g, &shadow)?;
+                    let snap = g.snapshot();
+                    check_props(&format!("a snapshot of {}", g.name()), &snap, &shadow)?;
+                    held.push((snap, shadow.clone()));
+                }
+            }
+        }
+    }
+
     /// Random node creates with 0–3 labels (repeats allowed), deletes whose
     /// ids later creates reuse, and `:R` edges, all through Cypher, on a
     /// graph that folds its label diagonals at every insert and one that
